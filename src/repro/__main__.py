@@ -9,8 +9,10 @@ Usage::
 (:mod:`repro.workloads.harness`), so the bench-regression gate reads as
 ``python -m repro harness compare --baseline BENCH_pipeline_baseline.json``.
 
-Inside the shell, statements end with ``;``.  Ledger-specific commands use a
-backslash prefix:
+Inside the shell, statements end with ``;``.  ``EXPLAIN <select | update |
+delete>;`` prints the access path of each table the statement reads (seek,
+range, index seek or full scan) without running it.  Ledger-specific
+commands use a backslash prefix:
 
     \\digest               extract a database digest (JSON)
     \\verify [--parallel N]

@@ -38,7 +38,12 @@ from repro.core.ledger_view import (
 from repro.core.pipeline import LedgerPipeline
 from repro.engine.database import Database
 from repro.engine.expressions import eq
-from repro.engine.operators import delete_rows, insert_rows, update_rows
+from repro.engine.operators import (
+    access_path,
+    delete_rows,
+    insert_rows,
+    update_rows,
+)
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.table import Table
 from repro.engine.transaction import Transaction
@@ -634,8 +639,6 @@ class LedgerDatabase:
         where: Any = None,
         include_hidden: bool = False,
     ) -> List[Dict[str, Any]]:
-        from repro.engine.operators import access_path
-
         with self.ledger.storage_lock:
             table = self.engine.table(table_name)
             return [
@@ -649,10 +652,21 @@ class LedgerDatabase:
     # Ledger views (§2.1)
     # ------------------------------------------------------------------
 
-    def ledger_view(self, table_name: str) -> List[Dict[str, Any]]:
-        """All row operations ever performed on a ledger table (Figure 2)."""
-        table = self.ledger_table(table_name)
-        return ledger_view_rows(table, self.history_table(table_name))
+    def ledger_view(
+        self, table_name: str, where: Any = None
+    ) -> List[Dict[str, Any]]:
+        """Row operations ever performed on a ledger table (Figure 2).
+
+        ``where`` filters the events; when it pins the table's primary key
+        by equality only that key's versions are read (live row through
+        the clustered index, old versions through the history table's
+        derived key index), under the storage lock for just that long.
+        """
+        with self.ledger.storage_lock:
+            table = self.ledger_table(table_name)
+            return ledger_view_rows(
+                table, self.history_table(table_name), where
+            )
 
     def table_operations_view(self) -> List[Dict[str, Any]]:
         """CREATE/DROP history of every ledger table (Figure 6, §3.5.2)."""

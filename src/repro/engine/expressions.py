@@ -11,9 +11,10 @@ False (not NULL), and ``IS NULL`` exists for explicit NULL tests.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Tuple
+from typing import Any, Callable, Iterator, List, Mapping, Tuple
 
 from repro.errors import SqlBindError
 
@@ -95,7 +96,15 @@ class BinaryOp(Expression):
         if self.op in _COMPARISONS:
             if left is None or right is None:
                 return False  # SQL: comparisons with NULL are not TRUE
-            return _COMPARISONS[self.op](left, right)
+            try:
+                return _COMPARISONS[self.op](left, right)
+            except TypeError:
+                # The same typed error the planner's bind-time check raises.
+                raise SqlBindError(
+                    f"cannot compare {self.left} ({type(left).__name__}) "
+                    f"with {self.right} ({type(right).__name__}) "
+                    f"using {self.op!r}"
+                ) from None
         if self.op in _ARITHMETIC:
             if left is None or right is None:
                 return None  # NULL propagates through arithmetic
@@ -182,6 +191,54 @@ class InOp(Expression):
 
     def references(self) -> Tuple[str, ...]:
         return self.operand.references()
+
+    def __str__(self) -> str:
+        choices = ", ".join(repr(choice) for choice in self.choices)
+        return f"({self.operand} IN ({choices}))"
+
+
+def walk(expression: Expression) -> Iterator[Expression]:
+    """Every node of an expression tree, parents before children."""
+    yield expression
+    for field in dataclasses.fields(expression):  # type: ignore[arg-type]
+        child = getattr(expression, field.name)
+        if isinstance(child, Expression):
+            yield from walk(child)
+
+
+def conjuncts(condition: Any) -> List[Expression]:
+    """The operands of a top-level AND chain (a lone expression is one).
+
+    Each conjunct must hold for a row to qualify, so any of them may be
+    turned into an index bound on its own.  Callables and None have none.
+    """
+    if not isinstance(condition, Expression):
+        return []
+    if isinstance(condition, BinaryOp) and condition.op == "AND":
+        return conjuncts(condition.left) + conjuncts(condition.right)
+    return [condition]
+
+
+def conjunction(parts: List[Expression]) -> Any:
+    """AND the parts back together; None when there are none."""
+    combined = None
+    for part in parts:
+        combined = part if combined is None else BinaryOp("AND", combined, part)
+    return combined
+
+
+def rename_columns(
+    expression: Expression, rename: Callable[[str], str]
+) -> Expression:
+    """A copy of the tree with every column reference passed through ``rename``."""
+    if isinstance(expression, ColumnRef):
+        return ColumnRef(rename(expression.name))
+    changes = {
+        field.name: rename_columns(getattr(expression, field.name), rename)
+        for field in dataclasses.fields(expression)  # type: ignore[arg-type]
+        if isinstance(getattr(expression, field.name), Expression)
+    }
+    return dataclasses.replace(expression, **changes) if changes else expression
 
 
 Predicate = Callable[[RowContext], bool]

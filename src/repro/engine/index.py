@@ -15,13 +15,21 @@ catches it.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import (
+    Any, DefaultDict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.engine.btree import BPlusTree
 from repro.engine.heap import HeapFile, RowId
 from repro.engine.record import decode_record, key_tuple
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.errors import ConstraintError, StorageError
+
+
+#: Sorts after every key part (parts are ``(0, '')`` or ``(1, value)``), so
+#: ``key + _AFTER`` is an exclusive upper bound for every key extending ``key``.
+_AFTER = ((2,),)
 
 
 class ClusteredIndex:
@@ -79,18 +87,66 @@ class ClusteredIndex:
         """All entries in primary-key order."""
         return self._tree.items()
 
-    def range(self, low=None, high=None, **kwargs) -> Iterator[Tuple[Tuple, RowId]]:
-        low_key = key_tuple(low) if low is not None else None
-        high_key = key_tuple(high) if high is not None else None
-        return self._tree.range(low_key, high_key, **kwargs)
+    def seek_range(
+        self,
+        prefix: Sequence[Any] = (),
+        low: Optional[Tuple[Any, bool]] = None,
+        high: Optional[Tuple[Any, bool]] = None,
+    ) -> Iterator[RowId]:
+        """RowIds, in key order, of one contiguous slice of the index.
 
-    def seek_prefix(self, prefix_values: Sequence[Any]) -> Iterator[RowId]:
-        """RowIds of all rows whose leading key columns equal the prefix."""
-        for _, rid in self._tree.prefix(key_tuple(prefix_values)):
+        The slice holds the rows whose leading key columns equal ``prefix``
+        and whose next key column lies between ``low`` and ``high``, each a
+        ``(value, inclusive)`` pair or None for unbounded.  Values must be
+        comparable with the key columns they bound.
+        """
+        base = key_tuple(prefix)
+        low_key: Optional[Tuple] = base or None
+        if low is not None:
+            value, inclusive = low
+            low_key = base + key_tuple([value])
+            if not inclusive:
+                low_key += _AFTER
+        high_key: Optional[Tuple] = base + _AFTER if base else None
+        if high is not None:
+            value, inclusive = high
+            high_key = base + key_tuple([value])
+            if inclusive:
+                high_key += _AFTER
+        for _, rid in self._tree.range(low_key, high_key, include_high=False):
             yield rid
 
     def __len__(self) -> int:
         return len(self._tree)
+
+
+class DerivedKeyIndex:
+    """Non-unique, in-memory map from key-column values to RowIds.
+
+    Built by one scan of the table it indexes and kept current by the
+    table's own inserts; any other physical change drops it, and the next
+    lookup rebuilds it.  It owns no storage: nothing is persisted, logged
+    or hashed, so — like the clustered tree — it is outside what
+    verification covers and can never disagree with the heap for longer
+    than one rebuild.  The ledger uses it to find a key's old versions in
+    a history table, which has no primary key of its own.
+    """
+
+    def __init__(
+        self,
+        ordinals: Sequence[int],
+        rows: Iterable[Tuple[RowId, Sequence[Any]]],
+    ) -> None:
+        self.ordinals = tuple(ordinals)
+        self._rids: DefaultDict[Tuple, List[RowId]] = defaultdict(list)
+        for rid, row in rows:
+            self.add(row, rid)
+
+    def add(self, row: Sequence[Any], rid: RowId) -> None:
+        self._rids[tuple(row[o] for o in self.ordinals)].append(rid)
+
+    def seek(self, key_values: Sequence[Any]) -> List[RowId]:
+        return list(self._rids.get(tuple(key_values), ()))
 
 
 class NonclusteredIndex:

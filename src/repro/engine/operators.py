@@ -12,11 +12,23 @@ project, sort, limit, grouped aggregation, and the three DML operators.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import Expression, as_predicate
+from repro.engine.expressions import (
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    InOp,
+    Literal,
+    as_predicate,
+    conjuncts,
+    eq,
+    walk,
+)
 from repro.engine.heap import RowId
-from repro.engine.record import decode_record
+from repro.engine.record import key_tuple
+from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.transaction import Transaction
 from repro.errors import SqlBindError
@@ -70,91 +82,320 @@ def pk_seek(
         yield rid, _name_row(table, row, include_hidden)
 
 
-def _collect_equalities(condition: Any) -> Optional[Dict[str, Any]]:
-    """Extract ``column = literal`` conjuncts from an AND-only expression.
+# ---------------------------------------------------------------------------
+# The access-path planner
+# ---------------------------------------------------------------------------
 
-    Returns None when the expression contains anything but AND / equality,
-    in which case no index access path can be derived safely.
+PK_SEEK = "pk_seek"
+PK_RANGE = "pk_range"
+INDEX_SEEK = "index_seek"
+SEQ_SCAN = "seq_scan"
+
+#: ``index`` of a plan that goes through the clustered (primary-key) index.
+PRIMARY = "PRIMARY"
+
+#: Comparison operators restated with their operands swapped.
+_FLIPPED = {
+    "=": "=", "!=": "!=", "<>": "<>",
+    "<": ">", "<=": ">=", ">": "<", ">=": "<=",
+}
+#: The ones an ordered index can serve.
+_SARGABLE = ("=", "<", "<=", ">", ">=")
+
+
+@dataclass(frozen=True)
+class Term:
+    """One sargable conjunct: ``column <op> literal`` or ``column IN (...)``."""
+
+    op: str  # = < <= > >= IN
+    value: Any  # the literal; a tuple of literals for IN
+    source: Expression  # the conjunct it came from
+
+
+def _column_literals(node: Expression) -> Optional[Tuple[str, str, Any]]:
+    """``(column, op, literal)`` when ``node`` compares a column with literals.
+
+    The operator is stated with the column on the left whichever way round
+    the comparison was written; IN carries its whole choice tuple.
     """
-    from repro.engine.expressions import BinaryOp, ColumnRef, Literal
-
-    if isinstance(condition, BinaryOp):
-        if condition.op == "AND":
-            left = _collect_equalities(condition.left)
-            right = _collect_equalities(condition.right)
-            if left is None or right is None:
-                return None
-            merged = dict(left)
-            merged.update(right)
-            return merged
-        if condition.op == "=":
-            column, literal = condition.left, condition.right
-            if isinstance(literal, ColumnRef) and isinstance(column, Literal):
-                column, literal = literal, column
-            if isinstance(column, ColumnRef) and isinstance(literal, Literal):
-                return {column.name: literal.value}
+    if isinstance(node, BinaryOp) and node.op in _FLIPPED:
+        left, right = node.left, node.right
+        if isinstance(left, ColumnRef) and isinstance(right, Literal):
+            return left.name, node.op, right.value
+        if isinstance(left, Literal) and isinstance(right, ColumnRef):
+            return right.name, _FLIPPED[node.op], left.value
+    elif isinstance(node, InOp) and isinstance(node.operand, ColumnRef):
+        return node.operand.name, "IN", node.choices
     return None
+
+
+def sargable_terms(condition: Any) -> Dict[str, List[Term]]:
+    """The index-usable terms of a predicate, by column.
+
+    Only conjuncts of the top-level AND chain qualify — each must hold on
+    its own, so bounding the search by one cannot lose a row.  Anything
+    under OR / NOT, ``!=``, column-to-column and function-wrapped
+    comparisons, NULL literals and callables yield no term and are left to
+    the residual: extraction must be conservative, the full predicate is
+    re-applied to whatever the access path returns.
+    """
+    terms: Dict[str, List[Term]] = {}
+    for conjunct in conjuncts(condition):
+        found = _column_literals(conjunct)
+        if found is None:
+            continue
+        column, op, value = found
+        if op == "IN":
+            # NULL equals nothing, so it adds no key to look up.
+            value = tuple(v for v in value if v is not None)
+        if op == "IN" or (op in _SARGABLE and value is not None):
+            terms.setdefault(column, []).append(Term(op, value, conjunct))
+    return terms
+
+
+def check_comparisons(schema: TableSchema, condition: Any) -> None:
+    """Reject comparisons between a column and a literal of another type.
+
+    Runs before any access path is chosen, so SELECT, UPDATE and DELETE
+    fail the same way whatever path would have served them, and no index
+    is ever descended with a key it cannot order.
+    """
+    if not isinstance(condition, Expression):
+        return
+    for node in walk(condition):
+        found = _column_literals(node)
+        if found is None or not schema.has_column(found[0]):
+            continue
+        name, op, value = found
+        sql_type = schema.column(name).sql_type
+        for literal in value if op == "IN" else (value,):
+            if literal is not None and not sql_type.comparable(literal):
+                raise SqlBindError(
+                    f"cannot compare column {name!r} ({sql_type.render()}) "
+                    f"with {literal!r} ({type(literal).__name__})"
+                )
+
+
+def _first(terms: Sequence[Term], *ops: str) -> Optional[Term]:
+    return next((term for term in terms if term.op in ops), None)
+
+
+def pinned_key(
+    terms: Dict[str, List[Term]], columns: Sequence[str]
+) -> Optional[List[Term]]:
+    """The equality term of every column in ``columns``, or None."""
+    pins = [_first(terms.get(name, ()), "=") for name in columns]
+    return None if not pins or None in pins else pins  # type: ignore[return-value]
+
+
+def _sources(terms: Sequence[Term]) -> Tuple[Expression, ...]:
+    return tuple(term.source for term in terms)
+
+
+@dataclass(frozen=True)
+class AccessPlan:
+    """How one statement will reach the rows of one table.
+
+    ``candidates`` runs the access path; ``rows`` re-applies the whole
+    predicate to what it returns, so a plan is correct whenever its path
+    returns a superset of the qualifying rows.
+    """
+
+    table: Table
+    access: str = SEQ_SCAN
+    index: Optional[str] = None
+    #: Seeks: one full key per lookup.  Ranges: ``keys[0]`` is the prefix.
+    keys: Tuple[Tuple[Any, ...], ...] = ()
+    #: Range bounds on the key column after the prefix: (value, inclusive).
+    low: Optional[Tuple[Any, bool]] = None
+    high: Optional[Tuple[Any, bool]] = None
+    condition: Any = None
+    #: The conjuncts of ``condition`` the access path already enforces.
+    consumed: Tuple[Expression, ...] = ()
+
+    @property
+    def key_ordered(self) -> bool:
+        """True when candidates come back in primary-key order."""
+        return self.index == PRIMARY
+
+    def in_key_order(self) -> "AccessPlan":
+        """This plan, or for a full scan the same scan in primary-key order."""
+        if self.access != SEQ_SCAN or self.table.clustered is None:
+            return self
+        return replace(self, access=PK_RANGE, index=PRIMARY, keys=((),))
+
+    def _rids(self) -> Iterator[RowId]:
+        table = self.table
+        if self.access == PK_SEEK:
+            for key in self.keys:
+                rid = table.clustered.seek(key)
+                if rid is not None:
+                    yield rid
+        elif self.access == INDEX_SEEK:
+            for key in self.keys:
+                yield from table.nonclustered[self.index].seek(key)
+        else:
+            yield from table.clustered.seek_range(
+                self.keys[0], self.low, self.high
+            )
+
+    def candidates(
+        self, include_hidden: bool = False
+    ) -> Iterator[Tuple[RowId, NamedRow]]:
+        """(RowId, named row) of everything the access path reaches."""
+        table = self.table
+        if self.access == SEQ_SCAN:
+            yield from seq_scan(table, include_hidden=include_hidden)
+            return
+        for rid in self._rids():
+            row = table.read_row(rid, visible_only=not include_hidden)
+            yield rid, _name_row(table, row, include_hidden)
+
+    def rows(
+        self, include_hidden: bool = False
+    ) -> Iterator[Tuple[RowId, NamedRow]]:
+        """The candidates that satisfy the whole predicate."""
+        predicate = as_predicate(self.condition)
+        return (
+            (rid, named)
+            for rid, named in self.candidates(include_hidden)
+            if predicate(named)
+        )
+
+    def explain(self) -> Dict[str, Any]:
+        return explain_row(
+            self.table.name, self.access, self.index,
+            self.condition, self.consumed,
+        )
+
+
+def explain_row(
+    table: str,
+    access: str,
+    index: Optional[str],
+    condition: Any,
+    consumed: Sequence[Expression],
+) -> Dict[str, Any]:
+    """One EXPLAIN row: ``bounds`` is what the access path enforces,
+    ``residual`` what only the re-applied predicate does."""
+    if condition is None or isinstance(condition, Expression):
+        residual = [
+            str(part) for part in conjuncts(condition)
+            if not any(part is used for used in consumed)
+        ]
+    else:
+        residual = ["<callable>"]
+    return {
+        "table": table,
+        "access": access,
+        "index": index,
+        "bounds": " AND ".join(map(str, consumed)) or None,
+        "residual": " AND ".join(residual) or None,
+    }
+
+
+def _choose_path(
+    table: Table, terms: Dict[str, List[Term]], condition: Any = None
+) -> AccessPlan:
+    """Pick the access path the terms allow; seq_scan when none does."""
+    pk = table.schema.primary_key if table.clustered is not None else ()
+
+    # 1. Every PK column pinned — by equality, or one of them by IN: seeks.
+    keys: List[Tuple[Any, ...]] = [()]
+    used: List[Term] = []
+    for name in pk:
+        term = _first(terms.get(name, ()), "=")
+        if term is not None:
+            keys = [key + (term.value,) for key in keys]
+        else:
+            term = _first(terms.get(name, ()), "IN")
+            if term is None or len(keys) > 1:
+                break
+            keys = [key + (value,) for key in keys for value in term.value]
+        used.append(term)
+    else:
+        if pk:
+            distinct = {key_tuple(key): key for key in keys}
+            return AccessPlan(
+                table, PK_SEEK, PRIMARY,
+                keys=tuple(distinct[k] for k in sorted(distinct)),
+                condition=condition, consumed=_sources(used),
+            )
+
+    # 2. Every column of a nonclustered index pinned by equality.
+    for index in list(table.nonclustered.values()):
+        pins = pinned_key(terms, index.definition.column_names)
+        if pins is not None:
+            return AccessPlan(
+                table, INDEX_SEEK, index.name,
+                keys=(tuple(term.value for term in pins),),
+                condition=condition, consumed=_sources(pins),
+            )
+
+    # 3. A leading PK prefix pinned by equality, then optionally a range on
+    #    the next key column: one contiguous slice of the clustered index.
+    used = []
+    for name in pk:
+        term = _first(terms.get(name, ()), "=")
+        if term is None:
+            break
+        used.append(term)
+    prefix = tuple(term.value for term in used)
+    low = high = None
+    if len(prefix) < len(pk):
+        following = terms.get(pk[len(prefix)], ())
+        low = _first(following, ">", ">=")
+        high = _first(following, "<", "<=")
+    if used or low or high:
+        used += [term for term in (low, high) if term is not None]
+        return AccessPlan(
+            table, PK_RANGE, PRIMARY, keys=(prefix,),
+            low=(low.value, low.op == ">=") if low else None,
+            high=(high.value, high.op == "<=") if high else None,
+            condition=condition, consumed=_sources(used),
+        )
+    return AccessPlan(table, condition=condition)
+
+
+def plan_access(table: Table, condition: Any = None) -> AccessPlan:
+    """The one planner: choose how to reach the rows ``condition`` selects.
+
+    Decided from the predicate and the schema alone:
+
+    * equality on every primary-key column (one of them may be ``IN``) →
+      clustered seek(s);
+    * equality on every column of a nonclustered index → index seek;
+    * equality on a leading primary-key prefix and/or a ``<``/``<=``/``>``/
+      ``>=``/``BETWEEN`` range on the next key column → clustered range;
+    * anything else → full scan.
+
+    SELECT, UPDATE, DELETE and :meth:`LedgerDatabase.select` all come
+    through here.  Column names in ``condition`` are the table's own.
+    """
+    check_comparisons(table.schema, condition)
+    return _choose_path(table, sargable_terms(condition), condition)
+
+
+def plan_equalities(table: Table, equalities: Dict[str, Any]) -> AccessPlan:
+    """The path for ``column = value`` on every entry of ``equalities``.
+
+    The planner's chooser without predicate analysis, for callers that
+    already hold the values — the index nested-loop join probes the inner
+    table with the outer row's values.  The values must be comparable with
+    their columns; no predicate is attached.
+    """
+    terms = {
+        name: [Term("=", value, eq(name, value))]
+        for name, value in equalities.items()
+    }
+    return _choose_path(table, terms)
 
 
 def access_path(
     table: Table, condition: Any, include_hidden: bool = False
 ) -> Iterator[Tuple[RowId, NamedRow]]:
-    """Pick the cheapest access path for a predicate and apply it.
-
-    When the predicate pins every primary-key column with equality, a point
-    seek replaces the full scan — the executor-level optimization the paper
-    leans on for verification and that any OLTP workload needs.  The full
-    predicate is still applied to whatever the access path returns.
-    """
-    predicate = as_predicate(condition)
-    pk = table.schema.primary_key
-    rows: Iterator[Tuple[RowId, NamedRow]]
-    equalities = _collect_equalities(condition) if pk else None
-    if equalities is not None and all(name in equalities for name in pk):
-        hit = table.seek([equalities[name] for name in pk])
-        hits = [hit] if hit is not None else []
-        rows = (
-            (rid, _name_row(table, row, include_hidden)) for rid, row in hits
-        )
-    elif equalities is not None and table.clustered is not None and any(
-        name in equalities for name in pk[:1]
-    ):
-        # Equality on a leading prefix of the primary key: range-seek the
-        # clustered index instead of scanning the heap.
-        prefix = []
-        for name in pk:
-            if name in equalities:
-                prefix.append(equalities[name])
-            else:
-                break
-        rows = (
-            (rid, _name_row(
-                table,
-                decode_record(
-                    table.schema, table.heap.read(rid),
-                    visible_only=not include_hidden,
-                ),
-                include_hidden,
-            ))
-            for rid in list(table.clustered.seek_prefix(prefix))
-        )
-    else:
-        rows = None
-        if equalities is not None:
-            # A nonclustered index whose every key column is pinned.
-            for index in table.nonclustered.values():
-                if all(name in equalities for name in index.definition.column_names):
-                    key = [equalities[name] for name in index.definition.column_names]
-                    rows = (
-                        (rid, _name_row(table, row, include_hidden))
-                        for rid, row in table.seek_index(
-                            index.name, key, visible_only=not include_hidden
-                        )
-                    )
-                    break
-        if rows is None:
-            rows = seq_scan(table, include_hidden=include_hidden)
-    return ((rid, named) for rid, named in rows if predicate(named))
+    """Plan ``condition`` and return the qualifying (RowId, named row)s."""
+    return plan_access(table, condition).rows(include_hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +509,7 @@ def update_rows(
         access_path(table, condition, include_hidden=True)
     )
     for rid, named in targets:
-        new_row = list(decode_current(table, rid))
+        new_row = list(table.read_row(rid))
         for name, value in assignments.items():
             ordinal = table.schema.column(name).ordinal
             if isinstance(value, Expression):
@@ -288,8 +529,3 @@ def delete_rows(txn: Transaction, table: Table, condition: Any = None) -> int:
     return len(targets)
 
 
-def decode_current(table: Table, rid: RowId) -> Tuple[Any, ...]:
-    """Fetch and decode the physical row at ``rid``."""
-    from repro.engine.record import decode_record
-
-    return decode_record(table.schema, table.heap.read(rid))

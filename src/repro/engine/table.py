@@ -18,7 +18,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.heap import HeapFile, RowId
-from repro.engine.index import ClusteredIndex, NonclusteredIndex
+from repro.engine.index import (
+    ClusteredIndex,
+    DerivedKeyIndex,
+    NonclusteredIndex,
+)
 from repro.engine.record import decode_record, encode_record, key_tuple
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.transaction import Transaction
@@ -61,6 +65,8 @@ class Table:
             self.nonclustered[definition.name] = NonclusteredIndex(
                 schema.name, definition, schema
             )
+        # Built on first use by :meth:`rids_with_key`; None means "rebuild".
+        self._key_index: Optional[DerivedKeyIndex] = None
 
     @property
     def name(self) -> str:
@@ -149,13 +155,19 @@ class Table:
         for rid, record in self.heap.scan():
             yield rid, decode_record(self.schema, record, visible_only)
 
+    def read_row(
+        self, rid: RowId, visible_only: bool = False
+    ) -> Tuple[Any, ...]:
+        """Fetch and decode the physical row at ``rid``."""
+        return decode_record(self.schema, self.heap.read(rid), visible_only)
+
     def scan_clustered(self) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
         """All rows ordered by primary key (RowId order for heaps)."""
         if self.clustered is None:
             yield from self.scan()
             return
         for _, rid in self.clustered.scan():
-            yield rid, decode_record(self.schema, self.heap.read(rid))
+            yield rid, self.read_row(rid)
 
     def seek(self, pk_values: Sequence[Any]) -> Optional[Tuple[RowId, Tuple[Any, ...]]]:
         """Point lookup by primary key."""
@@ -164,7 +176,7 @@ class Table:
         rid = self.clustered.seek(pk_values)
         if rid is None:
             return None
-        return rid, decode_record(self.schema, self.heap.read(rid))
+        return rid, self.read_row(rid)
 
     def seek_index(
         self, index_name: str, key_values: Sequence[Any],
@@ -173,7 +185,21 @@ class Table:
         """Equality lookup through a nonclustered index."""
         index = self.nonclustered[index_name]
         for rid in index.seek(key_values):
-            yield rid, decode_record(self.schema, self.heap.read(rid), visible_only)
+            yield rid, self.read_row(rid, visible_only)
+
+    def rids_with_key(
+        self, ordinals: Sequence[int], key_values: Sequence[Any]
+    ) -> List[RowId]:
+        """RowIds of the rows whose columns at ``ordinals`` equal the key.
+
+        For tables with no index of their own on those columns (history
+        tables, looked up by the base table's primary key): served from a
+        :class:`DerivedKeyIndex` built by one scan on first use.
+        """
+        index = self._key_index
+        if index is None or index.ordinals != tuple(ordinals):
+            index = self._key_index = DerivedKeyIndex(ordinals, self.scan())
+        return index.seek(key_values)
 
     def row_count(self) -> int:
         return self.heap.record_count()
@@ -189,6 +215,7 @@ class Table:
         covered a dropped column) are discarded.
         """
         self.schema = schema
+        self._key_index = None
         surviving = {definition.name for definition in schema.indexes}
         for name in list(self.nonclustered):
             if name not in surviving:
@@ -207,6 +234,7 @@ class Table:
 
     def rebuild_indexes(self) -> None:
         """Rebuild every access path from the base heap (crash recovery)."""
+        self._key_index = None
         if self.schema.primary_key:
             self.clustered = ClusteredIndex(self.schema)
             for rid, record in self.heap.scan():
@@ -223,6 +251,7 @@ class Table:
         storage survives a clean restart — exactly the attack surface
         verification invariant 5 covers.
         """
+        self._key_index = None
         if self.schema.primary_key:
             self.clustered = ClusteredIndex(self.schema)
             for rid, record in self.heap.scan():
@@ -300,6 +329,9 @@ class Table:
             self.clustered.insert_many(
                 [(validated, rid) for (validated, _), rid in zip(prepared, rids)]
             )
+        if self._key_index is not None:
+            for (validated, _), rid in zip(prepared, rids):
+                self._key_index.add(validated, rid)
         for index in self.nonclustered.values():
             index.insert_many(
                 [
@@ -362,6 +394,8 @@ class Table:
             self.clustered.insert(validated, rid)
         for index in self.nonclustered.values():
             index.insert(validated, record, rid)
+        if self._key_index is not None:
+            self._key_index.add(validated, rid)
         self._wal.append(
             WalRecord(
                 INSERT,
@@ -437,6 +471,9 @@ class Table:
         txn.record_undo(f"delete {self.name} {rid}", undo_delete)
 
     def _physical_remove(self, rid: RowId, row: Tuple[Any, ...]) -> None:
+        # Removals and restores (deletes, undo, truncation) are rare where
+        # the derived index is used, so they drop it instead of patching it.
+        self._key_index = None
         self.heap.delete(rid)
         if self.clustered is not None:
             self.clustered.delete(row)
@@ -446,6 +483,7 @@ class Table:
     def _physical_restore(
         self, rid: RowId, row: Tuple[Any, ...], record: bytes
     ) -> None:
+        self._key_index = None
         self.heap.restore(rid, record)
         if self.clustered is not None:
             self.clustered.insert(row, rid)

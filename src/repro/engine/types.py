@@ -34,6 +34,18 @@ class SqlType:
 
     type_id: int = 0
     name: str = "UNKNOWN"
+    #: Python classes whose values compare (``=`` and ``<``) against this
+    #: type's stored values without a TypeError.
+    comparable_types: Tuple[type, ...] = ()
+
+    def comparable(self, value: Any) -> bool:
+        """True when ``value`` can be ordered against stored values.
+
+        The access-path planner only descends an index with keys that pass
+        this check; anything else is a bind error, never a raw TypeError
+        out of the B-tree.
+        """
+        return isinstance(value, self.comparable_types)
 
     def validate(self, value: Any) -> Any:
         """Coerce ``value`` to this type's canonical Python value.
@@ -72,10 +84,15 @@ class SqlType:
         return hash((self.type_id, self.type_meta()))
 
 
+#: int, float and Decimal order against each other (bool is an int).
+_NUMERIC = (int, float, Decimal)
+
+
 class _IntegerType(SqlType):
     """Fixed-width signed integers (TINYINT..BIGINT)."""
 
     width: int = 0
+    comparable_types = _NUMERIC
 
     def __init__(self) -> None:
         bits = self.width * 8
@@ -136,6 +153,7 @@ class BitType(SqlType):
 
     type_id = 5
     name = "BIT"
+    comparable_types = _NUMERIC
 
     def validate(self, value: Any) -> bool:
         if isinstance(value, bool):
@@ -160,6 +178,7 @@ class FloatType(SqlType):
 
     type_id = 6
     name = "FLOAT"
+    comparable_types = _NUMERIC
 
     def validate(self, value: Any) -> float:
         if isinstance(value, bool):
@@ -188,6 +207,7 @@ class DecimalType(SqlType):
 
     type_id = 7
     name = "DECIMAL"
+    comparable_types = _NUMERIC
 
     def __init__(self, precision: int = 18, scale: int = 2) -> None:
         if not 1 <= precision <= 38:
@@ -245,6 +265,8 @@ class DecimalType(SqlType):
 class _StringType(SqlType):
     """Common behaviour for CHAR / VARCHAR."""
 
+    comparable_types = (str,)
+
     def __init__(self, length: int = 255) -> None:
         if not 1 <= length <= 8000:
             raise TypeSystemError(f"{self.name} length {length} out of range [1, 8000]")
@@ -292,6 +314,7 @@ class VarBinaryType(SqlType):
 
     type_id = 10
     name = "VARBINARY"
+    comparable_types = (bytes, bytearray)
 
     def __init__(self, length: int = 8000) -> None:
         if not 1 <= length <= 8000:
@@ -328,6 +351,10 @@ class DateTimeType(SqlType):
     type_id = 11
     name = "DATETIME"
 
+    def comparable(self, value: Any) -> bool:
+        # Aware and naive timestamps do not order against each other.
+        return isinstance(value, dt.datetime) and value.tzinfo is None
+
     def validate(self, value: Any) -> dt.datetime:
         if isinstance(value, dt.datetime):
             if value.tzinfo is not None:
@@ -361,6 +388,10 @@ class DateType(SqlType):
 
     type_id = 12
     name = "DATE"
+
+    def comparable(self, value: Any) -> bool:
+        # datetime subclasses date but the two do not order against each other.
+        return isinstance(value, dt.date) and not isinstance(value, dt.datetime)
 
     def validate(self, value: Any) -> dt.date:
         if isinstance(value, dt.datetime):

@@ -117,6 +117,14 @@ class Select:
 
 
 @dataclass(frozen=True)
+class Explain:
+    """``EXPLAIN <select|update|delete>``: report the access plan of each
+    source without executing the statement."""
+
+    statement: Any  # Select | Update | Delete
+
+
+@dataclass(frozen=True)
 class BeginTransaction:
     pass
 

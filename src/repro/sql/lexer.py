@@ -14,7 +14,7 @@ KEYWORDS = {
     "PRIMARY", "KEY", "NOT", "NULL", "AND", "OR", "IS", "IN", "AS",
     "BEGIN", "COMMIT", "ROLLBACK", "TRANSACTION", "SAVE", "TO", "LEDGER",
     "APPEND_ONLY", "COUNT", "SUM", "MIN", "MAX", "AVG", "TRUE", "FALSE",
-    "JOIN", "INNER", "LEFT", "BETWEEN", "LIKE",
+    "JOIN", "INNER", "LEFT", "BETWEEN", "LIKE", "EXPLAIN",
 }
 
 # Token kinds.

@@ -90,6 +90,17 @@ class _Parser:
 
     def parse_statement(self):
         token = self._peek()
+        if self._accept(KEYWORD, "EXPLAIN"):
+            target = self._peek()
+            if not any(
+                target.matches(KEYWORD, kind)
+                for kind in ("SELECT", "UPDATE", "DELETE")
+            ):
+                raise SqlSyntaxError(
+                    f"EXPLAIN expects SELECT, UPDATE or DELETE, found {target}",
+                    target.line, target.column,
+                )
+            return ast.Explain(self.parse_statement())
         if token.matches(KEYWORD, "SELECT"):
             return self._parse_select()
         if token.matches(KEYWORD, "INSERT"):

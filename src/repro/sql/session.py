@@ -9,17 +9,33 @@ names read the corresponding ledger view as a virtual table.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.expressions import as_predicate
+from repro.core.ledger_view import plan_ledger_view, view_column_names
+from repro.engine.expressions import (
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    as_predicate,
+    conjunction,
+    conjuncts,
+    rename_columns,
+)
 from repro.engine.operators import (
+    SEQ_SCAN,
+    AccessPlan,
     aggregate,
     insert_rows,
     limit_rows,
+    plan_access,
+    plan_equalities,
     seq_scan,
     sort_rows,
 )
 from repro.engine.schema import Column, IndexDefinition, TableSchema
+from repro.engine.table import Table
 from repro.engine.transaction import Transaction
 from repro.engine.types import type_from_name
 from repro.errors import SqlBindError
@@ -53,6 +69,57 @@ def _sql_metrics(reg):
         )
 
     return _Families
+
+
+@dataclass(frozen=True)
+class _Source:
+    """One bound FROM item: a stored table or a ``<table>_ledger`` view."""
+
+    name: str
+    #: None for the only source of an unaliased statement: its rows carry
+    #: bare column names only.
+    alias: Optional[str]
+    columns: Tuple[str, ...]
+    table: Optional[Table] = None
+    #: The ledger table a view reads; set when ``table`` is None.
+    view_of: Optional[str] = None
+
+    def bare(self, name: str) -> Optional[str]:
+        """This source's column that ``name`` refers to, or None."""
+        if name in self.columns:
+            return name
+        if self.alias is not None and name.startswith(self.alias + "."):
+            column = name[len(self.alias) + 1:]
+            return column if column in self.columns else None
+        return None
+
+    def qualify(self, row: Dict[str, Any]) -> Dict[str, Any]:
+        """``row`` under both qualified (``alias.col``) and bare keys."""
+        qualified = {
+            f"{self.alias}.{name}": value for name, value in row.items()
+        }
+        qualified.update(row)
+        return qualified
+
+    def keys(self) -> Set[str]:
+        """Every key :meth:`qualify` produces."""
+        return {f"{self.alias}.{c}" for c in self.columns} | set(self.columns)
+
+    def key_order(
+        self, order_by: Sequence[Tuple[str, bool]]
+    ) -> Tuple[str, ...]:
+        """The ORDER BY columns in this source's names when all ascend and
+        all are its own; () otherwise."""
+        names = [
+            None if descending else self.bare(name)
+            for name, descending in order_by
+        ]
+        return () if None in names else tuple(names)  # type: ignore[arg-type]
+
+
+def _grouped(stmt: ast.Select) -> bool:
+    """True when aggregation comes between the source rows and the output."""
+    return bool(stmt.group_by) or any(item.aggregate for item in stmt.items)
 
 
 class SqlSession:
@@ -111,8 +178,9 @@ class SqlSession:
         shared state, so it happens *before* the lock is taken — statements
         queued behind a long scan parse concurrently instead of serially.
         Read-only statements never hold the storage lock across execution:
-        :meth:`_source_rows` takes it just long enough to materialize a
-        snapshot, and filtering/joins/sorts run lock-free on the copy.
+        :meth:`_fetch` takes it for the seek and decode of the rows an
+        access path returns (or, for a full scan, just long enough to copy
+        the table out), and joins, sorts and projection run lock-free.
 
         Returns rows (list of dicts) for SELECT, an affected-row count for
         DML, and None for DDL / transaction control.
@@ -125,7 +193,7 @@ class SqlSession:
             self._m.statements.labels(kind).inc()
             handler = self._HANDLERS[type(statement)]
             started = time.perf_counter()
-            if type(statement) is ast.Select:
+            if type(statement) in (ast.Select, ast.Explain):
                 with tracer.span("sql.execute", kind=kind):
                     result = handler(self, statement)
             else:
@@ -376,79 +444,209 @@ class SqlSession:
     # SELECT
     # ------------------------------------------------------------------
 
-    def _source_rows(self, table_name: str) -> List[Dict[str, Any]]:
-        """Materialize a snapshot of a table or ledger view.
+    def _resolve_source(self, name: str, alias: Optional[str]) -> "_Source":
+        """Bind a FROM item: a stored table or a ``<table>_ledger`` view."""
+        db = self._db
+        if db.engine.has_table(name):
+            table = db.engine.table(name)
+            return _Source(name, alias, table.schema.visible_names, table)
+        if name.endswith("_ledger"):
+            base = name[: -len("_ledger")]
+            if db.engine.has_table(base):
+                columns = view_column_names(db.ledger_table(base))
+                return _Source(name, alias, tuple(columns), view_of=base)
+        raise SqlBindError(f"unknown table or view {name!r}")
 
-        This is the only place a SELECT touches the storage lock: held just
-        long enough to copy the rows out, so filters, joins and sorts run
-        on the snapshot without blocking writers.
+    @staticmethod
+    def _source_where(
+        where: Optional[Expression], source: "_Source", strict: bool = False
+    ) -> Optional[Expression]:
+        """The conjuncts of WHERE that ``source`` can decide on its own rows,
+        restated in its own column names.
+
+        That is what the planner can turn into an access path.  ``strict``
+        (single-source statements) makes a column nobody can supply a bind
+        error instead of a conjunct left for later.
+        """
+        mine = []
+        for part in conjuncts(where):
+            unknown = [n for n in part.references() if source.bare(n) is None]
+            if unknown and strict:
+                raise SqlBindError(f"unknown column {unknown[0]!r}")
+            if not unknown:
+                mine.append(part)
+        if source.alias is not None:
+            mine = [rename_columns(part, source.bare) for part in mine]
+        return conjunction(mine)
+
+    @staticmethod
+    def _table_plan(
+        source: "_Source",
+        where: Optional[Expression],
+        order_by: Sequence[str] = (),
+        limit: Optional[int] = None,
+    ) -> Tuple[AccessPlan, bool]:
+        """Plan a stored table's read; also whether its rows will come back
+        already in ``order_by`` order (a leading primary-key prefix).
+
+        A full scan that only has to feed ``ORDER BY <pk prefix> LIMIT n``
+        walks the clustered index instead, so it can stop after n matches.
+        """
+        table = source.table
+        plan = plan_access(table, where)
+        primary_key = table.schema.primary_key
+        by_key = bool(order_by) and (
+            tuple(order_by) == primary_key[: len(order_by)]
+        )
+        if by_key and limit is not None:
+            plan = plan.in_key_order()
+        return plan, by_key and plan.key_ordered
+
+    def _single_source(self, stmt: ast.Select):
+        """Bind the only source of a join-free SELECT: the source, its
+        WHERE, and the ORDER BY / LIMIT its access path may serve (none
+        when grouping comes between the rows and the ordering)."""
+        source = self._resolve_source(stmt.table, stmt.alias)
+        where = self._source_where(stmt.where, source, strict=True)
+        if _grouped(stmt):
+            return source, where, (), None
+        return source, where, source.key_order(stmt.order_by), stmt.limit
+
+    def _fetch(
+        self,
+        source: "_Source",
+        where: Optional[Expression],
+        order_by: Sequence[str] = (),
+        limit: Optional[int] = None,
+    ) -> Tuple[List[Dict[str, Any]], bool]:
+        """The rows of ``source`` that satisfy ``where``, and whether they
+        are already in ``order_by`` order (then cut to ``limit``).
+
+        The only place a SELECT touches the storage lock.  A seek or range
+        holds it for exactly the rows it returns; the full-scan fallback
+        holds it just long enough to copy the table out and filters the
+        copy without blocking writers.
         """
         db = self._db
-        if db.engine.has_table(table_name):
-            with db.ledger_lock:
-                table = db.engine.table(table_name)
-                return [named for _, named in seq_scan(table)]
-        # Virtual ledger views: <table>_ledger.
-        if table_name.endswith("_ledger"):
-            base = table_name[: -len("_ledger")]
-            if db.engine.has_table(base):
-                with db.ledger_lock:
-                    return db.ledger_view(base)
-        raise SqlBindError(f"unknown table or view {table_name!r}")
+        if source.table is None:
+            return db.ledger_view(source.view_of, where=where), False
+        with db.ledger_lock:
+            plan, ordered = self._table_plan(source, where, order_by, limit)
+            if plan.access != SEQ_SCAN:
+                rows = plan.rows()
+                if ordered and limit is not None:
+                    rows = islice(rows, limit)
+                return [named for _, named in rows], ordered
+            snapshot = [named for _, named in seq_scan(source.table)]
+        predicate = as_predicate(where)
+        return [row for row in snapshot if predicate(row)], False
 
-    def _aliased_rows(
-        self, table_name: str, alias: str
-    ) -> List[Dict[str, Any]]:
-        """Source rows carrying both qualified (``alias.col``) and bare keys."""
-        rows = []
-        for source in self._source_rows(table_name):
-            row = {f"{alias}.{name}": value for name, value in source.items()}
-            row.update(source)
-            rows.append(row)
-        return rows
+    @staticmethod
+    def _join_access(
+        right: "_Source", on: Expression, known: Set[str]
+    ) -> Tuple[Dict[str, str], Optional[AccessPlan]]:
+        """How to find the rows of ``right`` that can join one left row.
+
+        Returns the ``right column -> left row key`` pairs that ON equates
+        (top-level AND conjuncts only) and, when a primary key or index of
+        ``right`` covers them, the shape of the seek that serves them; None
+        means every right row has to be tried.
+        """
+        pins: Dict[str, str] = {}
+        for part in conjuncts(on):
+            if not (
+                isinstance(part, BinaryOp) and part.op == "="
+                and isinstance(part.left, ColumnRef)
+                and isinstance(part.right, ColumnRef)
+            ):
+                continue
+            for mine, theirs in (
+                (part.left.name, part.right.name),
+                (part.right.name, part.left.name),
+            ):
+                # A bare name the left side also has means the left side's.
+                column = None if mine in known else right.bare(mine)
+                if column is not None and theirs in known:
+                    pins.setdefault(column, theirs)
+                    break
+        if right.table is None or not pins:
+            return pins, None
+        shape = plan_equalities(right.table, dict.fromkeys(pins))
+        return pins, shape if shape.access != SEQ_SCAN else None
+
+    def _join_matcher(
+        self, right: "_Source", on: Expression, known: Set[str]
+    ):
+        """``left row -> candidate right rows`` for one join step: an index
+        nested loop when ON equates a key of ``right``, else a snapshot."""
+        pins, shape = self._join_access(right, on, known)
+        if shape is None:
+            rows = self._fetch(right, None)[0]
+            snapshot = [right.qualify(row) for row in rows]
+            return lambda left: snapshot
+        table = right.table
+        types = {name: table.schema.column(name).sql_type for name in pins}
+        lock = self._db.ledger_lock
+
+        def probe(left: Dict[str, Any]) -> List[Dict[str, Any]]:
+            values = {column: left[key] for column, key in pins.items()}
+            for column, value in values.items():
+                # NULL or another type equals nothing: ON cannot hold.
+                if value is None or not types[column].comparable(value):
+                    return []
+            with lock:
+                found = list(plan_equalities(table, values).candidates())
+            return [right.qualify(named) for _, named in found]
+
+        return probe
 
     def _join_rows(self, stmt: ast.Select) -> List[Dict[str, Any]]:
         """Nested-loop joins, left to right (INNER and LEFT OUTER)."""
-        left_alias = stmt.alias or stmt.table
-        rows = self._aliased_rows(stmt.table, left_alias)
+        left = self._resolve_source(stmt.table, stmt.alias or stmt.table)
+        where = self._source_where(stmt.where, left)
+        rows = [left.qualify(row) for row in self._fetch(left, where)[0]]
+        known = left.keys()
         for join in stmt.joins:
-            right_rows = self._aliased_rows(join.table, join.alias)
-            right_columns = set()
-            for right in right_rows:
-                right_columns.update(right)
+            right = self._resolve_source(join.table, join.alias)
+            candidates = self._join_matcher(right, join.on, known)
+            right_keys = right.keys()
             predicate = as_predicate(join.on)
             joined: List[Dict[str, Any]] = []
-            for left in rows:
+            for left_row in rows:
                 matched = False
-                for right in right_rows:
+                for right_row in candidates(left_row):
                     # Qualified keys never collide; ambiguous bare keys
                     # resolve to the leftmost source (first wins).
-                    combined = {**right, **left}
+                    combined = {**right_row, **left_row}
                     if predicate(combined):
                         joined.append(combined)
                         matched = True
                 if join.left_outer and not matched:
-                    padded = dict(left)
+                    padded = dict(left_row)
                     padded.update(
-                        {k: None for k in right_columns if k not in padded}
+                        {k: None for k in right_keys if k not in padded}
                     )
                     joined.append(padded)
             rows = joined
+            known |= right_keys
         return rows
 
     def _run_select(self, stmt: ast.Select):
+        grouped = _grouped(stmt)
+        ordered = False
         if stmt.joins:
-            rows: Any = iter(self._join_rows(stmt))
-        elif stmt.alias:
-            rows = iter(self._aliased_rows(stmt.table, stmt.alias))
+            rows: Any = self._join_rows(stmt)
+            if stmt.where is not None:
+                predicate = as_predicate(stmt.where)
+                rows = (row for row in rows if predicate(row))
         else:
-            rows = iter(self._source_rows(stmt.table))
-        if stmt.where is not None:
-            predicate = as_predicate(stmt.where)
-            rows = (row for row in rows if predicate(row))
+            source, *read = self._single_source(stmt)
+            rows, ordered = self._fetch(source, *read)
+            if stmt.alias:
+                rows = [source.qualify(row) for row in rows]
+        rows = iter(rows)
 
-        has_aggregates = any(item.aggregate for item in stmt.items)
-        if has_aggregates or stmt.group_by:
+        if grouped:
             aggregates = [
                 (item.alias, item.aggregate, item.aggregate_column)
                 for item in stmt.items
@@ -490,7 +688,7 @@ class SqlSession:
 
         # Non-aggregated path: ORDER BY may reference source columns that
         # the projection drops, so sort before projecting (SQL semantics).
-        if stmt.order_by:
+        if stmt.order_by and not ordered:
             rows = sort_rows(rows, list(stmt.order_by))
         if stmt.limit is not None:
             rows = limit_rows(rows, stmt.limit)
@@ -501,6 +699,54 @@ class SqlSession:
                 for row in rows
             )
         return list(rows)
+
+    # ------------------------------------------------------------------
+    # EXPLAIN
+    # ------------------------------------------------------------------
+
+    def _explain_source(
+        self,
+        source: _Source,
+        where: Optional[Expression],
+        order_by: Sequence[str] = (),
+        limit: Optional[int] = None,
+    ) -> Dict[str, Any]:
+        if source.table is None:
+            base = self._db.ledger_table(source.view_of)
+            return plan_ledger_view(base, where).explain()
+        return self._table_plan(source, where, order_by, limit)[0].explain()
+
+    def _run_explain(self, stmt: ast.Explain) -> List[Dict[str, Any]]:
+        """One row per source — table, access, index, bounds, residual —
+        from the same planning calls execution makes; nothing is read."""
+        target = stmt.statement
+        with self._db.ledger_lock:
+            if not isinstance(target, ast.Select):
+                table = self._db.engine.table(target.table)
+                return [plan_access(table, target.where).explain()]
+            if not target.joins:
+                return [self._explain_source(*self._single_source(target))]
+            left = self._resolve_source(
+                target.table, target.alias or target.table
+            )
+            plans = [self._explain_source(
+                left, self._source_where(target.where, left)
+            )]
+            known = left.keys()
+            for join in target.joins:
+                right = self._resolve_source(join.table, join.alias)
+                pins, shape = self._join_access(right, join.on, known)
+                if shape is None:
+                    plans.append(self._explain_source(right, None))
+                else:
+                    row = shape.explain()
+                    row["bounds"] = " AND ".join(
+                        f"({used.left} = {pins[used.left.name]})"
+                        for used in shape.consumed
+                    )
+                    plans.append(row)
+                known |= right.keys()
+            return plans
 
     _HANDLERS = {
         ast.BeginTransaction: _run_begin,
@@ -517,4 +763,5 @@ class SqlSession:
         ast.Update: _run_update,
         ast.Delete: _run_delete,
         ast.Select: _run_select,
+        ast.Explain: _run_explain,
     }

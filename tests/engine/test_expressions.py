@@ -15,7 +15,7 @@ from repro.engine.expressions import (
     column,
     eq,
 )
-from repro.engine.operators import _collect_equalities
+from repro.engine.operators import sargable_terms
 from repro.errors import SqlBindError
 
 
@@ -99,34 +99,75 @@ class TestAsPredicate:
             as_predicate(42)
 
 
-class TestEqualityExtraction:
-    """_collect_equalities drives index selection; it must be conservative."""
+def _terms(condition):
+    """Extracted terms as {column: [(op, literal), ...]}."""
+    terms = sargable_terms(condition)
+    return {
+        name: [(term.op, term.value) for term in column_terms]
+        for name, column_terms in terms.items()
+    }
+
+
+class TestSargableExtraction:
+    """sargable_terms drives index selection; it must be conservative."""
 
     def test_single_equality(self):
-        assert _collect_equalities(eq("a", 1)) == {"a": 1}
+        assert _terms(eq("a", 1)) == {"a": [("=", 1)]}
 
     def test_and_chain(self):
         expr = BinaryOp("AND", eq("a", 1), BinaryOp("AND", eq("b", 2), eq("c", 3)))
-        assert _collect_equalities(expr) == {"a": 1, "b": 2, "c": 3}
+        assert _terms(expr) == {
+            "a": [("=", 1)], "b": [("=", 2)], "c": [("=", 3)],
+        }
 
     def test_reversed_operands(self):
         expr = BinaryOp("=", Literal(1), ColumnRef("a"))
-        assert _collect_equalities(expr) == {"a": 1}
+        assert _terms(expr) == {"a": [("=", 1)]}
+
+    def test_reversed_range_operands_flip_the_operator(self):
+        expr = BinaryOp("<", Literal(1), ColumnRef("a"))
+        assert _terms(expr) == {"a": [(">", 1)]}
 
     def test_or_disqualifies(self):
         expr = BinaryOp("OR", eq("a", 1), eq("b", 2))
-        assert _collect_equalities(expr) is None
+        assert sargable_terms(expr) == {}
 
-    def test_inequality_disqualifies(self):
+    def test_or_under_and_keeps_the_other_conjunct(self):
+        either = BinaryOp("OR", eq("b", 2), eq("b", 3))
+        assert _terms(BinaryOp("AND", eq("a", 1), either)) == {"a": [("=", 1)]}
+
+    def test_not_disqualifies(self):
+        expr = NotOp(eq("a", 1))
+        assert sargable_terms(expr) == {}
+
+    def test_inequality_becomes_a_range_bound(self):
         expr = BinaryOp("AND", eq("a", 1), BinaryOp("<", ColumnRef("b"), Literal(2)))
-        assert _collect_equalities(expr) is None
+        assert _terms(expr) == {"a": [("=", 1)], "b": [("<", 2)]}
+
+    def test_not_equal_disqualifies(self):
+        expr = BinaryOp("!=", ColumnRef("a"), Literal(1))
+        assert sargable_terms(expr) == {}
 
     def test_non_literal_equality_disqualifies(self):
         expr = BinaryOp("=", ColumnRef("a"), ColumnRef("b"))
-        assert _collect_equalities(expr) is None
+        assert sargable_terms(expr) == {}
+
+    def test_function_wrapped_column_disqualifies(self):
+        expr = BinaryOp(
+            "=", BinaryOp("+", ColumnRef("a"), Literal(0)), Literal(1)
+        )
+        assert sargable_terms(expr) == {}
+
+    def test_null_literal_disqualifies(self):
+        expr = eq("a", None)
+        assert sargable_terms(expr) == {}
+
+    def test_in_list_drops_nulls(self):
+        expr = InOp(ColumnRef("a"), (1, None, 2))
+        assert _terms(expr) == {"a": [("IN", (1, 2))]}
 
     def test_callable_disqualifies(self):
-        assert _collect_equalities(lambda r: True) is None
+        assert sargable_terms(lambda r: True) == {}
 
 
 @given(
