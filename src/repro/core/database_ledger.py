@@ -856,9 +856,12 @@ class DatabaseLedger:
         ``recovered_payloads`` are the ledger payloads of COMMIT records
         found in the WAL (analysis phase, §3.3.2).  Entries already batched
         into the system table before the crash are deduplicated by
-        transaction id.  Blocks that were sealed (fully assigned) but not
-        closed before the crash are re-sealed so the block builder finishes
-        them.
+        transaction id.  COMMIT records written before a truncation stay in
+        the WAL until the next checkpoint; their entries belong to blocks
+        below the anchor (installed by the caller beforehand) and are
+        dropped, not re-enqueued.  Blocks that were sealed (fully assigned)
+        but not closed before the crash are re-sealed so the block builder
+        finishes them.
         """
         known: Set[int] = set()
         table = self._transactions_table()
@@ -870,9 +873,13 @@ class DatabaseLedger:
         # (monotonic clock restarted, span ids reset) — drop it.
         self._entry_meta = {}
         self._block_traces = {}
+        first_block = self.first_block_id()
         for payload in recovered_payloads:
             entry = TransactionEntry.from_payload(payload)
-            if entry.transaction_id not in known:
+            if (
+                entry.transaction_id not in known
+                and entry.block_id >= first_block
+            ):
                 self._queue.append(entry)
         self._queue.sort(key=lambda e: (e.block_id, e.ordinal))
 

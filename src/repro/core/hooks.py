@@ -375,12 +375,12 @@ class LedgerHooks(EngineHooks):
     # Savepoints (§3.2.1)
     # ------------------------------------------------------------------
 
-    def on_savepoint(self, txn: Transaction, name: str) -> Any:
+    def on_savepoint(self, txn: Transaction, name: Optional[str]) -> Any:
         context: Optional[_LedgerTxContext] = txn.context.get(_CONTEXT_KEY)
         return context.snapshot() if context is not None else None
 
     def on_rollback_to_savepoint(
-        self, txn: Transaction, name: str, snapshot: Any
+        self, txn: Transaction, name: Optional[str], snapshot: Any
     ) -> None:
         context: Optional[_LedgerTxContext] = txn.context.get(_CONTEXT_KEY)
         if snapshot is None:

@@ -171,8 +171,10 @@ class LedgerDatabase:
             db._bootstrap(effective_block_size)
         else:
             payloads, state = hooks.take_recovery_data()
-            ledger.recover(payloads, state)
+            # The anchor first: recovery must know where the chain starts
+            # to tell a truncated transaction from a lost one.
             db._load_truncation_anchor()
+            ledger.recover(payloads, state)
             ctx.events.emit(
                 "recovery", "recovery.ledger_recovered",
                 path=path, queued_entries=len(payloads),
@@ -608,13 +610,20 @@ class LedgerDatabase:
 
     # ------------------------------------------------------------------
     # DML convenience API
+    #
+    # The ledger hooks hash a row version before storage checks its
+    # constraints, and a multi-row statement can fail half-applied; either
+    # would leave the transaction's Merkle state ahead of its rows.  Each
+    # call therefore runs under ``engine.statement``: one that raises is
+    # undone on its own — rows and hashers — and the caller's transaction
+    # stays open, free to COMMIT the statements that succeeded.
     # ------------------------------------------------------------------
 
     def insert(
         self, txn: Transaction, table_name: str, rows: Sequence[Sequence[Any]]
     ) -> int:
         """Insert rows given in visible-column order."""
-        with self.ledger.storage_lock:
+        with self.ledger.storage_lock, self.engine.statement(txn):
             return insert_rows(txn, self.engine.table(table_name), rows)
 
     def update(
@@ -624,13 +633,13 @@ class LedgerDatabase:
         assignments: Dict[str, Any],
         where: Any = None,
     ) -> int:
-        with self.ledger.storage_lock:
+        with self.ledger.storage_lock, self.engine.statement(txn):
             return update_rows(
                 txn, self.engine.table(table_name), assignments, where
             )
 
     def delete(self, txn: Transaction, table_name: str, where: Any = None) -> int:
-        with self.ledger.storage_lock:
+        with self.ledger.storage_lock, self.engine.statement(txn):
             return delete_rows(txn, self.engine.table(table_name), where)
 
     def select(

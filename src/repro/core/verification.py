@@ -30,10 +30,13 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   :func:`repro.core.verify_snapshot.capture_snapshot` materializes immutable
   references to blocks, entries, and stored records; every hash is then
   recomputed off-lock, so commits proceed concurrently with verification.
-* **Parallel invariants** (``parallelism=N``).  The scan-heavy phases fan
-  out over a fork-based worker pool (:mod:`repro.core.verify_parallel`):
-  block roots per chunk, table/index scans per record range, and the chain
-  segmented into ranges stitched at boundary hashes.
+* **One engine, range tasks.**  The chain, block-root, table-root and index
+  invariants are each a range task in :mod:`repro.core.verify_parallel`.
+  The verifier plans ranges over the snapshot, runs the tasks through a
+  :class:`~repro.core.verify_parallel.VerifyPool` — in-process with the
+  leaf-hash cache, or in ``parallelism=N`` forked workers — merges the
+  partial results and compares roots.  Every mode and every worker count
+  executes the same task code.
 * **Incremental mode** (``mode="incremental"`` + a
   :class:`repro.core.verify_checkpoint.VerificationCheckpoint`).  Digest,
   chain, and block-root invariants still run in full (they are cheap —
@@ -55,27 +58,25 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.digest import DatabaseDigest
 from repro.core.verify_checkpoint import TableFrontier, VerificationCheckpoint
 from repro.core.verify_parallel import (
+    SEVERITY_ERROR,
+    SEVERITY_WARNING,
+    Finding,
     VerifyPool,
     block_root_task,
-    chain_segment_task,
+    chain_task,
     events_task,
     keyed_leaves_task,
     split_ranges,
 )
 from repro.core.verify_snapshot import (
-    RelationSnapshot,
     TableSnapshot,
     VerificationSnapshot,
-    cached_record_events,
     capture_snapshot,
 )
 from repro.crypto.hashing import LeafHashCache
-from repro.crypto.merkle import MerkleHasher, MerkleTree, merkle_root
-from repro.errors import StorageError, VerificationFailedError
+from repro.crypto.merkle import MerkleHasher, merkle_root
+from repro.errors import VerificationFailedError
 from repro.runtime import DEFAULT_CONTEXT
-
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
 
 
 def _verify_metrics(reg):
@@ -141,19 +142,6 @@ def leaf_cache() -> LeafHashCache:
 
 
 @dataclass(frozen=True)
-class Finding:
-    """One verification finding (a detected inconsistency or caveat)."""
-
-    invariant: str
-    severity: str
-    message: str
-    context: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return f"[{self.invariant}/{self.severity}] {self.message}"
-
-
-@dataclass(frozen=True)
 class VerificationProgress:
     """One progress event emitted during a verification run.
 
@@ -209,7 +197,7 @@ class VerificationReport:
     invariant_timings: Dict[str, float] = field(default_factory=dict)
     #: Mode that actually executed ("full" or "incremental").
     mode: str = "full"
-    #: Worker processes that actually ran (1 = serial).
+    #: Worker processes that actually ran (1 = in-process).
     parallelism: int = 1
     #: Seconds the storage lock was held capturing the snapshot.
     snapshot_seconds: float = 0.0
@@ -322,10 +310,11 @@ class LedgerVerifier:
         and as rows/blocks are scanned, so long verifications can report
         percent-complete.
 
-        ``parallelism`` fans scan-heavy phases out over N worker processes
-        (full mode; serial fallback where fork is unavailable).  ``mode``
-        selects full or incremental verification; incremental requires a
-        usable ``checkpoint`` and otherwise falls back to full.
+        ``parallelism`` runs the scan-heavy range tasks in N forked worker
+        processes (full mode; the same tasks run in-process where fork is
+        unavailable).  ``mode`` selects full or incremental verification;
+        incremental requires a usable ``checkpoint`` and otherwise falls
+        back to full.
         ``build_checkpoint`` asks a passing run to produce the checkpoint
         for the next incremental cycle.  ``snapshot`` reuses an
         already-captured snapshot (internal; used by escalation).
@@ -344,36 +333,33 @@ class LedgerVerifier:
             snapshot = capture_snapshot(self._db, table_names)
         report.snapshot_seconds = snapshot.capture_seconds
 
+        # From here on a checkpoint means "this run is incremental".
         if mode == "incremental":
-            checkpoint, fallback_reason = self._usable_checkpoint(
+            checkpoint, report.fallback_reason = self._usable_checkpoint(
                 checkpoint, snapshot
             )
             if checkpoint is None:
                 mode = "full"
-                report.fallback_reason = fallback_reason
                 self._m.fallbacks.inc()
+        else:
+            checkpoint = None
         report.mode = mode
         self._escalate_reason = None
         self._events_by_table = {}
         cache_hits0 = self._cache.hits
         cache_misses0 = self._cache.misses
-
-        pool: Optional[VerifyPool] = None
-        if mode == "full" and parallelism > 1:
-            pool = VerifyPool(snapshot, parallelism)
-        report.parallelism = pool.processes if pool and pool.parallel else 1
         self._m.mode_runs.labels(mode).inc()
 
-        try:
+        # Incremental cycles are cheap because of the leaf-hash cache, which
+        # only in-process tasks can use: they never fork.
+        with VerifyPool(
+            snapshot, parallelism if checkpoint is None else 1,
+            self._cache, self._obs,
+        ) as pool:
+            report.parallelism = pool.processes if pool.parallel else 1
             with self._obs.tracer.span("verify.run"):
-                self._run_phases(
-                    report, digests, snapshot, mode, checkpoint, pool,
-                    build_checkpoint,
-                )
+                self._run_phases(report, digests, snapshot, checkpoint, pool)
                 self._emit_done()
-        finally:
-            if pool is not None:
-                pool.close()
 
         report.cache_hits = self._cache.hits - cache_hits0
         report.cache_misses = self._cache.misses - cache_misses0
@@ -413,7 +399,7 @@ class LedgerVerifier:
 
         if build_checkpoint and report.ok:
             report.built_checkpoint = self._build_checkpoint(
-                snapshot, checkpoint if mode == "incremental" else None
+                snapshot, checkpoint
             )
 
         for finding in report.findings:
@@ -431,77 +417,33 @@ class LedgerVerifier:
         )
         return report
 
-    def _run_phases(
-        self, report, digests, snapshot, mode, checkpoint, pool,
-        build_checkpoint,
-    ) -> None:
-        collect_streams = build_checkpoint or mode == "incremental"
-        if mode == "incremental":
-            phases: List[Tuple[str, Callable[[], None], Optional[int], str]] = [
-                ("digest",
-                 lambda: self._check_digests(report, digests, snapshot),
-                 len(digests), "digests"),
-                ("chain",
-                 lambda: self._check_chain_incremental(
-                     report, snapshot, checkpoint),
-                 len(snapshot.blocks), "blocks"),
-                ("block_root",
-                 lambda: self._check_block_roots_serial(report, snapshot),
-                 len(snapshot.blocks), "blocks"),
-                ("table_root",
-                 lambda: self._check_table_roots_incremental(
-                     report, snapshot, checkpoint),
-                 None, "row versions"),
-                ("view",
-                 lambda: self._check_views(report, snapshot),
-                 None, "views"),
-            ]
+    def _run_phases(self, report, digests, snapshot, checkpoint, pool) -> None:
+        blocks = len(snapshot.blocks)
+        phases: List[Tuple[str, Callable[[], None], Optional[int], str]] = [
+            ("digest",
+             lambda: self._check_digests(report, digests, snapshot),
+             len(digests), "digests"),
+            ("chain",
+             lambda: self._check_chain(report, snapshot, pool),
+             blocks, "blocks"),
+            ("block_root",
+             lambda: self._check_block_roots(report, snapshot, pool),
+             blocks, "blocks"),
+            ("table_root",
+             lambda: self._check_table_roots(
+                 report, snapshot, pool, checkpoint),
+             None, "row versions"),
+            ("index",
+             lambda: self._check_indexes(report, snapshot, pool),
+             len(snapshot.tables), "tables"),
+            ("view",
+             lambda: self._check_views(report, snapshot),
+             None, "views"),
+        ]
+        if checkpoint is not None:
+            # Incremental cycles defer the index invariant to deep scans.
+            phases = [phase for phase in phases if phase[0] != "index"]
             report.skipped_invariants = ["index"]
-        elif pool is not None and pool.parallel:
-            phases = [
-                ("digest",
-                 lambda: self._check_digests(report, digests, snapshot),
-                 len(digests), "digests"),
-                ("chain",
-                 lambda: self._check_chain_parallel(report, snapshot, pool),
-                 len(snapshot.blocks), "blocks"),
-                ("block_root",
-                 lambda: self._check_block_roots_parallel(
-                     report, snapshot, pool),
-                 len(snapshot.blocks), "blocks"),
-                ("table_root",
-                 lambda: self._check_table_roots_parallel(
-                     report, snapshot, pool, collect_streams),
-                 None, "row versions"),
-                ("index",
-                 lambda: self._check_indexes_parallel(report, snapshot, pool),
-                 len(snapshot.tables), "tables"),
-                ("view",
-                 lambda: self._check_views(report, snapshot),
-                 None, "views"),
-            ]
-        else:
-            phases = [
-                ("digest",
-                 lambda: self._check_digests(report, digests, snapshot),
-                 len(digests), "digests"),
-                ("chain",
-                 lambda: self._check_chain_serial(report, snapshot),
-                 len(snapshot.blocks), "blocks"),
-                ("block_root",
-                 lambda: self._check_block_roots_serial(report, snapshot),
-                 len(snapshot.blocks), "blocks"),
-                ("table_root",
-                 lambda: self._check_table_roots_serial(
-                     report, snapshot, collect_streams),
-                 None, "row versions"),
-                ("index",
-                 lambda: self._check_indexes_serial(report, snapshot),
-                 len(snapshot.tables), "tables"),
-                ("view",
-                 lambda: self._check_views(report, snapshot),
-                 None, "views"),
-            ]
         self._phase_count = len(phases)
         for index, (name, check, total, unit) in enumerate(phases):
             self._begin_phase(name, index, total, unit)
@@ -590,18 +532,44 @@ class LedgerVerifier:
             self._m.callback_errors.labels("progress").inc()
 
     # ------------------------------------------------------------------
-    # Shared helpers
+    # Range planning and task execution
     # ------------------------------------------------------------------
 
+    def _ranges(self, count: int, pool: VerifyPool) -> List[Tuple[int, int]]:
+        """Cut ``range(count)`` into task ranges.
+
+        One range per worker when the pool forks.  In-process there is
+        nothing to balance, so ranges hold at most ``progress_interval``
+        units and progress is reported at the cadence the caller asked for.
+        """
+        if pool.parallel:
+            return split_ranges(count, pool.processes)
+        return split_ranges(count, -(-count // self._progress_interval))
+
+    def _slices(self, block_ids: List[int], pool) -> List[List[int]]:
+        return [
+            block_ids[start:end]
+            for start, end in self._ranges(len(block_ids), pool)
+        ]
+
     @staticmethod
-    def _wrap_findings(report, findings: List[Dict[str, Any]]) -> None:
-        for data in findings:
-            report.findings.append(
-                Finding(
-                    data["invariant"], data["severity"], data["message"],
-                    data.get("context", {}),
-                )
-            )
+    def _relations(snapshot):
+        """``(table index, "base" | "history", relation)`` per relation."""
+        for table_index, table in enumerate(snapshot.tables):
+            yield table_index, "base", table.base
+            if table.history is not None:
+                yield table_index, "history", table.history
+
+    def _run_tasks(
+        self, report, pool: VerifyPool, task, args_list, on_result=None
+    ) -> List[Dict[str, Any]]:
+        """Run the current invariant's tasks; findings keep task order."""
+        if pool.parallel and self._obs.metrics.enabled:
+            self._m.parallel_tasks.labels(self._phase).inc(len(args_list))
+        results = pool.run(task, args_list, on_result)
+        for result in results:
+            report.findings.extend(result["findings"])
+        return results
 
     # ------------------------------------------------------------------
     # Invariant 1 — digests match recomputed block hashes
@@ -656,8 +624,10 @@ class LedgerVerifier:
     # Invariant 2 — the blockchain links verify
     # ------------------------------------------------------------------
 
-    def _report_chain_gaps(self, report, snapshot) -> List[int]:
+    def _check_chain(self, report, snapshot, pool) -> None:
         blocks = snapshot.blocks
+        if not blocks:
+            return
         block_ids = sorted(blocks)
         expected = list(range(snapshot.first_block_id, block_ids[-1] + 1))
         if block_ids != expected:
@@ -669,149 +639,22 @@ class LedgerVerifier:
                     {"missing": missing},
                 )
             )
-        return block_ids
-
-    def _check_chain_serial(self, report, snapshot) -> None:
-        blocks = snapshot.blocks
-        if not blocks:
-            return
-        block_ids = self._report_chain_gaps(report, snapshot)
-        anchor = snapshot.anchor
-        for block_id in block_ids:
-            block = blocks[block_id]
-            report.blocks_verified += 1
-            self._m.blocks_scanned.inc()
-            self._advance()
-            if block_id == 0:
-                if block.previous_block_hash is not None:
-                    report.findings.append(
-                        Finding(
-                            "chain", SEVERITY_ERROR,
-                            "block 0 must record a null previous-block hash",
-                            {"block_id": 0},
-                        )
-                    )
-                continue
-            if anchor is not None and block_id == anchor[0] + 1:
-                expected_prev = anchor[1]
-            else:
-                previous = blocks.get(block_id - 1)
-                if previous is None:
-                    continue  # gap already reported
-                expected_prev = previous.block_hash()
-            if block.previous_block_hash != expected_prev:
-                report.findings.append(
-                    Finding(
-                        "chain", SEVERITY_ERROR,
-                        f"block {block_id} records a previous-block hash that "
-                        f"does not match the recomputed hash of block "
-                        f"{block_id - 1}",
-                        {"block_id": block_id},
-                    )
-                )
-
-    def _check_chain_parallel(self, report, snapshot, pool) -> None:
-        """Segmented chain check: workers hash ranges, boundaries stitch.
-
-        Each worker recomputes the hashes *inside* its contiguous segment
-        and reports the segment's first stored previous-hash and last
-        recomputed hash; the parent compares those at segment boundaries,
-        so every block is hashed exactly once across the pool.
-        """
-        blocks = snapshot.blocks
-        if not blocks:
-            return
-        block_ids = self._report_chain_gaps(report, snapshot)
-        anchor = snapshot.anchor
-
-        # Contiguous runs (gaps split runs; gap findings already reported).
-        runs: List[List[int]] = []
-        for block_id in block_ids:
-            if runs and block_id == runs[-1][-1] + 1:
-                runs[-1].append(block_id)
-            else:
-                runs.append([block_id])
-
-        segments: List[List[int]] = []
-        for run in runs:
-            for start, end in split_ranges(len(run), pool.processes):
-                segments.append(run[start:end])
-        if self._obs.metrics.enabled:
-            self._m.parallel_tasks.labels("chain").inc(len(segments))
 
         def on_result(result) -> None:
             report.blocks_verified += result["count"]
             self._m.blocks_scanned.inc(result["count"])
             self._advance(result["count"])
 
-        results = pool.run(chain_segment_task, segments, on_result)
-
-        previous: Optional[Dict[str, Any]] = None
-        for result in results:
-            self._wrap_findings(report, result["findings"])
-            first_id = result["first_id"]
-            stored_prev = result["stored_prev"]
-            if previous is not None and first_id == previous["last_id"] + 1:
-                expected_prev: Optional[bytes] = previous["last_hash"]
-            elif first_id == 0:
-                if stored_prev is not None:
-                    report.findings.append(
-                        Finding(
-                            "chain", SEVERITY_ERROR,
-                            "block 0 must record a null previous-block hash",
-                            {"block_id": 0},
-                        )
-                    )
-                previous = result
-                continue
-            elif anchor is not None and first_id == anchor[0] + 1:
-                expected_prev = anchor[1]
-            else:
-                previous = result
-                continue  # run starts at a gap, already reported
-            if stored_prev != expected_prev:
-                report.findings.append(
-                    Finding(
-                        "chain", SEVERITY_ERROR,
-                        f"block {first_id} records a previous-block hash "
-                        f"that does not match the recomputed hash of block "
-                        f"{first_id - 1}",
-                        {"block_id": first_id},
-                    )
-                )
-            previous = result
-
-    def _check_chain_incremental(self, report, snapshot, checkpoint) -> None:
-        """Full chain check plus the checkpoint chained-hash cross-check.
-
-        Chain hashing is cheap (one small SHA-256 per block), so incremental
-        cycles still recompute every link — tampering *before* the
-        checkpoint is caught immediately, not deferred to a deep scan.  The
-        checkpoint's recorded block hash is additionally compared against
-        the recomputed hash of that block, anchoring this cycle to the last
-        passing run.
-        """
-        self._check_chain_serial(report, snapshot)
-        if checkpoint is None:
-            return
-        block = snapshot.blocks.get(checkpoint.block_id)
-        if block is not None and block.block_hash() != checkpoint.block_hash:
-            report.findings.append(
-                Finding(
-                    "chain", SEVERITY_ERROR,
-                    f"recomputed hash of block {checkpoint.block_id} does "
-                    "not match the chained hash recorded by the last "
-                    "passing verification",
-                    {"block_id": checkpoint.block_id},
-                )
-            )
+        self._run_tasks(
+            report, pool, chain_task, self._slices(block_ids, pool), on_result
+        )
 
     # ------------------------------------------------------------------
     # Invariant 3 — block transaction roots
     # ------------------------------------------------------------------
 
     def _report_unchained_entries(self, report, snapshot) -> None:
-        """Entries referencing blocks outside the chain (shared by modes)."""
+        """Entries referencing blocks outside the chain."""
         for block_id, block_entries in snapshot.entries_by_block.items():
             if block_id in snapshot.blocks:
                 continue
@@ -829,88 +672,51 @@ class LedgerVerifier:
                 )
             )
 
-    def _check_block_roots_serial(self, report, snapshot) -> None:
-        by_block = snapshot.entries_by_block
-        for block_id, block in sorted(snapshot.blocks.items()):
-            self._advance()
-            block_entries = by_block.get(block_id, [])
-            tree = MerkleTree([e.entry_hash() for e in block_entries])
-            if tree.root() != block.transactions_root:
-                report.findings.append(
-                    Finding(
-                        "block_root", SEVERITY_ERROR,
-                        f"transactions Merkle root of block {block_id} does "
-                        "not match the recomputed root over its entries",
-                        {"block_id": block_id},
-                    )
-                )
-            if block.transaction_count != len(block_entries):
-                report.findings.append(
-                    Finding(
-                        "block_root", SEVERITY_ERROR,
-                        f"block {block_id} records {block.transaction_count} "
-                        f"transactions but {len(block_entries)} are present",
-                        {"block_id": block_id},
-                    )
-                )
-            report.transactions_verified += len(block_entries)
-        self._report_unchained_entries(report, snapshot)
-
-    def _check_block_roots_parallel(self, report, snapshot, pool) -> None:
-        block_ids = sorted(snapshot.blocks)
-        chunks = [
-            block_ids[start:end]
-            for start, end in split_ranges(len(block_ids), pool.processes)
-        ]
-        if self._obs.metrics.enabled:
-            self._m.parallel_tasks.labels("block_root").inc(len(chunks))
-
-        results = []
-        for chunk, result in zip(chunks, pool.run(block_root_task, chunks)):
+    def _check_block_roots(self, report, snapshot, pool) -> None:
+        def on_result(result) -> None:
             report.transactions_verified += result["transactions"]
-            self._advance(len(chunk))
-            results.append(result)
-        for result in results:
-            self._wrap_findings(report, result["findings"])
+            self._advance(result["count"])
+
+        self._run_tasks(
+            report, pool, block_root_task,
+            self._slices(sorted(snapshot.blocks), pool), on_result,
+        )
         self._report_unchained_entries(report, snapshot)
 
     # ------------------------------------------------------------------
     # Invariant 4 — per-transaction table Merkle roots
     # ------------------------------------------------------------------
 
-    def _collect_events_serial(
-        self, report, table: TableSnapshot
-    ) -> Dict[Optional[int], List[Tuple[int, bytes]]]:
-        """Rebuild (sequence, leaf hash) events per transaction (§3.4.1-4).
+    def _collect_events(
+        self, report, snapshot, pool
+    ) -> Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]]:
+        """Rebuild (sequence, leaf hash) events per table and transaction.
 
-        Serial path: cache-assisted, advancing progress per row version so
-        long scans report fine-grained percent-complete.
+        Every (relation, record range) is an independent task, so a single
+        large table still saturates a forked pool.  The tasks do the
+        expensive decode + serialize + hash; the partial per-transaction
+        event maps are merged here in task order, which is heap order.
         """
-        events: Dict[Optional[int], List[Tuple[int, bytes]]] = {}
-        scanned = 0
-        for relation in table.relations():
-            kind = "history table" if relation.is_history else "table"
-            for rid, record in relation.records:
-                try:
-                    derived, _ = cached_record_events(
-                        relation, record, self._cache
-                    )
-                except StorageError as exc:
-                    report.findings.append(
-                        Finding(
-                            "table_root", SEVERITY_ERROR,
-                            f"row {rid} in {kind} {relation.name!r} failed "
-                            f"to decode: {exc}",
-                            {"table": relation.name},
-                        )
-                    )
-                    continue
-                for tid, seq, leaf in derived:
-                    events.setdefault(tid, []).append((seq, leaf))
-                    scanned += 1
-                    self._advance()
-        self._m.rows_scanned.inc(scanned)
-        return events
+        args_list = [
+            (table_index, which, start, end)
+            for table_index, which, relation in self._relations(snapshot)
+            for start, end in self._ranges(len(relation.records), pool)
+        ]
+
+        def on_result(result) -> None:
+            self._m.rows_scanned.inc(result["count"])
+            self._advance(result["count"])
+
+        results = self._run_tasks(
+            report, pool, events_task, args_list, on_result
+        )
+        merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
+        for args, result in zip(args_list, results):
+            events = merged.setdefault(args[0], result["events"])
+            if events is not result["events"]:
+                for tid, pairs in result["events"].items():
+                    events.setdefault(tid, []).extend(pairs)
+        return merged
 
     def _check_events_against_entries(
         self, report, snapshot, table: TableSnapshot, events,
@@ -994,223 +800,86 @@ class LedgerVerifier:
                     )
                 )
 
-    def _check_table_roots_serial(
-        self, report, snapshot, collect_streams: bool
-    ) -> None:
-        for table in snapshot.tables:
-            report.tables_verified += 1
-            events = self._collect_events_serial(report, table)
-            if collect_streams:
-                self._events_by_table[table.table_id] = events
-            self._check_events_against_entries(report, snapshot, table, events)
+    def _check_table_roots(self, report, snapshot, pool, checkpoint) -> None:
+        """Per-transaction root checks; with a checkpoint, only for the delta.
 
-    def _check_table_roots_parallel(
-        self, report, snapshot, pool, collect_streams: bool
-    ) -> None:
-        """Fan the row-version scans out as record-range tasks.
-
-        Every (relation, record-range) chunk is an independent task, so a
-        single large table still saturates the pool.  Workers do the
-        expensive decode + serialize + hash; the parent merges the partial
-        per-transaction event maps (order-preserving: tasks arrive in
-        submission order) and runs the cheap root comparisons.
+        The scan always visits every record — that is how new transactions
+        are discovered — but on an incremental cycle events at or below the
+        checkpoint's ``max_tid`` are only *counted* against the stored
+        frontier, not re-compared.  An added or deleted pre-checkpoint row
+        version changes the count and escalates to a full scan immediately;
+        a same-count byte rewrite of old data is caught by the next deep
+        scan, whose full rebuild ignores the checkpoint entirely.  The
+        deep-scan cadence, not the checkpoint, is the trust boundary: the
+        checkpoint only bounds how much work a clean cycle repeats.
         """
-        args_list: List[Tuple[int, str, int, int]] = []
-        for table_index, table in enumerate(snapshot.tables):
-            for which, relation in (
-                ("base", table.base), ("history", table.history)
-            ):
-                if relation is None:
-                    continue
-                for start, end in split_ranges(
-                    len(relation.records), pool.processes
-                ):
-                    args_list.append((table_index, which, start, end))
-        if self._obs.metrics.enabled:
-            self._m.parallel_tasks.labels("table_root").inc(len(args_list))
-
-        merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
-
-        def on_result(result) -> None:
-            self._m.rows_scanned.inc(result["scanned"])
-            self._advance(result["scanned"])
-
-        results = pool.run(events_task, args_list, on_result)
-        for args, result in zip(args_list, results):
-            table_index = args[0]
-            events = merged.setdefault(table_index, {})
-            for tid, pairs in result["events"].items():
-                events.setdefault(tid, []).extend(pairs)
-            self._wrap_findings(report, result["findings"])
-
+        self._events_by_table = self._collect_events(report, snapshot, pool)
         for table_index, table in enumerate(snapshot.tables):
             report.tables_verified += 1
-            events = merged.get(table_index, {})
-            if collect_streams:
-                self._events_by_table[table.table_id] = events
-            self._check_events_against_entries(report, snapshot, table, events)
-
-    def _check_table_roots_incremental(
-        self, report, snapshot, checkpoint
-    ) -> None:
-        """Root checks for the delta; leaf counting for the verified prefix.
-
-        The scan still visits every record — that is how new transactions
-        are discovered — but events at or below the checkpoint's
-        ``max_tid`` are only *counted* against the stored frontier, not
-        re-hashed.  An added or deleted pre-checkpoint row version changes
-        the count and escalates to a full scan immediately; a same-count
-        byte rewrite of old data is caught by the next deep scan, whose
-        full rebuild ignores the checkpoint entirely.  The deep-scan
-        cadence, not the checkpoint, is the trust boundary: the checkpoint
-        only bounds how much work a clean cycle repeats.
-        """
-        for table in snapshot.tables:
-            report.tables_verified += 1
-            events = self._collect_events_serial(report, table)
-            self._events_by_table[table.table_id] = events
-            frontier = checkpoint.tables.get(table.table_id)
-            if frontier is None:
-                # Table unknown to the checkpoint (created since, or the
-                # checkpoint was built with a table filter): check in full.
-                self._check_events_against_entries(
-                    report, snapshot, table, events
+            events = self._events_by_table.setdefault(table_index, {})
+            # A table unknown to the checkpoint (created since, or the
+            # checkpoint was built with a table filter) is checked in full.
+            floor = None
+            if checkpoint is not None and table.table_id in checkpoint.tables:
+                floor = checkpoint.max_tid
+                recorded = checkpoint.tables[table.table_id].leaf_count
+                old_leaves = sum(
+                    len(pairs) for tid, pairs in events.items()
+                    if tid is not None and tid <= floor
                 )
-                continue
-            old_leaves = 0
-            for tid, pairs in events.items():
-                if tid is None or tid > checkpoint.max_tid:
-                    continue
-                old_leaves += len(pairs)
-            if old_leaves != frontier.leaf_count:
-                self._escalate_reason = (
-                    f"table {table.name!r} has {old_leaves} row versions "
-                    f"at or below checkpoint transaction "
-                    f"{checkpoint.max_tid}, but the checkpoint frontier "
-                    f"recorded {frontier.leaf_count}"
-                )
-                return
+                if old_leaves != recorded:
+                    self._escalate_reason = (
+                        f"table {table.name!r} has {old_leaves} row versions "
+                        f"at or below checkpoint transaction {floor}, but "
+                        f"the checkpoint frontier recorded {recorded}"
+                    )
+                    return
             self._check_events_against_entries(
-                report, snapshot, table, events,
-                new_tids_only_above=checkpoint.max_tid,
+                report, snapshot, table, events, floor
             )
 
     # ------------------------------------------------------------------
     # Invariant 5 — nonclustered indexes match their base tables
     # ------------------------------------------------------------------
 
-    def _keyed_leaves_serial(
-        self, report, relation: RelationSnapshot, records
-    ) -> List[Tuple[Tuple, bytes]]:
-        keyed: List[Tuple[Tuple, bytes]] = []
-        for record in records:
-            try:
-                derived, order_key = cached_record_events(
-                    relation, record, self._cache
-                )
-            except StorageError as exc:
-                report.findings.append(
-                    Finding(
-                        "index", SEVERITY_ERROR,
-                        f"record in {relation.name!r} failed to decode "
-                        f"during index verification: {exc}",
-                        {"table": relation.name},
-                    )
-                )
-                continue
-            keyed.append((order_key, derived[-1][2]))
-        return keyed
-
-    @staticmethod
-    def _root_of_keyed(keyed: List[Tuple[Tuple, bytes]]) -> bytes:
-        keyed = sorted(keyed, key=lambda pair: pair[0])
-        return merkle_root([leaf for _, leaf in keyed])
-
-    def _check_indexes_serial(self, report, snapshot) -> None:
-        for table in snapshot.tables:
-            self._advance()
-            for relation in table.relations():
-                if not relation.index_records:
-                    continue
-                base_root = self._root_of_keyed(
-                    self._keyed_leaves_serial(
-                        report, relation,
-                        (record for _, record in relation.records),
-                    )
-                )
-                for index_name, records in relation.index_records.items():
-                    index_root = self._root_of_keyed(
-                        self._keyed_leaves_serial(report, relation, records)
-                    )
-                    if index_root != base_root:
-                        report.findings.append(
-                            Finding(
-                                "index", SEVERITY_ERROR,
-                                f"nonclustered index {index_name!r} on "
-                                f"{relation.name!r} is not equivalent to "
-                                "the base table",
-                                {
-                                    "table": relation.name,
-                                    "index": index_name,
-                                },
-                            )
-                        )
-
-    def _check_indexes_parallel(self, report, snapshot, pool) -> None:
+    def _check_indexes(self, report, snapshot, pool) -> None:
+        indexed = [
+            item for item in self._relations(snapshot)
+            if item[2].index_records
+        ]
         args_list: List[Tuple[int, str, Optional[str], int, int]] = []
-        for table_index, table in enumerate(snapshot.tables):
-            for which, relation in (
-                ("base", table.base), ("history", table.history)
-            ):
-                if relation is None or not relation.index_records:
-                    continue
-                for start, end in split_ranges(
-                    len(relation.records), pool.processes
-                ):
-                    args_list.append((table_index, which, None, start, end))
-                for index_name, records in relation.index_records.items():
-                    for start, end in split_ranges(
-                        len(records), pool.processes
-                    ):
-                        args_list.append(
-                            (table_index, which, index_name, start, end)
-                        )
-        if self._obs.metrics.enabled:
-            self._m.parallel_tasks.labels("index").inc(len(args_list))
+        for table_index, which, relation in indexed:
+            sources = [(None, relation.records)]
+            sources.extend(relation.index_records.items())
+            for source, records in sources:
+                for start, end in self._ranges(len(records), pool):
+                    args_list.append((table_index, which, source, start, end))
 
         merged: Dict[Tuple[int, str, Optional[str]], List] = {}
-        results = pool.run(keyed_leaves_task, args_list)
+        results = self._run_tasks(report, pool, keyed_leaves_task, args_list)
         for args, result in zip(args_list, results):
             merged.setdefault(args[:3], []).extend(result["keyed"])
-            self._wrap_findings(report, result["findings"])
 
-        for table_index, table in enumerate(snapshot.tables):
-            self._advance()
-            for which, relation in (
-                ("base", table.base), ("history", table.history)
-            ):
-                if relation is None or not relation.index_records:
-                    continue
-                base_root = self._root_of_keyed(
-                    merged.get((table_index, which, None), [])
-                )
-                for index_name in relation.index_records:
-                    index_root = self._root_of_keyed(
-                        merged.get((table_index, which, index_name), [])
-                    )
-                    if index_root != base_root:
-                        report.findings.append(
-                            Finding(
-                                "index", SEVERITY_ERROR,
-                                f"nonclustered index {index_name!r} on "
-                                f"{relation.name!r} is not equivalent to "
-                                "the base table",
-                                {
-                                    "table": relation.name,
-                                    "index": index_name,
-                                },
-                            )
+        def root_of(table_index, which, source) -> bytes:
+            keyed = sorted(
+                merged.get((table_index, which, source), []),
+                key=lambda pair: pair[0],
+            )
+            return merkle_root([leaf for _, leaf in keyed])
+
+        for table_index, which, relation in indexed:
+            base_root = root_of(table_index, which, None)
+            for index_name in relation.index_records:
+                if root_of(table_index, which, index_name) != base_root:
+                    report.findings.append(
+                        Finding(
+                            "index", SEVERITY_ERROR,
+                            f"nonclustered index {index_name!r} on "
+                            f"{relation.name!r} is not equivalent to the "
+                            "base table",
+                            {"table": relation.name, "index": index_name},
                         )
+                    )
 
     # ------------------------------------------------------------------
     # Ledger view definitions (§3.4.2, final step)
@@ -1299,8 +968,8 @@ class LedgerVerifier:
             block_hash=block_hash,
             max_tid=max_tid,
         )
-        for table in snapshot.tables:
-            events = self._events_by_table.get(table.table_id, {})
+        for table_index, table in enumerate(snapshot.tables):
+            events = self._events_by_table.get(table_index, {})
             old_frontier = (
                 previous.tables.get(table.table_id) if previous else None
             )

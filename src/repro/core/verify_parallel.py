@@ -1,34 +1,40 @@
-"""Worker-pool fan-out for ledger verification (§6: parallel scans).
+"""Range tasks for ledger verification, and the pool that runs them (§6).
 
-The paper notes verification parallelizes naturally: every block root, every
-per-transaction table root, and every chain segment can be recomputed
-independently.  This module fans the four scan-heavy invariants out over a
-``multiprocessing`` fork pool:
+The paper notes verification parallelizes naturally: every chain link, every
+block root and every per-transaction table root can be recomputed
+independently.  Each scan-heavy invariant is therefore written exactly once,
+as a *range task* — "check one range of an immutable snapshot":
 
-* ``chain``     — contiguous block ranges; each worker recomputes the hashes
-                  inside its segment and returns its boundary hashes, which
-                  the parent stitches together (each block is hashed once).
-* ``block_root``— chunks of block ids, each recomputing its transaction
-                  Merkle roots.
-* ``table_root``— record-range chunks per relation, each decoding and
-                  hashing its slice of row versions into partial per-
-                  transaction event maps that the parent merges.
-* ``index``     — record-range chunks per (relation, heap-or-index) source,
-                  returning keyed leaves the parent merges, sorts, and roots.
+* ``chain``     — a slice of block ids; each block's recorded previous-block
+                  hash is compared with the recomputed hash of its
+                  predecessor, so slices need no stitching and every block
+                  is hashed once, as somebody's predecessor.
+* ``block_root``— a slice of block ids, each recomputing its transactions
+                  Merkle root.
+* ``table_root``— a record range of one relation, decoded and hashed into a
+                  partial per-transaction event map the caller merges.
+* ``index``     — a record range of one heap or index, returning keyed
+                  leaves the caller merges, sorts, and roots.
 
-Workers are forked *after* the immutable snapshot is fully built, so they
-inherit it through copy-on-write memory — nothing is pickled on the way in,
-and results crossing the pipe are small tuples of findings and digests.
+A task is a plain function of ``(snapshot, cache, args)``.
+:class:`VerifyPool` runs it in-process — one worker, or no ``fork`` on this
+platform (:func:`fork_available`) — or in forked worker processes; the
+planning, merging and root comparison in
+:class:`repro.core.verification.LedgerVerifier` do not know which.
 
-Fork-only by design: the snapshot holds live schema objects and engine
-references that are cheap to inherit but expensive (or impossible) to
-pickle.  Where ``fork`` is unavailable (Windows, some macOS configurations)
-callers fall back to the serial path; :func:`fork_available` reports which.
+In-process tasks share the caller's :class:`LeafHashCache`.  Forked workers
+run the same task with ``cache=None``: the cache holds a
+``threading.Lock`` another thread may hold at fork time, and a child's
+inserts would die with the child anyway.  Workers are forked *after* the
+snapshot is complete and receive it through the pool initializer, which
+``fork`` inherits as plain memory — nothing is pickled on the way in (the
+snapshot holds live schema objects that are cheap to inherit but expensive
+or impossible to pickle), and results crossing the pipe are small.
 
-The child initializer disables telemetry.  Metric mutators check the
-registry's ``enabled`` flag before acquiring any per-metric lock, so a
-worker forked while another thread held such a lock can never deadlock —
-the disabled flag short-circuits ahead of the lock, and workers have no
+The child initializer disables the database's telemetry.  Metric mutators
+check the registry's ``enabled`` flag before acquiring any per-metric lock,
+so a worker forked while another thread held such a lock can never deadlock
+— the disabled flag short-circuits ahead of the lock, and workers have no
 business reporting parent-process metrics anyway.
 """
 
@@ -36,22 +42,39 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.verify_snapshot import (
     RelationSnapshot,
     VerificationSnapshot,
-    record_events,
+    cached_record_events,
 )
+from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
 from repro.errors import StorageError
 
-#: Snapshot inherited by forked workers; set immediately before the pool is
-#: created so copy-on-write shares it with every child.
-_SNAPSHOT: Optional[VerificationSnapshot] = None
+SEVERITY_ERROR = "error"
+SEVERITY_WARNING = "warning"
 
-#: Below this many work units per phase a pool costs more than it saves.
-MIN_UNITS_PER_WORKER = 64
+
+@dataclass(frozen=True)
+class Finding:
+    """One verification finding (a detected inconsistency or caveat)."""
+
+    invariant: str
+    severity: str
+    message: str
+    context: Dict[str, Any] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return f"[{self.invariant}/{self.severity}] {self.message}"
+
+
+#: The snapshot of the pool that forked this process.  Set by the pool
+#: initializer and read only inside worker processes; in-process runs are
+#: handed their snapshot as an argument and never look here.
+_worker_snapshot: Optional[VerificationSnapshot] = None
 
 
 def fork_available() -> bool:
@@ -77,197 +100,209 @@ def split_ranges(count: int, parts: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _child_init() -> None:
-    from repro.obs import OBS
-
+def _child_init(snapshot: VerificationSnapshot, obs) -> None:
+    global _worker_snapshot
+    _worker_snapshot = snapshot
     # The fork inherits the forking thread's span stack: clear it so any
     # span a worker might emit is never parented under a span that lives
     # (and finishes) in the parent process.
-    OBS.tracer.reset_thread()
-    OBS.disable()
+    obs.tracer.reset_thread()
+    obs.disable()
     from repro.obs.profiler import set_thread_role
 
     set_thread_role("verify-worker")
 
 
-def _relation(table_index: int, which: str) -> RelationSnapshot:
-    table = _SNAPSHOT.tables[table_index]
+def _run_in_worker(call) -> Dict[str, Any]:
+    task, args = call
+    return task(_worker_snapshot, None, args)
+
+
+def _relation(
+    snapshot: VerificationSnapshot, table_index: int, which: str
+) -> RelationSnapshot:
+    table = snapshot.tables[table_index]
     return table.base if which == "base" else table.history
 
 
 # ----------------------------------------------------------------------
-# Task functions (run in workers; read _SNAPSHOT, return picklable data)
+# Range tasks
 # ----------------------------------------------------------------------
 
 
-def chain_segment_task(block_ids: Sequence[int]) -> Dict[str, Any]:
-    """Verify the links inside one contiguous run of block ids.
-
-    Returns the first block's *stored* previous-block hash and the last
-    block's *recomputed* hash so the parent can stitch consecutive segments
-    without hashing any block twice.
-    """
-    blocks = _SNAPSHOT.blocks
-    findings: List[Dict[str, Any]] = []
-    previous_hash: Optional[bytes] = None
+def chain_task(snapshot, cache, block_ids: Sequence[int]) -> Dict[str, Any]:
+    """Verify the link from each block of the slice to its predecessor."""
+    blocks = snapshot.blocks
+    anchor = snapshot.anchor
+    findings: List[Finding] = []
     for block_id in block_ids:
         block = blocks[block_id]
-        if previous_hash is not None and block.previous_block_hash != previous_hash:
+        if block_id == 0:
+            if block.previous_block_hash is not None:
+                findings.append(
+                    Finding(
+                        "chain", SEVERITY_ERROR,
+                        "block 0 must record a null previous-block hash",
+                        {"block_id": 0},
+                    )
+                )
+            continue
+        if anchor is not None and block_id == anchor[0] + 1:
+            expected_prev = anchor[1]
+        else:
+            previous = blocks.get(block_id - 1)
+            if previous is None:
+                continue  # a gap; the caller reports those
+            expected_prev = previous.block_hash()
+        if block.previous_block_hash != expected_prev:
             findings.append(
-                {
-                    "invariant": "chain",
-                    "severity": "error",
-                    "message": (
-                        f"block {block_id} records a previous-block hash "
-                        f"that does not match the recomputed hash of block "
-                        f"{block_id - 1}"
-                    ),
-                    "context": {"block_id": block_id},
-                }
+                Finding(
+                    "chain", SEVERITY_ERROR,
+                    f"block {block_id} records a previous-block hash that "
+                    f"does not match the recomputed hash of block "
+                    f"{block_id - 1}",
+                    {"block_id": block_id},
+                )
             )
-        previous_hash = block.block_hash()
+    return {"findings": findings, "count": len(block_ids)}
+
+
+def block_root_task(
+    snapshot, cache, block_ids: Sequence[int]
+) -> Dict[str, Any]:
+    """Recompute the transactions Merkle root for a slice of blocks."""
+    findings: List[Finding] = []
+    transactions = 0
+    for block_id in block_ids:
+        block = snapshot.blocks[block_id]
+        block_entries = snapshot.entries_by_block.get(block_id, [])
+        tree = MerkleTree([e.entry_hash() for e in block_entries])
+        if tree.root() != block.transactions_root:
+            findings.append(
+                Finding(
+                    "block_root", SEVERITY_ERROR,
+                    f"transactions Merkle root of block {block_id} does "
+                    "not match the recomputed root over its entries",
+                    {"block_id": block_id},
+                )
+            )
+        if block.transaction_count != len(block_entries):
+            findings.append(
+                Finding(
+                    "block_root", SEVERITY_ERROR,
+                    f"block {block_id} records {block.transaction_count} "
+                    f"transactions but {len(block_entries)} are present",
+                    {"block_id": block_id},
+                )
+            )
+        transactions += len(block_entries)
     return {
-        "first_id": block_ids[0],
-        "stored_prev": blocks[block_ids[0]].previous_block_hash,
-        "last_id": block_ids[-1],
-        "last_hash": previous_hash,
         "findings": findings,
+        "transactions": transactions,
         "count": len(block_ids),
     }
 
 
-def block_root_task(block_ids: Sequence[int]) -> Dict[str, Any]:
-    """Recompute the transactions Merkle root for a chunk of blocks."""
-    findings: List[Dict[str, Any]] = []
-    transactions = 0
-    for block_id in block_ids:
-        block = _SNAPSHOT.blocks[block_id]
-        block_entries = _SNAPSHOT.entries_by_block.get(block_id, [])
-        tree = MerkleTree([e.entry_hash() for e in block_entries])
-        if tree.root() != block.transactions_root:
-            findings.append(
-                {
-                    "invariant": "block_root",
-                    "severity": "error",
-                    "message": (
-                        f"transactions Merkle root of block {block_id} does "
-                        "not match the recomputed root over its entries"
-                    ),
-                    "context": {"block_id": block_id},
-                }
-            )
-        if block.transaction_count != len(block_entries):
-            findings.append(
-                {
-                    "invariant": "block_root",
-                    "severity": "error",
-                    "message": (
-                        f"block {block_id} records {block.transaction_count} "
-                        f"transactions but {len(block_entries)} are present"
-                    ),
-                    "context": {"block_id": block_id},
-                }
-            )
-        transactions += len(block_entries)
-    return {"findings": findings, "transactions": transactions}
+def events_task(
+    snapshot, cache, args: Tuple[int, str, int, int]
+) -> Dict[str, Any]:
+    """Hash one record range of a relation into partial per-tid events.
 
-
-def events_task(args: Tuple[int, str, int, int]) -> Dict[str, Any]:
-    """Hash one record-range of a relation into partial per-tid events.
-
-    Returns ``{tid: [(seq, leaf), ...]}`` partials the parent merges; the
-    expensive decode + canonical serialization + SHA-256 happens here.
+    Returns ``{tid: [(seq, leaf), ...]}`` partials (§3.4.1-4); the expensive
+    decode + canonical serialization + SHA-256 happens here.
     """
     table_index, which, start, end = args
-    relation = _relation(table_index, which)
+    relation = _relation(snapshot, table_index, which)
     events: Dict[Optional[int], List[Tuple[int, bytes]]] = {}
-    findings: List[Dict[str, Any]] = []
+    findings: List[Finding] = []
     scanned = 0
     kind = "history table" if relation.is_history else "table"
     for rid, record in relation.records[start:end]:
         try:
-            derived, _ = record_events(relation, record)
+            derived, _ = cached_record_events(relation, record, cache)
         except StorageError as exc:
             findings.append(
-                {
-                    "invariant": "table_root",
-                    "severity": "error",
-                    "message": (
-                        f"row {rid} in {kind} {relation.name!r} failed to "
-                        f"decode: {exc}"
-                    ),
-                    "context": {"table": relation.name},
-                }
+                Finding(
+                    "table_root", SEVERITY_ERROR,
+                    f"row {rid} in {kind} {relation.name!r} failed to "
+                    f"decode: {exc}",
+                    {"table": relation.name},
+                )
             )
             continue
         for tid, seq, leaf in derived:
             events.setdefault(tid, []).append((seq, leaf))
-            scanned += 1
-    return {"events": events, "findings": findings, "scanned": scanned}
+        scanned += len(derived)
+    return {"events": events, "findings": findings, "count": scanned}
 
 
 def keyed_leaves_task(
-    args: Tuple[int, str, Optional[str], int, int]
+    snapshot, cache, args: Tuple[int, str, Optional[str], int, int]
 ) -> Dict[str, Any]:
-    """Hash one record-range of a heap or index into keyed leaves.
+    """Hash one record range of a heap or index into keyed leaves.
 
     ``source`` is ``None`` for the relation's own heap, else an index name.
-    The parent merges, sorts by clustered key, and compares roots.
+    The caller merges, sorts by clustered key, and compares roots.
     """
     table_index, which, source, start, end = args
-    relation = _relation(table_index, which)
+    relation = _relation(snapshot, table_index, which)
     if source is None:
         records = [record for _, record in relation.records[start:end]]
     else:
         records = relation.index_records[source][start:end]
     keyed: List[Tuple[Tuple, bytes]] = []
-    findings: List[Dict[str, Any]] = []
+    findings: List[Finding] = []
     for record in records:
         try:
-            derived, order_key = record_events(relation, record)
+            derived, order_key = cached_record_events(relation, record, cache)
         except StorageError as exc:
             findings.append(
-                {
-                    "invariant": "index",
-                    "severity": "error",
-                    "message": (
-                        f"record in {relation.name!r} failed to decode "
-                        f"during index verification: {exc}"
-                    ),
-                    "context": {"table": relation.name},
-                }
+                Finding(
+                    "index", SEVERITY_ERROR,
+                    f"record in {relation.name!r} failed to decode "
+                    f"during index verification: {exc}",
+                    {"table": relation.name},
+                )
             )
             continue
         # The leaf over the full row is the last event's leaf for history
         # records (as-deleted form == full row) and the only event's leaf
         # for base records.
         keyed.append((order_key, derived[-1][2]))
-    return {"keyed": keyed, "findings": findings}
+    return {"keyed": keyed, "findings": findings, "count": len(records)}
 
 
 # ----------------------------------------------------------------------
-# Pool wrapper
+# Pool
 # ----------------------------------------------------------------------
 
 
 class VerifyPool:
-    """Fork pool bound to one snapshot; also runs tasks inline when serial.
+    """Runs range tasks against one snapshot, in-process or in forked workers.
 
     Create *after* the snapshot (and its derived structures) are complete so
     forked workers inherit a finished, immutable object.  ``run`` preserves
-    task order, so parallel and serial execution produce findings in the
-    same deterministic order.
+    task order, so findings come out in the same deterministic order
+    however the tasks were executed.
     """
 
-    def __init__(self, snapshot: VerificationSnapshot, processes: int) -> None:
-        global _SNAPSHOT
+    def __init__(
+        self,
+        snapshot: VerificationSnapshot,
+        processes: int,
+        cache: Optional[LeafHashCache],
+        obs,
+    ) -> None:
         self.processes = max(1, processes)
+        self._snapshot = snapshot
+        self._cache = cache
         self._pool = None
-        _SNAPSHOT = snapshot
         if self.processes > 1 and fork_available():
             context = multiprocessing.get_context("fork")
             self._pool = context.Pool(
-                processes=self.processes, initializer=_child_init
+                processes=self.processes,
+                initializer=_child_init,
+                initargs=(snapshot, obs),
             )
 
     @property
@@ -276,11 +311,15 @@ class VerifyPool:
 
     def run(self, task, args_list, on_result=None) -> List[Any]:
         """Run ``task`` over ``args_list``; results in submission order."""
-        results: List[Any] = []
         if self._pool is not None and len(args_list) > 1:
-            iterator = self._pool.imap(task, args_list)
+            iterator = self._pool.imap(
+                _run_in_worker, [(task, args) for args in args_list]
+            )
         else:
-            iterator = map(task, args_list)
+            iterator = (
+                task(self._snapshot, self._cache, args) for args in args_list
+            )
+        results: List[Any] = []
         for result in iterator:
             results.append(result)
             if on_result is not None:
@@ -288,12 +327,10 @@ class VerifyPool:
         return results
 
     def close(self) -> None:
-        global _SNAPSHOT
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
             self._pool = None
-        _SNAPSHOT = None
 
     def __enter__(self) -> "VerifyPool":
         return self

@@ -16,9 +16,9 @@ row version — happens off-lock (and optionally in worker processes, see
 :mod:`repro.core.verify_parallel`).
 
 ``record_events`` is the single routine that turns one stored record into
-its verification events; the serial verifier, the worker pool, and the
-incremental frontier builder all share it so the three paths can never
-disagree on hashing semantics.
+its verification events; every range task reaches it through
+``cached_record_events``, in-process or in a forked worker, so no two runs
+can disagree on hashing semantics.
 """
 
 from __future__ import annotations

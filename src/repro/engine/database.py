@@ -459,6 +459,11 @@ class Database:
         assert self._txn_manager is not None
         self._txn_manager.rollback_to_savepoint(txn, name)
 
+    def statement(self, txn: Transaction):
+        """Context manager: a statement that raises undoes only itself."""
+        assert self._txn_manager is not None
+        return self._txn_manager.statement(txn)
+
     @property
     def active_transactions(self) -> List[Transaction]:
         assert self._txn_manager is not None

@@ -68,12 +68,15 @@ class EngineHooks:
     def on_rollback(self, txn: "Transaction") -> None:
         """Called when a transaction aborts (discard ledger state)."""
 
-    def on_savepoint(self, txn: "Transaction", name: str) -> Any:
-        """Snapshot ledger state for a savepoint; returned value is opaque."""
+    def on_savepoint(self, txn: "Transaction", name: Optional[str]) -> Any:
+        """Snapshot ledger state for a savepoint; returned value is opaque.
+
+        ``name`` is ``None`` for the unnamed mark taken before a statement.
+        """
         return None
 
     def on_rollback_to_savepoint(
-        self, txn: "Transaction", name: str, snapshot: Any
+        self, txn: "Transaction", name: Optional[str], snapshot: Any
     ) -> None:
         """Restore ledger state captured by :meth:`on_savepoint`."""
 

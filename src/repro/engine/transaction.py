@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime as dt
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
@@ -57,7 +58,7 @@ class UndoAction:
 
 @dataclass
 class _Savepoint:
-    name: str
+    name: Optional[str]  # None: a statement mark, never in txn.savepoints
     undo_position: int
     ledger_snapshot: Any
 
@@ -217,6 +218,32 @@ class TransactionManager:
             raise SavepointError(
                 f"savepoint {name!r} does not exist in transaction {txn.tid}"
             )
+        self._unwind(txn, target)
+
+    @contextmanager
+    def statement(self, txn: Transaction):
+        """Statement-level atomicity inside an open transaction.
+
+        A statement that raises is undone on its own — storage through the
+        undo log, the ledger's Merkle state through the hook snapshot — and
+        the transaction stays active, exactly as if it had rolled back to a
+        savepoint taken just before the statement.  The mark is never
+        entered in ``txn.savepoints``, so it has no name a user savepoint
+        could see, replace or collide with.
+        """
+        txn.require_active()
+        mark = _Savepoint(
+            None, len(txn.undo_log), self._hooks.on_savepoint(txn, None)
+        )
+        try:
+            yield
+        except Exception:
+            self._unwind(txn, mark)
+            raise
+
+    def _unwind(self, txn: Transaction, target: _Savepoint) -> None:
         while len(txn.undo_log) > target.undo_position:
             txn.undo_log.pop().revert()
-        self._hooks.on_rollback_to_savepoint(txn, name, target.ledger_snapshot)
+        self._hooks.on_rollback_to_savepoint(
+            txn, target.name, target.ledger_snapshot
+        )

@@ -27,12 +27,14 @@ from repro.engine.operators import (
     SEQ_SCAN,
     AccessPlan,
     aggregate,
+    delete_rows,
     insert_rows,
     limit_rows,
     plan_access,
     plan_equalities,
     seq_scan,
     sort_rows,
+    update_rows,
 )
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.table import Table
@@ -308,9 +310,14 @@ class SqlSession:
         self._db.rollback(txn)
 
     def _autocommit(self, work):
-        """Run ``work(txn)`` in the open transaction or a one-shot one."""
+        """Run ``work(txn)`` in the open transaction or a one-shot one.
+
+        Inside an open transaction a failing statement undoes only itself;
+        a one-shot transaction is rolled back whole.
+        """
         if self._txn is not None:
-            return work(self._txn)
+            with self._db.engine.statement(self._txn):
+                return work(self._txn)
         txn = self._db.begin(self._username)
         try:
             result = work(txn)
@@ -431,13 +438,15 @@ class SqlSession:
 
     def _run_update(self, stmt: ast.Update):
         assignments = {name: expr for name, expr in stmt.assignments}
+        table = self._db.engine.table(stmt.table)
         return self._autocommit(
-            lambda txn: self._db.update(txn, stmt.table, assignments, stmt.where)
+            lambda txn: update_rows(txn, table, assignments, stmt.where)
         )
 
     def _run_delete(self, stmt: ast.Delete):
+        table = self._db.engine.table(stmt.table)
         return self._autocommit(
-            lambda txn: self._db.delete(txn, stmt.table, stmt.where)
+            lambda txn: delete_rows(txn, table, stmt.where)
         )
 
     # ------------------------------------------------------------------

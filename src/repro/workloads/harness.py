@@ -1002,7 +1002,7 @@ def format_verify(results: Dict[str, Any]) -> str:
         speedup = results["parallel_speedup"][n]
         lines.append(
             f"full scan, {n} worker(s):  {seconds:>8.3f}s  "
-            f"({speedup:.2f}x vs serial)"
+            f"({speedup:.2f}x vs in-process)"
         )
     inc = results["incremental"]
     lines += [
@@ -1469,7 +1469,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--verify-baseline", metavar="PATH", default=None,
-        help="run the snapshot-verification benchmark (serial, 2 and "
+        help="run the snapshot-verification benchmark (in-process, 2 and "
              "--workers workers, incremental cycle, commits during "
              "verification) and write the baseline JSON to PATH",
     )

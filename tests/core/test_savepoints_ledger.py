@@ -6,7 +6,11 @@ recorded root would not match what verification recomputes from the stored
 rows, and an honest database would fail its own audit.
 """
 
+import pytest
+
 from repro.engine.expressions import eq
+from repro.engine.schema import IndexDefinition
+from repro.errors import ConstraintError
 
 from tests.core.conftest import accounts_schema, run
 
@@ -93,4 +97,81 @@ class TestSavepointMerkleConsistency:
         db.insert(txn, "accounts", [["final", 9]])
         db.commit(txn)
         assert [r["name"] for r in db.select("accounts")] == ["final"]
+        assert db.verify([db.generate_digest()]).ok
+
+
+class TestStatementAtomicity:
+    """A statement that fails inside an open transaction undoes only itself.
+
+    The ledger hooks hash a row version before storage checks constraints,
+    so without a statement-level mark the failed row's leaf stays in the
+    transaction's Merkle tree and the COMMIT records a root no stored row
+    can substantiate.
+    """
+
+    def test_failed_sql_statement_then_commit_verifies(self, db):
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
+        db.sql("INSERT INTO t (id) VALUES (1)")
+        db.sql("BEGIN TRANSACTION")
+        db.sql("INSERT INTO t (id) VALUES (2)")
+        with pytest.raises(ConstraintError):
+            db.sql("INSERT INTO t (id) VALUES (1)")
+        db.sql("COMMIT")
+
+        report = db.verify([db.generate_digest()])
+        assert report.ok, [str(f) for f in report.errors]
+        events = db.ledger_view("t")
+        committed_tid = max(e["ledger_transaction_id"] for e in events)
+        assert [
+            (e["id"], e["ledger_operation_type_desc"]) for e in events
+            if e["ledger_transaction_id"] == committed_tid
+        ] == [(2, "INSERT")]
+
+    def test_failed_insert_on_caller_owned_transaction(self, db, accounts):
+        run(db, "a", lambda t: db.insert(t, "accounts", [["dup", 1]]))
+        txn = db.begin("app")
+        db.insert(txn, "accounts", [["kept", 2]])
+        with pytest.raises(ConstraintError):
+            db.insert(txn, "accounts", [["fresh", 3], ["dup", 4]])
+        db.commit(txn)
+        assert sorted(r["name"] for r in db.select("accounts")) == [
+            "dup", "kept",
+        ]
+        assert db.verify([db.generate_digest()]).ok
+
+    def test_half_applied_multi_row_update_is_undone(self, db):
+        schema = accounts_schema().with_index(
+            IndexDefinition("ux_balance", ("balance",), unique=True)
+        )
+        db.create_ledger_table(schema)
+        run(db, "a", lambda t: db.insert(
+            t, "accounts", [["a", 1], ["b", 2], ["c", 3]]))
+        txn = db.begin("app")
+        db.insert(txn, "accounts", [["d", 4]])
+        # The first row takes balance 9; the second collides with it.
+        with pytest.raises(ConstraintError):
+            db.update(txn, "accounts", {"balance": 9})
+        db.commit(txn)
+        assert {r["name"]: r["balance"] for r in db.select("accounts")} == {
+            "a": 1, "b": 2, "c": 3, "d": 4,
+        }
+        assert db.history_table("accounts").row_count() == 0
+        report = db.verify([db.generate_digest()])
+        assert report.ok, [str(f) for f in report.errors]
+
+    def test_statement_mark_is_invisible_to_user_savepoints(self, db):
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
+        db.sql("BEGIN TRANSACTION")
+        db.sql("INSERT INTO t (id) VALUES (1)")
+        db.sql("SAVE TRANSACTION s")
+        db.sql("INSERT INTO t (id) VALUES (2)")
+        with pytest.raises(ConstraintError):
+            db.sql("INSERT INTO t (id) VALUES (2)")
+        txn = db.engine.active_transactions[0]
+        assert [sp.name for sp in txn.savepoints] == ["s"]
+        # The user's savepoint still rolls back the statement before the
+        # failure, which the failure itself left in place.
+        db.sql("ROLLBACK TO s")
+        db.sql("COMMIT")
+        assert [r["id"] for r in db.select("t")] == [1]
         assert db.verify([db.generate_digest()]).ok

@@ -125,3 +125,29 @@ class TestTruncation:
         db2 = LedgerDatabase.open(db.engine.path, clock=LogicalClock())
         assert db2.ledger.first_block_id() == cut + 1
         assert db2.verify([db2.generate_digest()]).ok
+
+    def test_crash_before_next_checkpoint_reopens_verifiable(self, tmp_path):
+        """Truncated entries still sit in the WAL's COMMIT records until the
+        next checkpoint; recovery must not re-enqueue them."""
+        from repro.core.ledger_database import LedgerDatabase
+
+        path = str(tmp_path / "crashdb")
+        db = LedgerDatabase.open(path, block_size=2)
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
+        for i in range(10):
+            db.sql(f"INSERT INTO t (id) VALUES ({i})")
+        db.generate_digest()
+        db.truncate_ledger(2)
+        db.simulate_crash()
+
+        reopened = LedgerDatabase.open(path)
+        try:
+            assert reopened.ledger.first_block_id() == 3
+            assert all(
+                e.block_id >= 3 for e in reopened.ledger.all_entries()
+            )
+            report = reopened.verify([reopened.generate_digest()])
+            assert report.ok, [str(f) for f in report.errors]
+            assert [r["id"] for r in reopened.select("t")] == list(range(10))
+        finally:
+            reopened.close()

@@ -1,11 +1,14 @@
-"""Parallel verification must be result-equivalent to the serial scan.
+"""One verification engine: the same range tasks in-process and forked.
 
-Worker processes fan out per block range (chain, block_root) and per
-record range (table_root, index); segment stitching must neither miss a
-boundary nor double-count a block.  Every attack primitive the serial
-verifier catches must be caught at ``parallelism>=2`` too, and a clean
-database must report identical counters either way.
+The chain, block-root, table-root and index invariants are range tasks
+(per block range, per record range) that run in-process at
+``parallelism=1`` and in forked workers above that.  Wherever the ranges
+are cut, every attack must be caught with the same findings in the same
+order, a clean database must report identical counters, and concurrent
+runs must never see each other's snapshot.
 """
+
+import threading
 
 import pytest
 
@@ -18,7 +21,10 @@ from repro.attacks import (
     tamper_transaction_entry,
     tamper_view_definition,
 )
+from repro.core.ledger_database import LedgerDatabase
+from repro.core.verification import LedgerVerifier
 from repro.core.verify_parallel import fork_available, split_ranges
+from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.schema import IndexDefinition
 from repro.engine.types import SMALLINT
@@ -41,6 +47,34 @@ def findings_by_invariant(report):
     return {f.invariant for f in report.errors}
 
 
+COUNTERS = (
+    "blocks_verified", "transactions_verified", "tables_verified",
+    "row_versions_hashed", "uncovered_transactions",
+)
+
+
+def verify_both(db, digests):
+    """Verify in-process and in two forked workers; return the forked report.
+
+    The in-process run cuts its ranges every three units and the forked one
+    in halves, so the two never share a range boundary — and must still
+    agree finding for finding, in order, and counter for counter.
+    """
+    inline = LedgerVerifier(db, progress_interval=3).verify(digests)
+    forked = db.verify(digests, parallelism=2)
+    assert inline.parallelism == 1
+    assert [
+        (f.invariant, f.severity, f.message, f.context)
+        for f in inline.findings
+    ] == [
+        (f.invariant, f.severity, f.message, f.context)
+        for f in forked.findings
+    ]
+    for counter in COUNTERS:
+        assert getattr(inline, counter) == getattr(forked, counter), counter
+    return forked
+
+
 class TestSplitRanges:
     def test_covers_everything_once(self):
         assert split_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
@@ -57,16 +91,25 @@ class TestSplitRanges:
                     assert end == start
 
 
-class TestSerialParallelEquivalence:
-    def test_clean_database_identical_counters(self, db, seeded):
-        serial = db.verify([seeded], parallelism=1)
-        parallel = db.verify([seeded], parallelism=2)
-        assert serial.ok, serial.summary()
-        assert parallel.ok, parallel.summary()
-        assert serial.blocks_verified == parallel.blocks_verified
-        assert serial.transactions_verified == parallel.transactions_verified
-        assert serial.tables_verified == parallel.tables_verified
-        assert serial.row_versions_hashed == parallel.row_versions_hashed
+class TestInProcessForkedEquivalence:
+    def test_clean_database_identical_reports(self, db, seeded):
+        report = verify_both(db, [seeded])
+        assert report.ok, report.summary()
+        assert report.findings == []
+        assert report.row_versions_hashed > 0
+
+    def test_in_process_progress_follows_progress_interval(self, db, seeded):
+        """Ranges are cut at ``progress_interval``, not at the worker count:
+        a long in-process scan reports more than 0 % and 100 %."""
+        events = []
+        report = LedgerVerifier(
+            db, progress=events.append, progress_interval=4
+        ).verify([seeded])
+        assert report.ok and report.row_versions_hashed > 2 * 4
+        scanned = [e for e in events if e.phase == "table_root"]
+        total = scanned[-1].total
+        assert total == scanned[-1].current > 2 * 4
+        assert len({e.current for e in scanned if 0 < e.current < total}) >= 2
 
     def test_report_records_worker_count(self, db, seeded):
         report = db.verify([seeded], parallelism=3)
@@ -93,29 +136,34 @@ class TestSerialParallelEquivalence:
 @pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
-class TestParallelTamperDetection:
+class TestTamperDetection:
     def test_live_row_rewrite(self, db, seeded, accounts):
         rewrite_row_value(accounts, lambda r: r["name"] == "u3",
                           "balance", 999_999)
-        report = db.verify([seeded], parallelism=2)
+        report = verify_both(db, [seeded])
         assert not report.ok
         assert "table_root" in findings_by_invariant(report)
 
     def test_history_erasure(self, db, seeded, accounts):
         history = db.history_table("accounts")
         delete_history_row(accounts, history, lambda r: r["name"] == "u0")
-        assert not db.verify([seeded], parallelism=2).ok
+        assert not verify_both(db, [seeded]).ok
 
     def test_garbage_record_bytes(self, db, seeded, accounts):
         rid = next(iter(accounts.heap.scan()))[0]
         accounts.heap.tamper_record(rid, b"\x00\x04garbage-bytes")
-        assert not db.verify([seeded], parallelism=2).ok
+        report = verify_both(db, [seeded])
+        assert not report.ok
+        undecodable = [
+            f for f in report.findings if "failed to decode" in f.message
+        ]
+        assert [f.invariant for f in undecodable] == ["table_root"]
 
     def test_transaction_entry_tamper(self, db, seeded, accounts):
         db.ledger.flush_queue()
         entry_tid = db.ledger.all_entries()[-1].transaction_id
         tamper_transaction_entry(db, entry_tid, "innocent_user")
-        report = db.verify([seeded], parallelism=2)
+        report = verify_both(db, [seeded])
         assert not report.ok
         assert "block_root" in findings_by_invariant(report)
 
@@ -123,7 +171,7 @@ class TestParallelTamperDetection:
         blocks = db.ledger.blocks()
         assert len(blocks) >= 2
         fork_block(db, blocks[0].block_id)
-        report = db.verify([seeded], parallelism=2)
+        report = verify_both(db, [seeded])
         assert not report.ok
         assert "chain" in findings_by_invariant(report)
 
@@ -132,13 +180,13 @@ class TestParallelTamperDetection:
         blocks = db.ledger.blocks()
         boundary = blocks[len(blocks) // 2].block_id
         fork_block(db, boundary)
-        report = db.verify([seeded], parallelism=2)
+        report = verify_both(db, [seeded])
         assert not report.ok
         assert "chain" in findings_by_invariant(report)
 
     def test_column_type_swap(self, db, seeded):
         tamper_column_type(db, "accounts", "balance", SMALLINT)
-        assert not db.verify([seeded], parallelism=2).ok
+        assert not verify_both(db, [seeded]).ok
 
     def test_view_definition_tamper(self, db, seeded):
         tamper_view_definition(
@@ -146,7 +194,7 @@ class TestParallelTamperDetection:
             "CREATE VIEW accounts_ledger AS SELECT * FROM accounts "
             "WHERE 1=0",
         )
-        report = db.verify([seeded], parallelism=2)
+        report = verify_both(db, [seeded])
         assert not report.ok
         assert "view" in findings_by_invariant(report)
 
@@ -162,6 +210,59 @@ class TestParallelTamperDetection:
         tamper_nonclustered_index(
             table, "ix_balance", lambda r: r["name"] == "k2", "balance", 77
         )
-        report = db.verify([digest], parallelism=2)
+        report = verify_both(db, [digest])
         assert not report.ok
         assert "index" in findings_by_invariant(report)
+
+
+@pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable"
+)
+class TestConcurrentRuns:
+    @pytest.mark.parametrize("clean_parallelism", [1, 2])
+    def test_each_run_sees_only_its_own_snapshot(
+        self, db, seeded, accounts, tmp_path, clean_parallelism
+    ):
+        """A tampered database verified in forked workers while another
+        thread verifies a clean one: each gets its own verdict, every
+        round."""
+        rewrite_row_value(accounts, lambda r: r["name"] == "u3",
+                          "balance", 999_999)
+        clean = LedgerDatabase.open(
+            str(tmp_path / "clean"), block_size=4, clock=LogicalClock()
+        )
+        try:
+            clean.create_ledger_table(accounts_schema())
+            for i in range(12):
+                run(clean, "carol", lambda t, i=i: clean.insert(
+                    t, "accounts", [[f"c{i}", i]]))
+            clean_digest = clean.generate_digest()
+            verdicts = {"tampered": [], "clean": []}
+
+            def rounds(name, database, digest, parallelism):
+                for _ in range(20):
+                    try:
+                        report = database.verify(
+                            [digest], parallelism=parallelism
+                        )
+                        verdicts[name].append(report.ok)
+                    except Exception as exc:  # a torn snapshot raises
+                        verdicts[name].append(exc)
+
+            threads = [
+                threading.Thread(
+                    target=rounds, args=("tampered", db, seeded, 2)
+                ),
+                threading.Thread(
+                    target=rounds,
+                    args=("clean", clean, clean_digest, clean_parallelism),
+                ),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert verdicts["tampered"] == [False] * 20
+            assert verdicts["clean"] == [True] * 20
+        finally:
+            clean.close()
