@@ -3,9 +3,11 @@
 This module is the reproduction of §3.2 ("DML Operations and Row Hashing"):
 
 * every insert/update/delete on a ledger table stamps the hidden system
-  columns, serializes the affected row versions canonically, and appends
-  their SHA-256 hashes to a **streaming Merkle tree** kept per (transaction,
-  ledger table);
+  columns, has the engine prepare the row (validate once, encode once),
+  transcodes the resulting record bytes into the canonical serialization
+  (the record kernel, :mod:`repro.engine.record`) and appends their SHA-256
+  hashes to a **streaming Merkle tree** kept per (transaction, ledger
+  table);
 * deleted versions are written to the history table with their end
   transaction/sequence populated — transparently to the application;
 * at commit, the per-table Merkle roots become the transaction entry that
@@ -26,7 +28,7 @@ from repro.crypto.hashing import hash_leaf, hash_leaves
 from repro.crypto.merkle import MerkleHasher, MerkleState
 from repro.engine.hooks import EngineHooks
 from repro.engine.record import hashable_payload, hashable_payloads
-from repro.engine.table import Table
+from repro.engine.table import PreparedRow, Table
 from repro.engine.transaction import Transaction
 from repro.errors import AppendOnlyViolationError, LedgerConfigurationError
 from repro.runtime import DEFAULT_CONTEXT, LedgerContext
@@ -58,6 +60,13 @@ def _hooks_metrics(reg):
         )
 
     return _Families
+
+
+def _new_version_slots(schema) -> Tuple[int, int, Tuple[int, ...]]:
+    """Where a version being created is stamped: the start transaction id
+    and sequence ordinals, and the (end) ordinals that must read NULL."""
+    cleared = sc.end_ordinals(schema) if sc.has_end_columns(schema) else ()
+    return (*sc.start_ordinals(schema), cleared)
 
 
 class _LedgerTxContext:
@@ -144,62 +153,54 @@ class LedgerHooks(EngineHooks):
     # DML hooks (§3.2)
     # ------------------------------------------------------------------
 
-    def before_insert(
-        self, txn: Transaction, table: Table, row: List[Any]
-    ) -> List[Any]:
+    def _hashes(self, table: Table) -> bool:
+        """True when DML on ``table`` must be stamped and hashed."""
         role = table.options.get("role")
         if self._suppressed or role is None:
-            return row
+            return False
         if role == "history":
             raise LedgerConfigurationError(
                 f"history table {table.name!r} cannot be modified directly"
             )
-        if role != "ledger":
-            return row
-        context = self._context(txn)
-        sequence = context.take_sequence()
-        start_tid, start_seq = sc.start_ordinals(table.schema)
+        return role == "ledger"
+
+    def _stamp_new(
+        self, txn: Transaction, context: _LedgerTxContext, table: Table,
+        row: Sequence[Any],
+    ) -> List[Any]:
+        """A copy of ``row`` stamped as a version this transaction creates."""
+        start_tid, start_seq, cleared = table.schema.derived(_new_version_slots)
         row = list(row)
         row[start_tid] = txn.tid
-        row[start_seq] = sequence
-        if sc.has_end_columns(table.schema):
-            end_tid, end_seq = sc.end_ordinals(table.schema)
-            row[end_tid] = None
-            row[end_seq] = None
-        validated = list(table.schema.validate_row(row))
-        self._append_leaf(txn, context, table, validated, "insert")
-        return validated
+        row[start_seq] = context.take_sequence()
+        for ordinal in cleared:
+            row[ordinal] = None
+        return row
+
+    def before_insert(
+        self, txn: Transaction, table: Table, row: List[Any]
+    ) -> PreparedRow:
+        if not self._hashes(table):
+            return table.prepare_row(row)
+        context = self._context(txn)
+        prepared = table.prepare_row(self._stamp_new(txn, context, table, row))
+        self._append_leaf(txn, context, table, prepared[1], "insert")
+        return prepared
 
     def before_insert_many(
         self, txn: Transaction, table: Table, rows: List[List[Any]]
-    ) -> List[List[Any]]:
-        role = table.options.get("role")
-        if self._suppressed or role is None:
-            return rows
-        if role == "history":
-            raise LedgerConfigurationError(
-                f"history table {table.name!r} cannot be modified directly"
-            )
-        if role != "ledger":
-            return rows
+    ) -> List[PreparedRow]:
+        if not self._hashes(table):
+            return [table.prepare_row(row) for row in rows]
         context = self._context(txn)
-        start_tid, start_seq = sc.start_ordinals(table.schema)
-        has_end = sc.has_end_columns(table.schema)
-        if has_end:
-            end_tid, end_seq = sc.end_ordinals(table.schema)
-        tid = txn.tid
-        validate = table.schema.validate_row
-        validated_rows: List[List[Any]] = []
-        for row in rows:
-            row = list(row)
-            row[start_tid] = tid
-            row[start_seq] = context.take_sequence()
-            if has_end:
-                row[end_tid] = None
-                row[end_seq] = None
-            validated_rows.append(list(validate(row)))
-        self._append_leaves(txn, context, table, validated_rows, "insert")
-        return validated_rows
+        prepared = [
+            table.prepare_row(self._stamp_new(txn, context, table, row))
+            for row in rows
+        ]
+        self._append_leaves(
+            txn, context, table, [record for _, record in prepared], "insert"
+        )
+        return prepared
 
     def before_update(
         self,
@@ -207,44 +208,24 @@ class LedgerHooks(EngineHooks):
         table: Table,
         old_row: Sequence[Any],
         new_row: List[Any],
-    ) -> List[Any]:
-        role = table.options.get("role")
-        if self._suppressed or role is None:
-            return new_row
-        if role == "history":
-            raise LedgerConfigurationError(
-                f"history table {table.name!r} cannot be modified directly"
-            )
-        if role != "ledger":
-            return new_row
+    ) -> PreparedRow:
+        if not self._hashes(table):
+            return table.prepare_row(new_row)
         self._require_updateable(table, "UPDATE")
         context = self._context(txn)
         # New version first: stamp, hash, let the engine store it (§3.2).
-        sequence = context.take_sequence()
-        start_tid, start_seq = sc.start_ordinals(table.schema)
-        end_tid, end_seq = sc.end_ordinals(table.schema)
-        new_row = list(new_row)
-        new_row[start_tid] = txn.tid
-        new_row[start_seq] = sequence
-        new_row[end_tid] = None
-        new_row[end_seq] = None
-        validated = list(table.schema.validate_row(new_row))
-        self._append_leaf(txn, context, table, validated, "update")
+        prepared = table.prepare_row(
+            self._stamp_new(txn, context, table, new_row)
+        )
+        self._append_leaf(txn, context, table, prepared[1], "update")
         # Deleted version second: stamp its end columns, hash, move to history.
         self._retire_version(txn, context, table, old_row, "update")
-        return validated
+        return prepared
 
     def before_delete(
         self, txn: Transaction, table: Table, old_row: Sequence[Any]
     ) -> None:
-        role = table.options.get("role")
-        if self._suppressed or role is None:
-            return
-        if role == "history":
-            raise LedgerConfigurationError(
-                f"history table {table.name!r} cannot be modified directly"
-            )
-        if role != "ledger":
+        if not self._hashes(table):
             return
         self._require_updateable(table, "DELETE")
         context = self._context(txn)
@@ -264,13 +245,16 @@ class LedgerHooks(EngineHooks):
         retired = list(old_row)
         retired[end_tid] = txn.tid
         retired[end_seq] = sequence
-        self._append_leaf(txn, context, table, retired, op)
+        # The history table has the ledger table's columns, so the record
+        # it stores is the record the ledger table's schema hashes.
         history = self._history_table(table)
-        history.system_insert(txn, retired)
+        prepared = history.prepare_row(retired)
+        self._append_leaf(txn, context, table, prepared[1], op)
+        history.system_insert(txn, prepared)
 
     def _append_leaf(
         self, txn: Transaction, context: _LedgerTxContext, table: Table,
-        row: Sequence[Any], op: str,
+        record: bytes, op: str,
     ) -> None:
         tracer = self._obs.tracer
         if tracer.enabled:
@@ -281,35 +265,35 @@ class LedgerHooks(EngineHooks):
             with tracer.span(
                 "ledger.hash", context=trace, table=table.name, op=op
             ):
-                payload = hashable_payload(table.schema, row)
+                payload, _, _ = hashable_payload(table.schema, record)
                 context.hasher_for(table.table_id).append(hash_leaf(payload))
         else:
-            payload = hashable_payload(table.schema, row)
+            payload, _, _ = hashable_payload(table.schema, record)
             context.hasher_for(table.table_id).append(hash_leaf(payload))
         self._m.rows_hashed_by_op[op].inc()
 
     def _append_leaves(
         self, txn: Transaction, context: _LedgerTxContext, table: Table,
-        rows: Sequence[Sequence[Any]], op: str,
+        records: Sequence[bytes], op: str,
     ) -> None:
         """Batch counterpart of :meth:`_append_leaf`: one tracing span, one
-        serialize+hash pass and one metrics observation per statement."""
-        if not rows:
+        transcode+hash pass and one metrics observation per statement."""
+        if not records:
             return
         tracer = self._obs.tracer
         if tracer.enabled:
             trace = txn.context.get("trace")
             with tracer.span(
                 "ledger.hash", context=trace, table=table.name, op=op,
-                rows=len(rows),
+                rows=len(records),
             ):
-                payloads = hashable_payloads(table.schema, rows)
+                payloads = hashable_payloads(table.schema, records)
                 leaves = hash_leaves(payloads)
         else:
-            payloads = hashable_payloads(table.schema, rows)
+            payloads = hashable_payloads(table.schema, records)
             leaves = hash_leaves(payloads)
         context.hasher_for(table.table_id).extend(leaves)
-        self._m.rows_hashed_by_op[op].inc(len(rows))
+        self._m.rows_hashed_by_op[op].inc(len(records))
 
     def _require_updateable(self, table: Table, operation: str) -> None:
         if table.options.get("ledger_type") == "append_only":

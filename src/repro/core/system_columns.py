@@ -54,18 +54,31 @@ def history_schema_for(ledger_schema: TableSchema, history_name: str) -> TableSc
     return TableSchema(history_name, ledger_schema.columns, primary_key=None)
 
 
-def start_ordinals(schema: TableSchema) -> Tuple[int, int]:
+def _start_ordinals(schema: TableSchema) -> Tuple[int, int]:
     return (
         schema.column(START_TRANSACTION).ordinal,
         schema.column(START_SEQUENCE).ordinal,
     )
 
 
-def end_ordinals(schema: TableSchema) -> Tuple[int, int]:
+def _end_ordinals(schema: TableSchema) -> Tuple[int, int]:
     return (
         schema.column(END_TRANSACTION).ordinal,
         schema.column(END_SEQUENCE).ordinal,
     )
+
+
+def start_ordinals(schema: TableSchema) -> Tuple[int, int]:
+    """(transaction id, sequence) ordinals of the start columns."""
+    return schema.derived(_start_ordinals)
+
+
+def end_ordinals(schema: TableSchema) -> Tuple[int, int]:
+    """(transaction id, sequence) ordinals of the end columns.
+
+    Raises :class:`ColumnNotFoundError` on an append-only table's schema.
+    """
+    return schema.derived(_end_ordinals)
 
 
 def has_end_columns(schema: TableSchema) -> bool:

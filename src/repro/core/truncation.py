@@ -127,7 +127,7 @@ def _reanchor_live_rows(db, truncated_tids: Set[int]) -> int:
             fresh = list(row)
             # Run the ledger insert hook to stamp + hash the new version,
             # then overwrite the stored record without creating history.
-            stamped = hooks.before_insert(txn, table, fresh)
+            stamped, _ = hooks.before_insert(txn, table, fresh)
             with hooks.system_operation():
                 table.update_row(txn, rid, list(stamped))
             reanchored += 1

@@ -694,7 +694,7 @@ class LedgerVerifier:
 
         Every (relation, record range) is an independent task, so a single
         large table still saturates a forked pool.  The tasks do the
-        expensive decode + serialize + hash; the partial per-transaction
+        expensive transcode + hash; the partial per-transaction
         event maps are merged here in task order, which is heap order.
         """
         args_list = [
@@ -861,10 +861,10 @@ class LedgerVerifier:
             merged.setdefault(args[:3], []).extend(result["keyed"])
 
         def root_of(table_index, which, source) -> bytes:
-            keyed = sorted(
-                merged.get((table_index, which, source), []),
-                key=lambda pair: pair[0],
-            )
+            # By clustered key, equal keys (a relation without one has only
+            # the empty key) by leaf: an order that depends on the records
+            # alone, not on where a heap happened to place them.
+            keyed = sorted(merged.get((table_index, which, source), []))
             return merkle_root([leaf for _, leaf in keyed])
 
         for table_index, which, relation in indexed:

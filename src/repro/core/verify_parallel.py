@@ -11,7 +11,7 @@ as a *range task* — "check one range of an immutable snapshot":
                   is hashed once, as somebody's predecessor.
 * ``block_root``— a slice of block ids, each recomputing its transactions
                   Merkle root.
-* ``table_root``— a record range of one relation, decoded and hashed into a
+* ``table_root``— a record range of one relation, transcoded and hashed into a
                   partial per-transaction event map the caller merges.
 * ``index``     — a record range of one heap or index, returning keyed
                   leaves the caller merges, sorts, and roots.
@@ -52,6 +52,7 @@ from repro.core.verify_snapshot import (
 )
 from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
+from repro.engine.heap import RowId
 from repro.errors import StorageError
 
 SEVERITY_ERROR = "error"
@@ -209,7 +210,7 @@ def events_task(
     """Hash one record range of a relation into partial per-tid events.
 
     Returns ``{tid: [(seq, leaf), ...]}`` partials (§3.4.1-4); the expensive
-    decode + canonical serialization + SHA-256 happens here.
+    record-kernel pass (canonical serialization) + SHA-256 happens here.
     """
     table_index, which, start, end = args
     relation = _relation(snapshot, table_index, which)
@@ -217,15 +218,15 @@ def events_task(
     findings: List[Finding] = []
     scanned = 0
     kind = "history table" if relation.is_history else "table"
-    for rid, record in relation.records[start:end]:
+    for page_id, slot, record in relation.records[start:end]:
         try:
             derived, _ = cached_record_events(relation, record, cache)
         except StorageError as exc:
             findings.append(
                 Finding(
                     "table_root", SEVERITY_ERROR,
-                    f"row {rid} in {kind} {relation.name!r} failed to "
-                    f"decode: {exc}",
+                    f"row {RowId(page_id, slot)} in {kind} "
+                    f"{relation.name!r} failed to decode: {exc}",
                     {"table": relation.name},
                 )
             )
@@ -247,7 +248,7 @@ def keyed_leaves_task(
     table_index, which, source, start, end = args
     relation = _relation(snapshot, table_index, which)
     if source is None:
-        records = [record for _, record in relation.records[start:end]]
+        records = [record for _, _, record in relation.records[start:end]]
     else:
         records = relation.index_records[source][start:end]
     keyed: List[Tuple[Tuple, bytes]] = []

@@ -11,9 +11,9 @@ capture).
 
 The snapshot is cheap because stored records are immutable ``bytes``;
 materializing a heap scan is a list of references, not a deep copy.  The
-expensive work — decoding, canonical re-serialization, SHA-256 over every
-row version — happens off-lock (and optionally in worker processes, see
-:mod:`repro.core.verify_parallel`).
+expensive work — transcoding every record into its canonical serialization
+and SHA-256 over every row version — happens off-lock (and optionally in
+worker processes, see :mod:`repro.core.verify_parallel`).
 
 ``record_events`` is the single routine that turns one stored record into
 its verification events; every range task reaches it through
@@ -31,7 +31,7 @@ from repro.core import system_columns as sc
 from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_view import canonical_view_definition
 from repro.crypto.hashing import LeafHashCache, hash_leaf
-from repro.engine.record import decode_record, hashable_payload, key_tuple
+from repro.engine.record import hashable_payload, key_tuple
 from repro.runtime import DEFAULT_CONTEXT
 
 
@@ -84,8 +84,14 @@ class RelationSnapshot:
     fingerprint: str
     is_history: bool
     key_ordinals: Tuple[int, ...]
-    #: (rendered row id, stored record bytes) in heap order.
-    records: List[Tuple[str, bytes]]
+    #: Ordinals of the start (transaction id, sequence number) columns.
+    start_ordinals: Tuple[int, int]
+    #: History relations: ordinals of the end columns; else empty.
+    end_ordinals: Tuple[int, ...]
+    #: (page id, slot, stored record bytes) in heap order.  Plain ints, not
+    #: a RowId per record: a snapshot holds every record of the database,
+    #: and only a finding ever shows where one of them lives.
+    records: List[Tuple[int, int, bytes]]
     #: Base relations only: index name -> stored records of the index heap.
     index_records: Dict[str, List[bytes]] = field(default_factory=dict)
 
@@ -141,13 +147,17 @@ class VerificationSnapshot:
 
 
 def _snapshot_relation(table, is_history: bool) -> RelationSnapshot:
-    records = [(str(rid), record) for rid, record in table.heap.scan()]
+    records = [
+        (rid.page_id, rid.slot, record) for rid, record in table.heap.scan()
+    ]
     relation = RelationSnapshot(
         name=table.name,
         schema=table.schema,
         fingerprint=schema_fingerprint(table.name, table.schema, is_history),
         is_history=is_history,
         key_ordinals=table.schema.primary_key_ordinals(),
+        start_ordinals=sc.start_ordinals(table.schema),
+        end_ordinals=sc.end_ordinals(table.schema) if is_history else (),
         records=records,
     )
     for index in table.nonclustered.values():
@@ -274,47 +284,49 @@ def record_events(
 
     Base relation records yield one event attributed to the creating
     transaction; history records yield two — the as-created form (end
-    columns masked to NULL, exactly as the creating transaction hashed the
+    columns left out, exactly as the creating transaction hashed the
     version) and the as-deleted full row (hashed by the deleting
-    transaction).  ``hashable_payload`` skips NULL values, so a live row's
-    NULL end columns hash identically to the masked history form — the
-    property that keeps per-table event streams append-only and makes
+    transaction).  The canonical serialization skips NULL values, so a live
+    row's NULL end columns hash identically to the as-created history form —
+    the property that keeps per-table event streams append-only and makes
     incremental Merkle frontiers sound.
 
-    Raises :class:`repro.errors.StorageError` on undecodable bytes.
+    One kernel pass (:func:`repro.engine.record.hashable_payload`) checks
+    the record's structure, builds both payloads from the stored bytes and
+    decodes the system and clustered-key columns — nothing else.  Raises
+    :class:`repro.errors.StorageError` on structural damage or a system or
+    key value that does not decode; damage confined to another column's
+    value bytes changes the leaf instead.
     """
-    schema = relation.schema
-    row = decode_record(schema, record)
+    start_tid, start_seq = relation.start_ordinals
+    payload, created, row = hashable_payload(
+        relation.schema, record, relation.end_ordinals
+    )
     if relation.is_history:
-        start_tid, start_seq = sc.start_ordinals(schema)
-        end_tid, end_seq = sc.end_ordinals(schema)
-        created = sc.mask_end_columns(schema, row)
+        end_tid, end_seq = relation.end_ordinals
         events: Tuple[Event, ...] = (
             (
                 row[start_tid],
                 row[start_seq] if row[start_seq] is not None else -1,
-                hash_leaf(hashable_payload(schema, created)),
+                hash_leaf(created),
             ),
             (
                 row[end_tid],
                 row[end_seq] if row[end_seq] is not None else -1,
-                hash_leaf(hashable_payload(schema, row)),
+                hash_leaf(payload),
             ),
         )
     else:
-        start_tid, start_seq = sc.start_ordinals(schema)
         events = (
             (
                 row[start_tid],
                 row[start_seq] if row[start_seq] is not None else -1,
-                hash_leaf(hashable_payload(schema, row)),
+                hash_leaf(payload),
             ),
         )
-    if relation.key_ordinals:
-        order_key = key_tuple([row[o] for o in relation.key_ordinals])
-    else:
-        order_key = key_tuple(list(row))
-    return events, order_key
+    # Relations without a clustered key get the empty key: the index check
+    # orders equal keys by leaf.
+    return events, key_tuple([row[o] for o in relation.key_ordinals])
 
 
 def cached_record_events(

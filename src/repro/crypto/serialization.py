@@ -25,9 +25,15 @@ Wire format (all integers big-endian)::
         value_len  uint32
         value      bytes     canonical value encoding for the type
 
-This module is deliberately independent of the engine's type system: the
-engine supplies :class:`SerializedColumn` entries (ordinal, type identifier,
-type metadata, canonical value bytes) and receives opaque bytes back.
+This module is deliberately independent of the engine's type system.  The
+engine's record kernel (:mod:`repro.engine.record`) writes the format on every
+hot path from two pieces defined here — :func:`payload_header` and
+:func:`column_prefix`, packed once per schema — followed by the
+``value_len | value`` bytes a stored record already holds.
+:class:`RowSerializer` and :func:`deserialize_row_payload` are the format's
+independent reference: they take and return :class:`SerializedColumn` entries
+(ordinal, type identifier, type metadata, canonical value bytes), and tests
+and forensic tooling compare the kernel against them.
 """
 
 from __future__ import annotations
@@ -69,11 +75,30 @@ class SerializedColumn:
             raise SerializationError("column value longer than 4 GiB")
 
 
+def payload_header(count: int) -> bytes:
+    """Magic plus the number of non-NULL columns that follow."""
+    try:
+        return _HEADER.pack(_MAGIC, count)
+    except struct.error as exc:
+        raise SerializationError(f"column count {count} out of range") from exc
+
+
+def column_prefix(ordinal: int, type_id: int, type_meta: bytes) -> bytes:
+    """Everything that precedes a column's ``value_len | value`` bytes."""
+    try:
+        return _COLUMN_FIXED.pack(ordinal, type_id, len(type_meta)) + type_meta
+    except struct.error as exc:
+        raise SerializationError(
+            f"column ordinal {ordinal}, type id {type_id} or "
+            f"{len(type_meta)}-byte type metadata out of range"
+        ) from exc
+
+
 class RowSerializer:
     """Serializes rows into the canonical hashable format.
 
-    Stateless; exists as a class so the engine can hold one instance per
-    table and, in the future, version the format per table.
+    The reference implementation: one ``struct`` pack per field, every
+    ordering rule validated.  Stateless.
     """
 
     def serialize(self, columns: Sequence[SerializedColumn]) -> bytes:
@@ -105,7 +130,7 @@ def deserialize_row_payload(payload: bytes) -> Tuple[SerializedColumn, ...]:
     """Parse a canonical row payload back into its column entries.
 
     Used by tests and forensic tooling; the verification path never needs to
-    deserialize because it always re-serializes from the live row.
+    deserialize because it rebuilds every payload from the stored record.
     """
     if len(payload) < _HEADER.size:
         raise SerializationError("payload shorter than header")
@@ -140,41 +165,3 @@ def deserialize_row_payload(payload: bytes) -> Tuple[SerializedColumn, ...]:
 def serialize_columns(columns: Iterable[SerializedColumn]) -> bytes:
     """Convenience wrapper over a throwaway :class:`RowSerializer`."""
     return RowSerializer().serialize(list(columns))
-
-
-def serialize_rows(
-    rows: Sequence[Sequence[SerializedColumn]],
-) -> List[bytes]:
-    """Serialize a statement's whole row set in one pass.
-
-    Byte-for-byte equivalent to calling :meth:`RowSerializer.serialize` once
-    per row, but with the struct packers and validation loop bound locally so
-    a multi-row statement pays the per-call overhead once rather than once
-    per row.  Each row may have a different NULL pattern; ordering and
-    ordinal-uniqueness are validated exactly as in the single-row path.
-    """
-    header_pack = _HEADER.pack
-    column_pack = _COLUMN_FIXED.pack
-    value_len_pack = _VALUE_LEN.pack
-    magic = _MAGIC
-    join = b"".join
-    out: List[bytes] = []
-    for columns in rows:
-        parts: List[bytes] = [header_pack(magic, len(columns))]
-        previous_ordinal = -1
-        for column in columns:
-            ordinal = column.ordinal
-            if ordinal <= previous_ordinal:
-                raise SerializationError(
-                    "columns must be serialized in strictly ascending ordinal "
-                    f"order (ordinal {ordinal} after {previous_ordinal})"
-                )
-            previous_ordinal = ordinal
-            meta = column.type_meta
-            value = column.value
-            parts.append(column_pack(ordinal, column.type_id, len(meta)))
-            parts.append(meta)
-            parts.append(value_len_pack(len(value)))
-            parts.append(value)
-        out.append(join(parts))
-    return out

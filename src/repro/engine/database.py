@@ -31,7 +31,7 @@ import datetime as dt
 import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.clock import wall_clock
@@ -236,6 +236,7 @@ class Database:
         # Redo phase: reapply committed data records in log order.
         phase_start = time.perf_counter()
         redo_count = 0
+        redone_tables: Set[int] = set()
         with self._obs.tracer.span("recovery.redo") as redo_span:
             for record in wal_records:
                 if record.kind not in (INSERT, DELETE, INSERT_MANY, DELETE_MANY):
@@ -246,6 +247,7 @@ class Database:
                 table = self._tables.get(payload["table_id"])
                 if table is None:
                     continue  # table dropped later in the log
+                redone_tables.add(table.table_id)
                 if record.kind == INSERT_MANY:
                     # One frame per multi-row statement: either the whole
                     # batch made it into the log or none of it did.
@@ -274,14 +276,19 @@ class Database:
         if redo_count:
             self._m.recovery_records_replayed.inc(redo_count)
 
-        # Rebuild access paths.  After redo the nonclustered images on disk
-        # are stale, so they are rebuilt from the base tables; on a clean
-        # restart (empty redo) the persisted index images — tampered or not —
-        # are loaded as-is.
+        # Rebuild access paths.  A table with a redone record has stale
+        # nonclustered images on disk, and an index created since the last
+        # checkpoint has none: those are rebuilt from the base table.  Every
+        # other table loads its persisted index images — tampered or not —
+        # as-is, exactly as a clean restart would, so a crash elsewhere in
+        # the database cannot heal them.
         phase_start = time.perf_counter()
         with self._obs.tracer.span("recovery.indexes"):
             for table in self._tables.values():
-                if redo_count:
+                if table.table_id in redone_tables or not all(
+                    os.path.exists(self._index_path(table.table_id, name))
+                    for name in table.nonclustered
+                ):
                     table.rebuild_indexes()
                 else:
                     table.load_indexes_from_storage()
@@ -403,9 +410,7 @@ class Database:
         table = self._tables[info.table_id]
         table.schema = schema
         table.drop_nonclustered_index(index_name)
-        index_file = os.path.join(
-            self.path, f"table_{info.table_id}.{index_name}.idx"
-        )
+        index_file = self._index_path(info.table_id, index_name)
         if os.path.exists(index_file):
             os.remove(index_file)
         self._log_ddl(f"DROP INDEX {index_name} ON {table_name}")
@@ -507,9 +512,7 @@ class Database:
             written_total += written
             for index in table.nonclustered.values():
                 raw, written = index.heap.flush(
-                    os.path.join(
-                        self.path, f"table_{info.table_id}.{index.name}.idx"
-                    ),
+                    self._index_path(info.table_id, index.name),
                     faults=self._faults,
                 )
                 raw_total += raw
@@ -576,12 +579,13 @@ class Database:
         )
         if load:
             for index in table.nonclustered.values():
-                index_path = os.path.join(
-                    self.path, f"table_{info.table_id}.{index.name}.idx"
-                )
+                index_path = self._index_path(info.table_id, index.name)
                 if os.path.exists(index_path):
                     index.heap = HeapFile.load(index.heap.name, index_path)
         return table
+
+    def _index_path(self, table_id: int, index_name: str) -> str:
+        return os.path.join(self.path, f"table_{table_id}.{index_name}.idx")
 
     def _table_file_suffixes(self, info: TableInfo) -> List[str]:
         suffixes = [f"table_{info.table_id}.tbl"]

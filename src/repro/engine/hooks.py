@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.engine.table import Table
+    from repro.engine.table import PreparedRow, Table
     from repro.engine.transaction import Transaction
 
 
@@ -22,19 +22,24 @@ class EngineHooks:
     """No-op default implementation; the ledger layer overrides these.
 
     Every method is optional to override.  DML hooks run *before* the storage
-    mutation, so they can populate hidden system columns on the row that is
-    about to be stored and hash exactly what storage will hold.
+    mutation and hand the engine the row *prepared* for storage —
+    ``(validated values, record bytes)``, made by
+    :meth:`~repro.engine.table.Table.prepare_row`.  A hook that amends the
+    row (the ledger populates hidden system columns) does so before
+    preparing it, and then holds exactly the bytes storage will hold: the
+    ledger hashes those, so a row is validated once and each value encoded
+    once however many layers look at it.
     """
 
     def before_insert(
         self, txn: "Transaction", table: "Table", row: List[Any]
-    ) -> List[Any]:
-        """Called before a row is stored; returns the (possibly amended) row."""
-        return row
+    ) -> "PreparedRow":
+        """Called before a row is stored; returns the row to store."""
+        return table.prepare_row(row)
 
     def before_insert_many(
         self, txn: "Transaction", table: "Table", rows: List[List[Any]]
-    ) -> List[List[Any]]:
+    ) -> List["PreparedRow"]:
         """Called once before a multi-row statement stores its batch.
 
         The default preserves the one-row contract by delegating to
@@ -49,9 +54,9 @@ class EngineHooks:
         table: "Table",
         old_row: Sequence[Any],
         new_row: List[Any],
-    ) -> List[Any]:
-        """Called before an update; returns the amended new version."""
-        return new_row
+    ) -> "PreparedRow":
+        """Called before an update; returns the new version to store."""
+        return table.prepare_row(new_row)
 
     def before_delete(
         self, txn: "Transaction", table: "Table", old_row: Sequence[Any]

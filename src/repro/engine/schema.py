@@ -12,7 +12,7 @@ Schemas carry two ledger-relevant facilities beyond the obvious:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.types import SqlType, type_from_meta
 from repro.errors import ColumnNotFoundError, DuplicateObjectError, TypeSystemError
@@ -94,7 +94,11 @@ class TableSchema:
     The schema object is immutable from the caller's perspective: evolution
     operations (:meth:`with_column_added`, :meth:`with_column_dropped`, ...)
     return new schemas.  This makes it safe to keep references to the schema
-    a row was written under.
+    a row was written under — and to compute everything that follows from
+    the column list once: ``live_columns`` (still exist logically, hidden
+    ones included), ``visible_columns`` / ``visible_names`` (what an
+    application sees: not hidden, not dropped), the primary-key ordinals,
+    and whatever other layers hang off the object with :meth:`derived`.
     """
 
     def __init__(
@@ -125,6 +129,20 @@ class TableSchema:
                     f"primary key column {key_column!r} not in table {name!r}"
                 )
         self.indexes: Tuple[IndexDefinition, ...] = tuple(indexes)
+        self.live_columns: Tuple[Column, ...] = tuple(
+            c for c in self.columns if not c.dropped
+        )
+        self.visible_columns: Tuple[Column, ...] = tuple(
+            c for c in self.live_columns if not c.hidden
+        )
+        self.visible_names: Tuple[str, ...] = tuple(
+            c.name for c in self.visible_columns
+        )
+        self._visible_ordinals = tuple(c.ordinal for c in self.visible_columns)
+        self._primary_key_ordinals = tuple(
+            self._by_name[name].ordinal for name in self.primary_key
+        )
+        self._derived: Dict[Any, Any] = {}
 
     # -- lookup ------------------------------------------------------------
 
@@ -140,22 +158,22 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return name in self._by_name
 
-    @property
-    def live_columns(self) -> Tuple[Column, ...]:
-        """Columns that still exist logically (hidden ones included)."""
-        return tuple(c for c in self.columns if not c.dropped)
-
-    @property
-    def visible_columns(self) -> Tuple[Column, ...]:
-        """Columns an application sees: not hidden, not dropped."""
-        return tuple(c for c in self.columns if not c.hidden and not c.dropped)
-
-    @property
-    def visible_names(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.visible_columns)
-
     def primary_key_ordinals(self) -> Tuple[int, ...]:
-        return tuple(self.column(name).ordinal for name in self.primary_key)
+        return self._primary_key_ordinals
+
+    def derived(self, build: Callable[["TableSchema"], Any]) -> Any:
+        """``build(self)``, computed once per schema object.
+
+        For plans other layers compile from the column list (the record
+        kernel, the ledger's system-column ordinals).  Keyed by ``build``,
+        so pass a module-level callable.  A schema swapped in behind the
+        catalog's back is a new object and gets fresh plans.
+        """
+        try:
+            return self._derived[build]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
 
     def index(self, name: str) -> IndexDefinition:
         for definition in self.indexes:
@@ -210,7 +228,7 @@ class TableSchema:
 
     def visible_values(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         """Project a physical row down to the application-visible columns."""
-        return tuple(row[c.ordinal] for c in self.visible_columns)
+        return tuple(row[o] for o in self._visible_ordinals)
 
     # -- schema evolution ----------------------------------------------------
 

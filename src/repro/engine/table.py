@@ -2,11 +2,12 @@
 
 This is where the ledger's DML-plan extensions (paper §3.2) attach: every
 insert/update/delete runs the registered :class:`EngineHooks` *before* the
-storage mutation, so the ledger can populate the hidden system columns and
-hash exactly the bytes that will be stored.  History-table maintenance is
-performed by the ledger layer through :meth:`system_insert`, which bypasses
-the hooks (history rows are hashed as part of the originating operation, not
-as fresh inserts).
+storage mutation.  The hooks return the row prepared for storage
+(:data:`PreparedRow`, from :meth:`Table.prepare_row`): the ledger populates
+the hidden system columns, prepares the row, and hashes exactly the record
+bytes that will be stored.  History-table maintenance is performed by the
+ledger layer through :meth:`system_insert`, which bypasses the hooks (history
+rows are hashed as part of the originating operation, not as fresh inserts).
 
 Updates are physically delete+insert: the row gets a new RowId, and the WAL
 carries a DELETE record (with the before-image) followed by an INSERT record.
@@ -35,6 +36,9 @@ from repro.engine.wal import (
     WalWriter,
 )
 from repro.errors import ConstraintError, StorageError
+
+#: A row ready to store: (validated physical values, their record bytes).
+PreparedRow = Tuple[Tuple[Any, ...], bytes]
 
 
 class Table:
@@ -85,12 +89,17 @@ class Table:
 
             self._lock_manager.acquire(txn.tid, self.table_id, LockMode.EXCLUSIVE)
 
+    def prepare_row(self, row: Sequence[Any]) -> PreparedRow:
+        """Validate a physical row and encode it, once each."""
+        validated = self.schema.validate_row(row)
+        return validated, encode_record(self.schema, validated)
+
     def insert(self, txn: Transaction, row: List[Any]) -> RowId:
         """Insert a physical row through the full pipeline (hooks included)."""
         txn.require_active()
         self._acquire_write_lock(txn)
-        row = self._hooks_ref().before_insert(txn, self, row)
-        return self._store_row(txn, row)
+        prepared = self._hooks_ref().before_insert(txn, self, row)
+        return self._store_row(txn, prepared)
 
     def insert_many(self, txn: Transaction, rows: List[List[Any]]) -> List[RowId]:
         """Insert a statement's whole row batch through the full pipeline.
@@ -105,14 +114,14 @@ class Table:
             return []
         txn.require_active()
         self._acquire_write_lock(txn)
-        rows = self._hooks_ref().before_insert_many(txn, self, rows)
-        return self._store_rows(txn, rows)
+        prepared = self._hooks_ref().before_insert_many(txn, self, rows)
+        return self._store_rows(txn, prepared)
 
-    def system_insert(self, txn: Transaction, row: List[Any]) -> RowId:
+    def system_insert(self, txn: Transaction, prepared: PreparedRow) -> RowId:
         """Insert bypassing DML hooks (history-table maintenance, §3.2)."""
         txn.require_active()
         self._acquire_write_lock(txn)
-        return self._store_row(txn, row)
+        return self._store_row(txn, prepared)
 
     def delete_row(self, txn: Transaction, rid: RowId) -> Tuple[Any, ...]:
         """Delete the row at ``rid``; returns the removed row."""
@@ -132,9 +141,9 @@ class Table:
         self._acquire_write_lock(txn)
         old_record = self.heap.read(rid)
         old_row = decode_record(self.schema, old_record)
-        new_row = self._hooks_ref().before_update(txn, self, old_row, new_row)
-        validated = self.schema.validate_row(new_row)
-        new_record = encode_record(self.schema, validated)
+        validated, new_record = self._hooks_ref().before_update(
+            txn, self, old_row, new_row
+        )
         # Pre-check constraints so the physical mutation cannot half-apply.
         self._check_unique(validated, ignore_rid=rid, old_row=old_row)
         self._remove_row(txn, rid, old_row, old_record)
@@ -272,25 +281,20 @@ class Table:
     # Internals
     # ------------------------------------------------------------------
 
-    def _store_row(self, txn: Transaction, row: List[Any]) -> RowId:
-        validated = self.schema.validate_row(row)
-        record = encode_record(self.schema, validated)
+    def _store_row(self, txn: Transaction, prepared: PreparedRow) -> RowId:
+        validated, record = prepared
         self._check_unique(validated)
         return self._place_row(txn, validated, record)
 
     def _store_rows(
-        self, txn: Transaction, rows: List[List[Any]]
+        self, txn: Transaction, prepared: List[PreparedRow]
     ) -> List[RowId]:
-        """Validate, constraint-check and place a whole batch.
+        """Constraint-check and place a whole prepared batch.
 
         All checks — against existing data AND within the batch — run before
         any mutation, so a constraint violation anywhere in the batch leaves
         heap, indexes and WAL untouched.
         """
-        prepared: List[Tuple[Tuple[Any, ...], bytes]] = []
-        for row in rows:
-            validated = self.schema.validate_row(row)
-            prepared.append((validated, encode_record(self.schema, validated)))
         if self.clustered is not None:
             pk_ordinals = self.schema.primary_key_ordinals()
             seen = set()
@@ -322,7 +326,7 @@ class Table:
         return self._place_rows(txn, prepared)
 
     def _place_rows(
-        self, txn: Transaction, prepared: List[Tuple[Tuple[Any, ...], bytes]]
+        self, txn: Transaction, prepared: List[PreparedRow]
     ) -> List[RowId]:
         rids = [self.heap.insert(record) for _, record in prepared]
         if self.clustered is not None:

@@ -1,12 +1,17 @@
 """Direct tests of the ledger's engine hooks (§3.2, §3.3.2)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import system_columns as sc
 from repro.core.entries import TransactionEntry
 from repro.crypto.merkle import merkle_root
 from repro.crypto.hashing import hash_leaf
-from repro.engine.record import hashable_payload
+from repro.engine import types as sql_types
+from repro.engine.expressions import eq
+from repro.engine.record import encode_record, hashable_payload
+from repro.engine.schema import TableSchema
 
 from tests.core.conftest import accounts_schema, run
 
@@ -49,7 +54,11 @@ class TestPerTransactionMerkleTrees:
             key=lambda row: row[start_seq],
         )
         leaves = [
-            hash_leaf(hashable_payload(accounts.schema, row))
+            hash_leaf(
+                hashable_payload(
+                    accounts.schema, encode_record(accounts.schema, row)
+                )[0]
+            )
             for row in versions
         ]
         assert merkle_root(leaves) == recorded
@@ -84,6 +93,61 @@ class TestPerTransactionMerkleTrees:
             if e["ledger_transaction_id"] == txn.tid
         ]
         assert sorted(accounts_events + other_events) == [0, 1, 2]
+
+
+class TestValidateOnceEncodeOnce:
+    """The engine prepares a row version once — one ``validate_row``, one
+    ``SqlType.encode`` per non-NULL value — and the ledger hashes the
+    resulting record instead of validating and encoding again."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = Counter()
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args):
+                calls[key(self)] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(TableSchema, "validate_row", lambda schema: schema.name)
+        # ``accounts`` has VARCHAR, INT and the BIGINT system columns.
+        counting(sql_types._IntegerType, "encode", lambda _: "encode")
+        counting(sql_types._StringType, "encode", lambda _: "encode")
+        return calls
+
+    def test_insert(self, db, accounts, spy):
+        txn = db.begin("app")
+        spy.clear()
+        accounts.insert(txn, accounts.schema.row_from_visible(["Nick", 100]))
+        # name, balance, start transaction id, start sequence number.
+        assert spy == {"accounts": 1, "encode": 4}
+        db.commit(txn)
+
+    def test_insert_many(self, db, accounts, spy):
+        txn = db.begin("app")
+        spy.clear()
+        db.insert(txn, "accounts", [["a", 1], ["b", None], ["c", 3]])
+        assert spy == {"accounts": 3, "encode": 4 + 3 + 4}
+        db.commit(txn)
+
+    def test_update_and_delete(self, db, accounts, spy):
+        run(db, "app", lambda t: db.insert(t, "accounts", [["Nick", 100]]))
+        history = db.history_table("accounts").name
+        txn = db.begin("app")
+        spy.clear()
+        db.update(txn, "accounts", {"balance": 5}, eq("name", "Nick"))
+        # The new version (4 values), and the retired one with its end
+        # columns stamped (6 values) stored in the history table.
+        assert spy == {"accounts": 1, history: 1, "encode": 4 + 6}
+        spy.clear()
+        db.delete(txn, "accounts", eq("name", "Nick"))
+        assert spy == {history: 1, "encode": 6}
+        db.commit(txn)
+        assert db.verify([db.generate_digest()]).ok
 
 
 class TestCommitPayloads:

@@ -142,12 +142,14 @@ class TestTamperDetection:
                           "balance", 999_999)
         report = verify_both(db, [seeded])
         assert not report.ok
-        assert "table_root" in findings_by_invariant(report)
+        assert findings_by_invariant(report) == {"table_root"}
 
     def test_history_erasure(self, db, seeded, accounts):
         history = db.history_table("accounts")
         delete_history_row(accounts, history, lambda r: r["name"] == "u0")
-        assert not verify_both(db, [seeded]).ok
+        report = verify_both(db, [seeded])
+        assert not report.ok
+        assert findings_by_invariant(report) == {"table_root"}
 
     def test_garbage_record_bytes(self, db, seeded, accounts):
         rid = next(iter(accounts.heap.scan()))[0]
@@ -165,7 +167,7 @@ class TestTamperDetection:
         tamper_transaction_entry(db, entry_tid, "innocent_user")
         report = verify_both(db, [seeded])
         assert not report.ok
-        assert "block_root" in findings_by_invariant(report)
+        assert findings_by_invariant(report) == {"block_root"}
 
     def test_interior_block_fork_breaks_chain(self, db, seeded):
         blocks = db.ledger.blocks()
@@ -185,8 +187,21 @@ class TestTamperDetection:
         assert "chain" in findings_by_invariant(report)
 
     def test_column_type_swap(self, db, seeded):
+        """A non-key column: its bytes are hashed under the tampered type,
+        not parsed under it, so the finding is the root mismatch."""
         tamper_column_type(db, "accounts", "balance", SMALLINT)
-        assert not verify_both(db, [seeded]).ok
+        report = verify_both(db, [seeded])
+        assert not report.ok
+        assert findings_by_invariant(report) == {"table_root"}
+        assert not [f for f in report.findings if "decode" in f.message]
+
+    def test_key_column_type_swap(self, db, seeded):
+        """The clustered key is still strictly decoded."""
+        tamper_column_type(db, "accounts", "name", SMALLINT)
+        report = verify_both(db, [seeded])
+        assert not report.ok
+        assert findings_by_invariant(report) == {"table_root"}
+        assert [f for f in report.findings if "failed to decode" in f.message]
 
     def test_view_definition_tamper(self, db, seeded):
         tamper_view_definition(
@@ -196,7 +211,7 @@ class TestTamperDetection:
         )
         report = verify_both(db, [seeded])
         assert not report.ok
-        assert "view" in findings_by_invariant(report)
+        assert findings_by_invariant(report) == {"view"}
 
     def test_nonclustered_index_tamper(self, db):
         schema = accounts_schema("indexed").with_index(
@@ -212,7 +227,7 @@ class TestTamperDetection:
         )
         report = verify_both(db, [digest])
         assert not report.ok
-        assert "index" in findings_by_invariant(report)
+        assert findings_by_invariant(report) == {"index"}
 
 
 @pytest.mark.skipif(

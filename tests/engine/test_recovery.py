@@ -181,6 +181,71 @@ class TestCrashRecovery:
         assert len(list(table2.seek_index("ix_label", ["beta"]))) == 1
         assert table2.seek([1]) is not None
 
+    def test_crash_elsewhere_does_not_heal_a_tampered_index(self, tmp_path):
+        """Only tables with a redone record rebuild their indexes; the rest
+        load the persisted images as a clean restart would, so verification
+        still sees index tampering after a crash in an unrelated table."""
+        from repro.attacks import tamper_nonclustered_index
+        from repro.core.ledger_database import LedgerDatabase
+        from repro.sql import SqlSession
+
+        def index_findings(db):
+            report = db.verify([db.generate_digest()])
+            return [f for f in report.errors if f.invariant == "index"]
+
+        path = str(tmp_path / "ledger")
+        db = LedgerDatabase.open(path)
+        session = SqlSession(db)
+        session.execute(
+            "CREATE TABLE a (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)"
+        )
+        session.execute("CREATE INDEX ix_v ON a (v)")
+        session.execute(
+            "CREATE TABLE b (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)"
+        )
+        session.execute("INSERT INTO a (id, v) VALUES (1, 10), (2, 20)")
+        db.checkpoint()
+        tamper_nonclustered_index(
+            db.ledger_table("a"), "ix_v", lambda r: r["id"] == 2, "v", 99
+        )
+        db.checkpoint()
+        session.execute("INSERT INTO b (id, v) VALUES (1, 1)")
+        db.simulate_crash()
+
+        recovered = LedgerDatabase.open(path)
+        try:
+            assert len(index_findings(recovered)) == 1
+            assert not recovered.verify([recovered.generate_digest()]).ok
+        finally:
+            recovered.close()
+        # ... and it is what a clean close + reopen of the same files reports.
+        reopened = LedgerDatabase.open(path)
+        try:
+            assert len(index_findings(reopened)) == 1
+        finally:
+            reopened.close()
+
+    def test_index_created_after_checkpoint_rebuilt_without_redo(self, tmp_path):
+        """An index with no persisted image is rebuilt from its base table
+        even when no record of that table was redone."""
+        db = open_db(tmp_path / "db")
+        table = db.create_table(make_schema().without_index("ix_label"))
+        other = db.create_table(make_schema("other"))
+        txn = db.begin()
+        insert_rows(txn, table, [[1, "alpha"], [2, "beta"]])
+        db.commit(txn)
+        db.checkpoint()
+        db.create_index("items", IndexDefinition("ix_late", ("label",)))
+        txn = db.begin()
+        insert_rows(txn, other, [[1, "x"]])
+        db.commit(txn)
+        db.simulate_crash()
+
+        db2 = open_db(tmp_path / "db")
+        table2 = db2.table("items")
+        assert table2.nonclustered["ix_late"].heap.record_count() == 2
+        assert len(list(table2.seek_index("ix_late", ["beta"]))) == 1
+
     def test_ddl_after_checkpoint_recovered(self, tmp_path):
         db = open_db(tmp_path / "db")
         db.create_table(make_schema("first"))

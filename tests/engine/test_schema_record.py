@@ -1,12 +1,37 @@
 """Tests for table schemas and the physical record format."""
 
+import datetime as dt
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.record import decode_record, encode_record, hashable_payload, key_tuple
+from repro.core import system_columns as sc
+from repro.crypto.hashing import hash_leaf
+from repro.crypto.serialization import RowSerializer, SerializedColumn
+from repro.engine.record import (
+    decode_record,
+    encode_record,
+    hashable_payload,
+    hashable_payloads,
+    key_tuple,
+)
 from repro.engine.schema import Column, IndexDefinition, TableSchema
-from repro.engine.types import BIGINT, DECIMAL, INT, VARCHAR
+from repro.engine.types import (
+    BIGINT,
+    BIT,
+    CHAR,
+    DATE,
+    DATETIME,
+    DECIMAL,
+    FLOAT,
+    INT,
+    SMALLINT,
+    TINYINT,
+    VARBINARY,
+    VARCHAR,
+)
 from repro.errors import (
     ColumnNotFoundError,
     DuplicateObjectError,
@@ -169,33 +194,41 @@ class TestRecordFormat:
         assert decode_record(schema, encode_record(schema, row)) == row
 
 
+def payload_of(schema, row):
+    """The hashed payload of a row of values: encode, then transcode."""
+    return hashable_payload(schema, encode_record(schema, row))[0]
+
+
 class TestHashablePayload:
     def test_null_columns_skipped(self, accounts_schema):
         with_note = accounts_schema.validate_row([1, "a", None, "x"])
         without_note = accounts_schema.validate_row([1, "a", None, None])
-        assert hashable_payload(accounts_schema, with_note) != hashable_payload(
+        assert payload_of(accounts_schema, with_note) != payload_of(
             accounts_schema, without_note
         )
 
     def test_payload_stable_after_add_column(self, accounts_schema):
         row = accounts_schema.validate_row([1, "a", "9.99", None])
-        before = hashable_payload(accounts_schema, row)
+        before = payload_of(accounts_schema, row)
         evolved = accounts_schema.with_column_added(Column("email", VARCHAR(64)))
-        after = hashable_payload(evolved, tuple(row) + (None,))
+        after = payload_of(evolved, tuple(row) + (None,))
         assert before == after
+        # The record written before the ADD COLUMN reads under the new schema.
+        old_record = encode_record(accounts_schema, row)
+        assert hashable_payload(evolved, old_record)[0] == before
 
     def test_payload_stable_after_drop_column(self, accounts_schema):
         row = accounts_schema.validate_row([1, "a", "9.99", "note!"])
-        before = hashable_payload(accounts_schema, row)
+        before = payload_of(accounts_schema, row)
         evolved = accounts_schema.with_column_dropped("note")
-        after = hashable_payload(evolved, row)
+        after = payload_of(evolved, row)
         assert before == after
 
     def test_type_metadata_affects_payload(self):
         schema_a = TableSchema("t", [Column("v", VARCHAR(10))])
         schema_b = TableSchema("t", [Column("v", VARCHAR(20))])
         row = ("x",)
-        assert hashable_payload(schema_a, row) != hashable_payload(schema_b, row)
+        assert payload_of(schema_a, row) != payload_of(schema_b, row)
 
 
 class TestKeyTuple:
@@ -205,3 +238,276 @@ class TestKeyTuple:
 
     def test_orders_values_naturally(self):
         assert key_tuple([1, "a"]) < key_tuple([1, "b"]) < key_tuple([2, "a"])
+
+
+# ---------------------------------------------------------------------------
+# The record kernel against the format's independent reference
+# ---------------------------------------------------------------------------
+
+
+def reference_payload(schema, row):
+    """The §3.2 payload built from *values* by the reference serializer."""
+    return RowSerializer().serialize(
+        [
+            SerializedColumn(
+                ordinal=c.ordinal,
+                type_id=c.sql_type.type_id,
+                type_meta=c.sql_type.type_meta(),
+                value=c.sql_type.encode(row[c.ordinal]),
+            )
+            for c in schema.columns
+            if row[c.ordinal] is not None
+        ]
+    )
+
+
+_DATETIMES = st.datetimes(
+    min_value=dt.datetime(1, 1, 1), max_value=dt.datetime(9999, 12, 31)
+)
+#: One (type, values) pair per SqlType; values are already canonical.
+_TYPES = [
+    (TINYINT, st.integers(-128, 127)),
+    (SMALLINT, st.integers(-(2**15), 2**15 - 1)),
+    (INT, st.integers(-(2**31), 2**31 - 1)),
+    (BIGINT, st.integers(-(2**63), 2**63 - 1)),
+    (BIT, st.booleans()),
+    (FLOAT, st.floats(allow_nan=False)),
+    (DECIMAL(12, 2), st.decimals(
+        min_value=Decimal("-9999999999.99"), max_value=Decimal("9999999999.99"),
+        places=2,
+    )),
+    (CHAR(8), st.text(max_size=8)),
+    (VARCHAR(40), st.text(max_size=40)),
+    (VARBINARY(24), st.binary(max_size=24)),
+    (DATETIME, _DATETIMES),
+    (DATE, st.dates()),
+]
+
+
+@st.composite
+def schemas_and_rows(draw):
+    """A random schema over every SqlType — NULLable, hidden and dropped
+    columns, with or without a primary key — a row for it, and how many of
+    its leading columns the stored record declares."""
+    picks = draw(st.lists(st.sampled_from(range(len(_TYPES))), min_size=1, max_size=9))
+    columns, values = [], []
+    for position, pick in enumerate(picks):
+        sql_type, strategy = _TYPES[pick]
+        flavour = draw(st.sampled_from(["plain", "plain", "hidden", "dropped"]))
+        columns.append(
+            Column(
+                f"c{position}", sql_type,
+                hidden=flavour == "hidden", dropped=flavour == "dropped",
+            )
+        )
+        values.append(draw(st.one_of(st.none(), strategy)))
+    keyable = [c.name for c in columns if not c.dropped]
+    primary_key = draw(st.lists(st.sampled_from(keyable), unique=True, max_size=2)) if keyable else []
+    schema = TableSchema("t", columns, primary_key=primary_key)
+    declared = draw(st.integers(0, len(columns)))
+    return schema, tuple(values), declared
+
+
+class TestRecordKernel:
+    @given(schemas_and_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_serializer(self, case, data):
+        schema, row, declared = case
+        # A record written when the table had only ``declared`` columns.
+        narrow = TableSchema("t", schema.columns[:declared])
+        stored = row[:declared] + (None,) * (len(row) - declared)
+        for record, expected in (
+            (encode_record(schema, row), row),
+            (encode_record(narrow, row[:declared]), stored),
+        ):
+            decoded = decode_record(schema, record)
+            assert decoded == expected
+            omit = tuple(data.draw(st.sets(st.sampled_from(range(len(row))))))
+            payload, without, values = hashable_payload(schema, record, omit)
+            assert payload == reference_payload(schema, decoded)
+            masked = [None if o in omit else v for o, v in enumerate(decoded)]
+            assert without == reference_payload(schema, masked)
+            wanted = {c.ordinal for c in schema.columns if c.hidden}
+            wanted.update(schema.primary_key_ordinals())
+            assert values == [
+                v if o in wanted else None for o, v in enumerate(decoded)
+            ]
+            assert hashable_payloads(schema, [record]) == [payload]
+
+    def test_history_payloads_are_created_and_deleted_forms(self, accounts_schema):
+        schema = sc.extend_with_system_columns(accounts_schema, include_end=True)
+        row = schema.validate_row([1, "a", "9.99", None, 7, 0, 9, 3])
+        record = encode_record(schema, row)
+        deleted, created, values = hashable_payload(
+            schema, record, sc.end_ordinals(schema)
+        )
+        assert deleted == reference_payload(schema, row)
+        assert created == reference_payload(schema, sc.mask_end_columns(schema, row))
+        assert created != deleted
+        assert values == [1, None, None, None, 7, 0, 9, 3]
+        # A live row's end columns are NULL: one payload, the same object.
+        live = encode_record(schema, sc.mask_end_columns(schema, row))
+        payload, without, _ = hashable_payload(schema, live, sc.end_ordinals(schema))
+        assert payload is without and payload == created
+
+    def test_tampered_type_lands_in_the_payload(self):
+        honest = TableSchema("t", [Column("id", INT), Column("v", INT)], ["id"])
+        record = encode_record(honest, (1, 2))
+        evil = TableSchema("t", [Column("id", INT), Column("v", SMALLINT)], ["id"])
+        # Not a key column: copied, not parsed, under the tampered type id.
+        payload, _, values = hashable_payload(evil, record)
+        assert values == [1, None]
+        assert payload != hashable_payload(honest, record)[0]
+        with pytest.raises(StorageError, match="'v' failed to decode"):
+            decode_record(evil, record)
+        # A key column is still strictly decoded.
+        evil_key = TableSchema("t", [Column("id", SMALLINT), Column("v", INT)], ["id"])
+        with pytest.raises(StorageError, match="'id' failed to decode"):
+            hashable_payload(evil_key, record)
+
+
+# Fixed schema + rows; record, payload and leaf hex computed at the commit
+# before the record kernel existed (value-based hashable_payload +
+# RowSerializer).  A change to any of them is a change to what every ledger
+# already written has hashed.
+_GOLDEN_SCHEMA = sc.extend_with_system_columns(
+    TableSchema(
+        "golden",
+        [
+            Column("id", INT, nullable=False),
+            Column("tiny", TINYINT), Column("small", SMALLINT),
+            Column("big", BIGINT), Column("flag", BIT), Column("ratio", FLOAT),
+            Column("price", DECIMAL(12, 2)), Column("code", CHAR(4)),
+            Column("name", VARCHAR(32)), Column("blob", VARBINARY(16)),
+            Column("at", DATETIME), Column("day", DATE),
+        ],
+        primary_key=["id"],
+    ),
+    include_end=True,
+).with_column_dropped("blob")
+
+_GOLDEN = [
+    (
+        (1, -5, 300, 2**40, True, 1.5, Decimal("12.30"), "ab", "Nick",
+         b"\x00\xff", dt.datetime(2021, 6, 20, 12, 30, 15, 250),
+         dt.date(2021, 6, 20), 7, 0, None, None),
+        "0010ff3f000000040000000100000001fb00000002012c00000008000001000000"
+        "00000000000101000000083ff80000000000000000000204ce0000000261620000"
+        "00044e69636b0000000200ff000000080005c531b805a4ba000000040000496e00"
+        "0000080000000000000007000000080000000000000000",
+        "534c5231000e0000030000000004000000010001010000000001fb000202000000"
+        "0002012c0003040000000008000001000000000000040500000000010100050600"
+        "000000083ff8000000000000000607020c020000000204ce000708020004000000"
+        "026162000809020020000000044e69636b00090a0200100000000200ff000a0b00"
+        "000000080005c531b805a4ba000b0c00000000040000496e000c04000000000800"
+        "00000000000007000d0400000000080000000000000000",
+        "10669e04d91a30902f3bf1cc018fe577171a00e441b07fa664bf56c76ec4da9f",
+        "10669e04d91a30902f3bf1cc018fe577171a00e441b07fa664bf56c76ec4da9f",
+    ),
+    (
+        (2, None, None, None, None, None, None, None, None, None, None, None,
+         7, 1, 9, 4),
+        "001001f00000000400000002000000080000000000000007000000080000000000"
+        "000001000000080000000000000009000000080000000000000004",
+        "534c52310005000003000000000400000002000c04000000000800000000000000"
+        "07000d0400000000080000000000000001000e0400000000080000000000000009"
+        "000f0400000000080000000000000004",
+        "5c254135a9eda270335b80d37badd7a039c86a07992001ae6d9b3bc7ab03654b",
+        "55a3dc324effbdc7c85910f54e137abcd0a95cb9ac6d9ae07be6330096b58885",
+    ),
+    (
+        (-3, 127, -32768, -1, False, -0.0, Decimal("-0.01"), "",
+         "h\u00e9llo \u4e16\u754c", b"",
+         dt.datetime(1969, 12, 31, 23, 59, 59, 999999), dt.date(1900, 1, 1),
+         2**62, 2**31, 2**62 + 1, 0),
+        "0010ffff00000004fffffffd000000017f00000002800000000008ffffffffffff"
+        "ffff000000010000000008800000000000000000000001ff000000000000000d68"
+        "c3a96c6c6f20e4b896e7958c0000000000000008ffffffffffffffff00000004ff"
+        "ff9c21000000084000000000000000000000080000000080000000000000084000"
+        "000000000001000000080000000000000000",
+        "534c523100100000030000000004fffffffd00010100000000017f000202000000"
+        "000280000003040000000008ffffffffffffffff00040500000000010000050600"
+        "000000088000000000000000000607020c0200000001ff00070802000400000000"
+        "0008090200200000000d68c3a96c6c6f20e4b896e7958c00090a02001000000000"
+        "000a0b0000000008ffffffffffffffff000b0c0000000004ffff9c21000c040000"
+        "0000084000000000000000000d0400000000080000000080000000000e04000000"
+        "00084000000000000001000f0400000000080000000000000000",
+        "0a4a7230a4f09420ed196b4c6c8b4a928355229f9cb5f20cf0b526a87b410f0f",
+        "0d3d1e20a971afa8eb2b6bdbde83e3917527221765c9ad854e4c0b6cf49b7fe2",
+    ),
+]
+
+
+def _golden_records():
+    return [
+        encode_record(_GOLDEN_SCHEMA, _GOLDEN_SCHEMA.validate_row(row))
+        for row, *_ in _GOLDEN
+    ]
+
+
+class TestGoldenVectors:
+    @pytest.mark.parametrize("row, record_hex, payload_hex, leaf_hex, created_leaf_hex", _GOLDEN)
+    def test_record_payload_and_leaf_are_pinned(
+        self, row, record_hex, payload_hex, leaf_hex, created_leaf_hex
+    ):
+        schema = _GOLDEN_SCHEMA
+        record = encode_record(schema, schema.validate_row(row))
+        assert record.hex() == record_hex
+        payload, created, _ = hashable_payload(
+            schema, record, sc.end_ordinals(schema)
+        )
+        assert payload.hex() == payload_hex
+        assert hash_leaf(payload).hex() == leaf_hex
+        assert hash_leaf(created).hex() == created_leaf_hex
+
+
+class TestDamageCorpus:
+    """Structural damage raises the same StorageError from the kernel pass
+    as from ``decode_record``."""
+
+    @staticmethod
+    def _outcome(read, schema, record):
+        try:
+            read(schema, record)
+        except StorageError as exc:
+            return str(exc)
+        return None
+
+    def _assert_same_rejection(self, schema, damaged):
+        decoded = self._outcome(decode_record, schema, damaged)
+        assert decoded is not None, damaged.hex()
+        assert self._outcome(hashable_payload, schema, damaged) == decoded
+        assert self._outcome(
+            lambda s, r: hashable_payloads(s, [r]), schema, damaged
+        ) == decoded
+
+    @pytest.mark.parametrize("record", _golden_records())
+    def test_truncated_at_every_offset(self, record):
+        for cut in range(len(record)):
+            self._assert_same_rejection(_GOLDEN_SCHEMA, record[:cut])
+
+    @pytest.mark.parametrize("record", _golden_records())
+    def test_appended_byte(self, record):
+        self._assert_same_rejection(_GOLDEN_SCHEMA, record + b"\x00")
+
+    @pytest.mark.parametrize("record", _golden_records())
+    def test_count_above_schema_width(self, record):
+        width = len(_GOLDEN_SCHEMA.columns)
+        for count in (width + 1, width + 8, 0xFFFF):
+            self._assert_same_rejection(
+                _GOLDEN_SCHEMA, count.to_bytes(2, "big") + record[2:]
+            )
+
+    @pytest.mark.parametrize("record", _golden_records())
+    def test_every_length_prefix_inflated(self, record):
+        """A length that runs past the end, at each column in turn."""
+        schema = _GOLDEN_SCHEMA
+        offset = 2 + (len(schema.columns) + 7) // 8
+        while offset < len(record):
+            length = int.from_bytes(record[offset : offset + 4], "big")
+            damaged = (
+                record[:offset] + (len(record)).to_bytes(4, "big")
+                + record[offset + 4 :]
+            )
+            self._assert_same_rejection(schema, damaged)
+            offset += 4 + length

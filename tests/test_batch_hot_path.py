@@ -3,8 +3,8 @@ statements and compressed persistence.
 
 Four guarantees are pinned here:
 
-* the batch crypto primitives (``serialize_rows``, ``hash_leaves``,
-  ``hashable_payloads``, ``MerkleHasher.extend``) are byte-identical to
+* the batch crypto primitives (``hash_leaves``, ``hashable_payloads``,
+  ``MerkleHasher.extend``) are byte-identical to
   their per-row equivalents — batching is an optimization, never a
   semantic change;
 * ``insert_many`` is statement-atomic under crash: a torn INSERT_MANY WAL
@@ -24,17 +24,17 @@ import pytest
 from repro.core.ledger_database import LedgerDatabase
 from repro.crypto.hashing import hash_leaf, hash_leaves
 from repro.crypto.merkle import MerkleHasher
-from repro.crypto.serialization import (
-    SerializedColumn,
-    serialize_columns,
-    serialize_rows,
-)
+from repro.crypto.serialization import SerializedColumn, serialize_columns
 from repro.digests.blob_storage import ImmutableBlobStorage
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
 from repro.engine.heap import PAGE_SIZE, HeapFile
 from repro.engine.operators import seq_scan
-from repro.engine.record import hashable_payload, hashable_payloads
+from repro.engine.record import (
+    encode_record,
+    hashable_payload,
+    hashable_payloads,
+)
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import INT, VARCHAR
 from repro.engine.wal import read_wal
@@ -92,19 +92,16 @@ class TestBatchCryptoEquivalence:
             for i in range(7)
         ]
 
-    def test_serialize_rows_matches_per_row(self):
-        rows = self._rows()
-        assert serialize_rows(rows) == [serialize_columns(r) for r in rows]
-
     def test_hash_leaves_matches_per_leaf(self):
-        payloads = serialize_rows(self._rows())
+        payloads = [serialize_columns(r) for r in self._rows()]
         assert hash_leaves(payloads) == [hash_leaf(p) for p in payloads]
 
     def test_hashable_payloads_matches_per_row(self):
         schema = make_schema()
         rows = [[i, f"row{i}"] for i in range(5)] + [[99, None]]
-        assert hashable_payloads(schema, rows) == [
-            hashable_payload(schema, row) for row in rows
+        records = [encode_record(schema, row) for row in rows]
+        assert hashable_payloads(schema, records) == [
+            hashable_payload(schema, record)[0] for record in records
         ]
 
     def test_merkle_extend_matches_append_loop(self):
