@@ -29,6 +29,22 @@ Lock hierarchy (acquire left to right, never the reverse):
 Both system tables are ordinary relational tables: their integrity is
 protected by the chain itself plus externally stored digests, exactly as in
 the paper.
+
+Who reads them, and how.  Everything *operational* costs O(block), never
+O(history): a block closes over the entries it was handed at enqueue (or
+that :meth:`DatabaseLedger.recover` re-primed) and reads nothing back;
+:meth:`~DatabaseLedger.transaction_entry` and :meth:`~DatabaseLedger.block`
+are clustered seeks (both tables are keyed on exactly those ids);
+:meth:`~DatabaseLedger.transactions_in_block` — receipts, digests,
+truncation — is an equality lookup on ``block_id`` through the table's
+derived key index; the chain tip comes from the cached closed height.  A
+keyed reader re-reads the stored record at the RowId it was given and
+re-checks the key, so a row that no longer decodes, or decodes to another
+key, is *missing* — never an exception, never a stale answer.  Only
+*verification* scans: :meth:`~DatabaseLedger.all_entries` and
+:meth:`~DatabaseLedger.blocks` walk the heaps, because a verifier must see
+what storage holds, not what an in-memory access path remembers having put
+there.
 """
 
 from __future__ import annotations
@@ -45,7 +61,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -53,6 +68,7 @@ from repro.core.digest import BlockHeader, DatabaseDigest
 from repro.core.entries import BlockRow, TransactionEntry
 from repro.crypto.merkle import MerkleTree
 from repro.engine.database import Database
+from repro.engine.record import decode_record
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
 from repro.engine.transaction import Transaction
@@ -221,9 +237,11 @@ class DatabaseLedger:
         self._open_ordinal = 0
         #: Sealed-but-unclosed blocks in id order: (block_id, entry_count).
         self._sealed: Deque[Tuple[int, int]] = deque()
-        #: Durably enqueued entries per not-yet-closed block (cumulative —
-        #: flushing the queue to the system table does not decrement it).
-        self._enqueued: Dict[int, int] = {}
+        #: Durably enqueued entries of every not-yet-closed block, in hand
+        #: from enqueue (or recovery) until the block closes — flushing the
+        #: queue to the system table does not remove them, so closing a
+        #: block reads nothing back.
+        self._pending: Dict[int, List[TransactionEntry]] = {}
         #: Cached highest closed block id (no storage scan; -1 when none).
         self._closed_height = -1
         #: Pipeline wake-up: invoked when a sealed block becomes closable.
@@ -382,12 +400,10 @@ class DatabaseLedger:
         ready = False
         with self.queue_lock:
             self._queue.append(entry)
-            self._enqueued[entry.block_id] = (
-                self._enqueued.get(entry.block_id, 0) + 1
-            )
+            self._pending.setdefault(entry.block_id, []).append(entry)
             if self._sealed:
                 head_id, head_count = self._sealed[0]
-                ready = self._enqueued.get(head_id, 0) >= head_count
+                ready = len(self._pending.get(head_id, ())) >= head_count
             if self._obs.metrics.enabled or self._obs.tracer.enabled:
                 self._entry_meta[entry.transaction_id] = (
                     time.monotonic_ns(),
@@ -427,7 +443,7 @@ class DatabaseLedger:
                 incomplete = [
                     block_id
                     for block_id, count in self._sealed
-                    if self._enqueued.get(block_id, 0) < count
+                    if len(self._pending.get(block_id, ())) < count
                 ]
                 if not incomplete:
                     return True
@@ -485,7 +501,7 @@ class DatabaseLedger:
             if not self._sealed:
                 return None
             block_id, count = self._sealed[0]
-            if self._enqueued.get(block_id, 0) < count:
+            if len(self._pending.get(block_id, ())) < count:
                 return None
             return block_id, count
 
@@ -503,7 +519,7 @@ class DatabaseLedger:
             block = self._close_block(block_id, count)
             with self.queue_lock:
                 self._sealed.popleft()
-                self._enqueued.pop(block_id, None)
+                self._pending.pop(block_id, None)
                 if self._obs.metrics.enabled:
                     self._m.sealed_pending.set(len(self._sealed))
             self._closed_height = block_id
@@ -528,16 +544,22 @@ class DatabaseLedger:
     def _close_block(self, block_id: int, expected_count: int) -> BlockRow:
         """Form and persist one sealed block (requires ``storage_lock``).
 
-        Retrieves the block's entries (queue + system table), computes the
-        Merkle root over their hashes and the hash of the previous block,
-        and persists the block row.
+        Flushes the queue (the block's entries must be in the system table
+        before its row is), computes the Merkle root over the hashes of the
+        entries *in hand* — the ones enqueue or recovery put in
+        ``_pending``, nothing is read back from the table — chains it to the
+        previous block (one seek) and persists the block row.  The cost is
+        the block's, whatever the size of the history behind it.
         """
         started = time.perf_counter()
         build_start_ns = time.monotonic_ns()
         tracer = self._obs.tracer
         with tracer.span("block.append", block_id=block_id) as span:
             self.flush_queue()
-            entries = self.transactions_in_block(block_id)
+            with self.queue_lock:
+                entries = sorted(
+                    self._pending.get(block_id, ()), key=lambda e: e.ordinal
+                )
             if len(entries) != expected_count:
                 raise LedgerError(
                     f"block {block_id} should hold {expected_count} "
@@ -748,14 +770,33 @@ class DatabaseLedger:
     # ------------------------------------------------------------------
 
     def block(self, block_id: int) -> Optional[BlockRow]:
-        for candidate in self.blocks():
-            if candidate.block_id == block_id:
-                return candidate
+        """The closed block ``block_id``: one clustered seek.
+
+        The record is read from the heap at the RowId the tree holds and its
+        key re-checked, so a block row that was erased, no longer decodes or
+        now claims another id is missing (None) — as it is to a scan.
+        """
+        with self.storage_lock:
+            block = self._seek(self._blocks_table(), block_id, BlockRow)
+        if block is not None and block.block_id == block_id:
+            return block
         return None
 
     def latest_block(self) -> Optional[BlockRow]:
-        all_blocks = self.blocks()
-        return all_blocks[-1] if all_blocks else None
+        """The highest closed block that still reads back, without a scan.
+
+        Starts at the cached closed height (kept by block closure and
+        :meth:`recover`; truncation never removes the tip) and steps down
+        only past rows that have gone missing.
+        """
+        with self.storage_lock:
+            for block_id in range(
+                self._closed_height, self.first_block_id() - 1, -1
+            ):
+                block = self.block(block_id)
+                if block is not None:
+                    return block
+        return None
 
     def latest_block_id(self) -> int:
         """Highest closed block id; ``first_block_id() - 1`` when none."""
@@ -763,27 +804,24 @@ class DatabaseLedger:
         return latest.block_id if latest else self.first_block_id() - 1
 
     def blocks(self) -> List[BlockRow]:
-        """All closed blocks ordered by block id.
+        """All closed blocks ordered by block id — verification's reader.
 
         Reads the heap directly (not through the clustered index) and skips
         undecodable records: a tampered or erased block row must degrade to
-        "missing" so verification can report it instead of crashing.
+        "missing" so verification can report it instead of crashing.  This
+        and :meth:`all_entries` are the only full scans of the system
+        tables; nothing operational calls them.
         """
         with self.storage_lock:
-            table = self._blocks_table()
-            found = []
-            for _, row in table.scan():
-                try:
-                    found.append(
-                        BlockRow.from_row(table.schema.visible_values(row))
-                    )
-                except Exception:
-                    continue
+            found = self._scan(self._blocks_table(), BlockRow)
         found.sort(key=lambda b: b.block_id)
         return found
 
     def block_headers(self, from_block: int, to_block: int) -> List[BlockHeader]:
-        """Headers for blocks ``from_block..to_block`` (external fork checks)."""
+        """Headers for blocks ``from_block..to_block`` (external fork checks).
+
+        One seek per block asked for.
+        """
         headers = []
         for block_id in range(from_block, to_block + 1):
             block = self.block(block_id)
@@ -793,47 +831,104 @@ class DatabaseLedger:
         return headers
 
     def transaction_entry(self, transaction_id: int) -> Optional[TransactionEntry]:
+        """The entry of one transaction: the queue, then a clustered seek.
+
+        Queue first, table second — a flush inserts before it trims, so an
+        entry on its way from one to the other is never missed.  Like
+        :meth:`block`, the stored record is re-read and its key re-checked:
+        a tampered row is missing, not an error.
+        """
         with self.queue_lock:
-            queued = list(self._queue)
-        for entry in queued:
-            if entry.transaction_id == transaction_id:
-                return entry
-        for entry in self._stored_entries():
-            if entry.transaction_id == transaction_id:
-                return entry
+            for entry in self._queue:
+                if entry.transaction_id == transaction_id:
+                    return entry
+        with self.storage_lock:
+            entry = self._seek(
+                self._transactions_table(), transaction_id, TransactionEntry
+            )
+        if entry is not None and entry.transaction_id == transaction_id:
+            return entry
         return None
 
     def transactions_in_block(self, block_id: int) -> List[TransactionEntry]:
-        """Entries of one block, ordered by ordinal (queue included)."""
-        entries = [e for e in self._stored_entries() if e.block_id == block_id]
-        with self.queue_lock:
-            entries.extend(
-                e for e in self._queue if e.block_id == block_id
-            )
+        """Entries of one block, ordered by ordinal (queue included).
+
+        An equality lookup on ``block_id`` through the table's derived key
+        index; each hit is re-read from the heap and kept only if it still
+        decodes to this block.  Entries a flush has inserted but not yet
+        trimmed from the queue are counted once.
+        """
+        with self.storage_lock:
+            table = self._transactions_table()
+            block_ordinal = table.schema.column("block_id").ordinal
+            entries = []
+            for rid in table.rids_with_key((block_ordinal,), (block_id,)):
+                entry = self._row_at(table, rid, TransactionEntry)
+                if entry is not None and entry.block_id == block_id:
+                    entries.append(entry)
+            stored = {entry.transaction_id for entry in entries}
+            with self.queue_lock:
+                entries.extend(
+                    e for e in self._queue
+                    if e.block_id == block_id and e.transaction_id not in stored
+                )
         entries.sort(key=lambda e: e.ordinal)
         return entries
 
     def all_entries(self) -> List[TransactionEntry]:
-        """Every known entry (system table + queue), by transaction id."""
-        entries = self._stored_entries()
+        """Every known entry (system table + queue), by transaction id.
+
+        Verification's reader: a heap scan in which undecodable rows
+        degrade to missing (see :meth:`blocks`).
+        """
+        with self.storage_lock:
+            entries = self._scan(self._transactions_table(), TransactionEntry)
         with self.queue_lock:
             entries.extend(self._queue)
         entries.sort(key=lambda e: e.transaction_id)
         return entries
 
-    def _stored_entries(self) -> List[TransactionEntry]:
-        """Entries from the system table; undecodable rows degrade to missing."""
-        with self.storage_lock:
-            table = self._transactions_table()
-            entries = []
-            for _, row in table.scan():
-                try:
-                    entries.append(
-                        TransactionEntry.from_row(table.schema.visible_values(row))
+    @staticmethod
+    def _scan(table: Table, row_class) -> List[Any]:
+        """Every row of a system table that still reads, from its heap.
+
+        Requires ``storage_lock``.  Each record is decoded on its own, so
+        one that is structurally damaged is skipped like one whose values
+        no longer parse.
+        """
+        found = []
+        for _, record in table.heap.scan():
+            try:
+                found.append(
+                    row_class.from_row(
+                        table.schema.visible_values(
+                            decode_record(table.schema, record)
+                        )
                     )
-                except Exception:
-                    continue
-        return entries
+                )
+            except Exception:
+                continue
+        return found
+
+    @classmethod
+    def _seek(cls, table: Table, key: int, row_class) -> Any:
+        """The row stored under primary key ``key``, or None.
+
+        Requires ``storage_lock``.  The caller checks that what was read
+        still carries ``key``.
+        """
+        rid = table.clustered.seek([key])
+        return None if rid is None else cls._row_at(table, rid, row_class)
+
+    @staticmethod
+    def _row_at(table: Table, rid, row_class) -> Any:
+        """What the record at ``rid`` holds now; None if gone or unreadable."""
+        try:
+            return row_class.from_row(
+                table.schema.visible_values(table.read_row(rid))
+            )
+        except Exception:
+            return None
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery integration
@@ -856,75 +951,76 @@ class DatabaseLedger:
         ``recovered_payloads`` are the ledger payloads of COMMIT records
         found in the WAL (analysis phase, §3.3.2).  Entries already batched
         into the system table before the crash are deduplicated by
-        transaction id.  COMMIT records written before a truncation stay in
+        transaction id — one seek each in the clustered tree the engine has
+        just rebuilt.  COMMIT records written before a truncation stay in
         the WAL until the next checkpoint; their entries belong to blocks
         below the anchor (installed by the caller beforehand) and are
         dropped, not re-enqueued.  Blocks that were sealed (fully assigned)
         but not closed before the crash are re-sealed so the block builder
         finishes them.
+
+        Everything held in memory is rebuilt from durable state alone, and
+        only the blocks past the last closed one are read: the closed
+        height is the last key of the blocks tree, the entries in hand are
+        those blocks' rows (one key-only pass builds the ``block_id`` index
+        that finds them) plus the re-queued ones.
         """
-        known: Set[int] = set()
-        table = self._transactions_table()
-        tid_ordinal = table.schema.column("transaction_id").ordinal
-        for _, row in table.scan():
-            known.add(row[tid_ordinal])
-        self._queue = []
+        transactions = self._transactions_table()
         # Pre-crash telemetry metadata is meaningless in the new process
         # (monotonic clock restarted, span ids reset) — drop it.
         self._entry_meta = {}
         self._block_traces = {}
         first_block = self.first_block_id()
-        for payload in recovered_payloads:
-            entry = TransactionEntry.from_payload(payload)
-            if (
-                entry.transaction_id not in known
-                and entry.block_id >= first_block
-            ):
-                self._queue.append(entry)
-        self._queue.sort(key=lambda e: (e.block_id, e.ordinal))
-
-        # Recompute the open block and next ordinal from durable state: the
-        # open block is the first one past the latest closed block, bumped
-        # further if entries (drained or queued) were already assigned past
-        # it before the crash.
-        latest = self.latest_block()
-        latest_closed = (
-            latest.block_id if latest is not None else self.first_block_id() - 1
+        recovered = [
+            entry
+            for entry in map(TransactionEntry.from_payload, recovered_payloads)
+            if entry.block_id >= first_block
+        ]
+        self._queue = sorted(
+            (
+                entry for entry in recovered
+                if transactions.clustered.seek([entry.transaction_id]) is None
+            ),
+            key=lambda e: (e.block_id, e.ordinal),
         )
-        self._closed_height = latest_closed
-        open_block = checkpoint_state.get("open_block_id", 0)
-        open_block = max(open_block, latest_closed + 1)
-        entry_counts: Dict[int, int] = {}
-        for entry in self.all_entries():
-            if entry.block_id > latest_closed:
-                entry_counts[entry.block_id] = (
-                    entry_counts.get(entry.block_id, 0) + 1
-                )
-            if entry.block_id >= open_block:
-                open_block = entry.block_id
-        self._open_block_id = open_block
-        self._open_ordinal = self._next_ordinal_in(open_block)
 
-        # Rebuild stage-3 bookkeeping: blocks older than the open one were
-        # sealed before the crash; the open block is re-sealed if full.
+        blocks = self._blocks_table()
+        closed = [rid for _, rid in blocks.clustered.scan()]  # in id order
+        self._closed_height = (
+            blocks.read_row(closed[-1])[blocks.schema.column("block_id").ordinal]
+            if closed
+            else first_block - 1
+        )
+        # Every slot assigned before the last checkpoint is at or below the
+        # open block it recorded; every one assigned since rode a COMMIT
+        # record.  Together they bound the blocks that can hold entries.
+        highest = max(
+            [checkpoint_state.get("open_block_id", 0), self._closed_height + 1]
+            + [entry.block_id for entry in recovered]
+        )
+        self._pending = {}
+        for block_id in range(self._closed_height + 1, highest + 1):
+            entries = self.transactions_in_block(block_id)
+            if entries:
+                self._pending[block_id] = entries
+
+        # The open block is the highest one anything was assigned to; the
+        # ones before it were sealed before the crash, and it is re-sealed
+        # too if it is full.
+        self._open_block_id = highest
+        self._open_ordinal = 1 + max(
+            (e.ordinal for e in self._pending.get(highest, ())), default=-1
+        )
         self._sealed = deque(
-            (block_id, entry_counts[block_id])
-            for block_id in sorted(entry_counts)
-            if block_id < open_block
+            (block_id, len(self._pending[block_id]))
+            for block_id in sorted(self._pending)
+            if block_id < highest
         )
-        self._enqueued = dict(entry_counts)
         if self._open_ordinal >= self._block_size:
             self._seal_locked()
         if self._obs.metrics.enabled:
             self._m.sealed_pending.set(len(self._sealed))
             self._m.queue_depth.set(len(self._queue))
-
-    def _next_ordinal_in(self, block_id: int) -> int:
-        """Highest assigned ordinal + 1 within ``block_id`` (table + queue)."""
-        entries = self.transactions_in_block(block_id)
-        if not entries:
-            return 0
-        return max(e.ordinal for e in entries) + 1
 
     # ------------------------------------------------------------------
     # Internals

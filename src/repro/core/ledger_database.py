@@ -94,6 +94,11 @@ class LedgerDatabase:
         #: database; DDL through any session invalidates it for all.
         self.statement_cache = StatementCache()
         self._signing_key = None
+        #: Per receipted block, keyed ``(block id, block hash)``: its Merkle
+        #: tree, leaf positions by transaction id, and the one signature all
+        #: its receipts share (§5.1).  Filled by ``generate_receipt``;
+        #: truncation evicts the blocks it removes.
+        self._receipt_block_cache: Dict[tuple, tuple] = {}
         self._sql_session = None
         self._monitor = None
         self._obs_server = None

@@ -98,10 +98,7 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
             )
     # One Merkle tree and ONE signature per closed block, cached and shared
     # by every receipt in the block — the amortization §5.1 is about.
-    cache = getattr(db, "_receipt_block_cache", None)
-    if cache is None:
-        cache = {}
-        db._receipt_block_cache = cache
+    cache = db._receipt_block_cache
     header = BlockHeader.from_block_row(block)
     cache_key = (block.block_id, block.block_hash())
     cached = cache.get(cache_key)

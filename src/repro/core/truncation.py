@@ -84,6 +84,9 @@ def _truncate_locked(db, through_block: int, note: Optional[str]) -> dict:
     )
 
     ledger.set_anchor(through_block, anchor_hash)
+    # Receipt material (a whole Merkle tree per block) goes with the blocks.
+    for key in [k for k in db._receipt_block_cache if k[0] <= through_block]:
+        del db._receipt_block_cache[key]
     _record_truncation(db, through_block, cutoff_tid, anchor_hash, note)
 
     summary = {
@@ -160,24 +163,24 @@ def _purge_history(db, cutoff_tid: int) -> int:
 
 
 def _drop_chain_prefix(db, through_block: int, truncated_tids: Set[int]):
-    """Delete truncated transaction entries and block rows."""
+    """Delete truncated transaction entries and block rows, found by key."""
     from repro.core.database_ledger import BLOCKS_TABLE, TRANSACTIONS_TABLE
 
-    engine = db.engine
-    transactions = engine.table(TRANSACTIONS_TABLE)
-    blocks = engine.table(BLOCKS_TABLE)
-    tid_ordinal = transactions.schema.column("transaction_id").ordinal
-    block_ordinal = blocks.schema.column("block_id").ordinal
-
-    txn = db.begin(username="ledger_truncation")
+    transactions = db.engine.table(TRANSACTIONS_TABLE)
+    blocks = db.engine.table(BLOCKS_TABLE)
     entry_rids = [
-        rid for rid, row in transactions.scan() if row[tid_ordinal] in truncated_tids
+        rid
+        for tid in sorted(truncated_tids)
+        if (rid := transactions.clustered.seek([tid])) is not None
     ]
+    block_rids = [
+        rid
+        for block_id in range(db.ledger.first_block_id(), through_block + 1)
+        if (rid := blocks.clustered.seek([block_id])) is not None
+    ]
+    txn = db.begin(username="ledger_truncation")
     for rid in entry_rids:
         transactions.delete_row(txn, rid)
-    block_rids = [
-        rid for rid, row in blocks.scan() if row[block_ordinal] <= through_block
-    ]
     for rid in block_rids:
         blocks.delete_row(txn, rid)
     db.commit(txn)

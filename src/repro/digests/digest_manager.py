@@ -299,33 +299,53 @@ class DigestManager:
         return seen
 
     def digests(self, incarnation: Optional[str] = None) -> List[DatabaseDigest]:
-        """All stored digests, optionally restricted to one incarnation."""
+        """All stored digests, optionally restricted to one incarnation.
+
+        Fetches every document it lists; the upload and verification paths
+        use :meth:`latest_digest` / :meth:`digests_for_verification`, which
+        fetch one per incarnation.
+        """
         prefix = f"{_sanitize(incarnation)}/" if incarnation else ""
-        results = []
-        for name in self._storage.list_blobs(self._container, prefix=prefix):
-            payload = self._storage.get_document(self._container, name)
-            results.append(DatabaseDigest.from_json(payload.decode("utf-8")))
+        results = [
+            self._fetch(name)
+            for name in self._storage.list_blobs(self._container, prefix=prefix)
+        ]
         results.sort(key=lambda d: (d.database_create_time, d.block_id))
         return results
 
+    def _fetch(self, name: str) -> DatabaseDigest:
+        payload = self._storage.get_document(self._container, name)
+        return DatabaseDigest.from_json(payload.decode("utf-8"))
+
+    def _newest_names(self, prefix: str = "") -> List[str]:
+        """The blob of the highest block in each incarnation folder.
+
+        Names are ``<incarnation>/block_<012d>.json`` and listings come
+        back sorted, so that is the last name under each folder.
+        """
+        newest: Dict[str, str] = {}
+        for name in self._storage.list_blobs(self._container, prefix=prefix):
+            newest[name.split("/", 1)[0]] = name
+        return list(newest.values())
+
     def latest_digest(self) -> Optional[DatabaseDigest]:
-        """Most recent digest of the *current* incarnation."""
-        current = self.digests(incarnation=self._db.database_create_time)
-        return current[-1] if current else None
+        """Most recent digest of the *current* incarnation (one fetch)."""
+        names = self._newest_names(
+            f"{_sanitize(self._db.database_create_time)}/"
+        )
+        return self._fetch(names[0]) if names else None
 
     def digests_for_verification(self) -> List[DatabaseDigest]:
         """The digests the verification process should consume (§3.6).
 
         Returns the latest digest from every incarnation whose blocks are
-        still within the current chain, newest incarnation last.  After a
-        restore, earlier incarnations' digests may reference blocks beyond
-        the restored-to point; those verify as warnings/errors and tell the
-        user exactly how far back the restore went.
+        still within the current chain, newest incarnation last — one
+        document fetched per incarnation, however many were uploaded.
+        After a restore, earlier incarnations' digests may reference blocks
+        beyond the restored-to point; those verify as warnings/errors and
+        tell the user exactly how far back the restore went.
         """
-        relevant: Dict[str, DatabaseDigest] = {}
-        for digest in self.digests():
-            key = digest.database_create_time
-            existing = relevant.get(key)
-            if existing is None or digest.block_id > existing.block_id:
-                relevant[key] = digest
-        return [relevant[k] for k in sorted(relevant)]
+        return sorted(
+            map(self._fetch, self._newest_names()),
+            key=lambda d: d.database_create_time,
+        )

@@ -123,13 +123,15 @@ class ClusteredIndex:
 class DerivedKeyIndex:
     """Non-unique, in-memory map from key-column values to RowIds.
 
-    Built by one scan of the table it indexes and kept current by the
-    table's own inserts; any other physical change drops it, and the next
-    lookup rebuilds it.  It owns no storage: nothing is persisted, logged
-    or hashed, so — like the clustered tree — it is outside what
+    Built by one key-only pass over the table it indexes and kept current
+    by the table's own inserts; any other physical change drops it, and the
+    next lookup rebuilds it.  It owns no storage: nothing is persisted,
+    logged or hashed, so — like the clustered tree — it is outside what
     verification covers and can never disagree with the heap for longer
     than one rebuild.  The ledger uses it to find a key's old versions in
-    a history table, which has no primary key of its own.
+    a history table, which has no primary key of its own, and a block's
+    transaction entries in ``database_ledger_transactions``, which is keyed
+    on the transaction id.
     """
 
     def __init__(

@@ -165,6 +165,37 @@ class RecordKernel:
             raise StorageError(f"{size - offset} trailing bytes after record")
         return tuple(row)
 
+    def project(self, data: bytes, ordinals: Sequence[int]) -> Tuple[Any, ...]:
+        """A key read: the row with only the columns at ``ordinals`` decoded.
+
+        Walks the record as :meth:`decode` does, as strictly, but parses no
+        other value and stops after the last wanted column — what building
+        an index over those columns needs from each record.
+        """
+        count, present, offset = self._open(data)
+        size = len(data)
+        row: List[Any] = [None] * self.width
+        for ordinal, name, _, decode, _ in self._columns[
+            : min(count, max(ordinals) + 1)
+        ]:
+            if not present >> ordinal & 1:
+                continue
+            start = offset + 4
+            if start > size:
+                raise StorageError(f"truncated record at column {name!r}")
+            offset = start + _value_len_at(data, offset)[0]
+            if offset > size:
+                raise StorageError(f"truncated value for column {name!r}")
+            if ordinal not in ordinals:
+                continue
+            try:
+                row[ordinal] = decode(data[start:offset])
+            except Exception as exc:
+                raise StorageError(
+                    f"column {name!r} failed to decode: {exc}"
+                ) from exc
+        return tuple(row)
+
     # -- record -> hashed payload --------------------------------------
 
     def transcode(

@@ -24,7 +24,12 @@ from repro.engine.index import (
     DerivedKeyIndex,
     NonclusteredIndex,
 )
-from repro.engine.record import decode_record, encode_record, key_tuple
+from repro.engine.record import (
+    RecordKernel,
+    decode_record,
+    encode_record,
+    key_tuple,
+)
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.transaction import Transaction
 from repro.engine.wal import (
@@ -202,13 +207,34 @@ class Table:
         """RowIds of the rows whose columns at ``ordinals`` equal the key.
 
         For tables with no index of their own on those columns (history
-        tables, looked up by the base table's primary key): served from a
-        :class:`DerivedKeyIndex` built by one scan on first use.
+        tables, looked up by the base table's primary key; the ledger's
+        transaction entries, looked up by block): served from a
+        :class:`DerivedKeyIndex` built by one key-only pass on first use.
+        The caller reads the rows and applies its predicate to them: the
+        index says where a key was stored, not what the record holds now.
         """
         index = self._key_index
         if index is None or index.ordinals != tuple(ordinals):
-            index = self._key_index = DerivedKeyIndex(ordinals, self.scan())
+            index = self._key_index = DerivedKeyIndex(
+                ordinals, self._key_rows(tuple(ordinals))
+            )
         return index.seek(key_values)
+
+    def _key_rows(
+        self, ordinals: Tuple[int, ...]
+    ) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
+        """Every record whose key columns read, with only those decoded.
+
+        A record whose key does not read has no place in an index; like one
+        the nonclustered trees cannot resolve, it stays visible to scans —
+        which is what verification reads.
+        """
+        project = self.schema.derived(RecordKernel).project
+        for rid, record in self.heap.scan():
+            try:
+                yield rid, project(record, ordinals)
+            except StorageError:
+                continue
 
     def row_count(self) -> int:
         return self.heap.record_count()

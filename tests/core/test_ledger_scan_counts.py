@@ -1,0 +1,250 @@
+"""The ledger's own bookkeeping costs O(block), stated as exact counts.
+
+A spy on the heaps of ``database_ledger_transactions`` and
+``database_ledger_blocks`` counts every full pass (``HeapFile.scan``, which
+``Table.scan`` and an index build both go through) and every record read by
+RowId (``HeapFile.read``).  After one warm-up call each, block close, digest
+generation, receipts, header ranges and the chain tip make **no** pass over
+either table, closing the tenth 1 000-transaction block reads no more than
+closing the first, and ``recover`` decodes no stored entry twice.  Only
+verification is allowed to scan.  One thread throughout: the block builder
+is stopped and blocks close through explicit drains.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.core.database_ledger import (
+    BLOCKS_TABLE,
+    TRANSACTIONS_TABLE,
+    DatabaseLedger,
+)
+from repro.core.ledger_database import LedgerDatabase
+from repro.core.verification import capture_snapshot
+from repro.engine.clock import LogicalClock
+from repro.engine.heap import HeapFile
+from repro.engine.table import Table
+
+from tests.core.conftest import accounts_schema, run
+
+SYSTEM = (TRANSACTIONS_TABLE, BLOCKS_TABLE)
+
+
+class Spy:
+    """Passes over, decoding scans of, and record reads from the system tables."""
+
+    def __init__(self, monkeypatch):
+        self.passes = Counter()    # HeapFile.scan: any walk of the whole heap
+        self.decoding = Counter()  # ...that decodes every record it walks
+        self.reads = Counter()     # HeapFile.read: one record by RowId
+        heap_scan, heap_read, table_scan = (
+            HeapFile.scan, HeapFile.read, Table.scan,
+        )
+
+        def scan(heap):
+            if heap.name in SYSTEM:
+                self.passes[heap.name] += 1
+            return heap_scan(heap)
+
+        def read(heap, rid):
+            if heap.name in SYSTEM:
+                self.reads[heap.name] += 1
+            return heap_read(heap, rid)
+
+        def decoding_scan(table, visible_only=False):
+            if table.name in SYSTEM:
+                self.decoding[table.name] += 1
+            return table_scan(table, visible_only)
+
+        def verification_reader(name, table_name):
+            reader = getattr(DatabaseLedger, name)
+
+            def counted(ledger):
+                self.decoding[table_name] += 1
+                return reader(ledger)
+
+            monkeypatch.setattr(DatabaseLedger, name, counted)
+
+        monkeypatch.setattr(HeapFile, "scan", scan)
+        monkeypatch.setattr(HeapFile, "read", read)
+        monkeypatch.setattr(Table, "scan", decoding_scan)
+        verification_reader("all_entries", TRANSACTIONS_TABLE)
+        verification_reader("blocks", BLOCKS_TABLE)
+
+    def reset(self):
+        self.passes.clear()
+        self.decoding.clear()
+        self.reads.clear()
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    return Spy(monkeypatch)
+
+
+def open_single_threaded(path, block_size):
+    db = LedgerDatabase.open(path, block_size=block_size, clock=LogicalClock())
+    db.pipeline.stop(drain=False)  # blocks close only when the test drains
+    return db
+
+
+def commit_rows(db, start, count):
+    return [
+        run(db, "app", lambda t, i=i: db.insert(
+            t, "accounts", [[f"u{i}", i]])).tid
+        for i in range(start, start + count)
+    ]
+
+
+class TestOperationalPathsNeverScan:
+    @pytest.fixture
+    def db(self, tmp_path):
+        db = open_single_threaded(str(tmp_path / "db"), block_size=4)
+        db.create_ledger_table(accounts_schema())
+        yield db
+        db.close()
+
+    def test_zero_passes_after_one_warm_up_call_each(self, db, spy):
+        tids = commit_rows(db, 0, 30)
+        db.pipeline.drain()
+        db.generate_digest()
+        db.transaction_receipt(tids[0])
+        db.block_headers(0, db.ledger.latest_block_id())
+        spy.reset()
+
+        # Block close: seven more full blocks and a partial one.
+        tids += commit_rows(db, 30, 30)
+        db.pipeline.drain()
+        assert not spy.passes
+        closed = db.ledger.latest_block_id()
+
+        spy.reset()
+        digest = db.generate_digest()
+        assert digest.block_id == closed
+        assert not spy.passes
+        # The tip block row, and the entries of that one block.
+        assert spy.reads[BLOCKS_TABLE] == 1
+        assert spy.reads[TRANSACTIONS_TABLE] <= 4
+
+        spy.reset()
+        assert db.transaction_receipt(tids[0]).entry.transaction_id == tids[0]
+        cached_reads = spy.reads[TRANSACTIONS_TABLE]   # block already receipted
+        db.transaction_receipt(tids[40])               # a block never receipted
+        assert not spy.passes
+        assert cached_reads == 1
+        assert spy.reads[TRANSACTIONS_TABLE] <= cached_reads + 1 + 4
+
+        spy.reset()
+        first = db.ledger.first_block_id()
+        headers = db.block_headers(first, closed)
+        assert len(headers) == closed - first + 1
+        assert not spy.passes
+        assert spy.reads[BLOCKS_TABLE] == len(headers)
+
+        spy.reset()
+        assert db.ledger.latest_block_id() == closed
+        assert db.ledger.latest_block().block_id == closed
+        assert not spy.passes
+        assert spy.reads[BLOCKS_TABLE] == 2
+        assert not spy.decoding
+
+    def test_verification_is_the_one_that_scans(self, db, spy):
+        commit_rows(db, 0, 10)
+        digest = db.generate_digest()
+        spy.reset()
+        snapshot = capture_snapshot(db)
+        # Both tables by heap scan, nothing looked up by key.
+        assert spy.decoding == {TRANSACTIONS_TABLE: 1, BLOCKS_TABLE: 1}
+        assert not spy.reads
+        assert len(snapshot.entries) >= 10
+        assert db.verify([digest]).ok
+
+    def test_truncation_finds_the_prefix_by_key(self, db, spy):
+        commit_rows(db, 0, 30)
+        db.generate_digest()
+        db.ledger.transactions_in_block(0)  # warm-up: the index is built
+        spy.reset()
+        db.truncate_ledger(2)
+        # Truncation verifies first (one decoding scan of each table) and
+        # rebuilds the block index its deletes dropped; it makes no other
+        # pass, however it finds the rows it removes.
+        assert spy.decoding == {TRANSACTIONS_TABLE: 1, BLOCKS_TABLE: 1}
+        assert spy.passes[BLOCKS_TABLE] == 1
+        assert spy.passes[TRANSACTIONS_TABLE] <= 3
+        assert db.ledger.block(2) is None
+        assert db.ledger.first_block_id() == 3
+        assert db.verify([db.generate_digest()]).ok
+
+
+class TestCostDoesNotGrowWithTheTable:
+    BLOCK = 1000
+    BLOCKS = 10
+
+    def test_block_close_is_flat_and_recovery_decodes_each_entry_once(
+        self, tmp_path, spy, monkeypatch
+    ):
+        path = str(tmp_path / "db")
+        db = open_single_threaded(path, block_size=self.BLOCK)
+        db.create_ledger_table(accounts_schema())
+        db.pipeline.drain()
+        first = db.ledger.latest_block_id() + 1
+
+        per_close = []
+        for block in range(self.BLOCKS):
+            commit_rows(db, block * self.BLOCK, self.BLOCK)
+            assert db.ledger.sealed_pending() == 1
+            spy.reset()
+            db.pipeline.drain(seal_open=False)
+            assert not spy.passes
+            per_close.append(sum(spy.reads.values()))
+            assert db.ledger.latest_block_id() == first + block
+        # Closing reads the previous block's row to chain to it; nothing else.
+        assert per_close[-1] <= per_close[0] <= 1
+        assert max(per_close) <= 1
+
+        # A checkpoint (the WAL forgets those commits), then a sealed block
+        # and half an open one, part flushed and part still queued: what a
+        # crash leaves for recover() to pick up.
+        db.checkpoint()
+        tids = commit_rows(db, self.BLOCKS * self.BLOCK, self.BLOCK + 300)
+        db.ledger.flush_queue()
+        tids += commit_rows(db, (self.BLOCKS + 2) * self.BLOCK, 200)
+        stored = self.BLOCKS * self.BLOCK + self.BLOCK + 300
+        db.simulate_crash()
+
+        during_recover = {}
+        recover = DatabaseLedger.recover
+
+        def spied_recover(ledger, payloads, state):
+            spy.reset()
+            recover(ledger, payloads, state)
+            during_recover.update(
+                passes=dict(spy.passes), decoding=dict(spy.decoding),
+                reads=dict(spy.reads),
+            )
+
+        monkeypatch.setattr(DatabaseLedger, "recover", spied_recover)
+        reopened = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            # One key-only pass over the entries, no decoding scan of either
+            # table, and only the unclosed blocks' stored entries decoded —
+            # each once — plus the tip block's row.
+            assert during_recover["decoding"] == {}
+            assert during_recover["passes"] == {TRANSACTIONS_TABLE: 1}
+            assert during_recover["reads"] == {
+                TRANSACTIONS_TABLE: self.BLOCK + 300, BLOCKS_TABLE: 1,
+            }
+            assert during_recover["reads"][TRANSACTIONS_TABLE] < stored
+
+            ledger = reopened.ledger
+            assert ledger.closed_block_height == first + self.BLOCKS - 1
+            assert ledger.open_block_id == first + self.BLOCKS + 1
+            assert ledger.pending_entries == 200
+            reopened.pipeline.drain(seal_open=False)
+            sealed = ledger.block(first + self.BLOCKS)
+            assert sealed is not None and sealed.transaction_count == self.BLOCK
+            assert ledger.transaction_entry(tids[-1]).ordinal == 499
+            assert reopened.verify([reopened.generate_digest()]).ok
+        finally:
+            reopened.close()

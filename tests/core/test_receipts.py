@@ -116,3 +116,35 @@ class TestReceiptVerification:
     def test_malformed_receipt_json_rejected(self):
         with pytest.raises(ReceiptError):
             TransactionReceipt.from_json("{\"entry\": {}}")
+
+
+class TestReceiptBlockCache:
+    """The per-block receipt material is declared state of the database and
+    leaves with the blocks truncation removes."""
+
+    def test_declared_and_empty_on_a_fresh_database(self, signed_db):
+        assert signed_db._receipt_block_cache == {}
+
+    def test_truncation_evicts_the_blocks_it_removes(self, signed_db, signer):
+        db = signed_db
+        tids = [
+            run(db, "app", lambda t, i=i: db.insert(
+                t, "accounts", [[f"u{i}", i]])).tid
+            for i in range(12)
+        ]
+        db.generate_digest()
+        old, kept = tids[0], tids[-1]
+        old_block = db.transaction_receipt(old).block_header.block_id
+        kept_block = db.transaction_receipt(kept).block_header.block_id
+        assert old_block < kept_block
+        assert {key[0] for key in db._receipt_block_cache} == {
+            old_block, kept_block,
+        }
+
+        db.truncate_ledger(old_block)
+
+        assert all(key[0] > old_block for key in db._receipt_block_cache)
+        assert kept_block in {key[0] for key in db._receipt_block_cache}
+        assert db.transaction_receipt(kept).verify(signer.public)
+        with pytest.raises(ReceiptError):
+            db.transaction_receipt(old)

@@ -186,6 +186,41 @@ class TestChainTampering:
         report = db.verify([digest])
         assert not report.ok
 
+    @pytest.mark.parametrize("table_name, invariant", [
+        ("database_ledger_transactions", "block_root"),
+        ("database_ledger_blocks", "chain"),
+    ])
+    def test_unreadable_system_row_is_reported_not_raised(
+        self, db, accounts, table_name, invariant
+    ):
+        """A structurally damaged entry or block record is a *missing* one:
+        verification reports what it breaks instead of dying in the scan,
+        the same in-process and forked, and keyed readers return None."""
+        for i in range(9):
+            run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]]))
+        digest = db.generate_digest()
+        table = db.engine.table(table_name)
+        rid, row = next(iter(table.scan()))
+        table.heap.tamper_record(rid, b"\x00\x04junk")
+
+        report = db.verify([digest])
+        assert not report.ok
+        assert invariant in findings_by_invariant(report)
+        forked = db.verify([digest], parallelism=2)
+        assert findings_by_invariant(forked) == findings_by_invariant(report)
+        if table_name == "database_ledger_blocks":
+            assert db.ledger.block(row[0]) is None
+            assert row[0] not in {b.block_id for b in db.ledger.blocks()}
+        else:
+            assert db.ledger.transaction_entry(row[0]) is None
+            assert row[0] not in {
+                e.transaction_id for e in db.ledger.all_entries()
+            }
+            assert all(
+                e.transaction_id != row[0]
+                for e in db.ledger.transactions_in_block(row[1])
+            )
+
 
 class TestIndexTampering:
     def test_nonclustered_index_tamper_detected(self, db):

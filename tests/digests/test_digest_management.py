@@ -210,3 +210,81 @@ class TestIncarnations:
         # signal that tells the user how far back the restore went.
         assert not report.ok
         assert any("not present" in f.message for f in report.errors)
+
+
+class TestRetrievalFetchesOnePerIncarnation:
+    """``latest_digest`` / ``digests_for_verification`` answer what a full
+    listing would, from one fetched document per incarnation."""
+
+    @pytest.fixture
+    def fetched(self, monkeypatch):
+        names = []
+        original = ImmutableBlobStorage.get_document
+
+        def spy(storage, container, name):
+            names.append(name)
+            return original(storage, container, name)
+
+        monkeypatch.setattr(ImmutableBlobStorage, "get_document", spy)
+        return names
+
+    @staticmethod
+    def by_full_listing(manager, db):
+        """What both functions returned when they read every digest."""
+        everything = manager.digests()
+        current = [
+            d for d in everything
+            if d.database_create_time == db.database_create_time
+        ]
+        newest = {}
+        for digest in everything:
+            held = newest.get(digest.database_create_time)
+            if held is None or digest.block_id > held.block_id:
+                newest[digest.database_create_time] = digest
+        return (current[-1] if current else None,
+                [newest[key] for key in sorted(newest)])
+
+    def test_two_incarnations_same_answers_as_a_full_listing(
+        self, db, storage, tmp_path, fetched
+    ):
+        manager = DigestManager(db, storage)
+        assert manager.latest_digest() is None
+        assert manager.digests_for_verification() == []
+        for round_ in range(3):
+            work(db, count=5, prefix=f"r{round_}_")
+            manager.upload_digest()
+        db.backup(str(tmp_path / "bak"))
+        work(db, count=5, prefix="lost_")
+        manager.upload_digest()
+        restored = LedgerDatabase.restore_backup(
+            str(tmp_path / "bak"), str(tmp_path / "restored"),
+            clock=LogicalClock(start=dt.datetime(2025, 6, 1)),
+        )
+        restored_manager = DigestManager(restored, storage)
+        for round_ in range(2):
+            work(restored, count=5, prefix=f"after{round_}_")
+            restored_manager.upload_digest()
+
+        for a_manager, a_db in ((manager, db), (restored_manager, restored)):
+            latest, for_verification = self.by_full_listing(a_manager, a_db)
+            assert len(for_verification) == 2
+            del fetched[:]
+            assert a_manager.latest_digest() == latest
+            assert len(fetched) == 1
+            del fetched[:]
+            assert a_manager.digests_for_verification() == for_verification
+            assert len(fetched) == 2
+        restored.close()
+
+    def test_upload_fetches_one_document_however_many_are_stored(
+        self, db, storage, fetched
+    ):
+        manager = DigestManager(db, storage)
+        per_upload = []
+        for round_ in range(12):
+            work(db, count=2, prefix=f"r{round_}_")
+            del fetched[:]
+            manager.upload_digest()
+            per_upload.append(len(fetched))
+        assert len(manager.digests()) == 12
+        assert per_upload == [0] + [1] * 11

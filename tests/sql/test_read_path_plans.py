@@ -13,7 +13,7 @@ import pytest
 import repro.engine.operators as operators
 import repro.engine.table as table_module
 import repro.sql.session as session_module
-from repro.core.ledger_database import LedgerDatabase
+from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.engine.heap import HeapFile
 from repro.engine.index import DerivedKeyIndex
@@ -344,14 +344,22 @@ class TestHistoryKeyIndexIsNeverStale:
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        """One item per build of a *history* table's derived index (the
+        ledger keeps one on its transactions table too, by block)."""
         built = []
+        original = table_module.Table.rids_with_key
 
-        class Counting(DerivedKeyIndex):
-            def __init__(self, *args, **kwargs):
+        def counting(table, ordinals, key_values):
+            before = table._key_index
+            rids = original(table, ordinals, key_values)
+            assert isinstance(table._key_index, DerivedKeyIndex)
+            if table._key_index is not before and table.name.endswith(
+                HISTORY_SUFFIX
+            ):
                 built.append(1)
-                super().__init__(*args, **kwargs)
+            return rids
 
-        monkeypatch.setattr(table_module, "DerivedKeyIndex", Counting)
+        monkeypatch.setattr(table_module.Table, "rids_with_key", counting)
         return built
 
     @staticmethod
