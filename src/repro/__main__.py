@@ -5,10 +5,6 @@ Usage::
     python -m repro /path/to/dbdir            # open (or create) a database
     python -m repro /path/to/dbdir -c "SELECT * FROM t"   # one-shot
 
-``python -m repro harness …`` forwards to the experiment harness
-(:mod:`repro.workloads.harness`), so the bench-regression gate reads as
-``python -m repro harness compare --baseline BENCH_pipeline_baseline.json``.
-
 Inside the shell, statements end with ``;``.  ``EXPLAIN <select | update |
 delete>;`` prints the access path of each table the statement reads (seek,
 range, index seek or full scan) without running it.  Ledger-specific
@@ -463,12 +459,6 @@ class Shell:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "harness":
-        # `python -m repro harness …` forwards to the experiment harness —
-        # one entry point for the shell, the benches and the compare gate.
-        from repro.workloads.harness import main as harness_main
-
-        return harness_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Interactive SQL shell over a SQL Ledger database.",

@@ -32,6 +32,7 @@ from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_view import canonical_view_definition
 from repro.crypto.hashing import LeafHashCache, hash_leaf
 from repro.engine.record import hashable_payload, key_tuple
+from repro.errors import LedgerError
 from repro.runtime import DEFAULT_CONTEXT
 
 
@@ -191,6 +192,10 @@ def capture_snapshot(
     uncovered transactions), flushes the entry queue, then materializes
     references to every stored record verification will read.  The lock is
     released before any hashing happens.
+
+    A sealed block that cannot close — its predecessor is missing or no
+    longer reads — stays unclosed in the snapshot: its entries then
+    reference a block outside the chain, which verification reports.
     """
     from repro.core.ledger_database import VIEWS_TABLE
 
@@ -198,7 +203,13 @@ def capture_snapshot(
     ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
     started = time.perf_counter()
     with ledger.storage_lock, ctx.tracer.span("verify.snapshot"):
-        db.pipeline.drain(seal_open=False)
+        try:
+            db.pipeline.drain(seal_open=False)
+        except LedgerError:
+            # A ready block failed to close.  With none ready the drain
+            # timed out or the pipeline is shut down: still an error.
+            if ledger.next_ready_block() is None:
+                raise
         ledger.flush_queue()
         entries = {e.transaction_id: e for e in ledger.all_entries()}
         blocks = {b.block_id: b for b in ledger.blocks()}

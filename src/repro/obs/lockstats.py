@@ -32,8 +32,8 @@ wait/hold measurement when it reacquires.
 
 Every instrumented lock self-registers in a process-wide table;
 :func:`lock_stats_snapshot` and :func:`format_lock_table` feed the
-``/locks`` endpoint, the ``\\locks`` shell command, the harness's
-``--profile`` report and flight-recorder bundles.
+``/locks`` endpoint, the ``\\locks`` shell command and flight-recorder
+bundles.
 """
 
 from __future__ import annotations

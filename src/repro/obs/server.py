@@ -404,8 +404,8 @@ class ObservabilityServer:
         hz = max(1, min(hz, MAX_PROFILE_HZ))
         running = active_profilers()
         if running:
-            # Don't stack a second sampler on top of a harness --profile
-            # run; report the one already in flight instead.
+            # Don't stack a second sampler on top of one already running
+            # (a shell \profile); report the one in flight instead.
             snapshot = running[-1].snapshot()
             snapshot["note"] = "a profiler was already running; snapshot of it"
         else:

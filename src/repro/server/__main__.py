@@ -1,10 +1,11 @@
 """CLI: ``python -m repro.server <path>`` — run a ledger server.
 
-Prints ``LEDGER_SERVER_PORT=<port>`` on stdout once listening (harness
-drivers and the CI SIGKILL drill parse that line), then serves until
+Prints ``LEDGER_SERVER_PORT=<port>`` on stdout once listening (the
+benchmark's service driver parses that line), then serves until
 SIGTERM/SIGINT, which trigger a graceful drain-then-stop plus a clean
-database close.  SIGKILL, by contrast, is exactly what the torture drill
-sends — recovery must then reopen with zero acknowledged-commit loss.
+database close.  A kill, by contrast, must leave a directory that reopens
+with zero acknowledged-commit loss — the ``server.*`` kill-matrix drills
+of :mod:`repro.faults.torture` check exactly that.
 """
 
 from __future__ import annotations

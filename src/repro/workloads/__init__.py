@@ -8,6 +8,11 @@
   permissioned blockchain used for the §4.1 throughput/latency comparison.
 * :mod:`repro.workloads.microbench` — fixed-width-row helpers for the DML
   latency (Figure 8) and verification (Figure 9) experiments.
+* :mod:`repro.workloads.harness` — runs each §4 experiment and prints it
+  as the paper's table (``python -m repro.workloads.harness all``
+  regenerates EXPERIMENTS.md).
+
+Performance claims are measured with ``bench/``, not with these modules.
 """
 
 from repro.workloads.tpcc import TpccWorkload

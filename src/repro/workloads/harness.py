@@ -2,9 +2,11 @@
 
 Each ``run_*`` function measures one experiment and returns structured
 results; ``format_*`` renders them in the same rows/series the paper
-reports.  The pytest benchmarks and the standalone CLI
-(``python -m repro.workloads.harness``) both drive these functions, so the
-numbers in EXPERIMENTS.md are reproducible with one command.
+reports: Figures 7–9, the §4.1 blockchain comparison and the Merkle,
+block-size and receipt ablations.  ``python -m repro.workloads.harness
+all`` regenerates the tables in EXPERIMENTS.md; ``--telemetry`` adds each
+experiment's per-phase breakdown.  Performance claims are measured with
+``bench/`` (see ``BENCHMARK.json``), not here.
 
 Absolute numbers are not comparable to the paper's 72-core SQL Server — the
 substrate here is a pure-Python engine — but the *shape* is: who wins, by
@@ -524,834 +526,6 @@ def format_receipts_ablation(results) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Staged commit pipeline — concurrent commit latency and boundary spikes
-# ---------------------------------------------------------------------------
-
-#: Stages a complete commit lineage must show (ISSUE 6 acceptance: queue
-#: wait, block build, persistence and digest, each timed by its own span).
-_LINEAGE_STAGES = (
-    "txn.commit", "queue.wait", "block.append", "merkle.root",
-    "block.persist", "digest.generate",
-)
-
-
-def _sample_commit_lineage(max_candidates: int = 50) -> Optional[Dict[str, Any]]:
-    """Reassemble one user commit's cross-thread lineage from the span ring.
-
-    User commits are ``txn.commit`` spans parented under a ``sql.execute``
-    span (internal engine commits issued by the block builder carry the
-    ``ledger_system`` principal and a builder-side parent instead).  Walks
-    the most recent commits first — the last block closed is the one the
-    final digest links to — and returns the first lineage covering every
-    stage in :data:`_LINEAGE_STAGES`, falling back to the widest coverage
-    seen.
-    """
-    from repro.obs.tracing import build_lineage_tree, render_span_tree
-
-    spans = OBS.tracer.recorder.spans()
-    by_id = {span.span_id: span for span in spans}
-    commits = []
-    for span in spans:
-        if span.name != "txn.commit" or span.trace_id is None:
-            continue
-        parent = by_id.get(span.parent_id)
-        if parent is not None and parent.name == "sql.execute":
-            commits.append(span)
-    best: Optional[Dict[str, Any]] = None
-    for commit in reversed(commits[-max_candidates:]):
-        roots = build_lineage_tree(spans, commit.trace_id)
-        names = set()
-
-        def _walk(node) -> None:
-            names.add(node.span.name)
-            for child in node.children:
-                _walk(child)
-
-        for root in roots:
-            _walk(root)
-        stages = [stage for stage in _LINEAGE_STAGES if stage in names]
-        candidate = {
-            "txn": commit.attributes.get("tid"),
-            "trace_id": commit.trace_id,
-            "stages": stages,
-            "complete": len(stages) == len(_LINEAGE_STAGES),
-            "tree": render_span_tree(roots),
-        }
-        if candidate["complete"]:
-            return candidate
-        if best is None or len(stages) > len(best["stages"]):
-            best = candidate
-    return best
-
-
-def run_pipeline_bench(
-    threads: int = 4,
-    transactions_per_thread: int = 150,
-    block_size: int = 50,
-    verify_during: bool = False,
-    tracing: bool = False,
-    profile: bool = False,
-    profile_hz: Optional[int] = None,
-    batch_rows: int = 1,
-) -> Dict[str, Any]:
-    """Concurrent commit benchmark for the staged pipeline.
-
-    ``threads`` SQL sessions insert single rows concurrently; each commit's
-    latency is recorded and attributed, via the session's last commit
-    payload, to the ordinal slot the transaction landed in.  A *boundary*
-    commit is the one receiving the last ordinal of a block — the commit
-    that, before the staged pipeline, paid for Merkle root + block hash
-    inline.  The run ends with a drain, a digest, full verification, and a
-    strict gap-free check of every (block, ordinal) assignment.
-
-    With ``verify_during=True`` the table is preloaded and a background
-    thread runs full verification in a loop for the whole measurement
-    window, so the recorded commit latencies show what snapshot-then-verify
-    costs the OLTP path while the watchdog is busy.
-
-    With ``tracing=True`` the run enables the tracer and, after the drain,
-    reassembles one commit's cross-thread lineage (committing session →
-    block builder → digest) into the result under ``lineage`` — the
-    observability acceptance demo: every stage of one transaction's journey
-    through all three threads, timed.
-
-    With ``profile=True`` a sampling profiler runs for the whole
-    measurement (workers, drain, digest, verification) and metrics are
-    enabled so the instrumented stage/WAL locks record wait/hold times;
-    the result gains ``profile`` (role totals, top frames, folded stacks)
-    and ``locks`` (the per-lock stats table).  Throughput measured with
-    the profiler on includes its sampling overhead — compare against
-    baselines only with the profiler off.
-
-    With ``batch_rows=N`` (N > 1) each transaction inserts N rows through
-    ``executemany`` — one parse, one batched storage insert, one WAL frame
-    per statement — measuring the per-statement (rather than per-row) hot
-    path.  ``row_throughput`` in the result is the figure to compare
-    across batch sizes.
-    """
-    import threading as _threading
-
-    from repro.sql.session import SqlSession
-
-    if tracing:
-        OBS.enable()
-    profiler = None
-    metrics_were_enabled = OBS.metrics.enabled
-    if profile:
-        from repro.obs.profiler import DEFAULT_HZ, SamplingProfiler
-
-        OBS.enable(metrics=True, tracing=False, events=False)
-        profiler = SamplingProfiler(hz=profile_hz or DEFAULT_HZ)
-    db = _fresh_db(block_size=block_size)
-    db.sql(
-        "CREATE TABLE pipeline_bench (id INT PRIMARY KEY, v VARCHAR(32)) "
-        "WITH (LEDGER = ON)"
-    )
-
-    stop_verify = _threading.Event()
-    verify_cycles = [0]
-    verify_thread: Optional[_threading.Thread] = None
-    if verify_during:
-        # Preload enough history that each verification pass has real work.
-        preload = db.begin("preloader")
-        db.insert(
-            preload, "pipeline_bench",
-            [(1_000_000 + i, f"pre{i}") for i in range(3000)],
-        )
-        db.commit(preload)
-        baseline_digest = db.generate_digest()
-
-        def verifier_loop() -> None:
-            while not stop_verify.is_set():
-                report = db.verify([baseline_digest])
-                assert report.ok, report.summary()
-                verify_cycles[0] += 1
-
-        verify_thread = _threading.Thread(
-            target=verifier_loop, name="bench-verifier", daemon=True
-        )
-
-    latencies: List[List[Tuple[float, int, int]]] = [[] for _ in range(threads)]
-    errors: List[BaseException] = []
-    barrier = _threading.Barrier(threads)
-
-    def worker(index: int) -> None:
-        session = SqlSession(db, username=f"worker{index}")
-        samples = latencies[index]
-        try:
-            barrier.wait()
-            for i in range(transactions_per_thread):
-                stmt_id = index * transactions_per_thread + i
-                started = time.perf_counter()
-                if batch_rows > 1:
-                    base = stmt_id * batch_rows
-                    session.executemany(
-                        "INSERT INTO pipeline_bench (id, v) VALUES (?, ?)",
-                        [(base + j, f"w{index}") for j in range(batch_rows)],
-                    )
-                else:
-                    session.execute(
-                        f"INSERT INTO pipeline_bench (id, v) "
-                        f"VALUES ({stmt_id}, 'w{index}')"
-                    )
-                elapsed = time.perf_counter() - started
-                payload = session.last_commit_payload
-                samples.append(
-                    (elapsed, payload["block"], payload["ordinal"])
-                )
-        except BaseException as exc:  # surfaced to the caller below
-            errors.append(exc)
-
-    gc.collect()
-    if profiler is not None:
-        profiler.start()
-    if verify_thread is not None:
-        verify_thread.start()
-    started = time.perf_counter()
-    pool = [
-        _threading.Thread(target=worker, args=(index,), name=f"bench-w{index}")
-        for index in range(threads)
-    ]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-    if verify_thread is not None:
-        stop_verify.set()
-        verify_thread.join()
-    if errors:
-        raise errors[0]
-
-    digest = db.generate_digest()
-    report = db.verify([digest])
-
-    # Strict gap-free check: within every block the assigned ordinals must
-    # be exactly 0..count-1, and block ids must be contiguous.
-    entries = db.ledger.all_entries()
-    by_block: Dict[int, List[int]] = {}
-    for entry in entries:
-        by_block.setdefault(entry.block_id, []).append(entry.ordinal)
-    gaps = []
-    for block_id, ordinals in sorted(by_block.items()):
-        expected = list(range(len(ordinals)))
-        if sorted(ordinals) != expected:
-            gaps.append((block_id, sorted(ordinals)))
-    block_ids = sorted(by_block)
-    contiguous = block_ids == list(
-        range(block_ids[0], block_ids[0] + len(block_ids))
-    )
-
-    all_samples = [s for per_thread in latencies for s in per_thread]
-    commit_ms = sorted(s[0] * 1000.0 for s in all_samples)
-    boundary_ms = sorted(
-        s[0] * 1000.0 for s in all_samples if s[2] == block_size - 1
-    )
-    median_ms = statistics.median(commit_ms)
-    total = threads * transactions_per_thread
-    result = {
-        "threads": threads,
-        "transactions": total,
-        "block_size": block_size,
-        "batch_rows": batch_rows,
-        "rows_inserted": total * batch_rows,
-        "row_throughput": total * batch_rows / wall_seconds,
-        "wall_seconds": wall_seconds,
-        "throughput_tps": total / wall_seconds,
-        "median_commit_ms": median_ms,
-        "p99_commit_ms": commit_ms[int(len(commit_ms) * 0.99) - 1],
-        "max_commit_ms": commit_ms[-1],
-        "boundary_commits": len(boundary_ms),
-        "median_boundary_commit_ms": (
-            statistics.median(boundary_ms) if boundary_ms else None
-        ),
-        "boundary_over_median": (
-            statistics.median(boundary_ms) / median_ms if boundary_ms else None
-        ),
-        "verification_ok": report.ok,
-        "ordinals_gap_free": not gaps and contiguous,
-        "blocks_closed": len(db.ledger.blocks()),
-        "pipeline": db.pipeline.stats(),
-        "verify_during": verify_during,
-        "verify_cycles_during": verify_cycles[0] if verify_during else 0,
-    }
-    if tracing and OBS.tracer.enabled:
-        result["lineage"] = _sample_commit_lineage()
-    if profiler is not None:
-        from repro.obs.lockstats import format_lock_table, lock_stats_snapshot
-
-        profiler.stop()
-        result["profile"] = profiler.snapshot()
-        result["profile"]["top_text"] = profiler.render_top()
-        result["locks"] = lock_stats_snapshot()
-        result["locks_text"] = format_lock_table(result["locks"])
-        if not metrics_were_enabled:
-            OBS.metrics.disable()
-    db.close()
-    return result
-
-
-def format_pipeline(results: Dict[str, Any]) -> str:
-    boundary = results["median_boundary_commit_ms"]
-    ratio = results["boundary_over_median"]
-    lines = [
-        "Staged commit pipeline (§4.2): concurrent commits, async block "
-        "closure.",
-        f"threads={results['threads']} transactions={results['transactions']} "
-        f"block_size={results['block_size']}"
-        + (f" batch_rows={results['batch_rows']}"
-           if results.get("batch_rows", 1) > 1 else ""),
-        f"throughput:        {results['throughput_tps']:>10.0f} tps"
-        + (f" ({results['row_throughput']:.0f} rows/s)"
-           if results.get("batch_rows", 1) > 1 else ""),
-        f"median commit:     {results['median_commit_ms']:>10.3f} ms",
-        f"p99 commit:        {results['p99_commit_ms']:>10.3f} ms",
-        f"boundary commit:   "
-        + (f"{boundary:>10.3f} ms ({ratio:.2f}x median; "
-           f"{results['boundary_commits']} samples)"
-           if boundary is not None else "       n/a"),
-        f"verification:      {'passed' if results['verification_ok'] else 'FAILED'}",
-        f"ordinals gap-free: {results['ordinals_gap_free']}",
-        f"blocks closed:     {results['blocks_closed']} "
-        f"(async builds: {results['pipeline']['blocks_built']})",
-    ]
-    lineage = results.get("lineage")
-    if lineage is not None:
-        lines += [
-            "",
-            f"sampled commit lineage: txn {lineage['txn']} "
-            f"(trace {lineage['trace_id']}, "
-            f"{'complete' if lineage['complete'] else 'partial'}: "
-            f"{', '.join(lineage['stages'])})",
-            lineage["tree"],
-        ]
-    elif "lineage" in results:
-        lines.append("(no commit lineage captured)")
-    if "profile" in results:
-        lines += ["", results["profile"]["top_text"]]
-    if "locks_text" in results:
-        lines += ["", "lock contention:", results["locks_text"]]
-    return "\n".join(lines)
-
-
-def run_pipeline_baseline(
-    path: str = "BENCH_pipeline_baseline.json", threads: int = 4
-) -> Dict[str, Any]:
-    """Run the pipeline bench at 1 thread and ``threads`` threads; persist.
-
-    The committed JSON is the perf-trajectory reference point: single-thread
-    commit latency, multi-thread throughput, and the boundary-commit ratio
-    that the staged pipeline is supposed to keep near 1x.
-    """
-    import json
-
-    payload = {
-        "note": (
-            "Staged-pipeline baseline: commit latency with async block "
-            "closure; boundary commits no longer pay Merkle root + block "
-            "hash inline."
-        ),
-        "single_thread": run_pipeline_bench(threads=1),
-        "concurrent": run_pipeline_bench(threads=threads),
-        # Per-statement hot path: 100-row executemany batches.  Compare
-        # row_throughput here against concurrent.throughput_tps to see
-        # what batching buys.
-        "batch": run_pipeline_bench(
-            threads=threads, transactions_per_thread=30, batch_rows=100
-        ),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Snapshot-isolated verification: parallel full scans, incremental cycles
-# ---------------------------------------------------------------------------
-
-def run_verify_bench(
-    transactions: int = 400,
-    block_size: int = 40,
-    workers: Tuple[int, ...] = (1, 2, 4),
-    delta_transactions: int = 20,
-    commit_threads: int = 4,
-    commit_transactions_per_thread: int = 100,
-) -> Dict[str, Any]:
-    """Measure the three claims of snapshot-isolated verification.
-
-    1. *Parallel full scans*: wall time of a full verification of a
-       fig9-style ledger at each worker count in ``workers``, leaf cache
-       cleared before every run so timings compare like for like.  Note
-       that on a 1-CPU host fork workers only add overhead — the recorded
-       ``cpu_count`` qualifies any speedup (or lack of one).
-    2. *Incremental cycles*: build a checkpoint, commit a small delta,
-       then time an incremental cycle against the full scan it replaces.
-       The full-scan comparator runs cold (cache cleared) — that is the
-       pre-checkpoint cost — and warm, for transparency.
-    3. *Commit latency under verification*: rerun the pipeline bench with
-       a background thread doing full verifications the whole time; its
-       p99 shows what the OLTP path pays while the watchdog is busy.
-    """
-    import os
-
-    from repro.core.verification import LedgerVerifier, leaf_cache
-    from repro.workloads.microbench import (
-        make_row,
-        run_five_row_update_transactions,
-        wide_row_schema,
-    )
-
-    db = _fresh_db(block_size=block_size)
-    db.create_ledger_table(wide_row_schema("wide", 0))
-    rows_needed = transactions * 5
-    txn = db.begin("loader")
-    db.insert(txn, "wide", [make_row(i) for i in range(1, rows_needed + 1)])
-    db.commit(txn)
-    run_five_row_update_transactions(db, "wide", transactions)
-    digest = db.generate_digest()
-
-    full_seconds: Dict[int, float] = {}
-    blocks = row_versions = 0
-    snapshot_ms = 0.0
-    for count in workers:
-        leaf_cache().clear()
-        gc.collect()
-        started = time.perf_counter()
-        report = db.verify([digest], parallelism=count)
-        full_seconds[count] = time.perf_counter() - started
-        assert report.ok, report.summary()
-        blocks = report.blocks_verified
-        row_versions = report.row_versions_hashed
-        snapshot_ms = report.snapshot_seconds * 1000.0
-
-    # Checkpoint, then a small delta of new commits.
-    verifier = LedgerVerifier(db)
-    checkpoint = verifier.verify([digest], build_checkpoint=True).built_checkpoint
-    assert checkpoint is not None
-    run_five_row_update_transactions(db, "wide", delta_transactions)
-    digests = [digest, db.generate_digest()]
-
-    gc.collect()
-    started = time.perf_counter()
-    incremental = db.verify(digests, mode="incremental", checkpoint=checkpoint)
-    incremental_seconds = time.perf_counter() - started
-    assert incremental.ok, incremental.summary()
-    assert incremental.mode == "incremental", incremental.fallback_reason
-
-    leaf_cache().clear()
-    gc.collect()
-    started = time.perf_counter()
-    full_cold = db.verify(digests)
-    full_cold_seconds = time.perf_counter() - started
-    assert full_cold.ok, full_cold.summary()
-
-    gc.collect()
-    started = time.perf_counter()
-    full_warm = db.verify(digests)
-    full_warm_seconds = time.perf_counter() - started
-    assert full_warm.ok, full_warm.summary()
-    db.close()
-
-    commits = run_pipeline_bench(
-        threads=commit_threads,
-        transactions_per_thread=commit_transactions_per_thread,
-        verify_during=True,
-    )
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "workload": {
-            "transactions": transactions,
-            "block_size": block_size,
-            "blocks": blocks,
-            "row_versions": row_versions,
-        },
-        "snapshot_capture_ms": snapshot_ms,
-        "full_scan_seconds": {str(n): full_seconds[n] for n in workers},
-        "parallel_speedup": {
-            str(n): full_seconds[workers[0]] / full_seconds[n]
-            for n in workers
-        },
-        "incremental": {
-            "delta_transactions": delta_transactions,
-            "checkpoint_block": checkpoint.block_id,
-            "incremental_seconds": incremental_seconds,
-            "full_cold_seconds": full_cold_seconds,
-            "full_warm_seconds": full_warm_seconds,
-            "speedup_vs_full_cold": full_cold_seconds / incremental_seconds,
-            "skipped_invariants": incremental.skipped_invariants,
-        },
-        "commits_during_verification": commits,
-    }
-
-
-def format_verify(results: Dict[str, Any]) -> str:
-    workload = results["workload"]
-    commits = results["commits_during_verification"]
-    lines = [
-        "Snapshot-isolated verification: parallel scans, incremental cycles.",
-        f"workload: {workload['transactions']} txns, {workload['blocks']} "
-        f"blocks, {workload['row_versions']} row versions "
-        f"(host has {results['usable_cpus']} usable CPU(s))",
-        f"snapshot capture (lock held): {results['snapshot_capture_ms']:.2f}ms",
-    ]
-    for n, seconds in results["full_scan_seconds"].items():
-        speedup = results["parallel_speedup"][n]
-        lines.append(
-            f"full scan, {n} worker(s):  {seconds:>8.3f}s  "
-            f"({speedup:.2f}x vs in-process)"
-        )
-    inc = results["incremental"]
-    lines += [
-        f"incremental cycle:       {inc['incremental_seconds']:>8.3f}s  "
-        f"({inc['speedup_vs_full_cold']:.1f}x faster than cold full scan "
-        f"of {inc['full_cold_seconds']:.3f}s)",
-        f"commit p99 during verification: {commits['p99_commit_ms']:.3f} ms "
-        f"({commits['verify_cycles_during']} verify cycles completed "
-        f"alongside {commits['transactions']} commits)",
-    ]
-    return "\n".join(lines)
-
-
-def run_verify_baseline(
-    path: str = "BENCH_verify_baseline.json", workers: int = 4
-) -> Dict[str, Any]:
-    """Run the verification bench and persist the perf-trajectory JSON.
-
-    Compares the commit p99 measured *during* concurrent verification
-    against the no-verification concurrent p99 recorded in
-    ``BENCH_pipeline_baseline.json`` when that file is present.
-    """
-    import json
-    import os
-
-    counts = tuple(sorted({1, 2, workers}))
-    results = run_verify_bench(workers=counts)
-    reference_p99 = None
-    if os.path.exists("BENCH_pipeline_baseline.json"):
-        with open("BENCH_pipeline_baseline.json", encoding="utf-8") as fh:
-            reference = json.load(fh)
-        reference_p99 = reference.get("concurrent", {}).get("p99_commit_ms")
-    during_p99 = results["commits_during_verification"]["p99_commit_ms"]
-    payload = {
-        "note": (
-            "Snapshot-then-verify baseline: full-scan wall time by worker "
-            "count, incremental cycle vs the full scan it replaces, and "
-            "commit p99 while verification runs concurrently.  Parallel "
-            "speedup requires multiple CPUs; on a 1-CPU host fork workers "
-            "can only add overhead, so read speedups against cpu_count."
-        ),
-        "verify": results,
-        "commit_p99_no_verification_ms": reference_p99,
-        "commit_p99_during_verification_ms": during_p99,
-        "commit_p99_ratio": (
-            during_p99 / reference_p99 if reference_p99 else None
-        ),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Crash-recovery torture (fault-injection matrix)
-# ---------------------------------------------------------------------------
-
-def run_faults_bench(
-    points: Optional[List[str]] = None,
-    kill: bool = False,
-    flight_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the crash-recovery torture matrix; returns per-point results.
-
-    Every entry crashes a live database at one armed fault point, reopens
-    it through recovery, and asserts full verification with zero committed
-    loss (see :mod:`repro.faults.torture`).  ``recovery_seconds`` per point
-    is the reopen wall time — the price of coming back from that crash.
-    ``flight_dir`` arms the flight recorder inside kill-mode children, so
-    every real ``os._exit`` crash leaves a black-box bundle behind.
-    """
-    from repro.faults.torture import run_torture
-
-    results = run_torture(points=points, kill=kill, flight_dir=flight_dir)
-    return {
-        "points": results,
-        "total": len(results),
-        "passed": sum(1 for r in results if r["ok"]),
-        "all_ok": all(r["ok"] for r in results),
-        "kill_mode": kill,
-        "flight_dir": flight_dir,
-    }
-
-
-def format_faults(results: Dict[str, Any]) -> str:
-    lines = [
-        "Crash-recovery torture: crash at every fault point, reopen, verify.",
-        f"{results['passed']}/{results['total']} fault points recovered "
-        "with a fully verifying ledger and zero committed-transaction loss"
-        + (" (incl. subprocess kills)" if results["kill_mode"] else ""),
-    ]
-    for r in results["points"]:
-        mark = "ok " if r["ok"] else "FAIL"
-        lines.append(
-            f"  [{mark}] {r['point']:<22} {r['mode']:<11} "
-            f"recovery={r.get('recovery_seconds', 0.0) * 1000.0:>7.1f}ms"
-            + (f"  {r['failures']}" if r["failures"] else "")
-        )
-    return "\n".join(lines)
-
-
-def run_faults_baseline(
-    path: str = "BENCH_faults_baseline.json", kill: bool = False
-) -> Dict[str, Any]:
-    """Run the torture matrix and persist recovery times per fault point."""
-    import json
-
-    results = run_faults_bench(kill=kill)
-    payload = {
-        "note": (
-            "Crash-recovery torture baseline: for each fault point, the "
-            "database is crashed at that point mid-workload, reopened, and "
-            "fully verified; recovery_seconds is the reopen wall time.  "
-            "Degradation drills (retry/backoff, builder supervision, "
-            "monitor liveness) report the drill duration instead."
-        ),
-        "all_ok": results["all_ok"],
-        "kill_mode": kill,
-        "recovery_seconds": {
-            f"{r['point']}/{r['mode']}": r.get("recovery_seconds", 0.0)
-            for r in results["points"]
-        },
-        "points": results["points"],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if not results["all_ok"]:
-        raise RuntimeError(
-            "torture matrix failed: "
-            + "; ".join(
-                f"{r['point']}: {r['failures']}"
-                for r in results["points"] if not r["ok"]
-            )
-        )
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Sharded deployment: partitioned commits under the Merkle super-chain
-# ---------------------------------------------------------------------------
-
-def run_shard_bench(
-    shards: int = 4,
-    concurrency: int = 4,
-    transactions_per_thread: int = 120,
-    block_size: int = 50,
-) -> Dict[str, Any]:
-    """Concurrent commits routed across N ledger shards; verify everything.
-
-    ``concurrency`` workers insert single rows, each worker bound to one
-    ledger table; table names are chosen so every shard owns at least one
-    table, so the load exercises all N independent staged pipelines.  The
-    run ends with a super-block seal, the full cross-shard verification
-    (every shard's digest verified, super-root re-derived and compared),
-    and a super-chain self-check.
-
-    Honesty note: on a single-core host the N shard pipelines multiplex one
-    CPU, so sharding buys isolation and bounded per-shard verify cost, not
-    throughput — ``cpu_count`` is recorded so the reader can tell which
-    regime a number came from.
-    """
-    import os
-    import threading as _threading
-
-    from repro.core.sharded import ShardedLedger
-
-    path = tempfile.mkdtemp(prefix="repro-shardbench-")
-    sharded = ShardedLedger.open(
-        f"{path}/db", shards=shards, block_size=block_size
-    )
-
-    # Pick table names until every shard owns one; workers round-robin over
-    # them so all N pipelines see commits.
-    tables: List[str] = []
-    covered: set = set()
-    candidate = 0
-    while len(covered) < shards:
-        name = f"shard_bench_{candidate}"
-        candidate += 1
-        index = sharded.shard_index_for_table(name)
-        if index not in covered:
-            covered.add(index)
-            tables.append(name)
-    for name in tables:
-        sharded.sql(
-            f"CREATE TABLE {name} (id INT PRIMARY KEY, v VARCHAR(32)) "
-            "WITH (LEDGER = ON)"
-        )
-
-    latencies: List[List[float]] = [[] for _ in range(concurrency)]
-    errors: List[BaseException] = []
-    barrier = _threading.Barrier(concurrency)
-
-    def worker(index: int) -> None:
-        table = tables[index % len(tables)]
-        samples = latencies[index]
-        try:
-            barrier.wait()
-            for i in range(transactions_per_thread):
-                row_id = index * transactions_per_thread + i
-                started = time.perf_counter()
-                sharded.insert(
-                    table, [(row_id, f"w{index}")], username=f"worker{index}"
-                )
-                samples.append(time.perf_counter() - started)
-        except BaseException as exc:  # surfaced to the caller below
-            errors.append(exc)
-
-    gc.collect()
-    started = time.perf_counter()
-    pool = [
-        _threading.Thread(target=worker, args=(i,), name=f"shard-bench-w{i}")
-        for i in range(concurrency)
-    ]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    wall_seconds = time.perf_counter() - started
-    if errors:
-        raise errors[0]
-
-    super_block = sharded.seal_super_block()
-    report = sharded.verify()
-    status = sharded.status()
-
-    commit_ms = sorted(s * 1000.0 for per in latencies for s in per)
-    total = concurrency * transactions_per_thread
-    result = {
-        "shards": shards,
-        "concurrency": concurrency,
-        "transactions": total,
-        "block_size": block_size,
-        "tables": {
-            name: f"s{sharded.shard_index_for_table(name)}" for name in tables
-        },
-        "wall_seconds": wall_seconds,
-        "throughput_tps": total / wall_seconds,
-        "median_commit_ms": statistics.median(commit_ms),
-        "p99_commit_ms": commit_ms[int(len(commit_ms) * 0.99) - 1],
-        "max_commit_ms": commit_ms[-1],
-        "verification_ok": report.ok,
-        "super_root_match": report.root_check.get("root_match", False),
-        "super_chain_height": status["super_chain_height"],
-        "super_block_hash": super_block.super_hash().hex(),
-        "chain_heights": {
-            name: shard["chain_height"]
-            for name, shard in status["shards"].items()
-        },
-        "cpu_count": os.cpu_count(),
-    }
-    sharded.close()
-    return result
-
-
-def format_shard(results: Dict[str, Any]) -> str:
-    heights = ", ".join(
-        f"{name}={height}"
-        for name, height in sorted(results["chain_heights"].items())
-    )
-    return "\n".join([
-        "Sharded ledger: partitioned commits under the Merkle super-chain.",
-        f"shards={results['shards']} concurrency={results['concurrency']} "
-        f"transactions={results['transactions']} "
-        f"block_size={results['block_size']} "
-        f"cpu_count={results['cpu_count']}",
-        f"throughput:      {results['throughput_tps']:>10.0f} tps",
-        f"median commit:   {results['median_commit_ms']:>10.3f} ms",
-        f"p99 commit:      {results['p99_commit_ms']:>10.3f} ms",
-        f"cross-shard verification: "
-        f"{'passed' if results['verification_ok'] else 'FAILED'} "
-        f"(super-root match: {results['super_root_match']})",
-        f"super-chain height: {results['super_chain_height']} "
-        f"(anchor {results['super_block_hash'][:16]}…)",
-        f"shard chain heights: {heights}",
-    ])
-
-
-def run_shard_baseline(
-    path: str = "BENCH_shard_baseline.json",
-    shards: int = 4,
-    concurrency: int = 4,
-) -> Dict[str, Any]:
-    """Run the shard bench at N shards and at 1 shard; persist both.
-
-    The committed JSON is the reference point for the sharded deployment:
-    N-shard throughput/p99 next to the single-shard figure from the same
-    host, with ``cpu_count`` recorded so nobody mistakes a one-core
-    multiplexing result for a scaling claim.
-    """
-    import json
-    import os
-
-    payload = {
-        "note": (
-            "Sharded-ledger baseline: concurrent commits routed across "
-            "independent shard pipelines under one Merkle super-chain. "
-            "On a 1-CPU host the shards multiplex a single core, so "
-            "N-shard throughput is expected at or below the single-shard "
-            "figure; the win is isolation and bounded per-shard "
-            "verification, not parallel speedup."
-        ),
-        "cpu_count": os.cpu_count(),
-        "sharded": run_shard_bench(shards=shards, concurrency=concurrency),
-        "single_shard": run_shard_bench(shards=1, concurrency=concurrency),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
-
-
-def run_server_baseline(
-    path: str = "BENCH_server_baseline.json",
-    clients: int = 32,
-    transactions_per_client: int = 25,
-) -> Dict[str, Any]:
-    """Multi-client ledger-server baseline (see workloads/server_bench.py).
-
-    Delegates to the server bench module; kept in this namespace so the
-    compare gate dispatches every baseline kind through one place.
-    """
-    from repro.workloads import server_bench
-
-    return server_bench.run_server_baseline(
-        path, clients=clients, transactions_per_client=transactions_per_client
-    )
-
-
-def _server_experiment(
-    clients: int = 32, transactions_per_client: int = 25, kill: bool = False
-) -> str:
-    from repro.workloads import server_bench
-
-    text = server_bench.format_server(
-        server_bench.run_server_bench(
-            clients=clients, transactions_per_client=transactions_per_client
-        )
-    )
-    if kill:
-        text += "\n" + server_bench.format_kill_drill(
-            server_bench.run_server_kill_drill()
-        )
-    return text
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -1363,61 +537,7 @@ _EXPERIMENTS = {
     "merkle": lambda: format_merkle_ablation(run_merkle_ablation()),
     "blocksize": lambda: format_block_size_ablation(run_block_size_ablation()),
     "receipts": lambda: format_receipts_ablation(run_receipts_ablation()),
-    "pipeline": lambda: format_pipeline(run_pipeline_bench()),
-    "verify": lambda: format_verify(
-        run_verify_bench(transactions=120, delta_transactions=10,
-                         commit_transactions_per_thread=50)
-    ),
-    "faults": lambda: format_faults(run_faults_bench()),
-    "shard": lambda: format_shard(run_shard_bench()),
-    "server": lambda: _server_experiment(),
 }
-
-
-def run_obs_baseline(path: str = "BENCH_obs_baseline.json") -> Dict[str, Any]:
-    """Reduced Fig. 7/8 run with telemetry on; write per-phase breakdowns.
-
-    The output JSON records, for each experiment, the headline numbers plus
-    the registry delta the run produced — the committed reference point for
-    'what does one benchmark run cost at each pipeline phase'.
-    """
-    import json
-
-    was_enabled = OBS.metrics.enabled
-    OBS.enable(metrics=True, tracing=False)
-    try:
-        fig7, fig7_delta = measure_with_breakdown(
-            lambda: run_fig7(tpcc_transactions=100, tpce_transactions=150,
-                             rounds=1)
-        )
-        fig8, fig8_delta = measure_with_breakdown(
-            lambda: run_fig8(index_counts=(0, 2), operations_per_round=60,
-                             rounds=1)
-        )
-    finally:
-        if not was_enabled:
-            OBS.metrics.disable()
-    payload = {
-        "note": (
-            "Reduced Fig7/Fig8 run with telemetry enabled; deltas are the "
-            "registry diff attributable to each experiment."
-        ),
-        "fig7": {
-            "results": fig7,
-            "telemetry_delta": fig7_delta,
-        },
-        "fig8": {
-            "results": {
-                f"{op}/idx{idx}/{mode}": us
-                for (op, idx, mode), us in fig8.items()
-            },
-            "telemetry_delta": fig8_delta,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return payload
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1431,232 +551,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiments", nargs="*", default=[],
         help=f"which experiments to run (default: all): "
-             f"{', '.join([*_EXPERIMENTS, 'all'])}; or 'compare' to diff "
-             f"a fresh run against a committed BENCH_*.json (--baseline)",
+             f"{', '.join([*_EXPERIMENTS, 'all'])}",
     )
     parser.add_argument(
         "--telemetry", action="store_true",
         help="enable metrics and print a per-phase breakdown per experiment",
     )
     parser.add_argument(
-        "--obs-baseline", metavar="PATH", default=None,
-        help="run the reduced telemetry baseline and write it to PATH",
-    )
-    parser.add_argument(
         "--events-out", metavar="PATH", default=None,
         help="append structured ledger events (harness.round, block.closed, "
              "...) as JSONL to PATH",
     )
-    parser.add_argument(
-        "--concurrency", type=int, metavar="N", default=4,
-        help="thread count for the 'pipeline' experiment (default: 4)",
-    )
-    parser.add_argument(
-        "--batch-rows", type=int, metavar="N", default=1,
-        help="rows per statement for the 'pipeline' experiment: N > 1 "
-             "drives executemany() batches through the per-statement hot "
-             "path (default: 1, classic per-row inserts)",
-    )
-    parser.add_argument(
-        "--pipeline-baseline", metavar="PATH", default=None,
-        help="run the staged-pipeline benchmark (1 thread and --concurrency "
-             "threads) and write the baseline JSON to PATH",
-    )
-    parser.add_argument(
-        "--workers", type=int, metavar="N", default=4,
-        help="max worker-process count for the 'verify' experiment and "
-             "--verify-baseline (default: 4)",
-    )
-    parser.add_argument(
-        "--verify-baseline", metavar="PATH", default=None,
-        help="run the snapshot-verification benchmark (in-process, 2 and "
-             "--workers workers, incremental cycle, commits during "
-             "verification) and write the baseline JSON to PATH",
-    )
-    parser.add_argument(
-        "--faults-baseline", metavar="PATH", default=None,
-        help="run the crash-recovery torture matrix and write recovery "
-             "times per fault point to PATH",
-    )
-    parser.add_argument(
-        "--shards", type=int, metavar="N", default=4,
-        help="shard count for the 'shard' experiment and --shard-baseline "
-             "(default: 4)",
-    )
-    parser.add_argument(
-        "--shard-baseline", metavar="PATH", default=None,
-        help="run the sharded-ledger benchmark (--shards shards and a "
-             "single-shard reference, --concurrency workers each) and "
-             "write the baseline JSON to PATH",
-    )
-    parser.add_argument(
-        "--kill-mode", action="store_true",
-        help="with the 'faults' experiment or --faults-baseline, also run "
-             "the subprocess-kill matrix (real os._exit crashes); with the "
-             "'server' experiment, also run the SIGKILL-mid-traffic drill",
-    )
-    parser.add_argument(
-        "--clients", type=int, metavar="N", default=32,
-        help="client-thread count for the 'server' experiment and "
-             "--server-baseline (default: 32)",
-    )
-    parser.add_argument(
-        "--server-baseline", metavar="PATH", default=None,
-        help="run the multi-client ledger-server benchmark (closed loop, "
-             "open-loop overload, sync-mode group-commit amortization) and "
-             "write the baseline JSON to PATH",
-    )
-    parser.add_argument(
-        "--tracing", action="store_true",
-        help="enable tracing for the 'pipeline' experiment and print one "
-             "commit's reassembled cross-thread lineage",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the sampling profiler during the 'pipeline' experiment; "
-             "prints the top self-time frames by thread role plus the "
-             "instrumented-lock table and writes folded stacks "
-             "(see --profile-out)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="PATH", default="profile.folded",
-        help="where --profile writes the collapsed-stack file "
-             "(default: profile.folded; render with flamegraph.pl or "
-             "speedscope)",
-    )
-    parser.add_argument(
-        "--profile-hz", type=int, metavar="HZ", default=None,
-        help="sampling rate for --profile (default: 97)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="for 'compare': the committed BENCH_*.json to diff against",
-    )
-    parser.add_argument(
-        "--threshold-pct", type=float, metavar="PCT", default=15.0,
-        help="for 'compare': relative regression threshold per gated "
-             "metric (default: 15)",
-    )
-    parser.add_argument(
-        "--warn-only", action="store_true",
-        help="for 'compare': downgrade fail verdicts to warn and exit 0 "
-             "(for noisy CI runners)",
-    )
-    parser.add_argument(
-        "--current", metavar="PATH", default=None,
-        help="for 'compare': diff this JSON against the baseline instead "
-             "of running a fresh measurement",
-    )
-    parser.add_argument(
-        "--compare-rounds", type=int, metavar="N", default=None,
-        help="for 'compare': fresh-measurement rounds, best per metric "
-             "(default: 3 for pipeline baselines, 1 otherwise)",
-    )
-    parser.add_argument(
-        "--show-info", action="store_true",
-        help="for 'compare': also list info-only (non-gating) metrics",
-    )
-    parser.add_argument(
-        "--flight-dir", metavar="DIR", default=None,
-        help="arm the black-box flight recorder: dump spans/events/metrics "
-             "bundles to DIR on tamper detection, injected faults or "
-             "builder crashes (kill-mode torture children inherit it)",
-    )
     args = parser.parse_args(argv)
-    if args.concurrency < 1:
-        parser.error("--concurrency must be at least 1")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    if args.shards < 1:
-        parser.error("--shards must be at least 1")
-    if args.batch_rows < 1:
-        parser.error("--batch-rows must be at least 1")
-    if args.clients < 1:
-        parser.error("--clients must be at least 1")
-
-    def _pipeline_cli() -> str:
-        results = run_pipeline_bench(
-            threads=args.concurrency, tracing=args.tracing,
-            profile=args.profile, profile_hz=args.profile_hz,
-            batch_rows=args.batch_rows,
-        )
-        text = format_pipeline(results)
-        if args.profile and args.profile_out:
-            with open(args.profile_out, "w", encoding="utf-8") as fh:
-                fh.write(results["profile"]["folded"])
-            text += f"\nwrote folded stacks to {args.profile_out}"
-        return text
-
-    _EXPERIMENTS["pipeline"] = _pipeline_cli
-    _EXPERIMENTS["verify"] = lambda: format_verify(
-        run_verify_bench(
-            transactions=120, delta_transactions=10,
-            commit_transactions_per_thread=50,
-            workers=tuple(sorted({1, args.workers})),
-        )
-    )
-    _EXPERIMENTS["faults"] = lambda: format_faults(
-        run_faults_bench(kill=args.kill_mode, flight_dir=args.flight_dir)
-    )
-    _EXPERIMENTS["shard"] = lambda: format_shard(
-        run_shard_bench(shards=args.shards, concurrency=args.concurrency)
-    )
-    _EXPERIMENTS["server"] = lambda: _server_experiment(
-        clients=args.clients, kill=args.kill_mode
-    )
     if args.events_out:
         OBS.events.attach_file(args.events_out)
         OBS.events.enable()
-    if args.flight_dir:
-        from repro.obs.flight import FlightRecorder
-
-        FlightRecorder(args.flight_dir).install()
-    if args.obs_baseline:
-        run_obs_baseline(args.obs_baseline)
-        print(f"wrote {args.obs_baseline}")
-        return 0
-    if args.pipeline_baseline:
-        run_pipeline_baseline(args.pipeline_baseline, threads=args.concurrency)
-        print(f"wrote {args.pipeline_baseline}")
-        return 0
-    if args.verify_baseline:
-        run_verify_baseline(args.verify_baseline, workers=args.workers)
-        print(f"wrote {args.verify_baseline}")
-        return 0
-    if args.faults_baseline:
-        run_faults_baseline(args.faults_baseline, kill=args.kill_mode)
-        print(f"wrote {args.faults_baseline}")
-        return 0
-    if args.shard_baseline:
-        run_shard_baseline(
-            args.shard_baseline, shards=args.shards,
-            concurrency=args.concurrency,
-        )
-        print(f"wrote {args.shard_baseline}")
-        return 0
-    if args.server_baseline:
-        run_server_baseline(args.server_baseline, clients=args.clients)
-        print(f"wrote {args.server_baseline}")
-        return 0
     if args.telemetry:
         OBS.enable(metrics=True, tracing=False)
     selected = args.experiments or ["all"]
-    if "compare" in selected:
-        if len(selected) > 1:
-            parser.error("'compare' cannot be combined with experiments")
-        if not args.baseline:
-            parser.error("'compare' requires --baseline PATH")
-        from repro.obs.bench_compare import run_compare
-
-        report = run_compare(
-            args.baseline,
-            threshold_pct=args.threshold_pct,
-            warn_only=args.warn_only,
-            current_path=args.current,
-            rounds=args.compare_rounds,
-        )
-        print(report.render(show_info=args.show_info))
-        return report.exit_code
     unknown = [e for e in selected if e not in _EXPERIMENTS and e != "all"]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")

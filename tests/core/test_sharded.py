@@ -8,6 +8,7 @@ and the sharded HTTP surface (``/shards``, per-shard ``/healthz``).
 """
 
 import json
+import threading
 import urllib.error
 import urllib.request
 import zlib
@@ -188,6 +189,58 @@ class TestCrossShardVerification:
             # the deployment still seals and verifies.
             deployment.seal_super_block()
             assert deployment.verify().ok
+        finally:
+            deployment.close()
+
+    def test_concurrent_commits_on_every_shard_verify(self, tmp_path):
+        """Two threads commit at once into tables owned by different
+        shards, so both shard pipelines close blocks concurrently; the
+        sealed super-block still verifies and re-derives its root."""
+        deployment = ShardedLedger.open(str(tmp_path / "db"), shards=2,
+                                        block_size=4)
+        try:
+            owners = {}
+            candidate = 0
+            while len(owners) < 2:
+                name = f"t{candidate}"
+                candidate += 1
+                owners.setdefault(deployment.shard_index_for_table(name), name)
+            for name in owners.values():
+                deployment.sql(
+                    f"CREATE TABLE {name} (id INT PRIMARY KEY, v INT) "
+                    "WITH (LEDGER = ON)"
+                )
+            errors = []
+            barrier = threading.Barrier(len(owners))
+
+            def commit_rows(table):
+                try:
+                    barrier.wait()
+                    for i in range(8):
+                        deployment.insert(table, [(i, i * 10)])
+                except BaseException as exc:  # re-raised on the main thread
+                    errors.append(exc)
+
+            workers = [
+                threading.Thread(target=commit_rows, args=(name,))
+                for name in owners.values()
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            if errors:
+                raise errors[0]
+
+            deployment.seal_super_block()
+            report = deployment.verify()
+            assert report.ok, report.summary()
+            assert report.root_check["root_match"]
+            heights = [
+                shard["chain_height"]
+                for shard in deployment.status()["shards"].values()
+            ]
+            assert len(heights) == 2 and all(h >= 0 for h in heights)
         finally:
             deployment.close()
 

@@ -221,6 +221,50 @@ class TestChainTampering:
                 for e in db.ledger.transactions_in_block(row[1])
             )
 
+    def test_sealed_block_that_cannot_chain_is_reported_not_raised(
+        self, tmp_path
+    ):
+        """Verification closes sealed blocks before it looks; one whose
+        predecessor no longer reads stays unclosed, and the run reports the
+        unreadable block instead of raising out of the snapshot."""
+        from repro.core.database_ledger import BLOCKS_TABLE
+        from repro.core.ledger_database import LedgerDatabase
+        from repro.engine.clock import LogicalClock
+
+        db = LedgerDatabase.open(
+            str(tmp_path / "db"), block_size=2, clock=LogicalClock()
+        )
+        try:
+            db.pipeline.stop(drain=False)
+            db.create_ledger_table(accounts_schema())
+            for i in range(3):
+                run(db, "a", lambda t, i=i: db.insert(
+                    t, "accounts", [[f"u{i}", i]]))
+            db.pipeline.drain(seal_open=False)
+            assert [b.block_id for b in db.ledger.blocks()] == [0, 1]
+            blocks_table = db.engine.table(BLOCKS_TABLE)
+            blocks_table.heap.tamper_record(
+                blocks_table.seek([1])[0], b"\x00\x04junk"
+            )
+            for i in range(3, 6):
+                run(db, "a", lambda t, i=i: db.insert(
+                    t, "accounts", [[f"u{i}", i]]))
+            sealed = db.ledger.sealed_pending()
+            assert sealed > 0
+
+            report = db.verify([])
+            assert not report.ok
+            assert any(
+                f.context.get("block_id") == 1 for f in report.errors
+            ), report.summary()
+            assert db.verify([], parallelism=2).findings == report.findings
+            # The block stays sealed, and nothing crashed or restarted.
+            assert db.ledger.sealed_pending() == sealed
+            stats = db.pipeline.stats()
+            assert stats["builder_errors"] == stats["restarts"] == 0
+        finally:
+            db.simulate_crash()
+
 
 class TestIndexTampering:
     def test_nonclustered_index_tamper_detected(self, db):

@@ -1,7 +1,7 @@
 """Crash-recovery torture drills as part of the regular suite.
 
 The full matrix runs in CI's crash-torture job and via
-``python -m repro.workloads.harness faults``; here a representative slice
+``python -m repro.faults.torture [--kill]``; here a representative slice
 keeps every driver and both crash modes exercised on each test run.
 """
 

@@ -1,6 +1,7 @@
 """Micro-benchmark substrate and experiment harness smoke tests."""
 
 import datetime as dt
+import math
 
 import pytest
 
@@ -55,6 +56,7 @@ class TestHarness:
     """Small-size smoke runs: every experiment must produce sane output."""
 
     def test_fig9_is_monotone(self):
+        # run_fig9 asserts report.ok for the ledger of every size.
         results = harness.run_fig9(transaction_counts=(20, 60))
         assert results[0][1] < results[1][1] * 1.5
         text = harness.format_fig9(results)
@@ -62,32 +64,30 @@ class TestHarness:
 
     def test_blockchain_comparison_shape(self):
         results = harness.run_blockchain_comparison(transactions=60)
-        assert (
-            results["sql_ledger"]["throughput_tps"]
-            > results["blockchain"]["throughput_tps"]
-        )
-        assert (
-            results["sql_ledger"]["mean_latency_ms"]
-            < results["blockchain"]["mean_latency_ms"]
-        )
+        ledger, chain = results["sql_ledger"], results["blockchain"]
+        # Paper: >20x the throughput of Fabric at far lower latency.  The
+        # baseline's simulated network delays keep this robust to noise.
+        assert ledger["throughput_tps"] > 20 * chain["throughput_tps"]
+        assert ledger["mean_latency_ms"] * 20 < chain["mean_latency_ms"]
         assert "SQL Ledger" in harness.format_blockchain(results)
 
     def test_merkle_ablation_space_bound(self):
-        results = harness.run_merkle_ablation(leaf_counts=(1000,))
-        (count, _, state, _, nodes) = results[0]
-        assert state <= 11  # ceil(log2(1000)) + 1
-        assert nodes == 2000
+        results = harness.run_merkle_ablation(leaf_counts=(1000, 10_000))
+        for count, _, state, _, nodes in results:
+            assert state <= math.ceil(math.log2(count)) + 1
+            assert nodes == 2 * count  # every level is materialized
         assert "Ablation" in harness.format_merkle_ablation(results)
 
     def test_block_size_ablation_runs(self):
         results = harness.run_block_size_ablation(
-            block_sizes=(5, 50), transactions=40
+            block_sizes=(10, 1000), transactions=40
         )
         by_size = {row[0]: row for row in results}
-        assert by_size[5][4] > by_size[50][4]  # more blocks at smaller size
+        assert by_size[10][4] > by_size[1000][4]  # more blocks at smaller size
         assert "block size" in harness.format_block_size_ablation(results).lower()
 
     def test_receipts_ablation_amortization(self):
+        # run_receipts_ablation asserts that every receipt it issued verifies.
         results = harness.run_receipts_ablation(transactions=12)
         assert results["amortized_receipts_per_s"] > 0
         assert results["naive_signatures_per_s"] > 0
