@@ -42,17 +42,8 @@ commands use a backslash prefix:
                           /events /ledger); port 0 = ephemeral
     \\events [n]           show the last n structured ledger events (default 20)
     \\checkpoint           checkpoint the database
-    \\shards               sharded mode: per-shard chain height, queue depth,
-                          digest lag and the super-chain height
     \\help                 this text
     \\quit                 exit
-
-``--shards N`` opens (or creates) a *sharded* deployment instead: N
-independent ledger partitions routed by table name under one Merkle
-super-chain (see :mod:`repro.core.sharded`).  Statements are routed to the
-owning shard, ``\\digest`` seals a super-block, ``\\verify`` runs the
-cross-shard verification, and ``\\serve`` exposes ``/shards`` plus a
-per-shard ``/healthz``.
 """
 
 from __future__ import annotations
@@ -99,9 +90,8 @@ def _print_rows(rows) -> None:
 
 
 class Shell:
-    def __init__(self, db: Optional[LedgerDatabase], sharded=None) -> None:
+    def __init__(self, db: LedgerDatabase) -> None:
         self.db = db
-        self.sharded = sharded
         self.digests = []
 
     def run_command(self, line: str) -> bool:
@@ -110,25 +100,7 @@ class Shell:
         command = parts[0].lower() if parts else "help"
         if command in ("quit", "exit", "q"):
             return False
-        if self.sharded is not None and command in (
-            "digest", "verify", "tables", "shards", "serve", "monitor",
-            "checkpoint", "history",
-        ):
-            return self._run_sharded_command(command, parts[1:])
-        if self.sharded is not None and command in (
-            "receipt", "ops", "blackbox",
-        ):
-            print(
-                f"\\{command} is per-shard: open the shard directory "
-                "directly (e.g. shard-00/) to use it"
-            )
-            return True
-        if command == "shards":
-            print(
-                "single-ledger mode: open with --shards N for a sharded "
-                "deployment"
-            )
-        elif command == "digest":
+        if command == "digest":
             digest = self.db.generate_digest()
             self.digests.append(digest)
             print(digest.to_json())
@@ -207,91 +179,6 @@ class Shell:
             print("checkpoint complete")
         else:
             print(__doc__)
-        return True
-
-    def _run_sharded_command(self, command: str, args: List[str]) -> bool:
-        """Sharded-mode variants of the ledger commands."""
-        sharded = self.sharded
-        if command == "shards":
-            status = sharded.status()
-            rows = [
-                {
-                    "shard": name,
-                    "chain_height": stats["chain_height"],
-                    "open_block": stats["open_block_id"],
-                    "queue_depth": stats["queue_depth"],
-                    "sealed_pending": stats["sealed_blocks_pending"],
-                    "digest_lag": stats["digest_lag"],
-                }
-                for name, stats in sorted(status["shards"].items())
-            ]
-            _print_rows(rows)
-            print(f"super-chain height: {status['super_chain_height']}")
-        elif command == "digest":
-            block = sharded.seal_super_block()
-            import json as _json
-
-            document = block.to_dict()
-            document["super_hash"] = block.super_hash().hex()
-            print(_json.dumps(document, indent=2))
-        elif command == "verify":
-            parallelism = 1
-            if "--parallel" in args:
-                position = args.index("--parallel")
-                parallelism = int(args[position + 1])
-            print(sharded.verify(parallelism=parallelism).summary())
-        elif command == "tables":
-            rows = []
-            for index, db in enumerate(sharded.shards):
-                for info in db.engine.catalog.tables():
-                    rows.append(
-                        {
-                            "shard": db.context.name,
-                            "table": info.name,
-                            "role": info.options.get("role") or "regular",
-                            "type": info.options.get("ledger_type") or "",
-                        }
-                    )
-            _print_rows(rows)
-        elif command == "history" and args:
-            _print_rows(sharded.route(args[0]).ledger_view(args[0]))
-        elif command == "serve":
-            server = sharded.start_obs_server(
-                port=int(args[0]) if args else 0
-            )
-            print(
-                f"observability endpoint listening on {server.url} "
-                "(/shards for the per-shard summary)"
-            )
-        elif command == "monitor":
-            action = args[0].lower() if args else "status"
-            if action == "start":
-                interval = (
-                    float(args[1]) if len(args) > 1
-                    and not args[1].startswith("--") else 5.0
-                )
-                sharded.start_monitors(interval=interval)
-                monitor = sharded.start_super_monitor(interval=interval)
-                print(
-                    f"per-shard monitors + super-chain cross-check running "
-                    f"every {monitor.interval}s"
-                )
-            elif action == "stop":
-                sharded.stop_super_monitor()
-                for db in sharded.shards:
-                    db.stop_monitor()
-                print("monitors stopped")
-            else:
-                monitor = sharded.super_monitor
-                if monitor is None:
-                    print("super-chain monitor is not running")
-                else:
-                    for key, value in monitor.status().items():
-                        print(f"  {key:<24} {value}")
-        elif command == "checkpoint":
-            for db in sharded.shards:
-                db.checkpoint()
-            print(f"checkpointed {sharded.shard_count} shards")
         return True
 
     def _run_profile(self, args: List[str]) -> None:
@@ -423,8 +310,7 @@ class Shell:
         print(render_span_tree(statements[-count:]))
 
     def run_sql(self, statement: str) -> None:
-        target = self.sharded if self.sharded is not None else self.db
-        _print_rows(target.sql(statement))
+        _print_rows(self.db.sql(statement))
 
     def repl(self) -> None:
         print("SQL Ledger shell — \\help for commands, \\quit to exit")
@@ -473,33 +359,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="ledger block size for a new database",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="open a sharded deployment with N ledger partitions routed "
-             "by table name under one Merkle super-chain (fixed at "
-             "creation; reopening uses the stored count)",
-    )
-    parser.add_argument(
         "--no-telemetry", action="store_true",
         help="leave metrics and tracing disabled (\\stats will be empty)",
     )
     args = parser.parse_args(argv)
     if not args.no_telemetry:
         OBS.enable()
-    import os as _os
-
-    sharded = None
-    db = None
-    meta_path = _os.path.join(args.database, "sharded.json")
-    if args.shards is not None or _os.path.exists(meta_path):
-        from repro.core.sharded import ShardedLedger
-
-        sharded = ShardedLedger.open(
-            args.database, shards=args.shards, block_size=args.block_size
-        )
-        shell = Shell(None, sharded=sharded)
-    else:
-        db = LedgerDatabase.open(args.database, block_size=args.block_size)
-        shell = Shell(db)
+    db = LedgerDatabase.open(args.database, block_size=args.block_size)
+    shell = Shell(db)
     if args.command:
         for statement in args.command:
             try:
@@ -510,12 +377,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             except (ReproError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-        (sharded or db).close()
+        db.close()
         return 0
     try:
         shell.repl()
     finally:
-        (sharded or db).close()
+        db.close()
     return 0
 
 

@@ -9,8 +9,8 @@ from repro.attacks.tamper import (
     delete_history_row,
     drop_and_recreate_table,
     fork_block,
+    rewrite_chain,
     rewrite_row_value,
-    rewrite_shard_chain,
     tamper_column_type,
     tamper_nonclustered_index,
     tamper_transaction_entry,
@@ -24,7 +24,7 @@ __all__ = [
     "tamper_nonclustered_index",
     "tamper_transaction_entry",
     "fork_block",
-    "rewrite_shard_chain",
+    "rewrite_chain",
     "drop_and_recreate_table",
     "tamper_view_definition",
 ]

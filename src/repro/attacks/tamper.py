@@ -17,6 +17,7 @@ attack                                    caught by
 :func:`tamper_nonclustered_index`         invariant 5 (index equivalence)
 :func:`tamper_transaction_entry`          invariant 3 (block transaction roots)
 :func:`fork_block`                        invariants 1-2 (digests + chain)
+:func:`rewrite_chain`                     invariant 1 (any earlier digest)
 :func:`drop_and_recreate_table`           auditable via the table-operations
                                           view (Figure 6); data verifies per
                                           table id
@@ -166,18 +167,16 @@ def fork_block(db, block_id: int) -> None:
     table.heap.tamper_record(rid, encode_record(table.schema, tuple(evil)))
 
 
-def rewrite_shard_chain(db, shift_seconds: int = 7) -> int:
+def rewrite_chain(db, shift_seconds: int = 7) -> int:
     """Rewrite an *entire* block chain self-consistently.
 
     Unlike :func:`fork_block`, this adversary does the full job: every
     closed block's ``closed_time`` is shifted and the ``previous_block_hash``
     chain is recomputed from the first block forward, so the rewritten
     chain passes invariant 2 and a digest generated *after* the rewrite
-    verifies cleanly.  Within one database this attack is invisible to
-    verification — which is exactly why a sharded deployment cross-checks
-    each shard's sealed tip against the Merkle super-chain
-    (:mod:`repro.core.super_chain`): the rewritten tip hash no longer
-    matches the one sealed in earlier super-blocks.
+    verifies cleanly.  Any digest issued *before* the rewrite catches it
+    (invariant 1): the block it names no longer hashes to the value it
+    recorded — which is why digests go to immutable storage (§3.4).
 
     Returns the number of blocks rewritten.
     """

@@ -450,12 +450,10 @@ class LedgerClient:
         return self._request({"op": "digest"}, timeout, idempotent=True)
 
     def receipt(
-        self, tid: int, shard: int = 0, timeout: Optional[float] = None
+        self, tid: int, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         return self._request(
-            {"op": "receipt", "tid": tid, "shard": shard},
-            timeout,
-            idempotent=True,
+            {"op": "receipt", "tid": tid}, timeout, idempotent=True
         )
 
     def discard_connections(self) -> None:

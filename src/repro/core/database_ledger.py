@@ -219,9 +219,9 @@ class DatabaseLedger:
         #: Stage locks.  ``storage_lock`` is shared with every consumer of
         #: the (single-threaded) storage engine via LedgerDatabase/pipeline.
         #: Instrumented: wait/hold/contention per lock show up under
-        #: ``lock_*_seconds{lock="ledger.*"}`` and on ``/locks``.  Named
-        #: ledgers (shards) get a ``@name`` suffix so side-by-side ledgers
-        #: never collide in the lock registry.
+        #: ``lock_*_seconds{lock="ledger.*"}`` and on ``/locks``.  A second
+        #: ledger open in the same process gets a ``@name`` suffix so
+        #: side-by-side ledgers never collide in the lock registry.
         self.storage_lock = InstrumentedRLock(
             ctx.scoped("ledger.storage"), metrics=ctx.metrics
         )

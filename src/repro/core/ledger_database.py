@@ -80,12 +80,11 @@ class LedgerDatabase:
         engine: Database,
         hooks: LedgerHooks,
         ledger: DatabaseLedger,
-        ctx: Optional[LedgerContext] = None,
     ) -> None:
         self.engine = engine
         self.hooks = hooks
         self.ledger = ledger
-        self._ctx = ctx if ctx is not None else ledger.context
+        self._ctx = ledger.context
         self._owns_instance_name = False
         #: Stage 3 of the commit pipeline: the background block builder and
         #: the ``drain()`` barrier (started by :meth:`open`).
@@ -135,30 +134,21 @@ class LedgerDatabase:
         block_size: Optional[int] = None,
         clock: Optional[Callable[[], dt.datetime]] = None,
         sync: bool = False,
-        ctx: Optional[LedgerContext] = None,
-        instance: Optional[str] = None,
     ) -> "LedgerDatabase":
         """Open (bootstrapping or recovering) a ledger database at ``path``.
 
-        ``ctx`` supplies a pre-built instance scope (shards pass one in);
-        otherwise a name is claimed automatically — the first open in a
+        The instance name is claimed automatically: the first open in a
         process gets the bare default scope, concurrent extras get ``i2``,
-        ``i3`` … so their locks and thread roles never collide.  Pass
-        ``instance`` to pick the name explicitly.
+        ``i3`` … so their locks and thread roles never collide.
         """
-        owns_name = False
-        if ctx is None:
-            name = claim_instance_name(instance)
-            ctx = LedgerContext(name=name)
-            owns_name = True
+        ctx = LedgerContext(name=claim_instance_name())
         try:
             hooks = LedgerHooks(ctx=ctx)
             engine = Database.open(
                 path, hooks=hooks, clock=clock, sync=sync, ctx=ctx
             )
         except Exception:
-            if owns_name:
-                release_instance_name(ctx.name)
+            release_instance_name(ctx.name)
             raise
         fresh = not engine.has_table(CONFIG_TABLE)
         effective_block_size = block_size or FACADE_DEFAULT_BLOCK_SIZE
@@ -170,8 +160,8 @@ class LedgerDatabase:
             engine, block_size=effective_block_size, ctx=ctx
         )
         hooks.bind(engine, ledger)
-        db = cls(engine, hooks, ledger, ctx=ctx)
-        db._owns_instance_name = owns_name
+        db = cls(engine, hooks, ledger)
+        db._owns_instance_name = True
         if fresh:
             db._bootstrap(effective_block_size)
         else:
@@ -767,10 +757,8 @@ class LedgerDatabase:
     def telemetry(self):
         """This instance's :class:`repro.obs.Telemetry`.
 
-        Resolved through the instance context — the default context wraps
-        the process-wide singleton (like a Prometheus default registry), so
-        a plain ``open()`` behaves exactly as before, while shards can carry
-        their own Telemetry.
+        Resolved through the instance context, which always holds the
+        process-wide singleton (like a Prometheus default registry).
         """
         return self._ctx.obs
 

@@ -67,14 +67,10 @@ class ImmutableBlobStorage:
     def __init__(
         self,
         root: str,
-        faults=None,
         compress: bool = True,
         compression_level: int = DEFAULT_COMPRESSION_LEVEL,
     ) -> None:
         self._root = root
-        #: Fault registry to fire through; per-shard stores pass their own
-        #: so arming ``blob.put`` for one shard leaves neighbours untouched.
-        self._faults = faults if faults is not None else FAULTS
         self._compress = compress
         self._compression_level = compression_level
         self._stats_lock = threading.Lock()
@@ -107,7 +103,7 @@ class ImmutableBlobStorage:
             raise ImmutabilityViolationError(
                 f"blob {container}/{name} already exists and is immutable"
             )
-        self._faults.fire("blob.put", container=container, blob=name)
+        FAULTS.fire("blob.put", container=container, blob=name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # Unique per process and per call, so a crashed upload's leftover
         # temp file never collides with the retry.
@@ -119,7 +115,7 @@ class ImmutableBlobStorage:
         crashed = False
         try:
             with os.fdopen(fd, "wb") as f:
-                if self._faults.triggered(
+                if FAULTS.triggered(
                     "blob.torn_upload", container=container, blob=name
                 ):
                     # A dead process runs no cleanup: the torn temp file is

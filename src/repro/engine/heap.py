@@ -181,9 +181,8 @@ class HeapFile:
     ) -> Tuple[int, int]:
         """Write all pages to ``path`` atomically (write-then-rename).
 
-        ``faults`` is the fault registry to fire through; callers on the
-        checkpoint path pass their instance's registry so arming a fault for
-        one shard never crashes a neighbour's flush.
+        ``faults`` is the fault registry to fire through (the checkpoint
+        path passes its database context's; default ``FAULTS``).
 
         Images are zlib-compressed per page by default (``SLHZ`` magic);
         ``compress=False`` writes the legacy fixed-size ``SLHF`` layout.

@@ -29,12 +29,11 @@ triggering — a dead process does not come back until the harness resets.
 
 Fault-point *registration* is process-wide — points live in modules that
 predate any database instance, exactly like metric families — but arming
-state and hit accounting are **per registry instance**.  The process-default
-registry (``repro.faults.FAULTS``) serves the shell/CLI convenience path;
-sharded deployments give each shard its own :class:`FaultRegistry` so the
-torture harness can crash one shard without touching its neighbours.  All
-bookkeeping is thread-safe; triggers are counted per point and every trigger
-emits a ``fault.injected`` event so torture runs leave an audit trail.
+state and hit accounting are **per registry instance**.  Every database
+fires into the process-default registry (``repro.faults.FAULTS``); tests
+build private ones.  All bookkeeping is thread-safe; triggers are counted
+per point and every trigger emits a ``fault.injected`` event so torture runs
+leave an audit trail.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import InjectedCrashError, InjectedFaultError
+from repro.obs import OBS
 
 #: Valid values for ``arm(action=...)``.
 ACTIONS = ("fail", "crash", "exit")
@@ -91,25 +91,10 @@ _CATALOG_LOCK = threading.Lock()
 class FaultRegistry:
     """Named fault points, arming state, and per-point hit accounting."""
 
-    def __init__(self, events: Optional[Any] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._armed: Dict[str, _ArmedFault] = {}
         self._stats: Dict[str, _PointStats] = {}
-        #: Event sink for ``fault.injected``; defaults (lazily) to the
-        #: process-wide OBS event log so the singleton path is unchanged.
-        self._events = events
-
-    def _emit_sink(self) -> Any:
-        if self._events is None:
-            from repro.obs import OBS
-
-            self._events = OBS.events
-        return self._events
-
-    def set_events(self, events: Any) -> None:
-        """Install the event sink (used when a context is built after the
-        registry, e.g. per-shard registries wrapped in scoped event logs)."""
-        self._events = events
 
     # ------------------------------------------------------------------
     # Registration (done at import time by each instrumented module)
@@ -264,7 +249,7 @@ class FaultRegistry:
     def _emit(
         self, name: str, spec: _ArmedFault, context: Dict[str, Any]
     ) -> None:
-        self._emit_sink().emit(
+        OBS.events.emit(
             "fault", "fault.injected",
             point=name, action=spec.action, trigger=spec.triggers,
             **{k: v for k, v in context.items() if isinstance(v, (str, int, float, bool))},

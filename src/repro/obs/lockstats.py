@@ -99,9 +99,9 @@ class _InstrumentedBase:
     """Shared bookkeeping for both lock flavours.
 
     ``metrics`` is the :class:`~repro.obs.metrics.MetricsRegistry` the lock
-    reports into; it defaults to the process-wide one.  Sharded deployments
-    keep a single shared registry and disambiguate via scoped lock *names*
-    (``ledger.storage@s1``), which become distinct ``lock=`` label values.
+    reports into; it defaults to the process-wide one.  Databases open side
+    by side share it and disambiguate via scoped lock *names*
+    (``ledger.storage@i2``), which become distinct ``lock=`` label values.
     """
 
     def __init__(self, name: str, metrics=None) -> None:

@@ -20,16 +20,7 @@ scrapers and dashboards:
 * ``GET /profile?seconds=N&hz=H`` — runs the sampling profiler for N
   seconds (default 2, capped at 60) and returns role totals, the top-N
   self-time frames and the folded stacks; ``format=folded`` returns the
-  collapsed-stack text directly for piping into flamegraph tooling;
-* ``GET /shards`` — sharded deployments: per-shard chain height, queue
-  depth, sealed-block backlog and super-chain coverage lag, plus the
-  super-chain height; a single (unsharded) database reports itself as one
-  pseudo-shard so dashboards can scrape the same path either way.
-
-When constructed with ``sharded=`` (a :class:`repro.core.sharded.
-ShardedLedger`), ``/healthz`` reports *per-shard* verdicts — one rewritten
-shard turns the overall status (and HTTP 503) while its neighbours still
-read ``ok`` — and ``/ledger`` summarizes every shard.
+  collapsed-stack text directly for piping into flamegraph tooling.
 
 The server binds 127.0.0.1 by default and serves from a daemon thread;
 ``port=0`` picks an ephemeral port (read back via :attr:`port`), which is
@@ -64,10 +55,8 @@ class ObservabilityServer:
         metrics=None,
         host: str = "127.0.0.1",
         port: int = 0,
-        sharded=None,
     ) -> None:
         self._db = db
-        self._sharded = sharded
         self._monitor = monitor
         self._event_log = event_log if event_log is not None else OBS.events
         self._metrics = metrics if metrics is not None else OBS.metrics
@@ -169,8 +158,6 @@ class ObservabilityServer:
                         self._send_json(200, server._render_traces(query))
                     elif parsed.path == "/locks":
                         self._send_json(200, server._render_locks())
-                    elif parsed.path == "/shards":
-                        self._send_json(200, server._render_shards())
                     elif parsed.path == "/profile":
                         body = server._render_profile(query)
                         if isinstance(body, str):
@@ -217,8 +204,6 @@ class ObservabilityServer:
         the body names the dead thread with its last error.  ``ok`` (200)
         otherwise.
         """
-        if self._sharded is not None:
-            return self._render_sharded_health()
         monitor = self._resolve_monitor()
         body: Dict[str, Any] = {}
         problems = []
@@ -264,38 +249,6 @@ class ObservabilityServer:
             return 503, body
         body["status"] = "ok"
         return 200, body
-
-    def _render_sharded_health(self):
-        """Per-shard verdicts: one tampered shard 503s without smearing
-        its healthy neighbours — each shard keeps its own status line."""
-        body = self._sharded.health()
-        status = 200 if body["status"] == "ok" else 503
-        return status, body
-
-    def _render_shards(self) -> Dict[str, Any]:
-        """Per-shard chain/queue/lag summary plus the super-chain height."""
-        if self._sharded is not None:
-            return self._sharded.status()
-        if self._db is None:
-            return {"error": "no database attached"}
-        # A single database renders as one pseudo-shard, so dashboards can
-        # scrape /shards without caring how the deployment is laid out.
-        ledger = self._db.ledger
-        name = getattr(self._db, "context", None)
-        shard = name.name if name is not None and name.name else "single"
-        return {
-            "shard_count": 1,
-            "shards": {
-                shard: {
-                    "chain_height": ledger.closed_block_height,
-                    "open_block_id": ledger.open_block_id,
-                    "queue_depth": ledger.pending_entries,
-                    "sealed_blocks_pending": ledger.sealed_pending(),
-                    "digest_lag": None,
-                }
-            },
-            "super_chain_height": -1,
-        }
 
     def _render_events(self, query) -> Dict[str, Any]:
         def _first(key: str) -> Optional[str]:
@@ -426,8 +379,6 @@ class ObservabilityServer:
         counters, so a long-running verification or SQL statement never
         stalls dashboard reads.
         """
-        if self._db is None and self._sharded is not None:
-            return self._sharded.status()
         if self._db is None:
             return {"error": "no database attached"}
         monitor = self._resolve_monitor()

@@ -1,20 +1,17 @@
-"""Instance-scoped runtime context: obs + faults bundled per database.
+"""Instance-scoped runtime context: one database's name, obs and faults.
 
-Historically every instrumented module reached for the process-wide
-``repro.obs.OBS`` and ``repro.faults.FAULTS`` singletons.  That breaks the
-moment two ledgers share a process — shard A's lock waits land in shard B's
-``lock_wait_seconds{lock=ledger.storage}`` series, the profiler's role
-registry can only hold one "block-builder", and arming a fault for one
-shard's torture run crashes them all.
+Two ledgers open in one process must not collide: without scoping, B's
+lock waits land in A's ``lock_wait_seconds{lock=ledger.storage}`` series
+and the profiler's role registry can only hold one "block-builder".
 
-:class:`LedgerContext` is the fix: a small bundle of telemetry + fault
-registry + instance name that is threaded through engine → core → pipeline →
-obs → faults at construction time.  The *default* context wraps the familiar
-process-wide singletons, so a plain ``LedgerDatabase.open(path)`` (the shell
-and CLI convenience path) behaves exactly as before — bare lock names, bare
-thread roles, no ``shard=`` event field.  Named contexts (shards, or a second
-database opened while the first is still up) suffix every lock name and
-thread role with ``@<name>`` and stamp ``shard=<name>`` on emitted events.
+:class:`LedgerContext` is a small bundle of instance name + telemetry +
+fault registry threaded through engine → core → pipeline → obs → faults at
+construction time.  Telemetry and faults are always the process-wide
+``repro.obs.OBS`` and ``repro.faults.FAULTS``.  The first database open in a
+process gets the unnamed context — bare lock names, bare thread roles, no
+``instance=`` event field.  A second database opened while the first is
+still up gets a named context that suffixes every lock name and thread role
+with ``@<name>`` and stamps ``instance=<name>`` on emitted events.
 
 Instance names are claimed while a database is open and released on close:
 sequential open/close cycles in one process keep the bare default name, while
@@ -25,26 +22,26 @@ automatically.
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional
+from typing import Any
 
-from repro.faults import FAULTS, FaultRegistry
-from repro.obs import OBS, Telemetry
+from repro.faults import FAULTS
+from repro.obs import OBS
 
 
 class ScopedEvents:
-    """Event-log proxy stamping ``shard=<name>`` on every emitted event.
+    """Event-log proxy stamping ``instance=<name>`` on every emitted event.
 
     Everything except :meth:`emit` passes straight through to the wrapped
     :class:`~repro.obs.events.EventLog`, so consumers (monitor, server,
     flight recorder) can treat a scoped log exactly like a bare one.
     """
 
-    def __init__(self, events: Any, shard: str) -> None:
+    def __init__(self, events: Any, instance: str) -> None:
         self._events = events
-        self._shard = shard
+        self._instance = instance
 
     def emit(self, category: str, name: str, **fields: Any):
-        fields.setdefault("shard", self._shard)
+        fields.setdefault("instance", self._instance)
         return self._events.emit(category, name, **fields)
 
     def __getattr__(self, attr: str) -> Any:
@@ -54,15 +51,10 @@ class ScopedEvents:
 class LedgerContext:
     """One database instance's observability + fault-injection scope."""
 
-    def __init__(
-        self,
-        name: str = "",
-        obs: Optional[Telemetry] = None,
-        faults: Optional[FaultRegistry] = None,
-    ) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.obs = obs if obs is not None else OBS
-        self.faults = faults if faults is not None else FAULTS
+        self.obs = OBS
+        self.faults = FAULTS
         self._events = (
             ScopedEvents(self.obs.events, name) if name else self.obs.events
         )
@@ -106,18 +98,15 @@ _names_lock = threading.Lock()
 _open_names: set = set()
 
 
-def claim_instance_name(requested: Optional[str] = None) -> str:
+def claim_instance_name() -> str:
     """Reserve an instance name for a database being opened.
 
-    ``requested`` wins when given (shards pass ``s0``, ``s1`` …).  Otherwise
-    the bare default name ``""`` is handed out if no other default-named
+    The bare default name ``""`` is handed out if no other default-named
     instance is currently open; concurrent extras get ``i2``, ``i3`` …  The
     name must be released via :func:`release_instance_name` at close.
     """
     with _names_lock:
-        if requested is not None:
-            name = requested
-        elif "" not in _open_names:
+        if "" not in _open_names:
             name = ""
         else:
             n = 2

@@ -1,7 +1,7 @@
 """Network front-end for the ledger: a resilient multi-session server.
 
-``python -m repro.server <path>`` serves a :class:`LedgerDatabase` (or a
-sharded deployment) over length-prefixed JSON frames — see
+``python -m repro.server <path>`` serves one :class:`LedgerDatabase` over
+length-prefixed JSON frames — see
 :mod:`repro.server.protocol` for the wire format and
 :mod:`repro.server.ledger_server` for the admission-control / group-commit
 / degraded-mode machinery.  The matching client library lives in

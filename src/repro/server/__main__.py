@@ -28,10 +28,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-sessions", type=int, default=512)
     parser.add_argument("--max-group", type=int, default=64)
     parser.add_argument(
-        "--shards", type=int, default=0,
-        help="serve a sharded deployment with N shards (0 = single engine)",
-    )
-    parser.add_argument(
         "--sync", action="store_true",
         help="fsync WAL appends (group commit amortizes these)",
     )
@@ -42,19 +38,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.shards > 0:
-        from repro.core.sharded import ShardedLedger
+    from repro.core.ledger_database import LedgerDatabase
 
-        db = ShardedLedger.open(
-            args.path, shards=args.shards,
-            block_size=args.block_size, sync=args.sync,
-        )
-    else:
-        from repro.core.ledger_database import LedgerDatabase
-
-        db = LedgerDatabase.open(
-            args.path, block_size=args.block_size, sync=args.sync
-        )
+    db = LedgerDatabase.open(
+        args.path, block_size=args.block_size, sync=args.sync
+    )
     if args.monitor_interval > 0:
         db.start_monitor(interval=args.monitor_interval)
 

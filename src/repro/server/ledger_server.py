@@ -8,7 +8,7 @@ Architecture (one process, all stdlib)::
                                   worker pool (bounded) ◄─┘
                                        │
                          reads ────────┼──────── writes
-                     (lock-free        │    (GroupCommitter per shard:
+                     (lock-free        │    (one GroupCommitter:
                       SELECT, drain-   │     one storage-lock hold, ONE
                       bounded digest/  │     fsync per group; acked only
                       receipt)         │     after the group hardens)
@@ -175,7 +175,7 @@ class IdempotencyIndex:
 
 
 class _Session:
-    """One client connection: socket, reader thread, per-shard SQL state."""
+    """One client connection: socket, reader thread, SQL session state."""
 
     _ids = iter(range(1, 1 << 62))
     _ids_lock = threading.Lock()
@@ -191,7 +191,7 @@ class _Session:
         # Reentrant because a worker holding it for a request may hit a dead
         # socket in _respond and fall into _drop_session's cleanup sweep.
         self.exec_lock = threading.RLock()
-        self.sql_sessions: Dict[int, Any] = {}  # shard index -> SqlSession
+        self.sql_session: Optional[Any] = None  # SqlSession, made on first execute
         self.closed = threading.Event()
 
     def close(self) -> None:
@@ -218,11 +218,11 @@ class _Request:
 
 
 class LedgerServer:
-    """Serve a :class:`LedgerDatabase` or ``ShardedLedger`` over TCP."""
+    """Serve one :class:`LedgerDatabase` over TCP."""
 
     def __init__(
         self,
-        db,
+        db: LedgerDatabase,
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 4,
@@ -240,24 +240,16 @@ class LedgerServer:
             maxsize=max(1, int(queue_depth))
         )
         self._max_sessions = max(1, int(max_sessions))
-        # Normalize single vs sharded: a list of LedgerDatabase shards.
-        if isinstance(db, LedgerDatabase):
-            self._shards: List[LedgerDatabase] = [db]
-            self._sharded = None
-        else:  # ShardedLedger (duck-typed: .shards, routing helpers)
-            self._shards = list(db.shards)
-            self._sharded = db
-        ctx = self._shards[0].context
+        ctx = db.context
         self._ctx = ctx
         self._obs = ctx.obs
         self._faults = ctx.faults
         self._m = ctx.metrics.handles("server", _server_metrics)
         from repro.core.group_commit import GroupCommitter
 
-        self._committers = [
-            GroupCommitter(shard, max_group=max_group, max_wait=group_wait)
-            for shard in self._shards
-        ]
+        self._committer = GroupCommitter(
+            db, max_group=max_group, max_wait=group_wait
+        )
         self._idempotency = IdempotencyIndex()
         self._health_cache_seconds = health_cache_seconds
         self._tier_cache: Tuple[float, str] = (0.0, "ok")
@@ -352,8 +344,7 @@ class LedgerServer:
         for thread in self._worker_threads:
             thread.join(timeout=2.0)
         self._worker_threads.clear()
-        for committer in self._committers:
-            committer.close()
+        self._committer.close()
         self._ctx.events.emit(
             "server", "server.stopped", requests=self._requests_served
         )
@@ -489,9 +480,9 @@ class LedgerServer:
         # restart.  exec_lock serializes with any in-flight request on this
         # session (and is reentrant: _respond can land here mid-request).
         with session.exec_lock:
-            for sql_session in session.sql_sessions.values():
+            if session.sql_session is not None:
                 try:
-                    sql_session.abort()
+                    session.sql_session.abort()
                 except Exception:  # noqa: BLE001 — cleanup must not die
                     pass
         if self._obs.metrics.enabled:
@@ -660,26 +651,18 @@ class LedgerServer:
         return tier
 
     def _compute_tier(self) -> str:
-        tier = "ok"
-        for shard in self._shards:
-            monitor = shard.monitor
-            if monitor is not None and not monitor.healthy:
-                return "tamper-detected"
-            if monitor is not None and monitor.expected_running:
-                if not monitor.running:
-                    tier = "degraded"
-            pipeline = shard.pipeline
-            if pipeline.expected_running and not pipeline.running:
-                tier = "degraded"
-            if pipeline.stats()["supervisor_gave_up"]:
-                tier = "degraded"
-        if self._sharded is not None:
-            super_monitor = getattr(self._sharded, "monitor", None)
-            if super_monitor is not None and not getattr(
-                super_monitor, "healthy", True
-            ):
-                return "tamper-detected"
-        return tier
+        monitor = self._db.monitor
+        if monitor is not None and not monitor.healthy:
+            return "tamper-detected"
+        if monitor is not None and monitor.expected_running:
+            if not monitor.running:
+                return "degraded"
+        pipeline = self._db.pipeline
+        if pipeline.expected_running and not pipeline.running:
+            return "degraded"
+        if pipeline.stats()["supervisor_gave_up"]:
+            return "degraded"
+        return "ok"
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -733,29 +716,21 @@ class LedgerServer:
 
     # -- reads ---------------------------------------------------------
 
-    def _shard_for_table(self, table: str) -> LedgerDatabase:
-        if self._sharded is not None:
-            return self._sharded.route(table)
-        return self._shards[0]
-
-    def _shard_index_for_table(self, table: Optional[str]) -> int:
-        if self._sharded is None or table is None:
-            return 0
-        return self._sharded.shard_index_for_table(table)
-
     def _op_select(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        table = str(payload["table"])
-        db = self._shard_for_table(table)
-        rows = db.select(table)
+        rows = self._db.select(str(payload["table"]))
         return {"rows": protocol.jsonable(rows), "count": len(rows)}
 
-    def _remaining(self, request: _Request) -> float:
+    def _drain(self, request: _Request) -> None:
+        """Close every sealed block within the request's remaining budget."""
         remaining = request.deadline - time.monotonic()
         if remaining <= 0:
             raise RequestError(
                 DEADLINE_EXCEEDED, "deadline expired before the drain barrier"
             )
-        return remaining
+        try:
+            self._db.pipeline.drain(seal_open=True, timeout=remaining)
+        except LedgerError as exc:
+            raise RequestError(DEADLINE_EXCEEDED, str(exc)) from exc
 
     def _op_digest(
         self, payload: Dict[str, Any], request: _Request
@@ -765,17 +740,12 @@ class LedgerServer:
         # behind slow in-flight commits.
         import json as _json
 
-        digests = []
-        for db in self._shards:
-            try:
-                db.pipeline.drain(seal_open=True, timeout=self._remaining(request))
-            except LedgerError as exc:
-                raise RequestError(DEADLINE_EXCEEDED, str(exc)) from exc
-            digest = db.ledger.generate_digest(
-                db.database_guid, db.database_create_time
-            )
-            digests.append(_json.loads(digest.to_json()))
-        return {"digests": digests}
+        db = self._db
+        self._drain(request)
+        digest = db.ledger.generate_digest(
+            db.database_guid, db.database_create_time
+        )
+        return {"digests": [_json.loads(digest.to_json())]}
 
     def _op_receipt(
         self, payload: Dict[str, Any], request: _Request
@@ -783,13 +753,8 @@ class LedgerServer:
         import json as _json
 
         tid = int(payload["tid"])
-        shard_index = int(payload.get("shard", 0))
-        db = self._shards[shard_index]
-        try:
-            db.pipeline.drain(seal_open=True, timeout=self._remaining(request))
-        except LedgerError as exc:
-            raise RequestError(DEADLINE_EXCEEDED, str(exc)) from exc
-        receipt = generate_receipt(db, tid)
+        self._drain(request)
+        receipt = generate_receipt(self._db, tid)
         return {"receipt": _json.loads(receipt.to_json())}
 
     # -- writes --------------------------------------------------------
@@ -818,9 +783,7 @@ class LedgerServer:
         rows = payload["rows"]
         if not isinstance(rows, list) or not rows:
             raise RequestError(BAD_REQUEST, "rows must be a non-empty list")
-        shard_index = self._shard_index_for_table(table)
-        db = self._shards[shard_index]
-        committer = self._committers[shard_index]
+        db = self._db
         trace = self._obs.tracer.capture_context()
         tracer = self._obs.tracer
 
@@ -839,32 +802,24 @@ class LedgerServer:
                     except Exception:
                         pass
                     raise
-            result = {"tid": txn.tid, "rows": len(rows), "shard": shard_index}
+            result = {"tid": txn.tid, "rows": len(rows)}
             if commit_payload:
                 result["block"] = commit_payload.get("block")
                 result["ordinal"] = commit_payload.get("ordinal")
             return result
 
-        return committer.run(work)
+        return self._committer.run(work)
 
     def _op_execute(
         self, session: _Session, payload: Dict[str, Any], tier: str
     ) -> Dict[str, Any]:
         sql = str(payload["sql"])
         keyword = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
-        table = (
-            self._sharded.table_in_statement(sql)
-            if self._sharded is not None
-            else None
-        )
-        shard_index = self._shard_index_for_table(table)
-        db = self._shards[shard_index]
-        sql_session = session.sql_sessions.get(shard_index)
+        sql_session = session.sql_session
         if sql_session is None:
             from repro.sql.session import SqlSession
 
-            sql_session = SqlSession(db)
-            session.sql_sessions[shard_index] = sql_session
+            sql_session = session.sql_session = SqlSession(self._db)
         is_write = keyword in _WRITE_KEYWORDS or keyword in _TXN_KEYWORDS
         if not is_write:
             rows = sql_session.execute(sql)
@@ -884,7 +839,7 @@ class LedgerServer:
             return self._execute_result(sql_session, result)
 
         return self._idempotent_write(
-            payload, lambda: self._committers[shard_index].run(work)
+            payload, lambda: self._committer.run(work)
         )
 
     @staticmethod
@@ -902,39 +857,15 @@ class LedgerServer:
 
     def _health_result(self) -> Dict[str, Any]:
         tier = self._compute_tier()
-        shards = []
-        for db in self._shards:
-            stats = db.pipeline.stats()
-            monitor = db.monitor
-            shards.append(
-                {
-                    "name": db.context.name or "default",
-                    "builder_running": stats["running"],
-                    "builder_expected": stats["expected_running"],
-                    "monitor_healthy": (
-                        monitor.healthy if monitor is not None else None
-                    ),
-                }
-            )
+        stats = self._db.pipeline.stats()
+        monitor = self._db.monitor
         return {
             "status": tier,
             "writes": "shed" if tier != "ok" or self._stopping else "accepted",
-            "shards": shards,
+            "builder_running": stats["running"],
+            "builder_expected": stats["expected_running"],
+            "monitor_healthy": monitor.healthy if monitor is not None else None,
         }
-
-    def group_stats(self) -> Dict[str, Any]:
-        totals = {"groups": 0, "members": 0, "max_group_size": 0}
-        for committer in self._committers:
-            stats = committer.stats()
-            totals["groups"] += stats["groups"]
-            totals["members"] += stats["members"]
-            totals["max_group_size"] = max(
-                totals["max_group_size"], stats["max_group_size"]
-            )
-        totals["mean_group_size"] = (
-            totals["members"] / totals["groups"] if totals["groups"] else 0.0
-        )
-        return totals
 
     def stats(self) -> Dict[str, Any]:
         with self._sessions_lock:
@@ -948,7 +879,7 @@ class LedgerServer:
             "queue_capacity": self._queue.maxsize,
             "requests_served": self._requests_served,
             "shed": shed,
-            "group_commit": self.group_stats(),
+            "group_commit": self._committer.stats(),
             "idempotency_entries": len(self._idempotency),
             "tier": self._health_tier(),
             "stopping": self._stopping,

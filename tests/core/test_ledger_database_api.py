@@ -7,6 +7,8 @@ from repro.engine.clock import LogicalClock
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import INT, VARCHAR
 from repro.errors import LedgerConfigurationError
+from repro.obs import OBS
+from repro.obs.lockstats import registered_locks
 
 from tests.core.conftest import accounts_schema, run
 
@@ -102,3 +104,71 @@ class TestAppendOnlyTruncation:
         assert len(db.select("log")) == 10
         report = db.verify([db.generate_digest()])
         assert report.ok, report.summary()
+
+
+class TestInstanceScopedLabels:
+    """Regression for the label collision: two databases in one process
+    must not share lock names or thread-role tags."""
+
+    def test_two_databases_side_by_side(self, tmp_path):
+        # Earlier tests may have leaked claimed names (databases opened and
+        # never closed), so assert the collision-avoidance *relationship*,
+        # not exact names: concurrent instances always get distinct names
+        # and therefore distinct lock labels.
+        first = LedgerDatabase.open(str(tmp_path / "one"), block_size=4)
+        second = LedgerDatabase.open(str(tmp_path / "two"), block_size=4)
+        try:
+            assert first.context.name != second.context.name
+            first_lock = first.context.scoped("ledger.storage")
+            second_lock = second.context.scoped("ledger.storage")
+            assert first_lock != second_lock
+            assert second_lock == (
+                f"ledger.storage@{second.context.name}"
+                if second.context.name else "ledger.storage"
+            )
+            locks = registered_locks()
+            assert first_lock in locks
+            assert second_lock in locks
+
+            first.sql(
+                "CREATE TABLE a (id INT PRIMARY KEY) WITH (LEDGER = ON)"
+            )
+            second.sql(
+                "CREATE TABLE b (id INT PRIMARY KEY) WITH (LEDGER = ON)"
+            )
+            first.sql("INSERT INTO a VALUES (1)")
+            second.sql("INSERT INTO b VALUES (2)")
+            assert first.verify([first.generate_digest()]).ok
+            assert second.verify([second.generate_digest()]).ok
+        finally:
+            first_name = first.context.name
+            second.close()
+            first.close()
+        # Names are released at close: a fresh open reclaims the lowest
+        # free name — the one ``first`` just gave back.
+        third = LedgerDatabase.open(str(tmp_path / "three"), block_size=4)
+        try:
+            assert third.context.name == first_name
+        finally:
+            third.close()
+
+    def test_second_database_events_carry_its_instance_name(self, tmp_path):
+        OBS.reset()
+        OBS.events.enable()
+        # The first database never fills or seals a block, so every
+        # block.closed event below comes from the second.
+        first = LedgerDatabase.open(str(tmp_path / "one"))
+        second = LedgerDatabase.open(str(tmp_path / "two"), block_size=1)
+        try:
+            second.sql("CREATE TABLE b (id INT PRIMARY KEY) WITH (LEDGER = ON)")
+            second.sql("INSERT INTO b VALUES (1)")
+            second.pipeline.drain(seal_open=True)
+            closed = OBS.events.read(category="ledger", name="block.closed")
+            assert {e.payload.get("instance") for e in closed} == {
+                second.context.name
+            }
+        finally:
+            second.close()
+            first.close()
+            OBS.reset()
+            OBS.disable()

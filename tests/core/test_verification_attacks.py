@@ -10,16 +10,20 @@ from repro.attacks import (
     delete_history_row,
     drop_and_recreate_table,
     fork_block,
+    rewrite_chain,
     rewrite_row_value,
     tamper_column_type,
     tamper_nonclustered_index,
     tamper_transaction_entry,
     tamper_view_definition,
 )
+from repro.digests import DigestManager, ImmutableBlobStorage
 from repro.engine.expressions import eq
 from repro.engine.schema import IndexDefinition
 from repro.engine.types import SMALLINT
 from repro.errors import VerificationFailedError
+from repro.obs import OBS
+from repro.obs.monitor import ContinuousVerifier
 
 from tests.core.conftest import accounts_schema, run
 
@@ -264,6 +268,56 @@ class TestChainTampering:
             assert stats["builder_errors"] == stats["restarts"] == 0
         finally:
             db.simulate_crash()
+
+
+class TestSelfConsistentChainRewrite:
+    """:func:`rewrite_chain` recomputes every block hash, so only a digest
+    issued before the rewrite can tell the new chain from the old one."""
+
+    @pytest.fixture
+    def chain(self, db, accounts):
+        for i in range(9):
+            run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]]))
+        db.pipeline.drain(seal_open=True)
+        assert len(db.ledger.blocks()) >= 2
+        return db
+
+    def test_rewrite_chain_passes_a_digest_taken_after(self, chain):
+        rewrite_chain(chain)
+        report = chain.verify([chain.generate_digest()])
+        assert report.ok, (
+            "a self-consistent rewrite must pass a digest taken after it — "
+            "otherwise this drill tests nothing"
+        )
+
+    def test_rewrite_chain_fails_a_digest_uploaded_before(self, chain, tmp_path):
+        manager = DigestManager(
+            chain, ImmutableBlobStorage(str(tmp_path / "blobs"))
+        )
+        manager.upload_digest()
+        rewrite_chain(chain)
+        trusted = manager.digests_for_verification()
+
+        report = chain.verify(trusted)
+        assert findings_by_invariant(report) == {"digest"}, report.summary()
+        forked = chain.verify(trusted, parallelism=2)
+        assert forked.findings == report.findings
+
+    def test_rewrite_chain_trips_the_monitor_within_one_cycle(self, chain):
+        OBS.reset()
+        try:
+            monitor = ContinuousVerifier(
+                chain, interval=999.0, stderr_alerts=False
+            )
+            assert monitor.run_cycle() == "passed"
+            rewrite_chain(chain)
+            assert monitor.run_cycle() == "failed"
+            assert not monitor.healthy
+            events = OBS.events.read(category="tamper", name="tamper.detected")
+            assert [e.payload["source"] for e in events] == ["verification"]
+        finally:
+            OBS.reset()
+            OBS.disable()
 
 
 class TestIndexTampering:

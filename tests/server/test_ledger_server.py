@@ -13,9 +13,12 @@ import time
 
 import pytest
 
+from repro.attacks import rewrite_chain
 from repro.client import LedgerClient
+from repro.client.ledger_client import _Connection
 from repro.digests.digest_manager import RetryPolicy
 from repro.faults import FAULTS
+from repro.obs import OBS
 from repro.server import protocol
 from repro.server.ledger_server import LedgerServer
 from repro.server.protocol import (
@@ -24,6 +27,7 @@ from repro.server.protocol import (
     DEGRADED,
     SERVER_BUSY,
     SHUTTING_DOWN,
+    TAMPER_DETECTED,
     RequestError,
 )
 
@@ -176,6 +180,56 @@ class TestDegradedMode:
         assert {row["tag"] for row in rows} == {"pre"}
         assert client.health()["status"] == "degraded"
         client.close()
+
+
+class TestTamperDetected:
+    def test_rewrite_chain_refuses_data_ops_keeps_health(
+        self, server_db, server, client, monkeypatch
+    ):
+        tid = client.insert("items", [[f"t{i}", i] for i in range(9)])["tid"]
+        monitor = server_db.start_monitor(interval=999.0, stderr_alerts=False)
+        try:
+            assert monitor.wait_for(lambda: monitor.last_verdict == "passed")
+            rewrite_chain(server_db)
+            assert monitor.run_cycle() == "failed"
+            time.sleep(0.06)  # health tier cache expiry
+
+            attempts = []
+            real_request = _Connection.request
+
+            def counted(conn, payload, timeout):
+                attempts.append(payload["op"])
+                return real_request(conn, payload, timeout)
+
+            monkeypatch.setattr(_Connection, "request", counted)
+            data_ops = {
+                "insert": lambda: client.insert("items", [["late", 1]]),
+                "execute": lambda: client.execute("SELECT * FROM items"),
+                "execute-write": lambda: client.execute(
+                    "INSERT INTO items VALUES ('late', 1)"
+                ),
+                "select": lambda: client.select("items"),
+                "digest": lambda: client.digest(),
+                "receipt": lambda: client.receipt(tid),
+            }
+            for name, call in data_ops.items():
+                attempts.clear()
+                with pytest.raises(RequestError) as excinfo:
+                    call()
+                assert excinfo.value.code == TAMPER_DETECTED, name
+                assert excinfo.value.retryable is False, name
+                assert len(attempts) == 1, name
+
+            assert client.ping()
+            health = client.health()
+            assert health["status"] == "tamper-detected"
+            assert health["writes"] == "shed"
+            assert health["monitor_healthy"] is False
+            assert client.server_stats()["tier"] == "tamper-detected"
+        finally:
+            server_db.stop_monitor()
+            OBS.reset()
+            OBS.disable()
 
 
 class TestShutdown:
