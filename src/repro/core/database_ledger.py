@@ -244,6 +244,10 @@ class DatabaseLedger:
         self._pending: Dict[int, List[TransactionEntry]] = {}
         #: Cached highest closed block id (no storage scan; -1 when none).
         self._closed_height = -1
+        #: (block id, latest commit time among its entries) of the last
+        #: block closed — what the next digest names — so a digest decodes
+        #: no entry.  Empty after a restart until the first digest fills it.
+        self._tip_commit_time: Optional[Tuple[int, dt.datetime]] = None
         #: Pipeline wake-up: invoked when a sealed block becomes closable.
         self._sealed_ready_callback: Optional[Callable[[], None]] = None
         # Set after truncation: (last truncated block id, its hash).
@@ -596,6 +600,9 @@ class DatabaseLedger:
                     txn, table.schema.row_from_visible(block.to_row())
                 )
                 self._engine.commit(txn)
+                self._tip_commit_time = (
+                    block_id, max(entry.commit_time for entry in entries)
+                )
             if self._obs.metrics.enabled:
                 self._m.stage_seconds.labels("persist").observe(
                     time.perf_counter() - persist_started
@@ -760,10 +767,17 @@ class DatabaseLedger:
         return digest
 
     def _last_commit_time_in_block(self, block_id: int) -> dt.datetime:
+        """Served from the block close; read by key once after a restart."""
+        cached = self._tip_commit_time
+        if cached is not None and cached[0] == block_id:
+            return cached[1]
         entries = self.transactions_in_block(block_id)
         if not entries:
             raise DigestError(f"block {block_id} holds no transactions")
-        return max(entry.commit_time for entry in entries)
+        self._tip_commit_time = (
+            block_id, max(entry.commit_time for entry in entries)
+        )
+        return self._tip_commit_time[1]
 
     # ------------------------------------------------------------------
     # Queries over the chain

@@ -25,6 +25,7 @@ import os
 import shutil
 import threading
 import uuid
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core import system_columns as sc
@@ -95,9 +96,11 @@ class LedgerDatabase:
         self._signing_key = None
         #: Per receipted block, keyed ``(block id, block hash)``: its Merkle
         #: tree, leaf positions by transaction id, and the one signature all
-        #: its receipts share (§5.1).  Filled by ``generate_receipt``;
-        #: truncation evicts the blocks it removes.
-        self._receipt_block_cache: Dict[tuple, tuple] = {}
+        #: its receipts share (§5.1).  An LRU filled and bounded by
+        #: ``generate_receipt``; truncation evicts the blocks it removes.
+        self._receipt_block_cache: "OrderedDict[tuple, tuple]" = (
+            OrderedDict()
+        )
         self._sql_session = None
         self._monitor = None
         self._obs_server = None

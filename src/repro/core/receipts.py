@@ -23,6 +23,15 @@ from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.crypto.rsa import RsaPublicKey
 from repro.errors import ReceiptError
 
+#: Blocks whose receipt material stays cached per database, least recently
+#: receipted evicted first.  An entry holds the block's whole Merkle tree
+#: and a position per transaction — about 0.7 KB per transaction, so 16
+#: blocks are ~11 MB at the default 1 000-transaction block, and stay so on
+#: a server that receipts for weeks.  Receipts are asked for right after
+#: commit, so a few recent blocks take nearly every hit; a miss costs one
+#: block's entries read by key, its tree and one signature.
+_RECEIPT_BLOCKS_CACHED = 16
+
 
 @dataclass(frozen=True)
 class TransactionReceipt:
@@ -111,6 +120,10 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
         signature = db.signing_key().sign(header.block_hash())
         cached = (tree, positions, signature)
         cache[cache_key] = cached
+        while len(cache) > _RECEIPT_BLOCKS_CACHED:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(cache_key)
     tree, positions, signature = cached
     position = positions.get(transaction_id)
     if position is None:

@@ -158,6 +158,9 @@ def _purge_history(db, cutoff_tid: int) -> int:
             for rid in targets:
                 history.delete_row(txn, rid)
         db.commit(txn)
+        # A purge can empty most of the table, and a dict never shrinks:
+        # rebuild the derived indexes from what is left, on next use.
+        history.drop_key_indexes()
         removed += len(targets)
     return removed
 
@@ -184,6 +187,7 @@ def _drop_chain_prefix(db, through_block: int, truncated_tids: Set[int]):
     for rid in block_rids:
         blocks.delete_row(txn, rid)
     db.commit(txn)
+    transactions.drop_key_indexes()  # as after a history purge
     return len(entry_rids), len(block_rids)
 
 

@@ -40,13 +40,34 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
 * **Incremental mode** (``mode="incremental"`` + a
   :class:`repro.core.verify_checkpoint.VerificationCheckpoint`).  Digest,
   chain, and block-root invariants still run in full (they are cheap —
-  O(blocks + entries) small-buffer hashes); the expensive row-version
-  invariant recomputes each table's Merkle *frontier* over the already-
-  verified transaction prefix and compares it to the checkpoint, then
-  checks per-transaction roots only for new transactions.  The index
-  invariant is deferred to scheduled deep scans.  Any frontier mismatch
-  escalates to a full scan within the same call — the checkpoint is an
-  optimization, never a trust root.
+  O(blocks + entries) small-buffer hashes).  The row-version invariant runs
+  the same range tasks over a *delta* snapshot: for every table the
+  checkpoint covers, only the row versions of transactions above its
+  ``max_tid`` (and of still-open ones) are captured and re-hashed, and the
+  rest of the table is *counted* — its live records from the page headers
+  — against the checkpoint's frontier leaf count.  The index invariant is
+  deferred to scheduled deep scans.  Any count mismatch escalates to a
+  full scan (of a freshly captured full snapshot) within the same call —
+  the checkpoint is an optimization, never a trust root.
+
+Trust rule of the delta.  The derived key index that finds the new row
+versions is in-memory engine state, outside what verification covers:
+
+* it may *locate* candidates, never vouch for them — every candidate is
+  re-read from the heap and its transaction id re-checked;
+* a candidate it misses changes a recomputed per-transaction root;
+* a record it does not locate, or one added, counts as old prefix, so it
+  changes the count and escalates;
+* a same-count rewrite of old bytes is not seen by an incremental cycle —
+  that stays the deep scan's job;
+* ``mode="full"`` reads only the heap, never the index.
+
+Open transactions.  Row versions of a transaction that is open at capture
+and has no ledger entry carry no recorded root yet: their leaves are left
+out of root checks, the old-prefix count and checkpoint frontiers, one
+transaction id at a time.  Rows forged under a live transaction id are
+caught when that transaction commits (its root) or rolls back (rows that
+reference a transaction the ledger never recorded).
 """
 
 from __future__ import annotations
@@ -70,7 +91,6 @@ from repro.core.verify_parallel import (
 )
 from repro.core.verify_snapshot import (
     TableSnapshot,
-    VerificationSnapshot,
     capture_snapshot,
 )
 from repro.crypto.hashing import LeafHashCache
@@ -299,7 +319,6 @@ class LedgerVerifier:
         mode: str = "full",
         checkpoint: Optional[VerificationCheckpoint] = None,
         build_checkpoint: bool = False,
-        snapshot: Optional[VerificationSnapshot] = None,
     ) -> VerificationReport:
         """Verify the database against the given digests.
 
@@ -316,8 +335,7 @@ class LedgerVerifier:
         incremental requires a usable ``checkpoint`` and otherwise falls
         back to full.
         ``build_checkpoint`` asks a passing run to produce the checkpoint
-        for the next incremental cycle.  ``snapshot`` reuses an
-        already-captured snapshot (internal; used by escalation).
+        for the next incremental cycle.
         """
         if mode not in ("full", "incremental"):
             raise ValueError(f"unknown verification mode {mode!r}")
@@ -329,20 +347,18 @@ class LedgerVerifier:
             "verify", "verify.started",
             digests=len(digests), mode=mode, parallelism=parallelism,
         )
-        if snapshot is None:
-            snapshot = capture_snapshot(self._db, table_names)
+        snapshot = capture_snapshot(
+            self._db, table_names,
+            checkpoint if mode == "incremental" else None,
+        )
         report.snapshot_seconds = snapshot.capture_seconds
 
         # From here on a checkpoint means "this run is incremental".
-        if mode == "incremental":
-            checkpoint, report.fallback_reason = self._usable_checkpoint(
-                checkpoint, snapshot
-            )
-            if checkpoint is None:
-                mode = "full"
-                self._m.fallbacks.inc()
-        else:
-            checkpoint = None
+        checkpoint = snapshot.checkpoint
+        if mode == "incremental" and checkpoint is None:
+            report.fallback_reason = snapshot.fallback_reason
+            mode = "full"
+            self._m.fallbacks.inc()
         report.mode = mode
         self._escalate_reason = None
         self._events_by_table = {}
@@ -370,10 +386,11 @@ class LedgerVerifier:
                 self._m.cache_lookups.labels("miss").inc(report.cache_misses)
 
         if self._escalate_reason is not None:
-            # The incremental frontier did not match the checkpoint.  The
-            # full scan is the authority: rerun everything off the same
-            # snapshot and report its verdict (the escalation itself is
-            # surfaced as a warning so operators can investigate).
+            # The incremental count did not match the checkpoint.  The full
+            # scan is the authority: rerun everything off a fresh full
+            # snapshot — the delta one holds too little — and report its
+            # verdict (the escalation itself is surfaced as a warning so
+            # operators can investigate).
             self._m.escalations.inc()
             reason = self._escalate_reason
             self._ctx.events.emit("verify", "verify.escalated", reason=reason)
@@ -383,7 +400,6 @@ class LedgerVerifier:
                 parallelism=parallelism,
                 mode="full",
                 build_checkpoint=build_checkpoint,
-                snapshot=snapshot,
             )
             full_report.escalated = True
             full_report.findings.insert(
@@ -430,8 +446,7 @@ class LedgerVerifier:
              lambda: self._check_block_roots(report, snapshot, pool),
              blocks, "blocks"),
             ("table_root",
-             lambda: self._check_table_roots(
-                 report, snapshot, pool, checkpoint),
+             lambda: self._check_table_roots(report, snapshot, pool),
              None, "row versions"),
             ("index",
              lambda: self._check_indexes(report, snapshot, pool),
@@ -696,6 +711,8 @@ class LedgerVerifier:
         large table still saturates a forked pool.  The tasks do the
         expensive transcode + hash; the partial per-transaction
         event maps are merged here in task order, which is heap order.
+        The events of transactions still open at capture are dropped here,
+        whole: they have no recorded root to compare against yet.
         """
         args_list = [
             (table_index, which, start, end)
@@ -716,6 +733,9 @@ class LedgerVerifier:
             if events is not result["events"]:
                 for tid, pairs in result["events"].items():
                     events.setdefault(tid, []).extend(pairs)
+        for events in merged.values():
+            for tid in snapshot.active_tids:
+                events.pop(tid, None)
         return merged
 
     def _check_events_against_entries(
@@ -800,20 +820,27 @@ class LedgerVerifier:
                     )
                 )
 
-    def _check_table_roots(self, report, snapshot, pool, checkpoint) -> None:
+    def _check_table_roots(self, report, snapshot, pool) -> None:
         """Per-transaction root checks; with a checkpoint, only for the delta.
 
-        The scan always visits every record — that is how new transactions
-        are discovered — but on an incremental cycle events at or below the
-        checkpoint's ``max_tid`` are only *counted* against the stored
-        frontier, not re-compared.  An added or deleted pre-checkpoint row
-        version changes the count and escalates to a full scan immediately;
-        a same-count byte rewrite of old data is caught by the next deep
-        scan, whose full rebuild ignores the checkpoint entirely.  The
-        deep-scan cadence, not the checkpoint, is the trust boundary: the
-        checkpoint only bounds how much work a clean cycle repeats.
+        For a table the checkpoint covers, the snapshot holds only the
+        records of transactions above the checkpoint's ``max_tid`` (or still
+        open) and each relation's live record count.  Their events are
+        compared against the ledger entries of those transactions; the old
+        prefix is only *counted* against the checkpoint frontier's leaf
+        count: every record the snapshot did not locate contributes all its
+        leaves (one per base record, two per history record), every located
+        one its leaves at or below ``max_tid``.  An added or deleted
+        pre-checkpoint row version, or a record attributed to a new
+        transaction that the index did not locate, changes the count and
+        escalates to a full scan immediately; a same-count byte rewrite of
+        old data is caught by the next deep scan, whose full rebuild ignores
+        the checkpoint entirely.  The deep-scan cadence, not the
+        checkpoint, is the trust boundary: the checkpoint only bounds how
+        much work a clean cycle repeats.
         """
         self._events_by_table = self._collect_events(report, snapshot, pool)
+        checkpoint = snapshot.checkpoint
         for table_index, table in enumerate(snapshot.tables):
             report.tables_verified += 1
             events = self._events_by_table.setdefault(table_index, {})
@@ -824,6 +851,10 @@ class LedgerVerifier:
                 floor = checkpoint.max_tid
                 recorded = checkpoint.tables[table.table_id].leaf_count
                 old_leaves = sum(
+                    (relation.live_count - len(relation.records))
+                    * (2 if relation.is_history else 1)
+                    for relation in table.relations()
+                ) + sum(
                     len(pairs) for tid, pairs in events.items()
                     if tid is not None and tid <= floor
                 )
@@ -910,31 +941,6 @@ class LedgerVerifier:
     # ------------------------------------------------------------------
     # Checkpoints (incremental cycles)
     # ------------------------------------------------------------------
-
-    def _usable_checkpoint(
-        self, checkpoint, snapshot
-    ) -> Tuple[Optional[VerificationCheckpoint], Optional[str]]:
-        """Decide whether the checkpoint can drive an incremental cycle.
-
-        Anything suspicious disqualifies it and forces a full scan — the
-        conservative direction, since a full scan is always sound.
-        """
-        if checkpoint is None:
-            return None, "no checkpoint available"
-        if checkpoint.database_guid != snapshot.database_guid:
-            return None, "checkpoint belongs to a different database"
-        if checkpoint.block_id < snapshot.first_block_id:
-            return None, "ledger truncated past the checkpoint block"
-        block = snapshot.blocks.get(checkpoint.block_id)
-        if block is None:
-            return None, f"checkpoint block {checkpoint.block_id} is missing"
-        if block.block_hash() != checkpoint.block_hash:
-            return (
-                None,
-                f"recomputed hash of block {checkpoint.block_id} does not "
-                "match the checkpoint",
-            )
-        return checkpoint, None
 
     def _build_checkpoint(
         self, snapshot, previous: Optional[VerificationCheckpoint]

@@ -11,10 +11,11 @@ Because ``hashable_payload`` skips NULL values, deleting a live row moves it
 to history with an as-created leaf *identical* to the live leaf it replaces
 — so each table's event stream, ordered by (transaction id, sequence), is
 append-only and the frontier over a transaction-id prefix is stable.  An
-incremental cycle recomputes the frontier from current storage and compares
-it against the checkpoint; a match proves the already-verified prefix is
-byte-for-byte intact, and only transactions above ``max_tid`` need their
-per-transaction roots checked against ledger entries.
+incremental cycle re-hashes only the row versions of transactions above
+``max_tid``, checks their per-transaction roots against ledger entries and
+counts the rest of each table against the frontier's leaf count (see
+:mod:`repro.core.verification`); a passing cycle restores the frontier and
+appends the new leaves.
 
 Trust model: the checkpoint is an *optimization, never a trust root*.  It is
 only written after a run with zero error findings; it is integrity-hashed so
@@ -22,8 +23,8 @@ accidental or malicious edits are detected on load (falling back to a full
 scan); and scheduled deep scans re-verify the full prefix from the trusted
 digests regardless of any checkpoint.  A forged checkpoint can therefore
 never make verification pass — at worst it delays detection until the
-frontier comparison or the next deep scan, both of which recompute every
-hash from storage.
+leaf count disagrees or the next deep scan recomputes every hash from
+storage.
 """
 
 from __future__ import annotations

@@ -15,6 +15,15 @@ expensive work — transcoding every record into its canonical serialization
 and SHA-256 over every row version — happens off-lock (and optionally in
 worker processes, see :mod:`repro.core.verify_parallel`).
 
+Given a usable :class:`~repro.core.verify_checkpoint.VerificationCheckpoint`,
+the relations of every table it covers are captured as a *delta*: only the
+records attributed to a transaction above ``checkpoint.max_tid`` (or to a
+still-open one), found through the table's derived key index on the start
+(base) or end (history) transaction id, re-read by RowId and re-checked,
+plus the relation's live record count from the page headers.  The delta
+costs what the new transactions wrote, not what the table holds; what the
+verifier may conclude from it is stated in :mod:`repro.core.verification`.
+
 ``record_events`` is the single routine that turns one stored record into
 its verification events; every range task reaches it through
 ``cached_record_events``, in-process or in a forked worker, so no two runs
@@ -25,14 +34,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core import system_columns as sc
 from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_view import canonical_view_definition
+from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.crypto.hashing import LeafHashCache, hash_leaf
-from repro.engine.record import hashable_payload, key_tuple
-from repro.errors import LedgerError
+from repro.engine.record import RecordKernel, hashable_payload, key_tuple
+from repro.errors import LedgerError, StorageError
 from repro.runtime import DEFAULT_CONTEXT
 
 
@@ -93,6 +105,9 @@ class RelationSnapshot:
     #: a RowId per record: a snapshot holds every record of the database,
     #: and only a finding ever shows where one of them lives.
     records: List[Tuple[int, int, bytes]]
+    #: Live records in the relation's heap; more than ``len(records)`` when
+    #: only the delta was captured.
+    live_count: int
     #: Base relations only: index name -> stored records of the index heap.
     index_records: Dict[str, List[bytes]] = field(default_factory=dict)
 
@@ -129,6 +144,13 @@ class VerificationSnapshot:
     views_stored: Dict[str, str]
     #: (view name, canonically re-derived definition) per ledger table.
     views_expected: List[Tuple[str, str]]
+    #: Transactions open at capture with no ledger entry yet: their row
+    #: versions are not verified until they commit or roll back.
+    active_tids: FrozenSet[int] = frozenset()
+    #: The checkpoint the delta relations were captured against, if any.
+    checkpoint: Optional[VerificationCheckpoint] = None
+    #: Why the checkpoint offered to the capture was not used.
+    fallback_reason: Optional[str] = None
     #: Seconds the storage lock was held during capture.
     capture_seconds: float = 0.0
     total_records: int = 0
@@ -147,11 +169,11 @@ class VerificationSnapshot:
         self.entries_by_block = by_block
 
 
-def _snapshot_relation(table, is_history: bool) -> RelationSnapshot:
-    records = [
-        (rid.page_id, rid.slot, record) for rid, record in table.heap.scan()
-    ]
-    relation = RelationSnapshot(
+def _relation(
+    table, is_history: bool, records: List[Tuple[int, int, bytes]],
+    live_count: int,
+) -> RelationSnapshot:
+    return RelationSnapshot(
         name=table.name,
         schema=table.schema,
         fingerprint=schema_fingerprint(table.name, table.schema, is_history),
@@ -160,10 +182,84 @@ def _snapshot_relation(table, is_history: bool) -> RelationSnapshot:
         start_ordinals=sc.start_ordinals(table.schema),
         end_ordinals=sc.end_ordinals(table.schema) if is_history else (),
         records=records,
+        live_count=live_count,
     )
-    for index in table.nonclustered.values():
-        relation.index_records[index.name] = list(index.scan_records())
+
+
+def _full_relation(
+    table, is_history: bool, with_indexes: bool
+) -> RelationSnapshot:
+    """Every record of the relation, in heap order (and of its indexes)."""
+    records = [
+        (rid.page_id, rid.slot, record) for rid, record in table.heap.scan()
+    ]
+    relation = _relation(table, is_history, records, len(records))
+    if with_indexes:
+        for index in table.nonclustered.values():
+            relation.index_records[index.name] = list(index.scan_records())
     return relation
+
+
+def _delta_relation(
+    table, is_history: bool, tids: Iterable[int]
+) -> RelationSnapshot:
+    """The records attributed to ``tids``, found by key, in heap order.
+
+    A base record is attributed to its start transaction, a history record
+    to its end transaction (which is never below its start).  The derived
+    key index only says where to look: each candidate is re-read by RowId
+    and kept only if its stored transaction id is the one probed, once.
+    """
+    ordinal = (
+        sc.end_ordinals(table.schema) if is_history
+        else sc.start_ordinals(table.schema)
+    )[0]
+    key = (ordinal,)
+    project = table.schema.derived(RecordKernel).project
+    heap = table.heap
+    found: Dict[Any, bytes] = {}
+    for tid in tids:
+        for rid in table.rids_with_key(key, (tid,)):
+            if rid in found or not heap.exists(rid):
+                continue
+            record = heap.read(rid)
+            try:
+                if project(record, key)[ordinal] != tid:
+                    continue
+            except StorageError:
+                continue
+            found[rid] = record
+    records = [(rid.page_id, rid.slot, found[rid]) for rid in sorted(found)]
+    return _relation(table, is_history, records, heap.record_count())
+
+
+def _usable_checkpoint(
+    checkpoint: Optional[VerificationCheckpoint],
+    database_guid: str,
+    first_block_id: int,
+    blocks: Dict[int, BlockRow],
+) -> Tuple[Optional[VerificationCheckpoint], Optional[str]]:
+    """Decide whether the checkpoint can drive an incremental cycle.
+
+    Anything suspicious disqualifies it and forces a full scan — the
+    conservative direction, since a full scan is always sound.
+    """
+    if checkpoint is None:
+        return None, "no checkpoint available"
+    if checkpoint.database_guid != database_guid:
+        return None, "checkpoint belongs to a different database"
+    if checkpoint.block_id < first_block_id:
+        return None, "ledger truncated past the checkpoint block"
+    block = blocks.get(checkpoint.block_id)
+    if block is None:
+        return None, f"checkpoint block {checkpoint.block_id} is missing"
+    if block.block_hash() != checkpoint.block_hash:
+        return (
+            None,
+            f"recomputed hash of block {checkpoint.block_id} does not "
+            "match the checkpoint",
+        )
+    return checkpoint, None
 
 
 def _truncation_cutoff_tid(db) -> Optional[int]:
@@ -183,7 +279,9 @@ def _truncation_cutoff_tid(db) -> Optional[int]:
 
 
 def capture_snapshot(
-    db, table_names: Optional[Sequence[str]] = None
+    db,
+    table_names: Optional[Sequence[str]] = None,
+    checkpoint: Optional[VerificationCheckpoint] = None,
 ) -> VerificationSnapshot:
     """Capture a consistent verification snapshot under the storage lock.
 
@@ -192,6 +290,12 @@ def capture_snapshot(
     uncovered transactions), flushes the entry queue, then materializes
     references to every stored record verification will read.  The lock is
     released before any hashing happens.
+
+    With a ``checkpoint`` that :func:`_usable_checkpoint` accepts against
+    the blocks just captured, each table it covers is captured as a delta
+    (:func:`_delta_relation`) and no index heap is copied — an incremental
+    run defers the index invariant.  Every other table, and every run
+    without a usable checkpoint, is captured whole.
 
     A sealed block that cannot close — its predecessor is missing or no
     longer reads — stays unclosed in the snapshot: its entries then
@@ -214,6 +318,21 @@ def capture_snapshot(
         entries = {e.transaction_id: e for e in ledger.all_entries()}
         blocks = {b.block_id: b for b in ledger.blocks()}
         cutoff_tid = _truncation_cutoff_tid(db)
+        database_guid = db.database_guid
+        first_block_id = ledger.first_block_id()
+        checkpoint, fallback_reason = _usable_checkpoint(
+            checkpoint, database_guid, first_block_id, blocks
+        )
+        active_tids = frozenset(
+            txn.tid for txn in db.engine.active_transactions
+            if txn.tid not in entries
+        )
+        if checkpoint is not None:
+            delta_tids = sorted(
+                active_tids.union(
+                    tid for tid in entries if tid > checkpoint.max_tid
+                )
+            )
 
         all_tables = db.ledger_tables()
         if table_names is not None:
@@ -224,12 +343,24 @@ def capture_snapshot(
 
         tables: List[TableSnapshot] = []
         for table in target_tables:
-            base = _snapshot_relation(table, is_history=False)
-            history_rel = None
             history_id = table.options.get("history_table_id")
-            if history_id is not None:
-                history = db.engine.table_by_id(history_id)
-                history_rel = _snapshot_relation(history, is_history=True)
+            history = (
+                db.engine.table_by_id(history_id)
+                if history_id is not None else None
+            )
+            if checkpoint is not None and table.table_id in checkpoint.tables:
+                base = _delta_relation(table, False, delta_tids)
+                history_rel = (
+                    _delta_relation(history, True, delta_tids)
+                    if history is not None else None
+                )
+            else:
+                with_indexes = checkpoint is None
+                base = _full_relation(table, False, with_indexes)
+                history_rel = (
+                    _full_relation(history, True, with_indexes)
+                    if history is not None else None
+                )
             tables.append(
                 TableSnapshot(
                     table_id=table.table_id,
@@ -263,8 +394,8 @@ def capture_snapshot(
             )
 
         snapshot = VerificationSnapshot(
-            database_guid=db.database_guid,
-            first_block_id=ledger.first_block_id(),
+            database_guid=database_guid,
+            first_block_id=first_block_id,
             open_block_id=ledger.open_block_id,
             anchor=ledger.anchor,
             cutoff_tid=cutoff_tid,
@@ -273,6 +404,9 @@ def capture_snapshot(
             tables=tables,
             views_stored=views_stored,
             views_expected=views_expected,
+            active_tids=active_tids,
+            checkpoint=checkpoint,
+            fallback_reason=fallback_reason,
         )
     snapshot.capture_seconds = time.perf_counter() - started
     snapshot.total_records = sum(

@@ -145,7 +145,8 @@ class HeapFile:
                 yield RowId(page.page_id, slot), record
 
     def record_count(self) -> int:
-        return sum(1 for _ in self.scan())
+        """Live records, from each page's slot accounting: O(pages)."""
+        return sum(page.live_count for page in self._pages)
 
     @property
     def page_count(self) -> int:
@@ -165,10 +166,6 @@ class HeapFile:
     def tamper_delete(self, rid: RowId) -> None:
         """Drop a record directly from the page image (history erasure)."""
         self._page(rid.page_id).delete(rid.slot)
-
-    def raw_page(self, page_id: int) -> bytearray:
-        """The mutable page buffer itself, for byte-level attacks."""
-        return self._page(page_id).buf
 
     # -- persistence -------------------------------------------------------------
 

@@ -124,14 +124,16 @@ class DerivedKeyIndex:
     """Non-unique, in-memory map from key-column values to RowIds.
 
     Built by one key-only pass over the table it indexes and kept current
-    by the table's own inserts; any other physical change drops it, and the
+    by the table's own inserts and deletes; any other physical change
+    (undo, redo, a schema change) and a truncation purge drop it, and the
     next lookup rebuilds it.  It owns no storage: nothing is persisted,
     logged or hashed, so — like the clustered tree — it is outside what
     verification covers and can never disagree with the heap for longer
-    than one rebuild.  The ledger uses it to find a key's old versions in
-    a history table, which has no primary key of its own, and a block's
-    transaction entries in ``database_ledger_transactions``, which is keyed
-    on the transaction id.
+    than one rebuild.  The ledger uses it to find a key's old versions in a history table, which
+    has no primary key of its own, a block's transaction entries in
+    ``database_ledger_transactions``, which is keyed on the transaction
+    id, and the row versions an incremental verification cycle re-hashes,
+    by their start or end transaction id.
     """
 
     def __init__(
@@ -146,6 +148,16 @@ class DerivedKeyIndex:
 
     def add(self, row: Sequence[Any], rid: RowId) -> None:
         self._rids[tuple(row[o] for o in self.ordinals)].append(rid)
+
+    def discard(self, row: Sequence[Any], rid: RowId) -> None:
+        """Forget ``rid`` under the row's key; a no-op when it is not there."""
+        key = tuple(row[o] for o in self.ordinals)
+        rids = self._rids.get(key)
+        if rids is None or rid not in rids:
+            return
+        rids.remove(rid)
+        if not rids:
+            del self._rids[key]
 
     def seek(self, key_values: Sequence[Any]) -> List[RowId]:
         return list(self._rids.get(tuple(key_values), ()))

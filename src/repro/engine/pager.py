@@ -84,6 +84,11 @@ class Page:
     def free_offset(self) -> int:
         return self._free_offset
 
+    @property
+    def live_count(self) -> int:
+        """Live records on the page, from the cached slot accounting."""
+        return self._slot_count - len(self._dead_slots)
+
     def _slot_entry_offset(self, slot: int) -> int:
         return PAGE_SIZE - (slot + 1) * SLOT_SIZE
 

@@ -74,8 +74,9 @@ class Table:
             self.nonclustered[definition.name] = NonclusteredIndex(
                 schema.name, definition, schema
             )
-        # Built on first use by :meth:`rids_with_key`; None means "rebuild".
-        self._key_index: Optional[DerivedKeyIndex] = None
+        # Built on first use by :meth:`rids_with_key`, one per key-ordinal
+        # tuple; a missing entry means "rebuild".
+        self._key_indexes: Dict[Tuple[int, ...], DerivedKeyIndex] = {}
 
     @property
     def name(self) -> str:
@@ -208,15 +209,18 @@ class Table:
 
         For tables with no index of their own on those columns (history
         tables, looked up by the base table's primary key; the ledger's
-        transaction entries, looked up by block): served from a
-        :class:`DerivedKeyIndex` built by one key-only pass on first use.
-        The caller reads the rows and applies its predicate to them: the
-        index says where a key was stored, not what the record holds now.
+        transaction entries, looked up by block; ledger tables and their
+        history, looked up by transaction id for incremental verification):
+        served from a :class:`DerivedKeyIndex` per ordinal tuple, built by
+        one key-only pass on first use.  The caller reads the rows and
+        applies its predicate to them: the index says where a key was
+        stored, not what the record holds now.
         """
-        index = self._key_index
-        if index is None or index.ordinals != tuple(ordinals):
-            index = self._key_index = DerivedKeyIndex(
-                ordinals, self._key_rows(tuple(ordinals))
+        ordinals = tuple(ordinals)
+        index = self._key_indexes.get(ordinals)
+        if index is None:
+            index = self._key_indexes[ordinals] = DerivedKeyIndex(
+                ordinals, self._key_rows(ordinals)
             )
         return index.seek(key_values)
 
@@ -236,6 +240,10 @@ class Table:
             except StorageError:
                 continue
 
+    def drop_key_indexes(self) -> None:
+        """Forget every derived key index; the next lookup rebuilds it."""
+        self._key_indexes.clear()
+
     def row_count(self) -> int:
         return self.heap.record_count()
 
@@ -250,7 +258,7 @@ class Table:
         covered a dropped column) are discarded.
         """
         self.schema = schema
-        self._key_index = None
+        self.drop_key_indexes()
         surviving = {definition.name for definition in schema.indexes}
         for name in list(self.nonclustered):
             if name not in surviving:
@@ -269,7 +277,7 @@ class Table:
 
     def rebuild_indexes(self) -> None:
         """Rebuild every access path from the base heap (crash recovery)."""
-        self._key_index = None
+        self.drop_key_indexes()
         if self.schema.primary_key:
             self.clustered = ClusteredIndex(self.schema)
             for rid, record in self.heap.scan():
@@ -286,7 +294,7 @@ class Table:
         storage survives a clean restart — exactly the attack surface
         verification invariant 5 covers.
         """
-        self._key_index = None
+        self.drop_key_indexes()
         if self.schema.primary_key:
             self.clustered = ClusteredIndex(self.schema)
             for rid, record in self.heap.scan():
@@ -359,9 +367,9 @@ class Table:
             self.clustered.insert_many(
                 [(validated, rid) for (validated, _), rid in zip(prepared, rids)]
             )
-        if self._key_index is not None:
+        for key_index in self._key_indexes.values():
             for (validated, _), rid in zip(prepared, rids):
-                self._key_index.add(validated, rid)
+                key_index.add(validated, rid)
         for index in self.nonclustered.values():
             index.insert_many(
                 [
@@ -390,6 +398,7 @@ class Table:
         def undo_insert_many() -> None:
             # One compensation record for the whole statement, mirroring the
             # single INSERT_MANY frame (ARIES CLR semantics, batched).
+            self.drop_key_indexes()
             for (validated, _), rid in zip(reversed(prepared), reversed(rids)):
                 self._physical_remove(rid, validated)
             self._wal.append(
@@ -424,8 +433,8 @@ class Table:
             self.clustered.insert(validated, rid)
         for index in self.nonclustered.values():
             index.insert(validated, record, rid)
-        if self._key_index is not None:
-            self._key_index.add(validated, rid)
+        for key_index in self._key_indexes.values():
+            key_index.add(validated, rid)
         self._wal.append(
             WalRecord(
                 INSERT,
@@ -443,6 +452,7 @@ class Table:
             # Compensation: the undo itself is logged, so that if the
             # transaction later commits (savepoint rollback) redo replays
             # the insert AND its reversal in order (ARIES CLR semantics).
+            self.drop_key_indexes()
             self._physical_remove(rid, validated)
             self._wal.append(
                 WalRecord(
@@ -501,19 +511,21 @@ class Table:
         txn.record_undo(f"delete {self.name} {rid}", undo_delete)
 
     def _physical_remove(self, rid: RowId, row: Tuple[Any, ...]) -> None:
-        # Removals and restores (deletes, undo, truncation) are rare where
-        # the derived index is used, so they drop it instead of patching it.
-        self._key_index = None
+        # Every UPDATE and DELETE removes a row, so removal patches the
+        # derived indexes; undo, which is rare, drops them before calling
+        # here, as a restore does.
         self.heap.delete(rid)
         if self.clustered is not None:
             self.clustered.delete(row)
         for index in self.nonclustered.values():
             index.delete(row, rid)
+        for key_index in self._key_indexes.values():
+            key_index.discard(row, rid)
 
     def _physical_restore(
         self, rid: RowId, row: Tuple[Any, ...], record: bytes
     ) -> None:
-        self._key_index = None
+        self.drop_key_indexes()
         self.heap.restore(rid, record)
         if self.clustered is not None:
             self.clustered.insert(row, rid)

@@ -20,6 +20,7 @@ from repro.core.database_ledger import (
     TRANSACTIONS_TABLE,
     DatabaseLedger,
 )
+from repro.core.entries import TransactionEntry
 from repro.core.ledger_database import LedgerDatabase
 from repro.core.verification import capture_snapshot
 from repro.engine.clock import LogicalClock
@@ -148,6 +149,55 @@ class TestOperationalPathsNeverScan:
         assert not spy.passes
         assert spy.reads[BLOCKS_TABLE] == 2
         assert not spy.decoding
+
+    def test_warm_digest_decodes_no_entry(self, db, spy, monkeypatch):
+        """The tip block's last commit time is kept from its close; after a
+        restart the first digest reads that block's entries once."""
+        decoded = []
+        from_row = TransactionEntry.from_row.__func__
+
+        def counting(cls, row):
+            decoded.append(1)
+            return from_row(cls, row)
+
+        def scanned_commit_time(db, block_id):
+            return max(
+                e.commit_time for e in db.ledger.transactions_in_block(block_id)
+            )
+
+        commit_rows(db, 0, 10)
+        db.generate_digest()  # warm-up
+        commit_rows(db, 10, 6)
+        monkeypatch.setattr(TransactionEntry, "from_row", classmethod(counting))
+        spy.reset()
+        digest = db.generate_digest()
+        assert not decoded
+        assert not spy.reads[TRANSACTIONS_TABLE]
+        assert digest.last_transaction_commit_time == scanned_commit_time(
+            db, digest.block_id
+        )
+
+        path = db.engine.path
+        db.simulate_crash()
+        reopened = open_single_threaded(path, block_size=4)
+        try:
+            tip = reopened.ledger.block(digest.block_id)
+            decoded.clear()
+            again = reopened.generate_digest()
+            assert len(decoded) == tip.transaction_count
+            decoded.clear()
+            third = reopened.generate_digest()
+            assert not decoded
+            for later in (again, third):
+                assert (
+                    later.block_id, later.block_hash,
+                    later.last_transaction_commit_time,
+                ) == (
+                    digest.block_id, digest.block_hash,
+                    digest.last_transaction_commit_time,
+                )
+        finally:
+            reopened.close()
 
     def test_verification_is_the_one_that_scans(self, db, spy):
         commit_rows(db, 0, 10)

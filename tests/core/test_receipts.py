@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.rsa import generate_keypair
-from repro.core.receipts import TransactionReceipt
+from repro.core.receipts import _RECEIPT_BLOCKS_CACHED, TransactionReceipt
 from repro.errors import ReceiptError
 
 from tests.core.conftest import run
@@ -119,8 +119,8 @@ class TestReceiptVerification:
 
 
 class TestReceiptBlockCache:
-    """The per-block receipt material is declared state of the database and
-    leaves with the blocks truncation removes."""
+    """The per-block receipt material is declared state of the database,
+    bounded, and leaves with the blocks truncation removes."""
 
     def test_declared_and_empty_on_a_fresh_database(self, signed_db):
         assert signed_db._receipt_block_cache == {}
@@ -148,3 +148,32 @@ class TestReceiptBlockCache:
         assert db.transaction_receipt(kept).verify(signer.public)
         with pytest.raises(ReceiptError):
             db.transaction_receipt(old)
+
+    def test_bounded_lru_and_an_evicted_blocks_receipt_is_unchanged(
+        self, signed_db, signer
+    ):
+        db = signed_db
+        block_size = db.ledger.block_size
+        tids = [
+            run(db, "app", lambda t, i=i: db.insert(
+                t, "accounts", [[f"u{i}", i]])).tid
+            for i in range(block_size * (_RECEIPT_BLOCKS_CACHED + 3))
+        ]
+        db.generate_digest()
+        firsts = tids[::block_size]
+        before = db.transaction_receipt(firsts[0]).to_json()
+        for tid in firsts[1:]:
+            db.transaction_receipt(tid)
+            assert len(db._receipt_block_cache) <= _RECEIPT_BLOCKS_CACHED
+        assert len(db._receipt_block_cache) == _RECEIPT_BLOCKS_CACHED
+        latest = db.transaction_receipt(firsts[-1]).block_header.block_id
+        # Least recently receipted first out: the first block is gone...
+        cached = [key[0] for key in db._receipt_block_cache]
+        evicted = db.transaction_receipt(firsts[0])
+        assert evicted.block_header.block_id not in cached
+        assert evicted.to_json() == before
+        assert evicted.verify(signer.public)
+        # ...and receipting it again evicted the oldest remaining one.
+        assert len(db._receipt_block_cache) == _RECEIPT_BLOCKS_CACHED
+        assert cached[0] not in {key[0] for key in db._receipt_block_cache}
+        assert latest in {key[0] for key in db._receipt_block_cache}

@@ -1,12 +1,17 @@
 """Incremental verification: checkpoint lifecycle, fallbacks and safety.
 
 An incremental cycle trusts the checkpoint only as a *work bound*: the
-chained block hashes, block roots and per-table leaf counts are still
-re-checked every cycle, the checkpoint file carries an integrity hash and
-its recorded block hash is cross-checked against storage, and any
-inconsistency falls back to — or escalates into — a full scan.  Tampering
-that an incremental cycle defers (same-count rewrites of pre-checkpoint
-rows, index edits) must be caught by the deep-scan cadence.
+chained block hashes, block roots and every entry are still re-checked
+every cycle; the row versions of new transactions are re-hashed and their
+roots compared; the rest of each table is counted — records the delta did
+not locate, from the page headers — against the checkpoint's leaf count.
+The checkpoint file carries an integrity hash and its recorded block hash
+is cross-checked against storage, and any inconsistency falls back to — or
+escalates into — a full scan.  Tampering that an incremental cycle defers
+(same-count rewrites of pre-checkpoint rows, index edits) must be caught by
+the deep-scan cadence.  What the delta reads, and that every attack gets
+the verdict it got before the delta existed, is pinned in
+``test_verify_delta.py``.
 """
 
 import os

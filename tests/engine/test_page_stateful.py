@@ -2,7 +2,9 @@
 
 Random interleavings of insert / delete / overwrite / restore / compaction
 must agree with a dictionary model, and the page must survive a round trip
-through its byte buffer at any point (the persistence/tamper surface).
+through its byte buffer at any point (the persistence/tamper surface).  The
+cached slot accounting — live bytes and live record count — must always
+agree with what the slot directory holds.
 """
 
 import pytest
@@ -101,6 +103,11 @@ class PageMachine(RuleBasedStateMachine):
         )
         assert self.page.free_space_after_compaction() == expected_free
         assert 0 <= self.page.free_space() <= expected_free
+
+    @invariant()
+    def cached_live_count_matches_records(self):
+        # HeapFile.record_count sums this instead of scanning.
+        assert self.page.live_count == len(list(self.page.records()))
 
 
 PageMachine.TestCase.settings = settings(

@@ -231,6 +231,32 @@ class TestTamperDetected:
             OBS.reset()
             OBS.disable()
 
+    def test_open_session_transaction_is_not_tamper(
+        self, server_db, server, client
+    ):
+        client.insert("items", [[f"t{i}", i] for i in range(5)])
+        monitor = server_db.start_monitor(
+            interval=999.0, stderr_alerts=False, incremental=True
+        )
+        try:
+            assert monitor.wait_for(lambda: monitor.last_verdict == "passed")
+            with client.session() as session:
+                session.execute("BEGIN")
+                session.execute("INSERT INTO items VALUES ('open', 1)")
+                for _ in range(2):
+                    assert monitor.run_cycle() == "passed", (
+                        monitor.last_findings
+                    )
+                time.sleep(0.06)  # health tier cache expiry
+                assert client.health()["status"] != "tamper-detected"
+                session.execute("COMMIT")
+            assert monitor.run_cycle() == "passed", monitor.last_findings
+            assert monitor.failures == 0
+        finally:
+            server_db.stop_monitor()
+            OBS.reset()
+            OBS.disable()
+
 
 class TestShutdown:
     def test_draining_server_rejects_new_writes(self, server, client):

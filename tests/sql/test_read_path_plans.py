@@ -350,10 +350,11 @@ class TestHistoryKeyIndexIsNeverStale:
         original = table_module.Table.rids_with_key
 
         def counting(table, ordinals, key_values):
-            before = table._key_index
+            before = table._key_indexes.get(tuple(ordinals))
             rids = original(table, ordinals, key_values)
-            assert isinstance(table._key_index, DerivedKeyIndex)
-            if table._key_index is not before and table.name.endswith(
+            after = table._key_indexes[tuple(ordinals)]
+            assert isinstance(after, DerivedKeyIndex)
+            if after is not before and table.name.endswith(
                 HISTORY_SUFFIX
             ):
                 built.append(1)
