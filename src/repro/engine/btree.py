@@ -8,12 +8,13 @@ append a RowId component to the key to disambiguate.
 Leaves are linked for ordered iteration; interior nodes store separator keys.
 The fanout default (64) keeps trees shallow for the table sizes the
 benchmarks use while still exercising real splits and merges.
+:meth:`BPlusTree.bulk` builds a tree over known keys bottom-up.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
 
@@ -21,27 +22,27 @@ from repro.errors import StorageError
 class _Node:
     __slots__ = ("keys",)
 
-    def __init__(self) -> None:
-        self.keys: List[Any] = []
+    def __init__(self, keys: List[Any]) -> None:
+        self.keys = keys
 
 
 class _Leaf(_Node):
     __slots__ = ("values", "next_leaf")
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.values: List[Any] = []
+    def __init__(self, keys: List[Any], values: List[Any]) -> None:
+        super().__init__(keys)
+        self.values = values
         self.next_leaf: Optional["_Leaf"] = None
 
 
 class _Interior(_Node):
     __slots__ = ("children",)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, keys: List[Any], children: List[_Node]) -> None:
+        super().__init__(keys)
         # len(children) == len(keys) + 1; keys[i] is the smallest key
         # reachable under children[i + 1].
-        self.children: List[_Node] = []
+        self.children = children
 
 
 class BPlusTree:
@@ -51,8 +52,33 @@ class BPlusTree:
         if order < 4:
             raise StorageError("B+ tree order must be at least 4")
         self._order = order
-        self._root: _Node = _Leaf()
+        self._root: _Node = _Leaf([], [])
         self._size = 0
+
+    @classmethod
+    def bulk(cls, items: Iterable[Tuple[Any, Any]], order: int = 64) -> "BPlusTree":
+        """What inserting ``items`` in order holds (an equal key keeps the
+        later value), built bottom-up: the keys, sorted once, fill leaves
+        left to right, then each interior level holds the one below."""
+        tree = cls(order)
+        merged = dict(items)
+        keys = sorted(merged)
+        values = [merged[key] for key in keys]
+        level: List[Any] = [
+            _Leaf(keys[i : i + order], values[i : i + order])
+            for i in range(0, len(keys), order)
+        ]
+        for left, right in zip(level, level[1:]):
+            left.next_leaf = right
+        lows, step = keys[::order], order + 1  # smallest key under each node
+        while len(level) > 1:
+            level, lows = [
+                _Interior(lows[i + 1 : i + step], level[i : i + step])
+                for i in range(0, len(level), step)
+            ], lows[::step]
+        tree._root = level[0] if level else tree._root
+        tree._size = len(keys)
+        return tree
 
     def __len__(self) -> int:
         return self._size
@@ -74,10 +100,7 @@ class BPlusTree:
         split = self._insert(self._root, key, value)
         if split is not None:
             separator, right = split
-            new_root = _Interior()
-            new_root.keys = [separator]
-            new_root.children = [self._root, right]
-            self._root = new_root
+            self._root = _Interior([separator], [self._root, right])
 
     def insert_many(self, items: List[Tuple[Any, Any]]) -> None:
         """Insert a batch of (key, value) pairs, descending the tree once
@@ -243,9 +266,7 @@ class BPlusTree:
 
     def _split_leaf(self, leaf: _Leaf) -> Tuple[Any, _Leaf]:
         middle = len(leaf.keys) // 2
-        right = _Leaf()
-        right.keys = leaf.keys[middle:]
-        right.values = leaf.values[middle:]
+        right = _Leaf(leaf.keys[middle:], leaf.values[middle:])
         leaf.keys = leaf.keys[:middle]
         leaf.values = leaf.values[:middle]
         right.next_leaf = leaf.next_leaf
@@ -255,9 +276,7 @@ class BPlusTree:
     def _split_interior(self, node: _Interior) -> Tuple[Any, _Interior]:
         middle = len(node.keys) // 2
         separator = node.keys[middle]
-        right = _Interior()
-        right.keys = node.keys[middle + 1 :]
-        right.children = node.children[middle + 1 :]
+        right = _Interior(node.keys[middle + 1 :], node.children[middle + 1 :])
         node.keys = node.keys[:middle]
         node.children = node.children[: middle + 1]
         return separator, right

@@ -7,7 +7,9 @@ Lifecycle
   recovers an existing one: load the last checkpoint image, replay the WAL
   (redo of committed transactions — the engine never flushes uncommitted
   changes, so no undo phase is needed), rebuild indexes, and hand the ledger
-  layer its recovered commit payloads (paper §3.3.2).
+  layer its recovered commit payloads (paper §3.3.2).  Open parses only key
+  columns: damaged structure or primary keys refuse to open, damage in any
+  other value is left for verification to report.
 
 * ``checkpoint()`` quiesces (no active transactions), flushes every heap and
   index image plus the catalog and the ledger's checkpoint state, then
@@ -31,7 +33,8 @@ import datetime as dt
 import json
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.clock import wall_clock
@@ -185,6 +188,16 @@ class Database:
         with self._obs.tracer.span("recovery.run", path=self.path):
             self._recover_phases(checkpoint_path)
 
+    @contextmanager
+    def _phase(self, name: str) -> Iterator[Any]:
+        """One recovery phase: a span, and its duration in the histogram."""
+        started = time.perf_counter()
+        with self._obs.tracer.span(f"recovery.{name}") as span:
+            yield span
+        self._m.recovery_phase_seconds.labels(name).observe(
+            time.perf_counter() - started
+        )
+
     def _recover_phases(self, checkpoint_path: Optional[str]) -> None:
         if checkpoint_path is not None:
             with open(checkpoint_path, "r", encoding="utf-8") as f:
@@ -202,8 +215,7 @@ class Database:
         next_tid = checkpoint["next_tid"]
 
         # Analysis phase: scan the WAL, classify winners, find the catalog.
-        phase_start = time.perf_counter()
-        with self._obs.tracer.span("recovery.analysis"):
+        with self._phase("analysis"):
             wal_records = list(read_wal(self._wal_path(self._epoch)))
             # A later catalog snapshot in the WAL supersedes the checkpoint's.
             committed: Dict[int, Dict[str, Any]] = {}
@@ -215,13 +227,9 @@ class Database:
                     next_tid = max(next_tid, record.payload["tid"] + 1)
                 elif record.kind == "BEGIN":
                     next_tid = max(next_tid, record.payload["tid"] + 1)
-        self._m.recovery_phase_seconds.labels("analysis").observe(
-            time.perf_counter() - phase_start
-        )
 
         # Load phase: heap images for every table in the (final) catalog.
-        phase_start = time.perf_counter()
-        with self._obs.tracer.span("recovery.load"):
+        with self._phase("load"):
             self._wal = WalWriter(
                 self._wal_path(self._epoch), sync=self._sync, ctx=self._ctx
             )
@@ -229,15 +237,11 @@ class Database:
                 self._tables[info.table_id] = self._materialize_table(
                     info, load=True
                 )
-        self._m.recovery_phase_seconds.labels("load").observe(
-            time.perf_counter() - phase_start
-        )
 
         # Redo phase: reapply committed data records in log order.
-        phase_start = time.perf_counter()
         redo_count = 0
         redone_tables: Set[int] = set()
-        with self._obs.tracer.span("recovery.redo") as redo_span:
+        with self._phase("redo") as redo_span:
             for record in wal_records:
                 if record.kind not in (INSERT, DELETE, INSERT_MANY, DELETE_MANY):
                     continue
@@ -248,31 +252,18 @@ class Database:
                 if table is None:
                     continue  # table dropped later in the log
                 redone_tables.add(table.table_id)
-                if record.kind == INSERT_MANY:
-                    # One frame per multi-row statement: either the whole
-                    # batch made it into the log or none of it did.
-                    for entry in payload["rows"]:
-                        table.heap.restore(
-                            RowId(entry["page"], entry["slot"]),
-                            bytes.fromhex(entry["rec"]),
-                        )
-                        redo_count += 1
-                    continue
-                if record.kind == DELETE_MANY:
-                    for entry in payload["rows"]:
-                        table.heap.clear(RowId(entry["page"], entry["slot"]))
-                        redo_count += 1
-                    continue
-                rid = RowId(payload["page"], payload["slot"])
-                if record.kind == INSERT:
-                    table.heap.restore(rid, bytes.fromhex(payload["rec"]))
-                else:
-                    table.heap.clear(rid)
-                redo_count += 1
+                # One frame per multi-row statement: either the whole batch
+                # made it into the log or none of it did.
+                many = record.kind in (INSERT_MANY, DELETE_MANY)
+                inserts = record.kind in (INSERT, INSERT_MANY)
+                for entry in payload["rows"] if many else (payload,):
+                    rid = RowId(entry["page"], entry["slot"])
+                    if inserts:
+                        table.heap.restore(rid, bytes.fromhex(entry["rec"]))
+                    else:
+                        table.heap.clear(rid)
+                    redo_count += 1
             redo_span.set_attribute("records", redo_count)
-        self._m.recovery_phase_seconds.labels("redo").observe(
-            time.perf_counter() - phase_start
-        )
         if redo_count:
             self._m.recovery_records_replayed.inc(redo_count)
 
@@ -282,8 +273,7 @@ class Database:
         # other table loads its persisted index images — tampered or not —
         # as-is, exactly as a clean restart would, so a crash elsewhere in
         # the database cannot heal them.
-        phase_start = time.perf_counter()
-        with self._obs.tracer.span("recovery.indexes"):
+        with self._phase("indexes"):
             for table in self._tables.values():
                 if table.table_id in redone_tables or not all(
                     os.path.exists(self._index_path(table.table_id, name))
@@ -292,9 +282,6 @@ class Database:
                     table.rebuild_indexes()
                 else:
                     table.load_indexes_from_storage()
-        self._m.recovery_phase_seconds.labels("indexes").observe(
-            time.perf_counter() - phase_start
-        )
 
         self._txn_manager = TransactionManager(
             self._wal, self._lock_manager, self._hooks, self.clock, next_tid,

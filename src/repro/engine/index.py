@@ -11,6 +11,9 @@ nonclustered index owns its own :class:`~repro.engine.heap.HeapFile` holding
 a full copy of every indexed record, plus a B+ tree for lookups.  Tampering
 with the index heap leaves the base table untouched — only invariant 5
 catches it.
+
+No tree is persisted: open bulk-builds each one (:meth:`BPlusTree.bulk`)
+from keys read by :meth:`RecordKernel.project`, which parses no other value.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import (
 
 from repro.engine.btree import BPlusTree
 from repro.engine.heap import HeapFile, RowId
-from repro.engine.record import decode_record, key_tuple
+from repro.engine.record import RecordKernel, key_tuple
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.errors import ConstraintError, StorageError
 
@@ -46,12 +49,25 @@ class ClusteredIndex:
     def key_of(self, row: Sequence[Any]) -> Tuple:
         return key_tuple([row[o] for o in self._key_ordinals])
 
+    def _duplicate(self, row: Sequence[Any]) -> ConstraintError:
+        return ConstraintError(
+            f"duplicate primary key {tuple(row[o] for o in self._key_ordinals)!r}"
+        )
+
+    def load(self, entries: Sequence[Tuple[Sequence[Any], RowId]]) -> None:
+        """Replace the tree with one bulk-built over ``(row, rid)`` pairs
+        (``row`` needs only the key columns); a key held twice raises."""
+        tree = BPlusTree.bulk((self.key_of(row), rid) for row, rid in entries)
+        if len(tree) != len(entries):
+            for row, rid in entries:
+                if tree.get(self.key_of(row)) != rid:  # a later row's key
+                    raise self._duplicate(row)
+        self._tree = tree
+
     def insert(self, row: Sequence[Any], rid: RowId) -> None:
         key = self.key_of(row)
         if key in self._tree:
-            raise ConstraintError(
-                f"duplicate primary key {tuple(row[o] for o in self._key_ordinals)!r}"
-            )
+            raise self._duplicate(row)
         self._tree.insert(key, rid)
 
     def insert_many(self, entries: Sequence[Tuple[Sequence[Any], RowId]]) -> None:
@@ -66,10 +82,7 @@ class ClusteredIndex:
         for row, rid in entries:
             key = self.key_of(row)
             if key in seen or key in self._tree:
-                raise ConstraintError(
-                    f"duplicate primary key "
-                    f"{tuple(row[o] for o in self._key_ordinals)!r}"
-                )
+                raise self._duplicate(row)
             seen.add(key)
             keyed.append((key, rid))
         self._tree.insert_many(keyed)
@@ -177,14 +190,14 @@ class NonclusteredIndex:
         self.definition = definition
         self.name = definition.name
         self._schema = schema
-        self._key_ordinals = tuple(
+        self.key_ordinals = tuple(
             schema.column(name).ordinal for name in definition.column_names
         )
         self.heap = HeapFile(f"{table_name}.{definition.name}")
         self._tree = BPlusTree()
 
     def _tree_key(self, row: Sequence[Any], base_rid: RowId) -> Tuple:
-        return key_tuple([row[o] for o in self._key_ordinals]) + (
+        return key_tuple([row[o] for o in self.key_ordinals]) + (
             base_rid.page_id,
             base_rid.slot,
         )
@@ -192,7 +205,7 @@ class NonclusteredIndex:
     def insert(self, row: Sequence[Any], record: bytes, base_rid: RowId) -> None:
         """Add the record copy for a newly stored base row."""
         if self.definition.unique:
-            prefix = key_tuple([row[o] for o in self._key_ordinals])
+            prefix = key_tuple([row[o] for o in self.key_ordinals])
             if next(self._tree.prefix(prefix), None) is not None:
                 raise ConstraintError(
                     f"duplicate key in unique index {self.name!r}"
@@ -211,7 +224,7 @@ class NonclusteredIndex:
         if self.definition.unique:
             seen = set()
             for row, _, _ in entries:
-                prefix = key_tuple([row[o] for o in self._key_ordinals])
+                prefix = key_tuple([row[o] for o in self.key_ordinals])
                 if prefix in seen or next(
                     self._tree.prefix(prefix), None
                 ) is not None:
@@ -254,39 +267,44 @@ class NonclusteredIndex:
         for _, record in self.heap.scan():
             yield record
 
-    def rebuild(self, base_records: Iterator[Tuple[RowId, bytes]]) -> None:
-        """Rebuild storage and tree from base-table records (recovery path)."""
-        self.heap = HeapFile(self.heap.name)
-        self._tree = BPlusTree()
-        for base_rid, record in base_records:
-            row = decode_record(self._schema, record)
-            index_rid = self.heap.insert(record)
-            self._tree.insert(self._tree_key(row, base_rid), (index_rid, base_rid))
+    def rebuild(self, base_records: Iterable[Tuple[RowId, bytes, Any]]) -> None:
+        """Rebuild storage and tree from ``(base_rid, record, row)`` (crash
+        path): every record is copied into a fresh heap.  ``row`` holds this
+        index's key columns, or is None when not all keys of the pass read;
+        a record whose own key does not read stays out of the tree."""
+        project = self._schema.derived(RecordKernel).project
+        heap, entries = HeapFile(self.heap.name), []
+        for base_rid, record, row in base_records:
+            index_rid = heap.insert(record)
+            try:
+                row = project(record, self.key_ordinals) if row is None else row
+            except StorageError:
+                continue
+            entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
+        self.heap, self._tree = heap, BPlusTree.bulk(entries)
 
     def reattach_schema(self, schema: TableSchema) -> None:
         """Point the index at an evolved schema (ordinals are stable)."""
         self._schema = schema
 
-    def load_tree_from_heap(self, base_lookup) -> None:
-        """Rebuild only the B+ tree from this index's own heap (clean load).
-
-        ``base_lookup(row) -> RowId`` resolves each duplicated record back to
-        its base RowId via the clustered index.  Unresolvable records keep a
-        sentinel RowId: they are unreachable for queries but still appear in
-        :meth:`scan_records`, so verification sees exactly what storage holds.
-        """
-        self._tree = BPlusTree()
+    def load_tree_from_heap(self, clustered: Optional[ClusteredIndex]) -> None:
+        """Rebuild only the B+ tree from this index's own heap (clean load),
+        resolving each record to its base RowId by its primary key.  One
+        whose keys do not read stays out of the tree, one no base row claims
+        gets a sentinel RowId; both still appear in :meth:`scan_records`,
+        so verification sees exactly what storage holds."""
+        project = self._schema.derived(RecordKernel).project
+        pk = self._schema.primary_key_ordinals()
+        wanted, entries = {*pk, *self.key_ordinals}, []
         for index_rid, record in self.heap.scan():
             try:
-                row = decode_record(self._schema, record)
-                base_rid = base_lookup(row)
-            except Exception:
-                row = None
-                base_rid = None
-            if row is None:
+                row = project(record, wanted)
+            except StorageError:
                 continue
-            resolved = base_rid if base_rid is not None else RowId(-1, -1)
-            self._tree.insert(self._tree_key(row, resolved), (index_rid, resolved))
+            found = clustered is not None and clustered.seek([row[o] for o in pk])
+            base_rid = found or RowId(-1, -1)
+            entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
+        self._tree = BPlusTree.bulk(entries)
 
     def __len__(self) -> int:
         return len(self._tree)

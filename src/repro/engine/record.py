@@ -22,7 +22,7 @@ verification hashes the record it finds in storage.
 from __future__ import annotations
 
 import struct
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Collection, Iterable, List, Sequence, Tuple
 
 from repro.crypto.serialization import column_prefix, payload_header
 from repro.engine.schema import TableSchema
@@ -49,8 +49,8 @@ class RecordKernel:
     record bytes, with the same message.
     """
 
-    __slots__ = ("width", "_count", "_bitmap_len", "_columns", "_projecting",
-                 "_plain", "_payload_headers")
+    __slots__ = ("width", "_count", "_bitmap_len", "_columns", "_every",
+                 "_visible", "_projecting", "_plain", "_payload_headers")
 
     def __init__(self, schema: TableSchema) -> None:
         columns = schema.columns
@@ -59,9 +59,13 @@ class RecordKernel:
         self._bitmap_len = (self.width + 7) // 8
         #: Per column, for encode and decode.
         self._columns = tuple(
-            (c.ordinal, c.name, c.sql_type.encode, c.sql_type.decode,
-             c.hidden or c.dropped)
+            (c.ordinal, c.name, c.sql_type.encode, c.sql_type.decode)
             for c in columns
+        )
+        #: The ordinals :meth:`decode` parses: all, or the visible ones.
+        self._every = frozenset(range(self.width))
+        self._visible = frozenset(
+            c.ordinal for c in columns if not (c.hidden or c.dropped)
         )
         # Columns whose values a reader of the hashed payload also needs:
         # hidden ones (maintained by the layer above — the ledger's
@@ -100,7 +104,7 @@ class RecordKernel:
         present = 0
         parts: List[bytes] = [b""]
         pack_len = _VALUE_LEN.pack
-        for ordinal, _, encode, _, _ in self._columns:
+        for ordinal, _, encode, _ in self._columns:
             value = row[ordinal]
             if value is None:
                 continue
@@ -140,44 +144,20 @@ class RecordKernel:
         columns nearly free on the read path — as they are in the
         production system.
         """
-        count, present, offset = self._open(data)
-        size = len(data)
-        row: List[Any] = [None] * self.width
-        columns = self._columns if count == self.width else self._columns[:count]
-        for ordinal, name, _, decode, unseen in columns:
-            if not present >> ordinal & 1:
-                continue
-            start = offset + 4
-            if start > size:
-                raise StorageError(f"truncated record at column {name!r}")
-            offset = start + _value_len_at(data, offset)[0]
-            if offset > size:
-                raise StorageError(f"truncated value for column {name!r}")
-            if visible_only and unseen:
-                continue
-            try:
-                row[ordinal] = decode(data[start:offset])
-            except Exception as exc:
-                raise StorageError(
-                    f"column {name!r} failed to decode: {exc}"
-                ) from exc
-        if offset != size:
-            raise StorageError(f"{size - offset} trailing bytes after record")
-        return tuple(row)
+        return self.project(data, self._visible if visible_only else self._every)
 
-    def project(self, data: bytes, ordinals: Sequence[int]) -> Tuple[Any, ...]:
+    def project(self, data: bytes, ordinals: Collection[int]) -> Tuple[Any, ...]:
         """A key read: the row with only the columns at ``ordinals`` decoded.
 
-        Walks the record as :meth:`decode` does, as strictly, but parses no
-        other value and stops after the last wanted column — what building
-        an index over those columns needs from each record.
+        As strict as :meth:`decode` about structure — every column's length
+        is walked and trailing bytes raise — but no other value is parsed:
+        what building an index over those columns needs from each record.
         """
         count, present, offset = self._open(data)
         size = len(data)
         row: List[Any] = [None] * self.width
-        for ordinal, name, _, decode, _ in self._columns[
-            : min(count, max(ordinals) + 1)
-        ]:
+        columns = self._columns if count == self.width else self._columns[:count]
+        for ordinal, name, _, decode in columns:
             if not present >> ordinal & 1:
                 continue
             start = offset + 4
@@ -194,6 +174,8 @@ class RecordKernel:
                 raise StorageError(
                     f"column {name!r} failed to decode: {exc}"
                 ) from exc
+        if offset != size:
+            raise StorageError(f"{size - offset} trailing bytes after record")
         return tuple(row)
 
     # -- record -> hashed payload --------------------------------------
@@ -265,12 +247,8 @@ def encode_record(schema: TableSchema, row: Sequence[Any]) -> bytes:
 def decode_record(
     schema: TableSchema, data: bytes, visible_only: bool = False
 ) -> Tuple[Any, ...]:
-    """Decode storage bytes back into a physical row.
-
-    Decoding is strict — truncation, trailing bytes, or values that do not
-    parse under the declared types all raise :class:`StorageError`; see
-    :meth:`RecordKernel.decode` for ``visible_only``.
-    """
+    """Decode storage bytes back into a physical row, strictly
+    (:meth:`RecordKernel.decode`)."""
     return schema.derived(RecordKernel).decode(data, visible_only)
 
 

@@ -269,7 +269,7 @@ class Table:
     def create_nonclustered_index(self, definition: IndexDefinition) -> None:
         """Build a new nonclustered index over the existing rows."""
         index = NonclusteredIndex(self.name, definition, self.schema)
-        index.rebuild(self.heap.scan())
+        self._build_from_heap([index])
         self.nonclustered[definition.name] = index
 
     def drop_nonclustered_index(self, name: str) -> None:
@@ -277,14 +277,7 @@ class Table:
 
     def rebuild_indexes(self) -> None:
         """Rebuild every access path from the base heap (crash recovery)."""
-        self.drop_key_indexes()
-        if self.schema.primary_key:
-            self.clustered = ClusteredIndex(self.schema)
-            for rid, record in self.heap.scan():
-                row = decode_record(self.schema, record)
-                self.clustered.insert(row, rid)
-        for index in self.nonclustered.values():
-            index.rebuild(self.heap.scan())
+        self._build_from_heap(list(self.nonclustered.values()))
 
     def load_indexes_from_storage(self) -> None:
         """Rebuild in-memory trees from persisted storage (clean restart).
@@ -294,22 +287,32 @@ class Table:
         storage survives a clean restart — exactly the attack surface
         verification invariant 5 covers.
         """
-        self.drop_key_indexes()
-        if self.schema.primary_key:
-            self.clustered = ClusteredIndex(self.schema)
-            for rid, record in self.heap.scan():
-                row = decode_record(self.schema, record)
-                self.clustered.insert(row, rid)
-
-        def base_lookup(row: Sequence[Any]) -> Optional[RowId]:
-            if self.clustered is None:
-                return None
-            return self.clustered.seek(
-                [row[o] for o in self.schema.primary_key_ordinals()]
-            )
-
+        self._build_from_heap([])
         for index in self.nonclustered.values():
-            index.load_tree_from_heap(base_lookup)
+            index.load_tree_from_heap(self.clustered)
+
+    def _build_from_heap(self, indexes: List[NonclusteredIndex]) -> None:
+        """Bulk-build the clustered tree and ``indexes`` from one pass that
+        parses key columns only: damaged structure or primary keys, or a key
+        held twice, raise; a nonclustered key that does not read keeps its
+        record out of that tree; other damage is verification's to report."""
+        if self.clustered is None and not indexes:
+            return
+        project = self.schema.derived(RecordKernel).project
+        pk = self.schema.primary_key_ordinals()
+        wanted = {*pk, *(o for index in indexes for o in index.key_ordinals)}
+        keys, records = [], []
+        for rid, record in self.heap.scan():
+            try:
+                row = key_row = project(record, wanted)
+            except StorageError:  # raises again unless a nonclustered key
+                row, key_row = None, project(record, pk)
+            keys.append((key_row, rid))
+            records.append((rid, record, row))
+        if self.clustered is not None:
+            self.clustered.load(keys)
+        for index in indexes:
+            index.rebuild(records)
 
     # ------------------------------------------------------------------
     # Internals
@@ -343,13 +346,9 @@ class Table:
         for index in self.nonclustered.values():
             if not index.definition.unique:
                 continue
-            key_ordinals = [
-                self.schema.column(c).ordinal
-                for c in index.definition.column_names
-            ]
             seen = set()
             for validated, _ in prepared:
-                key = key_tuple([validated[o] for o in key_ordinals])
+                key = key_tuple([validated[o] for o in index.key_ordinals])
                 if key in seen:
                     raise ConstraintError(
                         f"duplicate key in unique index {index.name!r}"
@@ -551,12 +550,9 @@ class Table:
         for index in self.nonclustered.values():
             if not index.definition.unique:
                 continue
-            key_ordinals = [
-                self.schema.column(c).ordinal for c in index.definition.column_names
-            ]
-            new_key = [row[o] for o in key_ordinals]
+            new_key = [row[o] for o in index.key_ordinals]
             if old_row is not None:
-                old_key = [old_row[o] for o in key_ordinals]
+                old_key = [old_row[o] for o in index.key_ordinals]
                 if key_tuple(old_key) == key_tuple(new_key):
                     continue  # key unchanged; the existing entry is this row
             for hit in index.seek(new_key):

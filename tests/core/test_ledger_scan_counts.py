@@ -21,10 +21,14 @@ from repro.core.database_ledger import (
     DatabaseLedger,
 )
 from repro.core.entries import TransactionEntry
-from repro.core.ledger_database import LedgerDatabase
+from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
 from repro.core.verification import capture_snapshot
+from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
+from repro.engine.database import Database
 from repro.engine.heap import HeapFile
+from repro.engine.record import RecordKernel
+from repro.engine.schema import IndexDefinition
 from repro.engine.table import Table
 
 from tests.core.conftest import accounts_schema, run
@@ -295,6 +299,74 @@ class TestCostDoesNotGrowWithTheTable:
             sealed = ledger.block(first + self.BLOCKS)
             assert sealed is not None and sealed.transaction_count == self.BLOCK
             assert ledger.transaction_entry(tids[-1]).ordinal == 499
+            assert reopened.verify([reopened.generate_digest()]).ok
+        finally:
+            reopened.close()
+
+    def test_open_reads_each_user_heap_once_and_only_its_keys(
+        self, tmp_path, monkeypatch
+    ):
+        """Reopening a crashed directory makes one pass over the indexed
+        user table, decodes none of its records whole, and builds its
+        trees without a single one-key insert."""
+        path = str(tmp_path / "db")
+        db = open_single_threaded(path, block_size=100)
+        db.create_ledger_table(accounts_schema().with_index(
+            IndexDefinition("ix_balance", ("balance",))
+        ))
+        commit_rows(db, 0, 300)
+        db.checkpoint()
+        commit_rows(db, 300, 300)  # redone: the crash path rebuilds
+        db.simulate_crash()
+
+        user_heaps = ("accounts", "accounts" + HISTORY_SUFFIX)
+        passes, decoded, inserts = Counter(), [], Counter()
+        heap_scan, decode = HeapFile.scan, RecordKernel.decode
+        insert, insert_many = BPlusTree.insert, BPlusTree.insert_many
+        recover, inside = Database._recover, []
+
+        def scan(heap):
+            if heap.name in user_heaps:
+                passes[heap.name] += 1
+            return heap_scan(heap)
+
+        def counting_decode(kernel, data, visible_only=False):
+            decoded.append(kernel)
+            return decode(kernel, data, visible_only)
+
+        def counting(name, method):
+            def counted(tree, *args):
+                inserts[name] += bool(inside)
+                return method(tree, *args)
+            return counted
+
+        def engine_recovery(engine, checkpoint_path):
+            inside.append(True)
+            try:
+                return recover(engine, checkpoint_path)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(HeapFile, "scan", scan)
+        monkeypatch.setattr(RecordKernel, "decode", counting_decode)
+        monkeypatch.setattr(BPlusTree, "insert", counting("insert", insert))
+        monkeypatch.setattr(
+            BPlusTree, "insert_many", counting("insert_many", insert_many)
+        )
+        monkeypatch.setattr(Database, "_recover", engine_recovery)
+        reopened = LedgerDatabase.open(path, clock=LogicalClock())
+        monkeypatch.undo()
+        try:
+            accounts = reopened.engine.table("accounts")
+            assert passes == {"accounts": 1}
+            user_kernels = {
+                id(reopened.engine.table(name).schema.derived(RecordKernel))
+                for name in user_heaps
+            }
+            assert not user_kernels & {id(kernel) for kernel in decoded}
+            assert inserts == {}
+            assert len(accounts.clustered) == accounts.row_count() == 600
+            assert len(accounts.nonclustered["ix_balance"]) == 600
             assert reopened.verify([reopened.generate_digest()]).ok
         finally:
             reopened.close()

@@ -12,8 +12,8 @@ count.  These tests pin that:
   one a full run builds on the same state;
 * every attack in :mod:`repro.attacks`, on targets before and after the
   checkpoint, gets the same verdict and error invariants as before the
-  delta existed (``EXPECTED``), in the process that tampered and after a
-  clean reopen;
+  delta existed (``EXPECTED``), in the process that tampered, after a
+  clean reopen and after a crash;
 * UPDATE and DELETE patch the derived key indexes instead of dropping
   them, so a cycle after an UPDATE does not rebuild one.
 """
@@ -185,11 +185,12 @@ ATTACKS = {
 #: (ok, error invariants) of an incremental cycle after each attack, as
 #: the verifier that re-read every stored record reported them (escalations
 #: included: the erasures before the checkpoint and ``relabel_post``
-#: escalate on both); the same in the tampering process and after a clean
-#: reopen.  A same-size rewrite before the checkpoint is the deep scan's job
-#: in both, and index edits wait for it too.
-#: A re-declared column type cannot be reopened at all: the engine refuses
-#: a directory holding a record it cannot decode.
+#: escalate on both); the same in the tampering process, after a clean
+#: reopen and after a crash.  A same-size rewrite before the checkpoint is
+#: the deep scan's job in all three, and index edits wait for it too.  A
+#: re-declared column type
+#: (``balance``, an index key) reopens: open parses primary keys only, and
+#: an index key that does not read keeps the record out of the index tree.
 EXPECTED = {
     "rewrite_live_pre": (True, []),
     "rewrite_live_post": (False, ["table_root"]),
@@ -223,12 +224,28 @@ def test_attack_verdict_in_process(tmp_path, name):
         db.close()
 
 
-@pytest.mark.parametrize("name", sorted(set(ATTACKS) - {"column_type"}))
+@pytest.mark.parametrize("name", sorted(ATTACKS))
 def test_attack_verdict_after_reopen(tmp_path, name):
     path = str(tmp_path / "db")
     db, checkpoint, digests = build(path)
     ATTACKS[name](db, checkpoint)
     db.close()
+    db = open_db(path)
+    try:
+        assert verdict(incremental(db, checkpoint, digests)) == EXPECTED[name]
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("name", sorted(ATTACKS))
+def test_attack_verdict_after_crash(tmp_path, name):
+    """The tampered pages reach disk with a checkpoint; the crash after it
+    leaves no user table to redo, so every index image loads as stored."""
+    path = str(tmp_path / "db")
+    db, checkpoint, digests = build(path)
+    ATTACKS[name](db, checkpoint)
+    db.checkpoint()
+    db.simulate_crash()
     db = open_db(path)
     try:
         assert verdict(incremental(db, checkpoint, digests)) == EXPECTED[name]

@@ -114,26 +114,96 @@ class TestSplitsAndScans:
         assert [k[0] for k, _ in tree.items()] == list(range(10)) + list(range(30, 40))
 
 
+class TestBulk:
+    def test_empty(self):
+        tree = BPlusTree.bulk([])
+        assert len(tree) == 0 and list(tree.items()) == []
+        tree.insert((1,), "x")
+        assert list(tree.items()) == [((1,), "x")]
+
+    def test_equal_keys_keep_the_later_value(self):
+        tree = BPlusTree.bulk([((2,), "a"), ((1,), "b"), ((2,), "c")])
+        assert list(tree.items()) == [((1,), "b"), ((2,), "c")]
+        assert len(tree) == 2
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 20, 21, 25, 26, 126, 127])
+    def test_every_shape_of_last_leaf_and_node(self, count):
+        keys = [(k,) for k in range(0, 2 * count, 2)]
+        tree = BPlusTree.bulk([(key, key[0]) for key in reversed(keys)], order=4)
+        assert list(tree.items()) == [(key, key[0]) for key in keys]
+        assert all(tree.get(key) == key[0] for key in keys)
+        assert tree.get((1,)) is None
+        # Every leaf starts full: the first odd key into each splits it.
+        for k in range(1, 2 * count, 2):
+            tree.insert((k,), k)
+        assert list(tree.items()) == [((k,), k) for k in range(2 * count)]
+        assert [k for k, _ in tree.range((3,), (9,))] == [
+            (k,) for k in range(3, min(10, 2 * count))
+        ]
+
+    def test_rejects_a_small_order(self):
+        with pytest.raises(StorageError):
+            BPlusTree.bulk([], order=3)
+
+
+_KEYS = st.tuples(
+    st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12)
+)
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("insert"), _KEYS),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("insert_many"), st.lists(_KEYS, max_size=12)),
+    st.tuples(st.just("range"), _KEYS, _KEYS, st.booleans(), st.booleans()),
+    st.tuples(st.just("prefix"), st.integers(min_value=0, max_value=12)),
+)
+
+
 @given(
-    st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)),
-        max_size=300,
-    ),
+    st.none() | st.lists(_KEYS, max_size=150),
+    st.lists(_OPERATIONS, max_size=120),
     st.integers(min_value=4, max_value=16),
 )
-@settings(max_examples=40, deadline=None)
-def test_matches_dict_model(operations, order):
-    """Random insert/delete sequences agree with a plain dict."""
-    tree = BPlusTree(order=order)
+@settings(max_examples=80, deadline=None)
+def test_matches_dict_model(initial, operations, order):
+    """A tree, empty or bulk-built from random keys (repeats included), then
+    random inserts, deletes, batches and range/prefix scans agree with a
+    plain dict."""
     model = {}
-    for is_insert, key_int in operations:
-        key = (key_int,)
-        if is_insert:
-            tree.insert(key, key_int * 2)
-            model[key] = key_int * 2
-        elif key in model:
-            tree.delete(key)
-            del model[key]
+    if initial is None:
+        tree = BPlusTree(order=order)
+    else:
+        pairs = [(key, index) for index, key in enumerate(initial)]
+        tree = BPlusTree.bulk(pairs, order=order)
+        model = dict(pairs)
+    for name, *arguments in operations:
+        if name == "insert":
+            key = arguments[0]
+            tree.insert(key, key)
+            model[key] = key
+        elif name == "delete":
+            key = arguments[0]
+            if key in model:
+                tree.delete(key)
+                del model[key]
+            else:
+                with pytest.raises(KeyError):
+                    tree.delete(key)
+        elif name == "insert_many":
+            tree.insert_many([(key, -key[1]) for key in arguments[0]])
+            model.update((key, -key[1]) for key in arguments[0])
+        elif name == "range":
+            low, high, include_low, include_high = arguments
+            assert list(tree.range(low, high, include_low, include_high)) == [
+                (key, value) for key, value in sorted(model.items())
+                if (low < key or include_low and key == low)
+                and (key < high or include_high and key == high)
+            ]
+        else:
+            assert list(tree.prefix(tuple(arguments))) == [
+                (key, value) for key, value in sorted(model.items())
+                if key[0] == arguments[0]
+            ]
     assert dict(tree.items()) == model
     assert list(tree.items()) == sorted(model.items())
     assert len(tree) == len(model)
+    assert tree.min_key() == min(model, default=None)

@@ -4,14 +4,16 @@ import os
 
 import pytest
 
+from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
-from repro.engine.expressions import eq
+from repro.engine.expressions import BinaryOp, ColumnRef, Literal, eq
 from repro.engine.operators import delete_rows, insert_rows, seq_scan, update_rows
+from repro.engine.record import decode_record, encode_record, key_tuple
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import INT, VARCHAR
 from repro.engine.wal import WalRecord, WalWriter, read_wal
-from repro.errors import TransactionError
+from repro.errors import ConstraintError, StorageError, TransactionError
 
 
 def make_schema(name="items"):
@@ -319,3 +321,297 @@ class TestCheckpoint:
         db.simulate_crash()
         db2 = open_db(tmp_path / "db")
         assert db2.table("items").row_count() == 3
+
+
+# ----------------------------------------------------------------------
+# Open bulk-builds every tree from keys: the same trees as per-row inserts
+# ----------------------------------------------------------------------
+
+
+def per_row_trees(table):
+    """The clustered and nonclustered trees that decoding every record and
+    inserting it, one at a time, builds over the table's storage."""
+    pk = table.schema.primary_key_ordinals()
+    clustered = BPlusTree()
+    for rid, record in table.heap.scan():
+        row = decode_record(table.schema, record)
+        clustered.insert(key_tuple([row[o] for o in pk]), rid)
+    indexes = {}
+    for name, index in table.nonclustered.items():
+        tree = indexes[name] = BPlusTree()
+        for index_rid, record in index.heap.scan():
+            row = decode_record(table.schema, record)
+            base = clustered.get(key_tuple([row[o] for o in pk]))
+            tree.insert(
+                key_tuple([row[o] for o in index.key_ordinals])
+                + (base.page_id, base.slot),
+                (index_rid, base),
+            )
+    return clustered, indexes
+
+
+def tree_items(table):
+    return list(table.clustered.scan()), {
+        name: list(index._tree.items())
+        for name, index in table.nonclustered.items()
+    }
+
+
+def where(column_name, op, value):
+    return BinaryOp(op, ColumnRef(column_name), Literal(value))
+
+
+def varied_database(path, checkpoint_midway):
+    """A composite primary key; a two-column index holding NULLs; a unique
+    index; records written before an ADD COLUMN (and an index on it) and
+    before a DROP COLUMN; slots freed by DELETE and UPDATE."""
+    db = open_db(path)
+    table = db.create_table(TableSchema(
+        "wide",
+        [
+            Column("region", VARCHAR(8), nullable=False),
+            Column("n", INT, nullable=False),
+            Column("tag", VARCHAR(8)),
+            Column("score", INT),
+            Column("email", VARCHAR(32)),
+            Column("note", VARCHAR(40)),
+        ],
+        primary_key=["region", "n"],
+        indexes=[
+            IndexDefinition("ix_tag_score", ("tag", "score")),
+            IndexDefinition("ux_email", ("email",), unique=True),
+        ],
+    ))
+    db.create_table(make_schema("plain"))
+
+    def insert(rows):
+        txn = db.begin()
+        insert_rows(txn, db.table("wide"), rows)
+        db.commit(txn)
+
+    insert([
+        [f"r{n % 3}", n, None if n % 4 == 0 else f"t{n % 5}",
+         None if n % 3 == 0 else n % 7, f"u{n}@x", "x" * (n % 30)]
+        for n in range(80)
+    ])
+    txn = db.begin()
+    delete_rows(txn, table, where("n", "<", 15))
+    update_rows(txn, table, {"tag": "moved"}, where("n", ">", 70))
+    db.commit(txn)
+    if checkpoint_midway:
+        db.checkpoint()
+    db.replace_table_schema(
+        table.table_id, table.schema.with_column_added(Column("extra", INT))
+    )
+    db.create_index("wide", IndexDefinition("ix_extra", ("extra",)))
+    insert([
+        [f"r{n % 3}", n, "late", n, f"u{n}@x", "y", None if n % 2 else n]
+        for n in range(80, 120)
+    ])
+    db.replace_table_schema(
+        table.table_id, db.table("wide").schema.with_column_dropped("note")
+    )
+    insert([[f"r{n % 3}", n, None, None, f"u{n}@x", n] for n in range(120, 123)])
+    txn = db.begin()
+    delete_rows(txn, table, where("n", ">", 100))
+    insert_rows(txn, db.table("plain"), [[1, "p"]])
+    db.commit(txn)
+    return db
+
+
+class TestOpenBuildsTreesFromKeys:
+    """Every tree a reopen builds equals what per-row inserts would build,
+    and the reopened clustered trees equal the ones the writer held."""
+
+    @pytest.mark.parametrize("how", ["crash", "crash_after_checkpoint", "clean"])
+    def test_trees_equal_per_row_builds(self, tmp_path, how):
+        db = varied_database(tmp_path / "db", how == "crash_after_checkpoint")
+        held = {table.name: tree_items(table) for table in db.tables()}
+        if how == "clean":
+            db.close()
+        else:
+            db.simulate_crash()
+
+        reopened = open_db(tmp_path / "db")
+        for table in reopened.tables():
+            clustered, indexes = per_row_trees(table)
+            items = tree_items(table)
+            assert items[0] == list(clustered.items())
+            assert items[1] == {
+                name: list(tree.items()) for name, tree in indexes.items()
+            }
+            assert items[0] == held[table.name][0]
+            assert {
+                name: [(key, base) for key, (_, base) in entries]
+                for name, entries in items[1].items()
+            } == {
+                name: [(key, base) for key, (_, base) in entries]
+                for name, entries in held[table.name][1].items()
+            }
+            for index in table.nonclustered.values():
+                assert len(index) == table.row_count()
+                assert sorted(index.scan_records()) == sorted(
+                    record for _, record in table.heap.scan()
+                )
+        wide = reopened.table("wide")
+        assert len(wide.nonclustered) == 3
+        assert list(wide.nonclustered["ix_extra"].seek([None]))  # pre-ADD rows
+        assert len(list(wide.seek_index("ux_email", ["u90@x"]))) == 1
+
+    def test_index_created_over_existing_rows(self, tmp_path):
+        db = varied_database(tmp_path / "db", checkpoint_midway=True)
+        db.create_index("wide", IndexDefinition("ix_score", ("score",)))
+        wide = db.table("wide")
+        assert tree_items(wide)[1]["ix_score"] == list(
+            per_row_trees(wide)[1]["ix_score"].items()
+        )
+
+
+# ----------------------------------------------------------------------
+# What open reads: structure and primary keys, strictly; nothing else
+# ----------------------------------------------------------------------
+
+
+def with_value(schema, record, column_name, raw):
+    """``record`` with one non-NULL column's stored value bytes replaced."""
+    count = int.from_bytes(record[:2], "big")
+    offset = 2 + (count + 7) // 8
+    present = int.from_bytes(record[2:offset], "little")
+    target = schema.column(column_name).ordinal
+    for ordinal in range(count):
+        if not present >> ordinal & 1:
+            continue
+        length = int.from_bytes(record[offset : offset + 4], "big")
+        if ordinal == target:
+            return (
+                record[:offset] + len(raw).to_bytes(4, "big") + raw
+                + record[offset + 4 + length :]
+            )
+        offset += 4 + length
+    raise AssertionError(f"column {column_name!r} is NULL or absent")
+
+
+def ledger_with_index(path):
+    from repro.core.ledger_database import LedgerDatabase
+    from repro.sql import SqlSession
+
+    db = LedgerDatabase.open(path, clock=LogicalClock())
+    session = SqlSession(db)
+    session.execute(
+        "CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT) WITH (LEDGER = ON)"
+    )
+    session.execute("CREATE INDEX ix_k ON t (k)")
+    session.execute("CREATE INDEX ix_id ON t (id)")
+    session.execute(
+        "CREATE TABLE other (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)"
+    )
+    session.execute(
+        "INSERT INTO t (id, k, v) VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300)"
+    )
+    return db, session
+
+
+def damage(db, rid_key, change):
+    """Rewrite the stored record of ``t`` row ``rid_key`` below the engine;
+    the rewrite reaches disk with a checkpoint."""
+    table = db.ledger_table("t")
+    rid, _ = table.seek([rid_key])
+    table.heap.tamper_record(rid, change(table.schema, table.heap.read(rid)))
+    db.checkpoint()
+
+
+def invariants(db):
+    report = db.verify([db.generate_digest()])
+    return report.ok, sorted({f.invariant for f in report.errors})
+
+
+def reopen(path, db, how):
+    """Close cleanly, or crash after a commit to ``other`` (the damaged
+    table loads its persisted index images) or to ``t`` (its indexes are
+    rebuilt from the base heap)."""
+    from repro.core.ledger_database import LedgerDatabase
+    from repro.sql import SqlSession
+
+    if how == "clean":
+        db.close()
+    else:
+        target = "t" if how == "crash_redoing_t" else "other"
+        SqlSession(db).execute(
+            f"INSERT INTO {target} (id, v) VALUES (9, 9)" if target == "other"
+            else "INSERT INTO t (id, k, v) VALUES (9, 90, 900)"
+        )
+        db.simulate_crash()
+    return LedgerDatabase.open(path, clock=LogicalClock())
+
+
+def NON_KEY(schema, record):
+    """A type-invalid value in a non-key column: an INT in three bytes.
+    Open once refused the directory; verification now reports it."""
+    return with_value(schema, record, "v", b"\x00\x00\x07")
+
+
+def INDEX_KEY(schema, record):
+    """The same damage in the column ``ix_k`` is keyed on."""
+    return with_value(schema, record, "k", b"\x00\x00\x07")
+
+
+class TestOpenReadRule:
+    @pytest.mark.parametrize("change", [NON_KEY, INDEX_KEY], ids=["value", "index_key"])
+    @pytest.mark.parametrize("how", ["clean", "crash_elsewhere"])
+    def test_value_damage_reopens_and_verifies_the_same(self, tmp_path, change, how):
+        path = str(tmp_path / "db")
+        db, _ = ledger_with_index(path)
+        damage(db, 2, change)
+        in_process = invariants(db)
+        assert in_process == (False, ["index", "table_root"])
+        reopened = reopen(path, db, how)
+        try:
+            assert invariants(reopened) == in_process
+            hits = list(reopened.ledger_table("t").seek_index("ix_k", [30]))
+            assert len(hits) == 1
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("change", [NON_KEY, INDEX_KEY], ids=["value", "index_key"])
+    def test_value_damage_in_a_redone_table(self, tmp_path, change):
+        """The crash path rebuilds the table's index heap from the base heap,
+        damaged record included; only the base table's root can tell."""
+        path = str(tmp_path / "db")
+        db, _ = ledger_with_index(path)
+        damage(db, 2, change)
+        reopened = reopen(path, db, "crash_redoing_t")
+        try:
+            table = reopened.ledger_table("t")
+            index = table.nonclustered["ix_k"]
+            assert index.heap.record_count() == table.row_count() == 4
+            # A key that does not read keeps the record out of its tree only.
+            assert len(index) == (3 if change is INDEX_KEY else 4)
+            assert len(table.nonclustered["ix_id"]) == 4
+            assert len(list(table.seek_index("ix_k", [90]))) == 1
+            assert invariants(reopened) == (False, ["table_root"])
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            (lambda s, r: r + b"\x00", StorageError, "1 trailing bytes after record"),
+            (lambda s, r: r[:-1], StorageError, "truncated value for column"),
+            (lambda s, r: with_value(s, r, "id", b"\x00\x00\x07"), StorageError,
+             "column 'id' failed to decode: INT expects 4 bytes, got 3"),
+            (lambda s, r: encode_record(
+                s, (1,) + decode_record(s, r)[1:]), ConstraintError,
+             "duplicate primary key (1,)"),
+        ],
+        ids=["trailing", "truncated", "primary_key", "duplicate_key"],
+    )
+    @pytest.mark.parametrize("how", ["clean", "crash_elsewhere", "crash_redoing_t"])
+    def test_structure_and_primary_key_damage_still_refuse(
+        self, tmp_path, change, error, message, how
+    ):
+        path = str(tmp_path / "db")
+        db, _ = ledger_with_index(path)
+        damage(db, 2, change)
+        with pytest.raises(error) as raised:
+            reopen(path, db, how)
+        assert message in str(raised.value)

@@ -11,6 +11,7 @@ from repro.core import system_columns as sc
 from repro.crypto.hashing import hash_leaf
 from repro.crypto.serialization import RowSerializer, SerializedColumn
 from repro.engine.record import (
+    RecordKernel,
     decode_record,
     encode_record,
     hashable_payload,
@@ -365,6 +366,16 @@ class TestRecordKernel:
         with pytest.raises(StorageError, match="'id' failed to decode"):
             hashable_payload(evil_key, record)
 
+    def test_key_read_parses_only_the_key(self):
+        record = encode_record(
+            TableSchema("t", [Column("id", INT), Column("v", INT)], ["id"]), (1, 2)
+        )
+        evil = TableSchema("t", [Column("id", INT), Column("v", SMALLINT)], ["id"])
+        project = evil.derived(RecordKernel).project
+        assert project(record, (0,)) == (1, None)
+        with pytest.raises(StorageError, match="'v' failed to decode"):
+            project(record, (0, 1))
+
 
 # Fixed schema + rows; record, payload and leaf hex computed at the commit
 # before the record kernel existed (value-based hashable_payload +
@@ -479,6 +490,13 @@ class TestDamageCorpus:
         assert self._outcome(hashable_payload, schema, damaged) == decoded
         assert self._outcome(
             lambda s, r: hashable_payloads(s, [r]), schema, damaged
+        ) == decoded
+        # A key read walks the whole record too, past its last key column.
+        assert self._outcome(
+            lambda s, r: s.derived(RecordKernel).project(
+                r, s.primary_key_ordinals()
+            ),
+            schema, damaged,
         ) == decoded
 
     @pytest.mark.parametrize("record", _golden_records())
