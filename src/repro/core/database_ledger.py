@@ -44,7 +44,8 @@ key, is *missing* — never an exception, never a stale answer.  Only
 *verification* scans: :meth:`~DatabaseLedger.all_entries` and
 :meth:`~DatabaseLedger.blocks` walk the heaps, because a verifier must see
 what storage holds, not what an in-memory access path remembers having put
-there.
+there.  Given the verifier's cache they decode only records whose exact
+bytes they have not decoded before.
 """
 
 from __future__ import annotations
@@ -66,9 +67,11 @@ from typing import (
 
 from repro.core.digest import BlockHeader, DatabaseDigest
 from repro.core.entries import BlockRow, TransactionEntry
+from repro.core.verify_snapshot import schema_fingerprint
+from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
 from repro.engine.database import Database
-from repro.engine.record import decode_record
+from repro.engine.record import RecordKernel
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
 from repro.engine.transaction import Transaction
@@ -817,17 +820,19 @@ class DatabaseLedger:
         latest = self.latest_block()
         return latest.block_id if latest else self.first_block_id() - 1
 
-    def blocks(self) -> List[BlockRow]:
+    def blocks(self, cache: Optional[LeafHashCache] = None) -> List[BlockRow]:
         """All closed blocks ordered by block id — verification's reader.
 
         Reads the heap directly (not through the clustered index) and skips
         undecodable records: a tampered or erased block row must degrade to
         "missing" so verification can report it instead of crashing.  This
         and :meth:`all_entries` are the only full scans of the system
-        tables; nothing operational calls them.
+        tables; nothing operational calls them.  With the verifier's
+        ``cache``, a record read before decodes from the memo (see
+        :meth:`_scan`).
         """
         with self.storage_lock:
-            found = self._scan(self._blocks_table(), BlockRow)
+            found = self._scan(self._blocks_table(), BlockRow, cache)
         found.sort(key=lambda b: b.block_id)
         return found
 
@@ -889,39 +894,61 @@ class DatabaseLedger:
         entries.sort(key=lambda e: e.ordinal)
         return entries
 
-    def all_entries(self) -> List[TransactionEntry]:
+    def all_entries(
+        self, cache: Optional[LeafHashCache] = None
+    ) -> List[TransactionEntry]:
         """Every known entry (system table + queue), by transaction id.
 
         Verification's reader: a heap scan in which undecodable rows
         degrade to missing (see :meth:`blocks`).
         """
         with self.storage_lock:
-            entries = self._scan(self._transactions_table(), TransactionEntry)
+            entries = self._scan(
+                self._transactions_table(), TransactionEntry, cache
+            )
         with self.queue_lock:
             entries.extend(self._queue)
         entries.sort(key=lambda e: e.transaction_id)
         return entries
 
     @staticmethod
-    def _scan(table: Table, row_class) -> List[Any]:
+    def _scan(
+        table: Table, row_class, cache: Optional[LeafHashCache] = None
+    ) -> List[Any]:
         """Every row of a system table that still reads, from its heap.
 
         Requires ``storage_lock``.  Each record is decoded on its own, so
         one that is structurally damaged is skipped like one whose values
         no longer parse.
+
+        Every record is read from the heap on every call.  With a ``cache``,
+        one whose key — (the table's schema fingerprint, its exact stored
+        bytes) — was decoded before is served from the memo: the same
+        frozen row, which computes its hash once.  A tampered record or a
+        re-declared column misses and is decoded from what storage holds
+        now.  Lookups and fills are one batch each.
         """
-        found = []
-        for _, record in table.heap.scan():
-            try:
-                found.append(
-                    row_class.from_row(
-                        table.schema.visible_values(
-                            decode_record(table.schema, record)
-                        )
+        schema = table.schema
+        decode = schema.derived(RecordKernel).decode
+        records = [record for _, record in table.heap.scan()]
+        if cache is None:
+            memo: List[Any] = [None] * len(records)
+        else:
+            context = schema_fingerprint(table.name, schema, False)
+            memo = cache.get_many(context, records)
+        found, decoded = [], []
+        for record, row in zip(records, memo):
+            if row is None:
+                try:
+                    row = row_class.from_row(
+                        schema.visible_values(decode(record))
                     )
-                )
-            except Exception:
-                continue
+                except Exception:
+                    continue
+                decoded.append((record, row))
+            found.append(row)
+        if cache is not None and decoded:
+            cache.put_many(context, decoded)
         return found
 
     @classmethod

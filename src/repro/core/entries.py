@@ -9,14 +9,18 @@ the Merkle root over its transaction-entry hashes, the previous block's hash
 Both have a *canonical binary serialization* that is the input to their
 SHA-256 hash.  Hashes are computed, never stored alongside the data they
 cover — verification always recomputes from current (possibly tampered)
-state.
+state.  A row object remembers the hash it computed: the row is frozen and
+the hash is a pure function of its fields, so the memo can only ever be the
+hash of what the object holds.  Rows decoded from storage are memoized by
+their exact stored bytes (:class:`repro.crypto.hashing.LeafHashCache`), so
+a verifier re-reading unchanged rows reuses their hashes.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.crypto.hashing import hash_block, hash_transaction_entry
@@ -43,6 +47,10 @@ class TransactionEntry:
     commit_time: dt.datetime
     username: str
     table_roots: Tuple[Tuple[int, bytes], ...]  # (ledger table id, Merkle root)
+    #: Memo of :meth:`entry_hash`; not a field of the entry.
+    _hash: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def canonical_bytes(self) -> bytes:
         """Canonical serialization hashed into the block's Merkle tree.
@@ -68,7 +76,11 @@ class TransactionEntry:
 
     def entry_hash(self) -> bytes:
         """SHA-256 of the canonical entry (a Merkle leaf of its block)."""
-        return hash_transaction_entry(self.canonical_bytes())
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash_transaction_entry(self.canonical_bytes())
+            )
+        return self._hash
 
     def root_for_table(self, table_id: int) -> Optional[bytes]:
         for tid, root in self.table_roots:
@@ -157,6 +169,10 @@ class BlockRow:
     transactions_root: bytes
     transaction_count: int
     closed_time: dt.datetime
+    #: Memo of :meth:`block_hash`; not a field of the block.
+    _hash: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def canonical_bytes(self) -> bytes:
         prev = self.previous_block_hash
@@ -172,7 +188,11 @@ class BlockRow:
 
     def block_hash(self) -> bytes:
         """SHA-256 of the canonical block — what a Database Digest captures."""
-        return hash_block(self.canonical_bytes())
+        if self._hash is None:
+            object.__setattr__(
+                self, "_hash", hash_block(self.canonical_bytes())
+            )
+        return self._hash
 
     def to_row(self) -> list:
         """Row for the ``database_ledger_blocks`` system table."""

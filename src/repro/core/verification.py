@@ -39,13 +39,18 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   executes the same task code.
 * **Incremental mode** (``mode="incremental"`` + a
   :class:`repro.core.verify_checkpoint.VerificationCheckpoint`).  Digest,
-  chain, and block-root invariants still run in full (they are cheap —
-  O(blocks + entries) small-buffer hashes).  The row-version invariant runs
-  the same range tasks over a *delta* snapshot: for every table the
-  checkpoint covers, only the row versions of transactions above its
-  ``max_tid`` (and of still-open ones) are captured and re-hashed, and the
-  rest of the table is *counted* — its live records from the page headers
-  — against the checkpoint's frontier leaf count.  The index invariant is
+  chain, and block-root invariants still run over every block and entry,
+  each re-read from its heap every cycle, but what they derive is
+  memoized in the leaf-hash cache by exact bytes: an entry or block
+  record by (its table's schema fingerprint, stored bytes) to its decoded
+  row and hash, a block's transactions root by its ordered entry hashes.
+  A warm cycle decodes and hashes only the entries and blocks it has not
+  seen; a tampered one misses and is recomputed.  The row-version
+  invariant runs the same range tasks over a *delta* snapshot: for every
+  table the checkpoint covers, only the row versions of transactions
+  above its ``max_tid`` (and of still-open ones) are captured and
+  re-hashed, and the rest of the table is *counted* — its live records
+  from the page headers — against the checkpoint's frontier leaf count.  The index invariant is
   deferred to scheduled deep scans.  Any count mismatch escalates to a
   full scan (of a freshly captured full snapshot) within the same call —
   the checkpoint is an optimization, never a trust root.
@@ -347,9 +352,12 @@ class LedgerVerifier:
             "verify", "verify.started",
             digests=len(digests), mode=mode, parallelism=parallelism,
         )
+        cache_hits0 = self._cache.hits
+        cache_misses0 = self._cache.misses
         snapshot = capture_snapshot(
             self._db, table_names,
             checkpoint if mode == "incremental" else None,
+            self._cache,
         )
         report.snapshot_seconds = snapshot.capture_seconds
 
@@ -362,8 +370,6 @@ class LedgerVerifier:
         report.mode = mode
         self._escalate_reason = None
         self._events_by_table = {}
-        cache_hits0 = self._cache.hits
-        cache_misses0 = self._cache.misses
         self._m.mode_runs.labels(mode).inc()
 
         # Incremental cycles are cheap because of the leaf-hash cache, which
@@ -805,9 +811,9 @@ class LedgerVerifier:
         # The reverse direction: entries claiming updates this table
         # cannot substantiate.
         for tid, entry in entries.items():
-            if entry.root_for_table(table.table_id) is None:
-                continue
             if floor is not None and tid <= floor:
+                continue
+            if entry.root_for_table(table.table_id) is None:
                 continue
             if tid not in events:
                 report.findings.append(

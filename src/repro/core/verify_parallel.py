@@ -22,8 +22,10 @@ platform (:func:`fork_available`) — or in forked worker processes; the
 planning, merging and root comparison in
 :class:`repro.core.verification.LedgerVerifier` do not know which.
 
-In-process tasks share the caller's :class:`LeafHashCache`.  Forked workers
-run the same task with ``cache=None``: the cache holds a
+In-process tasks share the caller's :class:`LeafHashCache` (row-version
+leaves in ``table_root`` and ``index``, block roots in ``block_root``;
+the entry and block rows themselves were memoized at capture).  Forked
+workers run the same task with ``cache=None``: the cache holds a
 ``threading.Lock`` another thread may hold at fork time, and a child's
 inserts would die with the child anyway.  Workers are forked *after* the
 snapshot is complete and receive it through the pool initializer, which
@@ -71,6 +73,10 @@ class Finding:
     def __str__(self) -> str:
         return f"[{self.invariant}/{self.severity}] {self.message}"
 
+
+#: Cache context of block roots.  Schema fingerprints always contain a
+#: ``|``, so no record key can share it.
+_TRANSACTIONS_ROOT = "transactions_root"
 
 #: The snapshot of the pool that forked this process.  Set by the pool
 #: initializer and read only inside worker processes; in-process runs are
@@ -171,14 +177,27 @@ def chain_task(snapshot, cache, block_ids: Sequence[int]) -> Dict[str, Any]:
 def block_root_task(
     snapshot, cache, block_ids: Sequence[int]
 ) -> Dict[str, Any]:
-    """Recompute the transactions Merkle root for a slice of blocks."""
+    """Recompute the transactions Merkle root for a slice of blocks.
+
+    With a ``cache``, a root is memoized under the exact concatenation of
+    the block's ordered entry hashes — every input of the root — so a
+    block whose entries did not change is not re-hashed.
+    """
     findings: List[Finding] = []
     transactions = 0
     for block_id in block_ids:
         block = snapshot.blocks[block_id]
         block_entries = snapshot.entries_by_block.get(block_id, [])
-        tree = MerkleTree([e.entry_hash() for e in block_entries])
-        if tree.root() != block.transactions_root:
+        hashes = [e.entry_hash() for e in block_entries]
+        if cache is None:
+            root = MerkleTree(hashes).root()
+        else:
+            key = cache.make_key(_TRANSACTIONS_ROOT, b"".join(hashes))
+            root = cache.get_by_key(key)
+            if root is None:
+                root = MerkleTree(hashes).root()
+                cache.put_by_key(key, root)
+        if root != block.transactions_root:
             findings.append(
                 Finding(
                     "block_root", SEVERITY_ERROR,

@@ -69,13 +69,16 @@ RecordDerivation = Tuple[Tuple[Event, ...], Tuple]
 
 
 def schema_fingerprint(relation_name: str, schema, is_history: bool) -> str:
-    """Content fingerprint of everything leaf hashing depends on.
+    """Content fingerprint of everything decoding and leaf hashing depend on.
 
     Covers the relation's role (base vs. history changes how many events a
     record yields), every column's name, ordinal, exact type (id + metadata,
     so ``tamper_column_type`` changes the fingerprint), hidden/dropped flags,
     and the primary-key ordinals used for clustered ordering.  Cache entries
-    keyed by this fingerprint can never alias across schema changes.
+    keyed by this fingerprint — row versions here, the ledger's own entry
+    and block records in
+    :meth:`repro.core.database_ledger.DatabaseLedger._scan` — can never alias
+    across schema changes.
     """
     parts: List[str] = [relation_name, "history" if is_history else "base"]
     for column in schema.columns:
@@ -282,6 +285,7 @@ def capture_snapshot(
     db,
     table_names: Optional[Sequence[str]] = None,
     checkpoint: Optional[VerificationCheckpoint] = None,
+    cache: Optional[LeafHashCache] = None,
 ) -> VerificationSnapshot:
     """Capture a consistent verification snapshot under the storage lock.
 
@@ -300,6 +304,10 @@ def capture_snapshot(
     A sealed block that cannot close — its predecessor is missing or no
     longer reads — stays unclosed in the snapshot: its entries then
     reference a block outside the chain, which verification reports.
+
+    Every entry and block record is read from its heap on every capture;
+    with the verifier's ``cache`` only the ones never decoded before are
+    decoded (:meth:`repro.core.database_ledger.DatabaseLedger._scan`).
     """
     from repro.core.ledger_database import VIEWS_TABLE
 
@@ -315,8 +323,8 @@ def capture_snapshot(
             if ledger.next_ready_block() is None:
                 raise
         ledger.flush_queue()
-        entries = {e.transaction_id: e for e in ledger.all_entries()}
-        blocks = {b.block_id: b for b in ledger.blocks()}
+        entries = {e.transaction_id: e for e in ledger.all_entries(cache)}
+        blocks = {b.block_id: b for b in ledger.blocks(cache)}
         cutoff_tid = _truncation_cutoff_tid(db)
         database_guid = db.database_guid
         first_block_id = ledger.first_block_id()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Size in bytes of every digest in the system (SHA-256).
 HASH_SIZE = 32
@@ -94,28 +94,33 @@ def hash_many(chunks: Iterable[bytes]) -> bytes:
 
 
 class LeafHashCache:
-    """Bounded LRU cache for leaf digests derived from stored row versions.
+    """Bounded LRU cache for what verification derives from stored bytes.
 
-    Verification recomputes ``hash_leaf`` over the canonical serialization of
-    every row version on every run; for a continuously-running monitor the
-    same unchanged rows are re-decoded and re-hashed each cycle.  This cache
-    memoizes the derived per-record data so warm verification runs skip both
-    the decode and the serialization.
+    Verification recomputes every hash from storage on every run; for a
+    continuously-running monitor the same unchanged records are re-decoded
+    and re-hashed each cycle.  This cache memoizes three derivations so warm
+    runs skip the decode and the hashing:
 
-    Soundness: entries are keyed by ``(context, record_bytes)`` where
-    ``context`` is a fingerprint of the schema the bytes decode under and
-    ``record_bytes`` are the *exact stored bytes*.  Because the key covers
-    every input of the leaf computation, a tampered record (or a tampered
+    * a user relation's row version → its leaf events and sort key;
+    * a stored ``database_ledger_transactions`` / ``database_ledger_blocks``
+      record → its decoded entry or block row (which carries its hash);
+    * a block's ordered entry hashes → its transactions Merkle root.
+
+    Soundness: entries are keyed by ``(context, bytes)``, and the key covers
+    every input of the result.  For a record, ``context`` is a fingerprint
+    of the schema the bytes decode under and ``bytes`` are the *exact stored
+    bytes*; for a block root, ``context`` names the derivation and ``bytes``
+    are the concatenated entry hashes.  A tampered record (or a tampered
     column type, which changes the schema fingerprint) can never hit a stale
     entry — it simply misses and is recomputed from the tampered bytes, which
-    then fail the root comparison.  Keying by ``(transaction_id, sequence)``
-    alone would be unsound: a tampered row would reuse the honest row's
-    cached hash and mask the tampering.
+    then fail the comparison they always failed.  Keying by
+    ``(transaction_id, sequence)`` or by block id alone would be unsound: a
+    tampered row would reuse the honest row's cached result and mask the
+    tampering.
 
-    The cache value is opaque to this module (the verifier stores the decoded
-    leaf events and sort key).  ``hits`` / ``misses`` counters are plain
-    attributes; the verifier mirrors their deltas into the metrics registry
-    so this module keeps zero repro-internal imports.
+    The cache value is opaque to this module.  ``hits`` / ``misses``
+    counters are plain attributes; the verifier mirrors their deltas into
+    the metrics registry so this module keeps zero repro-internal imports.
     """
 
     def __init__(self, capacity: int = 131072) -> None:
@@ -154,6 +159,36 @@ class LeafHashCache:
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
+
+    def get_many(
+        self, context: str, records: Sequence[bytes]
+    ) -> List[Optional[Any]]:
+        """:meth:`get` for a whole scan under one lock acquisition."""
+        values: List[Optional[Any]] = []
+        hits = 0
+        with self._lock:
+            data = self._data
+            for record in records:
+                key = (context, record)
+                value = data.get(key)
+                if value is not None:
+                    data.move_to_end(key)
+                    hits += 1
+                values.append(value)
+            self.hits += hits
+            self.misses += len(values) - hits
+        return values
+
+    def put_many(
+        self, context: str, items: Iterable[Tuple[bytes, Any]]
+    ) -> None:
+        """:meth:`put` for a whole scan's misses under one lock acquisition."""
+        with self._lock:
+            data = self._data
+            for record, value in items:
+                data[(context, record)] = value
+            while len(data) > self.capacity:
+                data.popitem(last=False)
 
     def get(self, context: str, record: bytes) -> Optional[Any]:
         """Return the cached value for ``(context, record)``, or ``None``."""

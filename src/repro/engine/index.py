@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from typing import (
-    Any, DefaultDict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, DefaultDict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from repro.engine.btree import BPlusTree
@@ -287,22 +288,36 @@ class NonclusteredIndex:
         """Point the index at an evolved schema (ordinals are stable)."""
         self._schema = schema
 
-    def load_tree_from_heap(self, clustered: Optional[ClusteredIndex]) -> None:
+    def load_tree_from_heap(
+        self,
+        clustered: Optional[ClusteredIndex],
+        base_records: Mapping[bytes, Sequence[RowId]],
+    ) -> None:
         """Rebuild only the B+ tree from this index's own heap (clean load),
-        resolving each record to its base RowId by its primary key.  One
-        whose keys do not read stays out of the tree, one no base row claims
-        gets a sentinel RowId; both still appear in :meth:`scan_records`,
-        so verification sees exactly what storage holds."""
+        resolving each record to its base RowId by its primary key or, in a
+        table without one, by its exact bytes: ``base_records`` maps every
+        base record to the RowIds holding it, and each RowId is claimed
+        once.  A record whose keys do not read stays out of the tree, one
+        no base row claims gets a sentinel RowId; both still appear in
+        :meth:`scan_records`, so verification sees exactly what storage
+        holds."""
         project = self._schema.derived(RecordKernel).project
         pk = self._schema.primary_key_ordinals()
         wanted, entries = {*pk, *self.key_ordinals}, []
+        claimed: DefaultDict[bytes, int] = defaultdict(int)
         for index_rid, record in self.heap.scan():
             try:
                 row = project(record, wanted)
             except StorageError:
                 continue
-            found = clustered is not None and clustered.seek([row[o] for o in pk])
-            base_rid = found or RowId(-1, -1)
+            if clustered is not None:
+                base_rid = clustered.seek([row[o] for o in pk])
+            else:
+                rids, taken = base_records.get(record, ()), claimed[record]
+                claimed[record] = taken + 1
+                base_rid = rids[taken] if taken < len(rids) else None
+            if base_rid is None:
+                base_rid = RowId(-1, -1)
             entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
         self._tree = BPlusTree.bulk(entries)
 

@@ -16,7 +16,11 @@ Redo replays both idempotently; undo reverts them in reverse order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import (
+    Any, Callable, DefaultDict, Dict, Iterator, List, Optional, Sequence,
+    Tuple,
+)
 
 from repro.engine.heap import HeapFile, RowId
 from repro.engine.index import (
@@ -285,11 +289,17 @@ class Table:
         The clustered tree is derived from the base heap; each nonclustered
         tree is derived from *its own* heap file, so index-level tampering in
         storage survives a clean restart — exactly the attack surface
-        verification invariant 5 covers.
+        verification invariant 5 covers.  Without a primary key, index
+        records find their base rows by exact bytes, from one pass over the
+        base heap.
         """
         self._build_from_heap([])
+        base_records: DefaultDict[bytes, List[RowId]] = defaultdict(list)
+        if self.clustered is None and self.nonclustered:
+            for rid, record in self.heap.scan():
+                base_records[record].append(rid)
         for index in self.nonclustered.values():
-            index.load_tree_from_heap(self.clustered)
+            index.load_tree_from_heap(self.clustered, base_records)
 
     def _build_from_heap(self, indexes: List[NonclusteredIndex]) -> None:
         """Bulk-build the clustered tree and ``indexes`` from one pass that

@@ -7,20 +7,22 @@ RowId (``HeapFile.read``).  After one warm-up call each, block close, digest
 generation, receipts, header ranges and the chain tip make **no** pass over
 either table, closing the tenth 1 000-transaction block reads no more than
 closing the first, and ``recover`` decodes no stored entry twice.  Only
-verification is allowed to scan.  One thread throughout: the block builder
-is stopped and blocks close through explicit drains.
+verification is allowed to scan, and a warm verification cycle decodes
+none of what it scans.  One thread throughout: the block builder is stopped
+and blocks close through explicit drains.
 """
 
 from collections import Counter
 
 import pytest
 
+from repro.core import entries
 from repro.core.database_ledger import (
     BLOCKS_TABLE,
     TRANSACTIONS_TABLE,
     DatabaseLedger,
 )
-from repro.core.entries import TransactionEntry
+from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
 from repro.core.verification import capture_snapshot
 from repro.engine.btree import BPlusTree
@@ -65,9 +67,9 @@ class Spy:
         def verification_reader(name, table_name):
             reader = getattr(DatabaseLedger, name)
 
-            def counted(ledger):
+            def counted(ledger, *args, **kwargs):
                 self.decoding[table_name] += 1
-                return reader(ledger)
+                return reader(ledger, *args, **kwargs)
 
             monkeypatch.setattr(DatabaseLedger, name, counted)
 
@@ -214,6 +216,56 @@ class TestOperationalPathsNeverScan:
         assert len(snapshot.entries) >= 10
         assert db.verify([digest]).ok
 
+    def test_warm_cycle_decodes_no_entry_or_block(self, db, spy, monkeypatch):
+        """After one warm-up cycle, an incremental cycle still reads each
+        system table's heap once but decodes no stored entry or block and
+        hashes no entry: their exact bytes are in the verifier's memo.  New
+        entries and blocks are decoded once each."""
+        commit_rows(db, 0, 30)
+        digests = [db.generate_digest()]
+        checkpoint = db.verify(digests, build_checkpoint=True).built_checkpoint
+
+        def cycle():
+            nonlocal checkpoint
+            report = db.verify(
+                digests, mode="incremental", checkpoint=checkpoint,
+                build_checkpoint=True,
+            )
+            assert report.ok and report.mode == "incremental", report.summary()
+            checkpoint = report.built_checkpoint
+
+        commit_rows(db, 30, 6)
+        digests.append(db.generate_digest())
+        cycle()  # warm-up
+
+        calls = Counter()
+
+        def counting(name, method):
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            return counted
+
+        for row_class in (TransactionEntry, BlockRow):
+            monkeypatch.setattr(row_class, "from_row", classmethod(counting(
+                row_class.__name__, row_class.from_row.__func__
+            )))
+        monkeypatch.setattr(entries, "hash_transaction_entry", counting(
+            "hash_transaction_entry", entries.hash_transaction_entry
+        ))
+        spy.reset()
+        cycle()
+        assert calls == {}
+        assert spy.passes == {TRANSACTIONS_TABLE: 1, BLOCKS_TABLE: 1}
+
+        height = db.ledger.latest_block_id()
+        commit_rows(db, 36, 5)
+        digests.append(db.generate_digest())
+        calls.clear()
+        cycle()
+        assert calls["TransactionEntry"] == 5
+        assert calls["BlockRow"] == db.ledger.latest_block_id() - height
+
     def test_truncation_finds_the_prefix_by_key(self, db, spy):
         commit_rows(db, 0, 30)
         db.generate_digest()
@@ -276,6 +328,11 @@ class TestCostDoesNotGrowWithTheTable:
             during_recover.update(
                 passes=dict(spy.passes), decoding=dict(spy.decoding),
                 reads=dict(spy.reads),
+                # Before the block builder starts and closes the sealed block.
+                state=(
+                    ledger.closed_block_height, ledger.open_block_id,
+                    ledger.pending_entries,
+                ),
             )
 
         monkeypatch.setattr(DatabaseLedger, "recover", spied_recover)
@@ -291,10 +348,10 @@ class TestCostDoesNotGrowWithTheTable:
             }
             assert during_recover["reads"][TRANSACTIONS_TABLE] < stored
 
+            assert during_recover["state"] == (
+                first + self.BLOCKS - 1, first + self.BLOCKS + 1, 200,
+            )
             ledger = reopened.ledger
-            assert ledger.closed_block_height == first + self.BLOCKS - 1
-            assert ledger.open_block_id == first + self.BLOCKS + 1
-            assert ledger.pending_entries == 200
             reopened.pipeline.drain(seal_open=False)
             sealed = ledger.block(first + self.BLOCKS)
             assert sealed is not None and sealed.transaction_count == self.BLOCK

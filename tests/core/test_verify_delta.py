@@ -15,7 +15,10 @@ count.  These tests pin that:
   delta existed (``EXPECTED``), in the process that tampered, after a
   clean reopen and after a crash;
 * UPDATE and DELETE patch the derived key indexes instead of dropping
-  them, so a cycle after an UPDATE does not rebuild one.
+  them, so a cycle after an UPDATE does not rebuild one;
+* the leaf-hash cache — row versions, and the ledger's own entries, blocks
+  and block roots — can never be observed: after every attack a warm cache
+  gives the verdict and the ordered findings a cleared one gives.
 """
 
 import pytest
@@ -32,13 +35,15 @@ from repro.attacks import (
     tamper_view_definition,
 )
 from repro.core import system_columns as sc
+from repro.core.database_ledger import BLOCKS_TABLE, TRANSACTIONS_TABLE
 from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
+from repro.core.verification import leaf_cache
 from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.heap import HeapFile
 from repro.engine.record import decode_record
 from repro.engine.schema import IndexDefinition
-from repro.engine.types import SMALLINT
+from repro.engine.types import INT, SMALLINT
 from repro.sql import SqlSession
 
 from tests.core.conftest import accounts_schema, run
@@ -249,6 +254,51 @@ def test_attack_verdict_after_crash(tmp_path, name):
     db = open_db(path)
     try:
         assert verdict(incremental(db, checkpoint, digests)) == EXPECTED[name]
+    finally:
+        db.close()
+
+
+#: Every attack above, plus a re-declared column of each system table: the
+#: stored bytes are the honest ones, so only the schema fingerprint in the
+#: memo's key tells the tampered reading from the cached one.
+MEMO_ATTACKS = {
+    **ATTACKS,
+    "entry_column_type": lambda db, cp: tamper_column_type(
+        db, TRANSACTIONS_TABLE, "ordinal", INT),
+    "block_column_type": lambda db, cp: tamper_column_type(
+        db, BLOCKS_TABLE, "transaction_count", INT),
+}
+
+
+def outcome(report):
+    return (
+        report.ok, report.mode, report.escalated,
+        [str(f) for f in report.findings],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_ATTACKS))
+def test_warm_cache_equals_cold(tmp_path, name):
+    """After a warm cycle has memoized every stored entry, block, block root
+    and row version, an incremental and a full run see each attack exactly
+    as they do with the cache cleared first — and a full run in two forked
+    workers, which get no cache, sees it as the in-process one does."""
+    db, checkpoint, digests = build(str(tmp_path / "db"))
+    try:
+        assert incremental(db, checkpoint, digests).ok  # the warm cycle
+        MEMO_ATTACKS[name](db, checkpoint)
+        runs = (
+            lambda: incremental(db, checkpoint, digests),
+            lambda: db.verify(digests),
+            lambda: db.verify(digests, parallelism=2),
+        )
+        warm = [outcome(verify()) for verify in runs]
+        cold = []
+        for verify in runs:
+            leaf_cache().clear()
+            cold.append(outcome(verify()))
+        assert warm == cold
+        assert warm[1] == warm[2]
     finally:
         db.close()
 

@@ -88,3 +88,25 @@ class TestEviction:
         assert cache.get("fp", b"a") == 1
         assert cache.get("fp", b"c") == 3
         assert cache.get("fp", b"d") == 4
+
+
+class TestBatches:
+    """``get_many`` / ``put_many`` — one lock per system-table scan — behave
+    like the same sequence of single calls."""
+
+    def test_get_many_counts_and_refreshes_like_get(self):
+        cache = LeafHashCache(capacity=3)
+        cache.put("fp", b"a", 1)
+        cache.put("fp", b"b", 2)
+        cache.put("fp", b"c", 3)
+        assert cache.get_many("fp", [b"a", b"x", b"a"]) == [1, None, 1]
+        assert (cache.hits, cache.misses) == (2, 1)
+        cache.put("fp", b"d", 4)  # b is now the oldest
+        assert cache.get("fp", b"b") is None
+        assert cache.get_many("other", [b"a"]) == [None]
+
+    def test_put_many_fills_and_evicts(self):
+        cache = LeafHashCache(capacity=3)
+        cache.put_many("fp", [(b"r%d" % i, i) for i in range(5)])
+        assert len(cache) == 3
+        assert cache.get_many("fp", [b"r0", b"r2", b"r4"]) == [None, 2, 4]

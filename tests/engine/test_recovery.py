@@ -615,3 +615,79 @@ class TestOpenReadRule:
         with pytest.raises(error) as raised:
             reopen(path, db, how)
         assert message in str(raised.value)
+
+
+# ----------------------------------------------------------------------
+# A table without a primary key keeps its nonclustered index across reopen
+# ----------------------------------------------------------------------
+
+
+class TestKeylessIndexAfterReopen:
+    """Index records of a table with no primary key find their base rows by
+    exact bytes on a clean reopen, so every statement planned through the
+    index works; an index record matching no base row keeps a sentinel and
+    verification still reports it."""
+
+    @staticmethod
+    def keyless(path):
+        from repro.core.ledger_database import LedgerDatabase
+        from repro.sql import SqlSession
+
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        session = SqlSession(db)
+        session.execute("CREATE TABLE t (a INT, b INT) WITH (LEDGER = ON)")
+        session.execute("CREATE INDEX ix_b ON t (b)")
+        session.execute("INSERT INTO t (a, b) VALUES (1, 10), (2, 20)")
+        return db
+
+    @staticmethod
+    def reopened(path):
+        from repro.core.ledger_database import LedgerDatabase
+        from repro.sql import SqlSession
+
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        return db, SqlSession(db)
+
+    @pytest.mark.parametrize("statement, rows", [
+        ("SELECT * FROM t WHERE b = 20", [(1, 10), (2, 20)]),
+        ("UPDATE t SET a = 5 WHERE b = 20", [(1, 10), (5, 20)]),
+        ("DELETE FROM t WHERE b = 10", [(2, 20)]),
+    ], ids=["select", "update", "delete"])
+    def test_statements_through_the_index(self, tmp_path, statement, rows):
+        path = str(tmp_path / "db")
+        self.keyless(path).close()
+        db, session = self.reopened(path)
+        try:
+            plan = session.execute(f"EXPLAIN {statement}")
+            assert [row["access"] for row in plan] == ["index_seek"]
+            result = session.execute(statement)
+            if statement.startswith("SELECT"):
+                assert result == [{"a": 2, "b": 20}]
+            else:
+                assert result == 1
+            assert sorted(
+                (row["a"], row["b"]) for row in session.execute("SELECT * FROM t")
+            ) == rows
+            assert db.verify([db.generate_digest()]).ok
+        finally:
+            db.close()
+
+    def test_tampered_index_heap_still_fails_verify(self, tmp_path):
+        from repro.attacks import tamper_nonclustered_index
+
+        path = str(tmp_path / "db")
+        db = self.keyless(path)
+        tamper_nonclustered_index(
+            db.ledger_table("t"), "ix_b", lambda r: r["a"] == 2, "b", 99
+        )
+        db.close()
+        db, _ = self.reopened(path)
+        try:
+            report = db.verify([db.generate_digest()])
+            assert {f.invariant for f in report.errors} == {"index"}
+            index = db.ledger_table("t").nonclustered["ix_b"]
+            assert sorted(
+                (base.page_id, base.slot) for _, (_, base) in index._tree.items()
+            )[0] == (-1, -1)
+        finally:
+            db.close()
