@@ -34,11 +34,11 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.clock import wall_clock
-from repro.engine.heap import HeapFile, RowId
+from repro.engine.heap import HeapFile
 from repro.engine.hooks import EngineHooks
 from repro.engine.locks import LockManager
 from repro.engine.schema import IndexDefinition, TableSchema
@@ -215,8 +215,9 @@ class Database:
         next_tid = checkpoint["next_tid"]
 
         # Analysis phase: scan the WAL, classify winners, find the catalog.
+        wal_path = self._wal_path(self._epoch)
         with self._phase("analysis"):
-            wal_records = list(read_wal(self._wal_path(self._epoch)))
+            wal_records, wal_end = read_wal(wal_path)
             # A later catalog snapshot in the WAL supersedes the checkpoint's.
             committed: Dict[int, Dict[str, Any]] = {}
             for record in wal_records:
@@ -230,17 +231,19 @@ class Database:
 
         # Load phase: heap images for every table in the (final) catalog.
         with self._phase("load"):
-            self._wal = WalWriter(
-                self._wal_path(self._epoch), sync=self._sync, ctx=self._ctx
-            )
+            # Cut a torn tail: recovery would never read frames appended after it.
+            if os.path.exists(wal_path):
+                os.truncate(wal_path, wal_end)
+            self._wal = WalWriter(wal_path, sync=self._sync, ctx=self._ctx)
             for info in self.catalog.tables():
                 self._tables[info.table_id] = self._materialize_table(
                     info, load=True
                 )
 
-        # Redo phase: reapply committed data records in log order.
+        # Redo phase: fold committed data records to each page's highest slot
+        # ever restored and each slot's last write; lay out each page once.
         redo_count = 0
-        redone_tables: Set[int] = set()
+        folded: Dict[int, Dict[int, List[Any]]] = {}  # table → page → change
         with self._phase("redo") as redo_span:
             for record in wal_records:
                 if record.kind not in (INSERT, DELETE, INSERT_MANY, DELETE_MANY):
@@ -248,21 +251,27 @@ class Database:
                 payload = record.payload
                 if payload["tid"] not in committed:
                     continue  # loser: never flushed, nothing to redo or undo
-                table = self._tables.get(payload["table_id"])
-                if table is None:
+                table_id = payload["table_id"]
+                if table_id not in self._tables:
                     continue  # table dropped later in the log
-                redone_tables.add(table.table_id)
+                pages = folded.setdefault(table_id, {})
                 # One frame per multi-row statement: either the whole batch
                 # made it into the log or none of it did.
                 many = record.kind in (INSERT_MANY, DELETE_MANY)
                 inserts = record.kind in (INSERT, INSERT_MANY)
                 for entry in payload["rows"] if many else (payload,):
-                    rid = RowId(entry["page"], entry["slot"])
-                    if inserts:
-                        table.heap.restore(rid, bytes.fromhex(entry["rec"]))
-                    else:
-                        table.heap.clear(rid)
+                    slot = entry["slot"]
+                    change = pages.setdefault(entry["page"], [-1, {}])
+                    change[1][slot] = entry["rec"] if inserts else None
+                    if inserts and slot > change[0]:
+                        change[0] = slot
                     redo_count += 1
+            for table_id, pages in folded.items():
+                for _, writes in pages.values():  # decode survivors only
+                    writes.update({
+                        s: bytes.fromhex(r) for s, r in writes.items() if r is not None
+                    })
+                self._tables[table_id].heap.redo(pages)
             redo_span.set_attribute("records", redo_count)
         if redo_count:
             self._m.recovery_records_replayed.inc(redo_count)
@@ -275,7 +284,7 @@ class Database:
         # the database cannot heal them.
         with self._phase("indexes"):
             for table in self._tables.values():
-                if table.table_id in redone_tables or not all(
+                if table.table_id in folded or not all(
                     os.path.exists(self._index_path(table.table_id, name))
                     for name in table.nonclustered
                 ):

@@ -18,9 +18,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.engine.pager import PAGE_SIZE, Page
+from repro.engine.pager import HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, Page
 from repro.errors import InjectedCrashError, StorageError
 from repro.faults import FAULTS
 
@@ -32,6 +32,9 @@ _FILE_MAGIC = b"SLHF"
 _FILE_MAGIC_COMPRESSED = b"SLHZ"
 _FILE_HEADER = struct.Struct(">4sI")  # magic, page count
 _COMP_LEN = struct.Struct(">I")
+
+#: Free bytes below which insert placement stops re-probing a page.
+_NEARLY_FULL = 128
 
 #: zlib level for heap images; configurable via :func:`set_compression`.
 DEFAULT_COMPRESSION_LEVEL = 3
@@ -95,7 +98,7 @@ class HeapFile:
                 return RowId(page_id, slot)
             if (
                 page_id == self._first_free_hint
-                and page.free_space_after_compaction() < 128
+                and page.free_space_after_compaction() < _NEARLY_FULL
             ):
                 # Nearly full page: stop re-probing it on every insert.
                 self._first_free_hint = page_id + 1
@@ -125,16 +128,54 @@ class HeapFile:
     # -- recovery (idempotent) ---------------------------------------------------
 
     def restore(self, rid: RowId, record: bytes) -> None:
-        """Force ``rid`` to contain ``record`` (redo); creates pages/slots."""
+        """Force ``rid`` to contain ``record`` (undo); creates pages/slots."""
         while len(self._pages) <= rid.page_id:
             self._append_page()
         self._pages[rid.page_id].restore(rid.slot, record)
 
-    def clear(self, rid: RowId) -> None:
-        """Force ``rid`` to be empty (redo of a delete); idempotent."""
-        if rid.page_id < len(self._pages):
-            self._pages[rid.page_id].clear(rid.slot)
-            self._first_free_hint = min(self._first_free_hint, rid.page_id)
+    def redo(
+        self, pages: Mapping[int, Tuple[int, Mapping[int, Optional[bytes]]]]
+    ) -> None:
+        """Redo a folded log with one :meth:`Page.redo` per page id in
+        ``pages`` (→ highest slot restored, slot → last write).  Pages up to
+        the highest one restored to are created, as sequential replay does."""
+        last = max((p for p, (top, _) in pages.items() if top >= 0), default=-1)
+        while len(self._pages) <= last:
+            self._append_page()
+        for page_id, (top, writes) in pages.items():
+            if page_id < len(self._pages):
+                self._pages[page_id].redo(writes, top)
+
+    @classmethod
+    def packed(
+        cls, name: str, records: Iterable[bytes]
+    ) -> Tuple["HeapFile", List[RowId]]:
+        """A fresh heap holding ``records``, each on the page and slot one
+        :meth:`insert` apiece would give it, every page laid out once.
+        Returns the heap and the records' RowIds in input order."""
+        heap, rids, hint = cls(name), [], 0
+        pages: List[List[bytes]] = []
+        free: List[int] = []  # per page: a fresh page has no holes
+        for record in records:
+            Page._check_record(record)  # noqa: SLF001 - same subsystem
+            need = len(record) + SLOT_SIZE
+            for page_id in range(hint, len(pages)):
+                if need <= free[page_id]:
+                    hint = page_id
+                    break
+                if page_id == hint and free[page_id] < _NEARLY_FULL:
+                    hint = page_id + 1
+            else:
+                page_id = len(pages)
+                pages.append([])
+                free.append(PAGE_SIZE - HEADER_SIZE)
+            rids.append(RowId(page_id, len(pages[page_id])))
+            pages[page_id].append(record)
+            free[page_id] -= need
+        for slots in pages:
+            heap._append_page()._lay_out(dict(enumerate(slots)), len(slots))
+        heap._first_free_hint = hint
+        return heap, rids
 
     # -- scanning -------------------------------------------------------------
 

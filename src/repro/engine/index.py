@@ -268,15 +268,17 @@ class NonclusteredIndex:
         for _, record in self.heap.scan():
             yield record
 
-    def rebuild(self, base_records: Iterable[Tuple[RowId, bytes, Any]]) -> None:
+    def rebuild(self, base_records: Sequence[Tuple[RowId, bytes, Any]]) -> None:
         """Rebuild storage and tree from ``(base_rid, record, row)`` (crash
         path): every record is copied into a fresh heap.  ``row`` holds this
         index's key columns, or is None when not all keys of the pass read;
         a record whose own key does not read stays out of the tree."""
         project = self._schema.derived(RecordKernel).project
-        heap, entries = HeapFile(self.heap.name), []
-        for base_rid, record, row in base_records:
-            index_rid = heap.insert(record)
+        heap, index_rids = HeapFile.packed(
+            self.heap.name, (record for _, record, _ in base_records)
+        )
+        entries = []
+        for (base_rid, record, row), index_rid in zip(base_records, index_rids):
             try:
                 row = project(record, self.key_ordinals) if row is None else row
             except StorageError:

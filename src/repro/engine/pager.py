@@ -17,7 +17,7 @@ Mirroring SQL Server, the maximum record size is 8060 bytes.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import StorageError
 
@@ -173,7 +173,7 @@ class Page:
         self._live_bytes -= length
 
     def overwrite(self, slot: int, record: bytes) -> None:
-        """Replace the record in ``slot`` (same-RowId update / redo / tamper).
+        """Replace the record in ``slot`` (same-RowId update / restore / tamper).
 
         Shrinks in place; grows by appending to the free area (compacting if
         needed).  The slot number never changes.
@@ -209,8 +209,8 @@ class Page:
     def restore(self, slot: int, record: bytes) -> None:
         """Force ``slot`` to contain ``record``, creating slots as needed.
 
-        Used by crash-recovery redo, which must be idempotent: the slot may
-        be missing, dead, or already hold the record.
+        Used by undo of a delete, and idempotent: the slot may be missing,
+        dead, or already hold the record.
         """
         self._check_record(record)
         while self._slot_count <= slot:
@@ -236,10 +236,21 @@ class Page:
         self._write_header()
         self._write_slot(slot, offset, len(record))
 
-    def clear(self, slot: int) -> None:
-        """Idempotent delete used by redo: no-op when already dead/missing."""
-        if self.is_live(slot):
-            self.delete(slot)
+    def redo(self, writes: Mapping[int, Optional[bytes]], top: int) -> None:
+        """Redo a folded log with one layout of the page: each slot in
+        ``writes`` ends up holding its last logged record, or dead for None,
+        and every slot up to ``top``, the highest ever restored (-1: none),
+        exists.  Raises :class:`StorageError` if the result does not fit."""
+        records = dict(self.records())
+        for slot, record in writes.items():
+            if record is None:
+                records.pop(slot, None)
+            else:
+                self._check_record(record)
+                records[slot] = record
+        slot_count = max(self._slot_count, top + 1)
+        self._lay_out(records, slot_count)
+        self._dead_slots = [s for s in range(slot_count) if s not in records]
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(slot, record_bytes)`` for every live slot."""
@@ -252,18 +263,34 @@ class Page:
 
     def _compact(self) -> None:
         """Rewrite the record area contiguously, preserving slot numbers."""
-        live: List[Tuple[int, bytes]] = []
-        for slot in range(self._slot_count):
-            offset, length = self._read_slot(slot)
-            if (offset, length) != _DEAD:
-                live.append((slot, bytes(self.buf[offset : offset + length])))
+        self._lay_out(dict(self.records()), self._slot_count)
+
+    def _lay_out(self, records: Mapping[int, bytes], slot_count: int) -> None:
+        """Rewrite the whole page: ``records`` (slot → bytes) contiguous in slot
+        order, every other slot below ``slot_count`` dead, the free area
+        zeroed.  The dead-slot list is the caller's to keep."""
+        slots = sorted(records)
+        free_offset = HEADER_SIZE + sum(len(records[s]) for s in slots)
+        gap = PAGE_SIZE - slot_count * SLOT_SIZE - free_offset
+        if gap < 0:
+            raise StorageError(
+                f"{slot_count} slots and their records overflow page {self.page_id}"
+            )
+        directory = [0] * (2 * slot_count)  # highest slot first, as on the page
         offset = HEADER_SIZE
-        for slot, record in live:
-            self.buf[offset : offset + len(record)] = record
-            self._write_slot(slot, offset, len(record))
-            offset += len(record)
-        self._free_offset = offset
-        self._write_header()
+        for slot in slots:
+            at = 2 * (slot_count - 1 - slot)
+            directory[at : at + 2] = offset, len(records[slot])
+            offset += len(records[slot])
+        self.buf[:] = b"".join((
+            _HEADER.pack(PAGE_MAGIC, self.page_id, slot_count, free_offset),
+            *(records[s] for s in slots),
+            bytes(gap),
+            struct.pack(f">{2 * slot_count}H", *directory),
+        ))
+        self._slot_count = slot_count
+        self._free_offset = free_offset
+        self._live_bytes = free_offset - HEADER_SIZE
 
     @staticmethod
     def _check_record(record: bytes) -> None:

@@ -24,7 +24,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
@@ -32,6 +32,7 @@ from repro.obs.lockstats import InstrumentedLock
 from repro.runtime import DEFAULT_CONTEXT, LedgerContext
 
 _FRAME = struct.Struct(">II")  # payload length, crc32
+_decode = json.JSONDecoder().decode
 
 FAULTS.register(
     "wal.append",
@@ -111,12 +112,6 @@ class WalRecord:
         return json.dumps(
             {"kind": self.kind, **self.payload}, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "WalRecord":
-        decoded = json.loads(data.decode("utf-8"))
-        kind = decoded.pop("kind")
-        return cls(kind=kind, payload=decoded)
 
 
 class WalWriter:
@@ -261,28 +256,34 @@ class WalWriter:
                 self._file.close()
 
 
-def read_wal(path: str) -> Iterator[WalRecord]:
-    """Yield records from a WAL file, stopping cleanly at a torn tail.
+def read_wal(path: str) -> Tuple[List[WalRecord], int]:
+    """Read a WAL file's records, stopping cleanly at a torn tail.
 
     A frame whose length field runs past EOF or whose CRC mismatches marks
     the point where a crash interrupted a write; everything before it is
     intact (frames are written length-first and appends are sequential).
+    Returns the records and the byte length of their whole frames: appends
+    must start there, or the next read stops at the tear before them.
     """
     if not os.path.exists(path):
-        return
+        return [], 0
     with open(path, "rb") as f:
-        while True:
-            header = f.read(_FRAME.size)
-            if len(header) < _FRAME.size:
-                return  # clean EOF or torn header
-            length, crc = _FRAME.unpack(header)
-            payload = f.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                return  # torn tail
-            try:
-                yield WalRecord.from_bytes(payload)
-            except (ValueError, KeyError) as exc:
-                raise RecoveryError(f"corrupt WAL record in {path!r}: {exc}") from exc
+        data = f.read()
+    records: List[WalRecord] = []
+    end = 0
+    while end + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, end)
+        start = end + _FRAME.size
+        payload = data[start : start + length]
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            break  # torn tail
+        try:
+            fields = _decode(payload.decode("utf-8"))
+            records.append(WalRecord(fields.pop("kind"), fields))
+        except (ValueError, KeyError) as exc:
+            raise RecoveryError(f"corrupt WAL record in {path!r}: {exc}") from exc
+        end = start + length
+    return records, end
 
 
 def analyze_wal(records: List[WalRecord]) -> Dict[str, Any]:

@@ -75,7 +75,7 @@ class TestDdlDurability:
         db.create_index("b", IndexDefinition("ix_v", ("v",)))
         db.drop_index("b", "ix_v")
         db.update_table_options(db.catalog.get("b").table_id, {"flag": True})
-        records = [r for r in read_wal(db._wal_path(0)) if r.kind == DDL]
+        records = [r for r in read_wal(db._wal_path(0))[0] if r.kind == DDL]
         assert len(records) == 5
         # The last snapshot reflects the final state.
         final = Catalog.from_dict(records[-1].payload["catalog"])

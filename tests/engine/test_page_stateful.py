@@ -1,7 +1,7 @@
 """Stateful property test: slotted pages against a dict model.
 
-Random interleavings of insert / delete / overwrite / restore / compaction
-must agree with a dictionary model, and the page must survive a round trip
+Random interleavings of insert / delete / overwrite / restore / folded redo /
+compaction must agree with a dictionary model, and the page must survive a round trip
 through its byte buffer at any point (the persistence/tamper surface).  The
 cached slot accounting — live bytes and live record count — must always
 agree with what the slot directory holds.
@@ -70,13 +70,34 @@ class PageMachine(RuleBasedStateMachine):
             return
         self.model[slot] = record
 
-    @precondition(lambda self: self.model)
-    @rule(data=st.data())
-    def clear(self, data):
-        slot = data.draw(st.sampled_from(sorted(self.model)))
-        self.page.clear(slot)
-        del self.model[slot]
-        self.page.clear(slot)  # idempotent
+    @rule(
+        writes=st.dictionaries(
+            st.integers(min_value=0, max_value=40),
+            st.none() | record_data,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def redo(self, writes, data):
+        # ``top`` covers every restored slot and maybe a cleared one
+        # (restored earlier in the folded log, then cleared).
+        top = max(
+            (s for s, r in writes.items() if r is not None or data.draw(st.booleans())),
+            default=-1,
+        )
+        slot_count = max(self.page.slot_count, top + 1)
+        before = bytes(self.page.buf)
+        try:
+            self.page.redo(writes, top)
+        except StorageError:
+            assert bytes(self.page.buf) == before  # refused whole
+            return
+        for slot, record in writes.items():
+            if record is None:
+                self.model.pop(slot, None)
+            else:
+                self.model[slot] = record
+        assert self.page.slot_count == slot_count
 
     @rule()
     def compact(self):

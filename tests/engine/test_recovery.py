@@ -1,6 +1,7 @@
 """Crash recovery, checkpointing and WAL behaviour."""
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,8 @@ from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
 from repro.engine.expressions import BinaryOp, ColumnRef, Literal, eq
+from repro.engine.heap import HeapFile
+from repro.engine.pager import Page
 from repro.engine.operators import delete_rows, insert_rows, seq_scan, update_rows
 from repro.engine.record import decode_record, encode_record, key_tuple
 from repro.engine.schema import Column, IndexDefinition, TableSchema
@@ -36,7 +39,7 @@ class TestWal:
         writer.append(WalRecord("BEGIN", {"tid": 1}))
         writer.append(WalRecord("COMMIT", {"tid": 1, "ledger": None}))
         writer.close()
-        records = list(read_wal(path))
+        records = read_wal(path)[0]
         assert [r.kind for r in records] == ["BEGIN", "COMMIT"]
         assert records[0].payload["tid"] == 1
 
@@ -46,10 +49,12 @@ class TestWal:
         writer.append(WalRecord("BEGIN", {"tid": 1}))
         writer.append(WalRecord("COMMIT", {"tid": 1}))
         writer.close()
+        whole = os.path.getsize(path)
         with open(path, "ab") as f:
             f.write(b"\x00\x00\x00\xffgarbage")  # torn frame
-        records = list(read_wal(path))
+        records, end = read_wal(path)
         assert [r.kind for r in records] == ["BEGIN", "COMMIT"]
+        assert end == whole
 
     def test_corrupted_crc_stops_reading(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -61,10 +66,10 @@ class TestWal:
         with open(path, "r+b") as f:
             f.seek(size - 3)
             f.write(b"X")
-        assert [r.kind for r in read_wal(path)] == ["BEGIN"]
+        assert [r.kind for r in read_wal(path)[0]] == ["BEGIN"]
 
     def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(read_wal(str(tmp_path / "absent.log"))) == []
+        assert read_wal(str(tmp_path / "absent.log")) == ([], 0)
 
 
 class TestCleanRestart:
@@ -464,6 +469,71 @@ class TestOpenBuildsTreesFromKeys:
         wide = db.table("wide")
         assert tree_items(wide)[1]["ix_score"] == list(
             per_row_trees(wide)[1]["ix_score"].items()
+        )
+
+
+def heap_maps(db):
+    """Per table: RowId → bytes, and each page's slot count."""
+    return {
+        table.name: (
+            dict(table.heap.scan()),
+            [page.slot_count for page in table.heap._pages],
+        )
+        for table in db.tables()
+    }
+
+
+class TestRedoPerPage:
+    """Crash redo folds the log to each slot's last write and lays out each
+    touched page once; every RowId comes back holding what the writer held."""
+
+    @pytest.mark.parametrize("checkpoint_midway", [False, True])
+    def test_every_row_id_holds_what_the_writer_held(self, tmp_path, checkpoint_midway):
+        db = varied_database(tmp_path / "db", checkpoint_midway)
+        held = heap_maps(db)
+        db.simulate_crash()
+        assert heap_maps(open_db(tmp_path / "db")) == held
+
+    def test_update_heavy_log_lays_out_each_page_once(self, tmp_path, monkeypatch):
+        db = open_db(tmp_path / "db")
+        table = db.create_table(make_schema())
+        txn = db.begin()
+        insert_rows(txn, table, [[i, "v"] for i in range(400)])
+        db.commit(txn)
+        for n in range(1, 8):  # every UPDATE is a DELETE + INSERT of a slot
+            txn = db.begin()
+            update_rows(txn, table, {"label": "v" * (5 * n)}, where("id", "<", 300))
+            db.commit(txn)
+        held = heap_maps(db)
+        db.simulate_crash()
+
+        laid_out, calls = Counter(), Counter()
+        lay_out = Page._lay_out
+
+        def counting_lay_out(page, records, slot_count):
+            laid_out[id(page)] += 1
+            lay_out(page, records, slot_count)
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+            return call
+
+        monkeypatch.setattr(Page, "_lay_out", counting_lay_out)
+        monkeypatch.setattr(Page, "restore", forbidden("Page.restore"))
+        monkeypatch.setattr(HeapFile, "insert", forbidden("HeapFile.insert"))
+        reopened = open_db(tmp_path / "db")
+        monkeypatch.undo()
+
+        assert calls == Counter()  # no per-record redo, no per-record index copy
+        items = reopened.table("items")
+        base_pages = set(map(id, items.heap._pages))
+        index_pages = set(map(id, items.nonclustered["ix_label"].heap._pages))
+        assert set(laid_out) == base_pages | index_pages
+        assert set(laid_out.values()) == {1}
+        assert heap_maps(reopened) == held
+        assert sorted(items.nonclustered["ix_label"].scan_records()) == sorted(
+            held["items"][0].values()
         )
 
 

@@ -5,21 +5,26 @@ Recovery must discard exactly that frame — every earlier commit survives,
 and the transaction whose record was torn simply never happened.  Covered
 three ways: frame-level surgery on the log file, a database-level crash with
 byte truncation, and the ``wal.torn_write`` fault point that tears a frame
-in-flight.
+in-flight.  Recovery cuts the torn tail before the log is appended to
+again, so a commit made after reopening survives the next crash.
 """
 
 import glob
 import os
+import struct
+import zlib
 
 import pytest
 
+from repro.core.group_commit import GroupCommitter
+from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
 from repro.engine.operators import insert_rows, seq_scan
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INT, VARCHAR
 from repro.engine.wal import WalRecord, WalWriter, read_wal
-from repro.errors import InjectedCrashError
+from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
 
 
@@ -69,7 +74,7 @@ class TestFrameLevelTearing:
         writer.close()
         with open(path, "r+b") as f:
             f.truncate(os.path.getsize(path) - 5)  # tear the last payload
-        assert [r.kind for r in read_wal(path)] == ["BEGIN", "COMMIT"]
+        assert [r.kind for r in read_wal(path)[0]] == ["BEGIN", "COMMIT"]
 
     def test_truncated_header_discarded(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -78,7 +83,7 @@ class TestFrameLevelTearing:
         writer.close()
         with open(path, "ab") as f:
             f.write(b"\x00\x00")  # 2 bytes of an 8-byte frame header
-        assert [r.kind for r in read_wal(path)] == ["COMMIT"]
+        assert [r.kind for r in read_wal(path)[0]] == ["COMMIT"]
 
     def test_crc_mismatch_discarded(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -91,8 +96,36 @@ class TestFrameLevelTearing:
             last = f.read(1)
             f.seek(-1, os.SEEK_END)
             f.write(bytes([last[0] ^ 0xFF]))
-        records = list(read_wal(path))
+        records = read_wal(path)[0]
         assert [r.payload["tid"] for r in records] == [1]
+
+    def test_end_is_the_whole_frame_prefix(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        writer = WalWriter(path)
+        writer.append(WalRecord("COMMIT", {"tid": 1, "ledger": None}))
+        writer.flush()
+        whole = os.path.getsize(path)
+        writer.simulate_torn_tail()
+        writer.close()
+        records, end = read_wal(path)
+        assert [r.kind for r in records] == ["COMMIT"]
+        assert end == whole < os.path.getsize(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\xff\xfe not utf-8", b'{"kind": "COMMIT"', b'{"kind":"COMMIT"} extra',
+         b'{"tid": 1}'],
+        ids=["undecodable", "truncated-json", "extra-data", "missing-kind"],
+    )
+    def test_whole_frame_that_does_not_decode_raises(self, tmp_path, payload):
+        path = str(tmp_path / "wal.log")
+        writer = WalWriter(path)
+        writer.append(WalRecord("COMMIT", {"tid": 1, "ledger": None}))
+        writer.close()
+        with open(path, "ab") as f:
+            f.write(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
+        with pytest.raises(RecoveryError):
+            read_wal(path)
 
 
 class TestDatabaseLevelTearing:
@@ -130,9 +163,77 @@ class TestDatabaseLevelTearing:
         db2 = open_db(tmp_path / "db")
         assert visible_ids(db2) == [0, 1, 2]
         # The torn frame is gone for good: the reopened database can keep
-        # committing on the same log without tripping over the tail.
+        # committing on the same log without tripping over the tail.  A
+        # crash, not a close, so the commit must come back from that log
+        # (a close would checkpoint and rotate it away).
         commit_row(db2, db2.table("items"), 3)
-        db2.close()
+        db2.simulate_crash()
         db3 = open_db(tmp_path / "db")
         assert visible_ids(db3) == [0, 1, 2, 3]
         db3.close()
+
+    def test_recovery_cuts_the_torn_tail_before_appending(self, tmp_path):
+        db = open_db(tmp_path / "db")
+        table = db.create_table(make_schema())
+        commit_row(db, table, 1)
+        whole = os.path.getsize(wal_path(db))
+        db.wal.simulate_torn_tail()
+        db.simulate_crash()
+        assert os.path.getsize(wal_path(db)) > whole
+
+        db2 = open_db(tmp_path / "db")
+        assert os.path.getsize(wal_path(db2)) == whole
+        commit_row(db2, db2.table("items"), 2)
+        db2.simulate_crash()
+        db3 = open_db(tmp_path / "db")
+        assert visible_ids(db3) == [1, 2]
+        db3.close()
+
+
+class TestLedgerCommitAfterTornTail:
+    """An acknowledged commit appended after a torn tail survives the next
+    crash: recovery cuts the tail before the writer reopens the log."""
+
+    def test_commit_after_torn_tail_survives_second_crash(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path)
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
+        db.sql("INSERT INTO t VALUES (1)")
+        db.engine.wal.simulate_torn_tail()
+        db.simulate_crash()
+
+        db = LedgerDatabase.open(path)
+        db.sql("INSERT INTO t VALUES (2)")
+        db.simulate_crash()
+
+        db = LedgerDatabase.open(path)
+        try:
+            assert sorted(row["id"] for row in db.select("t")) == [1, 2]
+            assert db.verify([db.generate_digest()]).ok
+        finally:
+            db.close()
+
+    def test_torn_group_then_more_commits_survive_a_crash(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path, block_size=4, sync=True)
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
+        db.pipeline.stop(drain=True)  # crash in the driving thread only
+        committer = GroupCommitter(db, max_group=8)
+        committer.run(lambda: db.sql("INSERT INTO t VALUES (1)"))
+        FAULTS.arm("server.fsync_torn_group", action="crash")
+        with pytest.raises(InjectedCrashError):
+            committer.run(lambda: db.sql("INSERT INTO t VALUES (2)"))
+        FAULTS.reset()
+        db.simulate_crash()
+
+        db = LedgerDatabase.open(path, block_size=4, sync=True)
+        acked = {1} | {row["id"] for row in db.select("t")}
+        GroupCommitter(db).run(lambda: db.sql("INSERT INTO t VALUES (3)"))
+        db.simulate_crash()
+
+        db = LedgerDatabase.open(path, block_size=4, sync=True)
+        try:
+            assert {row["id"] for row in db.select("t")} == acked | {3}
+            assert db.verify([db.generate_digest()]).ok
+        finally:
+            db.close()

@@ -35,7 +35,7 @@ class TestRecordEncoding:
         for record in records:
             writer.append(record)
         writer.close()
-        loaded = list(read_wal(path))
+        loaded = read_wal(path)[0]
         assert [(r.kind, r.payload) for r in loaded] == [
             (r.kind, r.payload) for r in records
         ]
@@ -64,7 +64,7 @@ class TestRecordEncoding:
         for payload in payloads:
             writer.append(WalRecord(BEGIN, payload))
         writer.close()
-        assert [r.payload for r in read_wal(path)] == payloads
+        assert [r.payload for r in read_wal(path)[0]] == payloads
 
 
 class TestAnalysis:

@@ -75,7 +75,7 @@ def visible_ids(db, table_name="items"):
 def wal_records(db):
     paths = glob.glob(os.path.join(db.path, "wal.*.log"))
     assert len(paths) == 1
-    return list(read_wal(paths[0]))
+    return read_wal(paths[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,7 @@ class TestExecutemanyAcceptance:
             # single-row INSERTs into the ledger system tables.
             table_id = db.engine.table("t").table_id
             records = [
-                r for r in read_wal(paths[0])
+                r for r in read_wal(paths[0])[0]
                 if r.kind in ("INSERT", "INSERT_MANY")
                 and r.payload.get("table_id") == table_id
             ]
