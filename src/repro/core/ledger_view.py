@@ -29,6 +29,8 @@ from repro.engine.operators import (
     pinned_key,
     sargable_terms,
 )
+from repro.engine.record import Reader, RecordKernel
+from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
 
 OPERATION_INSERT = "INSERT"
@@ -43,27 +45,44 @@ VIEW_SEQUENCE_COLUMN = "ledger_sequence_number"
 VIEW_OPERATION_COLUMN = "ledger_operation_type_desc"
 
 
-def _user_columns(table: Table) -> List:
+def _user_columns(schema: TableSchema) -> List[Column]:
     """Visible plus dropped columns — dropped data stays auditable (§3.5.2)."""
     return [
-        c for c in table.schema.columns
+        c for c in schema.columns
         if c.name not in sc.ALL_SYSTEM_COLUMNS and not c.hidden
     ]
 
 
-def _event(
-    columns, row, transaction_id: int, sequence: int, operation: str
-) -> Dict[str, Any]:
-    event = {c.name: row[c.ordinal] for c in columns}
-    event[VIEW_TRANSACTION_COLUMN] = transaction_id
-    event[VIEW_SEQUENCE_COLUMN] = sequence
-    event[VIEW_OPERATION_COLUMN] = operation
-    return event
+def _event_reader(schema: TableSchema, *stamps: Tuple[str, int]) -> Reader:
+    """Record -> its view row: the user columns, then each ``(name,
+    ordinal)`` of ``stamps``, read straight from the stored bytes."""
+    fields = [(c.name, c.ordinal) for c in _user_columns(schema)]
+    return schema.derived(RecordKernel).reader([*fields, *stamps])
+
+
+def _live_reader(schema: TableSchema) -> Reader:
+    """A ledger-table record's view row, stamped with its start columns."""
+    tid, seq = sc.start_ordinals(schema)
+    return _event_reader(
+        schema, (VIEW_TRANSACTION_COLUMN, tid), (VIEW_SEQUENCE_COLUMN, seq)
+    )
+
+
+def _history_reader(schema: TableSchema) -> Reader:
+    """A history record's view row stamped with its start columns, plus its
+    end columns under their own names."""
+    start_tid, start_seq = sc.start_ordinals(schema)
+    end_tid, end_seq = sc.end_ordinals(schema)
+    return _event_reader(
+        schema,
+        (VIEW_TRANSACTION_COLUMN, start_tid), (VIEW_SEQUENCE_COLUMN, start_seq),
+        (sc.END_TRANSACTION, end_tid), (sc.END_SEQUENCE, end_seq),
+    )
 
 
 def view_column_names(ledger_table: Table) -> List[str]:
     """Every column a ledger-view row carries, user columns first."""
-    return [c.name for c in _user_columns(ledger_table)] + [
+    return [c.name for c in _user_columns(ledger_table.schema)] + [
         VIEW_TRANSACTION_COLUMN, VIEW_SEQUENCE_COLUMN, VIEW_OPERATION_COLUMN,
     ]
 
@@ -122,41 +141,39 @@ def ledger_view_rows(
     """
     plan = plan_ledger_view(ledger_table, where)
     if plan.key is None:
-        live = (row for _, row in ledger_table.scan())
-        old = (row for _, row in history_table.scan()) if history_table else ()
-    else:
-        hit = ledger_table.seek(plan.key)
-        live = [hit[1]] if hit is not None else []
+        live = (record for _, record in ledger_table.heap.scan())
         old = (
-            history_table.read_row(rid)
+            (record for _, record in history_table.heap.scan())
+            if history_table else ()
+        )
+    else:
+        rid = ledger_table.clustered.seek(plan.key)
+        live = [ledger_table.heap.read(rid)] if rid is not None else []
+        old = (
+            history_table.heap.read(rid)
             for rid in history_table.rids_with_key(
                 ledger_table.schema.primary_key_ordinals(), plan.key
             )
         ) if history_table else ()
 
-    columns = _user_columns(ledger_table)
-    start_tid, start_seq = sc.start_ordinals(ledger_table.schema)
-    events: List[Dict[str, Any]] = [
-        _event(columns, row, row[start_tid], row[start_seq], OPERATION_INSERT)
-        for row in live
-    ]
+    read_live = ledger_table.schema.derived(_live_reader)
+    events: List[Dict[str, Any]] = []
+    for record in live:
+        event = read_live(record)
+        event[VIEW_OPERATION_COLUMN] = OPERATION_INSERT
+        events.append(event)
     if history_table is not None:
-        h_start_tid, h_start_seq = sc.start_ordinals(history_table.schema)
-        h_end_tid, h_end_seq = sc.end_ordinals(history_table.schema)
-        history_columns = _user_columns(history_table)
-        for row in old:
-            events.append(
-                _event(
-                    history_columns, row,
-                    row[h_start_tid], row[h_start_seq], OPERATION_INSERT,
-                )
-            )
-            events.append(
-                _event(
-                    history_columns, row,
-                    row[h_end_tid], row[h_end_seq], OPERATION_DELETE,
-                )
-            )
+        read_old = history_table.schema.derived(_history_reader)
+        for record in old:
+            created = read_old(record)
+            end_tid = created.pop(sc.END_TRANSACTION)
+            end_seq = created.pop(sc.END_SEQUENCE)
+            created[VIEW_OPERATION_COLUMN] = OPERATION_INSERT
+            deleted = dict(created)
+            deleted[VIEW_TRANSACTION_COLUMN] = end_tid
+            deleted[VIEW_SEQUENCE_COLUMN] = end_seq
+            deleted[VIEW_OPERATION_COLUMN] = OPERATION_DELETE
+            events += (created, deleted)
 
     if where is not None:
         predicate = as_predicate(where)

@@ -218,7 +218,7 @@ def _delta_relation(
         else sc.start_ordinals(table.schema)
     )[0]
     key = (ordinal,)
-    project = table.schema.derived(RecordKernel).project
+    project = table.schema.derived(RecordKernel).projector(key)
     heap = table.heap
     found: Dict[Any, bytes] = {}
     for tid in tids:
@@ -227,7 +227,7 @@ def _delta_relation(
                 continue
             record = heap.read(rid)
             try:
-                if project(record, key)[ordinal] != tid:
+                if project(record)[ordinal] != tid:
                     continue
             except StorageError:
                 continue

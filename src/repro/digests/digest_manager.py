@@ -9,6 +9,8 @@ modelled:
   one by walking the block headers between them.  An attacker who rewrote
   history produces a digest that fails this check, and the manager refuses
   the upload and raises — catching the attack within one digest interval.
+  When truncation has removed the previous digest's block, the walk starts
+  at the truncation anchor the remaining chain links to.
 
 * **Geo-replication issuance policy** (§3.6): when a geo-secondary is
   attached, digests are only issued for data that has already replicated, so
@@ -35,7 +37,7 @@ from __future__ import annotations
 import datetime as dt
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.core.digest import DatabaseDigest, verify_digest_chain
@@ -205,6 +207,14 @@ class DigestManager:
                     )
                     return None
             previous = self.latest_digest()
+            anchor = getattr(ledger, "anchor", None)
+            if previous is not None and anchor and previous.block_id < anchor[0]:
+                # Truncation removed the blocks that linked the previous
+                # digest to the chain (verification reports such a digest
+                # as a warning); the chain left derives from the anchor.
+                previous = replace(
+                    previous, block_id=anchor[0], block_hash=anchor[1]
+                )
             if previous is not None and previous.block_id <= digest.block_id:
                 headers = (
                     self._db.block_headers(

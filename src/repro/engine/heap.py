@@ -14,11 +14,12 @@ above until ledger verification recomputes the hashes.
 
 from __future__ import annotations
 
+import heapq
 import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.engine.pager import HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, Page
 from repro.errors import InjectedCrashError, StorageError
@@ -32,9 +33,6 @@ _FILE_MAGIC = b"SLHF"
 _FILE_MAGIC_COMPRESSED = b"SLHZ"
 _FILE_HEADER = struct.Struct(">4sI")  # magic, page count
 _COMP_LEN = struct.Struct(">I")
-
-#: Free bytes below which insert placement stops re-probing a page.
-_NEARLY_FULL = 128
 
 #: zlib level for heap images; configurable via :func:`set_compression`.
 DEFAULT_COMPRESSION_LEVEL = 3
@@ -77,35 +75,36 @@ class RowId:
 class HeapFile:
     """Page-based record storage for one table or index.
 
-    Insert placement uses a simple free-space cache: the lowest page known to
-    have room is tried first, falling back to appending a fresh page.
+    Insert placement keeps the pages that may have room: a record goes to
+    the lowest of them that can take it, else to a fresh page.  A page
+    leaves that set when it cannot take the record being placed (or, having
+    taken it, another of the same size), and comes back when a record on it
+    is deleted — so a heap of full pages probes O(1) pages per insert,
+    however many there are.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._pages: List[Page] = []
-        self._first_free_hint = 0
+        #: The pages that may have room: a min-heap, and the same ids as a set.
+        self._room: List[int] = []
+        self._in_room: Set[int] = set()
 
     # -- record operations ----------------------------------------------------
 
     def insert(self, record: bytes) -> RowId:
         """Insert a record somewhere with room; returns its new RowId."""
-        for page_id in range(self._first_free_hint, len(self._pages)):
-            page = self._pages[page_id]
-            if page.can_fit(len(record)):
-                slot = page.insert(record)
-                self._first_free_hint = page_id
-                return RowId(page_id, slot)
-            if (
-                page_id == self._first_free_hint
-                and page.free_space_after_compaction() < _NEARLY_FULL
-            ):
-                # Nearly full page: stop re-probing it on every insert.
-                self._first_free_hint = page_id + 1
-        page = self._append_page()
+        room, size = self._room, len(record)
+        while room and not self._pages[room[0]].can_fit(size):
+            self._in_room.discard(heapq.heappop(room))
+        if not room:
+            self._append_page()
+        page_id = room[0]
+        page = self._pages[page_id]
         slot = page.insert(record)
-        self._first_free_hint = max(self._first_free_hint, 0)
-        return RowId(page.page_id, slot)
+        if not page.can_fit(size):  # full for records of this size
+            self._in_room.discard(heapq.heappop(room))
+        return RowId(page_id, slot)
 
     def read(self, rid: RowId) -> bytes:
         """Read the record at ``rid``; raises when absent."""
@@ -119,7 +118,7 @@ class HeapFile:
     def delete(self, rid: RowId) -> None:
         """Remove the record at ``rid``."""
         self._page(rid.page_id).delete(rid.slot)
-        self._first_free_hint = min(self._first_free_hint, rid.page_id)
+        self._make_room(rid.page_id)
 
     def overwrite(self, rid: RowId, record: bytes) -> None:
         """Replace the record at ``rid`` in place (RowId preserved)."""
@@ -153,28 +152,29 @@ class HeapFile:
         """A fresh heap holding ``records``, each on the page and slot one
         :meth:`insert` apiece would give it, every page laid out once.
         Returns the heap and the records' RowIds in input order."""
-        heap, rids, hint = cls(name), [], 0
+        heap, rids = cls(name), []
         pages: List[List[bytes]] = []
         free: List[int] = []  # per page: a fresh page has no holes
+        # Without deletes, the pages with room are always the ones from
+        # ``lowest`` on.
+        lowest = 0
         for record in records:
             Page._check_record(record)  # noqa: SLF001 - same subsystem
             need = len(record) + SLOT_SIZE
-            for page_id in range(hint, len(pages)):
-                if need <= free[page_id]:
-                    hint = page_id
-                    break
-                if page_id == hint and free[page_id] < _NEARLY_FULL:
-                    hint = page_id + 1
-            else:
-                page_id = len(pages)
+            while lowest < len(pages) and free[lowest] < need:
+                lowest += 1
+            if lowest == len(pages):
                 pages.append([])
                 free.append(PAGE_SIZE - HEADER_SIZE)
-            rids.append(RowId(page_id, len(pages[page_id])))
-            pages[page_id].append(record)
-            free[page_id] -= need
+            rids.append(RowId(lowest, len(pages[lowest])))
+            pages[lowest].append(record)
+            free[lowest] -= need
+            if free[lowest] < need:
+                lowest += 1
         for slots in pages:
             heap._append_page()._lay_out(dict(enumerate(slots)), len(slots))
-        heap._first_free_hint = hint
+        heap._room = list(range(lowest, len(pages)))
+        heap._in_room = set(heap._room)
         return heap, rids
 
     # -- scanning -------------------------------------------------------------
@@ -278,7 +278,7 @@ class HeapFile:
                         raise StorageError(
                             f"heap file {path!r} truncated at page {page_id}"
                         )
-                    heap._pages.append(Page(page_id, buf))
+                    heap._append_page(Page(page_id, buf))
             elif magic == _FILE_MAGIC_COMPRESSED:
                 for page_id in range(page_count):
                     len_bytes = f.read(_COMP_LEN.size)
@@ -304,7 +304,7 @@ class HeapFile:
                             f"heap file {path!r} page {page_id} decompressed "
                             f"to {len(buf)} bytes, expected {PAGE_SIZE}"
                         )
-                    heap._pages.append(Page(page_id, buf))
+                    heap._append_page(Page(page_id, buf))
             else:
                 raise StorageError(f"heap file {path!r} has bad magic {magic!r}")
         return heap
@@ -318,10 +318,18 @@ class HeapFile:
             )
         return self._pages[page_id]
 
-    def _append_page(self) -> Page:
-        page = Page(len(self._pages))
+    def _append_page(self, page: Optional[Page] = None) -> Page:
+        """Add a page (a fresh one by default) at the end; it may have room."""
+        if page is None:
+            page = Page(len(self._pages))
         self._pages.append(page)
+        self._make_room(len(self._pages) - 1)
         return page
+
+    def _make_room(self, page_id: int) -> None:
+        if page_id not in self._in_room:
+            self._in_room.add(page_id)
+            heapq.heappush(self._room, page_id)
 
     def __repr__(self) -> str:
         return f"<HeapFile {self.name!r} pages={len(self._pages)}>"

@@ -13,7 +13,7 @@ with the index heap leaves the base table untouched — only invariant 5
 catches it.
 
 No tree is persisted: open bulk-builds each one (:meth:`BPlusTree.bulk`)
-from keys read by :meth:`RecordKernel.project`, which parses no other value.
+from keys read by :meth:`RecordKernel.projector`, which parses no other value.
 """
 
 from __future__ import annotations
@@ -273,14 +273,14 @@ class NonclusteredIndex:
         path): every record is copied into a fresh heap.  ``row`` holds this
         index's key columns, or is None when not all keys of the pass read;
         a record whose own key does not read stays out of the tree."""
-        project = self._schema.derived(RecordKernel).project
+        project = self._schema.derived(RecordKernel).projector(self.key_ordinals)
         heap, index_rids = HeapFile.packed(
             self.heap.name, (record for _, record, _ in base_records)
         )
         entries = []
         for (base_rid, record, row), index_rid in zip(base_records, index_rids):
             try:
-                row = project(record, self.key_ordinals) if row is None else row
+                row = project(record) if row is None else row
             except StorageError:
                 continue
             entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
@@ -303,13 +303,15 @@ class NonclusteredIndex:
         no base row claims gets a sentinel RowId; both still appear in
         :meth:`scan_records`, so verification sees exactly what storage
         holds."""
-        project = self._schema.derived(RecordKernel).project
         pk = self._schema.primary_key_ordinals()
-        wanted, entries = {*pk, *self.key_ordinals}, []
+        project = self._schema.derived(RecordKernel).projector(
+            {*pk, *self.key_ordinals}
+        )
+        entries = []
         claimed: DefaultDict[bytes, int] = defaultdict(int)
         for index_rid, record in self.heap.scan():
             try:
-                row = project(record, wanted)
+                row = project(record)
             except StorageError:
                 continue
             if clustered is not None:

@@ -13,7 +13,9 @@ project, sort, limit, grouped aggregation, and the three DML operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.engine.expressions import (
     BinaryOp,
@@ -27,18 +29,24 @@ from repro.engine.expressions import (
     walk,
 )
 from repro.engine.heap import RowId
-from repro.engine.record import key_tuple
+from repro.engine.record import RecordKernel, key_tuple
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.transaction import Transaction
-from repro.errors import SqlBindError
+from repro.errors import SqlBindError, StorageError
 
 NamedRow = Dict[str, Any]
 
 
-def _name_row(table: Table, row: Sequence[Any], include_hidden: bool) -> NamedRow:
-    columns = table.schema.live_columns if include_hidden else table.schema.visible_columns
-    return {c.name: row[c.ordinal] for c in columns}
+def _named_rows(
+    table: Table, rids: Iterable[RowId], include_hidden: bool
+) -> Iterator[Tuple[RowId, NamedRow]]:
+    """(RowId, named row) for each of ``rids``, read straight from the
+    stored record by the schema's row reader."""
+    read = table.schema.derived(RecordKernel).row_reader(include_hidden)
+    heap_read = table.heap.read
+    for rid in rids:
+        yield rid, read(heap_read(rid))
 
 
 # ---------------------------------------------------------------------------
@@ -49,16 +57,20 @@ def seq_scan(
     table: Table, include_hidden: bool = False
 ) -> Iterator[Tuple[RowId, NamedRow]]:
     """Full scan in physical order, yielding (RowId, named row)."""
-    for rid, row in table.scan(visible_only=not include_hidden):
-        yield rid, _name_row(table, row, include_hidden)
+    read = table.schema.derived(RecordKernel).row_reader(include_hidden)
+    for rid, record in table.heap.scan():
+        yield rid, read(record)
 
 
 def clustered_scan(
     table: Table, include_hidden: bool = False
 ) -> Iterator[Tuple[RowId, NamedRow]]:
-    """Full scan in primary-key order."""
-    for rid, row in table.scan_clustered():
-        yield rid, _name_row(table, row, include_hidden)
+    """Full scan in primary-key order (physical order without a key)."""
+    if table.clustered is None:
+        yield from seq_scan(table, include_hidden)
+        return
+    rids = (rid for _, rid in table.clustered.scan())
+    yield from _named_rows(table, rids, include_hidden)
 
 
 def index_seek(
@@ -68,18 +80,18 @@ def index_seek(
     include_hidden: bool = False,
 ) -> Iterator[Tuple[RowId, NamedRow]]:
     """Equality seek through a nonclustered index."""
-    for rid, row in table.seek_index(index_name, key_values):
-        yield rid, _name_row(table, row, include_hidden)
+    rids = table.nonclustered[index_name].seek(key_values)
+    yield from _named_rows(table, rids, include_hidden)
 
 
 def pk_seek(
     table: Table, key_values: Sequence[Any], include_hidden: bool = False
 ) -> Iterator[Tuple[RowId, NamedRow]]:
     """Point lookup by primary key (zero or one row)."""
-    hit = table.seek(key_values)
-    if hit is not None:
-        rid, row = hit
-        yield rid, _name_row(table, row, include_hidden)
+    if table.clustered is None:
+        raise StorageError(f"table {table.name!r} has no primary key to seek")
+    rid = table.clustered.seek(key_values)
+    yield from _named_rows(table, () if rid is None else (rid,), include_hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +255,10 @@ class AccessPlan:
         self, include_hidden: bool = False
     ) -> Iterator[Tuple[RowId, NamedRow]]:
         """(RowId, named row) of everything the access path reaches."""
-        table = self.table
         if self.access == SEQ_SCAN:
-            yield from seq_scan(table, include_hidden=include_hidden)
+            yield from seq_scan(self.table, include_hidden=include_hidden)
             return
-        for rid in self._rids():
-            row = table.read_row(rid, visible_only=not include_hidden)
-            yield rid, _name_row(table, row, include_hidden)
+        yield from _named_rows(self.table, self._rids(), include_hidden)
 
     def rows(
         self, include_hidden: bool = False

@@ -1,4 +1,4 @@
-"""Physical record format, and the kernel that turns records into hash input.
+"""Physical record format, and the kernel that reads and hashes records.
 
 Rows are stored in pages as *records*: a NULL bitmap followed by
 length-prefixed canonical value encodings.  This is the byte string an
@@ -12,25 +12,210 @@ which adds an ordinal, a type id and the declared-type metadata to every
 non-NULL column so that the bytes cannot be reinterpreted.  The two formats
 differ in what surrounds a value, not in the value: both carry the same
 ``uint32 len | canonical encoding`` bytes.  :class:`RecordKernel` exploits
-that.  Compiled once per :class:`TableSchema` object, it builds the hashed
-payload of a stored record by copying each ``len | value`` chunk next to a
-pre-packed prefix — no value is decoded or encoded again — and it is the only
-code that produces that payload: DML hashes the record it is about to store,
-verification hashes the record it finds in storage.
+that: it builds the hashed payload of a stored record by copying each
+``len | value`` chunk next to a pre-packed prefix — no value is decoded or
+encoded again — and it is the only code that produces that payload: DML
+hashes the record it is about to store, verification hashes the record it
+finds in storage.
+
+Every read of a record — a value tuple, a key, a named SELECT row, the
+hashed payload — is one *walk*: the header, the NULL bitmap, each column's
+length bound-checked, no trailing bytes.  :func:`_compile_walk` generates
+that walk as straight-line Python once per schema object, declared column
+count and result shape (``exec`` of generated source, as
+:func:`collections.namedtuple` and :mod:`dataclasses` do), so the strictness
+rules and their :class:`StorageError` messages exist in one place.  Column
+names and messages reach the generated code only as constants in its
+namespace; the source itself holds nothing but integers and fixed text.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import struct
-from typing import Any, Collection, Iterable, List, Sequence, Tuple
+from types import CodeType
+from typing import (
+    Any, Callable, Collection, Dict, FrozenSet, Iterable, List, NamedTuple,
+    Optional, Sequence, Tuple,
+)
 
 from repro.crypto.serialization import column_prefix, payload_header
-from repro.engine.schema import TableSchema
+from repro.engine.schema import Column, TableSchema
 from repro.errors import StorageError
 
 _COUNT = struct.Struct(">H")
 _VALUE_LEN = struct.Struct(">I")
-_value_len_at = _VALUE_LEN.unpack_from
+
+#: Stored record bytes -> one result shape (values, named row or payload).
+Reader = Callable[[bytes], Any]
+
+#: Result shapes of a walk.
+_VALUES, _NAMED, _PAYLOAD = "values", "named", "payload"
+
+
+class _Walk(NamedTuple):
+    """What one reader wants from a record.
+
+    The values of the columns at the ``decoded`` ordinals are parsed, each
+    strictly; the others are only bound-checked.  ``shape`` is what the walk
+    returns: ``_VALUES``, a tuple with one slot per schema column;
+    ``_NAMED``, a dict over ``fields``' (name, ordinal) pairs in order;
+    ``_PAYLOAD``, :meth:`RecordKernel.transcode`'s triple, ``omit`` naming
+    the columns its second payload leaves out.
+    """
+
+    decoded: FrozenSet[int]
+    shape: str
+    fields: Tuple[Tuple[str, int], ...] = ()
+    omit: FrozenSet[int] = frozenset()
+
+
+def _named_walk(fields: Iterable[Tuple[str, int]]) -> _Walk:
+    fields = tuple(fields)
+    return _Walk(frozenset(ordinal for _, ordinal in fields), _NAMED, fields)
+
+
+def _compile_walk(
+    kernel: "RecordKernel", count: int, want: _Walk,
+    others: Optional[Reader] = None,
+) -> Reader:
+    """Generate ``want``'s walk over records that declare ``count`` columns.
+
+    With ``others``, the walk first checks that the record declares
+    ``count`` columns and hands it to ``others`` when it does not.
+    """
+    columns = kernel.columns[:count]
+    head = _COUNT.size + (count + 7) // 8
+    namespace: Dict[str, Any] = {
+        "StorageError": StorageError,
+        "from_bytes": int.from_bytes,
+        "value_len": _VALUE_LEN.unpack_from,
+        "join": b"".join,
+        "headers": kernel.payload_headers,
+        "short_bitmap": "record shorter than its NULL bitmap",
+        "declared": _COUNT.pack(count),
+        "others": others,
+    }
+    out = ["def walk(data):"]
+    if others is not None:
+        out += ["    if data[:2] != declared:", "        return others(data)"]
+    out += [
+        "    size = len(data)",
+        f"    if size < {head}:",
+        "        raise StorageError(short_bitmap)",
+        f"    offset = {head}",
+    ]
+    if head == _COUNT.size + 1:
+        out.append("    present = data[2]")
+    elif head > _COUNT.size:
+        out.append(f"    present = from_bytes(data[2:{head}], 'little')")
+    decoded, shape, omit = want.decoded, want.shape, want.omit
+    payload = shape == _PAYLOAD
+    omitting = payload and any(c.ordinal in omit for c in columns)
+    if payload:
+        out += ["    parts = [b'']", "    append = parts.append"]
+        if omitting:
+            out.append("    omitted = []")
+    #: ordinal -> the variable holding its value (the last column wins).
+    held: Dict[int, str] = {}
+    for i, column in enumerate(columns):
+        ordinal = operator.index(column.ordinal)
+        quoted = repr(column.name)
+        namespace[f"cut{i}"] = f"truncated record at column {quoted}"
+        namespace[f"over{i}"] = f"truncated value for column {quoted}"
+        out += [
+            f"    if present & {1 << ordinal}:",
+            "        start = offset + 4",
+            "        if start > size:",
+            f"            raise StorageError(cut{i})",
+            "        end = start + value_len(data, offset)[0]",
+            "        if end > size:",
+            f"            raise StorageError(over{i})",
+        ]
+        if ordinal in decoded:
+            namespace[f"dec{i}"] = column.sql_type.decode
+            namespace[f"bad{i}"] = f"column {quoted} failed to decode: "
+            out += [
+                "        try:",
+                f"            x{i} = dec{i}(data[start:end])",
+                "        except Exception as exc:",
+                f"            raise StorageError(bad{i} + str(exc)) from exc",
+            ]
+            held[ordinal] = f"x{i}"
+        if payload:
+            namespace[f"pre{i}"] = kernel.prefixes[i]
+            if ordinal in omit:
+                out.append("        omitted.append(len(parts))")
+            out += [f"        append(pre{i})", "        append(data[offset:end])"]
+        out.append("        offset = end")
+        if ordinal in decoded:
+            out += ["    else:", f"        x{i} = None"]
+    out += [
+        "    if offset != size:",
+        "        raise StorageError(f'{size - offset} trailing bytes after record')",
+    ]
+    slots = [held.get(ordinal, "None") for ordinal in range(kernel.width)]
+    if shape == _VALUES:
+        out.append("    return (" + "".join(f"{slot}, " for slot in slots) + ")")
+    elif shape == _NAMED:
+        items = []
+        for j, (name, ordinal) in enumerate(want.fields):
+            namespace[f"key{j}"] = name
+            items.append(f"key{j}: {held.get(ordinal, 'None')}")
+        out.append("    return {" + ", ".join(items) + "}")
+    else:
+        out += [
+            "    values = [" + ", ".join(slots) + "]",
+            "    serialized = len(parts) // 2",
+            "    parts[0] = headers[serialized]",
+            "    payload = join(parts)",
+        ]
+        if omitting:
+            out += [
+                "    if not omitted:",
+                "        return payload, payload, values",
+                "    for index in reversed(omitted):",
+                "        del parts[index:index + 2]",
+                "    parts[0] = headers[serialized - len(omitted)]",
+                "    return payload, join(parts), values",
+            ]
+        else:
+            out.append("    return payload, payload, values")
+    exec(_compiled("\n".join(out)), namespace)
+    return namespace["walk"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _compiled(source: str) -> CodeType:
+    """The code of a generated walk.  Its source holds no name or constant
+    of a schema, so every schema object of the same shape — the same table
+    reopened, altered or read by another process-wide reader — shares it."""
+    return compile(source, "<record walk>", "exec")
+
+
+def _reader(kernel: "RecordKernel", want: _Walk) -> Reader:
+    """``want``'s reader: the walk for records of the schema's full width,
+    which hands every other record to the walk for the column count it
+    declares, generated on first use."""
+    width = kernel.width
+    walks: List[Optional[Reader]] = [None] * (width + 1)
+
+    def others(data: bytes) -> Any:
+        if len(data) < _COUNT.size:
+            raise StorageError("record shorter than header")
+        count = data[0] << 8 | data[1]
+        if count > width:
+            raise StorageError(
+                f"record declares {count} columns, schema has only {width}"
+            )
+        walk = walks[count]
+        if walk is None:
+            walk = walks[count] = _compile_walk(kernel, count, want)
+        return walk(data)
+
+    walks[width] = _compile_walk(kernel, width, want, others)
+    return walks[width]
 
 
 class RecordKernel:
@@ -45,53 +230,49 @@ class RecordKernel:
     keep being hashed, which keeps historical hashes valid (§3.5.2).
 
     Reading is strict — truncation, trailing bytes and a column count above
-    the schema's raise :class:`StorageError` from every method that takes
-    record bytes, with the same message.
+    the schema's raise :class:`StorageError` from every reader, with the
+    same message — and each reader parses only the values it returns.
+    Readers are built once per kernel (so once per schema object) and
+    generate their walk per declared column count on first use.
     """
 
-    __slots__ = ("width", "_count", "_bitmap_len", "_columns", "_every",
-                 "_visible", "_projecting", "_plain", "_payload_headers")
+    __slots__ = ("width", "columns", "prefixes", "payload_headers",
+                 "_count", "_bitmap_len", "_encoders", "_projected",
+                 "_row_walks", "_readers", "_decode")
 
     def __init__(self, schema: TableSchema) -> None:
         columns = schema.columns
         self.width = len(columns)
-        self._count = _COUNT.pack(self.width)
-        self._bitmap_len = (self.width + 7) // 8
-        #: Per column, for encode and decode.
-        self._columns = tuple(
-            (c.ordinal, c.name, c.sql_type.encode, c.sql_type.decode)
+        self.columns: Tuple[Column, ...] = columns
+        #: Per column, the canonical prefix its payload chunk follows.
+        self.prefixes = tuple(
+            column_prefix(c.ordinal, c.sql_type.type_id, c.sql_type.type_meta())
             for c in columns
         )
-        #: The ordinals :meth:`decode` parses: all, or the visible ones.
-        self._every = frozenset(range(self.width))
-        self._visible = frozenset(
-            c.ordinal for c in columns if not (c.hidden or c.dropped)
+        self.payload_headers = tuple(
+            payload_header(count) for count in range(self.width + 1)
         )
+        self._count = _COUNT.pack(self.width)
+        self._bitmap_len = (self.width + 7) // 8
+        self._encoders = tuple((c.ordinal, c.sql_type.encode) for c in columns)
         # Columns whose values a reader of the hashed payload also needs:
         # hidden ones (maintained by the layer above — the ledger's
         # transaction ids and sequence numbers) and the clustered key.
         projected = {c.ordinal for c in columns if c.hidden}
         projected.update(schema.primary_key_ordinals())
-        #: Per column, for transcoding: the canonical prefix and, where the
-        #: value is wanted, its decoder.
-        self._projecting = tuple(
-            (
-                c.ordinal,
-                c.name,
-                column_prefix(
-                    c.ordinal, c.sql_type.type_id, c.sql_type.type_meta()
-                ),
-                c.sql_type.decode if c.ordinal in projected else None,
-            )
-            for c in columns
+        self._projected = frozenset(projected)
+        #: What a query reads of a row: visible columns, or (DML) live ones.
+        self._row_walks = tuple(
+            _named_walk((c.name, c.ordinal) for c in named)
+            for named in (schema.visible_columns, schema.live_columns)
         )
-        self._plain = tuple(
-            (ordinal, name, prefix, None)
-            for ordinal, name, prefix, _ in self._projecting
-        )
-        self._payload_headers = tuple(
-            payload_header(count) for count in range(self.width + 1)
-        )
+        self._readers: Dict[Any, Reader] = {}
+        self._decode: Optional[Reader] = None
+
+    def _remember(self, key: Any, want: _Walk) -> Reader:
+        """Make ``want``'s reader and keep it under ``key``."""
+        read = self._readers[key] = _reader(self, want)
+        return read
 
     # -- values -> record ----------------------------------------------
 
@@ -104,7 +285,7 @@ class RecordKernel:
         present = 0
         parts: List[bytes] = [b""]
         pack_len = _VALUE_LEN.pack
-        for ordinal, _, encode, _ in self._columns:
+        for ordinal, encode in self._encoders:
             value = row[ordinal]
             if value is None:
                 continue
@@ -117,68 +298,46 @@ class RecordKernel:
 
     # -- record -> values ----------------------------------------------
 
-    def _open(self, data: bytes) -> Tuple[int, int, int]:
-        """Check the header; return (column count, NULL bitmap, offset)."""
-        if len(data) < _COUNT.size:
-            raise StorageError("record shorter than header")
-        (count,) = _COUNT.unpack_from(data, 0)
-        if count > self.width:
-            raise StorageError(
-                f"record declares {count} columns, schema has only "
-                f"{self.width}"
-            )
-        offset = _COUNT.size + (count + 7) // 8
-        if len(data) < offset:
-            raise StorageError("record shorter than its NULL bitmap")
-        # Bit ``ordinal`` of the integer is bit ``ordinal % 8`` of bitmap
-        # byte ``ordinal // 8``.
-        return count, int.from_bytes(data[_COUNT.size : offset], "little"), offset
+    def decode(self, data: bytes) -> Tuple[Any, ...]:
+        """Decode storage bytes back into a physical row: besides the
+        structure, every value must parse under its declared type."""
+        read = self._decode
+        if read is None:
+            read = self._decode = self.projector(range(self.width))
+        return read(data)
 
-    def decode(self, data: bytes, visible_only: bool = False) -> Tuple[Any, ...]:
-        """Decode storage bytes back into a physical row.
-
-        Besides the structure, every materialized value must parse under
-        its declared type.  ``visible_only`` skips materializing hidden and
-        dropped column values (their slots read as None): query scans never
-        show them, and skipping the value decode keeps the ledger's system
-        columns nearly free on the read path — as they are in the
-        production system.
-        """
-        return self.project(data, self._visible if visible_only else self._every)
-
-    def project(self, data: bytes, ordinals: Collection[int]) -> Tuple[Any, ...]:
-        """A key read: the row with only the columns at ``ordinals`` decoded.
+    def projector(self, ordinals: Collection[int]) -> Reader:
+        """A key reader: record -> the row with only the columns at
+        ``ordinals`` decoded (the others None).
 
         As strict as :meth:`decode` about structure — every column's length
         is walked and trailing bytes raise — but no other value is parsed:
         what building an index over those columns needs from each record.
         """
-        count, present, offset = self._open(data)
-        size = len(data)
-        row: List[Any] = [None] * self.width
-        columns = self._columns if count == self.width else self._columns[:count]
-        for ordinal, name, _, decode in columns:
-            if not present >> ordinal & 1:
-                continue
-            start = offset + 4
-            if start > size:
-                raise StorageError(f"truncated record at column {name!r}")
-            offset = start + _value_len_at(data, offset)[0]
-            if offset > size:
-                raise StorageError(f"truncated value for column {name!r}")
-            if ordinal not in ordinals:
-                continue
-            try:
-                row[ordinal] = decode(data[start:offset])
-            except Exception as exc:
-                raise StorageError(
-                    f"column {name!r} failed to decode: {exc}"
-                ) from exc
-        if offset != size:
-            raise StorageError(f"{size - offset} trailing bytes after record")
-        return tuple(row)
+        want = _Walk(frozenset(ordinals), _VALUES)
+        return self._readers.get(want) or self._remember(want, want)
+
+    def reader(self, fields: Iterable[Tuple[str, int]]) -> Reader:
+        """A named-row reader: record -> ``{name: value}`` over ``fields``'
+        (name, ordinal) pairs, in order, parsing those columns only."""
+        want = _named_walk(fields)
+        return self._readers.get(want) or self._remember(want, want)
+
+    def row_reader(self, include_hidden: bool = False) -> Reader:
+        """What a query reads of a row: its visible columns by name, or with
+        ``include_hidden`` (DML) every live one, hidden ones included."""
+        want = self._row_walks[include_hidden]
+        return self._readers.get(want) or self._remember(want, want)
 
     # -- record -> hashed payload --------------------------------------
+
+    def transcoder(self, omit: Sequence[int] = (), project: bool = True) -> Reader:
+        """The reader behind :meth:`transcode` for one ``omit`` / ``project``."""
+        key = (tuple(omit), project)
+        return self._readers.get(key) or self._remember(key, _Walk(
+            self._projected if project else frozenset(), _PAYLOAD,
+            omit=frozenset(omit),
+        ))
 
     def transcode(
         self, record: bytes, omit: Sequence[int] = (), project: bool = True
@@ -196,47 +355,7 @@ class RecordKernel:
         encoding of the declared type end up in the payload as they are,
         and the hash over it matches nothing an honest writer produced.
         """
-        count, present, offset = self._open(record)
-        size = len(record)
-        values: List[Any] = [None] * self.width
-        plan = self._projecting if project else self._plain
-        if count != self.width:
-            plan = plan[:count]
-        parts: List[bytes] = [b""]
-        append = parts.append
-        omitted: List[int] = []
-        for ordinal, name, prefix, decode in plan:
-            if not present >> ordinal & 1:
-                continue
-            start = offset + 4
-            if start > size:
-                raise StorageError(f"truncated record at column {name!r}")
-            end = start + _value_len_at(record, offset)[0]
-            if end > size:
-                raise StorageError(f"truncated value for column {name!r}")
-            if decode is not None:
-                try:
-                    values[ordinal] = decode(record[start:end])
-                except Exception as exc:
-                    raise StorageError(
-                        f"column {name!r} failed to decode: {exc}"
-                    ) from exc
-            if omit and ordinal in omit:
-                omitted.append(len(parts))
-            append(prefix)
-            append(record[offset:end])
-            offset = end
-        if offset != size:
-            raise StorageError(f"{size - offset} trailing bytes after record")
-        serialized = len(parts) // 2
-        parts[0] = self._payload_headers[serialized]
-        payload = b"".join(parts)
-        if not omitted:
-            return payload, payload, values
-        for index in reversed(omitted):
-            del parts[index : index + 2]
-        parts[0] = self._payload_headers[serialized - len(omitted)]
-        return payload, b"".join(parts), values
+        return self.transcoder(omit, project)(record)
 
 
 def encode_record(schema: TableSchema, row: Sequence[Any]) -> bytes:
@@ -244,12 +363,10 @@ def encode_record(schema: TableSchema, row: Sequence[Any]) -> bytes:
     return schema.derived(RecordKernel).encode(row)
 
 
-def decode_record(
-    schema: TableSchema, data: bytes, visible_only: bool = False
-) -> Tuple[Any, ...]:
+def decode_record(schema: TableSchema, data: bytes) -> Tuple[Any, ...]:
     """Decode storage bytes back into a physical row, strictly
     (:meth:`RecordKernel.decode`)."""
-    return schema.derived(RecordKernel).decode(data, visible_only)
+    return schema.derived(RecordKernel).decode(data)
 
 
 def hashable_payload(
@@ -270,8 +387,8 @@ def hashable_payloads(
     schema: TableSchema, records: Iterable[bytes]
 ) -> List[bytes]:
     """The payloads alone, for a statement's whole batch of records."""
-    transcode = schema.derived(RecordKernel).transcode
-    return [transcode(record, (), False)[0] for record in records]
+    transcode = schema.derived(RecordKernel).transcoder((), False)
+    return [transcode(record)[0] for record in records]
 
 
 def key_tuple(values: Sequence[Any]) -> Tuple[Tuple[int, Any], ...]:

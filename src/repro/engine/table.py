@@ -163,30 +163,15 @@ class Table:
     # Reads
     # ------------------------------------------------------------------
 
-    def scan(
-        self, visible_only: bool = False
-    ) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
-        """All rows in physical (RowId) order.
-
-        ``visible_only`` skips decoding hidden/dropped column values — the
-        fast path for query scans that never expose them.
-        """
+    def scan(self) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
+        """All rows in physical (RowId) order, each decoded whole."""
+        decode = self.schema.derived(RecordKernel).decode
         for rid, record in self.heap.scan():
-            yield rid, decode_record(self.schema, record, visible_only)
+            yield rid, decode(record)
 
-    def read_row(
-        self, rid: RowId, visible_only: bool = False
-    ) -> Tuple[Any, ...]:
+    def read_row(self, rid: RowId) -> Tuple[Any, ...]:
         """Fetch and decode the physical row at ``rid``."""
-        return decode_record(self.schema, self.heap.read(rid), visible_only)
-
-    def scan_clustered(self) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
-        """All rows ordered by primary key (RowId order for heaps)."""
-        if self.clustered is None:
-            yield from self.scan()
-            return
-        for _, rid in self.clustered.scan():
-            yield rid, self.read_row(rid)
+        return decode_record(self.schema, self.heap.read(rid))
 
     def seek(self, pk_values: Sequence[Any]) -> Optional[Tuple[RowId, Tuple[Any, ...]]]:
         """Point lookup by primary key."""
@@ -198,13 +183,12 @@ class Table:
         return rid, self.read_row(rid)
 
     def seek_index(
-        self, index_name: str, key_values: Sequence[Any],
-        visible_only: bool = False,
+        self, index_name: str, key_values: Sequence[Any]
     ) -> Iterator[Tuple[RowId, Tuple[Any, ...]]]:
         """Equality lookup through a nonclustered index."""
         index = self.nonclustered[index_name]
         for rid in index.seek(key_values):
-            yield rid, self.read_row(rid, visible_only)
+            yield rid, self.read_row(rid)
 
     def rids_with_key(
         self, ordinals: Sequence[int], key_values: Sequence[Any]
@@ -237,10 +221,10 @@ class Table:
         the nonclustered trees cannot resolve, it stays visible to scans —
         which is what verification reads.
         """
-        project = self.schema.derived(RecordKernel).project
+        project = self.schema.derived(RecordKernel).projector(ordinals)
         for rid, record in self.heap.scan():
             try:
-                yield rid, project(record, ordinals)
+                yield rid, project(record)
             except StorageError:
                 continue
 
@@ -308,15 +292,17 @@ class Table:
         record out of that tree; other damage is verification's to report."""
         if self.clustered is None and not indexes:
             return
-        project = self.schema.derived(RecordKernel).project
+        kernel = self.schema.derived(RecordKernel)
         pk = self.schema.primary_key_ordinals()
-        wanted = {*pk, *(o for index in indexes for o in index.key_ordinals)}
+        read_keys = kernel.projector(
+            {*pk, *(o for index in indexes for o in index.key_ordinals)}
+        )
         keys, records = [], []
         for rid, record in self.heap.scan():
             try:
-                row = key_row = project(record, wanted)
+                row = key_row = read_keys(record)
             except StorageError:  # raises again unless a nonclustered key
-                row, key_row = None, project(record, pk)
+                row, key_row = None, kernel.projector(pk)(record)
             keys.append((key_row, rid))
             records.append((rid, record, row))
         if self.clustered is not None:

@@ -46,6 +46,7 @@ import queue
 import socket
 import threading
 import time
+import traceback
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -512,6 +513,15 @@ class LedgerServer:
                 self._m.inflight.set(self._inflight)
             try:
                 self._handle(request)
+            except Exception:  # noqa: BLE001 — a worker outlives any request
+                # Whatever failed, the response may be half sent: close the
+                # connection rather than leave the client waiting on it.
+                self._ctx.events.emit(
+                    "server", "server.request_failed",
+                    session=request.session.id,
+                    traceback=traceback.format_exc(),
+                )
+                self._drop_session(request.session)
             finally:
                 with self._inflight_lock:
                     self._inflight -= 1
@@ -588,14 +598,16 @@ class LedgerServer:
     def _respond(self, session: _Session, frame: Dict[str, Any]) -> None:
         try:
             data = protocol.encode_frame(frame)
-        except ProtocolError:
+        except Exception as exc:  # noqa: BLE001 — answer, never kill the worker
+            reason = (
+                "response exceeded frame limit" if isinstance(exc, ProtocolError)
+                else f"response not encodable: {type(exc).__name__}: {exc}"
+            )
             data = protocol.encode_frame(
                 {
                     "ok": False,
                     "seq": frame.get("seq"),
-                    "error": RequestError(
-                        INTERNAL, "response exceeded frame limit"
-                    ).to_wire(),
+                    "error": RequestError(INTERNAL, reason).to_wire(),
                 }
             )
         try:
@@ -718,7 +730,7 @@ class LedgerServer:
 
     def _op_select(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         rows = self._db.select(str(payload["table"]))
-        return {"rows": protocol.jsonable(rows), "count": len(rows)}
+        return {"rows": rows, "count": len(rows)}
 
     def _drain(self, request: _Request) -> None:
         """Close every sealed block within the request's remaining budget."""
@@ -822,10 +834,7 @@ class LedgerServer:
             sql_session = session.sql_session = SqlSession(self._db)
         is_write = keyword in _WRITE_KEYWORDS or keyword in _TXN_KEYWORDS
         if not is_write:
-            rows = sql_session.execute(sql)
-            return {
-                "rows": protocol.jsonable(rows) if rows is not None else None
-            }
+            return {"rows": sql_session.execute(sql)}
         self._require_writable(tier)
         if sql_session.in_transaction or keyword in _TXN_KEYWORDS:
             # Interactive multi-request transactions hold NOWAIT table locks
@@ -844,7 +853,7 @@ class LedgerServer:
 
     @staticmethod
     def _execute_result(sql_session, result) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"rows": protocol.jsonable(result)}
+        out: Dict[str, Any] = {"rows": result}
         commit = sql_session.last_commit_payload
         if commit:
             out["block"] = commit.get("block")

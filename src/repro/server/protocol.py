@@ -11,6 +11,11 @@ op-specific fields; responses are either::
 ``seq`` is an opaque client-chosen value echoed back verbatim (the client
 library uses it to detect protocol desync on a reused connection).
 
+Engine values JSON has no type for are encoded in the same pass as the
+rest of the frame: VARBINARY bytes as lowercase hex, DATETIME and DATE as
+ISO-8601 text, and DECIMAL as its exact string (``"12.30"``) — never a
+float, so no digit is lost on the way to the client.
+
 Error codes are the server's overload-policy vocabulary.  ``retryable``
 tells a well-behaved client whether backing off and retrying (with the
 same ``txn_uuid``!) can succeed:
@@ -37,6 +42,7 @@ import datetime as dt
 import json
 import socket
 import struct
+from decimal import Decimal
 from typing import Any, Dict, Optional
 
 _LEN = struct.Struct(">I")
@@ -89,26 +95,25 @@ class RequestError(Exception):
         )
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively coerce engine values into JSON-safe equivalents.
-
-    SELECT results can carry ``bytes`` (VARBINARY system columns) and
-    ``datetime`` values; both get stable text encodings so any row the
-    engine can return can cross the wire.
-    """
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+def _wire_value(value: Any) -> Any:
+    """The JSON stand-in for an engine value JSON has no type for."""
     if isinstance(value, bytes):
         return value.hex()
-    if isinstance(value, dt.datetime):
+    if isinstance(value, dt.date):  # datetime is a date too
         return value.isoformat()
-    return value
+    if isinstance(value, Decimal):
+        return str(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+#: Encodes a whole frame in one pass, engine values included.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_wire_value)
 
 
 def encode_frame(payload: Dict[str, Any]) -> bytes:
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    data = _ENCODER.encode(payload).encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(data)} bytes exceeds the maximum")
     return _LEN.pack(len(data)) + data

@@ -59,10 +59,10 @@ class Spy:
                 self.reads[heap.name] += 1
             return heap_read(heap, rid)
 
-        def decoding_scan(table, visible_only=False):
+        def decoding_scan(table):
             if table.name in SYSTEM:
                 self.decoding[table.name] += 1
-            return table_scan(table, visible_only)
+            return table_scan(table)
 
         def verification_reader(name, table_name):
             reader = getattr(DatabaseLedger, name)
@@ -387,9 +387,9 @@ class TestCostDoesNotGrowWithTheTable:
                 passes[heap.name] += 1
             return heap_scan(heap)
 
-        def counting_decode(kernel, data, visible_only=False):
+        def counting_decode(kernel, data):
             decoded.append(kernel)
-            return decode(kernel, data, visible_only)
+            return decode(kernel, data)
 
         def counting(name, method):
             def counted(tree, *args):

@@ -123,6 +123,34 @@ class TestDigestManager:
         with pytest.raises(LedgerError, match="fork"):
             manager.upload_digest()
 
+    @staticmethod
+    def _truncated_past_the_last_digest(db, storage):
+        manager = DigestManager(db, storage)
+        work(db, count=4)
+        old = manager.upload_digest()
+        work(db, count=8, prefix="mid_")
+        db.pipeline.drain()
+        db.truncate_ledger(old.block_id + 1)
+        work(db, count=8, prefix="post_")
+        db.pipeline.drain()
+        return manager, old
+
+    def test_upload_after_truncating_past_the_last_digest(self, db, storage):
+        """Truncation removed the blocks that linked the last digest to the
+        chain; the fork check starts from the truncation anchor instead."""
+        manager, old = self._truncated_past_the_last_digest(db, storage)
+        new = manager.upload_digest()
+        assert new.block_id > old.block_id + 1
+        assert db.verify([old, new]).ok
+
+    def test_fork_after_the_truncation_anchor_detected(self, db, storage):
+        from repro.attacks import fork_block
+
+        manager, _ = self._truncated_past_the_last_digest(db, storage)
+        fork_block(db, db.ledger.first_block_id())
+        with pytest.raises(LedgerError, match="fork"):
+            manager.upload_digest()
+
 
 class TestGeoReplication:
     def test_digest_deferred_while_lagging(self, tmp_path, storage):

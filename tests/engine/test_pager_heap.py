@@ -1,6 +1,7 @@
 """Tests for slotted pages and heap files."""
 
 import os
+import random
 import tempfile
 
 import pytest
@@ -170,6 +171,35 @@ class TestHeapFile:
         for _ in range(4):
             heap.insert(b"y" * 4000)
         assert heap.page_count == pages_before
+
+    def test_updates_on_full_pages_probe_o1_pages(self, monkeypatch):
+        """An update — delete, then insert a record of the same size — on a
+        heap of full pages probes a bounded number of pages wherever the row
+        sits: a full page leaves the candidates when it cannot take the
+        record being placed, not when some fixed number of bytes is left."""
+        heap = HeapFile("t")
+        record = b"r" * 263  # 30 to a page, 172 bytes left over
+        rids = [heap.insert(record) for _ in range(3000)]
+        pages = heap.page_count
+        assert pages == 100
+        can_fit, probes = Page.can_fit, []
+
+        def counting(page, record_len):
+            probes.append(page.page_id)
+            return can_fit(page, record_len)
+
+        monkeypatch.setattr(Page, "can_fit", counting)
+        rng = random.Random(7)
+        per_insert = []
+        for _ in range(500):
+            i = rng.randrange(len(rids))
+            heap.delete(rids[i])
+            probes.clear()
+            rids[i] = heap.insert(record)
+            per_insert.append(len(probes))
+        assert max(per_insert) <= 3
+        assert sum(per_insert) <= 2 * len(per_insert)
+        assert heap.page_count == pages
 
     def test_scan_order_and_contents(self):
         heap = HeapFile("t")
@@ -396,5 +426,5 @@ class TestFoldedRedo:
         packed, packed_rids = HeapFile.packed("t", records)
         assert packed_rids == rids
         assert [bytes(p.buf) for p in packed._pages] == [bytes(p.buf) for p in heap._pages]
-        assert packed._first_free_hint == heap._first_free_hint
+        assert packed._room == heap._room
         assert packed.insert(b"z" * 300) == heap.insert(b"z" * 300)

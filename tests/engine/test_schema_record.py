@@ -1,6 +1,7 @@
 """Tests for table schemas and the physical record format."""
 
 import datetime as dt
+import struct
 from decimal import Decimal
 
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from repro.core import system_columns as sc
 from repro.crypto.hashing import hash_leaf
-from repro.crypto.serialization import RowSerializer, SerializedColumn
+from repro.crypto.serialization import (
+    RowSerializer,
+    SerializedColumn,
+    column_prefix,
+    payload_header,
+)
+from repro.engine import record as record_module
 from repro.engine.record import (
     RecordKernel,
     decode_record,
@@ -371,10 +378,10 @@ class TestRecordKernel:
             TableSchema("t", [Column("id", INT), Column("v", INT)], ["id"]), (1, 2)
         )
         evil = TableSchema("t", [Column("id", INT), Column("v", SMALLINT)], ["id"])
-        project = evil.derived(RecordKernel).project
-        assert project(record, (0,)) == (1, None)
+        projector = evil.derived(RecordKernel).projector
+        assert projector((0,))(record) == (1, None)
         with pytest.raises(StorageError, match="'v' failed to decode"):
-            project(record, (0, 1))
+            projector((0, 1))(record)
 
 
 # Fixed schema + rows; record, payload and leaf hex computed at the commit
@@ -493,9 +500,9 @@ class TestDamageCorpus:
         ) == decoded
         # A key read walks the whole record too, past its last key column.
         assert self._outcome(
-            lambda s, r: s.derived(RecordKernel).project(
-                r, s.primary_key_ordinals()
-            ),
+            lambda s, r: s.derived(RecordKernel).projector(
+                s.primary_key_ordinals()
+            )(r),
             schema, damaged,
         ) == decoded
 
@@ -529,3 +536,186 @@ class TestDamageCorpus:
             )
             self._assert_same_rejection(schema, damaged)
             offset += 4 + length
+
+
+# ---------------------------------------------------------------------------
+# Generated walkers against the interpreted loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(schema, data, decoded):
+    """The per-column interpreter every record read used to be.
+
+    Returns (one value slot per column, filled at the ``decoded`` ordinals;
+    each non-NULL column's ``(ordinal, len | value)`` chunk), or raises the
+    StorageError the structure or a decoded value calls for.
+    """
+    width = len(schema.columns)
+    if len(data) < 2:
+        raise StorageError("record shorter than header")
+    (count,) = struct.unpack_from(">H", data, 0)
+    if count > width:
+        raise StorageError(
+            f"record declares {count} columns, schema has only {width}"
+        )
+    offset = 2 + (count + 7) // 8
+    if len(data) < offset:
+        raise StorageError("record shorter than its NULL bitmap")
+    present = int.from_bytes(data[2:offset], "little")
+    size = len(data)
+    values, chunks = [None] * width, []
+    for column in schema.columns[:count]:
+        ordinal, name = column.ordinal, column.name
+        if not present >> ordinal & 1:
+            continue
+        start = offset + 4
+        if start > size:
+            raise StorageError(f"truncated record at column {name!r}")
+        end = start + struct.unpack_from(">I", data, offset)[0]
+        if end > size:
+            raise StorageError(f"truncated value for column {name!r}")
+        if ordinal in decoded:
+            try:
+                values[ordinal] = column.sql_type.decode(data[start:end])
+            except Exception as exc:
+                raise StorageError(
+                    f"column {name!r} failed to decode: {exc}"
+                ) from exc
+        chunks.append((ordinal, data[offset:end]))
+        offset = end
+    if offset != size:
+        raise StorageError(f"{size - offset} trailing bytes after record")
+    return values, chunks
+
+
+def reference_transcode(schema, data, omit, project):
+    """Payload, payload without ``omit``, values — from the reference walk."""
+    wanted = set()
+    if project:
+        wanted = {c.ordinal for c in schema.columns if c.hidden}
+        wanted.update(schema.primary_key_ordinals())
+    values, chunks = reference_walk(schema, data, wanted)
+    types = {c.ordinal: c.sql_type for c in schema.columns}
+
+    def payload(kept):
+        return payload_header(len(kept)) + b"".join(
+            column_prefix(o, types[o].type_id, types[o].type_meta()) + chunk
+            for o, chunk in kept
+        )
+
+    full = payload(chunks)
+    kept = [(o, chunk) for o, chunk in chunks if o not in omit]
+    return full, full if len(kept) == len(chunks) else payload(kept), values
+
+
+def outcome(read, *args):
+    """What a read returns, or the message of the StorageError it raises."""
+    try:
+        return "ok", read(*args)
+    except StorageError as exc:
+        return "error", str(exc)
+
+
+def same(got, expected):
+    """Equal outcomes; by repr, so that a NaN read back equals itself."""
+    assert repr(got) == repr(expected)
+
+
+def damaged(data, record):
+    """The stored record, or a truncated, extended or byte-flipped copy."""
+    kind = data.draw(st.sampled_from(["as is", "truncated", "extended", "flipped"]))
+    if kind == "truncated":
+        return record[: data.draw(st.integers(0, max(0, len(record) - 1)))]
+    if kind == "extended":
+        return record + data.draw(st.binary(min_size=1, max_size=6))
+    if kind == "flipped" and record:
+        at = data.draw(st.integers(0, len(record) - 1))
+        flip = data.draw(st.integers(1, 255))
+        return record[:at] + bytes([record[at] ^ flip]) + record[at + 1 :]
+    return record
+
+
+class TestGeneratedWalkers:
+    """Every generated reader agrees with the interpreted walk: the same
+    values, names or payload bytes, or the same StorageError message."""
+
+    @given(schemas_and_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_reader_equals_the_reference(self, case, data):
+        schema, row, declared = case
+        narrow = TableSchema("t", schema.columns[:declared])
+        written = data.draw(st.sampled_from([
+            encode_record(schema, row),
+            encode_record(narrow, row[:declared]),
+        ]))
+        record = damaged(data, written)
+        kernel = schema.derived(RecordKernel)
+        width = len(schema.columns)
+
+        def reference(decoded):
+            return tuple(reference_walk(schema, record, decoded)[0])
+
+        every = set(range(width))
+        same(outcome(kernel.decode, record), outcome(reference, every))
+        same(outcome(decode_record, schema, record), outcome(reference, every))
+        ordinals = data.draw(st.sets(st.sampled_from(range(width))))
+        same(
+            outcome(kernel.projector(ordinals), record),
+            outcome(reference, ordinals),
+        )
+        for include_hidden, columns in (
+            (False, schema.visible_columns), (True, schema.live_columns),
+        ):
+            expected = outcome(reference, {c.ordinal for c in columns})
+            if expected[0] == "ok":
+                expected = "ok", {c.name: expected[1][c.ordinal] for c in columns}
+            same(outcome(kernel.row_reader(include_hidden), record), expected)
+        fields = [
+            (f"f{i}", data.draw(st.sampled_from(range(width))))
+            for i in range(data.draw(st.integers(0, 4)))
+        ]
+        expected = outcome(reference, {o for _, o in fields})
+        if expected[0] == "ok":
+            expected = "ok", {name: expected[1][o] for name, o in fields}
+        same(outcome(kernel.reader(fields), record), expected)
+        omit = tuple(data.draw(st.sets(st.sampled_from(range(width)))))
+        for project in (True, False):
+            same(
+                outcome(kernel.transcode, record, omit, project),
+                outcome(reference_transcode, schema, record, set(omit), project),
+            )
+        if outcome(reference_walk, schema, record, set())[0] == "ok":
+            assert hashable_payloads(schema, [record]) == [
+                reference_transcode(schema, record, set(), False)[0]
+            ]
+
+    def test_column_names_never_reach_generated_source(self, monkeypatch):
+        evil = "x'); import os #"
+        sources, compiled = [], record_module._compiled
+
+        def spying(source):
+            sources.append(source)
+            return compiled(source)
+
+        monkeypatch.setattr(record_module, "_compiled", spying)
+        schema = TableSchema(
+            "t", [Column("id", INT), Column(evil, VARCHAR(40)),
+                  Column("ok", DATE, hidden=True)],
+            primary_key=["id"],
+        )
+        row = (1, "value'); import os #", dt.date(2021, 6, 20))
+        record = encode_record(schema, row)
+        kernel = schema.derived(RecordKernel)
+        assert kernel.decode(record) == row
+        assert kernel.row_reader()(record) == {"id": 1, evil: row[1]}
+        assert kernel.reader([(evil, 1)])(record) == {evil: row[1]}
+        payload, _, _ = kernel.transcode(record)
+        assert payload == reference_payload(schema, row)
+        narrow = TableSchema("t", schema.columns[:2])
+        assert kernel.decode(encode_record(narrow, row[:2])) == row[:2] + (None,)
+        short = encode_record(schema, (1, "v", None))[:-1]
+        with pytest.raises(StorageError) as caught:
+            kernel.decode(short)
+        assert str(caught.value) == f"truncated value for column {evil!r}"
+        assert len(sources) >= 5
+        assert not any(evil in source or "import" in source for source in sources)

@@ -85,6 +85,47 @@ class TestRequestFlow:
         assert stats["tier"] == "ok"
 
 
+class TestResultEncoding:
+    def test_decimal_and_date_rows_answer_and_workers_survive(self, server):
+        """Such a SELECT once raised in the response encoder and killed its
+        worker; two of them emptied the pool and every later request timed
+        out."""
+        cli = LedgerClient(
+            "127.0.0.1", server.port, request_timeout=3.0,
+            retry=RetryPolicy(attempts=1, base_delay=0.01, max_delay=0.01),
+        )
+        try:
+            cli.execute(
+                "CREATE TABLE p (id INT PRIMARY KEY, price DECIMAL(10,2), "
+                "day DATE) WITH (LEDGER = ON)"
+            )
+            cli.execute("INSERT INTO p VALUES (1, 12.3, '2021-06-20')")
+            expected = [{"id": 1, "price": "12.30", "day": "2021-06-20"}]
+            for _ in range(3):  # more requests than the server has workers
+                assert cli.execute("SELECT * FROM p")["rows"] == expected
+                assert cli.select("p") == expected
+            assert cli.ping()
+        finally:
+            cli.close()
+
+    def test_a_worker_outlives_a_request_that_raises(self, server, monkeypatch):
+        """However a request fails, its connection is closed and the worker
+        serves on: fail as many responses as there are workers, then ping."""
+        respond, failures = server._respond, [RuntimeError("boom")] * 2
+
+        def failing(session, frame):
+            if failures:
+                raise failures.pop()
+            respond(session, frame)
+
+        monkeypatch.setattr(server, "_respond", failing)
+        ping = {"op": "ping"}
+        for _ in range(2):
+            assert _read_response(_raw_request(server.port, ping)) is None
+        response = _read_response(_raw_request(server.port, ping, 3.0))
+        assert response["ok"] and response["result"] == {"pong": True}
+
+
 class TestAdmissionControl:
     """workers=1, queue_depth=1: anything beyond 2 concurrent must shed."""
 

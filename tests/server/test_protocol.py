@@ -1,10 +1,14 @@
 """Wire-protocol unit tests: framing, truncation, error envelopes."""
 
 import datetime
+import json
 import socket
 import struct
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server import protocol
 from repro.server.protocol import (
@@ -72,13 +76,81 @@ class TestFraming:
             b.close()
 
 
-class TestJsonable:
+def reference_frame(payload):
+    """A frame as the server encoded it before encoding became one pass:
+    engine values copied into JSON-safe ones, then ``json.dumps``."""
+
+    def jsonable(value):
+        if isinstance(value, dict):
+            return {str(k): jsonable(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [jsonable(v) for v in value]
+        if isinstance(value, bytes):
+            return value.hex()
+        if isinstance(value, datetime.datetime):
+            return value.isoformat()
+        return value
+
+    body = json.dumps(jsonable(payload), separators=(",", ":")).encode("utf-8")
+    return struct.pack(">I", len(body)) + body
+
+
+def body_of(frame):
+    return frame[struct.calcsize(">I"):]
+
+
+#: Everything a result could carry that the old encoding could encode too.
+_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.sampled_from(
+            ["\"\\/\b\f\n\r\t", "\x00\x1f\x7f", "h\u00e9 \u4e16 \U0001f600"]
+        ),
+        st.binary(max_size=16),
+        st.datetimes(min_value=datetime.datetime(1, 1, 1)),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestFrameEncoding:
     def test_bytes_become_hex(self):
-        assert protocol.jsonable({"h": b"\x00\xff"}) == {"h": "00ff"}
+        frame = protocol.encode_frame({"h": b"\x00\xff"})
+        assert body_of(frame) == b'{"h":"00ff"}'
 
     def test_datetimes_become_isoformat(self):
         stamp = datetime.datetime(2021, 6, 20, 12, 30)
-        assert protocol.jsonable([stamp]) == [stamp.isoformat()]
+        frame = protocol.encode_frame({"rows": [stamp]})
+        assert json.loads(body_of(frame)) == {"rows": [stamp.isoformat()]}
+
+    def test_decimals_are_exact_strings_and_dates_iso(self):
+        frame = protocol.encode_frame({"rows": [{
+            "price": Decimal("12.30"), "debt": Decimal("-0.01"),
+            "big": Decimal("12345678901234567890.123456789"),
+            "day": datetime.date(2021, 6, 20),
+        }]})
+        assert body_of(frame) == (
+            b'{"rows":[{"price":"12.30","debt":"-0.01",'
+            b'"big":"12345678901234567890.123456789","day":"2021-06-20"}]}'
+        )
+
+    def test_unencodable_values_still_raise(self):
+        with pytest.raises(TypeError):
+            protocol.encode_frame({"rows": [object()]})
+
+    @given(st.dictionaries(st.text(max_size=8), _VALUES, max_size=4), st.integers())
+    @settings(max_examples=300, deadline=None)
+    def test_frames_equal_the_old_encoding(self, result, seq):
+        for frame in (
+            {"ok": True, "seq": seq, "result": result},
+            {"ok": True, "seq": seq, "result": {"rows": [result, result]}},
+        ):
+            assert protocol.encode_frame(frame) == reference_frame(frame)
 
 
 class TestRequestError:
