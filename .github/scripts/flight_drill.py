@@ -51,7 +51,7 @@ def main():
     check(len(bundles) >= 1, f"crash left a flight bundle ({bundles})")
 
     bundle = read_bundle(bundles[0])
-    check(bundle.get("schema") == 1, "bundle carries its schema version")
+    check(bundle["schema"] == 2, "bundle carries schema version 2")
     check(
         bundle.get("reason") == "fault.injected",
         f"bundle reason is the trigger event ({bundle.get('reason')})",

@@ -19,12 +19,6 @@ commands use a backslash prefix:
     \\receipt <txid>       issue a transaction receipt (JSON)
     \\ops                  table-operations audit view (Figure 6)
     \\stats                dump telemetry counters (Prometheus text format)
-    \\profile [seconds] [--hz N] [--out PATH]
-                          run the sampling CPU profiler (default 2s) and
-                          print the top self-time frames by thread role;
-                          --out writes collapsed stacks for flamegraph.pl
-    \\locks                wait/hold/contention table for the instrumented
-                          locks (ledger stages, WAL writer, pipeline wakeup)
     \\trace [n]            show the span tree of the last n statements (default 1)
     \\trace --txn <txid>   reassemble the cross-thread commit lineage of one
                           transaction (commit thread -> block builder ->
@@ -39,11 +33,16 @@ commands use a backslash prefix:
                           per cycle with a full deep scan every N cycles
                           (--deep, default 5); --parallel sets worker count
     \\serve [port]         HTTP observability endpoint (/metrics /healthz
-                          /events /ledger); port 0 = ephemeral
+                          /events /ledger /traces); port 0 = ephemeral
     \\events [n]           show the last n structured ledger events (default 20)
     \\checkpoint           checkpoint the database
     \\help                 this text
     \\quit                 exit
+
+A command whose option is missing its value prints ``error: usage: …``
+(and, with ``-c``, exits 1).  For per-layer timings run
+``python3 bench/run.py --workload W --trace 1``; for an ad-hoc profile run
+the shell under ``python -m cProfile``.
 """
 
 from __future__ import annotations
@@ -55,6 +54,18 @@ from typing import List, Optional
 from repro.core.ledger_database import LedgerDatabase
 from repro.errors import ReproError
 from repro.obs import OBS
+
+
+def _int_option(
+    args: List[str], flag: str, usage: str, default: Optional[int] = None
+) -> Optional[int]:
+    """The integer value after ``flag`` in ``args``; ``default`` if absent."""
+    if flag not in args:
+        return default
+    try:
+        return int(args[args.index(flag) + 1])
+    except (IndexError, ValueError):
+        raise ValueError(f"usage: {usage}") from None
 
 
 def _render_value(value) -> str:
@@ -89,6 +100,11 @@ def _print_rows(rows) -> None:
     print(f"({len(rows)} rows)")
 
 
+_MONITOR_USAGE = (
+    "\\monitor start [sec] [--incremental] [--deep N] [--parallel N]"
+)
+
+
 class Shell:
     def __init__(self, db: LedgerDatabase) -> None:
         self.db = db
@@ -105,11 +121,9 @@ class Shell:
             self.digests.append(digest)
             print(digest.to_json())
         elif command == "verify":
-            parallelism = 1
-            flags = parts[1:]
-            if "--parallel" in flags:
-                position = flags.index("--parallel")
-                parallelism = int(flags[position + 1])
+            parallelism = _int_option(
+                parts[1:], "--parallel", "\\verify [--parallel N]", 1
+            )
             digests = self.digests or [self.db.generate_digest()]
             report = self.db.verify(digests, parallelism=parallelism)
             print(report.summary())
@@ -147,17 +161,6 @@ class Shell:
                 self._print_lineage(int(parts[2]))
             else:
                 self._print_traces(int(parts[1]) if len(parts) > 1 else 1)
-        elif command == "profile":
-            self._run_profile(parts[1:])
-        elif command == "locks":
-            from repro.obs.lockstats import format_lock_table
-
-            if not OBS.metrics.enabled:
-                print(
-                    "note: telemetry is disabled, so wait/hold histograms "
-                    "are not recording (run without --no-telemetry)"
-                )
-            print(format_lock_table())
         elif command == "blackbox":
             self._run_blackbox(parts[1:])
         elif command == "monitor":
@@ -181,34 +184,6 @@ class Shell:
             print(__doc__)
         return True
 
-    def _run_profile(self, args: List[str]) -> None:
-        import time as _time
-
-        from repro.obs.profiler import DEFAULT_HZ, SamplingProfiler
-
-        seconds = 2.0
-        hz = DEFAULT_HZ
-        out: Optional[str] = None
-        rest = list(args)
-        if rest and not rest[0].startswith("--"):
-            seconds = float(rest.pop(0))
-        if "--hz" in rest:
-            position = rest.index("--hz")
-            hz = int(rest[position + 1])
-        if "--out" in rest:
-            position = rest.index("--out")
-            out = rest[position + 1]
-        profiler = SamplingProfiler(hz=hz)
-        print(f"profiling for {seconds:g}s at {hz}Hz...")
-        profiler.start()
-        _time.sleep(seconds)
-        profiler.stop()
-        print(profiler.render_top())
-        if out:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(profiler.folded())
-            print(f"wrote folded stacks to {out}")
-
     def _run_monitor(self, args: List[str]) -> None:
         action = args[0].lower() if args else "status"
         if action == "start":
@@ -219,12 +194,11 @@ class Shell:
             kwargs = {}
             if "--incremental" in options:
                 kwargs["incremental"] = True
-            if "--deep" in options:
-                position = options.index("--deep")
-                kwargs["deep_scan_every"] = int(options[position + 1])
-            if "--parallel" in options:
-                position = options.index("--parallel")
-                kwargs["parallelism"] = int(options[position + 1])
+            for flag, key in (("--deep", "deep_scan_every"),
+                              ("--parallel", "parallelism")):
+                value = _int_option(options, flag, _MONITOR_USAGE)
+                if value is not None:
+                    kwargs[key] = value
             monitor = self.db.start_monitor(interval=interval, **kwargs)
             description = f"continuous verification running every {monitor.interval}s"
             if monitor.incremental:
@@ -367,7 +341,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         OBS.enable()
     db = LedgerDatabase.open(args.database, block_size=args.block_size)
     shell = Shell(db)
-    if args.command:
+    try:
+        if not args.command:
+            shell.repl()
+            return 0
         for statement in args.command:
             try:
                 if statement.strip().startswith("\\"):
@@ -377,13 +354,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             except (ReproError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-        db.close()
         return 0
-    try:
-        shell.repl()
     finally:
         db.close()
-    return 0
 
 
 if __name__ == "__main__":

@@ -78,10 +78,9 @@ from repro.engine.transaction import Transaction
 from repro.engine.types import BIGINT, DATETIME, VARBINARY, VARCHAR
 from repro.errors import DigestError, LedgerError
 from repro.faults import FAULTS
+from repro.obs import OBS
 from repro.obs.context import TraceContext
-from repro.obs.lockstats import InstrumentedRLock
 from repro.obs.tracing import build_lineage_tree, render_span_tree
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
 
 FAULTS.register(
     "ledger.flush_queue",
@@ -204,36 +203,18 @@ class DatabaseLedger:
     """Manages the blockchain of transaction blocks for one database."""
 
     def __init__(
-        self,
-        engine: Database,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        ctx: Optional[LedgerContext] = None,
+        self, engine: Database, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> None:
         if block_size < 1:
             raise LedgerError("block size must be at least 1")
         self._engine = engine
         self._block_size = block_size
-        if ctx is None:
-            ctx = getattr(engine, "context", None) or DEFAULT_CONTEXT
-        self._ctx = ctx
-        self._obs = ctx.obs
-        self._faults = ctx.faults
-        self._m = ctx.metrics.handles("ledger", _ledger_metrics)
+        self._m = OBS.metrics.handles("ledger", _ledger_metrics)
         #: Stage locks.  ``storage_lock`` is shared with every consumer of
         #: the (single-threaded) storage engine via LedgerDatabase/pipeline.
-        #: Instrumented: wait/hold/contention per lock show up under
-        #: ``lock_*_seconds{lock="ledger.*"}`` and on ``/locks``.  A second
-        #: ledger open in the same process gets a ``@name`` suffix so
-        #: side-by-side ledgers never collide in the lock registry.
-        self.storage_lock = InstrumentedRLock(
-            ctx.scoped("ledger.storage"), metrics=ctx.metrics
-        )
-        self.sequencer_lock = InstrumentedRLock(
-            ctx.scoped("ledger.sequencer"), metrics=ctx.metrics
-        )
-        self.queue_lock = InstrumentedRLock(
-            ctx.scoped("ledger.queue"), metrics=ctx.metrics
-        )
+        self.storage_lock = threading.RLock()
+        self.sequencer_lock = threading.RLock()
+        self.queue_lock = threading.RLock()
         self._queue_cv = threading.Condition(self.queue_lock)
         self._queue: List[TransactionEntry] = []
         self._open_block_id = 0
@@ -287,10 +268,6 @@ class DatabaseLedger:
     @property
     def block_size(self) -> int:
         return self._block_size
-
-    @property
-    def context(self) -> LedgerContext:
-        return self._ctx
 
     @property
     def open_block_id(self) -> int:
@@ -377,16 +354,16 @@ class DatabaseLedger:
         count = self._open_ordinal
         with self.queue_lock:
             self._sealed.append((sealed_id, count))
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.sealed_pending.set(len(self._sealed))
         self._open_block_id = sealed_id + 1
         self._open_ordinal = 0
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.blocks_sealed.inc()
             self._m.stage_seconds.labels("seal").observe(
                 time.perf_counter() - started
             )
-        self._ctx.events.emit(
+        OBS.events.emit(
             "ledger", "block.sealed", block_id=sealed_id, transactions=count
         )
         return sealed_id
@@ -411,12 +388,12 @@ class DatabaseLedger:
             if self._sealed:
                 head_id, head_count = self._sealed[0]
                 ready = len(self._pending.get(head_id, ())) >= head_count
-            if self._obs.metrics.enabled or self._obs.tracer.enabled:
+            if OBS.metrics.enabled or OBS.tracer.enabled:
                 self._entry_meta[entry.transaction_id] = (
                     time.monotonic_ns(),
                     trace,
                 )
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.entries_enqueued.inc()
                 self._m.queue_depth.set(len(self._queue))
                 self._m.queue_oldest_age.set(self._oldest_age_locked())
@@ -474,9 +451,9 @@ class DatabaseLedger:
             snapshot = list(self._queue)
         if not snapshot:
             return 0
-        self._faults.fire("ledger.flush_queue", entries=len(snapshot))
+        FAULTS.fire("ledger.flush_queue", entries=len(snapshot))
         started = time.perf_counter()
-        with self.storage_lock, self._obs.tracer.span(
+        with self.storage_lock, OBS.tracer.span(
             "ledger.flush_queue", entries=len(snapshot)
         ):
             table = self._transactions_table()
@@ -492,10 +469,10 @@ class DatabaseLedger:
             self._engine.commit(txn)
         with self.queue_lock:
             del self._queue[: len(snapshot)]
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.queue_depth.set(len(self._queue))
                 self._m.queue_oldest_age.set(self._oldest_age_locked())
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.entries_flushed.inc(len(snapshot))
             self._m.stage_seconds.labels("flush").observe(
                 time.perf_counter() - started
@@ -527,7 +504,7 @@ class DatabaseLedger:
             with self.queue_lock:
                 self._sealed.popleft()
                 self._pending.pop(block_id, None)
-                if self._obs.metrics.enabled:
+                if OBS.metrics.enabled:
                     self._m.sealed_pending.set(len(self._sealed))
             self._closed_height = block_id
             return block
@@ -560,7 +537,7 @@ class DatabaseLedger:
         """
         started = time.perf_counter()
         build_start_ns = time.monotonic_ns()
-        tracer = self._obs.tracer
+        tracer = OBS.tracer
         with tracer.span("block.append", block_id=block_id) as span:
             self.flush_queue()
             with self.queue_lock:
@@ -576,14 +553,11 @@ class DatabaseLedger:
             # link the block span to their traces) before the fault point:
             # a kill-mode crash here must leave the waits in the black box.
             self._absorb_entry_meta(span, block_id, entries, build_start_ns)
-            self._faults.fire("ledger.block_persist", block_id=block_id)
+            FAULTS.fire("ledger.block_persist", block_id=block_id)
             merkle_started = time.perf_counter()
             with tracer.span("merkle.root", block_id=block_id):
-                tree = MerkleTree(
-                    [entry.entry_hash() for entry in entries],
-                    metrics=self._ctx.metrics,
-                )
-            if self._obs.metrics.enabled:
+                tree = MerkleTree([entry.entry_hash() for entry in entries])
+            if OBS.metrics.enabled:
                 self._m.stage_seconds.labels("merkle").observe(
                     time.perf_counter() - merkle_started
                 )
@@ -606,24 +580,24 @@ class DatabaseLedger:
                 self._tip_commit_time = (
                     block_id, max(entry.commit_time for entry in entries)
                 )
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.stage_seconds.labels("persist").observe(
                     time.perf_counter() - persist_started
                 )
             span.set_attribute("transactions", block.transaction_count)
-            block_ctx = span.context()
-            if block_ctx is not None:
+            block_trace = span.context()
+            if block_trace is not None:
                 with self.queue_lock:
-                    self._block_traces[block_id] = block_ctx.to_payload()
+                    self._block_traces[block_id] = block_trace.to_payload()
                     while len(self._block_traces) > _MAX_BLOCK_TRACES:
                         self._block_traces.pop(next(iter(self._block_traces)))
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.blocks_closed.inc()
             self._m.block_transactions.observe(block.transaction_count)
             elapsed = time.perf_counter() - started
             self._m.block_close_seconds.observe(elapsed)
             self._m.stage_seconds.labels("close").observe(elapsed)
-        self._ctx.events.emit(
+        OBS.events.emit(
             "ledger", "block.closed",
             block_id=block.block_id, transactions=block.transaction_count,
         )
@@ -645,8 +619,8 @@ class DatabaseLedger:
         commit traces, and — when a wait crossed ``slow_txn_threshold`` —
         emits a ``txn.slow`` event carrying the worst commit's lineage tree.
         """
-        tracer = self._obs.tracer
-        metrics_on = self._obs.metrics.enabled
+        tracer = OBS.tracer
+        metrics_on = OBS.metrics.enabled
         with self.queue_lock:
             metas = {
                 entry.transaction_id: self._entry_meta.pop(
@@ -684,7 +658,7 @@ class DatabaseLedger:
                 slow_count += 1
                 if slowest is None or wait_seconds > slowest[0]:
                     slowest = (wait_seconds, entry.transaction_id, context)
-        if slowest is not None and self._obs.events.enabled:
+        if slowest is not None and OBS.events.enabled:
             wait_seconds, tid, context = slowest
             lineage = ""
             if tracer.enabled and context is not None:
@@ -693,7 +667,7 @@ class DatabaseLedger:
                 )
                 lines = render_span_tree(roots).splitlines()
                 lineage = "\n".join(lines[:_MAX_SLOW_LINEAGE_LINES])
-            self._ctx.events.emit(
+            OBS.events.emit(
                 "ledger", "txn.slow",
                 tid=tid, block_id=block_id,
                 queue_wait_seconds=round(wait_seconds, 6),
@@ -737,7 +711,7 @@ class DatabaseLedger:
         pipeline first so in-flight commits are covered too.
         """
         started = time.perf_counter()
-        with self.storage_lock, self._obs.tracer.span("digest.generate") as span:
+        with self.storage_lock, OBS.tracer.span("digest.generate") as span:
             self.close_open_block()
             latest = self.latest_block()
             if latest is None:
@@ -747,9 +721,9 @@ class DatabaseLedger:
                 )
             # Link into the covering block's trace so a commit's lineage
             # extends through to the digest that publishes it.
-            block_ctx = self.trace_context_for_block(latest.block_id)
-            if block_ctx is not None:
-                span.add_link(block_ctx.trace_id, block_ctx.span_id)
+            block_trace = self.trace_context_for_block(latest.block_id)
+            if block_trace is not None:
+                span.add_link(block_trace.trace_id, block_trace.span_id)
                 span.set_attribute("block_id", latest.block_id)
             last_commit = self._last_commit_time_in_block(latest.block_id)
             digest = DatabaseDigest(
@@ -762,7 +736,7 @@ class DatabaseLedger:
             )
         self._m.digests_generated.inc()
         self._m.digest_generate_seconds.observe(time.perf_counter() - started)
-        self._ctx.events.emit(
+        OBS.events.emit(
             "digest", "digest.generated",
             block_id=digest.block_id,
             block_hash=digest.block_hash.hex(),
@@ -1059,7 +1033,7 @@ class DatabaseLedger:
         )
         if self._open_ordinal >= self._block_size:
             self._seal_locked()
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.sealed_pending.set(len(self._sealed))
             self._m.queue_depth.set(len(self._queue))
 

@@ -39,6 +39,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.errors import InjectedCrashError, InjectedFaultError, LedgerError
 from repro.faults import FAULTS
+from repro.obs import OBS
 
 FAULTS.register(
     "server.fsync_torn_group",
@@ -98,10 +99,7 @@ class GroupCommitter:
         self._pending: deque[_Ticket] = deque()
         self._leader_active = False
         self._closed = False
-        ctx = db.context
-        self._faults = ctx.faults
-        self._obs = ctx.obs
-        self._m = ctx.metrics.handles("group_commit", _group_metrics)
+        self._m = OBS.metrics.handles("group_commit", _group_metrics)
         self._stats_lock = threading.Lock()
         self._groups = 0
         self._members = 0
@@ -187,7 +185,7 @@ class GroupCommitter:
         started = time.perf_counter()
         wal = self._db.engine.wal
         try:
-            with self._obs.tracer.span("group.commit", size=len(batch)):
+            with OBS.tracer.span("group.commit", size=len(batch)):
                 # One storage-lock hold for the whole group (the lock is
                 # reentrant, so each member's begin/DML/commit nests for
                 # free), one deferred group fsync at context exit.
@@ -200,7 +198,7 @@ class GroupCommitter:
                                 raise
                             except Exception as exc:
                                 ticket.error = exc
-                            if self._faults.triggered(
+                            if FAULTS.triggered(
                                 "server.fsync_torn_group",
                                 member=index,
                                 group=len(batch),
@@ -227,7 +225,7 @@ class GroupCommitter:
             self._members += len(batch)
             self._last_size = len(batch)
             self._max_seen = max(self._max_seen, len(batch))
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.groups.inc()
             self._m.members.inc(len(batch))
             self._m.group_size.observe(float(len(batch)))

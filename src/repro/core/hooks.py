@@ -31,7 +31,7 @@ from repro.engine.record import hashable_payload, hashable_payloads
 from repro.engine.table import PreparedRow, Table
 from repro.engine.transaction import Transaction
 from repro.errors import AppendOnlyViolationError, LedgerConfigurationError
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
+from repro.obs import OBS
 
 _CONTEXT_KEY = "ledger"
 
@@ -73,17 +73,16 @@ class _LedgerTxContext:
     """Per-transaction ledger state: one Merkle hasher per ledger table,
     plus the operation sequence counter (§3.1)."""
 
-    __slots__ = ("hashers", "next_sequence", "_metrics")
+    __slots__ = ("hashers", "next_sequence")
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self) -> None:
         self.hashers: Dict[int, MerkleHasher] = {}
         self.next_sequence = 0
-        self._metrics = metrics
 
     def hasher_for(self, table_id: int) -> MerkleHasher:
         hasher = self.hashers.get(table_id)
         if hasher is None:
-            hasher = MerkleHasher(metrics=self._metrics)
+            hasher = MerkleHasher()
             self.hashers[table_id] = hasher
         return hasher
 
@@ -111,12 +110,10 @@ class _LedgerTxContext:
 class LedgerHooks(EngineHooks):
     """EngineHooks implementation wiring the ledger into the engine."""
 
-    def __init__(self, ctx: Optional[LedgerContext] = None) -> None:
+    def __init__(self) -> None:
         self._ledger: Optional[DatabaseLedger] = None
         self._engine = None
-        self._ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._m = self._ctx.metrics.handles("ledger.hooks", _hooks_metrics)
+        self._m = OBS.metrics.handles("ledger.hooks", _hooks_metrics)
         self._suppress_depth = 0
         # Recovery payloads buffered until the ledger layer is bound.
         self._recovered_payloads: List[dict] = []
@@ -256,7 +253,7 @@ class LedgerHooks(EngineHooks):
         self, txn: Transaction, context: _LedgerTxContext, table: Table,
         record: bytes, op: str,
     ) -> None:
-        tracer = self._obs.tracer
+        tracer = OBS.tracer
         if tracer.enabled:
             # Join the transaction's trace so hash spans land in the commit
             # lineage even when the statement runs inside an explicit
@@ -280,7 +277,7 @@ class LedgerHooks(EngineHooks):
         transcode+hash pass and one metrics observation per statement."""
         if not records:
             return
-        tracer = self._obs.tracer
+        tracer = OBS.tracer
         if tracer.enabled:
             trace = txn.context.get("trace")
             with tracer.span(
@@ -313,7 +310,7 @@ class LedgerHooks(EngineHooks):
     def _context(self, txn: Transaction) -> _LedgerTxContext:
         context = txn.context.get(_CONTEXT_KEY)
         if context is None:
-            context = _LedgerTxContext(metrics=self._ctx.metrics)
+            context = _LedgerTxContext()
             txn.context[_CONTEXT_KEY] = context
         return context
 
@@ -326,7 +323,7 @@ class LedgerHooks(EngineHooks):
         if context is None or not context.hashers:
             return None
         assert self._ledger is not None
-        with self._obs.tracer.span("ledger.pre_commit", tid=txn.tid):
+        with OBS.tracer.span("ledger.pre_commit", tid=txn.tid):
             table_roots: Tuple[Tuple[int, bytes], ...] = tuple(
                 sorted(
                     (tid, hasher.root())
@@ -341,7 +338,7 @@ class LedgerHooks(EngineHooks):
         # through it the block builder) can attach to the commit's trace.
         # The entry's canonical bytes were hashed from the entry itself, and
         # from_payload ignores unknown keys, so this never affects digests.
-        trace = self._obs.tracer.capture_context()
+        trace = OBS.tracer.capture_context()
         if trace is not None:
             payload["trace"] = trace.to_payload()
         return payload

@@ -50,11 +50,7 @@ from repro.engine.table import Table
 from repro.engine.transaction import Transaction
 from repro.engine.types import BIGINT, INT, VARBINARY, VARCHAR
 from repro.errors import LedgerConfigurationError, TableNotFoundError
-from repro.runtime import (
-    LedgerContext,
-    claim_instance_name,
-    release_instance_name,
-)
+from repro.obs import OBS
 from repro.sql.prepared import StatementCache
 
 CONFIG_TABLE = "__ledger_config"
@@ -85,11 +81,9 @@ class LedgerDatabase:
         self.engine = engine
         self.hooks = hooks
         self.ledger = ledger
-        self._ctx = ledger.context
-        self._owns_instance_name = False
         #: Stage 3 of the commit pipeline: the background block builder and
         #: the ``drain()`` barrier (started by :meth:`open`).
-        self.pipeline = LedgerPipeline(ledger, ctx=self._ctx)
+        self.pipeline = LedgerPipeline(ledger)
         #: Prepared-statement cache shared by every SQL session on this
         #: database; DDL through any session invalidates it for all.
         self.statement_cache = StatementCache()
@@ -108,11 +102,6 @@ class LedgerDatabase:
         self._group_committer = None
         self._close_lock = threading.Lock()
         self._closed = False
-
-    @property
-    def context(self) -> LedgerContext:
-        """This instance's obs/fault scope (see :mod:`repro.runtime`)."""
-        return self._ctx
 
     @property
     def ledger_lock(self):
@@ -138,33 +127,18 @@ class LedgerDatabase:
         clock: Optional[Callable[[], dt.datetime]] = None,
         sync: bool = False,
     ) -> "LedgerDatabase":
-        """Open (bootstrapping or recovering) a ledger database at ``path``.
-
-        The instance name is claimed automatically: the first open in a
-        process gets the bare default scope, concurrent extras get ``i2``,
-        ``i3`` … so their locks and thread roles never collide.
-        """
-        ctx = LedgerContext(name=claim_instance_name())
-        try:
-            hooks = LedgerHooks(ctx=ctx)
-            engine = Database.open(
-                path, hooks=hooks, clock=clock, sync=sync, ctx=ctx
-            )
-        except Exception:
-            release_instance_name(ctx.name)
-            raise
+        """Open (bootstrapping or recovering) a ledger database at ``path``."""
+        hooks = LedgerHooks()
+        engine = Database.open(path, hooks=hooks, clock=clock, sync=sync)
         fresh = not engine.has_table(CONFIG_TABLE)
         effective_block_size = block_size or FACADE_DEFAULT_BLOCK_SIZE
         if not fresh and block_size is None:
             stored = cls._read_config_static(engine, "block_size")
             if stored is not None:
                 effective_block_size = int(stored)
-        ledger = DatabaseLedger(
-            engine, block_size=effective_block_size, ctx=ctx
-        )
+        ledger = DatabaseLedger(engine, block_size=effective_block_size)
         hooks.bind(engine, ledger)
         db = cls(engine, hooks, ledger)
-        db._owns_instance_name = True
         if fresh:
             db._bootstrap(effective_block_size)
         else:
@@ -173,7 +147,7 @@ class LedgerDatabase:
             # to tell a truncated transaction from a lost one.
             db._load_truncation_anchor()
             ledger.recover(payloads, state)
-            ctx.events.emit(
+            OBS.events.emit(
                 "recovery", "recovery.ledger_recovered",
                 path=path, queued_entries=len(payloads),
                 open_block_id=ledger.open_block_id,
@@ -217,9 +191,6 @@ class LedgerDatabase:
             # barrier against a live engine; block everyone after them.
             self.pipeline.disable_drains()
             self.engine.close()
-            if self._owns_instance_name:
-                release_instance_name(self._ctx.name)
-                self._owns_instance_name = False
 
     def checkpoint(self) -> None:
         """Checkpoint the engine after closing every closable block."""
@@ -231,11 +202,6 @@ class LedgerDatabase:
         """Crash without draining: sealed blocks are left for recovery."""
         self.pipeline.stop(drain=False)
         self.engine.simulate_crash()
-        # The "process" died: its instance name frees up for the reopened
-        # incarnation, which would otherwise claim a fresh ``iN`` scope.
-        if self._owns_instance_name:
-            release_instance_name(self._ctx.name)
-            self._owns_instance_name = False
 
     def backup(self, destination: str) -> None:
         """Checkpoint and copy the database directory (cold backup, §3.7)."""
@@ -470,7 +436,7 @@ class LedgerDatabase:
             txn = self.begin(username="ledger_system")
             self._register_ledger_table(txn, table)
             self.commit(txn)
-        self._ctx.events.emit(
+        OBS.events.emit(
             "schema", "schema.table_created",
             table=table.name, ledger_type=ledger_type,
         )
@@ -507,7 +473,7 @@ class LedgerDatabase:
         )
         self.commit(txn)
         self._update_view_registration(f"{name}_ledger", table)
-        self._ctx.events.emit(
+        OBS.events.emit(
             "schema", "schema.table_dropped",
             table=name, renamed_to=dropped_name,
         )
@@ -758,12 +724,9 @@ class LedgerDatabase:
 
     @property
     def telemetry(self):
-        """This instance's :class:`repro.obs.Telemetry`.
-
-        Resolved through the instance context, which always holds the
-        process-wide singleton (like a Prometheus default registry).
-        """
-        return self._ctx.obs
+        """The process-wide :class:`repro.obs.Telemetry` (like a Prometheus
+        default registry)."""
+        return OBS
 
     def get_metrics(self):
         """The metrics registry recording this process's ledger activity."""

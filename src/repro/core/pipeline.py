@@ -39,9 +39,7 @@ from typing import Dict, Optional
 
 from repro.errors import LedgerError
 from repro.faults import FAULTS
-from repro.obs.lockstats import InstrumentedLock
-from repro.obs.profiler import set_thread_role
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
+from repro.obs import OBS
 
 FAULTS.register(
     "pipeline.builder",
@@ -90,24 +88,11 @@ _BACKOFF_MAX = 1.0
 class LedgerPipeline:
     """Owns the block-builder thread and the drain barrier for one ledger."""
 
-    def __init__(
-        self,
-        ledger,
-        restart_cap: int = DEFAULT_RESTART_CAP,
-        ctx: Optional[LedgerContext] = None,
-    ) -> None:
+    def __init__(self, ledger, restart_cap: int = DEFAULT_RESTART_CAP) -> None:
         self._ledger = ledger
-        if ctx is None:
-            ctx = getattr(ledger, "context", None) or DEFAULT_CONTEXT
-        self._ctx = ctx
-        self._obs = ctx.obs
-        self._faults = ctx.faults
-        self._m = ctx.metrics.handles("pipeline", _pipeline_metrics)
-        # The condition's mutex is instrumented: waits here are commits
-        # notifying a busy builder, holds are builder scheduling decisions.
-        self._wakeup = threading.Condition(
-            InstrumentedLock(ctx.scoped("pipeline.wakeup"), metrics=ctx.metrics)
-        )
+        self._m = OBS.metrics.handles("pipeline", _pipeline_metrics)
+        # ``pipeline.wakeup``: last in the lock order (DESIGN.md).
+        self._wakeup = threading.Condition(threading.Lock())
         self._pending_wakeups = 0
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
@@ -153,13 +138,12 @@ class LedgerPipeline:
         self._pending_wakeups = 1
         self._ledger.set_sealed_ready_callback(self._notify)
         self._thread = threading.Thread(
-            target=self._run, name=self._ctx.scoped("ledger-block-builder"),
-            daemon=True,
+            target=self._run, name="ledger-block-builder", daemon=True
         )
         self._thread.start()
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.builder_running.set(1)
-        self._ctx.events.emit("ledger", "pipeline.started")
+        OBS.events.emit("ledger", "pipeline.started")
         return self
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
@@ -188,9 +172,9 @@ class LedgerPipeline:
             leaked = thread.is_alive()
             self._thread = None
             self._ledger.set_sealed_ready_callback(None)
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.builder_running.set(0)
-            self._ctx.events.emit(
+            OBS.events.emit(
                 "ledger", "pipeline.stopped",
                 blocks_built=self._blocks_built, joined=not leaked,
             )
@@ -224,7 +208,7 @@ class LedgerPipeline:
                 )
             self._active_drains += 1
         try:
-            with self._obs.tracer.span(
+            with OBS.tracer.span(
                 "pipeline.drain", seal_open=seal_open
             ) as span:
                 if seal_open:
@@ -242,7 +226,7 @@ class LedgerPipeline:
                 self._active_drains -= 1
                 self._drain_cv.notify_all()
         self._drains += 1
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.drains.inc()
             self._m.stage_seconds.labels("drain").observe(
                 time.perf_counter() - started
@@ -304,8 +288,7 @@ class LedgerPipeline:
         # Restarted builders may reuse a thread-local slot that still holds
         # the crashed incarnation's span stack; start from a clean stack so
         # builder spans never parent under a dead ancestor.
-        self._obs.tracer.reset_thread()
-        set_thread_role(self._ctx.scoped("block-builder"))
+        OBS.tracer.reset_thread()
         if backoff:
             time.sleep(backoff)
         try:
@@ -323,7 +306,7 @@ class LedgerPipeline:
                 self._pending_wakeups = 0
             built = 0
             while not self._stop_requested:
-                self._faults.fire("pipeline.builder")
+                FAULTS.fire("pipeline.builder")
                 block = self._ledger.close_next_ready_block()
                 if block is None:
                     break
@@ -331,7 +314,7 @@ class LedgerPipeline:
             self._blocks_built += built
             # A full cycle without an exception ends any crash streak.
             self._restart_streak = 0
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 outcome = "built" if built else "idle"
                 self._m.builder_cycles.labels(outcome).inc()
 
@@ -344,9 +327,9 @@ class LedgerPipeline:
         """
         self._builder_errors += 1
         self._last_error = f"{type(exc).__name__}: {exc}"
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.builder_cycles.labels("error").inc()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "ledger", "pipeline.builder_crashed",
             error=self._last_error, streak=self._restart_streak + 1,
         )
@@ -356,9 +339,9 @@ class LedgerPipeline:
             self._restart_streak += 1
             if self._restart_streak > self._restart_cap:
                 self._supervisor_gave_up = True
-                if self._obs.metrics.enabled:
+                if OBS.metrics.enabled:
                     self._m.builder_running.set(0)
-                self._ctx.events.emit(
+                OBS.events.emit(
                     "ledger", "pipeline.builder_gave_up",
                     crashes=self._restart_streak, error=self._last_error,
                 )
@@ -372,13 +355,13 @@ class LedgerPipeline:
             self._pending_wakeups = max(self._pending_wakeups, 1)
             replacement = threading.Thread(
                 target=self._run, args=(backoff,),
-                name=self._ctx.scoped("ledger-block-builder"), daemon=True,
+                name="ledger-block-builder", daemon=True,
             )
             # Install before starting so pipeline.running never flickers
             # False between the crash and the restart.
             self._thread = replacement
             replacement.start()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "ledger", "pipeline.builder_restarted",
             attempt=self._restarts, backoff_seconds=round(backoff, 4),
         )

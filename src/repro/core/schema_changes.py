@@ -27,11 +27,7 @@ from repro.engine.operators import insert_rows, update_rows
 from repro.engine.schema import Column
 from repro.engine.types import SqlType
 from repro.errors import LedgerConfigurationError
-from repro.runtime import DEFAULT_CONTEXT
-
-
-def _events(db):
-    return (getattr(db, "context", None) or DEFAULT_CONTEXT).events
+from repro.obs import OBS
 
 
 def add_column(db, table_name: str, column: Column) -> None:
@@ -54,7 +50,7 @@ def add_column(db, table_name: str, column: Column) -> None:
     # The canonical view definition includes the column list; re-register it
     # so the §3.4.2 view check keeps passing.
     db._update_view_registration(f"{table.name}_ledger", table)
-    _events(db).emit(
+    OBS.events.emit(
         "schema", "schema.column_added",
         table=table_name, column=column.name,
         type=column.sql_type.render(),
@@ -76,7 +72,7 @@ def drop_column(db, table_name: str, column_name: str) -> None:
     dropped_name = new_schema.columns[target.ordinal].name
     _record_column_dropped(db, table, target.ordinal, dropped_name)
     db._update_view_registration(f"{table.name}_ledger", table)
-    _events(db).emit(
+    OBS.events.emit(
         "schema", "schema.column_dropped",
         table=table_name, column=column_name, renamed_to=dropped_name,
     )
@@ -125,7 +121,7 @@ def alter_column_type(
         db.rollback(txn)
         raise
     db.commit(txn)
-    _events(db).emit(
+    OBS.events.emit(
         "schema", "schema.column_altered",
         table=table_name, column=column_name, new_type=new_type.render(),
     )

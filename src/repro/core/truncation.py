@@ -28,7 +28,7 @@ from typing import Optional, Set
 
 from repro.core import system_columns as sc
 from repro.errors import TruncationError
-from repro.runtime import DEFAULT_CONTEXT
+from repro.obs import OBS
 
 
 def truncate_ledger(db, through_block: int, note: Optional[str] = None) -> dict:
@@ -97,8 +97,7 @@ def _truncate_locked(db, through_block: int, note: Optional[str]) -> dict:
         "history_rows_removed": history_removed,
         "live_rows_reanchored": reanchored,
     }
-    ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
-    ctx.events.emit("truncation", "truncation.completed", **summary)
+    OBS.events.emit("truncation", "truncation.completed", **summary)
     return summary
 
 

@@ -101,7 +101,7 @@ from repro.core.verify_snapshot import (
 from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleHasher, merkle_root
 from repro.errors import VerificationFailedError
-from repro.runtime import DEFAULT_CONTEXT
+from repro.obs import OBS
 
 
 def _verify_metrics(reg):
@@ -300,9 +300,7 @@ class LedgerVerifier:
     ) -> None:
         self._db = db
         self._ledger = db.ledger
-        self._ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._m = self._ctx.metrics.handles("verify", _verify_metrics)
+        self._m = OBS.metrics.handles("verify", _verify_metrics)
         self._progress = progress
         self._progress_interval = max(1, progress_interval)
         self._cache = _GLOBAL_LEAF_CACHE if cache is None else cache
@@ -348,7 +346,7 @@ class LedgerVerifier:
             self._progress = progress
         report = VerificationReport()
         self._m.runs.inc()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "verify", "verify.started",
             digests=len(digests), mode=mode, parallelism=parallelism,
         )
@@ -376,16 +374,16 @@ class LedgerVerifier:
         # only in-process tasks can use: they never fork.
         with VerifyPool(
             snapshot, parallelism if checkpoint is None else 1,
-            self._cache, self._obs,
+            self._cache,
         ) as pool:
             report.parallelism = pool.processes if pool.parallel else 1
-            with self._obs.tracer.span("verify.run"):
+            with OBS.tracer.span("verify.run"):
                 self._run_phases(report, digests, snapshot, checkpoint, pool)
                 self._emit_done()
 
         report.cache_hits = self._cache.hits - cache_hits0
         report.cache_misses = self._cache.misses - cache_misses0
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             if report.cache_hits:
                 self._m.cache_lookups.labels("hit").inc(report.cache_hits)
             if report.cache_misses:
@@ -399,7 +397,7 @@ class LedgerVerifier:
             # operators can investigate).
             self._m.escalations.inc()
             reason = self._escalate_reason
-            self._ctx.events.emit("verify", "verify.escalated", reason=reason)
+            OBS.events.emit("verify", "verify.escalated", reason=reason)
             full_report = self.verify(
                 digests,
                 table_names=table_names,
@@ -425,12 +423,12 @@ class LedgerVerifier:
             )
 
         for finding in report.findings:
-            self._ctx.events.emit(
+            OBS.events.emit(
                 "verify", "verify.finding",
                 invariant=finding.invariant, severity=finding.severity,
                 message=finding.message,
             )
-        self._ctx.events.emit(
+        OBS.events.emit(
             "verify", "verify.passed" if report.ok else "verify.failed",
             blocks=report.blocks_verified,
             transactions=report.transactions_verified,
@@ -469,7 +467,7 @@ class LedgerVerifier:
         for index, (name, check, total, unit) in enumerate(phases):
             self._begin_phase(name, index, total, unit)
             started = time.perf_counter()
-            with self._obs.tracer.span(f"verify.{name}"):
+            with OBS.tracer.span(f"verify.{name}"):
                 check()
             elapsed = time.perf_counter() - started
             self._end_phase()
@@ -585,7 +583,7 @@ class LedgerVerifier:
         self, report, pool: VerifyPool, task, args_list, on_result=None
     ) -> List[Dict[str, Any]]:
         """Run the current invariant's tasks; findings keep task order."""
-        if pool.parallel and self._obs.metrics.enabled:
+        if pool.parallel and OBS.metrics.enabled:
             self._m.parallel_tasks.labels(self._phase).inc(len(args_list))
         results = pool.run(task, args_list, on_result)
         for result in results:

@@ -56,6 +56,7 @@ from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
 from repro.engine.heap import RowId
 from repro.errors import StorageError
+from repro.obs import OBS
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -107,17 +108,14 @@ def split_ranges(count: int, parts: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _child_init(snapshot: VerificationSnapshot, obs) -> None:
+def _child_init(snapshot: VerificationSnapshot) -> None:
     global _worker_snapshot
     _worker_snapshot = snapshot
     # The fork inherits the forking thread's span stack: clear it so any
     # span a worker might emit is never parented under a span that lives
     # (and finishes) in the parent process.
-    obs.tracer.reset_thread()
-    obs.disable()
-    from repro.obs.profiler import set_thread_role
-
-    set_thread_role("verify-worker")
+    OBS.tracer.reset_thread()
+    OBS.disable()
 
 
 def _run_in_worker(call) -> Dict[str, Any]:
@@ -311,7 +309,6 @@ class VerifyPool:
         snapshot: VerificationSnapshot,
         processes: int,
         cache: Optional[LeafHashCache],
-        obs,
     ) -> None:
         self.processes = max(1, processes)
         self._snapshot = snapshot
@@ -322,7 +319,7 @@ class VerifyPool:
             self._pool = context.Pool(
                 processes=self.processes,
                 initializer=_child_init,
-                initargs=(snapshot, obs),
+                initargs=(snapshot,),
             )
 
     @property

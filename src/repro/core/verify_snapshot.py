@@ -45,7 +45,7 @@ from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.crypto.hashing import LeafHashCache, hash_leaf
 from repro.engine.record import RecordKernel, hashable_payload, key_tuple
 from repro.errors import LedgerError, StorageError
-from repro.runtime import DEFAULT_CONTEXT
+from repro.obs import OBS
 
 
 def _snapshot_metrics(reg):
@@ -312,9 +312,8 @@ def capture_snapshot(
     from repro.core.ledger_database import VIEWS_TABLE
 
     ledger = db.ledger
-    ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
     started = time.perf_counter()
-    with ledger.storage_lock, ctx.tracer.span("verify.snapshot"):
+    with ledger.storage_lock, OBS.tracer.span("verify.snapshot"):
         try:
             db.pipeline.drain(seal_open=False)
         except LedgerError:
@@ -423,8 +422,8 @@ def capture_snapshot(
         for rel in tbl.relations()
     )
     snapshot.finalize()
-    if ctx.metrics.enabled:
-        families = ctx.metrics.handles("verify_snapshot", _snapshot_metrics)
+    if OBS.metrics.enabled:
+        families = OBS.metrics.handles("verify_snapshot", _snapshot_metrics)
         families.seconds.observe(snapshot.capture_seconds)
         families.records.inc(snapshot.total_records)
     return snapshot

@@ -48,7 +48,7 @@ from repro.errors import (
     ReplicationLagError,
     TransientStorageError,
 )
-from repro.runtime import DEFAULT_CONTEXT
+from repro.obs import OBS
 
 
 def _digest_metrics(reg):
@@ -161,9 +161,7 @@ class DigestManager:
         self._container = container
         self._geo = geo
         self._retry = retry if retry is not None else RetryPolicy()
-        self._ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._m = self._ctx.metrics.handles("digest_manager", _digest_metrics)
+        self._m = OBS.metrics.handles("digest_manager", _digest_metrics)
 
     # ------------------------------------------------------------------
     # Upload path
@@ -177,15 +175,15 @@ class DigestManager:
         :class:`LedgerError` when the new digest does not derive from the
         previously uploaded one — the fork-detection trip-wire.
         """
-        with self._obs.tracer.span("digest.upload") as span:
+        with OBS.tracer.span("digest.upload") as span:
             digest = self._db.generate_digest()
             # Link to the covered block's trace: the lineage of every commit
             # in that block now extends through to publication.
             ledger = getattr(self._db, "ledger", None)
             if ledger is not None:
-                block_ctx = ledger.trace_context_for_block(digest.block_id)
-                if block_ctx is not None:
-                    span.add_link(block_ctx.trace_id, block_ctx.span_id)
+                block_trace = ledger.trace_context_for_block(digest.block_id)
+                if block_trace is not None:
+                    span.add_link(block_trace.trace_id, block_trace.span_id)
                     span.set_attribute("block_id", digest.block_id)
             if self._geo is not None:
                 try:
@@ -193,7 +191,7 @@ class DigestManager:
                         digest.last_transaction_commit_time
                     )
                 except ReplicationLagError as exc:
-                    self._ctx.events.emit(
+                    OBS.events.emit(
                         "digest", "digest.skipped",
                         reason="replication_lag", block_id=digest.block_id,
                         detail=str(exc),
@@ -201,7 +199,7 @@ class DigestManager:
                     raise
                 if not issuable:
                     self._m.uploads.labels("deferred").inc()
-                    self._ctx.events.emit(
+                    OBS.events.emit(
                         "digest", "digest.skipped",
                         reason="replication_deferred", block_id=digest.block_id,
                     )
@@ -225,7 +223,7 @@ class DigestManager:
                 )
                 if not verify_digest_chain(previous, digest, headers):
                     self._m.uploads.labels("fork_detected").inc()
-                    self._ctx.events.emit(
+                    OBS.events.emit(
                         "tamper", "tamper.detected",
                         source="digest_fork",
                         previous_block=previous.block_id,
@@ -239,14 +237,14 @@ class DigestManager:
             name = self._blob_name(digest)
             if self._storage.exists(self._container, name):
                 self._m.uploads.labels("duplicate").inc()
-                self._ctx.events.emit(
+                OBS.events.emit(
                     "digest", "digest.skipped",
                     reason="duplicate", block_id=digest.block_id,
                 )
             else:
                 self._put_with_retry(name, digest)
                 self._m.uploads.labels("stored").inc()
-                self._ctx.events.emit(
+                OBS.events.emit(
                     "digest", "digest.uploaded",
                     block_id=digest.block_id, blob=name,
                 )
@@ -265,7 +263,7 @@ class DigestManager:
         for attempt in range(self._retry.attempts):
             try:
                 self._storage.put_document(self._container, name, data)
-                if self._ctx.metrics.enabled:
+                if OBS.metrics.enabled:
                     stats = self._storage.compression_stats()
                     self._m.compression_ratio.set(stats["ratio"])
                 return
@@ -274,7 +272,7 @@ class DigestManager:
             except (TransientStorageError, OSError) as exc:
                 if attempt + 1 >= self._retry.attempts:
                     self._m.abandoned.inc()
-                    self._ctx.events.emit(
+                    OBS.events.emit(
                         "digest", "digest.upload_failed",
                         block_id=digest.block_id, blob=name,
                         attempts=self._retry.attempts,
@@ -283,7 +281,7 @@ class DigestManager:
                     raise
                 delay = self._retry.delay(attempt, rng)
                 self._m.retries.inc()
-                self._ctx.events.emit(
+                OBS.events.emit(
                     "digest", "digest.upload_retry",
                     block_id=digest.block_id, blob=name,
                     attempt=attempt + 1, delay_seconds=round(delay, 4),

@@ -57,7 +57,7 @@ from repro.engine.wal import (
 )
 from repro.errors import TransactionError
 from repro.faults import FAULTS
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
+from repro.obs import OBS
 
 _CHECKPOINT_FILE = "checkpoint.json"
 
@@ -118,7 +118,6 @@ class Database:
         hooks: Optional[EngineHooks] = None,
         sync: bool = False,
         clock: Optional[Callable[[], dt.datetime]] = None,
-        ctx: Optional[LedgerContext] = None,
     ) -> None:
         self.path = path
         self.catalog = Catalog()
@@ -126,20 +125,13 @@ class Database:
         self._hooks = hooks or EngineHooks()
         self._sync = sync
         self.clock = clock or wall_clock
-        self._ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._faults = self._ctx.faults
-        self._m = self._ctx.metrics.handles("engine", _engine_metrics)
+        self._m = OBS.metrics.handles("engine", _engine_metrics)
         self._epoch = 0
         self._wal: Optional[WalWriter] = None
-        self._lock_manager = LockManager(ctx=self._ctx)
+        self._lock_manager = LockManager()
         self._txn_manager: Optional[TransactionManager] = None
         self._closed = False
         self.recovered_ledger_state: Dict[str, Any] = {}
-
-    @property
-    def context(self) -> LedgerContext:
-        return self._ctx
 
     @property
     def wal(self) -> WalWriter:
@@ -158,10 +150,9 @@ class Database:
         hooks: Optional[EngineHooks] = None,
         sync: bool = False,
         clock: Optional[Callable[[], dt.datetime]] = None,
-        ctx: Optional[LedgerContext] = None,
     ) -> "Database":
         """Open (bootstrapping or recovering) the database at ``path``."""
-        db = cls(path, hooks=hooks, sync=sync, clock=clock, ctx=ctx)
+        db = cls(path, hooks=hooks, sync=sync, clock=clock)
         os.makedirs(path, exist_ok=True)
         checkpoint_path = os.path.join(path, _CHECKPOINT_FILE)
         has_checkpoint = os.path.exists(checkpoint_path)
@@ -174,25 +165,22 @@ class Database:
 
     def _bootstrap(self) -> None:
         self._epoch = 0
-        self._wal = WalWriter(
-            self._wal_path(self._epoch), sync=self._sync, ctx=self._ctx
-        )
+        self._wal = WalWriter(self._wal_path(self._epoch), sync=self._sync)
         self._txn_manager = TransactionManager(
-            self._wal, self._lock_manager, self._hooks, self.clock,
-            ctx=self._ctx,
+            self._wal, self._lock_manager, self._hooks, self.clock
         )
         self._hooks.on_recovery_complete({})
 
     def _recover(self, checkpoint_path: Optional[str]) -> None:
         self._m.recovery_runs.inc()
-        with self._obs.tracer.span("recovery.run", path=self.path):
+        with OBS.tracer.span("recovery.run", path=self.path):
             self._recover_phases(checkpoint_path)
 
     @contextmanager
     def _phase(self, name: str) -> Iterator[Any]:
         """One recovery phase: a span, and its duration in the histogram."""
         started = time.perf_counter()
-        with self._obs.tracer.span(f"recovery.{name}") as span:
+        with OBS.tracer.span(f"recovery.{name}") as span:
             yield span
         self._m.recovery_phase_seconds.labels(name).observe(
             time.perf_counter() - started
@@ -234,7 +222,7 @@ class Database:
             # Cut a torn tail: recovery would never read frames appended after it.
             if os.path.exists(wal_path):
                 os.truncate(wal_path, wal_end)
-            self._wal = WalWriter(wal_path, sync=self._sync, ctx=self._ctx)
+            self._wal = WalWriter(wal_path, sync=self._sync)
             for info in self.catalog.tables():
                 self._tables[info.table_id] = self._materialize_table(
                     info, load=True
@@ -293,8 +281,7 @@ class Database:
                     table.load_indexes_from_storage()
 
         self._txn_manager = TransactionManager(
-            self._wal, self._lock_manager, self._hooks, self.clock, next_tid,
-            ctx=self._ctx,
+            self._wal, self._lock_manager, self._hooks, self.clock, next_tid
         )
 
         self.recovered_ledger_state = checkpoint.get("ledger_state", {})
@@ -303,7 +290,7 @@ class Database:
             if ledger_payload is not None:
                 self._hooks.on_recovered_commit(ledger_payload)
         self._hooks.on_recovery_complete(self.recovered_ledger_state)
-        self._ctx.events.emit(
+        OBS.events.emit(
             "recovery", "recovery.completed",
             path=self.path, records_replayed=redo_count,
             tables=len(self._tables), committed_transactions=len(committed),
@@ -488,7 +475,7 @@ class Database:
                 f"{[t.tid for t in self._txn_manager.active_transactions]}"
             )
         started = time.perf_counter()
-        with self._obs.tracer.span("engine.checkpoint"):
+        with OBS.tracer.span("engine.checkpoint"):
             self._checkpoint_inner()
         self._m.checkpoints.inc()
         self._m.checkpoint_seconds.observe(time.perf_counter() - started)
@@ -501,19 +488,17 @@ class Database:
         for info in self.catalog.tables():
             table = self._tables[info.table_id]
             raw, written = table.heap.flush(
-                os.path.join(self.path, f"table_{info.table_id}.tbl"),
-                faults=self._faults,
+                os.path.join(self.path, f"table_{info.table_id}.tbl")
             )
             raw_total += raw
             written_total += written
             for index in table.nonclustered.values():
                 raw, written = index.heap.flush(
-                    self._index_path(info.table_id, index.name),
-                    faults=self._faults,
+                    self._index_path(info.table_id, index.name)
                 )
                 raw_total += raw
                 written_total += written
-        if self._obs.metrics.enabled and written_total:
+        if OBS.metrics.enabled and written_total:
             self._m.checkpoint_raw_bytes.inc(raw_total)
             self._m.checkpoint_written_bytes.inc(written_total)
             self._m.compression_ratio.set(raw_total / written_total)
@@ -524,19 +509,17 @@ class Database:
             "catalog": self.catalog.to_dict(),
             "ledger_state": self._hooks.checkpoint_state(),
         }
-        self._faults.fire("checkpoint.write", epoch=new_epoch)
+        FAULTS.fire("checkpoint.write", epoch=new_epoch)
         tmp = os.path.join(self.path, _CHECKPOINT_FILE + ".tmp")
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(checkpoint, f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, os.path.join(self.path, _CHECKPOINT_FILE))
-        self._faults.fire("checkpoint.swap", epoch=new_epoch)
+        FAULTS.fire("checkpoint.swap", epoch=new_epoch)
 
         old_wal = self._wal
-        self._wal = WalWriter(
-            self._wal_path(new_epoch), sync=self._sync, ctx=self._ctx
-        )
+        self._wal = WalWriter(self._wal_path(new_epoch), sync=self._sync)
         self._txn_manager.set_wal(self._wal)
         for table in self._tables.values():
             table.set_wal(self._wal)

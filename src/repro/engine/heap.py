@@ -213,25 +213,19 @@ class HeapFile:
     def flush(
         self,
         path: str,
-        faults=None,
         compress: bool = True,
         level: Optional[int] = None,
     ) -> Tuple[int, int]:
         """Write all pages to ``path`` atomically (write-then-rename).
-
-        ``faults`` is the fault registry to fire through (the checkpoint
-        path passes its database context's; default ``FAULTS``).
 
         Images are zlib-compressed per page by default (``SLHZ`` magic);
         ``compress=False`` writes the legacy fixed-size ``SLHF`` layout.
         Returns ``(raw_bytes, written_bytes)`` so callers can export the
         compression ratio as a metric.
         """
-        if faults is None:
-            faults = FAULTS
         if level is None:
             level = DEFAULT_COMPRESSION_LEVEL
-        faults.fire("heap.flush", heap=self.name)
+        FAULTS.fire("heap.flush", heap=self.name)
         tmp_path = path + ".tmp"
         magic = _FILE_MAGIC_COMPRESSED if compress else _FILE_MAGIC
         raw_bytes = len(self._pages) * PAGE_SIZE
@@ -239,13 +233,13 @@ class HeapFile:
         with open(tmp_path, "wb") as f:
             f.write(_FILE_HEADER.pack(magic, len(self._pages)))
             for page in self._pages:
-                faults.fire("pager.page_write", heap=self.name, page=page.page_id)
+                FAULTS.fire("pager.page_write", heap=self.name, page=page.page_id)
                 payload = (
                     zlib.compress(bytes(page.buf), level)
                     if compress
                     else bytes(page.buf)
                 )
-                if faults.triggered(
+                if FAULTS.triggered(
                     "pager.torn_page", heap=self.name, page=page.page_id
                 ):
                     f.write(payload[: len(payload) // 2])
@@ -258,7 +252,7 @@ class HeapFile:
                 written += len(payload)
             f.flush()
             os.fsync(f.fileno())
-        faults.fire("heap.rename", heap=self.name)
+        FAULTS.fire("heap.rename", heap=self.name)
         os.replace(tmp_path, path)
         return raw_bytes, written
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, Set, Tuple
 
 from repro.errors import LockError
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
+from repro.obs import OBS
 
 
 def _lock_metrics(reg):
@@ -36,9 +36,8 @@ class LockMode(Enum):
 class LockManager:
     """Grants table-level S/X locks to transaction ids, NOWAIT style."""
 
-    def __init__(self, ctx: "LedgerContext" = None) -> None:
-        self._ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-        self._m = self._ctx.metrics.handles("engine.locks", _lock_metrics)
+    def __init__(self) -> None:
+        self._m = OBS.metrics.handles("engine.locks", _lock_metrics)
         # table_id -> {tid: mode}
         self._held: Dict[int, Dict[int, LockMode]] = {}
 
@@ -70,7 +69,7 @@ class LockManager:
         others: Dict[int, LockMode],
     ) -> None:
         self._m.conflicts.labels(mode.value).inc()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "engine",
             "lock.conflict",
             tid=tid,

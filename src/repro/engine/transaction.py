@@ -25,7 +25,7 @@ from repro.engine.hooks import EngineHooks
 from repro.engine.locks import LockManager
 from repro.engine.wal import ABORT, BEGIN, COMMIT, WalRecord, WalWriter
 from repro.errors import SavepointError, TransactionError
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
+from repro.obs import OBS
 
 
 def _txn_metrics(reg):
@@ -105,15 +105,12 @@ class TransactionManager:
         hooks: EngineHooks,
         clock: Callable[[], dt.datetime],
         next_tid: int = 1,
-        ctx: Optional[LedgerContext] = None,
     ) -> None:
         self._wal = wal
         self._locks = lock_manager
         self._hooks = hooks
         self._clock = clock
-        self._ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._m = self._ctx.metrics.handles("txn", _txn_metrics)
+        self._m = OBS.metrics.handles("txn", _txn_metrics)
         self._next_tid = next_tid
         self._active: Dict[int, Transaction] = {}
         # Guards tid allocation and the active-transaction map; concurrent
@@ -150,7 +147,7 @@ class TransactionManager:
         # Mint the transaction's trace identity at begin: every span the
         # commit path (and later the block builder) emits for this txn joins
         # this trace, no matter which thread emits it.
-        trace = self._obs.tracer.capture_context()
+        trace = OBS.tracer.capture_context()
         if trace is not None:
             txn.context["trace"] = trace
         self._wal.append(WalRecord(BEGIN, {"tid": tid, "username": username}))
@@ -165,10 +162,10 @@ class TransactionManager:
         txn.require_active()
         started = time.perf_counter()
         trace = txn.context.get("trace")
-        with self._obs.tracer.span("txn.commit", context=trace, tid=txn.tid):
+        with OBS.tracer.span("txn.commit", context=trace, tid=txn.tid):
             txn.commit_time = self._clock()
             payload = self._hooks.pre_commit(txn)
-            with self._obs.tracer.span("wal.commit", tid=txn.tid):
+            with OBS.tracer.span("wal.commit", tid=txn.tid):
                 self._wal.append(
                     WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload})
                 )

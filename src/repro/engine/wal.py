@@ -28,8 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
-from repro.obs.lockstats import InstrumentedLock
-from repro.runtime import DEFAULT_CONTEXT, LedgerContext
+from repro.obs import OBS
 
 _FRAME = struct.Struct(">II")  # payload length, crc32
 _decode = json.JSONDecoder().decode
@@ -117,27 +116,15 @@ class WalRecord:
 class WalWriter:
     """Appends records to a log file; returns byte-offset LSNs."""
 
-    def __init__(
-        self,
-        path: str,
-        sync: bool = False,
-        ctx: Optional[LedgerContext] = None,
-    ) -> None:
+    def __init__(self, path: str, sync: bool = False) -> None:
         self._path = path
         self._sync = sync
-        self._ctx = ctx if ctx is not None else DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._faults = self._ctx.faults
-        self._m = self._ctx.metrics.handles("wal", _wal_metrics)
+        self._m = OBS.metrics.handles("wal", _wal_metrics)
         self._file = open(path, "ab")
         # Frames must hit the file whole and in LSN order even when several
         # threads commit at once; interleaved writes would tear frames
-        # mid-file rather than only at the tail.  Instrumented as
-        # ``wal.writer`` (suffixed per instance) on /locks so commit-path
-        # waits here are visible.
-        self._lock = InstrumentedLock(
-            self._ctx.scoped("wal.writer"), metrics=self._ctx.metrics
-        )
+        # mid-file rather than only at the tail.
+        self._lock = threading.Lock()
         # Depth > 0 suppresses the per-append fsync in sync mode so a group
         # of commits can harden with ONE fsync at the end (group commit).
         self._defer_depth = 0
@@ -149,10 +136,10 @@ class WalWriter:
     def append(self, record: WalRecord) -> int:
         """Append one record; returns its LSN (starting byte offset)."""
         payload = record.to_bytes()
-        self._faults.fire("wal.append", kind=record.kind)
+        FAULTS.fire("wal.append", kind=record.kind)
         with self._lock:
             lsn = self._file.tell()
-            if self._faults.triggered("wal.torn_write", kind=record.kind):
+            if FAULTS.triggered("wal.torn_write", kind=record.kind):
                 # Simulate a crash mid-frame: header plus half the payload
                 # reach the OS, then the process dies.  The flush models the
                 # Python buffer draining as the file is closed.
@@ -164,12 +151,12 @@ class WalWriter:
             self._file.write(payload)
             if self._sync:
                 if self._defer_depth:
-                    if self._obs.metrics.enabled:
+                    if OBS.metrics.enabled:
                         self._m.deferred_appends.inc()
                 else:
-                    self._faults.fire("wal.fsync", kind=record.kind)
+                    FAULTS.fire("wal.fsync", kind=record.kind)
                     self._flush_and_sync()
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.appends.labels(record.kind).inc()
             self._m.bytes_appended.inc(_FRAME.size + len(payload))
         return lsn
@@ -198,9 +185,9 @@ class WalWriter:
             with self._lock:
                 self._defer_depth -= 1
                 if self._sync and self._defer_depth == 0:
-                    self._faults.fire("wal.fsync", kind="GROUP")
-                    if self._obs.tracer.enabled:
-                        with self._obs.tracer.span("wal.group_fsync"):
+                    FAULTS.fire("wal.fsync", kind="GROUP")
+                    if OBS.tracer.enabled:
+                        with OBS.tracer.span("wal.group_fsync"):
                             self._flush_and_sync()
                     else:
                         self._flush_and_sync()
@@ -228,10 +215,10 @@ class WalWriter:
                     # per member here would silently re-introduce the
                     # one-fsync-per-commit cost the group exists to avoid.
                     return
-                if self._obs.tracer.enabled:
+                if OBS.tracer.enabled:
                     # The commit path's durability point: worth its own span
                     # in the lineage (fsync dominates sync-mode commits).
-                    with self._obs.tracer.span("wal.fsync"):
+                    with OBS.tracer.span("wal.fsync"):
                         self._flush_and_sync()
                 else:
                     self._flush_and_sync()
@@ -239,7 +226,7 @@ class WalWriter:
                 self._file.flush()
 
     def _flush_and_sync(self) -> None:
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             started = time.perf_counter()
             self._file.flush()
             os.fsync(self._file.fileno())

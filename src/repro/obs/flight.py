@@ -46,8 +46,8 @@ TRIGGER_EVENTS = frozenset(
 #: How many recent events a bundle captures.
 EVENT_TAIL = 512
 
-#: Bundle schema version.
-BUNDLE_SCHEMA_VERSION = 1
+#: Bundle schema version (2: no ``locks`` / ``profile`` fields).
+BUNDLE_SCHEMA_VERSION = 2
 
 
 class FlightRecorder:
@@ -148,9 +148,6 @@ class FlightRecorder:
         return path
 
     def _build_bundle(self, reason: str, trigger) -> Dict[str, Any]:
-        from repro.obs.lockstats import lock_stats_snapshot
-        from repro.obs.profiler import active_profile_snapshot
-
         tracer = self._obs.tracer
         finished: List[Dict[str, Any]] = [
             span.to_dict() for span in tracer.recorder.spans()
@@ -174,11 +171,6 @@ class FlightRecorder:
             "active_spans": active,
             "events": [e.to_dict() for e in self._obs.events.tail(EVENT_TAIL)],
             "metrics": self._obs.metrics.snapshot(),
-            # Lock contention state at the moment of the incident, plus
-            # whatever profile was being captured (a crash mid-profile
-            # should not lose the partial samples).
-            "locks": lock_stats_snapshot(),
-            "profile": active_profile_snapshot(),
         }
 
     def _bundle_path(self, reason: str, ts: float) -> str:

@@ -397,11 +397,10 @@ class MetricsRegistry:
     def handles(self, key: str, factory: Callable[["MetricsRegistry"], Any]) -> Any:
         """Memoized per-registry bundle of metric-family handles.
 
-        Instrumented modules used to bind their families to the process-wide
-        registry at import time; instance-scoped contexts instead resolve a
-        handle bundle against *their* registry once at construction:
+        Instrumented classes resolve their bundle once at construction, so
+        the hot path pays an attribute load, not a family lookup by name:
 
-            self._m = ctx.metrics.handles("wal", _wal_metrics)
+            self._m = OBS.metrics.handles("wal", _wal_metrics)
 
         ``factory(registry)`` runs at most once per (registry, key); family
         creation itself stays idempotent by name, so bundles resolved against

@@ -48,8 +48,7 @@ from repro.core.verify_checkpoint import (
 )
 from repro.errors import DigestError, ReplicationLagError
 from repro.faults import FAULTS
-from repro.obs.profiler import set_thread_role
-from repro.runtime import DEFAULT_CONTEXT
+from repro.obs import OBS
 
 FAULTS.register(
     "monitor.cycle",
@@ -129,10 +128,7 @@ class ContinuousVerifier:
         checkpoint_path: Optional[str] = None,
     ) -> None:
         self._db = db
-        self._ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._faults = self._ctx.faults
-        self._m = self._ctx.metrics.handles("monitor", _monitor_metrics)
+        self._m = OBS.metrics.handles("monitor", _monitor_metrics)
         self.interval = interval
         self._digest_func = digest_func
         self._alert_hooks: List[AlertHook] = list(alert_hooks)
@@ -163,7 +159,7 @@ class ContinuousVerifier:
         self.last_cycle_seconds = 0.0
         self.last_error: Optional[str] = None
         # The monitor *is* the consumer of the event trail: turn it on.
-        self._obs.events.enable()
+        OBS.events.enable()
 
     # ------------------------------------------------------------------
     # Thread lifecycle
@@ -189,11 +185,10 @@ class ContinuousVerifier:
         self._stop.clear()
         self._expected_running = True
         self._thread = threading.Thread(
-            target=self._run, name=self._ctx.scoped("ledger-monitor"),
-            daemon=True,
+            target=self._run, name="ledger-monitor", daemon=True
         )
         self._thread.start()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "monitor", "monitor.started", interval=self.interval
         )
         return self
@@ -205,7 +200,7 @@ class ContinuousVerifier:
         if thread is not None and thread.is_alive():
             thread.join(timeout)
         self._thread = None
-        self._ctx.events.emit("monitor", "monitor.stopped", cycles=self.cycles)
+        OBS.events.emit("monitor", "monitor.stopped", cycles=self.cycles)
 
     def add_alert_hook(self, hook: AlertHook) -> None:
         self._alert_hooks.append(hook)
@@ -214,18 +209,17 @@ class ContinuousVerifier:
         # Fresh stack for the monitor thread: restarted monitors (and forked
         # children that inherit this slot) must not parent their spans under
         # a previous incarnation's span.
-        self._obs.tracer.reset_thread()
-        set_thread_role(self._ctx.scoped("monitor"))
+        OBS.tracer.reset_thread()
         try:
             while not self._stop.is_set():
                 # Outside run_cycle's guard: an armed fault here kills the
                 # watchdog thread itself, the scenario /healthz must expose.
-                self._faults.fire("monitor.cycle")
+                FAULTS.fire("monitor.cycle")
                 self.run_cycle()
                 self._stop.wait(self.interval)
         except Exception as exc:
             self.last_error = f"{type(exc).__name__}: {exc}"
-            self._ctx.events.emit(
+            OBS.events.emit(
                 "monitor", "monitor.thread_died", error=self.last_error
             )
 
@@ -333,7 +327,7 @@ class ContinuousVerifier:
             self.failures += 1
             self.last_verdict = "failed"
             self._m.tamper_detected.inc()
-            self._ctx.events.emit("tamper", "tamper.detected", **verdict_details)
+            OBS.events.emit("tamper", "tamper.detected", **verdict_details)
             self._dispatch_alerts("failed", verdict_details)
             return "failed"
         if not self._trusted:
@@ -355,7 +349,7 @@ class ContinuousVerifier:
         except DigestError:
             return None  # empty ledger: nothing to verify yet
         except ReplicationLagError:
-            self._ctx.events.emit(
+            OBS.events.emit(
                 "monitor", "monitor.cycle_skipped", reason="replication_lag"
             )
             return "skipped"

@@ -13,14 +13,10 @@ scrapers and dashboards:
   and verification lag;
 * ``GET /traces?txn=N`` — the reassembled cross-thread commit lineage for
   transaction N (spans + rendered tree); without ``txn`` lists the
-  transaction ids that still have a commit span in the ring;
-* ``GET /locks`` — wait/hold/contention stats for every instrumented
-  lock (storage/sequencer/queue stage locks, WAL writer, pipeline
-  wakeup), including the current holder of each;
-* ``GET /profile?seconds=N&hz=H`` — runs the sampling profiler for N
-  seconds (default 2, capped at 60) and returns role totals, the top-N
-  self-time frames and the folded stacks; ``format=folded`` returns the
-  collapsed-stack text directly for piping into flamegraph tooling.
+  transaction ids that still have a commit span in the ring.
+
+A query value that does not parse (``since``, ``limit``, ``txn`` must be
+integers) answers **400**.
 
 The server binds 127.0.0.1 by default and serves from a daemon thread;
 ``port=0`` picks an ephemeral port (read back via :attr:`port`), which is
@@ -31,21 +27,36 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import OBS
-from repro.obs.profiler import set_thread_role
 
-#: /profile guardrails: a scrape must not profile forever or busy-sample.
-MAX_PROFILE_SECONDS = 60.0
-MAX_PROFILE_HZ = 997
+
+class _BadRequest(Exception):
+    """A query value from the client that does not parse: answered 400."""
+
+
+def _query_value(query, key: str) -> Optional[str]:
+    values = query.get(key)
+    return values[0] if values else None
+
+
+def _query_int(query, key: str, default: Optional[int]) -> Optional[int]:
+    text = _query_value(query, key)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise _BadRequest(
+            f"invalid {key} {text!r}: expected an integer"
+        ) from None
 
 
 class ObservabilityServer:
-    """Serves /metrics, /healthz, /events, /ledger, /locks and /profile."""
+    """Serves /metrics, /healthz, /events, /ledger and /traces."""
 
     def __init__(
         self,
@@ -86,12 +97,8 @@ class ObservabilityServer:
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
 
-        def _serve() -> None:
-            set_thread_role("obs-server")
-            self._httpd.serve_forever()
-
         self._thread = threading.Thread(
-            target=_serve, name="obs-server", daemon=True
+            target=self._httpd.serve_forever, name="obs-server", daemon=True
         )
         self._thread.start()
         OBS.events.emit(
@@ -156,18 +163,10 @@ class ObservabilityServer:
                         self._send_json(200, server._render_ledger())
                     elif parsed.path == "/traces":
                         self._send_json(200, server._render_traces(query))
-                    elif parsed.path == "/locks":
-                        self._send_json(200, server._render_locks())
-                    elif parsed.path == "/profile":
-                        body = server._render_profile(query)
-                        if isinstance(body, str):
-                            self._send(
-                                200, body, "text/plain; charset=utf-8"
-                            )
-                        else:
-                            self._send_json(200, body)
                     else:
                         self._send_json(404, {"error": "not found"})
+                except _BadRequest as exc:
+                    self._send_json(400, {"error": str(exc)})
                 except Exception as exc:
                     self._send_json(
                         500, {"error": f"{type(exc).__name__}: {exc}"}
@@ -251,17 +250,12 @@ class ObservabilityServer:
         return 200, body
 
     def _render_events(self, query) -> Dict[str, Any]:
-        def _first(key: str) -> Optional[str]:
-            values = query.get(key)
-            return values[0] if values else None
-
-        since = int(_first("since") or -1)
-        limit = int(_first("limit") or 256)
+        since = _query_int(query, "since", -1)
         events = self._event_log.read(
             since=since,
-            category=_first("category"),
-            name=_first("name"),
-            limit=limit,
+            category=_query_value(query, "category"),
+            name=_query_value(query, "name"),
+            limit=_query_int(query, "limit", 256),
         )
         return {
             "events": [event.to_dict() for event in events],
@@ -272,13 +266,9 @@ class ObservabilityServer:
         """Cross-thread commit lineage for ``?txn=N`` (or list known tids)."""
         from repro.obs.tracing import build_lineage_tree, render_span_tree
 
-        def _first(key: str) -> Optional[str]:
-            values = query.get(key)
-            return values[0] if values else None
-
+        tid = _query_int(query, "txn", None)
         spans = OBS.tracer.recorder.spans()
-        txn_text = _first("txn")
-        if txn_text is None:
+        if tid is None:
             tids = [
                 span.attributes.get("tid")
                 for span in spans
@@ -286,10 +276,6 @@ class ObservabilityServer:
                 and span.attributes.get("tid") is not None
             ]
             return {"transactions": tids[-100:]}
-        try:
-            tid = int(txn_text)
-        except ValueError:
-            return {"error": f"invalid txn id {txn_text!r}"}
         commit = next(
             (
                 span
@@ -321,55 +307,6 @@ class ObservabilityServer:
             "spans": lineage,
             "tree": render_span_tree(roots),
         }
-
-    def _render_locks(self) -> Dict[str, Any]:
-        """Wait/hold/contention stats for every instrumented lock."""
-        from repro.obs.lockstats import lock_stats_snapshot
-
-        return {
-            "metrics_enabled": OBS.metrics.enabled,
-            "locks": lock_stats_snapshot(),
-        }
-
-    def _render_profile(self, query):
-        """Run the sampling profiler for ``?seconds=N`` and report.
-
-        Blocks the handler thread for the profiling window (the server is
-        threading, so other endpoints stay responsive).  ``format=folded``
-        returns raw collapsed stacks as text/plain for flamegraph tools.
-        """
-        from repro.obs.profiler import (
-            DEFAULT_HZ,
-            SamplingProfiler,
-            active_profilers,
-        )
-
-        def _first(key: str, default: str) -> str:
-            values = query.get(key)
-            return values[0] if values else default
-
-        try:
-            seconds = float(_first("seconds", "2"))
-            hz = int(_first("hz", str(DEFAULT_HZ)))
-        except ValueError as exc:
-            return {"error": f"bad parameter: {exc}"}
-        seconds = max(0.05, min(seconds, MAX_PROFILE_SECONDS))
-        hz = max(1, min(hz, MAX_PROFILE_HZ))
-        running = active_profilers()
-        if running:
-            # Don't stack a second sampler on top of one already running
-            # (a shell \profile); report the one in flight instead.
-            snapshot = running[-1].snapshot()
-            snapshot["note"] = "a profiler was already running; snapshot of it"
-        else:
-            profiler = SamplingProfiler(hz=hz)
-            profiler.start()
-            time.sleep(seconds)
-            profiler.stop()
-            snapshot = profiler.snapshot()
-        if _first("format", "json") == "folded":
-            return snapshot["folded"]
-        return snapshot
 
     def _render_ledger(self) -> Dict[str, Any]:
         """Chain summary from the pipeline's in-memory counters.

@@ -54,6 +54,7 @@ from repro.core.ledger_database import LedgerDatabase
 from repro.core.receipts import generate_receipt
 from repro.errors import InjectedFaultError, LedgerError
 from repro.faults import FAULTS
+from repro.obs import OBS
 from repro.server import protocol
 from repro.server.protocol import (
     BAD_REQUEST,
@@ -241,11 +242,7 @@ class LedgerServer:
             maxsize=max(1, int(queue_depth))
         )
         self._max_sessions = max(1, int(max_sessions))
-        ctx = db.context
-        self._ctx = ctx
-        self._obs = ctx.obs
-        self._faults = ctx.faults
-        self._m = ctx.metrics.handles("server", _server_metrics)
+        self._m = OBS.metrics.handles("server", _server_metrics)
         from repro.core.group_commit import GroupCommitter
 
         self._committer = GroupCommitter(
@@ -287,18 +284,18 @@ class LedgerServer:
         for index in range(self._workers_count):
             thread = threading.Thread(
                 target=self._worker_loop,
-                name=self._ctx.scoped(f"ledger-server-worker-{index}"),
+                name=f"ledger-server-worker-{index}",
                 daemon=True,
             )
             thread.start()
             self._worker_threads.append(thread)
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
-            name=self._ctx.scoped("ledger-server-accept"),
+            name="ledger-server-accept",
             daemon=True,
         )
         self._accept_thread.start()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "server", "server.started", host=self._host, port=self.port
         )
         return self
@@ -346,7 +343,7 @@ class LedgerServer:
             thread.join(timeout=2.0)
         self._worker_threads.clear()
         self._committer.close()
-        self._ctx.events.emit(
+        OBS.events.emit(
             "server", "server.stopped", requests=self._requests_served
         )
 
@@ -363,7 +360,7 @@ class LedgerServer:
             except OSError:
                 break  # listener closed during stop()
             try:
-                self._faults.fire("server.accept_drop", addr=str(addr))
+                FAULTS.fire("server.accept_drop", addr=str(addr))
             except InjectedFaultError:
                 try:
                     conn.close()
@@ -404,12 +401,12 @@ class LedgerServer:
                 except OSError:
                     pass
                 continue
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.sessions.set(session_count)
             reader = threading.Thread(
                 target=self._reader_loop,
                 args=(session,),
-                name=self._ctx.scoped(f"ledger-server-reader-{session.id}"),
+                name=f"ledger-server-reader-{session.id}",
                 daemon=True,
             )
             reader.start()
@@ -418,7 +415,7 @@ class LedgerServer:
         try:
             while not session.closed.is_set():
                 try:
-                    self._faults.fire("server.read_stall", session=session.id)
+                    FAULTS.fire("server.read_stall", session=session.id)
                 except InjectedFaultError:
                     break
                 try:
@@ -467,7 +464,7 @@ class LedgerServer:
                 ),
             )
             return
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.queue_depth.set(self._queue.qsize())
 
     def _drop_session(self, session: _Session) -> None:
@@ -486,7 +483,7 @@ class LedgerServer:
                     session.sql_session.abort()
                 except Exception:  # noqa: BLE001 — cleanup must not die
                     pass
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.sessions.set(count)
 
     # ------------------------------------------------------------------
@@ -505,18 +502,18 @@ class LedgerServer:
                 if not self._running:
                     return
                 continue
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.queue_depth.set(self._queue.qsize())
             with self._inflight_lock:
                 self._inflight += 1
-            if self._obs.metrics.enabled:
+            if OBS.metrics.enabled:
                 self._m.inflight.set(self._inflight)
             try:
                 self._handle(request)
             except Exception:  # noqa: BLE001 — a worker outlives any request
                 # Whatever failed, the response may be half sent: close the
                 # connection rather than leave the client waiting on it.
-                self._ctx.events.emit(
+                OBS.events.emit(
                     "server", "server.request_failed",
                     session=request.session.id,
                     traceback=traceback.format_exc(),
@@ -525,7 +522,7 @@ class LedgerServer:
             finally:
                 with self._inflight_lock:
                     self._inflight -= 1
-                if self._obs.metrics.enabled:
+                if OBS.metrics.enabled:
                     self._m.inflight.set(self._inflight)
 
     def _handle(self, request: _Request) -> None:
@@ -553,7 +550,7 @@ class LedgerServer:
             return
         with session.exec_lock:
             try:
-                with self._obs.tracer.span(
+                with OBS.tracer.span(
                     "server.request", op=op, session=session.id
                 ):
                     result = self._dispatch(session, op, payload, request)
@@ -584,7 +581,7 @@ class LedgerServer:
                 )
                 return
         self._requests_served += 1
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.requests.labels(op, "ok").inc()
             self._m.request_seconds.labels(op).observe(
                 time.perf_counter() - started
@@ -612,12 +609,12 @@ class LedgerServer:
             )
         try:
             with session.write_lock:
-                if self._faults.armed("server.kill_mid_response"):
+                if FAULTS.armed("server.kill_mid_response"):
                     # Split the write so an injected death lands between
                     # the halves: the client sees a torn response frame.
                     half = len(data) // 2
                     session.sock.sendall(data[:half])
-                    self._faults.fire(
+                    FAULTS.fire(
                         "server.kill_mid_response", session=session.id
                     )
                     session.sock.sendall(data[half:])
@@ -635,7 +632,7 @@ class LedgerServer:
         error: RequestError,
         op: str = "",
     ) -> None:
-        if self._obs.metrics.enabled and op:
+        if OBS.metrics.enabled and op:
             self._m.requests.labels(op, error.code.lower()).inc()
         self._respond(
             session, {"ok": False, "seq": seq, "error": error.to_wire()}
@@ -644,7 +641,7 @@ class LedgerServer:
     def _shed(self, reason: str) -> None:
         with self._shed_lock:
             self._shed_counts[reason] = self._shed_counts.get(reason, 0) + 1
-        if self._obs.metrics.enabled:
+        if OBS.metrics.enabled:
             self._m.shed.labels(reason).inc()
 
     # ------------------------------------------------------------------
@@ -796,8 +793,8 @@ class LedgerServer:
         if not isinstance(rows, list) or not rows:
             raise RequestError(BAD_REQUEST, "rows must be a non-empty list")
         db = self._db
-        trace = self._obs.tracer.capture_context()
-        tracer = self._obs.tracer
+        trace = OBS.tracer.capture_context()
+        tracer = OBS.tracer
 
         def work() -> Dict[str, Any]:
             # Joined to the session's request span even though the group

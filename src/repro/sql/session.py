@@ -41,8 +41,7 @@ from repro.engine.table import Table
 from repro.engine.transaction import Transaction
 from repro.engine.types import type_from_name
 from repro.errors import SqlBindError
-from repro.obs.profiler import set_thread_role
-from repro.runtime import DEFAULT_CONTEXT
+from repro.obs import OBS
 from repro.sql import ast
 from repro.sql.parser import parse
 
@@ -130,12 +129,7 @@ class SqlSession:
     def __init__(self, db, username: str = "app_user") -> None:
         self._db = db
         self._username = username
-        self._ctx = getattr(db, "context", None) or DEFAULT_CONTEXT
-        self._obs = self._ctx.obs
-        self._m = self._ctx.metrics.handles("sql", _sql_metrics)
-        # Sessions are thread-affine (one per worker thread in the bench
-        # drivers), so construction is the thread's natural role tag.
-        set_thread_role(self._ctx.scoped("sql-session"))
+        self._m = OBS.metrics.handles("sql", _sql_metrics)
         self._txn: Optional[Transaction] = None
         #: Ledger payload of the session's most recent commit (block id,
         #: ordinal, serialized entry) — lets concurrent drivers attribute
@@ -162,7 +156,7 @@ class SqlSession:
                 return statement
             self._m.prepared.labels("miss").inc()
         started = time.perf_counter()
-        with self._obs.tracer.span("sql.parse"):
+        with OBS.tracer.span("sql.parse"):
             statement = parse(statement_text)
         self._m.parse_seconds.observe(time.perf_counter() - started)
         self._m.parses.inc()
@@ -187,7 +181,7 @@ class SqlSession:
         Returns rows (list of dicts) for SELECT, an affected-row count for
         DML, and None for DDL / transaction control.
         """
-        tracer = self._obs.tracer
+        tracer = OBS.tracer
         with tracer.span("sql.statement") as stmt_span:
             statement = self._parse_cached(statement_text)
             kind = type(statement).__name__
@@ -242,7 +236,7 @@ class SqlSession:
                 ))
         if not bound_rows:
             return 0
-        tracer = self._obs.tracer
+        tracer = OBS.tracer
         with tracer.span("sql.statement") as stmt_span:
             kind = type(statement).__name__
             stmt_span.set_attribute("kind", kind)

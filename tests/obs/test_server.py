@@ -150,6 +150,13 @@ class TestEventsEndpoint:
             payload = json.loads(body)
             assert payload["events"] == []
             assert payload["next_since"] == 5
+
+            # A cursor or page size that is not an integer is the client's
+            # mistake: 400 naming the parameter, never a 500.
+            for query, key in (("since=abc", "since"), ("limit=x", "limit")):
+                status, _, body = get(server.url + "/events?" + query)
+                assert status == 400, query
+                assert key in json.loads(body)["error"]
         finally:
             server.stop()
 
@@ -158,6 +165,21 @@ class TestEventsEndpoint:
         db.generate_digest()
         _, _, body = get(server.url + "/events?name=digest.generated")
         assert json.loads(body)["events"], "digest event must be visible"
+
+
+class TestTracesEndpoint:
+    def test_valid_and_malformed_txn(self, db, accounts, server, telemetry):  # noqa: F811
+        txn = run(db, "alice", lambda t: db.insert(
+            t, "accounts", [["Nick", 100]]))
+        status, _, body = get(server.url + f"/traces?txn={txn.tid}")
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["txn"] == txn.tid
+        assert "txn.commit" in payload["tree"]
+
+        status, _, body = get(server.url + "/traces?txn=abc")
+        assert status == 400
+        assert "txn" in json.loads(body)["error"]
 
 
 class TestLedgerEndpoint:

@@ -1,5 +1,7 @@
 """The `python -m repro` SQL shell (one-shot command mode)."""
 
+import os
+
 import pytest
 
 from repro.__main__ import Shell, _print_rows, _render_value, main
@@ -34,9 +36,31 @@ class TestOneShotCli:
         assert "2" in capsys.readouterr().out
 
     def test_error_returns_nonzero(self, tmp_path, capsys):
-        code = main([str(tmp_path / "db"), "-c", "SELECT * FROM missing"])
+        code = main([
+            str(tmp_path / "db"),
+            "-c", "CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)",
+            "-c", "INSERT INTO t VALUES (1)",
+            "-c", "SELECT * FROM missing",
+        ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+        # The failing statement still closes the database: a clean
+        # checkpoint, so the next open runs no crash recovery.
+        assert os.path.exists(tmp_path / "db" / "checkpoint.json")
+
+    @pytest.mark.parametrize("command", [
+        "\\verify --parallel",
+        "\\monitor start --deep",
+        "\\monitor start --parallel",
+        "\\monitor start 60 --deep x",
+    ])
+    def test_option_without_value_is_a_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        code = main([str(tmp_path / "db"), "-c", command])
+        assert code == 1
+        assert "error: usage: " in capsys.readouterr().err
+        assert os.path.exists(tmp_path / "db" / "checkpoint.json")
 
     def test_database_persists_between_invocations(self, tmp_path, capsys):
         main([str(tmp_path / "db"),
