@@ -21,6 +21,7 @@ Ledger system tables created at bootstrap:
 from __future__ import annotations
 
 import datetime as dt
+import gc
 import os
 import shutil
 import threading
@@ -706,17 +707,31 @@ class LedgerDatabase:
         passing run verifies only the delta (falling back to a full scan
         whenever the checkpoint is unusable); ``build_checkpoint`` asks a
         passing run to produce the next checkpoint.
+
+        The cyclic garbage collector is paused for the call (if it was
+        running).  Verification allocates a few tuples per row version and
+        keeps many of them in the leaf-hash cache; none form cycles, so
+        reference counting frees them, and a full collection triggered
+        mid-run would only traverse every object of the open database.
+        Paused, the collector's work moves to after the call instead of
+        landing in whichever run crosses its threshold.
         """
         from repro.core.verification import LedgerVerifier
 
-        return LedgerVerifier(self, progress=progress).verify(
-            digests,
-            table_names=table_names,
-            parallelism=parallelism,
-            mode=mode,
-            checkpoint=checkpoint,
-            build_checkpoint=build_checkpoint,
-        )
+        resume = gc.isenabled()
+        gc.disable()
+        try:
+            return LedgerVerifier(self, progress=progress).verify(
+                digests,
+                table_names=table_names,
+                parallelism=parallelism,
+                mode=mode,
+                checkpoint=checkpoint,
+                build_checkpoint=build_checkpoint,
+            )
+        finally:
+            if resume:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # Telemetry (see repro.obs)

@@ -507,20 +507,46 @@ def insert_rows(
     return len(physical)
 
 
+def bind_columns(schema: TableSchema, names: Sequence[str]) -> Tuple[int, ...]:
+    """The ordinals of the columns a statement writes, in order.
+
+    Each column may be named once, and none may be hidden: the ledger's
+    system columns are GENERATED ALWAYS, stamped by the engine — a value
+    given for one would be overwritten, or would version a row without
+    changing it.
+    """
+    ordinals: List[int] = []
+    for name in names:
+        column = schema.column(name)
+        if column.ordinal in ordinals:
+            raise SqlBindError(f"column {name!r} is specified more than once")
+        if column.hidden:
+            raise SqlBindError(
+                f"column {name!r} is GENERATED ALWAYS and cannot be assigned"
+            )
+        ordinals.append(column.ordinal)
+    return tuple(ordinals)
+
+
 def update_rows(
     txn: Transaction,
     table: Table,
-    assignments: Dict[str, Any],
+    assignments: Any,
     condition: Any = None,
 ) -> int:
-    """UPDATE ... SET ... WHERE: assignments map column → value/Expression."""
+    """UPDATE ... SET ... WHERE: ``assignments`` maps each column to a value
+    or Expression — a dict, or (column, value) pairs naming each column
+    once (:func:`bind_columns`)."""
+    if isinstance(assignments, dict):
+        assignments = assignments.items()
+    names, values = zip(*assignments) if assignments else ((), ())
+    bound = list(zip(bind_columns(table.schema, names), values))
     targets: List[Tuple[RowId, NamedRow]] = list(
         access_path(table, condition, include_hidden=True)
     )
     for rid, named in targets:
         new_row = list(table.read_row(rid))
-        for name, value in assignments.items():
-            ordinal = table.schema.column(name).ordinal
+        for ordinal, value in bound:
             if isinstance(value, Expression):
                 value = value.evaluate(named)
             new_row[ordinal] = value

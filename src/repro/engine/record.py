@@ -27,6 +27,10 @@ count and result shape (``exec`` of generated source, as
 rules and their :class:`StorageError` messages exist in one place.  Column
 names and messages reach the generated code only as constants in its
 namespace; the source itself holds nothing but integers and fixed text.
+
+Writing is generated the same way (:func:`_compile_write`): one function per
+schema object turns a physical row into its validated values and record
+bytes, validating every column before encoding any.
 """
 
 from __future__ import annotations
@@ -42,13 +46,18 @@ from typing import (
 
 from repro.crypto.serialization import column_prefix, payload_header
 from repro.engine.schema import Column, TableSchema
-from repro.errors import StorageError
+from repro.engine.types import _IntegerType, _StringType
+from repro.errors import StorageError, TypeSystemError
 
 _COUNT = struct.Struct(">H")
 _VALUE_LEN = struct.Struct(">I")
+#: Length prefix and value of a fixed-width integer, by width.
+_INT_CHUNK = {1: ">Ib", 2: ">Ih", 4: ">Ii", 8: ">Iq"}
 
 #: Stored record bytes -> one result shape (values, named row or payload).
 Reader = Callable[[bytes], Any]
+#: Physical row -> ``(validated values, record)``, or -> record alone.
+Writer = Callable[[Sequence[Any]], Any]
 
 #: Result shapes of a walk.
 _VALUES, _NAMED, _PAYLOAD = "values", "named", "payload"
@@ -218,6 +227,107 @@ def _reader(kernel: "RecordKernel", want: _Walk) -> Reader:
     return walks[width]
 
 
+def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
+    """Generate the schema's writer: physical row -> ``(values, record)``.
+
+    The writer checks the row's width, then validates every column — a NULL
+    in a nullable column, an exact ``int`` in range or an exact ``str``
+    within its length inline, anything else through
+    :meth:`Column.validate`, so every error text stays with the types;
+    dropped columns pass verbatim — and only then encodes.  Without
+    ``validate`` it is the bare encoder: physical row -> record, each
+    non-NULL value through its type's ``encode``.
+    """
+    columns = kernel.columns
+    width = kernel.width
+    bitmap = (width + 7) // 8
+    declared = _COUNT.pack(width)
+    namespace: Dict[str, Any] = {
+        "TypeSystemError": TypeSystemError,
+        "StorageError": StorageError,
+        "pack_len": _VALUE_LEN.pack,
+        "join": b"".join,
+        "from_int": int.to_bytes,
+        "declared": declared,
+        "wrong_width": f"table {kernel.name!r} has {width} physical columns",
+    }
+    out = ["def write(row):", f"    if len(row) != {width}:"]
+    if validate:
+        out.append("        raise TypeSystemError("
+                   "f'row has {len(row)} values, ' + wrong_width)")
+    else:
+        out.append("        raise StorageError("
+                   f"f'row width {{len(row)}} does not match schema width {width}')")
+    if width:
+        out.append("    " + "".join(f"v{i}, " for i in range(width)) + "= row")
+    live = [validate and not column.dropped for column in columns]
+    for i, column in enumerate(columns):
+        if not live[i]:
+            continue
+        sql_type = column.sql_type
+        # A NULL in a nullable column is valid as it is.
+        null_ok = f"v{i} is not None and " if column.nullable else ""
+        namespace[f"val{i}"] = column.validate
+        if isinstance(sql_type, _IntegerType):
+            bound = 1 << (8 * sql_type.width - 1)
+            out.append(f"    if {null_ok}(type(v{i}) is not int or not "
+                       f"{-bound} <= v{i} <= {bound - 1}):")
+        elif isinstance(sql_type, _StringType):
+            out.append(f"    if {null_ok}(type(v{i}) is not str or "
+                       f"len(v{i}) > {sql_type.length}):")
+        elif column.nullable:
+            out.append(f"    if v{i} is not None:")
+        else:
+            out.append(f"    v{i} = val{i}(v{i})")
+            continue
+        out.append(f"        v{i} = val{i}(v{i})")
+    # A validated NOT NULL column is never None: its bit is a constant.
+    always = sum(
+        1 << operator.index(column.ordinal)
+        for column, checked in zip(columns, live)
+        if checked and not column.nullable
+    )
+    out.append(f"    present = {always}")
+    for i, column in enumerate(columns):
+        ordinal = operator.index(column.ordinal)
+        sql_type = column.sql_type
+        value = f"v{ordinal}"
+        indent = "    "
+        if not (always >> ordinal & 1):
+            out += [
+                f"    if {value} is None:",
+                f"        c{i} = b''",
+                "    else:",
+                f"        present |= {1 << ordinal}",
+            ]
+            indent = "        "
+        if live[i] and isinstance(sql_type, _IntegerType):
+            namespace[f"pack{i}"] = struct.Struct(_INT_CHUNK[sql_type.width]).pack
+            out.append(f"{indent}c{i} = pack{i}({sql_type.width}, {value})")
+            continue
+        if live[i] and isinstance(sql_type, _StringType):
+            out.append(f"{indent}e = {value}.encode('utf-8')")
+        else:
+            namespace[f"enc{i}"] = sql_type.encode
+            out.append(f"{indent}e = enc{i}({value})")
+        out.append(f"{indent}c{i} = pack_len(len(e)) + e")
+    if bitmap == 0:
+        head = "declared"
+    elif bitmap == 1:
+        namespace["heads"] = tuple(declared + bytes((p,)) for p in range(256))
+        head = "heads[present]"
+    else:
+        head = f"declared + from_int(present, {bitmap}, 'little')"
+    record = "join((" + head + ", " + "".join(f"c{i}, " for i in range(width)) + "))"
+    if validate:
+        values = "(" + "".join(f"v{i}, " for i in range(width)) + ")"
+        out.append(f"    return {values}, {record}")
+    else:
+        out.append(f"    return {record}")
+    exec(_compiled("\n".join(out)), namespace)
+    return namespace["write"]
+
+
 class RecordKernel:
     """Everything done with one schema's stored records, from one plan.
 
@@ -236,12 +346,13 @@ class RecordKernel:
     generate their walk per declared column count on first use.
     """
 
-    __slots__ = ("width", "columns", "prefixes", "payload_headers",
-                 "_count", "_bitmap_len", "_encoders", "_projected",
-                 "_row_walks", "_readers", "_decode")
+    __slots__ = ("name", "width", "columns", "prefixes", "payload_headers",
+                 "_projected", "_row_walks", "_readers", "_decode",
+                 "_write", "_encode")
 
     def __init__(self, schema: TableSchema) -> None:
         columns = schema.columns
+        self.name = schema.name
         self.width = len(columns)
         self.columns: Tuple[Column, ...] = columns
         #: Per column, the canonical prefix its payload chunk follows.
@@ -252,9 +363,6 @@ class RecordKernel:
         self.payload_headers = tuple(
             payload_header(count) for count in range(self.width + 1)
         )
-        self._count = _COUNT.pack(self.width)
-        self._bitmap_len = (self.width + 7) // 8
-        self._encoders = tuple((c.ordinal, c.sql_type.encode) for c in columns)
         # Columns whose values a reader of the hashed payload also needs:
         # hidden ones (maintained by the layer above — the ledger's
         # transaction ids and sequence numbers) and the clustered key.
@@ -268,6 +376,8 @@ class RecordKernel:
         )
         self._readers: Dict[Any, Reader] = {}
         self._decode: Optional[Reader] = None
+        self._write: Optional[Writer] = None
+        self._encode: Optional[Writer] = None
 
     def _remember(self, key: Any, want: _Walk) -> Reader:
         """Make ``want``'s reader and keep it under ``key``."""
@@ -276,25 +386,22 @@ class RecordKernel:
 
     # -- values -> record ----------------------------------------------
 
+    def write(self, row: Sequence[Any]) -> Tuple[Tuple[Any, ...], bytes]:
+        """Validate a physical row and encode it: ``(values, record)``,
+        one generated call (:func:`_compile_write`).  The hashed payload is
+        :meth:`transcode`'s to make, from the record."""
+        write = self._write
+        if write is None:
+            write = self._write = _compile_write(self, True)
+        return write(row)
+
     def encode(self, row: Sequence[Any]) -> bytes:
-        """Encode a validated physical row into storage bytes."""
-        if len(row) != self.width:
-            raise StorageError(
-                f"row width {len(row)} does not match schema width {self.width}"
-            )
-        present = 0
-        parts: List[bytes] = [b""]
-        pack_len = _VALUE_LEN.pack
-        for ordinal, encode in self._encoders:
-            value = row[ordinal]
-            if value is None:
-                continue
-            present |= 1 << ordinal
-            encoded = encode(value)
-            parts.append(pack_len(len(encoded)))
-            parts.append(encoded)
-        parts[0] = self._count + present.to_bytes(self._bitmap_len, "little")
-        return b"".join(parts)
+        """Encode a physical row into storage bytes, unvalidated: the
+        writer's encoding half alone."""
+        encode = self._encode
+        if encode is None:
+            encode = self._encode = _compile_write(self, False)
+        return encode(row)
 
     # -- record -> values ----------------------------------------------
 
@@ -359,7 +466,8 @@ class RecordKernel:
 
 
 def encode_record(schema: TableSchema, row: Sequence[Any]) -> bytes:
-    """Encode a validated physical row into storage bytes."""
+    """Encode a physical row into storage bytes, unvalidated
+    (:meth:`RecordKernel.encode`)."""
     return schema.derived(RecordKernel).encode(row)
 
 

@@ -187,21 +187,6 @@ class TableSchema:
         """A row of NULLs with one slot per physical column."""
         return [None] * len(self.columns)
 
-    def validate_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
-        """Validate a full physical row (one value per physical column)."""
-        if len(row) != len(self.columns):
-            raise TypeSystemError(
-                f"row has {len(row)} values, table {self.name!r} has "
-                f"{len(self.columns)} physical columns"
-            )
-        validated = []
-        for column, value in zip(self.columns, row):
-            if column.dropped:
-                validated.append(value)  # preserved verbatim for history
-            else:
-                validated.append(column.validate(value))
-        return tuple(validated)
-
     def row_from_visible(self, values: Sequence[Any]) -> List[Any]:
         """Expand application-supplied values into a physical row.
 
@@ -217,13 +202,6 @@ class TableSchema:
         row = self.empty_row()
         for column, value in zip(visible, values):
             row[column.ordinal] = value
-        return row
-
-    def row_from_mapping(self, values: Dict[str, Any]) -> List[Any]:
-        """Expand a name→value mapping into a physical row (missing → NULL)."""
-        row = self.empty_row()
-        for name, value in values.items():
-            row[self.column(name).ordinal] = value
         return row
 
     def visible_values(self, row: Sequence[Any]) -> Tuple[Any, ...]:

@@ -28,12 +28,7 @@ from repro.engine.index import (
     DerivedKeyIndex,
     NonclusteredIndex,
 )
-from repro.engine.record import (
-    RecordKernel,
-    decode_record,
-    encode_record,
-    key_tuple,
-)
+from repro.engine.record import RecordKernel, decode_record, key_tuple
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.transaction import Transaction
 from repro.engine.wal import (
@@ -41,7 +36,7 @@ from repro.engine.wal import (
     DELETE_MANY,
     INSERT,
     INSERT_MANY,
-    WalRecord,
+    DmlRecord,
     WalWriter,
 )
 from repro.errors import ConstraintError, StorageError
@@ -100,9 +95,9 @@ class Table:
             self._lock_manager.acquire(txn.tid, self.table_id, LockMode.EXCLUSIVE)
 
     def prepare_row(self, row: Sequence[Any]) -> PreparedRow:
-        """Validate a physical row and encode it, once each."""
-        validated = self.schema.validate_row(row)
-        return validated, encode_record(self.schema, validated)
+        """Validate a physical row and encode it: one generated writer call
+        (:meth:`RecordKernel.write`)."""
+        return self.schema.derived(RecordKernel).write(row)
 
     def insert(self, txn: Transaction, row: List[Any]) -> RowId:
         """Insert a physical row through the full pipeline (hooks included)."""
@@ -372,23 +367,8 @@ class Table:
                     for (validated, record), rid in zip(prepared, rids)
                 ]
             )
-        self._wal.append(
-            WalRecord(
-                INSERT_MANY,
-                {
-                    "tid": txn.tid,
-                    "table_id": self.table_id,
-                    "rows": [
-                        {
-                            "page": rid.page_id,
-                            "slot": rid.slot,
-                            "rec": record.hex(),
-                        }
-                        for (_, record), rid in zip(prepared, rids)
-                    ],
-                },
-            )
-        )
+        logged = [(rid, record) for (_, record), rid in zip(prepared, rids)]
+        self._wal.append(DmlRecord(INSERT_MANY, txn.tid, self.table_id, logged))
 
         def undo_insert_many() -> None:
             # One compensation record for the whole statement, mirroring the
@@ -397,22 +377,7 @@ class Table:
             for (validated, _), rid in zip(reversed(prepared), reversed(rids)):
                 self._physical_remove(rid, validated)
             self._wal.append(
-                WalRecord(
-                    DELETE_MANY,
-                    {
-                        "tid": txn.tid,
-                        "table_id": self.table_id,
-                        "rows": [
-                            {
-                                "page": rid.page_id,
-                                "slot": rid.slot,
-                                "old": record.hex(),
-                            }
-                            for (_, record), rid in zip(prepared, rids)
-                        ],
-                        "clr": True,
-                    },
-                )
+                DmlRecord(DELETE_MANY, txn.tid, self.table_id, logged, clr=True)
             )
 
         txn.record_undo(
@@ -431,16 +396,7 @@ class Table:
         for key_index in self._key_indexes.values():
             key_index.add(validated, rid)
         self._wal.append(
-            WalRecord(
-                INSERT,
-                {
-                    "tid": txn.tid,
-                    "table_id": self.table_id,
-                    "page": rid.page_id,
-                    "slot": rid.slot,
-                    "rec": record.hex(),
-                },
-            )
+            DmlRecord(INSERT, txn.tid, self.table_id, ((rid, record),))
         )
 
         def undo_insert() -> None:
@@ -449,19 +405,9 @@ class Table:
             # the insert AND its reversal in order (ARIES CLR semantics).
             self.drop_key_indexes()
             self._physical_remove(rid, validated)
-            self._wal.append(
-                WalRecord(
-                    DELETE,
-                    {
-                        "tid": txn.tid,
-                        "table_id": self.table_id,
-                        "page": rid.page_id,
-                        "slot": rid.slot,
-                        "old": record.hex(),
-                        "clr": True,
-                    },
-                )
-            )
+            self._wal.append(DmlRecord(
+                DELETE, txn.tid, self.table_id, ((rid, record),), clr=True
+            ))
 
         txn.record_undo(f"insert {self.name} {rid}", undo_insert)
         return rid
@@ -475,33 +421,14 @@ class Table:
     ) -> None:
         self._physical_remove(rid, old_row)
         self._wal.append(
-            WalRecord(
-                DELETE,
-                {
-                    "tid": txn.tid,
-                    "table_id": self.table_id,
-                    "page": rid.page_id,
-                    "slot": rid.slot,
-                    "old": old_record.hex(),
-                },
-            )
+            DmlRecord(DELETE, txn.tid, self.table_id, ((rid, old_record),))
         )
 
         def undo_delete() -> None:
             self._physical_restore(rid, old_row, old_record)
-            self._wal.append(
-                WalRecord(
-                    INSERT,
-                    {
-                        "tid": txn.tid,
-                        "table_id": self.table_id,
-                        "page": rid.page_id,
-                        "slot": rid.slot,
-                        "rec": old_record.hex(),
-                        "clr": True,
-                    },
-                )
-            )
+            self._wal.append(DmlRecord(
+                INSERT, txn.tid, self.table_id, ((rid, old_record),), clr=True
+            ))
 
         txn.record_undo(f"delete {self.name} {rid}", undo_delete)
 

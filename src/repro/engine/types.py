@@ -236,6 +236,8 @@ class DecimalType(SqlType):
             raise TypeSystemError(
                 f"DECIMAL expects Decimal/int/str, got {type(value).__name__}"
             )
+        if value.is_nan():
+            raise TypeSystemError(f"DECIMAL does not accept {value}")
         try:
             quantized = value.quantize(self._quantum)
         except InvalidOperation as exc:
@@ -356,15 +358,15 @@ class DateTimeType(SqlType):
         return isinstance(value, dt.datetime) and value.tzinfo is None
 
     def validate(self, value: Any) -> dt.datetime:
+        if isinstance(value, str):
+            try:
+                value = dt.datetime.fromisoformat(value)
+            except ValueError as exc:
+                raise TypeSystemError(f"cannot parse {value!r} as DATETIME") from exc
         if isinstance(value, dt.datetime):
             if value.tzinfo is not None:
                 raise TypeSystemError("DATETIME stores naive timestamps")
             return value
-        if isinstance(value, str):
-            try:
-                return dt.datetime.fromisoformat(value)
-            except ValueError as exc:
-                raise TypeSystemError(f"cannot parse {value!r} as DATETIME") from exc
         raise TypeSystemError(
             f"DATETIME expects datetime or ISO string, got {type(value).__name__}"
         )

@@ -24,7 +24,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
@@ -32,6 +32,7 @@ from repro.obs import OBS
 
 _FRAME = struct.Struct(">II")  # payload length, crc32
 _decode = json.JSONDecoder().decode
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 FAULTS.register(
     "wal.append",
@@ -88,7 +89,9 @@ DDL = "DDL"
 
 @dataclass
 class WalRecord:
-    """One log record.  ``payload`` contents depend on ``kind``:
+    """One log record, as :func:`read_wal` returns it and as BEGIN, COMMIT,
+    ABORT and DDL are appended (DML is appended as :class:`DmlRecord`, to
+    the same bytes).  ``payload`` contents depend on ``kind``:
 
     * BEGIN:  ``tid``, ``username``
     * INSERT: ``tid``, ``table_id``, ``page``, ``slot``, ``rec`` (hex record)
@@ -108,9 +111,81 @@ class WalRecord:
     payload: Dict[str, Any] = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
-        return json.dumps(
-            {"kind": self.kind, **self.payload}, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        return _encode({"kind": self.kind, **self.payload}).encode("utf-8")
+
+
+class DmlRecord(NamedTuple):
+    """An INSERT, INSERT_MANY, DELETE or DELETE_MANY record, kept as its
+    ints and record bytes and formatted when appended.
+
+    ``rows`` holds ``(rid, record)`` pairs, ``rid`` having ``page_id`` and
+    ``slot``; INSERT and DELETE carry exactly one.  The bytes are those of
+    the :class:`WalRecord` recovery reads back — sorted-key JSON with the
+    record hex-encoded — written without a JSON encoder: ints and hex need
+    no escaping, so no string is scanned for it.
+    """
+
+    kind: str
+    tid: int
+    table_id: int
+    rows: Sequence[Tuple[Any, bytes]]
+    clr: bool = False
+
+    def to_bytes(self) -> bytes:
+        return _FORMATS[self.kind](self)
+
+
+# Keys in sorted order, as ``json.dumps(..., sort_keys=True)`` writes them;
+# str formatting, encoded once, is the fastest way to lay them out.
+_CLR = ("", '"clr":true,')
+
+
+def _format_insert(r: DmlRecord) -> bytes:
+    (rid, record), = r.rows
+    return (
+        f'{{{_CLR[r.clr]}"kind":"INSERT","page":{rid.page_id},'
+        f'"rec":"{record.hex()}","slot":{rid.slot},'
+        f'"table_id":{r.table_id},"tid":{r.tid}}}'
+    ).encode()
+
+
+def _format_delete(r: DmlRecord) -> bytes:
+    (rid, record), = r.rows
+    return (
+        f'{{{_CLR[r.clr]}"kind":"DELETE","old":"{record.hex()}",'
+        f'"page":{rid.page_id},"slot":{rid.slot},'
+        f'"table_id":{r.table_id},"tid":{r.tid}}}'
+    ).encode()
+
+
+def _format_insert_many(r: DmlRecord) -> bytes:
+    rows = ",".join([
+        f'{{"page":{rid.page_id},"rec":"{record.hex()}","slot":{rid.slot}}}'
+        for rid, record in r.rows
+    ])
+    return (
+        f'{{{_CLR[r.clr]}"kind":"INSERT_MANY","rows":[{rows}],'
+        f'"table_id":{r.table_id},"tid":{r.tid}}}'
+    ).encode()
+
+
+def _format_delete_many(r: DmlRecord) -> bytes:
+    rows = ",".join([
+        f'{{"old":"{record.hex()}","page":{rid.page_id},"slot":{rid.slot}}}'
+        for rid, record in r.rows
+    ])
+    return (
+        f'{{{_CLR[r.clr]}"kind":"DELETE_MANY","rows":[{rows}],'
+        f'"table_id":{r.table_id},"tid":{r.tid}}}'
+    ).encode()
+
+
+_FORMATS = {
+    INSERT: _format_insert,
+    DELETE: _format_delete,
+    INSERT_MANY: _format_insert_many,
+    DELETE_MANY: _format_delete_many,
+}
 
 
 class WalWriter:
@@ -121,6 +196,9 @@ class WalWriter:
         self._sync = sync
         self._m = OBS.metrics.handles("wal", _wal_metrics)
         self._file = open(path, "ab")
+        # Where the next frame starts: its LSN, kept here rather than asked
+        # of the file (an lseek) on every append.
+        self._end = self._file.tell()
         # Frames must hit the file whole and in LSN order even when several
         # threads commit at once; interleaved writes would tear frames
         # mid-file rather than only at the tail.
@@ -133,12 +211,12 @@ class WalWriter:
     def path(self) -> str:
         return self._path
 
-    def append(self, record: WalRecord) -> int:
+    def append(self, record: Union[WalRecord, DmlRecord]) -> int:
         """Append one record; returns its LSN (starting byte offset)."""
         payload = record.to_bytes()
         FAULTS.fire("wal.append", kind=record.kind)
         with self._lock:
-            lsn = self._file.tell()
+            lsn = self._end
             if FAULTS.triggered("wal.torn_write", kind=record.kind):
                 # Simulate a crash mid-frame: header plus half the payload
                 # reach the OS, then the process dies.  The flush models the
@@ -146,9 +224,11 @@ class WalWriter:
                 self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
                 self._file.write(payload[: len(payload) // 2])
                 self._file.flush()
+                self._end = self._file.tell()
                 raise InjectedCrashError("wal.torn_write")
             self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
             self._file.write(payload)
+            self._end = lsn + _FRAME.size + len(payload)
             if self._sync:
                 if self._defer_depth:
                     if OBS.metrics.enabled:
@@ -205,6 +285,7 @@ class WalWriter:
             self._file.write(_FRAME.pack(64, zlib.crc32(garbage)))
             self._file.write(garbage[: len(garbage) // 2])
             self._file.flush()
+            self._end = self._file.tell()
 
     def flush(self) -> None:
         with self._lock:

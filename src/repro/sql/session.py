@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ledger_view import plan_ledger_view, view_column_names
@@ -27,6 +28,7 @@ from repro.engine.operators import (
     SEQ_SCAN,
     AccessPlan,
     aggregate,
+    bind_columns,
     delete_rows,
     insert_rows,
     limit_rows,
@@ -400,20 +402,31 @@ class SqlSession:
     # ------------------------------------------------------------------
 
     def _insert_bound_rows(self, txn, table, columns, rows) -> int:
-        """Insert fully-bound value rows as one batched storage operation."""
-        if columns:
-            physical = []
-            for values in rows:
-                if len(values) != len(columns):
-                    raise SqlBindError(
-                        "INSERT value count does not match column list"
-                    )
-                physical.append(
-                    table.schema.row_from_mapping(dict(zip(columns, values)))
+        """Insert fully-bound value rows as one batched storage operation.
+
+        A column list is bound once per statement (:func:`bind_columns`):
+        each physical slot takes a value's position, or the NULL padded
+        onto every row, and one ``itemgetter`` call lays out a row."""
+        if not columns:
+            return insert_rows(txn, table, rows)
+        ordinals = bind_columns(table.schema, columns)
+        count = len(ordinals)
+        position = {ordinal: i for i, ordinal in enumerate(ordinals)}
+        slots = [position.get(c.ordinal, count) for c in table.schema.columns]
+        # An itemgetter of one item returns that item, not a 1-tuple.
+        gather = (
+            itemgetter(*slots) if len(slots) > 1
+            else lambda padded: (padded[slots[0]],)
+        )
+        physical = []
+        for values in rows:
+            if len(values) != count:
+                raise SqlBindError(
+                    "INSERT value count does not match column list"
                 )
-            table.insert_many(txn, physical)
-            return len(physical)
-        return insert_rows(txn, table, rows)
+            physical.append(gather((*values, None)))
+        table.insert_many(txn, physical)
+        return len(physical)
 
     def _run_insert(self, stmt: ast.Insert):
         for values in stmt.rows:
@@ -431,10 +444,9 @@ class SqlSession:
         )
 
     def _run_update(self, stmt: ast.Update):
-        assignments = {name: expr for name, expr in stmt.assignments}
         table = self._db.engine.table(stmt.table)
         return self._autocommit(
-            lambda txn: update_rows(txn, table, assignments, stmt.where)
+            lambda txn: update_rows(txn, table, stmt.assignments, stmt.where)
         )
 
     def _run_delete(self, stmt: ast.Delete):

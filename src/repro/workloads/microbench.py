@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.engine.expressions import eq
-from repro.engine.record import encode_record
+from repro.engine.record import RecordKernel
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import CHAR, INT
 
@@ -44,11 +44,11 @@ def wide_row_schema(
 
 def record_width(schema: TableSchema) -> int:
     """Actual stored record width for the schema (sanity: 260 bytes)."""
-    row = schema.validate_row(
+    _, record = schema.derived(RecordKernel).write(
         [1, "a" * _PAYLOAD_A, "b" * _PAYLOAD_B]
         + [None] * (len(schema.columns) - 3)
     )
-    return len(encode_record(schema, row))
+    return len(record)
 
 
 def make_row(i: int) -> List:

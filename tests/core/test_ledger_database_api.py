@@ -1,5 +1,7 @@
 """Facade-level API edges: table access, config, DDL paths, append-only mixes."""
 
+import gc
+
 import pytest
 
 from repro.core.ledger_database import APPEND_ONLY, LedgerDatabase
@@ -102,6 +104,34 @@ class TestAppendOnlyTruncation:
         assert len(db.select("log")) == 10
         report = db.verify([db.generate_digest()])
         assert report.ok, report.summary()
+
+
+class TestVerifyPausesCollector:
+    """Verification runs with the cyclic collector paused and restores the
+    caller's setting, whatever the outcome."""
+
+    def test_paused_during_the_call_and_resumed_after(self, db, accounts):
+        run(db, "a", lambda t: db.insert(t, "accounts", [["Nick", 1]]))
+        seen = []
+        assert gc.isenabled()
+        report = db.verify([db.generate_digest()],
+                           progress=lambda event: seen.append(gc.isenabled()))
+        assert report.ok
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_resumed_when_verification_raises(self, db):
+        with pytest.raises(ValueError):
+            db.verify([db.generate_digest()], mode="sideways")
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, db):
+        gc.disable()
+        try:
+            assert db.verify([db.generate_digest()]).ok
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestInstanceScopedLabels:

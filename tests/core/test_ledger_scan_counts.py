@@ -392,8 +392,11 @@ class TestCostDoesNotGrowWithTheTable:
             return decode(kernel, data)
 
         def counting(name, method):
+            # Only recovery's inserts count: the block builder may close a
+            # block (and insert its entries) as soon as the ledger is open.
             def counted(tree, *args):
-                inserts[name] += bool(inside)
+                if inside:
+                    inserts[name] += 1
                 return method(tree, *args)
             return counted
 

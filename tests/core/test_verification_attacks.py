@@ -95,8 +95,6 @@ class TestRowTampering:
 
     def test_row_injection_detected(self, db, seeded, accounts):
         # Forge an entire row attributed to a legitimate past transaction.
-        from repro.engine.record import encode_record
-
         entry_tid = db.ledger.all_entries()[-1].transaction_id
         forged = accounts.schema.empty_row()
         forged[accounts.schema.column("name").ordinal] = "Ghost"
@@ -105,23 +103,18 @@ class TestRowTampering:
 
         forged[accounts.schema.column(sc.START_TRANSACTION).ordinal] = entry_tid
         forged[accounts.schema.column(sc.START_SEQUENCE).ordinal] = 99
-        accounts.heap.insert(
-            encode_record(accounts.schema, accounts.schema.validate_row(forged))
-        )
+        accounts.heap.insert(accounts.prepare_row(forged)[1])
         report = db.verify([seeded])
         assert not report.ok
 
     def test_row_referencing_unknown_transaction_detected(self, db, seeded, accounts):
         from repro.core import system_columns as sc
-        from repro.engine.record import encode_record
 
         forged = accounts.schema.empty_row()
         forged[accounts.schema.column("name").ordinal] = "Ghost"
         forged[accounts.schema.column(sc.START_TRANSACTION).ordinal] = 999_999
         forged[accounts.schema.column(sc.START_SEQUENCE).ordinal] = 0
-        accounts.heap.insert(
-            encode_record(accounts.schema, accounts.schema.validate_row(forged))
-        )
+        accounts.heap.insert(accounts.prepare_row(forged)[1])
         report = db.verify([seeded])
         assert not report.ok
         assert any("not recorded" in f.message for f in report.errors)

@@ -48,6 +48,16 @@ from repro.errors import (
 )
 
 
+def write(schema, row):
+    """The schema's writer: ``(validated values, record)``."""
+    return schema.derived(RecordKernel).write(row)
+
+
+def validated(schema, row):
+    """A physical row's validated values."""
+    return write(schema, row)[0]
+
+
 @pytest.fixture
 def accounts_schema():
     return TableSchema(
@@ -89,7 +99,7 @@ class TestTableSchema:
 
     def test_validate_row_enforces_not_null(self, accounts_schema):
         with pytest.raises(TypeSystemError):
-            accounts_schema.validate_row([None, "Nick", None, None])
+            validated(accounts_schema, [None, "Nick", None, None])
 
     def test_hidden_columns_excluded_from_visible(self):
         schema = TableSchema(
@@ -147,23 +157,23 @@ class TestTableSchema:
 
 class TestRecordFormat:
     def test_round_trip(self, accounts_schema):
-        row = accounts_schema.validate_row([7, "Mary", "200.50", None])
+        row = validated(accounts_schema, [7, "Mary", "200.50", None])
         record = encode_record(accounts_schema, row)
         assert decode_record(accounts_schema, record) == row
 
     def test_all_null_optional_columns(self, accounts_schema):
-        row = accounts_schema.validate_row([7, "Mary", None, None])
+        row = validated(accounts_schema, [7, "Mary", None, None])
         assert decode_record(accounts_schema, encode_record(accounts_schema, row)) == row
 
     def test_old_record_readable_after_add_column(self, accounts_schema):
-        row = accounts_schema.validate_row([7, "Mary", "200.50", "hi"])
+        row = validated(accounts_schema, [7, "Mary", "200.50", "hi"])
         record = encode_record(accounts_schema, row)
         evolved = accounts_schema.with_column_added(Column("email", VARCHAR(64)))
         decoded = decode_record(evolved, record)
         assert decoded == row + (None,)
 
     def test_record_with_more_columns_than_schema_rejected(self, accounts_schema):
-        row = accounts_schema.validate_row([7, "Mary", None, None])
+        row = validated(accounts_schema, [7, "Mary", None, None])
         record = encode_record(accounts_schema, row)
         narrower = TableSchema("t", [Column("id", INT)])
         with pytest.raises(StorageError):
@@ -171,14 +181,14 @@ class TestRecordFormat:
 
     def test_truncated_record_rejected(self, accounts_schema):
         record = encode_record(
-            accounts_schema, accounts_schema.validate_row([7, "Mary", "1.00", "x"])
+            accounts_schema, validated(accounts_schema, [7, "Mary", "1.00", "x"])
         )
         with pytest.raises(StorageError):
             decode_record(accounts_schema, record[:-1])
 
     def test_trailing_garbage_rejected(self, accounts_schema):
         record = encode_record(
-            accounts_schema, accounts_schema.validate_row([7, "Mary", None, None])
+            accounts_schema, validated(accounts_schema, [7, "Mary", None, None])
         )
         with pytest.raises(StorageError):
             decode_record(accounts_schema, record + b"!")
@@ -198,7 +208,7 @@ class TestRecordFormat:
                 Column("note", VARCHAR(100)),
             ],
         )
-        row = schema.validate_row([ident, name, note])
+        row = validated(schema, [ident, name, note])
         assert decode_record(schema, encode_record(schema, row)) == row
 
 
@@ -209,14 +219,14 @@ def payload_of(schema, row):
 
 class TestHashablePayload:
     def test_null_columns_skipped(self, accounts_schema):
-        with_note = accounts_schema.validate_row([1, "a", None, "x"])
-        without_note = accounts_schema.validate_row([1, "a", None, None])
+        with_note = validated(accounts_schema, [1, "a", None, "x"])
+        without_note = validated(accounts_schema, [1, "a", None, None])
         assert payload_of(accounts_schema, with_note) != payload_of(
             accounts_schema, without_note
         )
 
     def test_payload_stable_after_add_column(self, accounts_schema):
-        row = accounts_schema.validate_row([1, "a", "9.99", None])
+        row = validated(accounts_schema, [1, "a", "9.99", None])
         before = payload_of(accounts_schema, row)
         evolved = accounts_schema.with_column_added(Column("email", VARCHAR(64)))
         after = payload_of(evolved, tuple(row) + (None,))
@@ -226,7 +236,7 @@ class TestHashablePayload:
         assert hashable_payload(evolved, old_record)[0] == before
 
     def test_payload_stable_after_drop_column(self, accounts_schema):
-        row = accounts_schema.validate_row([1, "a", "9.99", "note!"])
+        row = validated(accounts_schema, [1, "a", "9.99", "note!"])
         before = payload_of(accounts_schema, row)
         evolved = accounts_schema.with_column_dropped("note")
         after = payload_of(evolved, row)
@@ -344,7 +354,7 @@ class TestRecordKernel:
 
     def test_history_payloads_are_created_and_deleted_forms(self, accounts_schema):
         schema = sc.extend_with_system_columns(accounts_schema, include_end=True)
-        row = schema.validate_row([1, "a", "9.99", None, 7, 0, 9, 3])
+        row = validated(schema, [1, "a", "9.99", None, 7, 0, 9, 3])
         record = encode_record(schema, row)
         deleted, created, values = hashable_payload(
             schema, record, sc.end_ordinals(schema)
@@ -457,10 +467,7 @@ _GOLDEN = [
 
 
 def _golden_records():
-    return [
-        encode_record(_GOLDEN_SCHEMA, _GOLDEN_SCHEMA.validate_row(row))
-        for row, *_ in _GOLDEN
-    ]
+    return [write(_GOLDEN_SCHEMA, row)[1] for row, *_ in _GOLDEN]
 
 
 class TestGoldenVectors:
@@ -469,8 +476,9 @@ class TestGoldenVectors:
         self, row, record_hex, payload_hex, leaf_hex, created_leaf_hex
     ):
         schema = _GOLDEN_SCHEMA
-        record = encode_record(schema, schema.validate_row(row))
+        values, record = write(schema, row)
         assert record.hex() == record_hex
+        assert encode_record(schema, values) == record
         payload, created, _ = hashable_payload(
             schema, record, sc.end_ordinals(schema)
         )
@@ -699,19 +707,22 @@ class TestGeneratedWalkers:
 
         monkeypatch.setattr(record_module, "_compiled", spying)
         schema = TableSchema(
-            "t", [Column("id", INT), Column(evil, VARCHAR(40)),
-                  Column("ok", DATE, hidden=True)],
+            evil, [Column("id", INT), Column(evil, VARCHAR(40)),
+                   Column("ok", DATE, hidden=True)],
             primary_key=["id"],
         )
         row = (1, "value'); import os #", dt.date(2021, 6, 20))
         record = encode_record(schema, row)
         kernel = schema.derived(RecordKernel)
+        assert kernel.write(row) == (row, record)
+        with pytest.raises(TypeSystemError, match="x'\\); import os #"):
+            kernel.write(row[:2])
         assert kernel.decode(record) == row
         assert kernel.row_reader()(record) == {"id": 1, evil: row[1]}
         assert kernel.reader([(evil, 1)])(record) == {evil: row[1]}
         payload, _, _ = kernel.transcode(record)
         assert payload == reference_payload(schema, row)
-        narrow = TableSchema("t", schema.columns[:2])
+        narrow = TableSchema(evil, schema.columns[:2])
         assert kernel.decode(encode_record(narrow, row[:2])) == row[:2] + (None,)
         short = encode_record(schema, (1, "v", None))[:-1]
         with pytest.raises(StorageError) as caught:
@@ -719,3 +730,170 @@ class TestGeneratedWalkers:
         assert str(caught.value) == f"truncated value for column {evil!r}"
         assert len(sources) >= 5
         assert not any(evil in source or "import" in source for source in sources)
+
+
+# ---------------------------------------------------------------------------
+# The generated writer against the interpreted loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_write(schema, row):
+    """``TableSchema.validate_row`` then ``RecordKernel.encode``, as they
+    were: one interpreted loop validating, one encoding."""
+    columns = schema.columns
+    if len(row) != len(columns):
+        raise TypeSystemError(
+            f"row has {len(row)} values, table {schema.name!r} has "
+            f"{len(columns)} physical columns"
+        )
+    values = tuple(
+        value if column.dropped else column.validate(value)
+        for column, value in zip(columns, row)
+    )
+    present, parts = 0, []
+    for column in columns:
+        value = values[column.ordinal]
+        if value is None:
+            continue
+        present |= 1 << column.ordinal
+        encoded = column.sql_type.encode(value)
+        parts += [struct.pack(">I", len(encoded)), encoded]
+    head = struct.pack(">H", len(columns)) + present.to_bytes(
+        (len(columns) + 7) // 8, "little"
+    )
+    return values, head + b"".join(parts)
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_UTC = dt.timezone.utc
+#: Values of every kind, for any column: wrong types, bools, subclasses,
+#: out-of-range and over-long values, NaN, strings that parse (or not).
+_ANY_VALUE = st.sampled_from([
+    None, True, False, 0, 1, -1, 2**7, 2**15, 2**31, 2**63, -(2**63) - 1,
+    2**70, _Int(5), _Int(2**40), 1.5, -0.0, float("nan"), float("inf"),
+    "", "abc", _Str("hi"), "x" * 300, "12.5", "NaN", "1e400", "2021-06-20",
+    "2021-06-20T12:30:15", "2021-06-20T12:30:15+00:00", "2021-06-20T12:30:15Z",
+    b"", b"\x00\xff", bytearray(b"ab"), b"y" * 40, Decimal("12.345"),
+    Decimal("NaN"), Decimal("-Infinity"), Decimal("1E+30"),
+    dt.date(2021, 6, 20), dt.datetime(2021, 6, 20, 12, 30),
+    dt.datetime(2021, 6, 20, tzinfo=_UTC), [], (1,), object(),
+])
+
+
+_INT_BITS = {TINYINT: 8, SMALLINT: 16, INT: 32, BIGINT: 64}
+
+
+def _edges(sql_type):
+    """Values at and just past a type's limits (or of another type)."""
+    if sql_type in _INT_BITS:
+        bound = 1 << (_INT_BITS[sql_type] - 1)
+        return [-bound - 1, -bound, bound - 1, bound]
+    length = getattr(sql_type, "length", None)
+    if length is not None:
+        return ["x" * length, "x" * (length + 1), b"y" * length, b"y" * (length + 1)]
+    return [None]
+
+
+@st.composite
+def writer_cases(draw):
+    """A random schema — every SqlType, NULLable and NOT NULL, hidden and
+    dropped columns, some added after the fact — and a physical row for it:
+    valid values, values of any other kind, or a row of the wrong width."""
+    picks = draw(st.lists(st.sampled_from(range(len(_TYPES))), min_size=1, max_size=9))
+    columns = []
+    for position, pick in enumerate(picks):
+        flavour = draw(st.sampled_from(["plain", "plain", "hidden", "dropped"]))
+        columns.append(Column(
+            f"c{position}", _TYPES[pick][0], nullable=draw(st.booleans()),
+            hidden=flavour == "hidden", dropped=flavour == "dropped",
+        ))
+    schema = TableSchema("t", columns)
+    for position in range(draw(st.integers(0, 2))):
+        sql_type = _TYPES[draw(st.sampled_from(range(len(_TYPES))))][0]
+        schema = schema.with_column_added(Column(f"added{position}", sql_type))
+    if draw(st.booleans()) and schema.live_columns:
+        victim = draw(st.sampled_from(schema.live_columns))
+        schema = schema.with_column_dropped(victim.name)
+    row = []
+    for column in schema.columns:
+        strategy = _TYPES[[t for t, _ in _TYPES].index(column.sql_type)][1]
+        if column.dropped:
+            # What storage held: a value of the column's type, or NULL.
+            # Nothing validates it, so anything else is outside the contract.
+            row.append(draw(st.one_of(strategy, st.none())))
+        else:
+            row.append(draw(st.one_of(
+                strategy, strategy, st.none(), _ANY_VALUE,
+                st.sampled_from(_edges(column.sql_type)),
+            )))
+    width = draw(st.sampled_from([len(row)] * 8 + [len(row) - 1, len(row) + 1]))
+    row = (row + [None])[:width]
+    return schema, draw(st.sampled_from([row, tuple(row)]))
+
+
+def write_outcome(write, *args):
+    """What a write returns, or the type and message of what it raises."""
+    try:
+        return "ok", write(*args)
+    except Exception as exc:  # every exception: the writer must raise the same
+        return "error", type(exc), str(exc)
+
+
+class TestGeneratedWriters:
+    """The writer returns what ``validate_row`` + ``encode`` returned, or
+    raises the same exception with the same message."""
+
+    @given(writer_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_writer_equals_the_reference(self, case):
+        schema, row = case
+        kernel = schema.derived(RecordKernel)
+        expected = write_outcome(reference_write, schema, row)
+        same(write_outcome(kernel.write, row), expected)
+        if expected[0] == "ok":
+            values, record = expected[1]
+            # The bare encoder is the writer's encoding half.
+            assert encode_record(schema, values) == record
+
+    def test_encoder_checks_the_width(self, accounts_schema):
+        with pytest.raises(StorageError) as caught:
+            encode_record(accounts_schema, (1, "a", None))
+        assert str(caught.value) == "row width 3 does not match schema width 4"
+
+    def test_writer_checks_the_width_first(self, accounts_schema):
+        with pytest.raises(TypeSystemError) as caught:
+            write(accounts_schema, (None, None, None, None, None))
+        assert str(caught.value) == (
+            "row has 5 values, table 'accounts' has 4 physical columns"
+        )
+
+    def test_every_column_is_validated_before_any_is_encoded(self):
+        encoded = []
+        day = dt.date(2021, 6, 20)
+        schema = TableSchema("t", [
+            Column("a", _LoggedDate(encoded)), Column("b", INT, nullable=False),
+        ])
+        with pytest.raises(TypeSystemError, match="NOT NULL"):
+            write(schema, (day, None))
+        assert encoded == []
+        values, record = write(schema, (day, 1))
+        assert encoded == [day]
+        assert (values, record) == reference_write(schema, (day, 1))
+
+
+class _LoggedDate(type(DATE)):
+    """A DATE that records what it encodes."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def encode(self, value):
+        self.log.append(value)
+        return super().encode(value)

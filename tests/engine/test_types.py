@@ -118,6 +118,14 @@ class TestDecimal:
         validated = t.validate(value)
         assert t.decode(t.encode(validated)) == validated
 
+    @pytest.mark.parametrize(
+        "value", ["NaN", "-nan", Decimal("NaN"), float("nan")]
+    )
+    def test_rejects_nan(self, value):
+        # Validated values must encode: NaN has no scaled-integer form.
+        with pytest.raises(TypeSystemError, match="NaN"):
+            DECIMAL(10, 2).validate(value)
+
     def test_invalid_precision(self):
         with pytest.raises(TypeSystemError):
             DECIMAL(0, 0)
@@ -176,6 +184,16 @@ class TestTemporal:
         aware = dt.datetime(2021, 1, 1, tzinfo=dt.timezone.utc)
         with pytest.raises(TypeSystemError):
             DATETIME.validate(aware)
+
+    @pytest.mark.parametrize(
+        "text", ["2021-01-01T00:00:00+00:00", "2021-01-01T12:00:00-05:00",
+                 "2021-01-01T00:00:00Z"],
+    )
+    def test_datetime_rejects_iso_with_offset(self, text):
+        # A parsed string with an offset is an aware timestamp: it would not
+        # encode against the naive epoch.
+        with pytest.raises(TypeSystemError):
+            DATETIME.validate(text)
 
     def test_pre_epoch_datetime(self):
         value = dt.datetime(1955, 11, 5, 6, 0, 0)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.ledger_database import LedgerDatabase
 from repro.core.verification import SEVERITY_ERROR, Finding
 from repro.engine.clock import LogicalClock
-from repro.errors import SqlBindError, VerificationFailedError
+from repro.errors import SqlBindError, TypeSystemError, VerificationFailedError
 
 
 @pytest.fixture
@@ -77,3 +77,67 @@ class TestErrorSurface:
         assert "9 finding(s)" in message
         assert "+4 more" in message
         assert len(error.findings) == 9
+
+
+def _api_update(assignments):
+    def update(db):
+        txn = db.begin()
+        try:
+            db.update(txn, "accounts", assignments)
+        finally:
+            db.rollback(txn)
+    return update
+
+
+class TestWrittenColumns:
+    """A statement names each column it writes once, and never a hidden
+    (GENERATED ALWAYS) system column; the error names the column."""
+
+    @pytest.mark.parametrize("write, column", [
+        ("INSERT INTO accounts (name, balance, balance) VALUES ('c', 5, 6)",
+         "balance"),
+        ("INSERT INTO accounts (name, balance, ledger_start_transaction_id) "
+         "VALUES ('c', 5, 99)", "ledger_start_transaction_id"),
+        ("UPDATE accounts SET balance = 1, balance = 2", "balance"),
+        ("UPDATE accounts SET ledger_start_transaction_id = 5",
+         "ledger_start_transaction_id"),
+        (_api_update({"ledger_end_sequence_number": 1}),
+         "ledger_end_sequence_number"),
+    ])
+    def test_duplicate_or_hidden_column_is_a_bind_error(self, db, write, column):
+        before = db.sql("SELECT * FROM accounts_ledger")
+        with pytest.raises(SqlBindError, match=f"'{column}'"):
+            write(db) if callable(write) else db.sql(write)
+        assert db.sql("SELECT * FROM accounts_ledger") == before
+        assert db.verify([db.generate_digest()]).ok
+
+    def test_column_list_in_any_order_and_on_one_column_tables(self, db):
+        db.sql("INSERT INTO accounts (balance, name) VALUES (7, 'c'), (8, 'd')")
+        rows = db.sql("SELECT * FROM accounts WHERE balance < 9 ORDER BY name")
+        assert rows == [
+            {"name": "c", "balance": 7}, {"name": "d", "balance": 8},
+        ]
+        db.sql("CREATE TABLE one (id INT PRIMARY KEY)")
+        db.sql("INSERT INTO one (id) VALUES (1), (2)")
+        assert db.sql("SELECT * FROM one ORDER BY id") == [{"id": 1}, {"id": 2}]
+        with pytest.raises(SqlBindError, match="value count"):
+            db.sql("INSERT INTO one (id) VALUES (3, 4)")
+        assert db.verify([db.generate_digest()]).ok
+
+
+class TestValuesThatDoNotEncode:
+    @pytest.mark.parametrize("values", [
+        "(1, 'NaN', NULL)",
+        "(1, NULL, '2021-01-01T00:00:00+00:00')",
+        "(1, NULL, '2021-01-01T00:00:00Z')",
+    ])
+    def test_rejected_by_the_type_and_nothing_written(self, db, values):
+        db.sql(
+            "CREATE TABLE typed (id INT PRIMARY KEY, d DECIMAL(10, 2), "
+            "at DATETIME) WITH (LEDGER = ON)"
+        )
+        with pytest.raises(TypeSystemError):
+            db.sql(f"INSERT INTO typed (id, d, at) VALUES {values}")
+        assert db.sql("SELECT * FROM typed") == []
+        assert db.sql("SELECT * FROM typed_ledger") == []
+        assert db.verify([db.generate_digest()]).ok
