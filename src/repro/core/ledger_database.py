@@ -346,7 +346,7 @@ class LedgerDatabase:
             rid, row = hit
             new_row = list(row)
             new_row[table.schema.column("value").ordinal] = value
-            table.update_row(txn, rid, new_row)
+            table.update_row(txn, rid, row, new_row)
         self.engine.commit(txn)
 
     @property

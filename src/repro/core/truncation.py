@@ -114,7 +114,7 @@ def _reanchor_live_rows(db, truncated_tids: Set[int]) -> int:
     for table in db.ledger_tables():
         start_tid, start_seq = sc.start_ordinals(table.schema)
         targets = [
-            rid
+            (rid, row)
             for rid, row in table.scan()
             if row[start_tid] in truncated_tids
         ]
@@ -122,16 +122,12 @@ def _reanchor_live_rows(db, truncated_tids: Set[int]) -> int:
             continue
         txn = db.begin(username="ledger_truncation")
         hooks = db.hooks
-        for rid in targets:
-            from repro.engine.record import decode_record
-
-            row = decode_record(table.schema, table.heap.read(rid))
-            fresh = list(row)
+        for rid, row in targets:
             # Run the ledger insert hook to stamp + hash the new version,
             # then overwrite the stored record without creating history.
-            stamped, _ = hooks.before_insert(txn, table, fresh)
+            stamped, _ = hooks.before_insert(txn, table, list(row))
             with hooks.system_operation():
-                table.update_row(txn, rid, list(stamped))
+                table.update_row(txn, rid, row, list(stamped))
             reanchored += 1
         db.commit(txn)
     return reanchored

@@ -120,9 +120,22 @@ class HeapFile:
         self._page(rid.page_id).delete(rid.slot)
         self._make_room(rid.page_id)
 
-    def overwrite(self, rid: RowId, record: bytes) -> None:
-        """Replace the record at ``rid`` in place (RowId preserved)."""
-        self._page(rid.page_id).overwrite(rid.slot, record)
+    def overwrite(self, rid: RowId, record: bytes) -> bool:
+        """Replace the record at ``rid``, keeping its RowId, if its page can
+        hold the new one; returns False, changing nothing, if it cannot.
+
+        A record that shrinks or keeps its size is written where the old
+        one lies; one that grows goes to the page's free area, and the page
+        is compacted only if that area is too small.
+        """
+        page = self._page(rid.page_id)
+        if not page.can_replace(rid.slot, len(record)):
+            return False
+        before = page.free_space_after_compaction()
+        page.overwrite(rid.slot, record)
+        if page.free_space_after_compaction() > before:
+            self._make_room(rid.page_id)
+        return True
 
     # -- recovery (idempotent) ---------------------------------------------------
 

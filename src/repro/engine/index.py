@@ -138,7 +138,7 @@ class DerivedKeyIndex:
     """Non-unique, in-memory map from key-column values to RowIds.
 
     Built by one key-only pass over the table it indexes and kept current
-    by the table's own inserts and deletes; any other physical change
+    by the table's own inserts, updates and deletes; any other physical change
     (undo, redo, a schema change) and a truncation purge drop it, and the
     next lookup rebuilds it.  It owns no storage: nothing is persisted,
     logged or hashed, so — like the clustered tree — it is outside what

@@ -545,12 +545,13 @@ def update_rows(
         access_path(table, condition, include_hidden=True)
     )
     for rid, named in targets:
-        new_row = list(table.read_row(rid))
+        old_row = table.read_row(rid)
+        new_row = list(old_row)
         for ordinal, value in bound:
             if isinstance(value, Expression):
                 value = value.evaluate(named)
             new_row[ordinal] = value
-        table.update_row(txn, rid, new_row)
+        table.update_row(txn, rid, old_row, new_row)
     return len(targets)
 
 

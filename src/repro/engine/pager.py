@@ -120,6 +120,12 @@ class Page:
             return True
         return record_len + slot_cost <= self.free_space_after_compaction()
 
+    def can_replace(self, slot: int, record_len: int) -> bool:
+        """Could :meth:`overwrite` put a record of this length in ``slot``?"""
+        return record_len <= (
+            self._read_slot(slot)[1] + self.free_space_after_compaction()
+        )
+
     # -- record operations -------------------------------------------------------
 
     def insert(self, record: bytes) -> int:

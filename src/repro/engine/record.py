@@ -46,7 +46,7 @@ from typing import (
 
 from repro.crypto.serialization import column_prefix, payload_header
 from repro.engine.schema import Column, TableSchema
-from repro.engine.types import _IntegerType, _StringType
+from repro.engine.types import _IntegerType, _StringType, _not_unicode
 from repro.errors import StorageError, TypeSystemError
 
 _COUNT = struct.Struct(">H")
@@ -245,6 +245,7 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
     namespace: Dict[str, Any] = {
         "TypeSystemError": TypeSystemError,
         "StorageError": StorageError,
+        "not_unicode": _not_unicode,
         "pack_len": _VALUE_LEN.pack,
         "join": b"".join,
         "from_int": int.to_bytes,
@@ -306,7 +307,15 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
             out.append(f"{indent}c{i} = pack{i}({sql_type.width}, {value})")
             continue
         if live[i] and isinstance(sql_type, _StringType):
-            out.append(f"{indent}e = {value}.encode('utf-8')")
+            # ``validate`` rejects what does not encode; this inline path
+            # skips it, so it catches the same (free unless raised).
+            namespace[f"col{i}"] = f"column {column.name!r}: "
+            out += [
+                f"{indent}try:",
+                f"{indent}    e = {value}.encode('utf-8')",
+                f"{indent}except UnicodeEncodeError as exc:",
+                f"{indent}    raise TypeSystemError(col{i} + not_unicode(exc)) from None",
+            ]
         else:
             namespace[f"enc{i}"] = sql_type.encode
             out.append(f"{indent}e = enc{i}({value})")

@@ -34,12 +34,16 @@ class Column:
     ordinal: int = -1
 
     def validate(self, value: Any) -> Any:
-        """Coerce ``value`` for this column, honouring nullability."""
+        """Coerce ``value`` for this column, honouring nullability; what the
+        type rejects raises a :class:`TypeSystemError` naming the column."""
         if value is None:
             if not self.nullable:
                 raise TypeSystemError(f"column {self.name!r} is NOT NULL")
             return None
-        return self.sql_type.validate(value)
+        try:
+            return self.sql_type.validate(value)
+        except TypeSystemError as exc:
+            raise TypeSystemError(f"column {self.name!r}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {

@@ -9,9 +9,10 @@ bytes that will be stored.  History-table maintenance is performed by the
 ledger layer through :meth:`system_insert`, which bypasses the hooks (history
 rows are hashed as part of the originating operation, not as fresh inserts).
 
-Updates are physically delete+insert: the row gets a new RowId, and the WAL
-carries a DELETE record (with the before-image) followed by an INSERT record.
-Redo replays both idempotently; undo reverts them in reverse order.
+An update rewrites its row where it lies whenever the page can hold the new
+version, and moves it (delete + insert, a new RowId) only when it cannot.
+Either way the WAL carries a DELETE record (with the before-image) followed
+by an INSERT record; redo replays both idempotently, undo reverts them.
 """
 
 from __future__ import annotations
@@ -139,20 +140,58 @@ class Table:
         return old_row
 
     def update_row(
-        self, txn: Transaction, rid: RowId, new_row: List[Any]
+        self,
+        txn: Transaction,
+        rid: RowId,
+        old_row: Tuple[Any, ...],
+        new_row: List[Any],
     ) -> RowId:
-        """Replace the row at ``rid`` with ``new_row``; returns the new RowId."""
+        """Replace the row at ``rid`` — ``old_row``, as the caller decoded
+        it — with ``new_row``; returns the row's RowId, new only if it moved.
+
+        The new version is written at ``rid`` whenever its page can hold it,
+        and the clustered entry changes only when the key does; each
+        nonclustered index replaces its copy.  Only when the page cannot
+        hold the new version does the row move (remove, then place).  Both
+        paths log ``DELETE`` (old record) then ``INSERT`` (new record).
+        """
         txn.require_active()
         self._acquire_write_lock(txn)
         old_record = self.heap.read(rid)
-        old_row = decode_record(self.schema, old_record)
         validated, new_record = self._hooks_ref().before_update(
             txn, self, old_row, new_row
         )
         # Pre-check constraints so the physical mutation cannot half-apply.
         self._check_unique(validated, ignore_rid=rid, old_row=old_row)
-        self._remove_row(txn, rid, old_row, old_record)
-        return self._place_row(txn, validated, new_record)
+        if not self.heap.overwrite(rid, new_record):
+            self._remove_row(txn, rid, old_row, old_record)
+            return self._place_row(txn, validated, new_record)
+        self._rewrite_access_paths(rid, old_row, validated, new_record)
+        for key_index in self._key_indexes.values():
+            key_index.discard(old_row, rid)
+            key_index.add(validated, rid)
+        self._wal.append(
+            DmlRecord(DELETE, txn.tid, self.table_id, ((rid, old_record),))
+        )
+        self._wal.append(
+            DmlRecord(INSERT, txn.tid, self.table_id, ((rid, new_record),))
+        )
+
+        def undo_update() -> None:
+            # The same CLRs as undoing a remove + place at one RowId.
+            self.drop_key_indexes()
+            if not self.heap.overwrite(rid, old_record):
+                raise StorageError(f"cannot restore {rid} in {self.name!r}")
+            self._rewrite_access_paths(rid, validated, old_row, old_record)
+            self._wal.append(DmlRecord(
+                DELETE, txn.tid, self.table_id, ((rid, new_record),), clr=True
+            ))
+            self._wal.append(DmlRecord(
+                INSERT, txn.tid, self.table_id, ((rid, old_record),), clr=True
+            ))
+
+        txn.record_undo(f"update {self.name} {rid}", undo_update)
+        return rid
 
     # ------------------------------------------------------------------
     # Reads
@@ -444,6 +483,24 @@ class Table:
         for key_index in self._key_indexes.values():
             key_index.discard(row, rid)
 
+    def _rewrite_access_paths(
+        self,
+        rid: RowId,
+        old_row: Tuple[Any, ...],
+        row: Tuple[Any, ...],
+        record: bytes,
+    ) -> None:
+        """Point the trees at ``row``, rewritten at ``rid`` over ``old_row``:
+        the clustered entry is re-keyed only if the primary key changed, and
+        each nonclustered index replaces its copy (delete, then insert)."""
+        clustered = self.clustered
+        if clustered is not None and clustered.key_of(row) != clustered.key_of(old_row):
+            clustered.delete(old_row)
+            clustered.insert(row, rid)
+        for index in self.nonclustered.values():
+            index.delete(old_row, rid)
+            index.insert(row, record, rid)
+
     def _physical_restore(
         self, rid: RowId, row: Tuple[Any, ...], record: bytes
     ) -> None:
@@ -460,9 +517,16 @@ class Table:
         ignore_rid: Optional[RowId] = None,
         old_row: Optional[Tuple[Any, ...]] = None,
     ) -> None:
-        """Pre-validate uniqueness so storage mutations cannot half-apply."""
-        if self.clustered is not None:
-            existing = self.clustered.seek(
+        """Pre-validate uniqueness so storage mutations cannot half-apply.
+
+        With ``old_row`` (an UPDATE), a key equal to the old row's is not
+        sought: the only entry it could find is the row's own.
+        """
+        clustered = self.clustered
+        if clustered is not None and (
+            old_row is None or clustered.key_of(row) != clustered.key_of(old_row)
+        ):
+            existing = clustered.seek(
                 [row[o] for o in self.schema.primary_key_ordinals()]
             )
             if existing is not None and existing != ignore_rid:

@@ -184,7 +184,12 @@ class FloatType(SqlType):
         if isinstance(value, bool):
             raise TypeSystemError("FLOAT does not accept booleans")
         if isinstance(value, (int, float)):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise TypeSystemError(
+                    f"a {value.bit_length()}-bit integer is out of FLOAT's range"
+                ) from None
         raise TypeSystemError(f"FLOAT expects a number, got {type(value).__name__}")
 
     def encode(self, value: float) -> bytes:
@@ -264,6 +269,14 @@ class DecimalType(SqlType):
         return f"DECIMAL({self.precision},{self.scale})"
 
 
+def _not_unicode(exc: UnicodeEncodeError) -> str:
+    """Why a string (one holding a lone surrogate) cannot be stored."""
+    return (
+        f"string holds {exc.object[exc.start:exc.end]!r} at position "
+        f"{exc.start}, which is not valid Unicode text"
+    )
+
+
 class _StringType(SqlType):
     """Common behaviour for CHAR / VARCHAR."""
 
@@ -283,10 +296,15 @@ class _StringType(SqlType):
             raise TypeSystemError(
                 f"string of length {len(value)} exceeds {self.render()}"
             )
+        if not value.isascii():
+            self.encode(value)
         return value
 
     def encode(self, value: str) -> bytes:
-        return value.encode("utf-8")
+        try:
+            return value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TypeSystemError(_not_unicode(exc)) from None
 
     def decode(self, data: bytes) -> str:
         try:

@@ -52,7 +52,16 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.core.receipts import generate_receipt
-from repro.errors import InjectedFaultError, LedgerError
+from repro.errors import (
+    CatalogError,
+    ConstraintError,
+    InjectedFaultError,
+    LedgerError,
+    LockError,
+    SqlError,
+    TransactionError,
+    TypeSystemError,
+)
 from repro.faults import FAULTS
 from repro.obs import OBS
 from repro.server import protocol
@@ -94,6 +103,23 @@ _TXN_KEYWORDS = frozenset({"BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT"})
 
 #: Default per-request deadline when the client does not send one.
 DEFAULT_DEADLINE_SECONDS = 30.0
+
+#: Errors that are the request's fault (malformed input, SQL, type,
+#: constraint, unknown object, transaction state, ledger): BAD_REQUEST.
+#: Any other library error — storage, recovery, crypto, blob store, an
+#: injected fault — is the server's: INTERNAL.
+_REQUEST_FAULTS = (
+    SqlError,
+    TypeSystemError,
+    ConstraintError,
+    CatalogError,
+    TransactionError,
+    LockError,
+    LedgerError,
+    ValueError,
+    KeyError,
+    TypeError,
+)
 
 
 def _server_metrics(reg):
@@ -559,7 +585,7 @@ class LedgerServer:
                     self._shed(exc.code.lower())
                 self._respond_error(session, seq, exc, op=op)
                 return
-            except (LedgerError, ValueError, KeyError, TypeError) as exc:
+            except _REQUEST_FAULTS as exc:
                 self._respond_error(
                     session, seq,
                     RequestError(BAD_REQUEST, f"{type(exc).__name__}: {exc}"),

@@ -32,8 +32,11 @@ same ``txn_uuid``!) can succeed:
   against a replacement server.
 * ``TAMPER_DETECTED``  — the continuous verifier found mismatching hashes;
   the server refuses data operations outright.  NOT retryable.
-* ``BAD_REQUEST`` / ``INTERNAL`` — malformed input / unexpected server
-  error.  Not retryable.
+* ``BAD_REQUEST``      — malformed input, or a request the library
+  rejects (SQL, type, constraint, unknown object, transaction state,
+  ledger).  Not retryable.
+* ``INTERNAL``         — a server-side failure (storage, recovery, crypto,
+  blob store), an injected fault or an unexpected error.  Not retryable.
 """
 
 from __future__ import annotations

@@ -774,11 +774,12 @@ class _Str(str):
 
 _UTC = dt.timezone.utc
 #: Values of every kind, for any column: wrong types, bools, subclasses,
-#: out-of-range and over-long values, NaN, strings that parse (or not).
+#: out-of-range and over-long values, NaN, strings that parse (or not),
+#: strings that do not encode (lone surrogates), an int no float holds.
 _ANY_VALUE = st.sampled_from([
     None, True, False, 0, 1, -1, 2**7, 2**15, 2**31, 2**63, -(2**63) - 1,
-    2**70, _Int(5), _Int(2**40), 1.5, -0.0, float("nan"), float("inf"),
-    "", "abc", _Str("hi"), "x" * 300, "12.5", "NaN", "1e400", "2021-06-20",
+    2**70, 10**400, _Int(5), _Int(2**40), 1.5, -0.0, float("nan"), float("inf"),
+    "", "abc", _Str("hi"), "x" * 300, "\ud800", "a\udfff", _Str("\ud800"), "12.5", "NaN", "1e400", "2021-06-20",
     "2021-06-20T12:30:15", "2021-06-20T12:30:15+00:00", "2021-06-20T12:30:15Z",
     b"", b"\x00\xff", bytearray(b"ab"), b"y" * 40, Decimal("12.345"),
     Decimal("NaN"), Decimal("-Infinity"), Decimal("1E+30"),

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.record import RecordKernel
+from repro.engine.schema import Column, TableSchema
 from repro.engine.types import (
     BIGINT,
     BIT,
@@ -155,6 +157,19 @@ class TestStrings:
         with pytest.raises(TypeSystemError):
             VARCHAR(10).validate(42)
 
+    @pytest.mark.parametrize("sql_type", [VARCHAR(10), CHAR(10)], ids=["VARCHAR", "CHAR"])
+    @pytest.mark.parametrize("text", ["\ud800", "ok\udfff", "\udc80é"])
+    def test_lone_surrogate_is_a_type_error(self, sql_type, text):
+        """A JSON request can carry one; it is no Unicode text to store."""
+        with pytest.raises(TypeSystemError, match="not valid Unicode"):
+            sql_type.validate(text)
+        with pytest.raises(TypeSystemError, match="not valid Unicode"):
+            sql_type.encode(text)
+
+    def test_paired_surrogates_encode(self):
+        text = "\U0001f600 ✓"
+        assert VARCHAR(4).decode(VARCHAR(4).encode(VARCHAR(4).validate(text))) == text
+
 
 class TestBinary:
     def test_round_trip(self):
@@ -223,6 +238,41 @@ class TestFloat:
 
     def test_accepts_int(self):
         assert FLOAT.validate(3) == 3.0
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), 10**5000], ids=["big", "negative", "huge"]
+    )
+    def test_int_beyond_float_range_is_a_type_error(self, value):
+        with pytest.raises(TypeSystemError, match="out of FLOAT's range"):
+            FLOAT.validate(value)
+
+    def test_largest_int_a_float_holds(self):
+        assert FLOAT.validate(2**1023) == float(2**1023)
+
+
+class TestColumnNamedInErrors:
+    """What a column's type rejects names the column — through
+    ``Column.validate`` and through the generated writer's inline paths."""
+
+    @pytest.fixture
+    def schema(self):
+        return TableSchema("t", [
+            Column("id", INT, nullable=False),
+            Column("label", VARCHAR(8)),
+            Column("ratio", FLOAT),
+        ])
+
+    @pytest.mark.parametrize("row, column, text", [
+        ((1, "\ud800", None), "label", "not valid Unicode"),
+        ((1, "ab\udfff", 1.0), "label", "not valid Unicode"),
+        ((1, None, 10**400), "ratio", "out of FLOAT's range"),
+        ((1, "x" * 9, None), "label", "exceeds VARCHAR"),
+    ])
+    def test_writer_names_the_column(self, schema, row, column, text):
+        with pytest.raises(TypeSystemError, match=f"^column '{column}': .*{text}"):
+            schema.derived(RecordKernel).write(row)
+        with pytest.raises(TypeSystemError, match=f"^column '{column}': .*{text}"):
+            schema.column(column).validate(row[schema.column(column).ordinal])
 
 
 class TestTypeIdentity:

@@ -17,6 +17,12 @@ from repro.attacks import rewrite_chain
 from repro.client import LedgerClient
 from repro.client.ledger_client import _Connection
 from repro.digests.digest_manager import RetryPolicy
+from repro.errors import (
+    MerkleError,
+    RecoveryError,
+    StorageError,
+    TransientStorageError,
+)
 from repro.faults import FAULTS
 from repro.obs import OBS
 from repro.server import protocol
@@ -25,11 +31,13 @@ from repro.server.protocol import (
     BAD_REQUEST,
     DEADLINE_EXCEEDED,
     DEGRADED,
+    INTERNAL,
     SERVER_BUSY,
     SHUTTING_DOWN,
     TAMPER_DETECTED,
     RequestError,
 )
+from repro.sql.session import SqlSession
 
 
 def _raw_request(port, payload, timeout=10.0):
@@ -83,6 +91,57 @@ class TestRequestFlow:
         assert stats["queue_capacity"] == 16
         assert "group_commit" in stats
         assert stats["tier"] == "ok"
+
+
+class TestClientMistakes:
+    """A statement the library rejects is the client's mistake: it answers
+    BAD_REQUEST naming the error, never INTERNAL, and the server serves on."""
+
+    @pytest.mark.parametrize("setup, sql, error", [
+        ([], "INSERT INTO items VALUES ('%s', 1)" % ("x" * 33), "TypeSystemError"),
+        ([], "INSERT INTO items VALUES ('x', 'one')", "TypeSystemError"),
+        ([], "INSERT INTO items VALUES ('\ud800', 1)", "TypeSystemError"),
+        ([], "SELEC 1", "SqlSyntaxError"),
+        ([], "INSERT INTO no_such_table VALUES (1)", "TableNotFoundError"),
+        ([], "SELECT * FROM no_such_table", "SqlBindError"),
+        (["INSERT INTO items VALUES ('a', 1)"],
+         "INSERT INTO items VALUES ('a', 2)", "ConstraintError"),
+        (["INSERT INTO items VALUES ('a', 1)", "INSERT INTO items VALUES ('b', 2)"],
+         "UPDATE items SET tag = 'a' WHERE tag = 'b'", "ConstraintError"),
+    ], ids=["too_long", "wrong_type", "lone_surrogate", "syntax",
+            "unknown_table", "unknown_view", "duplicate_insert", "duplicate_update"])
+    def test_library_error_is_bad_request(self, client, setup, sql, error):
+        for statement in setup:
+            client.execute(statement)
+        with pytest.raises(RequestError) as excinfo:
+            client.execute(sql)
+        assert excinfo.value.code == BAD_REQUEST
+        assert excinfo.value.message.startswith(f"{error}: ")
+        assert client.ping()
+
+    def test_injected_fault_stays_internal(self, client):
+        FAULTS.arm("wal.append", action="fail", times=1)
+        with pytest.raises(RequestError) as excinfo:
+            client.execute("INSERT INTO items VALUES ('f', 1)")
+        assert excinfo.value.code == INTERNAL
+        assert client.ping()
+
+    @pytest.mark.parametrize("error", [
+        StorageError("page 3 is corrupt"),
+        RecoveryError("log is damaged"),
+        MerkleError("empty tree"),
+        TransientStorageError("blob store unavailable"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_server_side_error_stays_internal(self, client, monkeypatch, error):
+        def fail(self, sql):
+            raise error
+
+        monkeypatch.setattr(SqlSession, "execute", fail)
+        with pytest.raises(RequestError) as excinfo:
+            client.execute("SELECT * FROM items")
+        assert excinfo.value.code == INTERNAL
+        assert excinfo.value.message.startswith(f"{type(error).__name__}: ")
+        assert client.ping()
 
 
 class TestResultEncoding:

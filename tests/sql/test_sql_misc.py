@@ -141,3 +141,36 @@ class TestValuesThatDoNotEncode:
         assert db.sql("SELECT * FROM typed") == []
         assert db.sql("SELECT * FROM typed_ledger") == []
         assert db.verify([db.generate_digest()]).ok
+
+    @pytest.fixture
+    def texts(self, db):
+        db.sql(
+            "CREATE TABLE texts (id INT PRIMARY KEY, label VARCHAR(8), "
+            "ratio FLOAT) WITH (LEDGER = ON)"
+        )
+        db.sql("INSERT INTO texts VALUES (1, 'one', 1)")
+        return db.sql("SELECT * FROM texts_ledger")
+
+    # A lone surrogate (a JSON request can carry one) and an integer no
+    # float holds: each a TypeSystemError naming its column, never a raw
+    # UnicodeEncodeError / OverflowError, and nothing is written.
+    _UNSTORABLE = [
+        ("label", "'\ud800'", "not valid Unicode"),
+        ("label", "'ok\udfff'", "not valid Unicode"),
+        ("ratio", "9" * 401, "out of FLOAT's range"),
+    ]
+    _IDS = ["lone_high_surrogate", "trailing_low_surrogate", "float_overflow"]
+
+    @pytest.mark.parametrize("column, literal, text", _UNSTORABLE, ids=_IDS)
+    def test_unstorable_insert(self, db, texts, column, literal, text):
+        with pytest.raises(TypeSystemError, match=f"column '{column}': .*{text}"):
+            db.sql(f"INSERT INTO texts (id, {column}) VALUES (2, {literal})")
+        assert db.sql("SELECT * FROM texts_ledger") == texts
+        assert db.verify([db.generate_digest()]).ok
+
+    @pytest.mark.parametrize("column, literal, text", _UNSTORABLE, ids=_IDS)
+    def test_unstorable_update(self, db, texts, column, literal, text):
+        with pytest.raises(TypeSystemError, match=f"column '{column}': .*{text}"):
+            db.sql(f"UPDATE texts SET {column} = {literal} WHERE id = 1")
+        assert db.sql("SELECT * FROM texts_ledger") == texts
+        assert db.verify([db.generate_digest()]).ok
