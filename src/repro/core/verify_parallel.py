@@ -54,7 +54,6 @@ from repro.core.verify_snapshot import (
 )
 from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
-from repro.engine.heap import RowId
 from repro.errors import StorageError
 from repro.obs import OBS
 
@@ -242,7 +241,7 @@ def events_task(
             findings.append(
                 Finding(
                     "table_root", SEVERITY_ERROR,
-                    f"row {RowId(page_id, slot)} in {kind} "
+                    f"row RowId({page_id}:{slot}) in {kind} "
                     f"{relation.name!r} failed to decode: {exc}",
                     {"table": relation.name},
                 )

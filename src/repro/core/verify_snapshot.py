@@ -194,7 +194,7 @@ def _full_relation(
 ) -> RelationSnapshot:
     """Every record of the relation, in heap order (and of its indexes)."""
     records = [
-        (rid.page_id, rid.slot, record) for rid, record in table.heap.scan()
+        (page_id, slot, record) for (page_id, slot), record in table.heap.scan()
     ]
     relation = _relation(table, is_history, records, len(records))
     if with_indexes:
@@ -232,7 +232,8 @@ def _delta_relation(
             except StorageError:
                 continue
             found[rid] = record
-    records = [(rid.page_id, rid.slot, found[rid]) for rid in sorted(found)]
+    records = [(page_id, slot, found[page_id, slot])
+               for page_id, slot in sorted(found)]
     return _relation(table, is_history, records, heap.record_count())
 
 

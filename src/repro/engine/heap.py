@@ -18,7 +18,6 @@ import heapq
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.engine.pager import HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, Page
@@ -61,15 +60,13 @@ FAULTS.register(
 )
 
 
-@dataclass(frozen=True, order=True)
-class RowId:
-    """Physical address of a record: page number and slot within the page."""
-
-    page_id: int
-    slot: int
-
-    def __repr__(self) -> str:
-        return f"RowId({self.page_id}:{self.slot})"
+#: Physical address of a record: ``(page_id, slot)``, an exact tuple of two
+#: ints, built with a literal and read by unpacking.  It orders, compares and
+#: hashes as the pair in C, and the cyclic garbage collector untracks such a
+#: tuple at the first collection it survives — so the addresses the index
+#: trees hold, one or two per row, cost a full collection nothing.  An
+#: instance of a subclass (a dataclass, a NamedTuple) stays tracked for life.
+RowId = Tuple[int, int]
 
 
 class HeapFile:
@@ -104,21 +101,24 @@ class HeapFile:
         slot = page.insert(record)
         if not page.can_fit(size):  # full for records of this size
             self._in_room.discard(heapq.heappop(room))
-        return RowId(page_id, slot)
+        return page_id, slot
 
     def read(self, rid: RowId) -> bytes:
         """Read the record at ``rid``; raises when absent."""
-        return self._page(rid.page_id).read(rid.slot)
+        page_id, slot = rid
+        return self._page(page_id).read(slot)
 
     def exists(self, rid: RowId) -> bool:
-        if not 0 <= rid.page_id < len(self._pages):
+        page_id, slot = rid
+        if not 0 <= page_id < len(self._pages):
             return False
-        return self._pages[rid.page_id].is_live(rid.slot)
+        return self._pages[page_id].is_live(slot)
 
     def delete(self, rid: RowId) -> None:
         """Remove the record at ``rid``."""
-        self._page(rid.page_id).delete(rid.slot)
-        self._make_room(rid.page_id)
+        page_id, slot = rid
+        self._page(page_id).delete(slot)
+        self._make_room(page_id)
 
     def overwrite(self, rid: RowId, record: bytes) -> bool:
         """Replace the record at ``rid``, keeping its RowId, if its page can
@@ -128,22 +128,24 @@ class HeapFile:
         one lies; one that grows goes to the page's free area, and the page
         is compacted only if that area is too small.
         """
-        page = self._page(rid.page_id)
-        if not page.can_replace(rid.slot, len(record)):
+        page_id, slot = rid
+        page = self._page(page_id)
+        if not page.can_replace(slot, len(record)):
             return False
         before = page.free_space_after_compaction()
-        page.overwrite(rid.slot, record)
+        page.overwrite(slot, record)
         if page.free_space_after_compaction() > before:
-            self._make_room(rid.page_id)
+            self._make_room(page_id)
         return True
 
     # -- recovery (idempotent) ---------------------------------------------------
 
     def restore(self, rid: RowId, record: bytes) -> None:
         """Force ``rid`` to contain ``record`` (undo); creates pages/slots."""
-        while len(self._pages) <= rid.page_id:
+        page_id, slot = rid
+        while len(self._pages) <= page_id:
             self._append_page()
-        self._pages[rid.page_id].restore(rid.slot, record)
+        self._pages[page_id].restore(slot, record)
 
     def redo(
         self, pages: Mapping[int, Tuple[int, Mapping[int, Optional[bytes]]]]
@@ -179,7 +181,7 @@ class HeapFile:
             if lowest == len(pages):
                 pages.append([])
                 free.append(PAGE_SIZE - HEADER_SIZE)
-            rids.append(RowId(lowest, len(pages[lowest])))
+            rids.append((lowest, len(pages[lowest])))
             pages[lowest].append(record)
             free[lowest] -= need
             if free[lowest] < need:
@@ -195,8 +197,9 @@ class HeapFile:
     def scan(self) -> Iterator[Tuple[RowId, bytes]]:
         """Yield every live record in physical (page, slot) order."""
         for page in self._pages:
+            page_id = page.page_id
             for slot, record in page.records():
-                yield RowId(page.page_id, slot), record
+                yield (page_id, slot), record
 
     def record_count(self) -> int:
         """Live records, from each page's slot accounting: O(pages)."""
@@ -215,11 +218,13 @@ class HeapFile:
         models an adversary editing the database files.  Nothing above the
         storage layer observes the change until verification.
         """
-        self._page(rid.page_id).overwrite(rid.slot, record)
+        page_id, slot = rid
+        self._page(page_id).overwrite(slot, record)
 
     def tamper_delete(self, rid: RowId) -> None:
         """Drop a record directly from the page image (history erasure)."""
-        self._page(rid.page_id).delete(rid.slot)
+        page_id, slot = rid
+        self._page(page_id).delete(slot)
 
     # -- persistence -------------------------------------------------------------
 

@@ -198,10 +198,7 @@ class NonclusteredIndex:
         self._tree = BPlusTree()
 
     def _tree_key(self, row: Sequence[Any], base_rid: RowId) -> Tuple:
-        return key_tuple([row[o] for o in self.key_ordinals]) + (
-            base_rid.page_id,
-            base_rid.slot,
-        )
+        return key_tuple([row[o] for o in self.key_ordinals]) + base_rid
 
     def insert(self, row: Sequence[Any], record: bytes, base_rid: RowId) -> None:
         """Add the record copy for a newly stored base row."""
@@ -246,8 +243,10 @@ class NonclusteredIndex:
         tree_key = self._tree_key(row, base_rid)
         entry = self._tree.get(tree_key)
         if entry is None:
+            page_id, slot = base_rid
             raise StorageError(
-                f"nonclustered index {self.name!r} entry missing for {base_rid}"
+                f"nonclustered index {self.name!r} entry missing for "
+                f"RowId({page_id}:{slot})"
             )
         index_rid, _ = entry
         self._tree.delete(tree_key)
@@ -321,7 +320,7 @@ class NonclusteredIndex:
                 claimed[record] = taken + 1
                 base_rid = rids[taken] if taken < len(rids) else None
             if base_rid is None:
-                base_rid = RowId(-1, -1)
+                base_rid = (-1, -1)
             entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
         self._tree = BPlusTree.bulk(entries)
 

@@ -30,7 +30,7 @@ namespace; the source itself holds nothing but integers and fixed text.
 
 Writing is generated the same way (:func:`_compile_write`): one function per
 schema object turns a physical row into its validated values and record
-bytes, validating every column before encoding any.
+bytes, validating every column, in order, before encoding any but strings.
 """
 
 from __future__ import annotations
@@ -230,11 +230,13 @@ def _reader(kernel: "RecordKernel", want: _Walk) -> Reader:
 def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
     """Generate the schema's writer: physical row -> ``(values, record)``.
 
-    The writer checks the row's width, then validates every column — a NULL
-    in a nullable column, an exact ``int`` in range or an exact ``str``
-    within its length inline, anything else through
+    The writer checks the row's width, then validates every column in
+    order — a NULL in a nullable column, an exact ``int`` in range or an
+    exact ``str`` within its length inline, anything else through
     :meth:`Column.validate`, so every error text stays with the types;
-    dropped columns pass verbatim — and only then encodes.  Without
+    dropped columns pass verbatim — and only then encodes.  A string is
+    encoded where it is validated: encoding is what rejects a lone
+    surrogate, so the first column in error is the one named.  Without
     ``validate`` it is the bare encoder: physical row -> record, each
     non-NULL value through its type's ``encode``.
     """
@@ -274,8 +276,26 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
             out.append(f"    if {null_ok}(type(v{i}) is not int or not "
                        f"{-bound} <= v{i} <= {bound - 1}):")
         elif isinstance(sql_type, _StringType):
-            out.append(f"    if {null_ok}(type(v{i}) is not str or "
-                       f"len(v{i}) > {sql_type.length}):")
+            out += [f"    if {null_ok}(type(v{i}) is not str or "
+                    f"len(v{i}) > {sql_type.length}):",
+                    f"        v{i} = val{i}(v{i})"]
+            # ``validate`` rejects what does not encode; the inline path
+            # skips it, so encoding — here, in column order, free unless
+            # it raises — is what catches the same.
+            namespace[f"col{i}"] = f"column {column.name!r}: "
+            indent = "    "
+            if column.nullable:
+                out += [f"    if v{i} is None:", f"        c{i} = b''",
+                        "    else:"]
+                indent = "        "
+            out += [
+                f"{indent}try:",
+                f"{indent}    e = v{i}.encode('utf-8')",
+                f"{indent}except UnicodeEncodeError as exc:",
+                f"{indent}    raise TypeSystemError(col{i} + not_unicode(exc)) from None",
+                f"{indent}c{i} = pack_len(len(e)) + e",
+            ]
+            continue
         elif column.nullable:
             out.append(f"    if v{i} is not None:")
         else:
@@ -294,6 +314,12 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
         sql_type = column.sql_type
         value = f"v{ordinal}"
         indent = "    "
+        if live[i] and isinstance(sql_type, _StringType):
+            # Its chunk was made where it was validated.
+            if not (always >> ordinal & 1):
+                out += [f"    if {value} is not None:",
+                        f"        present |= {1 << ordinal}"]
+            continue
         if not (always >> ordinal & 1):
             out += [
                 f"    if {value} is None:",
@@ -306,20 +332,9 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
             namespace[f"pack{i}"] = struct.Struct(_INT_CHUNK[sql_type.width]).pack
             out.append(f"{indent}c{i} = pack{i}({sql_type.width}, {value})")
             continue
-        if live[i] and isinstance(sql_type, _StringType):
-            # ``validate`` rejects what does not encode; this inline path
-            # skips it, so it catches the same (free unless raised).
-            namespace[f"col{i}"] = f"column {column.name!r}: "
-            out += [
-                f"{indent}try:",
-                f"{indent}    e = {value}.encode('utf-8')",
-                f"{indent}except UnicodeEncodeError as exc:",
-                f"{indent}    raise TypeSystemError(col{i} + not_unicode(exc)) from None",
-            ]
-        else:
-            namespace[f"enc{i}"] = sql_type.encode
-            out.append(f"{indent}e = enc{i}({value})")
-        out.append(f"{indent}c{i} = pack_len(len(e)) + e")
+        namespace[f"enc{i}"] = sql_type.encode
+        out += [f"{indent}e = enc{i}({value})",
+                f"{indent}c{i} = pack_len(len(e)) + e"]
     if bitmap == 0:
         head = "declared"
     elif bitmap == 1:

@@ -181,7 +181,10 @@ class Table:
             # The same CLRs as undoing a remove + place at one RowId.
             self.drop_key_indexes()
             if not self.heap.overwrite(rid, old_record):
-                raise StorageError(f"cannot restore {rid} in {self.name!r}")
+                page_id, slot = rid
+                raise StorageError(
+                    f"cannot restore RowId({page_id}:{slot}) in {self.name!r}"
+                )
             self._rewrite_access_paths(rid, validated, old_row, old_record)
             self._wal.append(DmlRecord(
                 DELETE, txn.tid, self.table_id, ((rid, new_record),), clr=True
@@ -190,7 +193,7 @@ class Table:
                 INSERT, txn.tid, self.table_id, ((rid, old_record),), clr=True
             ))
 
-        txn.record_undo(f"update {self.name} {rid}", undo_update)
+        txn.record_undo(undo_update)
         return rid
 
     # ------------------------------------------------------------------
@@ -419,9 +422,7 @@ class Table:
                 DmlRecord(DELETE_MANY, txn.tid, self.table_id, logged, clr=True)
             )
 
-        txn.record_undo(
-            f"insert_many {self.name} x{len(prepared)}", undo_insert_many
-        )
+        txn.record_undo(undo_insert_many)
         return rids
 
     def _place_row(
@@ -448,7 +449,7 @@ class Table:
                 DELETE, txn.tid, self.table_id, ((rid, record),), clr=True
             ))
 
-        txn.record_undo(f"insert {self.name} {rid}", undo_insert)
+        txn.record_undo(undo_insert)
         return rid
 
     def _remove_row(
@@ -469,7 +470,7 @@ class Table:
                 INSERT, txn.tid, self.table_id, ((rid, old_record),), clr=True
             ))
 
-        txn.record_undo(f"delete {self.name} {rid}", undo_delete)
+        txn.record_undo(undo_delete)
 
     def _physical_remove(self, rid: RowId, row: Tuple[Any, ...]) -> None:
         # Every UPDATE and DELETE removes a row, so removal patches the

@@ -49,14 +49,6 @@ class TxnState(Enum):
 
 
 @dataclass
-class UndoAction:
-    """A single revertible storage action, applied in reverse order."""
-
-    description: str
-    revert: Callable[[], None]
-
-
-@dataclass
 class _Savepoint:
     name: Optional[str]  # None: a statement mark, never in txn.savepoints
     undo_position: int
@@ -77,7 +69,8 @@ class Transaction:
         self.begin_time = begin_time
         self.commit_time: Optional[dt.datetime] = None
         self.state = TxnState.ACTIVE
-        self.undo_log: List[UndoAction] = []
+        #: Each storage mutation's inverse, applied in reverse order.
+        self.undo_log: List[Callable[[], None]] = []
         self.savepoints: List[_Savepoint] = []
         self.context: Dict[str, Any] = {}
 
@@ -87,9 +80,9 @@ class Transaction:
                 f"transaction {self.tid} is {self.state.value}, not active"
             )
 
-    def record_undo(self, description: str, revert: Callable[[], None]) -> None:
+    def record_undo(self, revert: Callable[[], None]) -> None:
         """Register the inverse of a storage mutation just performed."""
-        self.undo_log.append(UndoAction(description, revert))
+        self.undo_log.append(revert)
 
     def __repr__(self) -> str:
         return f"<Transaction tid={self.tid} state={self.state.value}>"
@@ -182,8 +175,8 @@ class TransactionManager:
     def rollback(self, txn: Transaction) -> None:
         """Abort: apply all undo actions in reverse, log ABORT."""
         txn.require_active()
-        for action in reversed(txn.undo_log):
-            action.revert()
+        for revert in reversed(txn.undo_log):
+            revert()
         txn.undo_log.clear()
         self._wal.append(WalRecord(ABORT, {"tid": txn.tid}))
         self._m.rollbacks.inc()
@@ -240,7 +233,7 @@ class TransactionManager:
 
     def _unwind(self, txn: Transaction, target: _Savepoint) -> None:
         while len(txn.undo_log) > target.undo_position:
-            txn.undo_log.pop().revert()
+            txn.undo_log.pop()()
         self._hooks.on_rollback_to_savepoint(
             txn, target.name, target.ledger_snapshot
         )

@@ -118,8 +118,8 @@ class DmlRecord(NamedTuple):
     """An INSERT, INSERT_MANY, DELETE or DELETE_MANY record, kept as its
     ints and record bytes and formatted when appended.
 
-    ``rows`` holds ``(rid, record)`` pairs, ``rid`` having ``page_id`` and
-    ``slot``; INSERT and DELETE carry exactly one.  The bytes are those of
+    ``rows`` holds ``(rid, record)`` pairs, ``rid`` a ``(page_id, slot)``
+    pair; INSERT and DELETE carry exactly one.  The bytes are those of
     the :class:`WalRecord` recovery reads back — sorted-key JSON with the
     record hex-encoded — written without a JSON encoder: ints and hex need
     no escaping, so no string is scanned for it.
@@ -141,27 +141,27 @@ _CLR = ("", '"clr":true,')
 
 
 def _format_insert(r: DmlRecord) -> bytes:
-    (rid, record), = r.rows
+    ((page_id, slot), record), = r.rows
     return (
-        f'{{{_CLR[r.clr]}"kind":"INSERT","page":{rid.page_id},'
-        f'"rec":"{record.hex()}","slot":{rid.slot},'
+        f'{{{_CLR[r.clr]}"kind":"INSERT","page":{page_id},'
+        f'"rec":"{record.hex()}","slot":{slot},'
         f'"table_id":{r.table_id},"tid":{r.tid}}}'
     ).encode()
 
 
 def _format_delete(r: DmlRecord) -> bytes:
-    (rid, record), = r.rows
+    ((page_id, slot), record), = r.rows
     return (
         f'{{{_CLR[r.clr]}"kind":"DELETE","old":"{record.hex()}",'
-        f'"page":{rid.page_id},"slot":{rid.slot},'
+        f'"page":{page_id},"slot":{slot},'
         f'"table_id":{r.table_id},"tid":{r.tid}}}'
     ).encode()
 
 
 def _format_insert_many(r: DmlRecord) -> bytes:
     rows = ",".join([
-        f'{{"page":{rid.page_id},"rec":"{record.hex()}","slot":{rid.slot}}}'
-        for rid, record in r.rows
+        f'{{"page":{page_id},"rec":"{record.hex()}","slot":{slot}}}'
+        for (page_id, slot), record in r.rows
     ])
     return (
         f'{{{_CLR[r.clr]}"kind":"INSERT_MANY","rows":[{rows}],'
@@ -171,8 +171,8 @@ def _format_insert_many(r: DmlRecord) -> bytes:
 
 def _format_delete_many(r: DmlRecord) -> bytes:
     rows = ",".join([
-        f'{{"old":"{record.hex()}","page":{rid.page_id},"slot":{rid.slot}}}'
-        for rid, record in r.rows
+        f'{{"old":"{record.hex()}","page":{page_id},"slot":{slot}}}'
+        for (page_id, slot), record in r.rows
     ])
     return (
         f'{{{_CLR[r.clr]}"kind":"DELETE_MANY","rows":[{rows}],'

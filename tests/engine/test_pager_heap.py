@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.heap import HeapFile, RowId
+from repro.engine.heap import HeapFile
 from repro.engine.pager import HEADER_SIZE, MAX_RECORD_SIZE, PAGE_SIZE, SLOT_SIZE, Page
 from repro.errors import StorageError
 
@@ -152,7 +152,7 @@ class TestHeapFile:
         heap = HeapFile("t")
         rids = [heap.insert(b"x" * 4000) for _ in range(10)]
         assert heap.page_count >= 5
-        assert len({r.page_id for r in rids}) >= 5
+        assert len({page_id for page_id, _ in rids}) >= 5
 
     def test_delete(self):
         heap = HeapFile("t")
@@ -212,7 +212,7 @@ class TestHeapFile:
 
     def test_restore_clear_idempotent(self):
         heap = HeapFile("t")
-        rid = RowId(2, 3)
+        rid = (2, 3)
         heap.restore(rid, b"redo")
         heap.restore(rid, b"redo")
         assert heap.read(rid) == b"redo"
@@ -339,7 +339,7 @@ def image_and_log(draw):
 def _sequential(heap, log):
     """The reference: replay one write at a time (restore, or delete if live)."""
     for restore, page_id, slot, record in log:
-        rid = RowId(page_id, slot)
+        rid = (page_id, slot)
         if restore:
             heap.restore(rid, record)
         elif heap.exists(rid):

@@ -348,8 +348,7 @@ def per_row_trees(table):
             row = decode_record(table.schema, record)
             base = clustered.get(key_tuple([row[o] for o in pk]))
             tree.insert(
-                key_tuple([row[o] for o in index.key_ordinals])
-                + (base.page_id, base.slot),
+                key_tuple([row[o] for o in index.key_ordinals]) + base,
                 (index_rid, base),
             )
     return clustered, indexes
@@ -757,7 +756,7 @@ class TestKeylessIndexAfterReopen:
             assert {f.invariant for f in report.errors} == {"index"}
             index = db.ledger_table("t").nonclustered["ix_b"]
             assert sorted(
-                (base.page_id, base.slot) for _, (_, base) in index._tree.items()
+                base for _, (_, base) in index._tree.items()
             )[0] == (-1, -1)
         finally:
             db.close()

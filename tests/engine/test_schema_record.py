@@ -5,7 +5,7 @@ import struct
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import system_columns as sc
@@ -853,6 +853,12 @@ class TestGeneratedWriters:
 
     @given(writer_cases())
     @settings(max_examples=400, deadline=None)
+    # A lone surrogate before a bad value: the string column is named.
+    @example((
+        TableSchema("t", [Column("c0", VARCHAR(10)), Column("c1", INT),
+                          Column("c2", TINYINT)]),
+        ["\ud800", 0, True],
+    ))
     def test_writer_equals_the_reference(self, case):
         schema, row = case
         kernel = schema.derived(RecordKernel)

@@ -267,6 +267,9 @@ class TestColumnNamedInErrors:
         ((1, "ab\udfff", 1.0), "label", "not valid Unicode"),
         ((1, None, 10**400), "ratio", "out of FLOAT's range"),
         ((1, "x" * 9, None), "label", "exceeds VARCHAR"),
+        # The first column in error is named, a later bad value or not.
+        ((1, "\ud800", 10**400), "label", "not valid Unicode"),
+        ((1, "x" * 9, 10**400), "label", "exceeds VARCHAR"),
     ])
     def test_writer_names_the_column(self, schema, row, column, text):
         with pytest.raises(TypeSystemError, match=f"^column '{column}': .*{text}"):

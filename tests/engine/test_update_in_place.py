@@ -111,7 +111,7 @@ class TestInPlace:
         acc = db.engine.table("acc")
         rid = acc.clustered.seek([5])
         old = acc.heap.read(rid)
-        assert rid.page_id == 0
+        assert rid[0] == 0
         assert not acc.heap._pages[0].can_fit(len(old))  # the page is full
         spy = spy_on(monkeypatch, acc)
         db.sql("UPDATE acc SET balance = -5 WHERE id = 5")
@@ -147,7 +147,7 @@ class TestInPlace:
         spy = spy_on(monkeypatch, acc)
         db.sql(f"UPDATE acc SET note = '{'g' * 1500}' WHERE id = 5")
         moved = acc.clustered.seek([5])
-        assert moved != rid and moved.page_id != 0
+        assert moved != rid and moved[0] != 0
         assert not acc.heap.exists(rid)
         assert spy.calls["heap.insert"] == spy.calls["heap.delete"] == 1
         assert spy.frames == [

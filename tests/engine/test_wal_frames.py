@@ -6,7 +6,6 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.heap import RowId
 from repro.engine.wal import (
     DELETE,
     DELETE_MANY,
@@ -35,8 +34,8 @@ def payload_of(record):
     """The JSON payload recovery reads back for a :class:`DmlRecord`."""
     key = "rec" if record.kind in (INSERT, INSERT_MANY) else "old"
     rows = [
-        {"page": rid.page_id, "slot": rid.slot, key: data.hex()}
-        for rid, data in record.rows
+        {"page": page_id, "slot": slot, key: data.hex()}
+        for (page_id, slot), data in record.rows
     ]
     payload = {"tid": record.tid, "table_id": record.table_id}
     if record.kind in _SINGLE:
@@ -58,7 +57,7 @@ def dml_records(draw):
     ))
     return DmlRecord(
         kind, draw(_IDS), draw(_IDS),
-        [(RowId(page, slot), data) for page, slot, data in rows],
+        [((page, slot), data) for page, slot, data in rows],
         clr=draw(st.booleans()),
     )
 
@@ -80,11 +79,11 @@ class TestDmlFrameFormatting:
             payload = frame.payload
             if frame.kind in _SINGLE:
                 key = "rec" if frame.kind == INSERT else "old"
-                rows = [(RowId(payload["page"], payload["slot"]),
+                rows = [((payload["page"], payload["slot"]),
                          bytes.fromhex(payload[key]))]
             elif frame.kind in (INSERT_MANY, DELETE_MANY):
                 key = "rec" if frame.kind == INSERT_MANY else "old"
-                rows = [(RowId(row["page"], row["slot"]), bytes.fromhex(row[key]))
+                rows = [((row["page"], row["slot"]), bytes.fromhex(row[key]))
                         for row in payload["rows"]]
             else:
                 frames.append(frame)

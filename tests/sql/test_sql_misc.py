@@ -6,6 +6,7 @@ from repro.core.ledger_database import LedgerDatabase
 from repro.core.verification import SEVERITY_ERROR, Finding
 from repro.engine.clock import LogicalClock
 from repro.errors import SqlBindError, TypeSystemError, VerificationFailedError
+from repro.sql.session import SqlSession
 
 
 @pytest.fixture
@@ -173,4 +174,23 @@ class TestValuesThatDoNotEncode:
         with pytest.raises(TypeSystemError, match=f"column '{column}': .*{text}"):
             db.sql(f"UPDATE texts SET {column} = {literal} WHERE id = 1")
         assert db.sql("SELECT * FROM texts_ledger") == texts
+        assert db.verify([db.generate_digest()]).ok
+
+    def test_first_bad_column_is_named_before_a_later_one(self, db):
+        """A lone surrogate in an earlier column and a bool in a later
+        TINYINT: the error names the earlier column, as validating the
+        columns in order does."""
+        db.sql(
+            "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(10), "
+            "flag TINYINT) WITH (LEDGER = ON)"
+        )
+        with pytest.raises(
+            TypeSystemError, match="^column 'name': .*not valid Unicode"
+        ):
+            SqlSession(db).executemany(
+                "INSERT INTO t (id, name, flag) VALUES (?, ?, ?)",
+                [(1, "\ud800", True)],
+            )
+        assert db.sql("SELECT * FROM t") == []
+        assert db.sql("SELECT * FROM t_ledger") == []
         assert db.verify([db.generate_digest()]).ok
