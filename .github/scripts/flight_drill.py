@@ -12,9 +12,9 @@ post-mortem behind:
 * the bundle contains the crashed commit's *partial lineage*: finished
   ``txn.commit`` and ``queue.wait`` spans plus the ``block.append`` span
   still in flight when ``os._exit`` hit;
-* the lineage reassembles from the bundle alone — ``build_lineage_tree``
-  over the deserialized spans stitches the commit to the block build that
-  was killed under it.
+* the lineage reassembles from the bundle alone — ``build_commit_lineage``
+  over the deserialized spans, keyed by the ``queue.wait`` span's ``tid``,
+  stitches the commit to the block build that was killed under it.
 
 Usage::
 
@@ -26,7 +26,7 @@ import tempfile
 
 from repro.faults.torture import CrashPoint, run_kill_point
 from repro.obs.flight import read_bundle
-from repro.obs.tracing import Span, build_lineage_tree
+from repro.obs.tracing import Span, build_commit_lineage
 
 
 def check(condition, label):
@@ -51,7 +51,7 @@ def main():
     check(len(bundles) >= 1, f"crash left a flight bundle ({bundles})")
 
     bundle = read_bundle(bundles[0])
-    check(bundle["schema"] == 2, "bundle carries schema version 2")
+    check(bundle["schema"] == 3, "bundle carries schema version 3")
     check(
         bundle.get("reason") == "fault.injected",
         f"bundle reason is the trigger event ({bundle.get('reason')})",
@@ -84,11 +84,12 @@ def main():
     )
 
     # Reassemble the partial lineage from the bundle alone: pick a commit
-    # whose queue.wait made it into the ring and walk its trace.
+    # whose queue.wait made it into the ring and walk its tid.
     all_spans = finished + [Span.from_dict(d) for d in active]
-    waits = [s for s in all_spans if s.name == "queue.wait" and s.trace_id]
-    check(bool(waits), "a queue.wait span carries a trace id")
-    lineage = build_lineage_tree(all_spans, waits[-1].trace_id)
+    waits = [s for s in all_spans if s.name == "queue.wait"]
+    tid = waits[-1].attributes.get("tid") if waits else None
+    check(tid is not None, "a queue.wait span names its transaction")
+    lineage = build_commit_lineage(all_spans, tid)
     names = set()
 
     def walk(node):
@@ -99,8 +100,9 @@ def main():
     for root in lineage:
         walk(root)
     check(
-        {"txn.commit", "queue.wait"} <= names,
-        f"lineage reassembles from the bundle ({sorted(names)})",
+        {"txn.commit", "queue.wait", "block.append"} <= names,
+        f"lineage of tid {tid} reassembles from the bundle "
+        f"({sorted(names)})",
     )
 
     check(bundle.get("events"), "bundle carries the event tail")

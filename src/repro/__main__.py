@@ -157,8 +157,9 @@ class Shell:
             else:
                 print(OBS.metrics.exposition(), end="")
         elif command == "trace":
-            if len(parts) > 2 and parts[1] == "--txn":
-                self._print_lineage(int(parts[2]))
+            tid = _int_option(parts[1:], "--txn", "\\trace --txn <txid>")
+            if tid is not None:
+                self._print_lineage(tid)
             else:
                 self._print_traces(int(parts[1]) if len(parts) > 1 else 1)
         elif command == "blackbox":
@@ -245,29 +246,19 @@ class Shell:
             raise ValueError(f"unknown blackbox action {action!r}")
 
     def _print_lineage(self, tid: int) -> None:
-        from repro.obs.tracing import build_lineage_tree, render_span_tree
+        from repro.obs.tracing import build_commit_lineage, render_span_tree
 
         if not OBS.tracer.enabled:
             print("tracing is disabled (run without --no-telemetry)")
             return
-        spans = OBS.tracer.recorder.spans()
-        commit = next(
-            (
-                span
-                for span in reversed(spans)
-                if span.name == "txn.commit"
-                and span.attributes.get("tid") == tid
-            ),
-            None,
-        )
-        if commit is None or commit.trace_id is None:
+        roots = build_commit_lineage(OBS.tracer.recorder.spans(), tid)
+        if not roots:
             print(
                 f"(no trace recorded for transaction {tid}: tracing was "
                 "off at commit time, or the spans were evicted)"
             )
             return
-        roots = build_lineage_tree(spans, commit.trace_id)
-        print(f"transaction {tid}, trace {commit.trace_id}:")
+        print(f"transaction {tid}:")
         print(render_span_tree(roots))
 
     def _print_traces(self, count: int) -> None:

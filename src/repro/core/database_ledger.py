@@ -79,8 +79,6 @@ from repro.engine.types import BIGINT, DATETIME, VARBINARY, VARCHAR
 from repro.errors import DigestError, LedgerError
 from repro.faults import FAULTS
 from repro.obs import OBS
-from repro.obs.context import TraceContext
-from repro.obs.tracing import build_lineage_tree, render_span_tree
 
 FAULTS.register(
     "ledger.flush_queue",
@@ -100,17 +98,6 @@ BLOCKS_TABLE = "database_ledger_blocks"
 
 #: The paper uses 100K transactions per block; tests and examples shrink it.
 DEFAULT_BLOCK_SIZE = 100_000
-
-#: Queue wait (seconds) beyond which a commit is reported as slow.
-DEFAULT_SLOW_TXN_THRESHOLD = 1.0
-
-#: Cap on per-block ``block.append`` → commit links and on retained
-#: block-trace contexts: enough to stitch lineage without unbounded growth.
-_MAX_BLOCK_LINKS = 16
-_MAX_BLOCK_TRACES = 64
-
-#: Cap on rendered lineage lines embedded in a ``txn.slow`` event.
-_MAX_SLOW_LINEAGE_LINES = 80
 
 def _ledger_metrics(reg):
     class _Families:
@@ -237,18 +224,9 @@ class DatabaseLedger:
         # Set after truncation: (last truncated block id, its hash).
         self._anchor: Optional[Tuple[int, bytes]] = None
         #: Telemetry side-channel (guarded by ``queue_lock``): per queued
-        #: entry, (enqueue monotonic_ns, trace-context payload or None).
-        #: Consumed by block closure to compute queue wait and to stitch the
-        #: builder's spans into the originating commit's trace.  Never part
-        #: of hashed state.
-        self._entry_meta: Dict[int, Tuple[int, Optional[Dict[str, Any]]]] = {}
-        #: Trace context of the ``block.append`` span per recently closed
-        #: block (guarded by ``queue_lock``), so digest generation/upload
-        #: can link back to the block that covers them.
-        self._block_traces: Dict[int, Dict[str, Any]] = {}
-        #: Queue waits beyond this many seconds emit a ``txn.slow`` event
-        #: carrying the offending commit's lineage tree.
-        self.slow_txn_threshold = DEFAULT_SLOW_TXN_THRESHOLD
+        #: entry, its enqueue ``monotonic_ns``.  Consumed by block closure
+        #: to compute queue wait.  Never part of hashed state.
+        self._entry_meta: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Bootstrap / configuration
@@ -368,18 +346,12 @@ class DatabaseLedger:
         )
         return sealed_id
 
-    def enqueue(
-        self,
-        entry: TransactionEntry,
-        trace: Optional[Dict[str, Any]] = None,
-    ) -> None:
+    def enqueue(self, entry: TransactionEntry) -> None:
         """Queue a durably committed entry (stage 2 → stage 3 handoff).
 
         Never closes blocks inline: when the entry completes a sealed block
         the registered pipeline callback is invoked so the block builder
-        picks it up asynchronously.  ``trace`` is the commit's trace-context
-        payload (if tracing is on); it crosses the thread boundary with the
-        entry so the builder can attach its spans to the commit's trace.
+        picks it up asynchronously.
         """
         ready = False
         with self.queue_lock:
@@ -389,10 +361,7 @@ class DatabaseLedger:
                 head_id, head_count = self._sealed[0]
                 ready = len(self._pending.get(head_id, ())) >= head_count
             if OBS.metrics.enabled or OBS.tracer.enabled:
-                self._entry_meta[entry.transaction_id] = (
-                    time.monotonic_ns(),
-                    trace,
-                )
+                self._entry_meta[entry.transaction_id] = time.monotonic_ns()
             if OBS.metrics.enabled:
                 self._m.entries_enqueued.inc()
                 self._m.queue_depth.set(len(self._queue))
@@ -405,10 +374,10 @@ class DatabaseLedger:
         """Age (s) of the head queue entry; requires ``queue_lock``."""
         if not self._queue:
             return 0.0
-        meta = self._entry_meta.get(self._queue[0].transaction_id)
-        if meta is None:
+        enqueue_ns = self._entry_meta.get(self._queue[0].transaction_id)
+        if enqueue_ns is None:
             return 0.0
-        return max(0.0, (time.monotonic_ns() - meta[0]) / 1e9)
+        return max(0.0, (time.monotonic_ns() - enqueue_ns) / 1e9)
 
     def oldest_queue_entry_age(self) -> float:
         """Seconds the oldest still-queued entry has been waiting."""
@@ -549,10 +518,10 @@ class DatabaseLedger:
                     f"block {block_id} should hold {expected_count} "
                     f"entries but {len(entries)} were found"
                 )
-            # Close the queue-wait interval for every covered commit (and
-            # link the block span to their traces) before the fault point:
-            # a kill-mode crash here must leave the waits in the black box.
-            self._absorb_entry_meta(span, block_id, entries, build_start_ns)
+            # Close the queue-wait interval for every covered commit before
+            # the fault point: a kill-mode crash here must leave the waits
+            # in the black box.
+            self._absorb_entry_meta(block_id, entries, build_start_ns)
             FAULTS.fire("ledger.block_persist", block_id=block_id)
             merkle_started = time.perf_counter()
             with tracer.span("merkle.root", block_id=block_id):
@@ -585,12 +554,6 @@ class DatabaseLedger:
                     time.perf_counter() - persist_started
                 )
             span.set_attribute("transactions", block.transaction_count)
-            block_trace = span.context()
-            if block_trace is not None:
-                with self.queue_lock:
-                    self._block_traces[block_id] = block_trace.to_payload()
-                    while len(self._block_traces) > _MAX_BLOCK_TRACES:
-                        self._block_traces.pop(next(iter(self._block_traces)))
         if OBS.metrics.enabled:
             self._m.blocks_closed.inc()
             self._m.block_transactions.observe(block.transaction_count)
@@ -605,24 +568,21 @@ class DatabaseLedger:
 
     def _absorb_entry_meta(
         self,
-        block_span,
         block_id: int,
         entries: Sequence[TransactionEntry],
         build_start_ns: int,
     ) -> None:
         """Consume queue metadata for a block's entries at closure start.
 
-        For each covered commit this observes ``pipeline_queue_wait_seconds``,
-        retroactively records a ``queue.wait`` span *inside the commit's own
-        trace* (its parent is the commit-side span the context points at),
-        links the ``block.append`` span to the first ``_MAX_BLOCK_LINKS``
-        commit traces, and — when a wait crossed ``slow_txn_threshold`` —
-        emits a ``txn.slow`` event carrying the worst commit's lineage tree.
+        For each covered commit this observes ``pipeline_queue_wait_seconds``
+        and retroactively records a ``queue.wait`` span naming the commit's
+        ``tid`` and the ``block_id`` that covers it — the link from a
+        commit's lineage to its block.
         """
         tracer = OBS.tracer
         metrics_on = OBS.metrics.enabled
         with self.queue_lock:
-            metas = {
+            enqueued = {
                 entry.transaction_id: self._entry_meta.pop(
                     entry.transaction_id, None
                 )
@@ -630,59 +590,21 @@ class DatabaseLedger:
             }
         if not (metrics_on or tracer.enabled):
             return
-        slowest: Optional[Tuple[float, int, Optional[TraceContext]]] = None
-        slow_count = 0
-        links_added = 0
         for entry in entries:
-            meta = metas.get(entry.transaction_id)
-            if meta is None:
+            enqueue_ns = enqueued.get(entry.transaction_id)
+            if enqueue_ns is None:
                 continue
-            enqueue_ns, trace_payload = meta
-            wait_seconds = max(0.0, (build_start_ns - enqueue_ns) / 1e9)
             if metrics_on:
-                self._m.queue_wait_seconds.observe(wait_seconds)
-            context = TraceContext.from_payload(trace_payload)
-            if tracer.enabled and context is not None:
-                tracer.record_span(
-                    "queue.wait",
-                    start_ns=enqueue_ns,
-                    duration_ns=build_start_ns - enqueue_ns,
-                    context=context,
-                    tid=entry.transaction_id,
-                    block_id=block_id,
+                self._m.queue_wait_seconds.observe(
+                    max(0.0, (build_start_ns - enqueue_ns) / 1e9)
                 )
-                if links_added < _MAX_BLOCK_LINKS:
-                    block_span.add_link(context.trace_id, context.span_id)
-                    links_added += 1
-            if wait_seconds > self.slow_txn_threshold:
-                slow_count += 1
-                if slowest is None or wait_seconds > slowest[0]:
-                    slowest = (wait_seconds, entry.transaction_id, context)
-        if slowest is not None and OBS.events.enabled:
-            wait_seconds, tid, context = slowest
-            lineage = ""
-            if tracer.enabled and context is not None:
-                roots = build_lineage_tree(
-                    tracer.recorder.spans(), context.trace_id
-                )
-                lines = render_span_tree(roots).splitlines()
-                lineage = "\n".join(lines[:_MAX_SLOW_LINEAGE_LINES])
-            OBS.events.emit(
-                "ledger", "txn.slow",
-                tid=tid, block_id=block_id,
-                queue_wait_seconds=round(wait_seconds, 6),
-                threshold_seconds=self.slow_txn_threshold,
-                slow_entries=slow_count,
-                lineage=lineage,
+            tracer.record_span(
+                "queue.wait",
+                start_ns=enqueue_ns,
+                duration_ns=build_start_ns - enqueue_ns,
+                tid=entry.transaction_id,
+                block_id=block_id,
             )
-
-    def trace_context_for_block(
-        self, block_id: int
-    ) -> Optional[TraceContext]:
-        """The ``block.append`` trace context for a recently closed block."""
-        with self.queue_lock:
-            payload = self._block_traces.get(block_id)
-        return TraceContext.from_payload(payload)
 
     def _previous_hash_for(self, block_id: int) -> Optional[bytes]:
         if self._anchor and block_id == self._anchor[0] + 1:
@@ -719,12 +641,9 @@ class DatabaseLedger:
                     "the ledger is empty: no transactions have modified "
                     "ledger tables"
                 )
-            # Link into the covering block's trace so a commit's lineage
-            # extends through to the digest that publishes it.
-            block_trace = self.trace_context_for_block(latest.block_id)
-            if block_trace is not None:
-                span.add_link(block_trace.trace_id, block_trace.span_id)
-                span.set_attribute("block_id", latest.block_id)
+            # The covering block: a commit's lineage extends through to
+            # the digest that publishes it.
+            span.set_attribute("block_id", latest.block_id)
             last_commit = self._last_commit_time_in_block(latest.block_id)
             digest = DatabaseDigest(
                 database_guid=database_guid,
@@ -984,7 +903,6 @@ class DatabaseLedger:
         # Pre-crash telemetry metadata is meaningless in the new process
         # (monotonic clock restarted, span ids reset) — drop it.
         self._entry_meta = {}
-        self._block_traces = {}
         first_block = self.first_block_id()
         recovered = [
             entry

@@ -255,12 +255,11 @@ class LedgerHooks(EngineHooks):
     ) -> None:
         tracer = OBS.tracer
         if tracer.enabled:
-            # Join the transaction's trace so hash spans land in the commit
-            # lineage even when the statement runs inside an explicit
-            # BEGIN...COMMIT (where each statement roots its own tree).
-            trace = txn.context.get("trace")
+            # The tid puts the statement in the commit's lineage even inside
+            # an explicit BEGIN...COMMIT, where each statement roots its own
+            # tree.
             with tracer.span(
-                "ledger.hash", context=trace, table=table.name, op=op
+                "ledger.hash", tid=txn.tid, table=table.name, op=op
             ):
                 payload, _, _ = hashable_payload(table.schema, record)
                 context.hasher_for(table.table_id).append(hash_leaf(payload))
@@ -279,9 +278,8 @@ class LedgerHooks(EngineHooks):
             return
         tracer = OBS.tracer
         if tracer.enabled:
-            trace = txn.context.get("trace")
             with tracer.span(
-                "ledger.hash", context=trace, table=table.name, op=op,
+                "ledger.hash", tid=txn.tid, table=table.name, op=op,
                 rows=len(records),
             ):
                 payloads = hashable_payloads(table.schema, records)
@@ -333,24 +331,13 @@ class LedgerHooks(EngineHooks):
             entry = self._ledger.assign(txn, table_roots)
         self._m.transactions.inc()
         self._m.tables_per_txn.observe(len(table_roots))
-        payload = entry.to_payload()
-        # Ride the trace context on the COMMIT payload so post_commit (and
-        # through it the block builder) can attach to the commit's trace.
-        # The entry's canonical bytes were hashed from the entry itself, and
-        # from_payload ignores unknown keys, so this never affects digests.
-        trace = OBS.tracer.capture_context()
-        if trace is not None:
-            payload["trace"] = trace.to_payload()
-        return payload
+        return entry.to_payload()
 
     def post_commit(self, txn: Transaction, payload: Optional[Dict[str, Any]]) -> None:
         if payload is None:
             return
         assert self._ledger is not None
-        self._ledger.enqueue(
-            TransactionEntry.from_payload(payload),
-            trace=payload.get("trace"),
-        )
+        self._ledger.enqueue(TransactionEntry.from_payload(payload))
 
     # ------------------------------------------------------------------
     # Savepoints (§3.2.1)

@@ -177,14 +177,9 @@ class DigestManager:
         """
         with OBS.tracer.span("digest.upload") as span:
             digest = self._db.generate_digest()
-            # Link to the covered block's trace: the lineage of every commit
-            # in that block now extends through to publication.
-            ledger = getattr(self._db, "ledger", None)
-            if ledger is not None:
-                block_trace = ledger.trace_context_for_block(digest.block_id)
-                if block_trace is not None:
-                    span.add_link(block_trace.trace_id, block_trace.span_id)
-                    span.set_attribute("block_id", digest.block_id)
+            # The covered block: the lineage of every commit in it extends
+            # through to publication.
+            span.set_attribute("block_id", digest.block_id)
             if self._geo is not None:
                 try:
                     issuable = self._geo.check_issuable(
@@ -205,6 +200,7 @@ class DigestManager:
                     )
                     return None
             previous = self.latest_digest()
+            ledger = getattr(self._db, "ledger", None)
             anchor = getattr(ledger, "anchor", None)
             if previous is not None and anchor and previous.block_id < anchor[0]:
                 # Truncation removed the blocks that linked the previous

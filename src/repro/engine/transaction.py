@@ -137,12 +137,6 @@ class TransactionManager:
             self._next_tid += 1
             txn = Transaction(tid, username, self._clock())
             self._active[tid] = txn
-        # Mint the transaction's trace identity at begin: every span the
-        # commit path (and later the block builder) emits for this txn joins
-        # this trace, no matter which thread emits it.
-        trace = OBS.tracer.capture_context()
-        if trace is not None:
-            txn.context["trace"] = trace
         self._wal.append(WalRecord(BEGIN, {"tid": tid, "username": username}))
         return txn
 
@@ -154,8 +148,7 @@ class TransactionManager:
         """
         txn.require_active()
         started = time.perf_counter()
-        trace = txn.context.get("trace")
-        with OBS.tracer.span("txn.commit", context=trace, tid=txn.tid):
+        with OBS.tracer.span("txn.commit", tid=txn.tid):
             txn.commit_time = self._clock()
             payload = self._hooks.pre_commit(txn)
             with OBS.tracer.span("wal.commit", tid=txn.tid):

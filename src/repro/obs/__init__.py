@@ -7,8 +7,9 @@ instrumentation to measure that decomposition directly:
 
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges and fixed-bucket
   histograms with Prometheus text exposition and JSON snapshot/delta export;
-* :mod:`repro.obs.tracing` — nested spans with a ring-buffer recorder and an
-  optional JSONL exporter;
+* :mod:`repro.obs.tracing` — nested spans with a ring-buffer recorder, and
+  the commit lineage reassembled from the ``tid`` / ``block_id`` the spans
+  carry;
 * :mod:`repro.obs.events` — structured, append-only event log covering the
   ledger lifecycle (blocks, digests, verification, tampering), feeding the
   watchtower monitor (:mod:`repro.obs.monitor`) and the HTTP endpoint
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import os as _os
 
-from repro.obs.context import TraceContext, mint_trace_id
 from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventLog
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
@@ -47,12 +47,11 @@ from repro.obs.metrics import (
     Timer,
 )
 from repro.obs.tracing import (
-    JsonlExporter,
     RingBufferRecorder,
     Span,
     SpanNode,
     Tracer,
-    build_lineage_tree,
+    build_commit_lineage,
     build_span_trees,
     render_span_tree,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "EVENT_SCHEMA_VERSION",
     "Event",
     "EventLog",
-    "JsonlExporter",
     "MetricFamily",
     "MetricsRegistry",
     "OBS",
@@ -72,13 +70,11 @@ __all__ = [
     "SpanNode",
     "Telemetry",
     "Timer",
-    "TraceContext",
     "Tracer",
-    "build_lineage_tree",
+    "build_commit_lineage",
     "build_span_trees",
     "disable_telemetry",
     "enable_telemetry",
-    "mint_trace_id",
     "render_span_tree",
     "telemetry",
 ]

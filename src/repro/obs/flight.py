@@ -46,8 +46,9 @@ TRIGGER_EVENTS = frozenset(
 #: How many recent events a bundle captures.
 EVENT_TAIL = 512
 
-#: Bundle schema version (2: no ``locks`` / ``profile`` fields).
-BUNDLE_SCHEMA_VERSION = 2
+#: Bundle schema version (2: no ``locks`` / ``profile`` fields; 3: spans
+#: carry no trace ids or links — the lineage is keyed by ``tid``).
+BUNDLE_SCHEMA_VERSION = 3
 
 
 class FlightRecorder:
@@ -83,11 +84,6 @@ class FlightRecorder:
         """
         os.makedirs(self.directory, exist_ok=True)
         if not self._installed:
-            # Bundles carry a metrics snapshot; make sure it includes the
-            # process vitals (RSS, fds, threads, GC) a post-mortem needs.
-            from repro.obs.process import install_process_metrics
-
-            install_process_metrics(self._obs.metrics)
             self._obs.events.enable()
             self._obs.events.add_listener(self._on_event)
             self._installed = True

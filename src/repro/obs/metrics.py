@@ -327,7 +327,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._families: Dict[str, MetricFamily] = {}
         self._lock = threading.Lock()
-        self._collectors: List[Callable[[], None]] = []
         self._handles: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
@@ -424,42 +423,11 @@ class MetricsRegistry:
             return list(self._families.values())
 
     # ------------------------------------------------------------------
-    # Scrape-time collectors
-    # ------------------------------------------------------------------
-
-    def add_collector(self, collector: Callable[[], None]) -> None:
-        """Run ``collector()`` before every exposition/snapshot.
-
-        Collectors refresh pull-style gauges (process RSS, open FDs, thread
-        count) that would be stale or wasteful to update on every mutation.
-        Exceptions are swallowed: a broken probe must not take down the
-        scrape endpoint.
-        """
-        with self._lock:
-            if collector not in self._collectors:
-                self._collectors.append(collector)
-
-    def remove_collector(self, collector: Callable[[], None]) -> None:
-        with self._lock:
-            if collector in self._collectors:
-                self._collectors.remove(collector)
-
-    def _run_collectors(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for collector in collectors:
-            try:
-                collector()
-            except Exception:
-                pass
-
-    # ------------------------------------------------------------------
     # Prometheus text exposition
     # ------------------------------------------------------------------
 
     def exposition(self) -> str:
         """Render every family in the Prometheus text format (v0.0.4)."""
-        self._run_collectors()
         lines: List[str] = []
         for family in self.families():
             if family.help:
@@ -494,7 +462,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of every metric's current values."""
-        self._run_collectors()
         result: Dict[str, Any] = {}
         for family in self.families():
             samples = []

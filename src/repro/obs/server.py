@@ -16,7 +16,7 @@ scrapers and dashboards:
   transaction ids that still have a commit span in the ring.
 
 A query value that does not parse (``since``, ``limit``, ``txn`` must be
-integers) answers **400**.
+integers, ``limit`` not negative) answers **400**.
 
 The server binds 127.0.0.1 by default and serves from a daemon thread;
 ``port=0`` picks an ephemeral port (read back via :attr:`port`), which is
@@ -87,11 +87,6 @@ class ObservabilityServer:
     def start(self) -> "ObservabilityServer":
         if self.running:
             return self
-        # Anything scraping /metrics also wants the scraped process's own
-        # vitals (RSS, fds, threads, GC) next to the ledger counters.
-        from repro.obs.process import install_process_metrics
-
-        install_process_metrics(self._metrics)
         handler = self._make_handler()
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self._httpd.daemon_threads = True
@@ -251,11 +246,14 @@ class ObservabilityServer:
 
     def _render_events(self, query) -> Dict[str, Any]:
         since = _query_int(query, "since", -1)
+        limit = _query_int(query, "limit", 256)
+        if limit < 0:
+            raise _BadRequest(f"invalid limit {limit}: must not be negative")
         events = self._event_log.read(
             since=since,
             category=_query_value(query, "category"),
             name=_query_value(query, "name"),
-            limit=_query_int(query, "limit", 256),
+            limit=limit,
         )
         return {
             "events": [event.to_dict() for event in events],
@@ -264,7 +262,7 @@ class ObservabilityServer:
 
     def _render_traces(self, query) -> Dict[str, Any]:
         """Cross-thread commit lineage for ``?txn=N`` (or list known tids)."""
-        from repro.obs.tracing import build_lineage_tree, render_span_tree
+        from repro.obs.tracing import build_commit_lineage, render_span_tree
 
         tid = _query_int(query, "txn", None)
         spans = OBS.tracer.recorder.spans()
@@ -276,22 +274,13 @@ class ObservabilityServer:
                 and span.attributes.get("tid") is not None
             ]
             return {"transactions": tids[-100:]}
-        commit = next(
-            (
-                span
-                for span in reversed(spans)
-                if span.name == "txn.commit"
-                and span.attributes.get("tid") == tid
-            ),
-            None,
-        )
-        if commit is None or commit.trace_id is None:
+        roots = build_commit_lineage(spans, tid)
+        if not roots:
             return {
                 "txn": tid,
                 "error": "no trace recorded for this transaction "
                 "(tracing disabled, or the spans were evicted)",
             }
-        roots = build_lineage_tree(spans, commit.trace_id)
         lineage: list = []
 
         def _collect(node) -> None:
@@ -303,7 +292,6 @@ class ObservabilityServer:
             _collect(root)
         return {
             "txn": tid,
-            "trace_id": commit.trace_id,
             "spans": lineage,
             "tree": render_span_tree(roots),
         }

@@ -6,25 +6,15 @@ tracer.span("name"):`` context manager.  Nesting is tracked per thread, so a
 span opened inside another span's ``with`` block automatically becomes its
 child; the resulting trees reproduce the paper's pipeline decomposition
 (parse → execute → hash → wal.commit → block.append) for any statement.
-
 Finished spans go to a bounded :class:`RingBufferRecorder` (newest spans
-win) and optionally to a :class:`JsonlExporter` that appends one JSON object
-per span to a file for offline analysis.
+win).
 
-Since the commit pipeline was staged across threads, per-thread nesting
-alone cannot describe a commit's full lifecycle.  Two additions stitch the
-fragments together (see :mod:`repro.obs.context`):
-
-* every span carries a ``trace_id`` — inherited from its thread-local
-  parent, adopted from an explicit :class:`TraceContext`, or freshly minted
-  for roots — so spans from different threads can claim membership in the
-  same logical trace;
-* a span may carry ``links``: weak references to spans in *other* traces
-  (e.g. ``block.append`` links to every commit it covers).
-
-:func:`build_lineage_tree` reassembles one commit's cross-thread lineage
-from those two signals; :func:`build_span_trees` still reconstructs the
-strictly thread-nested forests and is unaffected by links.
+A commit's work is spread over three threads (the session, the block
+builder, the digest path), so no one thread's tree holds all of it.  The
+ledger already names every commit by its transaction id and its block, and
+the spans carry both as ``tid`` / ``block_id`` attributes:
+:func:`build_commit_lineage` reassembles one commit's lineage from those
+alone, while :func:`build_span_trees` reconstructs the per-thread forests.
 
 When the tracer is disabled — the default — ``span()`` returns a shared
 no-op context manager without touching the recorder, keeping the hot paths
@@ -34,14 +24,11 @@ at a single branch of overhead.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
-
-from repro.obs.context import TraceContext, mint_trace_id
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 
 @dataclass
@@ -57,23 +44,9 @@ class Span:
     #: Wall-clock start (epoch seconds) so exported traces can be correlated
     #: with the structured event log; 0.0 when unknown (legacy spans).
     start_unix: float = 0.0
-    #: Logical trace this span belongs to; None for legacy/synthetic spans.
-    trace_id: Optional[str] = None
-    #: Weak cross-trace references: ``{"trace_id": ..., "span_id": ...}``.
-    links: List[Dict[str, Any]] = field(default_factory=list)
 
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
-
-    def add_link(self, trace_id: str, span_id: Optional[int] = None) -> None:
-        """Reference a span in another trace (e.g. a covered commit)."""
-        self.links.append({"trace_id": trace_id, "span_id": span_id})
-
-    def context(self) -> Optional[TraceContext]:
-        """This span's identity as a portable :class:`TraceContext`."""
-        if self.trace_id is None:
-            return None
-        return TraceContext(trace_id=self.trace_id, span_id=self.span_id)
 
     @property
     def duration_seconds(self) -> float:
@@ -88,8 +61,6 @@ class Span:
             "start_unix": self.start_unix,
             "duration_ns": self.duration_ns,
             "attributes": self.attributes,
-            "trace_id": self.trace_id,
-            "links": self.links,
         }
 
     @classmethod
@@ -103,8 +74,6 @@ class Span:
             duration_ns=data.get("duration_ns", 0),
             attributes=data.get("attributes") or {},
             start_unix=data.get("start_unix", 0.0),
-            trace_id=data.get("trace_id"),
-            links=data.get("links") or [],
         )
 
 
@@ -120,12 +89,6 @@ class _NoopSpan:
         return None
 
     def set_attribute(self, key: str, value: Any) -> None:
-        return None
-
-    def add_link(self, trace_id: str, span_id: Optional[int] = None) -> None:
-        return None
-
-    def context(self) -> None:
         return None
 
 
@@ -155,26 +118,6 @@ class RingBufferRecorder:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-
-class JsonlExporter:
-    """Appends each finished span as one JSON line to ``path``."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._lock = threading.Lock()
-        self._file = open(path, "a", encoding="utf-8")
-
-    def record(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(), separators=(",", ":"), default=str)
-        with self._lock:
-            self._file.write(line + "\n")
-            self._file.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.close()
 
 
 class _ActiveSpan:
@@ -213,7 +156,6 @@ class Tracer:
         self.enabled = enabled
         # Explicit None check: an empty recorder is falsy (it has __len__).
         self.recorder = recorder if recorder is not None else RingBufferRecorder()
-        self._exporters: List[JsonlExporter] = []
         self._ids = itertools.count(1)
         self._local = threading.local()
         # In-flight spans (opened, not yet exited), keyed by span_id.  The
@@ -247,116 +189,54 @@ class Tracer:
         """
         self._local.stack = []
 
-    def add_exporter(self, exporter: JsonlExporter) -> None:
-        self._exporters.append(exporter)
-
-    def remove_exporter(self, exporter: JsonlExporter) -> None:
-        self._exporters.remove(exporter)
-
     # ------------------------------------------------------------------
     # Span creation
     # ------------------------------------------------------------------
 
-    def span(
-        self,
-        name: str,
-        context: Optional[TraceContext] = None,
-        links: Iterable[TraceContext] = (),
-        **attributes: Any,
-    ):
+    def span(self, name: str, **attributes: Any):
         """Open a span; use as ``with tracer.span("wal.commit") as sp:``.
 
-        ``context`` adopts another trace's identity: the span joins
-        ``context.trace_id`` instead of minting/inheriting one, and — only
-        when there is no thread-local parent — attaches under
-        ``context.span_id``.  A thread-local parent always wins for tree
-        position, so enabling propagation never reshapes the per-thread
-        forests that :func:`build_span_trees` reports.  ``links`` records
-        weak cross-trace references (see :meth:`Span.add_link`).
-
+        The span's parent is the calling thread's innermost open span.
         Returns a shared no-op context manager when tracing is disabled.
         """
         if not self.enabled:
             return _NOOP_SPAN
         parent = self.current_span()
-        if parent is not None:
-            parent_id: Optional[int] = parent.span_id
-            trace_id = context.trace_id if context is not None else parent.trace_id
-            if trace_id is None:
-                trace_id = mint_trace_id()
-        elif context is not None:
-            parent_id = context.span_id
-            trace_id = context.trace_id
-        else:
-            parent_id = None
-            trace_id = mint_trace_id()
         span = Span(
             span_id=next(self._ids),
-            parent_id=parent_id,
+            parent_id=parent.span_id if parent is not None else None,
             name=name,
             start_ns=time.monotonic_ns(),
             attributes=dict(attributes) if attributes else {},
             start_unix=time.time(),
-            trace_id=trace_id,
         )
-        for link in links:
-            if link is not None:
-                span.add_link(link.trace_id, link.span_id)
         return _ActiveSpan(self, span)
 
     def current_span(self) -> Optional[Span]:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def capture_context(self) -> Optional[TraceContext]:
-        """The current span's identity, for carrying across a boundary.
-
-        Inside a span this returns that span's ``(trace_id, span_id)``;
-        outside any span it mints a fresh trace so the caller (e.g.
-        ``TransactionManager.begin``) still gets a stable trace id.  Returns
-        ``None`` while tracing is disabled — carriers stay empty for free.
-        """
-        if not self.enabled:
-            return None
-        current = self.current_span()
-        if current is None:
-            return TraceContext(trace_id=mint_trace_id())
-        if current.trace_id is None:  # legacy span minted before enabling
-            current.trace_id = mint_trace_id()
-        return TraceContext(trace_id=current.trace_id, span_id=current.span_id)
-
     def record_span(
-        self,
-        name: str,
-        start_ns: int,
-        duration_ns: int,
-        context: Optional[TraceContext] = None,
-        links: Iterable[TraceContext] = (),
-        **attributes: Any,
+        self, name: str, start_ns: int, duration_ns: int, **attributes: Any
     ) -> Optional[Span]:
-        """Record an already-finished span retroactively.
+        """Record an already-finished root span retroactively.
 
         Used for intervals whose endpoints live on different threads — e.g.
         ``queue.wait`` is measured from the commit thread's enqueue to the
         builder's block-closure start, and only becomes recordable once the
-        builder picks the entry up.  ``context`` supplies both the trace id
-        and the parent to attach under; the thread-local stack is ignored.
+        builder picks the entry up.
         """
         if not self.enabled:
             return None
         span = Span(
             span_id=next(self._ids),
-            parent_id=context.span_id if context is not None else None,
+            parent_id=None,
             name=name,
             start_ns=start_ns,
             duration_ns=max(0, duration_ns),
             attributes=dict(attributes) if attributes else {},
             start_unix=time.time() - max(0, duration_ns) / 1e9,
-            trace_id=context.trace_id if context is not None else None,
         )
-        for link in links:
-            if link is not None:
-                span.add_link(link.trace_id, link.span_id)
         self._emit(span)
         return span
 
@@ -391,8 +271,6 @@ class Tracer:
 
     def _emit(self, span: Span) -> None:
         self.recorder.record(span)
-        for exporter in self._exporters:
-            exporter.record(span)
 
 
 # ---------------------------------------------------------------------------
@@ -444,79 +322,61 @@ def build_span_trees(spans: Iterable[Span]) -> List[SpanNode]:
     return roots
 
 
-def build_lineage_tree(
-    spans: Iterable[Span], trace_id: str
-) -> List[SpanNode]:
+#: The spans that do a block's work after its commits are queued.
+_BLOCK_SPANS = frozenset({"block.append", "digest.generate", "digest.upload"})
+
+
+def build_commit_lineage(spans: Iterable[Span], tid: int) -> List[SpanNode]:
     """Reassemble one commit's cross-thread lineage as a span forest.
 
-    Membership is computed as a fixpoint closure over three rules — a span
-    belongs to the lineage if:
+    Keyed on the two ids the ledger stores for every commit.  A span
+    subtree belongs to the lineage of transaction ``tid`` when
 
-    1. its ``trace_id`` matches (commit-side spans, ``queue.wait``);
-    2. its parent is already a member (ordinary thread-local children);
-    3. one of its ``links`` points at the trace or at a member span
-       (``block.append`` linking the commits it covers, ``digest.*``
-       linking the block they publish).
+    1. the ``tid`` attributes inside it name ``tid`` and no other
+       transaction — each statement that hashed its rows, its
+       ``txn.commit``, its ``queue.wait``; or
+    2. it is the ``block.append`` / ``digest.generate`` /
+       ``digest.upload`` of a block one of its ``queue.wait`` spans names.
 
-    Tree position prefers the real parent; a member included only via a
-    link hangs under the linked member span instead, so ``block.append``
-    (whose builder-thread parent is outside the trace) appears beneath the
-    lineage rather than as a floating root when possible.
+    Only maximal subtrees are kept, as roots ordered by start time: a span
+    shared by several commits (``group.commit``) is left out, while each
+    commit's own subtree under it is not.
     """
     pool = list(spans)
-    included: Dict[int, Span] = {
-        span.span_id: span for span in pool if span.trace_id == trace_id
+    blocks = {
+        span.attributes.get("block_id")
+        for span in pool
+        if span.name == "queue.wait" and span.attributes.get("tid") == tid
     }
-    attach_via_link: Dict[int, int] = {}
-    remaining = [s for s in pool if s.span_id not in included]
-    changed = True
-    while changed and remaining:
-        changed = False
-        deferred: List[Span] = []
-        for span in remaining:
-            member = (
-                span.parent_id is not None and span.parent_id in included
-            )
-            link_anchor: Optional[int] = None
-            if not member:
-                for link in span.links:
-                    linked_span = link.get("span_id")
-                    if linked_span is not None and linked_span in included:
-                        link_anchor = linked_span
-                        break
-                    if link.get("trace_id") == trace_id:
-                        link_anchor = linked_span  # may be None
-                        member = True
-                        break
-                if link_anchor is not None:
-                    member = True
-            if member:
-                included[span.span_id] = span
-                if (
-                    link_anchor is not None
-                    and span.parent_id not in included
-                ):
-                    attach_via_link[span.span_id] = link_anchor
-                changed = True
-            else:
-                deferred.append(span)
-        remaining = deferred
+    blocks.discard(None)
+    named: Dict[int, Set[Any]] = {}
 
-    nodes = {span_id: SpanNode(span) for span_id, span in included.items()}
-    roots: List[SpanNode] = []
-    for span_id, node in nodes.items():
-        parent = nodes.get(node.span.parent_id)
-        if parent is None:
-            anchor = attach_via_link.get(span_id)
-            parent = nodes.get(anchor) if anchor is not None else None
-        if parent is None or parent is node:
-            roots.append(node)
-        else:
-            parent.children.append(node)
-    for node in nodes.values():
-        node.children.sort(key=lambda n: n.span.start_ns)
-    roots.sort(key=lambda n: n.span.start_ns)
-    return roots
+    def name_tids(node: SpanNode) -> Set[Any]:
+        attributes = node.span.attributes
+        tids = {attributes["tid"]} if "tid" in attributes else set()
+        for child in node.children:
+            tids |= name_tids(child)
+        named[node.span.span_id] = tids
+        return tids
+
+    lineage: List[SpanNode] = []
+
+    def select(node: SpanNode) -> None:
+        span = node.span
+        if named[span.span_id] == {tid} or (
+            span.name in _BLOCK_SPANS
+            and span.attributes.get("block_id") in blocks
+        ):
+            lineage.append(node)
+            return
+        for child in node.children:
+            select(child)
+
+    for root in build_span_trees(pool):
+        name_tids(root)
+        select(root)
+    lineage.sort(key=lambda n: n.span.start_ns)
+    return lineage
 
 
 def render_span_tree(roots: List[SpanNode]) -> str:

@@ -819,14 +819,11 @@ class LedgerServer:
         if not isinstance(rows, list) or not rows:
             raise RequestError(BAD_REQUEST, "rows must be a non-empty list")
         db = self._db
-        trace = OBS.tracer.capture_context()
-        tracer = OBS.tracer
 
         def work() -> Dict[str, Any]:
-            # Joined to the session's request span even though the group
-            # leader may be a different thread: the commit lineage of every
-            # grouped member stays attributable to its session.
-            with tracer.span("server.commit", context=trace, table=table):
+            # Runs on the group leader's thread, under its group.commit; the
+            # tids inside keep this member's commit lineage its own.
+            with OBS.tracer.span("server.commit", table=table):
                 txn = db.begin()
                 try:
                     db.insert(txn, table, rows)

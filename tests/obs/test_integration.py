@@ -48,7 +48,10 @@ class TestInsertSpanTree:
         assert commit.find("block.append") is None
 
         hash_span = execute.find("ledger.hash").span
-        assert hash_span.attributes == {"table": "t", "op": "insert", "rows": 1}
+        assert hash_span.attributes == {
+            "tid": commit.span.attributes["tid"],
+            "table": "t", "op": "insert", "rows": 1,
+        }
 
         db.pipeline.drain()
         names = [s.name for s in db.trace_sink.spans()]

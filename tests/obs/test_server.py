@@ -160,6 +160,22 @@ class TestEventsEndpoint:
         finally:
             server.stop()
 
+    def test_negative_limit_is_a_bad_request(self):
+        # A negative page size would slice the newest events off the end.
+        log = EventLog(enabled=True)
+        for i in range(3):
+            log.emit("ledger", "block.closed", block_id=i)
+        server = ObservabilityServer(event_log=log).start()
+        try:
+            for limit in ("-1", "-2"):
+                status, _, body = get(server.url + "/events?limit=" + limit)
+                assert status == 400, limit
+                assert "limit" in json.loads(body)["error"]
+            _, _, body = get(server.url + "/events?limit=0")
+            assert json.loads(body)["events"] == []
+        finally:
+            server.stop()
+
     def test_live_ledger_events_are_served(self, db, seeded, server):  # noqa: F811
         OBS.events.enable()
         db.generate_digest()

@@ -1,10 +1,8 @@
-"""Span tracing: nesting, ordering, ring buffer, exporters, no-op mode."""
+"""Span tracing: nesting, ordering, ring buffer, no-op mode."""
 
-import json
 import threading
 
 from repro.obs.tracing import (
-    JsonlExporter,
     RingBufferRecorder,
     Span,
     Tracer,
@@ -133,60 +131,6 @@ class TestRingBuffer:
                 assert ours == list(range(ours[0], spans_m))
 
 
-class TestJsonlExporter:
-    def test_spans_are_appended_as_json_lines(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        tracer = make_tracer()
-        exporter = JsonlExporter(path)
-        tracer.add_exporter(exporter)
-        with tracer.span("outer", table="t"):
-            with tracer.span("inner"):
-                pass
-        tracer.remove_exporter(exporter)
-        exporter.close()
-        lines = [json.loads(l) for l in open(path, encoding="utf-8")]
-        assert [l["name"] for l in lines] == ["inner", "outer"]
-        assert lines[1]["attributes"] == {"table": "t"}
-        assert lines[0]["parent_id"] == lines[1]["span_id"]
-
-    def test_concurrent_appends_never_tear_lines(self, tmp_path):
-        """8 threads x 50 spans through one exporter: every line parses,
-        none are interleaved mid-record, and the count is exact."""
-        threads_n, spans_m = 8, 50
-        path = str(tmp_path / "spans.jsonl")
-        tracer = make_tracer(capacity=threads_n * spans_m + 8)
-        exporter = JsonlExporter(path)
-        tracer.add_exporter(exporter)
-        barrier = threading.Barrier(threads_n)
-
-        def worker(worker_id: int) -> None:
-            barrier.wait()
-            for i in range(spans_m):
-                with tracer.span("tick", worker=worker_id, i=i):
-                    pass
-
-        pool = [
-            threading.Thread(target=worker, args=(n,))
-            for n in range(threads_n)
-        ]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        tracer.remove_exporter(exporter)
-        exporter.close()
-
-        lines = [json.loads(l) for l in open(path, encoding="utf-8")]
-        assert len(lines) == threads_n * spans_m
-        assert all(l["name"] == "tick" for l in lines)
-        for worker_id in range(threads_n):
-            ours = [
-                l["attributes"]["i"] for l in lines
-                if l["attributes"]["worker"] == worker_id
-            ]
-            assert ours == list(range(spans_m))
-
-
 class TestWallClock:
     def test_span_records_epoch_timestamp(self):
         import time
@@ -199,17 +143,6 @@ class TestWallClock:
         (span,) = tracer.recorder.spans()
         assert before <= span.start_unix <= after
         assert span.to_dict()["start_unix"] == span.start_unix
-
-    def test_exported_jsonl_carries_wall_clock(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
-        tracer = make_tracer()
-        exporter = JsonlExporter(path)
-        tracer.add_exporter(exporter)
-        with tracer.span("stamped"):
-            pass
-        exporter.close()
-        (line,) = [json.loads(l) for l in open(path, encoding="utf-8")]
-        assert line["start_unix"] > 1_000_000_000  # a real epoch timestamp
 
     def test_renderer_shows_wall_clock_stamp(self):
         tracer = make_tracer()

@@ -53,6 +53,8 @@ class TestOneShotCli:
         "\\monitor start --deep",
         "\\monitor start --parallel",
         "\\monitor start 60 --deep x",
+        "\\trace --txn",
+        "\\trace --txn x",
     ])
     def test_option_without_value_is_a_usage_error(
         self, tmp_path, capsys, command
