@@ -18,9 +18,10 @@ import heapq
 import os
 import struct
 import zlib
-from typing import Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from itertools import repeat
+from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.engine.pager import HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, Page
+from repro.engine.pager import PAGE_SIZE, SLOT_SIZE, Page
 from repro.errors import InjectedCrashError, StorageError
 from repro.faults import FAULTS
 
@@ -91,17 +92,57 @@ class HeapFile:
 
     def insert(self, record: bytes) -> RowId:
         """Insert a record somewhere with room; returns its new RowId."""
-        room, size = self._room, len(record)
-        while room and not self._pages[room[0]].can_fit(size):
-            self._in_room.discard(heapq.heappop(room))
-        if not room:
-            self._append_page()
-        page_id = room[0]
-        page = self._pages[page_id]
-        slot = page.insert(record)
-        if not page.can_fit(size):  # full for records of this size
-            self._in_room.discard(heapq.heappop(room))
-        return page_id, slot
+        return self.insert_many((record,))[0]
+
+    def insert_many(self, records: Sequence[bytes]) -> List[RowId]:
+        """Insert ``records`` in order; returns their RowIds.
+
+        Each record gets the RowId one :meth:`insert` apiece would give it,
+        and the pages end up holding the same bytes, but a run of records
+        that a page takes after its last slot, with no compaction, is
+        written at once (:meth:`Page.append`).  A record on its own — the
+        batch's last, one reusing a dead slot, or one the page must compact
+        for — goes through :meth:`Page.insert`.  Every record is checked
+        before any is placed, so a record no page could hold changes nothing.
+        """
+        for record in records:
+            Page._check_record(record)  # noqa: SLF001 - same subsystem
+        rids: List[RowId] = []
+        pages, room = self._pages, self._room
+        at, count = 0, len(records)
+        while at < count:
+            size = len(records[at])
+            while room and not pages[room[0]].can_fit(size):
+                self._in_room.discard(heapq.heappop(room))
+            if not room:
+                self._append_page()
+            page_id = room[0]
+            page = pages[page_id]
+            # The run this page takes: records that fit its free area, up to
+            # one after which another of that size would not fit.
+            end, full = at, False
+            if count - at > 1 and page.live_count == page.slot_count:
+                free = page.free_space()
+                spare = page.free_space_after_compaction()
+                while end < count:
+                    need = len(records[end]) + SLOT_SIZE
+                    if need > free:
+                        break
+                    free, spare, end = free - need, spare - need, end + 1
+                    if need > spare:
+                        full = True
+                        break
+            if end - at > 1:
+                first = page.append(records[at:end])
+                rids.extend(zip(repeat(page_id), range(first, first + end - at)))
+                at = end
+            else:
+                rids.append((page_id, page.insert(records[at])))
+                at += 1
+                full = not page.can_fit(size)
+            if full:  # for records of the size it last took
+                self._in_room.discard(heapq.heappop(room))
+        return rids
 
     def read(self, rid: RowId) -> bytes:
         """Read the record at ``rid``; raises when absent."""
@@ -159,38 +200,6 @@ class HeapFile:
         for page_id, (top, writes) in pages.items():
             if page_id < len(self._pages):
                 self._pages[page_id].redo(writes, top)
-
-    @classmethod
-    def packed(
-        cls, name: str, records: Iterable[bytes]
-    ) -> Tuple["HeapFile", List[RowId]]:
-        """A fresh heap holding ``records``, each on the page and slot one
-        :meth:`insert` apiece would give it, every page laid out once.
-        Returns the heap and the records' RowIds in input order."""
-        heap, rids = cls(name), []
-        pages: List[List[bytes]] = []
-        free: List[int] = []  # per page: a fresh page has no holes
-        # Without deletes, the pages with room are always the ones from
-        # ``lowest`` on.
-        lowest = 0
-        for record in records:
-            Page._check_record(record)  # noqa: SLF001 - same subsystem
-            need = len(record) + SLOT_SIZE
-            while lowest < len(pages) and free[lowest] < need:
-                lowest += 1
-            if lowest == len(pages):
-                pages.append([])
-                free.append(PAGE_SIZE - HEADER_SIZE)
-            rids.append((lowest, len(pages[lowest])))
-            pages[lowest].append(record)
-            free[lowest] -= need
-            if free[lowest] < need:
-                lowest += 1
-        for slots in pages:
-            heap._append_page()._lay_out(dict(enumerate(slots)), len(slots))
-        heap._room = list(range(lowest, len(pages)))
-        heap._in_room = set(heap._room)
-        return heap, rids
 
     # -- scanning -------------------------------------------------------------
 

@@ -19,9 +19,10 @@ from keys read by :meth:`RecordKernel.projector`, which parses no other value.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import (
-    Any, DefaultDict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Tuple,
+    Any, Callable, DefaultDict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 from repro.engine.btree import BPlusTree
@@ -34,6 +35,25 @@ from repro.errors import ConstraintError, StorageError
 #: Sorts after every key part (parts are ``(0, '')`` or ``(1, value)``), so
 #: ``key + _AFTER`` is an exclusive upper bound for every key extending ``key``.
 _AFTER = ((2,),)
+_NULL_PART = (0, "")
+
+
+def _key_maker(
+    ordinals: Sequence[int],
+) -> Callable[[Iterable[Sequence[Any]]], List[Tuple]]:
+    """A function from rows to their keys over ``ordinals``, each what
+    :func:`key_tuple` makes of those columns: one call keys a whole batch."""
+    if len(ordinals) == 1:
+        column = itemgetter(*ordinals)
+        return lambda rows: [
+            (_NULL_PART,) if value is None else ((1, value),)
+            for value in map(column, rows)
+        ]
+    columns = itemgetter(*ordinals)
+    return lambda rows: [
+        tuple([_NULL_PART if value is None else (1, value) for value in values])
+        for values in map(columns, rows)
+    ]
 
 
 class ClusteredIndex:
@@ -45,10 +65,12 @@ class ClusteredIndex:
                 f"table {schema.name!r} has no primary key for a clustered index"
             )
         self._key_ordinals = schema.primary_key_ordinals()
+        #: Rows → their keys, a batch per call.
+        self.keys_of = _key_maker(self._key_ordinals)
         self._tree = BPlusTree()
 
     def key_of(self, row: Sequence[Any]) -> Tuple:
-        return key_tuple([row[o] for o in self._key_ordinals])
+        return self.keys_of((row,))[0]
 
     def _duplicate(self, row: Sequence[Any]) -> ConstraintError:
         return ConstraintError(
@@ -71,22 +93,14 @@ class ClusteredIndex:
             raise self._duplicate(row)
         self._tree.insert(key, rid)
 
-    def insert_many(self, entries: Sequence[Tuple[Sequence[Any], RowId]]) -> None:
-        """Insert a batch of (row, rid) pairs with one sorted tree descent run.
+    def holds(self, key: Tuple) -> bool:
+        """Is a row stored under ``key`` (one tree probe)?"""
+        return self._tree.get(key) is not None
 
-        Duplicates — against the existing tree or within the batch — raise
-        before any entry is inserted, so a failed batch leaves the index
-        untouched.
-        """
-        keyed: List[Tuple[Tuple, RowId]] = []
-        seen = set()
-        for row, rid in entries:
-            key = self.key_of(row)
-            if key in seen or key in self._tree:
-                raise self._duplicate(row)
-            seen.add(key)
-            keyed.append((key, rid))
-        self._tree.insert_many(keyed)
+    def insert_keys(self, keys: Sequence[Tuple], rids: Sequence[RowId]) -> None:
+        """Enter a batch of checked keys (:attr:`keys_of` the rows), none of
+        them held or repeated, with one sorted tree descent run."""
+        self._tree.insert_many(list(zip(keys, rids)))
 
     def delete(self, row: Sequence[Any]) -> None:
         try:
@@ -194,49 +208,40 @@ class NonclusteredIndex:
         self.key_ordinals = tuple(
             schema.column(name).ordinal for name in definition.column_names
         )
+        #: Rows → their index keys (no RowId part), a batch per call.
+        self.keys_of = _key_maker(self.key_ordinals)
         self.heap = HeapFile(f"{table_name}.{definition.name}")
         self._tree = BPlusTree()
 
     def _tree_key(self, row: Sequence[Any], base_rid: RowId) -> Tuple:
-        return key_tuple([row[o] for o in self.key_ordinals]) + base_rid
+        return self.keys_of((row,))[0] + base_rid
 
     def insert(self, row: Sequence[Any], record: bytes, base_rid: RowId) -> None:
         """Add the record copy for a newly stored base row."""
-        if self.definition.unique:
-            prefix = key_tuple([row[o] for o in self.key_ordinals])
-            if next(self._tree.prefix(prefix), None) is not None:
-                raise ConstraintError(
-                    f"duplicate key in unique index {self.name!r}"
-                )
+        key = self.keys_of((row,))[0]
+        if self.definition.unique and self.holds(key):
+            raise ConstraintError(f"duplicate key in unique index {self.name!r}")
         index_rid = self.heap.insert(record)
-        self._tree.insert(self._tree_key(row, base_rid), (index_rid, base_rid))
+        self._tree.insert(key + base_rid, (index_rid, base_rid))
+
+    def holds(self, key: Tuple) -> bool:
+        """Is a row stored under index key ``key`` (one tree probe)?"""
+        return next(self._tree.prefix(key), None) is not None
 
     def insert_many(
-        self, entries: Sequence[Tuple[Sequence[Any], bytes, RowId]]
+        self,
+        keys: Sequence[Tuple],
+        records: Sequence[bytes],
+        base_rids: Sequence[RowId],
     ) -> None:
-        """Batch :meth:`insert`: heap copies per record, one tree batch.
-
-        Unique-index violations (existing or intra-batch) raise before any
-        heap or tree mutation.
-        """
-        if self.definition.unique:
-            seen = set()
-            for row, _, _ in entries:
-                prefix = key_tuple([row[o] for o in self.key_ordinals])
-                if prefix in seen or next(
-                    self._tree.prefix(prefix), None
-                ) is not None:
-                    raise ConstraintError(
-                        f"duplicate key in unique index {self.name!r}"
-                    )
-                seen.add(prefix)
-        keyed: List[Tuple[Tuple, Any]] = []
-        for row, record, base_rid in entries:
-            index_rid = self.heap.insert(record)
-            keyed.append(
-                (self._tree_key(row, base_rid), (index_rid, base_rid))
-            )
-        self._tree.insert_many(keyed)
+        """Add the copies of a batch of newly stored base rows, given their
+        :attr:`keys_of` (a unique index's already checked): the records
+        placed a page at a time, the entries with one tree batch."""
+        index_rids = self.heap.insert_many(records)
+        self._tree.insert_many([
+            (key + base_rid, (index_rid, base_rid))
+            for key, index_rid, base_rid in zip(keys, index_rids, base_rids)
+        ])
 
     def delete(self, row: Sequence[Any], base_rid: RowId) -> None:
         """Remove the record copy when the base row goes away."""
@@ -273,9 +278,8 @@ class NonclusteredIndex:
         index's key columns, or is None when not all keys of the pass read;
         a record whose own key does not read stays out of the tree."""
         project = self._schema.derived(RecordKernel).projector(self.key_ordinals)
-        heap, index_rids = HeapFile.packed(
-            self.heap.name, (record for _, record, _ in base_records)
-        )
+        heap = HeapFile(self.heap.name)
+        index_rids = heap.insert_many([record for _, record, _ in base_records])
         entries = []
         for (base_rid, record, row), index_rid in zip(base_records, index_rids):
             try:

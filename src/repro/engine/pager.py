@@ -17,7 +17,7 @@ Mirroring SQL Server, the maximum record size is 8060 bytes.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 
@@ -156,6 +156,38 @@ class Page:
         self._write_header()
         self._write_slot(slot, offset, len(record))
         return slot
+
+    def append(self, records: Sequence[bytes]) -> int:
+        """Put ``records`` in new slots after the last, contiguous from the
+        free offset, returning the first slot: the bytes :meth:`insert`
+        apiece leaves on a page with no dead slot and no need to compact,
+        written with one slice assignment, one slot run and one header.
+        Raises :class:`StorageError`, changing nothing, if they do not fit."""
+        first, offset, count = self._slot_count, self._free_offset, len(records)
+        data = b"".join(records)
+        end = offset + len(data)
+        if end + (first + count) * SLOT_SIZE > PAGE_SIZE:
+            raise StorageError(
+                f"{count} records of {len(data)} bytes do not fit on page "
+                f"{self.page_id}"
+            )
+        self.buf[offset:end] = data
+        directory = [0] * (2 * count)  # highest slot first, as on the page
+        at = 2 * count
+        for record in records:
+            at -= 2
+            directory[at] = offset
+            directory[at + 1] = len(record)
+            offset += len(record)
+        struct.pack_into(
+            f">{2 * count}H", self.buf, PAGE_SIZE - (first + count) * SLOT_SIZE,
+            *directory,
+        )
+        self._slot_count = first + count
+        self._free_offset = end
+        self._live_bytes += len(data)
+        self._write_header()
+        return first
 
     def read(self, slot: int) -> bytes:
         """Read the record in ``slot``; raises if the slot is dead."""

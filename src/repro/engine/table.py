@@ -29,6 +29,7 @@ from repro.engine.index import (
     DerivedKeyIndex,
     NonclusteredIndex,
 )
+from repro.engine.pager import MAX_RECORD_SIZE
 from repro.engine.record import RecordKernel, decode_record, key_tuple
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.transaction import Transaction
@@ -162,6 +163,7 @@ class Table:
             txn, self, old_row, new_row
         )
         # Pre-check constraints so the physical mutation cannot half-apply.
+        _check_sizes((new_record,))
         self._check_unique(validated, ignore_rid=rid, old_row=old_row)
         if not self.heap.overwrite(rid, new_record):
             self._remove_row(txn, rid, old_row, old_record)
@@ -353,6 +355,7 @@ class Table:
 
     def _store_row(self, txn: Transaction, prepared: PreparedRow) -> RowId:
         validated, record = prepared
+        _check_sizes((record,))
         self._check_unique(validated)
         return self._place_row(txn, validated, record)
 
@@ -361,63 +364,50 @@ class Table:
     ) -> List[RowId]:
         """Constraint-check and place a whole prepared batch.
 
-        All checks — against existing data AND within the batch — run before
-        any mutation, so a constraint violation anywhere in the batch leaves
-        heap, indexes and WAL untouched.
+        All checks — each record's size, and each new key against the batch
+        and the stored data — run before any mutation, so a violation
+        anywhere in the batch leaves heap, indexes and WAL untouched.  Each
+        access path's keys are built with one call and probed once each;
+        the trees then take those same keys.
         """
+        rows: List[Tuple[Any, ...]] = [validated for validated, _ in prepared]
+        records = [record for _, record in prepared]
+        _check_sizes(records)
+        pk_keys: List[Tuple] = []
         if self.clustered is not None:
-            pk_ordinals = self.schema.primary_key_ordinals()
-            seen = set()
-            for validated, _ in prepared:
-                key = key_tuple([validated[o] for o in pk_ordinals])
-                if key in seen:
-                    pk = tuple(validated[o] for o in pk_ordinals)
-                    raise ConstraintError(
-                        f"duplicate primary key {pk!r} in table {self.name!r}"
-                    )
-                seen.add(key)
+            pk_keys = self.clustered.keys_of(rows)
+            at = _first_taken(pk_keys, self.clustered.holds)
+            if at is not None:
+                pk = tuple(rows[at][o] for o in self.schema.primary_key_ordinals())
+                raise ConstraintError(
+                    f"duplicate primary key {pk!r} in table {self.name!r}"
+                )
+        index_keys = []
         for index in self.nonclustered.values():
-            if not index.definition.unique:
-                continue
-            seen = set()
-            for validated, _ in prepared:
-                key = key_tuple([validated[o] for o in index.key_ordinals])
-                if key in seen:
-                    raise ConstraintError(
-                        f"duplicate key in unique index {index.name!r}"
-                    )
-                seen.add(key)
-        for validated, _ in prepared:
-            self._check_unique(validated)
-        return self._place_rows(txn, prepared)
+            keys = index.keys_of(rows)
+            if index.definition.unique and _first_taken(keys, index.holds) is not None:
+                raise ConstraintError(
+                    f"duplicate key in unique index {index.name!r}"
+                )
+            index_keys.append((index, keys))
 
-    def _place_rows(
-        self, txn: Transaction, prepared: List[PreparedRow]
-    ) -> List[RowId]:
-        rids = [self.heap.insert(record) for _, record in prepared]
+        rids = self.heap.insert_many(records)
         if self.clustered is not None:
-            self.clustered.insert_many(
-                [(validated, rid) for (validated, _), rid in zip(prepared, rids)]
-            )
+            self.clustered.insert_keys(pk_keys, rids)
+        for index, keys in index_keys:
+            index.insert_many(keys, records, rids)
         for key_index in self._key_indexes.values():
-            for (validated, _), rid in zip(prepared, rids):
-                key_index.add(validated, rid)
-        for index in self.nonclustered.values():
-            index.insert_many(
-                [
-                    (validated, record, rid)
-                    for (validated, record), rid in zip(prepared, rids)
-                ]
-            )
-        logged = [(rid, record) for (_, record), rid in zip(prepared, rids)]
+            for row, rid in zip(rows, rids):
+                key_index.add(row, rid)
+        logged = list(zip(rids, records))
         self._wal.append(DmlRecord(INSERT_MANY, txn.tid, self.table_id, logged))
 
         def undo_insert_many() -> None:
             # One compensation record for the whole statement, mirroring the
             # single INSERT_MANY frame (ARIES CLR semantics, batched).
             self.drop_key_indexes()
-            for (validated, _), rid in zip(reversed(prepared), reversed(rids)):
-                self._physical_remove(rid, validated)
+            for row, rid in zip(reversed(rows), reversed(rids)):
+                self._physical_remove(rid, row)
             self._wal.append(
                 DmlRecord(DELETE_MANY, txn.tid, self.table_id, logged, clr=True)
             )
@@ -551,3 +541,28 @@ class Table:
 
     def __repr__(self) -> str:
         return f"<Table {self.name!r} id={self.table_id}>"
+
+
+def _check_sizes(records: Sequence[bytes]) -> None:
+    """Refuse a record over the row size limit before anything is stored:
+    the statement's fault, not the storage's (``Page`` keeps its own check
+    as the storage invariant)."""
+    if max(map(len, records)) > MAX_RECORD_SIZE:
+        size = next(len(r) for r in records if len(r) > MAX_RECORD_SIZE)
+        raise ConstraintError(
+            f"record of {size} bytes exceeds the {MAX_RECORD_SIZE}-byte row "
+            "size limit"
+        )
+
+
+def _first_taken(
+    keys: Sequence[Tuple], holds: Callable[[Tuple], bool]
+) -> Optional[int]:
+    """The position of the first key that repeats one before it in ``keys``
+    or that ``holds`` says is stored; each key is probed at most once."""
+    seen = set()
+    for at, key in enumerate(keys):
+        if key in seen or holds(key):
+            return at
+        seen.add(key)
+    return None

@@ -1,11 +1,12 @@
 """Tests for slotted pages and heap files."""
 
+import heapq
 import os
 import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.heap import HeapFile
@@ -418,13 +419,130 @@ class TestFoldedRedo:
         assert page.free_offset == HEADER_SIZE + 6 * 500
         assert not any(page.buf[page.free_offset : PAGE_SIZE - 8 * SLOT_SIZE])
 
-    @given(st.lists(record_bytes, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_packed_equals_one_insert_each(self, records):
+
+# -- batch placement: insert_many equals one insert each ----------------------
+
+def _insert_one(heap, record):
+    """The reference: one record placed with one ``Page.insert``, as
+    ``HeapFile.insert`` did before batches were placed a page at a time."""
+    room, size = heap._room, len(record)
+    while room and not heap._pages[room[0]].can_fit(size):
+        heap._in_room.discard(heapq.heappop(room))
+    if not room:
+        heap._append_page()
+    page_id = room[0]
+    page = heap._pages[page_id]
+    slot = page.insert(record)
+    if not page.can_fit(size):
+        heap._in_room.discard(heapq.heappop(room))
+    return page_id, slot
+
+
+#: Record sizes two of which fill a fresh page exactly: 4087 + 4087, or
+#: the largest record and 114 bytes.
+_ROOM = PAGE_SIZE - HEADER_SIZE - 2 * SLOT_SIZE
+placement_record = record_bytes | st.builds(
+    lambda n, b: bytes([b]) * n,
+    st.sampled_from([_ROOM // 2, MAX_RECORD_SIZE, _ROOM - MAX_RECORD_SIZE]),
+    st.integers(0, 255),
+)
+
+
+@st.composite
+def placement_history(draw):
+    """Batches of 1…N records, with deletes (dead slots) and shrinking
+    overwrites (room only a compaction can use) between them."""
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        steps.append(
+            ("batch", draw(st.lists(placement_record, min_size=1, max_size=30)))
+        )
+        for _ in range(draw(st.integers(0, 6))):
+            steps.append((
+                draw(st.sampled_from(["delete", "shrink"])),
+                draw(st.integers(0, 10_000)),
+                draw(st.integers(1, 40)),
+            ))
+    return steps
+
+
+def _image(heap, tmp):
+    path = os.path.join(tmp, heap.name)
+    heap.flush(path)
+    with open(path, "rb") as f:
+        return f.read()
+
+
+class TestInsertMany:
+    @given(placement_history())
+    @example([("batch", [b"a" * 4087, b"b" * 4087, b"c"])])  # page 0 exactly full
+    @example([("batch", [b"a" * 100, b"b" * 4035, b"c" * 4035])])  # room for one more
+    @settings(max_examples=80, deadline=None)
+    def test_insert_many_equals_one_insert_each(self, history):
+        batched, reference = HeapFile("a"), HeapFile("b")
+        live = []
+        for step in history:
+            if step[0] == "batch":
+                rids = batched.insert_many(step[1])
+                assert rids == [_insert_one(reference, r) for r in step[1]]
+                live.extend(rids)
+            elif live:
+                rid = live[step[1] % len(live)]
+                if step[0] == "delete":
+                    live.remove(rid)
+                    batched.delete(rid)
+                    reference.delete(rid)
+                else:
+                    record = batched.read(rid)[: step[2]]
+                    batched.overwrite(rid, record)
+                    reference.overwrite(rid, record)
+            assert batched._room == reference._room
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _image(batched, tmp) == _image(reference, tmp)
+        assert _cached_fields(batched) == _cached_fields(reference)
+
+    def test_a_page_takes_its_run_in_one_write(self, monkeypatch):
         heap = HeapFile("t")
-        rids = [heap.insert(record) for record in records]
-        packed, packed_rids = HeapFile.packed("t", records)
-        assert packed_rids == rids
-        assert [bytes(p.buf) for p in packed._pages] == [bytes(p.buf) for p in heap._pages]
-        assert packed._room == heap._room
-        assert packed.insert(b"z" * 300) == heap.insert(b"z" * 300)
+        heap.insert_many([b"x" * 100] * 5)  # page 0 keeps room
+        appends = []
+        append = Page.append
+        monkeypatch.setattr(
+            Page, "append",
+            lambda page, records: appends.append(len(records)) or append(page, records),
+        )
+        rids = heap.insert_many([b"y" * 1000] * 20)
+        assert appends == [7, 8, 5]  # page 0 fills, page 1, page 2
+        assert [p for p, _ in rids] == [0] * 7 + [1] * 8 + [2] * 5
+        # Two records that fill a page exactly are one run; a record on its
+        # own goes through Page.insert.
+        appends.clear()
+        rids = HeapFile("u").insert_many([b"a" * 4087, b"b" * 4087, b"c"])
+        assert appends == [2]
+        assert rids == [(0, 0), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize(
+        "bad", [b"x" * (MAX_RECORD_SIZE + 1983), b""], ids=["over_limit", "empty"]
+    )
+    def test_a_rejected_record_leaves_no_trace(self, bad):
+        fresh = HeapFile("fresh")
+        with pytest.raises(StorageError):
+            fresh.insert(bad)
+        assert fresh.page_count == 0 and fresh._room == []
+        heap = HeapFile("t")
+        heap.insert(b"a" * 100)
+        for _ in range(5):
+            with pytest.raises(StorageError):
+                heap.insert(bad)
+        assert heap.page_count == 1
+        assert heap._room == [0]
+        assert heap.insert(b"c") == (0, 1)
+
+    def test_a_rejected_batch_places_nothing(self):
+        heap = HeapFile("t")
+        heap.insert(b"a" * 100)
+        image = bytes(heap._pages[0].buf)
+        with pytest.raises(StorageError):
+            heap.insert_many([b"b" * 10, b"x" * (MAX_RECORD_SIZE + 1)])
+        assert bytes(heap._pages[0].buf) == image
+        assert heap.page_count == 1 and heap._room == [0]
+        assert heap.insert_many([b"c", b"d"]) == [(0, 1), (0, 2)]

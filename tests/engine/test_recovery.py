@@ -506,12 +506,20 @@ class TestRedoPerPage:
         held = heap_maps(db)
         db.simulate_crash()
 
-        laid_out, calls = Counter(), Counter()
-        lay_out = Page._lay_out
+        laid_out, written, calls = Counter(), Counter(), Counter()
+        lay_out, append, insert = Page._lay_out, Page.append, Page.insert
 
         def counting_lay_out(page, records, slot_count):
             laid_out[id(page)] += 1
             lay_out(page, records, slot_count)
+
+        def counting_append(page, records):
+            written[id(page)] += 1
+            return append(page, records)
+
+        def counting_insert(page, record):
+            written[id(page)] += 1
+            return insert(page, record)
 
         def forbidden(name):
             def call(*args, **kwargs):
@@ -519,6 +527,8 @@ class TestRedoPerPage:
             return call
 
         monkeypatch.setattr(Page, "_lay_out", counting_lay_out)
+        monkeypatch.setattr(Page, "append", counting_append)
+        monkeypatch.setattr(Page, "insert", counting_insert)
         monkeypatch.setattr(Page, "restore", forbidden("Page.restore"))
         monkeypatch.setattr(HeapFile, "insert", forbidden("HeapFile.insert"))
         reopened = open_db(tmp_path / "db")
@@ -528,8 +538,11 @@ class TestRedoPerPage:
         items = reopened.table("items")
         base_pages = set(map(id, items.heap._pages))
         index_pages = set(map(id, items.nonclustered["ix_label"].heap._pages))
-        assert set(laid_out) == base_pages | index_pages
-        assert set(laid_out.values()) == {1}
+        # Redo lays out each base page once; the index copy is placed a
+        # page at a time into a fresh heap, each page written once.
+        assert set(laid_out) == base_pages
+        assert set(written) == index_pages
+        assert set(laid_out.values()) == set(written.values()) == {1}
         assert heap_maps(reopened) == held
         assert sorted(items.nonclustered["ix_label"].scan_records()) == sorted(
             held["items"][0].values()

@@ -81,9 +81,9 @@ class TestAddressesAreUntracked:
         heap = HeapFile("t")
         inserted = heap.insert(b"record")
         (scanned, _), = heap.scan()
-        _, (packed, *_) = HeapFile.packed("p", [b"a", b"b"])
+        batched, _ = HeapFile("p").insert_many([b"a", b"b"])
         gc.collect()
-        for rid in (inserted, scanned, packed):
+        for rid in (inserted, scanned, batched):
             assert type(rid) is tuple
             assert not gc.is_tracked(rid)
 

@@ -119,6 +119,25 @@ class TestClientMistakes:
         assert excinfo.value.message.startswith(f"{error}: ")
         assert client.ping()
 
+    def test_over_limit_row_is_bad_request(self, client):
+        client.execute("CREATE TABLE wide (id INT PRIMARY KEY, v VARCHAR(8000), "
+                       "w VARCHAR(8000)) WITH (LEDGER = ON)")
+        big_v, big_w = "b" * 5000, "y" * 5000
+        expected = ("ConstraintError: record of 10043 bytes exceeds the "
+                    "8060-byte row size limit")
+        for request in (
+            lambda: client.insert("wide", [[1, "a", "x"], [2, big_v, big_w]]),
+            lambda: client.execute(
+                f"INSERT INTO wide VALUES (2, '{big_v}', '{big_w}')"
+            ),
+        ):
+            with pytest.raises(RequestError) as excinfo:
+                request()
+            assert excinfo.value.code == BAD_REQUEST
+            assert excinfo.value.message == expected
+        assert client.execute("SELECT id FROM wide")["rows"] == []
+        assert client.ping()
+
     def test_injected_fault_stays_internal(self, client):
         FAULTS.arm("wal.append", action="fail", times=1)
         with pytest.raises(RequestError) as excinfo:

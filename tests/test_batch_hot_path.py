@@ -78,6 +78,69 @@ def wal_records(db):
     return read_wal(paths[0])[0]
 
 
+def storage_state(db, table):
+    """Everything a statement could leave behind: the base heap's records
+    and pages, each index heap's and tree's size, the clustered tree's
+    size, and the WAL's last frame."""
+    db.wal.flush()
+    return (
+        dict(table.heap.scan()),
+        table.heap.record_count(),
+        table.heap.page_count,
+        {
+            name: (index.heap.record_count(), index.heap.page_count, len(index))
+            for name, index in table.nonclustered.items()
+        },
+        None if table.clustered is None else len(table.clustered),
+        wal_records(db)[-1].kind,
+    )
+
+
+def assert_batch_applies_nothing(db, table, visible_rows, error=ConstraintError):
+    """A batch of ``visible_rows`` is refused and leaves no trace, before
+    and after its transaction rolls back."""
+    ids = visible_ids(db, table.name)
+    txn = db.begin()
+    before = storage_state(db, table)
+    with pytest.raises(error):
+        table.insert_many(
+            txn, [table.schema.row_from_visible(row) for row in visible_rows]
+        )
+    assert storage_state(db, table) == before
+    db.rollback(txn)
+    assert visible_ids(db, table.name) == ids
+
+
+#: ``keyed``: a primary key, no other index; ``keyless``: no primary key, a
+#: unique index on ``code``; ``indexed``: both, and an index on ``v``.
+TABLE_KINDS = ["keyed", "keyless", "indexed"]
+
+
+def open_wide(path, kind):
+    """An engine holding ``wide`` (id, code, v, w) of ``kind``, rows 1–3."""
+    db = open_engine(path)
+    table = db.create_table(TableSchema(
+        "wide",
+        [
+            Column("id", INT, nullable=False),
+            Column("code", INT),
+            Column("v", VARCHAR(8000)),
+            Column("w", VARCHAR(8000)),
+        ],
+        primary_key=None if kind == "keyless" else ["id"],
+    ))
+    if kind != "keyed":
+        db.create_index("wide", IndexDefinition("wide_code", ("code",), unique=True))
+    if kind == "indexed":
+        db.create_index("wide", IndexDefinition("wide_v", ("v",)))
+    txn = db.begin()
+    table.insert_many(txn, [
+        table.schema.row_from_visible([i, i, f"v{i}", f"w{i}"]) for i in (1, 2, 3)
+    ])
+    db.commit(txn)
+    return db, table
+
+
 # ---------------------------------------------------------------------------
 # Batch crypto primitives ≡ per-row primitives
 # ---------------------------------------------------------------------------
@@ -147,12 +210,7 @@ class TestInsertManyEngine:
     def test_batch_duplicate_pk_applies_nothing(self, tmp_path):
         db = open_engine(tmp_path / "db")
         table = db.create_table(make_schema())
-        txn = db.begin()
-        rows = [table.schema.row_from_visible([i, "x"]) for i in (1, 2, 2)]
-        with pytest.raises(ConstraintError):
-            table.insert_many(txn, rows)
-        db.rollback(txn)
-        assert visible_ids(db) == []
+        assert_batch_applies_nothing(db, table, [[i, "x"] for i in (1, 2, 2)])
         assert wal_records(db)[-1].kind != "INSERT_MANY"
         db.close()
 
@@ -162,15 +220,37 @@ class TestInsertManyEngine:
         db.create_index(
             "items", IndexDefinition("items_label", ("label",), unique=True)
         )
-        txn = db.begin()
-        rows = [
-            table.schema.row_from_visible([i, f"label{i % 2}"])
-            for i in range(4)
-        ]
-        with pytest.raises(ConstraintError):
-            table.insert_many(txn, rows)
-        db.rollback(txn)
-        assert visible_ids(db) == []
+        assert_batch_applies_nothing(
+            db, table, [[i, f"label{i % 2}"] for i in range(4)]
+        )
+        db.close()
+
+    @pytest.mark.parametrize("kind", ["keyed", "indexed"])
+    def test_batch_pk_of_an_existing_row_applies_nothing(self, tmp_path, kind):
+        db, table = open_wide(tmp_path / "db", kind)
+        assert_batch_applies_nothing(
+            db, table, [[10, 10, "a", "x"], [2, 20, "b", "y"]]
+        )
+        db.close()
+
+    @pytest.mark.parametrize("kind", ["keyless", "indexed"])
+    def test_batch_unique_key_of_an_existing_row_applies_nothing(
+        self, tmp_path, kind
+    ):
+        db, table = open_wide(tmp_path / "db", kind)
+        assert_batch_applies_nothing(
+            db, table, [[10, 10, "a", "x"], [11, 2, "b", "y"]]
+        )
+        db.close()
+
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_batch_over_limit_row_applies_nothing(self, tmp_path, kind):
+        db, table = open_wide(tmp_path / "db", kind)
+        assert_batch_applies_nothing(db, table, [
+            [10, 10, "a", "x"],
+            [11, 11, "b" * 5000, "y" * 5000],
+            [12, 12, "c", "z"],
+        ])
         db.close()
 
     def test_committed_batch_survives_crash(self, tmp_path):
@@ -264,6 +344,74 @@ class TestInsertManyEngine:
         db.commit(txn)
         assert visible_ids(db) == list(range(5))
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# A row over the size limit is the statement's fault, refused before any write
+# ---------------------------------------------------------------------------
+
+WIDE_DDL = {
+    "keyed": ["CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8000), "
+              "w VARCHAR(8000)) WITH (LEDGER = ON)"],
+    "keyless": ["CREATE TABLE t (id INT, v VARCHAR(8000), w VARCHAR(8000)) "
+                "WITH (LEDGER = ON)"],
+    "indexed": ["CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8000), "
+                "w VARCHAR(8000)) WITH (LEDGER = ON)",
+                "CREATE INDEX ix_v ON t (v)"],
+}
+BIG_V, BIG_W = "b" * 5000, "y" * 5000
+
+
+class TestOverLimitRow:
+    @pytest.fixture(params=TABLE_KINDS)
+    def db(self, request, tmp_path):
+        database = LedgerDatabase.open(str(tmp_path / "db"), clock=LogicalClock())
+        for ddl in WIDE_DDL[request.param]:
+            database.sql(ddl)
+        database.sql("INSERT INTO t (id, v, w) VALUES (0, 'pre', 'pre')")
+        yield database
+        database.close()
+
+    def state(self, db):
+        """Storage of ``t`` and the DML frames logged for it."""
+        table = db.engine.table("t")
+        storage = storage_state(db.engine, table)[:-1]  # flushes the WAL
+        frames = [
+            (r.kind, r.payload) for r in wal_records(db.engine)
+            if r.payload.get("table_id") == table.table_id
+        ]
+        return storage, frames
+
+    def ids(self, db):
+        return sorted(row["id"] for row in db.sql("SELECT id FROM t"))
+
+    def test_a_batch_with_an_over_limit_row_leaves_no_trace(self, db):
+        before = self.state(db)
+        with pytest.raises(ConstraintError, match="exceeds the 8060-byte"):
+            db.sql(
+                f"INSERT INTO t (id, v, w) VALUES (1, 'a', 'x'), "
+                f"(2, '{BIG_V}', '{BIG_W}'), (3, 'c', 'z')"
+            )
+        with pytest.raises(ConstraintError, match="exceeds the 8060-byte"):
+            db._sql_session.executemany(
+                "INSERT INTO t (id, v, w) VALUES (?, ?, ?)",
+                [(1, "a", "x"), (2, BIG_V, BIG_W), (3, "c", "z")],
+            )
+        assert self.state(db) == before
+        assert self.ids(db) == [0]
+        db.sql("INSERT INTO t (id, v, w) VALUES (1, 'a', 'x')")
+        assert self.ids(db) == [0, 1]
+        assert db.verify([db.generate_digest()]).ok
+
+    def test_an_over_limit_row_or_update_leaves_no_trace(self, db):
+        before = self.state(db)
+        with pytest.raises(ConstraintError, match="record of 100"):
+            db.sql(f"INSERT INTO t (id, v, w) VALUES (1, '{BIG_V}', '{BIG_W}')")
+        with pytest.raises(ConstraintError, match="exceeds the 8060-byte"):
+            db.sql(f"UPDATE t SET v = '{BIG_V}', w = '{BIG_W}' WHERE id = 0")
+        assert self.state(db) == before
+        assert db.sql("SELECT v FROM t") == [{"v": "pre"}]
+        assert db.verify([db.generate_digest()]).ok
 
 
 # ---------------------------------------------------------------------------
