@@ -89,8 +89,9 @@ CRASH_MATRIX: Tuple[CrashPoint, ...] = (
 #: The subset exercised additionally as real process kills.  The
 #: ``server`` driver runs an in-process ledger server (sync WAL, group
 #: commit) hammered by client threads; the kill lands in a server thread,
-#: so the whole front-end — admission queue, group committer, response
-#: writer — dies exactly as a production SIGKILL would.
+#: so the whole front-end — session readers executing their requests,
+#: group committer, response writer — dies exactly as a production
+#: SIGKILL would.
 KILL_MATRIX: Tuple[CrashPoint, ...] = (
     CrashPoint("wal.append", driver="commit", sync=True, skip=4),
     CrashPoint("wal.torn_write", driver="commit", sync=True, skip=4),

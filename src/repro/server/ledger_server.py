@@ -2,23 +2,28 @@
 
 Architecture (one process, all stdlib)::
 
-    accept thread ──► per-session reader threads ──► bounded admission queue
-                                                          │  (put_nowait;
-                                                          │   full = shed)
-                                  worker pool (bounded) ◄─┘
-                                       │
-                         reads ────────┼──────── writes
-                     (lock-free        │    (one GroupCommitter:
-                      SELECT, drain-   │     one storage-lock hold, ONE
-                      bounded digest/  │     fsync per group; acked only
-                      receipt)         │     after the group hardens)
+    accept thread ──► one reader thread per session: read a frame, admit
+                      it, execute it, write the reply, read the next
+                          │
+                          │  admission: non-blocking, workers + queue_depth
+                          │             admitted at once (over = shed)
+                          │  execution: one of ``workers`` slots, waited
+                          │             for within the deadline budget
+                          │
+                 reads ───┴─── writes
+             (lock-free           (one GroupCommitter:
+              SELECT, drain-       one storage-lock hold, ONE
+              bounded digest/      fsync per group; acked only
+              receipt)             after the group hardens)
 
     Robustness policy, in order of evaluation per request:
-      tamper-detected  → refuse data ops outright (verification wins)
+      bad deadline     → BAD_REQUEST (deadline_ms must be a finite number)
       shutting down    → SHUTTING_DOWN  (graceful drain-then-stop)
-      queue full       → SERVER_BUSY    (shed, never queue unbounded)
-      deadline expired → DEADLINE_EXCEEDED (checked again at dequeue and
-                         propagated into every pipeline drain barrier)
+      bound reached    → SERVER_BUSY    (shed, never wait unbounded)
+      deadline expired → DEADLINE_EXCEEDED (bounds the wait for a slot,
+                         checked again before executing and propagated
+                         into every pipeline drain barrier)
+      tamper-detected  → refuse data ops outright (verification wins)
       degraded         → writes shed with DEGRADED, verified reads keep
                          flowing (builder/monitor down ≠ data loss)
 
@@ -42,13 +47,13 @@ Fault points (all four ride the torture kill matrix):
 
 from __future__ import annotations
 
-import queue
+import math
 import socket
 import threading
 import time
 import traceback
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.core.receipts import generate_receipt
@@ -87,7 +92,8 @@ FAULTS.register(
     "server.read_stall",
     "The session reader fails before a request frame is read — a stalled "
     "or half-dead client link.  The session dies; other sessions and the "
-    "admission queue must be unaffected.",
+    "admission bounds must be unaffected (a reader between requests holds "
+    "no permit).",
 )
 FAULTS.register(
     "server.kill_mid_response",
@@ -103,6 +109,22 @@ _TXN_KEYWORDS = frozenset({"BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT"})
 
 #: Default per-request deadline when the client does not send one.
 DEFAULT_DEADLINE_SECONDS = 30.0
+
+
+def _deadline_budget(deadline_ms: Any) -> Optional[float]:
+    """The request's budget in seconds; None unless ``deadline_ms`` is a
+    finite number (JSON also yields NaN, Infinity, overflowed floats,
+    booleans and strings).  Capped at the longest wait a lock takes."""
+    if deadline_ms is None:
+        return DEFAULT_DEADLINE_SECONDS
+    if type(deadline_ms) not in (int, float):  # bool is an int subclass
+        return None
+    try:
+        budget = deadline_ms / 1000.0
+    except OverflowError:  # an int no float can hold
+        return None
+    return min(budget, threading.TIMEOUT_MAX) if math.isfinite(budget) else None
+
 
 #: Errors that are the request's fault (malformed input, SQL, type,
 #: constraint, unknown object, transaction state, ledger): BAD_REQUEST.
@@ -126,12 +148,6 @@ def _server_metrics(reg):
     class _Families:
         sessions = reg.gauge(
             "server_sessions", "Live client sessions on the ledger server"
-        )
-        inflight = reg.gauge(
-            "server_inflight_requests", "Requests currently executing"
-        )
-        queue_depth = reg.gauge(
-            "server_queue_depth", "Requests waiting in the admission queue"
         )
         requests = reg.counter(
             "server_requests_total",
@@ -213,12 +229,11 @@ class _Session:
             self.id = next(_Session._ids)
         self.sock = sock
         self.addr = addr
-        self.write_lock = threading.Lock()
-        # Requests from one connection execute serially (SQL sessions carry
-        # transaction state); the queue may interleave sessions freely.
-        # Reentrant because a worker holding it for a request may hit a dead
-        # socket in _respond and fall into _drop_session's cleanup sweep.
-        self.exec_lock = threading.RLock()
+        # Only this session's reader thread executes its requests, writes
+        # its replies and drops it, so neither needs a lock.  The one other
+        # thread that touches sql_session is a group-commit leader running
+        # this session's work unit, while the reader blocks in
+        # GroupCommitter.run until that unit is done.
         self.sql_session: Optional[Any] = None  # SqlSession, made on first execute
         self.closed = threading.Event()
 
@@ -263,10 +278,12 @@ class LedgerServer:
         self._db = db
         self._host = host
         self._requested_port = port
-        self._workers_count = max(1, int(workers))
-        self._queue: "queue.Queue[_Request]" = queue.Queue(
-            maxsize=max(1, int(queue_depth))
-        )
+        workers = max(1, int(workers))
+        self._queue_depth = max(1, int(queue_depth))
+        # Two bounds: ``workers`` requests execute at once, ``queue_depth``
+        # more may wait for an execution slot; past both, shed.
+        self._admission_bound = workers + self._queue_depth
+        self._slots = threading.Semaphore(workers)
         self._max_sessions = max(1, int(max_sessions))
         self._m = OBS.metrics.handles("server", _server_metrics)
         from repro.core.group_commit import GroupCommitter
@@ -280,14 +297,15 @@ class LedgerServer:
         self._tier_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._worker_threads: List[threading.Thread] = []
         self._sessions: Dict[int, _Session] = {}
         self._sessions_lock = threading.Lock()
+        # Guards _running, and _stopping with _admitted: a request is
+        # admitted under it only while the server is not stopping, so a
+        # drain that sees _admitted == 0 has seen the last one.
         self._state_lock = threading.Lock()
         self._running = False
         self._stopping = False
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
+        self._admitted = 0  # requests executing or waiting for a slot
         self._shed_counts: Dict[str, int] = {}
         self._shed_lock = threading.Lock()
         self._requests_served = 0
@@ -307,14 +325,6 @@ class LedgerServer:
             self._listener = listener
             self._running = True
             self._stopping = False
-        for index in range(self._workers_count):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"ledger-server-worker-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._worker_threads.append(thread)
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
             name="ledger-server-accept",
@@ -338,20 +348,16 @@ class LedgerServer:
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Graceful drain-then-stop (or fast stop with ``drain=False``).
 
-        Stops accepting, lets queued + in-flight requests finish (bounded
-        by ``timeout``), then tears down sessions and joins every thread.
-        Idempotent.
+        Stops admitting, lets every admitted request — executing or waiting
+        for a slot — finish (bounded by ``timeout``), then tears down
+        sessions.  Idempotent.
         """
         with self._state_lock:
             if not self._running:
                 return
             self._stopping = True
-        deadline = time.monotonic() + timeout
         if drain:
-            while time.monotonic() < deadline:
-                if self._queue.empty() and self._current_inflight() == 0:
-                    break
-                time.sleep(0.005)
+            self._wait_idle(timeout)
         with self._state_lock:
             self._running = False
         if self._listener is not None:
@@ -365,9 +371,9 @@ class LedgerServer:
             session.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
-        for thread in self._worker_threads:
-            thread.join(timeout=2.0)
-        self._worker_threads.clear()
+        # A request still executing on a reader thread finishes (its reply
+        # goes nowhere) before the committer it may be using closes.
+        self._wait_idle(2.0)
         self._committer.close()
         OBS.events.emit(
             "server", "server.stopped", requests=self._requests_served
@@ -451,47 +457,70 @@ class LedgerServer:
                 if payload is None:
                     break  # client hung up cleanly
                 self._admit(session, payload)
+        except Exception:  # noqa: BLE001 — one session's failure stays its own
+            # Whatever failed, the response may be half sent: close the
+            # connection rather than leave the client waiting on it.
+            OBS.events.emit(
+                "server", "server.request_failed",
+                session=session.id, traceback=traceback.format_exc(),
+            )
         finally:
             self._drop_session(session)
 
     def _admit(self, session: _Session, payload: Dict[str, Any]) -> None:
-        """Admission control: bounded queue, shed — never queue unbounded."""
+        """Admit one request, then execute it on this reader thread.
+
+        Admission never blocks: past ``workers + queue_depth`` admitted
+        requests the request is shed.  An admitted one waits for one of
+        ``workers`` execution slots at most its remaining deadline budget.
+        """
         seq = payload.get("seq")
-        if self._stopping:
-            self._shed("shutdown")
+        budget = _deadline_budget(payload.get("deadline_ms"))
+        if budget is None:
             self._respond_error(
                 session, seq,
-                RequestError(SHUTTING_DOWN, "server is draining"),
+                RequestError(BAD_REQUEST, "deadline_ms must be a finite number"),
             )
             return
-        deadline_ms = payload.get("deadline_ms")
+        deadline = time.monotonic() + budget
+        with self._state_lock:
+            stopping = self._stopping
+            admitted = not stopping and self._admitted < self._admission_bound
+            if admitted:
+                self._admitted += 1
+        if stopping:
+            self._reject(session, seq, "shutdown",
+                         RequestError(SHUTTING_DOWN, "server is draining"))
+            return
+        if not admitted:
+            self._reject(session, seq, "queue_full", RequestError(
+                SERVER_BUSY,
+                f"admission bound reached ({self._admission_bound} "
+                "executing or waiting)",
+            ))
+            return
+        request = _Request(session, payload, deadline)
         try:
-            budget = (
-                float(deadline_ms) / 1000.0
-                if deadline_ms is not None
-                else DEFAULT_DEADLINE_SECONDS
-            )
-        except (TypeError, ValueError):
-            self._respond_error(
-                session, seq,
-                RequestError(BAD_REQUEST, "deadline_ms must be a number"),
-            )
-            return
-        request = _Request(session, payload, time.monotonic() + budget)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._shed("queue_full")
-            self._respond_error(
-                session, seq,
-                RequestError(
-                    SERVER_BUSY,
-                    f"admission queue full ({self._queue.maxsize} deep)",
-                ),
-            )
-            return
-        if OBS.metrics.enabled:
-            self._m.queue_depth.set(self._queue.qsize())
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._slots.acquire(timeout=remaining):
+                self._reject(session, seq, "deadline", RequestError(
+                    DEADLINE_EXCEEDED,
+                    "deadline expired waiting for an execution slot",
+                ), op=str(payload.get("op", "")))
+                return
+            try:
+                self._handle(request)
+            finally:
+                self._slots.release()
+        finally:
+            with self._state_lock:
+                self._admitted -= 1
+
+    def _wait_idle(self, timeout: float) -> None:
+        """Wait, at most ``timeout`` seconds, until no request is admitted."""
+        deadline = time.monotonic() + timeout
+        while self._admitted and time.monotonic() < deadline:
+            time.sleep(0.005)
 
     def _drop_session(self, session: _Session) -> None:
         session.close()
@@ -501,55 +530,19 @@ class LedgerServer:
         # A client that dies mid-BEGIN leaves an open explicit transaction
         # whose NOWAIT table locks are only released by commit/rollback —
         # without this sweep every later writer to those tables fails until
-        # restart.  exec_lock serializes with any in-flight request on this
-        # session (and is reentrant: _respond can land here mid-request).
-        with session.exec_lock:
-            if session.sql_session is not None:
-                try:
-                    session.sql_session.abort()
-                except Exception:  # noqa: BLE001 — cleanup must not die
-                    pass
+        # restart.  Only the session's reader thread gets here, so no
+        # request of this session is executing meanwhile.
+        if session.sql_session is not None:
+            try:
+                session.sql_session.abort()
+            except Exception:  # noqa: BLE001 — cleanup must not die
+                pass
         if OBS.metrics.enabled:
             self._m.sessions.set(count)
 
     # ------------------------------------------------------------------
-    # Worker pool
+    # Request execution
     # ------------------------------------------------------------------
-
-    def _current_inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
-
-    def _worker_loop(self) -> None:
-        while True:
-            try:
-                request = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if not self._running:
-                    return
-                continue
-            if OBS.metrics.enabled:
-                self._m.queue_depth.set(self._queue.qsize())
-            with self._inflight_lock:
-                self._inflight += 1
-            if OBS.metrics.enabled:
-                self._m.inflight.set(self._inflight)
-            try:
-                self._handle(request)
-            except Exception:  # noqa: BLE001 — a worker outlives any request
-                # Whatever failed, the response may be half sent: close the
-                # connection rather than leave the client waiting on it.
-                OBS.events.emit(
-                    "server", "server.request_failed",
-                    session=request.session.id,
-                    traceback=traceback.format_exc(),
-                )
-                self._drop_session(request.session)
-            finally:
-                with self._inflight_lock:
-                    self._inflight -= 1
-                if OBS.metrics.enabled:
-                    self._m.inflight.set(self._inflight)
 
     def _handle(self, request: _Request) -> None:
         session = request.session
@@ -558,54 +551,49 @@ class LedgerServer:
         seq = payload.get("seq")
         started = request.admitted
         if session.closed.is_set():
-            # The connection is gone; there is nowhere to send a response
-            # and executing could re-open transaction state that
-            # _drop_session already rolled back.
+            # The connection is gone (stop() closed it while this request
+            # waited for a slot); there is nowhere to send a response and
+            # executing could re-open transaction state that the session's
+            # teardown rolls back.
             return
-        # Deadline re-check at dequeue: a request that sat out its budget
-        # in the queue is shed here rather than executed uselessly.
+        # Deadline re-check: a slot granted at the very end of the budget
+        # is not worth executing.
         if time.monotonic() > request.deadline:
-            self._shed("deadline")
+            self._reject(session, seq, "deadline", RequestError(
+                DEADLINE_EXCEEDED, "deadline expired before execution"
+            ), op=op)
+            return
+        try:
+            with OBS.tracer.span(
+                "server.request", op=op, session=session.id
+            ):
+                result = self._dispatch(session, op, payload, request)
+        except RequestError as exc:
+            if exc.code in (DEADLINE_EXCEEDED, DEGRADED, SERVER_BUSY):
+                self._shed(exc.code.lower())
+            self._respond_error(session, seq, exc, op=op)
+            return
+        except _REQUEST_FAULTS as exc:
             self._respond_error(
                 session, seq,
-                RequestError(
-                    DEADLINE_EXCEEDED, "deadline expired in admission queue"
-                ),
+                RequestError(BAD_REQUEST, f"{type(exc).__name__}: {exc}"),
                 op=op,
             )
             return
-        with session.exec_lock:
-            try:
-                with OBS.tracer.span(
-                    "server.request", op=op, session=session.id
-                ):
-                    result = self._dispatch(session, op, payload, request)
-            except RequestError as exc:
-                if exc.code in (DEADLINE_EXCEEDED, DEGRADED, SERVER_BUSY):
-                    self._shed(exc.code.lower())
-                self._respond_error(session, seq, exc, op=op)
-                return
-            except _REQUEST_FAULTS as exc:
-                self._respond_error(
-                    session, seq,
-                    RequestError(BAD_REQUEST, f"{type(exc).__name__}: {exc}"),
-                    op=op,
-                )
-                return
-            except InjectedFaultError as exc:
-                self._respond_error(
-                    session, seq,
-                    RequestError(INTERNAL, f"injected fault: {exc}"),
-                    op=op,
-                )
-                return
-            except Exception as exc:  # noqa: BLE001 — the server must not die
-                self._respond_error(
-                    session, seq,
-                    RequestError(INTERNAL, f"{type(exc).__name__}: {exc}"),
-                    op=op,
-                )
-                return
+        except InjectedFaultError as exc:
+            self._respond_error(
+                session, seq,
+                RequestError(INTERNAL, f"injected fault: {exc}"),
+                op=op,
+            )
+            return
+        except Exception as exc:  # noqa: BLE001 — the server must not die
+            self._respond_error(
+                session, seq,
+                RequestError(INTERNAL, f"{type(exc).__name__}: {exc}"),
+                op=op,
+            )
+            return
         self._requests_served += 1
         if OBS.metrics.enabled:
             self._m.requests.labels(op, "ok").inc()
@@ -621,7 +609,7 @@ class LedgerServer:
     def _respond(self, session: _Session, frame: Dict[str, Any]) -> None:
         try:
             data = protocol.encode_frame(frame)
-        except Exception as exc:  # noqa: BLE001 — answer, never kill the worker
+        except Exception as exc:  # noqa: BLE001 — answer, never kill the reader
             reason = (
                 "response exceeded frame limit" if isinstance(exc, ProtocolError)
                 else f"response not encodable: {type(exc).__name__}: {exc}"
@@ -634,21 +622,16 @@ class LedgerServer:
                 }
             )
         try:
-            with session.write_lock:
-                if FAULTS.armed("server.kill_mid_response"):
-                    # Split the write so an injected death lands between
-                    # the halves: the client sees a torn response frame.
-                    half = len(data) // 2
-                    session.sock.sendall(data[:half])
-                    FAULTS.fire(
-                        "server.kill_mid_response", session=session.id
-                    )
-                    session.sock.sendall(data[half:])
-                else:
-                    session.sock.sendall(data)
-        except InjectedFaultError:
-            self._drop_session(session)
-        except OSError:
+            if FAULTS.armed("server.kill_mid_response"):
+                # Split the write so an injected death lands between the
+                # halves: the client sees a torn response frame.
+                half = len(data) // 2
+                session.sock.sendall(data[:half])
+                FAULTS.fire("server.kill_mid_response", session=session.id)
+                session.sock.sendall(data[half:])
+            else:
+                session.sock.sendall(data)
+        except (InjectedFaultError, OSError):
             self._drop_session(session)
 
     def _respond_error(
@@ -663,6 +646,14 @@ class LedgerServer:
         self._respond(
             session, {"ok": False, "seq": seq, "error": error.to_wire()}
         )
+
+    def _reject(
+        self, session: _Session, seq: Any, reason: str, error: RequestError,
+        op: str = "",
+    ) -> None:
+        """Shed a request under ``reason`` and answer it with ``error``."""
+        self._shed(reason)
+        self._respond_error(session, seq, error, op=op)
 
     def _shed(self, reason: str) -> None:
         with self._shed_lock:
@@ -746,8 +737,6 @@ class LedgerServer:
                 "block builder or monitor is down: writes are shed, "
                 "verified reads keep flowing",
             )
-        if self._stopping:
-            raise RequestError(SHUTTING_DOWN, "server is draining")
 
     # -- reads ---------------------------------------------------------
 
@@ -771,7 +760,7 @@ class LedgerServer:
         self, payload: Dict[str, Any], request: _Request
     ) -> Dict[str, Any]:
         # The drain barrier honours the request's remaining budget: a
-        # deadline-bounded digest fails fast instead of stalling a worker
+        # deadline-bounded digest fails fast instead of holding a slot
         # behind slow in-flight commits.
         import json as _json
 
@@ -859,7 +848,7 @@ class LedgerServer:
         if sql_session.in_transaction or keyword in _TXN_KEYWORDS:
             # Interactive multi-request transactions hold NOWAIT table locks
             # across frames; they execute directly (grouping would only
-            # stretch the lock hold) on this worker thread.
+            # stretch the lock hold) on this reader thread.
             result = sql_session.execute(sql)
             return self._execute_result(sql_session, result)
 
@@ -903,9 +892,8 @@ class LedgerServer:
             shed = dict(self._shed_counts)
         return {
             "sessions": sessions,
-            "inflight": self._current_inflight(),
-            "queue_depth": self._queue.qsize(),
-            "queue_capacity": self._queue.maxsize,
+            "inflight": self._admitted,
+            "queue_capacity": self._queue_depth,
             "requests_served": self._requests_served,
             "shed": shed,
             "group_commit": self._committer.stats(),

@@ -20,9 +20,9 @@ Error codes are the server's overload-policy vocabulary.  ``retryable``
 tells a well-behaved client whether backing off and retrying (with the
 same ``txn_uuid``!) can succeed:
 
-* ``SERVER_BUSY``      — admission queue full; the request was shed, not
-  queued.  Retryable: the queue is bounded precisely so that load spikes
-  turn into fast rejects instead of unbounded latency.
+* ``SERVER_BUSY``      — ``workers`` executing plus ``queue_depth`` waiting:
+  the request was shed, not kept.  Retryable: the bound turns load spikes
+  into fast rejects instead of unbounded latency.
 * ``DEADLINE_EXCEEDED``— the request's propagated deadline expired before
   (or while) the server could finish it.  Retryable with a fresh deadline.
 * ``DEGRADED``         — the block builder or monitor is down; writes are

@@ -1,13 +1,15 @@
 """Ledger-server behaviour: request flow, admission control, deadlines,
 degraded mode, graceful shutdown.
 
-The overload tests stall the single worker deterministically with a
-callback fault on ``server.kill_mid_response`` (it fires inside the
-response writer, i.e. in the worker thread), then drive concurrent raw
-connections into the bounded admission queue.
+The overload tests stall the single execution slot deterministically with
+a callback fault on ``server.kill_mid_response`` (it fires inside the
+response writer, i.e. on the stalled session's reader thread), then drive
+concurrent raw connections against the admission bounds.
 """
 
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -47,11 +49,27 @@ def _raw_request(port, payload, timeout=10.0):
     return sock
 
 
+def _raw_body(port, body, timeout=10.0):
+    """Send one frame whose JSON text is ``body`` exactly as written."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+    sock.settimeout(timeout)
+    data = body.encode("utf-8")
+    sock.sendall(struct.pack(">I", len(data)) + data)
+    return sock
+
+
 def _read_response(sock):
     try:
         return protocol.recv_frame(sock)
     finally:
         sock.close()
+
+
+def _eventually(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 class TestRequestFlow:
@@ -85,6 +103,27 @@ class TestRequestFlow:
         response = _read_response(sock)
         assert response["ok"] is False
         assert response["error"]["code"] == BAD_REQUEST
+
+    def test_pipelined_frames_answer_in_send_order(self, server):
+        """Twenty frames sent before any reply is read execute and answer
+        in send order: each SELECT counts the INSERTs sent before it."""
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10.0)
+        sock.settimeout(10.0)
+        try:
+            for seq in range(20):
+                if seq % 2:
+                    payload = {"op": "select", "table": "items"}
+                else:
+                    payload = {"op": "insert", "table": "items",
+                               "rows": [[f"p{seq}", seq]]}
+                protocol.send_frame(sock, {**payload, "seq": seq})
+            replies = [protocol.recv_frame(sock) for _ in range(20)]
+        finally:
+            sock.close()
+        assert [reply["seq"] for reply in replies] == list(range(20))
+        assert all(reply["ok"] for reply in replies)
+        counts = [reply["result"]["count"] for reply in replies[1::2]]
+        assert counts == list(range(1, 11))
 
     def test_stats_shape(self, client):
         stats = client.server_stats()
@@ -217,7 +256,7 @@ class TestAdmissionControl:
         srv.stop(drain=True)
 
     def _stall_worker(self, narrow):
-        """Arm a one-shot stall inside the worker's response write."""
+        """Arm a one-shot stall inside the executing request's response write."""
         stalled = threading.Event()
         release = threading.Event()
 
@@ -241,7 +280,7 @@ class TestAdmissionControl:
         ]
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            # All five admitted or shed: 1 queued + 4 rejected.
+            # All five admitted or shed: 1 waiting for the slot + 4 rejected.
             if narrow.stats()["shed"].get("queue_full", 0) >= 4:
                 break
             time.sleep(0.01)
@@ -258,6 +297,93 @@ class TestAdmissionControl:
         assert busy  # sheds were structured rejects, not hangs
         assert _read_response(pinger)["ok"] is True
 
+    @pytest.mark.parametrize("fail_in", ["_handle", "_respond"])
+    def test_permits_never_leak(self, narrow, monkeypatch, fail_in):
+        """More failing requests than workers + queue_depth: each drops its
+        session, and every permit comes back."""
+        real, failures = getattr(narrow, fail_in), [RuntimeError("boom")] * 3
+
+        def failing(*args):
+            if failures:
+                raise failures.pop()
+            return real(*args)
+
+        monkeypatch.setattr(narrow, fail_in, failing)
+        for _ in range(3):
+            assert _read_response(_raw_request(narrow.port, {"op": "ping"})) is None
+        assert not failures
+        response = _read_response(
+            _raw_request(narrow.port, {"op": "ping", "deadline_ms": 2000}, 3.0)
+        )
+        assert response["ok"] and response["result"] == {"pong": True}
+        _eventually(lambda: narrow.stats()["inflight"] == 0)
+        _eventually(lambda: narrow.stats()["sessions"] == 0)
+        assert narrow.stats()["shed"] == {}
+
+    def test_bounds_hold_under_concurrent_sessions(self, narrow, monkeypatch):
+        """Six sessions race for one slot and one waiting place with a
+        short switch interval: never two requests execute at once, every
+        request is answered ok or SERVER_BUSY, and no admission is lost."""
+        handle, lock = narrow._handle, threading.Lock()
+        executing, peak, outcomes = [0], [0], []
+
+        def counted(request):
+            with lock:
+                executing[0] += 1
+                peak[0] = max(peak[0], executing[0])
+            try:
+                handle(request)
+            finally:
+                with lock:
+                    executing[0] -= 1
+
+        def session():
+            sock = socket.create_connection(("127.0.0.1", narrow.port), timeout=10.0)
+            sock.settimeout(10.0)
+            try:
+                for seq in range(40):
+                    protocol.send_frame(sock, {"op": "ping", "seq": seq})
+                    reply = protocol.recv_frame(sock)
+                    outcomes.append("ok" if reply["ok"] else reply["error"]["code"])
+            finally:
+                sock.close()
+
+        monkeypatch.setattr(narrow, "_handle", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=session) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 240
+        assert set(outcomes) <= {"ok", SERVER_BUSY} and "ok" in outcomes
+        assert peak[0] == 1
+        _eventually(lambda: narrow.stats()["inflight"] == 0)
+        assert narrow.stats()["shed"].get("queue_full", 0) == outcomes.count(SERVER_BUSY)
+
+    def test_drain_answers_requests_waiting_for_a_slot(self, narrow):
+        pinger, release = self._stall_worker(narrow)
+        waiting = _raw_request(
+            narrow.port,
+            {"op": "insert", "table": "items", "rows": [["w", 1]]},
+        )
+        _eventually(lambda: narrow.stats()["inflight"] == 2)
+        stopper = threading.Thread(target=narrow.stop, kwargs={"drain": True})
+        stopper.start()
+        time.sleep(0.1)
+        assert stopper.is_alive()  # both admitted requests hold the drain
+        release.set()
+        assert _read_response(pinger)["ok"] is True
+        response = _read_response(waiting)
+        assert response["ok"] is True and response["result"]["rows"] == 1
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
+
     def test_expired_deadline_is_shed_at_dequeue(self, narrow):
         pinger, release = self._stall_worker(narrow)
         sock = _raw_request(
@@ -265,13 +391,52 @@ class TestAdmissionControl:
             {"op": "insert", "table": "items", "rows": [["d", 1]],
              "deadline_ms": 5},
         )
-        time.sleep(0.1)  # let the 5 ms budget expire while queued
+        time.sleep(0.1)  # let the 5 ms budget expire while it waits for the slot
         release.set()
         response = _read_response(sock)
         assert response["ok"] is False
         assert response["error"]["code"] == DEADLINE_EXCEEDED
         assert response["error"]["retryable"] is True
         _read_response(pinger)
+
+
+class TestDeadlineField:
+    """``deadline_ms`` is a finite JSON number or absent; anything else —
+    including what ``json.loads`` turns into NaN or infinity — is refused
+    at admission instead of meaning "no deadline"."""
+
+    @pytest.mark.parametrize("op", ["ping", "digest"])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400,
+        "true", '"10"', "[10]",
+    ], ids=["nan", "infinity", "minus_infinity", "float_overflow",
+            "int_overflow", "bool", "string", "list"])
+    def test_non_finite_or_non_numeric_is_bad_request(self, server, op, value):
+        response = _read_response(_raw_body(
+            server.port, '{"op": "%s", "seq": 1, "deadline_ms": %s}' % (op, value)
+        ))
+        assert response == {
+            "ok": False, "seq": 1,
+            "error": {"code": BAD_REQUEST, "retryable": False,
+                      "message": "deadline_ms must be a finite number"},
+        }
+        assert server.stats()["shed"] == {}
+
+    @pytest.mark.parametrize("value", ["0", "-5", "-0.5"])
+    def test_spent_budget_is_deadline_exceeded(self, server, value):
+        response = _read_response(_raw_body(
+            server.port, '{"op": "ping", "seq": 1, "deadline_ms": %s}' % value
+        ))
+        assert response["error"]["code"] == DEADLINE_EXCEEDED
+        assert server.stats()["shed"] == {"deadline": 1}
+
+    @pytest.mark.parametrize("op", ["ping", "digest"])
+    @pytest.mark.parametrize("value", ["2000", "2500.5", "1e300"])
+    def test_finite_budget_is_served(self, server, op, value):
+        response = _read_response(_raw_body(
+            server.port, '{"op": "%s", "seq": 1, "deadline_ms": %s}' % (op, value)
+        ))
+        assert response["ok"] is True
 
 
 class TestDegradedMode:
