@@ -1,20 +1,23 @@
 """An in-memory B+ tree with range scans, used by all indexes.
 
-Keys are arbitrary comparable tuples (see
-:func:`repro.engine.record.key_tuple` for NULL handling); values are opaque.
-Keys must be unique — callers that need duplicates (nonclustered indexes)
-append a RowId component to the key to disambiguate.
+Keys are arbitrary comparable tuples — the indexes' are flat, two elements
+per key part (see :func:`repro.engine.record.key_tuple`); values are
+opaque.  Keys must be unique — callers that need duplicates (nonclustered
+indexes) append a RowId's two ints to the key to disambiguate.
 
 Leaves are linked for ordered iteration; interior nodes store separator keys.
 The fanout default (64) keeps trees shallow for the table sizes the
 benchmarks use while still exercising real splits and merges.
-:meth:`BPlusTree.bulk` builds a tree over known keys bottom-up.
+:meth:`BPlusTree.insert_many` sorts a batch once and descends each subtree
+the batch reaches once; a node that overflows splits into as many nodes as
+it needs on the way back up, and :meth:`BPlusTree.insert` is its one-key
+case.  :meth:`BPlusTree.bulk` builds a tree over known keys bottom-up.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 
@@ -58,26 +61,10 @@ class BPlusTree:
     @classmethod
     def bulk(cls, items: Iterable[Tuple[Any, Any]], order: int = 64) -> "BPlusTree":
         """What inserting ``items`` in order holds (an equal key keeps the
-        later value), built bottom-up: the keys, sorted once, fill leaves
-        left to right, then each interior level holds the one below."""
+        later value), built bottom-up: the sorted keys fill one leaf, which
+        splits into even leaves, then each interior level into even nodes."""
         tree = cls(order)
-        merged = dict(items)
-        keys = sorted(merged)
-        values = [merged[key] for key in keys]
-        level: List[Any] = [
-            _Leaf(keys[i : i + order], values[i : i + order])
-            for i in range(0, len(keys), order)
-        ]
-        for left, right in zip(level, level[1:]):
-            left.next_leaf = right
-        lows, step = keys[::order], order + 1  # smallest key under each node
-        while len(level) > 1:
-            level, lows = [
-                _Interior(lows[i + 1 : i + step], level[i : i + step])
-                for i in range(0, len(level), step)
-            ], lows[::step]
-        tree._root = level[0] if level else tree._root
-        tree._size = len(keys)
+        tree._insert_items(items)
         return tree
 
     def __len__(self) -> int:
@@ -97,58 +84,14 @@ class BPlusTree:
 
     def insert(self, key: Any, value: Any) -> None:
         """Insert a new key or replace the value of an existing key."""
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            separator, right = split
-            self._root = _Interior([separator], [self._root, right])
+        self._grow(self._insert_run(self._root, [key], [value], 0, 1))
 
     def insert_many(self, items: List[Tuple[Any, Any]]) -> None:
-        """Insert a batch of (key, value) pairs, descending the tree once
-        per run of consecutive keys instead of once per key.
-
-        The batch is sorted once; then, for each key, if it falls strictly
-        below the current leaf's separator upper bound and the leaf has room,
-        it is placed directly via ``bisect``.  Otherwise the tree is
-        re-descended (handling splits through the normal recursive path).
-        Equivalent to calling :meth:`insert` per pair in sorted order.
-        """
-        if not items:
-            return
-        items = sorted(items, key=lambda item: item[0])
-        leaf: Optional[_Leaf] = None
-        bound: Any = None  # tightest interior separator above `leaf`
-        for key, value in items:
-            if (
-                leaf is not None
-                and (bound is None or key < bound)
-                and len(leaf.keys) < self._order
-            ):
-                position = bisect.bisect_left(leaf.keys, key)
-                if position < len(leaf.keys) and leaf.keys[position] == key:
-                    leaf.values[position] = value
-                else:
-                    leaf.keys.insert(position, key)
-                    leaf.values.insert(position, value)
-                    self._size += 1
-                continue
-            self.insert(key, value)
-            leaf, bound = self._find_leaf_bound(key)
-
-    def _find_leaf_bound(self, key: Any) -> Tuple[_Leaf, Any]:
-        """Locate ``key``'s leaf plus the tightest separator bounding it above.
-
-        Any key ``k`` with ``k < bound`` routes to the same leaf, so batched
-        inserts may place such keys directly as long as the leaf does not
-        overflow.  ``bound`` is ``None`` when the leaf is rightmost.
-        """
-        node = self._root
-        bound: Any = None
-        while isinstance(node, _Interior):
-            index = bisect.bisect_right(node.keys, key)
-            if index < len(node.keys):
-                bound = node.keys[index]
-            node = node.children[index]
-        return node, bound  # type: ignore[return-value]
+        """Insert a batch of (key, value) pairs: what one :meth:`insert`
+        per pair, in order, leaves (an equal key keeps the later value),
+        with the batch sorted once and each subtree it reaches descended
+        once."""
+        self._insert_items(items)
 
     def delete(self, key: Any) -> None:
         """Remove ``key``; raises :class:`KeyError` when absent.
@@ -236,47 +179,97 @@ class BPlusTree:
         leaf: _Leaf = node  # type: ignore[assignment]
         return leaf, bisect.bisect_left(leaf.keys, key)
 
-    def _insert(
-        self, node: _Node, key: Any, value: Any
-    ) -> Optional[Tuple[Any, _Node]]:
-        """Recursive insert; returns (separator, new right sibling) on split."""
+    def _insert_items(self, items: Iterable[Tuple[Any, Any]]) -> None:
+        """Enter ``items`` sorted once (an equal key keeps the later value)."""
+        merged = dict(items)
+        keys = sorted(merged)
+        values = [merged[key] for key in keys]
+        self._grow(self._insert_run(self._root, keys, values, 0, len(keys)))
+
+    def _grow(self, siblings: Sequence[Tuple[Any, _Node]]) -> None:
+        """Put a level above a root that split off ``siblings``, as often as
+        the new root splits in turn."""
+        while siblings:
+            root = self._root = _Interior(
+                [separator for separator, _ in siblings],
+                [self._root, *(node for _, node in siblings)],
+            )
+            siblings = self._split(root) if len(root.keys) > self._order else ()
+
+    def _insert_run(
+        self, node: _Node, keys: List[Any], values: List[Any], lo: int, hi: int
+    ) -> Sequence[Tuple[Any, _Node]]:
+        """Enter ``keys[lo:hi]`` (sorted, unique, all routed to ``node``)
+        under ``node``; returns what :meth:`_split` splits off it."""
         if isinstance(node, _Leaf):
-            position = bisect.bisect_left(node.keys, key)
-            if position < len(node.keys) and node.keys[position] == key:
-                node.values[position] = value
-                return None
-            node.keys.insert(position, key)
-            node.values.insert(position, value)
-            self._size += 1
-            if len(node.keys) <= self._order:
-                return None
-            return self._split_leaf(node)
+            leaf_keys, leaf_values = node.keys, node.values
+            position = 0
+            for at in range(lo, hi):
+                key = keys[at]
+                position = bisect.bisect_left(leaf_keys, key, position)
+                if position == len(leaf_keys):  # the rest go after the leaf's
+                    leaf_keys += keys[at:hi]
+                    leaf_values += values[at:hi]
+                    self._size += hi - at
+                    break
+                if leaf_keys[position] == key:
+                    leaf_values[position] = values[at]
+                else:
+                    leaf_keys.insert(position, key)
+                    leaf_values.insert(position, values[at])
+                    self._size += 1
+            return self._split(node) if len(leaf_keys) > self._order else ()
 
-        interior: _Interior = node
-        index = bisect.bisect_right(interior.keys, key)
-        split = self._insert(interior.children[index], key, value)
-        if split is None:
-            return None
-        separator, right = split
-        interior.keys.insert(index, separator)
-        interior.children.insert(index + 1, right)
-        if len(interior.keys) <= self._order:
-            return None
-        return self._split_interior(interior)
+        interior: _Interior = node  # type: ignore[assignment]
+        separators, children = interior.keys, interior.children
+        grown = []
+        while lo < hi:
+            # The child the next key routes to takes every key below the
+            # separator above that child.
+            index = bisect.bisect_right(separators, keys[lo])
+            end = hi
+            if index < len(separators):
+                end = bisect.bisect_left(keys, separators[index], lo + 1, hi)
+            siblings = self._insert_run(children[index], keys, values, lo, end)
+            if siblings:
+                grown.append((index, siblings))
+            lo = end
+        if not grown:
+            return ()
+        for index, siblings in reversed(grown):
+            separators[index:index] = [separator for separator, _ in siblings]
+            children[index + 1 : index + 1] = [child for _, child in siblings]
+        return self._split(interior) if len(separators) > self._order else ()
 
-    def _split_leaf(self, leaf: _Leaf) -> Tuple[Any, _Leaf]:
-        middle = len(leaf.keys) // 2
-        right = _Leaf(leaf.keys[middle:], leaf.values[middle:])
-        leaf.keys = leaf.keys[:middle]
-        leaf.values = leaf.values[:middle]
-        right.next_leaf = leaf.next_leaf
-        leaf.next_leaf = right
-        return right.keys[0], right
+    def _split(self, node: _Node) -> Sequence[Tuple[Any, _Node]]:
+        """Split an overfull ``node`` into the fewest even nodes that hold
+        it; returns each new right sibling with the separator above it, in
+        key order."""
+        keys = node.keys
+        if isinstance(node, _Leaf):
+            values = node.values
+            cuts = _cuts(len(keys), self._order)
+            siblings = [
+                (keys[start], _Leaf(keys[start:end], values[start:end]))
+                for start, end in zip(cuts[1:], cuts[2:])
+            ]
+            node.keys, node.values = keys[: cuts[1]], values[: cuts[1]]
+            leaves = [node, *(leaf for _, leaf in siblings)]
+            for left, right in zip(leaves, [*leaves[1:], node.next_leaf]):
+                left.next_leaf = right
+            return siblings
+        interior: _Interior = node  # type: ignore[assignment]
+        children = interior.children
+        cuts = _cuts(len(children), self._order + 1)
+        interior.keys, interior.children = keys[: cuts[1] - 1], children[: cuts[1]]
+        return [
+            (keys[start - 1], _Interior(keys[start : end - 1], children[start:end]))
+            for start, end in zip(cuts[1:], cuts[2:])
+        ]
 
-    def _split_interior(self, node: _Interior) -> Tuple[Any, _Interior]:
-        middle = len(node.keys) // 2
-        separator = node.keys[middle]
-        right = _Interior(node.keys[middle + 1 :], node.children[middle + 1 :])
-        node.keys = node.keys[:middle]
-        node.children = node.children[: middle + 1]
-        return separator, right
+
+def _cuts(count: int, most: int) -> List[int]:
+    """Boundaries that cut ``count`` items into the fewest even runs of at
+    most ``most`` items each: ``[0, ..., count]``."""
+    runs = -(-count // most)
+    return [count * run // runs for run in range(runs + 1)]

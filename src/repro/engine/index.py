@@ -12,8 +12,12 @@ a full copy of every indexed record, plus a B+ tree for lookups.  Tampering
 with the index heap leaves the base table untouched — only invariant 5
 catches it.
 
-No tree is persisted: open bulk-builds each one (:meth:`BPlusTree.bulk`)
-from keys read by :meth:`RecordKernel.projector`, which parses no other value.
+A tree key is one flat tuple, two elements per key part (:func:`key_tuple`):
+``(1, account)`` clustered, ``(1, account, page_id, slot)`` nonclustered.
+``keys_of`` keys a batch of rows in one call; a batch enters a tree with
+one :meth:`BPlusTree.insert_many`.  No tree is persisted: open bulk-builds
+each one (:meth:`BPlusTree.bulk`) from keys read by
+:meth:`RecordKernel.projector`, which parses no other value.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from repro.engine.schema import IndexDefinition, TableSchema
 from repro.errors import ConstraintError, StorageError
 
 
-#: Sorts after every key part (parts are ``(0, '')`` or ``(1, value)``), so
-#: ``key + _AFTER`` is an exclusive upper bound for every key extending ``key``.
-_AFTER = ((2,),)
-_NULL_PART = (0, "")
+#: Sorts after every part tag (``0`` NULL, ``1`` a value), so ``key + _AFTER``
+#: bounds every clustered key extending ``key`` — clustered keys only: a
+#: nonclustered key's RowId suffix holds ints that may be 2 or more.
+_AFTER = (2,)
 
 
 def _key_maker(
@@ -46,14 +50,11 @@ def _key_maker(
     if len(ordinals) == 1:
         column = itemgetter(*ordinals)
         return lambda rows: [
-            (_NULL_PART,) if value is None else ((1, value),)
+            (0, "") if value is None else (1, value)
             for value in map(column, rows)
         ]
     columns = itemgetter(*ordinals)
-    return lambda rows: [
-        tuple([_NULL_PART if value is None else (1, value) for value in values])
-        for values in map(columns, rows)
-    ]
+    return lambda rows: [key_tuple(values) for values in map(columns, rows)]
 
 
 class ClusteredIndex:
@@ -80,14 +81,16 @@ class ClusteredIndex:
     def load(self, entries: Sequence[Tuple[Sequence[Any], RowId]]) -> None:
         """Replace the tree with one bulk-built over ``(row, rid)`` pairs
         (``row`` needs only the key columns); a key held twice raises."""
-        tree = BPlusTree.bulk((self.key_of(row), rid) for row, rid in entries)
+        keys = self.keys_of([row for row, _ in entries])
+        tree = BPlusTree.bulk(zip(keys, [rid for _, rid in entries]))
         if len(tree) != len(entries):
-            for row, rid in entries:
-                if tree.get(self.key_of(row)) != rid:  # a later row's key
+            for key, (row, rid) in zip(keys, entries):
+                if tree.get(key) != rid:  # a later row's key
                     raise self._duplicate(row)
         self._tree = tree
 
     def insert(self, row: Sequence[Any], rid: RowId) -> None:
+        """Enter one row (an UPDATE that changes its key, or an undo)."""
         key = self.key_of(row)
         if key in self._tree:
             raise self._duplicate(row)
@@ -99,7 +102,7 @@ class ClusteredIndex:
 
     def insert_keys(self, keys: Sequence[Tuple], rids: Sequence[RowId]) -> None:
         """Enter a batch of checked keys (:attr:`keys_of` the rows), none of
-        them held or repeated, with one sorted tree descent run."""
+        them held or repeated, as one tree batch."""
         self._tree.insert_many(list(zip(keys, rids)))
 
     def delete(self, row: Sequence[Any]) -> None:
@@ -195,9 +198,9 @@ class NonclusteredIndex:
     """Secondary index with its own duplicated storage.
 
     Every base-table record is copied verbatim into the index heap (a
-    covering index).  The B+ tree maps
-    ``(index key..., base_rid components)`` to the copy's location, so
-    duplicate index keys are supported.
+    covering index).  The B+ tree maps the flat index key followed by the
+    base RowId's ``page_id, slot`` to the copy's location, so duplicate
+    index keys are supported.
     """
 
     def __init__(self, table_name: str, definition: IndexDefinition,
@@ -213,11 +216,8 @@ class NonclusteredIndex:
         self.heap = HeapFile(f"{table_name}.{definition.name}")
         self._tree = BPlusTree()
 
-    def _tree_key(self, row: Sequence[Any], base_rid: RowId) -> Tuple:
-        return self.keys_of((row,))[0] + base_rid
-
     def insert(self, row: Sequence[Any], record: bytes, base_rid: RowId) -> None:
-        """Add the record copy for a newly stored base row."""
+        """Add the copy of one stored base row (an UPDATE, or an undo)."""
         key = self.keys_of((row,))[0]
         if self.definition.unique and self.holds(key):
             raise ConstraintError(f"duplicate key in unique index {self.name!r}")
@@ -245,7 +245,7 @@ class NonclusteredIndex:
 
     def delete(self, row: Sequence[Any], base_rid: RowId) -> None:
         """Remove the record copy when the base row goes away."""
-        tree_key = self._tree_key(row, base_rid)
+        tree_key = self.keys_of((row,))[0] + base_rid
         entry = self._tree.get(tree_key)
         if entry is None:
             page_id, slot = base_rid
@@ -280,14 +280,14 @@ class NonclusteredIndex:
         project = self._schema.derived(RecordKernel).projector(self.key_ordinals)
         heap = HeapFile(self.heap.name)
         index_rids = heap.insert_many([record for _, record, _ in base_records])
-        entries = []
+        rows, entries = [], []
         for (base_rid, record, row), index_rid in zip(base_records, index_rids):
             try:
-                row = project(record) if row is None else row
+                rows.append(project(record) if row is None else row)
             except StorageError:
                 continue
-            entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
-        self.heap, self._tree = heap, BPlusTree.bulk(entries)
+            entries.append((index_rid, base_rid))
+        self.heap, self._tree = heap, self._tree_over(rows, entries)
 
     def reattach_schema(self, schema: TableSchema) -> None:
         """Point the index at an evolved schema (ordinals are stable)."""
@@ -310,13 +310,14 @@ class NonclusteredIndex:
         project = self._schema.derived(RecordKernel).projector(
             {*pk, *self.key_ordinals}
         )
-        entries = []
+        rows, entries = [], []
         claimed: DefaultDict[bytes, int] = defaultdict(int)
         for index_rid, record in self.heap.scan():
             try:
                 row = project(record)
             except StorageError:
                 continue
+            rows.append(row)
             if clustered is not None:
                 base_rid = clustered.seek([row[o] for o in pk])
             else:
@@ -325,8 +326,14 @@ class NonclusteredIndex:
                 base_rid = rids[taken] if taken < len(rids) else None
             if base_rid is None:
                 base_rid = (-1, -1)
-            entries.append((self._tree_key(row, base_rid), (index_rid, base_rid)))
-        self._tree = BPlusTree.bulk(entries)
+            entries.append((index_rid, base_rid))
+        self._tree = self._tree_over(rows, entries)
+
+    def _tree_over(self, rows: List[Any], entries: List[Tuple]) -> BPlusTree:
+        """The tree over each row's ``(index_rid, base_rid)`` entry, every
+        key made by one :attr:`keys_of` call."""
+        keys = self.keys_of(rows)
+        return BPlusTree.bulk((k + e[1], e) for k, e in zip(keys, entries))
 
     def __len__(self) -> int:
         return len(self._tree)

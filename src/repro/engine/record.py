@@ -523,17 +523,17 @@ def hashable_payloads(
     return [transcode(record)[0] for record in records]
 
 
-def key_tuple(values: Sequence[Any]) -> Tuple[Tuple[int, Any], ...]:
+def key_tuple(values: Sequence[Any]) -> Tuple[Any, ...]:
     """Make index-key values totally orderable in the presence of NULLs.
 
     Python cannot compare ``None`` with other values, so each key part
-    becomes ``(0, '')`` for NULL (sorting first, like SQL Server) or
-    ``(1, value)`` otherwise.
+    becomes two elements of one flat tuple: ``0, ''`` for NULL (sorting
+    first, like SQL Server) or ``1, value`` otherwise.  Every part is
+    exactly two elements, so keys over the same columns compare tag with
+    tag and value with value, in the order nested ``(tag, value)`` pairs
+    would, with one tuple per key instead of one per part.
     """
-    parts = []
+    key: Tuple[Any, ...] = ()
     for value in values:
-        if value is None:
-            parts.append((0, ""))
-        else:
-            parts.append((1, value))
-    return tuple(parts)
+        key += (0, "") if value is None else (1, value)
+    return key

@@ -30,7 +30,7 @@ from repro.engine.index import (
     NonclusteredIndex,
 )
 from repro.engine.pager import MAX_RECORD_SIZE
-from repro.engine.record import RecordKernel, decode_record, key_tuple
+from repro.engine.record import RecordKernel, decode_record
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.transaction import Transaction
 from repro.engine.wal import (
@@ -113,16 +113,17 @@ class Table:
 
         Behaviourally equivalent to calling :meth:`insert` per row inside
         one transaction, but with every per-row cost amortized: the hooks
-        run once over the batch (one hash/tracing observation), the indexes
-        are descended per sorted run, and the WAL carries ONE frame for the
-        statement — so a torn tail loses the whole statement, never part.
+        run once over the batch (one hash/tracing observation), each index
+        tree descends each of its subtrees the batch reaches once, and the
+        WAL carries ONE frame for the statement — so a torn tail loses the
+        whole statement, never part.
         """
         if not rows:
             return []
         txn.require_active()
         self._acquire_write_lock(txn)
         prepared = self._hooks_ref().before_insert_many(txn, self, rows)
-        return self._store_rows(txn, prepared)
+        return self._store_rows(txn, prepared, INSERT_MANY)
 
     def system_insert(self, txn: Transaction, prepared: PreparedRow) -> RowId:
         """Insert bypassing DML hooks (history-table maintenance, §3.2)."""
@@ -164,10 +165,10 @@ class Table:
         )
         # Pre-check constraints so the physical mutation cannot half-apply.
         _check_sizes((new_record,))
-        self._check_unique(validated, ignore_rid=rid, old_row=old_row)
+        self._check_unique(validated, old_row)
         if not self.heap.overwrite(rid, new_record):
             self._remove_row(txn, rid, old_row, old_record)
-            return self._place_row(txn, validated, new_record)
+            return self._store_row(txn, (validated, new_record))
         self._rewrite_access_paths(rid, old_row, validated, new_record)
         for key_index in self._key_indexes.values():
             key_index.discard(old_row, rid)
@@ -354,15 +355,16 @@ class Table:
     # ------------------------------------------------------------------
 
     def _store_row(self, txn: Transaction, prepared: PreparedRow) -> RowId:
-        validated, record = prepared
-        _check_sizes((record,))
-        self._check_unique(validated)
-        return self._place_row(txn, validated, record)
+        """:meth:`_store_rows` for one row, logged as one ``INSERT`` frame
+        (undone by one ``DELETE`` CLR)."""
+        return self._store_rows(txn, [prepared], INSERT)[0]
 
     def _store_rows(
-        self, txn: Transaction, prepared: List[PreparedRow]
+        self, txn: Transaction, prepared: List[PreparedRow], kind: str
     ) -> List[RowId]:
-        """Constraint-check and place a whole prepared batch.
+        """Constraint-check and place a whole prepared batch, logged as one
+        ``kind`` frame: ``INSERT_MANY`` for a statement, ``INSERT`` for one
+        row stored on its own.
 
         All checks — each record's size, and each new key against the batch
         and the stored data — run before any mutation, so a violation
@@ -391,7 +393,10 @@ class Table:
                 )
             index_keys.append((index, keys))
 
-        rids = self.heap.insert_many(records)
+        if kind == INSERT:  # one row, through the heap's one-record call
+            rids = [self.heap.insert(records[0])]
+        else:
+            rids = self.heap.insert_many(records)
         if self.clustered is not None:
             self.clustered.insert_keys(pk_keys, rids)
         for index, keys in index_keys:
@@ -400,47 +405,23 @@ class Table:
             for row, rid in zip(rows, rids):
                 key_index.add(row, rid)
         logged = list(zip(rids, records))
-        self._wal.append(DmlRecord(INSERT_MANY, txn.tid, self.table_id, logged))
+        self._wal.append(DmlRecord(kind, txn.tid, self.table_id, logged))
 
-        def undo_insert_many() -> None:
-            # One compensation record for the whole statement, mirroring the
-            # single INSERT_MANY frame (ARIES CLR semantics, batched).
+        def undo_insert() -> None:
+            # Compensation: the undo itself is logged, one record mirroring
+            # the insert frame, so that if the transaction later commits
+            # (savepoint rollback) redo replays the insert AND its reversal
+            # in order (ARIES CLR semantics).
             self.drop_key_indexes()
             for row, rid in zip(reversed(rows), reversed(rids)):
                 self._physical_remove(rid, row)
+            undo_kind = DELETE if kind == INSERT else DELETE_MANY
             self._wal.append(
-                DmlRecord(DELETE_MANY, txn.tid, self.table_id, logged, clr=True)
+                DmlRecord(undo_kind, txn.tid, self.table_id, logged, clr=True)
             )
 
-        txn.record_undo(undo_insert_many)
-        return rids
-
-    def _place_row(
-        self, txn: Transaction, validated: Tuple[Any, ...], record: bytes
-    ) -> RowId:
-        rid = self.heap.insert(record)
-        if self.clustered is not None:
-            self.clustered.insert(validated, rid)
-        for index in self.nonclustered.values():
-            index.insert(validated, record, rid)
-        for key_index in self._key_indexes.values():
-            key_index.add(validated, rid)
-        self._wal.append(
-            DmlRecord(INSERT, txn.tid, self.table_id, ((rid, record),))
-        )
-
-        def undo_insert() -> None:
-            # Compensation: the undo itself is logged, so that if the
-            # transaction later commits (savepoint rollback) redo replays
-            # the insert AND its reversal in order (ARIES CLR semantics).
-            self.drop_key_indexes()
-            self._physical_remove(rid, validated)
-            self._wal.append(DmlRecord(
-                DELETE, txn.tid, self.table_id, ((rid, record),), clr=True
-            ))
-
         txn.record_undo(undo_insert)
-        return rid
+        return rids
 
     def _remove_row(
         self,
@@ -503,24 +484,15 @@ class Table:
             index.insert(row, record, rid)
 
     def _check_unique(
-        self,
-        row: Tuple[Any, ...],
-        ignore_rid: Optional[RowId] = None,
-        old_row: Optional[Tuple[Any, ...]] = None,
+        self, row: Tuple[Any, ...], old_row: Tuple[Any, ...]
     ) -> None:
-        """Pre-validate uniqueness so storage mutations cannot half-apply.
-
-        With ``old_row`` (an UPDATE), a key equal to the old row's is not
-        sought: the only entry it could find is the row's own.
-        """
+        """Refuse an UPDATE to ``row`` that takes a key another row holds,
+        before anything is written.  A key equal to ``old_row``'s is not
+        probed: the only entry it could find is the row's own."""
         clustered = self.clustered
-        if clustered is not None and (
-            old_row is None or clustered.key_of(row) != clustered.key_of(old_row)
-        ):
-            existing = clustered.seek(
-                [row[o] for o in self.schema.primary_key_ordinals()]
-            )
-            if existing is not None and existing != ignore_rid:
+        if clustered is not None:
+            key = clustered.key_of(row)
+            if key != clustered.key_of(old_row) and clustered.holds(key):
                 pk = tuple(row[o] for o in self.schema.primary_key_ordinals())
                 raise ConstraintError(
                     f"duplicate primary key {pk!r} in table {self.name!r}"
@@ -528,16 +500,11 @@ class Table:
         for index in self.nonclustered.values():
             if not index.definition.unique:
                 continue
-            new_key = [row[o] for o in index.key_ordinals]
-            if old_row is not None:
-                old_key = [old_row[o] for o in index.key_ordinals]
-                if key_tuple(old_key) == key_tuple(new_key):
-                    continue  # key unchanged; the existing entry is this row
-            for hit in index.seek(new_key):
-                if hit != ignore_rid:
-                    raise ConstraintError(
-                        f"duplicate key in unique index {index.name!r}"
-                    )
+            key, old_key = index.keys_of((row, old_row))
+            if key != old_key and index.holds(key):
+                raise ConstraintError(
+                    f"duplicate key in unique index {index.name!r}"
+                )
 
     def __repr__(self) -> str:
         return f"<Table {self.name!r} id={self.table_id}>"

@@ -361,6 +361,12 @@ class LedgerServer:
         with self._state_lock:
             self._running = False
         if self._listener is not None:
+            # Closing alone does not wake a blocked accept() on Linux;
+            # shutting the socket down does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

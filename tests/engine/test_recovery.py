@@ -674,6 +674,62 @@ class TestOpenReadRule:
         finally:
             reopened.close()
 
+    def test_rebuilt_tree_keys_each_copy_by_its_own_row(self, tmp_path):
+        """The crash path keys the copies whose keys read in one batch:
+        each entry pairs a row's key with that row's RowId and copy."""
+        path = str(tmp_path / "db")
+        db, _ = ledger_with_index(path)
+        damage(db, 2, INDEX_KEY)
+        reopened = reopen(path, db, "crash_redoing_t")
+        try:
+            table = reopened.ledger_table("t")
+            index = table.nonclustered["ix_k"]
+            expected = []
+            for pk, k in ((1, 10), (3, 30), (9, 90)):
+                base, _ = table.seek([pk])
+                expected.append((key_tuple([k]) + base, base))
+            entries = list(index._tree.items())
+            assert [(key, base) for key, (_, base) in entries] == expected
+            for _, (at, base) in entries:
+                assert index.heap.read(at) == table.heap.read(base)
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("how", ["clean", "crash_elsewhere"])
+    def test_index_copies_loaded_from_their_own_heap(self, tmp_path, how):
+        """A loaded index keys its copies in one batch: a copy whose key
+        does not read stays out of the tree but reaches ``scan_records``,
+        a copy no base row claims gets the ``(-1, -1)`` sentinel, and
+        verification reports both."""
+        path = str(tmp_path / "db")
+        db, _ = ledger_with_index(path)
+        table = db.ledger_table("t")
+        index = table.nonclustered["ix_k"]
+        by_key = {
+            decode_record(table.schema, record)[0]: (rid, record)
+            for rid, record in index.heap.scan()
+        }
+        rid, record = by_key[2]
+        index.heap.tamper_record(rid, INDEX_KEY(table.schema, record))
+        rid, record = by_key[3]
+        row = list(decode_record(table.schema, record))
+        row[0] = 7  # a primary key no base row holds
+        index.heap.tamper_record(rid, encode_record(table.schema, row))
+        db.checkpoint()
+        damaged = sorted(index.scan_records())
+        reopened = reopen(path, db, how)
+        try:
+            index = reopened.ledger_table("t").nonclustered["ix_k"]
+            assert sorted(index.scan_records()) == damaged
+            entries = sorted(index._tree.items())
+            assert [key for key, _ in entries] == [
+                key_tuple([10]) + entries[0][1][1], key_tuple([30]) + (-1, -1),
+            ]
+            assert entries[1][1][1] == (-1, -1)
+            assert invariants(reopened) == (False, ["index"])
+        finally:
+            reopened.close()
+
     @pytest.mark.parametrize(
         "change, error, message",
         [

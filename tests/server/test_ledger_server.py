@@ -565,6 +565,15 @@ class TestShutdown:
         assert report.ok
         srv.stop(drain=True)  # idempotent
 
+    def test_stop_wakes_the_accept_thread_at_once(self, server_db):
+        srv = LedgerServer(server_db, port=0, workers=1).start()
+        # One served connection puts the accept thread back in accept().
+        assert _read_response(_raw_request(srv.port, {"op": "ping"}))["ok"]
+        started = time.monotonic()
+        srv.stop(drain=True)
+        assert time.monotonic() - started < 0.5
+        assert not srv._accept_thread.is_alive()
+
     def test_session_cap_rejects_with_structured_busy(self, server_db):
         srv = LedgerServer(server_db, port=0, workers=1, max_sessions=1).start()
         try:
