@@ -91,7 +91,7 @@ from repro.core.verify_parallel import (
     block_root_task,
     chain_task,
     events_task,
-    keyed_leaves_task,
+    index_task,
     split_ranges,
 )
 from repro.core.verify_snapshot import (
@@ -312,6 +312,9 @@ class LedgerVerifier:
         self._phase_unit = ""
         self._escalate_reason: Optional[str] = None
         self._events_by_table: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
+        #: (table index, "base" | "history", None or index name) -> each
+        #: record's full-row leaf, or why it failed to decode.
+        self._full_rows: Dict[Tuple, List[Any]] = {}
 
     def verify(
         self,
@@ -716,7 +719,8 @@ class LedgerVerifier:
         expensive transcode + hash; the partial per-transaction
         event maps are merged here in task order, which is heap order.
         The events of transactions still open at capture are dropped here,
-        whole: they have no recorded root to compare against yet.
+        whole: they have no recorded root to compare against yet.  Full-row
+        leaves are kept, in heap order, for the index check.
         """
         args_list = [
             (table_index, which, start, end)
@@ -728,6 +732,7 @@ class LedgerVerifier:
             self._m.rows_scanned.inc(result["count"])
             self._advance(result["count"])
 
+        self._full_rows = {}
         results = self._run_tasks(
             report, pool, events_task, args_list, on_result
         )
@@ -737,6 +742,9 @@ class LedgerVerifier:
             if events is not result["events"]:
                 for tid, pairs in result["events"].items():
                     events.setdefault(tid, []).extend(pairs)
+            self._full_rows.setdefault((*args[:2], None), []).extend(
+                result["full_rows"]
+            )
         for events in merged.values():
             for tid in snapshot.active_tids:
                 events.pop(tid, None)
@@ -878,41 +886,55 @@ class LedgerVerifier:
     # ------------------------------------------------------------------
 
     def _check_indexes(self, report, snapshot, pool) -> None:
+        """Each index holds the same full rows as its base relation.
+
+        Only the index copies are derived here; the base records' leaves
+        come from the table-root pass.  Sorted leaves, not roots, are
+        compared: a leaf fixes its clustered key, whose value bytes the
+        hashed payload carries.
+        """
         indexed = [
             item for item in self._relations(snapshot)
             if item[2].index_records
         ]
-        args_list: List[Tuple[int, str, Optional[str], int, int]] = []
-        for table_index, which, relation in indexed:
-            sources = [(None, relation.records)]
-            sources.extend(relation.index_records.items())
-            for source, records in sources:
-                for start, end in self._ranges(len(records), pool):
-                    args_list.append((table_index, which, source, start, end))
-
-        merged: Dict[Tuple[int, str, Optional[str]], List] = {}
-        results = self._run_tasks(report, pool, keyed_leaves_task, args_list)
+        args_list = [
+            (table_index, which, name, start, end)
+            for table_index, which, relation in indexed
+            for name, copies in relation.index_records.items()
+            for start, end in self._ranges(len(copies), pool)
+        ]
+        results = self._run_tasks(report, pool, index_task, args_list)
         for args, result in zip(args_list, results):
-            merged.setdefault(args[:3], []).extend(result["keyed"])
-
-        def root_of(table_index, which, source) -> bytes:
-            # By clustered key, equal keys (a relation without one has only
-            # the empty key) by leaf: an order that depends on the records
-            # alone, not on where a heap happened to place them.
-            keyed = sorted(merged.get((table_index, which, source), []))
-            return merkle_root([leaf for _, leaf in keyed])
-
+            self._full_rows.setdefault(args[:3], []).extend(
+                result["full_rows"]
+            )
+        leaves: Dict[Tuple, List[bytes]] = {}
         for table_index, which, relation in indexed:
-            base_root = root_of(table_index, which, None)
-            for index_name in relation.index_records:
-                if root_of(table_index, which, index_name) != base_root:
+            for source in (None, *relation.index_records):
+                rows = self._full_rows.get((table_index, which, source), [])
+                report.findings.extend(
+                    Finding(
+                        "index", SEVERITY_ERROR,
+                        f"record in {relation.name!r} failed to decode "
+                        f"during index verification: {row}",
+                        {"table": relation.name},
+                    )
+                    for row in rows if isinstance(row, str)
+                )
+                leaves[table_index, which, source] = sorted(
+                    row for row in rows if isinstance(row, bytes)
+                )
+        for table_index, which, relation in indexed:
+            base = leaves[table_index, which, None]
+            for name in relation.index_records:
+                if leaves[table_index, which, name] != base:
                     report.findings.append(
                         Finding(
                             "index", SEVERITY_ERROR,
-                            f"nonclustered index {index_name!r} on "
+                            f"nonclustered index {name!r} on "
                             f"{relation.name!r} is not equivalent to the "
                             "base table",
-                            {"table": relation.name, "index": index_name},
+                            {"table": relation.name, "index": name},
                         )
                     )
 

@@ -12,14 +12,15 @@ as a *range task* — "check one range of an immutable snapshot":
 * ``block_root``— a slice of block ids, each recomputing its transactions
                   Merkle root.
 * ``table_root``— a record range of one relation, transcoded and hashed into a
-                  partial per-transaction event map the caller merges.
-* ``index``     — a record range of one heap or index, returning keyed
-                  leaves the caller merges, sorts, and roots.
+                  partial per-transaction event map the caller merges, plus
+                  each record's full-row leaf if the relation has indexes.
+* ``index``     — a range of one index's copies, hashed into full-row
+                  leaves the caller sorts and compares with the base's.
 
 A task is a plain function of ``(snapshot, cache, args)``.
 :class:`VerifyPool` runs it in-process — one worker, or no ``fork`` on this
 platform (:func:`fork_available`) — or in forked worker processes; the
-planning, merging and root comparison in
+planning, merging and comparisons in
 :class:`repro.core.verification.LedgerVerifier` do not know which.
 
 In-process tasks share the caller's :class:`LeafHashCache` (row-version
@@ -45,12 +46,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.verify_snapshot import (
+    Event,
     RelationSnapshot,
     VerificationSnapshot,
-    cached_record_events,
+    record_events,
 )
 from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
@@ -129,6 +131,35 @@ def _relation(
     return table.base if which == "base" else table.history
 
 
+def _derive(
+    relation: RelationSnapshot, records: List[bytes],
+    cache: Optional[LeafHashCache],
+) -> List[Union[Tuple[Event, ...], str]]:
+    """:func:`record_events` of each record, or why it failed to decode.
+
+    Cache hits are keyed by the exact stored bytes, so tampered records miss
+    (:class:`LeafHashCache`); failures are not cached.
+    """
+    derived = (
+        [None] * len(records) if cache is None
+        else cache.get_many(relation.fingerprint, records)
+    )
+    fills = []
+    for position, value in enumerate(derived):
+        if value is not None:
+            continue
+        record = records[position]
+        try:
+            derived[position] = value = record_events(relation, record)
+        except StorageError as exc:
+            derived[position] = str(exc)
+            continue
+        fills.append((record, value))
+    if cache is not None and fills:
+        cache.put_many(relation.fingerprint, fills)
+    return derived
+
+
 # ----------------------------------------------------------------------
 # Range tasks
 # ----------------------------------------------------------------------
@@ -189,11 +220,11 @@ def block_root_task(
         if cache is None:
             root = MerkleTree(hashes).root()
         else:
-            key = cache.make_key(_TRANSACTIONS_ROOT, b"".join(hashes))
-            root = cache.get_by_key(key)
+            joined = b"".join(hashes)
+            root = cache.get(_TRANSACTIONS_ROOT, joined)
             if root is None:
                 root = MerkleTree(hashes).root()
-                cache.put_by_key(key, root)
+                cache.put(_TRANSACTIONS_ROOT, joined, root)
         if root != block.transactions_root:
             findings.append(
                 Finding(
@@ -227,66 +258,57 @@ def events_task(
 
     Returns ``{tid: [(seq, leaf), ...]}`` partials (§3.4.1-4); the expensive
     record-kernel pass (canonical serialization) + SHA-256 happens here.
+    For a relation with indexes, ``full_rows`` is :func:`_full_rows`.
     """
     table_index, which, start, end = args
     relation = _relation(snapshot, table_index, which)
+    span = relation.records[start:end]
+    derived = _derive(relation, [record for _, _, record in span], cache)
     events: Dict[Optional[int], List[Tuple[int, bytes]]] = {}
     findings: List[Finding] = []
     scanned = 0
     kind = "history table" if relation.is_history else "table"
-    for page_id, slot, record in relation.records[start:end]:
-        try:
-            derived, _ = cached_record_events(relation, record, cache)
-        except StorageError as exc:
+    for (page_id, slot, _), value in zip(span, derived):
+        if isinstance(value, str):
             findings.append(
                 Finding(
                     "table_root", SEVERITY_ERROR,
                     f"row RowId({page_id}:{slot}) in {kind} "
-                    f"{relation.name!r} failed to decode: {exc}",
+                    f"{relation.name!r} failed to decode: {value}",
                     {"table": relation.name},
                 )
             )
             continue
-        for tid, seq, leaf in derived:
+        for tid, seq, leaf in value:
             events.setdefault(tid, []).append((seq, leaf))
-        scanned += len(derived)
-    return {"events": events, "findings": findings, "count": scanned}
+        scanned += len(value)
+    return {
+        "events": events, "findings": findings, "count": scanned,
+        "full_rows": _full_rows(derived) if relation.index_records else [],
+    }
 
 
-def keyed_leaves_task(
-    snapshot, cache, args: Tuple[int, str, Optional[str], int, int]
+def index_task(
+    snapshot, cache, args: Tuple[int, str, str, int, int]
 ) -> Dict[str, Any]:
-    """Hash one record range of a heap or index into keyed leaves.
-
-    ``source`` is ``None`` for the relation's own heap, else an index name.
-    The caller merges, sorts by clustered key, and compares roots.
-    """
-    table_index, which, source, start, end = args
+    """Hash one range of an index's stored copies into :func:`_full_rows`."""
+    table_index, which, index_name, start, end = args
     relation = _relation(snapshot, table_index, which)
-    if source is None:
-        records = [record for _, _, record in relation.records[start:end]]
-    else:
-        records = relation.index_records[source][start:end]
-    keyed: List[Tuple[Tuple, bytes]] = []
-    findings: List[Finding] = []
-    for record in records:
-        try:
-            derived, order_key = cached_record_events(relation, record, cache)
-        except StorageError as exc:
-            findings.append(
-                Finding(
-                    "index", SEVERITY_ERROR,
-                    f"record in {relation.name!r} failed to decode "
-                    f"during index verification: {exc}",
-                    {"table": relation.name},
-                )
-            )
-            continue
-        # The leaf over the full row is the last event's leaf for history
-        # records (as-deleted form == full row) and the only event's leaf
-        # for base records.
-        keyed.append((order_key, derived[-1][2]))
-    return {"keyed": keyed, "findings": findings, "count": len(records)}
+    records = relation.index_records[index_name][start:end]
+    return {
+        "full_rows": _full_rows(_derive(relation, records, cache)),
+        "findings": [], "count": len(records),
+    }
+
+
+def _full_rows(derived) -> List[Union[bytes, str]]:
+    """Each record's full-row leaf, or why it failed to decode.  The last
+    leaf is the full row's: a base record's only one, a history record's
+    as-deleted form."""
+    return [
+        value if isinstance(value, str) else value[-1][2]
+        for value in derived
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,9 @@ costs what the new transactions wrote, not what the table holds; what the
 verifier may conclude from it is stated in :mod:`repro.core.verification`.
 
 ``record_events`` is the single routine that turns one stored record into
-its verification events; every range task reaches it through
-``cached_record_events``, in-process or in a forked worker, so no two runs
-can disagree on hashing semantics.
+its verification events; every range task reaches it, in-process or in a
+forked worker, for each record the leaf-hash cache does not hold, so no two
+runs can disagree on hashing semantics.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_view import canonical_view_definition
 from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.crypto.hashing import LeafHashCache, hash_leaf
-from repro.engine.record import RecordKernel, hashable_payload, key_tuple
+from repro.engine.record import RecordKernel, hashable_payload
 from repro.errors import LedgerError, StorageError
 from repro.obs import OBS
 
@@ -64,8 +64,6 @@ def _snapshot_metrics(reg):
 
 #: One row-version event: (transaction id, sequence, leaf digest).
 Event = Tuple[Optional[int], int, bytes]
-#: Cached per-record derivation: (events, clustered-key sort key).
-RecordDerivation = Tuple[Tuple[Event, ...], Tuple]
 
 
 def schema_fingerprint(relation_name: str, schema, is_history: bool) -> str:
@@ -74,9 +72,9 @@ def schema_fingerprint(relation_name: str, schema, is_history: bool) -> str:
     Covers the relation's role (base vs. history changes how many events a
     record yields), every column's name, ordinal, exact type (id + metadata,
     so ``tamper_column_type`` changes the fingerprint), hidden/dropped flags,
-    and the primary-key ordinals used for clustered ordering.  Cache entries
-    keyed by this fingerprint — row versions here, the ledger's own entry
-    and block records in
+    and the primary-key ordinals, whose columns are decoded strictly.  Cache
+    entries keyed by this fingerprint — row versions here, the ledger's own
+    entry and block records in
     :meth:`repro.core.database_ledger.DatabaseLedger._scan` — can never alias
     across schema changes.
     """
@@ -99,7 +97,6 @@ class RelationSnapshot:
     schema: Any
     fingerprint: str
     is_history: bool
-    key_ordinals: Tuple[int, ...]
     #: Ordinals of the start (transaction id, sequence number) columns.
     start_ordinals: Tuple[int, int]
     #: History relations: ordinals of the end columns; else empty.
@@ -181,7 +178,6 @@ def _relation(
         schema=table.schema,
         fingerprint=schema_fingerprint(table.name, table.schema, is_history),
         is_history=is_history,
-        key_ordinals=table.schema.primary_key_ordinals(),
         start_ordinals=sc.start_ordinals(table.schema),
         end_ordinals=sc.end_ordinals(table.schema) if is_history else (),
         records=records,
@@ -432,8 +428,8 @@ def capture_snapshot(
 
 def record_events(
     relation: RelationSnapshot, record: bytes
-) -> RecordDerivation:
-    """Derive the verification events and sort key for one stored record.
+) -> Tuple[Event, ...]:
+    """Derive the verification events of one stored record.
 
     Base relation records yield one event attributed to the creating
     transaction; history records yield two — the as-created form (end
@@ -442,7 +438,8 @@ def record_events(
     transaction).  The canonical serialization skips NULL values, so a live
     row's NULL end columns hash identically to the as-created history form —
     the property that keeps per-table event streams append-only and makes
-    incremental Merkle frontiers sound.
+    incremental Merkle frontiers sound.  The last event's leaf is always
+    the full row's, which the index invariant compares with index copies.
 
     One kernel pass (:func:`repro.engine.record.hashable_payload`) checks
     the record's structure, builds both payloads from the stored bytes and
@@ -455,52 +452,14 @@ def record_events(
     payload, created, row = hashable_payload(
         relation.schema, record, relation.end_ordinals
     )
-    if relation.is_history:
-        end_tid, end_seq = relation.end_ordinals
-        events: Tuple[Event, ...] = (
-            (
-                row[start_tid],
-                row[start_seq] if row[start_seq] is not None else -1,
-                hash_leaf(created),
-            ),
-            (
-                row[end_tid],
-                row[end_seq] if row[end_seq] is not None else -1,
-                hash_leaf(payload),
-            ),
+    seq = row[start_seq]
+    if not relation.is_history:
+        return (
+            (row[start_tid], -1 if seq is None else seq, hash_leaf(payload)),
         )
-    else:
-        events = (
-            (
-                row[start_tid],
-                row[start_seq] if row[start_seq] is not None else -1,
-                hash_leaf(payload),
-            ),
-        )
-    # Relations without a clustered key get the empty key: the index check
-    # orders equal keys by leaf.
-    return events, key_tuple([row[o] for o in relation.key_ordinals])
-
-
-def cached_record_events(
-    relation: RelationSnapshot,
-    record: bytes,
-    cache: Optional[LeafHashCache],
-) -> RecordDerivation:
-    """Cache-assisted :func:`record_events`.
-
-    The cache key covers the schema fingerprint and the exact stored bytes,
-    so a hit is always byte-identical to recomputation — tampered records
-    miss and are hashed from their tampered bytes (see
-    :class:`repro.crypto.hashing.LeafHashCache` for the soundness argument).
-    """
-    if cache is None:
-        return record_events(relation, record)
-    # One key build serves both the lookup and the fill.
-    key = cache.make_key(relation.fingerprint, record)
-    value = cache.get_by_key(key)
-    if value is not None:
-        return value
-    value = record_events(relation, record)
-    cache.put_by_key(key, value)
-    return value
+    end_tid, end_seq = relation.end_ordinals
+    end = row[end_seq]
+    return (
+        (row[start_tid], -1 if seq is None else seq, hash_leaf(created)),
+        (row[end_tid], -1 if end is None else end, hash_leaf(payload)),
+    )

@@ -101,10 +101,15 @@ class LeafHashCache:
     and re-hashed each cycle.  This cache memoizes three derivations so warm
     runs skip the decode and the hashing:
 
-    * a user relation's row version → its leaf events and sort key;
+    * a user relation's row version, or an index copy of one → its leaf
+      events;
     * a stored ``database_ledger_transactions`` / ``database_ledger_blocks``
       record → its decoded entry or block row (which carries its hash);
     * a block's ordered entry hashes → its transactions Merkle root.
+
+    A range of records costs one :meth:`get_many` and one :meth:`put_many`,
+    each under one lock acquisition; :meth:`get` / :meth:`put` are the
+    one-record case.  A re-put key becomes the most recently used.
 
     Soundness: entries are keyed by ``(context, bytes)``, and the key covers
     every input of the result.  For a record, ``context`` is a fingerprint
@@ -135,35 +140,10 @@ class LeafHashCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    @staticmethod
-    def make_key(context: str, record: bytes) -> Tuple[str, bytes]:
-        """Build the cache key once; pass it to :meth:`get_by_key` /
-        :meth:`put_by_key` so a miss-then-insert cycle does not rebuild it."""
-        return (context, record)
-
-    def get_by_key(self, key: Tuple[str, bytes]) -> Optional[Any]:
-        """Return the cached value for a prebuilt key, or ``None``."""
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put_by_key(self, key: Tuple[str, bytes], value: Any) -> None:
-        """Insert under a prebuilt key, evicting the LRU entry if full."""
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
     def get_many(
         self, context: str, records: Sequence[bytes]
     ) -> List[Optional[Any]]:
-        """:meth:`get` for a whole scan under one lock acquisition."""
+        """Look up a whole scan under one lock acquisition."""
         values: List[Optional[Any]] = []
         hits = 0
         with self._lock:
@@ -182,21 +162,23 @@ class LeafHashCache:
     def put_many(
         self, context: str, items: Iterable[Tuple[bytes, Any]]
     ) -> None:
-        """:meth:`put` for a whole scan's misses under one lock acquisition."""
+        """Fill a whole scan's misses under one lock acquisition."""
         with self._lock:
             data = self._data
             for record, value in items:
-                data[(context, record)] = value
+                key = (context, record)
+                data[key] = value
+                data.move_to_end(key)
             while len(data) > self.capacity:
                 data.popitem(last=False)
 
     def get(self, context: str, record: bytes) -> Optional[Any]:
         """Return the cached value for ``(context, record)``, or ``None``."""
-        return self.get_by_key((context, record))
+        return self.get_many(context, (record,))[0]
 
     def put(self, context: str, record: bytes, value: Any) -> None:
         """Insert a value, evicting the least-recently-used entry if full."""
-        self.put_by_key((context, record), value)
+        self.put_many(context, ((record, value),))
 
     def stats(self) -> Dict[str, int]:
         """Point-in-time counters for mirroring into a metrics registry."""

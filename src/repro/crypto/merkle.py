@@ -6,12 +6,13 @@ Two implementations cover the two ways the paper uses Merkle trees:
   root of a Merkle tree *while leaves arrive*, holding only the last unpaired
   node per level: O(N) time, O(log N) space.  Its state can be snapshotted
   and restored in O(log N), which is what makes partial transaction rollbacks
-  (savepoints) cheap.
+  (savepoints) cheap.  The DML path and verification checkpoints use it.
 
-* :class:`MerkleTree` — a materialized tree over a known list of leaves.
-  The block builder uses it to compute the per-block transaction root and to
-  produce :class:`MerkleProof` inclusion proofs for non-repudiation receipts
-  (§5.1).
+* :class:`MerkleTree` — a materialized tree over a known list of leaves,
+  built level by level.  The block builder uses it to compute the per-block
+  transaction root and to produce :class:`MerkleProof` inclusion proofs for
+  non-repudiation receipts (§5.1); verification recomputes every root over a
+  known list with it (:func:`merkle_root`).
 
 Both use the same node rules, so they always agree on the root:
 
@@ -22,14 +23,20 @@ Both use the same node rules, so they always agree on the root:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import HASH_SIZE, hash_interior, sha256
+from repro.crypto.hashing import (
+    _TAG_INTERIOR, HASH_SIZE, hash_interior, sha256,
+)
 from repro.errors import MerkleError
 
 #: Root reported for a tree with zero leaves (RFC 6962 convention).
 EMPTY_TREE_ROOT = sha256(b"")
+
+#: Pre-seeded interior-node context, copied per node by :class:`MerkleTree`.
+_INTERIOR_SEED = hashlib.sha256(_TAG_INTERIOR)
 
 
 def _merkle_metrics(reg):
@@ -290,18 +297,20 @@ class MerkleTree:
 
     def __init__(self, leaves: Iterable[bytes], metrics=None) -> None:
         reg = metrics if metrics is not None else _default_metrics()
-        level0 = list(leaves)
-        for leaf in level0:
-            if len(leaf) != HASH_SIZE:
-                raise MerkleError("all leaves must be 32-byte digests")
-        self._levels: List[List[bytes]] = [level0]
-        current = level0
-        built = 0
+        current = list(leaves)
+        if not all(map(HASH_SIZE.__eq__, map(len, current))):
+            raise MerkleError("all leaves must be 32-byte digests")
+        self._levels: List[List[bytes]] = [current]
+        built = max(len(current) - 1, 0)
+        interior = _INTERIOR_SEED.copy
         while len(current) > 1:
+            pairs = iter(current)
             parent: List[bytes] = []
-            for i in range(0, len(current) - 1, 2):
-                parent.append(hash_interior(current[i], current[i + 1]))
-            built += len(current) // 2
+            for left, right in zip(pairs, pairs):
+                node = interior()
+                node.update(left)
+                node.update(right)
+                parent.append(node.digest())
             if len(current) % 2 == 1:
                 parent.append(current[-1])  # promote unpaired node unchanged
             self._levels.append(parent)
@@ -348,8 +357,5 @@ class MerkleTree:
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Convenience: the Merkle root of ``leaves`` via the streaming hasher."""
-    hasher = MerkleHasher()
-    for leaf in leaves:
-        hasher.append(leaf)
-    return hasher.root()
+    """The Merkle root of ``leaves``, built level by level."""
+    return MerkleTree(leaves).root()

@@ -110,3 +110,17 @@ class TestBatches:
         cache.put_many("fp", [(b"r%d" % i, i) for i in range(5)])
         assert len(cache) == 3
         assert cache.get_many("fp", [b"r0", b"r2", b"r4"]) == [None, 2, 4]
+
+    @pytest.mark.parametrize("refill", [
+        lambda cache: cache.put("fp", b"a", 1),
+        lambda cache: cache.put_many("fp", [(b"a", 1)]),
+    ], ids=["put", "put_many"])
+    def test_re_put_key_becomes_most_recent(self, refill):
+        """Re-putting ``a`` refreshes it, whichever fill path does it: the
+        next eviction takes ``b``."""
+        cache = LeafHashCache(capacity=2)
+        cache.put("fp", b"a", 1)
+        cache.put("fp", b"b", 2)
+        refill(cache)
+        cache.put("fp", b"c", 3)
+        assert cache.get_many("fp", [b"a", b"b", b"c"]) == [1, None, 3]

@@ -174,3 +174,41 @@ class TestRootUniqueness:
         tampered[len(items) // 2] = sha256(b"tampered" + bytes(payloads[0]))
         if tampered != items:
             assert merkle_root(tampered) != original
+
+
+class TestLevelwiseRoot:
+    """``merkle_root`` builds levels; the streaming hasher and the
+    materialized tree must agree with it on every size."""
+
+    @given(st.lists(st.binary(min_size=32, max_size=32), max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_hasher_and_tree(self, items):
+        hasher = MerkleHasher()
+        hasher.extend(items)
+        assert merkle_root(items) == hasher.root() == MerkleTree(items).root()
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 300]
+    )
+    def test_equals_hasher_at_power_of_two_edges(self, count):
+        items = leaves(count)
+        hasher = MerkleHasher()
+        for item in items:
+            hasher.append(item)
+        assert merkle_root(items) == hasher.root()
+
+    @given(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.integers(min_value=0, max_value=n - 1),
+                st.binary(max_size=64).filter(lambda b: len(b) != 32),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wrong_size_leaf_anywhere_raises(self, case):
+        count, position, bad = case
+        items = leaves(count)
+        items[position] = bad
+        with pytest.raises(MerkleError):
+            merkle_root(items)
