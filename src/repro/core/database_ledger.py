@@ -101,57 +101,11 @@ DEFAULT_BLOCK_SIZE = 100_000
 
 def _ledger_metrics(reg):
     class _Families:
-        entries_enqueued = reg.counter(
-            "ledger_entries_enqueued_total",
-            "Transaction entries enqueued after durable commit",
-        )
-        entries_flushed = reg.counter(
-            "ledger_entries_flushed_total",
-            "Transaction entries batch-inserted into the system table",
-        )
-        queue_depth = reg.gauge(
-            "ledger_queue_depth",
-            "Transaction entries currently waiting in the in-memory queue",
-        )
-        sealed_pending = reg.gauge(
-            "ledger_sealed_blocks_pending",
-            "Blocks sealed by the sequencer but not yet closed by the "
-            "block builder",
-        )
-        blocks_sealed = reg.counter(
-            "ledger_blocks_sealed_total", "Blocks sealed by the sequencer"
-        )
         blocks_closed = reg.counter(
             "ledger_blocks_closed_total", "Ledger blocks formed and appended"
         )
-        block_close_seconds = reg.histogram(
-            "ledger_block_close_seconds",
-            "Time to form one block (flush, Merkle root, persist)",
-        )
-        block_transactions = reg.histogram(
-            "ledger_block_transactions",
-            "Transactions per closed block",
-            buckets=(1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000),
-        )
-        stage_seconds = reg.histogram(
-            "pipeline_stage_seconds",
-            "Wall time per commit-pipeline stage operation "
-            "(seal, flush, merkle, persist, close, drain)",
-            ("stage",),
-        )
-        queue_wait_seconds = reg.histogram(
-            "pipeline_queue_wait_seconds",
-            "Per-entry wait between durable enqueue and block-closure start",
-        )
-        queue_oldest_age = reg.gauge(
-            "ledger_queue_oldest_age_seconds",
-            "Age of the oldest entry still waiting in the in-memory queue",
-        )
         digests_generated = reg.counter(
             "digest_generated_total", "Database digests generated"
-        )
-        digest_generate_seconds = reg.histogram(
-            "digest_generate_seconds", "Digest generation latency"
         )
 
     return _Families
@@ -327,20 +281,12 @@ class DatabaseLedger:
         """Seal under ``sequencer_lock``: publish (id, count), advance."""
         if self._open_ordinal == 0:
             return None
-        started = time.perf_counter()
         sealed_id = self._open_block_id
         count = self._open_ordinal
         with self.queue_lock:
             self._sealed.append((sealed_id, count))
-            if OBS.metrics.enabled:
-                self._m.sealed_pending.set(len(self._sealed))
         self._open_block_id = sealed_id + 1
         self._open_ordinal = 0
-        if OBS.metrics.enabled:
-            self._m.blocks_sealed.inc()
-            self._m.stage_seconds.labels("seal").observe(
-                time.perf_counter() - started
-            )
         OBS.events.emit(
             "ledger", "block.sealed", block_id=sealed_id, transactions=count
         )
@@ -362,10 +308,6 @@ class DatabaseLedger:
                 ready = len(self._pending.get(head_id, ())) >= head_count
             if OBS.metrics.enabled or OBS.tracer.enabled:
                 self._entry_meta[entry.transaction_id] = time.monotonic_ns()
-            if OBS.metrics.enabled:
-                self._m.entries_enqueued.inc()
-                self._m.queue_depth.set(len(self._queue))
-                self._m.queue_oldest_age.set(self._oldest_age_locked())
             self._queue_cv.notify_all()
         if ready and self._sealed_ready_callback is not None:
             self._sealed_ready_callback()
@@ -421,7 +363,6 @@ class DatabaseLedger:
         if not snapshot:
             return 0
         FAULTS.fire("ledger.flush_queue", entries=len(snapshot))
-        started = time.perf_counter()
         with self.storage_lock, OBS.tracer.span(
             "ledger.flush_queue", entries=len(snapshot)
         ):
@@ -438,14 +379,6 @@ class DatabaseLedger:
             self._engine.commit(txn)
         with self.queue_lock:
             del self._queue[: len(snapshot)]
-            if OBS.metrics.enabled:
-                self._m.queue_depth.set(len(self._queue))
-                self._m.queue_oldest_age.set(self._oldest_age_locked())
-        if OBS.metrics.enabled:
-            self._m.entries_flushed.inc(len(snapshot))
-            self._m.stage_seconds.labels("flush").observe(
-                time.perf_counter() - started
-            )
         return len(snapshot)
 
     def next_ready_block(self) -> Optional[Tuple[int, int]]:
@@ -473,8 +406,6 @@ class DatabaseLedger:
             with self.queue_lock:
                 self._sealed.popleft()
                 self._pending.pop(block_id, None)
-                if OBS.metrics.enabled:
-                    self._m.sealed_pending.set(len(self._sealed))
             self._closed_height = block_id
             return block
 
@@ -504,7 +435,6 @@ class DatabaseLedger:
         previous block (one seek) and persists the block row.  The cost is
         the block's, whatever the size of the history behind it.
         """
-        started = time.perf_counter()
         build_start_ns = time.monotonic_ns()
         tracer = OBS.tracer
         with tracer.span("block.append", block_id=block_id) as span:
@@ -523,14 +453,8 @@ class DatabaseLedger:
             # in the black box.
             self._absorb_entry_meta(block_id, entries, build_start_ns)
             FAULTS.fire("ledger.block_persist", block_id=block_id)
-            merkle_started = time.perf_counter()
             with tracer.span("merkle.root", block_id=block_id):
                 tree = MerkleTree([entry.entry_hash() for entry in entries])
-            if OBS.metrics.enabled:
-                self._m.stage_seconds.labels("merkle").observe(
-                    time.perf_counter() - merkle_started
-                )
-            persist_started = time.perf_counter()
             with tracer.span("block.persist", block_id=block_id):
                 previous_hash = self._previous_hash_for(block_id)
                 block = BlockRow(
@@ -549,17 +473,8 @@ class DatabaseLedger:
                 self._tip_commit_time = (
                     block_id, max(entry.commit_time for entry in entries)
                 )
-            if OBS.metrics.enabled:
-                self._m.stage_seconds.labels("persist").observe(
-                    time.perf_counter() - persist_started
-                )
             span.set_attribute("transactions", block.transaction_count)
-        if OBS.metrics.enabled:
-            self._m.blocks_closed.inc()
-            self._m.block_transactions.observe(block.transaction_count)
-            elapsed = time.perf_counter() - started
-            self._m.block_close_seconds.observe(elapsed)
-            self._m.stage_seconds.labels("close").observe(elapsed)
+        self._m.blocks_closed.inc()
         OBS.events.emit(
             "ledger", "block.closed",
             block_id=block.block_id, transactions=block.transaction_count,
@@ -574,13 +489,11 @@ class DatabaseLedger:
     ) -> None:
         """Consume queue metadata for a block's entries at closure start.
 
-        For each covered commit this observes ``pipeline_queue_wait_seconds``
-        and retroactively records a ``queue.wait`` span naming the commit's
-        ``tid`` and the ``block_id`` that covers it — the link from a
-        commit's lineage to its block.
+        For each covered commit this retroactively records a ``queue.wait``
+        span naming the commit's ``tid`` and the ``block_id`` that covers it
+        — the link from a commit's lineage to its block.
         """
         tracer = OBS.tracer
-        metrics_on = OBS.metrics.enabled
         with self.queue_lock:
             enqueued = {
                 entry.transaction_id: self._entry_meta.pop(
@@ -588,16 +501,12 @@ class DatabaseLedger:
                 )
                 for entry in entries
             }
-        if not (metrics_on or tracer.enabled):
+        if not tracer.enabled:
             return
         for entry in entries:
             enqueue_ns = enqueued.get(entry.transaction_id)
             if enqueue_ns is None:
                 continue
-            if metrics_on:
-                self._m.queue_wait_seconds.observe(
-                    max(0.0, (build_start_ns - enqueue_ns) / 1e9)
-                )
             tracer.record_span(
                 "queue.wait",
                 start_ns=enqueue_ns,
@@ -632,7 +541,6 @@ class DatabaseLedger:
         uncovered data to seconds).  Concurrent callers should drain the
         pipeline first so in-flight commits are covered too.
         """
-        started = time.perf_counter()
         with self.storage_lock, OBS.tracer.span("digest.generate") as span:
             self.close_open_block()
             latest = self.latest_block()
@@ -654,7 +562,6 @@ class DatabaseLedger:
                 digest_time=self._engine.clock(),
             )
         self._m.digests_generated.inc()
-        self._m.digest_generate_seconds.observe(time.perf_counter() - started)
         OBS.events.emit(
             "digest", "digest.generated",
             block_id=digest.block_id,
@@ -951,9 +858,6 @@ class DatabaseLedger:
         )
         if self._open_ordinal >= self._block_size:
             self._seal_locked()
-        if OBS.metrics.enabled:
-            self._m.sealed_pending.set(len(self._sealed))
-            self._m.queue_depth.set(len(self._queue))
 
     # ------------------------------------------------------------------
     # Internals

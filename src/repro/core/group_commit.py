@@ -51,25 +51,6 @@ FAULTS.register(
 )
 
 
-def _group_metrics(reg):
-    class _Families:
-        groups = reg.counter(
-            "group_commits_total", "Commit groups executed by a leader"
-        )
-        members = reg.counter(
-            "group_commit_members_total",
-            "Work units committed through group commit",
-        )
-        group_size = reg.histogram(
-            "group_commit_size", "Members per executed commit group"
-        )
-        group_seconds = reg.histogram(
-            "group_commit_seconds", "Wall time of one group execution"
-        )
-
-    return _Families
-
-
 class _Ticket:
     __slots__ = ("work", "complete", "result", "error")
 
@@ -99,7 +80,6 @@ class GroupCommitter:
         self._pending: deque[_Ticket] = deque()
         self._leader_active = False
         self._closed = False
-        self._m = OBS.metrics.handles("group_commit", _group_metrics)
         self._stats_lock = threading.Lock()
         self._groups = 0
         self._members = 0
@@ -182,7 +162,6 @@ class GroupCommitter:
                 self._cv.notify_all()
 
     def _execute(self, batch: List[_Ticket]) -> None:
-        started = time.perf_counter()
         wal = self._db.engine.wal
         try:
             with OBS.tracer.span("group.commit", size=len(batch)):
@@ -219,17 +198,11 @@ class GroupCommitter:
         # the durability violation; durable-but-unacked is allowed.
         for ticket in batch:
             ticket.complete = True
-        elapsed = time.perf_counter() - started
         with self._stats_lock:
             self._groups += 1
             self._members += len(batch)
             self._last_size = len(batch)
             self._max_seen = max(self._max_seen, len(batch))
-        if OBS.metrics.enabled:
-            self._m.groups.inc()
-            self._m.members.inc(len(batch))
-            self._m.group_size.observe(float(len(batch)))
-            self._m.group_seconds.observe(elapsed)
 
     @staticmethod
     def _finish(ticket: _Ticket) -> Any:

@@ -49,15 +49,6 @@ def _hooks_metrics(reg):
             "update": rows_hashed.labels("update"),
             "delete": rows_hashed.labels("delete"),
         }
-        transactions = reg.counter(
-            "ledger_transactions_total",
-            "Committed transactions that touched ledger tables",
-        )
-        tables_per_txn = reg.histogram(
-            "ledger_tables_per_transaction",
-            "Distinct ledger tables touched per ledger transaction",
-            buckets=(1, 2, 3, 5, 8, 13, 21),
-        )
 
     return _Families
 
@@ -329,8 +320,6 @@ class LedgerHooks(EngineHooks):
                 )
             )
             entry = self._ledger.assign(txn, table_roots)
-        self._m.transactions.inc()
-        self._m.tables_per_txn.observe(len(table_roots))
         return entry.to_payload()
 
     def post_commit(self, txn: Transaction, payload: Optional[Dict[str, Any]]) -> None:

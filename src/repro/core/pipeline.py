@@ -49,29 +49,6 @@ FAULTS.register(
 )
 
 
-def _pipeline_metrics(reg):
-    class _Families:
-        builder_cycles = reg.counter(
-            "pipeline_builder_cycles_total",
-            "Block-builder wake-ups by outcome",
-            ("outcome",),
-        )
-        builder_running = reg.gauge(
-            "pipeline_builder_running",
-            "1 while the block-builder thread is alive",
-        )
-        drains = reg.counter(
-            "pipeline_drains_total", "Pipeline drain barriers executed"
-        )
-        stage_seconds = reg.histogram(
-            "pipeline_stage_seconds",
-            "Wall time per commit-pipeline stage operation "
-            "(seal, flush, merkle, persist, close, drain)",
-            ("stage",),
-        )
-
-    return _Families
-
 #: How long a drain waits for in-flight commits before giving up.  Commits
 #: hold the storage lock from sequencing through enqueue, so under the lock
 #: hierarchy this only trips if a committing thread died mid-commit.
@@ -90,7 +67,6 @@ class LedgerPipeline:
 
     def __init__(self, ledger, restart_cap: int = DEFAULT_RESTART_CAP) -> None:
         self._ledger = ledger
-        self._m = OBS.metrics.handles("pipeline", _pipeline_metrics)
         # ``pipeline.wakeup``: last in the lock order (DESIGN.md).
         self._wakeup = threading.Condition(threading.Lock())
         self._pending_wakeups = 0
@@ -141,8 +117,6 @@ class LedgerPipeline:
             target=self._run, name="ledger-block-builder", daemon=True
         )
         self._thread.start()
-        if OBS.metrics.enabled:
-            self._m.builder_running.set(1)
         OBS.events.emit("ledger", "pipeline.started")
         return self
 
@@ -172,8 +146,6 @@ class LedgerPipeline:
             leaked = thread.is_alive()
             self._thread = None
             self._ledger.set_sealed_ready_callback(None)
-            if OBS.metrics.enabled:
-                self._m.builder_running.set(0)
             OBS.events.emit(
                 "ledger", "pipeline.stopped",
                 blocks_built=self._blocks_built, joined=not leaked,
@@ -200,7 +172,6 @@ class LedgerPipeline:
         Raises a clean :class:`LedgerError` once :meth:`disable_drains` has
         run (the database is closing) instead of racing the engine teardown.
         """
-        started = time.perf_counter()
         with self._drain_cv:
             if self._drains_disabled:
                 raise LedgerError(
@@ -226,11 +197,6 @@ class LedgerPipeline:
                 self._active_drains -= 1
                 self._drain_cv.notify_all()
         self._drains += 1
-        if OBS.metrics.enabled:
-            self._m.drains.inc()
-            self._m.stage_seconds.labels("drain").observe(
-                time.perf_counter() - started
-            )
 
     def disable_drains(self, timeout: float = DEFAULT_DRAIN_TIMEOUT) -> bool:
         """Close barrier: refuse new drains, wait out in-flight ones.
@@ -314,9 +280,6 @@ class LedgerPipeline:
             self._blocks_built += built
             # A full cycle without an exception ends any crash streak.
             self._restart_streak = 0
-            if OBS.metrics.enabled:
-                outcome = "built" if built else "idle"
-                self._m.builder_cycles.labels(outcome).inc()
 
     def _supervise_crash(self, exc: Exception) -> None:
         """Runs on the dying builder thread: record, then restart or give up.
@@ -327,8 +290,6 @@ class LedgerPipeline:
         """
         self._builder_errors += 1
         self._last_error = f"{type(exc).__name__}: {exc}"
-        if OBS.metrics.enabled:
-            self._m.builder_cycles.labels("error").inc()
         OBS.events.emit(
             "ledger", "pipeline.builder_crashed",
             error=self._last_error, streak=self._restart_streak + 1,
@@ -339,8 +300,6 @@ class LedgerPipeline:
             self._restart_streak += 1
             if self._restart_streak > self._restart_cap:
                 self._supervisor_gave_up = True
-                if OBS.metrics.enabled:
-                    self._m.builder_running.set(0)
                 OBS.events.emit(
                     "ledger", "pipeline.builder_gave_up",
                     crashes=self._restart_streak, error=self._last_error,

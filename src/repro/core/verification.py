@@ -109,16 +109,6 @@ def _verify_metrics(reg):
         runs = reg.counter(
             "verify_runs_total", "Ledger verification runs started"
         )
-        mode_runs = reg.counter(
-            "verify_mode_runs_total",
-            "Ledger verification runs by executed mode",
-            ("mode",),
-        )
-        invariant_seconds = reg.histogram(
-            "verify_invariant_seconds",
-            "Wall time spent in each verification invariant",
-            ("invariant",),
-        )
         rows_scanned = reg.counter(
             "verify_row_versions_scanned_total",
             "Row versions re-hashed during verification",
@@ -126,25 +116,6 @@ def _verify_metrics(reg):
         blocks_scanned = reg.counter(
             "verify_blocks_scanned_total",
             "Blocks examined during verification",
-        )
-        parallel_tasks = reg.counter(
-            "verify_parallel_tasks_total",
-            "Verification work units dispatched to the worker pool, by phase",
-            ("phase",),
-        )
-        cache_lookups = reg.counter(
-            "verify_leaf_cache_lookups_total",
-            "Leaf-hash cache lookups during verification, by result",
-            ("result",),
-        )
-        escalations = reg.counter(
-            "verify_incremental_escalations_total",
-            "Incremental runs escalated to a full scan by a frontier mismatch",
-        )
-        fallbacks = reg.counter(
-            "verify_checkpoint_fallbacks_total",
-            "Incremental runs that fell back to a full scan "
-            "(unusable checkpoint)",
         )
         callback_errors = reg.counter(
             "obs_callback_errors_total",
@@ -367,11 +338,9 @@ class LedgerVerifier:
         if mode == "incremental" and checkpoint is None:
             report.fallback_reason = snapshot.fallback_reason
             mode = "full"
-            self._m.fallbacks.inc()
         report.mode = mode
         self._escalate_reason = None
         self._events_by_table = {}
-        self._m.mode_runs.labels(mode).inc()
 
         # Incremental cycles are cheap because of the leaf-hash cache, which
         # only in-process tasks can use: they never fork.
@@ -386,11 +355,6 @@ class LedgerVerifier:
 
         report.cache_hits = self._cache.hits - cache_hits0
         report.cache_misses = self._cache.misses - cache_misses0
-        if OBS.metrics.enabled:
-            if report.cache_hits:
-                self._m.cache_lookups.labels("hit").inc(report.cache_hits)
-            if report.cache_misses:
-                self._m.cache_lookups.labels("miss").inc(report.cache_misses)
 
         if self._escalate_reason is not None:
             # The incremental count did not match the checkpoint.  The full
@@ -398,7 +362,6 @@ class LedgerVerifier:
             # snapshot — the delta one holds too little — and report its
             # verdict (the escalation itself is surfaced as a warning so
             # operators can investigate).
-            self._m.escalations.inc()
             reason = self._escalate_reason
             OBS.events.emit("verify", "verify.escalated", reason=reason)
             full_report = self.verify(
@@ -475,7 +438,6 @@ class LedgerVerifier:
             elapsed = time.perf_counter() - started
             self._end_phase()
             report.invariant_timings[name] = elapsed
-            self._m.invariant_seconds.labels(name).observe(elapsed)
             if self._escalate_reason is not None:
                 break  # the full rescan re-runs everything anyway
 
@@ -586,8 +548,6 @@ class LedgerVerifier:
         self, report, pool: VerifyPool, task, args_list, on_result=None
     ) -> List[Dict[str, Any]]:
         """Run the current invariant's tasks; findings keep task order."""
-        if pool.parallel and OBS.metrics.enabled:
-            self._m.parallel_tasks.labels(self._phase).inc(len(args_list))
         results = pool.run(task, args_list, on_result)
         for result in results:
             report.findings.extend(result["findings"])

@@ -48,20 +48,6 @@ from repro.errors import LedgerError, StorageError
 from repro.obs import OBS
 
 
-def _snapshot_metrics(reg):
-    class _Families:
-        seconds = reg.histogram(
-            "verify_snapshot_seconds",
-            "Wall time spent capturing a verification snapshot "
-            "(storage lock held)",
-        )
-        records = reg.counter(
-            "verify_snapshot_records_total",
-            "Stored records referenced by verification snapshots",
-        )
-
-    return _Families
-
 #: One row-version event: (transaction id, sequence, leaf digest).
 Event = Tuple[Optional[int], int, bytes]
 
@@ -153,7 +139,6 @@ class VerificationSnapshot:
     fallback_reason: Optional[str] = None
     #: Seconds the storage lock was held during capture.
     capture_seconds: float = 0.0
-    total_records: int = 0
     #: Entries grouped by block id, sorted by ordinal (derived, off-lock).
     entries_by_block: Dict[int, List[TransactionEntry]] = field(
         default_factory=dict
@@ -413,16 +398,7 @@ def capture_snapshot(
             fallback_reason=fallback_reason,
         )
     snapshot.capture_seconds = time.perf_counter() - started
-    snapshot.total_records = sum(
-        len(rel.records) + sum(len(r) for r in rel.index_records.values())
-        for tbl in snapshot.tables
-        for rel in tbl.relations()
-    )
     snapshot.finalize()
-    if OBS.metrics.enabled:
-        families = OBS.metrics.handles("verify_snapshot", _snapshot_metrics)
-        families.seconds.observe(snapshot.capture_seconds)
-        families.records.inc(snapshot.total_records)
     return snapshot
 
 

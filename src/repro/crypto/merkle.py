@@ -31,6 +31,7 @@ from repro.crypto.hashing import (
     _TAG_INTERIOR, HASH_SIZE, hash_interior, sha256,
 )
 from repro.errors import MerkleError
+from repro.obs import OBS
 
 #: Root reported for a tree with zero leaves (RFC 6962 convention).
 EMPTY_TREE_ROOT = sha256(b"")
@@ -41,10 +42,6 @@ _INTERIOR_SEED = hashlib.sha256(_TAG_INTERIOR)
 
 def _merkle_metrics(reg):
     class _Families:
-        leaves_appended = reg.counter(
-            "merkle_leaves_appended_total",
-            "Leaf digests appended to streaming Merkle hashers",
-        )
         nodes_built = reg.counter(
             "merkle_nodes_built_total",
             "Interior Merkle nodes computed, by implementation",
@@ -55,11 +52,6 @@ def _merkle_metrics(reg):
 
     return _Families
 
-
-def _default_metrics():
-    from repro.obs import OBS
-
-    return OBS.metrics
 
 #: Opaque snapshot of a MerkleHasher: (leaf_count, pending node per level).
 MerkleState = Tuple[int, Tuple[Optional[bytes], ...]]
@@ -80,11 +72,10 @@ class MerkleHasher:
     interior node that is appended — recursively — to the parent level.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self) -> None:
         self._pending: List[Optional[bytes]] = []
         self._leaf_count = 0
-        self._reg = metrics if metrics is not None else _default_metrics()
-        self._m = self._reg.handles("merkle", _merkle_metrics)
+        self._m = OBS.metrics.handles("merkle", _merkle_metrics)
 
     @property
     def leaf_count(self) -> int:
@@ -112,13 +103,11 @@ class MerkleHasher:
             self._pending[level] = None
             level += 1
         self._leaf_count += 1
-        if self._reg.enabled:
-            self._m.leaves_appended.inc()
-            if combined:
-                self._m.nodes_streaming.inc(combined)
+        if combined and OBS.metrics.enabled:
+            self._m.nodes_streaming.inc(combined)
 
     def extend(self, leaf_hashes: Sequence[bytes]) -> None:
-        """Append a batch of leaf digests with one metrics observation.
+        """Append a batch of leaf digests with one counter update.
 
         The carry loop is identical to :meth:`append`; validation, the
         enabled-check and the counter updates are hoisted out of the per-leaf
@@ -147,10 +136,8 @@ class MerkleHasher:
                 pending[level] = None
                 level += 1
         self._leaf_count += len(leaf_hashes)
-        if self._reg.enabled and leaf_hashes:
-            self._m.leaves_appended.inc(len(leaf_hashes))
-            if combined:
-                self._m.nodes_streaming.inc(combined)
+        if combined and OBS.metrics.enabled:
+            self._m.nodes_streaming.inc(combined)
 
     def root(self) -> bytes:
         """Compute the Merkle root over all leaves appended so far.
@@ -295,8 +282,7 @@ class MerkleTree:
     for one block at a time (at most the block size), so this is bounded.
     """
 
-    def __init__(self, leaves: Iterable[bytes], metrics=None) -> None:
-        reg = metrics if metrics is not None else _default_metrics()
+    def __init__(self, leaves: Iterable[bytes]) -> None:
         current = list(leaves)
         if not all(map(HASH_SIZE.__eq__, map(len, current))):
             raise MerkleError("all leaves must be 32-byte digests")
@@ -315,8 +301,9 @@ class MerkleTree:
                 parent.append(current[-1])  # promote unpaired node unchanged
             self._levels.append(parent)
             current = parent
-        if built and reg.enabled:
-            reg.handles("merkle", _merkle_metrics).nodes_materialized.inc(built)
+        if built and OBS.metrics.enabled:
+            families = OBS.metrics.handles("merkle", _merkle_metrics)
+            families.nodes_materialized.inc(built)
 
     @property
     def leaf_count(self) -> int:

@@ -51,30 +51,6 @@ from repro.errors import (
 from repro.obs import OBS
 
 
-def _digest_metrics(reg):
-    class _Families:
-        uploads = reg.counter(
-            "digest_uploads_total",
-            "Digest upload attempts, by outcome "
-            "(stored, duplicate, deferred, fork_detected)",
-            ("outcome",),
-        )
-        retries = reg.counter(
-            "digest_upload_retries_total",
-            "Transient digest-upload failures that were retried",
-        )
-        abandoned = reg.counter(
-            "digest_uploads_abandoned_total",
-            "Digest uploads abandoned after exhausting the retry budget",
-        )
-        compression_ratio = reg.gauge(
-            "digest_blob_compression_ratio",
-            "raw/stored ratio of digest documents in blob storage",
-        )
-
-    return _Families
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff with jitter for transient upload faults.
@@ -161,7 +137,6 @@ class DigestManager:
         self._container = container
         self._geo = geo
         self._retry = retry if retry is not None else RetryPolicy()
-        self._m = OBS.metrics.handles("digest_manager", _digest_metrics)
 
     # ------------------------------------------------------------------
     # Upload path
@@ -193,7 +168,6 @@ class DigestManager:
                     )
                     raise
                 if not issuable:
-                    self._m.uploads.labels("deferred").inc()
                     OBS.events.emit(
                         "digest", "digest.skipped",
                         reason="replication_deferred", block_id=digest.block_id,
@@ -218,7 +192,6 @@ class DigestManager:
                     else []
                 )
                 if not verify_digest_chain(previous, digest, headers):
-                    self._m.uploads.labels("fork_detected").inc()
                     OBS.events.emit(
                         "tamper", "tamper.detected",
                         source="digest_fork",
@@ -232,14 +205,12 @@ class DigestManager:
                     )
             name = self._blob_name(digest)
             if self._storage.exists(self._container, name):
-                self._m.uploads.labels("duplicate").inc()
                 OBS.events.emit(
                     "digest", "digest.skipped",
                     reason="duplicate", block_id=digest.block_id,
                 )
             else:
                 self._put_with_retry(name, digest)
-                self._m.uploads.labels("stored").inc()
                 OBS.events.emit(
                     "digest", "digest.uploaded",
                     block_id=digest.block_id, blob=name,
@@ -259,15 +230,11 @@ class DigestManager:
         for attempt in range(self._retry.attempts):
             try:
                 self._storage.put_document(self._container, name, data)
-                if OBS.metrics.enabled:
-                    stats = self._storage.compression_stats()
-                    self._m.compression_ratio.set(stats["ratio"])
                 return
             except ImmutabilityViolationError:
                 raise
             except (TransientStorageError, OSError) as exc:
                 if attempt + 1 >= self._retry.attempts:
-                    self._m.abandoned.inc()
                     OBS.events.emit(
                         "digest", "digest.upload_failed",
                         block_id=digest.block_id, blob=name,
@@ -276,7 +243,6 @@ class DigestManager:
                     )
                     raise
                 delay = self._retry.delay(attempt, rng)
-                self._m.retries.inc()
                 OBS.events.emit(
                     "digest", "digest.upload_retry",
                     block_id=digest.block_id, blob=name,

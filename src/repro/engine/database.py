@@ -32,9 +32,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
-import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.clock import wall_clock
@@ -74,40 +72,6 @@ FAULTS.register(
     "WAL must together reconstruct the database.",
 )
 
-def _engine_metrics(reg):
-    class _Families:
-        recovery_runs = reg.counter(
-            "recovery_runs_total", "Crash/restart recoveries performed"
-        )
-        recovery_phase_seconds = reg.histogram(
-            "recovery_phase_seconds",
-            "Duration of each recovery phase (analysis, load, redo, indexes)",
-            ("phase",),
-        )
-        recovery_records_replayed = reg.counter(
-            "recovery_records_replayed_total",
-            "Data records reapplied during redo",
-        )
-        checkpoints = reg.counter(
-            "engine_checkpoints_total", "Checkpoints taken"
-        )
-        checkpoint_seconds = reg.histogram(
-            "engine_checkpoint_seconds", "Checkpoint duration"
-        )
-        checkpoint_bytes = reg.counter(
-            "engine_checkpoint_bytes_total",
-            "Bytes processed by heap-image flushes, raw vs written",
-            ("kind",),
-        )
-        checkpoint_raw_bytes = checkpoint_bytes.labels("raw")
-        checkpoint_written_bytes = checkpoint_bytes.labels("written")
-        compression_ratio = reg.gauge(
-            "engine_checkpoint_compression_ratio",
-            "raw/written ratio of the most recent checkpoint's heap images",
-        )
-
-    return _Families
-
 
 class Database:
     """One database instance rooted at a directory."""
@@ -125,7 +89,6 @@ class Database:
         self._hooks = hooks or EngineHooks()
         self._sync = sync
         self.clock = clock or wall_clock
-        self._m = OBS.metrics.handles("engine", _engine_metrics)
         self._epoch = 0
         self._wal: Optional[WalWriter] = None
         self._lock_manager = LockManager()
@@ -172,19 +135,8 @@ class Database:
         self._hooks.on_recovery_complete({})
 
     def _recover(self, checkpoint_path: Optional[str]) -> None:
-        self._m.recovery_runs.inc()
         with OBS.tracer.span("recovery.run", path=self.path):
             self._recover_phases(checkpoint_path)
-
-    @contextmanager
-    def _phase(self, name: str) -> Iterator[Any]:
-        """One recovery phase: a span, and its duration in the histogram."""
-        started = time.perf_counter()
-        with OBS.tracer.span(f"recovery.{name}") as span:
-            yield span
-        self._m.recovery_phase_seconds.labels(name).observe(
-            time.perf_counter() - started
-        )
 
     def _recover_phases(self, checkpoint_path: Optional[str]) -> None:
         if checkpoint_path is not None:
@@ -204,7 +156,7 @@ class Database:
 
         # Analysis phase: scan the WAL, classify winners, find the catalog.
         wal_path = self._wal_path(self._epoch)
-        with self._phase("analysis"):
+        with OBS.tracer.span("recovery.analysis"):
             wal_records, wal_end = read_wal(wal_path)
             # A later catalog snapshot in the WAL supersedes the checkpoint's.
             committed: Dict[int, Dict[str, Any]] = {}
@@ -218,7 +170,7 @@ class Database:
                     next_tid = max(next_tid, record.payload["tid"] + 1)
 
         # Load phase: heap images for every table in the (final) catalog.
-        with self._phase("load"):
+        with OBS.tracer.span("recovery.load"):
             # Cut a torn tail: recovery would never read frames appended after it.
             if os.path.exists(wal_path):
                 os.truncate(wal_path, wal_end)
@@ -232,7 +184,7 @@ class Database:
         # ever restored and each slot's last write; lay out each page once.
         redo_count = 0
         folded: Dict[int, Dict[int, List[Any]]] = {}  # table → page → change
-        with self._phase("redo") as redo_span:
+        with OBS.tracer.span("recovery.redo") as redo_span:
             for record in wal_records:
                 if record.kind not in (INSERT, DELETE, INSERT_MANY, DELETE_MANY):
                     continue
@@ -261,8 +213,6 @@ class Database:
                     })
                 self._tables[table_id].heap.redo(pages)
             redo_span.set_attribute("records", redo_count)
-        if redo_count:
-            self._m.recovery_records_replayed.inc(redo_count)
 
         # Rebuild access paths.  A table with a redone record has stale
         # nonclustered images on disk, and an index created since the last
@@ -270,7 +220,7 @@ class Database:
         # other table loads its persisted index images — tampered or not —
         # as-is, exactly as a clean restart would, so a crash elsewhere in
         # the database cannot heal them.
-        with self._phase("indexes"):
+        with OBS.tracer.span("recovery.indexes"):
             for table in self._tables.values():
                 if table.table_id in folded or not all(
                     os.path.exists(self._index_path(table.table_id, name))
@@ -474,34 +424,19 @@ class Database:
                 "checkpoint requires quiescence; active transactions: "
                 f"{[t.tid for t in self._txn_manager.active_transactions]}"
             )
-        started = time.perf_counter()
         with OBS.tracer.span("engine.checkpoint"):
             self._checkpoint_inner()
-        self._m.checkpoints.inc()
-        self._m.checkpoint_seconds.observe(time.perf_counter() - started)
 
     def _checkpoint_inner(self) -> None:
         assert self._wal is not None and self._txn_manager is not None
         self._hooks.on_checkpoint()
-        raw_total = 0
-        written_total = 0
         for info in self.catalog.tables():
             table = self._tables[info.table_id]
-            raw, written = table.heap.flush(
+            table.heap.flush(
                 os.path.join(self.path, f"table_{info.table_id}.tbl")
             )
-            raw_total += raw
-            written_total += written
             for index in table.nonclustered.values():
-                raw, written = index.heap.flush(
-                    self._index_path(info.table_id, index.name)
-                )
-                raw_total += raw
-                written_total += written
-        if OBS.metrics.enabled and written_total:
-            self._m.checkpoint_raw_bytes.inc(raw_total)
-            self._m.checkpoint_written_bytes.inc(written_total)
-            self._m.compression_ratio.set(raw_total / written_total)
+                index.heap.flush(self._index_path(info.table_id, index.name))
         new_epoch = self._epoch + 1
         checkpoint = {
             "epoch": new_epoch,

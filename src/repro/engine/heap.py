@@ -247,8 +247,8 @@ class HeapFile:
 
         Images are zlib-compressed per page by default (``SLHZ`` magic);
         ``compress=False`` writes the legacy fixed-size ``SLHF`` layout.
-        Returns ``(raw_bytes, written_bytes)`` so callers can export the
-        compression ratio as a metric.
+        Returns ``(raw_bytes, written_bytes)``: the image's size before and
+        after compression.
         """
         if level is None:
             level = DEFAULT_COMPRESSION_LEVEL

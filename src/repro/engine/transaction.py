@@ -30,10 +30,6 @@ from repro.obs import OBS
 
 def _txn_metrics(reg):
     class _Families:
-        commits = reg.counter("txn_commits_total", "Transactions committed")
-        rollbacks = reg.counter(
-            "txn_rollbacks_total", "Transactions rolled back"
-        )
         commit_seconds = reg.histogram(
             "txn_commit_seconds",
             "End-to-end commit latency (hooks + WAL + ledger)",
@@ -161,7 +157,6 @@ class TransactionManager:
                 del self._active[txn.tid]
             self._hooks.post_commit(txn, payload)
             self._locks.release_all(txn.tid)
-        self._m.commits.inc()
         self._m.commit_seconds.observe(time.perf_counter() - started)
         return payload
 
@@ -172,7 +167,6 @@ class TransactionManager:
             revert()
         txn.undo_log.clear()
         self._wal.append(WalRecord(ABORT, {"tid": txn.tid}))
-        self._m.rollbacks.inc()
         txn.state = TxnState.ABORTED
         with self._state_lock:
             del self._active[txn.tid]

@@ -21,7 +21,6 @@ import json
 import os
 import struct
 import threading
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -55,23 +54,9 @@ FAULTS.register(
 
 def _wal_metrics(reg):
     class _Families:
-        appends = reg.counter(
-            "wal_appends_total", "WAL records appended, by record kind",
-            ("kind",),
-        )
         bytes_appended = reg.counter(
             "wal_bytes_appended_total",
             "Bytes appended to the WAL (frames included)",
-        )
-        fsyncs = reg.counter(
-            "wal_fsyncs_total", "fsync calls issued by the WAL writer"
-        )
-        fsync_seconds = reg.histogram(
-            "wal_fsync_seconds", "Latency of WAL flush+fsync calls"
-        )
-        deferred_appends = reg.counter(
-            "wal_deferred_sync_appends_total",
-            "Appends whose per-record fsync was deferred to a group fsync",
         )
 
     return _Families
@@ -229,15 +214,10 @@ class WalWriter:
             self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
             self._file.write(payload)
             self._end = lsn + _FRAME.size + len(payload)
-            if self._sync:
-                if self._defer_depth:
-                    if OBS.metrics.enabled:
-                        self._m.deferred_appends.inc()
-                else:
-                    FAULTS.fire("wal.fsync", kind=record.kind)
-                    self._flush_and_sync()
+            if self._sync and not self._defer_depth:
+                FAULTS.fire("wal.fsync", kind=record.kind)
+                self._flush_and_sync()
         if OBS.metrics.enabled:
-            self._m.appends.labels(record.kind).inc()
             self._m.bytes_appended.inc(_FRAME.size + len(payload))
         return lsn
 
@@ -307,15 +287,8 @@ class WalWriter:
                 self._file.flush()
 
     def _flush_and_sync(self) -> None:
-        if OBS.metrics.enabled:
-            started = time.perf_counter()
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self._m.fsyncs.inc()
-            self._m.fsync_seconds.observe(time.perf_counter() - started)
-        else:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+        self._file.flush()
+        os.fsync(self._file.fileno())
 
     def close(self) -> None:
         with self._lock:

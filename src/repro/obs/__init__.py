@@ -1,12 +1,17 @@
-"""Telemetry subsystem: metrics registry + pipeline tracer.
+"""Telemetry subsystem: metrics registry, pipeline tracer, event log.
 
 The paper's evaluation (Figs. 7–9) argues about *where* ledger overhead
 comes from — row hashing vs. Merkle building vs. WAL writes vs. block
-appends vs. verification scans.  This package gives the reproduction the
-instrumentation to measure that decomposition directly:
+appends vs. verification scans.  That decomposition is measured by the
+benchmark's boundary tracer (``bench/trace.py``) and read from the owners'
+``stats()`` / ``status()`` dicts and :class:`VerificationReport` fields.
+This package is what a running ledger shows an operator:
 
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges and fixed-bucket
-  histograms with Prometheus text exposition and JSON snapshot/delta export;
+  histograms with Prometheus text exposition and JSON snapshot/delta export.
+  The registry holds only the families a test, shell command, endpoint or
+  CI script reads (DESIGN.md § Telemetry lists them); a number an owner's
+  ``stats()`` already serves is not counted a second time;
 * :mod:`repro.obs.tracing` — nested spans with a ring-buffer recorder, and
   the commit lineage reassembled from the ``tid`` / ``block_id`` the spans
   carry;
@@ -29,9 +34,7 @@ until someone opts in:
     trees = build_span_trees(OBS.tracer.recorder.spans())
 
 Naming conventions (documented in DESIGN.md): metric names are
-``<subsystem>_<what>_<unit>`` with subsystems ``sql``, ``ledger``,
-``merkle``, ``wal``, ``txn``, ``block``, ``digest``, ``verify``,
-``recovery`` and ``engine``; span names are ``<subsystem>.<operation>``.
+``<subsystem>_<what>_<unit>``; span names are ``<subsystem>.<operation>``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import os as _os
 
 from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventLog
 from repro.obs.metrics import (
-    DEFAULT_COUNT_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
     MetricFamily,
     MetricsRegistry,
@@ -57,7 +59,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "DEFAULT_COUNT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "EVENT_SCHEMA_VERSION",
     "Event",
@@ -83,18 +84,10 @@ __all__ = [
 class Telemetry:
     """A metrics registry, a tracer and an event log sharing one switch."""
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        trace_capacity: int = 4096,
-        event_capacity: int = 4096,
-    ) -> None:
-        self.metrics = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(
-            recorder=RingBufferRecorder(capacity=trace_capacity),
-            enabled=enabled,
-        )
-        self.events = EventLog(capacity=event_capacity, enabled=enabled)
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
+        self.events = EventLog()
 
     @property
     def enabled(self) -> bool:

@@ -52,12 +52,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: Default size/count buckets for histograms over discrete quantities
-#: (rows per transaction, transactions per block, bytes per WAL record).
-DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
-)
-
 
 def _escape_label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")

@@ -65,38 +65,17 @@ def _monitor_metrics(reg):
             "(passed, failed, skipped, idle, error)",
             ("outcome",),
         )
-        cycle_seconds = reg.histogram(
-            "monitor_cycle_seconds",
-            "Wall time of one continuous-verification cycle",
-        )
         verification_lag = reg.gauge(
             "monitor_verification_lag_blocks",
             "Closed blocks not yet covered by a passing verification",
         )
-        verified_through = reg.gauge(
-            "monitor_verified_through_block",
-            "Highest block id covered by the last passing verification",
-        )
         block_height = reg.gauge(
             "ledger_block_height", "Highest closed block id in the ledger"
-        )
-        tamper_detected = reg.counter(
-            "monitor_tamper_detected_total",
-            "Tamper detections raised by the continuous monitor",
         )
         callback_errors = reg.counter(
             "obs_callback_errors_total",
             "Exceptions raised by user-supplied observability callbacks",
             ("kind",),
-        )
-        cycle_modes = reg.counter(
-            "monitor_cycle_mode_total",
-            "Continuous-verification cycles by executed verification mode",
-            ("mode",),
-        )
-        deep_scans = reg.counter(
-            "monitor_deep_scans_total",
-            "Scheduled full-prefix deep scans run by the incremental monitor",
         )
 
     return _Families
@@ -244,7 +223,6 @@ class ContinuousVerifier:
         self.last_cycle_seconds = time.perf_counter() - started
         self.cycles += 1
         self._m.cycles.labels(outcome).inc()
-        self._m.cycle_seconds.observe(self.last_cycle_seconds)
         with self._cycle_done:
             self._cycle_done.notify_all()
         return outcome
@@ -272,8 +250,11 @@ class ContinuousVerifier:
         self._m.block_height.set(max(self.block_height, 0))
         self._publish_lag()
 
-        verdict_details: Dict[str, Any] = {}
-        failed = False
+        # Every cause of a failed cycle lands in the findings and the
+        # details: a verification failure and an unexpected DROP found in
+        # the same cycle are both reported.
+        findings: List[str] = []
+        details: Dict[str, Any] = {}
         if self._trusted:
             mode = self._select_mode()
             checkpoint = None
@@ -289,11 +270,9 @@ class ContinuousVerifier:
                 build_checkpoint=self.incremental,
             )
             self.last_mode = report.mode
-            self._m.cycle_modes.labels(report.mode).inc()
             if report.mode == "full" and self.incremental:
                 self.deep_scans += 1
                 self._cycles_since_deep_scan = 0
-                self._m.deep_scans.inc()
             else:
                 self._cycles_since_deep_scan += 1
             if report.ok:
@@ -303,32 +282,25 @@ class ContinuousVerifier:
                 self.verified_through_block = max(
                     d.block_id for d in self._trusted
                 )
-                self._m.verified_through.set(self.verified_through_block)
             else:
-                failed = True
-                self.last_findings = [str(f) for f in report.errors]
-                verdict_details = {
-                    "source": "verification",
-                    "findings": self.last_findings[:10],
-                }
+                findings = [str(f) for f in report.errors]
+                details = {"source": "verification", "findings": findings[:10]}
         drops = self._check_table_drops()
         if drops:
-            failed = True
-            self.last_findings = [
-                f"unexpected DROP of ledger table {name!r}" for name in drops
+            findings += [
+                f"unexpected DROP of ledger table {name!r}"
+                for name in sorted(drops)
             ]
-            verdict_details = {
-                "source": "table_ops",
-                "dropped_tables": sorted(drops),
-            }
+            details.setdefault("source", "table_ops")
+            details["dropped_tables"] = sorted(drops)
         self._publish_lag()
 
-        if failed:
+        if details:
             self.failures += 1
             self.last_verdict = "failed"
-            self._m.tamper_detected.inc()
-            OBS.events.emit("tamper", "tamper.detected", **verdict_details)
-            self._dispatch_alerts("failed", verdict_details)
+            self.last_findings = findings
+            OBS.events.emit("tamper", "tamper.detected", **details)
+            self._dispatch_alerts("failed", details)
             return "failed"
         if not self._trusted:
             self.last_verdict = "idle"

@@ -61,16 +61,12 @@ class ObservabilityServer:
     def __init__(
         self,
         db=None,
-        monitor=None,
         event_log=None,
-        metrics=None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self._db = db
-        self._monitor = monitor
         self._event_log = event_log if event_log is not None else OBS.events
-        self._metrics = metrics if metrics is not None else OBS.metrics
         self.host = host
         self.port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -117,16 +113,12 @@ class ObservabilityServer:
         return f"http://{self.host}:{self.port}"
 
     def _resolve_monitor(self):
-        """The explicit monitor, else whatever is attached to the db now.
+        """Whatever monitor is attached to the db now.
 
         Resolved per request so a monitor started *after* the server still
         shows up on /healthz.
         """
-        if self._monitor is not None:
-            return self._monitor
-        if self._db is not None:
-            return getattr(self._db, "monitor", None)
-        return None
+        return getattr(self._db, "monitor", None)
 
     # ------------------------------------------------------------------
     # Request handling
@@ -146,7 +138,7 @@ class ObservabilityServer:
                     if parsed.path == "/metrics":
                         self._send(
                             200,
-                            server._metrics.exposition(),
+                            OBS.metrics.exposition(),
                             "text/plain; version=0.0.4; charset=utf-8",
                         )
                     elif parsed.path == "/healthz":

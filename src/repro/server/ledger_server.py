@@ -110,6 +110,9 @@ _TXN_KEYWORDS = frozenset({"BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT"})
 #: Default per-request deadline when the client does not send one.
 DEFAULT_DEADLINE_SECONDS = 30.0
 
+#: How long one computed health tier answers before it is recomputed.
+HEALTH_CACHE_SECONDS = 0.05
+
 
 def _deadline_budget(deadline_ms: Any) -> Optional[float]:
     """The request's budget in seconds; None unless ``deadline_ms`` is a
@@ -142,30 +145,6 @@ _REQUEST_FAULTS = (
     KeyError,
     TypeError,
 )
-
-
-def _server_metrics(reg):
-    class _Families:
-        sessions = reg.gauge(
-            "server_sessions", "Live client sessions on the ledger server"
-        )
-        requests = reg.counter(
-            "server_requests_total",
-            "Requests finished, by op and outcome",
-            ("op", "outcome"),
-        )
-        shed = reg.counter(
-            "server_shed_total",
-            "Requests shed by the overload policy, by reason",
-            ("reason",),
-        )
-        request_seconds = reg.histogram(
-            "server_request_seconds",
-            "Request latency from admission to response, by op",
-            ("op",),
-        )
-
-    return _Families
 
 
 class IdempotencyIndex:
@@ -251,13 +230,12 @@ class _Session:
 
 
 class _Request:
-    __slots__ = ("session", "payload", "deadline", "admitted")
+    __slots__ = ("session", "payload", "deadline")
 
     def __init__(self, session: _Session, payload: Dict[str, Any], deadline: float):
         self.session = session
         self.payload = payload
         self.deadline = deadline
-        self.admitted = time.perf_counter()
 
 
 class LedgerServer:
@@ -273,7 +251,6 @@ class LedgerServer:
         max_sessions: int = 512,
         max_group: int = 64,
         group_wait: float = 0.0,
-        health_cache_seconds: float = 0.05,
     ) -> None:
         self._db = db
         self._host = host
@@ -285,14 +262,12 @@ class LedgerServer:
         self._admission_bound = workers + self._queue_depth
         self._slots = threading.Semaphore(workers)
         self._max_sessions = max(1, int(max_sessions))
-        self._m = OBS.metrics.handles("server", _server_metrics)
         from repro.core.group_commit import GroupCommitter
 
         self._committer = GroupCommitter(
             db, max_group=max_group, max_wait=group_wait
         )
         self._idempotency = IdempotencyIndex()
-        self._health_cache_seconds = health_cache_seconds
         self._tier_cache: Tuple[float, str] = (0.0, "ok")
         self._tier_lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
@@ -410,11 +385,9 @@ class LedgerServer:
             with self._sessions_lock:
                 if self._stopping or len(self._sessions) >= self._max_sessions:
                     overloaded = not self._stopping
-                    session_count = len(self._sessions)
                 else:
                     overloaded = None
                     self._sessions[session.id] = session
-                    session_count = len(self._sessions)
             if overloaded is not None:
                 # Session-level admission control: refuse with a structured
                 # frame rather than an unexplained RST, then close.
@@ -439,8 +412,6 @@ class LedgerServer:
                 except OSError:
                     pass
                 continue
-            if OBS.metrics.enabled:
-                self._m.sessions.set(session_count)
             reader = threading.Thread(
                 target=self._reader_loop,
                 args=(session,),
@@ -512,7 +483,7 @@ class LedgerServer:
                 self._reject(session, seq, "deadline", RequestError(
                     DEADLINE_EXCEEDED,
                     "deadline expired waiting for an execution slot",
-                ), op=str(payload.get("op", "")))
+                ))
                 return
             try:
                 self._handle(request)
@@ -532,7 +503,6 @@ class LedgerServer:
         session.close()
         with self._sessions_lock:
             self._sessions.pop(session.id, None)
-            count = len(self._sessions)
         # A client that dies mid-BEGIN leaves an open explicit transaction
         # whose NOWAIT table locks are only released by commit/rollback —
         # without this sweep every later writer to those tables fails until
@@ -543,8 +513,6 @@ class LedgerServer:
                 session.sql_session.abort()
             except Exception:  # noqa: BLE001 — cleanup must not die
                 pass
-        if OBS.metrics.enabled:
-            self._m.sessions.set(count)
 
     # ------------------------------------------------------------------
     # Request execution
@@ -555,7 +523,6 @@ class LedgerServer:
         payload = request.payload
         op = str(payload.get("op", ""))
         seq = payload.get("seq")
-        started = request.admitted
         if session.closed.is_set():
             # The connection is gone (stop() closed it while this request
             # waited for a slot); there is nowhere to send a response and
@@ -567,7 +534,7 @@ class LedgerServer:
         if time.monotonic() > request.deadline:
             self._reject(session, seq, "deadline", RequestError(
                 DEADLINE_EXCEEDED, "deadline expired before execution"
-            ), op=op)
+            ))
             return
         try:
             with OBS.tracer.span(
@@ -577,35 +544,27 @@ class LedgerServer:
         except RequestError as exc:
             if exc.code in (DEADLINE_EXCEEDED, DEGRADED, SERVER_BUSY):
                 self._shed(exc.code.lower())
-            self._respond_error(session, seq, exc, op=op)
+            self._respond_error(session, seq, exc)
             return
         except _REQUEST_FAULTS as exc:
             self._respond_error(
                 session, seq,
                 RequestError(BAD_REQUEST, f"{type(exc).__name__}: {exc}"),
-                op=op,
             )
             return
         except InjectedFaultError as exc:
             self._respond_error(
                 session, seq,
                 RequestError(INTERNAL, f"injected fault: {exc}"),
-                op=op,
             )
             return
         except Exception as exc:  # noqa: BLE001 — the server must not die
             self._respond_error(
                 session, seq,
                 RequestError(INTERNAL, f"{type(exc).__name__}: {exc}"),
-                op=op,
             )
             return
         self._requests_served += 1
-        if OBS.metrics.enabled:
-            self._m.requests.labels(op, "ok").inc()
-            self._m.request_seconds.labels(op).observe(
-                time.perf_counter() - started
-            )
         self._respond(session, {"ok": True, "seq": seq, "result": result})
 
     # ------------------------------------------------------------------
@@ -641,31 +600,22 @@ class LedgerServer:
             self._drop_session(session)
 
     def _respond_error(
-        self,
-        session: _Session,
-        seq: Any,
-        error: RequestError,
-        op: str = "",
+        self, session: _Session, seq: Any, error: RequestError
     ) -> None:
-        if OBS.metrics.enabled and op:
-            self._m.requests.labels(op, error.code.lower()).inc()
         self._respond(
             session, {"ok": False, "seq": seq, "error": error.to_wire()}
         )
 
     def _reject(
-        self, session: _Session, seq: Any, reason: str, error: RequestError,
-        op: str = "",
+        self, session: _Session, seq: Any, reason: str, error: RequestError
     ) -> None:
         """Shed a request under ``reason`` and answer it with ``error``."""
         self._shed(reason)
-        self._respond_error(session, seq, error, op=op)
+        self._respond_error(session, seq, error)
 
     def _shed(self, reason: str) -> None:
         with self._shed_lock:
             self._shed_counts[reason] = self._shed_counts.get(reason, 0) + 1
-        if OBS.metrics.enabled:
-            self._m.shed.labels(reason).inc()
 
     # ------------------------------------------------------------------
     # Health tiers (mirrors /healthz: ok → degraded → tamper-detected)
@@ -675,7 +625,7 @@ class LedgerServer:
         now = time.monotonic()
         with self._tier_lock:
             stamp, tier = self._tier_cache
-            if now - stamp < self._health_cache_seconds:
+            if now - stamp < HEALTH_CACHE_SECONDS:
                 return tier
         tier = self._compute_tier()
         with self._tier_lock:

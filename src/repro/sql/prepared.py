@@ -78,7 +78,7 @@ class StatementCache:
             self.invalidations += 1
 
     def stats(self) -> Dict[str, int]:
-        """Point-in-time counters for tests and /metrics mirroring."""
+        """Point-in-time counters: the one record of cache hits and misses."""
         with self._lock:
             return {
                 "hits": self.hits,

@@ -8,7 +8,6 @@ names read the corresponding ledger view as a virtual table.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -53,22 +52,6 @@ def _sql_metrics(reg):
             "sql_statements_total",
             "SQL statements executed, by statement kind",
             ("kind",),
-        )
-        parse_seconds = reg.histogram(
-            "sql_parse_seconds", "SQL lex+parse latency"
-        )
-        execute_seconds = reg.histogram(
-            "sql_execute_seconds", "SQL bind+execute latency, by statement kind",
-            ("kind",),
-        )
-        parses = reg.counter(
-            "sql_parses_total",
-            "Statements actually lexed+parsed (prepared-cache misses)",
-        )
-        prepared = reg.counter(
-            "sql_prepared_cache_total",
-            "Prepared-statement cache lookups, by result",
-            ("result",),
         )
 
     return _Families
@@ -154,14 +137,9 @@ class SqlSession:
         if cache is not None:
             statement = cache.get(statement_text)
             if statement is not None:
-                self._m.prepared.labels("hit").inc()
                 return statement
-            self._m.prepared.labels("miss").inc()
-        started = time.perf_counter()
         with OBS.tracer.span("sql.parse"):
             statement = parse(statement_text)
-        self._m.parse_seconds.observe(time.perf_counter() - started)
-        self._m.parses.inc()
         if cache is not None:
             cache.put(statement_text, statement)
         return statement
@@ -190,19 +168,11 @@ class SqlSession:
             stmt_span.set_attribute("kind", kind)
             self._m.statements.labels(kind).inc()
             handler = self._HANDLERS[type(statement)]
-            started = time.perf_counter()
             if type(statement) in (ast.Select, ast.Explain):
                 with tracer.span("sql.execute", kind=kind):
-                    result = handler(self, statement)
-            else:
-                with self._db.ledger_lock, tracer.span(
-                    "sql.execute", kind=kind
-                ):
-                    result = handler(self, statement)
-            self._m.execute_seconds.labels(kind).observe(
-                time.perf_counter() - started
-            )
-            return result
+                    return handler(self, statement)
+            with self._db.ledger_lock, tracer.span("sql.execute", kind=kind):
+                return handler(self, statement)
 
     def executemany(self, statement_text: str, param_rows) -> int:
         """Run a parameterized INSERT once per parameter row, batched.
@@ -245,19 +215,14 @@ class SqlSession:
             stmt_span.set_attribute("rows", len(bound_rows))
             self._m.statements.labels(kind).inc()
             table = self._db.engine.table(statement.table)
-            started = time.perf_counter()
             with self._db.ledger_lock, tracer.span(
                 "sql.execute", kind=kind
             ):
-                result = self._autocommit(
+                return self._autocommit(
                     lambda txn: self._insert_bound_rows(
                         txn, table, statement.columns, bound_rows
                     )
                 )
-            self._m.execute_seconds.labels(kind).observe(
-                time.perf_counter() - started
-            )
-            return result
 
     # ------------------------------------------------------------------
     # Transaction control

@@ -248,6 +248,34 @@ class TestTamperDetection:
         assert event.payload["source"] == "verification"
         assert event.payload["findings"]
 
+    def test_tamper_and_drop_in_one_cycle_report_both(self, db):  # noqa: F811
+        # A DROP found in the same cycle as a failed verification must not
+        # erase the verification's findings from status, alerts or event.
+        db.sql("CREATE TABLE a (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)")
+        db.sql("CREATE TABLE b (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)")
+        db.sql("INSERT INTO a (id, v) VALUES (1, 10), (2, 20)")
+        db.sql("INSERT INTO b (id, v) VALUES (1, 10)")
+        monitor = quiet_monitor(db)
+        alerts = []
+        monitor.add_alert_hook(lambda v, details: alerts.append(details))
+        assert monitor.run_cycle() == "passed"
+
+        rewrite_row_value(
+            db.ledger_table("a"), lambda r: r["id"] == 2, "v", 999
+        )
+        db.sql("DROP TABLE b")
+
+        assert monitor.run_cycle() == "failed"
+        findings = monitor.status()["last_findings"]
+        assert any("table 'a'" in f for f in findings), findings
+        assert any("unexpected DROP" in f and "_b_" in f for f in findings)
+        (event,) = tamper_events()
+        for details in (alerts[0], event.payload):
+            assert details["source"] == "verification"
+            assert any("table 'a'" in f for f in details["findings"])
+            (dropped,) = details["dropped_tables"]
+            assert dropped.startswith("MS_DroppedTable_b_")
+
 
 # ---------------------------------------------------------------------------
 # Callback guarding (the watchdog must survive broken user code)
