@@ -189,9 +189,6 @@ class Shell:
         action = args[0].lower() if args else "status"
         if action == "start":
             options = args[1:]
-            interval = 5.0
-            if options and not options[0].startswith("--"):
-                interval = float(options.pop(0))
             kwargs = {}
             if "--incremental" in options:
                 kwargs["incremental"] = True
@@ -200,7 +197,13 @@ class Shell:
                 value = _int_option(options, flag, _MONITOR_USAGE)
                 if value is not None:
                     kwargs[key] = value
-            monitor = self.db.start_monitor(interval=interval, **kwargs)
+            try:
+                interval = 5.0
+                if options and not options[0].startswith("--"):
+                    interval = float(options.pop(0))
+                monitor = self.db.start_monitor(interval=interval, **kwargs)
+            except ValueError:
+                raise ValueError(f"usage: {_MONITOR_USAGE}") from None
             description = f"continuous verification running every {monitor.interval}s"
             if monitor.incremental:
                 description += (

@@ -100,7 +100,6 @@ class LedgerDatabase:
         self._monitor = None
         self._obs_server = None
         self._flight_recorder = None
-        self._group_committer = None
         self._close_lock = threading.Lock()
         self._closed = False
 
@@ -179,8 +178,6 @@ class LedgerDatabase:
             if self._closed:
                 return
             self._closed = True
-            if self._group_committer is not None:
-                self._group_committer.close()
             self.stop_monitor()
             self.stop_obs_server()
             self.stop_flight_recorder()
@@ -686,7 +683,6 @@ class LedgerDatabase:
         self,
         digests: Sequence[DatabaseDigest],
         table_names=None,
-        progress=None,
         parallelism: int = 1,
         mode: str = "full",
         checkpoint=None,
@@ -695,10 +691,7 @@ class LedgerDatabase:
         """Run ledger verification against externally stored digests.
 
         Returns a :class:`repro.core.verification.VerificationReport`; raise
-        on failure by calling ``report.raise_if_failed()``.  ``progress`` is
-        an optional callable receiving
-        :class:`repro.core.verification.VerificationProgress` events as the
-        run advances through invariants and scans rows/blocks.
+        on failure by calling ``report.raise_if_failed()``.
 
         Verification only holds the storage lock while it captures its
         snapshot; the invariant checks run concurrently with commits.
@@ -721,7 +714,7 @@ class LedgerDatabase:
         resume = gc.isenabled()
         gc.disable()
         try:
-            return LedgerVerifier(self, progress=progress).verify(
+            return LedgerVerifier(self).verify(
                 digests,
                 table_names=table_names,
                 parallelism=parallelism,
@@ -914,23 +907,6 @@ class LedgerDatabase:
 
                     self._sql_session = SqlSession(self)
         return self._sql_session.execute(statement)
-
-    @property
-    def group_committer(self):
-        """Lazy per-database :class:`~repro.core.group_commit.GroupCommitter`.
-
-        Concurrent writers route autocommit work units through this to
-        amortize the storage-lock round-trip and (in sync mode) the fsync
-        across a whole group; the ledger server's write path uses it for
-        every commit.
-        """
-        if self._group_committer is None:
-            with self.ledger.storage_lock:
-                if self._group_committer is None:
-                    from repro.core.group_commit import GroupCommitter
-
-                    self._group_committer = GroupCommitter(self)
-        return self._group_committer
 
     def __repr__(self) -> str:
         return f"<LedgerDatabase {self.engine.path!r}>"

@@ -117,16 +117,8 @@ def _verify_metrics(reg):
             "verify_blocks_scanned_total",
             "Blocks examined during verification",
         )
-        callback_errors = reg.counter(
-            "obs_callback_errors_total",
-            "Exceptions raised by user-supplied observability callbacks",
-            ("kind",),
-        )
 
     return _Families
-
-#: Row-scan granularity at which verification reports progress.
-PROGRESS_INTERVAL = 1000
 
 #: Process-wide leaf-hash cache shared by all verifiers (monitor + ad hoc).
 _GLOBAL_LEAF_CACHE = LeafHashCache()
@@ -135,48 +127,6 @@ _GLOBAL_LEAF_CACHE = LeafHashCache()
 def leaf_cache() -> LeafHashCache:
     """The process-wide leaf-hash cache used by default."""
     return _GLOBAL_LEAF_CACHE
-
-
-@dataclass(frozen=True)
-class VerificationProgress:
-    """One progress event emitted during a verification run.
-
-    ``phase`` is the invariant currently executing; ``phase_index`` /
-    ``phase_count`` locate it in the overall run.  ``current`` counts units
-    of work done inside the phase (blocks or row versions scanned);
-    ``total`` is the expected unit count when it is known up front.
-    """
-
-    phase: str
-    phase_index: int
-    phase_count: int
-    current: int = 0
-    total: Optional[int] = None
-    unit: str = ""
-
-    @property
-    def fraction(self) -> float:
-        """Overall completed fraction (phase granularity), in [0, 1]."""
-        if self.phase_count == 0:
-            return 1.0
-        within = 0.0
-        if self.total:
-            within = min(self.current / self.total, 1.0)
-        return min((self.phase_index + within) / self.phase_count, 1.0)
-
-    def __str__(self) -> str:
-        detail = ""
-        if self.current or self.total:
-            total = f"/{self.total}" if self.total is not None else ""
-            detail = f" ({self.current}{total} {self.unit or 'units'})"
-        return (
-            f"verify [{self.phase_index + 1}/{self.phase_count}] "
-            f"{self.phase}{detail} — {self.fraction * 100:.0f}%"
-        )
-
-
-#: Signature of the optional progress callback accepted by ``verify``.
-ProgressCallback = Callable[[VerificationProgress], None]
 
 
 @dataclass
@@ -197,9 +147,6 @@ class VerificationReport:
     parallelism: int = 1
     #: Seconds the storage lock was held capturing the snapshot.
     snapshot_seconds: float = 0.0
-    #: Leaf-hash cache traffic attributable to this run.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Invariants deferred to deep scans (incremental mode only).
     skipped_invariants: List[str] = field(default_factory=list)
     #: True when a frontier mismatch escalated incremental -> full.
@@ -262,25 +209,11 @@ class VerificationReport:
 class LedgerVerifier:
     """Runs the full verification process against one LedgerDatabase."""
 
-    def __init__(
-        self,
-        db,
-        progress: Optional[ProgressCallback] = None,
-        progress_interval: int = PROGRESS_INTERVAL,
-        cache: Optional[LeafHashCache] = None,
-    ) -> None:
+    def __init__(self, db, cache: Optional[LeafHashCache] = None) -> None:
         self._db = db
         self._ledger = db.ledger
         self._m = OBS.metrics.handles("verify", _verify_metrics)
-        self._progress = progress
-        self._progress_interval = max(1, progress_interval)
         self._cache = _GLOBAL_LEAF_CACHE if cache is None else cache
-        self._phase = ""
-        self._phase_index = 0
-        self._phase_count = 0
-        self._phase_current = 0
-        self._phase_total: Optional[int] = None
-        self._phase_unit = ""
         self._escalate_reason: Optional[str] = None
         self._events_by_table: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
         #: (table index, "base" | "history", None or index name) -> each
@@ -291,7 +224,6 @@ class LedgerVerifier:
         self,
         digests: Sequence[DatabaseDigest],
         table_names: Optional[Sequence[str]] = None,
-        progress: Optional[ProgressCallback] = None,
         parallelism: int = 1,
         mode: str = "full",
         checkpoint: Optional[VerificationCheckpoint] = None,
@@ -301,10 +233,7 @@ class LedgerVerifier:
 
         ``table_names`` restricts invariants 4 and 5 to specific ledger
         tables (the reduced-cost option of §2.3); chain-level invariants
-        always run in full.  ``progress`` (or the constructor's callback) is
-        invoked with :class:`VerificationProgress` events as invariants start
-        and as rows/blocks are scanned, so long verifications can report
-        percent-complete.
+        always run in full.
 
         ``parallelism`` runs the scan-heavy range tasks in N forked worker
         processes (full mode; the same tasks run in-process where fork is
@@ -316,16 +245,12 @@ class LedgerVerifier:
         """
         if mode not in ("full", "incremental"):
             raise ValueError(f"unknown verification mode {mode!r}")
-        if progress is not None:
-            self._progress = progress
         report = VerificationReport()
         self._m.runs.inc()
         OBS.events.emit(
             "verify", "verify.started",
             digests=len(digests), mode=mode, parallelism=parallelism,
         )
-        cache_hits0 = self._cache.hits
-        cache_misses0 = self._cache.misses
         snapshot = capture_snapshot(
             self._db, table_names,
             checkpoint if mode == "incremental" else None,
@@ -351,10 +276,6 @@ class LedgerVerifier:
             report.parallelism = pool.processes if pool.parallel else 1
             with OBS.tracer.span("verify.run"):
                 self._run_phases(report, digests, snapshot, checkpoint, pool)
-                self._emit_done()
-
-        report.cache_hits = self._cache.hits - cache_hits0
-        report.cache_misses = self._cache.misses - cache_misses0
 
         if self._escalate_reason is not None:
             # The incremental count did not match the checkpoint.  The full
@@ -404,131 +325,36 @@ class LedgerVerifier:
         return report
 
     def _run_phases(self, report, digests, snapshot, checkpoint, pool) -> None:
-        blocks = len(snapshot.blocks)
-        phases: List[Tuple[str, Callable[[], None], Optional[int], str]] = [
-            ("digest",
-             lambda: self._check_digests(report, digests, snapshot),
-             len(digests), "digests"),
-            ("chain",
-             lambda: self._check_chain(report, snapshot, pool),
-             blocks, "blocks"),
+        phases: List[Tuple[str, Callable[[], None]]] = [
+            ("digest", lambda: self._check_digests(report, digests, snapshot)),
+            ("chain", lambda: self._check_chain(report, snapshot, pool)),
             ("block_root",
-             lambda: self._check_block_roots(report, snapshot, pool),
-             blocks, "blocks"),
+             lambda: self._check_block_roots(report, snapshot, pool)),
             ("table_root",
-             lambda: self._check_table_roots(report, snapshot, pool),
-             None, "row versions"),
-            ("index",
-             lambda: self._check_indexes(report, snapshot, pool),
-             len(snapshot.tables), "tables"),
-            ("view",
-             lambda: self._check_views(report, snapshot),
-             None, "views"),
+             lambda: self._check_table_roots(report, snapshot, pool)),
+            ("index", lambda: self._check_indexes(report, snapshot, pool)),
+            ("view", lambda: self._check_views(report, snapshot)),
         ]
         if checkpoint is not None:
             # Incremental cycles defer the index invariant to deep scans.
             phases = [phase for phase in phases if phase[0] != "index"]
             report.skipped_invariants = ["index"]
-        self._phase_count = len(phases)
-        for index, (name, check, total, unit) in enumerate(phases):
-            self._begin_phase(name, index, total, unit)
+        for name, check in phases:
             started = time.perf_counter()
             with OBS.tracer.span(f"verify.{name}"):
                 check()
-            elapsed = time.perf_counter() - started
-            self._end_phase()
-            report.invariant_timings[name] = elapsed
+            report.invariant_timings[name] = time.perf_counter() - started
             if self._escalate_reason is not None:
                 break  # the full rescan re-runs everything anyway
-
-    # ------------------------------------------------------------------
-    # Progress reporting
-    # ------------------------------------------------------------------
-
-    def _begin_phase(
-        self, name: str, index: int, total: Optional[int], unit: str
-    ) -> None:
-        self._phase = name
-        self._phase_index = index
-        self._phase_current = 0
-        self._phase_total = total
-        self._phase_unit = unit
-        self._emit_progress()
-
-    def _advance(self, units: int = 1, force: bool = False) -> None:
-        """Account for ``units`` of scan work inside the current phase."""
-        before = self._phase_current
-        self._phase_current = before + units
-        if self._progress is None:
-            return
-        if force or (
-            before // self._progress_interval
-            != self._phase_current // self._progress_interval
-        ):
-            self._emit_progress()
-
-    def _end_phase(self) -> None:
-        """Force a final progress event at 100% for the finished phase.
-
-        Phases whose unit total was unknown up front (row-version scans)
-        learn it here — it is whatever was scanned — so the final event
-        always reports ``current == total`` even when the unit count is not
-        a multiple of ``progress_interval``.
-        """
-        if self._phase_total is None or self._phase_total < self._phase_current:
-            self._phase_total = self._phase_current
-        self._phase_current = self._phase_total
-        self._emit_progress()
-
-    def _emit_done(self) -> None:
-        """Terminal progress event for the whole run (fraction == 1.0)."""
-        self._dispatch(
-            VerificationProgress(
-                phase="done",
-                phase_index=self._phase_count,
-                phase_count=self._phase_count,
-            )
-        )
-
-    def _emit_progress(self) -> None:
-        self._dispatch(
-            VerificationProgress(
-                phase=self._phase,
-                phase_index=self._phase_index,
-                phase_count=self._phase_count,
-                current=self._phase_current,
-                total=self._phase_total,
-                unit=self._phase_unit,
-            )
-        )
-
-    def _dispatch(self, event: VerificationProgress) -> None:
-        """Deliver one progress event, absorbing callback failures.
-
-        A broken user callback must never abort a verification run; failures
-        are counted on ``obs_callback_errors_total{kind="progress"}``.
-        """
-        if self._progress is None:
-            return
-        try:
-            self._progress(event)
-        except Exception:
-            self._m.callback_errors.labels("progress").inc()
 
     # ------------------------------------------------------------------
     # Range planning and task execution
     # ------------------------------------------------------------------
 
-    def _ranges(self, count: int, pool: VerifyPool) -> List[Tuple[int, int]]:
-        """Cut ``range(count)`` into task ranges.
-
-        One range per worker when the pool forks.  In-process there is
-        nothing to balance, so ranges hold at most ``progress_interval``
-        units and progress is reported at the cadence the caller asked for.
-        """
-        if pool.parallel:
-            return split_ranges(count, pool.processes)
-        return split_ranges(count, -(-count // self._progress_interval))
+    @staticmethod
+    def _ranges(count: int, pool: VerifyPool) -> List[Tuple[int, int]]:
+        """Cut ``range(count)`` into one task range per worker."""
+        return split_ranges(count, pool.processes)
 
     def _slices(self, block_ids: List[int], pool) -> List[List[int]]:
         return [
@@ -544,11 +370,12 @@ class LedgerVerifier:
             if table.history is not None:
                 yield table_index, "history", table.history
 
+    @staticmethod
     def _run_tasks(
-        self, report, pool: VerifyPool, task, args_list, on_result=None
+        report, pool: VerifyPool, task, args_list
     ) -> List[Dict[str, Any]]:
         """Run the current invariant's tasks; findings keep task order."""
-        results = pool.run(task, args_list, on_result)
+        results = pool.run(task, args_list)
         for result in results:
             report.findings.extend(result["findings"])
         return results
@@ -561,7 +388,6 @@ class LedgerVerifier:
         guid = snapshot.database_guid
         blocks = snapshot.blocks
         for digest in digests:
-            self._advance()
             if digest.database_guid != guid:
                 report.findings.append(
                     Finding(
@@ -621,15 +447,12 @@ class LedgerVerifier:
                     {"missing": missing},
                 )
             )
-
-        def on_result(result) -> None:
-            report.blocks_verified += result["count"]
-            self._m.blocks_scanned.inc(result["count"])
-            self._advance(result["count"])
-
-        self._run_tasks(
-            report, pool, chain_task, self._slices(block_ids, pool), on_result
+        results = self._run_tasks(
+            report, pool, chain_task, self._slices(block_ids, pool)
         )
+        scanned = sum(result["count"] for result in results)
+        report.blocks_verified += scanned
+        self._m.blocks_scanned.inc(scanned)
 
     # ------------------------------------------------------------------
     # Invariant 3 — block transaction roots
@@ -655,13 +478,12 @@ class LedgerVerifier:
             )
 
     def _check_block_roots(self, report, snapshot, pool) -> None:
-        def on_result(result) -> None:
-            report.transactions_verified += result["transactions"]
-            self._advance(result["count"])
-
-        self._run_tasks(
+        results = self._run_tasks(
             report, pool, block_root_task,
-            self._slices(sorted(snapshot.blocks), pool), on_result,
+            self._slices(sorted(snapshot.blocks), pool),
+        )
+        report.transactions_verified += sum(
+            result["transactions"] for result in results
         )
         self._report_unchained_entries(report, snapshot)
 
@@ -687,15 +509,9 @@ class LedgerVerifier:
             for table_index, which, relation in self._relations(snapshot)
             for start, end in self._ranges(len(relation.records), pool)
         ]
-
-        def on_result(result) -> None:
-            self._m.rows_scanned.inc(result["count"])
-            self._advance(result["count"])
-
         self._full_rows = {}
-        results = self._run_tasks(
-            report, pool, events_task, args_list, on_result
-        )
+        results = self._run_tasks(report, pool, events_task, args_list)
+        self._m.rows_scanned.inc(sum(result["count"] for result in results))
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
         for args, result in zip(args_list, results):
             events = merged.setdefault(args[0], result["events"])

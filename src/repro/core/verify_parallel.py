@@ -244,11 +244,7 @@ def block_root_task(
                 )
             )
         transactions += len(block_entries)
-    return {
-        "findings": findings,
-        "transactions": transactions,
-        "count": len(block_ids),
-    }
+    return {"findings": findings, "transactions": transactions}
 
 
 def events_task(
@@ -297,7 +293,7 @@ def index_task(
     records = relation.index_records[index_name][start:end]
     return {
         "full_rows": _full_rows(_derive(relation, records, cache)),
-        "findings": [], "count": len(records),
+        "findings": [],
     }
 
 
@@ -347,22 +343,13 @@ class VerifyPool:
     def parallel(self) -> bool:
         return self._pool is not None
 
-    def run(self, task, args_list, on_result=None) -> List[Any]:
+    def run(self, task, args_list) -> List[Any]:
         """Run ``task`` over ``args_list``; results in submission order."""
         if self._pool is not None and len(args_list) > 1:
-            iterator = self._pool.imap(
+            return self._pool.map(
                 _run_in_worker, [(task, args) for args in args_list]
             )
-        else:
-            iterator = (
-                task(self._snapshot, self._cache, args) for args in args_list
-            )
-        results: List[Any] = []
-        for result in iterator:
-            results.append(result)
-            if on_result is not None:
-                on_result(result)
-        return results
+        return [task(self._snapshot, self._cache, args) for args in args_list]
 
     def close(self) -> None:
         if self._pool is not None:

@@ -117,10 +117,6 @@ class TransactionManager:
     def set_wal(self, wal: WalWriter) -> None:
         self._wal = wal
 
-    def set_next_tid(self, next_tid: int) -> None:
-        with self._state_lock:
-            self._next_tid = max(self._next_tid, next_tid)
-
     @property
     def active_transactions(self) -> List[Transaction]:
         with self._state_lock:

@@ -134,10 +134,6 @@ class EventLog:
     def path(self) -> Optional[str]:
         return self._path
 
-    @property
-    def next_seq(self) -> int:
-        return self._seq
-
     def attach_file(
         self,
         path: str,

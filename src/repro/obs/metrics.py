@@ -128,9 +128,6 @@ class GaugeChild(_Child):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -277,9 +274,6 @@ class MetricFamily:
 
     def inc(self, amount: float = 1.0) -> None:
         self._sole_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._sole_child().dec(amount)
 
     def set(self, value: float) -> None:
         self._sole_child().set(value)

@@ -14,12 +14,9 @@ invariant stops holding.  :class:`ContinuousVerifier` is that watchdog:
   closed blocks the watchdog has not yet vouched for;
 * it watches the table-operations view for new DROPs, catching the §3.5.2
   drop-and-recreate swap that legitimately *passes* verification;
-* on any failure it emits a ``tamper.detected`` event, flips
-  :attr:`healthy` to False (surfacing as HTTP 503 on ``/healthz``) and
-  dispatches user-registered alert hooks.
-
-Alert hooks and the progress callback are guarded: a broken callback is
-counted on ``obs_callback_errors_total`` and never kills the monitor.
+* on any failure it emits a ``tamper.detected`` event (consumers subscribe
+  with ``OBS.events.add_listener``), prints one line to stderr and flips
+  :attr:`healthy` to False (surfacing as HTTP 503 on ``/healthz``).
 
 The monitor holds ``db.ledger_lock`` (the storage-stage lock) only for the
 moments that need it: digest capture and the verifier's snapshot capture.
@@ -40,7 +37,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.verify_checkpoint import (
     VerificationCheckpoint,
@@ -72,16 +69,8 @@ def _monitor_metrics(reg):
         block_height = reg.gauge(
             "ledger_block_height", "Highest closed block id in the ledger"
         )
-        callback_errors = reg.counter(
-            "obs_callback_errors_total",
-            "Exceptions raised by user-supplied observability callbacks",
-            ("kind",),
-        )
 
     return _Families
-
-#: An alert hook receives (verdict: str, details: dict).
-AlertHook = Callable[[str, Dict[str, Any]], None]
 
 #: Trusted digests kept per monitor; the chain invariant covers every block
 #: regardless, so older digests add cost without adding detection power.
@@ -89,32 +78,33 @@ TRUSTED_WINDOW = 16
 
 
 class ContinuousVerifier:
-    """Background thread re-verifying the ledger on a fixed cadence."""
+    """Background thread re-verifying the ledger on a fixed cadence.
+
+    ``digest_func`` replaces the tip digest each cycle captures; one that
+    returns None leaves the trusted set as it is.
+    """
 
     def __init__(
         self,
         db,
         interval: float = 5.0,
         digest_func: Optional[Callable[[], Any]] = None,
-        alert_hooks: Sequence[AlertHook] = (),
-        table_names: Optional[Sequence[str]] = None,
-        watch_table_drops: bool = True,
-        stderr_alerts: bool = True,
-        capture_digests: bool = True,
         incremental: bool = False,
         deep_scan_every: int = 5,
         parallelism: int = 1,
         checkpoint_path: Optional[str] = None,
     ) -> None:
+        # NaN fails both comparisons; past TIMEOUT_MAX (inf included) the
+        # thread's first wait raises.
+        if not 0 < interval <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"monitor interval must be > 0 and at most "
+                f"{threading.TIMEOUT_MAX:.0f} seconds, not {interval!r}"
+            )
         self._db = db
         self._m = OBS.metrics.handles("monitor", _monitor_metrics)
         self.interval = interval
         self._digest_func = digest_func
-        self._alert_hooks: List[AlertHook] = list(alert_hooks)
-        self._table_names = list(table_names) if table_names else None
-        self._watch_table_drops = watch_table_drops
-        self._stderr_alerts = stderr_alerts
-        self._capture_digests = capture_digests
         self.incremental = incremental
         self.deep_scan_every = max(1, deep_scan_every)
         self.parallelism = max(1, parallelism)
@@ -150,7 +140,7 @@ class ContinuousVerifier:
 
     @property
     def healthy(self) -> bool:
-        """False once a cycle has failed verification (until acknowledged)."""
+        """False while the last cycle's verdict is failed."""
         return self.last_verdict != "failed"
 
     @property
@@ -180,9 +170,6 @@ class ContinuousVerifier:
             thread.join(timeout)
         self._thread = None
         OBS.events.emit("monitor", "monitor.stopped", cycles=self.cycles)
-
-    def add_alert_hook(self, hook: AlertHook) -> None:
-        self._alert_hooks.append(hook)
 
     def _run(self) -> None:
         # Fresh stack for the monitor thread: restarted monitors (and forked
@@ -262,8 +249,6 @@ class ContinuousVerifier:
                 checkpoint = VerificationCheckpoint.load(self.checkpoint_path)
             report = self._db.verify(
                 self._trusted,
-                table_names=self._table_names,
-                progress=self._on_progress,
                 parallelism=self.parallelism,
                 mode=mode,
                 checkpoint=checkpoint,
@@ -300,7 +285,11 @@ class ContinuousVerifier:
             self.last_verdict = "failed"
             self.last_findings = findings
             OBS.events.emit("tamper", "tamper.detected", **details)
-            self._dispatch_alerts("failed", details)
+            print(
+                f"[ledger-monitor] TAMPER DETECTED ({details['source']}): "
+                f"{'; '.join(findings[:3])}",
+                file=sys.stderr,
+            )
             return "failed"
         if not self._trusted:
             self.last_verdict = "idle"
@@ -314,10 +303,8 @@ class ContinuousVerifier:
         try:
             if self._digest_func is not None:
                 digest = self._digest_func()
-            elif self._capture_digests:
-                digest = self._db.generate_digest()
             else:
-                return None
+                digest = self._db.generate_digest()
         except DigestError:
             return None  # empty ledger: nothing to verify yet
         except ReplicationLagError:
@@ -337,12 +324,10 @@ class ContinuousVerifier:
 
         The §3.5.2 drop-and-recreate swap passes verification by design; the
         paper's answer is the table-operations view (Figure 6), so the
-        watchdog reads it every cycle and alerts on drops it has not been
-        told about.  Drops present when the monitor started are assumed
-        intended.
+        watchdog reads it every cycle and alerts on drops its first cycle
+        did not see.  Those are assumed intended; restarting the monitor
+        re-baselines.
         """
-        if not self._watch_table_drops:
-            return set()
         # The view scan reads catalog tables; take the storage lock for just
         # this read now that the cycle no longer holds it throughout.
         with self._db.ledger_lock:
@@ -357,18 +342,6 @@ class ContinuousVerifier:
         new = drops - self._known_drops
         return new
 
-    def acknowledge_table_drops(self) -> None:
-        """Accept all current DROPs (and a failed verdict caused by them)."""
-        with self._db.ledger_lock:
-            self._known_drops = {
-                op["table_name"]
-                for op in self._db.table_operations_view()
-                if op["operation"] == "DROP"
-            }
-        if self.last_verdict == "failed":
-            self.last_verdict = "unknown"
-            self.last_findings = []
-
     def _publish_lag(self) -> None:
         self._m.verification_lag.set(self.verification_lag)
 
@@ -378,27 +351,6 @@ class ContinuousVerifier:
         if self.block_height < 0:
             return 0
         return max(0, self.block_height - self.verified_through_block)
-
-    # ------------------------------------------------------------------
-    # Alerting and progress
-    # ------------------------------------------------------------------
-
-    def _dispatch_alerts(self, verdict: str, details: Dict[str, Any]) -> None:
-        if self._stderr_alerts:
-            print(
-                f"[ledger-monitor] TAMPER DETECTED ({details.get('source')}): "
-                f"{'; '.join(self.last_findings[:3]) or details}",
-                file=sys.stderr,
-            )
-        for hook in self._alert_hooks:
-            try:
-                hook(verdict, details)
-            except Exception:
-                self._m.callback_errors.labels("alert").inc()
-
-    def _on_progress(self, event) -> None:
-        # Reserved for surfacing long verifications; kept cheap on purpose.
-        return None
 
     # ------------------------------------------------------------------
     # Introspection / test support

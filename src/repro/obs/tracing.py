@@ -48,10 +48,6 @@ class Span:
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration_ns / 1e9
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "span_id": self.span_id,

@@ -43,8 +43,12 @@ def main(argv=None) -> int:
     db = LedgerDatabase.open(
         args.path, block_size=args.block_size, sync=args.sync
     )
-    if args.monitor_interval > 0:
-        db.start_monitor(interval=args.monitor_interval)
+    if args.monitor_interval != 0:
+        try:
+            db.start_monitor(interval=args.monitor_interval)
+        except ValueError as exc:
+            db.close()
+            parser.error(str(exc))
 
     from repro.server.ledger_server import LedgerServer
 

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from repro.core.ledger_database import APPEND_ONLY, LedgerDatabase
+from repro.core.verification import LedgerVerifier
 from repro.engine.clock import LogicalClock
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import INT, VARCHAR
@@ -110,12 +111,22 @@ class TestVerifyPausesCollector:
     """Verification runs with the cyclic collector paused and restores the
     caller's setting, whatever the outcome."""
 
-    def test_paused_during_the_call_and_resumed_after(self, db, accounts):
+    def test_paused_during_the_call_and_resumed_after(
+        self, db, accounts, monkeypatch
+    ):
         run(db, "a", lambda t: db.insert(t, "accounts", [["Nick", 1]]))
         seen = []
+        check_views = LedgerVerifier._check_views
+
+        def recording_check_views(self, *args):
+            seen.append(gc.isenabled())
+            return check_views(self, *args)
+
+        monkeypatch.setattr(
+            LedgerVerifier, "_check_views", recording_check_views
+        )
         assert gc.isenabled()
-        report = db.verify([db.generate_digest()],
-                           progress=lambda event: seen.append(gc.isenabled()))
+        report = db.verify([db.generate_digest()])
         assert report.ok
         assert seen and not any(seen)
         assert gc.isenabled()

@@ -166,7 +166,7 @@ class TestShutdown:
             str(tmp_path / "db"), block_size=4, clock=LogicalClock()
         )
         db.create_ledger_table(accounts_schema())
-        db.start_monitor(interval=999.0, stderr_alerts=False)
+        db.start_monitor(interval=999.0)
         db.start_obs_server()
         seed(db, 6)
         db.close()
@@ -281,7 +281,7 @@ class TestConcurrentSessions:
         assert block_ids == list(range(len(block_ids)))
 
     def test_concurrent_commits_with_monitor_and_server_running(self, db):
-        db.start_monitor(interval=0.05, stderr_alerts=False)
+        db.start_monitor(interval=0.05)
         db.start_obs_server()
         try:
             self._run_concurrent(db)

@@ -299,9 +299,7 @@ class TestSelfConsistentChainRewrite:
     def test_rewrite_chain_trips_the_monitor_within_one_cycle(self, chain):
         OBS.reset()
         try:
-            monitor = ContinuousVerifier(
-                chain, interval=999.0, stderr_alerts=False
-            )
+            monitor = ContinuousVerifier(chain, interval=999.0)
             assert monitor.run_cycle() == "passed"
             rewrite_chain(chain)
             assert monitor.run_cycle() == "failed"

@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import pytest
 
 import repro.attacks
+import repro.core.verify_parallel
 from repro.attacks import (
     delete_history_row,
     drop_and_recreate_table,
@@ -163,13 +164,7 @@ class ReferenceVerifier(LedgerVerifier):
             for table_index, which, relation in self._relations(snapshot)
             for start, end in self._ranges(len(relation.records), pool)
         ]
-
-        def on_result(result) -> None:
-            self._advance(result["count"])
-
-        results = self._run_tasks(
-            report, pool, ref_events_task, args_list, on_result
-        )
+        results = self._run_tasks(report, pool, ref_events_task, args_list)
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
         for args, result in zip(args_list, results):
             events = merged.setdefault(args[0], result["events"])
@@ -435,29 +430,37 @@ def test_every_attack_has_a_case():
     assert covered == set(repro.attacks.__all__)
 
 
+#: (parallelism, forks): one in-process range, three in-process ranges
+#: (so every check merges ranges), two forked workers.
+RUNS = ((1, True), (3, False), (2, True))
+
+
 @pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
 @pytest.mark.parametrize("case", list(CASES))
-def test_findings_and_counters_equal_the_reference(db, case):
+def test_findings_and_counters_equal_the_reference(db, case, monkeypatch):
     state = build(db)
     digests = state["digests"]
     LedgerVerifier(db).verify(digests)  # the cache holds honest records
     CASES[case][1](db, state)
-    for parallelism in (1, 2):
+    for parallelism, forks in RUNS:
+        monkeypatch.setattr(
+            repro.core.verify_parallel, "fork_available",
+            lambda forks=forks: forks,
+        )
         for warm in (False, True):
             if warm:
                 LedgerVerifier(db).verify(digests)
             else:
                 leaf_cache().clear()
-            # Ranges of three in-process, so every check merges ranges.
-            report = LedgerVerifier(db, progress_interval=3).verify(
+            report = LedgerVerifier(db).verify(
                 digests, parallelism=parallelism
             )
-            reference = ReferenceVerifier(
-                db, progress_interval=3, cache=LeafHashCache()
-            ).verify(digests, parallelism=parallelism)
-            where = f"{case}, parallelism={parallelism}, warm={warm}"
+            reference = ReferenceVerifier(db, cache=LeafHashCache()).verify(
+                digests, parallelism=parallelism
+            )
+            where = f"{case}, {parallelism} ranges, forks={forks}, warm={warm}"
             assert outcome(report) == outcome(reference), where
             assert report.ok == (case in ("clean", "drop_and_recreate_table"))
     if case.startswith("undecodable") or case in DECODE_FAILURES:

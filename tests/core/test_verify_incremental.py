@@ -27,6 +27,7 @@ from repro.attacks import (
     tamper_transaction_entry,
     tamper_view_definition,
 )
+from repro.core.verification import LedgerVerifier
 from repro.core.verify_checkpoint import (
     CHECKPOINT_FILENAME,
     VerificationCheckpoint,
@@ -278,7 +279,6 @@ class TestCheckpointFallbacks:
 
 class TestIncrementalMonitor:
     def quiet(self, db, **kwargs):
-        kwargs.setdefault("stderr_alerts", False)
         kwargs.setdefault("interval", 999.0)
         return ContinuousVerifier(db, **kwargs)
 
@@ -350,18 +350,24 @@ class TestIncrementalMonitor:
         assert monitor.run_cycle() == "passed"
         assert monitor.last_mode == "full"
 
-    def test_commits_proceed_while_cycle_verifies(self, db, seeded):
-        """The satellite fix: run_cycle holds no lock across verification,
-        so a session can commit while a cycle is mid-scan."""
+    def test_commits_proceed_while_cycle_verifies(
+        self, db, seeded, monkeypatch
+    ):
+        """run_cycle holds no lock across verification, so a session can
+        commit while a cycle is mid-scan."""
         monitor = self.quiet(db)
         entered = threading.Event()
         release = threading.Event()
+        check_chain = LedgerVerifier._check_chain
 
-        def blocking_progress(event):
+        def blocking_check_chain(self, *args):
             entered.set()
             assert release.wait(timeout=20), "cycle never released"
+            return check_chain(self, *args)
 
-        monitor._on_progress = blocking_progress
+        monkeypatch.setattr(
+            LedgerVerifier, "_check_chain", blocking_check_chain
+        )
         outcome = []
         cycle = threading.Thread(
             target=lambda: outcome.append(monitor.run_cycle())

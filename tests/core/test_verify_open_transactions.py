@@ -106,7 +106,7 @@ def test_checkpoint_built_while_open_excludes_it(db, ledger):
 
 def test_monitor_cycle_passes_while_open(db, ledger):
     monitor = ContinuousVerifier(
-        db, interval=999.0, stderr_alerts=False, incremental=True,
+        db, interval=999.0, incremental=True,
         deep_scan_every=3,
     )
     assert monitor.run_cycle() == "passed"

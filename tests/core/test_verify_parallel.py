@@ -1,17 +1,19 @@
 """One verification engine: the same range tasks in-process and forked.
 
 The chain, block-root, table-root and index invariants are range tasks
-(per block range, per record range) that run in-process at
-``parallelism=1`` and in forked workers above that.  Wherever the ranges
-are cut, every attack must be caught with the same findings in the same
-order, a clean database must report identical counters, and concurrent
-runs must never see each other's snapshot.
+(per block range, per record range), one range per worker, that run
+in-process at ``parallelism=1`` (or without ``fork``) and in forked
+workers above that.  Wherever the ranges are cut, every attack must be
+caught with the same findings in the same order, a clean database must
+report identical counters, and concurrent runs must never see each
+other's snapshot.
 """
 
 import threading
 
 import pytest
 
+import repro.core.verify_parallel
 from repro.attacks import (
     delete_history_row,
     fork_block,
@@ -53,14 +55,23 @@ COUNTERS = (
 )
 
 
+def verify_in_process(db, digests, parallelism):
+    """Verify with ``parallelism`` ranges per relation, all in-process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            repro.core.verify_parallel, "fork_available", lambda: False
+        )
+        return LedgerVerifier(db).verify(digests, parallelism=parallelism)
+
+
 def verify_both(db, digests):
     """Verify in-process and in two forked workers; return the forked report.
 
-    The in-process run cuts its ranges every three units and the forked one
-    in halves, so the two never share a range boundary — and must still
+    The in-process run cuts its ranges in thirds and the forked one in
+    halves, so the two rarely share a range boundary — and must still
     agree finding for finding, in order, and counter for counter.
     """
-    inline = LedgerVerifier(db, progress_interval=3).verify(digests)
+    inline = verify_in_process(db, digests, 3)
     forked = db.verify(digests, parallelism=2)
     assert inline.parallelism == 1
     assert [
@@ -97,19 +108,6 @@ class TestInProcessForkedEquivalence:
         assert report.ok, report.summary()
         assert report.findings == []
         assert report.row_versions_hashed > 0
-
-    def test_in_process_progress_follows_progress_interval(self, db, seeded):
-        """Ranges are cut at ``progress_interval``, not at the worker count:
-        a long in-process scan reports more than 0 % and 100 %."""
-        events = []
-        report = LedgerVerifier(
-            db, progress=events.append, progress_interval=4
-        ).verify([seeded])
-        assert report.ok and report.row_versions_hashed > 2 * 4
-        scanned = [e for e in events if e.phase == "table_root"]
-        total = scanned[-1].total
-        assert total == scanned[-1].current > 2 * 4
-        assert len({e.current for e in scanned if 0 < e.current < total}) >= 2
 
     def test_report_records_worker_count(self, db, seeded):
         report = db.verify([seeded], parallelism=3)

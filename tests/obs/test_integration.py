@@ -1,5 +1,5 @@
 """Telemetry wired through the whole pipeline: one INSERT's span tree,
-end-to-end counters, and verification progress reporting."""
+end-to-end counters, verification counters and the metric census."""
 
 import pytest
 
@@ -96,58 +96,20 @@ class TestEndToEndCounters:
         assert value("digest_generated_total") >= 1
         assert metrics.get("txn_commit_seconds").count > 0
 
-    def test_verification_counters_and_progress(self, db, telemetry):
+    def test_verification_counters(self, db, telemetry):
         create_table(db)
         for i in range(4):
             db.sql(f"INSERT INTO t (id, v) VALUES ({i}, 'x{i}')")
         digest = db.generate_digest()
 
-        events = []
-        report = db.verify([digest], progress=events.append)
+        report = db.verify([digest])
         assert report.ok
         metrics = db.get_metrics()
         assert metrics.get("verify_runs_total").value == 1
-        assert metrics.get("verify_blocks_scanned_total").value > 0
-        assert metrics.get("verify_row_versions_scanned_total").value > 0
-
-        assert events, "the progress callback must be invoked at least once"
-        phases = [e.phase for e in events]
-        assert phases[0] == "digest"
-        assert set(phases) >= {
-            "digest", "chain", "block_root", "table_root", "index", "view",
-        }
-        assert all(0.0 <= e.fraction <= 1.0 for e in events)
-        assert "verify [" in str(events[0])
-
-    def test_every_phase_reports_final_progress_at_100(self, db, telemetry):
-        # An interval far larger than any unit count means no interval
-        # crossings ever fire — the final per-phase event must still arrive
-        # with current == total, and the run must end with a done event.
-        from repro.core.verification import LedgerVerifier
-
-        create_table(db)
-        for i in range(7):  # awkward: not a multiple of any round interval
-            db.sql(f"INSERT INTO t (id, v) VALUES ({i}, 'x{i}')")
-        digest = db.generate_digest()
-
-        events = []
-        verifier = LedgerVerifier(
-            db, progress=events.append, progress_interval=10_000
+        assert metrics.get("verify_blocks_scanned_total").value == (
+            report.blocks_verified
         )
-        report = verifier.verify([digest])
-        assert report.ok
-
-        by_phase = {}
-        for event in events:
-            by_phase.setdefault(event.phase, []).append(event)
-        for phase in ("digest", "chain", "block_root", "table_root",
-                      "index", "view"):
-            final = by_phase[phase][-1]
-            assert final.total is not None, phase
-            assert final.current == final.total, phase
-        done = events[-1]
-        assert done.phase == "done"
-        assert done.fraction == 1.0
+        assert metrics.get("verify_row_versions_scanned_total").value > 0
 
     def test_invariant_timings_cover_all_six_checks(self, db, telemetry):
         create_table(db)
@@ -191,7 +153,6 @@ READ_FAMILIES = {
     "monitor_cycles_total",
     "monitor_verification_lag_blocks",
     "ledger_block_height",
-    "obs_callback_errors_total",
     "harness_round_seconds",
 }
 
@@ -214,6 +175,7 @@ RETIRED_FAMILIES = set("""
     merkle_leaves_appended_total monitor_cycle_mode_total
     monitor_cycle_seconds monitor_deep_scans_total
     monitor_tamper_detected_total monitor_verified_through_block
+    obs_callback_errors_total
     pipeline_builder_cycles_total pipeline_builder_running
     pipeline_drains_total pipeline_queue_wait_seconds
     pipeline_stage_seconds recovery_phase_seconds
@@ -260,7 +222,7 @@ class TestMetricCensus:
         locks.acquire(1, 5, LockMode.EXCLUSIVE)
         with pytest.raises(LockError):
             locks.acquire(2, 5, LockMode.SHARED)
-        monitor = ContinuousVerifier(db, interval=999.0, stderr_alerts=False)
+        monitor = ContinuousVerifier(db, interval=999.0)
         assert monitor.run_cycle() == "passed"
         LedgerServer(db)  # its committer and counters are built here
         db.checkpoint()

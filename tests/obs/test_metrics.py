@@ -71,7 +71,7 @@ class TestGauges:
         gauge = registry.gauge("depth", "queue depth")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.value == 7
 
 

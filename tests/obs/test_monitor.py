@@ -1,6 +1,6 @@
 """Continuous-verification monitor: every tamper primitive must be caught
-within one cycle, lag must track block height, and user callbacks must
-never kill the watchdog."""
+within one cycle, lag must track block height, a broken event listener
+never kills the watchdog, and only a finite positive cadence is accepted."""
 
 import threading
 import time
@@ -50,12 +50,25 @@ def seeded(db):  # noqa: F811 - pytest fixture shadowing
 
 
 def quiet_monitor(db, **kwargs):  # noqa: F811
-    kwargs.setdefault("stderr_alerts", False)
     return ContinuousVerifier(db, interval=999.0, **kwargs)
 
 
 def tamper_events():
     return OBS.events.read(category="tamper", name="tamper.detected")
+
+
+@pytest.fixture
+def tamper_listener():
+    """Collects the details of every ``tamper.detected`` event."""
+    alerts = []
+
+    def listener(event):
+        if event.name == "tamper.detected":
+            alerts.append(event.payload)
+
+    OBS.events.add_listener(listener)
+    yield alerts
+    OBS.events.remove_listener(listener)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +89,7 @@ class TestCleanMonitor:
 
     def test_no_trusted_digests_is_idle(self, db):  # noqa: F811
         # No digest source at all: nothing to vouch for, nothing to verify.
-        monitor = quiet_monitor(db, capture_digests=False)
+        monitor = quiet_monitor(db, digest_func=lambda: None)
         assert monitor.run_cycle() == "idle"
         assert monitor.healthy
 
@@ -106,7 +119,7 @@ class TestCleanMonitor:
     def test_verification_lag_counts_uncovered_blocks(self, db, seeded):  # noqa: F811
         # No digest capture: the monitor never vouches for anything, so the
         # lag gauge counts every closed block (ids 0..height).
-        monitor = quiet_monitor(db, capture_digests=False)
+        monitor = quiet_monitor(db, digest_func=lambda: None)
         db.generate_digest()  # close the open block
         monitor.run_cycle()
         height = monitor.block_height
@@ -194,10 +207,10 @@ ATTACKS = {
 
 class TestTamperDetection:
     @pytest.mark.parametrize("attack", sorted(ATTACKS))
-    def test_attack_detected_within_one_cycle(self, db, seeded, attack):  # noqa: F811
+    def test_attack_detected_within_one_cycle(
+        self, db, seeded, attack, tamper_listener
+    ):  # noqa: F811
         monitor = quiet_monitor(db)
-        alerts = []
-        monitor.add_alert_hook(lambda v, details: alerts.append((v, details)))
         assert monitor.run_cycle() == "passed"
 
         ATTACKS[attack](db, seeded)
@@ -206,8 +219,8 @@ class TestTamperDetection:
         assert not monitor.healthy
         assert monitor.failures == 1
         assert monitor.last_findings
-        assert alerts and alerts[0][0] == "failed"
-        assert tamper_events(), "tamper.detected event must be emitted"
+        assert len(tamper_listener) == 1
+        assert tamper_listener[0]["source"] in ("verification", "table_ops")
 
     def test_drop_recreate_caught_by_table_ops_watch(self, db, seeded):  # noqa: F811
         # §3.5.2: the swap passes verification by design; only the
@@ -221,15 +234,17 @@ class TestTamperDetection:
         assert any("accounts" in name
                    for name in event.payload["dropped_tables"])
 
-    def test_acknowledge_drops_restores_health(self, db, seeded):  # noqa: F811
+    def test_restarted_monitor_rebaselines_drops(self, db, seeded):  # noqa: F811
+        # An alerted drop keeps failing every cycle of that monitor; an
+        # intended one is accepted by starting a new monitor.
         monitor = quiet_monitor(db)
         monitor.run_cycle()
         _drop_and_recreate(db, seeded)
-        monitor.run_cycle()
-        assert not monitor.healthy
-        monitor.acknowledge_table_drops()
-        assert monitor.healthy
-        assert monitor.run_cycle() == "passed"
+        assert monitor.run_cycle() == "failed"
+        assert monitor.run_cycle() == "failed"
+        restarted = quiet_monitor(db)
+        assert restarted.run_cycle() == "passed"
+        assert restarted.healthy
 
     def test_preexisting_drops_are_not_alerted(self, db, seeded):  # noqa: F811
         # Drops that happened before the monitor started are assumed
@@ -248,16 +263,16 @@ class TestTamperDetection:
         assert event.payload["source"] == "verification"
         assert event.payload["findings"]
 
-    def test_tamper_and_drop_in_one_cycle_report_both(self, db):  # noqa: F811
+    def test_tamper_and_drop_in_one_cycle_report_both(
+        self, db, tamper_listener
+    ):  # noqa: F811
         # A DROP found in the same cycle as a failed verification must not
-        # erase the verification's findings from status, alerts or event.
+        # erase the verification's findings from status, listener or log.
         db.sql("CREATE TABLE a (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)")
         db.sql("CREATE TABLE b (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)")
         db.sql("INSERT INTO a (id, v) VALUES (1, 10), (2, 20)")
         db.sql("INSERT INTO b (id, v) VALUES (1, 10)")
         monitor = quiet_monitor(db)
-        alerts = []
-        monitor.add_alert_hook(lambda v, details: alerts.append(details))
         assert monitor.run_cycle() == "passed"
 
         rewrite_row_value(
@@ -270,7 +285,7 @@ class TestTamperDetection:
         assert any("table 'a'" in f for f in findings), findings
         assert any("unexpected DROP" in f and "_b_" in f for f in findings)
         (event,) = tamper_events()
-        for details in (alerts[0], event.payload):
+        for details in (tamper_listener[0], event.payload):
             assert details["source"] == "verification"
             assert any("table 'a'" in f for f in details["findings"])
             (dropped,) = details["dropped_tables"]
@@ -283,33 +298,25 @@ class TestTamperDetection:
 
 
 class TestCallbackGuards:
-    def test_broken_alert_hook_is_counted_not_fatal(self, db, seeded, telemetry):  # noqa: F811
-        monitor = quiet_monitor(db)
-        called = []
-
-        def broken(verdict, details):
-            raise RuntimeError("alert sink is down")
-
-        monitor.add_alert_hook(broken)
-        monitor.add_alert_hook(lambda v, d: called.append(v))
-        monitor.run_cycle()
-        _rewrite_live_row(db, seeded)
-        assert monitor.run_cycle() == "failed"
-        # The broken hook was absorbed; the healthy hook still ran.
-        assert called == ["failed"]
-        errors = telemetry.metrics.get("obs_callback_errors_total")
-        assert errors.labels("alert").value == 1
-
-    def test_broken_progress_callback_is_counted_not_fatal(
-        self, db, seeded, telemetry
+    def test_broken_tamper_listener_is_not_fatal(
+        self, db, seeded, tamper_listener
     ):  # noqa: F811
         def broken(event):
-            raise RuntimeError("progress sink is down")
+            raise RuntimeError("alert sink is down")
 
-        report = db.verify([db.generate_digest()], progress=broken)
-        assert report.ok
-        errors = telemetry.metrics.get("obs_callback_errors_total")
-        assert errors.labels("progress").value > 0
+        monitor = quiet_monitor(db)
+        OBS.events.add_listener(broken)
+        try:
+            monitor.run_cycle()
+            _rewrite_live_row(db, seeded)
+            assert monitor.run_cycle() == "failed"
+        finally:
+            OBS.events.remove_listener(broken)
+        # The broken listener was absorbed; the healthy one still ran.
+        assert [alert["source"] for alert in tamper_listener] == [
+            "verification"
+        ]
+        assert monitor.last_error is None
 
     def test_cycle_exception_becomes_error_outcome(self, db, seeded):  # noqa: F811
         monitor = quiet_monitor(
@@ -322,6 +329,20 @@ class TestCallbackGuards:
         assert monitor.healthy
 
 
+class TestCadence:
+    @pytest.mark.parametrize(
+        "interval", [float("nan"), float("inf"), 1e300, 0, -1.0]
+    )
+    def test_interval_must_be_finite_and_positive(self, db, interval):  # noqa: F811
+        # NaN, zero and negative cadences spun the thread back to back; inf
+        # and 1e300 killed it after one cycle.  None may construct a monitor.
+        with pytest.raises(ValueError, match="interval"):
+            ContinuousVerifier(db, interval=interval)
+        with pytest.raises(ValueError, match="interval"):
+            db.start_monitor(interval=interval)
+        assert db.monitor is None
+
+
 # ---------------------------------------------------------------------------
 # Live thread: detection latency against a running monitor
 # ---------------------------------------------------------------------------
@@ -332,9 +353,14 @@ class TestLiveMonitor:
         self, db, seeded
     ):  # noqa: F811
         interval = 0.05
-        monitor = db.start_monitor(interval=interval, stderr_alerts=False)
         detected = threading.Event()
-        monitor.add_alert_hook(lambda v, d: detected.set())
+
+        def listener(event):
+            if event.name == "tamper.detected":
+                detected.set()
+
+        OBS.events.add_listener(listener)
+        monitor = db.start_monitor(interval=interval)
         try:
             assert monitor.running
             assert monitor.wait_for(
@@ -355,10 +381,11 @@ class TestLiveMonitor:
             assert tamper_events()
         finally:
             db.stop_monitor()
+            OBS.events.remove_listener(listener)
         assert not monitor.running
 
     def test_start_monitor_is_idempotent(self, db, seeded):  # noqa: F811
-        first = db.start_monitor(interval=60.0, stderr_alerts=False)
+        first = db.start_monitor(interval=60.0)
         try:
             assert db.start_monitor(interval=1.0) is first
             assert db.monitor is first
@@ -373,7 +400,7 @@ class TestLiveMonitor:
         database = LedgerDatabase.open(
             str(tmp_path / "db2"), block_size=4, clock=LogicalClock()
         )
-        monitor = database.start_monitor(interval=60.0, stderr_alerts=False)
+        monitor = database.start_monitor(interval=60.0)
         database.close()
         assert not monitor.running
         assert database.monitor is None

@@ -70,7 +70,7 @@ class TestMetricsEndpoint:
     def test_metrics_exposition_contains_watchtower_gauges(
         self, db, seeded, server, telemetry
     ):  # noqa: F811
-        monitor = db.start_monitor(interval=999.0, stderr_alerts=False)
+        monitor = db.start_monitor(interval=999.0)
         try:
             monitor.wait_for(lambda: monitor.cycles >= 1)
             status, content_type, body = get(server.url + "/metrics")
@@ -94,7 +94,7 @@ class TestHealthEndpoint:
     def test_healthz_flips_to_503_on_tamper(self, db, seeded, server):  # noqa: F811
         # The server resolves the monitor per request, so one started
         # *after* the server still shows up.
-        monitor = db.start_monitor(interval=0.05, stderr_alerts=False)
+        monitor = db.start_monitor(interval=0.05)
         try:
             assert monitor.wait_for(
                 lambda: monitor.last_verdict == "passed", timeout=10.0
@@ -211,7 +211,7 @@ class TestLedgerEndpoint:
         assert "verified_through_block" not in payload  # no monitor yet
 
     def test_ledger_summary_includes_monitor_state(self, db, seeded, server):  # noqa: F811
-        monitor = db.start_monitor(interval=999.0, stderr_alerts=False)
+        monitor = db.start_monitor(interval=999.0)
         try:
             monitor.wait_for(lambda: monitor.cycles >= 1)
             payload = json.loads(get(server.url + "/ledger")[2])

@@ -471,7 +471,7 @@ class TestTamperDetected:
         self, server_db, server, client, monkeypatch
     ):
         tid = client.insert("items", [[f"t{i}", i] for i in range(9)])["tid"]
-        monitor = server_db.start_monitor(interval=999.0, stderr_alerts=False)
+        monitor = server_db.start_monitor(interval=999.0)
         try:
             assert monitor.wait_for(lambda: monitor.last_verdict == "passed")
             rewrite_chain(server_db)
@@ -520,7 +520,7 @@ class TestTamperDetected:
     ):
         client.insert("items", [[f"t{i}", i] for i in range(5)])
         monitor = server_db.start_monitor(
-            interval=999.0, stderr_alerts=False, incremental=True
+            interval=999.0, incremental=True
         )
         try:
             assert monitor.wait_for(lambda: monitor.last_verdict == "passed")

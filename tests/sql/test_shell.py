@@ -53,6 +53,9 @@ class TestOneShotCli:
         "\\monitor start --deep",
         "\\monitor start --parallel",
         "\\monitor start 60 --deep x",
+        "\\monitor start nan",
+        "\\monitor start 0",
+        "\\monitor start inf",
         "\\trace --txn",
         "\\trace --txn x",
     ])
