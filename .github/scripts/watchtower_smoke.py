@@ -4,7 +4,8 @@
 Drives the shell the way an operator would — ``\\monitor start`` and
 ``\\serve`` — then checks the HTTP endpoint while clean, mounts a scripted
 row tamper, and asserts the monitor flags it: ``tamper.detected`` in the
-event log and ``/healthz`` flipping to 503.
+event log and ``/healthz`` flipping to 503.  A ledger server on the same
+database must report the same health status as ``/healthz`` throughout.
 
 Usage::
 
@@ -23,8 +24,10 @@ import urllib.request
 
 from repro.__main__ import Shell
 from repro.attacks import rewrite_row_value
+from repro.client import LedgerClient
 from repro.core.ledger_database import LedgerDatabase
 from repro.obs import OBS
+from repro.server.ledger_server import LedgerServer
 
 EVENTS_PATH = sys.argv[1] if len(sys.argv) > 1 else "watchtower-events.jsonl"
 
@@ -68,15 +71,21 @@ def main():
         monitor.wait_for(lambda: monitor.last_verdict == "passed", 30.0),
         "monitor reaches a passing verdict on the clean ledger",
     )
-    status, _ = get(server.url + "/healthz")
+    ledger_server = LedgerServer(db, port=0).start()
+    client = LedgerClient("127.0.0.1", ledger_server.port)
+    status, body = get(server.url + "/healthz")
     check(status == 200, "/healthz is 200 while the ledger is clean")
+    check(
+        client.health()["status"] == json.loads(body)["status"] == "ok",
+        "the ledger server's health matches /healthz while clean",
+    )
     status, body = get(server.url + "/metrics")
     check(
         status == 200 and "monitor_verification_lag_blocks" in body,
         "/metrics exposes the verification-lag gauge",
     )
 
-    with db.ledger_lock:
+    with db.ledger.storage_lock:
         rewrite_row_value(
             db.engine.table("accounts"),
             lambda r: r["name"] == "John", "balance", 999_999,
@@ -94,12 +103,18 @@ def main():
         "health payload names the tamper verdict",
     )
     check(
+        client.health()["status"] == json.loads(body)["status"],
+        "the ledger server's health matches /healthz after tamper",
+    )
+    check(
         bool(OBS.events.read(category="tamper", name="tamper.detected")),
         "tamper.detected present in the structured event log",
     )
 
     shell.run_command("\\monitor status")
     shell.run_command("\\events 10")
+    client.close()
+    ledger_server.stop()
     db.close()
     print("watchtower smoke passed")
 

@@ -41,8 +41,10 @@ from repro.digests.digest_manager import RetryPolicy
 from repro.server.protocol import (
     ProtocolError,
     RequestError,
+    first_word,
     recv_frame,
     send_frame,
+    statement_kind,
 )
 
 
@@ -250,7 +252,7 @@ class ClientSession:
             ) from exc
         if not response.get("ok"):
             raise RequestError.from_wire(response.get("error", {}))
-        keyword = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
+        keyword = first_word(sql)
         if keyword == "BEGIN":
             self.in_transaction = True
         elif keyword in ("COMMIT", "ROLLBACK"):
@@ -411,25 +413,23 @@ class LedgerClient:
     ) -> Dict[str, Any]:
         """Execute one autocommit SQL statement.
 
-        Writes get a minted txn UUID (idempotent retries); reads are
-        naturally idempotent.  Transaction control is rejected here: each
-        pooled attempt may land on a different connection — and thus a
-        different server session — which would scatter one logical
-        BEGIN…COMMIT block across sessions.  Use :meth:`session` for
-        interactive transactions.
+        Writes — every statement but SELECT, EXPLAIN and transaction
+        control (:func:`~repro.server.protocol.statement_kind`) — get a
+        minted txn UUID (idempotent retries); reads are naturally
+        idempotent.  Transaction control is rejected here: each pooled
+        attempt may land on a different connection — and thus a different
+        server session — which would scatter one logical BEGIN…COMMIT block
+        across sessions.  Use :meth:`session` for interactive transactions.
         """
-        keyword = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
-        if keyword in {"BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT"}:
+        kind = statement_kind(sql)
+        if kind == "transaction":
             raise ValueError(
-                f"{keyword} is not supported via execute(): pooled requests "
-                "have no session affinity; use LedgerClient.session() to pin "
-                "one connection for an interactive transaction"
+                f"{first_word(sql)} is not supported via execute(): pooled "
+                "requests have no session affinity; use LedgerClient.session() "
+                "to pin one connection for an interactive transaction"
             )
-        is_write = keyword in {
-            "INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER", "TRUNCATE",
-        }
         payload: Dict[str, Any] = {"op": "execute", "sql": sql}
-        if is_write:
+        if kind == "write":
             payload["txn_uuid"] = (
                 txn_uuid if txn_uuid is not None else str(uuid_mod.uuid4())
             )

@@ -103,18 +103,6 @@ class LedgerDatabase:
         self._close_lock = threading.Lock()
         self._closed = False
 
-    @property
-    def ledger_lock(self):
-        """The storage-stage lock serializing access to the engine.
-
-        Historical alias: before the staged pipeline this was a coarse
-        database-wide mutex.  It is now the ledger's ``storage_lock`` — the
-        innermost stage lock — which the SQL session, the continuous
-        monitor and direct-API consumers take per operation, while
-        sequencing and queueing proceed under their own locks.
-        """
-        return self.ledger.storage_lock
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -727,33 +715,6 @@ class LedgerDatabase:
                 gc.enable()
 
     # ------------------------------------------------------------------
-    # Telemetry (see repro.obs)
-    # ------------------------------------------------------------------
-
-    @property
-    def telemetry(self):
-        """The process-wide :class:`repro.obs.Telemetry` (like a Prometheus
-        default registry)."""
-        return OBS
-
-    def get_metrics(self):
-        """The metrics registry recording this process's ledger activity."""
-        return self.telemetry.metrics
-
-    @property
-    def trace_sink(self):
-        """The span recorder capturing pipeline traces (ring buffer)."""
-        return self.telemetry.tracer.recorder
-
-    def enable_telemetry(
-        self, metrics: bool = True, tracing: bool = True, events: bool = True
-    ) -> None:
-        self.telemetry.enable(metrics=metrics, tracing=tracing, events=events)
-
-    def disable_telemetry(self) -> None:
-        self.telemetry.disable()
-
-    # ------------------------------------------------------------------
     # Watchtower: continuous monitor + observability server
     # ------------------------------------------------------------------
 
@@ -766,6 +727,60 @@ class LedgerDatabase:
     def obs_server(self):
         """The attached :class:`repro.obs.server.ObservabilityServer`, if any."""
         return self._obs_server
+
+    def health(self) -> Dict[str, Any]:
+        """The service's health verdict: ``status``, worst first, with the
+        ``problems`` behind it and the ``monitor`` and ``pipeline`` state.
+
+        ``tamper-detected`` — the monitor's last verification failed: the
+        ledger itself is suspect.  ``degraded`` — a background thread that
+        should be running (block builder, continuous monitor) is dead, or
+        the builder's supervisor gave up: the ledger is unwatched or blocks
+        pile up unsealed; each problem names the thread and its last error.
+        ``ok`` otherwise.  ``/healthz`` renders this verdict, ``op=health``
+        returns it and the server's write gate reads its ``status``.
+        """
+        monitor = self._monitor
+        pipeline = self.pipeline.stats()
+        problems: List[Dict[str, Any]] = []
+        monitor_status: Any = "not-running"
+        if monitor is not None:
+            monitor_status = monitor.status()
+            if (
+                monitor_status["expected_running"]
+                and not monitor_status["running"]
+            ):
+                problems.append(
+                    {
+                        "thread": "ledger-monitor",
+                        "detail": "monitor thread died; the ledger is "
+                        "unwatched",
+                        "last_error": monitor_status["last_error"],
+                    }
+                )
+        gave_up = pipeline["supervisor_gave_up"]
+        dead = pipeline["expected_running"] and not pipeline["running"]
+        if gave_up or dead:
+            problems.append(
+                {
+                    "thread": "ledger-block-builder",
+                    "detail": "block-builder thread died"
+                    + (" and its supervisor gave up" if gave_up else ""),
+                    "last_error": pipeline["last_error"],
+                }
+            )
+        if monitor is not None and not monitor_status["healthy"]:
+            status = "tamper-detected"
+        elif problems:
+            status = "degraded"
+        else:
+            status = "ok"
+        return {
+            "status": status,
+            "problems": problems,
+            "monitor": monitor_status,
+            "pipeline": pipeline,
+        }
 
     def start_monitor(self, interval: float = 5.0, **kwargs):
         """Start (or return) the continuous-verification monitor thread."""

@@ -81,18 +81,6 @@ def hash_block(payload: bytes) -> bytes:
     return sha256(_TAG_BLOCK + payload)
 
 
-def hash_many(chunks: Iterable[bytes]) -> bytes:
-    """Hash a sequence of byte chunks as a single untagged stream.
-
-    Used where the caller has already applied framing (length prefixes) and
-    simply wants to avoid concatenating a large buffer.
-    """
-    hasher = hashlib.sha256()
-    for chunk in chunks:
-        hasher.update(chunk)
-    return hasher.digest()
-
-
 class LeafHashCache:
     """Bounded LRU cache for what verification derives from stored bytes.
 

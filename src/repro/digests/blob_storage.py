@@ -20,12 +20,10 @@ ignore.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
-import threading
 import zlib
-from typing import Dict, List
+from typing import List
 
 from repro.errors import (
     BlobNotFoundError,
@@ -39,12 +37,12 @@ _TMP_PREFIX = ".tmp-"
 _tmp_counter = itertools.count()
 
 #: Self-describing prefix for compressed JSON blobs.  JSON documents always
-#: start with ``{`` or ``[``, never these bytes, so :meth:`get_json` can
+#: start with ``{`` or ``[``, never these bytes, so :meth:`get_document` can
 #: sniff the format and keep reading digests written before compression.
 _COMPRESSED_JSON_MAGIC = b"SLZ1"
 
-#: zlib level for JSON digests; configurable per store instance.
-DEFAULT_COMPRESSION_LEVEL = 6
+#: zlib level for JSON digests.
+_COMPRESSION_LEVEL = 6
 
 FAULTS.register(
     "blob.put",
@@ -64,18 +62,8 @@ FAULTS.register(
 class ImmutableBlobStorage:
     """Append-only, write-once blob containers rooted at a directory."""
 
-    def __init__(
-        self,
-        root: str,
-        compress: bool = True,
-        compression_level: int = DEFAULT_COMPRESSION_LEVEL,
-    ) -> None:
+    def __init__(self, root: str) -> None:
         self._root = root
-        self._compress = compress
-        self._compression_level = compression_level
-        self._stats_lock = threading.Lock()
-        self._json_raw_bytes = 0
-        self._json_stored_bytes = 0
         os.makedirs(root, exist_ok=True)
 
     # -- container / blob naming -------------------------------------------------
@@ -181,21 +169,13 @@ class ImmutableBlobStorage:
     # -- JSON helpers (digests are JSON documents) --------------------------------
 
     def put_document(self, container: str, name: str, raw: bytes) -> None:
-        """Store a (JSON-text) document, zlib-compressed by default.
-
-        Compressed blobs carry the ``SLZ1`` magic so they are
-        self-describing; stores created with ``compress=False`` keep writing
-        the raw bytes, and :meth:`get_document` reads either.
-        """
-        data = raw
-        if self._compress:
-            data = _COMPRESSED_JSON_MAGIC + zlib.compress(
-                raw, self._compression_level
-            )
-        self.put(container, name, data)
-        with self._stats_lock:
-            self._json_raw_bytes += len(raw)
-            self._json_stored_bytes += len(data)
+        """Store a (JSON-text) document zlib-compressed behind the ``SLZ1``
+        magic, so the blob is self-describing; :meth:`get_document` reads
+        it and the raw JSON blobs written before compression."""
+        self.put(
+            container, name,
+            _COMPRESSED_JSON_MAGIC + zlib.compress(raw, _COMPRESSION_LEVEL),
+        )
 
     def get_document(self, container: str, name: str) -> bytes:
         """Read a document written by :meth:`put_document` — or by code that
@@ -204,23 +184,3 @@ class ImmutableBlobStorage:
         if data.startswith(_COMPRESSED_JSON_MAGIC):
             data = zlib.decompress(data[len(_COMPRESSED_JSON_MAGIC) :])
         return data
-
-    def put_json(self, container: str, name: str, document: dict) -> None:
-        self.put_document(
-            container, name,
-            json.dumps(document, sort_keys=True).encode("utf-8"),
-        )
-
-    def get_json(self, container: str, name: str) -> dict:
-        return json.loads(self.get_document(container, name).decode("utf-8"))
-
-    def compression_stats(self) -> Dict[str, float]:
-        """Cumulative raw/stored byte counts for documents written via
-        :meth:`put_document`, plus the implied compression ratio."""
-        with self._stats_lock:
-            raw, stored = self._json_raw_bytes, self._json_stored_bytes
-        return {
-            "raw_bytes": raw,
-            "stored_bytes": stored,
-            "ratio": (raw / stored) if stored else 1.0,
-        }

@@ -154,14 +154,6 @@ class BPlusTree:
                 return
             yield key, value
 
-    def min_key(self) -> Any:
-        leaf = self._leftmost_leaf()
-        while leaf is not None:
-            if leaf.keys:
-                return leaf.keys[0]
-            leaf = leaf.next_leaf
-        return None
-
     # -- internals ---------------------------------------------------------------
 
     def _leftmost_leaf(self) -> _Leaf:

@@ -25,7 +25,8 @@ from repro.engine.pager import PAGE_SIZE, SLOT_SIZE, Page
 from repro.errors import InjectedCrashError, StorageError
 from repro.faults import FAULTS
 
-#: Legacy uncompressed image: header, then ``page_count`` raw pages.
+#: Legacy uncompressed image: header, then ``page_count`` raw pages.  Read,
+#: never written.
 _FILE_MAGIC = b"SLHF"
 #: Compressed image: header, then per page ``uint32 comp_len`` + zlib bytes.
 #: The magic makes every image self-describing, so files written before
@@ -34,8 +35,8 @@ _FILE_MAGIC_COMPRESSED = b"SLHZ"
 _FILE_HEADER = struct.Struct(">4sI")  # magic, page count
 _COMP_LEN = struct.Struct(">I")
 
-#: zlib level for heap images; configurable via :func:`set_compression`.
-DEFAULT_COMPRESSION_LEVEL = 3
+#: zlib level for heap images.
+_COMPRESSION_LEVEL = 3
 
 FAULTS.register(
     "heap.flush",
@@ -237,51 +238,28 @@ class HeapFile:
 
     # -- persistence -------------------------------------------------------------
 
-    def flush(
-        self,
-        path: str,
-        compress: bool = True,
-        level: Optional[int] = None,
-    ) -> Tuple[int, int]:
-        """Write all pages to ``path`` atomically (write-then-rename).
-
-        Images are zlib-compressed per page by default (``SLHZ`` magic);
-        ``compress=False`` writes the legacy fixed-size ``SLHF`` layout.
-        Returns ``(raw_bytes, written_bytes)``: the image's size before and
-        after compression.
-        """
-        if level is None:
-            level = DEFAULT_COMPRESSION_LEVEL
+    def flush(self, path: str) -> None:
+        """Write all pages to ``path`` atomically (write-then-rename), each
+        page zlib-compressed (``SLHZ`` magic)."""
         FAULTS.fire("heap.flush", heap=self.name)
         tmp_path = path + ".tmp"
-        magic = _FILE_MAGIC_COMPRESSED if compress else _FILE_MAGIC
-        raw_bytes = len(self._pages) * PAGE_SIZE
-        written = _FILE_HEADER.size
         with open(tmp_path, "wb") as f:
-            f.write(_FILE_HEADER.pack(magic, len(self._pages)))
+            f.write(_FILE_HEADER.pack(_FILE_MAGIC_COMPRESSED, len(self._pages)))
             for page in self._pages:
                 FAULTS.fire("pager.page_write", heap=self.name, page=page.page_id)
-                payload = (
-                    zlib.compress(bytes(page.buf), level)
-                    if compress
-                    else bytes(page.buf)
-                )
+                payload = zlib.compress(bytes(page.buf), _COMPRESSION_LEVEL)
                 if FAULTS.triggered(
                     "pager.torn_page", heap=self.name, page=page.page_id
                 ):
                     f.write(payload[: len(payload) // 2])
                     f.flush()
                     raise InjectedCrashError("pager.torn_page")
-                if compress:
-                    f.write(_COMP_LEN.pack(len(payload)))
-                    written += _COMP_LEN.size
+                f.write(_COMP_LEN.pack(len(payload)))
                 f.write(payload)
-                written += len(payload)
             f.flush()
             os.fsync(f.fileno())
         FAULTS.fire("heap.rename", heap=self.name)
         os.replace(tmp_path, path)
-        return raw_bytes, written
 
     @classmethod
     def load(cls, name: str, path: str) -> "HeapFile":

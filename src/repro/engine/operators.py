@@ -62,17 +62,6 @@ def seq_scan(
         yield rid, read(record)
 
 
-def clustered_scan(
-    table: Table, include_hidden: bool = False
-) -> Iterator[Tuple[RowId, NamedRow]]:
-    """Full scan in primary-key order (physical order without a key)."""
-    if table.clustered is None:
-        yield from seq_scan(table, include_hidden)
-        return
-    rids = (rid for _, rid in table.clustered.scan())
-    yield from _named_rows(table, rids, include_hidden)
-
-
 def index_seek(
     table: Table,
     index_name: str,
@@ -410,13 +399,6 @@ def access_path(
 # ---------------------------------------------------------------------------
 # Relational operators (rows only; RowIds dropped)
 # ---------------------------------------------------------------------------
-
-def filter_rows(
-    source: Iterator[NamedRow], condition: Any
-) -> Iterator[NamedRow]:
-    predicate = as_predicate(condition)
-    return (row for row in source if predicate(row))
-
 
 def project(
     source: Iterator[NamedRow],

@@ -23,7 +23,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
@@ -325,23 +325,3 @@ def read_wal(path: str) -> Tuple[List[WalRecord], int]:
             raise RecoveryError(f"corrupt WAL record in {path!r}: {exc}") from exc
         end = start + length
     return records, end
-
-
-def analyze_wal(records: List[WalRecord]) -> Dict[str, Any]:
-    """ARIES analysis: classify transactions into winners and losers.
-
-    Returns a dict with ``committed`` (tid → COMMIT payload, in commit
-    order), ``aborted`` (set of tids) and ``catalog`` (the last DDL catalog
-    snapshot seen, or None).
-    """
-    committed: Dict[int, Dict[str, Any]] = {}
-    aborted = set()
-    catalog: Optional[dict] = None
-    for record in records:
-        if record.kind == COMMIT:
-            committed[record.payload["tid"]] = record.payload
-        elif record.kind == ABORT:
-            aborted.add(record.payload["tid"])
-        elif record.kind == DDL:
-            catalog = record.payload.get("catalog")
-    return {"committed": committed, "aborted": aborted, "catalog": catalog}

@@ -74,10 +74,7 @@ __all__ = [
     "Tracer",
     "build_commit_lineage",
     "build_span_trees",
-    "disable_telemetry",
-    "enable_telemetry",
     "render_span_tree",
-    "telemetry",
 ]
 
 
@@ -123,20 +120,3 @@ OBS = Telemetry()
 # under whatever span the parent had open at fork time.
 if hasattr(_os, "register_at_fork"):  # pragma: no branch - POSIX only
     _os.register_at_fork(after_in_child=OBS.tracer.reset_thread)
-
-
-def telemetry() -> Telemetry:
-    """The process-default :class:`Telemetry` instance."""
-    return OBS
-
-
-def enable_telemetry(
-    metrics: bool = True, tracing: bool = True, events: bool = True
-) -> Telemetry:
-    OBS.enable(metrics=metrics, tracing=tracing, events=events)
-    return OBS
-
-
-def disable_telemetry() -> Telemetry:
-    OBS.disable()
-    return OBS

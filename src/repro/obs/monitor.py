@@ -18,10 +18,10 @@ invariant stops holding.  :class:`ContinuousVerifier` is that watchdog:
   with ``OBS.events.add_listener``), prints one line to stderr and flips
   :attr:`healthy` to False (surfacing as HTTP 503 on ``/healthz``).
 
-The monitor holds ``db.ledger_lock`` (the storage-stage lock) only for the
-moments that need it: digest capture and the verifier's snapshot capture.
-All invariant checking runs off-snapshot, so SQL sessions commit freely
-while a cycle is mid-verification — the lock-narrowing that makes a
+The monitor holds ``db.ledger.storage_lock`` (the storage-stage lock) only
+for the moments that need it: digest capture and the verifier's snapshot
+capture.  All invariant checking runs off-snapshot, so SQL sessions commit
+freely while a cycle is mid-verification — the lock-narrowing that makes a
 continuous watchdog compatible with heavy traffic.
 
 With ``incremental=True`` the monitor persists a
@@ -330,7 +330,7 @@ class ContinuousVerifier:
         """
         # The view scan reads catalog tables; take the storage lock for just
         # this read now that the cycle no longer holds it throughout.
-        with self._db.ledger_lock:
+        with self._db.ledger.storage_lock:
             drops = {
                 op["table_name"]
                 for op in self._db.table_operations_view()

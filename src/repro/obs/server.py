@@ -4,9 +4,10 @@ A stdlib-only (`http.server`) endpoint exposing the watchtower to external
 scrapers and dashboards:
 
 * ``GET /metrics`` — Prometheus text exposition of the process registry;
-* ``GET /healthz`` — JSON liveness + the monitor's last verification
-  verdict; returns **503** once the continuous monitor has detected
-  tampering, so ordinary HTTP health checking doubles as tamper alerting;
+* ``GET /healthz`` — the database's health verdict
+  (:meth:`LedgerDatabase.health`): 200 while it is ``ok``, **503** once it
+  is ``degraded`` or the continuous monitor has detected tampering, so
+  ordinary HTTP health checking doubles as tamper alerting;
 * ``GET /events?since=N&category=...&name=...&limit=K`` — the structured
   event log, filtered and paginated by sequence number;
 * ``GET /ledger`` — chain summary: block height, pending entries, digest
@@ -20,7 +21,8 @@ integers, ``limit`` not negative) answers **400**.
 
 The server binds 127.0.0.1 by default and serves from a daemon thread;
 ``port=0`` picks an ephemeral port (read back via :attr:`port`), which is
-what the tests use.  Reads touching the database take ``db.ledger_lock``.
+what the tests use.  No endpoint takes the storage lock
+(``db.ledger.storage_lock``).
 """
 
 from __future__ import annotations
@@ -112,14 +114,6 @@ class ObservabilityServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def _resolve_monitor(self):
-        """Whatever monitor is attached to the db now.
-
-        Resolved per request so a monitor started *after* the server still
-        shows up on /healthz.
-        """
-        return getattr(self._db, "monitor", None)
-
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
@@ -142,8 +136,12 @@ class ObservabilityServer:
                             "text/plain; version=0.0.4; charset=utf-8",
                         )
                     elif parsed.path == "/healthz":
-                        status, body = server._render_health()
-                        self._send_json(status, body)
+                        body = (
+                            server._db.health() if server._db is not None
+                            else {"error": "no database attached"}
+                        )
+                        ok = body.get("status") == "ok"
+                        self._send_json(200 if ok else 503, body)
                     elif parsed.path == "/events":
                         self._send_json(200, server._render_events(query))
                     elif parsed.path == "/ledger":
@@ -179,62 +177,6 @@ class ObservabilityServer:
     # ------------------------------------------------------------------
     # Endpoint renderers
     # ------------------------------------------------------------------
-
-    def _render_health(self):
-        """Health verdict in three tiers, worst wins.
-
-        ``tamper-detected`` (503) — the monitor's last verification failed:
-        the ledger itself is suspect.  ``degraded`` (503) — a background
-        thread (block builder, continuous monitor) that should be running
-        is dead: the ledger is unwatched or blocks pile up unsealed, and
-        the body names the dead thread with its last error.  ``ok`` (200)
-        otherwise.
-        """
-        monitor = self._resolve_monitor()
-        body: Dict[str, Any] = {}
-        problems = []
-
-        if monitor is None:
-            body["monitor"] = "not-running"
-        else:
-            status = monitor.status()
-            body["monitor"] = status
-            if not monitor.healthy:
-                body["status"] = "tamper-detected"
-                return 503, body
-            if getattr(monitor, "expected_running", False) and not monitor.running:
-                problems.append(
-                    {
-                        "thread": "ledger-monitor",
-                        "detail": "monitor thread died; the ledger is unwatched",
-                        "last_error": status.get("last_error"),
-                    }
-                )
-
-        pipeline = getattr(self._db, "pipeline", None) if self._db else None
-        if pipeline is not None:
-            stats = pipeline.stats()
-            body["pipeline"] = stats
-            if stats.get("expected_running") and not stats.get("running"):
-                problems.append(
-                    {
-                        "thread": "ledger-block-builder",
-                        "detail": "block-builder thread died"
-                        + (
-                            " and its supervisor gave up"
-                            if stats.get("supervisor_gave_up")
-                            else ""
-                        ),
-                        "last_error": stats.get("last_error"),
-                    }
-                )
-
-        if problems:
-            body["status"] = "degraded"
-            body["problems"] = problems
-            return 503, body
-        body["status"] = "ok"
-        return 200, body
 
     def _render_events(self, query) -> Dict[str, Any]:
         since = _query_int(query, "since", -1)
@@ -298,7 +240,7 @@ class ObservabilityServer:
         """
         if self._db is None:
             return {"error": "no database attached"}
-        monitor = self._resolve_monitor()
+        monitor = self._db.monitor
         ledger = self._db.ledger
         body: Dict[str, Any] = {
             "block_height": ledger.closed_block_height,
@@ -307,9 +249,7 @@ class ObservabilityServer:
             "sealed_blocks_pending": ledger.sealed_pending(),
             "block_size": ledger.block_size,
         }
-        pipeline = getattr(self._db, "pipeline", None)
-        if pipeline is not None:
-            body["pipeline"] = pipeline.stats()
+        body["pipeline"] = self._db.pipeline.stats()
         if monitor is not None:
             body["verified_through_block"] = monitor.verified_through_block
             body["verification_lag"] = monitor.verification_lag

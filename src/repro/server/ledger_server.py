@@ -102,11 +102,6 @@ FAULTS.register(
     "only safely retry because writes carry idempotency keys.",
 )
 
-_WRITE_KEYWORDS = frozenset(
-    {"INSERT", "UPDATE", "DELETE", "CREATE", "DROP", "ALTER", "TRUNCATE"}
-)
-_TXN_KEYWORDS = frozenset({"BEGIN", "COMMIT", "ROLLBACK", "SAVEPOINT"})
-
 #: Default per-request deadline when the client does not send one.
 DEFAULT_DEADLINE_SECONDS = 30.0
 
@@ -618,7 +613,8 @@ class LedgerServer:
             self._shed_counts[reason] = self._shed_counts.get(reason, 0) + 1
 
     # ------------------------------------------------------------------
-    # Health tiers (mirrors /healthz: ok → degraded → tamper-detected)
+    # Health tier: the status of LedgerDatabase.health(), the verdict
+    # /healthz renders, cached for HEALTH_CACHE_SECONDS
     # ------------------------------------------------------------------
 
     def _health_tier(self) -> str:
@@ -627,24 +623,10 @@ class LedgerServer:
             stamp, tier = self._tier_cache
             if now - stamp < HEALTH_CACHE_SECONDS:
                 return tier
-        tier = self._compute_tier()
+        tier = self._db.health()["status"]
         with self._tier_lock:
             self._tier_cache = (now, tier)
         return tier
-
-    def _compute_tier(self) -> str:
-        monitor = self._db.monitor
-        if monitor is not None and not monitor.healthy:
-            return "tamper-detected"
-        if monitor is not None and monitor.expected_running:
-            if not monitor.running:
-                return "degraded"
-        pipeline = self._db.pipeline
-        if pipeline.expected_running and not pipeline.running:
-            return "degraded"
-        if pipeline.stats()["supervisor_gave_up"]:
-            return "degraded"
-        return "ok"
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -662,7 +644,9 @@ class LedgerServer:
         if op == "stats":
             return self.stats()
         if op == "health":
-            return self._health_result()
+            verdict = self._db.health()
+            shed = verdict["status"] != "ok" or self._stopping
+            return {**verdict, "writes": "shed" if shed else "accepted"}
         tier = self._health_tier()
         if tier == "tamper-detected":
             raise RequestError(
@@ -791,17 +775,16 @@ class LedgerServer:
         self, session: _Session, payload: Dict[str, Any], tier: str
     ) -> Dict[str, Any]:
         sql = str(payload["sql"])
-        keyword = sql.lstrip().split(None, 1)[0].upper() if sql.strip() else ""
+        kind = protocol.statement_kind(sql)
         sql_session = session.sql_session
         if sql_session is None:
             from repro.sql.session import SqlSession
 
             sql_session = session.sql_session = SqlSession(self._db)
-        is_write = keyword in _WRITE_KEYWORDS or keyword in _TXN_KEYWORDS
-        if not is_write:
+        if kind == "read":
             return {"rows": sql_session.execute(sql)}
         self._require_writable(tier)
-        if sql_session.in_transaction or keyword in _TXN_KEYWORDS:
+        if sql_session.in_transaction or kind == "transaction":
             # Interactive multi-request transactions hold NOWAIT table locks
             # across frames; they execute directly (grouping would only
             # stretch the lock hold) on this reader thread.
@@ -828,18 +811,6 @@ class LedgerServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def _health_result(self) -> Dict[str, Any]:
-        tier = self._compute_tier()
-        stats = self._db.pipeline.stats()
-        monitor = self._db.monitor
-        return {
-            "status": tier,
-            "writes": "shed" if tier != "ok" or self._stopping else "accepted",
-            "builder_running": stats["running"],
-            "builder_expected": stats["expected_running"],
-            "monitor_healthy": monitor.healthy if monitor is not None else None,
-        }
 
     def stats(self) -> Dict[str, Any]:
         with self._sessions_lock:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import re
 import socket
 import struct
 from decimal import Decimal
@@ -96,6 +97,30 @@ class RequestError(Exception):
             str(error.get("message", "")),
             bool(error.get("retryable", False)),
         )
+
+
+#: Whitespace and ``--`` line comments, then the word run after them: the
+#: first token exactly when ``sql/lexer.py`` would read it as a word.
+_FIRST_WORD = re.compile(r"(?:\s|--[^\n]*)*(\w*)")
+_KINDS = {
+    "SELECT": "read", "EXPLAIN": "read",
+    "BEGIN": "transaction", "COMMIT": "transaction",
+    "ROLLBACK": "transaction", "SAVE": "transaction",
+}
+
+
+def first_word(sql: str) -> str:
+    """The statement's first word, upper-cased; "" when it starts with
+    anything the lexer would not read as a word."""
+    word = _FIRST_WORD.match(sql).group(1)
+    return word.upper() if word[:1].isalpha() or word[:1] == "_" else ""
+
+
+def statement_kind(sql: str) -> str:
+    """``"read"`` (SELECT, EXPLAIN), ``"transaction"`` (BEGIN, COMMIT,
+    ROLLBACK, SAVE) or ``"write"`` — every other statement, so one this
+    dialect does not know is gated, keyed and grouped like a write."""
+    return _KINDS.get(first_word(sql), "write")
 
 
 def _wire_value(value: Any) -> Any:

@@ -171,7 +171,9 @@ class SqlSession:
             if type(statement) in (ast.Select, ast.Explain):
                 with tracer.span("sql.execute", kind=kind):
                     return handler(self, statement)
-            with self._db.ledger_lock, tracer.span("sql.execute", kind=kind):
+            with self._db.ledger.storage_lock, tracer.span(
+                "sql.execute", kind=kind
+            ):
                 return handler(self, statement)
 
     def executemany(self, statement_text: str, param_rows) -> int:
@@ -215,7 +217,7 @@ class SqlSession:
             stmt_span.set_attribute("rows", len(bound_rows))
             self._m.statements.labels(kind).inc()
             table = self._db.engine.table(statement.table)
-            with self._db.ledger_lock, tracer.span(
+            with self._db.ledger.storage_lock, tracer.span(
                 "sql.execute", kind=kind
             ):
                 return self._autocommit(
@@ -510,7 +512,7 @@ class SqlSession:
         db = self._db
         if source.table is None:
             return db.ledger_view(source.view_of, where=where), False
-        with db.ledger_lock:
+        with db.ledger.storage_lock:
             plan, ordered = self._table_plan(source, where, order_by, limit)
             if plan.access != SEQ_SCAN:
                 rows = plan.rows()
@@ -566,7 +568,7 @@ class SqlSession:
             return lambda left: snapshot
         table = right.table
         types = {name: table.schema.column(name).sql_type for name in pins}
-        lock = self._db.ledger_lock
+        lock = self._db.ledger.storage_lock
 
         def probe(left: Dict[str, Any]) -> List[Dict[str, Any]]:
             values = {column: left[key] for column, key in pins.items()}
@@ -700,7 +702,7 @@ class SqlSession:
         """One row per source — table, access, index, bounds, residual —
         from the same planning calls execution makes; nothing is read."""
         target = stmt.statement
-        with self._db.ledger_lock:
+        with self._db.ledger.storage_lock:
             if not isinstance(target, ast.Select):
                 table = self._db.engine.table(target.table)
                 return [plan_access(table, target.where).explain()]

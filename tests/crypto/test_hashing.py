@@ -10,7 +10,6 @@ from repro.crypto.hashing import (
     hash_block,
     hash_interior,
     hash_leaf,
-    hash_many,
     hash_transaction_entry,
     sha256,
     to_hex,
@@ -52,11 +51,6 @@ def test_leaf_hash_not_confusable_with_interior():
     # the concatenation a || b — this is what the domain tags buy us.
     a, b = sha256(b"a"), sha256(b"b")
     assert hash_interior(a, b) != hash_leaf(a + b)
-
-
-def test_hash_many_equals_single_shot():
-    chunks = [b"one", b"two", b"three"]
-    assert hash_many(chunks) == sha256(b"".join(chunks))
 
 
 def test_hex_round_trip():

@@ -81,8 +81,9 @@ class TestImmutableBlobStorage:
             storage.put("c", "../escape", b"x")
 
     def test_json_helpers(self, storage):
-        storage.put_json("c", "d.json", {"k": 1})
-        assert storage.get_json("c", "d.json") == {"k": 1}
+        storage.put_document("c", "d.json", b'{"k": 1}')
+        assert storage.get_document("c", "d.json") == b'{"k": 1}'
+        assert storage.get("c", "d.json").startswith(b"SLZ1")
 
 
 class TestDigestManager:

@@ -139,15 +139,6 @@ class TestSplitsAndScans:
         hits = list(tree.prefix((2,)))
         assert [k for k, _ in hits] == [(2, b) for b in range(5)]
 
-    def test_min_key(self):
-        tree = BPlusTree(order=4)
-        assert tree.min_key() is None
-        for k in (5, 3, 9):
-            tree.insert((k,), k)
-        assert tree.min_key() == (3,)
-        tree.delete((3,))
-        assert tree.min_key() == (5,)
-
     def test_scan_skips_emptied_leaves(self):
         tree = BPlusTree(order=4)
         for k in range(40):
@@ -257,7 +248,6 @@ def test_matches_dict_model(initial, operations, order):
     assert dict(tree.items()) == model
     assert list(tree.items()) == sorted(model.items())
     assert len(tree) == len(model)
-    assert tree.min_key() == min(model, default=None)
 
 
 class ReferenceTree(BPlusTree):

@@ -3,6 +3,7 @@
 import heapq
 import os
 import random
+import struct
 import tempfile
 
 import pytest
@@ -256,12 +257,10 @@ class TestHeapFile:
             HeapFile.load("t", path)
 
     def test_load_rejects_truncated_uncompressed_file(self, tmp_path):
-        heap = HeapFile("t")
-        heap.insert(b"x")
+        # A legacy (SLHF) image announcing one raw page but holding half.
         path = os.path.join(tmp_path, "t.tbl")
-        heap.flush(path, compress=False)
-        with open(path, "r+b") as f:
-            f.truncate(PAGE_SIZE // 2)
+        with open(path, "wb") as f:
+            f.write(struct.pack(">4sI", b"SLHF", 1) + bytes(PAGE_SIZE // 2))
         with pytest.raises(StorageError):
             HeapFile.load("t", path)
 

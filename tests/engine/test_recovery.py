@@ -141,6 +141,34 @@ class TestCrashRecovery:
         labels = [r["label"] for _, r in seq_scan(table2)]
         assert labels == ["committed"]
 
+    def test_winners_losers_and_last_catalog(self, tmp_path):
+        # Only the committed transaction wins; a rolled-back one and one in
+        # flight at the crash lose; the log's last catalog snapshot wins.
+        db = open_db(tmp_path / "db")
+        table = db.create_table(make_schema("first"))
+        winner = db.begin()
+        insert_rows(winner, table, [[1, "winner"]])
+        db.commit(winner)
+        aborted = db.begin()
+        insert_rows(aborted, table, [[2, "aborted"]])
+        db.rollback(aborted)
+        db.create_table(make_schema("second"))
+        in_flight = db.begin()
+        insert_rows(in_flight, table, [[3, "in flight"]])
+        db.simulate_crash()
+
+        db2 = open_db(tmp_path / "db")
+        assert [r["label"] for _, r in seq_scan(db2.table("first"))] == [
+            "winner"
+        ]
+        assert db2.has_table("second")
+
+    def test_empty_log(self, tmp_path):
+        open_db(tmp_path / "db").simulate_crash()
+        db2 = open_db(tmp_path / "db")
+        assert list(db2.catalog.tables()) == []
+        assert db2.begin().tid >= 1
+
     def test_updates_and_deletes_redone(self, tmp_path):
         db = open_db(tmp_path / "db")
         table = db.create_table(make_schema())

@@ -7,10 +7,9 @@ from repro.engine.database import Database
 from repro.engine.expressions import BinaryOp, ColumnRef, Literal, eq
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.operators import (
+    access_path,
     aggregate,
-    clustered_scan,
     delete_rows,
-    filter_rows,
     index_seek,
     insert_rows,
     limit_rows,
@@ -137,7 +136,9 @@ class TestDml:
         txn = db.begin()
         insert_rows(txn, accounts, [[3, "c", None], [1, "a", None], [2, "b", None]])
         db.commit(txn)
-        ids = [row["id"] for _, row in clustered_scan(accounts)]
+        # A primary-key range is read through the clustered index: key order.
+        at_least_one = BinaryOp(">=", ColumnRef("id"), Literal(1))
+        ids = [row["id"] for _, row in access_path(accounts, at_least_one)]
         assert ids == [1, 2, 3]
 
 
@@ -246,16 +247,16 @@ class TestOperators:
 
     def test_filter_and_sort(self, db, accounts):
         self.seed(db, accounts)
-        rows = (row for _, row in seq_scan(accounts))
-        big = filter_rows(
-            rows, BinaryOp(">", ColumnRef("id"), Literal(6))
+        big = (
+            row for _, row in
+            access_path(accounts, BinaryOp(">", ColumnRef("id"), Literal(6)))
         )
         ordered = list(sort_rows(big, [("id", True)]))
         assert [r["id"] for r in ordered] == [9, 8, 7]
 
     def test_limit(self, db, accounts):
         self.seed(db, accounts)
-        rows = (row for _, row in clustered_scan(accounts))
+        rows = (row for _, row in seq_scan(accounts))
         assert len(list(limit_rows(rows, 4))) == 4
 
     def test_aggregate_group_by(self, db, accounts):

@@ -1,4 +1,4 @@
-"""WAL record encoding edges and analysis helper."""
+"""WAL record encoding edges."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from repro.engine.wal import (
     INSERT_MANY,
     WalRecord,
     WalWriter,
-    analyze_wal,
     read_wal,
 )
 
@@ -67,29 +66,6 @@ class TestRecordEncoding:
             writer.append(WalRecord(BEGIN, payload))
         writer.close()
         assert [r.payload for r in read_wal(path)[0]] == payloads
-
-
-class TestAnalysis:
-    def test_winners_losers_and_catalog(self):
-        records = [
-            WalRecord(BEGIN, {"tid": 1}),
-            WalRecord(BEGIN, {"tid": 2}),
-            WalRecord(BEGIN, {"tid": 3}),
-            WalRecord(DDL, {"catalog": {"version": 1}}),
-            WalRecord(COMMIT, {"tid": 1, "ledger": None}),
-            WalRecord(ABORT, {"tid": 2}),
-            WalRecord(DDL, {"catalog": {"version": 2}}),
-        ]
-        analysis = analyze_wal(records)
-        assert set(analysis["committed"]) == {1}
-        assert analysis["aborted"] == {2}
-        assert analysis["catalog"] == {"version": 2}  # last snapshot wins
-
-    def test_empty_log(self):
-        analysis = analyze_wal([])
-        assert analysis["committed"] == {}
-        assert analysis["aborted"] == set()
-        assert analysis["catalog"] is None
 
 
 # A fixed frame sequence — every kind, with and without ``clr`` — and the

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
+from repro.obs import OBS
 from repro.obs.tracing import build_span_trees
 
 
@@ -29,7 +30,7 @@ class TestInsertSpanTree:
         telemetry.tracer.reset()  # only the INSERT's spans
         db.sql("INSERT INTO t (id, v) VALUES (1, 'x')")
 
-        roots = build_span_trees(db.trace_sink.spans())
+        roots = build_span_trees(OBS.tracer.recorder.spans())
         statements = [r for r in roots if r.name == "sql.statement"]
         assert len(statements) == 1
         statement = statements[0]
@@ -54,7 +55,7 @@ class TestInsertSpanTree:
         }
 
         db.pipeline.drain()
-        names = [s.name for s in db.trace_sink.spans()]
+        names = [s.name for s in OBS.tracer.recorder.spans()]
         assert "block.append" in names, "the block must still close async"
 
     def test_nesting_is_ordered(self, db, telemetry):
@@ -62,7 +63,7 @@ class TestInsertSpanTree:
         telemetry.tracer.reset()
         db.sql("INSERT INTO t (id, v) VALUES (1, 'x')")
         (statement,) = [
-            r for r in build_span_trees(db.trace_sink.spans())
+            r for r in build_span_trees(OBS.tracer.recorder.spans())
             if r.name == "sql.statement"
         ]
         parse, execute = statement.children
@@ -81,7 +82,7 @@ class TestEndToEndCounters:
         db.sql("DELETE FROM t WHERE id = 3")
         db.generate_digest()
 
-        metrics = db.get_metrics()
+        metrics = OBS.metrics
 
         def value(name, *labels):
             family = metrics.get(name)
@@ -104,7 +105,7 @@ class TestEndToEndCounters:
 
         report = db.verify([digest])
         assert report.ok
-        metrics = db.get_metrics()
+        metrics = OBS.metrics
         assert metrics.get("verify_runs_total").value == 1
         assert metrics.get("verify_blocks_scanned_total").value == (
             report.blocks_verified
@@ -129,9 +130,9 @@ class TestEndToEndCounters:
         telemetry.reset()
         create_table(db)
         db.sql("INSERT INTO t (id, v) VALUES (1, 'x')")
-        metrics = db.get_metrics()
+        metrics = OBS.metrics
         assert metrics.get("ledger_rows_hashed_total").labels("insert").value == 0
-        assert db.trace_sink.spans() == []
+        assert OBS.tracer.recorder.spans() == []
 
 
 #: Every metric family the product registers.  Each has a reader: a test,

@@ -14,6 +14,7 @@ from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INT, VARCHAR
+from repro.obs import OBS
 from repro.obs.flight import BUNDLE_SCHEMA_VERSION, FlightRecorder, read_bundle
 from repro.obs.tracing import (
     RingBufferRecorder,
@@ -194,7 +195,7 @@ def db(tmp_path, telemetry):
 def user_tids(db):
     """Transactions that hashed rows of the user table ``t``, in order."""
     tids = []
-    for s in db.trace_sink.spans():
+    for s in OBS.tracer.recorder.spans():
         if s.name == "ledger.hash" and s.attributes.get("table") == "t":
             if s.attributes["tid"] not in tids:
                 tids.append(s.attributes["tid"])
@@ -244,7 +245,7 @@ class TestConsumers:
         db.sql("INSERT INTO t (id, v) VALUES (1, 'x')")
         db.generate_digest()
         (tid,) = user_tids(db)
-        roots = build_commit_lineage(db.trace_sink.spans(), tid)
+        roots = build_commit_lineage(OBS.tracer.recorder.spans(), tid)
         assert [r.name for r in roots][:2] == ["sql.statement", "queue.wait"]
         block_ids = {
             r.span.attributes.get("block_id") for r in roots[1:]
@@ -258,7 +259,7 @@ class TestConsumers:
         db.sql("COMMIT")
         db.generate_digest()
         (tid,) = user_tids(db)
-        roots = build_commit_lineage(db.trace_sink.spans(), tid)
+        roots = build_commit_lineage(OBS.tracer.recorder.spans(), tid)
         statements = [
             r.span.attributes.get("kind")
             for r in roots if r.name == "sql.statement"
@@ -305,7 +306,7 @@ class TestConsumers:
             for thread in threads:
                 thread.join()
             db.generate_digest()
-            spans = db.trace_sink.spans()
+            spans = OBS.tracer.recorder.spans()
         finally:
             client.close()
             server.stop(drain=True)

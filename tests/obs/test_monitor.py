@@ -367,7 +367,7 @@ class TestLiveMonitor:
                 lambda: monitor.last_verdict == "passed", timeout=10.0
             ), monitor.status()
 
-            with db.ledger_lock:
+            with db.ledger.storage_lock:
                 _rewrite_live_row(db, seeded)
                 tampered_at = time.monotonic()
 

@@ -103,7 +103,7 @@ class TestHealthEndpoint:
             assert status == 200
             assert json.loads(body)["monitor"]["last_verdict"] == "passed"
 
-            with db.ledger_lock:
+            with db.ledger.storage_lock:
                 rewrite_row_value(
                     seeded, lambda r: r["name"] == "John", "balance", 666
                 )

@@ -508,7 +508,7 @@ class TestTamperDetected:
             health = client.health()
             assert health["status"] == "tamper-detected"
             assert health["writes"] == "shed"
-            assert health["monitor_healthy"] is False
+            assert health["monitor"]["healthy"] is False
             assert client.server_stats()["tier"] == "tamper-detected"
         finally:
             server_db.stop_monitor()

@@ -18,7 +18,13 @@ from repro.server.protocol import (
     TAMPER_DETECTED,
     ProtocolError,
     RequestError,
+    first_word,
+    statement_kind,
 )
+from repro.errors import SqlError
+from repro.sql.lexer import IDENT, KEYWORD, tokenize
+
+from tests.sql.test_parser_fuzz import SOUP_TOKENS, VALID_STATEMENTS
 
 
 def _pair():
@@ -169,3 +175,73 @@ class TestRequestError:
 
     def test_explicit_retryable_overrides(self):
         assert RequestError(TAMPER_DETECTED, "x", retryable=True).retryable
+
+
+#: The statements the wire tests send, and comment and spelling edges.
+WIRE_STATEMENTS = [
+    "-- note\nINSERT INTO items VALUES ('x', 1)",
+    "-- note\nINSERT INTO notes VALUES ('once')",
+    "-- x\nBEGIN TRANSACTION",
+    "SAVE TRANSACTION sp",
+    "  -- a\n\t-- b\r\nselect 1",
+    "--x\rSELECT 1\nUPDATE t SET a = 1",
+    "-- only a comment",
+    "",
+    "   ",
+    "-1",
+    "EXPLAIN SELECT * FROM t",
+    "_t1 x",
+    "1abc",
+    "\u017felect 1",
+    "\u00b2x",
+]
+
+_LEXER_KIND = {"SELECT": "read", "EXPLAIN": "read", "BEGIN": "transaction",
+               "COMMIT": "transaction", "ROLLBACK": "transaction",
+               "SAVE": "transaction"}
+
+
+def _assert_agrees_with_lexer(sql):
+    """The classifier's first word is the lexer's first token when that is
+    a word, and "" otherwise; the kind follows from it."""
+    try:
+        token = tokenize(sql)[0]
+    except SqlError:
+        return  # the lexer rejects the text somewhere: nothing to compare
+    word = token.value.upper() if token.kind in (KEYWORD, IDENT) else ""
+    assert first_word(sql) == word, (sql, token)
+    assert statement_kind(sql) == _LEXER_KIND.get(word, "write"), sql
+
+
+class TestStatementKind:
+    def test_kinds(self):
+        assert statement_kind("select 1") == "read"
+        assert statement_kind("-- c\n EXPLAIN SELECT 1") == "read"
+        assert statement_kind("-- c\nINSERT INTO t VALUES (1)") == "write"
+        assert statement_kind("ROLLBACK TO sp") == "transaction"
+        assert statement_kind("SAVE TRANSACTION sp") == "transaction"
+        # Unknown or empty statements fail safe: gated like a write.
+        assert statement_kind("SAVEPOINT sp") == "write"
+        assert statement_kind("-- nothing") == "write"
+
+    @pytest.mark.parametrize("sql", VALID_STATEMENTS + WIRE_STATEMENTS)
+    def test_first_word_is_the_lexers_first_token(self, sql):
+        _assert_agrees_with_lexer(sql)
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_agrees_with_the_lexer(self, text):
+        _assert_agrees_with_lexer(text)
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                SOUP_TOKENS + ["--", "-", " ", "\n", "\t", "BEGIN", "save",
+                               "Explain", "_x", "\u017felect"]
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_keyword_soup_agrees_with_the_lexer(self, parts):
+        _assert_agrees_with_lexer("".join(parts))

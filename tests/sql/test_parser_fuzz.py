@@ -8,6 +8,24 @@ from repro.errors import SqlError
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 
+#: Real tokens that keyword soup is built from.
+SOUP_TOKENS = [
+    "SELECT", "FROM", "WHERE", "JOIN", "ON", "(", ")", ",", "*",
+    "=", "t", "a", "1", "'s'", "AND", "NOT", "NULL", "LIKE",
+    "BETWEEN", "ORDER", "BY", "GROUP", "INSERT", "INTO", "VALUES",
+]
+
+VALID_STATEMENTS = [
+    "SELECT name, balance FROM accounts WHERE balance BETWEEN 1 AND 2",
+    "SELECT a.x AS x FROM t a JOIN u b ON a.id = b.id WHERE x LIKE '%z'",
+    "INSERT INTO t (a, b) VALUES (1, 'two''quoted'), (3, NULL)",
+    "UPDATE t SET a = a * 2 + 1 WHERE NOT (a IS NULL OR a IN (1, 2))",
+    "CREATE TABLE t (a DECIMAL(10, 2) NOT NULL, PRIMARY KEY (a)) "
+    "WITH (LEDGER = ON, APPEND_ONLY = ON)",
+    "SELECT COUNT(*) AS n, MIN(v) AS lo FROM t GROUP BY g "
+    "ORDER BY n DESC, lo ASC LIMIT 5",
+]
+
 
 @given(st.text(max_size=200))
 @settings(max_examples=200, deadline=None)
@@ -29,16 +47,7 @@ def test_tokenizer_never_crashes_unexpectedly(text):
         pass
 
 
-@given(
-    st.lists(
-        st.sampled_from([
-            "SELECT", "FROM", "WHERE", "JOIN", "ON", "(", ")", ",", "*",
-            "=", "t", "a", "1", "'s'", "AND", "NOT", "NULL", "LIKE",
-            "BETWEEN", "ORDER", "BY", "GROUP", "INSERT", "INTO", "VALUES",
-        ]),
-        max_size=25,
-    )
-)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=25))
 @settings(max_examples=200, deadline=None)
 def test_keyword_soup_never_crashes(parts):
     """Plausible-but-broken SQL built from real tokens."""
@@ -48,18 +57,6 @@ def test_keyword_soup_never_crashes(parts):
         pass
 
 
-@pytest.mark.parametrize(
-    "statement",
-    [
-        "SELECT name, balance FROM accounts WHERE balance BETWEEN 1 AND 2",
-        "SELECT a.x AS x FROM t a JOIN u b ON a.id = b.id WHERE x LIKE '%z'",
-        "INSERT INTO t (a, b) VALUES (1, 'two''quoted'), (3, NULL)",
-        "UPDATE t SET a = a * 2 + 1 WHERE NOT (a IS NULL OR a IN (1, 2))",
-        "CREATE TABLE t (a DECIMAL(10, 2) NOT NULL, PRIMARY KEY (a)) "
-        "WITH (LEDGER = ON, APPEND_ONLY = ON)",
-        "SELECT COUNT(*) AS n, MIN(v) AS lo FROM t GROUP BY g "
-        "ORDER BY n DESC, lo ASC LIMIT 5",
-    ],
-)
+@pytest.mark.parametrize("statement", VALID_STATEMENTS)
 def test_valid_statements_parse(statement):
     assert parse(statement) is not None

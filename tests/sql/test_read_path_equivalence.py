@@ -280,7 +280,7 @@ def check_predicate(scenario, spec):
 
     table = db.engine.table("t")
     predicate = as_predicate(expression)
-    with db.ledger_lock:
+    with db.ledger.storage_lock:
         reference = [
             (rid, named) for rid, named in seq_scan(table, include_hidden=True)
             if predicate(named)

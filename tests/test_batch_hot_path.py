@@ -16,8 +16,11 @@ Four guarantees are pinned here:
 """
 
 import glob
+import json
 import math
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -498,15 +501,37 @@ class TestPreparedStatements:
 # Compressed persistence: self-describing, legacy files still load
 # ---------------------------------------------------------------------------
 
+def _image_pages(path):
+    """The raw pages of a flushed (``SLHZ``) heap image, read by hand."""
+    with open(path, "rb") as f:
+        data = f.read()
+    magic, count = struct.unpack_from(">4sI", data)
+    assert magic == b"SLHZ"
+    pages, at = [], 8
+    for _ in range(count):
+        (length,) = struct.unpack_from(">I", data, at)
+        pages.append(zlib.decompress(data[at + 4 : at + 4 + length]))
+        at += 4 + length
+    assert at == len(data)
+    return pages
+
+
 class TestCompressedPersistence:
     def test_heap_round_trip_compressed(self, tmp_path):
         heap = HeapFile("t")
         rids = [heap.insert(f"row-{i}".encode() * 40) for i in range(300)]
         path = os.path.join(tmp_path, "t.tbl")
-        raw, written = heap.flush(path)
-        assert raw == heap.page_count * PAGE_SIZE
-        assert written == os.path.getsize(path)
-        assert written < raw  # page images compress
+        heap.flush(path)
+        pages = _image_pages(path)
+        assert len(pages) == heap.page_count
+        # Each page is zlib at level 3 behind its length: the bytes every
+        # earlier build wrote.
+        with open(path, "rb") as f:
+            assert f.read() == struct.pack(">4sI", b"SLHZ", len(pages)) + b"".join(
+                struct.pack(">I", len(z)) + z
+                for z in (zlib.compress(page, 3) for page in pages)
+            )
+        assert os.path.getsize(path) < len(pages) * PAGE_SIZE  # pages compress
         loaded = HeapFile.load("t", path)
         for rid in rids:
             assert loaded.read(rid) == heap.read(rid)
@@ -516,10 +541,10 @@ class TestCompressedPersistence:
         heap = HeapFile("t")
         rids = [heap.insert(f"row-{i}".encode()) for i in range(50)]
         path = os.path.join(tmp_path, "t.tbl")
-        raw, written = heap.flush(path, compress=False)
-        assert written == os.path.getsize(path)
-        with open(path, "rb") as f:
-            assert f.read(4) == b"SLHF"
+        heap.flush(path)
+        pages = _image_pages(path)
+        with open(path, "wb") as f:  # the same pages, uncompressed
+            f.write(struct.pack(">4sI", b"SLHF", len(pages)) + b"".join(pages))
         loaded = HeapFile.load("t", path)
         for rid in rids:
             assert loaded.read(rid) == heap.read(rid)
@@ -541,27 +566,24 @@ class TestCompressedPersistence:
 
     def test_blob_round_trip_and_stats(self, tmp_path):
         store = ImmutableBlobStorage(str(tmp_path / "blobs"))
-        doc = {"k": "v" * 500, "n": list(range(100))}
-        store.put_json("c", "a.json", doc)
-        assert store.get_json("c", "a.json") == doc
-        stats = store.compression_stats()
-        assert stats["stored_bytes"] < stats["raw_bytes"]
-        assert stats["ratio"] > 1.0
-        # On-disk bytes are the compressed form, magic first.
-        assert store.get("c", "a.json").startswith(b"SLZ1")
+        raw = json.dumps({"k": "v" * 500, "n": list(range(100))}).encode()
+        store.put_document("c", "a.json", raw)
+        assert store.get_document("c", "a.json") == raw
+        # On-disk bytes are the magic, then zlib at level 6: the bytes every
+        # earlier build wrote, and fewer than the document's.
+        stored = store.get("c", "a.json")
+        assert stored == b"SLZ1" + zlib.compress(raw, 6)
+        assert len(stored) < len(raw)
 
     def test_blob_reads_pre_compression_documents(self, tmp_path):
-        root = str(tmp_path / "blobs")
-        legacy = ImmutableBlobStorage(root, compress=False)
-        legacy.put_json("c", "old.json", {"written": "before compression"})
-        assert legacy.get("c", "old.json").startswith(b"{")
-        # A compressed store reading the same container sniffs the format.
-        modern = ImmutableBlobStorage(root)
-        assert modern.get_json("c", "old.json") == {
-            "written": "before compression"
-        }
-        modern.put_json("c", "new.json", {"written": "after"})
-        assert modern.get_json("c", "new.json") == {"written": "after"}
+        store = ImmutableBlobStorage(str(tmp_path / "blobs"))
+        # A raw JSON blob, as written before compression existed.
+        old = json.dumps({"written": "before compression"}).encode()
+        store.put("c", "old.json", old)
+        assert store.get_document("c", "old.json") == old
+        new = json.dumps({"written": "after"}).encode()
+        store.put_document("c", "new.json", new)
+        assert store.get_document("c", "new.json") == new
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +636,7 @@ class TestExecutemanyAcceptance:
 
             # One sql.statement span, and at most ceil(rows / batch) = 1
             # ledger.hash observation covering all 100 rows.
-            spans = db.trace_sink.spans()
+            spans = OBS.tracer.recorder.spans()
             statement_spans = [
                 s for s in spans if s.name == "sql.statement"
             ]
