@@ -40,7 +40,7 @@ def main():
         sys.argv[1] if len(sys.argv) > 1
         else tempfile.mkdtemp(prefix="flight-drill-")
     )
-    spec = CrashPoint("ledger.block_persist", driver="digest", sync=True)
+    spec = CrashPoint("ledger.block_persist", driver="digest")
     result = run_kill_point(spec, flight_dir=flight_dir)
     check(
         result["ok"],

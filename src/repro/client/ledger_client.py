@@ -252,12 +252,11 @@ class ClientSession:
             ) from exc
         if not response.get("ok"):
             raise RequestError.from_wire(response.get("error", {}))
-        keyword = first_word(sql)
-        if keyword == "BEGIN":
-            self.in_transaction = True
-        elif keyword in ("COMMIT", "ROLLBACK"):
-            self.in_transaction = False
-        return response.get("result", {})
+        result = response.get("result", {})
+        # The server session's own transaction state: guessing it from the
+        # statement would miss ``ROLLBACK TO sp``, which leaves it open.
+        self.in_transaction = bool(result.get("in_transaction"))
+        return result
 
     def close(self) -> None:
         conn, self._conn = self._conn, None

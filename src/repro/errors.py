@@ -164,7 +164,7 @@ class ReplicationLagError(ReproError):
 class InjectedFaultError(ReproError):
     """Raised by an armed fault point (``action="fail"``).
 
-    Carries the fault-point name so torture drivers and tests can tell an
+    Carries the fault-point name so crash drivers and tests can tell an
     injected failure apart from a genuine bug surfacing mid-drill.
     """
 
@@ -176,9 +176,10 @@ class InjectedFaultError(ReproError):
 class InjectedCrashError(InjectedFaultError):
     """An armed fault point simulating a process crash (``action="crash"``).
 
-    The torture harness treats this as "the process died here": the raising
-    database object is abandoned (after flushing Python file buffers, which
-    model data already handed to the OS) and reopened through recovery.
+    The caller treats this as "the process died here": the raising database
+    object is abandoned (after flushing Python file buffers, which model
+    data already handed to the OS — a process death, not a power cut) and
+    reopened through recovery.
     """
 
     def __init__(self, point: str) -> None:

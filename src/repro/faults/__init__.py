@@ -1,10 +1,12 @@
-"""Fault injection: named fault points, arming, and the torture harness.
+"""Fault injection: named fault points, arming, and the kill matrix.
 
 ``FAULTS`` is the process-wide registry.  Instrumented modules (WAL, heap,
-checkpoint, ledger pipeline, blob store, monitor) register their fault
-points at import time and call ``FAULTS.fire(...)`` / ``FAULTS.triggered(...)``
-on the hot paths; the torture harness in :mod:`repro.faults.torture` arms
-them one at a time, crashes the database mid-workload, and proves recovery.
+checkpoint, ledger pipeline, blob store, monitor, server) register their
+fault points at import time and call ``FAULTS.fire(...)`` /
+``FAULTS.triggered(...)`` on the hot paths.  :mod:`repro.faults.torture`
+kills a child process at each point of its kill matrix and proves the
+directory it leaves recovers; crashes raised in-process at the other
+points are driven by the ledger model in ``tests/core/test_ledger_model.py``.
 """
 
 from repro.faults.registry import ACTIONS, FAULTS, FaultPoint, FaultRegistry

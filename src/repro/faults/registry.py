@@ -1,7 +1,7 @@
 """Process-wide fault-injection registry.
 
 Every crash-consistency-critical operation in the stack declares a *fault
-point* — a named site where the torture harness (and tests) can make the
+point* — a named site where the kill matrix and the tests can make the
 world go wrong on demand: WAL appends and fsyncs, page writes during heap
 flush, checkpoint swaps, ledger block persistence, digest blob uploads, the
 background block builder.  Production code calls :meth:`FaultRegistry.fire`
@@ -13,11 +13,11 @@ Arming a point chooses what happens when execution reaches it:
 
 * ``fail``   — raise :class:`repro.errors.InjectedFaultError` (an operation
   that errors out mid-flight);
-* ``crash``  — raise :class:`repro.errors.InjectedCrashError` (the harness
+* ``crash``  — raise :class:`repro.errors.InjectedCrashError` (the caller
   treats this as "the process died here": in-memory state is abandoned and
   the database is reopened through crash recovery);
-* ``exit``   — ``os._exit`` the whole process (real kill, used by the
-  subprocess torture mode);
+* ``exit``   — ``os._exit`` the whole process (a real kill, used by the
+  kill matrix's child processes);
 * a ``callback`` — arbitrary behaviour injected by a test.
 
 ``skip`` lets the Nth hit trigger instead of the first (crash mid-workload
@@ -32,7 +32,7 @@ predate any database instance, exactly like metric families — but arming
 state and hit accounting are **per registry instance**.  Every database
 fires into the process-default registry (``repro.faults.FAULTS``); tests
 build private ones.  All bookkeeping is thread-safe; triggers are counted
-per point and every trigger emits a ``fault.injected`` event so torture runs
+per point and every trigger emits a ``fault.injected`` event so crash runs
 leave an audit trail.
 """
 

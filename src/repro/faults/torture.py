@@ -1,35 +1,27 @@
-"""Crash-recovery torture: kill the database at every fault point, prove it
-comes back.
+"""Crash-recovery torture: kill a process at a fault point, prove the
+database it leaves comes back.
 
-For each entry in :data:`CRASH_MATRIX` the harness runs a workload against a
-fresh ledger database, arms one fault point, and drives execution into it.
-The injected crash abandons the in-memory database (its WAL file buffer is
-flushed, modelling bytes already handed to the OS — everything else dies),
-the fault is disarmed, and the database is reopened through ARIES recovery.
-The drill passes only if:
+Each entry of :data:`KILL_MATRIX` re-executes this module as a subprocess
+(``--child``) that runs a workload against a fresh ledger database, arms
+one fault point with ``action="exit"``, and dies by ``os._exit`` when
+execution reaches it — a real process death with no interpreter cleanup.
+The child opens the WAL with ``sync=True``, so "commit returned" implies
+"commit is on stable storage", and it fsyncs each value into a side log
+before committing it and again once the commit returns.  The parent then
+reopens the directory through ARIES recovery; the drill passes only if:
 
 * full ledger verification succeeds against a freshly generated digest;
 * every transaction whose commit returned is present — rows on disk and a
   ledger entry — i.e. **zero committed-transaction loss**;
-* no uncommitted state is visible, with one deliberate exception: the single
-  transaction that was *mid-commit* when the crash hit may surface, because
-  its COMMIT record can be durable even though the call never returned
-  (the classic ambiguity of a crash between hardening and acknowledging).
+* nothing else is visible but the one value the child was committing when
+  it died: its COMMIT record can be durable although the call never
+  returned (the classic ambiguity of a crash between hardening and
+  acknowledging).
 
-Two crash modes share the same assertions: ``exception`` raises
-:class:`~repro.errors.InjectedCrashError` in-process (fast, runs everywhere),
-``kill`` re-executes this module as a subprocess (``--child``) that dies via
-``os._exit`` at the fault point — a real process death with no interpreter
-cleanup.  Kill mode opens the WAL with ``sync=True`` so "commit returned"
-implies "commit is on stable storage", which is what makes the
-zero-loss assertion meaningful against a hard kill.
-
-Beyond the crash matrix there are three graceful-degradation drills:
-transient blob faults absorbed by the digest manager's retry/backoff
-(``blob.put``), block-builder crash → supervised restart
-(``pipeline.builder``), and monitor-thread death surfacing as a degraded
-health verdict, the one ``/healthz`` renders (``monitor.cycle``).
-Together the matrix and drills cover every registered fault point.
+The ``server`` driver kills an in-process ledger server instead; see
+:func:`_check_server_kill_recovery` for what it must keep.  Crashes at the
+in-process fault points, raised as :class:`~repro.errors.InjectedCrashError`,
+are driven by the ledger model in ``tests/core/test_ledger_model.py``.
 """
 
 from __future__ import annotations
@@ -44,12 +36,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import InjectedFaultError, TransientStorageError
 from repro.faults import FAULTS
 
 #: Rows committed before the fault is armed (known-safe history).
 _PRE_ROWS = 6
-#: Commit attempts while the fault is armed (commit-driver drills).
+#: Commit attempts while the fault is armed (the commit driver).
 _MAX_ATTEMPTS = 60
 #: Small block size so the workload seals blocks mid-drill.
 _BLOCK_SIZE = 4
@@ -60,47 +51,28 @@ class CrashPoint:
     """One entry of the torture matrix."""
 
     point: str
-    #: How to drive execution into the fault: ``commit`` (concurrent insert
-    #: workload), ``checkpoint`` (quiesced checkpoint), ``digest`` (block
-    #: closure via digest generation), ``upload`` (digest upload to blob
-    #: storage).
+    #: How to drive execution into the fault: ``commit`` (insert workload),
+    #: ``checkpoint`` (quiesced checkpoint), ``digest`` (block closure via
+    #: digest generation), ``server`` (clients against a ledger server).
     driver: str
-    #: Open the WAL with per-append fsync (needed for wal.fsync to fire).
-    sync: bool = False
     #: Hits to let through before triggering, so the crash lands mid-stream.
     skip: int = 0
 
 
-CRASH_MATRIX: Tuple[CrashPoint, ...] = (
+#: The kill matrix.  The ``server`` driver runs an in-process ledger
+#: server (sync WAL, group commit) hammered by client threads; the kill
+#: lands in a server thread, so the whole front-end — session readers
+#: executing their requests, group committer, response writer — dies
+#: exactly as a production SIGKILL would.
+KILL_MATRIX: Tuple[CrashPoint, ...] = (
     CrashPoint("wal.append", driver="commit", skip=4),
     CrashPoint("wal.torn_write", driver="commit", skip=4),
-    CrashPoint("wal.fsync", driver="commit", sync=True, skip=4),
-    CrashPoint("heap.flush", driver="checkpoint", skip=1),
-    CrashPoint("pager.page_write", driver="checkpoint", skip=1),
-    CrashPoint("pager.torn_page", driver="checkpoint", skip=1),
-    CrashPoint("heap.rename", driver="checkpoint", skip=1),
     CrashPoint("checkpoint.write", driver="checkpoint"),
-    CrashPoint("checkpoint.swap", driver="checkpoint"),
-    CrashPoint("ledger.flush_queue", driver="digest"),
     CrashPoint("ledger.block_persist", driver="digest"),
-    CrashPoint("blob.torn_upload", driver="upload"),
-)
-
-#: The subset exercised additionally as real process kills.  The
-#: ``server`` driver runs an in-process ledger server (sync WAL, group
-#: commit) hammered by client threads; the kill lands in a server thread,
-#: so the whole front-end — session readers executing their requests,
-#: group committer, response writer — dies exactly as a production
-#: SIGKILL would.
-KILL_MATRIX: Tuple[CrashPoint, ...] = (
-    CrashPoint("wal.append", driver="commit", sync=True, skip=4),
-    CrashPoint("wal.torn_write", driver="commit", sync=True, skip=4),
-    CrashPoint("checkpoint.write", driver="checkpoint", sync=True),
-    CrashPoint("ledger.block_persist", driver="digest", sync=True),
-    CrashPoint("server.accept_drop", driver="server", sync=True, skip=2),
-    CrashPoint("server.read_stall", driver="server", sync=True, skip=6),
-    CrashPoint("server.kill_mid_response", driver="server", sync=True, skip=3),
-    CrashPoint("server.fsync_torn_group", driver="server", sync=True, skip=1),
+    CrashPoint("server.accept_drop", driver="server", skip=2),
+    CrashPoint("server.read_stall", driver="server", skip=6),
+    CrashPoint("server.kill_mid_response", driver="server", skip=3),
+    CrashPoint("server.fsync_torn_group", driver="server", skip=1),
 )
 
 #: Rows per transaction in the server kill drill: recovery must show each
@@ -136,156 +108,6 @@ def _create_table(db) -> None:
     )
 
 
-def _commit_row(db, index: int) -> int:
-    """Insert and commit one tagged row; returns the transaction id."""
-    txn = db.begin("torture_user")
-    db.insert(txn, "torture", [[f"row{index:04d}", index]])
-    db.commit(txn)
-    return txn.tid
-
-
-# ---------------------------------------------------------------------------
-# Exception-mode drill
-# ---------------------------------------------------------------------------
-
-def run_crash_point(
-    spec: CrashPoint, workdir: Optional[str] = None
-) -> Dict[str, Any]:
-    """Run one exception-mode crash drill; returns the result record.
-
-    The record's ``ok`` is True only when recovery met every guarantee; on
-    failure ``failures`` lists what broke.
-    """
-    root = workdir or tempfile.mkdtemp(prefix="repro-torture-")
-    owns_root = workdir is None
-    path = os.path.join(root, "db")
-    result: Dict[str, Any] = {
-        "point": spec.point, "driver": spec.driver, "mode": "exception",
-    }
-    failures: List[str] = []
-    try:
-        FAULTS.reset()
-        db = _open_db(path, sync=spec.sync)
-        _create_table(db)
-        committed: Dict[int, int] = {}  # value -> tid
-        for i in range(_PRE_ROWS):
-            committed[i] = _commit_row(db, i)
-
-        # Arm with the workload settled: the background builder is stopped
-        # first so the fault fires in the driving thread, not in a thread
-        # whose supervisor would endlessly restart into it.
-        db.pipeline.stop(drain=True)
-        FAULTS.arm(spec.point, action="crash", skip=spec.skip)
-
-        in_flight: Set[int] = set()
-        crashed = False
-        if spec.driver == "commit":
-            for i in range(_PRE_ROWS, _PRE_ROWS + _MAX_ATTEMPTS):
-                try:
-                    committed[i] = _commit_row(db, i)
-                except InjectedFaultError:
-                    in_flight.add(i)
-                    crashed = True
-                    break
-        elif spec.driver in ("checkpoint", "digest", "upload"):
-            for i in range(_PRE_ROWS, _PRE_ROWS + 4):
-                committed[i] = _commit_row(db, i)
-            try:
-                if spec.driver == "checkpoint":
-                    db.checkpoint()
-                elif spec.driver == "digest":
-                    db.generate_digest()
-                else:
-                    _upload_digest(db, root)
-            except InjectedFaultError:
-                crashed = True
-        else:
-            raise ValueError(f"unknown driver {spec.driver!r}")
-
-        if not crashed:
-            failures.append("fault never fired")
-        triggers = FAULTS.triggers(spec.point)
-        FAULTS.reset()
-        db.simulate_crash()
-
-        started = time.perf_counter()
-        db2 = _open_db(path)
-        result["recovery_seconds"] = time.perf_counter() - started
-        try:
-            failures.extend(
-                _check_recovery(db2, committed, in_flight, root, spec)
-            )
-        finally:
-            db2.close()
-        result["committed"] = len(committed)
-        result["triggers"] = triggers
-    finally:
-        if owns_root:
-            shutil.rmtree(root, ignore_errors=True)
-    result["failures"] = failures
-    result["ok"] = not failures
-    return result
-
-
-def _upload_digest(db, root: str):
-    from repro.digests.blob_storage import ImmutableBlobStorage
-    from repro.digests.digest_manager import DigestManager
-
-    storage = ImmutableBlobStorage(os.path.join(root, "blobs"))
-    return DigestManager(db, storage).upload_digest()
-
-
-def _check_recovery(
-    db2,
-    committed: Dict[int, int],
-    in_flight: Set[int],
-    root: str,
-    spec: CrashPoint,
-) -> List[str]:
-    """The three recovery guarantees; returns human-readable violations."""
-    failures: List[str] = []
-
-    report = db2.verify([db2.generate_digest()])
-    if not report.ok:
-        failures.append(f"verification failed: {report.summary()}")
-
-    recovered = {row["value"]: row["tag"] for row in db2.select("torture")}
-    lost = sorted(set(committed) - set(recovered))
-    if lost:
-        failures.append(f"committed rows lost: {lost}")
-    phantom = sorted(set(recovered) - set(committed) - in_flight)
-    if phantom:
-        failures.append(f"uncommitted rows visible: {phantom}")
-
-    for value, tid in sorted(committed.items()):
-        if db2.ledger.transaction_entry(tid) is None:
-            failures.append(f"ledger entry missing for committed tid {tid}")
-            break
-
-    if spec.driver == "upload":
-        # The retried upload must publish exactly the complete digest; the
-        # torn temp file from the crashed attempt must stay invisible.
-        digest = _upload_digest(db2, root)
-        if digest is None:
-            failures.append("post-recovery digest upload did not store")
-        else:
-            from repro.digests.blob_storage import ImmutableBlobStorage
-            from repro.digests.digest_manager import DigestManager
-
-            storage = ImmutableBlobStorage(os.path.join(root, "blobs"))
-            manager = DigestManager(db2, storage)
-            stored = manager.digests_for_verification()
-            if not stored:
-                failures.append("no digest visible in blob storage")
-            elif not db2.verify(stored).ok:
-                failures.append("stored digest does not verify")
-    return failures
-
-
-# ---------------------------------------------------------------------------
-# Kill-mode drill (real subprocess, os._exit at the fault point)
-# ---------------------------------------------------------------------------
-
 def run_kill_point(
     spec: CrashPoint,
     workdir: Optional[str] = None,
@@ -294,9 +116,9 @@ def run_kill_point(
 ) -> Dict[str, Any]:
     """Crash a child process at ``spec.point`` and verify its database.
 
-    The child opens the WAL with ``sync=True`` and appends each committed
-    transaction to a fsynced side log, so the parent knows exactly which
-    commits were acknowledged before the kill.  With ``flight_dir`` the
+    The child opens the WAL with ``sync=True`` and keeps a fsynced side
+    log, so the parent knows exactly which commits were acknowledged
+    before the kill and which one was in flight.  With ``flight_dir`` the
     child arms the black-box flight recorder before opening the database:
     the injected fault triggers a bundle dump *before* ``os._exit``, so the
     crash leaves its own spans/events/metrics post-mortem behind; the
@@ -306,9 +128,7 @@ def run_kill_point(
     owns_root = workdir is None
     path = os.path.join(root, "db")
     log_path = os.path.join(root, "committed.log")
-    result: Dict[str, Any] = {
-        "point": spec.point, "driver": spec.driver, "mode": "kill",
-    }
+    result: Dict[str, Any] = {"point": spec.point, "driver": spec.driver}
     failures: List[str] = []
     try:
         env = dict(os.environ)
@@ -353,40 +173,11 @@ def run_kill_point(
         db2 = _open_db(path)
         result["recovery_seconds"] = time.perf_counter() - started
         try:
-            if spec.driver == "server":
-                failures.extend(
-                    _check_server_kill_recovery(db2, log_path, result)
-                )
-            else:
-                committed: Dict[int, int] = {}
-                if os.path.exists(log_path):
-                    with open(log_path, "r", encoding="utf-8") as f:
-                        for line in f:
-                            tid_text, value_text = line.strip().split(",")
-                            committed[int(value_text)] = int(tid_text)
-                result["committed"] = len(committed)
-                report = db2.verify([db2.generate_digest()])
-                if not report.ok:
-                    failures.append(
-                        f"verification failed: {report.summary()}"
-                    )
-                recovered = {
-                    row["value"]: row["tag"] for row in db2.select("torture")
-                }
-                lost = sorted(set(committed) - set(recovered))
-                if lost:
-                    failures.append(f"committed rows lost: {lost}")
-                extras = sorted(set(recovered) - set(committed))
-                if len(extras) > 1:
-                    failures.append(
-                        f"more than one in-flight row surfaced: {extras}"
-                    )
-                for value, tid in sorted(committed.items()):
-                    if db2.ledger.transaction_entry(tid) is None:
-                        failures.append(
-                            f"ledger entry missing for committed tid {tid}"
-                        )
-                        break
+            check = (
+                _check_server_kill_recovery if spec.driver == "server"
+                else _check_kill_recovery
+            )
+            failures.extend(check(db2, log_path, result))
         finally:
             db2.close()
     finally:
@@ -395,6 +186,48 @@ def run_kill_point(
     result["failures"] = failures
     result["ok"] = not failures
     return result
+
+
+def _check_kill_recovery(
+    db2, log_path: str, result: Dict[str, Any]
+) -> List[str]:
+    """Recovery guarantees for the ``commit``, ``checkpoint`` and
+    ``digest`` drivers.
+
+    The child's side log holds ``-,value`` before each commit and
+    ``tid,value`` once the commit returned.  Every acknowledged value must
+    be back with its ledger entry; the value in flight at the kill is the
+    only other one allowed.
+    """
+    failures: List[str] = []
+    committed: Dict[int, int] = {}  # value -> tid
+    in_flight: Set[int] = set()
+    if os.path.exists(log_path):
+        with open(log_path, "r", encoding="utf-8") as f:
+            for line in f:
+                tid_text, value_text = line.strip().split(",")
+                if tid_text == "-":
+                    in_flight = {int(value_text)}
+                else:
+                    committed[int(value_text)] = int(tid_text)
+    in_flight -= set(committed)
+    result["committed"] = len(committed)
+    report = db2.verify([db2.generate_digest()])
+    if not report.ok:
+        failures.append(f"verification failed: {report.summary()}")
+
+    recovered = {row["value"] for row in db2.select("torture")}
+    lost = sorted(set(committed) - recovered)
+    if lost:
+        failures.append(f"committed rows lost: {lost}")
+    phantom = sorted(recovered - set(committed) - in_flight)
+    if phantom:
+        failures.append(f"uncommitted rows visible: {phantom}")
+    for tid in committed.values():
+        if db2.ledger.transaction_entry(tid) is None:
+            failures.append(f"ledger entry missing for committed tid {tid}")
+            break
+    return failures
 
 
 def _check_server_kill_recovery(
@@ -533,23 +366,32 @@ def _child_main(args: argparse.Namespace) -> None:
     _create_table(db)
     log = open(args.committed_log, "a", encoding="utf-8")
 
-    def record(tid: int, value: int) -> None:
-        log.write(f"{tid},{value}\n")
+    def record(line: str) -> None:
+        log.write(line + "\n")
         log.flush()
         os.fsync(log.fileno())
 
+    def commit_row(value: int) -> None:
+        """Log the value, commit it, log its tid: the kill checker allows
+        the one value logged without a tid, and no other."""
+        record(f"-,{value}")
+        txn = db.begin("torture_user")
+        db.insert(txn, "torture", [[f"row{value:04d}", value]])
+        db.commit(txn)
+        record(f"{txn.tid},{value}")
+
     for i in range(_PRE_ROWS):
-        record(_commit_row(db, i), i)
+        commit_row(i)
 
     db.pipeline.stop(drain=True)
     FAULTS.arm(args.point, action="exit", skip=args.skip, exit_code=131)
 
     if args.driver == "commit":
         for i in range(_PRE_ROWS, _PRE_ROWS + _MAX_ATTEMPTS):
-            record(_commit_row(db, i), i)
+            commit_row(i)
     else:
         for i in range(_PRE_ROWS, _PRE_ROWS + 4):
-            record(_commit_row(db, i), i)
+            commit_row(i)
         if args.driver == "checkpoint":
             db.checkpoint()
         else:
@@ -559,172 +401,17 @@ def _child_main(args: argparse.Namespace) -> None:
     sys.exit(3)
 
 
-# ---------------------------------------------------------------------------
-# Graceful-degradation drills
-# ---------------------------------------------------------------------------
-
-def run_retry_drill(transient_failures: int = 3) -> Dict[str, Any]:
-    """Transient blob faults must be absorbed by upload retry/backoff."""
-    from repro.digests.blob_storage import ImmutableBlobStorage
-    from repro.digests.digest_manager import DigestManager, RetryPolicy
-
-    root = tempfile.mkdtemp(prefix="repro-torture-retry-")
-    failures: List[str] = []
-    sleeps: List[float] = []
-    try:
-        FAULTS.reset()
-        db = _open_db(os.path.join(root, "db"))
-        _create_table(db)
-        for i in range(_PRE_ROWS):
-            _commit_row(db, i)
-        storage = ImmutableBlobStorage(os.path.join(root, "blobs"))
-        manager = DigestManager(
-            db, storage,
-            retry=RetryPolicy(
-                attempts=transient_failures + 2, base_delay=0.001,
-                sleep=sleeps.append, seed=7,
-            ),
-        )
-        FAULTS.arm(
-            "blob.put", action="fail",
-            times=transient_failures, exc=TransientStorageError,
-        )
-        digest = manager.upload_digest()
-        FAULTS.reset()
-        if digest is None:
-            failures.append("upload returned None despite retry budget")
-        if len(sleeps) != transient_failures:
-            failures.append(
-                f"expected {transient_failures} backoff sleeps, saw {sleeps}"
-            )
-        stored = manager.digests_for_verification()
-        if not stored or not db.verify(stored).ok:
-            failures.append("digest stored after retries does not verify")
-        db.close()
-    finally:
-        FAULTS.reset()
-        shutil.rmtree(root, ignore_errors=True)
-    return {
-        "point": "blob.put", "driver": "retry", "mode": "degradation",
-        "recovery_seconds": 0.0, "retries": len(sleeps),
-        "failures": failures, "ok": not failures,
-    }
-
-
-def run_supervision_drill(crashes: int = 2) -> Dict[str, Any]:
-    """Builder crashes must end in a supervised restart, not a dead ledger."""
-    root = tempfile.mkdtemp(prefix="repro-torture-builder-")
-    failures: List[str] = []
-    try:
-        FAULTS.reset()
-        db = _open_db(os.path.join(root, "db"))
-        _create_table(db)
-        FAULTS.arm("pipeline.builder", action="fail", times=crashes)
-        started = time.perf_counter()
-        for i in range(_BLOCK_SIZE * 3):  # seals several blocks
-            _commit_row(db, i)
-        deadline = time.monotonic() + 10.0
-        stats = db.pipeline.stats()
-        while time.monotonic() < deadline:
-            stats = db.pipeline.stats()
-            if stats["restarts"] >= crashes and stats["sealed_pending"] == 0:
-                break
-            time.sleep(0.01)
-        recovery_seconds = time.perf_counter() - started
-        if stats["builder_errors"] < crashes:
-            failures.append(f"expected {crashes} builder crashes: {stats}")
-        if stats["restarts"] < crashes:
-            failures.append(f"expected {crashes} supervised restarts: {stats}")
-        if not stats["running"]:
-            failures.append(f"builder not running after restarts: {stats}")
-        if stats["supervisor_gave_up"]:
-            failures.append(f"supervisor gave up prematurely: {stats}")
-        FAULTS.reset()
-        db.pipeline.drain()
-        if not db.verify([db.generate_digest()]).ok:
-            failures.append("ledger does not verify after builder crashes")
-        db.close()
-    finally:
-        FAULTS.reset()
-        shutil.rmtree(root, ignore_errors=True)
-    return {
-        "point": "pipeline.builder", "driver": "supervision",
-        "mode": "degradation", "recovery_seconds": recovery_seconds,
-        "failures": failures, "ok": not failures,
-    }
-
-
-def run_monitor_drill() -> Dict[str, Any]:
-    """A dead monitor thread must turn the health verdict (what /healthz
-    renders) degraded, not stay silent."""
-    root = tempfile.mkdtemp(prefix="repro-torture-monitor-")
-    failures: List[str] = []
-    started = time.perf_counter()
-    try:
-        FAULTS.reset()
-        db = _open_db(os.path.join(root, "db"))
-        _create_table(db)
-        for i in range(_PRE_ROWS):
-            _commit_row(db, i)
-        monitor = db.start_monitor(interval=0.01)
-        if not monitor.wait_for_cycle(timeout=10.0):
-            failures.append("monitor never completed a cycle")
-        FAULTS.arm("monitor.cycle", action="fail")
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and monitor.running:
-            time.sleep(0.01)
-        FAULTS.reset()
-        if monitor.running:
-            failures.append("monitor thread survived an armed monitor.cycle")
-        health = db.health()
-        if health["status"] != "degraded":
-            failures.append(f"health not degraded: {health}")
-        elif "ledger-monitor" not in [p["thread"] for p in health["problems"]]:
-            failures.append(f"dead monitor not named in health: {health}")
-        db.close()
-    finally:
-        FAULTS.reset()
-        shutil.rmtree(root, ignore_errors=True)
-    return {
-        "point": "monitor.cycle", "driver": "liveness", "mode": "degradation",
-        "recovery_seconds": time.perf_counter() - started,
-        "failures": failures, "ok": not failures,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Full sweep
-# ---------------------------------------------------------------------------
-
 def run_torture(
     points: Optional[List[str]] = None,
-    kill: bool = False,
     flight_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
-    """The whole matrix (exception mode) plus the degradation drills.
-
-    ``points`` filters by fault-point name; ``kill=True`` appends the
-    subprocess-kill matrix (whose children arm the flight recorder when
-    ``flight_dir`` is set).  Every registered fault point is covered when
-    run unfiltered.
-    """
-    results: List[Dict[str, Any]] = []
-    for spec in CRASH_MATRIX:
-        if points and spec.point not in points:
-            continue
-        results.append(run_crash_point(spec))
-    if points is None or "blob.put" in points:
-        results.append(run_retry_drill())
-    if points is None or "pipeline.builder" in points:
-        results.append(run_supervision_drill())
-    if points is None or "monitor.cycle" in points:
-        results.append(run_monitor_drill())
-    if kill:
-        for spec in KILL_MATRIX:
-            if points and spec.point not in points:
-                continue
-            results.append(run_kill_point(spec, flight_dir=flight_dir))
-    return results
+    """The kill matrix, filtered to ``points`` when given; children arm
+    the flight recorder when ``flight_dir`` is set."""
+    return [
+        run_kill_point(spec, flight_dir=flight_dir)
+        for spec in KILL_MATRIX
+        if not points or spec.point in points
+    ]
 
 
 def main(argv: Optional[List[str]] = None) -> None:
@@ -738,8 +425,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--driver", default="commit")
     parser.add_argument("--skip", type=int, default=0)
     parser.add_argument("--committed-log", dest="committed_log")
-    parser.add_argument("--kill", action="store_true",
-                        help="also run the subprocess-kill matrix")
     parser.add_argument("--flight-dir", dest="flight_dir", default=None,
                         help="arm the flight recorder (kill-mode children "
                              "dump a black-box bundle before dying)")
@@ -749,13 +434,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     if args.child:
         _child_main(args)
         return
-    results = run_torture(points=args.points or None, kill=args.kill,
-                          flight_dir=args.flight_dir)
+    results = run_torture(points=args.points, flight_dir=args.flight_dir)
     failed = [r for r in results if not r["ok"]]
     for r in results:
         mark = "ok " if r["ok"] else "FAIL"
         print(
-            f"[{mark}] {r['point']:<22} {r['mode']:<11} "
+            f"[{mark}] {r['point']:<26} {r['driver']:<10} "
             f"recovery={r.get('recovery_seconds', 0.0):.3f}s"
             + (f"  {r['failures']}" if r["failures"] else "")
         )

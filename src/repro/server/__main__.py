@@ -4,8 +4,8 @@ Prints ``LEDGER_SERVER_PORT=<port>`` on stdout once listening (the
 benchmark's service driver parses that line), then serves until
 SIGTERM/SIGINT, which trigger a graceful drain-then-stop plus a clean
 database close.  A kill, by contrast, must leave a directory that reopens
-with zero acknowledged-commit loss — the ``server.*`` kill-matrix drills
-of :mod:`repro.faults.torture` check exactly that.
+with zero acknowledged-commit loss — the ``server.*`` points of the kill
+matrix (``python -m repro.faults.torture``) check exactly that.
 """
 
 from __future__ import annotations

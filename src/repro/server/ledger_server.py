@@ -782,7 +782,10 @@ class LedgerServer:
 
             sql_session = session.sql_session = SqlSession(self._db)
         if kind == "read":
-            return {"rows": sql_session.execute(sql)}
+            return {
+                "rows": sql_session.execute(sql),
+                "in_transaction": sql_session.in_transaction,
+            }
         self._require_writable(tier)
         if sql_session.in_transaction or kind == "transaction":
             # Interactive multi-request transactions hold NOWAIT table locks
@@ -801,7 +804,9 @@ class LedgerServer:
 
     @staticmethod
     def _execute_result(sql_session, result) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"rows": result}
+        out: Dict[str, Any] = {
+            "rows": result, "in_transaction": sql_session.in_transaction,
+        }
         commit = sql_session.last_commit_payload
         if commit:
             out["block"] = commit.get("block")

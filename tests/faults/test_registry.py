@@ -1,6 +1,13 @@
-"""Semantics of the fault-injection registry itself."""
+"""Semantics of the fault-injection registry itself, and the census of
+the fault points the product registers."""
+
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.errors import (
     InjectedCrashError,
@@ -142,3 +149,72 @@ class TestProcessRegistry:
     def test_every_point_has_a_description(self):
         for point in FAULTS.points():
             assert point.description, point.name
+
+
+#: Every module that registers fault points.
+INSTRUMENTED = (
+    "repro.core.database_ledger",
+    "repro.core.group_commit",
+    "repro.core.pipeline",
+    "repro.digests.blob_storage",
+    "repro.engine.database",
+    "repro.engine.heap",
+    "repro.engine.wal",
+    "repro.obs.monitor",
+    "repro.server.ledger_server",
+)
+
+
+def instrumented_points():
+    """The fault points the instrumented modules register, read in a fresh
+    interpreter: the catalog is process-wide, and tests register points of
+    their own."""
+    code = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "from repro.faults import FAULTS\n"
+        "print(' '.join(FAULTS.point_names()))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *INSTRUMENTED],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(out.stdout.split())
+
+
+class TestCensus:
+    """Every registered fault point is driven somewhere: by the ledger
+    model's crash rule, by the kill matrix, or by a named test.  A point
+    registered with none of these fails here."""
+
+    def homes(self):
+        from repro.faults.torture import KILL_MATRIX
+        from tests.core import test_ledger_model, test_pipeline_supervision
+        from tests.digests import test_digest_retry
+        from tests.server import test_health_agreement
+
+        named = {
+            "blob.put": test_digest_retry.TestTransientFailures
+            .test_transient_faults_absorbed,
+            "pipeline.builder": test_pipeline_supervision.TestSupervisedRestart
+            .test_crashes_are_restarted_and_blocks_still_close,
+            "monitor.cycle": test_health_agreement.STATES["monitor_dead"],
+        }
+        return {
+            "model": set(test_ledger_model.CRASH_POINTS),
+            "kill": {spec.point for spec in KILL_MATRIX},
+            "named": set(named),
+        }
+
+    def test_every_point_has_a_home(self):
+        homes = self.homes()
+        assert instrumented_points() - set().union(*homes.values()) == set()
+
+    def test_every_home_names_a_registered_point(self):
+        registered = instrumented_points()
+        for where, points in self.homes().items():
+            assert points <= registered, where

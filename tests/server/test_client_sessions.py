@@ -54,6 +54,27 @@ class TestClientSession:
         # immediately, no sweep needed.
         client.insert("items", [["after-exit", 2]])
 
+    def test_rollback_to_savepoint_keeps_the_transaction_open(self, server):
+        """``ROLLBACK TO sp`` leaves the server's transaction open: closing
+        the session must roll it back, not hand the connection back to the
+        pool inside it, where the next pooled write would be acknowledged
+        and then rolled back when the client disconnects."""
+        client = LedgerClient("127.0.0.1", server.port, pool_size=1)
+        with client.session() as session:
+            session.execute("BEGIN")
+            session.execute("INSERT INTO items VALUES ('kept', 1)")
+            session.execute("SAVE TRANSACTION sp")
+            session.execute("INSERT INTO items VALUES ('undone', 2)")
+            session.execute("ROLLBACK TO sp")
+            assert session.in_transaction
+        result = client.execute("INSERT INTO items VALUES ('pooled', 3)")
+        assert result["rows"] == 1
+        client.close()
+        reader = LedgerClient("127.0.0.1", server.port, pool_size=1)
+        tags = {row["tag"] for row in reader.select("items")}
+        reader.close()
+        assert tags == {"pooled"}
+
     def test_execute_rejects_transaction_control(self, client):
         with pytest.raises(ValueError, match="session"):
             client.execute("BEGIN")
