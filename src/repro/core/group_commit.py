@@ -9,9 +9,9 @@ therefore the whole *autocommit work unit* (begin + DML + commit), executed
 by a single **leader** on behalf of a batch of waiting sessions:
 
 * callers enqueue a ticket (a zero-argument callable) and block;
-* the first ticket's owner becomes the leader, waits a tiny gathering
-  window for stragglers, then takes the storage lock ONCE, enters the
-  WAL's deferred-sync mode, and runs every member's work unit back to
+* the first ticket's owner becomes the leader, takes whatever queued while
+  the previous group executed, then takes the storage lock ONCE, enters
+  the WAL's deferred-sync mode, and runs every member's work unit back to
   back — so a group of N commits costs one lock round-trip and ONE fsync
   instead of N;
 * members are acknowledged only **after** the group fsync returns.  A
@@ -33,7 +33,6 @@ Relational Database calls block-forming commit; SignLedger's
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, List, Optional
 
@@ -65,17 +64,15 @@ class GroupCommitter:
     """Leader/follower commit aggregation for one ``LedgerDatabase``.
 
     ``max_group`` bounds how many work units one leader executes under a
-    single storage-lock hold (keeps worst-case member latency bounded);
-    ``max_wait`` is an optional gathering window — with the default 0 the
-    leader takes whatever queued while the *previous* group executed, which
-    self-tunes: idle systems commit solo with no added latency, loaded
-    systems form large groups for free.
+    single storage-lock hold (keeps worst-case member latency bounded).
+    There is no gathering window: the leader takes whatever queued while
+    the *previous* group executed, which self-tunes — idle systems commit
+    solo with no added latency, loaded systems form large groups for free.
     """
 
-    def __init__(self, db, max_group: int = 64, max_wait: float = 0.0) -> None:
+    def __init__(self, db, max_group: int = 64) -> None:
         self._db = db
         self._max_group = max(1, int(max_group))
-        self._max_wait = max(0.0, float(max_wait))
         self._cv = threading.Condition()
         self._pending: deque[_Ticket] = deque()
         self._leader_active = False
@@ -102,7 +99,6 @@ class GroupCommitter:
             if self._closed:
                 raise LedgerError("group committer is closed")
             self._pending.append(ticket)
-            self._cv.notify_all()  # a leader in its gathering window wakes
             # Followers wait; when the leader finishes (or dies) everyone
             # wakes, and the first still-incomplete ticket's owner takes
             # over leadership — so a crashed leader never strands a queue.
@@ -143,14 +139,6 @@ class GroupCommitter:
 
     def _lead(self, own: _Ticket) -> None:
         while not own.complete:
-            if self._max_wait:
-                deadline = time.monotonic() + self._max_wait
-                with self._cv:
-                    while len(self._pending) < self._max_group:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cv.wait(timeout=remaining)
             with self._cv:
                 batch: List[_Ticket] = []
                 while self._pending and len(batch) < self._max_group:

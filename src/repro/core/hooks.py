@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core import system_columns as sc
 from repro.core.database_ledger import DatabaseLedger
 from repro.core.entries import TransactionEntry
+from repro.core.ledger_view import history_table_of
 from repro.crypto.hashing import hash_leaf, hash_leaves
 from repro.crypto.merkle import MerkleHasher, MerkleState
 from repro.engine.hooks import EngineHooks
@@ -106,9 +107,6 @@ class LedgerHooks(EngineHooks):
         self._engine = None
         self._m = OBS.metrics.handles("ledger.hooks", _hooks_metrics)
         self._suppress_depth = 0
-        # Recovery payloads buffered until the ledger layer is bound.
-        self._recovered_payloads: List[dict] = []
-        self._recovered_state: Dict[str, Any] = {}
 
     def bind(self, engine, ledger: DatabaseLedger) -> None:
         """Attach the engine and Database Ledger after engine startup."""
@@ -289,12 +287,12 @@ class LedgerHooks(EngineHooks):
             )
 
     def _history_table(self, table: Table) -> Table:
-        history_id = table.options.get("history_table_id")
-        if history_id is None:
+        history = history_table_of(self._engine, table)
+        if history is None:
             raise LedgerConfigurationError(
                 f"ledger table {table.name!r} has no history table"
             )
-        return self._engine.table_by_id(history_id)
+        return history
 
     def _context(self, txn: Transaction) -> _LedgerTxContext:
         context = txn.context.get(_CONTEXT_KEY)
@@ -361,16 +359,3 @@ class LedgerHooks(EngineHooks):
         if self._ledger is None:
             return {}
         return self._ledger.checkpoint_state()
-
-    def on_recovered_commit(self, payload: Dict[str, Any]) -> None:
-        self._recovered_payloads.append(payload)
-
-    def on_recovery_complete(self, checkpoint_state: Dict[str, Any]) -> None:
-        self._recovered_state = dict(checkpoint_state)
-
-    def take_recovery_data(self) -> Tuple[List[dict], Dict[str, Any]]:
-        """Hand buffered recovery data to the ledger layer (once, at open)."""
-        payloads, state = self._recovered_payloads, self._recovered_state
-        self._recovered_payloads = []
-        self._recovered_state = {}
-        return payloads, state

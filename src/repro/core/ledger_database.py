@@ -34,8 +34,9 @@ from repro.core.database_ledger import DatabaseLedger
 from repro.core.digest import BlockHeader, DatabaseDigest
 from repro.core.hooks import LedgerHooks
 from repro.core.ledger_view import (
-    canonical_view_definition,
+    history_table_of,
     ledger_view_rows,
+    view_definition,
 )
 from repro.core.pipeline import LedgerPipeline
 from repro.engine.database import Database
@@ -130,11 +131,14 @@ class LedgerDatabase:
         if fresh:
             db._bootstrap(effective_block_size)
         else:
-            payloads, state = hooks.take_recovery_data()
             # The anchor first: recovery must know where the chain starts
             # to tell a truncated transaction from a lost one.
             db._load_truncation_anchor()
-            ledger.recover(payloads, state)
+            payloads = engine.recovered_ledger_payloads
+            ledger.recover(payloads, engine.recovered_ledger_state)
+            # Taken once: the engine keeps no copy of the recovered log.
+            engine.recovered_ledger_payloads = []
+            engine.recovered_ledger_state = {}
             OBS.events.emit(
                 "recovery", "recovery.ledger_recovered",
                 path=path, queued_entries=len(payloads),
@@ -407,7 +411,6 @@ class LedgerDatabase:
         table = self.engine.create_table(
             extended, {"role": "ledger", "ledger_type": ledger_type}
         )
-        history: Optional[Table] = None
         if ledger_type == UPDATEABLE:
             history_name = schema.name + HISTORY_SUFFIX
             history = self.engine.create_table(
@@ -417,7 +420,7 @@ class LedgerDatabase:
             self.engine.update_table_options(
                 table.table_id, {"history_table_id": history.table_id}
             )
-        self._register_view(table, history)
+        self._update_view_registration(f"{table.name}_ledger", table)
         if _register:
             txn = self.begin(username="ledger_system")
             self._register_ledger_table(txn, table)
@@ -446,9 +449,8 @@ class LedgerDatabase:
         table = self.ledger_table(name)
         dropped_name = f"MS_DroppedTable_{name}_{table.table_id}"
         self.engine.rename_table(name, dropped_name)
-        history_id = table.options.get("history_table_id")
-        if history_id is not None:
-            history = self.engine.table_by_id(history_id)
+        history = history_table_of(self.engine, table)
+        if history is not None:
             self.engine.rename_table(
                 history.name, f"MS_DroppedTable_{history.name}_{history.table_id}"
             )
@@ -474,10 +476,7 @@ class LedgerDatabase:
 
     def _register_ledger_table(self, txn: Transaction, table: Table) -> None:
         meta = self.engine.table(TABLES_META)
-        history_id = table.options.get("history_table_id")
-        history_name = (
-            self.engine.table_by_id(history_id).name if history_id else None
-        )
+        history = history_table_of(self.engine, table)
         insert_rows(
             txn,
             meta,
@@ -485,7 +484,7 @@ class LedgerDatabase:
                 table.table_id,
                 table.name,
                 table.options["ledger_type"],
-                history_name,
+                history.name if history is not None else None,
             ]],
         )
         columns_meta = self.engine.table(COLUMNS_META)
@@ -497,41 +496,21 @@ class LedgerDatabase:
                   column.sql_type.render()]],
             )
 
-    def _register_view(self, table: Table, history: Optional[Table]) -> None:
-        views = self.engine.table(VIEWS_TABLE)
-        definition = canonical_view_definition(
-            table.name,
-            history.name if history else None,
-            [c.name for c in table.schema.visible_columns],
-        )
-        txn = self.engine.begin(username="ledger_system")
-        views.insert(
-            txn,
-            views.schema.row_from_visible(
-                [f"{table.name}_ledger", table.name, definition]
-            ),
-        )
-        self.engine.commit(txn)
-
     def _update_view_registration(self, old_view_name: str, table: Table) -> None:
-        """Re-key a table's view registration after rename or schema change."""
-        history_id = table.options.get("history_table_id")
-        history = self.engine.table_by_id(history_id) if history_id else None
+        """Register a table's view, replacing ``old_view_name``'s row if any
+        (at creation there is none; after a rename or schema change there
+        is)."""
         views = self.engine.table(VIEWS_TABLE)
         txn = self.engine.begin(username="ledger_system")
         hit = views.seek([old_view_name])
         if hit is not None:
             views.delete_row(txn, hit[0])
-        definition = canonical_view_definition(
-            table.name,
-            history.name if history else None,
-            [c.name for c in table.schema.visible_columns],
-        )
         views.insert(
             txn,
-            views.schema.row_from_visible(
-                [f"{table.name}_ledger", table.name, definition]
-            ),
+            views.schema.row_from_visible([
+                f"{table.name}_ledger", table.name,
+                view_definition(self.engine, table),
+            ]),
         )
         self.engine.commit(txn)
 
@@ -547,8 +526,7 @@ class LedgerDatabase:
 
     def history_table(self, ledger_table_name: str) -> Optional[Table]:
         table = self.ledger_table(ledger_table_name)
-        history_id = table.options.get("history_table_id")
-        return self.engine.table_by_id(history_id) if history_id else None
+        return history_table_of(self.engine, table)
 
     def ledger_tables(self) -> List[Table]:
         """Every live ledger table, dropped ones included (they still verify)."""

@@ -184,6 +184,22 @@ def ledger_view_rows(
     return events
 
 
+def history_table_of(engine, table: Table) -> Optional[Table]:
+    """The history table of a ledger table (``None`` for append-only)."""
+    history_id = table.options.get("history_table_id")
+    return None if history_id is None else engine.table_by_id(history_id)
+
+
+def view_definition(engine, table: Table) -> str:
+    """Canonical definition of ``table``'s ledger view, per the catalog."""
+    history = history_table_of(engine, table)
+    return canonical_view_definition(
+        table.name,
+        history.name if history is not None else None,
+        [c.name for c in table.schema.visible_columns],
+    )
+
+
 def canonical_view_definition(
     table_name: str, history_table_name: Optional[str], column_names: List[str]
 ) -> str:

@@ -65,7 +65,7 @@ _BACKOFF_MAX = 1.0
 class LedgerPipeline:
     """Owns the block-builder thread and the drain barrier for one ledger."""
 
-    def __init__(self, ledger, restart_cap: int = DEFAULT_RESTART_CAP) -> None:
+    def __init__(self, ledger) -> None:
         self._ledger = ledger
         # ``pipeline.wakeup``: last in the lock order (DESIGN.md).
         self._wakeup = threading.Condition(threading.Lock())
@@ -84,7 +84,7 @@ class LedgerPipeline:
         self._drains = 0
         self._last_error: Optional[str] = None
         self._expected_running = False
-        self._restart_cap = restart_cap
+        self._restart_cap = DEFAULT_RESTART_CAP
         self._restarts = 0
         self._restart_streak = 0
         self._supervisor_gave_up = False

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.core.ledger_view import history_table_of
 from repro.engine.expressions import eq
 from repro.engine.operators import insert_rows, update_rows
 from repro.engine.schema import Column
@@ -40,9 +41,8 @@ def add_column(db, table_name: str, column: Column) -> None:
     table = db.ledger_table(table_name)
     new_schema = table.schema.with_column_added(column)
     db.engine.replace_table_schema(table.table_id, new_schema)
-    history_id = table.options.get("history_table_id")
-    if history_id is not None:
-        history = db.engine.table_by_id(history_id)
+    history = history_table_of(db.engine, table)
+    if history is not None:
         db.engine.replace_table_schema(
             history.table_id, history.schema.with_column_added(column)
         )
@@ -63,9 +63,8 @@ def drop_column(db, table_name: str, column_name: str) -> None:
     target = table.schema.column(column_name)  # raises if missing
     new_schema = table.schema.with_column_dropped(column_name)
     db.engine.replace_table_schema(table.table_id, new_schema)
-    history_id = table.options.get("history_table_id")
-    if history_id is not None:
-        history = db.engine.table_by_id(history_id)
+    history = history_table_of(db.engine, table)
+    if history is not None:
         db.engine.replace_table_schema(
             history.table_id, history.schema.with_column_dropped(column_name)
         )

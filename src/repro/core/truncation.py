@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.core import system_columns as sc
+from repro.core.ledger_view import history_table_of
 from repro.errors import TruncationError
 from repro.obs import OBS
 
@@ -138,10 +139,9 @@ def _purge_history(db, cutoff_tid: int) -> int:
     removed = 0
     hooks = db.hooks
     for table in db.ledger_tables():
-        history_id = table.options.get("history_table_id")
-        if history_id is None:
+        history = history_table_of(db.engine, table)
+        if history is None:
             continue
-        history = db.engine.table_by_id(history_id)
         end_tid, _ = sc.end_ordinals(history.schema)
         targets = [
             rid for rid, row in history.scan() if row[end_tid] <= cutoff_tid

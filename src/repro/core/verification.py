@@ -38,7 +38,8 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   partial results and compares roots.  Every mode and every worker count
   executes the same task code.
 * **Incremental mode** (``mode="incremental"`` + a
-  :class:`repro.core.verify_checkpoint.VerificationCheckpoint`).  Digest,
+  :class:`repro.core.verify_checkpoint.VerificationCheckpoint` whose
+  block, block hash and ``max_tid`` match the captured chain).  Digest,
   chain, and block-root invariants still run over every block and entry,
   each re-read from its heap every cycle, but what they derive is
   memoized in the leaf-hash cache by exact bytes: an entry or block
@@ -50,10 +51,11 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   table the checkpoint covers, only the row versions of transactions
   above its ``max_tid`` (and of still-open ones) are captured and
   re-hashed, and the rest of the table is *counted* — its live records
-  from the page headers — against the checkpoint's frontier leaf count.  The index invariant is
-  deferred to scheduled deep scans.  Any count mismatch escalates to a
-  full scan (of a freshly captured full snapshot) within the same call —
-  the checkpoint is an optimization, never a trust root.
+  from the page headers — against the checkpoint's leaf count.  The
+  index invariant is deferred to scheduled deep scans.  Any count
+  mismatch escalates to a full scan (of a freshly captured full
+  snapshot) within the same call — the checkpoint is an optimization,
+  never a trust root.
 
 Trust rule of the delta.  The derived key index that finds the new row
 versions is in-memory engine state, outside what verification covers:
@@ -69,7 +71,7 @@ versions is in-memory engine state, outside what verification covers:
 
 Open transactions.  Row versions of a transaction that is open at capture
 and has no ledger entry carry no recorded root yet: their leaves are left
-out of root checks, the old-prefix count and checkpoint frontiers, one
+out of root checks, the old-prefix count and checkpoint leaf counts, one
 transaction id at a time.  Rows forged under a live transaction id are
 caught when that transaction commits (its root) or rolls back (rows that
 reference a transaction the ledger never recorded).
@@ -82,7 +84,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import DatabaseDigest
-from repro.core.verify_checkpoint import TableFrontier, VerificationCheckpoint
+from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.core.verify_parallel import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
@@ -97,9 +99,10 @@ from repro.core.verify_parallel import (
 from repro.core.verify_snapshot import (
     TableSnapshot,
     capture_snapshot,
+    max_tid_through,
 )
 from repro.crypto.hashing import LeafHashCache
-from repro.crypto.merkle import MerkleHasher, merkle_root
+from repro.crypto.merkle import merkle_root
 from repro.errors import VerificationFailedError
 from repro.obs import OBS
 
@@ -149,7 +152,7 @@ class VerificationReport:
     snapshot_seconds: float = 0.0
     #: Invariants deferred to deep scans (incremental mode only).
     skipped_invariants: List[str] = field(default_factory=list)
-    #: True when a frontier mismatch escalated incremental -> full.
+    #: True when a leaf-count mismatch escalated incremental -> full.
     escalated: bool = False
     #: Why an incremental request fell back to a full scan, if it did.
     fallback_reason: Optional[str] = None
@@ -534,7 +537,7 @@ class LedgerVerifier:
 
         ``new_tids_only_above`` limits the comparison (and the reverse
         direction) to transactions above the given id — the incremental
-        path, where older transactions are covered by the frontier check.
+        path, where older transactions are covered by the leaf count.
         """
         entries = snapshot.entries
         cutoff_tid = snapshot.cutoff_tid
@@ -615,8 +618,8 @@ class LedgerVerifier:
         records of transactions above the checkpoint's ``max_tid`` (or still
         open) and each relation's live record count.  Their events are
         compared against the ledger entries of those transactions; the old
-        prefix is only *counted* against the checkpoint frontier's leaf
-        count: every record the snapshot did not locate contributes all its
+        prefix is only *counted* against the checkpoint's leaf count:
+        every record the snapshot did not locate contributes all its
         leaves (one per base record, two per history record), every located
         one its leaves at or below ``max_tid``.  An added or deleted
         pre-checkpoint row version, or a record attributed to a new
@@ -637,7 +640,7 @@ class LedgerVerifier:
             floor = None
             if checkpoint is not None and table.table_id in checkpoint.tables:
                 floor = checkpoint.max_tid
-                recorded = checkpoint.tables[table.table_id].leaf_count
+                recorded = checkpoint.tables[table.table_id]
                 old_leaves = sum(
                     (relation.live_count - len(relation.records))
                     * (2 if relation.is_history else 1)
@@ -650,7 +653,7 @@ class LedgerVerifier:
                     self._escalate_reason = (
                         f"table {table.name!r} has {old_leaves} row versions "
                         f"at or below checkpoint transaction {floor}, but "
-                        f"the checkpoint frontier recorded {recorded}"
+                        f"the checkpoint recorded {recorded}"
                     )
                     return
             self._check_events_against_entries(
@@ -750,57 +753,37 @@ class LedgerVerifier:
         """Build the checkpoint a future incremental cycle will resume from.
 
         Covers only *closed* blocks: ``max_tid`` is the highest transaction
-        id sealed into a closed block, and each table's frontier extends
-        over events at or below it.  When the run itself was incremental,
-        the previous frontier's O(log N) state is restored and only the new
-        leaves are appended — the streaming-hasher property that makes
-        checkpoint maintenance O(delta).
+        id in a closed block, and each table's leaf count covers the
+        leaves at or below it.  When the run itself was incremental, the
+        count the previous checkpoint recorded (and this run confirmed) is
+        carried forward and only the new leaves are added, so maintenance
+        is O(delta); nothing is hashed.
         """
         if not snapshot.blocks:
             return None
         block_id = max(snapshot.blocks)
-        block_hash = snapshot.blocks[block_id].block_hash()
-        max_tid = max(
-            (
-                entry.transaction_id
-                for entry in snapshot.entries.values()
-                if entry.block_id <= block_id
-            ),
-            default=None,
-        )
+        max_tid = max_tid_through(snapshot.entries, block_id)
         if max_tid is None:
             return None
         checkpoint = VerificationCheckpoint(
             database_guid=snapshot.database_guid,
             block_id=block_id,
-            block_hash=block_hash,
+            block_hash=snapshot.blocks[block_id].block_hash(),
             max_tid=max_tid,
         )
         for table_index, table in enumerate(snapshot.tables):
-            events = self._events_by_table.get(table_index, {})
-            old_frontier = (
-                previous.tables.get(table.table_id) if previous else None
+            count = 0
+            floor = None
+            if previous is not None and table.table_id in previous.tables:
+                count = previous.tables[table.table_id]
+                floor = previous.max_tid
+            count += sum(
+                len(pairs)
+                for tid, pairs in self._events_by_table.get(
+                    table_index, {}
+                ).items()
+                if tid is not None and tid <= max_tid
+                and (floor is None or tid > floor)
             )
-            floor = previous.max_tid if old_frontier is not None else None
-            stream: List[Tuple[int, int, bytes]] = []
-            for tid, pairs in events.items():
-                if tid is None or tid > max_tid:
-                    continue
-                if floor is not None and tid <= floor:
-                    continue
-                for seq, leaf in pairs:
-                    stream.append((tid, seq, leaf))
-            stream.sort(key=lambda item: (item[0], item[1]))
-            hasher = MerkleHasher()
-            if old_frontier is not None:
-                hasher.restore(old_frontier.state)
-            for _, _, leaf in stream:
-                hasher.append(leaf)
-            checkpoint.tables[table.table_id] = TableFrontier(
-                table_id=table.table_id,
-                table_name=table.name,
-                frontier_root=hasher.root(),
-                leaf_count=hasher.leaf_count,
-                state=hasher.snapshot(),
-            )
+            checkpoint.tables[table.table_id] = count
         return checkpoint

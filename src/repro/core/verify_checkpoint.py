@@ -1,30 +1,32 @@
 """Verification checkpoints: O(delta) incremental cycles (§2.3, §6).
 
 A :class:`VerificationCheckpoint` records where a *passing* verification run
-left off: the last closed block it covered (id + recomputed chained hash),
-the highest transaction id whose row versions it verified, and — per ledger
-table — a streaming Merkle frontier (root, leaf count, and the O(log N)
-:class:`repro.crypto.merkle.MerkleHasher` state) over the table's row-version
-event stream up to that transaction.
+left off, and holds exactly what the next incremental cycle checks:
+
+* the last closed block it covered — id and recomputed chained hash, both
+  checked against the chain the next cycle captures;
+* ``max_tid``, the highest transaction id among the entries in blocks up to
+  that one, which the next cycle recomputes from the same entries;
+* per ledger table, the number of row-version leaves at or below
+  ``max_tid``, which the next cycle counts against.
 
 Because ``hashable_payload`` skips NULL values, deleting a live row moves it
 to history with an as-created leaf *identical* to the live leaf it replaces
-— so each table's event stream, ordered by (transaction id, sequence), is
-append-only and the frontier over a transaction-id prefix is stable.  An
-incremental cycle re-hashes only the row versions of transactions above
-``max_tid``, checks their per-transaction roots against ledger entries and
-counts the rest of each table against the frontier's leaf count (see
-:mod:`repro.core.verification`); a passing cycle restores the frontier and
-appends the new leaves.
+— so each table's leaves at or below ``max_tid`` are a fixed set, and
+their count only changes if storage does.  An incremental cycle re-hashes
+only the row versions of transactions above ``max_tid``, checks their
+per-transaction roots against ledger entries and counts the rest of each
+table against the recorded leaf count (see :mod:`repro.core.verification`);
+a passing cycle adds the new leaves to that count.
 
 Trust model: the checkpoint is an *optimization, never a trust root*.  It is
-only written after a run with zero error findings; it is integrity-hashed so
-accidental or malicious edits are detected on load (falling back to a full
-scan); and scheduled deep scans re-verify the full prefix from the trusted
-digests regardless of any checkpoint.  A forged checkpoint can therefore
-never make verification pass — at worst it delays detection until the
-leaf count disagrees or the next deep scan recomputes every hash from
-storage.
+only written after a run with zero error findings; it carries an unkeyed
+integrity hash, so accidental damage is detected on load (falling back to a
+full scan); every field the next cycle reads is checked against the chain
+or counted against storage; and scheduled deep scans re-verify the full
+prefix from the trusted digests regardless of any checkpoint.  Anyone who
+can write the file can still forge leaf counts; what that can hide, and for
+how long, is stated in DESIGN.md § Trust argument.
 """
 
 from __future__ import annotations
@@ -36,42 +38,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.crypto.hashing import sha256, to_hex
-from repro.crypto.merkle import MerkleState, state_from_dict, state_to_dict
 
 #: Default filename, stored beside the database files.
 CHECKPOINT_FILENAME = "verify_checkpoint.json"
 
-_FORMAT_VERSION = 1
-
-
-@dataclass
-class TableFrontier:
-    """Streaming Merkle frontier over one table's row-version events."""
-
-    table_id: int
-    table_name: str
-    frontier_root: bytes
-    leaf_count: int
-    state: MerkleState
-
-    def to_dict(self) -> dict:
-        return {
-            "table_id": self.table_id,
-            "table_name": self.table_name,
-            "frontier_root": self.frontier_root.hex(),
-            "leaf_count": self.leaf_count,
-            "state": state_to_dict(self.state),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TableFrontier":
-        return cls(
-            table_id=int(data["table_id"]),
-            table_name=data["table_name"],
-            frontier_root=bytes.fromhex(data["frontier_root"]),
-            leaf_count=int(data["leaf_count"]),
-            state=state_from_dict(data["state"]),
-        )
+#: A file of any other version loads as ``None``, so the cycle runs full.
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -85,7 +57,8 @@ class VerificationCheckpoint:
     block_hash: bytes
     #: Highest transaction id in blocks <= block_id at write time.
     max_tid: int
-    tables: Dict[int, TableFrontier] = field(default_factory=dict)
+    #: Ledger table id -> row-version leaves at or below ``max_tid``.
+    tables: Dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -99,8 +72,8 @@ class VerificationCheckpoint:
             "block_hash": self.block_hash.hex(),
             "max_tid": self.max_tid,
             "tables": {
-                str(table_id): frontier.to_dict()
-                for table_id, frontier in sorted(self.tables.items())
+                str(table_id): count
+                for table_id, count in sorted(self.tables.items())
             },
         }
 
@@ -131,15 +104,16 @@ class VerificationCheckpoint:
                 return None
             if payload.get("version") != _FORMAT_VERSION:
                 return None
-            checkpoint = cls(
+            return cls(
                 database_guid=payload["database_guid"],
                 block_id=int(payload["block_id"]),
                 block_hash=bytes.fromhex(payload["block_hash"]),
                 max_tid=int(payload["max_tid"]),
+                tables={
+                    int(key): int(count)
+                    for key, count in payload["tables"].items()
+                },
             )
-            for key, data in payload["tables"].items():
-                checkpoint.tables[int(key)] = TableFrontier.from_dict(data)
-            return checkpoint
         except Exception:
             return None
 

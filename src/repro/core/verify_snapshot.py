@@ -40,7 +40,7 @@ from typing import (
 
 from repro.core import system_columns as sc
 from repro.core.entries import BlockRow, TransactionEntry
-from repro.core.ledger_view import canonical_view_definition
+from repro.core.ledger_view import history_table_of, view_definition
 from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.crypto.hashing import LeafHashCache, hash_leaf
 from repro.engine.record import RecordKernel, hashable_payload
@@ -218,16 +218,30 @@ def _delta_relation(
     return _relation(table, is_history, records, heap.record_count())
 
 
+def max_tid_through(
+    entries: Dict[int, TransactionEntry], block_id: int
+) -> Optional[int]:
+    """Highest transaction id among the entries in blocks <= ``block_id``."""
+    return max(
+        (tid for tid, entry in entries.items() if entry.block_id <= block_id),
+        default=None,
+    )
+
+
 def _usable_checkpoint(
     checkpoint: Optional[VerificationCheckpoint],
     database_guid: str,
     first_block_id: int,
     blocks: Dict[int, BlockRow],
+    entries: Dict[int, TransactionEntry],
 ) -> Tuple[Optional[VerificationCheckpoint], Optional[str]]:
     """Decide whether the checkpoint can drive an incremental cycle.
 
-    Anything suspicious disqualifies it and forces a full scan — the
-    conservative direction, since a full scan is always sound.
+    Every field the cycle relies on is checked against what was just
+    captured: the block id and hash against the chain, ``max_tid`` against
+    the entries of the blocks up to it.  Anything suspicious disqualifies
+    the checkpoint and forces a full scan — the conservative direction,
+    since a full scan is always sound.
     """
     if checkpoint is None:
         return None, "no checkpoint available"
@@ -243,6 +257,13 @@ def _usable_checkpoint(
             None,
             f"recomputed hash of block {checkpoint.block_id} does not "
             "match the checkpoint",
+        )
+    max_tid = max_tid_through(entries, checkpoint.block_id)
+    if max_tid != checkpoint.max_tid:
+        return (
+            None,
+            f"checkpoint transaction {checkpoint.max_tid} is not the last "
+            f"one in blocks up to {checkpoint.block_id} ({max_tid})",
         )
     return checkpoint, None
 
@@ -278,10 +299,10 @@ def capture_snapshot(
     released before any hashing happens.
 
     With a ``checkpoint`` that :func:`_usable_checkpoint` accepts against
-    the blocks just captured, each table it covers is captured as a delta
-    (:func:`_delta_relation`) and no index heap is copied — an incremental
-    run defers the index invariant.  Every other table, and every run
-    without a usable checkpoint, is captured whole.
+    the blocks and entries just captured, each table it covers is captured
+    as a delta (:func:`_delta_relation`) and no index heap is copied — an
+    incremental run defers the index invariant.  Every other table, and
+    every run without a usable checkpoint, is captured whole.
 
     A sealed block that cannot close — its predecessor is missing or no
     longer reads — stays unclosed in the snapshot: its entries then
@@ -310,7 +331,7 @@ def capture_snapshot(
         database_guid = db.database_guid
         first_block_id = ledger.first_block_id()
         checkpoint, fallback_reason = _usable_checkpoint(
-            checkpoint, database_guid, first_block_id, blocks
+            checkpoint, database_guid, first_block_id, blocks, entries
         )
         active_tids = frozenset(
             txn.tid for txn in db.engine.active_transactions
@@ -332,11 +353,7 @@ def capture_snapshot(
 
         tables: List[TableSnapshot] = []
         for table in target_tables:
-            history_id = table.options.get("history_table_id")
-            history = (
-                db.engine.table_by_id(history_id)
-                if history_id is not None else None
-            )
+            history = history_table_of(db.engine, table)
             if checkpoint is not None and table.table_id in checkpoint.tables:
                 base = _delta_relation(table, False, delta_tids)
                 history_rel = (
@@ -365,22 +382,10 @@ def capture_snapshot(
         views_stored = {
             row[name_ord]: row[def_ord] for _, row in views.scan()
         }
-        views_expected: List[Tuple[str, str]] = []
-        for table in all_tables:
-            history_id = table.options.get("history_table_id")
-            history = (
-                db.engine.table_by_id(history_id) if history_id else None
-            )
-            views_expected.append(
-                (
-                    f"{table.name}_ledger",
-                    canonical_view_definition(
-                        table.name,
-                        history.name if history else None,
-                        [c.name for c in table.schema.visible_columns],
-                    ),
-                )
-            )
+        views_expected = [
+            (f"{table.name}_ledger", view_definition(db.engine, table))
+            for table in all_tables
+        ]
 
         snapshot = VerificationSnapshot(
             database_guid=database_guid,
@@ -414,8 +419,9 @@ def record_events(
     transaction).  The canonical serialization skips NULL values, so a live
     row's NULL end columns hash identically to the as-created history form —
     the property that keeps per-table event streams append-only and makes
-    incremental Merkle frontiers sound.  The last event's leaf is always
-    the full row's, which the index invariant compares with index copies.
+    a checkpoint's per-table leaf counts stable.  The last event's leaf is
+    always the full row's, which the index invariant compares with index
+    copies.
 
     One kernel pass (:func:`repro.engine.record.hashable_payload`) checks
     the record's structure, builds both payloads from the stored bytes and

@@ -6,7 +6,7 @@ Two implementations cover the two ways the paper uses Merkle trees:
   root of a Merkle tree *while leaves arrive*, holding only the last unpaired
   node per level: O(N) time, O(log N) space.  Its state can be snapshotted
   and restored in O(log N), which is what makes partial transaction rollbacks
-  (savepoints) cheap.  The DML path and verification checkpoints use it.
+  (savepoints) cheap.  The DML path uses it.
 
 * :class:`MerkleTree` — a materialized tree over a known list of leaves,
   built level by level.  The block builder uses it to compute the per-block
@@ -174,42 +174,6 @@ class MerkleHasher:
     def state_size(self) -> int:
         """Number of digests currently held (the O(log N) space bound)."""
         return sum(1 for node in self._pending if node is not None)
-
-
-def state_to_dict(state: MerkleState) -> dict:
-    """Render a :data:`MerkleState` as a JSON-serializable dict.
-
-    Verification checkpoints persist per-table Merkle frontiers across
-    process restarts, so the opaque snapshot tuple needs a stable on-disk
-    form.  ``None`` slots (levels with no pending node) round-trip as JSON
-    nulls.
-    """
-    leaf_count, pending = state
-    return {
-        "leaf_count": leaf_count,
-        "pending": [None if node is None else node.hex() for node in pending],
-    }
-
-
-def state_from_dict(data: dict) -> MerkleState:
-    """Parse a dict produced by :func:`state_to_dict`.
-
-    Raises :class:`repro.errors.MerkleError` on malformed input so callers
-    can treat a corrupt checkpoint as untrusted and fall back to a full scan.
-    """
-    try:
-        leaf_count = int(data["leaf_count"])
-        pending = tuple(
-            None if node is None else bytes.fromhex(node)
-            for node in data["pending"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MerkleError(f"malformed Merkle state: {exc}") from exc
-    if leaf_count < 0 or any(
-        node is not None and len(node) != HASH_SIZE for node in pending
-    ):
-        raise MerkleError("malformed Merkle state: bad digest or leaf count")
-    return (leaf_count, pending)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,11 @@ class Database:
         self._lock_manager = LockManager()
         self._txn_manager: Optional[TransactionManager] = None
         self._closed = False
+        #: What recovery found for the ledger layer, which takes both once
+        #: it is open: the last checkpoint's ledger state, and the ledger
+        #: payloads of the COMMIT records after it, in transaction order.
         self.recovered_ledger_state: Dict[str, Any] = {}
+        self.recovered_ledger_payloads: List[Dict[str, Any]] = []
 
     @property
     def wal(self) -> WalWriter:
@@ -132,7 +136,6 @@ class Database:
         self._txn_manager = TransactionManager(
             self._wal, self._lock_manager, self._hooks, self.clock
         )
-        self._hooks.on_recovery_complete({})
 
     def _recover(self, checkpoint_path: Optional[str]) -> None:
         with OBS.tracer.span("recovery.run", path=self.path):
@@ -235,11 +238,10 @@ class Database:
         )
 
         self.recovered_ledger_state = checkpoint.get("ledger_state", {})
-        for tid in sorted(committed):
-            ledger_payload = committed[tid].get("ledger")
-            if ledger_payload is not None:
-                self._hooks.on_recovered_commit(ledger_payload)
-        self._hooks.on_recovery_complete(self.recovered_ledger_state)
+        self.recovered_ledger_payloads = [
+            committed[tid]["ledger"] for tid in sorted(committed)
+            if committed[tid].get("ledger") is not None
+        ]
         OBS.events.emit(
             "recovery", "recovery.completed",
             path=self.path, records_replayed=redo_count,
@@ -270,20 +272,6 @@ class Database:
         assert self._wal is not None
         self._wal.close()
         self._closed = True
-
-    # ------------------------------------------------------------------
-    # Hooks wiring
-    # ------------------------------------------------------------------
-
-    @property
-    def hooks(self) -> EngineHooks:
-        return self._hooks
-
-    def set_hooks(self, hooks: EngineHooks) -> None:
-        """Install the ledger layer's hooks (done once at startup)."""
-        self._hooks = hooks
-        if self._txn_manager is not None:
-            self._txn_manager.set_hooks(hooks)
 
     # ------------------------------------------------------------------
     # DDL

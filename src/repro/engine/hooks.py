@@ -3,10 +3,12 @@
 The paper integrates the ledger at specific places inside SQL Server:
 DML query plans (row hashing, history maintenance, §3.2), the transaction
 commit path (transaction entries ride on COMMIT log records, §3.3.2),
-savepoints (Merkle state snapshots, §3.2.1), checkpoints (flushing the
-in-memory transaction queue), and crash recovery (reconstructing that queue
-from COMMIT records).  :class:`EngineHooks` is the engine-side contract for
-all of those; the engine itself has no ledger knowledge.
+savepoints (Merkle state snapshots, §3.2.1) and checkpoints (flushing the
+in-memory transaction queue).  :class:`EngineHooks` is the engine-side
+contract for all of those; the engine itself has no ledger knowledge.
+Crash recovery needs no hook: the engine keeps the ledger payloads of the
+COMMIT records it found, and the checkpoint's ledger state, for the ledger
+layer to take once it is open (``Database.recovered_ledger_payloads``).
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ class EngineHooks:
     def post_commit(self, txn: "Transaction", payload: Optional[Dict[str, Any]]) -> None:
         """Called after the COMMIT record is durably appended."""
 
-    def on_rollback(self, txn: "Transaction") -> None:
-        """Called when a transaction aborts (discard ledger state)."""
-
     def on_savepoint(self, txn: "Transaction", name: Optional[str]) -> Any:
         """Snapshot ledger state for a savepoint; returned value is opaque.
 
@@ -91,10 +90,3 @@ class EngineHooks:
 
     def on_checkpoint(self) -> None:
         """Called during checkpoint, before state is gathered; flush queues."""
-
-    def on_recovered_commit(self, payload: Dict[str, Any]) -> None:
-        """Analysis-phase callback: a committed transaction's ledger payload."""
-
-    def on_recovery_complete(self, checkpoint_state: Dict[str, Any]) -> None:
-        """Called once redo finished; ``checkpoint_state`` is what
-        :meth:`checkpoint_state` returned at the last checkpoint."""

@@ -107,13 +107,6 @@ class TransactionManager:
         # serialized one level up by the ledger's storage lock).
         self._state_lock = threading.Lock()
 
-    @property
-    def hooks(self) -> EngineHooks:
-        return self._hooks
-
-    def set_hooks(self, hooks: EngineHooks) -> None:
-        self._hooks = hooks
-
     def set_wal(self, wal: WalWriter) -> None:
         self._wal = wal
 
@@ -166,7 +159,6 @@ class TransactionManager:
         txn.state = TxnState.ABORTED
         with self._state_lock:
             del self._active[txn.tid]
-        self._hooks.on_rollback(txn)
         self._locks.release_all(txn.tid)
 
     # -- savepoints (partial rollback, §3.2.1) ---------------------------------

@@ -220,8 +220,9 @@ class ContinuousVerifier:
         The very first cycle (no checkpoint yet) and every
         ``deep_scan_every``-th cycle run the full-prefix scan, so tampering
         of already-verified history is caught within a bounded number of
-        cycles even if it somehow survived the incremental chained-hash and
-        frontier checks.
+        cycles even if it survived the incremental cycle's chained-hash checks
+        and leaf counts (a same-count rewrite of old rows, or a forged
+        checkpoint's leaf counts).
         """
         if not self.incremental:
             return "full"

@@ -245,7 +245,6 @@ class LedgerServer:
         queue_depth: int = 128,
         max_sessions: int = 512,
         max_group: int = 64,
-        group_wait: float = 0.0,
     ) -> None:
         self._db = db
         self._host = host
@@ -259,9 +258,7 @@ class LedgerServer:
         self._max_sessions = max(1, int(max_sessions))
         from repro.core.group_commit import GroupCommitter
 
-        self._committer = GroupCommitter(
-            db, max_group=max_group, max_wait=group_wait
-        )
+        self._committer = GroupCommitter(db, max_group=max_group)
         self._idempotency = IdempotencyIndex()
         self._tier_cache: Tuple[float, str] = (0.0, "ok")
         self._tier_lock = threading.Lock()

@@ -9,7 +9,8 @@ count.  These tests pin that:
 * a warm cycle makes no heap pass over a user relation, and reads as many
   user records with 10 K history rows behind it as with 1 K;
 * the checkpoint an incremental cycle builds equals, field for field, the
-  one a full run builds on the same state;
+  one a full run builds on the same state, and one whose ``max_tid`` is
+  not the chain's makes the cycle run full;
 * every attack in :mod:`repro.attacks`, on targets before and after the
   checkpoint, gets the same verdict and error invariants as before the
   delta existed (``EXPECTED``), in the process that tampered, after a
@@ -20,6 +21,8 @@ count.  These tests pin that:
   and block roots — can never be observed: after every attack a warm cache
   gives the verdict and the ordered findings a cleared one gives.
 """
+
+import dataclasses
 
 import pytest
 
@@ -37,7 +40,9 @@ from repro.attacks import (
 from repro.core import system_columns as sc
 from repro.core.database_ledger import BLOCKS_TABLE, TRANSACTIONS_TABLE
 from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
+from repro.core.ledger_view import history_table_of
 from repro.core.verification import leaf_cache
+from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.heap import HeapFile
@@ -334,6 +339,40 @@ def test_escalation_reruns_a_fresh_full_snapshot(tmp_path):
             str(f) for f in full.errors
         ]
         assert escalated.row_versions_hashed == full.row_versions_hashed
+    finally:
+        db.close()
+
+
+def test_forged_max_tid_falls_back_to_a_full_scan(tmp_path):
+    """A checkpoint forged by someone who can write its file: ``max_tid``
+    past every transaction, so the whole delta reads as old prefix, each
+    leaf count what storage holds, so the count agrees, and the unkeyed
+    integrity hash recomputed.  ``max_tid`` is checked against the chain,
+    so the cycle runs full and fails on the row tampered after the real
+    checkpoint."""
+    db, checkpoint, digests = build(str(tmp_path / "db"))
+    try:
+        ATTACKS["rewrite_history_post"](db, checkpoint)
+        counts = {}
+        for table_id in checkpoint.tables:
+            table = db.engine.table_by_id(table_id)
+            history = history_table_of(db.engine, table)
+            counts[table_id] = table.row_count() + (
+                2 * history.row_count() if history is not None else 0
+            )
+        newest = max(e.transaction_id for e in db.ledger.all_entries())
+        forged = VerificationCheckpoint.from_json(dataclasses.replace(
+            checkpoint, max_tid=newest + 1000, tables=counts,
+        ).to_json())
+        assert forged is not None and forged.max_tid == newest + 1000
+        report = incremental(db, forged, digests)
+        assert report.mode == "full"
+        assert f"checkpoint transaction {newest + 1000}" in (
+            report.fallback_reason
+        )
+        assert verdict(report) == verdict(db.verify(digests)) == (
+            False, ["table_root"]
+        )
     finally:
         db.close()
 

@@ -5,15 +5,16 @@ chained block hashes, block roots and every entry are still re-checked
 every cycle; the row versions of new transactions are re-hashed and their
 roots compared; the rest of each table is counted — records the delta did
 not locate, from the page headers — against the checkpoint's leaf count.
-The checkpoint file carries an integrity hash and its recorded block hash
-is cross-checked against storage, and any inconsistency falls back to — or
-escalates into — a full scan.  Tampering that an incremental cycle defers
-(same-count rewrites of pre-checkpoint rows, index edits) must be caught by
-the deep-scan cadence.  What the delta reads, and that every attack gets
-the verdict it got before the delta existed, is pinned in
-``test_verify_delta.py``.
+The checkpoint file carries an integrity hash, its recorded block hash and
+``max_tid`` are cross-checked against storage, and any inconsistency falls
+back to — or escalates into — a full scan.  Tampering that an incremental
+cycle defers (same-count rewrites of pre-checkpoint rows, index edits)
+must be caught by the deep-scan cadence.  What the delta reads, and that
+every attack gets the verdict it got before the delta existed, is pinned
+in ``test_verify_delta.py``.
 """
 
+import json
 import os
 import threading
 
@@ -33,6 +34,7 @@ from repro.core.verify_checkpoint import (
     VerificationCheckpoint,
     default_checkpoint_path,
 )
+from repro.crypto.hashing import sha256, to_hex
 from repro.engine.expressions import eq
 from repro.engine.schema import IndexDefinition
 from repro.obs.monitor import ContinuousVerifier
@@ -49,6 +51,35 @@ def seeded(db, accounts):
     run(db, "bob", lambda t: db.update(
         t, "accounts", {"balance": 1}, eq("name", "u0")))
     return db.generate_digest()
+
+
+#: A checkpoint file as version 1 wrote it: a Merkle frontier root and
+#: hasher state per table beside the leaf count.
+V1_CHECKPOINT = """{
+  "checkpoint": {
+    "block_hash": "db7f6695f682bd884540ea855a17110025eb5779334430f45ce1edb25397b885",
+    "block_id": 1,
+    "database_guid": "625bb769-aec5-4b54-9936-35df77308f28",
+    "max_tid": 12,
+    "tables": {
+      "10": {
+        "frontier_root": "66a22ad6f8124d5a7d9bc08cd28c9725aab65935771deaeb25a7c8894aa497b6",
+        "leaf_count": 3,
+        "state": {
+          "leaf_count": 3,
+          "pending": [
+            "f2fe988a6adb41e069afac3e0aed5484855fb5c1e7cef5eb1c37ecc2dc93e459",
+            "200ab5f7da5292d80cdbfdc8acf358b227ae95537c3a8753ef6c8c93e0386ca5"
+          ]
+        },
+        "table_id": 10,
+        "table_name": "accounts"
+      }
+    },
+    "version": 1
+  },
+  "integrity": "0xffef655b64ae385c1dc83b8d8376ba7f27bbae2b2aa08f4a4facf4d029c5ace5"
+}"""
 
 
 def build_checkpoint(db, digests):
@@ -77,10 +108,15 @@ class TestCheckpointLifecycle:
             b.block_id for b in db.ledger.blocks()
         )
         assert checkpoint.max_tid > 0
-        assert checkpoint.tables
-        for frontier in checkpoint.tables.values():
-            assert frontier.leaf_count >= 0
-            assert len(frontier.frontier_root) == 32
+        # Every transaction is in a closed block after the digest, so each
+        # table's count is one leaf per live row and two per history row.
+        tables = db.ledger_tables()
+        assert set(checkpoint.tables) == {t.table_id for t in tables}
+        for table in tables:
+            history = db.history_table(table.name)
+            assert checkpoint.tables[table.table_id] == table.row_count() + (
+                2 * history.row_count() if history is not None else 0
+            ), table.name
 
     def test_not_built_unless_requested(self, db, seeded):
         assert db.verify([seeded]).built_checkpoint is None
@@ -101,6 +137,45 @@ class TestCheckpointLifecycle:
         assert loaded.to_json() == checkpoint.to_json()
         assert loaded.block_hash == checkpoint.block_hash
         assert set(loaded.tables) == set(checkpoint.tables)
+        assert loaded == checkpoint
+        # The file holds what the next cycle checks, and nothing else.
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)["checkpoint"]
+        assert set(payload) == {
+            "version", "database_guid", "block_id", "block_hash", "max_tid",
+            "tables",
+        }
+        assert payload["version"] == 2
+        assert payload["tables"] == {
+            str(table_id): count
+            for table_id, count in checkpoint.tables.items()
+        }
+
+    def test_version_1_file_runs_full(self, db, seeded, tmp_path):
+        """A file in the format that also stored Merkle frontiers, with a
+        valid integrity hash, is not a checkpoint: the cycle runs full."""
+        wrapper = json.loads(V1_CHECKPOINT)
+        canonical = json.dumps(
+            wrapper["checkpoint"], sort_keys=True, separators=(",", ":")
+        )
+        assert wrapper["integrity"] == to_hex(sha256(canonical.encode()))
+        path = str(tmp_path / CHECKPOINT_FILENAME)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(V1_CHECKPOINT)
+        assert VerificationCheckpoint.load(path) is None
+        report = db.verify(
+            [seeded], mode="incremental",
+            checkpoint=VerificationCheckpoint.load(path),
+        )
+        assert report.ok and report.mode == "full"
+        assert report.fallback_reason == "no checkpoint available"
+        monitor = ContinuousVerifier(
+            db, interval=999.0, incremental=True, deep_scan_every=5,
+            checkpoint_path=path,
+        )
+        assert monitor.run_cycle() == "passed"
+        assert monitor.last_mode == "full"
+        assert VerificationCheckpoint.load(path) is not None
 
     def test_tampered_file_rejected(self, db, seeded, tmp_path):
         checkpoint = build_checkpoint(db, [seeded])
@@ -275,6 +350,18 @@ class TestCheckpointFallbacks:
         )
         assert report.mode == "full"
         assert report.fallback_reason is not None
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_max_tid_is_not_the_chains(self, db, seeded, shift):
+        """``max_tid`` must be the last transaction in the checkpoint's
+        blocks; one above would skip new transactions' roots."""
+        checkpoint = build_checkpoint(db, [seeded])
+        checkpoint.max_tid += shift
+        report = db.verify(
+            [seeded], mode="incremental", checkpoint=checkpoint
+        )
+        assert report.ok and report.mode == "full"
+        assert "checkpoint transaction" in report.fallback_reason
 
 
 class TestIncrementalMonitor:

@@ -3,7 +3,7 @@
 A transaction that is still open when verification captures its snapshot
 has row versions in storage but no ledger entry yet.  Verification leaves
 those versions out — of root checks, of the incremental old-prefix count
-and of checkpoint frontiers — one transaction id at a time, so a session
+and of checkpoint leaf counts — one transaction id at a time, so a session
 sitting inside ``BEGIN … COMMIT`` never turns a passing ledger into a
 tamper alarm.  Once it commits, its versions verify like any other (and a
 rewrite of them fails); once it rolls back, nothing of it is left.
@@ -96,7 +96,7 @@ def test_checkpoint_built_while_open_excludes_it(db, ledger):
     digests.append(db.generate_digest())
     built = db.verify(digests, build_checkpoint=True).built_checkpoint
     session.execute("COMMIT")
-    # The open transaction's versions were not in the frontier; committed
+    # The open transaction's versions were not in the leaf count; committed
     # below the checkpoint's max_tid they no longer fit it, and the cycle
     # escalates to a full scan that passes.
     report = db.verify(digests, mode="incremental", checkpoint=built)

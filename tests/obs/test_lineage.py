@@ -4,6 +4,7 @@ the tracer primitives it rests on, and its consumers (``\\trace --txn``,
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -285,24 +286,34 @@ class TestConsumers:
             [Column("tag", VARCHAR(16), nullable=False), Column("value", INT)],
             primary_key=["tag"],
         ))
-        # The leader waits for a second member, so the two commits share
-        # one group.commit span.
-        server = LedgerServer(
-            db, port=0, workers=2, max_group=2, group_wait=5.0
-        ).start()
-        client = LedgerClient("127.0.0.1", server.port, pool_size=2)
+        # A first insert's leader waits for the storage lock the test
+        # holds; two more inserts queue behind it and form the next group.
+        server = LedgerServer(db, port=0, workers=3).start()
+        committer = server._committer
+        client = LedgerClient("127.0.0.1", server.port, pool_size=3)
         results = {}
 
         def insert(tag):
             results[tag] = client.insert("items", [[tag, 1]])["tid"]
 
+        def wait_for(condition):
+            deadline = time.monotonic() + 20
+            while not condition():
+                assert time.monotonic() < deadline, "commit never queued"
+                time.sleep(0.005)
+
+        threads = [
+            threading.Thread(target=insert, args=(tag,))
+            for tag in ("a", "b", "c")
+        ]
         try:
-            threads = [
-                threading.Thread(target=insert, args=(tag,))
-                for tag in ("a", "b")
-            ]
-            for thread in threads:
-                thread.start()
+            with db.ledger.storage_lock:
+                threads[0].start()
+                wait_for(lambda: committer._leader_active
+                         and not committer._pending)
+                for thread in threads[1:]:
+                    thread.start()
+                wait_for(lambda: len(committer._pending) == 2)
             for thread in threads:
                 thread.join()
             db.generate_digest()
@@ -313,8 +324,9 @@ class TestConsumers:
             db.close()
 
         groups = [s for s in spans if s.name == "group.commit"]
-        assert [g.attributes["size"] for g in groups] == [2]
-        for tag, tid in results.items():
+        assert [g.attributes["size"] for g in groups] == [1, 2]
+        for tag in ("b", "c"):
+            tid = results[tag]
             names = names_in(build_commit_lineage(spans, tid))
             assert names.count("server.commit") == 1, (tag, names)
             assert "group.commit" not in names
