@@ -44,8 +44,9 @@ key, is *missing* — never an exception, never a stale answer.  Only
 *verification* scans: :meth:`~DatabaseLedger.all_entries` and
 :meth:`~DatabaseLedger.blocks` walk the heaps, because a verifier must see
 what storage holds, not what an in-memory access path remembers having put
-there.  Given the verifier's cache they decode only records whose exact
-bytes they have not decoded before.
+there.  Given the verifier's cache they pass over every page whose exact
+image is unchanged and decode only records whose exact bytes they have not
+decoded before.
 """
 
 from __future__ import annotations
@@ -628,8 +629,8 @@ class DatabaseLedger:
         "missing" so verification can report it instead of crashing.  This
         and :meth:`all_entries` are the only full scans of the system
         tables; nothing operational calls them.  With the verifier's
-        ``cache``, a record read before decodes from the memo (see
-        :meth:`_scan`).
+        ``cache``, an unchanged page, or a record read before, comes from
+        the memo (see :meth:`_scan`).
         """
         with self.storage_lock:
             found = self._scan(self._blocks_table(), BlockRow, cache)
@@ -721,35 +722,54 @@ class DatabaseLedger:
         one that is structurally damaged is skipped like one whose values
         no longer parse.
 
-        Every record is read from the heap on every call.  With a ``cache``,
-        one whose key — (the table's schema fingerprint, its exact stored
-        bytes) — was decoded before is served from the memo: the same
-        frozen row, which computes its hash once.  A tampered record or a
-        re-declared column misses and is decoded from what storage holds
-        now.  Lookups and fills are one batch each.
+        Every page is read from the heap on every call.  With a ``cache``,
+        memoized under the table's schema fingerprint, a page whose exact
+        image is the one the memo holds for it contributes the rows decoded
+        from that image, with no per-record work.  On any other page each
+        record whose exact stored bytes were decoded before is served from
+        the per-record memo — the same frozen row, which computes its hash
+        once — and only the rest are decoded.  A tampered record or a
+        re-declared column misses both and is decoded from what storage
+        holds now.  Pages are looked up in one batch, a missed page's
+        records in one batch, and every fill is one batch; rows keep their
+        physical order.
         """
         schema = table.schema
         decode = schema.derived(RecordKernel).decode
-        records = [record for _, record in table.heap.scan()]
+        pages = list(table.heap.pages())
         if cache is None:
-            memo: List[Any] = [None] * len(records)
+            held: List[Any] = [None] * len(pages)
         else:
             context = schema_fingerprint(table.name, schema, False)
-            memo = cache.get_many(context, records)
-        found, decoded = [], []
-        for record, row in zip(records, memo):
-            if row is None:
-                try:
-                    row = row_class.from_row(
-                        schema.visible_values(decode(record))
-                    )
-                except Exception:
-                    continue
-                decoded.append((record, row))
-            found.append(row)
-        if cache is not None and decoded:
+            held = cache.get_pages(context, [image for image, _ in pages])
+        missed, decoded = [], []
+        for number, (_, records) in enumerate(pages):
+            if held[number] is not None:
+                continue
+            records = list(records)
+            memo = (
+                [None] * len(records) if cache is None
+                else cache.get_many(context, records)
+            )
+            rows = []
+            for record, row in zip(records, memo):
+                if row is None:
+                    try:
+                        row = row_class.from_row(
+                            schema.visible_values(decode(record))
+                        )
+                    except Exception:
+                        continue
+                    decoded.append((record, row))
+                rows.append(row)
+            held[number] = rows
+            missed.append(number)
+        if cache is not None and missed:
             cache.put_many(context, decoded)
-        return found
+            cache.put_pages(
+                context, ((n, pages[n][0], held[n]) for n in missed)
+            )
+        return [row for rows in held for row in rows]
 
     @classmethod
     def _seek(cls, table: Table, key: int, row_class) -> Any:

@@ -60,7 +60,7 @@ def schema_fingerprint(relation_name: str, schema, is_history: bool) -> str:
     so ``tamper_column_type`` changes the fingerprint), hidden/dropped flags,
     and the primary-key ordinals, whose columns are decoded strictly.  Cache
     entries keyed by this fingerprint — row versions here, the ledger's own
-    entry and block records in
+    entry and block records and pages in
     :meth:`repro.core.database_ledger.DatabaseLedger._scan` — can never alias
     across schema changes.
     """

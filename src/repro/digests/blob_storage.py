@@ -151,20 +151,37 @@ class ImmutableBlobStorage:
         )
 
     def list_blobs(self, container: str, prefix: str = "") -> List[str]:
-        """Names of all blobs in a container, sorted."""
-        container_path = os.path.join(self._root, container)
-        if not os.path.isdir(container_path):
-            return []
-        names = []
-        for dirpath, _, filenames in os.walk(container_path):
-            for filename in filenames:
-                if filename.startswith(_TMP_PREFIX):
-                    continue  # leftover from a crashed upload, never published
-                full = os.path.join(dirpath, filename)
-                name = os.path.relpath(full, container_path).replace(os.sep, "/")
-                if name.startswith(prefix):
+        """Names of the blobs in a container that start with ``prefix``,
+        sorted; ``[]`` for a container that does not exist.
+
+        A name is the blob's path below the container, ``/``-separated.
+        Temp files a crashed upload left (``.tmp-`` names) are not blobs.
+        One ``os.scandir`` per folder, built up from the folder's name, and
+        only folders a name under ``prefix`` can lie in are entered — so
+        listing one incarnation does not read the others.  A symbolic link
+        to a folder is neither entered nor listed.
+        """
+        names: List[str] = []
+        folders = [(os.path.join(self._root, container), "")]
+        while folders:
+            path, under = folders.pop()
+            try:
+                entries = list(os.scandir(path))
+            except OSError:
+                continue  # no such container, or not a folder
+            for entry in entries:
+                name = under + entry.name
+                if entry.is_dir():
+                    if not entry.is_symlink():
+                        folder = name + "/"
+                        if folder.startswith(prefix) or prefix.startswith(folder):
+                            folders.append((entry.path, folder))
+                elif name.startswith(prefix) and not entry.name.startswith(
+                    _TMP_PREFIX
+                ):
                     names.append(name)
-        return sorted(names)
+        names.sort()
+        return names
 
     # -- JSON helpers (digests are JSON documents) --------------------------------
 

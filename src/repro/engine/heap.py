@@ -211,6 +211,18 @@ class HeapFile:
             for slot, record in page.records():
                 yield (page_id, slot), record
 
+    def pages(self) -> Iterator[Tuple[bytes, Iterator[bytes]]]:
+        """Yield, per page in physical order, a copy of its exact 8 KiB
+        image and an iterator over its live records in slot order.
+
+        The records are sliced only when the iterator is consumed, so a
+        caller that recognises an image pays nothing per record; consume
+        each iterator before the heap changes.  The records, taken page by
+        page, are those :meth:`scan` yields.
+        """
+        for page in self._pages:
+            yield bytes(page.buf), (record for _, record in page.records())
+
     def record_count(self) -> int:
         """Live records, from each page's slot accounting: O(pages)."""
         return sum(page.live_count for page in self._pages)

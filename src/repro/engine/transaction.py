@@ -116,13 +116,23 @@ class TransactionManager:
             return list(self._active.values())
 
     def begin(self, username: str = "app_user") -> Transaction:
-        """Start a new transaction and log BEGIN."""
+        """Start a new transaction and log BEGIN.
+
+        The transaction is active before BEGIN is appended, so a checkpoint
+        cannot cut the log between the two; if the append fails it is not
+        active at all.
+        """
         with self._state_lock:
             tid = self._next_tid
             self._next_tid += 1
             txn = Transaction(tid, username, self._clock())
             self._active[tid] = txn
-        self._wal.append(WalRecord(BEGIN, {"tid": tid, "username": username}))
+        try:
+            self._wal.append(WalRecord(BEGIN, {"tid": tid, "username": username}))
+        except BaseException:
+            with self._state_lock:
+                del self._active[tid]
+            raise
         return txn
 
     def commit(self, txn: Transaction) -> Optional[Dict[str, Any]]:

@@ -10,7 +10,8 @@ from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INT, VARCHAR
-from repro.errors import LedgerError
+from repro.errors import InjectedFaultError, LedgerError
+from repro.faults import FAULTS
 
 
 def _open(tmp_path):
@@ -64,6 +65,29 @@ class TestCloseIdempotency:
             t.join()
         assert not errors
         assert db.closed
+
+
+    def test_close_after_a_begin_whose_log_append_failed(self, tmp_path):
+        """A transaction whose BEGIN never reached the log is not left
+        active: close checkpoints (which needs no transaction active) and
+        the reopened database holds nothing of it."""
+        db = _open(tmp_path)
+        FAULTS.arm("wal.append", action="fail", times=1)
+        try:
+            with pytest.raises(InjectedFaultError):
+                db.sql("INSERT INTO t (tag, value) VALUES ('lost', 1)")
+        finally:
+            FAULTS.reset()
+        assert db.engine.active_transactions == []
+        db.sql("INSERT INTO t (tag, value) VALUES ('kept', 2)")
+        db.close()
+        assert db.closed
+        reopened = LedgerDatabase.open(str(tmp_path / "db"), clock=LogicalClock())
+        try:
+            assert [row["tag"] for row in reopened.select("t")] == ["kept"]
+            assert reopened.verify([reopened.generate_digest()]).ok
+        finally:
+            reopened.close()
 
 
 class TestCloseVersusDrain:

@@ -2,8 +2,9 @@
 
 A spy on the heaps of ``database_ledger_transactions`` and
 ``database_ledger_blocks`` counts every full pass (``HeapFile.scan``, which
-``Table.scan`` and an index build both go through) and every record read by
-RowId (``HeapFile.read``).  After one warm-up call each, block close, digest
+``Table.scan`` and an index build both go through, and ``HeapFile.pages``,
+verification's page-by-page read) and every record read by RowId
+(``HeapFile.read``).  After one warm-up call each, block close, digest
 generation, receipts, header ranges and the chain tip make **no** pass over
 either table, closing the tenth 1 000-transaction block reads no more than
 closing the first, and ``recover`` decodes no stored entry twice.  Only
@@ -25,6 +26,7 @@ from repro.core.database_ledger import (
 from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
 from repro.core.verification import capture_snapshot
+from repro.crypto.hashing import LeafHashCache
 from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
@@ -42,17 +44,22 @@ class Spy:
     """Passes over, decoding scans of, and record reads from the system tables."""
 
     def __init__(self, monkeypatch):
-        self.passes = Counter()    # HeapFile.scan: any walk of the whole heap
+        self.passes = Counter()    # HeapFile.scan / .pages: any whole-heap walk
         self.decoding = Counter()  # ...that decodes every record it walks
         self.reads = Counter()     # HeapFile.read: one record by RowId
-        heap_scan, heap_read, table_scan = (
-            HeapFile.scan, HeapFile.read, Table.scan,
+        heap_scan, heap_pages, heap_read, table_scan = (
+            HeapFile.scan, HeapFile.pages, HeapFile.read, Table.scan,
         )
 
         def scan(heap):
             if heap.name in SYSTEM:
                 self.passes[heap.name] += 1
             return heap_scan(heap)
+
+        def pages(heap):
+            if heap.name in SYSTEM:
+                self.passes[heap.name] += 1
+            return heap_pages(heap)
 
         def read(heap, rid):
             if heap.name in SYSTEM:
@@ -74,6 +81,7 @@ class Spy:
             monkeypatch.setattr(DatabaseLedger, name, counted)
 
         monkeypatch.setattr(HeapFile, "scan", scan)
+        monkeypatch.setattr(HeapFile, "pages", pages)
         monkeypatch.setattr(HeapFile, "read", read)
         monkeypatch.setattr(Table, "scan", decoding_scan)
         verification_reader("all_entries", TRANSACTIONS_TABLE)
@@ -219,8 +227,9 @@ class TestOperationalPathsNeverScan:
     def test_warm_cycle_decodes_no_entry_or_block(self, db, spy, monkeypatch):
         """After one warm-up cycle, an incremental cycle still reads each
         system table's heap once but decodes no stored entry or block and
-        hashes no entry: their exact bytes are in the verifier's memo.  New
-        entries and blocks are decoded once each."""
+        hashes no entry: their exact bytes are in the verifier's memo, and
+        with no page changed not one record is looked up there — every page
+        is served whole.  New entries and blocks are decoded once each."""
         commit_rows(db, 0, 30)
         digests = [db.generate_digest()]
         checkpoint = db.verify(digests, build_checkpoint=True).built_checkpoint
@@ -253,10 +262,20 @@ class TestOperationalPathsNeverScan:
         monkeypatch.setattr(entries, "hash_transaction_entry", counting(
             "hash_transaction_entry", entries.hash_transaction_entry
         ))
+        looked_up = Counter()
+        get_many = LeafHashCache.get_many
+
+        def counted_get_many(cache, context, records):
+            looked_up[context.split("|", 1)[0]] += len(records)
+            return get_many(cache, context, records)
+
+        monkeypatch.setattr(LeafHashCache, "get_many", counted_get_many)
         spy.reset()
         cycle()
         assert calls == {}
         assert spy.passes == {TRANSACTIONS_TABLE: 1, BLOCKS_TABLE: 1}
+        assert not looked_up[TRANSACTIONS_TABLE]
+        assert not looked_up[BLOCKS_TABLE]
 
         height = db.ledger.latest_block_id()
         commit_rows(db, 36, 5)

@@ -46,6 +46,7 @@ from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.heap import HeapFile
+from repro.engine.pager import Page
 from repro.engine.record import decode_record
 from repro.engine.schema import IndexDefinition
 from repro.engine.types import INT, SMALLINT
@@ -263,15 +264,45 @@ def test_attack_verdict_after_crash(tmp_path, name):
         db.close()
 
 
-#: Every attack above, plus a re-declared column of each system table: the
+#: Every attack above, plus a re-declared column of each system table (the
 #: stored bytes are the honest ones, so only the schema fingerprint in the
-#: memo's key tells the tampered reading from the cached one.
+#: memo's key tells the tampered reading from the cached one), a
+#: transactions page rolled back to the image the page memo holds, and an
+#: entry erased from its page.
+def _roll_back_entries_page(db, checkpoint):
+    """Replay an old page: three more transactions commit and their entries
+    land on the last transactions page, then that page is put back to the
+    image the warm cycle read — the one the page memo holds — erasing them.
+    An attacker who copied the heap file and writes it back does the same."""
+    heap = db.engine.table(TRANSACTIONS_TABLE).heap
+    last = heap.page_count - 1
+    image = list(heap.pages())[last][0]
+    for i in range(3):
+        run(db, "eve", lambda t, i=i: db.insert(
+            t, "accounts", [[f"e{i}", 200 + i]]))
+    db.pipeline.drain(seal_open=False)
+    db.ledger.flush_queue()
+    assert heap.page_count == last + 1
+    assert list(heap.pages())[last][0] != image
+    heap._pages[last] = Page(last, bytearray(image))
+
+
+def _erase_entry(db, checkpoint):
+    """Erase the newest stored entry straight from its page."""
+    table = db.engine.table(TRANSACTIONS_TABLE)
+    newest = max(e.transaction_id for e in db.ledger.all_entries())
+    rid, _ = table.seek([newest])
+    table.heap.tamper_delete(rid)
+
+
 MEMO_ATTACKS = {
     **ATTACKS,
     "entry_column_type": lambda db, cp: tamper_column_type(
         db, TRANSACTIONS_TABLE, "ordinal", INT),
     "block_column_type": lambda db, cp: tamper_column_type(
         db, BLOCKS_TABLE, "transaction_count", INT),
+    "entries_page_rolled_back": _roll_back_entries_page,
+    "entry_erased": _erase_entry,
 }
 
 

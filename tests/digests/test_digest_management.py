@@ -1,11 +1,13 @@
 """Immutable blob storage and the digest manager (§2.4, §3.6)."""
 
 import datetime as dt
+import os
 
 import pytest
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.digests import DigestManager, GeoReplicaSimulator, ImmutableBlobStorage
+from repro.digests import blob_storage
 from repro.engine.clock import LogicalClock
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INT, VARCHAR
@@ -84,6 +86,115 @@ class TestImmutableBlobStorage:
         storage.put_document("c", "d.json", b'{"k": 1}')
         assert storage.get_document("c", "d.json") == b'{"k": 1}'
         assert storage.get("c", "d.json").startswith(b"SLZ1")
+
+
+def walked_listing(root, container, prefix=""):
+    """``list_blobs`` as an ``os.walk`` and ``os.path.relpath`` over the
+    whole container: the reference the listing must equal."""
+    container_path = os.path.join(root, container)
+    if not os.path.isdir(container_path):
+        return []
+    names = []
+    for dirpath, _, filenames in os.walk(container_path):
+        for filename in filenames:
+            if filename.startswith(".tmp-"):
+                continue
+            full = os.path.join(dirpath, filename)
+            name = os.path.relpath(full, container_path).replace(os.sep, "/")
+            if name.startswith(prefix):
+                names.append(name)
+    return sorted(names)
+
+
+class TestListingEqualsAWalk:
+    PREFIXES = (
+        "", "a", "a/", "a/b", "a/b/", "a/b/c/", "a/b/c/deep.json", "ab",
+        "b/", "top", ".tmp-", "zzz/", "a/b/c/deep.json/",
+    )
+
+    @pytest.fixture
+    def stocked(self, tmp_path, storage):
+        for name in (
+            "top.json", "a/one.json", "a/two.json", "a/b/three.json",
+            "a/b/c/deep.json", "ab/x.json", "b/y.json", ".tmp-dir/kept.json",
+        ):
+            storage.put("c", name, name.encode())
+        container = tmp_path / "blobs" / "c"
+        for leftover in (".tmp-1-0", "a/.tmp-2-0", "a/b/c/.tmp-3-0"):
+            (container / leftover).write_bytes(b"torn")
+        os.makedirs(container / "empty" / "nested")
+        return str(tmp_path / "blobs")
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    def test_names_equal_the_walk(self, stocked, storage, prefix):
+        assert storage.list_blobs("c", prefix) == walked_listing(
+            stocked, "c", prefix
+        )
+
+    def test_leftovers_and_nesting_are_as_stored(self, stocked, storage):
+        assert storage.list_blobs("c") == [
+            ".tmp-dir/kept.json", "a/b/c/deep.json", "a/b/three.json",
+            "a/one.json", "a/two.json", "ab/x.json", "b/y.json", "top.json",
+        ]
+
+    def test_missing_container(self, stocked, storage, tmp_path):
+        (tmp_path / "blobs" / "a_file").write_bytes(b"not a folder")
+        for container in ("missing", "a_file"):
+            for prefix in ("", "a/"):
+                assert storage.list_blobs(container, prefix) == []
+                assert walked_listing(stocked, container, prefix) == []
+
+    def test_a_prefix_enters_only_the_folders_it_can_match(
+        self, stocked, storage, monkeypatch
+    ):
+        entered = []
+        scandir = os.scandir
+
+        def spy(path):
+            entered.append(os.path.relpath(path, os.path.join(stocked, "c")))
+            return scandir(path)
+
+        monkeypatch.setattr(blob_storage.os, "scandir", spy)
+        assert storage.list_blobs("c", "a/b/") == [
+            "a/b/c/deep.json", "a/b/three.json",
+        ]
+        assert sorted(entered) == [".", "a", "a/b", "a/b/c"]
+
+    def test_latest_digest_across_two_incarnations(
+        self, db, storage, tmp_path
+    ):
+        manager = DigestManager(db, storage)
+        for round_ in range(3):
+            work(db, count=5, prefix=f"r{round_}_")
+            manager.upload_digest()
+        db.backup(str(tmp_path / "bak"))
+        restored = LedgerDatabase.restore_backup(
+            str(tmp_path / "bak"), str(tmp_path / "restored"),
+            clock=LogicalClock(start=dt.datetime(2025, 6, 1)),
+        )
+        try:
+            restored_manager = DigestManager(restored, storage)
+            for round_ in range(2):
+                work(restored, count=5, prefix=f"after{round_}_")
+                restored_manager.upload_digest()
+            root = str(tmp_path / "blobs")
+            for folder in manager.incarnations():
+                with open(os.path.join(root, "digests", folder, ".tmp-9-9"),
+                          "wb") as torn:
+                    torn.write(b"{")
+            names = walked_listing(root, "digests")
+            assert storage.list_blobs("digests") == names
+            assert len(restored_manager.incarnations()) == 2
+            for a_manager, a_db in ((manager, db), (restored_manager, restored)):
+                latest = a_manager.latest_digest()
+                own = [
+                    d for d in a_manager.digests()
+                    if d.database_create_time == a_db.database_create_time
+                ]
+                assert latest == own[-1]
+                assert latest.block_id == a_db.ledger.latest_block_id()
+        finally:
+            restored.close()
 
 
 class TestDigestManager:

@@ -287,6 +287,49 @@ class TestHeapFile:
                 del model[rid]
         assert dict(heap.scan()) == model
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "delete", "overwrite"]),
+                st.binary(min_size=1, max_size=900),
+            ),
+            max_size=80,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pages_yield_what_scan_does(self, operations):
+        """Page by page, the page reader yields the records :meth:`scan`
+        yields, in the same order, beside a copy of each page's image."""
+        heap = HeapFile("t")
+        live = []
+        for op, payload in operations:
+            if op == "insert" or not live:
+                live.append(heap.insert(payload))
+            elif op == "delete":
+                heap.delete(live.pop(len(live) // 2))
+            else:
+                heap.overwrite(live[len(live) // 2], payload)
+        pages = list(heap.pages())
+        assert [image for image, _ in pages] == [
+            bytes(page.buf) for page in heap._pages
+        ]
+        assert all(len(image) == PAGE_SIZE for image, _ in pages)
+        assert [r for _, records in pages for r in records] == [
+            record for _, record in heap.scan()
+        ]
+
+    def test_page_images_are_the_stored_bytes_and_copies(self, tmp_path):
+        heap = HeapFile("t")
+        rids = [heap.insert(bytes([i % 251]) * 700) for i in range(30)]
+        heap.delete(rids[3])
+        path = str(tmp_path / "t.heap")
+        heap.flush(path)
+        images = [image for image, _ in heap.pages()]
+        assert len(images) == heap.page_count > 1
+        assert [image for image, _ in HeapFile.load("t", path).pages()] == images
+        heap.tamper_record(rids[0], b"x" * 700)
+        assert images[0] != next(heap.pages())[0]
+
 
 # -- crash-recovery redo: one layout per page ---------------------------------
 
