@@ -27,11 +27,12 @@ commands use a backslash prefix:
                           black-box flight recorder: dumps spans, events and
                           metrics to a JSON bundle on tamper detection,
                           injected faults or builder crashes
-    \\monitor start [sec] [--incremental] [--deep N] [--parallel N] | stop | status
+    \\monitor start [sec] [--deep N] [--parallel N] | stop | status
                           continuous-verification watchdog (default 5s
-                          cadence); --incremental verifies only the delta
+                          cadence); --deep N > 1 verifies only the delta
                           per cycle with a full deep scan every N cycles
-                          (--deep, default 5); --parallel sets worker count
+                          (default 1: every cycle full); --parallel sets
+                          worker count
     \\serve [port]         HTTP observability endpoint (/metrics /healthz
                           /events /ledger /traces); port 0 = ephemeral
     \\events [n]           show the last n structured ledger events (default 20)
@@ -100,9 +101,8 @@ def _print_rows(rows) -> None:
     print(f"({len(rows)} rows)")
 
 
-_MONITOR_USAGE = (
-    "\\monitor start [sec] [--incremental] [--deep N] [--parallel N]"
-)
+_MONITOR_USAGE = "\\monitor start [sec] [--deep N] [--parallel N]"
+_MONITOR_OPTIONS = {"--deep": "deep_scan_every", "--parallel": "parallelism"}
 
 
 class Shell:
@@ -189,23 +189,19 @@ class Shell:
         action = args[0].lower() if args else "status"
         if action == "start":
             options = args[1:]
-            kwargs = {}
-            if "--incremental" in options:
-                kwargs["incremental"] = True
-            for flag, key in (("--deep", "deep_scan_every"),
-                              ("--parallel", "parallelism")):
-                value = _int_option(options, flag, _MONITOR_USAGE)
-                if value is not None:
-                    kwargs[key] = value
             try:
                 interval = 5.0
                 if options and not options[0].startswith("--"):
                     interval = float(options.pop(0))
+                kwargs = {}
+                while options:
+                    flag, value = options.pop(0), options.pop(0)
+                    kwargs[_MONITOR_OPTIONS[flag]] = int(value)
                 monitor = self.db.start_monitor(interval=interval, **kwargs)
-            except ValueError:
+            except (IndexError, KeyError, ValueError):
                 raise ValueError(f"usage: {_MONITOR_USAGE}") from None
             description = f"continuous verification running every {monitor.interval}s"
-            if monitor.incremental:
+            if monitor.deep_scan_every > 1:
                 description += (
                     f" (incremental, deep scan every "
                     f"{monitor.deep_scan_every} cycles)"

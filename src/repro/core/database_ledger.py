@@ -725,51 +725,43 @@ class DatabaseLedger:
         Every page is read from the heap on every call.  With a ``cache``,
         memoized under the table's schema fingerprint, a page whose exact
         image is the one the memo holds for it contributes the rows decoded
-        from that image, with no per-record work.  On any other page each
-        record whose exact stored bytes were decoded before is served from
-        the per-record memo — the same frozen row, which computes its hash
-        once — and only the rest are decoded.  A tampered record or a
-        re-declared column misses both and is decoded from what storage
-        holds now.  Pages are looked up in one batch, a missed page's
-        records in one batch, and every fill is one batch; rows keep their
-        physical order.
+        from that image, with no per-record work.  The memo keeps each
+        page's records beside their rows, so on a changed page every record
+        whose exact stored bytes were on the kept image reuses its row — the
+        same frozen row, which computes its hash once — and only the rest
+        are decoded.  A tampered record or a re-declared column misses and
+        is decoded from what storage holds now.  Rows keep their physical
+        order.
         """
         schema = table.schema
         decode = schema.derived(RecordKernel).decode
         pages = list(table.heap.pages())
         if cache is None:
-            held: List[Any] = [None] * len(pages)
+            kept = [(False, ())] * len(pages)
         else:
             context = schema_fingerprint(table.name, schema, False)
-            held = cache.get_pages(context, [image for image, _ in pages])
-        missed, decoded = [], []
-        for number, (_, records) in enumerate(pages):
-            if held[number] is not None:
-                continue
-            records = list(records)
-            memo = (
-                [None] * len(records) if cache is None
-                else cache.get_many(context, records)
-            )
-            rows = []
-            for record, row in zip(records, memo):
-                if row is None:
-                    try:
-                        row = row_class.from_row(
-                            schema.visible_values(decode(record))
-                        )
-                    except Exception:
-                        continue
-                    decoded.append((record, row))
-                rows.append(row)
-            held[number] = rows
-            missed.append(number)
-        if cache is not None and missed:
-            cache.put_many(context, decoded)
-            cache.put_pages(
-                context, ((n, pages[n][0], held[n]) for n in missed)
-            )
-        return [row for rows in held for row in rows]
+            kept = cache.get_pages(context, [image for image, _ in pages])
+        rows, fills = [], []
+        for number, (image, records) in enumerate(pages):
+            same, pairs = kept[number]
+            if not same:
+                known = dict(pairs)
+                pairs = []
+                for record in records:
+                    row = known.get(record)
+                    if row is None:
+                        try:
+                            row = row_class.from_row(
+                                schema.visible_values(decode(record))
+                            )
+                        except Exception:
+                            continue
+                    pairs.append((record, row))
+                fills.append((number, image, pairs))
+            rows.extend(row for _, row in pairs)
+        if cache is not None and fills:
+            cache.put_pages(context, fills)
+        return rows
 
     @classmethod
     def _seek(cls, table: Table, key: int, row_class) -> Any:

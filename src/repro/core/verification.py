@@ -38,15 +38,16 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   partial results and compares roots.  Every mode and every worker count
   executes the same task code.
 * **Incremental mode** (``mode="incremental"`` + a
-  :class:`repro.core.verify_checkpoint.VerificationCheckpoint` whose
-  block, block hash and ``max_tid`` match the captured chain).  Digest,
-  chain, and block-root invariants still run over every block and entry,
-  each re-read from its heap every cycle, but what they derive is
-  memoized in the leaf-hash cache by exact bytes: an entry or block
-  record by (its table's schema fingerprint, stored bytes) to its decoded
-  row and hash, a block's transactions root by its ordered entry hashes.
-  A warm cycle decodes and hashes only the entries and blocks it has not
-  seen; a tampered one misses and is recomputed.  The row-version
+  :class:`repro.core.verify_snapshot.VerificationCheckpoint` — the
+  in-memory object an earlier passing run returned, never read from a
+  file — whose block, block hash and ``max_tid`` match the captured
+  chain).  Digest, chain, and block-root invariants still run over every
+  block and entry, each re-read from its heap every cycle, but what they
+  derive is memoized in the leaf-hash cache by exact bytes: each system
+  table page by its image, to its records and their decoded rows (which
+  carry their hashes), a block's transactions root by its ordered entry
+  hashes.  A warm cycle decodes and hashes only the entries and blocks it
+  has not seen; a tampered one misses and is recomputed.  The row-version
   invariant runs the same range tasks over a *delta* snapshot: for every
   table the checkpoint covers, only the row versions of transactions
   above its ``max_tid`` (and of still-open ones) are captured and
@@ -84,7 +85,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.digest import DatabaseDigest
-from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.core.verify_parallel import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
@@ -98,6 +98,7 @@ from repro.core.verify_parallel import (
 )
 from repro.core.verify_snapshot import (
     TableSnapshot,
+    VerificationCheckpoint,
     capture_snapshot,
     max_tid_through,
 )
@@ -529,19 +530,34 @@ class LedgerVerifier:
                 events.pop(tid, None)
         return merged
 
+    @staticmethod
+    def _claims_above(entries, floor: Optional[int]) -> Dict[int, List[int]]:
+        """Table id -> the transactions above ``floor`` (every one, if
+        None) whose entries record a root for that table, in entry order.
+
+        One pass over the entries serves every table's reverse check.
+        """
+        claims: Dict[int, List[int]] = {}
+        for tid, entry in entries.items():
+            if floor is not None and tid <= floor:
+                continue
+            for table_id in dict.fromkeys(t for t, _ in entry.table_roots):
+                claims.setdefault(table_id, []).append(tid)
+        return claims
+
     def _check_events_against_entries(
         self, report, snapshot, table: TableSnapshot, events,
-        new_tids_only_above: Optional[int] = None,
+        floor: Optional[int], claimants: Sequence[int],
     ) -> None:
         """Compare per-transaction event roots against ledger entries.
 
-        ``new_tids_only_above`` limits the comparison (and the reverse
-        direction) to transactions above the given id — the incremental
-        path, where older transactions are covered by the leaf count.
+        ``floor`` limits the comparison to transactions above the given
+        id — the incremental path, where older transactions are covered by
+        the leaf count; ``claimants`` are the transactions above it whose
+        entries record a root for this table (:meth:`_claims_above`).
         """
         entries = snapshot.entries
         cutoff_tid = snapshot.cutoff_tid
-        floor = new_tids_only_above
         for tid, leaves in sorted(
             events.items(), key=lambda item: (item[0] is None, item[0] or 0)
         ):
@@ -595,11 +611,7 @@ class LedgerVerifier:
                 )
         # The reverse direction: entries claiming updates this table
         # cannot substantiate.
-        for tid, entry in entries.items():
-            if floor is not None and tid <= floor:
-                continue
-            if entry.root_for_table(table.table_id) is None:
-                continue
+        for tid in claimants:
             if tid not in events:
                 report.findings.append(
                     Finding(
@@ -632,6 +644,7 @@ class LedgerVerifier:
         """
         self._events_by_table = self._collect_events(report, snapshot, pool)
         checkpoint = snapshot.checkpoint
+        claims: Dict[Optional[int], Dict[int, List[int]]] = {}
         for table_index, table in enumerate(snapshot.tables):
             report.tables_verified += 1
             events = self._events_by_table.setdefault(table_index, {})
@@ -656,8 +669,11 @@ class LedgerVerifier:
                         f"the checkpoint recorded {recorded}"
                     )
                     return
+            if floor not in claims:
+                claims[floor] = self._claims_above(snapshot.entries, floor)
             self._check_events_against_entries(
-                report, snapshot, table, events, floor
+                report, snapshot, table, events, floor,
+                claims[floor].get(table.table_id, ()),
             )
 
     # ------------------------------------------------------------------

@@ -15,14 +15,14 @@ expensive work — transcoding every record into its canonical serialization
 and SHA-256 over every row version — happens off-lock (and optionally in
 worker processes, see :mod:`repro.core.verify_parallel`).
 
-Given a usable :class:`~repro.core.verify_checkpoint.VerificationCheckpoint`,
-the relations of every table it covers are captured as a *delta*: only the
-records attributed to a transaction above ``checkpoint.max_tid`` (or to a
-still-open one), found through the table's derived key index on the start
-(base) or end (history) transaction id, re-read by RowId and re-checked,
-plus the relation's live record count from the page headers.  The delta
-costs what the new transactions wrote, not what the table holds; what the
-verifier may conclude from it is stated in :mod:`repro.core.verification`.
+Given a usable :class:`VerificationCheckpoint`, the relations of every
+table it covers are captured as a *delta*: only the records attributed to a
+transaction above ``checkpoint.max_tid`` (or to a still-open one), found
+through the table's derived key index on the start (base) or end (history)
+transaction id, re-read by RowId and re-checked, plus the relation's live
+record count from the page headers.  The delta costs what the new
+transactions wrote, not what the table holds; what the verifier may
+conclude from it is stated in :mod:`repro.core.verification`.
 
 ``record_events`` is the single routine that turns one stored record into
 its verification events; every range task reaches it, in-process or in a
@@ -41,7 +41,6 @@ from typing import (
 from repro.core import system_columns as sc
 from repro.core.entries import BlockRow, TransactionEntry
 from repro.core.ledger_view import history_table_of, view_definition
-from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.crypto.hashing import LeafHashCache, hash_leaf
 from repro.engine.record import RecordKernel, hashable_payload
 from repro.errors import LedgerError, StorageError
@@ -216,6 +215,30 @@ def _delta_relation(
     records = [(page_id, slot, found[page_id, slot])
                for page_id, slot in sorted(found)]
     return _relation(table, is_history, records, heap.record_count())
+
+
+@dataclass
+class VerificationCheckpoint:
+    """Where a passing verification run left off: exactly what the next
+    incremental cycle checks (:func:`_usable_checkpoint`) or counts against.
+
+    An object this process built from a passing run
+    (``report.built_checkpoint``) and hands to the next
+    ``db.verify(mode="incremental", checkpoint=...)``; it is never stored.
+    Any caller may pass one, so every field is checked before use.
+    """
+
+    database_guid: str
+    #: Last closed block the passing run covered; its id and recomputed
+    #: chained hash are checked against the chain the next cycle captures.
+    block_id: int
+    block_hash: bytes
+    #: Highest transaction id in blocks <= block_id, recomputed by the next
+    #: cycle from the same entries.
+    max_tid: int
+    #: Ledger table id -> row-version leaves at or below ``max_tid`` (a
+    #: fixed set, see :func:`record_events`), which the next cycle counts.
+    tables: Dict[int, int] = field(default_factory=dict)
 
 
 def max_tid_through(

@@ -86,15 +86,15 @@ class LeafHashCache:
 
     Verification recomputes every hash from storage on every run; for a
     continuously-running monitor the same unchanged records are re-decoded
-    and re-hashed each cycle.  This cache memoizes four derivations so warm
-    runs skip the decode and the hashing:
+    and re-hashed each cycle.  This cache memoizes three derivations so
+    warm runs skip the decode and the hashing:
 
     * a user relation's row version, or an index copy of one → its leaf
       events;
-    * a stored ``database_ledger_transactions`` / ``database_ledger_blocks``
-      record → its decoded entry or block row (which carries its hash);
     * a block's ordered entry hashes → its transactions Merkle root;
-    * a whole page of one of those two tables → the rows it decodes to.
+    * a whole page of ``database_ledger_transactions`` /
+      ``database_ledger_blocks`` → each of its records paired with the
+      entry or block row it decodes to (which carries its hash).
 
     A range of records costs one :meth:`get_many` and one :meth:`put_many`,
     each under one lock acquisition; :meth:`get` / :meth:`put` are the
@@ -117,9 +117,11 @@ class LeafHashCache:
     exact image and the value derived from all of it.  A lookup hits only
     when the page's image is byte for byte the one kept, so the value is
     what deriving from that image again would give; a page changed in any
-    way since — a record added, erased or rewritten — misses.  Memory is
-    at most one image per page.  A page hit counts one hit per item of the
-    value it serves (per row).
+    way since — a record added, erased or rewritten — misses, and gets
+    the value kept for its page number back only as a hint the caller
+    re-checks.  Memory is at most one image (and its value) per page.  A
+    page hit counts one hit per item of the value it serves, a page miss
+    one miss.
 
     The cache value is opaque to this module.  ``hits`` / ``misses``
     counters are plain attributes; the verifier mirrors their deltas into
@@ -134,7 +136,7 @@ class LeafHashCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._data: "OrderedDict[Tuple[str, bytes], Any]" = OrderedDict()
-        #: (context, page number) -> (image, rows derived from it).
+        #: (context, page number) -> (image, value derived from it).
         self._pages: Dict[Tuple[str, int], Tuple[bytes, Sequence[Any]]] = {}
 
     def __len__(self) -> int:
@@ -174,29 +176,31 @@ class LeafHashCache:
 
     def get_pages(
         self, context: str, images: Sequence[bytes]
-    ) -> List[Optional[Sequence[Any]]]:
-        """The rows kept for each page whose image is the one kept for its
-        page number, else None; one lock acquisition."""
-        values: List[Optional[Sequence[Any]]] = []
+    ) -> List[Tuple[bool, Sequence[Any]]]:
+        """For each page, whether its image is the one kept for its page
+        number, and the value kept for that page number (empty if none);
+        one lock acquisition."""
+        values: List[Tuple[bool, Sequence[Any]]] = []
         with self._lock:
             pages = self._pages
             for number, image in enumerate(images):
-                held = pages.get((context, number))
-                if held is not None and held[0] == image:
-                    self.hits += len(held[1])
-                    values.append(held[1])
+                kept, value = pages.get((context, number), (None, ()))
+                if kept == image:
+                    self.hits += len(value)
+                    values.append((True, value))
                 else:
-                    values.append(None)
+                    self.misses += 1
+                    values.append((False, value))
         return values
 
     def put_pages(
         self, context: str, items: Iterable[Tuple[int, bytes, Sequence[Any]]]
     ) -> None:
-        """Keep ``(page number, image, rows)`` for each page, replacing the
-        image kept for that page number; one lock acquisition."""
+        """Keep ``(page number, image, value)`` for each page, replacing
+        the image kept for that page number; one lock acquisition."""
         with self._lock:
-            for number, image, rows in items:
-                self._pages[(context, number)] = (image, rows)
+            for number, image, value in items:
+                self._pages[(context, number)] = (image, value)
 
     def get(self, context: str, record: bytes) -> Optional[Any]:
         """Return the cached value for ``(context, record)``, or ``None``."""

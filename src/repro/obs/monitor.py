@@ -24,12 +24,15 @@ capture.  All invariant checking runs off-snapshot, so SQL sessions commit
 freely while a cycle is mid-verification — the lock-narrowing that makes a
 continuous watchdog compatible with heavy traffic.
 
-With ``incremental=True`` the monitor persists a
-:class:`repro.core.verify_checkpoint.VerificationCheckpoint` after each
-passing cycle and verifies only the delta on subsequent cycles; every
-``deep_scan_every``-th cycle runs the full-prefix scan regardless, so the
-checkpoint bounds detection latency without ever becoming a trust root.
-``parallelism`` fans full scans out over verification worker processes.
+With ``deep_scan_every=N > 1`` the monitor keeps the
+:class:`repro.core.verify_snapshot.VerificationCheckpoint` its last passing
+cycle built — in memory, never in a file anyone else can write — and
+verifies only the delta on the next cycles; every ``N``-th cycle runs the
+full-prefix scan regardless, so the checkpoint bounds detection latency
+without ever becoming a trust root.  A freshly started monitor has no
+checkpoint, and a failing cycle drops it, so the next cycle is full.  ``deep_scan_every=1`` (the
+default) runs every cycle full.  ``parallelism`` fans full scans out over
+verification worker processes.
 """
 
 from __future__ import annotations
@@ -39,10 +42,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.verify_checkpoint import (
-    VerificationCheckpoint,
-    default_checkpoint_path,
-)
+from repro.core.verify_snapshot import VerificationCheckpoint
 from repro.errors import DigestError, ReplicationLagError
 from repro.faults import FAULTS
 from repro.obs import OBS
@@ -89,10 +89,8 @@ class ContinuousVerifier:
         db,
         interval: float = 5.0,
         digest_func: Optional[Callable[[], Any]] = None,
-        incremental: bool = False,
-        deep_scan_every: int = 5,
+        deep_scan_every: int = 1,
         parallelism: int = 1,
-        checkpoint_path: Optional[str] = None,
     ) -> None:
         # NaN fails both comparisons; past TIMEOUT_MAX (inf included) the
         # thread's first wait raises.
@@ -101,18 +99,24 @@ class ContinuousVerifier:
                 f"monitor interval must be > 0 and at most "
                 f"{threading.TIMEOUT_MAX:.0f} seconds, not {interval!r}"
             )
+        for name, value in (("deep_scan_every", deep_scan_every),
+                            ("parallelism", parallelism)):
+            if not value >= 1:  # NaN fails it too
+                raise ValueError(
+                    f"monitor {name} must be at least 1, not {value!r}"
+                )
         self._db = db
         self._m = OBS.metrics.handles("monitor", _monitor_metrics)
         self.interval = interval
         self._digest_func = digest_func
-        self.incremental = incremental
-        self.deep_scan_every = max(1, deep_scan_every)
-        self.parallelism = max(1, parallelism)
-        self.checkpoint_path = checkpoint_path or default_checkpoint_path(db)
+        self.deep_scan_every = deep_scan_every
+        self.parallelism = parallelism
+        #: What the last passing cycle built, dropped by a failing one;
+        #: held by this object only.
+        self._checkpoint: Optional[VerificationCheckpoint] = None
         self._cycles_since_deep_scan = 0
         self.deep_scans = 0
         self.last_mode = "none"
-        self.checkpoint_block = -1
         self._trusted: List[Any] = []
         self._known_drops: Optional[set] = None
         self._thread: Optional[threading.Thread] = None
@@ -217,16 +221,14 @@ class ContinuousVerifier:
     def _select_mode(self) -> str:
         """Incremental when allowed, full on the deep-scan cadence.
 
-        The very first cycle (no checkpoint yet) and every
-        ``deep_scan_every``-th cycle run the full-prefix scan, so tampering
-        of already-verified history is caught within a bounded number of
-        cycles even if it survived the incremental cycle's chained-hash checks
-        and leaf counts (a same-count rewrite of old rows, or a forged
-        checkpoint's leaf counts).
+        A cycle with no checkpoint yet and every ``deep_scan_every``-th
+        cycle run the full-prefix scan, so tampering of already-verified
+        history is caught within a bounded number of cycles even if it
+        survived the incremental cycle's chained-hash checks and leaf
+        counts (a same-count rewrite of old rows).
         """
-        if not self.incremental:
-            return "full"
-        if self._cycles_since_deep_scan >= self.deep_scan_every - 1:
+        if (self._checkpoint is None
+                or self._cycles_since_deep_scan >= self.deep_scan_every - 1):
             return "full"
         return "incremental"
 
@@ -244,31 +246,28 @@ class ContinuousVerifier:
         findings: List[str] = []
         details: Dict[str, Any] = {}
         if self._trusted:
-            mode = self._select_mode()
-            checkpoint = None
-            if mode == "incremental":
-                checkpoint = VerificationCheckpoint.load(self.checkpoint_path)
             report = self._db.verify(
                 self._trusted,
                 parallelism=self.parallelism,
-                mode=mode,
-                checkpoint=checkpoint,
-                build_checkpoint=self.incremental,
+                mode=self._select_mode(),
+                checkpoint=self._checkpoint,
+                build_checkpoint=self.deep_scan_every > 1,
             )
             self.last_mode = report.mode
-            if report.mode == "full" and self.incremental:
+            if report.mode == "full":
                 self.deep_scans += 1
                 self._cycles_since_deep_scan = 0
             else:
                 self._cycles_since_deep_scan += 1
             if report.ok:
-                if self.incremental and report.built_checkpoint is not None:
-                    report.built_checkpoint.save(self.checkpoint_path)
-                    self.checkpoint_block = report.built_checkpoint.block_id
+                self._checkpoint = report.built_checkpoint or self._checkpoint
                 self.verified_through_block = max(
                     d.block_id for d in self._trusted
                 )
             else:
+                # Until a full scan passes again, no cycle may treat the
+                # tampered state as verified prefix.
+                self._checkpoint = None
                 findings = [str(f) for f in report.errors]
                 details = {"source": "verification", "findings": findings[:10]}
         drops = self._check_table_drops()
@@ -347,6 +346,11 @@ class ContinuousVerifier:
         self._m.verification_lag.set(self.verification_lag)
 
     @property
+    def checkpoint_block(self) -> int:
+        """Last block the held checkpoint covers; -1 with none."""
+        return -1 if self._checkpoint is None else self._checkpoint.block_id
+
+    @property
     def verification_lag(self) -> int:
         """Closed blocks beyond the last block a passing run covered."""
         if self.block_height < 0:
@@ -373,7 +377,6 @@ class ContinuousVerifier:
             "last_findings": self.last_findings,
             "last_cycle_seconds": self.last_cycle_seconds,
             "last_error": self.last_error,
-            "incremental": self.incremental,
             "deep_scan_every": self.deep_scan_every,
             "parallelism": self.parallelism,
             "last_mode": self.last_mode,

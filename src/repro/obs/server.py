@@ -255,7 +255,7 @@ class ObservabilityServer:
             body["verification_lag"] = monitor.verification_lag
             body["last_verdict"] = monitor.last_verdict
             body["verification_mode"] = monitor.last_mode
-            if monitor.incremental:
+            if monitor.deep_scan_every > 1:
                 body["deep_scan_every"] = monitor.deep_scan_every
                 body["deep_scans"] = monitor.deep_scans
                 body["checkpoint_block"] = monitor.checkpoint_block

@@ -112,6 +112,25 @@ def commit_rows(db, start, count):
     ]
 
 
+def warm_then_three_commits(db):
+    """A full cycle and a warm-up incremental one, then three commits and
+    a digest: (digests, the warm-up's checkpoint, the block height before
+    the three commits)."""
+    commit_rows(db, 0, 30)
+    digests = [db.generate_digest()]
+    checkpoint = db.verify(digests, build_checkpoint=True).built_checkpoint
+    commit_rows(db, 30, 6)
+    digests.append(db.generate_digest())
+    checkpoint = db.verify(
+        digests, mode="incremental", checkpoint=checkpoint,
+        build_checkpoint=True,
+    ).built_checkpoint
+    height = db.ledger.latest_block_id()
+    commit_rows(db, 36, 3)
+    digests.append(db.generate_digest())
+    return digests, checkpoint, height
+
+
 class TestOperationalPathsNeverScan:
     @pytest.fixture
     def db(self, tmp_path):
@@ -284,6 +303,62 @@ class TestOperationalPathsNeverScan:
         cycle()
         assert calls["TransactionEntry"] == 5
         assert calls["BlockRow"] == db.ledger.latest_block_id() - height
+
+    def test_cycle_after_commits_looks_up_no_system_record(
+        self, db, monkeypatch
+    ):
+        """Three commits and a block close change the tail page of both
+        system tables.  The page memo keeps each record beside its row, so
+        every record still on a changed page reuses its row: no system
+        record is looked up in the per-record memo, and only the new
+        entries and blocks are decoded."""
+        digests, checkpoint, height = warm_then_three_commits(db)
+        closed = db.ledger.latest_block_id()
+
+        decoded, looked_up = Counter(), Counter()
+        for row_class in (TransactionEntry, BlockRow):
+            def counted(cls, row, from_row=row_class.from_row.__func__):
+                decoded[cls.__name__] += 1
+                return from_row(cls, row)
+            monkeypatch.setattr(row_class, "from_row", classmethod(counted))
+        get_many = LeafHashCache.get_many
+
+        def counted_get_many(cache, context, records):
+            looked_up[context.split("|", 1)[0]] += len(records)
+            return get_many(cache, context, records)
+
+        monkeypatch.setattr(LeafHashCache, "get_many", counted_get_many)
+        report = db.verify(digests, mode="incremental", checkpoint=checkpoint)
+        assert report.ok and report.mode == "incremental", report.summary()
+        assert not looked_up[TRANSACTIONS_TABLE]
+        assert not looked_up[BLOCKS_TABLE]
+        assert decoded == {
+            "TransactionEntry": 3,
+            "BlockRow": closed - height,
+        }
+
+    def test_warm_cycle_looks_up_each_new_root_once(self, db, monkeypatch):
+        """The reverse root check — entries recording a root that no row
+        versions back — reads the entries above the checkpoint once per
+        run, not once per ledger table: a warm incremental cycle after 3
+        commits looks up each new entry's root once, for the one table it
+        wrote, however many ledger tables there are."""
+        for name in ("spare1", "spare2"):
+            db.create_ledger_table(accounts_schema(name))
+        digests, checkpoint, _ = warm_then_three_commits(db)
+
+        calls = Counter()
+        root_for_table = TransactionEntry.root_for_table
+
+        def counted(entry, table_id):
+            calls[table_id] += 1
+            return root_for_table(entry, table_id)
+
+        monkeypatch.setattr(TransactionEntry, "root_for_table", counted)
+        report = db.verify(digests, mode="incremental", checkpoint=checkpoint)
+        assert report.ok and report.mode == "incremental", report.summary()
+        assert len(db.ledger_tables()) >= 3
+        assert calls == {db.engine.table("accounts").table_id: 3}
 
     def test_truncation_finds_the_prefix_by_key(self, db, spy):
         commit_rows(db, 0, 30)

@@ -42,7 +42,6 @@ from repro.core.database_ledger import BLOCKS_TABLE, TRANSACTIONS_TABLE
 from repro.core.ledger_database import HISTORY_SUFFIX, LedgerDatabase
 from repro.core.ledger_view import history_table_of
 from repro.core.verification import leaf_cache
-from repro.core.verify_checkpoint import VerificationCheckpoint
 from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.heap import HeapFile
@@ -375,12 +374,11 @@ def test_escalation_reruns_a_fresh_full_snapshot(tmp_path):
 
 
 def test_forged_max_tid_falls_back_to_a_full_scan(tmp_path):
-    """A checkpoint forged by someone who can write its file: ``max_tid``
-    past every transaction, so the whole delta reads as old prefix, each
-    leaf count what storage holds, so the count agrees, and the unkeyed
-    integrity hash recomputed.  ``max_tid`` is checked against the chain,
-    so the cycle runs full and fails on the row tampered after the real
-    checkpoint."""
+    """A checkpoint forged by a caller of ``db.verify``: ``max_tid`` past
+    every transaction, so the whole delta reads as old prefix, and each
+    leaf count what storage holds, so the count agrees.  ``max_tid`` is
+    checked against the chain, so the cycle runs full and fails on the row
+    tampered after the real checkpoint."""
     db, checkpoint, digests = build(str(tmp_path / "db"))
     try:
         ATTACKS["rewrite_history_post"](db, checkpoint)
@@ -392,10 +390,9 @@ def test_forged_max_tid_falls_back_to_a_full_scan(tmp_path):
                 2 * history.row_count() if history is not None else 0
             )
         newest = max(e.transaction_id for e in db.ledger.all_entries())
-        forged = VerificationCheckpoint.from_json(dataclasses.replace(
+        forged = dataclasses.replace(
             checkpoint, max_tid=newest + 1000, tables=counts,
-        ).to_json())
-        assert forged is not None and forged.max_tid == newest + 1000
+        )
         report = incremental(db, forged, digests)
         assert report.mode == "full"
         assert f"checkpoint transaction {newest + 1000}" in (
@@ -424,10 +421,6 @@ class TestBuiltCheckpoint:
                 assert report.ok and report.mode == "incremental"
                 full = db.verify(digests, build_checkpoint=True)
                 assert report.built_checkpoint == full.built_checkpoint
-                assert (
-                    report.built_checkpoint.to_json()
-                    == full.built_checkpoint.to_json()
-                )
                 checkpoint = report.built_checkpoint
                 run(db, "erin", lambda t, r=round_: db.update(
                     t, "accounts", {"balance": 50 + r}, eq("name", f"d{r}")))

@@ -5,11 +5,12 @@ chained block hashes, block roots and every entry are still re-checked
 every cycle; the row versions of new transactions are re-hashed and their
 roots compared; the rest of each table is counted — records the delta did
 not locate, from the page headers — against the checkpoint's leaf count.
-The checkpoint file carries an integrity hash, its recorded block hash and
-``max_tid`` are cross-checked against storage, and any inconsistency falls
-back to — or escalates into — a full scan.  Tampering that an incremental
-cycle defers (same-count rewrites of pre-checkpoint rows, index edits)
-must be caught by the deep-scan cadence.  What the delta reads, and that
+The checkpoint is an object this process built from a passing run, never
+a file; its recorded block hash and ``max_tid`` are still cross-checked
+against storage, and any inconsistency falls back to — or escalates into
+— a full scan.  Tampering that an incremental cycle defers (same-count
+rewrites of pre-checkpoint rows, index edits) must be caught by the
+deep-scan cadence.  What the delta reads, and that
 every attack gets the verdict it got before the delta existed, is pinned
 in ``test_verify_delta.py``.
 """
@@ -29,11 +30,6 @@ from repro.attacks import (
     tamper_view_definition,
 )
 from repro.core.verification import LedgerVerifier
-from repro.core.verify_checkpoint import (
-    CHECKPOINT_FILENAME,
-    VerificationCheckpoint,
-    default_checkpoint_path,
-)
 from repro.crypto.hashing import sha256, to_hex
 from repro.engine.expressions import eq
 from repro.engine.schema import IndexDefinition
@@ -51,35 +47,6 @@ def seeded(db, accounts):
     run(db, "bob", lambda t: db.update(
         t, "accounts", {"balance": 1}, eq("name", "u0")))
     return db.generate_digest()
-
-
-#: A checkpoint file as version 1 wrote it: a Merkle frontier root and
-#: hasher state per table beside the leaf count.
-V1_CHECKPOINT = """{
-  "checkpoint": {
-    "block_hash": "db7f6695f682bd884540ea855a17110025eb5779334430f45ce1edb25397b885",
-    "block_id": 1,
-    "database_guid": "625bb769-aec5-4b54-9936-35df77308f28",
-    "max_tid": 12,
-    "tables": {
-      "10": {
-        "frontier_root": "66a22ad6f8124d5a7d9bc08cd28c9725aab65935771deaeb25a7c8894aa497b6",
-        "leaf_count": 3,
-        "state": {
-          "leaf_count": 3,
-          "pending": [
-            "f2fe988a6adb41e069afac3e0aed5484855fb5c1e7cef5eb1c37ecc2dc93e459",
-            "200ab5f7da5292d80cdbfdc8acf358b227ae95537c3a8753ef6c8c93e0386ca5"
-          ]
-        },
-        "table_id": 10,
-        "table_name": "accounts"
-      }
-    },
-    "version": 1
-  },
-  "integrity": "0xffef655b64ae385c1dc83b8d8376ba7f27bbae2b2aa08f4a4facf4d029c5ace5"
-}"""
 
 
 def build_checkpoint(db, digests):
@@ -127,77 +94,6 @@ class TestCheckpointLifecycle:
         report = db.verify([seeded], build_checkpoint=True)
         assert not report.ok
         assert report.built_checkpoint is None
-
-    def test_file_roundtrip(self, db, seeded, tmp_path):
-        checkpoint = build_checkpoint(db, [seeded])
-        path = str(tmp_path / CHECKPOINT_FILENAME)
-        checkpoint.save(path)
-        loaded = VerificationCheckpoint.load(path)
-        assert loaded is not None
-        assert loaded.to_json() == checkpoint.to_json()
-        assert loaded.block_hash == checkpoint.block_hash
-        assert set(loaded.tables) == set(checkpoint.tables)
-        assert loaded == checkpoint
-        # The file holds what the next cycle checks, and nothing else.
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)["checkpoint"]
-        assert set(payload) == {
-            "version", "database_guid", "block_id", "block_hash", "max_tid",
-            "tables",
-        }
-        assert payload["version"] == 2
-        assert payload["tables"] == {
-            str(table_id): count
-            for table_id, count in checkpoint.tables.items()
-        }
-
-    def test_version_1_file_runs_full(self, db, seeded, tmp_path):
-        """A file in the format that also stored Merkle frontiers, with a
-        valid integrity hash, is not a checkpoint: the cycle runs full."""
-        wrapper = json.loads(V1_CHECKPOINT)
-        canonical = json.dumps(
-            wrapper["checkpoint"], sort_keys=True, separators=(",", ":")
-        )
-        assert wrapper["integrity"] == to_hex(sha256(canonical.encode()))
-        path = str(tmp_path / CHECKPOINT_FILENAME)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(V1_CHECKPOINT)
-        assert VerificationCheckpoint.load(path) is None
-        report = db.verify(
-            [seeded], mode="incremental",
-            checkpoint=VerificationCheckpoint.load(path),
-        )
-        assert report.ok and report.mode == "full"
-        assert report.fallback_reason == "no checkpoint available"
-        monitor = ContinuousVerifier(
-            db, interval=999.0, incremental=True, deep_scan_every=5,
-            checkpoint_path=path,
-        )
-        assert monitor.run_cycle() == "passed"
-        assert monitor.last_mode == "full"
-        assert VerificationCheckpoint.load(path) is not None
-
-    def test_tampered_file_rejected(self, db, seeded, tmp_path):
-        checkpoint = build_checkpoint(db, [seeded])
-        path = str(tmp_path / CHECKPOINT_FILENAME)
-        checkpoint.save(path)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        doctored = text.replace(
-            f'"max_tid": {checkpoint.max_tid}',
-            f'"max_tid": {checkpoint.max_tid + 5}',
-        )
-        assert doctored != text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doctored)
-        assert VerificationCheckpoint.load(path) is None
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = str(tmp_path / CHECKPOINT_FILENAME)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not json{{{")
-        assert VerificationCheckpoint.load(path) is None
-        assert VerificationCheckpoint.load(str(tmp_path / "absent")) is None
 
 
 class TestIncrementalCycles:
@@ -369,22 +265,13 @@ class TestIncrementalMonitor:
         kwargs.setdefault("interval", 999.0)
         return ContinuousVerifier(db, **kwargs)
 
-    def test_default_checkpoint_path_under_database(self, db):
-        path = default_checkpoint_path(db)
-        assert path.endswith(CHECKPOINT_FILENAME)
-        assert path.startswith(db.engine.path)
-
-    def test_deep_scan_cadence(self, db, seeded, tmp_path):
-        monitor = self.quiet(
-            db, incremental=True, deep_scan_every=3,
-            checkpoint_path=str(tmp_path / "cp.json"),
-        )
-        # Cycle 1: no checkpoint file yet -> falls back to a full scan
-        # and persists the first checkpoint.
+    def test_deep_scan_cadence(self, db, seeded):
+        monitor = self.quiet(db, deep_scan_every=3)
+        # Cycle 1: no checkpoint yet -> a full scan, which builds the first
+        # checkpoint and keeps it in memory.
         assert monitor.run_cycle() == "passed"
         assert monitor.last_mode == "full"
         assert monitor.deep_scans == 1
-        assert os.path.exists(monitor.checkpoint_path)
         assert monitor.checkpoint_block >= 0
         # Cycles 2-3 ride the checkpoint.
         assert monitor.run_cycle() == "passed"
@@ -396,15 +283,20 @@ class TestIncrementalMonitor:
         assert monitor.last_mode == "full"
         assert monitor.deep_scans == 2
         status = monitor.status()
-        assert status["incremental"] is True
+        assert "incremental" not in status
         assert status["deep_scan_every"] == 3
         assert status["last_mode"] == "full"
 
-    def test_checkpoint_advances_with_commits(self, db, seeded, tmp_path):
-        monitor = self.quiet(
-            db, incremental=True, deep_scan_every=10,
-            checkpoint_path=str(tmp_path / "cp.json"),
-        )
+    def test_every_cycle_is_full_by_default(self, db, seeded):
+        monitor = self.quiet(db)
+        assert monitor.deep_scan_every == 1
+        for _ in range(3):
+            assert monitor.run_cycle() == "passed"
+            assert monitor.last_mode == "full"
+        assert monitor.checkpoint_block == -1
+
+    def test_checkpoint_advances_with_commits(self, db, seeded):
+        monitor = self.quiet(db, deep_scan_every=10)
         assert monitor.run_cycle() == "passed"
         first = monitor.checkpoint_block
         commit_delta(db, 0, count=6)
@@ -412,12 +304,8 @@ class TestIncrementalMonitor:
         assert monitor.last_mode == "incremental"
         assert monitor.checkpoint_block > first
 
-    def test_deep_scan_catches_deferred_rewrite(self, db, seeded, accounts,
-                                                tmp_path):
-        monitor = self.quiet(
-            db, incremental=True, deep_scan_every=2,
-            checkpoint_path=str(tmp_path / "cp.json"),
-        )
+    def test_deep_scan_catches_deferred_rewrite(self, db, seeded, accounts):
+        monitor = self.quiet(db, deep_scan_every=2)
         assert monitor.run_cycle() == "passed"  # deep, builds checkpoint
         rewrite_row_value(accounts, lambda r: r["name"] == "u4",
                           "balance", 31337)
@@ -425,17 +313,57 @@ class TestIncrementalMonitor:
         assert "failed" in outcomes, outcomes
         assert not monitor.healthy
 
-    def test_corrupt_checkpoint_file_forces_full_cycle(self, db, seeded,
-                                                       tmp_path):
-        monitor = self.quiet(
-            db, incremental=True, deep_scan_every=5,
-            checkpoint_path=str(tmp_path / "cp.json"),
-        )
+    def test_failed_cycle_drops_the_checkpoint(self, db, seeded, accounts):
+        """Once a deep scan fails, the next cycle must not resume from the
+        checkpoint built before the tampering: an incremental cycle would
+        count the rewritten row as verified prefix and turn the monitor
+        healthy again."""
+        monitor = self.quiet(db, deep_scan_every=3)
         assert monitor.run_cycle() == "passed"
-        with open(monitor.checkpoint_path, "w", encoding="utf-8") as fh:
-            fh.write('{"checkpoint": {}, "integrity": "0xdead"}')
+        rewrite_row_value(accounts, lambda r: r["name"] == "u4",
+                          "balance", 31337)
+        for _ in range(2):  # deferred to the deep scan
+            assert monitor.run_cycle() == "passed"
+            assert monitor.last_mode == "incremental"
+        assert monitor.run_cycle() == "failed"
+        assert monitor.checkpoint_block == -1
+        assert monitor.run_cycle() == "failed"
+        assert monitor.last_mode == "full"
+        assert not monitor.healthy
+
+    def test_planted_checkpoint_file_is_not_read(self, db, seeded,
+                                                 accounts):
+        """Someone who can write the database directory closes the block
+        past the monitor's checkpoint and plants an honest checkpoint of
+        it where, and as, monitors used to keep theirs: format 2 with its
+        unkeyed integrity hash.  A monitor that read it would treat the
+        three new transactions as verified prefix and pass a rewrite of
+        one of their rows; this one compares their roots."""
+        monitor = self.quiet(db, deep_scan_every=5)
         assert monitor.run_cycle() == "passed"
         assert monitor.last_mode == "full"
+        later = commit_delta(db, 0)  # closes the block the forger names
+        forged = build_checkpoint(db, [seeded, later])
+        assert forged.block_id > monitor.checkpoint_block
+        payload = {
+            "version": 2,
+            "database_guid": forged.database_guid,
+            "block_id": forged.block_id,
+            "block_hash": forged.block_hash.hex(),
+            "max_tid": forged.max_tid,
+            "tables": {str(k): v for k, v in sorted(forged.tables.items())},
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        planted = os.path.join(db.engine.path, "verify_checkpoint.json")
+        with open(planted, "w", encoding="utf-8") as fh:
+            json.dump({"checkpoint": payload,
+                       "integrity": to_hex(sha256(canonical.encode()))}, fh)
+        rewrite_row_value(accounts, lambda r: r["name"] == "delta1",
+                          "balance", 666)
+        assert monitor.run_cycle() == "failed"
+        assert monitor.last_mode == "incremental"
+        assert any(f.startswith("[table_root/error]")
+                   for f in monitor.last_findings), monitor.last_findings
 
     def test_commits_proceed_while_cycle_verifies(
         self, db, seeded, monkeypatch

@@ -342,6 +342,16 @@ class TestCadence:
             db.start_monitor(interval=interval)
         assert db.monitor is None
 
+    @pytest.mark.parametrize("knob", ["deep_scan_every", "parallelism"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_counts_must_be_at_least_one(self, db, knob, value):  # noqa: F811
+        # Both were clamped to 1 without a word.
+        with pytest.raises(ValueError, match=knob):
+            ContinuousVerifier(db, interval=999.0, **{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            db.start_monitor(interval=999.0, **{knob: value})
+        assert db.monitor is None
+
 
 # ---------------------------------------------------------------------------
 # Live thread: detection latency against a running monitor

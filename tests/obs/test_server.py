@@ -218,6 +218,20 @@ class TestLedgerEndpoint:
             assert payload["verified_through_block"] == payload["block_height"]
             assert payload["verification_lag"] == 0
             assert payload["last_verdict"] == "passed"
+            assert "deep_scans" not in payload  # every cycle is full
+        finally:
+            db.stop_monitor()
+
+    def test_ledger_summary_shows_the_deep_scan_cadence(
+        self, db, seeded, server
+    ):  # noqa: F811
+        monitor = db.start_monitor(interval=999.0, deep_scan_every=3)
+        try:
+            monitor.wait_for(lambda: monitor.cycles >= 1)
+            payload = json.loads(get(server.url + "/ledger")[2])
+            assert payload["deep_scan_every"] == 3
+            assert payload["deep_scans"] == 1
+            assert payload["checkpoint_block"] == monitor.checkpoint_block >= 0
         finally:
             db.stop_monitor()
 

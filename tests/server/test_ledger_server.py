@@ -520,7 +520,7 @@ class TestTamperDetected:
     ):
         client.insert("items", [[f"t{i}", i] for i in range(5)])
         monitor = server_db.start_monitor(
-            interval=999.0, incremental=True
+            interval=999.0, deep_scan_every=5
         )
         try:
             assert monitor.wait_for(lambda: monitor.last_verdict == "passed")

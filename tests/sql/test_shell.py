@@ -56,6 +56,9 @@ class TestOneShotCli:
         "\\monitor start nan",
         "\\monitor start 0",
         "\\monitor start inf",
+        "\\monitor start 60 --deep 0",
+        "\\monitor start 60 --parallel -1",
+        "\\monitor start 60 --incremental",
         "\\trace --txn",
         "\\trace --txn x",
     ])
