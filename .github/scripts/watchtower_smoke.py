@@ -11,9 +11,9 @@ Usage::
 
     PYTHONPATH=src python .github/scripts/watchtower_smoke.py [events.jsonl]
 
-The structured event log is written to the given path (default
-``watchtower-events.jsonl``) so CI can upload it as an artifact when the
-drill fails.
+When the drill ends, passed or failed, the event ring is written as JSONL
+to the given path (default ``watchtower-events.jsonl``) so CI can upload it
+as an artifact when the drill fails.
 """
 
 import json
@@ -46,9 +46,13 @@ def check(condition, label):
         raise SystemExit(f"watchtower smoke failed: {label}")
 
 
-def main():
-    OBS.enable()
-    OBS.events.attach_file(EVENTS_PATH)
+def write_events(path):
+    with open(path, "w", encoding="utf-8") as handle:
+        for event in OBS.events.read():
+            handle.write(json.dumps(event.to_dict(), default=str) + "\n")
+
+
+def drill():
     db = LedgerDatabase.open(
         tempfile.mkdtemp(prefix="watchtower-smoke-") + "/db", block_size=4
     )
@@ -117,6 +121,14 @@ def main():
     ledger_server.stop()
     db.close()
     print("watchtower smoke passed")
+
+
+def main():
+    OBS.enable()
+    try:
+        drill()
+    finally:
+        write_events(EVENTS_PATH)
 
 
 if __name__ == "__main__":

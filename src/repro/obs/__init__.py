@@ -8,18 +8,20 @@ benchmark's boundary tracer (``bench/trace.py``) and read from the owners'
 This package is what a running ledger shows an operator:
 
 * :mod:`repro.obs.metrics` — thread-safe counters, gauges and fixed-bucket
-  histograms with Prometheus text exposition and JSON snapshot/delta export.
+  histograms with Prometheus text exposition and a JSON snapshot.
   The registry holds only the families a test, shell command, endpoint or
   CI script reads (DESIGN.md § Telemetry lists them); a number an owner's
   ``stats()`` already serves is not counted a second time;
 * :mod:`repro.obs.tracing` — nested spans with a ring-buffer recorder, and
   the commit lineage reassembled from the ``tid`` / ``block_id`` the spans
   carry;
-* :mod:`repro.obs.events` — structured, append-only event log covering the
-  ledger lifecycle (blocks, digests, verification, tampering), feeding the
-  watchtower monitor (:mod:`repro.obs.monitor`) and the HTTP endpoint
-  (:mod:`repro.obs.server`).  The monitor and server are imported lazily by
-  their consumers — not here — to keep this package import-cycle free.
+* :mod:`repro.obs.events` — structured event ring covering the ledger
+  lifecycle (blocks, digests, verification, tampering), feeding the
+  watchtower monitor (:mod:`repro.obs.monitor`), the HTTP endpoint
+  (:mod:`repro.obs.server`) and the flight recorder
+  (:mod:`repro.obs.flight`), whose bundles are the only telemetry written
+  to disk.  The monitor, server and recorder are imported lazily by their
+  consumers — not here — to keep this package import-cycle free.
 
 All hang off one process-wide :class:`Telemetry` instance, :data:`OBS`
 (mirroring the Prometheus client's default registry).  It starts
@@ -46,7 +48,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricFamily,
     MetricsRegistry,
-    Timer,
 )
 from repro.obs.tracing import (
     RingBufferRecorder,
@@ -70,7 +71,6 @@ __all__ = [
     "Span",
     "SpanNode",
     "Telemetry",
-    "Timer",
     "Tracer",
     "build_commit_lineage",
     "build_span_trees",
@@ -90,15 +90,10 @@ class Telemetry:
     def enabled(self) -> bool:
         return self.metrics.enabled or self.tracer.enabled or self.events.enabled
 
-    def enable(
-        self, metrics: bool = True, tracing: bool = True, events: bool = True
-    ) -> None:
-        if metrics:
-            self.metrics.enable()
-        if tracing:
-            self.tracer.enable()
-        if events:
-            self.events.enable()
+    def enable(self) -> None:
+        self.metrics.enable()
+        self.tracer.enable()
+        self.events.enable()
 
     def disable(self) -> None:
         self.metrics.disable()

@@ -32,6 +32,8 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.obs import OBS
+
 #: Event names that trip an automatic dump.
 TRIGGER_EVENTS = frozenset(
     {
@@ -54,12 +56,7 @@ BUNDLE_SCHEMA_VERSION = 3
 class FlightRecorder:
     """Dumps spans + events + metrics to a bundle on trigger events."""
 
-    def __init__(self, directory: str, telemetry=None) -> None:
-        if telemetry is None:
-            from repro.obs import OBS
-
-            telemetry = OBS
-        self._obs = telemetry
+    def __init__(self, directory: str) -> None:
         self.directory = directory
         self._installed = False
         self._dump_lock = threading.Lock()
@@ -84,14 +81,14 @@ class FlightRecorder:
         """
         os.makedirs(self.directory, exist_ok=True)
         if not self._installed:
-            self._obs.events.enable()
-            self._obs.events.add_listener(self._on_event)
+            OBS.events.enable()
+            OBS.events.add_listener(self._on_event)
             self._installed = True
         return self
 
     def uninstall(self) -> None:
         if self._installed:
-            self._obs.events.remove_listener(self._on_event)
+            OBS.events.remove_listener(self._on_event)
             self._installed = False
 
     def status(self) -> Dict[str, Any]:
@@ -138,13 +135,13 @@ class FlightRecorder:
         self.last_bundle = path
         self.last_reason = reason
         # Not in TRIGGER_EVENTS, so this can never recurse into a dump.
-        self._obs.events.emit(
+        OBS.events.emit(
             "monitor", "flight.dumped", reason=reason, path=path
         )
         return path
 
     def _build_bundle(self, reason: str, trigger) -> Dict[str, Any]:
-        tracer = self._obs.tracer
+        tracer = OBS.tracer
         finished: List[Dict[str, Any]] = [
             span.to_dict() for span in tracer.recorder.spans()
         ]
@@ -165,8 +162,8 @@ class FlightRecorder:
             "trigger": trigger.to_dict() if trigger is not None else None,
             "spans": finished,
             "active_spans": active,
-            "events": [e.to_dict() for e in self._obs.events.tail(EVENT_TAIL)],
-            "metrics": self._obs.metrics.snapshot(),
+            "events": [e.to_dict() for e in OBS.events.tail(EVENT_TAIL)],
+            "metrics": OBS.metrics.snapshot(),
         }
 
     def _bundle_path(self, reason: str, ts: float) -> str:

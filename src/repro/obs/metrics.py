@@ -8,16 +8,14 @@ what this reproduction needs:
   :meth:`~MetricsRegistry.counter`, :meth:`~MetricsRegistry.gauge` and
   :meth:`~MetricsRegistry.histogram`.  A family with label names hands out
   labeled children via :meth:`~MetricFamily.labels`; a family without label
-  names is used directly.
+  names is used directly.  Gauges take no labels and are only ``set``.
 * Every value mutation is guarded by a cheap ``enabled`` check so that
   instrumentation sprinkled across the hot paths costs a single attribute
   load and branch when telemetry is off — the zero-cost-when-disabled
   contract the DML latency budget (Fig. 8) depends on.
 * Export comes in two shapes: Prometheus text exposition
-  (:meth:`~MetricsRegistry.exposition`) for humans and scrapers, and JSON
-  snapshot / delta (:meth:`~MetricsRegistry.snapshot`,
-  :meth:`~MetricsRegistry.delta`) for the benchmark harness, which brackets
-  an experiment with two snapshots and reports the difference.
+  (:meth:`~MetricsRegistry.exposition`) for humans and scrapers, and a JSON
+  snapshot (:meth:`~MetricsRegistry.snapshot`) that flight bundles carry.
 
 Metric families are registered once (module import time, typically) and are
 process-lived; :meth:`~MetricsRegistry.reset` zeroes the values without
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from typing import (
     Any,
     Callable,
@@ -122,12 +119,6 @@ class GaugeChild(_Child):
         with self._lock:
             self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -161,10 +152,6 @@ class HistogramChild(_Child):
                     return
             self._counts[-1] += 1
 
-    def time(self) -> "Timer":
-        """Context manager observing its wall-clock duration on exit."""
-        return Timer(self)
-
     @property
     def count(self) -> int:
         return self._count
@@ -189,30 +176,6 @@ class HistogramChild(_Child):
             self._counts = [0] * (len(self._buckets) + 1)
             self._sum = 0.0
             self._count = 0
-
-
-class Timer:
-    """Times a ``with`` block and observes the duration into a histogram.
-
-    The elapsed seconds stay available as :attr:`elapsed`, so callers that
-    also need the raw number (the benchmark harness) read the *same*
-    measurement the histogram recorded — the two cannot drift apart.
-    """
-
-    __slots__ = ("_histogram", "_start", "elapsed")
-
-    def __init__(self, histogram: HistogramChild) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        self._histogram.observe(self.elapsed)
 
 
 class MetricFamily:
@@ -280,9 +243,6 @@ class MetricFamily:
 
     def observe(self, value: float) -> None:
         self._sole_child().observe(value)
-
-    def time(self) -> Timer:
-        return self._sole_child().time()
 
     @property
     def value(self) -> float:
@@ -367,10 +327,8 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._register(name, COUNTER, help_text, labelnames)
 
-    def gauge(
-        self, name: str, help_text: str = "", labelnames: Iterable[str] = ()
-    ) -> MetricFamily:
-        return self._register(name, GAUGE, help_text, labelnames)
+    def gauge(self, name: str, help_text: str = "") -> MetricFamily:
+        return self._register(name, GAUGE, help_text, ())
 
     def histogram(
         self,
@@ -445,7 +403,7 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     # ------------------------------------------------------------------
-    # JSON snapshot / delta
+    # JSON snapshot
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -475,61 +433,3 @@ class MetricsRegistry:
                 "samples": samples,
             }
         return result
-
-    def delta(self, previous: Dict[str, Any]) -> Dict[str, Any]:
-        """Difference between the current state and an earlier snapshot.
-
-        Counters and histogram counts/sums subtract; gauges report their
-        current value (a gauge has no meaningful difference).  Samples whose
-        delta is all-zero are dropped, so the result shows exactly what an
-        experiment did.
-        """
-        current = self.snapshot()
-        result: Dict[str, Any] = {}
-        for name, data in current.items():
-            prev_samples = {
-                _labels_key(s["labels"]): s
-                for s in previous.get(name, {}).get("samples", [])
-            }
-            out_samples = []
-            for sample in data["samples"]:
-                before = prev_samples.get(_labels_key(sample["labels"]))
-                if data["type"] == GAUGE:
-                    if sample["value"] != 0:
-                        out_samples.append(dict(sample))
-                    continue
-                if data["type"] == HISTOGRAM:
-                    prev_count = before["count"] if before else 0
-                    prev_sum = before["sum"] if before else 0.0
-                    prev_buckets = before["buckets"] if before else {}
-                    count = sample["count"] - prev_count
-                    if count == 0:
-                        continue
-                    out_samples.append(
-                        {
-                            "labels": sample["labels"],
-                            "count": count,
-                            "sum": sample["sum"] - prev_sum,
-                            "buckets": {
-                                le: c - prev_buckets.get(le, 0)
-                                for le, c in sample["buckets"].items()
-                            },
-                        }
-                    )
-                    continue
-                prev_value = before["value"] if before else 0.0
-                value = sample["value"] - prev_value
-                if value == 0:
-                    continue
-                out_samples.append({"labels": sample["labels"], "value": value})
-            if out_samples:
-                result[name] = {
-                    "type": data["type"],
-                    "help": data["help"],
-                    "samples": out_samples,
-                }
-        return result
-
-
-def _labels_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted(labels.items()))

@@ -63,12 +63,10 @@ class ObservabilityServer:
     def __init__(
         self,
         db=None,
-        event_log=None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self._db = db
-        self._event_log = event_log if event_log is not None else OBS.events
         self.host = host
         self.port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -183,7 +181,7 @@ class ObservabilityServer:
         limit = _query_int(query, "limit", 256)
         if limit < 0:
             raise _BadRequest(f"invalid limit {limit}: must not be negative")
-        events = self._event_log.read(
+        events = OBS.events.read(
             since=since,
             category=_query_value(query, "category"),
             name=_query_value(query, "name"),

@@ -4,9 +4,10 @@ Each ``run_*`` function measures one experiment and returns structured
 results; ``format_*`` renders them in the same rows/series the paper
 reports: Figures 7–9, the §4.1 blockchain comparison and the Merkle,
 block-size and receipt ablations.  ``python -m repro.workloads.harness
-all`` regenerates the tables in EXPERIMENTS.md; ``--telemetry`` adds each
-experiment's per-phase breakdown.  Performance claims are measured with
-``bench/`` (see ``BENCHMARK.json``), not here.
+all`` regenerates the tables in EXPERIMENTS.md; ``--telemetry`` prints the
+metric registry's exposition after each experiment, counted from zero for
+that experiment.  Performance claims are measured with ``bench/`` (see
+``BENCHMARK.json``), not here.
 
 Absolute numbers are not comparable to the paper's 72-core SQL Server — the
 substrate here is a pure-Python engine — but the *shape* is: who wins, by
@@ -20,17 +21,11 @@ import gc
 import statistics
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.obs import OBS
-
-_ROUND_SECONDS = OBS.metrics.histogram(
-    "harness_round_seconds",
-    "Wall time of one measured harness round, by experiment",
-    ("experiment",),
-)
 
 
 def _fresh_db(block_size: int = 100_000) -> LedgerDatabase:
@@ -42,68 +37,16 @@ def _fresh_db(block_size: int = 100_000) -> LedgerDatabase:
 
 
 def _median_rate(build: Callable[[], object], run: Callable[[object], int],
-                 rounds: int = 3, experiment: str = "unnamed") -> float:
-    """Median operations/second over ``rounds`` fresh-state measurements.
-
-    Each measured round is timed through the telemetry histogram
-    ``harness_round_seconds`` (the :class:`~repro.obs.metrics.Timer` exposes
-    the same measurement it records), so per-phase breakdowns and reported
-    rates come from one clock.
-    """
+                 rounds: int = 3) -> float:
+    """Median operations/second over ``rounds`` fresh-state measurements."""
     rates = []
-    histogram = _ROUND_SECONDS.labels(experiment)
-    for round_index in range(rounds):
+    for _ in range(rounds):
         subject = build()
         gc.collect()
-        with histogram.time() as timer:
-            operations = run(subject)
-        rates.append(operations / timer.elapsed)
-        OBS.events.emit(
-            "harness", "harness.round",
-            experiment=experiment, round=round_index,
-            operations=operations, seconds=timer.elapsed,
-            rate=operations / timer.elapsed,
-        )
+        started = time.perf_counter()
+        operations = run(subject)
+        rates.append(operations / (time.perf_counter() - started))
     return statistics.median(rates)
-
-
-def measure_with_breakdown(fn: Callable[[], Any]) -> Tuple[Any, Dict[str, Any]]:
-    """Run ``fn`` bracketed by registry snapshots; return (result, delta).
-
-    The delta is the JSON-friendly diff of every counter/histogram the run
-    moved — the per-phase breakdown (rows hashed, Merkle nodes, WAL bytes,
-    commit/fsync latency sums...) for exactly that experiment.
-    """
-    before = OBS.metrics.snapshot()
-    result = fn()
-    return result, OBS.metrics.delta(before)
-
-
-def format_breakdown(delta: Dict[str, Any], indent: str = "  ") -> str:
-    """Render the pipeline-phase counters of one experiment's registry delta."""
-    lines = ["per-phase telemetry breakdown:"]
-    for name in sorted(delta):
-        family = delta[name]
-        for sample in family.get("samples", []):
-            labels = sample.get("labels") or {}
-            suffix = (
-                "{" + ",".join(f"{k}={v}" for k, v in labels.items()) + "}"
-                if labels else ""
-            )
-            if family["type"] == "histogram":
-                count, total = sample["count"], sample["sum"]
-                if not count:
-                    continue
-                lines.append(
-                    f"{indent}{name}{suffix}: n={count} "
-                    f"sum={total * 1000:.2f}ms "
-                    f"mean={total / count * 1e6:.1f}µs"
-                )
-            else:
-                value = sample["value"]
-                rendered = int(value) if float(value).is_integer() else value
-                lines.append(f"{indent}{name}{suffix}: {rendered}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +87,9 @@ def run_fig7(
     ):
         ledger_tps = _median_rate(
             builder(True), lambda w, n=transactions: (w.run(n), n)[1], rounds,
-            experiment=f"fig7.{name}.ledger",
         )
         regular_tps = _median_rate(
             builder(False), lambda w, n=transactions: (w.run(n), n)[1], rounds,
-            experiment=f"fig7.{name}.regular",
         )
         results[name] = {
             "ledger_tps": ledger_tps,
@@ -217,10 +158,7 @@ def run_fig8(
                 ("INSERT", run_inserts), ("UPDATE", run_updates),
                 ("DELETE", run_deletes),
             ):
-                rate = _median_rate(
-                    build, runner, rounds,
-                    experiment=f"fig8.{mode}.{operation}.idx{index_count}",
-                )
+                rate = _median_rate(build, runner, rounds)
                 results[(operation, index_count, mode)] = 1e6 / rate  # µs/op
     return results
 
@@ -555,19 +493,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--telemetry", action="store_true",
-        help="enable metrics and print a per-phase breakdown per experiment",
-    )
-    parser.add_argument(
-        "--events-out", metavar="PATH", default=None,
-        help="append structured ledger events (harness.round, block.closed, "
-             "...) as JSONL to PATH",
+        help="enable metrics and print the registry after each experiment",
     )
     args = parser.parse_args(argv)
-    if args.events_out:
-        OBS.events.attach_file(args.events_out)
-        OBS.events.enable()
     if args.telemetry:
-        OBS.enable(metrics=True, tracing=False)
+        OBS.metrics.enable()
     selected = args.experiments or ["all"]
     unknown = [e for e in selected if e not in _EXPERIMENTS and e != "all"]
     if unknown:
@@ -576,11 +506,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in chosen:
         print()
         if args.telemetry:
-            text, delta = measure_with_breakdown(_EXPERIMENTS[name])
-            print(text)
-            print(format_breakdown(delta))
-        else:
-            print(_EXPERIMENTS[name]())
+            OBS.metrics.reset()
+        print(_EXPERIMENTS[name]())
+        if args.telemetry:
+            print(OBS.metrics.exposition(), end="")
     return 0
 
 

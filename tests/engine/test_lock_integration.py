@@ -96,7 +96,7 @@ class TestConflictTelemetry:
         from repro.obs import OBS
 
         OBS.reset()
-        OBS.enable(metrics=True, events=True, tracing=False)
+        OBS.enable()
         try:
             manager = LockManager()
             manager.acquire(1, 5, LockMode.EXCLUSIVE)
@@ -124,7 +124,7 @@ class TestConflictTelemetry:
         from repro.obs import OBS
 
         OBS.reset()
-        OBS.enable(metrics=True, events=True, tracing=False)
+        OBS.enable()
         try:
             manager = LockManager()
             manager.acquire(1, 5, LockMode.SHARED)

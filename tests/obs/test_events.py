@@ -1,21 +1,30 @@
-"""Event-log unit tests: schema, filters, persistence, rotation, concurrency."""
+"""Event-log unit tests: schema, filters, ring bounds, listeners, concurrency."""
 
 import json
 import threading
 
-import pytest
-
 from repro.obs import OBS
 from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventLog
+from repro.obs.flight import FlightRecorder, read_bundle
+
+
+def dumped_events(tmp_path):
+    """The event tail of a fresh flight bundle: how events leave the process."""
+    recorder = FlightRecorder(str(tmp_path / "bundles")).install()
+    try:
+        return read_bundle(recorder.dump(reason="manual"))["events"]
+    finally:
+        recorder.uninstall()
 
 
 class TestEventRecord:
     def test_roundtrip(self):
+        # to_dict is the shape /events and flight bundles serialize.
         event = Event(
             seq=7, ts=1722800000.5, category="ledger", name="block.closed",
             payload={"block_id": 3, "transactions": 12},
         )
-        again = Event.from_dict(json.loads(json.dumps(event.to_dict())))
+        again = Event(**json.loads(json.dumps(event.to_dict())))
         assert again == event
         assert again.schema == EVENT_SCHEMA_VERSION
 
@@ -38,6 +47,7 @@ class TestEventLog:
         first = log.emit("a", "x")
         second = log.emit("a", "y")
         assert (first.seq, second.seq) == (0, 1)
+        assert first.schema == EVENT_SCHEMA_VERSION
 
     def test_read_filters(self):
         log = EventLog(enabled=True)
@@ -62,15 +72,18 @@ class TestEventLog:
             log.emit("a", "x", i=i)
         assert [e.payload["i"] for e in log.read()] == [6, 7, 8, 9]
 
-    def test_file_persistence_and_readback(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog(capacity=2, enabled=True)  # tiny ring: disk must serve
-        log.attach_file(path)
+    def test_tail_of_zero_is_empty(self):
+        log = EventLog(enabled=True)
+        log.emit("a", "x")
+        assert log.tail(0) == []
+        assert log.tail(-1) == []
+
+    def test_file_persistence_and_readback(self, tmp_path, telemetry):
         for i in range(8):
-            log.emit("a", "x", i=i)
-        assert [e.payload["i"] for e in log.read()] == list(range(8))
-        with open(path, encoding="utf-8") as fh:
-            assert len(fh.readlines()) == 8
+            telemetry.events.emit("a", "x", i=i)
+        events = [e for e in dumped_events(tmp_path) if e["name"] == "x"]
+        assert [e["payload"]["i"] for e in events] == list(range(8))
+        assert [Event(**e) for e in events] == telemetry.events.read(name="x")
 
     def test_reset_restarts_sequence(self):
         log = EventLog(enabled=True)
@@ -78,67 +91,79 @@ class TestEventLog:
         log.reset()
         assert log.emit("a", "y").seq == 0
 
-    def test_nonserializable_payload_degrades_to_str(self, tmp_path):
+    def test_nonserializable_payload_degrades_to_str(self, tmp_path, telemetry):
+        telemetry.events.emit("a", "x", anchor=b"\x01\x02")
+        (kept,) = telemetry.events.read(name="x")
+        assert kept.payload["anchor"] == b"\x01\x02"  # the ring keeps the object
+        (event,) = [e for e in dumped_events(tmp_path) if e["name"] == "x"]
+        assert event["payload"]["anchor"] == str(b"\x01\x02")
+
+
+class TestListeners:
+    def test_listener_runs_after_the_lock_is_released(self):
         log = EventLog(enabled=True)
-        log.attach_file(str(tmp_path / "events.jsonl"))
-        log.emit("a", "x", anchor=b"\x01\x02")
-        (event,) = log.read()
-        assert "\\x01" in event.payload["anchor"] or "1" in event.payload["anchor"]
+        seen = []
+        log.add_listener(lambda event: seen.append((event.seq, len(log.read()))))
+        # A listener called under the log's lock would deadlock on read().
+        emitter = threading.Thread(target=lambda: log.emit("a", "x"), daemon=True)
+        emitter.start()
+        emitter.join(timeout=5)
+        assert not emitter.is_alive()
+        assert seen == [(0, 1)]
+
+    def test_failing_listener_does_not_break_the_emitter(self):
+        log = EventLog(enabled=True)
+        seen = []
+
+        def broken(event):
+            raise RuntimeError("sink is down")
+
+        log.add_listener(broken)
+        log.add_listener(seen.append)
+        event = log.emit("a", "x")
+        assert event is not None
+        assert seen == [event]
+
+    def test_listener_is_added_once_and_removable(self):
+        log = EventLog(enabled=True)
+        seen = []
+        log.add_listener(seen.append)
+        log.add_listener(seen.append)
+        log.emit("a", "x")
+        log.remove_listener(seen.append)
+        log.remove_listener(seen.append)  # removing twice is harmless
+        log.emit("a", "y")
+        assert [e.name for e in seen] == ["x"]
+
+    def test_disabled_log_calls_no_listener(self):
+        log = EventLog()
+        seen = []
+        log.add_listener(seen.append)
+        log.emit("a", "x")
+        assert seen == []
 
 
 class TestRotation:
-    def test_rotation_produces_segments(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog(capacity=4, enabled=True)
-        log.attach_file(path, max_bytes=256, max_segments=4)
-        for i in range(40):
-            log.emit("a", "x", i=i)
-        assert log.rotations > 0
-        assert len(log.segment_paths()) > 1
+    """Once the ring is full, every emit rotates its oldest event out."""
 
-    def test_oldest_segment_is_discarded(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog(enabled=True)
-        log.attach_file(path, max_bytes=128, max_segments=2)
-        for i in range(200):
-            log.emit("a", "x", i=i)
-        assert len(log.segment_paths()) <= 3  # live + at most 2 rotated
-        # The retained trail is the *newest* suffix of the sequence.
-        seqs = [e.seq for e in log.read()]
-        assert seqs == sorted(seqs)
-        assert seqs[-1] == 199
+    def test_seq_is_contiguous_across_every_rotation_boundary(self):
+        capacity, total = 4, 120
+        log = EventLog(capacity=capacity, enabled=True)
+        for seq in range(total):
+            log.emit("a", "x", i=seq)
+            kept = [e.seq for e in log.read()]
+            oldest = max(0, seq - capacity + 1)
+            assert kept == list(range(oldest, seq + 1))
+        assert [e.payload["i"] for e in log.read()] == list(
+            range(total - capacity, total)
+        )
 
-    def test_seq_is_contiguous_across_every_rotation_boundary(self, tmp_path):
-        """Read each rotated segment file separately: within a segment seqs
-        are consecutive, and the first seq of each segment continues exactly
-        where the previous (older) segment stopped — no event is lost or
-        duplicated at the cut."""
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog(capacity=4, enabled=True)
-        log.attach_file(path, max_bytes=600, max_segments=64)
-        total = 120
-        for i in range(total):
-            log.emit("a", "x", i=i)
-        assert log.rotations >= 2  # the boundary case needs real boundaries
 
-        per_segment = []
-        for segment in log.segment_paths():  # oldest first
-            with open(segment, encoding="utf-8") as fh:
-                seqs = [json.loads(line)["seq"] for line in fh]
-            if not seqs:  # a rotation can leave the live file momentarily empty
-                continue
-            assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
-            per_segment.append(seqs)
-        stitched = [seq for seqs in per_segment for seq in seqs]
-        assert stitched == list(range(total))
-
-    def test_concurrent_emitters_across_rotated_segments(self, tmp_path):
-        """N threads x M events -> exactly N*M records, strictly increasing
-        seq, reassembled in order across rotated segments."""
+class TestConcurrency:
+    def test_concurrent_emitters_get_gap_free_sequence(self):
+        """N threads x M events -> exactly N*M records with seq 0..N*M-1."""
         threads_n, events_m = 8, 50
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog(capacity=16, enabled=True)  # ring far too small
-        log.attach_file(path, max_bytes=2048, max_segments=64)
+        log = EventLog(capacity=threads_n * events_m + 16, enabled=True)
         barrier = threading.Barrier(threads_n)
 
         def worker(worker_id: int) -> None:
@@ -155,9 +180,7 @@ class TestRotation:
             t.join()
 
         events = log.read()
-        assert len(events) == threads_n * events_m
         assert [e.seq for e in events] == list(range(threads_n * events_m))
-        assert log.rotations > 0
         # Per-thread emission order survives the global interleaving.
         for worker_id in range(threads_n):
             ours = [e.payload["i"] for e in events
@@ -170,6 +193,17 @@ class TestTelemetryIntegration:
         assert telemetry.events.enabled
         telemetry.events.emit("a", "x")
         assert len(telemetry.events.read()) == 1
+
+    def test_enable_and_disable_switch_every_pillar(self):
+        OBS.enable()
+        try:
+            assert OBS.metrics.enabled and OBS.tracer.enabled
+            assert OBS.events.enabled and OBS.enabled
+        finally:
+            OBS.disable()
+            OBS.reset()
+        assert not (OBS.metrics.enabled or OBS.tracer.enabled)
+        assert not OBS.enabled
 
     def test_disable_covers_events(self):
         OBS.enable()

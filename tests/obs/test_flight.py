@@ -14,15 +14,15 @@ from repro.obs.flight import (
 )
 
 
-def armed_recorder(tmp_path, telemetry):
-    recorder = FlightRecorder(str(tmp_path / "bundles"), telemetry=telemetry)
+def armed_recorder(tmp_path):
+    recorder = FlightRecorder(str(tmp_path / "bundles"))
     recorder.install()
     return recorder
 
 
 class TestManualDump:
     def test_dump_writes_readable_bundle(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         with telemetry.tracer.span("work", table="t"):
             pass
         telemetry.events.emit("ledger", "block.closed", block_id=1)
@@ -37,7 +37,7 @@ class TestManualDump:
         recorder.uninstall()
 
     def test_bundle_is_valid_json_on_disk(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         path = recorder.dump(reason="manual")
         with open(path, encoding="utf-8") as handle:
             json.load(handle)  # no torn/partial file
@@ -45,7 +45,7 @@ class TestManualDump:
         recorder.uninstall()
 
     def test_in_flight_spans_are_flagged(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         with telemetry.tracer.span("long.running"):
             path = recorder.dump(reason="manual")
         bundle = read_bundle(path)
@@ -56,7 +56,7 @@ class TestManualDump:
         recorder.uninstall()
 
     def test_status_tracks_dumps(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         assert recorder.status()["dumps"] == 0
         recorder.dump(reason="manual")
         status = recorder.status()
@@ -69,7 +69,7 @@ class TestManualDump:
 
 class TestTriggers:
     def test_tamper_event_trips_a_dump(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         telemetry.events.emit(
             "tamper", "tamper.detected", table="accounts", block_id=3
         )
@@ -80,7 +80,7 @@ class TestTriggers:
         recorder.uninstall()
 
     def test_armed_fault_trips_a_dump(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         FAULTS.reset()
         FAULTS.register("flight.test_point", "test-only point")
         FAULTS.arm("flight.test_point", action="fail")
@@ -96,9 +96,9 @@ class TestTriggers:
         recorder.uninstall()
 
     def test_ordinary_events_do_not_dump(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         telemetry.events.emit("ledger", "block.closed", block_id=1)
-        telemetry.events.emit("harness", "harness.round", round=0)
+        telemetry.events.emit("digest", "digest.generated", block_id=1)
         assert recorder.dumps == 0
         assert list_bundles(recorder.directory) == []
         recorder.uninstall()
@@ -106,13 +106,13 @@ class TestTriggers:
     def test_dump_event_is_not_a_trigger(self, tmp_path, telemetry):
         # flight.dumped must never recurse into another dump.
         assert "flight.dumped" not in TRIGGER_EVENTS
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         telemetry.events.emit("tamper", "tamper.detected")
         assert recorder.dumps == 1  # exactly one, not a cascade
         recorder.uninstall()
 
     def test_event_tail_is_bounded(self, tmp_path, telemetry):
-        recorder = armed_recorder(tmp_path, telemetry)
+        recorder = armed_recorder(tmp_path)
         for i in range(EVENT_TAIL + 50):
             telemetry.events.emit("ledger", "block.closed", i=i)
         path = recorder.dump(reason="manual")

@@ -154,7 +154,6 @@ READ_FAMILIES = {
     "monitor_cycles_total",
     "monitor_verification_lag_blocks",
     "ledger_block_height",
-    "harness_round_seconds",
 }
 
 
@@ -167,6 +166,7 @@ RETIRED_FAMILIES = set("""
     digest_uploads_total engine_checkpoint_bytes_total
     engine_checkpoint_compression_ratio engine_checkpoint_seconds
     engine_checkpoints_total group_commit_members_total
+    harness_round_seconds
     group_commit_seconds group_commit_size group_commits_total
     ledger_block_close_seconds ledger_block_transactions
     ledger_blocks_sealed_total ledger_entries_enqueued_total
@@ -197,7 +197,6 @@ class TestMetricCensus:
     def test_every_owner_registers_only_read_families(
         self, db, telemetry, tmp_path
     ):
-        import repro.workloads.harness  # noqa: F401 - registers its timer
         from repro.digests.blob_storage import ImmutableBlobStorage
         from repro.digests.digest_manager import DigestManager
         from repro.engine.locks import LockManager, LockMode

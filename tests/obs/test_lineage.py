@@ -336,7 +336,7 @@ class TestConsumers:
 
 class TestFlightBundle:
     def test_bundle_reassembles_a_commit_lineage(self, db, tmp_path, telemetry):
-        recorder = FlightRecorder(str(tmp_path / "bundles"), telemetry=telemetry)
+        recorder = FlightRecorder(str(tmp_path / "bundles"))
         recorder.install()
         try:
             db.sql("INSERT INTO t (id, v) VALUES (1, 'x')")

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, exposition, deltas."""
+"""The metrics registry: counters, gauges, histograms, exposition, snapshots."""
 
 import json
 import math
@@ -67,12 +67,18 @@ class TestCounters:
 
 
 class TestGauges:
-    def test_set_inc_dec(self, registry):
+    def test_set_replaces_value(self, registry):
         gauge = registry.gauge("depth", "queue depth")
         gauge.set(10)
-        gauge.inc(2)
-        gauge.inc(-5)
+        gauge.set(7)
         assert gauge.value == 7
+
+    def test_gauge_exposes_one_unlabelled_sample(self, registry):
+        registry.gauge("depth", "queue depth").set(3)
+        assert "depth 3\n" in registry.exposition()
+        assert registry.snapshot()["depth"]["samples"] == [
+            {"labels": {}, "value": 3}
+        ]
 
 
 class TestConcurrency:
@@ -130,14 +136,6 @@ class TestHistograms:
         assert DEFAULT_LATENCY_BUCKETS[0] < 0.001
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
 
-    def test_timer_observes_and_exposes_elapsed(self, registry):
-        histogram = registry.histogram("lat_seconds", "lat")
-        with histogram.time() as timer:
-            pass
-        assert timer.elapsed >= 0
-        assert histogram.count == 1
-        assert histogram.sum == pytest.approx(timer.elapsed)
-
 
 class TestExposition:
     def test_golden_output(self, registry):
@@ -175,32 +173,24 @@ class TestExposition:
 
 
 class TestSnapshotDelta:
+    """Per-interval counts come from reset() between snapshots, not from
+    subtracting one snapshot from another."""
+
     def test_snapshot_is_json_serializable(self, registry):
         registry.counter("ops_total", "ops").inc(2)
         registry.histogram("lat_seconds", "lat").observe(0.1)
         json.dumps(registry.snapshot())  # must not raise
 
-    def test_delta_subtracts_counters_and_drops_zero(self, registry):
+    def test_reset_between_snapshots_isolates_each_interval(self, registry):
         counter = registry.counter("ops_total", "ops", ("kind",))
-        idle = registry.counter("idle_total", "idle")
+        histogram = registry.histogram("lat_seconds", "lat", buckets=(1.0,))
         counter.labels("read").inc(5)
-        idle.inc(1)
-        before = registry.snapshot()
+        histogram.observe(0.5)
+        registry.reset()
         counter.labels("read").inc(3)
-        delta = registry.delta(before)
-        assert delta["ops_total"]["samples"][0]["value"] == 3
-        assert "idle_total" not in delta
-
-    def test_delta_subtracts_histograms(self, registry):
-        histogram = registry.histogram(
-            "lat_seconds", "lat", buckets=(1.0,)
-        )
-        histogram.observe(0.5)
-        before = registry.snapshot()
-        histogram.observe(0.5)
         histogram.observe(2.0)
-        sample = registry.delta(before)["lat_seconds"]["samples"][0]
-        assert sample["count"] == 2
-        assert sample["sum"] == pytest.approx(2.5)
-        assert sample["buckets"]["1"] == 1
-        assert sample["buckets"]["+Inf"] == 2
+        snapshot = registry.snapshot()
+        assert snapshot["ops_total"]["samples"][0]["value"] == 3
+        (sample,) = snapshot["lat_seconds"]["samples"]
+        assert (sample["count"], sample["sum"]) == (1, 2.0)
+        assert sample["buckets"] == {"1": 0, "+Inf": 1}

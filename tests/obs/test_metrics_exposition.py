@@ -81,8 +81,8 @@ def test_label_values_escape_backslash_quote_newline():
 
 def test_non_string_label_values_are_stringified():
     reg = _registry()
-    fam = reg.gauge("by_id", "", labelnames=("id",))
-    fam.labels(42).set(1)
+    fam = reg.counter("by_id", "", labelnames=("id",))
+    fam.labels(42).inc()
     assert 'by_id{id="42"} 1' in reg.exposition()
 
 
@@ -162,27 +162,6 @@ def test_histogram_hammer_loses_no_observations():
     counts = hist.bucket_counts()
     assert counts[0.5] == total // 2
     assert counts[math.inf] == total
-
-
-def test_timer_hammer_observes_every_block():
-    reg = _registry()
-    hist = reg.histogram("timed_seconds", "", buckets=(60.0,))
-    threads_n, per_thread = 4, 500
-
-    def tick():
-        for _ in range(per_thread):
-            with hist.time() as timer:
-                pass
-            assert timer.elapsed >= 0.0
-
-    threads = [threading.Thread(target=tick) for _ in range(threads_n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert hist.count == threads_n * per_thread
-    # Everything ran in well under a minute each.
-    assert hist.bucket_counts()[60.0] == threads_n * per_thread
 
 
 def test_counter_hammer_loses_no_increments():

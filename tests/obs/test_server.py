@@ -8,7 +8,6 @@ import pytest
 
 from repro.attacks import rewrite_row_value
 from repro.obs import OBS
-from repro.obs.events import EventLog
 from repro.obs.server import ObservabilityServer
 
 from tests.core.conftest import accounts, db, run  # noqa: F401
@@ -121,12 +120,12 @@ class TestHealthEndpoint:
 
 
 class TestEventsEndpoint:
-    def test_events_filtering_and_pagination(self, tmp_path):
-        log = EventLog(enabled=True)
+    def test_events_filtering_and_pagination(self, telemetry):
+        server = ObservabilityServer().start()
+        telemetry.events.reset()  # the page below holds only these six
         for i in range(5):
-            log.emit("ledger", "block.closed", block_id=i)
-        log.emit("digest", "digest.generated", block_id=4)
-        server = ObservabilityServer(event_log=log).start()
+            telemetry.events.emit("ledger", "block.closed", block_id=i)
+        telemetry.events.emit("digest", "digest.generated", block_id=4)
         try:
             status, content_type, body = get(server.url + "/events")
             assert status == 200
@@ -160,12 +159,11 @@ class TestEventsEndpoint:
         finally:
             server.stop()
 
-    def test_negative_limit_is_a_bad_request(self):
+    def test_negative_limit_is_a_bad_request(self, telemetry):
         # A negative page size would slice the newest events off the end.
-        log = EventLog(enabled=True)
         for i in range(3):
-            log.emit("ledger", "block.closed", block_id=i)
-        server = ObservabilityServer(event_log=log).start()
+            telemetry.events.emit("ledger", "block.closed", block_id=i)
+        server = ObservabilityServer().start()
         try:
             for limit in ("-1", "-2"):
                 status, _, body = get(server.url + "/events?limit=" + limit)
@@ -175,6 +173,16 @@ class TestEventsEndpoint:
             assert json.loads(body)["events"] == []
         finally:
             server.stop()
+
+    def test_nonserializable_payload_renders_as_str(self, telemetry):
+        telemetry.events.emit("a", "x", anchor=b"\x01\x02")
+        server = ObservabilityServer().start()
+        try:
+            _, _, body = get(server.url + "/events?name=x")
+        finally:
+            server.stop()
+        (event,) = json.loads(body)["events"]
+        assert event["payload"]["anchor"] == str(b"\x01\x02")
 
     def test_live_ledger_events_are_served(self, db, seeded, server):  # noqa: F811
         OBS.events.enable()
@@ -236,7 +244,7 @@ class TestLedgerEndpoint:
             db.stop_monitor()
 
     def test_detached_server_reports_no_database(self):
-        server = ObservabilityServer(event_log=EventLog()).start()
+        server = ObservabilityServer().start()
         try:
             payload = json.loads(get(server.url + "/ledger")[2])
             assert payload["error"] == "no database attached"

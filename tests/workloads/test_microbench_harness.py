@@ -111,44 +111,34 @@ class TestHarness:
         assert exit_code == 0
         assert "streaming Merkle" in captured.out
 
-    def test_median_rate_emits_per_round_events(self):
+    def test_cli_rejects_an_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            harness.main(["fig10"])
+        assert exit_info.value.code == 2
+        assert "unknown experiment(s): fig10" in capsys.readouterr().err
+
+    def test_cli_telemetry_prints_each_experiments_own_counts(self, capsys):
         from repro.obs import OBS
 
-        OBS.events.enable()
         try:
-            harness._median_rate(
-                build=lambda: None, run=lambda subject: 10,
-                rounds=2, experiment="unit-test",
-            )
-            rounds = OBS.events.read(category="harness", name="harness.round")
+            exit_code = harness.main(["merkle", "blocksize", "--telemetry"])
         finally:
             OBS.reset()
             OBS.disable()
-        assert [e.payload["round"] for e in rounds] == [0, 1]
-        assert all(
-            {"experiment", "operations", "seconds", "rate"}
-            <= set(e.payload) for e in rounds
-        )
-        assert rounds[0].payload["experiment"] == "unit-test"
-        assert rounds[0].payload["operations"] == 10
-
-    def test_cli_events_out_attaches_jsonl_sink(self, tmp_path, capsys):
-        import json
-        import os
-
-        from repro.obs import OBS
-
-        path = str(tmp_path / "events.jsonl")
-        try:
-            exit_code = harness.main(["merkle", "--events-out", path])
-            assert OBS.events.path == path
-        finally:
-            OBS.events.detach_file()
-            OBS.reset()
-            OBS.disable()
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert exit_code == 0
-        assert os.path.exists(path)
-        # Whatever was emitted must be well-formed JSONL.
-        for line in open(path, encoding="utf-8"):
-            json.loads(line)
+        merkle, blocksize = out.split("Ablation (§3.3.1)")
+        assert "streaming Merkle" in merkle
+
+        def nodes_built(text):
+            return sum(
+                int(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith("merkle_nodes_built_total{")
+            )
+
+        # The Merkle ablation builds >100 000 nodes and the block-size run
+        # a few thousand: a registry not reset in between would carry the
+        # first total into the second.
+        assert nodes_built(merkle) > 100_000
+        assert 0 < nodes_built(blocksize) < nodes_built(merkle)
