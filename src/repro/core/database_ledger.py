@@ -14,17 +14,14 @@ hash chaining, persistence into ``database_ledger_blocks``) happens later,
 off the critical path, driven by the block-builder thread of
 :class:`repro.core.pipeline.LedgerPipeline` or by an explicit ``drain()``.
 
-Concurrency is per stage rather than one coarse mutex:
-
-* ``sequencer_lock`` — guards ordinal/block assignment and sealing;
-* ``queue_lock`` — guards the entry queue and per-block enqueue accounting
-  (its condition variable is how ``drain()`` waits for in-flight commits);
-* ``storage_lock`` — guards every storage-engine access (the engine itself
-  is not thread-safe); block closure, verification scans and SQL execution
-  all serialize on it.
-
-Lock hierarchy (acquire left to right, never the reverse):
-``storage_lock`` → ``sequencer_lock`` → ``queue_lock``.
+One lock, ``storage_lock``, guards all of it: the storage engine (which is
+not thread-safe), the sequencer's counters, the sealed blocks and the entry
+queue.  A commit holds it from :meth:`DatabaseLedger.assign` through
+:meth:`DatabaseLedger.enqueue`, so whoever holds it finds every sealed block
+with all of its entries in hand; block closure, drains, verification scans
+and SQL execution all serialize on it.  Only the progress readers
+(``pending_entries``, ``sealed_pending``, ``oldest_queue_entry_age``) read
+without it.
 
 Both system tables are ordinary relational tables: their integrity is
 protected by the chain itself plus externally stored digests, exactly as in
@@ -152,12 +149,9 @@ class DatabaseLedger:
         self._engine = engine
         self._block_size = block_size
         self._m = OBS.metrics.handles("ledger", _ledger_metrics)
-        #: Stage locks.  ``storage_lock`` is shared with every consumer of
-        #: the (single-threaded) storage engine via LedgerDatabase/pipeline.
+        #: The ledger's one lock, shared with every consumer of the
+        #: (single-threaded) storage engine via LedgerDatabase/pipeline.
         self.storage_lock = threading.RLock()
-        self.sequencer_lock = threading.RLock()
-        self.queue_lock = threading.RLock()
-        self._queue_cv = threading.Condition(self.queue_lock)
         self._queue: List[TransactionEntry] = []
         self._open_block_id = 0
         self._open_ordinal = 0
@@ -178,9 +172,9 @@ class DatabaseLedger:
         self._sealed_ready_callback: Optional[Callable[[], None]] = None
         # Set after truncation: (last truncated block id, its hash).
         self._anchor: Optional[Tuple[int, bytes]] = None
-        #: Telemetry side-channel (guarded by ``queue_lock``): per queued
-        #: entry, its enqueue ``monotonic_ns``.  Consumed by block closure
-        #: to compute queue wait.  Never part of hashed state.
+        #: Telemetry side-channel: per queued entry, its enqueue
+        #: ``monotonic_ns``.  Consumed by block closure to compute queue
+        #: wait.  Never part of hashed state.
         self._entry_meta: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -206,11 +200,14 @@ class DatabaseLedger:
     def open_block_id(self) -> int:
         return self._open_block_id
 
+    # The progress readers below take no lock.  Under the GIL a ``len``, a
+    # ``dict.get`` and ``next(iter(list))`` each see a whole container,
+    # never a torn one, and a figure one commit stale is all they promise.
+
     @property
     def pending_entries(self) -> int:
         """Entries still in the in-memory queue (not yet in the system table)."""
-        with self.queue_lock:
-            return len(self._queue)
+        return len(self._queue)
 
     @property
     def closed_block_height(self) -> int:
@@ -219,8 +216,7 @@ class DatabaseLedger:
 
     def sealed_pending(self) -> int:
         """Blocks sealed by the sequencer but not yet closed."""
-        with self.queue_lock:
-            return len(self._sealed)
+        return len(self._sealed)
 
     def set_sealed_ready_callback(
         self, callback: Optional[Callable[[], None]]
@@ -249,25 +245,36 @@ class DatabaseLedger:
     ) -> TransactionEntry:
         """Assign the committing transaction its slot in the chain (§3.3.2).
 
-        Pure in-memory bookkeeping — this runs on the commit hot path.  When
-        the assignment fills the open block, the block is *sealed* (also pure
-        bookkeeping); Merkle root computation and persistence happen later,
-        off the commit path.
+        Pure in-memory bookkeeping — this runs on the commit hot path, under
+        the commit's ``storage_lock``.  When the assignment fills the open
+        block, the block is *sealed* (also pure bookkeeping); Merkle root
+        computation and persistence happen later, off the commit path.
         """
         assert txn.commit_time is not None
-        with self.sequencer_lock:
-            entry = TransactionEntry(
-                transaction_id=txn.tid,
-                block_id=self._open_block_id,
-                ordinal=self._open_ordinal,
-                commit_time=txn.commit_time,
-                username=txn.username,
-                table_roots=table_roots,
-            )
-            self._open_ordinal += 1
-            if self._open_ordinal >= self._block_size:
-                self._seal_locked()
+        entry = TransactionEntry(
+            transaction_id=txn.tid,
+            block_id=self._open_block_id,
+            ordinal=self._open_ordinal,
+            commit_time=txn.commit_time,
+            username=txn.username,
+            table_roots=table_roots,
+        )
+        self._open_ordinal += 1
+        if self._open_ordinal >= self._block_size:
+            self._seal()
         return entry
+
+    def hand_back(self, entry: TransactionEntry) -> None:
+        """Return the slot of a commit whose COMMIT record never reached the log.
+
+        The failing commit has held ``storage_lock`` since :meth:`assign`,
+        so its slot is the newest one: the open block steps back onto it,
+        and a block that assignment sealed is open again.
+        """
+        if entry.block_id != self._open_block_id:
+            self._sealed.pop()
+        self._open_block_id = entry.block_id
+        self._open_ordinal = entry.ordinal
 
     def seal_open_block(self) -> Optional[int]:
         """Seal the open block if it holds any entries; returns its id.
@@ -275,17 +282,16 @@ class DatabaseLedger:
         Empty open blocks are never sealed, so the chain never contains
         empty blocks.
         """
-        with self.sequencer_lock:
-            return self._seal_locked()
+        with self.storage_lock:
+            return self._seal()
 
-    def _seal_locked(self) -> Optional[int]:
-        """Seal under ``sequencer_lock``: publish (id, count), advance."""
+    def _seal(self) -> Optional[int]:
+        """Publish (id, count) of the open block and advance past it."""
         if self._open_ordinal == 0:
             return None
         sealed_id = self._open_block_id
         count = self._open_ordinal
-        with self.queue_lock:
-            self._sealed.append((sealed_id, count))
+        self._sealed.append((sealed_id, count))
         self._open_block_id = sealed_id + 1
         self._open_ordinal = 0
         OBS.events.emit(
@@ -296,57 +302,29 @@ class DatabaseLedger:
     def enqueue(self, entry: TransactionEntry) -> None:
         """Queue a durably committed entry (stage 2 → stage 3 handoff).
 
-        Never closes blocks inline: when the entry completes a sealed block
-        the registered pipeline callback is invoked so the block builder
-        picks it up asynchronously.
+        Runs under the commit's ``storage_lock``.  Never closes blocks
+        inline: when the entry completes a sealed block the registered
+        pipeline callback is invoked so the block builder picks it up
+        asynchronously.
         """
-        ready = False
-        with self.queue_lock:
-            self._queue.append(entry)
-            self._pending.setdefault(entry.block_id, []).append(entry)
-            if self._sealed:
-                head_id, head_count = self._sealed[0]
-                ready = len(self._pending.get(head_id, ())) >= head_count
-            if OBS.metrics.enabled or OBS.tracer.enabled:
-                self._entry_meta[entry.transaction_id] = time.monotonic_ns()
-            self._queue_cv.notify_all()
-        if ready and self._sealed_ready_callback is not None:
-            self._sealed_ready_callback()
-
-    def _oldest_age_locked(self) -> float:
-        """Age (s) of the head queue entry; requires ``queue_lock``."""
-        if not self._queue:
-            return 0.0
-        enqueue_ns = self._entry_meta.get(self._queue[0].transaction_id)
-        if enqueue_ns is None:
-            return 0.0
-        return max(0.0, (time.monotonic_ns() - enqueue_ns) / 1e9)
+        self._queue.append(entry)
+        self._pending.setdefault(entry.block_id, []).append(entry)
+        if OBS.metrics.enabled or OBS.tracer.enabled:
+            self._entry_meta[entry.transaction_id] = time.monotonic_ns()
+        if self._sealed and self._sealed_ready_callback is not None:
+            head_id, head_count = self._sealed[0]
+            if len(self._pending.get(head_id, ())) >= head_count:
+                self._sealed_ready_callback()
 
     def oldest_queue_entry_age(self) -> float:
         """Seconds the oldest still-queued entry has been waiting."""
-        with self.queue_lock:
-            return self._oldest_age_locked()
-
-    def wait_for_sealed_entries(self, timeout: float) -> bool:
-        """Wait until every sealed block has all its entries enqueued.
-
-        Returns False on timeout (an in-flight commit has an assigned slot
-        in a sealed block but has not reached post-commit yet).
-        """
-        deadline = time.monotonic() + timeout
-        with self.queue_lock:
-            while True:
-                incomplete = [
-                    block_id
-                    for block_id, count in self._sealed
-                    if len(self._pending.get(block_id, ())) < count
-                ]
-                if not incomplete:
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._queue_cv.wait(remaining)
+        head = next(iter(self._queue), None)
+        if head is None:
+            return 0.0
+        enqueue_ns = self._entry_meta.get(head.transaction_id)
+        if enqueue_ns is None:
+            return 0.0
+        return max(0.0, (time.monotonic_ns() - enqueue_ns) / 1e9)
 
     # ------------------------------------------------------------------
     # Queue flushing and block building (stage 3)
@@ -359,44 +337,41 @@ class DatabaseLedger:
         Returns the number of entries flushed.  Entries enqueued while the
         flush transaction runs are left for the next flush.
         """
-        with self.queue_lock:
+        with self.storage_lock:
             snapshot = list(self._queue)
-        if not snapshot:
-            return 0
-        FAULTS.fire("ledger.flush_queue", entries=len(snapshot))
-        with self.storage_lock, OBS.tracer.span(
-            "ledger.flush_queue", entries=len(snapshot)
-        ):
-            table = self._transactions_table()
-            txn = self._engine.begin(username="ledger_system")
-            try:
-                table.insert_many(txn, [
-                    table.schema.row_from_visible(entry.to_row())
-                    for entry in snapshot
-                ])
-            except Exception:
-                self._engine.rollback(txn)
-                raise
-            self._engine.commit(txn)
-        with self.queue_lock:
+            if not snapshot:
+                return 0
+            FAULTS.fire("ledger.flush_queue", entries=len(snapshot))
+            with OBS.tracer.span("ledger.flush_queue", entries=len(snapshot)):
+                table = self._transactions_table()
+                txn = self._engine.begin(username="ledger_system")
+                try:
+                    table.insert_many(txn, [
+                        table.schema.row_from_visible(entry.to_row())
+                        for entry in snapshot
+                    ])
+                except Exception:
+                    self._engine.rollback(txn)
+                    raise
+                self._engine.commit(txn)
             del self._queue[: len(snapshot)]
         return len(snapshot)
 
     def next_ready_block(self) -> Optional[Tuple[int, int]]:
-        """The oldest sealed block whose entries are all enqueued, if any."""
-        with self.queue_lock:
-            if not self._sealed:
-                return None
-            block_id, count = self._sealed[0]
-            if len(self._pending.get(block_id, ())) < count:
-                return None
-            return block_id, count
+        """The oldest sealed block as (id, entry count), if any.
+
+        Under ``storage_lock`` every sealed block is ready: each commit
+        holds the lock from :meth:`assign` through :meth:`enqueue`.
+        """
+        return self._sealed[0] if self._sealed else None
 
     def close_next_ready_block(self) -> Optional[BlockRow]:
-        """Close the oldest closable sealed block; None when nothing is ready.
+        """Close the oldest sealed block; None when none is sealed.
 
         Takes ``storage_lock`` for the closure; safe to call concurrently
-        from the block builder and a draining consumer.
+        from the block builder and a draining consumer.  A sealed block
+        whose entries are not all in hand fails the closure with a
+        :class:`LedgerError`.
         """
         with self.storage_lock:
             ready = self.next_ready_block()
@@ -404,9 +379,8 @@ class DatabaseLedger:
                 return None
             block_id, count = ready
             block = self._close_block(block_id, count)
-            with self.queue_lock:
-                self._sealed.popleft()
-                self._pending.pop(block_id, None)
+            self._sealed.popleft()
+            self._pending.pop(block_id, None)
             self._closed_height = block_id
             return block
 
@@ -415,16 +389,16 @@ class DatabaseLedger:
 
         Returns the last block closed, or None if nothing was closable.
         Closing an empty open block is a no-op — no empty blocks are ever
-        emitted.  Consumers that must also wait for in-flight concurrent
-        commits should use :meth:`repro.core.pipeline.LedgerPipeline.drain`.
+        emitted.
         """
-        self.seal_open_block()
-        last: Optional[BlockRow] = None
-        while True:
-            block = self.close_next_ready_block()
-            if block is None:
-                return last
-            last = block
+        with self.storage_lock:
+            self._seal()
+            last: Optional[BlockRow] = None
+            while True:
+                block = self.close_next_ready_block()
+                if block is None:
+                    return last
+                last = block
 
     def _close_block(self, block_id: int, expected_count: int) -> BlockRow:
         """Form and persist one sealed block (requires ``storage_lock``).
@@ -440,10 +414,9 @@ class DatabaseLedger:
         tracer = OBS.tracer
         with tracer.span("block.append", block_id=block_id) as span:
             self.flush_queue()
-            with self.queue_lock:
-                entries = sorted(
-                    self._pending.get(block_id, ()), key=lambda e: e.ordinal
-                )
+            entries = sorted(
+                self._pending.get(block_id, ()), key=lambda e: e.ordinal
+            )
             if len(entries) != expected_count:
                 raise LedgerError(
                     f"block {block_id} should hold {expected_count} "
@@ -495,13 +468,12 @@ class DatabaseLedger:
         — the link from a commit's lineage to its block.
         """
         tracer = OBS.tracer
-        with self.queue_lock:
-            enqueued = {
-                entry.transaction_id: self._entry_meta.pop(
-                    entry.transaction_id, None
-                )
-                for entry in entries
-            }
+        enqueued = {
+            entry.transaction_id: self._entry_meta.pop(
+                entry.transaction_id, None
+            )
+            for entry in entries
+        }
         if not tracer.enabled:
             return
         for entry in entries:
@@ -658,11 +630,10 @@ class DatabaseLedger:
         :meth:`block`, the stored record is re-read and its key re-checked:
         a tampered row is missing, not an error.
         """
-        with self.queue_lock:
+        with self.storage_lock:
             for entry in self._queue:
                 if entry.transaction_id == transaction_id:
                     return entry
-        with self.storage_lock:
             entry = self._seek(
                 self._transactions_table(), transaction_id, TransactionEntry
             )
@@ -687,11 +658,10 @@ class DatabaseLedger:
                 if entry is not None and entry.block_id == block_id:
                     entries.append(entry)
             stored = {entry.transaction_id for entry in entries}
-            with self.queue_lock:
-                entries.extend(
-                    e for e in self._queue
-                    if e.block_id == block_id and e.transaction_id not in stored
-                )
+            entries.extend(
+                e for e in self._queue
+                if e.block_id == block_id and e.transaction_id not in stored
+            )
         entries.sort(key=lambda e: e.ordinal)
         return entries
 
@@ -707,7 +677,6 @@ class DatabaseLedger:
             entries = self._scan(
                 self._transactions_table(), TransactionEntry, cache
             )
-        with self.queue_lock:
             entries.extend(self._queue)
         entries.sort(key=lambda e: e.transaction_id)
         return entries
@@ -788,7 +757,7 @@ class DatabaseLedger:
     # ------------------------------------------------------------------
 
     def checkpoint_state(self) -> Dict[str, int]:
-        with self.sequencer_lock:
+        with self.storage_lock:
             return {
                 "open_block_id": self._open_block_id,
                 "open_ordinal": self._open_ordinal,
@@ -869,7 +838,7 @@ class DatabaseLedger:
             if block_id < highest
         )
         if self._open_ordinal >= self._block_size:
-            self._seal_locked()
+            self._seal()
 
     # ------------------------------------------------------------------
     # Internals

@@ -326,6 +326,12 @@ class LedgerHooks(EngineHooks):
         assert self._ledger is not None
         self._ledger.enqueue(TransactionEntry.from_payload(payload))
 
+    def on_commit_failed(
+        self, txn: Transaction, payload: Optional[Dict[str, Any]]
+    ) -> None:
+        if payload is not None:
+            self._ledger.hand_back(TransactionEntry.from_payload(payload))
+
     # ------------------------------------------------------------------
     # Savepoints (§3.2.1)
     # ------------------------------------------------------------------

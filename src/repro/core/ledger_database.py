@@ -162,9 +162,10 @@ class LedgerDatabase:
 
         Idempotent and safe to call concurrently — a second close (or one
         racing a server shutdown) serializes behind the first and returns
-        once teardown is complete.  In-flight ``drain()`` barriers are
-        waited out before the engine goes away; drains arriving after that
-        fail with a clean ``LedgerError`` instead of racing the teardown.
+        once teardown is complete.  The engine closes under
+        ``storage_lock``, which waits out an in-flight ``drain()``; drains
+        after that fail with a clean ``LedgerError`` instead of racing the
+        teardown.
         """
         with self._close_lock:
             if self._closed:
@@ -177,10 +178,9 @@ class LedgerDatabase:
                 self.pipeline.stop(drain=True)
             else:
                 self.pipeline.stop(drain=False)
-            # Let digest/receipt consumers already past stop() finish their
-            # barrier against a live engine; block everyone after them.
-            self.pipeline.disable_drains()
-            self.engine.close()
+            with self.ledger.storage_lock:
+                self.pipeline.drains_disabled = True
+                self.engine.close()
 
     def checkpoint(self) -> None:
         """Checkpoint the engine after closing every closable block."""
@@ -194,13 +194,18 @@ class LedgerDatabase:
         self.engine.simulate_crash()
 
     def backup(self, destination: str) -> None:
-        """Checkpoint and copy the database directory (cold backup, §3.7)."""
-        self.engine.checkpoint()
+        """Checkpoint and copy the database directory (cold backup, §3.7).
+
+        Both under ``storage_lock``: no commit or block closure writes a
+        page or a WAL frame while the files are checkpointed and copied.
+        """
         if os.path.exists(destination):
             raise LedgerConfigurationError(
                 f"backup destination {destination!r} already exists"
             )
-        shutil.copytree(self.engine.path, destination)
+        with self.ledger.storage_lock:
+            self.checkpoint()
+            shutil.copytree(self.engine.path, destination)
 
     @classmethod
     def restore_backup(
@@ -361,10 +366,11 @@ class LedgerDatabase:
     def commit(self, txn: Transaction) -> Optional[Dict[str, Any]]:
         """Commit under the storage lock.
 
-        Holding the storage lock across the whole commit (sequencer
-        assignment through post-commit enqueue) is what lets a drain that
-        already holds the storage lock assume every sealed block's entries
-        are enqueued — the pipeline's no-deadlock invariant.
+        The lock is held across the whole commit, from the ledger's slot
+        assignment through the post-commit enqueue, so whoever holds it — a
+        drain, the block builder — finds every sealed block with all of its
+        entries.  A commit whose COMMIT record never reached the log hands
+        its slot back before it lets go.
         """
         with self.ledger.storage_lock:
             return self.engine.commit(txn)

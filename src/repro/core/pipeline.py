@@ -12,10 +12,12 @@ The commit path is split into three stages (SQL Ledger §4.2):
    persists the block row.
 
 Consumers that need a *closed* chain tip — digest generation, receipts,
-truncation, checkpointing, clean shutdown — call :meth:`LedgerPipeline.drain`
-instead of freezing all SQL execution behind one coarse mutex.  ``drain``
-waits for in-flight commits to land in the queue, seals the open block
-(optionally), and closes every closable block before returning.
+truncation, checkpointing, clean shutdown — call :meth:`LedgerPipeline.drain`.
+``drain`` takes the ledger's ``storage_lock`` once, seals the open block
+(optionally) and closes every sealed block before returning.  Each commit
+holds that lock from sequencing through enqueue, so there is no in-flight
+commit to wait for: a sealed block whose entries are not all in hand fails
+the drain at once.
 
 The builder thread is event-driven: it sleeps on a condition variable and
 is woken by the ledger's sealed-ready callback whenever an ``enqueue``
@@ -49,11 +51,6 @@ FAULTS.register(
 )
 
 
-#: How long a drain waits for in-flight commits before giving up.  Commits
-#: hold the storage lock from sequencing through enqueue, so under the lock
-#: hierarchy this only trips if a committing thread died mid-commit.
-DEFAULT_DRAIN_TIMEOUT = 30.0
-
 #: Consecutive builder crashes before the supervisor gives up.
 DEFAULT_RESTART_CAP = 10
 
@@ -73,12 +70,11 @@ class LedgerPipeline:
         self._stop_requested = False
         self._thread: Optional[threading.Thread] = None
         # Serializes concurrent stop() calls (a second close racing the
-        # builder join) and tracks in-flight drains so close() can wait for
-        # them before tearing the engine down.
+        # builder join).
         self._stop_lock = threading.RLock()
-        self._drain_cv = threading.Condition()
-        self._active_drains = 0
-        self._drains_disabled = False
+        #: Set by ``LedgerDatabase.close()`` under ``storage_lock`` just
+        #: before the engine closes; every later drain fails cleanly.
+        self.drains_disabled = False
         self._blocks_built = 0
         self._builder_errors = 0
         self._drains = 0
@@ -157,10 +153,8 @@ class LedgerPipeline:
     # The drain barrier
     # ------------------------------------------------------------------
 
-    def drain(
-        self, seal_open: bool = True, timeout: float = DEFAULT_DRAIN_TIMEOUT
-    ) -> None:
-        """Barrier: wait for in-flight commits, close every closable block.
+    def drain(self, seal_open: bool = True) -> None:
+        """Barrier: close every sealed block under one ``storage_lock`` hold.
 
         With ``seal_open=True`` the open block is sealed first (if it holds
         any entries — empty blocks are never emitted), so afterwards every
@@ -169,55 +163,25 @@ class LedgerPipeline:
         preserves the open block — verification uses this to keep reporting
         entries of the open block as "uncovered".
 
-        Raises a clean :class:`LedgerError` once :meth:`disable_drains` has
-        run (the database is closing) instead of racing the engine teardown.
+        Raises a clean :class:`LedgerError` once the database is closing
+        (``drains_disabled``) instead of racing the engine teardown, and the
+        closure's own :class:`LedgerError` when a sealed block cannot close.
         """
-        with self._drain_cv:
-            if self._drains_disabled:
+        with self._ledger.storage_lock:
+            if self.drains_disabled:
                 raise LedgerError(
                     "pipeline is shut down; drain is no longer available"
                 )
-            self._active_drains += 1
-        try:
             with OBS.tracer.span(
                 "pipeline.drain", seal_open=seal_open
             ) as span:
                 if seal_open:
                     self._ledger.seal_open_block()
-                if not self._ledger.wait_for_sealed_entries(timeout):
-                    raise LedgerError(
-                        "pipeline drain timed out waiting for in-flight commits"
-                    )
                 closed = 0
                 while self._ledger.close_next_ready_block() is not None:
                     closed += 1
                 span.set_attribute("blocks", closed)
-        finally:
-            with self._drain_cv:
-                self._active_drains -= 1
-                self._drain_cv.notify_all()
-        self._drains += 1
-
-    def disable_drains(self, timeout: float = DEFAULT_DRAIN_TIMEOUT) -> bool:
-        """Close barrier: refuse new drains, wait out in-flight ones.
-
-        Called by ``LedgerDatabase.close()`` between stopping the builder
-        and closing the engine, so a concurrent ``drain()`` (a digest or
-        receipt consumer mid-barrier) finishes against a live engine and
-        every later one fails with a clean error instead of a torn-down
-        file handle.  Returns False if an in-flight drain outlived
-        ``timeout`` (close proceeds regardless; that drain was already
-        doomed to its own timeout).
-        """
-        deadline = time.monotonic() + timeout
-        with self._drain_cv:
-            self._drains_disabled = True
-            while self._active_drains:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._drain_cv.wait(timeout=remaining)
-            return True
+            self._drains += 1
 
     # ------------------------------------------------------------------
     # Introspection

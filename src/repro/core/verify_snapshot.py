@@ -343,8 +343,8 @@ def capture_snapshot(
         try:
             db.pipeline.drain(seal_open=False)
         except LedgerError:
-            # A ready block failed to close.  With none ready the drain
-            # timed out or the pipeline is shut down: still an error.
+            # A sealed block failed to close.  With none sealed the
+            # pipeline is shut down: still an error.
             if ledger.next_ready_block() is None:
                 raise
         ledger.flush_queue()

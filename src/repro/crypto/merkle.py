@@ -149,6 +149,7 @@ class MerkleHasher:
         if self._leaf_count == 0:
             return EMPTY_TREE_ROOT
         accumulated: Optional[bytes] = None
+        folded = 0
         for node in self._pending:
             if node is None:
                 continue
@@ -158,7 +159,10 @@ class MerkleHasher:
                 # The pending node at a higher level predates everything that
                 # was promoted from lower levels, so it is the left child.
                 accumulated = hash_interior(node, accumulated)
+                folded += 1
         assert accumulated is not None
+        if folded and OBS.metrics.enabled:
+            self._m.nodes_streaming.inc(folded)
         return accumulated
 
     def snapshot(self) -> MerkleState:

@@ -72,6 +72,11 @@ class EngineHooks:
     def post_commit(self, txn: "Transaction", payload: Optional[Dict[str, Any]]) -> None:
         """Called after the COMMIT record is durably appended."""
 
+    def on_commit_failed(
+        self, txn: "Transaction", payload: Optional[Dict[str, Any]]
+    ) -> None:
+        """Called when the COMMIT record failed before any byte reached the log."""
+
     def on_savepoint(self, txn: "Transaction", name: Optional[str]) -> Any:
         """Snapshot ledger state for a savepoint; returned value is opaque.
 

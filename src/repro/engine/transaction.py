@@ -147,9 +147,18 @@ class TransactionManager:
             txn.commit_time = self._clock()
             payload = self._hooks.pre_commit(txn)
             with OBS.tracer.span("wal.commit", tid=txn.tid):
-                self._wal.append(
-                    WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload})
-                )
+                end = self._wal.end
+                try:
+                    self._wal.append(
+                        WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload})
+                    )
+                except BaseException:
+                    # Once a byte is in the log, recovery may replay this
+                    # COMMIT, so only a record that never reached it gives
+                    # back what pre_commit took.
+                    if self._wal.end == end:
+                        self._hooks.on_commit_failed(txn, payload)
+                    raise
                 self._wal.flush()
             txn.state = TxnState.COMMITTED
             with self._state_lock:

@@ -196,6 +196,15 @@ class WalWriter:
     def path(self) -> str:
         return self._path
 
+    @property
+    def end(self) -> int:
+        """Where the next frame starts (its LSN).
+
+        An append moves it once it has written a frame, or the torn half of
+        one; an append refused before writing leaves it where it was.
+        """
+        return self._end
+
     def append(self, record: Union[WalRecord, DmlRecord]) -> int:
         """Append one record; returns its LSN (starting byte offset)."""
         payload = record.to_bytes()

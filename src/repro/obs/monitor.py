@@ -18,7 +18,7 @@ invariant stops holding.  :class:`ContinuousVerifier` is that watchdog:
   with ``OBS.events.add_listener``), prints one line to stderr and flips
   :attr:`healthy` to False (surfacing as HTTP 503 on ``/healthz``).
 
-The monitor holds ``db.ledger.storage_lock`` (the storage-stage lock) only
+The monitor holds ``db.ledger.storage_lock`` (the ledger's one lock) only
 for the moments that need it: digest capture and the verifier's snapshot
 capture.  All invariant checking runs off-snapshot, so SQL sessions commit
 freely while a cycle is mid-verification — the lock-narrowing that makes a

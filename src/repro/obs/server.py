@@ -232,9 +232,9 @@ class ObservabilityServer:
         """Chain summary from the pipeline's in-memory counters.
 
         Deliberately avoids the storage lock: block height comes from the
-        ledger's cached closed-block height and the rest from per-stage
-        counters, so a long-running verification or SQL statement never
-        stalls dashboard reads.
+        ledger's cached closed-block height and the rest from its lock-free
+        progress readers, so a long-running verification or SQL statement
+        never stalls dashboard reads.
         """
         if self._db is None:
             return {"error": "no database attached"}

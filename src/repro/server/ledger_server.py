@@ -682,23 +682,34 @@ class LedgerServer:
         return {"rows": rows, "count": len(rows)}
 
     def _drain(self, request: _Request) -> None:
-        """Close every sealed block within the request's remaining budget."""
+        """Close every sealed block within the request's remaining budget.
+
+        The budget bounds the wait for ``storage_lock``, held across the
+        drain; a budget past what a lock wait accepts waits that long.
+        """
         remaining = request.deadline - time.monotonic()
         if remaining <= 0:
             raise RequestError(
                 DEADLINE_EXCEEDED, "deadline expired before the drain barrier"
             )
+        lock = self._db.ledger.storage_lock
+        if not lock.acquire(timeout=min(remaining, threading.TIMEOUT_MAX)):
+            raise RequestError(
+                DEADLINE_EXCEEDED, "deadline expired waiting for the drain barrier"
+            )
         try:
-            self._db.pipeline.drain(seal_open=True, timeout=remaining)
-        except LedgerError as exc:
-            raise RequestError(DEADLINE_EXCEEDED, str(exc)) from exc
+            self._db.pipeline.drain(seal_open=True)
+        except LedgerError as exc:  # a sealed block cannot close: ours
+            raise RequestError(INTERNAL, str(exc)) from exc
+        finally:
+            lock.release()
 
     def _op_digest(
         self, payload: Dict[str, Any], request: _Request
     ) -> Dict[str, Any]:
         # The drain barrier honours the request's remaining budget: a
         # deadline-bounded digest fails fast instead of holding a slot
-        # behind slow in-flight commits.
+        # behind a long storage-lock hold.
         import json as _json
 
         db = self._db

@@ -149,8 +149,8 @@ class SqlSession:
 
         Sessions are single-threaded but many sessions may execute
         concurrently: writes run under the ledger's storage lock (the
-        storage engine is not thread-safe), while the sequencer and entry
-        queue advance under their own stage locks.  Parsing touches no
+        storage engine is not thread-safe), and so do the sequencer and
+        the entry queue a commit advances.  Parsing touches no
         shared state, so it happens *before* the lock is taken — statements
         queued behind a long scan parse concurrently instead of serially.
         Read-only statements never hold the storage lock across execution:

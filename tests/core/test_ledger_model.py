@@ -11,7 +11,8 @@ engine is caught against an earlier digest (§3.4).  Its rules:
   and DELETE of one row or of a ``WHERE id BETWEEN`` range, where an
   UPDATE that collides is undone whole, in autocommit and inside BEGIN;
 * ``BEGIN`` / ``SAVE TRANSACTION`` / ``ROLLBACK TO`` / ``ROLLBACK`` /
-  ``COMMIT``;
+  ``COMMIT``, and a ``COMMIT`` whose WAL append fails once, followed by
+  ``ROLLBACK``;
 * digests, kept in hand or uploaded to immutable blob storage; receipts;
   truncation at a legal cut; checkpoints; a clean close and reopen;
 * a crash: plain, or at one of the in-process fault points
@@ -56,9 +57,13 @@ from repro.digests import DigestManager, ImmutableBlobStorage
 from repro.engine.clock import LogicalClock
 from repro.engine.index import DerivedKeyIndex
 from repro.engine.record import decode_record, encode_record
-from repro.errors import ConstraintError, InjectedCrashError
+from repro.errors import ConstraintError, InjectedCrashError, InjectedFaultError
 from repro.faults import FAULTS
 from repro.sql import SqlSession
+
+#: Every rule checks that commits assign and enqueue under the ledger's
+#: one lock (see ``tests/conftest.py``).
+pytestmark = pytest.mark.usefixtures("storage_lock_checked")
 
 BLOCK_SIZE = 4  # small, so DML seals blocks and truncation finds cuts
 SIGNER = generate_keypair(bits=512, seed=41)
@@ -442,6 +447,26 @@ class LedgerModel(RuleBasedStateMachine):
         self.savepoints = []
         self._committed()
 
+    @precondition(lambda self: self.savepoints)
+    @rule()
+    def failed_commit(self):
+        """The open transaction's COMMIT fails once, before its record
+        reaches the WAL; ``ROLLBACK``, then carry on in this process.  A
+        digest then closes every block and ``verify`` passes."""
+        FAULTS.arm("wal.append", action="fail", times=1)
+        try:
+            with pytest.raises(InjectedFaultError):
+                self.session.execute("COMMIT")
+        finally:
+            FAULTS.reset()
+        self.session.execute("ROLLBACK")
+        _, self.model = self.savepoints[0]
+        self.savepoints = []
+        assert self._storage() == self.committed[1]
+        self.digest()
+        assert self.db.ledger.sealed_pending() == 0
+        self.verify_digests()
+
     # -- digests, receipts, truncation -----------------------------------
 
     @rule(upload=st.booleans())
@@ -701,4 +726,29 @@ def test_crash_at_each_fault_point(point):
     every invariant holds after recovery."""
     with ledger_model() as machine:
         assert machine.crash_at_point(point, skip=0) >= 1
+        check_invariants(machine)
+
+
+@pytest.mark.parametrize("before", range(BLOCK_SIZE))
+def test_failed_commit_then_carry_on(before):
+    """The model's failed-commit rule with ``before`` commits already in
+    the open block — so one of the runs fails the very assignment that
+    fills it — then a block's worth of commits: every invariant holds and
+    every block closes."""
+    with ledger_model() as machine:
+        machine.digest()
+        for _ in range(before):
+            machine.insert_one()
+        machine.session.execute("BEGIN TRANSACTION")
+        machine.savepoints.append((None, copy_of(machine.model)))
+        rows = machine._new_rows(2, 40)
+        assert machine._run(machine._insert_sql("keyed", rows))
+        machine.model["keyed"].update(rows)
+        machine.failed_commit()
+        check_invariants(machine)
+        for _ in range(BLOCK_SIZE + 1):
+            machine.insert_one()
+        machine.digest()
+        assert machine.db.ledger.sealed_pending() == 0
+        machine.verify_digests()
         check_invariants(machine)

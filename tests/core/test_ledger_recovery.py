@@ -1,5 +1,7 @@
 """Ledger atomicity/durability across crashes and restarts (§3.3.2)."""
 
+import shutil
+
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
@@ -116,6 +118,26 @@ class TestCrashRecovery:
 
 
 class TestBackupRestore:
+    def test_backup_checkpoints_and_copies_under_storage_lock(
+        self, db, accounts, tmp_path, monkeypatch
+    ):
+        """No commit or block closure may write a page or a WAL frame
+        while a backup checkpoints and copies the directory."""
+        run(db, "a", lambda t: db.insert(t, "accounts", [["Nick", 1]]))
+        owned = []
+        checkpoint, copytree = db.engine.checkpoint, shutil.copytree
+
+        def spy(name, call):
+            def spied(*args, **kwargs):
+                owned.append((name, db.ledger.storage_lock._is_owned()))
+                return call(*args, **kwargs)
+            return spied
+
+        monkeypatch.setattr(db.engine, "checkpoint", spy("checkpoint", checkpoint))
+        monkeypatch.setattr(shutil, "copytree", spy("copytree", copytree))
+        db.backup(str(tmp_path / "backup"))
+        assert owned == [("checkpoint", True), ("copytree", True)]
+
     def test_backup_restore_new_incarnation(self, db, accounts, tmp_path):
         run(db, "a", lambda t: db.insert(t, "accounts", [["Nick", 1]]))
         digest = db.generate_digest()

@@ -13,7 +13,8 @@ import pytest
 from repro.core.database_ledger import DatabaseLedger
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
-from repro.errors import LedgerError
+from repro.errors import InjectedFaultError, LedgerError
+from repro.faults import FAULTS
 from repro.sql.session import SqlSession
 
 from tests.core.conftest import accounts_schema, run
@@ -121,20 +122,135 @@ class TestDrain:
         db.pipeline.drain()
         assert len(db.ledger.blocks()) == blocks
 
-    def test_drain_times_out_on_a_lost_commit(self, db, accounts):
-        """A sealed block whose entries never arrive must fail the drain
-        loudly, not hang it forever."""
+    def test_drain_fails_at_once_on_a_lost_commit(self, db, accounts):
+        """A sealed block missing an entry fails the drain loudly and at
+        once — under ``storage_lock`` there is no in-flight commit to wait
+        for — through the closure's own count check."""
         ledger = db.ledger
+        quiesce(db)
+        db.pipeline.stop(drain=False)  # the builder must not meet the forgery
         seed(db, 3)
-        # Forge a sequencer state claiming a 4th assignment is in flight.
-        with ledger.sequencer_lock:
+        # Forge a sequencer state claiming a 4th assignment whose entry
+        # never arrived.
+        with ledger.storage_lock:
             ledger._open_ordinal = 4
             ledger.seal_open_block()
-        with pytest.raises(LedgerError, match="drain timed out"):
-            db.pipeline.drain(timeout=0.2)
+        started = time.monotonic()
+        with pytest.raises(
+            LedgerError, match="should hold 4 entries but 3 were found"
+        ):
+            db.pipeline.drain()
+        assert time.monotonic() - started < 1.0
         # Un-forge the sealed block so fixture teardown can drain cleanly.
-        with ledger.queue_lock:
+        with ledger.storage_lock:
             ledger._sealed.clear()
+        db.pipeline.start()
+
+
+class TestFailedCommitAppend:
+    """A COMMIT whose WAL append fails before any byte reaches the log hands
+    its (block, ordinal) slot back: without that, the block it was assigned
+    to is sealed short of an entry forever and no block closes again."""
+
+    def _wedge_attempt(self, db):
+        db.create_ledger_table(accounts_schema())
+        seed(db, 1, prefix="auto")
+        txn = db.begin("bob")
+        db.insert(txn, "accounts", [["inside", 1]])
+        FAULTS.arm("wal.append", action="fail", times=1)
+        try:
+            with pytest.raises(InjectedFaultError):
+                db.commit(txn)
+        finally:
+            FAULTS.reset()
+        db.rollback(txn)
+        seed(db, 7, prefix="after")
+
+    def test_blocks_keep_closing_and_verify_passes(self, db):
+        self._wedge_attempt(db)
+        started = time.monotonic()
+        digest = db.generate_digest()
+        report = db.verify([digest])
+        assert time.monotonic() - started < 5.0
+        assert report.ok, report.summary()
+        assert db.ledger.sealed_pending() == 0
+        assert digest.block_id == db.ledger.open_block_id - 1
+        tids = {e.transaction_id for e in db.ledger.all_entries()}
+        names = {row["name"] for row in db.select("accounts")}
+        assert "inside" not in names and len(names) == 8
+        # Every entry sits in a closed block, ordinals gap-free per block.
+        by_block = {}
+        for entry in db.ledger.all_entries():
+            by_block.setdefault(entry.block_id, []).append(entry.ordinal)
+        for block in db.ledger.blocks():
+            assert sorted(by_block.pop(block.block_id)) == list(
+                range(block.transaction_count)
+            )
+        assert by_block == {}
+        assert len(tids) == sum(b.transaction_count for b in db.ledger.blocks())
+
+    def test_close_completes_and_the_reopen_verifies(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path, block_size=4, clock=LogicalClock())
+        self._wedge_attempt(db)
+        db.close()
+        reopened = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            assert reopened.ledger.sealed_pending() == 0
+            assert reopened.verify([reopened.generate_digest()]).ok
+        finally:
+            reopened.close()
+
+    def test_a_commit_whose_record_reached_the_log_keeps_its_slot(
+        self, tmp_path
+    ):
+        """An fsync that fails after the COMMIT frame was written: recovery
+        may replay that COMMIT, so handing its slot to the next commit
+        would give two entries one slot."""
+        db = LedgerDatabase.open(
+            str(tmp_path / "db"), block_size=4, clock=LogicalClock(),
+            sync=True,
+        )
+        try:
+            db.create_ledger_table(accounts_schema())
+            base = quiesce(db)
+            txn = db.begin("bob")
+            db.insert(txn, "accounts", [["synced", 1]])
+            FAULTS.arm("wal.fsync", action="fail", times=1)
+            try:
+                with pytest.raises(InjectedFaultError):
+                    db.commit(txn)
+            finally:
+                FAULTS.reset()
+            db.rollback(txn)
+            seed(db, 1)
+            (entry,) = db.ledger.transactions_in_block(base)
+            assert entry.ordinal == 1
+        finally:
+            db.simulate_crash()
+
+    def test_the_slot_of_a_sealing_assignment_unseals(self, db):
+        """The failed commit's assignment is the one that fills its block:
+        handing it back must unseal that block, not leave it sealed short."""
+        db.create_ledger_table(accounts_schema())
+        quiesce(db)
+        seed(db, 3)
+        open_block = db.ledger.open_block_id
+        txn = db.begin("bob")
+        db.insert(txn, "accounts", [["fourth", 4]])
+        FAULTS.arm("wal.append", action="fail", times=1)
+        try:
+            with pytest.raises(InjectedFaultError):
+                db.commit(txn)
+        finally:
+            FAULTS.reset()
+        assert db.ledger.open_block_id == open_block
+        assert db.ledger.sealed_pending() == 0
+        db.rollback(txn)
+        seed(db, 1, prefix="next")
+        db.pipeline.drain()
+        assert db.ledger.latest_block().transaction_count == 4
+        assert db.verify([db.generate_digest()]).ok
 
 
 class TestNoEmptyBlocks:

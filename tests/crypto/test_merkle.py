@@ -212,3 +212,42 @@ class TestLevelwiseRoot:
         items[position] = bad
         with pytest.raises(MerkleError):
             merkle_root(items)
+
+
+class TestNodeCounter:
+    """``merkle_nodes_built_total`` counts every interior node computed: a
+    tree of n leaves has n - 1 of them, whether the streaming hasher
+    builds it (appends, then the fold in ``root()``) or it is
+    materialized."""
+
+    @pytest.fixture
+    def metrics(self):
+        from repro.obs import OBS
+
+        OBS.reset()
+        OBS.enable()
+        yield OBS.metrics.get("merkle_nodes_built_total")
+        OBS.reset()
+        OBS.disable()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_n_leaves_build_n_minus_one_nodes_on_both_labels(
+        self, metrics, batched
+    ):
+        for n in range(1, 66):
+            before = {
+                impl: metrics.labels(impl).value
+                for impl in ("streaming", "materialized")
+            }
+            hasher = MerkleHasher()
+            if batched:
+                hasher.extend(leaves(n))
+            else:
+                for leaf in leaves(n):
+                    hasher.append(leaf)
+            assert hasher.root() == MerkleTree(leaves(n)).root()
+            built = {
+                impl: metrics.labels(impl).value - before[impl]
+                for impl in before
+            }
+            assert built == {"streaming": n - 1, "materialized": n - 1}, n

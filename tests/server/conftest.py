@@ -21,6 +21,13 @@ def clean_faults():
     FAULTS.reset()
 
 
+@pytest.fixture(autouse=True)
+def one_ledger_lock(storage_lock_checked):
+    """Every server test checks that commits assign and enqueue under
+    ``storage_lock`` (see ``tests/conftest.py``)."""
+    return storage_lock_checked
+
+
 @pytest.fixture
 def server_db(tmp_path):
     db = LedgerDatabase.open(

@@ -132,6 +132,40 @@ class TestRequestFlow:
         assert stats["tier"] == "ok"
 
 
+class TestOneLedgerLock:
+    def test_concurrent_commits_assign_and_enqueue_under_storage_lock(
+        self, server, storage_lock_checked
+    ):
+        """Writers on three connections, a digest and a receipt between
+        them: every slot is assigned and queued by a thread holding
+        ``storage_lock`` (the fixture fails the test otherwise), and none
+        is handed out without its entry being queued."""
+        clients = [
+            LedgerClient("127.0.0.1", server.port, pool_size=1)
+            for _ in range(3)
+        ]
+        tids = []
+
+        def write(cli, n):
+            for i in range(6):
+                tids.append(cli.insert("items", [[f"w{n}-{i}", i]])["tid"])
+
+        threads = [
+            threading.Thread(target=write, args=(cli, n))
+            for n, cli in enumerate(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        clients[0].digest()
+        for thread in threads:
+            thread.join()
+        assert clients[1].receipt(max(tids))["receipt"]["entry"]["tid"] == max(tids)
+        for cli in clients:
+            cli.close()
+        assert storage_lock_checked["assign"] >= 18
+        assert storage_lock_checked["enqueue"] == storage_lock_checked["assign"]
+
+
 class TestClientMistakes:
     """A statement the library rejects is the client's mistake: it answers
     BAD_REQUEST naming the error, never INTERNAL, and the server serves on."""
