@@ -3,11 +3,11 @@
 This module is the reproduction of §3.2 ("DML Operations and Row Hashing"):
 
 * every insert/update/delete on a ledger table stamps the hidden system
-  columns, has the engine prepare the row (validate once, encode once),
-  transcodes the resulting record bytes into the canonical serialization
-  (the record kernel, :mod:`repro.engine.record`) and appends their SHA-256
-  hashes to a **streaming Merkle tree** kept per (transaction, ledger
-  table);
+  columns, has the engine prepare the row — one generated writer call
+  (:meth:`repro.engine.record.RecordKernel.write`) validates it and
+  encodes both the record to store and its canonical serialization — and
+  appends the SHA-256 hashes of those payloads to a **streaming Merkle
+  tree** kept per (transaction, ledger table);
 * deleted versions are written to the history table with their end
   transaction/sequence populated — transparently to the application;
 * at commit, the per-table Merkle roots become the transaction entry that
@@ -28,7 +28,10 @@ from repro.core.ledger_view import history_table_of
 from repro.crypto.hashing import hash_leaf, hash_leaves
 from repro.crypto.merkle import MerkleHasher, MerkleState
 from repro.engine.hooks import EngineHooks
-from repro.engine.record import hashable_payload, hashable_payloads
+# Not called here (the writer makes each payload): kept as attributes of
+# this module because the benchmark's tracer patches them here (ROADMAP
+# item 11).
+from repro.engine.record import hashable_payload, hashable_payloads  # noqa: F401
 from repro.engine.table import PreparedRow, Table
 from repro.engine.transaction import Transaction
 from repro.errors import AppendOnlyViolationError, LedgerConfigurationError
@@ -63,13 +66,15 @@ def _new_version_slots(schema) -> Tuple[int, int, Tuple[int, ...]]:
 
 class _LedgerTxContext:
     """Per-transaction ledger state: one Merkle hasher per ledger table,
-    plus the operation sequence counter (§3.1)."""
+    the operation sequence counter (§3.1), and the entry its commit was
+    assigned."""
 
-    __slots__ = ("hashers", "next_sequence")
+    __slots__ = ("hashers", "next_sequence", "entry")
 
     def __init__(self) -> None:
         self.hashers: Dict[int, MerkleHasher] = {}
         self.next_sequence = 0
+        self.entry: Optional[TransactionEntry] = None
 
     def hasher_for(self, table_id: int) -> MerkleHasher:
         hasher = self.hashers.get(table_id)
@@ -170,7 +175,7 @@ class LedgerHooks(EngineHooks):
             return table.prepare_row(row)
         context = self._context(txn)
         prepared = table.prepare_row(self._stamp_new(txn, context, table, row))
-        self._append_leaf(txn, context, table, prepared[1], "insert")
+        self._append_leaf(txn, context, table, prepared[2], "insert")
         return prepared
 
     def before_insert_many(
@@ -184,7 +189,8 @@ class LedgerHooks(EngineHooks):
             for row in rows
         ]
         self._append_leaves(
-            txn, context, table, [record for _, record in prepared], "insert"
+            txn, context, table, [payload for _, _, payload in prepared],
+            "insert",
         )
         return prepared
 
@@ -203,7 +209,7 @@ class LedgerHooks(EngineHooks):
         prepared = table.prepare_row(
             self._stamp_new(txn, context, table, new_row)
         )
-        self._append_leaf(txn, context, table, prepared[1], "update")
+        self._append_leaf(txn, context, table, prepared[2], "update")
         # Deleted version second: stamp its end columns, hash, move to history.
         self._retire_version(txn, context, table, old_row, "update")
         return prepared
@@ -231,16 +237,18 @@ class LedgerHooks(EngineHooks):
         retired = list(old_row)
         retired[end_tid] = txn.tid
         retired[end_seq] = sequence
-        # The history table has the ledger table's columns, so the record
-        # it stores is the record the ledger table's schema hashes.
+        # The history table has the ledger table's columns — the same
+        # ordinals, types and metadata, through every ADD and DROP COLUMN —
+        # so the payload its writer makes is the one the ledger table's
+        # schema reads from the stored record.
         history = self._history_table(table)
         prepared = history.prepare_row(retired)
-        self._append_leaf(txn, context, table, prepared[1], op)
+        self._append_leaf(txn, context, table, prepared[2], op)
         history.system_insert(txn, prepared)
 
     def _append_leaf(
         self, txn: Transaction, context: _LedgerTxContext, table: Table,
-        record: bytes, op: str,
+        payload: bytes, op: str,
     ) -> None:
         tracer = OBS.tracer
         if tracer.enabled:
@@ -250,34 +258,30 @@ class LedgerHooks(EngineHooks):
             with tracer.span(
                 "ledger.hash", tid=txn.tid, table=table.name, op=op
             ):
-                payload, _, _ = hashable_payload(table.schema, record)
                 context.hasher_for(table.table_id).append(hash_leaf(payload))
         else:
-            payload, _, _ = hashable_payload(table.schema, record)
             context.hasher_for(table.table_id).append(hash_leaf(payload))
         self._m.rows_hashed_by_op[op].inc()
 
     def _append_leaves(
         self, txn: Transaction, context: _LedgerTxContext, table: Table,
-        records: Sequence[bytes], op: str,
+        payloads: Sequence[bytes], op: str,
     ) -> None:
         """Batch counterpart of :meth:`_append_leaf`: one tracing span, one
-        transcode+hash pass and one metrics observation per statement."""
-        if not records:
+        hash pass and one metrics observation per statement."""
+        if not payloads:
             return
         tracer = OBS.tracer
         if tracer.enabled:
             with tracer.span(
                 "ledger.hash", tid=txn.tid, table=table.name, op=op,
-                rows=len(records),
+                rows=len(payloads),
             ):
-                payloads = hashable_payloads(table.schema, records)
                 leaves = hash_leaves(payloads)
         else:
-            payloads = hashable_payloads(table.schema, records)
             leaves = hash_leaves(payloads)
         context.hasher_for(table.table_id).extend(leaves)
-        self._m.rows_hashed_by_op[op].inc(len(records))
+        self._m.rows_hashed_by_op[op].inc(len(payloads))
 
     def _require_updateable(self, table: Table, operation: str) -> None:
         if table.options.get("ledger_type") == "append_only":
@@ -317,20 +321,20 @@ class LedgerHooks(EngineHooks):
                     for tid, hasher in context.hashers.items()
                 )
             )
-            entry = self._ledger.assign(txn, table_roots)
+            entry = context.entry = self._ledger.assign(txn, table_roots)
         return entry.to_payload()
 
     def post_commit(self, txn: Transaction, payload: Optional[Dict[str, Any]]) -> None:
         if payload is None:
             return
         assert self._ledger is not None
-        self._ledger.enqueue(TransactionEntry.from_payload(payload))
+        self._ledger.enqueue(txn.context[_CONTEXT_KEY].entry)
 
     def on_commit_failed(
         self, txn: Transaction, payload: Optional[Dict[str, Any]]
     ) -> None:
         if payload is not None:
-            self._ledger.hand_back(TransactionEntry.from_payload(payload))
+            self._ledger.hand_back(txn.context[_CONTEXT_KEY].entry)
 
     # ------------------------------------------------------------------
     # Savepoints (§3.2.1)

@@ -85,7 +85,7 @@ class LedgerDatabase:
         self.ledger = ledger
         #: Stage 3 of the commit pipeline: the background block builder and
         #: the ``drain()`` barrier (started by :meth:`open`).
-        self.pipeline = LedgerPipeline(ledger)
+        self.pipeline = LedgerPipeline(ledger, engine)
         #: Prepared-statement cache shared by every SQL session on this
         #: database; DDL through any session invalidates it for all.
         self.statement_cache = StatementCache()
@@ -174,10 +174,11 @@ class LedgerDatabase:
             self.stop_monitor()
             self.stop_obs_server()
             self.stop_flight_recorder()
-            if not self.engine.closed:
-                self.pipeline.stop(drain=True)
-            else:
-                self.pipeline.stop(drain=False)
+            # A stopped engine (``engine.failure``) closes as a crash does:
+            # no drain, no checkpoint; the reopen recovers from the log.
+            self.pipeline.stop(
+                drain=not self.engine.closed and self.engine.failure is None
+            )
             with self.ledger.storage_lock:
                 self.pipeline.drains_disabled = True
                 self.engine.close()
@@ -721,6 +722,8 @@ class LedgerDatabase:
         should be running (block builder, continuous monitor) is dead, or
         the builder's supervisor gave up: the ledger is unwatched or blocks
         pile up unsealed; each problem names the thread and its last error.
+        Also ``degraded``: the engine stopped after a COMMIT's fsync failed
+        (``engine.failure``); its problem says to reopen.
         ``ok`` otherwise.  ``/healthz`` renders this verdict, ``op=health``
         returns it and the server's write gate reads its ``status``.
         """
@@ -751,6 +754,15 @@ class LedgerDatabase:
                     "detail": "block-builder thread died"
                     + (" and its supervisor gave up" if gave_up else ""),
                     "last_error": pipeline["last_error"],
+                }
+            )
+        if self.engine.failure is not None:
+            problems.append(
+                {
+                    "thread": "engine",
+                    "detail": "a COMMIT's fsync failed and the engine "
+                    "stopped; reopen the database to recover",
+                    "last_error": self.engine.failure,
                 }
             )
         if monitor is not None and not monitor_status["healthy"]:

@@ -62,8 +62,9 @@ _BACKOFF_MAX = 1.0
 class LedgerPipeline:
     """Owns the block-builder thread and the drain barrier for one ledger."""
 
-    def __init__(self, ledger) -> None:
+    def __init__(self, ledger, engine) -> None:
         self._ledger = ledger
+        self._engine = engine
         # ``pipeline.wakeup``: last in the lock order (DESIGN.md).
         self._wakeup = threading.Condition(threading.Lock())
         self._pending_wakeups = 0
@@ -164,7 +165,8 @@ class LedgerPipeline:
         entries of the open block as "uncovered".
 
         Raises a clean :class:`LedgerError` once the database is closing
-        (``drains_disabled``) instead of racing the engine teardown, and the
+        (``drains_disabled``) instead of racing the engine teardown, the
+        engine's once it has stopped (``Database.failure``), and the
         closure's own :class:`LedgerError` when a sealed block cannot close.
         """
         with self._ledger.storage_lock:
@@ -172,6 +174,7 @@ class LedgerPipeline:
                 raise LedgerError(
                     "pipeline is shut down; drain is no longer available"
                 )
+            self._engine.require_running()
             with OBS.tracer.span(
                 "pipeline.drain", seal_open=seal_open
             ) as span:

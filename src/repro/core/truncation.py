@@ -126,7 +126,7 @@ def _reanchor_live_rows(db, truncated_tids: Set[int]) -> int:
         for rid, row in targets:
             # Run the ledger insert hook to stamp + hash the new version,
             # then overwrite the stored record without creating history.
-            stamped, _ = hooks.before_insert(txn, table, list(row))
+            stamped, _, _ = hooks.before_insert(txn, table, list(row))
             with hooks.system_operation():
                 table.update_row(txn, rid, row, list(stamped))
             reanchored += 1

@@ -11,13 +11,14 @@ benchmarks use while still exercising real splits and merges.
 :meth:`BPlusTree.insert_many` sorts a batch once and descends each subtree
 the batch reaches once; a node that overflows splits into as many nodes as
 it needs on the way back up, and :meth:`BPlusTree.insert` is its one-key
-case.  :meth:`BPlusTree.bulk` builds a tree over known keys bottom-up.
+case.  :meth:`BPlusTree.held` probes a batch the same way, reading only.
+:meth:`BPlusTree.bulk` builds a tree over known keys bottom-up.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StorageError
 
@@ -81,6 +82,15 @@ class BPlusTree:
     def __contains__(self, key: Any) -> bool:
         sentinel = object()
         return self.get(key, sentinel) is not sentinel
+
+    def held(self, keys: Iterable[Tuple[Any, ...]]) -> Set[Tuple[Any, ...]]:
+        """The keys among ``keys`` that begin some stored key — equal to
+        it, or a prefix of it, as :meth:`prefix` matches — with ``keys``
+        sorted once and each subtree they reach descended once."""
+        ordered = sorted(keys)
+        found: Set[Tuple[Any, ...]] = set()
+        self._probe_run(self._root, ordered, 0, len(ordered), found)
+        return found
 
     def insert(self, key: Any, value: Any) -> None:
         """Insert a new key or replace the value of an existing key."""
@@ -232,6 +242,41 @@ class BPlusTree:
             separators[index:index] = [separator for separator, _ in siblings]
             children[index + 1 : index + 1] = [child for _, child in siblings]
         return self._split(interior) if len(separators) > self._order else ()
+
+    def _probe_run(
+        self, node: _Node, keys: List[Any], lo: int, hi: int, found: Set[Any]
+    ) -> None:
+        """Add to ``found`` the keys of ``keys[lo:hi]`` (sorted, all routed
+        to ``node``) that begin a stored key."""
+        if isinstance(node, _Interior):
+            separators, children = node.keys, node.children
+            while lo < hi:
+                index = bisect.bisect_right(separators, keys[lo])
+                end = hi
+                if index < len(separators):
+                    end = bisect.bisect_left(keys, separators[index], lo + 1, hi)
+                self._probe_run(children[index], keys, lo, end, found)
+                lo = end
+            return
+        leaf_keys = node.keys  # type: ignore[attr-defined]
+        position = 0
+        for at in range(lo, hi):
+            key = keys[at]
+            position = bisect.bisect_left(leaf_keys, key, position)
+            if position == len(leaf_keys):
+                # The rest sort after this leaf's keys and below every key
+                # of a later leaf, so each one's first stored key at or
+                # above it is the first key of the next leaf not emptied
+                # by a delete.
+                following = node.next_leaf  # type: ignore[attr-defined]
+                while following is not None and not following.keys:
+                    following = following.next_leaf
+                if following is not None:
+                    first = following.keys[0]
+                    found.update(k for k in keys[at:hi] if first[: len(k)] == k)
+                return
+            if leaf_keys[position][: len(key)] == key:
+                found.add(key)
 
     def _split(self, node: _Node) -> Sequence[Tuple[Any, _Node]]:
         """Split an overfull ``node`` into the fewest even nodes that hold

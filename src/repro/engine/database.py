@@ -253,11 +253,26 @@ class Database:
         """True once :meth:`close` or :meth:`simulate_crash` ran."""
         return self._closed
 
+    @property
+    def failure(self) -> Optional[str]:
+        """Why the engine stopped (a COMMIT whose fsync failed after its
+        record reached the log), or None while it runs."""
+        assert self._txn_manager is not None
+        return self._txn_manager.failure
+
+    def require_running(self) -> None:
+        """Raise the :class:`LedgerError` :attr:`failure` names, if any."""
+        assert self._txn_manager is not None
+        self._txn_manager.require_running()
+
     def close(self) -> None:
-        """Checkpoint and release file handles."""
+        """Checkpoint and release file handles; a stopped engine (see
+        :attr:`failure`) releases them without a checkpoint, as a crash
+        would, and its reopen recovers from the log."""
         if self._closed:
             return
-        self.checkpoint()
+        if self.failure is None:
+            self.checkpoint()
         assert self._wal is not None
         self._wal.close()
         self._closed = True
@@ -407,6 +422,7 @@ class Database:
         recovery needs no undo phase.
         """
         assert self._wal is not None and self._txn_manager is not None
+        self._txn_manager.require_running()
         if self._txn_manager.active_transactions:
             raise TransactionError(
                 "checkpoint requires quiescence; active transactions: "

@@ -25,12 +25,13 @@ class EngineHooks:
 
     Every method is optional to override.  DML hooks run *before* the storage
     mutation and hand the engine the row *prepared* for storage —
-    ``(validated values, record bytes)``, made by
+    ``(validated values, record bytes, canonical payload)``, made by
     :meth:`~repro.engine.table.Table.prepare_row`.  A hook that amends the
     row (the ledger populates hidden system columns) does so before
-    preparing it, and then holds exactly the bytes storage will hold: the
-    ledger hashes those, so a row is validated once and each value encoded
-    once however many layers look at it.
+    preparing it, and then holds the bytes storage will hold and the
+    payload of exactly those bytes: the ledger hashes the payload, so a row
+    is validated once and each value encoded once however many layers look
+    at it.
     """
 
     def before_insert(

@@ -14,8 +14,9 @@ catches it.
 
 A tree key is one flat tuple, two elements per key part (:func:`key_tuple`):
 ``(1, account)`` clustered, ``(1, account, page_id, slot)`` nonclustered.
-``keys_of`` keys a batch of rows in one call; a batch enters a tree with
-one :meth:`BPlusTree.insert_many`.  No tree is persisted: open bulk-builds
+``keys_of`` keys a batch of rows in one call; a batch is probed with one
+:meth:`BPlusTree.held` and enters a tree with one
+:meth:`BPlusTree.insert_many`.  No tree is persisted: open bulk-builds
 each one (:meth:`BPlusTree.bulk`) from keys read by
 :meth:`RecordKernel.projector`, which parses no other value.
 """
@@ -26,7 +27,7 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import (
     Any, Callable, DefaultDict, Iterable, Iterator, List, Mapping, Optional,
-    Sequence, Tuple,
+    Sequence, Set, Tuple,
 )
 
 from repro.engine.btree import BPlusTree
@@ -96,9 +97,10 @@ class ClusteredIndex:
             raise self._duplicate(row)
         self._tree.insert(key, rid)
 
-    def holds(self, key: Tuple) -> bool:
-        """Is a row stored under ``key`` (one tree probe)?"""
-        return self._tree.get(key) is not None
+    def held(self, keys: Iterable[Tuple]) -> Set[Tuple]:
+        """The keys among ``keys`` a row is stored under (one tree probe
+        for the batch, :meth:`BPlusTree.held`)."""
+        return self._tree.held(keys)
 
     def insert_keys(self, keys: Sequence[Tuple], rids: Sequence[RowId]) -> None:
         """Enter a batch of checked keys (:attr:`keys_of` the rows), none of
@@ -219,14 +221,16 @@ class NonclusteredIndex:
     def insert(self, row: Sequence[Any], record: bytes, base_rid: RowId) -> None:
         """Add the copy of one stored base row (an UPDATE, or an undo)."""
         key = self.keys_of((row,))[0]
-        if self.definition.unique and self.holds(key):
+        if self.definition.unique and self.held((key,)):
             raise ConstraintError(f"duplicate key in unique index {self.name!r}")
         index_rid = self.heap.insert(record)
         self._tree.insert(key + base_rid, (index_rid, base_rid))
 
-    def holds(self, key: Tuple) -> bool:
-        """Is a row stored under index key ``key`` (one tree probe)?"""
-        return next(self._tree.prefix(key), None) is not None
+    def held(self, keys: Iterable[Tuple]) -> Set[Tuple]:
+        """The index keys among ``keys`` some row is stored under: each
+        begins a tree key, which appends the base RowId (one tree probe
+        for the batch, :meth:`BPlusTree.held`)."""
+        return self._tree.held(keys)
 
     def insert_many(
         self,

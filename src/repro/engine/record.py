@@ -12,11 +12,14 @@ which adds an ordinal, a type id and the declared-type metadata to every
 non-NULL column so that the bytes cannot be reinterpreted.  The two formats
 differ in what surrounds a value, not in the value: both carry the same
 ``uint32 len | canonical encoding`` bytes.  :class:`RecordKernel` exploits
-that: it builds the hashed payload of a stored record by copying each
-``len | value`` chunk next to a pre-packed prefix — no value is decoded or
-encoded again — and it is the only code that produces that payload: DML
-hashes the record it is about to store, verification hashes the record it
-finds in storage.
+that twice.  Its writer puts each ``len | value`` chunk it encodes both
+into the record and, after a pre-packed prefix, into the hashed payload:
+DML hashes that payload and never reads its record back.  Its
+:meth:`~RecordKernel.transcode` builds the payload of a stored record by
+copying each chunk next to the same prefix — no value is decoded or
+encoded again — and it is the only reader of stored bytes verification
+trusts: a writer bug can make a stored row disagree with its leaf (a false
+alarm), never make a tampered one agree.
 
 Every read of a record — a value tuple, a key, a named SELECT row, the
 hashed payload — is one *walk*: the header, the NULL bitmap, each column's
@@ -29,8 +32,9 @@ names and messages reach the generated code only as constants in its
 namespace; the source itself holds nothing but integers and fixed text.
 
 Writing is generated the same way (:func:`_compile_write`): one function per
-schema object turns a physical row into its validated values and record
-bytes, validating every column, in order, before encoding any but strings.
+schema object turns a physical row into its validated values, record bytes
+and payload, validating every column, in order, before encoding any but
+strings.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ _INT_CHUNK = {1: ">Ib", 2: ">Ih", 4: ">Ii", 8: ">Iq"}
 
 #: Stored record bytes -> one result shape (values, named row or payload).
 Reader = Callable[[bytes], Any]
-#: Physical row -> ``(validated values, record)``, or -> record alone.
+#: Physical row -> ``(validated values, record, payload)``, or -> record alone.
 Writer = Callable[[Sequence[Any]], Any]
 
 #: Result shapes of a walk.
@@ -228,7 +232,8 @@ def _reader(kernel: "RecordKernel", want: _Walk) -> Reader:
 
 
 def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
-    """Generate the schema's writer: physical row -> ``(values, record)``.
+    """Generate the schema's writer: physical row -> ``(values, record,
+    payload)``.
 
     The writer checks the row's width, then validates every column in
     order — a NULL in a nullable column, an exact ``int`` in range or an
@@ -236,7 +241,11 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
     :meth:`Column.validate`, so every error text stays with the types;
     dropped columns pass verbatim — and only then encodes.  A string is
     encoded where it is validated: encoding is what rejects a lone
-    surrogate, so the first column in error is the one named.  Without
+    surrogate, so the first column in error is the one named.  Each
+    non-NULL column's ``len | value`` chunk goes into the record after the
+    NULL bitmap and into the hashed payload after the column's canonical
+    prefix, under the header counting them: the payload
+    :meth:`RecordKernel.transcode` copies out of that record.  Without
     ``validate`` it is the bare encoder: physical row -> record, each
     non-NULL value through its type's ``encode``.
     """
@@ -254,6 +263,10 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
         "declared": declared,
         "wrong_width": f"table {kernel.name!r} has {width} physical columns",
     }
+    # ``q{i}``: what precedes column i's chunk in the payload — its prefix,
+    # or nothing when the column is NULL (the writer's payload only).
+    for i, prefix in enumerate(kernel.prefixes):
+        namespace[f"pre{i}"] = prefix
     out = ["def write(row):", f"    if len(row) != {width}:"]
     if validate:
         out.append("        raise TypeSystemError("
@@ -285,8 +298,8 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
             namespace[f"col{i}"] = f"column {column.name!r}: "
             indent = "    "
             if column.nullable:
-                out += [f"    if v{i} is None:", f"        c{i} = b''",
-                        "    else:"]
+                out += [f"    if v{i} is None:", f"        c{i} = q{i} = b''",
+                        "    else:", f"        q{i} = pre{i}"]
                 indent = "        "
             out += [
                 f"{indent}try:",
@@ -323,10 +336,12 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
         if not (always >> ordinal & 1):
             out += [
                 f"    if {value} is None:",
-                f"        c{i} = b''",
+                f"        c{i} = q{i} = b''" if validate else f"        c{i} = b''",
                 "    else:",
                 f"        present |= {1 << ordinal}",
             ]
+            if validate:
+                out.append(f"        q{i} = pre{i}")
             indent = "        "
         if live[i] and isinstance(sql_type, _IntegerType):
             namespace[f"pack{i}"] = struct.Struct(_INT_CHUNK[sql_type.width]).pack
@@ -344,8 +359,23 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
         head = f"declared + from_int(present, {bitmap}, 'little')"
     record = "join((" + head + ", " + "".join(f"c{i}, " for i in range(width)) + "))"
     if validate:
+        if always == (1 << width) - 1:
+            namespace["counted"] = kernel.payload_headers[width]
+            counted = "counted"
+        elif bitmap == 1:
+            namespace["counts"] = tuple(
+                kernel.payload_headers[p.bit_count()] for p in range(1 << width)
+            )
+            counted = "counts[present]"
+        else:
+            namespace["headers"] = kernel.payload_headers
+            counted = "headers[present.bit_count()]"
+        chunks = "".join(
+            f"pre{i}, c{i}, " if always >> i & 1 else f"q{i}, c{i}, "
+            for i in range(width)
+        )
         values = "(" + "".join(f"v{i}, " for i in range(width)) + ")"
-        out.append(f"    return {values}, {record}")
+        out.append(f"    return {values}, {record}, join(({counted}, {chunks}))")
     else:
         out.append(f"    return {record}")
     exec(_compiled("\n".join(out)), namespace)
@@ -410,10 +440,11 @@ class RecordKernel:
 
     # -- values -> record ----------------------------------------------
 
-    def write(self, row: Sequence[Any]) -> Tuple[Tuple[Any, ...], bytes]:
-        """Validate a physical row and encode it: ``(values, record)``,
-        one generated call (:func:`_compile_write`).  The hashed payload is
-        :meth:`transcode`'s to make, from the record."""
+    def write(self, row: Sequence[Any]) -> Tuple[Tuple[Any, ...], bytes, bytes]:
+        """Validate a physical row and encode it: ``(values, record,
+        payload)``, one generated call (:func:`_compile_write`).  ``payload``
+        is the canonical payload (§3.2) of the record, what
+        ``transcode(record)[0]`` returns."""
         write = self._write
         if write is None:
             write = self._write = _compile_write(self, True)

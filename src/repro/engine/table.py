@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import (
     Any, Callable, DefaultDict, Dict, Iterator, List, Optional, Sequence,
-    Tuple,
+    Set, Tuple,
 )
 
 from repro.engine.heap import HeapFile, RowId
@@ -43,8 +43,9 @@ from repro.engine.wal import (
 )
 from repro.errors import ConstraintError, StorageError
 
-#: A row ready to store: (validated physical values, their record bytes).
-PreparedRow = Tuple[Tuple[Any, ...], bytes]
+#: A row ready to store: (validated physical values, their record bytes,
+#: the record's canonical payload — :meth:`RecordKernel.write`).
+PreparedRow = Tuple[Tuple[Any, ...], bytes, bytes]
 
 
 class Table:
@@ -97,8 +98,8 @@ class Table:
             self._lock_manager.acquire(txn.tid, self.table_id, LockMode.EXCLUSIVE)
 
     def prepare_row(self, row: Sequence[Any]) -> PreparedRow:
-        """Validate a physical row and encode it: one generated writer call
-        (:meth:`RecordKernel.write`)."""
+        """Validate a physical row and encode it, record and hashed payload:
+        one generated writer call (:meth:`RecordKernel.write`)."""
         return self.schema.derived(RecordKernel).write(row)
 
     def insert(self, txn: Transaction, row: List[Any]) -> RowId:
@@ -160,15 +161,14 @@ class Table:
         txn.require_active()
         self._acquire_write_lock(txn)
         old_record = self.heap.read(rid)
-        validated, new_record = self._hooks_ref().before_update(
-            txn, self, old_row, new_row
-        )
+        prepared = self._hooks_ref().before_update(txn, self, old_row, new_row)
+        validated, new_record, _ = prepared
         # Pre-check constraints so the physical mutation cannot half-apply.
         _check_sizes((new_record,))
         self._check_unique(validated, old_row)
         if not self.heap.overwrite(rid, new_record):
             self._remove_row(txn, rid, old_row, old_record)
-            return self._store_row(txn, (validated, new_record))
+            return self._store_row(txn, prepared)
         self._rewrite_access_paths(rid, old_row, validated, new_record)
         for key_index in self._key_indexes.values():
             key_index.discard(old_row, rid)
@@ -369,16 +369,16 @@ class Table:
         All checks — each record's size, and each new key against the batch
         and the stored data — run before any mutation, so a violation
         anywhere in the batch leaves heap, indexes and WAL untouched.  Each
-        access path's keys are built with one call and probed once each;
-        the trees then take those same keys.
+        access path's keys are built with one call and probed with one
+        descent; the trees then take those same keys.
         """
-        rows: List[Tuple[Any, ...]] = [validated for validated, _ in prepared]
-        records = [record for _, record in prepared]
+        rows: Sequence[Tuple[Any, ...]]
+        rows, records, _ = zip(*prepared)
         _check_sizes(records)
         pk_keys: List[Tuple] = []
         if self.clustered is not None:
             pk_keys = self.clustered.keys_of(rows)
-            at = _first_taken(pk_keys, self.clustered.holds)
+            at = _first_taken(pk_keys, self.clustered.held)
             if at is not None:
                 pk = tuple(rows[at][o] for o in self.schema.primary_key_ordinals())
                 raise ConstraintError(
@@ -387,7 +387,7 @@ class Table:
         index_keys = []
         for index in self.nonclustered.values():
             keys = index.keys_of(rows)
-            if index.definition.unique and _first_taken(keys, index.holds) is not None:
+            if index.definition.unique and _first_taken(keys, index.held) is not None:
                 raise ConstraintError(
                     f"duplicate key in unique index {index.name!r}"
                 )
@@ -492,7 +492,7 @@ class Table:
         clustered = self.clustered
         if clustered is not None:
             key = clustered.key_of(row)
-            if key != clustered.key_of(old_row) and clustered.holds(key):
+            if key != clustered.key_of(old_row) and clustered.held((key,)):
                 pk = tuple(row[o] for o in self.schema.primary_key_ordinals())
                 raise ConstraintError(
                     f"duplicate primary key {pk!r} in table {self.name!r}"
@@ -501,7 +501,7 @@ class Table:
             if not index.definition.unique:
                 continue
             key, old_key = index.keys_of((row, old_row))
-            if key != old_key and index.holds(key):
+            if key != old_key and index.held((key,)):
                 raise ConstraintError(
                     f"duplicate key in unique index {index.name!r}"
                 )
@@ -523,13 +523,17 @@ def _check_sizes(records: Sequence[bytes]) -> None:
 
 
 def _first_taken(
-    keys: Sequence[Tuple], holds: Callable[[Tuple], bool]
+    keys: Sequence[Tuple], held: Callable[[Sequence[Tuple]], Set[Tuple]]
 ) -> Optional[int]:
     """The position of the first key that repeats one before it in ``keys``
-    or that ``holds`` says is stored; each key is probed at most once."""
-    seen = set()
+    or that is stored: ``held`` names the stored ones, from one probe of
+    the whole batch."""
+    stored = held(keys)
+    if not stored and len(set(keys)) == len(keys):
+        return None
+    seen: Set[Tuple] = set()
     for at, key in enumerate(keys):
-        if key in seen or holds(key):
+        if key in seen or key in stored:
             return at
         seen.add(key)
     return None

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.engine.hooks import EngineHooks
 from repro.engine.locks import LockManager
 from repro.engine.wal import ABORT, BEGIN, COMMIT, WalRecord, WalWriter
-from repro.errors import SavepointError, TransactionError
+from repro.errors import LedgerError, SavepointError, TransactionError
 from repro.obs import OBS
 
 
@@ -106,6 +106,14 @@ class TransactionManager:
         # sessions begin/commit from different threads (storage mutation is
         # serialized one level up by the ledger's storage lock).
         self._state_lock = threading.Lock()
+        #: Why the engine stopped, once a COMMIT record reached the log and
+        #: its flush or fsync then failed; None while it runs.
+        self.failure: Optional[str] = None
+
+    def require_running(self) -> None:
+        """Raise :attr:`failure` as a :class:`LedgerError`, if it is set."""
+        if self.failure is not None:
+            raise LedgerError(self.failure)
 
     def set_wal(self, wal: WalWriter) -> None:
         self._wal = wal
@@ -122,6 +130,7 @@ class TransactionManager:
         cannot cut the log between the two; if the append fails it is not
         active at all.
         """
+        self.require_running()
         with self._state_lock:
             tid = self._next_tid
             self._next_tid += 1
@@ -140,7 +149,16 @@ class TransactionManager:
 
         Returns the ledger payload (block id / ordinal / entry) so callers —
         e.g. receipt generation — can reference where the transaction landed.
+
+        A COMMIT record that fails before any byte reaches the log gives
+        back what ``pre_commit`` took, and the transaction stays active for
+        its rollback.  One that reached the log and whose flush or fsync
+        then failed stops the engine (fail-stop): recovery may replay that
+        COMMIT, so no rollback may undo it in memory, and every later
+        begin, commit, rollback or checkpoint raises :attr:`failure` until
+        the database is reopened.
         """
+        self.require_running()
         txn.require_active()
         started = time.perf_counter()
         with OBS.tracer.span("txn.commit", tid=txn.tid):
@@ -152,14 +170,18 @@ class TransactionManager:
                     self._wal.append(
                         WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload})
                     )
-                except BaseException:
-                    # Once a byte is in the log, recovery may replay this
-                    # COMMIT, so only a record that never reached it gives
-                    # back what pre_commit took.
+                    self._wal.flush()
+                except BaseException as exc:
                     if self._wal.end == end:
                         self._hooks.on_commit_failed(txn, payload)
+                    else:
+                        self.failure = (
+                            f"the fsync of transaction {txn.tid}'s COMMIT "
+                            "record failed after the record reached the log "
+                            f"({type(exc).__name__}: {exc}); the engine has "
+                            "stopped: reopen the database to recover"
+                        )
                     raise
-                self._wal.flush()
             txn.state = TxnState.COMMITTED
             with self._state_lock:
                 del self._active[txn.tid]
@@ -170,6 +192,7 @@ class TransactionManager:
 
     def rollback(self, txn: Transaction) -> None:
         """Abort: apply all undo actions in reverse, log ABORT."""
+        self.require_running()
         txn.require_active()
         for revert in reversed(txn.undo_log):
             revert()

@@ -29,7 +29,6 @@ from repro.engine.operators import (
     aggregate,
     bind_columns,
     delete_rows,
-    insert_rows,
     limit_rows,
     plan_access,
     plan_equalities,
@@ -106,6 +105,27 @@ class _Source:
 def _grouped(stmt: ast.Select) -> bool:
     """True when aggregation comes between the source rows and the output."""
     return bool(stmt.group_by) or any(item.aggregate for item in stmt.items)
+
+
+def _gatherer(
+    pattern: Tuple[Optional[int], ...], take: Sequence[int], params: int
+):
+    """The physical-row layout of one ``VALUES`` template, as one call.
+
+    ``pattern`` holds, per template position, the index of the parameter
+    there, or None for a literal; ``take`` holds, per physical slot, the
+    template position it takes, or -1 for NULL.  The call reads a row of
+    ``params`` parameters, then — if ``pattern`` has a literal — the
+    template, then the NULL."""
+    sources = [
+        params + at if index is None else index
+        for at, index in enumerate(pattern)
+    ]
+    null = params + len(pattern) if None in pattern else params
+    slots = [null if at < 0 else sources[at] for at in take]
+    if len(slots) == 1:  # an itemgetter of one item returns that item
+        return lambda row: (row[slots[0]],)
+    return itemgetter(*slots)
 
 
 class SqlSession:
@@ -196,25 +216,19 @@ class SqlSession:
             for value in template:
                 if isinstance(value, ast.Parameter):
                     expected = max(expected, value.index + 1)
-        bound_rows: List[tuple] = []
         for values in param_rows:
             if len(values) != expected:
                 raise SqlBindError(
                     f"statement has {expected} parameter(s) but "
                     f"{len(values)} value(s) were supplied"
                 )
-            for template in statement.rows:
-                bound_rows.append(tuple(
-                    values[v.index] if isinstance(v, ast.Parameter) else v
-                    for v in template
-                ))
-        if not bound_rows:
+        if not param_rows or not statement.rows:
             return 0
         tracer = OBS.tracer
         with tracer.span("sql.statement") as stmt_span:
             kind = type(statement).__name__
             stmt_span.set_attribute("kind", kind)
-            stmt_span.set_attribute("rows", len(bound_rows))
+            stmt_span.set_attribute("rows", len(param_rows) * len(statement.rows))
             self._m.statements.labels(kind).inc()
             table = self._db.engine.table(statement.table)
             with self._db.ledger.storage_lock, tracer.span(
@@ -222,7 +236,8 @@ class SqlSession:
             ):
                 return self._autocommit(
                     lambda txn: self._insert_bound_rows(
-                        txn, table, statement.columns, bound_rows
+                        txn, table, statement.columns, statement.rows,
+                        param_rows,
                     )
                 )
 
@@ -368,30 +383,50 @@ class SqlSession:
     # DML
     # ------------------------------------------------------------------
 
-    def _insert_bound_rows(self, txn, table, columns, rows) -> int:
-        """Insert fully-bound value rows as one batched storage operation.
+    def _insert_bound_rows(
+        self, txn, table, columns, templates, param_rows=((),)
+    ) -> int:
+        """Insert each parameter row bound into each ``VALUES`` template,
+        in that order, as one batched storage operation.
 
-        A column list is bound once per statement (:func:`bind_columns`):
-        each physical slot takes a value's position, or the NULL padded
-        onto every row, and one ``itemgetter`` call lays out a row."""
-        if not columns:
-            return insert_rows(txn, table, rows)
-        ordinals = bind_columns(table.schema, columns)
-        count = len(ordinals)
-        position = {ordinal: i for i, ordinal in enumerate(ordinals)}
-        slots = [position.get(c.ordinal, count) for c in table.schema.columns]
-        # An itemgetter of one item returns that item, not a 1-tuple.
-        gather = (
-            itemgetter(*slots) if len(slots) > 1
-            else lambda padded: (padded[slots[0]],)
-        )
-        physical = []
-        for values in rows:
-            if len(values) != count:
-                raise SqlBindError(
-                    "INSERT value count does not match column list"
-                )
-            physical.append(gather((*values, None)))
+        The statement binds once: its column list (:func:`bind_columns`;
+        without one, the visible columns in order), each template's value
+        count, and per template a gather that takes every physical slot
+        from a parameter, a literal or the NULL padded onto every row.  One
+        ``itemgetter`` call then lays out each physical row."""
+        schema = table.schema
+        if columns:
+            ordinals = bind_columns(schema, columns)
+        else:
+            ordinals = tuple(c.ordinal for c in schema.visible_columns)
+        position = {ordinal: at for at, ordinal in enumerate(ordinals)}
+        # Per physical slot, the template position it takes (-1: NULL).
+        take = [position.get(c.ordinal, -1) for c in schema.columns]
+        params = len(param_rows[0])
+        gathers: Dict[Tuple, Any] = {}
+        bound = []
+        for template in templates:
+            if len(template) != len(ordinals):
+                if columns:
+                    raise SqlBindError(
+                        "INSERT value count does not match column list"
+                    )
+                schema.row_from_visible(template)  # raises its arity error
+            # A row to gather from is the parameters, then the template's
+            # literals (only if it has any), then the NULL.
+            pattern = tuple(
+                v.index if isinstance(v, ast.Parameter) else None
+                for v in template
+            )
+            tail = (None,) if None not in pattern else (*template, None)
+            gather = gathers.get(pattern)
+            if gather is None:
+                gather = gathers[pattern] = _gatherer(pattern, take, params)
+            bound.append((gather, tail))
+        physical = [
+            gather((*values, *tail))
+            for values in param_rows for gather, tail in bound
+        ]
         table.insert_many(txn, physical)
         return len(physical)
 

@@ -44,7 +44,7 @@ def wide_row_schema(
 
 def record_width(schema: TableSchema) -> int:
     """Actual stored record width for the schema (sanity: 260 bytes)."""
-    _, record = schema.derived(RecordKernel).write(
+    _, record, _ = schema.derived(RecordKernel).write(
         [1, "a" * _PAYLOAD_A, "b" * _PAYLOAD_B]
         + [None] * (len(schema.columns) - 3)
     )

@@ -4,13 +4,18 @@ from collections import Counter
 
 import pytest
 
+from repro.core import hooks as hooks_module
 from repro.core import system_columns as sc
+from repro.core.database_ledger import DatabaseLedger
 from repro.core.entries import TransactionEntry
+from repro.core.ledger_database import LedgerDatabase
 from repro.crypto.merkle import merkle_root
 from repro.crypto.hashing import hash_leaf
 from repro.engine import types as sql_types
+from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.record import RecordKernel, encode_record, hashable_payload
+from repro.engine.wal import read_wal
 
 from tests.core.conftest import accounts_schema, run
 
@@ -96,8 +101,9 @@ class TestPerTransactionMerkleTrees:
 
 class TestValidateOnceEncodeOnce:
     """The engine prepares a row version once — one generated writer call,
-    which validates and encodes it — and the ledger hashes the resulting
-    record instead of validating and encoding again."""
+    which validates and encodes it and makes its hashed payload — and the
+    ledger hashes that payload: no value is validated or encoded again, and
+    no record is read back (``transcode``, ``hashable_payload(s)``)."""
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -113,6 +119,15 @@ class TestValidateOnceEncodeOnce:
             monkeypatch.setattr(owner, name, wrapper)
 
         counting(RecordKernel, "write", lambda kernel: kernel.name)
+        counting(RecordKernel, "transcoder", lambda _: "transcode")
+        for name in ("hashable_payload", "hashable_payloads"):
+            original = getattr(hooks_module, name)
+
+            def spied(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hooks_module, name, spied)
         # ``accounts`` holds VARCHAR, INT and the BIGINT system columns: the
         # writer checks and encodes those values inline, and nothing else
         # validates or encodes them again.
@@ -160,6 +175,50 @@ class TestCommitPayloads:
         assert entry.transaction_id == txn.tid
         assert entry.username == "auditor"
         assert entry == db.ledger.transaction_entry(txn.tid)
+
+    def test_commit_queues_the_entry_it_was_assigned(
+        self, tmp_path, monkeypatch
+    ):
+        """Committing decodes no payload: the entry ``pre_commit`` assigned
+        is the one queued (equal to what the COMMIT record carries and what
+        the ledger reports); only recovery decodes payloads."""
+        decoded, queued = [], []
+        from_payload = TransactionEntry.from_payload.__func__
+        enqueue = DatabaseLedger.enqueue
+
+        def decoding(cls, payload):
+            decoded.append(payload)
+            return from_payload(cls, payload)
+
+        def queueing(self, entry):
+            queued.append(entry)
+            return enqueue(self, entry)
+
+        monkeypatch.setattr(TransactionEntry, "from_payload", classmethod(decoding))
+        monkeypatch.setattr(DatabaseLedger, "enqueue", queueing)
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path, block_size=4, clock=LogicalClock())
+        db.create_ledger_table(accounts_schema())
+        queued.clear()
+        txn = db.begin("auditor")
+        db.insert(txn, "accounts", [["x", 1]])
+        db.commit(txn)
+        assert decoded == []
+        (entry,) = queued
+        assert entry == db.ledger.transaction_entry(txn.tid)
+        records, _ = read_wal(db.engine.wal.path)
+        (logged,) = [
+            r.payload["ledger"] for r in records
+            if r.kind == "COMMIT" and r.payload["tid"] == txn.tid
+        ]
+        assert from_payload(TransactionEntry, logged) == entry
+        db.simulate_crash()
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            assert logged in decoded
+            assert db.ledger.transaction_entry(txn.tid) == entry
+        finally:
+            db.close()
 
     def test_read_only_transaction_has_no_payload(self, db, accounts):
         run(db, "a", lambda t: db.insert(t, "accounts", [["x", 1]]))

@@ -204,30 +204,59 @@ class TestFailedCommitAppend:
     def test_a_commit_whose_record_reached_the_log_keeps_its_slot(
         self, tmp_path
     ):
-        """An fsync that fails after the COMMIT frame was written: recovery
-        may replay that COMMIT, so handing its slot to the next commit
-        would give two entries one slot."""
+        """An fsync that fails after the COMMIT frame was written stops the
+        engine: recovery replays that COMMIT, so no rollback may undo it in
+        memory and nothing commits after it in this process.  The reopen
+        finds the transaction with its rows, in the slot it was assigned,
+        verification passes and blocks keep closing."""
+        path = str(tmp_path / "db")
         db = LedgerDatabase.open(
-            str(tmp_path / "db"), block_size=4, clock=LogicalClock(),
-            sync=True,
+            path, block_size=4, clock=LogicalClock(), sync=True,
         )
+        db.create_ledger_table(accounts_schema())
+        seed(db, 1)
+        before = db.generate_digest()
+        txn = db.begin("bob")
+        db.insert(txn, "accounts", [["synced", 1]])
+        FAULTS.arm("wal.fsync", action="fail", times=1)
         try:
-            db.create_ledger_table(accounts_schema())
-            base = quiesce(db)
-            txn = db.begin("bob")
-            db.insert(txn, "accounts", [["synced", 1]])
-            FAULTS.arm("wal.fsync", action="fail", times=1)
-            try:
-                with pytest.raises(InjectedFaultError):
-                    db.commit(txn)
-            finally:
-                FAULTS.reset()
-            db.rollback(txn)
-            seed(db, 1)
-            (entry,) = db.ledger.transactions_in_block(base)
-            assert entry.ordinal == 1
+            with pytest.raises(InjectedFaultError):
+                db.commit(txn)
         finally:
-            db.simulate_crash()
+            FAULTS.reset()
+        stopped = (
+            f"fsync of transaction {txn.tid}'s COMMIT record failed.*"
+            "reopen the database"
+        )
+        for call in (
+            lambda: db.rollback(txn), lambda: db.commit(txn),
+            lambda: seed(db, 7, prefix="after"), db.checkpoint,
+            db.pipeline.drain, db.generate_digest,
+        ):
+            with pytest.raises(LedgerError, match=stopped):
+                call()
+        health = db.health()
+        assert health["status"] == "degraded"
+        (problem,) = health["problems"]
+        assert problem["thread"] == "engine"
+        assert "reopen" in problem["detail"]
+        assert "fsync" in problem["last_error"]
+        db.close()  # no checkpoint: the log keeps the COMMIT
+
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            names = {row["name"] for row in db.select("accounts")}
+            assert names == {"row0", "synced"}
+            entry = db.ledger.transaction_entry(txn.tid)
+            assert (entry.block_id, entry.ordinal) == (before.block_id + 1, 0)
+            seed(db, 7, prefix="after")
+            after = db.generate_digest()
+            assert db.verify([before, after]).ok
+            assert db.ledger.sealed_pending() == 0
+            assert db.ledger.transactions_in_block(before.block_id + 1)[0] == entry
+            assert after.block_id > before.block_id + 1
+        finally:
+            db.close()
 
     def test_the_slot_of_a_sealing_assignment_unseals(self, db):
         """The failed commit's assignment is the one that fills its block:

@@ -467,3 +467,92 @@ def test_after_bounds_every_extension_of_a_clustered_key():
     extensions = [key_tuple([5, None]), key_tuple([5, 9]), key_tuple([5, 1, 2])]
     assert all(key < other < key + index_module._AFTER for other in extensions)
     assert key_tuple([6]) > key + index_module._AFTER
+
+
+# ---------------------------------------------------------------------------
+# One probe per statement: ``held`` equals a probe per key
+# ---------------------------------------------------------------------------
+
+
+#: Flat keys over two nullable parts, as the indexes make them: full keys,
+#: and full keys with a RowId suffix (a nonclustered tree's).
+_PARTS = st.none() | st.integers(min_value=0, max_value=5)
+_FLAT_KEYS = st.tuples(_PARTS, _PARTS).map(key_tuple)
+_SUFFIXES = st.tuples(st.integers(0, 3), st.integers(0, 3))
+#: Every key ``_FLAT_KEYS`` can draw, and every one-part prefix of one: a
+#: batch of these probes every gap between stored keys.
+_EVERY_KEY = [
+    key_tuple(parts)
+    for a in (None, *range(6))
+    for parts in ([a], *([a, b] for b in (None, *range(6))))
+]
+
+
+def held_per_key(tree, keys):
+    """The probe ``held`` replaced, kept here as the reference: one
+    ``prefix`` scan per key, as a unique index's ``holds`` made it."""
+    return {key for key in keys if next(tree.prefix(key), None) is not None}
+
+
+@given(
+    st.lists(st.tuples(_FLAT_KEYS, st.none() | _SUFFIXES), max_size=120),
+    st.lists(st.tuples(st.integers(0, 119), st.integers(1, 40)), max_size=4),
+    st.lists(st.lists(_FLAT_KEYS | _FLAT_KEYS.map(lambda k: k[:2]), max_size=30),
+             min_size=1, max_size=4),
+    _ORDERS,
+)
+@settings(max_examples=150, deadline=None)
+def test_held_equals_a_probe_per_key(stored, deletes, batches, order):
+    """Stored keys with and without a RowId suffix, runs of deletes that
+    leave leaves empty, batches with repeats, NULL parts and prefixes: ``held``
+    names the keys a per-key prefix probe finds, and changes nothing."""
+    keys = [key + (suffix or ()) for key, suffix in stored]
+    tree = BPlusTree.bulk([(key, at) for at, key in enumerate(keys)], order=order)
+    ordered = sorted(set(keys))
+    for start, length in deletes:  # runs of neighbours: whole leaves
+        for key in ordered[start:start + length]:
+            if key in tree:
+                tree.delete(key)
+    before = list(tree.items())
+    for batch in [*batches, _EVERY_KEY + keys]:
+        assert tree.held(batch) == held_per_key(tree, batch)
+    assert list(tree.items()) == before
+    check_structure(tree)
+
+
+def test_held_looks_past_emptied_leaves():
+    """A prefix whose only match sits beyond several leaves a delete
+    emptied is still found."""
+    tree = BPlusTree.bulk(
+        [(key_tuple([k]) + (0, k), k) for k in range(60)], order=4
+    )
+    for k in range(10, 50):
+        tree.delete(key_tuple([k]) + (0, k))
+    assert any(isinstance(leaf, _Leaf) and not leaf.keys
+               for leaf in _leaves(tree))
+    probe = [key_tuple([k]) for k in (5, 12, 30, 49, 50, 59, 60)]
+    assert tree.held(probe) == {key_tuple([k]) for k in (5, 50, 59)}
+    assert tree.held(probe) == held_per_key(tree, probe)
+
+
+def test_held_descends_each_subtree_once(monkeypatch):
+    tree = BPlusTree.bulk([((k,), k) for k in range(0, 2000, 2)], order=8)
+    visits = []
+    original = BPlusTree._probe_run
+
+    def counted(self, node, *arguments):
+        visits.append(id(node))
+        return original(self, node, *arguments)
+
+    monkeypatch.setattr(BPlusTree, "_probe_run", counted)
+    assert tree.held([(k,) for k in range(1, 2000, 50)] + [(4,), (4,)]) == {(4,)}
+    assert len(visits) == len(set(visits))
+
+
+def _leaves(tree):
+    node = tree._root
+    while isinstance(node, _Interior):
+        node = node.children[0]
+    while node is not None:
+        yield node
+        node = node.next_leaf

@@ -49,7 +49,7 @@ from repro.errors import (
 
 
 def write(schema, row):
-    """The schema's writer: ``(validated values, record)``."""
+    """The schema's writer: ``(validated values, record, payload)``."""
     return schema.derived(RecordKernel).write(row)
 
 
@@ -476,13 +476,14 @@ class TestGoldenVectors:
         self, row, record_hex, payload_hex, leaf_hex, created_leaf_hex
     ):
         schema = _GOLDEN_SCHEMA
-        values, record = write(schema, row)
+        values, record, written = write(schema, row)
         assert record.hex() == record_hex
         assert encode_record(schema, values) == record
         payload, created, _ = hashable_payload(
             schema, record, sc.end_ordinals(schema)
         )
         assert payload.hex() == payload_hex
+        assert written == payload
         assert hash_leaf(payload).hex() == leaf_hex
         assert hash_leaf(created).hex() == created_leaf_hex
 
@@ -714,7 +715,7 @@ class TestGeneratedWalkers:
         row = (1, "value'); import os #", dt.date(2021, 6, 20))
         record = encode_record(schema, row)
         kernel = schema.derived(RecordKernel)
-        assert kernel.write(row) == (row, record)
+        assert kernel.write(row) == (row, record, reference_payload(schema, row))
         with pytest.raises(TypeSystemError, match="x'\\); import os #"):
             kernel.write(row[:2])
         assert kernel.decode(record) == row
@@ -739,7 +740,8 @@ class TestGeneratedWalkers:
 
 def reference_write(schema, row):
     """``TableSchema.validate_row`` then ``RecordKernel.encode``, as they
-    were: one interpreted loop validating, one encoding."""
+    were: one interpreted loop validating, one encoding; then the §3.2
+    serializer over the values."""
     columns = schema.columns
     if len(row) != len(columns):
         raise TypeSystemError(
@@ -761,7 +763,7 @@ def reference_write(schema, row):
     head = struct.pack(">H", len(columns)) + present.to_bytes(
         (len(columns) + 7) // 8, "little"
     )
-    return values, head + b"".join(parts)
+    return values, head + b"".join(parts), reference_payload(schema, values)
 
 
 class _Int(int):
@@ -865,9 +867,11 @@ class TestGeneratedWriters:
         expected = write_outcome(reference_write, schema, row)
         same(write_outcome(kernel.write, row), expected)
         if expected[0] == "ok":
-            values, record = expected[1]
+            values, record, payload = expected[1]
             # The bare encoder is the writer's encoding half.
             assert encode_record(schema, values) == record
+            # The payload is the one verification reads from the record.
+            assert payload == kernel.transcode(record)[0]
 
     def test_encoder_checks_the_width(self, accounts_schema):
         with pytest.raises(StorageError) as caught:
@@ -890,9 +894,68 @@ class TestGeneratedWriters:
         with pytest.raises(TypeSystemError, match="NOT NULL"):
             write(schema, (day, None))
         assert encoded == []
-        values, record = write(schema, (day, 1))
+        written = write(schema, (day, 1))
         assert encoded == [day]
-        assert (values, record) == reference_write(schema, (day, 1))
+        assert written == reference_write(schema, (day, 1))
+
+
+@st.composite
+def ledger_versions(draw):
+    """A random ledger table — every SqlType, NULLable and NOT NULL user
+    columns, often more than eight columns (a two-byte NULL bitmap) once
+    its hidden system columns are added — and its history table, both through the same ADD and DROP
+    COLUMNs; then a live version of a row and the retired version of it."""
+    picks = draw(st.lists(st.sampled_from(range(len(_TYPES))), min_size=1, max_size=10))
+    columns = [
+        Column(f"c{position}", _TYPES[pick][0], nullable=draw(st.booleans()))
+        for position, pick in enumerate(picks)
+    ]
+    ledger = sc.extend_with_system_columns(
+        TableSchema("t", columns, primary_key=["c0"]), include_end=True
+    )
+    history = sc.history_schema_for(ledger, "t_history")
+    for step in range(draw(st.integers(0, 3))):
+        droppable = [c.name for c in ledger.visible_columns if c.name != "c0"]
+        if droppable and draw(st.booleans()):
+            name = draw(st.sampled_from(droppable))
+            ledger = ledger.with_column_dropped(name)
+            history = history.with_column_dropped(name)
+        else:
+            added = Column(f"added{step}", draw(st.sampled_from(_TYPES))[0])
+            ledger = ledger.with_column_added(added)
+            history = history.with_column_added(added)
+    row = []
+    for column in ledger.columns:
+        strategy = _TYPES[[t for t, _ in _TYPES].index(column.sql_type)][1]
+        if column.nullable or column.dropped:
+            strategy = st.none() | strategy
+        row.append(draw(strategy))
+    live = sc.mask_end_columns(ledger, row)
+    retired = list(live)
+    end_tid, end_seq = sc.end_ordinals(ledger)
+    retired[end_tid] = draw(st.integers(1, 2**40))
+    retired[end_seq] = draw(st.integers(0, 2**20))
+    return ledger, history, live, retired
+
+
+class TestWriterPayload:
+    """The payload the writer makes is the one verification reads from the
+    record it stores (``transcode(record)[0]``): for a live version under
+    the ledger table's schema, and for a retired version written by the
+    history table's writer but read under the ledger table's schema."""
+
+    @given(ledger_versions())
+    @settings(max_examples=300, deadline=None)
+    def test_writer_payload_equals_the_transcoded_record(self, case):
+        ledger, history, live, retired = case
+        kernel = ledger.derived(RecordKernel)
+        _, record, payload = kernel.write(live)
+        assert payload == kernel.transcode(record)[0]
+        assert payload == hashable_payload(ledger, record)[0]
+        _, record, payload = history.derived(RecordKernel).write(retired)
+        assert payload == hashable_payload(ledger, record)[0]
+        assert payload == history.derived(RecordKernel).transcode(record)[0]
+        assert payload == reference_payload(ledger, retired)
 
 
 class _LoggedDate(type(DATE)):

@@ -23,15 +23,20 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.crypto.hashing import hash_leaf, hash_leaves
 from repro.crypto.merkle import MerkleHasher
 from repro.crypto.serialization import SerializedColumn, serialize_columns
 from repro.digests.blob_storage import ImmutableBlobStorage
+from repro.engine import table as table_module
+from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
 from repro.engine.heap import PAGE_SIZE, HeapFile
+from repro.engine.index import ClusteredIndex
 from repro.engine.operators import seq_scan
 from repro.engine.record import (
     encode_record,
@@ -654,3 +659,101 @@ class TestExecutemanyAcceptance:
         finally:
             OBS.reset()
             OBS.disable()
+
+
+# ---------------------------------------------------------------------------
+# One probe per statement: the batch key check equals a probe per key
+# ---------------------------------------------------------------------------
+
+
+def first_taken_per_key(keys, held):
+    """The key check before the batch probe, kept here as the reference:
+    one tree probe per key — ``get`` on the clustered tree, the first
+    ``prefix`` entry on a unique index's."""
+    index = held.__self__
+    tree = index._tree
+    if isinstance(index, ClusteredIndex):
+        def holds(key):
+            return tree.get(key) is not None
+    else:
+        def holds(key):
+            return next(tree.prefix(key), None) is not None
+    seen = set()
+    for at, key in enumerate(keys):
+        if key in seen or holds(key):
+            return at
+        seen.add(key)
+    return None
+
+
+_PROBE_ROWS = st.tuples(
+    st.integers(0, 100), st.none() | st.integers(0, 20),
+    st.none() | st.sampled_from(["x", "y"]),
+)
+
+
+class TestBatchProbe:
+    """``Table._store_rows`` checks a batch's keys with one probe per
+    access path; it refuses what the per-key loop refused, with the same
+    error, and takes what it took."""
+
+    @given(
+        stored=st.lists(_PROBE_ROWS, max_size=80),
+        deletes=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 30)),
+                         max_size=4),
+        batches=st.lists(
+            # A new row, or a stored row's again: held keys anywhere.
+            st.lists(_PROBE_ROWS | st.integers(0, 79), min_size=1, max_size=12),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_batch_probe_equals_the_per_key_loop(
+        self, tmp_path_factory, stored, deletes, batches
+    ):
+        db = open_engine(tmp_path_factory.mktemp("probe") / "db")
+        table = db.create_table(TableSchema(
+            "probe",
+            [Column("id", INT, nullable=False), Column("a", INT),
+             Column("b", VARCHAR(4))],
+            primary_key=["id"],
+        ))
+        db.create_index("probe", IndexDefinition("ab", ("a", "b"), unique=True))
+        # Small trees, so that deletes leave whole leaves empty.
+        table.clustered._tree = BPlusTree(order=4)
+        table.nonclustered["ab"]._tree = BPlusTree(order=4)
+        txn = db.begin()
+        for row in stored:
+            try:
+                table.insert(txn, list(row))
+            except ConstraintError:
+                pass
+        for start, length in deletes:
+            for key in range(start, start + length):
+                found = table.seek([key])
+                if found is not None:
+                    table.delete_row(txn, found[0])
+        db.commit(txn)
+
+        def outcome(rows):
+            txn = db.begin()
+            try:
+                table.insert_many(txn, [list(row) for row in rows])
+                result = ("ok", sorted(row for _, row in table.scan()))
+            except ConstraintError as exc:
+                result = ("error", str(exc))
+            db.rollback(txn)
+            return result
+
+        for batch in batches:
+            rows = [
+                pick if isinstance(pick, tuple)
+                else stored[pick % len(stored)] if stored else (pick, None, None)
+                for pick in batch
+            ]
+            probed = outcome(rows)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(table_module, "_first_taken", first_taken_per_key)
+                assert outcome(rows) == probed
+        db.simulate_crash()
