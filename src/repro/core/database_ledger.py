@@ -771,39 +771,33 @@ class DatabaseLedger:
         """Reconstruct queue, block counters and sealed blocks after restart.
 
         ``recovered_payloads`` are the ledger payloads of COMMIT records
-        found in the WAL (analysis phase, §3.3.2).  Entries already batched
-        into the system table before the crash are deduplicated by
-        transaction id — one seek each in the clustered tree the engine has
-        just rebuilt.  COMMIT records written before a truncation stay in
-        the WAL until the next checkpoint; their entries belong to blocks
-        below the anchor (installed by the caller beforehand) and are
-        dropped, not re-enqueued.  Blocks that were sealed (fully assigned)
-        but not closed before the crash are re-sealed so the block builder
-        finishes them.
+        found in the WAL (analysis phase, §3.3.2), as decoded from the log;
+        only those of entries kept in hand are turned into entries.  A
+        payload below the first block belongs to a block a truncation
+        removed (its COMMIT record stays in the WAL until the next
+        checkpoint) and is dropped.  One whose transaction id is not in the
+        clustered tree the engine has just rebuilt was never batched into
+        the system table and is re-queued.  Blocks that were sealed
+        (fully assigned) but not closed before the crash are re-sealed so
+        the block builder finishes them.
 
         Everything held in memory is rebuilt from durable state alone, and
         only the blocks past the last closed one are read: the closed
-        height is the last key of the blocks tree, the entries in hand are
-        those blocks' rows (one key-only pass builds the ``block_id`` index
-        that finds them) plus the re-queued ones.
+        height is the last key of the blocks tree.  A block the last
+        checkpoint left open (or sealed, not closed) may hold entries
+        stored before it, which only the table knows: its entries come from
+        :meth:`transactions_in_block`, whose first call builds the
+        ``block_id`` index with one key-only pass.  Every later block holds
+        exactly the entries of this log's payloads that name it, so it is
+        re-primed from them: a re-queued entry from its payload, a stored
+        one re-read at the RowId its transaction id seeks to and kept only
+        if it still carries that id and block.
         """
         transactions = self._transactions_table()
         # Pre-crash telemetry metadata is meaningless in the new process
         # (monotonic clock restarted, span ids reset) — drop it.
         self._entry_meta = {}
         first_block = self.first_block_id()
-        recovered = [
-            entry
-            for entry in map(TransactionEntry.from_payload, recovered_payloads)
-            if entry.block_id >= first_block
-        ]
-        self._queue = sorted(
-            (
-                entry for entry in recovered
-                if transactions.clustered.seek([entry.transaction_id]) is None
-            ),
-            key=lambda e: (e.block_id, e.ordinal),
-        )
 
         blocks = self._blocks_table()
         closed = [rid for _, rid in blocks.clustered.scan()]  # in id order
@@ -813,17 +807,47 @@ class DatabaseLedger:
             else first_block - 1
         )
         # Every slot assigned before the last checkpoint is at or below the
-        # open block it recorded; every one assigned since rode a COMMIT
-        # record.  Together they bound the blocks that can hold entries.
-        highest = max(
-            [checkpoint_state.get("open_block_id", 0), self._closed_height + 1]
-            + [entry.block_id for entry in recovered]
-        )
+        # open block it recorded (below it when that block was still empty)
+        # and is stored: the checkpoint flushed the queue.  Every slot
+        # assigned since rode a COMMIT record of this log, and a flush
+        # always follows its COMMIT frame.  So the blocks from ``logged`` on
+        # hold only logged entries — all of them when no checkpoint exists.
+        open_block = checkpoint_state.get("open_block_id", 0)
+        left_open = 1 if checkpoint_state.get("open_ordinal", 0) else 0
+        logged = max(open_block + left_open, self._closed_height + 1)
+        highest = max(open_block, self._closed_height + 1)
+        seek = transactions.clustered.seek
+        queue: List[TransactionEntry] = []
+        from_log: Dict[int, List[TransactionEntry]] = {}
+        for payload in recovered_payloads:
+            block_id = payload["block"]
+            if block_id < first_block:
+                continue
+            highest = max(highest, block_id)
+            tid = payload["tid"]
+            rid = seek([tid])
+            if rid is None:
+                entry = TransactionEntry.from_payload(payload)
+                queue.append(entry)
+            elif block_id >= logged:
+                entry = self._row_at(transactions, rid, TransactionEntry)
+                if entry is None or (entry.transaction_id, entry.block_id) != (
+                    tid, block_id
+                ):
+                    continue  # gone or re-keyed: missing, as to a keyed reader
+            if block_id >= logged:
+                from_log.setdefault(block_id, []).append(entry)
+        self._queue = sorted(queue, key=lambda e: (e.block_id, e.ordinal))
+
         self._pending = {}
-        for block_id in range(self._closed_height + 1, highest + 1):
+        for block_id in range(self._closed_height + 1, logged):
             entries = self.transactions_in_block(block_id)
             if entries:
                 self._pending[block_id] = entries
+        for block_id in sorted(from_log):
+            self._pending[block_id] = sorted(
+                from_log[block_id], key=lambda e: e.ordinal
+            )
 
         # The open block is the highest one anything was assigned to; the
         # ones before it were sealed before the crash, and it is re-sealed

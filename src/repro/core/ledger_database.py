@@ -134,14 +134,15 @@ class LedgerDatabase:
             # The anchor first: recovery must know where the chain starts
             # to tell a truncated transaction from a lost one.
             db._load_truncation_anchor()
-            payloads = engine.recovered_ledger_payloads
-            ledger.recover(payloads, engine.recovered_ledger_state)
+            ledger.recover(
+                engine.recovered_ledger_payloads, engine.recovered_ledger_state
+            )
             # Taken once: the engine keeps no copy of the recovered log.
             engine.recovered_ledger_payloads = []
             engine.recovered_ledger_state = {}
             OBS.events.emit(
                 "recovery", "recovery.ledger_recovered",
-                path=path, queued_entries=len(payloads),
+                path=path, queued_entries=ledger.pending_entries,
                 open_block_id=ledger.open_block_id,
             )
         db.pipeline.start()

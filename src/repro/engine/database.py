@@ -32,7 +32,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.clock import wall_clock
@@ -51,13 +51,14 @@ from repro.engine.wal import (
     INSERT_MANY,
     WalRecord,
     WalWriter,
-    read_wal,
+    read_frames,
 )
 from repro.errors import TransactionError
 from repro.faults import FAULTS
 from repro.obs import OBS
 
 _CHECKPOINT_FILE = "checkpoint.json"
+_DATA_KINDS = frozenset((INSERT, DELETE, INSERT_MANY, DELETE_MANY))
 
 FAULTS.register(
     "checkpoint.write",
@@ -158,19 +159,25 @@ class Database:
         next_tid = checkpoint["next_tid"]
 
         # Analysis phase: scan the WAL, classify winners, find the catalog.
+        # The frames are kept as decoded; nothing decoded from the log
+        # outlives redo but the ledger payloads of the COMMIT records.
         wal_path = self._wal_path(self._epoch)
         with OBS.tracer.span("recovery.analysis"):
-            wal_records, wal_end = read_wal(wal_path)
-            # A later catalog snapshot in the WAL supersedes the checkpoint's.
-            committed: Dict[int, Dict[str, Any]] = {}
-            for record in wal_records:
-                if record.kind == DDL and record.payload.get("catalog"):
-                    self.catalog = Catalog.from_dict(record.payload["catalog"])
-                elif record.kind == COMMIT:
-                    committed[record.payload["tid"]] = record.payload
-                    next_tid = max(next_tid, record.payload["tid"] + 1)
-                elif record.kind == "BEGIN":
-                    next_tid = max(next_tid, record.payload["tid"] + 1)
+            frames, wal_end = read_frames(wal_path)
+            committed: Set[int] = set()
+            ledger_payloads: Dict[int, Dict[str, Any]] = {}
+            for kind, fields in frames:
+                if kind == COMMIT:
+                    tid = fields["tid"]
+                    committed.add(tid)
+                    if fields.get("ledger") is not None:
+                        ledger_payloads[tid] = fields["ledger"]
+                    next_tid = max(next_tid, tid + 1)
+                elif kind == "BEGIN":
+                    next_tid = max(next_tid, fields["tid"] + 1)
+                elif kind == DDL and fields.get("catalog"):
+                    # A later catalog snapshot supersedes the checkpoint's.
+                    self.catalog = Catalog.from_dict(fields["catalog"])
 
         # Load phase: heap images for every table in the (final) catalog.
         with OBS.tracer.span("recovery.load"):
@@ -188,10 +195,9 @@ class Database:
         redo_count = 0
         folded: Dict[int, Dict[int, List[Any]]] = {}  # table → page → change
         with OBS.tracer.span("recovery.redo") as redo_span:
-            for record in wal_records:
-                if record.kind not in (INSERT, DELETE, INSERT_MANY, DELETE_MANY):
+            for kind, payload in frames:
+                if kind not in _DATA_KINDS:
                     continue
-                payload = record.payload
                 if payload["tid"] not in committed:
                     continue  # loser: never flushed, nothing to redo or undo
                 table_id = payload["table_id"]
@@ -200,8 +206,8 @@ class Database:
                 pages = folded.setdefault(table_id, {})
                 # One frame per multi-row statement: either the whole batch
                 # made it into the log or none of it did.
-                many = record.kind in (INSERT_MANY, DELETE_MANY)
-                inserts = record.kind in (INSERT, INSERT_MANY)
+                many = kind in (INSERT_MANY, DELETE_MANY)
+                inserts = kind in (INSERT, INSERT_MANY)
                 for entry in payload["rows"] if many else (payload,):
                     slot = entry["slot"]
                     change = pages.setdefault(entry["page"], [-1, {}])
@@ -216,6 +222,9 @@ class Database:
                     })
                 self._tables[table_id].heap.redo(pages)
             redo_span.set_attribute("records", redo_count)
+        redone = set(folded)
+        committed_count = len(committed)
+        del frames, folded, committed
 
         # Rebuild access paths.  A table with a redone record has stale
         # nonclustered images on disk, and an index created since the last
@@ -225,7 +234,7 @@ class Database:
         # the database cannot heal them.
         with OBS.tracer.span("recovery.indexes"):
             for table in self._tables.values():
-                if table.table_id in folded or not all(
+                if table.table_id in redone or not all(
                     os.path.exists(self._index_path(table.table_id, name))
                     for name in table.nonclustered
                 ):
@@ -239,13 +248,12 @@ class Database:
 
         self.recovered_ledger_state = checkpoint.get("ledger_state", {})
         self.recovered_ledger_payloads = [
-            committed[tid]["ledger"] for tid in sorted(committed)
-            if committed[tid].get("ledger") is not None
+            ledger_payloads[tid] for tid in sorted(ledger_payloads)
         ]
         OBS.events.emit(
             "recovery", "recovery.completed",
             path=self.path, records_replayed=redo_count,
-            tables=len(self._tables), committed_transactions=len(committed),
+            tables=len(self._tables), committed_transactions=committed_count,
         )
 
     @property

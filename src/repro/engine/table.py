@@ -344,7 +344,8 @@ class Table:
             except StorageError:  # raises again unless a nonclustered key
                 row, key_row = None, kernel.projector(pk)(record)
             keys.append((key_row, rid))
-            records.append((rid, record, row))
+            if indexes:  # only a nonclustered tree takes the records
+                records.append((rid, record, row))
         if self.clustered is not None:
             self.clustered.load(keys)
         for index in indexes:

@@ -306,20 +306,23 @@ class WalWriter:
                 self._file.close()
 
 
-def read_wal(path: str) -> Tuple[List[WalRecord], int]:
-    """Read a WAL file's records, stopping cleanly at a torn tail.
+def read_frames(path: str) -> Tuple[List[Tuple[str, Dict[str, Any]]], int]:
+    """Read a WAL file as ``(kind, fields)`` pairs, stopping cleanly at a
+    torn tail — the log's one parser, and recovery's reader.
 
     A frame whose length field runs past EOF or whose CRC mismatches marks
     the point where a crash interrupted a write; everything before it is
     intact (frames are written length-first and appends are sequential).
-    Returns the records and the byte length of their whole frames: appends
-    must start there, or the next read stops at the tear before them.
+    Returns the pairs and the byte length of their whole frames: appends
+    must start there, or the next read stops at the tear before them.  A
+    whole frame that is not JSON, or names no ``kind``, is a
+    :class:`RecoveryError`.
     """
     if not os.path.exists(path):
         return [], 0
     with open(path, "rb") as f:
         data = f.read()
-    records: List[WalRecord] = []
+    frames: List[Tuple[str, Dict[str, Any]]] = []
     end = 0
     while end + _FRAME.size <= len(data):
         length, crc = _FRAME.unpack_from(data, end)
@@ -329,8 +332,14 @@ def read_wal(path: str) -> Tuple[List[WalRecord], int]:
             break  # torn tail
         try:
             fields = _decode(payload.decode("utf-8"))
-            records.append(WalRecord(fields.pop("kind"), fields))
+            frames.append((fields.pop("kind"), fields))
         except (ValueError, KeyError) as exc:
             raise RecoveryError(f"corrupt WAL record in {path!r}: {exc}") from exc
         end = start + length
-    return records, end
+    return frames, end
+
+
+def read_wal(path: str) -> Tuple[List[WalRecord], int]:
+    """:func:`read_frames`, each pair as a :class:`WalRecord`."""
+    frames, end = read_frames(path)
+    return [WalRecord(kind, fields) for kind, fields in frames], end

@@ -26,6 +26,9 @@ equal it, each nonclustered copy equals its base table, each derived key
 index equals a rebuild, and every committed, untruncated transaction has
 its ledger entry.  After every crash, reopen and truncation, ``verify``
 passes against every digest still in range, the uploaded ones included.
+Every reopen checks the ledger state recovery re-primed — queue, entries
+in hand, sealed blocks, open block and ordinal — against the key pass over
+every unclosed block that recovery used to make (:func:`key_pass_recover`).
 
 Tier-1 runs a small, fixed budget.  The long one is the ``ci`` profile
 (registered in ``tests/conftest.py``)::
@@ -36,8 +39,9 @@ Tier-1 runs a small, fixed budget.  The long one is the ``ci`` profile
 
 import shutil
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,6 +55,8 @@ from hypothesis.stateful import (
 )
 
 from repro.core import system_columns as sc
+from repro.core.database_ledger import DatabaseLedger
+from repro.core.entries import TransactionEntry
 from repro.core.ledger_database import LedgerDatabase
 from repro.crypto.rsa import generate_keypair
 from repro.digests import DigestManager, ImmutableBlobStorage
@@ -114,6 +120,86 @@ def open_db(path, sync=False):
     return db
 
 
+def key_pass_recover(ledger, recovered_payloads, checkpoint_state):
+    """The ledger's recovery as it ran before it re-primed blocks from the
+    log, kept to check the re-primed state against: every payload decoded,
+    the queue deduplicated by clustered seeks, and every unclosed block's
+    entries found through ``transactions_in_block``."""
+    transactions = ledger._transactions_table()
+    first_block = ledger.first_block_id()
+    recovered = [
+        entry
+        for entry in map(TransactionEntry.from_payload, recovered_payloads)
+        if entry.block_id >= first_block
+    ]
+    ledger._queue = sorted(
+        (
+            entry for entry in recovered
+            if transactions.clustered.seek([entry.transaction_id]) is None
+        ),
+        key=lambda e: (e.block_id, e.ordinal),
+    )
+    blocks = ledger._blocks_table()
+    closed = [rid for _, rid in blocks.clustered.scan()]
+    ledger._closed_height = (
+        blocks.read_row(closed[-1])[blocks.schema.column("block_id").ordinal]
+        if closed
+        else first_block - 1
+    )
+    highest = max(
+        [checkpoint_state.get("open_block_id", 0), ledger._closed_height + 1]
+        + [entry.block_id for entry in recovered]
+    )
+    ledger._pending = {}
+    for block_id in range(ledger._closed_height + 1, highest + 1):
+        entries = ledger.transactions_in_block(block_id)
+        if entries:
+            ledger._pending[block_id] = entries
+    ledger._open_block_id = highest
+    ledger._open_ordinal = 1 + max(
+        (e.ordinal for e in ledger._pending.get(highest, ())), default=-1
+    )
+    ledger._sealed = deque(
+        (block_id, len(ledger._pending[block_id]))
+        for block_id in sorted(ledger._pending)
+        if block_id < highest
+    )
+    if ledger._open_ordinal >= ledger.block_size:
+        ledger._seal()
+
+
+def recovered_state(ledger):
+    """What recovery rebuilds in memory."""
+    return (
+        list(ledger._queue),
+        {block_id: list(entries) for block_id, entries in ledger._pending.items()},
+        list(ledger._sealed),
+        ledger.open_block_id,
+        ledger._open_ordinal,
+        ledger.closed_block_height,
+    )
+
+
+@contextmanager
+def recovery_checked_against_the_key_pass(states):
+    """Every ledger recovery inside first runs :func:`key_pass_recover`,
+    then the real one on a dropped ``block_id`` index, and asserts that
+    both rebuilt the same state; each such state is appended to
+    ``states``."""
+    recover = DatabaseLedger.recover
+
+    def checked(ledger, recovered_payloads, checkpoint_state):
+        key_pass_recover(ledger, recovered_payloads, checkpoint_state)
+        expected = recovered_state(ledger)
+        ledger._transactions_table().drop_key_indexes()
+        recover(ledger, recovered_payloads, checkpoint_state)
+        assert recovered_state(ledger) == expected
+        states.append(expected)
+
+    with mock.patch.object(DatabaseLedger, "recover", checked):
+        yield
+
+
 def label(length, char):
     return None if length == 0 else char * length
 
@@ -155,6 +241,7 @@ class LedgerModel(RuleBasedStateMachine):
         self.tids = set()  # committed transactions not truncated away
         self.digests = []  # digests taken, of blocks not truncated away
         self.savepoints = []  # (name, model) — the first is the BEGIN
+        self.recovered = []  # each reopen's recovered ledger state
         for name in TABLES:
             rows = {}
             for _ in range(PRELOAD):
@@ -452,13 +539,16 @@ class LedgerModel(RuleBasedStateMachine):
     def failed_commit(self):
         """The open transaction's COMMIT fails once, before its record
         reaches the WAL; ``ROLLBACK``, then carry on in this process.  A
-        digest then closes every block and ``verify`` passes."""
-        FAULTS.arm("wal.append", action="fail", times=1)
-        try:
-            with pytest.raises(InjectedFaultError):
-                self.session.execute("COMMIT")
-        finally:
-            FAULTS.reset()
+        digest then closes every block and ``verify`` passes.  The ledger's
+        lock is held while the fault is armed, so the block builder cannot
+        append (and take the failure) in between."""
+        with self.db.ledger.storage_lock:
+            FAULTS.arm("wal.append", action="fail", times=1)
+            try:
+                with pytest.raises(InjectedFaultError):
+                    self.session.execute("COMMIT")
+            finally:
+                FAULTS.reset()
         self.session.execute("ROLLBACK")
         _, self.model = self.savepoints[0]
         self.savepoints = []
@@ -495,7 +585,9 @@ class LedgerModel(RuleBasedStateMachine):
         first, latest = ledger.first_block_id(), ledger.latest_block_id()
         if latest <= first:
             return
-        cut = data.draw(st.integers(first, latest - 1))
+        self.truncate_through(data.draw(st.integers(first, latest - 1)))
+
+    def truncate_through(self, cut):
         summary = self.db.truncate_ledger(cut)
         self.digests = [d for d in self.digests if d.block_id > cut]
         self.tids = {t for t in self.tids if t > summary["truncated_through_tid"]}
@@ -522,7 +614,8 @@ class LedgerModel(RuleBasedStateMachine):
         else:
             self.digests.append(self.db.generate_digest())
             self.db.close()
-        self.db = open_db(self.path, sync=sync)
+        with recovery_checked_against_the_key_pass(self.recovered):
+            self.db = open_db(self.path, sync=sync)
         self.sync = sync
         self.session = SqlSession(self.db)
         self.savepoints = []
@@ -726,6 +819,66 @@ def test_crash_at_each_fault_point(point):
     every invariant holds after recovery."""
     with ledger_model() as machine:
         assert machine.crash_at_point(point, skip=0) >= 1
+        check_invariants(machine)
+
+
+def left_open_by_a_checkpoint(machine):
+    """A checkpoint leaves one stored entry in the open block; one more
+    commit joins it from the log."""
+    machine.digest()
+    machine.insert_one()
+    machine.db.checkpoint()
+    assert machine.db.ledger.checkpoint_state()["open_ordinal"] == 1
+    machine.insert_one()
+    machine.crash(None, 0)
+    queue, pending, _, open_block, _, _ = machine.recovered[-1]
+    assert len(pending[open_block]) == 2 and len(queue) == 1
+
+
+def after_a_truncation(machine):
+    """The log still holds the COMMIT records of the truncated blocks."""
+    machine.digest()
+    for _ in range(BLOCK_SIZE + 1):
+        machine.insert_one()
+    machine.digest()
+    machine.truncate_through(machine.db.ledger.first_block_id())
+    machine.insert_one()
+    machine.crash(None, 0)
+    assert machine.db.ledger.anchor is not None
+
+
+def after_a_failed_commit_append(machine):
+    """A COMMIT that never reached the log handed its slot back, and the
+    next commit took it."""
+    machine.session.execute("BEGIN TRANSACTION")
+    machine.savepoints.append((None, copy_of(machine.model)))
+    rows = machine._new_rows(2, 40)
+    assert machine._run(machine._insert_sql("keyed", rows))
+    machine.model["keyed"].update(rows)
+    machine.failed_commit()
+    machine.insert_one()
+    machine.crash(None, 0)
+    assert machine.recovered[-1][4] == 1  # the open ordinal
+
+
+def between_a_flush_and_the_close(machine):
+    """A digest's block closure flushed the queue and crashed before it
+    stored the block."""
+    assert machine.crash_at_point("ledger.block_persist", skip=0) >= 1
+    queue, pending, _, _, _, _ = machine.recovered[-1]
+    assert pending and not queue
+
+
+@pytest.mark.parametrize("case", [
+    left_open_by_a_checkpoint, after_a_truncation,
+    after_a_failed_commit_append, between_a_flush_and_the_close,
+], ids=lambda case: case.__name__)
+def test_reprimed_state_equals_the_key_pass(case):
+    """The crashes whose recovery re-primes blocks from the log and from the
+    table both: each reopen compares the state with
+    :func:`key_pass_recover`'s, and every invariant holds after it."""
+    with ledger_model() as machine:
+        case(machine)
         check_invariants(machine)
 
 

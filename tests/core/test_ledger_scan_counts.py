@@ -432,11 +432,12 @@ class TestCostDoesNotGrowWithTheTable:
         monkeypatch.setattr(DatabaseLedger, "recover", spied_recover)
         reopened = LedgerDatabase.open(path, clock=LogicalClock())
         try:
-            # One key-only pass over the entries, no decoding scan of either
-            # table, and only the unclosed blocks' stored entries decoded —
-            # each once — plus the tip block's row.
+            # The checkpoint left its open block empty, so every unclosed
+            # block is re-primed from the log: no pass over either table,
+            # and only the unclosed blocks' stored entries decoded — each
+            # once — plus the tip block's row.
             assert during_recover["decoding"] == {}
-            assert during_recover["passes"] == {TRANSACTIONS_TABLE: 1}
+            assert during_recover["passes"] == {}
             assert during_recover["reads"] == {
                 TRANSACTIONS_TABLE: self.BLOCK + 300, BLOCKS_TABLE: 1,
             }
@@ -521,6 +522,104 @@ class TestCostDoesNotGrowWithTheTable:
             assert inserts == {}
             assert len(accounts.clustered) == accounts.row_count() == 600
             assert len(accounts.nonclustered["ix_balance"]) == 600
+            assert reopened.verify([reopened.generate_digest()]).ok
+        finally:
+            reopened.close()
+
+
+class TestRecoveryDecodesWhatItKeeps:
+    """A crash open re-primes every block opened since the last checkpoint
+    from the log: a re-queued entry is decoded from its COMMIT payload, a
+    stored one re-read once by its transaction id, and only a block the
+    checkpoint left open is found through the ``block_id`` index."""
+
+    BLOCK = 10
+
+    @pytest.fixture
+    def recovered(self, spy, monkeypatch):
+        """Reopen ``path``, spying on the ledger's recovery: its passes and
+        reads, the payloads it decoded and the state it left, before the
+        block builder starts."""
+        seen = {}
+        recover = DatabaseLedger.recover
+        from_payload = TransactionEntry.from_payload.__func__
+        decoded = []
+
+        def counting(cls, payload):
+            decoded.append(payload["tid"])
+            return from_payload(cls, payload)
+
+        def spied(ledger, payloads, state):
+            spy.reset()
+            decoded.clear()
+            recover(ledger, payloads, state)
+            seen.update(
+                passes=dict(spy.passes), decoding=dict(spy.decoding),
+                reads=dict(spy.reads), decoded=list(decoded),
+                queued=[e.transaction_id for e in ledger._queue],
+                key_indexes=dict(ledger._transactions_table()._key_indexes),
+                state=(
+                    ledger.closed_block_height, ledger.sealed_pending(),
+                    ledger.open_block_id, ledger.checkpoint_state()["open_ordinal"],
+                ),
+            )
+
+        monkeypatch.setattr(TransactionEntry, "from_payload", classmethod(counting))
+        monkeypatch.setattr(DatabaseLedger, "recover", spied)
+
+        def reopen(path):
+            return LedgerDatabase.open(path, clock=LogicalClock()), seen
+
+        return reopen
+
+    def _ledger_table(self, tmp_path):
+        db = open_single_threaded(str(tmp_path / "db"), block_size=self.BLOCK)
+        db.create_ledger_table(accounts_schema())
+        db.pipeline.drain()
+        return db, db.ledger.latest_block_id() + 1
+
+    def test_without_a_checkpoint_no_key_pass(self, tmp_path, recovered):
+        db, first = self._ledger_table(tmp_path)
+        commit_rows(db, 0, 25)   # two sealed blocks and five entries
+        db.ledger.flush_queue()  # ...all stored; no block closed
+        queued = commit_rows(db, 25, 3)
+        db.simulate_crash()
+
+        reopened, seen = recovered(str(tmp_path / "db"))
+        try:
+            assert seen["passes"] == {} and seen["decoding"] == {}
+            assert seen["key_indexes"] == {}
+            assert seen["decoded"] == seen["queued"] == queued
+            # Each stored entry of an unclosed block read once, and the
+            # closed tip's row.
+            assert seen["reads"] == {TRANSACTIONS_TABLE: 25, BLOCKS_TABLE: 1}
+            assert seen["state"] == (first - 1, 2, first + 2, 8)
+            assert reopened.verify([reopened.generate_digest()]).ok
+        finally:
+            reopened.close()
+
+    def test_a_block_left_open_by_the_checkpoint_makes_one_key_pass(
+        self, tmp_path, recovered
+    ):
+        db, first = self._ledger_table(tmp_path)
+        commit_rows(db, 0, 4)
+        db.checkpoint()          # leaves four stored entries in the open block
+        commit_rows(db, 4, 10)   # which fills and seals; four in the next
+        db.ledger.flush_queue()
+        queued = commit_rows(db, 14, 2)
+        db.simulate_crash()
+
+        reopened, seen = recovered(str(tmp_path / "db"))
+        try:
+            assert seen["passes"] == {TRANSACTIONS_TABLE: 1}
+            assert seen["decoding"] == {}
+            assert list(seen["key_indexes"]) == [
+                (reopened.ledger._transactions_table().schema.column(
+                    "block_id").ordinal,)
+            ]
+            assert seen["decoded"] == seen["queued"] == queued
+            assert seen["reads"] == {TRANSACTIONS_TABLE: 14, BLOCKS_TABLE: 1}
+            assert seen["state"] == (first - 1, 1, first + 1, 6)
             assert reopened.verify([reopened.generate_digest()]).ok
         finally:
             reopened.close()

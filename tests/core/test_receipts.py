@@ -35,6 +35,35 @@ class TestReceiptGeneration:
         receipt = db.transaction_receipt(txn.tid)
         assert receipt.verify(signer.public)
 
+    def test_receipt_from_a_sealed_block_leaves_the_open_block_open(
+        self, signed_db, signer
+    ):
+        """A receipt for a transaction in a block that is sealed but not
+        yet closed closes that block and leaves the open block as it is,
+        as it does once the block builder has closed the sealed block."""
+        db = signed_db
+        db.pipeline.drain()
+        db.pipeline.stop(drain=False)  # the sealed block stays unclosed
+        tids = [
+            run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]])).tid
+            for i in range(db.ledger.block_size + 1)
+        ]
+        ledger = db.ledger
+        assert ledger.sealed_pending() == 1
+        open_block, open_ordinal = ledger.open_block_id, ledger.checkpoint_state()[
+            "open_ordinal"
+        ]
+        assert open_ordinal == 1
+        assert db.transaction_receipt(tids[0]).verify(signer.public)
+        assert ledger.sealed_pending() == 0
+        assert ledger.latest_block_id() == open_block - 1
+        assert ledger.checkpoint_state() == {
+            "open_block_id": open_block, "open_ordinal": open_ordinal,
+        }
+        # A receipt from the open block still closes it.
+        assert db.transaction_receipt(tids[-1]).verify(signer.public)
+        assert ledger.latest_block_id() == open_block
+
     def test_receipt_for_unknown_transaction_fails(self, signed_db):
         with pytest.raises(ReceiptError):
             signed_db.transaction_receipt(999_999)

@@ -23,7 +23,14 @@ from repro.engine.database import Database
 from repro.engine.operators import insert_rows, seq_scan
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INT, VARCHAR
-from repro.engine.wal import WalRecord, WalWriter, read_wal
+from repro.engine.wal import (
+    INSERT_MANY,
+    DmlRecord,
+    WalRecord,
+    WalWriter,
+    read_frames,
+    read_wal,
+)
 from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
 
@@ -112,20 +119,75 @@ class TestFrameLevelTearing:
         assert end == whole < os.path.getsize(path)
 
     @pytest.mark.parametrize(
-        "payload",
-        [b"\xff\xfe not utf-8", b'{"kind": "COMMIT"', b'{"kind":"COMMIT"} extra',
-         b'{"tid": 1}'],
+        "payload, message",
+        [(b"\xff\xfe not utf-8", "'utf-8' codec can't decode byte 0xff in "
+                                 "position 0: invalid start byte"),
+         (b'{"kind": "COMMIT"', "Expecting ',' delimiter: line 1 column 18 "
+                                "(char 17)"),
+         (b'{"kind":"COMMIT"} extra', "Extra data: line 1 column 19 (char 18)"),
+         (b'{"tid": 1}', "'kind'")],
         ids=["undecodable", "truncated-json", "extra-data", "missing-kind"],
     )
-    def test_whole_frame_that_does_not_decode_raises(self, tmp_path, payload):
+    def test_whole_frame_that_does_not_decode_raises(self, tmp_path, payload, message):
+        """Both readers raise the same error, with the text it has always had."""
         path = str(tmp_path / "wal.log")
         writer = WalWriter(path)
         writer.append(WalRecord("COMMIT", {"tid": 1, "ledger": None}))
         writer.close()
         with open(path, "ab") as f:
             f.write(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
-        with pytest.raises(RecoveryError):
-            read_wal(path)
+        for reader in (read_frames, read_wal):
+            with pytest.raises(RecoveryError) as raised:
+                reader(path)
+            assert str(raised.value) == f"corrupt WAL record in {path!r}: {message}"
+
+
+class TestOneFrameReader:
+    """``read_wal`` is recovery's reader, :func:`read_frames`, with each
+    ``(kind, fields)`` pair wrapped in a :class:`WalRecord`: the same
+    records and the same end offset at a torn tail (and the same error for
+    a whole frame that does not decode, checked above)."""
+
+    FRAMES = [
+        ("BEGIN", {"tid": 1, "username": "u"}),
+        (INSERT_MANY, {"rows": [{"page": 0, "rec": "0102", "slot": 0},
+                                {"page": 0, "rec": "03", "slot": 1}],
+                       "table_id": 7, "tid": 1}),
+        ("COMMIT", {"ledger": {"block": 0, "tid": 1}, "tid": 1}),
+    ]
+
+    def _log(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        writer = WalWriter(path)
+        writer.append(WalRecord(*self.FRAMES[0]))
+        writer.append(DmlRecord(INSERT_MANY, 1, 7, [((0, 0), b"\x01\x02"),
+                                                    ((0, 1), b"\x03")]))
+        writer.append(WalRecord(*self.FRAMES[2]))
+        writer.close()
+        return path
+
+    @pytest.mark.parametrize(
+        "tear", ["half_frame", "crc_mismatch", "length_past_eof"]
+    )
+    def test_both_readers_stop_at_the_same_tear(self, tmp_path, tear):
+        path = self._log(tmp_path)
+        whole = os.path.getsize(path)
+        payload = b'{"kind":"COMMIT","ledger":null,"tid":2}'
+        header = struct.pack(">II", len(payload), zlib.crc32(payload))
+        tail = {
+            "half_frame": (header + payload)[: (len(header) + len(payload)) // 2],
+            "crc_mismatch": header + payload[:-1] + b"]",
+            "length_past_eof": struct.pack(
+                ">II", len(payload) + 1, zlib.crc32(payload)
+            ) + payload,
+        }[tear]
+        with open(path, "ab") as f:
+            f.write(tail)
+        frames, end = read_frames(path)
+        records, wal_end = read_wal(path)
+        assert end == wal_end == whole
+        assert frames == self.FRAMES
+        assert [(r.kind, r.payload) for r in records] == frames
 
 
 class TestDatabaseLevelTearing:

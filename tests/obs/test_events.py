@@ -213,3 +213,28 @@ class TestTelemetryIntegration:
             OBS.disable()
             OBS.reset()
         assert not OBS.events.enabled
+
+    def test_ledger_recovery_reports_the_entries_it_requeued(
+        self, telemetry, tmp_path
+    ):
+        """``recovery.ledger_recovered`` counts the re-queued entries, not
+        every COMMIT payload the log held."""
+        from repro.core.ledger_database import LedgerDatabase
+        from repro.engine.clock import LogicalClock
+        from tests.core.conftest import accounts_schema, run
+
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path, block_size=4, clock=LogicalClock())
+        db.create_ledger_table(accounts_schema())
+        for i in range(6):
+            run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]]))
+        db.pipeline.drain(seal_open=False)  # flushes every entry so far
+        for i in range(6, 8):
+            run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]]))
+        db.simulate_crash()
+        reopened = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            [event] = telemetry.events.read(name="recovery.ledger_recovered")
+            assert event.payload["queued_entries"] == 2
+        finally:
+            reopened.close()
