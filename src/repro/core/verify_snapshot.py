@@ -172,14 +172,17 @@ def _relation(
 def _full_relation(
     table, is_history: bool, with_indexes: bool
 ) -> RelationSnapshot:
-    """Every record of the relation, in heap order (and of its indexes)."""
+    """Every record of the relation, in heap order (and of its indexes),
+    taken page by page."""
     records = [
-        (page_id, slot, record) for (page_id, slot), record in table.heap.scan()
+        (page_id, slot, record)
+        for page_id, page_records in table.heap.page_records()
+        for slot, record in page_records
     ]
     relation = _relation(table, is_history, records, len(records))
     if with_indexes:
         for index in table.nonclustered.values():
-            relation.index_records[index.name] = list(index.scan_records())
+            relation.index_records[index.name] = index.scan_records()
     return relation
 
 

@@ -211,6 +211,13 @@ class HeapFile:
             for slot, record in page.records():
                 yield (page_id, slot), record
 
+    def page_records(self) -> Iterator[Tuple[int, Iterator[Tuple[int, bytes]]]]:
+        """Yield, per page in physical order, its id and an iterator over
+        its live ``(slot, record)`` pairs: :meth:`scan`'s records with no
+        RowId built, for a caller that takes a page's records at once."""
+        for page in self._pages:
+            yield page.page_id, page.records()
+
     def pages(self) -> Iterator[Tuple[bytes, Iterator[bytes]]]:
         """Yield, per page in physical order, a copy of its exact 8 KiB
         image and an iterator over its live records in slot order.

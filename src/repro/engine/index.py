@@ -267,14 +267,17 @@ class NonclusteredIndex:
         for _, (_, base_rid) in self._tree.prefix(prefix):
             yield base_rid
 
-    def scan_records(self) -> Iterator[bytes]:
-        """Raw duplicated records straight from the index's own storage.
+    def scan_records(self) -> List[bytes]:
+        """Raw duplicated records straight from the index's own storage, in
+        heap order, taken page by page.
 
         Verification invariant 5 reads these — *not* the base table — so
         index-only tampering is visible.
         """
-        for _, record in self.heap.scan():
-            yield record
+        return [
+            record for _, records in self.heap.page_records()
+            for _, record in records
+        ]
 
     def rebuild(self, base_records: Sequence[Tuple[RowId, bytes, Any]]) -> None:
         """Rebuild storage and tree from ``(base_rid, record, row)`` (crash

@@ -32,6 +32,22 @@ SLOT_SIZE = _SLOT.size
 
 #: Slot entry meaning "empty / deleted".
 _DEAD = (0, 0)
+#: Most slots a page can hold: its directory then meets the header.
+MAX_SLOTS = (PAGE_SIZE - HEADER_SIZE) // SLOT_SIZE
+
+
+def _directory(
+    buf: bytes, slot_count: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The offsets and the lengths of slots ``0 .. slot_count - 1``, from
+    one unpack of the slot directory."""
+    flat = struct.unpack_from(
+        f">{2 * slot_count}H", buf, PAGE_SIZE - slot_count * SLOT_SIZE
+    )
+    # The directory ends with slot 0 at the page end: reversed, each slot
+    # reads length, offset.
+    flat = flat[::-1]
+    return flat[1::2], flat[::2]
 
 
 class Page:
@@ -56,17 +72,20 @@ class Page:
             magic, stored_id, slot_count, free_offset = _HEADER.unpack_from(buf, 0)
             if magic != PAGE_MAGIC:
                 raise StorageError(f"bad page magic 0x{magic:04x} on page {page_id}")
+            if slot_count > MAX_SLOTS:
+                raise StorageError(
+                    f"page {page_id} declares {slot_count} slots, more than "
+                    f"the {MAX_SLOTS} that fit"
+                )
             self.page_id = stored_id
             self._slot_count = slot_count
             self._free_offset = free_offset
-            self._dead_slots = []
-            self._live_bytes = 0
-            for slot in range(slot_count):
-                offset, length = self._read_slot(slot)
-                if (offset, length) == _DEAD:
-                    self._dead_slots.append(slot)
-                else:
-                    self._live_bytes += length
+            offsets, lengths = _directory(buf, slot_count)
+            self._dead_slots = [
+                slot for slot, (offset, length) in enumerate(zip(offsets, lengths))
+                if not (offset or length)
+            ]
+            self._live_bytes = sum(lengths)  # a dead slot's length is 0
 
     # -- header access -------------------------------------------------------
 
@@ -291,11 +310,14 @@ class Page:
         self._dead_slots = [s for s in range(slot_count) if s not in records]
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield ``(slot, record_bytes)`` for every live slot."""
-        for slot in range(self._slot_count):
-            offset, length = self._read_slot(slot)
-            if (offset, length) != _DEAD:
-                yield slot, bytes(self.buf[offset : offset + length])
+        """Yield ``(slot, record_bytes)`` for every live slot, as the page
+        stood when the first one was asked for: one copy of the image, one
+        unpack of its slot directory, one slice per live record."""
+        image = bytes(self.buf)
+        offsets, lengths = _directory(image, self._slot_count)
+        for slot, (offset, length) in enumerate(zip(offsets, lengths)):
+            if offset or length:
+                yield slot, image[offset : offset + length]
 
     # -- internals ----------------------------------------------------------------
 

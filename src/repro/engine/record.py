@@ -31,6 +31,16 @@ rules and their :class:`StorageError` messages exist in one place.  Column
 names and messages reach the generated code only as constants in its
 namespace; the source itself holds nothing but integers and fixed text.
 
+A walk decodes the values it returns and copies the rest.  A TINYINT …
+BIGINT value is decoded inline — its width checked, then one ``struct``
+unpack, failing with the text its type's ``decode`` raises — and any other
+type's through that ``decode``.  The payload walk keeps two locals per
+column, its canonical prefix and its ``len | value`` chunk (both ``b''``
+for a NULL), and joins them once, after the header that the popcount of
+the record's NULL bitmap, masked to the columns it declares, picks; the
+payload without the ``omit`` columns is a second join over the kept
+columns, made only when one of the omitted ones is set.
+
 Writing is generated the same way (:func:`_compile_write`): one function per
 schema object turns a physical row into its validated values, record bytes
 and payload, validating every column, in order, before encoding any but
@@ -55,8 +65,8 @@ from repro.errors import StorageError, TypeSystemError
 
 _COUNT = struct.Struct(">H")
 _VALUE_LEN = struct.Struct(">I")
-#: Length prefix and value of a fixed-width integer, by width.
-_INT_CHUNK = {1: ">Ib", 2: ">Ih", 4: ">Ii", 8: ">Iq"}
+#: The struct code of a fixed-width integer, by width.
+_INT_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 #: Stored record bytes -> one result shape (values, named row or payload).
 Reader = Callable[[bytes], Any]
@@ -97,6 +107,7 @@ def _compile_walk(
 
     With ``others``, the walk first checks that the record declares
     ``count`` columns and hands it to ``others`` when it does not.
+    How values decode and payloads join: the module docstring.
     """
     columns = kernel.columns[:count]
     head = _COUNT.size + (count + 7) // 8
@@ -125,11 +136,6 @@ def _compile_walk(
         out.append(f"    present = from_bytes(data[2:{head}], 'little')")
     decoded, shape, omit = want.decoded, want.shape, want.omit
     payload = shape == _PAYLOAD
-    omitting = payload and any(c.ordinal in omit for c in columns)
-    if payload:
-        out += ["    parts = [b'']", "    append = parts.append"]
-        if omitting:
-            out.append("    omitted = []")
     #: ordinal -> the variable holding its value (the last column wins).
     held: Dict[int, str] = {}
     for i, column in enumerate(columns):
@@ -147,23 +153,40 @@ def _compile_walk(
             f"            raise StorageError(over{i})",
         ]
         if ordinal in decoded:
-            namespace[f"dec{i}"] = column.sql_type.decode
-            namespace[f"bad{i}"] = f"column {quoted} failed to decode: "
-            out += [
-                "        try:",
-                f"            x{i} = dec{i}(data[start:end])",
-                "        except Exception as exc:",
-                f"            raise StorageError(bad{i} + str(exc)) from exc",
-            ]
+            sql_type = column.sql_type
+            if isinstance(sql_type, _IntegerType):
+                # The text ``sql_type.decode`` raises, after the same prefix.
+                namespace[f"bad{i}"] = (
+                    f"column {quoted} failed to decode: {sql_type.name} "
+                    f"expects {sql_type.width} bytes, got "
+                )
+                namespace[f"int{i}"] = struct.Struct(
+                    ">" + _INT_CODE[sql_type.width]
+                ).unpack_from
+                out += [
+                    f"        if end - start != {sql_type.width}:",
+                    f"            raise StorageError(bad{i} + str(end - start))",
+                    f"        x{i} = int{i}(data, start)[0]",
+                ]
+            else:
+                namespace[f"dec{i}"] = sql_type.decode
+                namespace[f"bad{i}"] = f"column {quoted} failed to decode: "
+                out += [
+                    "        try:",
+                    f"            x{i} = dec{i}(data[start:end])",
+                    "        except Exception as exc:",
+                    f"            raise StorageError(bad{i} + str(exc)) from exc",
+                ]
             held[ordinal] = f"x{i}"
         if payload:
             namespace[f"pre{i}"] = kernel.prefixes[i]
-            if ordinal in omit:
-                out.append("        omitted.append(len(parts))")
-            out += [f"        append(pre{i})", "        append(data[offset:end])"]
+            out += [f"        p{i} = pre{i}", f"        c{i} = data[offset:end]"]
         out.append("        offset = end")
+        nulls = [f"p{i} = c{i} = b''"] if payload else []
         if ordinal in decoded:
-            out += ["    else:", f"        x{i} = None"]
+            nulls.append(f"x{i} = None")
+        if nulls:
+            out += ["    else:"] + [f"        {null}" for null in nulls]
     out += [
         "    if offset != size:",
         "        raise StorageError(f'{size - offset} trailing bytes after record')",
@@ -178,23 +201,30 @@ def _compile_walk(
             items.append(f"key{j}: {held.get(ordinal, 'None')}")
         out.append("    return {" + ", ".join(items) + "}")
     else:
-        out += [
-            "    values = [" + ", ".join(slots) + "]",
-            "    serialized = len(parts) // 2",
-            "    parts[0] = headers[serialized]",
-            "    payload = join(parts)",
-        ]
-        if omitting:
+        bits = [1 << operator.index(column.ordinal) for column in columns]
+        every = sum(bits)
+        omitted = sum(bit for bit, column in zip(bits, columns)
+                      if column.ordinal in omit)
+
+        def joined(mask: int) -> str:
+            """The join of the header and the chunks of the columns in
+            ``mask``, counted under it."""
+            header = (
+                f"headers[(present & {mask}).bit_count()]" if mask
+                else "headers[0]"
+            )
+            return "join((" + header + ", " + "".join(
+                f"p{i}, c{i}, " for i, bit in enumerate(bits) if bit & mask
+            ) + "))"
+
+        out.append(f"    payload = {joined(every)}")
+        values = "[" + ", ".join(slots) + "]"
+        if omitted:
             out += [
-                "    if not omitted:",
-                "        return payload, payload, values",
-                "    for index in reversed(omitted):",
-                "        del parts[index:index + 2]",
-                "    parts[0] = headers[serialized - len(omitted)]",
-                "    return payload, join(parts), values",
+                f"    if present & {omitted}:",
+                f"        return payload, {joined(every & ~omitted)}, {values}",
             ]
-        else:
-            out.append("    return payload, payload, values")
+        out.append(f"    return payload, payload, {values}")
     exec(_compiled("\n".join(out)), namespace)
     return namespace["walk"]
 
@@ -344,7 +374,9 @@ def _compile_write(kernel: "RecordKernel", validate: bool) -> Writer:
                 out.append(f"        q{i} = pre{i}")
             indent = "        "
         if live[i] and isinstance(sql_type, _IntegerType):
-            namespace[f"pack{i}"] = struct.Struct(_INT_CHUNK[sql_type.width]).pack
+            namespace[f"pack{i}"] = struct.Struct(
+                ">I" + _INT_CODE[sql_type.width]
+            ).pack
             out.append(f"{indent}c{i} = pack{i}({sql_type.width}, {value})")
             continue
         namespace[f"enc{i}"] = sql_type.encode
@@ -543,7 +575,7 @@ def hashable_payload(
     the omit columns, hidden and key values)``; a caller holding values
     encodes them first (:func:`encode_record`).
     """
-    return schema.derived(RecordKernel).transcode(record, omit)
+    return schema.derived(RecordKernel).transcoder(omit)(record)
 
 
 def hashable_payloads(

@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Verbosity, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -748,16 +748,44 @@ class LedgerModel(RuleBasedStateMachine):
         assert not missing
 
 
-TestLedgerModel = LedgerModel.TestCase
-TestLedgerModel.settings = (
-    settings.default  # the `ci` profile: its step budget, random draws
-    if settings.get_current_profile_name() == "ci"
-    else settings(
+def model_settings(loaded: settings) -> settings:
+    """The model's budget under the ``loaded`` profile: the profile itself
+    — its step budget, random draws — when it sets at least the ``ci``
+    profile's examples and steps per example, else the small tier-1 budget.
+
+    Read from what the profile sets, not from its name: with a verbosity
+    flag, Hypothesis's pytest plugin loads ``ci`` as a derived profile
+    (``ci-with-verbose-verbosity``) that has ``ci``'s budget.
+    """
+    ci = settings.get_profile("ci")
+    if (loaded.max_examples >= ci.max_examples
+            and loaded.stateful_step_count >= ci.stateful_step_count):
+        return loaded
+    return settings(
         max_examples=25, stateful_step_count=20, deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-)
+
+
+TestLedgerModel = LedgerModel.TestCase
+TestLedgerModel.settings = model_settings(settings.default)
+
+
+@pytest.mark.parametrize("verbosity", list(Verbosity))
+def test_a_derived_ci_profile_keeps_the_ci_budget(verbosity):
+    """``--hypothesis-profile=ci --hypothesis-verbosity=V`` runs ``ci``'s
+    budget; the default profile runs the tier-1 one."""
+    name = f"ci-with-{verbosity.name}-verbosity"
+    settings.register_profile(name, settings.get_profile("ci"), verbosity=verbosity)
+    ci = settings.get_profile("ci")
+    budget = model_settings(settings.get_profile(name))
+    assert (budget.max_examples, budget.stateful_step_count) == (
+        ci.max_examples, ci.stateful_step_count,
+    )
+    assert not budget.derandomize
+    tier1 = model_settings(settings.get_profile("default"))
+    assert (tier1.max_examples, tier1.stateful_step_count) == (25, 20)
 
 
 RULES = {rule.function.__name__: rule for rule in LedgerModel.setup_state().rules}

@@ -31,6 +31,7 @@ from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
 from repro.engine.heap import HeapFile
+from repro.engine.pager import Page
 from repro.engine.record import RecordKernel
 from repro.engine.schema import IndexDefinition
 from repro.engine.table import Table
@@ -303,6 +304,44 @@ class TestOperationalPathsNeverScan:
         cycle()
         assert calls["TransactionEntry"] == 5
         assert calls["BlockRow"] == db.ledger.latest_block_id() - height
+
+    def test_page_reader_slices_no_record_of_a_page_the_memo_holds(
+        self, db, monkeypatch
+    ):
+        """``HeapFile.pages`` leaves a page's records unsliced until they
+        are asked for, so on a warm cycle ``Page.records`` slices only the
+        records of system-table pages whose image changed since the memo
+        took them — each of their live records once — and none of any
+        other system-table page."""
+        commit_rows(db, 0, 120)
+        digests = [db.generate_digest()]
+        checkpoint = db.verify(digests, build_checkpoint=True).built_checkpoint
+        heaps = [db.engine.table(name).heap for name in SYSTEM]
+        before = {heap.name: [bytes(page.buf) for page in heap._pages] for heap in heaps}
+        commit_rows(db, 120, 3)
+        digests.append(db.generate_digest())
+
+        sliced = Counter()
+        records = Page.records
+
+        def counting(page):
+            for slot, record in records(page):
+                sliced[id(page)] += 1
+                yield slot, record
+
+        monkeypatch.setattr(Page, "records", counting)
+        report = db.verify(digests, mode="incremental", checkpoint=checkpoint)
+        assert report.ok and report.mode == "incremental", report.summary()
+        unchanged = 0
+        for heap in heaps:
+            kept = before[heap.name]
+            for number, page in enumerate(heap._pages):
+                if number < len(kept) and bytes(page.buf) == kept[number]:
+                    unchanged += 1
+                    assert not sliced[id(page)], (heap.name, number)
+                else:
+                    assert sliced[id(page)] == page.live_count, (heap.name, number)
+        assert len(heaps[0]._pages) > 1 and unchanged
 
     def test_cycle_after_commits_looks_up_no_system_record(
         self, db, monkeypatch

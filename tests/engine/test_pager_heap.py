@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.heap import HeapFile
-from repro.engine.pager import HEADER_SIZE, MAX_RECORD_SIZE, PAGE_SIZE, SLOT_SIZE, Page
+from repro.engine.pager import (
+    HEADER_SIZE, MAX_RECORD_SIZE, MAX_SLOTS, PAGE_SIZE, SLOT_SIZE, Page,
+)
 from repro.errors import StorageError
 
 
@@ -329,6 +331,114 @@ class TestHeapFile:
         assert [image for image, _ in HeapFile.load("t", path).pages()] == images
         heap.tamper_record(rids[0], b"x" * 700)
         assert images[0] != next(heap.pages())[0]
+
+
+# -- the page reader: one unpack of the slot directory ------------------------
+
+def reference_records(page):
+    """The per-slot reader ``Page.records`` was: one ``_read_slot`` per slot."""
+    out = []
+    for slot in range(page.slot_count):
+        offset, length = page._read_slot(slot)
+        if (offset, length) != (0, 0):
+            out.append((slot, bytes(page.buf[offset : offset + length])))
+    return out
+
+
+def reference_accounting(page):
+    """Dead slots and live bytes, read slot by slot as a reload used to."""
+    entries = [page._read_slot(slot) for slot in range(page.slot_count)]
+    return (
+        [slot for slot, entry in enumerate(entries) if entry == (0, 0)],
+        sum(length for _, length in entries),  # a dead slot's is 0
+    )
+
+
+page_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "overwrite", "compact", "redo"]),
+        st.integers(0, 60),
+        st.one_of(
+            st.binary(min_size=1, max_size=200),
+            st.builds(lambda n, b: bytes([b]) * n,
+                      st.sampled_from([900, 2500]), st.integers(0, 255)),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestPageReader:
+    """``Page.records`` and a reload's slot accounting, both from one unpack
+    of the slot directory, equal the per-slot reads they replaced."""
+
+    @staticmethod
+    def _check(page):
+        assert list(page.records()) == reference_records(page)
+        reloaded = Page(page.page_id, bytearray(page.buf))
+        assert (reloaded._dead_slots, reloaded._live_bytes) == (
+            reference_accounting(page)
+        )
+        assert sorted(page._dead_slots) == reloaded._dead_slots
+        assert page._live_bytes == reloaded._live_bytes
+
+    @given(page_operations)
+    @settings(max_examples=80, deadline=None)
+    def test_records_equal_the_per_slot_reader(self, operations):
+        page = Page(3)
+        for op, pick, record in operations:
+            live = [slot for slot, _ in reference_records(page)]
+            try:
+                if op == "insert" or (op in ("delete", "overwrite") and not live):
+                    page.insert(record)
+                elif op == "delete":
+                    page.delete(live[pick % len(live)])
+                elif op == "overwrite":
+                    page.overwrite(live[pick % len(live)], record)
+                elif op == "compact":
+                    page._compact()
+                else:
+                    # Clear one slot, restore another, maybe past the end.
+                    writes = {pick % 8: None, pick: record}
+                    page.redo(writes, pick)
+            except StorageError:
+                pass  # did not fit: the page is unchanged
+            self._check(page)
+
+    @given(
+        st.integers(0, MAX_SLOTS) | st.integers(0, 12),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(
+            st.integers(0, 12),
+            st.sampled_from([(0, 0), (0, 7), (40, 0), (PAGE_SIZE - 2, 9)]),
+        )),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_directory_reads_as_slot_by_slot(self, slot_count, seed, entries):
+        """Whatever a slot directory holds — noise, entries past the page
+        end, a zero length at a non-zero offset or the reverse — is read as
+        ``_read_slot`` reads it."""
+        buf = bytearray(random.Random(seed).randbytes(PAGE_SIZE))
+        struct.pack_into(">HIHH", buf, 0, 0x5D1A, 3, slot_count, HEADER_SIZE)
+        for slot, entry in entries:
+            if slot < slot_count:
+                struct.pack_into(">HH", buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE, *entry)
+        self._check(Page(3, buf))
+
+    def test_a_directory_past_the_header_is_refused(self):
+        buf = bytearray(PAGE_SIZE)
+        struct.pack_into(">HIHH", buf, 0, 0x5D1A, 0, MAX_SLOTS + 1, HEADER_SIZE)
+        with pytest.raises(StorageError, match="more than the 2045 that fit"):
+            Page(0, buf)
+
+    def test_records_read_the_page_as_it_stood_at_the_first(self):
+        page = Page(0)
+        slots = [page.insert(bytes([n + 1]) * 100) for n in range(5)]
+        records = page.records()
+        assert next(records) == (0, bytes([1]) * 100)
+        page.delete(slots[2])
+        page.overwrite(slots[3], b"z" * 300)
+        assert list(records) == [(s, bytes([s + 1]) * 100) for s in slots[1:]]
 
 
 # -- crash-recovery redo: one layout per page ---------------------------------

@@ -18,7 +18,14 @@ from repro.crypto.serialization import (
 )
 from repro.engine import record as record_module
 from repro.engine.record import (
+    _COUNT,
+    _NAMED,
+    _PAYLOAD,
+    _VALUE_LEN,
+    _VALUES,
     RecordKernel,
+    _named_walk,
+    _Walk,
     decode_record,
     encode_record,
     hashable_payload,
@@ -39,6 +46,7 @@ from repro.engine.types import (
     TINYINT,
     VARBINARY,
     VARCHAR,
+    _IntegerType,
 )
 from repro.errors import (
     ColumnNotFoundError,
@@ -547,6 +555,39 @@ class TestDamageCorpus:
             offset += 4 + length
 
 
+    @pytest.mark.parametrize("sql_type", [TINYINT, SMALLINT, INT, BIGINT],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_integer_key_of_the_wrong_length(self, sql_type, delta):
+        """A key a byte short of or past its width, at every integer width,
+        is the same rejection, in the text the type's ``decode`` gives,
+        from every reader that decodes it; the bare payload copies it."""
+        schema = sc.extend_with_system_columns(TableSchema(
+            "w", [Column("k", sql_type, nullable=False), Column("v", VARCHAR(8))],
+            primary_key=["k"],
+        ), include_end=False)
+        record = write(schema, (1, "v", 7, 0))[1]
+        width = sql_type.width
+        # The key's chunk follows the count and the one-byte NULL bitmap.
+        value = record[7 : 7 + width]
+        value = value[:-1] if delta < 0 else value + b"\x00"
+        damaged = (
+            record[:3] + len(value).to_bytes(4, "big") + value
+            + record[7 + width :]
+        )
+        rejection = (
+            f"column 'k' failed to decode: {sql_type.name} expects {width} "
+            f"bytes, got {width + delta}"
+        )
+        kernel = schema.derived(RecordKernel)
+        for read in (kernel.decode, kernel.projector([0]), kernel.transcode):
+            with pytest.raises(StorageError) as caught:
+                read(damaged)
+            assert str(caught.value) == rejection
+        (payload,) = hashable_payloads(schema, [damaged])
+        assert kernel.prefixes[0] + damaged[3 : 7 + len(value)] in payload
+
+
 # ---------------------------------------------------------------------------
 # Generated walkers against the interpreted loops they replaced
 # ---------------------------------------------------------------------------
@@ -731,6 +772,219 @@ class TestGeneratedWalkers:
         assert str(caught.value) == f"truncated value for column {evil!r}"
         assert len(sources) >= 5
         assert not any(evil in source or "import" in source for source in sources)
+
+
+# ---------------------------------------------------------------------------
+# The generated walk against the generator it replaced
+# ---------------------------------------------------------------------------
+
+
+def parent_compile_walk(kernel, count, want, others=None):
+    """The walk generator before integers decoded inline and the payload
+    was joined from per-column locals — kept as the reference: every
+    value through its type's ``decode``, the payload assembled in a list,
+    the omitted columns' chunks deleted from it."""
+    columns = kernel.columns[:count]
+    head = _COUNT.size + (count + 7) // 8
+    namespace = {
+        "StorageError": StorageError,
+        "from_bytes": int.from_bytes,
+        "value_len": _VALUE_LEN.unpack_from,
+        "join": b"".join,
+        "headers": kernel.payload_headers,
+        "short_bitmap": "record shorter than its NULL bitmap",
+        "declared": _COUNT.pack(count),
+        "others": others,
+    }
+    out = ["def walk(data):"]
+    if others is not None:
+        out += ["    if data[:2] != declared:", "        return others(data)"]
+    out += [
+        "    size = len(data)",
+        f"    if size < {head}:",
+        "        raise StorageError(short_bitmap)",
+        f"    offset = {head}",
+    ]
+    if head == _COUNT.size + 1:
+        out.append("    present = data[2]")
+    elif head > _COUNT.size:
+        out.append(f"    present = from_bytes(data[2:{head}], 'little')")
+    decoded, shape, omit = want.decoded, want.shape, want.omit
+    payload = shape == _PAYLOAD
+    omitting = payload and any(c.ordinal in omit for c in columns)
+    if payload:
+        out += ["    parts = [b'']", "    append = parts.append"]
+        if omitting:
+            out.append("    omitted = []")
+    held = {}
+    for i, column in enumerate(columns):
+        ordinal = column.ordinal
+        quoted = repr(column.name)
+        namespace[f"cut{i}"] = f"truncated record at column {quoted}"
+        namespace[f"over{i}"] = f"truncated value for column {quoted}"
+        out += [
+            f"    if present & {1 << ordinal}:",
+            "        start = offset + 4",
+            "        if start > size:",
+            f"            raise StorageError(cut{i})",
+            "        end = start + value_len(data, offset)[0]",
+            "        if end > size:",
+            f"            raise StorageError(over{i})",
+        ]
+        if ordinal in decoded:
+            namespace[f"dec{i}"] = column.sql_type.decode
+            namespace[f"bad{i}"] = f"column {quoted} failed to decode: "
+            out += [
+                "        try:",
+                f"            x{i} = dec{i}(data[start:end])",
+                "        except Exception as exc:",
+                f"            raise StorageError(bad{i} + str(exc)) from exc",
+            ]
+            held[ordinal] = f"x{i}"
+        if payload:
+            namespace[f"pre{i}"] = kernel.prefixes[i]
+            if ordinal in omit:
+                out.append("        omitted.append(len(parts))")
+            out += [f"        append(pre{i})", "        append(data[offset:end])"]
+        out.append("        offset = end")
+        if ordinal in decoded:
+            out += ["    else:", f"        x{i} = None"]
+    out += [
+        "    if offset != size:",
+        "        raise StorageError(f'{size - offset} trailing bytes after record')",
+    ]
+    slots = [held.get(ordinal, "None") for ordinal in range(kernel.width)]
+    if shape == _VALUES:
+        out.append("    return (" + "".join(f"{slot}, " for slot in slots) + ")")
+    elif shape == _NAMED:
+        items = []
+        for j, (name, ordinal) in enumerate(want.fields):
+            namespace[f"key{j}"] = name
+            items.append(f"key{j}: {held.get(ordinal, 'None')}")
+        out.append("    return {" + ", ".join(items) + "}")
+    else:
+        out += [
+            "    values = [" + ", ".join(slots) + "]",
+            "    serialized = len(parts) // 2",
+            "    parts[0] = headers[serialized]",
+            "    payload = join(parts)",
+        ]
+        if omitting:
+            out += [
+                "    if not omitted:",
+                "        return payload, payload, values",
+                "    for index in reversed(omitted):",
+                "        del parts[index:index + 2]",
+                "    parts[0] = headers[serialized - len(omitted)]",
+                "    return payload, join(parts), values",
+            ]
+        else:
+            out.append("    return payload, payload, values")
+    exec(compile("\n".join(out), "<reference walk>", "exec"), namespace)
+    return namespace["walk"]
+
+
+def parent_reader(kernel, want):
+    """``want``'s reader over :func:`parent_compile_walk`, dispatching on
+    the declared column count as the kernel's readers do."""
+
+    def read(data):
+        if len(data) < _COUNT.size:
+            raise StorageError("record shorter than header")
+        count = data[0] << 8 | data[1]
+        if count > kernel.width:
+            raise StorageError(
+                f"record declares {count} columns, schema has only {kernel.width}"
+            )
+        return parent_compile_walk(kernel, count, want)(data)
+
+    return read
+
+
+@st.composite
+def raw_records(draw, schema):
+    """A record put together chunk by chunk: any declared column count, any
+    NULL pattern — bits past the declared columns included — and integer
+    values of any length, other values of arbitrary bytes."""
+    count = draw(st.integers(0, len(schema.columns)))
+    bitmap = (count + 7) // 8
+    present = draw(st.integers(0, (1 << 8 * bitmap) - 1))
+    chunks = []
+    for column in schema.columns[:count]:
+        if present >> column.ordinal & 1:
+            sql_type = column.sql_type
+            if isinstance(sql_type, _IntegerType):
+                value = draw(
+                    st.binary(min_size=sql_type.width, max_size=sql_type.width)
+                    | st.binary(max_size=9)
+                )
+            else:
+                value = draw(st.binary(max_size=12))
+            chunks.append(len(value).to_bytes(4, "big") + value)
+    return (
+        count.to_bytes(2, "big") + present.to_bytes(bitmap, "little")
+        + b"".join(chunks)
+    )
+
+
+def walk_outcome(read, record):
+    """What a reader returns, or the type and text of what it raises."""
+    try:
+        return "ok", read(record)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc).__name__, str(exc)
+
+
+class TestWalkEquivalence:
+    """Every reader shape — values, named, payload with and without
+    ``omit`` and ``project`` — returns what the parent's generated walk
+    returned, or raises its exception type with its text."""
+
+    @given(schemas_and_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_reader_shape_equals_the_parent(self, case, data):
+        schema, row, declared = case
+        narrow = TableSchema("t", schema.columns[:declared])
+        source = data.draw(st.sampled_from(["schema", "narrow", "raw"]))
+        if source == "raw":
+            written = data.draw(raw_records(schema))
+        else:
+            written = encode_record(
+                *((schema, row) if source == "schema"
+                  else (narrow, row[:declared]))
+            )
+        record = damaged(data, written)
+        kernel = schema.derived(RecordKernel)
+        width = len(schema.columns)
+
+        def check(read, want):
+            got = walk_outcome(read, record)
+            expected = walk_outcome(parent_reader(kernel, want), record)
+            same(got, expected)
+            if got[0] == "ok" and want.shape == _PAYLOAD:
+                # Without an omitted column set, the same object twice.
+                assert (got[1][0] is got[1][1]) == (expected[1][0] is expected[1][1])
+
+        every = frozenset(range(width))
+        check(kernel.decode, _Walk(every, _VALUES))
+        ordinals = frozenset(data.draw(st.sets(st.sampled_from(range(width)))))
+        check(kernel.projector(ordinals), _Walk(ordinals, _VALUES))
+        for include_hidden in (False, True):
+            check(kernel.row_reader(include_hidden),
+                  kernel._row_walks[include_hidden])
+        fields = tuple(
+            (f"f{i}", data.draw(st.sampled_from(range(width))))
+            for i in range(data.draw(st.integers(0, 4)))
+        )
+        check(kernel.reader(fields), _named_walk(fields))
+        omit = tuple(data.draw(st.sets(st.sampled_from(range(width)))))
+        for omitted in ((), omit):
+            for project in (True, False):
+                check(
+                    kernel.transcoder(omitted, project),
+                    _Walk(kernel._projected if project else frozenset(),
+                          _PAYLOAD, omit=frozenset(omitted)),
+                )
 
 
 # ---------------------------------------------------------------------------
