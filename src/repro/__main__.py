@@ -11,28 +11,24 @@ range, index seek or full scan) without running it.  Ledger-specific
 commands use a backslash prefix:
 
     \\digest               extract a database digest (JSON)
-    \\verify [--parallel N]
-                          verify against all digests issued this session;
-                          --parallel fans scans out over N worker processes
+    \\verify               verify against all digests issued this session
     \\tables               list tables with their ledger roles
     \\history <table>      show the table's ledger view
     \\receipt <txid>       issue a transaction receipt (JSON)
     \\ops                  table-operations audit view (Figure 6)
     \\stats                dump telemetry counters (Prometheus text format)
     \\trace [n]            show the span tree of the last n statements (default 1)
-    \\trace --txn <txid>   reassemble the cross-thread commit lineage of one
-                          transaction (commit thread -> block builder ->
-                          digest upload)
+    \\trace --txn <txid>   reassemble the commit lineage of one transaction
+                          (its statements, commit, block close and digest)
     \\blackbox [start <dir> | dump | status]
                           black-box flight recorder: dumps spans, events and
                           metrics to a JSON bundle on tamper detection,
-                          injected faults or builder crashes
-    \\monitor start [sec] [--deep N] [--parallel N] | stop | status
+                          injected faults or a failed block close
+    \\monitor start [sec] [--deep N] | stop | status
                           continuous-verification watchdog (default 5s
                           cadence); --deep N > 1 verifies only the delta
                           per cycle with a full deep scan every N cycles
-                          (default 1: every cycle full); --parallel sets
-                          worker count
+                          (default 1: every cycle full)
     \\serve [port]         HTTP observability endpoint (/metrics /healthz
                           /events /ledger /traces); port 0 = ephemeral
     \\events [n]           show the last n structured ledger events (default 20)
@@ -101,8 +97,8 @@ def _print_rows(rows) -> None:
     print(f"({len(rows)} rows)")
 
 
-_MONITOR_USAGE = "\\monitor start [sec] [--deep N] [--parallel N]"
-_MONITOR_OPTIONS = {"--deep": "deep_scan_every", "--parallel": "parallelism"}
+_MONITOR_USAGE = "\\monitor start [sec] [--deep N]"
+_MONITOR_OPTIONS = {"--deep": "deep_scan_every"}
 
 
 class Shell:
@@ -121,11 +117,10 @@ class Shell:
             self.digests.append(digest)
             print(digest.to_json())
         elif command == "verify":
-            parallelism = _int_option(
-                parts[1:], "--parallel", "\\verify [--parallel N]", 1
-            )
+            if parts[1:]:
+                raise ValueError("usage: \\verify")
             digests = self.digests or [self.db.generate_digest()]
-            report = self.db.verify(digests, parallelism=parallelism)
+            report = self.db.verify(digests)
             print(report.summary())
             print(report.timing_summary())
             print(

@@ -8,11 +8,14 @@ entries*.  Entries are assigned a (block id, ordinal) at commit time by the
 design of §3.3.2.
 
 Block formation is *staged* (§4.2): when the sequencer hands out the last
-ordinal of a block it **seals** the block — pure in-memory bookkeeping on the
-commit hot path — and block *closure* (Merkle root over the entry hashes,
-hash chaining, persistence into ``database_ledger_blocks``) happens later,
-off the critical path, driven by the block-builder thread of
-:class:`repro.core.pipeline.LedgerPipeline` or by an explicit ``drain()``.
+ordinal of a block it **seals** the block — pure in-memory bookkeeping — and
+block *closure* (Merkle root over the entry hashes, hash chaining,
+persistence into ``database_ledger_blocks``) follows once the block's last
+entry is durably enqueued.  The paper closes blocks off the critical path,
+for a many-core server; here the commit that fills a block closes it, on
+its own thread, after its COMMIT record is durable (:meth:`DatabaseLedger.
+enqueue`), and :meth:`repro.core.pipeline.LedgerPipeline.drain` closes the
+rest.  The ledger starts no thread of its own.
 
 One lock, ``storage_lock``, guards all of it: the storage engine (which is
 not thread-safe), the sequencer's counters, the sealed blocks and the entry
@@ -52,11 +55,12 @@ import datetime as dt
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -72,9 +76,9 @@ from repro.engine.database import Database
 from repro.engine.record import RecordKernel
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
-from repro.engine.transaction import Transaction
+from repro.engine.transaction import Transaction, TxnState
 from repro.engine.types import BIGINT, DATETIME, VARBINARY, VARCHAR
-from repro.errors import DigestError, LedgerError
+from repro.errors import DigestError, InjectedCrashError, LedgerError
 from repro.faults import FAULTS
 from repro.obs import OBS
 
@@ -87,8 +91,8 @@ FAULTS.register(
 FAULTS.register(
     "ledger.block_persist",
     "Inside block closure, before the block row is inserted.  The block "
-    "stays sealed-but-open; recovery rebuilds the sealed queue from the "
-    "WAL and closure is retried.",
+    "stays sealed: the next drain or block-filling commit retries the "
+    "close, and after a crash recovery re-seals it from the WAL.",
 )
 
 TRANSACTIONS_TABLE = "database_ledger_transactions"
@@ -168,8 +172,11 @@ class DatabaseLedger:
         #: block closed — what the next digest names — so a digest decodes
         #: no entry.  Empty after a restart until the first digest fills it.
         self._tip_commit_time: Optional[Tuple[int, dt.datetime]] = None
-        #: Pipeline wake-up: invoked when a sealed block becomes closable.
-        self._sealed_ready_callback: Optional[Callable[[], None]] = None
+        #: Blocks closed by the commits that filled them (not by drains).
+        self.commit_closes = 0
+        #: (block id, error) of the last close that failed; the block stays
+        #: sealed and ``health()`` degraded until a close succeeds.
+        self.close_failure: Optional[Tuple[int, str]] = None
         # Set after truncation: (last truncated block id, its hash).
         self._anchor: Optional[Tuple[int, bytes]] = None
         #: Telemetry side-channel: per queued entry, its enqueue
@@ -218,12 +225,6 @@ class DatabaseLedger:
         """Blocks sealed by the sequencer but not yet closed."""
         return len(self._sealed)
 
-    def set_sealed_ready_callback(
-        self, callback: Optional[Callable[[], None]]
-    ) -> None:
-        """Install the pipeline's wake-up for newly closable sealed blocks."""
-        self._sealed_ready_callback = callback
-
     def set_anchor(self, block_id: int, block_hash: bytes) -> None:
         """Install the truncation anchor: the chain now starts after it."""
         self._anchor = (block_id, block_hash)
@@ -247,8 +248,8 @@ class DatabaseLedger:
 
         Pure in-memory bookkeeping — this runs on the commit hot path, under
         the commit's ``storage_lock``.  When the assignment fills the open
-        block, the block is *sealed* (also pure bookkeeping); Merkle root
-        computation and persistence happen later, off the commit path.
+        block, the block is *sealed* (also pure bookkeeping); it closes once
+        the COMMIT record is durable, in :meth:`enqueue`.
         """
         assert txn.commit_time is not None
         entry = TransactionEntry(
@@ -302,19 +303,25 @@ class DatabaseLedger:
     def enqueue(self, entry: TransactionEntry) -> None:
         """Queue a durably committed entry (stage 2 → stage 3 handoff).
 
-        Runs under the commit's ``storage_lock``.  Never closes blocks
-        inline: when the entry completes a sealed block the registered
-        pipeline callback is invoked so the block builder picks it up
-        asynchronously.
+        Runs under the commit's ``storage_lock``, after its COMMIT record is
+        durable.  When the entry completes a sealed block — this commit's
+        assignment sealed it — the commit closes every ready sealed block,
+        oldest first.  A close that fails does not fail the commit: the
+        block stays sealed and :attr:`close_failure` names it until a later
+        close succeeds.  A simulated crash still propagates.
         """
         self._queue.append(entry)
         self._pending.setdefault(entry.block_id, []).append(entry)
         if OBS.metrics.enabled or OBS.tracer.enabled:
             self._entry_meta[entry.transaction_id] = time.monotonic_ns()
-        if self._sealed and self._sealed_ready_callback is not None:
-            head_id, head_count = self._sealed[0]
-            if len(self._pending.get(head_id, ())) >= head_count:
-                self._sealed_ready_callback()
+        if self._sealed and self._sealed[-1][0] == entry.block_id:
+            try:
+                while self.close_next_ready_block() is not None:
+                    self.commit_closes += 1
+            except InjectedCrashError:
+                raise
+            except Exception:
+                pass  # recorded by close_next_ready_block; a drain retries
 
     def oldest_queue_entry_age(self) -> float:
         """Seconds the oldest still-queued entry has been waiting."""
@@ -345,15 +352,12 @@ class DatabaseLedger:
             with OBS.tracer.span("ledger.flush_queue", entries=len(snapshot)):
                 table = self._transactions_table()
                 txn = self._engine.begin(username="ledger_system")
-                try:
+                with self._system_transaction(txn):
                     table.insert_many(txn, [
                         table.schema.row_from_visible(entry.to_row())
                         for entry in snapshot
                     ])
-                except Exception:
-                    self._engine.rollback(txn)
-                    raise
-                self._engine.commit(txn)
+                    self._engine.commit(txn)
             del self._queue[: len(snapshot)]
         return len(snapshot)
 
@@ -368,17 +372,28 @@ class DatabaseLedger:
     def close_next_ready_block(self) -> Optional[BlockRow]:
         """Close the oldest sealed block; None when none is sealed.
 
-        Takes ``storage_lock`` for the closure; safe to call concurrently
-        from the block builder and a draining consumer.  A sealed block
-        whose entries are not all in hand fails the closure with a
-        :class:`LedgerError`.
+        Takes ``storage_lock`` for the closure.  A sealed block whose entries
+        are not all in hand fails the closure with a :class:`LedgerError`.
+        A failed close leaves the block sealed, records it in
+        :attr:`close_failure`, emits ``block.close_failed`` and raises; a
+        successful one clears the record.
         """
         with self.storage_lock:
             ready = self.next_ready_block()
             if ready is None:
                 return None
             block_id, count = ready
-            block = self._close_block(block_id, count)
+            try:
+                block = self._close_block(block_id, count)
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                self.close_failure = (block_id, error)
+                OBS.events.emit(
+                    "ledger", "block.close_failed",
+                    block_id=block_id, error=error,
+                )
+                raise
+            self.close_failure = None
             self._sealed.popleft()
             self._pending.pop(block_id, None)
             self._closed_height = block_id
@@ -440,10 +455,11 @@ class DatabaseLedger:
                 )
                 table = self._blocks_table()
                 txn = self._engine.begin(username="ledger_system")
-                table.insert(
-                    txn, table.schema.row_from_visible(block.to_row())
-                )
-                self._engine.commit(txn)
+                with self._system_transaction(txn):
+                    table.insert(
+                        txn, table.schema.row_from_visible(block.to_row())
+                    )
+                    self._engine.commit(txn)
                 self._tip_commit_time = (
                     block_id, max(entry.commit_time for entry in entries)
                 )
@@ -778,8 +794,8 @@ class DatabaseLedger:
         checkpoint) and is dropped.  One whose transaction id is not in the
         clustered tree the engine has just rebuilt was never batched into
         the system table and is re-queued.  Blocks that were sealed
-        (fully assigned) but not closed before the crash are re-sealed so
-        the block builder finishes them.
+        (fully assigned) but not closed before the crash are re-sealed; the
+        next drain, or the next commit that fills a block, closes them.
 
         Everything held in memory is rebuilt from durable state alone, and
         only the blocks past the last closed one are read: the closed
@@ -799,13 +815,12 @@ class DatabaseLedger:
         self._entry_meta = {}
         first_block = self.first_block_id()
 
-        blocks = self._blocks_table()
-        closed = [rid for _, rid in blocks.clustered.scan()]  # in id order
-        self._closed_height = (
-            blocks.read_row(closed[-1])[blocks.schema.column("block_id").ordinal]
-            if closed
-            else first_block - 1
-        )
+        # The closed height is the last key of the blocks tree (a key tuple
+        # is ``(1, block_id)``), read without decoding its row: a block row
+        # damaged in a value must not stop the open that lets verification
+        # report it.
+        closed = [key for key, _ in self._blocks_table().clustered.scan()]
+        self._closed_height = closed[-1][1] if closed else first_block - 1
         # Every slot assigned before the last checkpoint is at or below the
         # open block it recorded (below it when that block was still empty)
         # and is stored: the checkpoint flushed the queue.  Every slot
@@ -867,6 +882,21 @@ class DatabaseLedger:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def _system_transaction(self, txn: Transaction) -> Iterator[None]:
+        """Roll ``txn`` back if the close goes wrong before its COMMIT
+        record reaches the log.  Past that point the engine has stopped
+        (``Database.failure``) and recovery decides; a simulated crash
+        leaves everything as a dead process would."""
+        try:
+            yield
+        except InjectedCrashError:
+            raise
+        except Exception:
+            if txn.state is TxnState.ACTIVE and self._engine.failure is None:
+                self._engine.rollback(txn)
+            raise
 
     def _transactions_table(self) -> Table:
         return self._engine.table(TRANSACTIONS_TABLE)

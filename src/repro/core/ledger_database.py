@@ -83,8 +83,8 @@ class LedgerDatabase:
         self.engine = engine
         self.hooks = hooks
         self.ledger = ledger
-        #: Stage 3 of the commit pipeline: the background block builder and
-        #: the ``drain()`` barrier (started by :meth:`open`).
+        #: The ``drain()`` barrier that closes sealed blocks on demand (the
+        #: commit that fills a block closes it; see ``DatabaseLedger``).
         self.pipeline = LedgerPipeline(ledger, engine)
         #: Prepared-statement cache shared by every SQL session on this
         #: database; DDL through any session invalidates it for all.
@@ -145,7 +145,6 @@ class LedgerDatabase:
                 path=path, queued_entries=ledger.pending_entries,
                 open_block_id=ledger.open_block_id,
             )
-        db.pipeline.start()
         return db
 
     @property
@@ -154,19 +153,20 @@ class LedgerDatabase:
         return self._closed
 
     def close(self) -> None:
-        """Stop every background thread, then close the engine.
+        """Stop every background thread, close the sealed blocks, then close
+        the engine.
 
         Order matters: the monitor and HTTP server read through the ledger,
-        and the block builder writes through the engine — all must be
-        stopped and joined before the engine goes away so no daemon thread
-        leaks into the next test or touches a closed database.
+        so both are stopped and joined before the engine goes away and no
+        daemon thread leaks into the next test or touches a closed database.
 
         Idempotent and safe to call concurrently — a second close (or one
         racing a server shutdown) serializes behind the first and returns
         once teardown is complete.  The engine closes under
         ``storage_lock``, which waits out an in-flight ``drain()``; drains
         after that fail with a clean ``LedgerError`` instead of racing the
-        teardown.
+        teardown.  A sealed block that fails to close here still lets the
+        engine close, and its error is raised afterwards.
         """
         with self._close_lock:
             if self._closed:
@@ -175,14 +175,15 @@ class LedgerDatabase:
             self.stop_monitor()
             self.stop_obs_server()
             self.stop_flight_recorder()
-            # A stopped engine (``engine.failure``) closes as a crash does:
-            # no drain, no checkpoint; the reopen recovers from the log.
-            self.pipeline.stop(
-                drain=not self.engine.closed and self.engine.failure is None
-            )
             with self.ledger.storage_lock:
-                self.pipeline.drains_disabled = True
-                self.engine.close()
+                try:
+                    # A stopped engine (``engine.failure``) closes as a
+                    # crash does: no drain, no checkpoint; the reopen
+                    # recovers from the log.
+                    if not self.engine.closed and self.engine.failure is None:
+                        self.pipeline.drain(seal_open=False)
+                finally:
+                    self.engine.close()
 
     def checkpoint(self) -> None:
         """Checkpoint the engine after closing every closable block."""
@@ -192,7 +193,6 @@ class LedgerDatabase:
 
     def simulate_crash(self) -> None:
         """Crash without draining: sealed blocks are left for recovery."""
-        self.pipeline.stop(drain=False)
         self.engine.simulate_crash()
 
     def backup(self, destination: str) -> None:
@@ -370,9 +370,11 @@ class LedgerDatabase:
 
         The lock is held across the whole commit, from the ledger's slot
         assignment through the post-commit enqueue, so whoever holds it — a
-        drain, the block builder — finds every sealed block with all of its
-        entries.  A commit whose COMMIT record never reached the log hands
-        its slot back before it lets go.
+        drain, another commit — finds every sealed block with all of its
+        entries.  A commit that fills a block closes it before it lets go
+        (a close that fails leaves the block sealed and the commit
+        acknowledged).  A commit whose COMMIT record never reached the log
+        hands its slot back before it lets go.
         """
         with self.ledger.storage_lock:
             return self.engine.commit(txn)
@@ -657,7 +659,6 @@ class LedgerDatabase:
         self,
         digests: Sequence[DatabaseDigest],
         table_names=None,
-        parallelism: int = 1,
         mode: str = "full",
         checkpoint=None,
         build_checkpoint: bool = False,
@@ -669,8 +670,7 @@ class LedgerDatabase:
 
         Verification only holds the storage lock while it captures its
         snapshot; the invariant checks run concurrently with commits.
-        ``parallelism`` fans the scan-heavy invariants out over worker
-        processes; ``mode="incremental"`` with a ``checkpoint`` from a prior
+        ``mode="incremental"`` with a ``checkpoint`` from a prior
         passing run verifies only the delta (falling back to a full scan
         whenever the checkpoint is unusable); ``build_checkpoint`` asks a
         passing run to produce the next checkpoint.
@@ -691,7 +691,6 @@ class LedgerDatabase:
             return LedgerVerifier(self).verify(
                 digests,
                 table_names=table_names,
-                parallelism=parallelism,
                 mode=mode,
                 checkpoint=checkpoint,
                 build_checkpoint=build_checkpoint,
@@ -719,10 +718,11 @@ class LedgerDatabase:
         ``problems`` behind it and the ``monitor`` and ``pipeline`` state.
 
         ``tamper-detected`` — the monitor's last verification failed: the
-        ledger itself is suspect.  ``degraded`` — a background thread that
-        should be running (block builder, continuous monitor) is dead, or
-        the builder's supervisor gave up: the ledger is unwatched or blocks
-        pile up unsealed; each problem names the thread and its last error.
+        ledger itself is suspect.  ``degraded`` — the continuous monitor
+        should be running and is dead (the ledger is unwatched), or a sealed
+        block failed to close (it stays sealed until a drain or a later
+        block-filling commit closes it); each problem names the thread or
+        the block, and the last error.
         Also ``degraded``: the engine stopped after a COMMIT's fsync failed
         (``engine.failure``); its problem says to reopen.
         ``ok`` otherwise.  ``/healthz`` renders this verdict, ``op=health``
@@ -746,14 +746,12 @@ class LedgerDatabase:
                         "last_error": monitor_status["last_error"],
                     }
                 )
-        gave_up = pipeline["supervisor_gave_up"]
-        dead = pipeline["expected_running"] and not pipeline["running"]
-        if gave_up or dead:
+        if pipeline["failed_block"] is not None:
             problems.append(
                 {
-                    "thread": "ledger-block-builder",
-                    "detail": "block-builder thread died"
-                    + (" and its supervisor gave up" if gave_up else ""),
+                    "thread": "ledger",
+                    "detail": f"block {pipeline['failed_block']} is sealed "
+                    "and failed to close; the next drain retries it",
                     "last_error": pipeline["last_error"],
                 }
             )
@@ -823,8 +821,8 @@ class LedgerDatabase:
 
         The recorder listens on the event log and atomically writes a
         bundle (recent spans, in-flight spans, event tail, metrics
-        snapshot) on tamper detection, fault injection, or a builder
-        crash/give-up.  Returns the recorder; idempotent while armed.
+        snapshot) on tamper detection, fault injection, a failed block
+        close or a failed verification.  Returns the recorder; idempotent while armed.
         """
         if self._flight_recorder is not None:
             return self._flight_recorder

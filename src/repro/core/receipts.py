@@ -98,8 +98,8 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
         # The transaction sits in a still-open or sealed-but-unclosed
         # block; drain the pipeline so a signed, chain-linked block exists
         # to anchor the receipt.  The open block is sealed only if it is
-        # that block: whether the block builder has closed a sealed one yet
-        # must not decide where the open block ends.
+        # that block: a receipt for a sealed block must not decide where
+        # the open block ends.
         with db.ledger.storage_lock:
             db.pipeline.drain(
                 seal_open=entry.block_id == db.ledger.open_block_id

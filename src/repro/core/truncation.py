@@ -45,8 +45,7 @@ def truncate_ledger(db, through_block: int, note: Optional[str] = None) -> dict:
 
 def _truncate_locked(db, through_block: int, note: Optional[str]) -> dict:
     ledger = db.ledger
-    # Barrier, not a synchronous close: waits for in-flight commits and
-    # lets the block builder finish sealed blocks; empty open blocks are
+    # Closes every sealed block and the open one; empty open blocks are
     # simply not emitted.
     db.pipeline.drain(seal_open=True)
     target = ledger.block(through_block)

@@ -32,11 +32,10 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   recomputed off-lock, so commits proceed concurrently with verification.
 * **One engine, range tasks.**  The chain, block-root, table-root and index
   invariants are each a range task in :mod:`repro.core.verify_parallel`.
-  The verifier plans ranges over the snapshot, runs the tasks through a
-  :class:`~repro.core.verify_parallel.VerifyPool` — in-process with the
-  leaf-hash cache, or in ``parallelism=N`` forked workers — merges the
-  partial results and compares roots.  Every mode and every worker count
-  executes the same task code.
+  The verifier plans one range per relation (one slice of every block for
+  the chain-level tasks), runs the tasks in a plain loop on the calling
+  thread with the leaf-hash cache, merges the partial results and compares
+  roots.  Full and incremental runs execute the same task code.
 * **Incremental mode** (``mode="incremental"`` + a
   :class:`repro.core.verify_snapshot.VerificationCheckpoint` — the
   in-memory object an earlier passing run returned, never read from a
@@ -89,12 +88,10 @@ from repro.core.verify_parallel import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     Finding,
-    VerifyPool,
     block_root_task,
     chain_task,
     events_task,
     index_task,
-    split_ranges,
 )
 from repro.core.verify_snapshot import (
     TableSnapshot,
@@ -147,8 +144,6 @@ class VerificationReport:
     invariant_timings: Dict[str, float] = field(default_factory=dict)
     #: Mode that actually executed ("full" or "incremental").
     mode: str = "full"
-    #: Worker processes that actually ran (1 = in-process).
-    parallelism: int = 1
     #: Seconds the storage lock was held capturing the snapshot.
     snapshot_seconds: float = 0.0
     #: Invariants deferred to deep scans (incremental mode only).
@@ -182,8 +177,6 @@ class VerificationReport:
         extras = []
         if self.mode != "full":
             extras.append(self.mode)
-        if self.parallelism > 1:
-            extras.append(f"{self.parallelism} workers")
         if self.escalated:
             extras.append("escalated")
         detail = f" [{', '.join(extras)}]" if extras else ""
@@ -228,7 +221,6 @@ class LedgerVerifier:
         self,
         digests: Sequence[DatabaseDigest],
         table_names: Optional[Sequence[str]] = None,
-        parallelism: int = 1,
         mode: str = "full",
         checkpoint: Optional[VerificationCheckpoint] = None,
         build_checkpoint: bool = False,
@@ -239,11 +231,8 @@ class LedgerVerifier:
         tables (the reduced-cost option of §2.3); chain-level invariants
         always run in full.
 
-        ``parallelism`` runs the scan-heavy range tasks in N forked worker
-        processes (full mode; the same tasks run in-process where fork is
-        unavailable).  ``mode`` selects full or incremental verification;
-        incremental requires a usable ``checkpoint`` and otherwise falls
-        back to full.
+        ``mode`` selects full or incremental verification; incremental
+        requires a usable ``checkpoint`` and otherwise falls back to full.
         ``build_checkpoint`` asks a passing run to produce the checkpoint
         for the next incremental cycle.
         """
@@ -253,7 +242,7 @@ class LedgerVerifier:
         self._m.runs.inc()
         OBS.events.emit(
             "verify", "verify.started",
-            digests=len(digests), mode=mode, parallelism=parallelism,
+            digests=len(digests), mode=mode,
         )
         snapshot = capture_snapshot(
             self._db, table_names,
@@ -271,15 +260,8 @@ class LedgerVerifier:
         self._escalate_reason = None
         self._events_by_table = {}
 
-        # Incremental cycles are cheap because of the leaf-hash cache, which
-        # only in-process tasks can use: they never fork.
-        with VerifyPool(
-            snapshot, parallelism if checkpoint is None else 1,
-            self._cache,
-        ) as pool:
-            report.parallelism = pool.processes if pool.parallel else 1
-            with OBS.tracer.span("verify.run"):
-                self._run_phases(report, digests, snapshot, checkpoint, pool)
+        with OBS.tracer.span("verify.run"):
+            self._run_phases(report, digests, snapshot, checkpoint)
 
         if self._escalate_reason is not None:
             # The incremental count did not match the checkpoint.  The full
@@ -292,7 +274,6 @@ class LedgerVerifier:
             full_report = self.verify(
                 digests,
                 table_names=table_names,
-                parallelism=parallelism,
                 mode="full",
                 build_checkpoint=build_checkpoint,
             )
@@ -328,15 +309,13 @@ class LedgerVerifier:
         )
         return report
 
-    def _run_phases(self, report, digests, snapshot, checkpoint, pool) -> None:
+    def _run_phases(self, report, digests, snapshot, checkpoint) -> None:
         phases: List[Tuple[str, Callable[[], None]]] = [
             ("digest", lambda: self._check_digests(report, digests, snapshot)),
-            ("chain", lambda: self._check_chain(report, snapshot, pool)),
-            ("block_root",
-             lambda: self._check_block_roots(report, snapshot, pool)),
-            ("table_root",
-             lambda: self._check_table_roots(report, snapshot, pool)),
-            ("index", lambda: self._check_indexes(report, snapshot, pool)),
+            ("chain", lambda: self._check_chain(report, snapshot)),
+            ("block_root", lambda: self._check_block_roots(report, snapshot)),
+            ("table_root", lambda: self._check_table_roots(report, snapshot)),
+            ("index", lambda: self._check_indexes(report, snapshot)),
             ("view", lambda: self._check_views(report, snapshot)),
         ]
         if checkpoint is not None:
@@ -352,19 +331,8 @@ class LedgerVerifier:
                 break  # the full rescan re-runs everything anyway
 
     # ------------------------------------------------------------------
-    # Range planning and task execution
+    # Task execution
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _ranges(count: int, pool: VerifyPool) -> List[Tuple[int, int]]:
-        """Cut ``range(count)`` into one task range per worker."""
-        return split_ranges(count, pool.processes)
-
-    def _slices(self, block_ids: List[int], pool) -> List[List[int]]:
-        return [
-            block_ids[start:end]
-            for start, end in self._ranges(len(block_ids), pool)
-        ]
 
     @staticmethod
     def _relations(snapshot):
@@ -374,12 +342,11 @@ class LedgerVerifier:
             if table.history is not None:
                 yield table_index, "history", table.history
 
-    @staticmethod
     def _run_tasks(
-        report, pool: VerifyPool, task, args_list
+        self, report, snapshot, task, args_list
     ) -> List[Dict[str, Any]]:
-        """Run the current invariant's tasks; findings keep task order."""
-        results = pool.run(task, args_list)
+        """Run the current invariant's tasks in order; so do findings."""
+        results = [task(snapshot, self._cache, args) for args in args_list]
         for result in results:
             report.findings.extend(result["findings"])
         return results
@@ -436,7 +403,7 @@ class LedgerVerifier:
     # Invariant 2 — the blockchain links verify
     # ------------------------------------------------------------------
 
-    def _check_chain(self, report, snapshot, pool) -> None:
+    def _check_chain(self, report, snapshot) -> None:
         blocks = snapshot.blocks
         if not blocks:
             return
@@ -451,9 +418,7 @@ class LedgerVerifier:
                     {"missing": missing},
                 )
             )
-        results = self._run_tasks(
-            report, pool, chain_task, self._slices(block_ids, pool)
-        )
+        results = self._run_tasks(report, snapshot, chain_task, [block_ids])
         scanned = sum(result["count"] for result in results)
         report.blocks_verified += scanned
         self._m.blocks_scanned.inc(scanned)
@@ -481,10 +446,9 @@ class LedgerVerifier:
                 )
             )
 
-    def _check_block_roots(self, report, snapshot, pool) -> None:
+    def _check_block_roots(self, report, snapshot) -> None:
         results = self._run_tasks(
-            report, pool, block_root_task,
-            self._slices(sorted(snapshot.blocks), pool),
+            report, snapshot, block_root_task, [sorted(snapshot.blocks)]
         )
         report.transactions_verified += sum(
             result["transactions"] for result in results
@@ -496,25 +460,23 @@ class LedgerVerifier:
     # ------------------------------------------------------------------
 
     def _collect_events(
-        self, report, snapshot, pool
+        self, report, snapshot
     ) -> Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]]:
         """Rebuild (sequence, leaf hash) events per table and transaction.
 
-        Every (relation, record range) is an independent task, so a single
-        large table still saturates a forked pool.  The tasks do the
-        expensive transcode + hash; the partial per-transaction
-        event maps are merged here in task order, which is heap order.
+        Every relation is one range task.  The tasks do the expensive
+        transcode + hash; the per-relation event maps are merged here per
+        table in task order, which is heap order.
         The events of transactions still open at capture are dropped here,
         whole: they have no recorded root to compare against yet.  Full-row
         leaves are kept, in heap order, for the index check.
         """
         args_list = [
-            (table_index, which, start, end)
+            (table_index, which, 0, len(relation.records))
             for table_index, which, relation in self._relations(snapshot)
-            for start, end in self._ranges(len(relation.records), pool)
         ]
         self._full_rows = {}
-        results = self._run_tasks(report, pool, events_task, args_list)
+        results = self._run_tasks(report, snapshot, events_task, args_list)
         self._m.rows_scanned.inc(sum(result["count"] for result in results))
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
         for args, result in zip(args_list, results):
@@ -623,7 +585,7 @@ class LedgerVerifier:
                     )
                 )
 
-    def _check_table_roots(self, report, snapshot, pool) -> None:
+    def _check_table_roots(self, report, snapshot) -> None:
         """Per-transaction root checks; with a checkpoint, only for the delta.
 
         For a table the checkpoint covers, the snapshot holds only the
@@ -642,7 +604,7 @@ class LedgerVerifier:
         checkpoint, is the trust boundary: the checkpoint only bounds how
         much work a clean cycle repeats.
         """
-        self._events_by_table = self._collect_events(report, snapshot, pool)
+        self._events_by_table = self._collect_events(report, snapshot)
         checkpoint = snapshot.checkpoint
         claims: Dict[Optional[int], Dict[int, List[int]]] = {}
         for table_index, table in enumerate(snapshot.tables):
@@ -680,7 +642,7 @@ class LedgerVerifier:
     # Invariant 5 — nonclustered indexes match their base tables
     # ------------------------------------------------------------------
 
-    def _check_indexes(self, report, snapshot, pool) -> None:
+    def _check_indexes(self, report, snapshot) -> None:
         """Each index holds the same full rows as its base relation.
 
         Only the index copies are derived here; the base records' leaves
@@ -693,12 +655,11 @@ class LedgerVerifier:
             if item[2].index_records
         ]
         args_list = [
-            (table_index, which, name, start, end)
+            (table_index, which, name, 0, len(copies))
             for table_index, which, relation in indexed
             for name, copies in relation.index_records.items()
-            for start, end in self._ranges(len(copies), pool)
         ]
-        results = self._run_tasks(report, pool, index_task, args_list)
+        results = self._run_tasks(report, snapshot, index_task, args_list)
         for args, result in zip(args_list, results):
             self._full_rows.setdefault(args[:3], []).extend(
                 result["full_rows"]

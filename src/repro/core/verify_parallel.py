@@ -1,4 +1,4 @@
-"""Range tasks for ledger verification, and the pool that runs them (§6).
+"""Range tasks for ledger verification (§6).
 
 The paper notes verification parallelizes naturally: every chain link, every
 block root and every per-transaction table root can be recomputed
@@ -17,34 +17,20 @@ as a *range task* — "check one range of an immutable snapshot":
 * ``index``     — a range of one index's copies, hashed into full-row
                   leaves the caller sorts and compares with the base's.
 
-A task is a plain function of ``(snapshot, cache, args)``.
-:class:`VerifyPool` runs it in-process — one worker, or no ``fork`` on this
-platform (:func:`fork_available`) — or in forked worker processes; the
-planning, merging and comparisons in
-:class:`repro.core.verification.LedgerVerifier` do not know which.
-
-In-process tasks share the caller's :class:`LeafHashCache` (row-version
-leaves in ``table_root`` and ``index``, block roots in ``block_root``;
-the entry and block rows themselves were memoized at capture).  Forked
-workers run the same task with ``cache=None``: the cache holds a
-``threading.Lock`` another thread may hold at fork time, and a child's
-inserts would die with the child anyway.  Workers are forked *after* the
-snapshot is complete and receive it through the pool initializer, which
-``fork`` inherits as plain memory — nothing is pickled on the way in (the
-snapshot holds live schema objects that are cheap to inherit but expensive
-or impossible to pickle), and results crossing the pipe are small.
-
-The child initializer disables the database's telemetry.  Metric mutators
-check the registry's ``enabled`` flag before acquiring any per-metric lock,
-so a worker forked while another thread held such a lock can never deadlock
-— the disabled flag short-circuits ahead of the lock, and workers have no
-business reporting parent-process metrics anyway.
+A task is a plain function of ``(snapshot, cache, args)``, ``cache`` a
+:class:`LeafHashCache`.
+:class:`repro.core.verification.LedgerVerifier` runs them in a plain loop on
+the calling thread, one range per relation (one slice of every block for the
+chain-level tasks), and merges and compares their results.  Every task
+shares the caller's :class:`LeafHashCache` (row-version leaves in
+``table_root`` and ``index``, block roots in ``block_root``; the entry and
+block rows themselves were memoized at capture).  The ranges are the unit an
+executor would hand out, should a box that can time more than one core show
+that it pays.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -57,7 +43,6 @@ from repro.core.verify_snapshot import (
 from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
 from repro.errors import StorageError
-from repro.obs import OBS
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -80,50 +65,6 @@ class Finding:
 #: ``|``, so no record key can share it.
 _TRANSACTIONS_ROOT = "transactions_root"
 
-#: The snapshot of the pool that forked this process.  Set by the pool
-#: initializer and read only inside worker processes; in-process runs are
-#: handed their snapshot as an argument and never look here.
-_worker_snapshot: Optional[VerificationSnapshot] = None
-
-
-def fork_available() -> bool:
-    """True when fork-based worker pools can run on this platform."""
-    return (
-        hasattr(os, "fork")
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-
-
-def split_ranges(count: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(count)`` into up to ``parts`` near-equal (start, end)."""
-    if count <= 0:
-        return []
-    parts = max(1, min(parts, count))
-    base, extra = divmod(count, parts)
-    ranges = []
-    start = 0
-    for i in range(parts):
-        end = start + base + (1 if i < extra else 0)
-        ranges.append((start, end))
-        start = end
-    return ranges
-
-
-def _child_init(snapshot: VerificationSnapshot) -> None:
-    global _worker_snapshot
-    _worker_snapshot = snapshot
-    # The fork inherits the forking thread's span stack: clear it so any
-    # span a worker might emit is never parented under a span that lives
-    # (and finishes) in the parent process.
-    OBS.tracer.reset_thread()
-    OBS.disable()
-
-
-def _run_in_worker(call) -> Dict[str, Any]:
-    task, args = call
-    return task(_worker_snapshot, None, args)
-
-
 def _relation(
     snapshot: VerificationSnapshot, table_index: int, which: str
 ) -> RelationSnapshot:
@@ -132,18 +73,14 @@ def _relation(
 
 
 def _derive(
-    relation: RelationSnapshot, records: List[bytes],
-    cache: Optional[LeafHashCache],
+    relation: RelationSnapshot, records: List[bytes], cache: LeafHashCache,
 ) -> List[Union[Tuple[Event, ...], str]]:
     """:func:`record_events` of each record, or why it failed to decode.
 
     Cache hits are keyed by the exact stored bytes, so tampered records miss
     (:class:`LeafHashCache`); failures are not cached.
     """
-    derived = (
-        [None] * len(records) if cache is None
-        else cache.get_many(relation.fingerprint, records)
-    )
+    derived = cache.get_many(relation.fingerprint, records)
     fills = []
     for position, value in enumerate(derived):
         if value is not None:
@@ -155,7 +92,7 @@ def _derive(
             derived[position] = str(exc)
             continue
         fills.append((record, value))
-    if cache is not None and fills:
+    if fills:
         cache.put_many(relation.fingerprint, fills)
     return derived
 
@@ -207,9 +144,9 @@ def block_root_task(
 ) -> Dict[str, Any]:
     """Recompute the transactions Merkle root for a slice of blocks.
 
-    With a ``cache``, a root is memoized under the exact concatenation of
-    the block's ordered entry hashes — every input of the root — so a
-    block whose entries did not change is not re-hashed.
+    A root is memoized in ``cache`` under the exact concatenation of the
+    block's ordered entry hashes — every input of the root — so a block
+    whose entries did not change is not re-hashed.
     """
     findings: List[Finding] = []
     transactions = 0
@@ -217,14 +154,11 @@ def block_root_task(
         block = snapshot.blocks[block_id]
         block_entries = snapshot.entries_by_block.get(block_id, [])
         hashes = [e.entry_hash() for e in block_entries]
-        if cache is None:
+        joined = b"".join(hashes)
+        root = cache.get(_TRANSACTIONS_ROOT, joined)
+        if root is None:
             root = MerkleTree(hashes).root()
-        else:
-            joined = b"".join(hashes)
-            root = cache.get(_TRANSACTIONS_ROOT, joined)
-            if root is None:
-                root = MerkleTree(hashes).root()
-                cache.put(_TRANSACTIONS_ROOT, joined, root)
+            cache.put(_TRANSACTIONS_ROOT, joined, root)
         if root != block.transactions_root:
             findings.append(
                 Finding(
@@ -305,60 +239,3 @@ def _full_rows(derived) -> List[Union[bytes, str]]:
         value if isinstance(value, str) else value[-1][2]
         for value in derived
     ]
-
-
-# ----------------------------------------------------------------------
-# Pool
-# ----------------------------------------------------------------------
-
-
-class VerifyPool:
-    """Runs range tasks against one snapshot, in-process or in forked workers.
-
-    Create *after* the snapshot (and its derived structures) are complete so
-    forked workers inherit a finished, immutable object.  ``run`` preserves
-    task order, so findings come out in the same deterministic order
-    however the tasks were executed.
-    """
-
-    def __init__(
-        self,
-        snapshot: VerificationSnapshot,
-        processes: int,
-        cache: Optional[LeafHashCache],
-    ) -> None:
-        self.processes = max(1, processes)
-        self._snapshot = snapshot
-        self._cache = cache
-        self._pool = None
-        if self.processes > 1 and fork_available():
-            context = multiprocessing.get_context("fork")
-            self._pool = context.Pool(
-                processes=self.processes,
-                initializer=_child_init,
-                initargs=(snapshot,),
-            )
-
-    @property
-    def parallel(self) -> bool:
-        return self._pool is not None
-
-    def run(self, task, args_list) -> List[Any]:
-        """Run ``task`` over ``args_list``; results in submission order."""
-        if self._pool is not None and len(args_list) > 1:
-            return self._pool.map(
-                _run_in_worker, [(task, args) for args in args_list]
-            )
-        return [task(self._snapshot, self._cache, args) for args in args_list]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "VerifyPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

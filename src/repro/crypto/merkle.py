@@ -9,7 +9,7 @@ Two implementations cover the two ways the paper uses Merkle trees:
   (savepoints) cheap.  The DML path uses it.
 
 * :class:`MerkleTree` — a materialized tree over a known list of leaves,
-  built level by level.  The block builder uses it to compute the per-block
+  built level by level.  Block closure uses it to compute the per-block
   transaction root and to produce :class:`MerkleProof` inclusion proofs for
   non-repudiation receipts (§5.1); verification recomputes every root over a
   known list with it (:func:`merkle_root`).
@@ -246,7 +246,7 @@ class MerkleTree:
     """Materialized Merkle tree over a fixed sequence of leaf digests.
 
     Builds every level eagerly, which costs O(N) space but enables
-    :meth:`proof` generation.  The block builder only materializes the tree
+    :meth:`proof` generation.  Block closure only materializes the tree
     for one block at a time (at most the block size), so this is bounded.
     """
 

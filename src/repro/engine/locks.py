@@ -2,7 +2,7 @@
 
 The engine executes one statement at a time per process (Python), but
 transactions still interleave: several may be open concurrently, and the
-ledger's block builder runs between user transactions.  Table-level
+ledger's block closure runs its own system transactions.  Table-level
 shared/exclusive locks catch genuine conflicts; because there is no blocking
 scheduler, a conflicting acquisition raises :class:`LockError` immediately
 (NOWAIT semantics), which also makes deadlock impossible.

@@ -50,6 +50,7 @@ strings.
 from __future__ import annotations
 
 import functools
+import hashlib
 import operator
 import struct
 from types import CodeType
@@ -231,10 +232,13 @@ def _compile_walk(
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(source: str) -> CodeType:
-    """The code of a generated walk.  Its source holds no name or constant
-    of a schema, so every schema object of the same shape — the same table
-    reopened, altered or read by another process-wide reader — shares it."""
-    return compile(source, "<record walk>", "exec")
+    """The code of a generated walk or writer.  Its source holds no name or
+    constant of a schema, so every schema object of the same shape — the
+    same table reopened, altered or read by another process-wide reader —
+    shares it.  Each distinct source gets its own filename, named after a
+    digest of it, so a profiler keeps one entry per generated function."""
+    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
+    return compile(source, f"<record walk {digest}>", "exec")
 
 
 def _reader(kernel: "RecordKernel", want: _Walk) -> Reader:

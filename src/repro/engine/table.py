@@ -406,7 +406,15 @@ class Table:
             for row, rid in zip(rows, rids):
                 key_index.add(row, rid)
         logged = list(zip(rids, records))
-        self._wal.append(DmlRecord(kind, txn.tid, self.table_id, logged))
+        try:
+            self._wal.append(DmlRecord(kind, txn.tid, self.table_id, logged))
+        except Exception:
+            # Nothing reached the log and no undo is recorded yet: take the
+            # rows back out here, unlogged, so a rollback finds none of them.
+            self.drop_key_indexes()
+            for row, rid in zip(reversed(rows), reversed(rids)):
+                self._physical_remove(rid, row)
+            raise
 
         def undo_insert() -> None:
             # Compensation: the undo itself is logged, one record mirroring

@@ -3,8 +3,8 @@
 Every crash-consistency-critical operation in the stack declares a *fault
 point* — a named site where the kill matrix and the tests can make the
 world go wrong on demand: WAL appends and fsyncs, page writes during heap
-flush, checkpoint swaps, ledger block persistence, digest blob uploads, the
-background block builder.  Production code calls :meth:`FaultRegistry.fire`
+flush, checkpoint swaps, ledger queue flushes and block persistence, digest
+blob uploads.  Production code calls :meth:`FaultRegistry.fire`
 (or :meth:`FaultRegistry.triggered` for call-site-implemented faults such as
 torn writes) at each point; when nothing is armed this is a single empty-dict
 check, so the hot paths pay essentially nothing.

@@ -383,7 +383,6 @@ def _child_main(args: argparse.Namespace) -> None:
     for i in range(_PRE_ROWS):
         commit_row(i)
 
-    db.pipeline.stop(drain=True)
     FAULTS.arm(args.point, action="exit", skip=args.skip, exit_code=131)
 
     if args.driver == "commit":

@@ -41,8 +41,6 @@ Naming conventions (documented in DESIGN.md): metric names are
 
 from __future__ import annotations
 
-import os as _os
-
 from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventLog
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -110,8 +108,3 @@ class Telemetry:
 #: The process-default telemetry instance all instrumented modules use.
 OBS = Telemetry()
 
-# Forked children (verify_parallel workers) inherit the forking thread's
-# threading.local slot: without this, their first span would be parented
-# under whatever span the parent had open at fork time.
-if hasattr(_os, "register_at_fork"):  # pragma: no branch - POSIX only
-    _os.register_at_fork(after_in_child=OBS.tracer.reset_thread)

@@ -15,8 +15,8 @@ Triggers (see the matrix in DESIGN.md):
   kill-mode faults that ``os._exit`` immediately afterwards (the event log
   invokes listeners synchronously on the emitting thread, so the dump
   completes before the process dies);
-* ``pipeline.builder_crashed`` / ``pipeline.builder_gave_up`` — the block
-  builder died (or its supervisor stopped restarting it);
+* ``block.close_failed`` — a sealed block failed to close (it stays sealed
+  and ``health()`` degraded until a close succeeds);
 * ``verify.failed`` — an explicit verification run found a problem.
 
 Bundles are written as ``flight_<utc>_<pid>_<n>_<reason>.json`` via a
@@ -39,8 +39,7 @@ TRIGGER_EVENTS = frozenset(
     {
         "tamper.detected",
         "fault.injected",
-        "pipeline.builder_crashed",
-        "pipeline.builder_gave_up",
+        "block.close_failed",
         "verify.failed",
     }
 )

@@ -31,8 +31,7 @@ verifies only the delta on the next cycles; every ``N``-th cycle runs the
 full-prefix scan regardless, so the checkpoint bounds detection latency
 without ever becoming a trust root.  A freshly started monitor has no
 checkpoint, and a failing cycle drops it, so the next cycle is full.  ``deep_scan_every=1`` (the
-default) runs every cycle full.  ``parallelism`` fans full scans out over
-verification worker processes.
+default) runs every cycle full.
 """
 
 from __future__ import annotations
@@ -90,7 +89,6 @@ class ContinuousVerifier:
         interval: float = 5.0,
         digest_func: Optional[Callable[[], Any]] = None,
         deep_scan_every: int = 1,
-        parallelism: int = 1,
     ) -> None:
         # NaN fails both comparisons; past TIMEOUT_MAX (inf included) the
         # thread's first wait raises.
@@ -99,18 +97,16 @@ class ContinuousVerifier:
                 f"monitor interval must be > 0 and at most "
                 f"{threading.TIMEOUT_MAX:.0f} seconds, not {interval!r}"
             )
-        for name, value in (("deep_scan_every", deep_scan_every),
-                            ("parallelism", parallelism)):
-            if not value >= 1:  # NaN fails it too
-                raise ValueError(
-                    f"monitor {name} must be at least 1, not {value!r}"
-                )
+        if not deep_scan_every >= 1:  # NaN fails it too
+            raise ValueError(
+                "monitor deep_scan_every must be at least 1, not "
+                f"{deep_scan_every!r}"
+            )
         self._db = db
         self._m = OBS.metrics.handles("monitor", _monitor_metrics)
         self.interval = interval
         self._digest_func = digest_func
         self.deep_scan_every = deep_scan_every
-        self.parallelism = parallelism
         #: What the last passing cycle built, dropped by a failing one;
         #: held by this object only.
         self._checkpoint: Optional[VerificationCheckpoint] = None
@@ -176,9 +172,8 @@ class ContinuousVerifier:
         OBS.events.emit("monitor", "monitor.stopped", cycles=self.cycles)
 
     def _run(self) -> None:
-        # Fresh stack for the monitor thread: restarted monitors (and forked
-        # children that inherit this slot) must not parent their spans under
-        # a previous incarnation's span.
+        # Fresh stack for the monitor thread: a restarted monitor must not
+        # parent its spans under a previous incarnation's span.
         OBS.tracer.reset_thread()
         try:
             while not self._stop.is_set():
@@ -248,7 +243,6 @@ class ContinuousVerifier:
         if self._trusted:
             report = self._db.verify(
                 self._trusted,
-                parallelism=self.parallelism,
                 mode=self._select_mode(),
                 checkpoint=self._checkpoint,
                 build_checkpoint=self.deep_scan_every > 1,
@@ -378,7 +372,6 @@ class ContinuousVerifier:
             "last_cycle_seconds": self.last_cycle_seconds,
             "last_error": self.last_error,
             "deep_scan_every": self.deep_scan_every,
-            "parallelism": self.parallelism,
             "last_mode": self.last_mode,
             "deep_scans": self.deep_scans,
             "checkpoint_block": self.checkpoint_block,

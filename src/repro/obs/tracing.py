@@ -9,8 +9,9 @@ child; the resulting trees reproduce the paper's pipeline decomposition
 Finished spans go to a bounded :class:`RingBufferRecorder` (newest spans
 win).
 
-A commit's work is spread over three threads (the session, the block
-builder, the digest path), so no one thread's tree holds all of it.  The
+A commit's work is spread over several calls (its statements, its commit,
+the later commit or drain that closes its block, the digest that covers
+it), often on different threads, so no one tree holds all of it.  The
 ledger already names every commit by its transaction id and its block, and
 the spans carry both as ``tid`` / ``block_id`` attributes:
 :func:`build_commit_lineage` reassembles one commit's lineage from those
@@ -178,10 +179,9 @@ class Tracer:
     def reset_thread(self) -> None:
         """Clear the calling thread's span stack.
 
-        Forked workers inherit the forking thread's ``threading.local``
-        slot, and restarted daemon threads may reuse a thread object: both
-        would silently parent fresh spans under a dead ancestor.  Call this
-        at every fork/thread entry point before emitting spans.
+        A restarted daemon thread may reuse a thread object, and would
+        silently parent fresh spans under a dead ancestor.  Call this at
+        every thread entry point before emitting spans.
         """
         self._local.stack = []
 
@@ -217,10 +217,10 @@ class Tracer:
     ) -> Optional[Span]:
         """Record an already-finished root span retroactively.
 
-        Used for intervals whose endpoints live on different threads — e.g.
-        ``queue.wait`` is measured from the commit thread's enqueue to the
-        builder's block-closure start, and only becomes recordable once the
-        builder picks the entry up.
+        Used for intervals whose endpoints live in different calls — e.g.
+        ``queue.wait`` is measured from a commit's enqueue to the start of
+        its block's closure, and only becomes recordable once the closure
+        picks the entry up.
         """
         if not self.enabled:
             return None
@@ -336,7 +336,10 @@ def build_commit_lineage(spans: Iterable[Span], tid: int) -> List[SpanNode]:
 
     Only maximal subtrees are kept, as roots ordered by start time: a span
     shared by several commits (``group.commit``) is left out, while each
-    commit's own subtree under it is not.
+    commit's own subtree under it is not.  The ledger-system transactions
+    a block's close commits name no commit of the ledger's, so a close
+    inside the commit that filled the block leaves that commit's subtree
+    its own.
     """
     pool = list(spans)
     blocks = {
@@ -353,7 +356,7 @@ def build_commit_lineage(spans: Iterable[Span], tid: int) -> List[SpanNode]:
         for child in node.children:
             tids |= name_tids(child)
         named[node.span.span_id] = tids
-        return tids
+        return set() if node.span.name in _BLOCK_SPANS else tids
 
     lineage: List[SpanNode] = []
 

@@ -25,7 +25,8 @@ Architecture (one process, all stdlib)::
                          into every pipeline drain barrier)
       tamper-detected  → refuse data ops outright (verification wins)
       degraded         → writes shed with DEGRADED, verified reads keep
-                         flowing (builder/monitor down ≠ data loss)
+                         flowing (a failed block close or a dead
+                         monitor ≠ data loss)
 
 Duplicate suppression: write requests may carry a client-minted
 ``txn_uuid``; the server remembers the commit receipt coordinates per uuid
@@ -671,7 +672,8 @@ class LedgerServer:
         if tier == "degraded":
             raise RequestError(
                 DEGRADED,
-                "block builder or monitor is down: writes are shed, "
+                "the ledger is degraded (a block failed to close, the "
+                "monitor is down or the engine stopped): writes are shed, "
                 "verified reads keep flowing",
             )
 

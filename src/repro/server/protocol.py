@@ -25,9 +25,10 @@ same ``txn_uuid``!) can succeed:
   into fast rejects instead of unbounded latency.
 * ``DEADLINE_EXCEEDED``— the request's propagated deadline expired before
   (or while) the server could finish it.  Retryable with a fresh deadline.
-* ``DEGRADED``         — the block builder or monitor is down; writes are
-  shed while verified reads keep flowing.  Retryable: supervision usually
-  restarts the builder.
+* ``DEGRADED``         — a sealed block failed to close, the monitor is
+  down or the engine stopped; writes are shed while verified reads keep
+  flowing.  Retryable: the next drain or block-filling commit retries the
+  close.
 * ``SHUTTING_DOWN``    — graceful drain-then-stop in progress.  Retryable
   against a replacement server.
 * ``TAMPER_DETECTED``  — the continuous verifier found mismatching hashes;

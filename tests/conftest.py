@@ -2,10 +2,12 @@
 
 ``ci`` is the long run of the ledger model
 (``tests/core/test_ledger_model.py``): 300 examples of up to 50 rule
-steps, about 12 500 in all, drawn afresh on every run.  Select it with
+steps, about 12 500 in all, drawn afresh on every run, ending with a
+line that says how often each rule ran.  Select it with
 ``--hypothesis-profile=ci``.
 """
 
+import sys
 import threading
 from collections import Counter
 
@@ -47,3 +49,11 @@ def storage_lock_checked(monkeypatch):
     check("enqueue")
     yield calls
     assert not strays, f"ran without storage_lock: {strays}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Under the ``ci`` profile, how often each ledger-model rule ran."""
+    model = sys.modules.get("tests.core.test_ledger_model")
+    line = model.rule_counts_line() if model is not None else None
+    if line:
+        terminalreporter.write_line(line)

@@ -15,10 +15,9 @@ def db(tmp_path):
         str(tmp_path / "db"), block_size=4, clock=LogicalClock()
     )
     yield database
-    # Stop the block builder (and any monitor/server) so no background
-    # thread outlives the test; tests that crash or leave transactions
-    # open make engine close fail, which is fine — threads are already
-    # joined by then.
+    # Stop any monitor/server so no background thread outlives the test;
+    # tests that crash or leave transactions open make engine close fail,
+    # which is fine — threads are already joined by then.
     try:
         database.close()
     except Exception:

@@ -53,7 +53,7 @@ def commit_frames(path):
 
 def run_workload(path):
     # No block closes during the run (block_size is larger than the
-    # number of commits), so no builder transaction interleaves by timing.
+    # number of commits), so no ledger-system transaction interleaves.
     db = LedgerDatabase.open(path, block_size=1000, clock=LogicalClock())
     for statement in _WORKLOAD:
         db.sql(statement)

@@ -18,8 +18,9 @@ scan says about those keys.  (Under the forged key itself only the scan finds
 the row: an access path cannot lead to a key nothing was ever stored under.
 Verification reads by scan, so it is what reports such a row.)
 
-One thread: the block builder is stopped, so sealed-but-unclosed blocks
-stay that way until a drain — and are what a crash leaves behind.
+One thread: a block closes in the commit that fills it or in a drain, and
+one whose close a tampered chain refuses stays sealed — which is what a
+crash then leaves behind.
 """
 
 import os
@@ -83,7 +84,6 @@ class History:
         self.db = LedgerDatabase.open(
             self.path, block_size=BLOCK_SIZE, clock=LogicalClock()
         )
-        self.db.pipeline.stop(drain=False)
         self.db.set_signing_key(SIGNER)
         self.manager = DigestManager(self.db, self.storage)
 

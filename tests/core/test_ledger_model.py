@@ -13,6 +13,8 @@ engine is caught against an earlier digest (§3.4).  Its rules:
 * ``BEGIN`` / ``SAVE TRANSACTION`` / ``ROLLBACK TO`` / ``ROLLBACK`` /
   ``COMMIT``, and a ``COMMIT`` whose WAL append fails once, followed by
   ``ROLLBACK``;
+* a commit that fills a block while a fault fails its close once
+  (:data:`CLOSE_POINTS`): the commit stays acknowledged;
 * digests, kept in hand or uploaded to immutable blob storage; receipts;
   truncation at a legal cut; checkpoints; a clean close and reopen;
 * a crash: plain, or at one of the in-process fault points
@@ -31,12 +33,14 @@ in hand, sealed blocks, open block and ordinal — against the key pass over
 every unclosed block that recovery used to make (:func:`key_pass_recover`).
 
 Tier-1 runs a small, fixed budget.  The long one is the ``ci`` profile
-(registered in ``tests/conftest.py``)::
+(registered in ``tests/conftest.py``), which ends by printing how often
+each rule ran::
 
     PYTHONPATH=src python -m pytest tests/core/test_ledger_model.py \\
         --hypothesis-profile=ci
 """
 
+import functools
 import shutil
 import tempfile
 from collections import Counter, deque
@@ -110,6 +114,17 @@ CRASH_POINTS = {
     "ledger.block_persist": "digest",
     "blob.torn_upload": "upload",
 }
+
+
+#: The in-process fault points a block close reaches, each failed once by
+#: the model's ``failed_close`` rule.  ``wal.append`` fails one of the
+#: close's six appends: the queue flush's BEGIN, INSERT and COMMIT, then the
+#: block row's; :data:`COMMIT_APPENDS` come first, from the commit itself.
+CLOSE_POINTS = ("ledger.flush_queue", "ledger.block_persist", "wal.append")
+COMMIT_APPENDS = 3  # BEGIN, INSERT, COMMIT of ``insert_one``
+
+#: How often each rule ran (the ``ci`` profile reports it).
+RULE_COUNTS = Counter()
 
 
 def open_db(path, sync=False):
@@ -539,22 +554,45 @@ class LedgerModel(RuleBasedStateMachine):
     def failed_commit(self):
         """The open transaction's COMMIT fails once, before its record
         reaches the WAL; ``ROLLBACK``, then carry on in this process.  A
-        digest then closes every block and ``verify`` passes.  The ledger's
-        lock is held while the fault is armed, so the block builder cannot
-        append (and take the failure) in between."""
-        with self.db.ledger.storage_lock:
-            FAULTS.arm("wal.append", action="fail", times=1)
-            try:
-                with pytest.raises(InjectedFaultError):
-                    self.session.execute("COMMIT")
-            finally:
-                FAULTS.reset()
+        digest then closes every block and ``verify`` passes."""
+        FAULTS.arm("wal.append", action="fail", times=1)
+        try:
+            with pytest.raises(InjectedFaultError):
+                self.session.execute("COMMIT")
+        finally:
+            FAULTS.reset()
         self.session.execute("ROLLBACK")
         _, self.model = self.savepoints[0]
         self.savepoints = []
         assert self._storage() == self.committed[1]
         self.digest()
         assert self.db.ledger.sealed_pending() == 0
+        self.verify_digests()
+
+    @precondition(lambda self: not self.savepoints)
+    @rule(point=st.sampled_from(CLOSE_POINTS), append=st.integers(0, 5))
+    def failed_close(self, point, append):
+        """Commits up to the last slot of the open block, then one that
+        fills it while ``point`` fails once inside the block's close (at
+        its ``append``-th WAL append, for ``wal.append``).  The commit is
+        acknowledged and present and the block stays sealed; once the
+        fault is reset, a digest closes every block and ``verify``
+        passes."""
+        ledger = self.db.ledger
+        while ledger.checkpoint_state()["open_ordinal"] < BLOCK_SIZE - 1:
+            self.insert_one()
+        skip = COMMIT_APPENDS + append if point == "wal.append" else 0
+        FAULTS.arm(point, action="fail", skip=skip, times=1)
+        try:
+            self.insert_one()  # fills the block; acknowledged all the same
+            assert FAULTS.triggers(point) == 1
+        finally:
+            FAULTS.reset()
+        assert ledger.sealed_pending() >= 1
+        assert self.db.health()["status"] == "degraded"
+        self.digest()
+        assert ledger.sealed_pending() == 0
+        assert self.db.health()["status"] == "ok"
         self.verify_digests()
 
     # -- digests, receipts, truncation -----------------------------------
@@ -577,9 +615,8 @@ class LedgerModel(RuleBasedStateMachine):
     @precondition(lambda self: not self.savepoints)
     @rule(data=st.data())
     def truncate(self, data):
-        """Truncate through a block below the latest.  The digest first
-        closes every block, so the cuts on offer do not depend on how far
-        the block builder got."""
+        """Truncate through a block below the latest, after a digest has
+        closed every block."""
         self.digest()
         ledger = self.db.ledger
         first, latest = ledger.first_block_id(), ledger.latest_block_id()
@@ -650,9 +687,6 @@ class LedgerModel(RuleBasedStateMachine):
             self.commit()
         if point == "wal.fsync" and not self.sync:
             self._reopen(crash=False, sync=True)
-        # The block builder stops first, so the fault fires in this thread
-        # and not in one its supervisor would restart into the fault.
-        self.db.pipeline.stop(drain=True)
         pending = None
         if driver == "commit":
             if self.savepoints:
@@ -665,6 +699,8 @@ class LedgerModel(RuleBasedStateMachine):
             pending = copy_of(self.model)
         else:
             self.insert_one()  # something for the operation to write
+            if self.db.ledger.checkpoint_state()["open_ordinal"] == 0:
+                self.insert_one()  # that one's commit closed its block
         FAULTS.arm(point, action="crash", skip=skip)
         try:
             if driver == "commit":
@@ -770,6 +806,34 @@ def model_settings(loaded: settings) -> settings:
 
 TestLedgerModel = LedgerModel.TestCase
 TestLedgerModel.settings = model_settings(settings.default)
+
+
+def _counted(rule_function):
+    @functools.wraps(rule_function)
+    def run(machine, **arguments):
+        RULE_COUNTS[rule_function.__name__] += 1
+        return rule_function(machine, **arguments)
+    return run
+
+
+# Count each rule hypothesis (or :func:`step`) runs, not the model's own
+# calls of a rule's method.
+for _rule in LedgerModel.setup_state().rules:
+    _rule.function = _counted(_rule.function)
+
+
+def rule_counts_line():
+    """How often each rule ran, under the ``ci`` budget; None under a
+    smaller one.  ``tests/conftest.py`` prints it in the terminal summary,
+    so a run shows every rule was reached."""
+    if TestLedgerModel.settings.max_examples < settings.get_profile(
+        "ci"
+    ).max_examples:
+        return None
+    names = [rule.function.__name__ for rule in LedgerModel.setup_state().rules]
+    return "ledger model rule runs: " + ", ".join(
+        f"{name} {RULE_COUNTS[name]}" for name in names
+    )
 
 
 @pytest.mark.parametrize("verbosity", list(Verbosity))
@@ -907,6 +971,21 @@ def test_reprimed_state_equals_the_key_pass(case):
     :func:`key_pass_recover`'s, and every invariant holds after it."""
     with ledger_model() as machine:
         case(machine)
+        check_invariants(machine)
+
+
+@pytest.mark.parametrize("point, append", [
+    ("ledger.flush_queue", 0), ("ledger.block_persist", 0),
+    *(("wal.append", append) for append in range(6)),
+])
+def test_failed_close_then_carry_on(point, append):
+    """The model's failed-close rule at every point and every append of
+    the close, then a crash: every invariant holds after each."""
+    with ledger_model() as machine:
+        machine.failed_close(point, append)
+        check_invariants(machine)
+        machine.insert_one()
+        machine.crash(None, 0)
         check_invariants(machine)
 
 

@@ -9,11 +9,12 @@ generation, receipts, header ranges and the chain tip make **no** pass over
 either table, closing the tenth 1 000-transaction block reads no more than
 closing the first, and ``recover`` decodes no stored entry twice.  Only
 verification is allowed to scan, and a warm verification cycle decodes
-none of what it scans.  One thread throughout: the block builder is stopped
-and blocks close through explicit drains.
+none of what it scans.  One thread throughout: blocks close in the commits
+that fill them and in explicit drains.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -35,6 +36,7 @@ from repro.engine.pager import Page
 from repro.engine.record import RecordKernel
 from repro.engine.schema import IndexDefinition
 from repro.engine.table import Table
+from repro.faults import FAULTS
 
 from tests.core.conftest import accounts_schema, run
 
@@ -99,10 +101,20 @@ def spy(monkeypatch):
     return Spy(monkeypatch)
 
 
-def open_single_threaded(path, block_size):
-    db = LedgerDatabase.open(path, block_size=block_size, clock=LogicalClock())
-    db.pipeline.stop(drain=False)  # blocks close only when the test drains
-    return db
+def open_db(path, block_size):
+    return LedgerDatabase.open(path, block_size=block_size, clock=LogicalClock())
+
+
+@contextmanager
+def closes_failing(times=None):
+    """Block closes fail after their queue flush (``times`` of them, or
+    all), so the blocks commits fill stay sealed — what a crash then
+    leaves for recovery."""
+    FAULTS.arm("ledger.block_persist", action="fail", times=times)
+    try:
+        yield
+    finally:
+        FAULTS.reset()
 
 
 def commit_rows(db, start, count):
@@ -135,7 +147,7 @@ def warm_then_three_commits(db):
 class TestOperationalPathsNeverScan:
     @pytest.fixture
     def db(self, tmp_path):
-        db = open_single_threaded(str(tmp_path / "db"), block_size=4)
+        db = open_db(str(tmp_path / "db"), block_size=4)
         db.create_ledger_table(accounts_schema())
         yield db
         db.close()
@@ -213,7 +225,7 @@ class TestOperationalPathsNeverScan:
 
         path = db.engine.path
         db.simulate_crash()
-        reopened = open_single_threaded(path, block_size=4)
+        reopened = open_db(path, block_size=4)
         try:
             tip = reopened.ledger.block(digest.block_id)
             decoded.clear()
@@ -424,29 +436,35 @@ class TestCostDoesNotGrowWithTheTable:
         self, tmp_path, spy, monkeypatch
     ):
         path = str(tmp_path / "db")
-        db = open_single_threaded(path, block_size=self.BLOCK)
+        db = open_db(path, block_size=self.BLOCK)
         db.create_ledger_table(accounts_schema())
         db.pipeline.drain()
         first = db.ledger.latest_block_id() + 1
 
         per_close = []
         for block in range(self.BLOCKS):
-            commit_rows(db, block * self.BLOCK, self.BLOCK)
-            assert db.ledger.sealed_pending() == 1
+            commit_rows(db, block * self.BLOCK, self.BLOCK - 1)
+            assert db.ledger.latest_block_id() == first + block - 1
+            built = db.pipeline.stats()["blocks_built"]
             spy.reset()
-            db.pipeline.drain(seal_open=False)
+            # The commit that fills the block closes it.
+            commit_rows(db, (block + 1) * self.BLOCK - 1, 1)
             assert not spy.passes
             per_close.append(sum(spy.reads.values()))
+            assert db.pipeline.stats()["blocks_built"] == built + 1
+            assert db.ledger.sealed_pending() == 0
             assert db.ledger.latest_block_id() == first + block
         # Closing reads the previous block's row to chain to it; nothing else.
         assert per_close[-1] <= per_close[0] <= 1
         assert max(per_close) <= 1
 
         # A checkpoint (the WAL forgets those commits), then a sealed block
-        # and half an open one, part flushed and part still queued: what a
-        # crash leaves for recover() to pick up.
+        # (its close fails once) and half an open one, part flushed and part
+        # still queued: what a crash leaves for recover() to pick up.
         db.checkpoint()
-        tids = commit_rows(db, self.BLOCKS * self.BLOCK, self.BLOCK + 300)
+        with closes_failing(times=1):
+            tids = commit_rows(db, self.BLOCKS * self.BLOCK, self.BLOCK + 300)
+        assert db.ledger.sealed_pending() == 1
         db.ledger.flush_queue()
         tids += commit_rows(db, (self.BLOCKS + 2) * self.BLOCK, 200)
         stored = self.BLOCKS * self.BLOCK + self.BLOCK + 300
@@ -461,7 +479,7 @@ class TestCostDoesNotGrowWithTheTable:
             during_recover.update(
                 passes=dict(spy.passes), decoding=dict(spy.decoding),
                 reads=dict(spy.reads),
-                # Before the block builder starts and closes the sealed block.
+                # What the open leaves: it closes no block.
                 state=(
                     ledger.closed_block_height, ledger.open_block_id,
                     ledger.pending_entries,
@@ -474,11 +492,11 @@ class TestCostDoesNotGrowWithTheTable:
             # The checkpoint left its open block empty, so every unclosed
             # block is re-primed from the log: no pass over either table,
             # and only the unclosed blocks' stored entries decoded — each
-            # once — plus the tip block's row.
+            # once.  The tip comes from the blocks tree's last key.
             assert during_recover["decoding"] == {}
             assert during_recover["passes"] == {}
             assert during_recover["reads"] == {
-                TRANSACTIONS_TABLE: self.BLOCK + 300, BLOCKS_TABLE: 1,
+                TRANSACTIONS_TABLE: self.BLOCK + 300,
             }
             assert during_recover["reads"][TRANSACTIONS_TABLE] < stored
 
@@ -501,7 +519,7 @@ class TestCostDoesNotGrowWithTheTable:
         user table, decodes none of its records whole, and builds its
         trees without a single one-key insert."""
         path = str(tmp_path / "db")
-        db = open_single_threaded(path, block_size=100)
+        db = open_db(path, block_size=100)
         db.create_ledger_table(accounts_schema().with_index(
             IndexDefinition("ix_balance", ("balance",))
         ))
@@ -526,8 +544,7 @@ class TestCostDoesNotGrowWithTheTable:
             return decode(kernel, data)
 
         def counting(name, method):
-            # Only recovery's inserts count: the block builder may close a
-            # block (and insert its entries) as soon as the ledger is open.
+            # Only recovery's inserts count, not those of any later write.
             def counted(tree, *args):
                 if inside:
                     inserts[name] += 1
@@ -577,8 +594,8 @@ class TestRecoveryDecodesWhatItKeeps:
     @pytest.fixture
     def recovered(self, spy, monkeypatch):
         """Reopen ``path``, spying on the ledger's recovery: its passes and
-        reads, the payloads it decoded and the state it left, before the
-        block builder starts."""
+        reads, the payloads it decoded and the state it left (the open
+        closes no block)."""
         seen = {}
         recover = DatabaseLedger.recover
         from_payload = TransactionEntry.from_payload.__func__
@@ -612,14 +629,15 @@ class TestRecoveryDecodesWhatItKeeps:
         return reopen
 
     def _ledger_table(self, tmp_path):
-        db = open_single_threaded(str(tmp_path / "db"), block_size=self.BLOCK)
+        db = open_db(str(tmp_path / "db"), block_size=self.BLOCK)
         db.create_ledger_table(accounts_schema())
         db.pipeline.drain()
         return db, db.ledger.latest_block_id() + 1
 
     def test_without_a_checkpoint_no_key_pass(self, tmp_path, recovered):
         db, first = self._ledger_table(tmp_path)
-        commit_rows(db, 0, 25)   # two sealed blocks and five entries
+        with closes_failing():
+            commit_rows(db, 0, 25)   # two sealed blocks and five entries
         db.ledger.flush_queue()  # ...all stored; no block closed
         queued = commit_rows(db, 25, 3)
         db.simulate_crash()
@@ -629,9 +647,9 @@ class TestRecoveryDecodesWhatItKeeps:
             assert seen["passes"] == {} and seen["decoding"] == {}
             assert seen["key_indexes"] == {}
             assert seen["decoded"] == seen["queued"] == queued
-            # Each stored entry of an unclosed block read once, and the
-            # closed tip's row.
-            assert seen["reads"] == {TRANSACTIONS_TABLE: 25, BLOCKS_TABLE: 1}
+            # Each stored entry of an unclosed block read once; the closed
+            # tip is the blocks tree's last key.
+            assert seen["reads"] == {TRANSACTIONS_TABLE: 25}
             assert seen["state"] == (first - 1, 2, first + 2, 8)
             assert reopened.verify([reopened.generate_digest()]).ok
         finally:
@@ -643,7 +661,8 @@ class TestRecoveryDecodesWhatItKeeps:
         db, first = self._ledger_table(tmp_path)
         commit_rows(db, 0, 4)
         db.checkpoint()          # leaves four stored entries in the open block
-        commit_rows(db, 4, 10)   # which fills and seals; four in the next
+        with closes_failing():
+            commit_rows(db, 4, 10)   # which fills and seals; four in the next
         db.ledger.flush_queue()
         queued = commit_rows(db, 14, 2)
         db.simulate_crash()
@@ -657,7 +676,7 @@ class TestRecoveryDecodesWhatItKeeps:
                     "block_id").ordinal,)
             ]
             assert seen["decoded"] == seen["queued"] == queued
-            assert seen["reads"] == {TRANSACTIONS_TABLE: 14, BLOCKS_TABLE: 1}
+            assert seen["reads"] == {TRANSACTIONS_TABLE: 14}
             assert seen["state"] == (first - 1, 1, first + 1, 6)
             assert reopened.verify([reopened.generate_digest()]).ok
         finally:

@@ -1,8 +1,10 @@
-"""The staged commit pipeline: async block closure, drain, concurrency.
+"""The staged commit pipeline: block closure, drain, concurrency.
 
-Covers the §4.2 refactor: commits only seal blocks (in-memory), the
-background block builder closes them, and consumers that need a closed
-chain tip use the drain barrier instead of a synchronous close.
+Covers the §4.2 stages as this reproduction runs them: a commit seals the
+block its assignment fills and, once its COMMIT record is durable, closes
+it on its own thread; consumers that need a closed chain tip use the drain
+barrier.  A close that fails leaves the commit acknowledged, the block
+sealed and the ledger degraded until a close succeeds.
 """
 
 import threading
@@ -10,23 +12,15 @@ import time
 
 import pytest
 
-from repro.core.database_ledger import DatabaseLedger
+from repro.core.database_ledger import BLOCKS_TABLE
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
 from repro.errors import InjectedFaultError, LedgerError
 from repro.faults import FAULTS
+from repro.obs import OBS
 from repro.sql.session import SqlSession
 
 from tests.core.conftest import accounts_schema, run
-
-
-def wait_until(predicate, timeout=10.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def seed(db, count, prefix="row", username="alice"):
@@ -47,39 +41,35 @@ def quiesce(db):
     return db.ledger.open_block_id
 
 
-class TestAsyncBlockClosure:
-    def test_commit_seals_but_does_not_close(self, db, accounts):
-        """Filling a block advances the sequencer without a storage write
-        happening inside the commit itself."""
-        ledger = db.ledger
-        # Park the builder so closure genuinely cannot have happened yet.
-        db.pipeline.stop(drain=False)
-        seed(db, 4)  # block_size=4 -> exactly one full block
-        assert ledger.open_block_id == 1
-        assert ledger.sealed_pending() == 1
-        assert ledger.latest_block() is None  # nothing persisted yet
-        db.pipeline.start()
-        assert wait_until(lambda: ledger.sealed_pending() == 0)
-        latest = ledger.latest_block()
-        assert latest is not None and latest.block_id == 0
-        assert latest.transaction_count == 4
-
-    def test_builder_closes_blocks_without_any_explicit_call(
-        self, db, accounts
-    ):
+class TestCloseOnCommit:
+    def test_the_commit_that_fills_a_block_closes_it(self, db, accounts):
+        """No drain, no other thread: each block is closed when the commit
+        that filled it returns."""
         seed(db, 9)  # two full blocks + one entry in the open block
-        assert wait_until(lambda: len(db.ledger.blocks()) == 2)
+        assert [b.transaction_count for b in db.ledger.blocks()] == [4, 4]
         assert db.ledger.open_block_id == 2
-        assert db.pipeline.stats()["blocks_built"] >= 1
+        assert db.ledger.sealed_pending() == 0
+        stats = db.pipeline.stats()
+        assert (stats["blocks_built"], stats["drains"]) == (2, 0)
 
-    def test_closed_height_cache_tracks_builder(self, db, accounts):
+    def test_closed_height_cache_tracks_commit_closes(self, db, accounts):
         assert db.ledger.closed_block_height == -1
         base = quiesce(db)
         assert db.ledger.closed_block_height == base - 1
         seed(db, 4)  # exactly one full block
-        assert wait_until(lambda: db.ledger.closed_block_height == base)
+        assert db.ledger.closed_block_height == base
         db.generate_digest()  # nothing new to close; height unchanged
         assert db.ledger.closed_block_height == base
+
+    def test_the_ledger_starts_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
+        db = LedgerDatabase.open(str(tmp_path / "db"), block_size=1)
+        try:
+            db.create_ledger_table(accounts_schema())  # fills a block
+            assert db.pipeline.stats()["blocks_built"] >= 1
+            assert [t for t in threading.enumerate() if t not in before] == []
+        finally:
+            db.close()
 
 
 class TestDrain:
@@ -128,7 +118,6 @@ class TestDrain:
         for — through the closure's own count check."""
         ledger = db.ledger
         quiesce(db)
-        db.pipeline.stop(drain=False)  # the builder must not meet the forgery
         seed(db, 3)
         # Forge a sequencer state claiming a 4th assignment whose entry
         # never arrived.
@@ -144,7 +133,6 @@ class TestDrain:
         # Un-forge the sealed block so fixture teardown can drain cleanly.
         with ledger.storage_lock:
             ledger._sealed.clear()
-        db.pipeline.start()
 
 
 class TestFailedCommitAppend:
@@ -320,37 +308,44 @@ class TestShutdown:
             if t not in before and t.is_alive()
         ]
         assert leaked == []
-        assert not db.pipeline.running
 
     def test_close_finishes_sealed_blocks_first(self, tmp_path):
         db = LedgerDatabase.open(
             str(tmp_path / "db"), block_size=2, clock=LogicalClock()
         )
-        db.pipeline.stop(drain=False)  # park the builder before any entries
         db.create_ledger_table(accounts_schema())
-        pending = db.ledger.sealed_pending()
-        seed(db, 4)
-        assert db.ledger.sealed_pending() == pending + 2
-        db.pipeline.start()
+        # bootstrap + registration fill block 0 and 2 seeds block 1; the
+        # third waits in block 2, sealed here and closed only by close().
+        seed(db, 3)
+        assert db.ledger.seal_open_block() == 2
+        assert db.ledger.sealed_pending() == 1
         db.close()
+        with pytest.raises(LedgerError, match="shut down"):
+            db.pipeline.drain()
         reopened = LedgerDatabase.open(str(tmp_path / "db"))
         try:
-            # bootstrap + registration + 4 seeds = 6 entries at size 2.
             assert len(reopened.ledger.blocks()) == 3
+            assert reopened.ledger.sealed_pending() == 0
         finally:
             reopened.close()
 
     def test_crash_with_sealed_blocks_recovers_and_closes_them(
         self, tmp_path
     ):
+        """Blocks whose closes failed stay sealed through a crash; the
+        reopen closes nothing, and the next commit that fills a block
+        closes them all, oldest first."""
         db = LedgerDatabase.open(
             str(tmp_path / "db"), block_size=2, clock=LogicalClock()
         )
-        db.pipeline.stop(drain=False)  # park the builder before any entries
-        db.create_ledger_table(accounts_schema())
-        # bootstrap + registration fill block 0; 5 seeds fill blocks 1-2 and
-        # leave one open entry.  Nothing closes with the builder parked.
-        seed(db, 5)
+        FAULTS.arm("ledger.block_persist", action="fail")
+        try:
+            db.create_ledger_table(accounts_schema())
+            # bootstrap + registration fill block 0; 5 seeds fill blocks 1-2
+            # and leave one open entry.  Every close fails.
+            seed(db, 5)
+        finally:
+            FAULTS.reset()
         assert db.ledger.sealed_pending() == 3
         assert db.ledger.blocks() == []
         db.simulate_crash()
@@ -359,11 +354,12 @@ class TestShutdown:
             str(tmp_path / "db"), clock=LogicalClock()
         )
         try:
-            # The re-sealed blocks close via the primed builder or this
-            # drain, whichever gets there first.
-            recovered.pipeline.drain(seal_open=False)
-            assert len(recovered.ledger.blocks()) == 3
+            assert recovered.ledger.sealed_pending() == 3
+            assert recovered.ledger.blocks() == []
             assert recovered.ledger.open_block_id == 3
+            seed(recovered, 1, prefix="fills")  # fills block 3
+            assert recovered.ledger.sealed_pending() == 0
+            assert len(recovered.ledger.blocks()) == 4
             digest = recovered.generate_digest()
             assert recovered.verify([digest]).ok
         finally:
@@ -438,24 +434,116 @@ class TestConcurrentSessions:
             db.stop_obs_server()
 
 
-class TestBuilderResilience:
-    def test_builder_survives_a_closure_error(self, db, accounts, monkeypatch):
-        """A failing closure is counted and reported, and the builder keeps
-        serving later blocks after the fault clears."""
+class TestFailedClose:
+    """A close that fails on the commit path fails nothing the commit
+    promised: its COMMIT record is in the log.  The block stays sealed, the
+    ledger says which block and why, and a later close clears it."""
+
+    def test_the_commit_stays_acknowledged_until_a_close_succeeds(
+        self, db, accounts
+    ):
         base = quiesce(db)
-        boom = {"on": True}
-        original = DatabaseLedger._close_block
+        FAULTS.arm("ledger.block_persist", action="fail")
+        OBS.events.enable()
+        try:
+            seed(db, 4)  # fills block `base`; its close fails
+            (event,) = [
+                e for e in OBS.events.read(name="block.close_failed")
+                if e.payload["block_id"] == base
+            ]
+            with pytest.raises(InjectedFaultError):
+                db.pipeline.drain()
+        finally:
+            FAULTS.reset()
+            OBS.events.disable()
+        names = {r["name"] for r in db.select("accounts")}
+        assert names == {f"row{i}" for i in range(4)}
+        assert db.ledger.sealed_pending() == 1
+        health = db.health()
+        (problem,) = health["problems"]
+        assert health["status"] == "degraded"
+        assert f"block {base}" in problem["detail"]
+        assert problem["last_error"] == event.payload["error"]
+        assert "ledger.block_persist" in event.payload["error"]
 
-        def flaky(self, block_id, expected_count):
-            if boom["on"]:
-                raise RuntimeError("injected closure fault")
-            return original(self, block_id, expected_count)
+        seed(db, 3, prefix="open")  # fills no block: nothing retried
+        assert db.ledger.sealed_pending() == 1
+        seed(db, 1, prefix="fills")  # fills the next: closes both
+        assert db.ledger.latest_block().block_id == base + 1
+        assert db.health()["status"] == "ok"
+        assert db.pipeline.stats()["last_error"] is None
+        assert db.verify([db.generate_digest()]).ok
 
-        monkeypatch.setattr(DatabaseLedger, "_close_block", flaky)
-        seed(db, 4)  # fills block `base` exactly
-        assert wait_until(lambda: db.pipeline.stats()["builder_errors"] >= 1)
-        assert db.pipeline.running
-        assert "injected closure fault" in db.pipeline.stats()["last_error"]
-        boom["on"] = False
+    def test_a_block_that_cannot_chain(self, tmp_path):
+        """A sealed block whose predecessor is missing — its row no longer
+        reads — stays sealed: the commit that fills it succeeds and stays
+        acknowledged, health names the block, every drain raises, and a
+        reopen recovers the same state."""
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path, block_size=4, clock=LogicalClock())
+        db.create_ledger_table(accounts_schema())
+        base = quiesce(db)
+        seed(db, 4)  # block `base` closes
+        blocks = db.engine.table(BLOCKS_TABLE)
+        with db.ledger.storage_lock:  # a closed_time no datetime can hold
+            rid = blocks.clustered.seek([base])
+            record = blocks.heap.read(rid)
+            blocks.heap.tamper_record(rid, record[:-8] + b"\x7f" + b"\xff" * 7)
+        assert db.ledger.block(base) is None
+        seed(db, 4, prefix="next")  # fills block `base + 1`: cannot chain
+        names = {row["name"] for row in db.select("accounts")}
+        assert {f"next{i}" for i in range(4)} <= names
+        assert db.ledger.sealed_pending() == 1
+        health = db.health()
+        assert health["status"] == "degraded"
+        assert f"block {base + 1}" in health["problems"][0]["detail"]
+        assert "predecessor is missing" in health["problems"][0]["last_error"]
+        cannot_chain = f"cannot close block {base + 1}: predecessor is missing"
+        with pytest.raises(LedgerError, match=cannot_chain):
+            db.pipeline.drain()
+        with pytest.raises(LedgerError, match=cannot_chain):
+            db.close()  # the engine closes all the same
+
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            assert {row["name"] for row in db.select("accounts")} == names
+            assert db.ledger.sealed_pending() == 1
+            assert db.ledger.latest_block_id() == base - 1
+            with pytest.raises(LedgerError, match=cannot_chain):
+                db.pipeline.drain()
+            assert db.health()["status"] == "degraded"
+        finally:
+            with pytest.raises(LedgerError, match=cannot_chain):
+                db.close()
+
+
+class TestFailedSystemWrite:
+    """A block close whose ledger-system transaction fails before its
+    COMMIT record reaches the log rolls that transaction back, so the
+    retried drain closes the block and nothing wedges the ledger."""
+
+    #: The WAL appends of a close: the queue flush's BEGIN, INSERT and
+    #: COMMIT, then the block row's.
+    APPENDS = (
+        "flush BEGIN", "flush INSERT", "flush COMMIT",
+        "block BEGIN", "block INSERT", "block COMMIT",
+    )
+
+    @pytest.mark.parametrize("skip", range(len(APPENDS)), ids=APPENDS)
+    def test_a_failed_append_leaves_no_transaction(self, db, accounts, skip):
+        base = quiesce(db)
+        seed(db, 1)  # in the open block: the drain below seals and closes it
+        FAULTS.arm("wal.append", action="fail", skip=skip, times=1)
+        try:
+            with pytest.raises(InjectedFaultError):
+                db.pipeline.drain()
+            assert FAULTS.triggers("wal.append") == 1
+        finally:
+            FAULTS.reset()
+        assert db.engine.active_transactions == []
         db.pipeline.drain()
-        assert len(db.ledger.blocks()) == base + 1
+        assert db.ledger.latest_block().block_id == base
+        assert db.engine.active_transactions == []
+        assert db.verify([db.generate_digest()]).ok
+        db.close()
+        assert db.engine.closed

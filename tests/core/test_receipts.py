@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.rsa import generate_keypair
 from repro.core.receipts import _RECEIPT_BLOCKS_CACHED, TransactionReceipt
 from repro.errors import ReceiptError
+from repro.faults import FAULTS
 
 from tests.core.conftest import run
 
@@ -40,14 +41,21 @@ class TestReceiptGeneration:
     ):
         """A receipt for a transaction in a block that is sealed but not
         yet closed closes that block and leaves the open block as it is,
-        as it does once the block builder has closed the sealed block."""
+        as it does once a commit or a drain has closed the sealed block."""
         db = signed_db
         db.pipeline.drain()
-        db.pipeline.stop(drain=False)  # the sealed block stays unclosed
-        tids = [
-            run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]])).tid
-            for i in range(db.ledger.block_size + 1)
-        ]
+        # The close of the commit that fills the block fails once: the
+        # sealed block stays unclosed.
+        FAULTS.arm("ledger.block_persist", action="fail", times=1)
+        try:
+            tids = [
+                run(db, "a", lambda t, i=i: db.insert(
+                    t, "accounts", [[f"u{i}", i]]
+                )).tid
+                for i in range(db.ledger.block_size + 1)
+            ]
+        finally:
+            FAULTS.reset()
         ledger = db.ledger
         assert ledger.sealed_pending() == 1
         open_block, open_ordinal = ledger.open_block_id, ledger.checkpoint_state()[

@@ -4,9 +4,8 @@ staged commit pipeline.
 The per-(transaction, table) streaming hashers are stage-1 state living on
 the committing thread; a rollback to savepoint must restore them so that
 the sealed entry's table roots are exactly those of a transaction that
-never hashed the rolled-back rows.  Otherwise the background block builder
-would persist a root that verification cannot recompute from the stored
-row versions.
+never hashed the rolled-back rows.  Otherwise block closure would persist
+a root that verification cannot recompute from the stored row versions.
 """
 
 import threading
@@ -139,9 +138,9 @@ class TestSavepointsUnderThePipeline:
     def test_concurrent_sessions_with_savepoint_cycles_verify_clean(
         self, db, accounts
     ):
-        """Four threads interleave savepoint/rollback cycles while the
-        block builder closes blocks underneath them.  One table per
-        thread, because table locks serialize same-table writers."""
+        """Four threads interleave savepoint/rollback cycles while their
+        commits close blocks.  One table per thread, because table locks
+        serialize same-table writers."""
         threads, cycles = 4, 8
         for index in range(threads):
             db.create_ledger_table(accounts_schema(f"conc{index}"))

@@ -192,7 +192,7 @@ class TestChainTampering:
     ):
         """A structurally damaged entry or block record is a *missing* one:
         verification reports what it breaks instead of dying in the scan,
-        the same in-process and forked, and keyed readers return None."""
+        and keyed readers return None."""
         for i in range(9):
             run(db, "a", lambda t, i=i: db.insert(t, "accounts", [[f"u{i}", i]]))
         digest = db.generate_digest()
@@ -203,8 +203,6 @@ class TestChainTampering:
         report = db.verify([digest])
         assert not report.ok
         assert invariant in findings_by_invariant(report)
-        forked = db.verify([digest], parallelism=2)
-        assert findings_by_invariant(forked) == findings_by_invariant(report)
         if table_name == "database_ledger_blocks":
             assert db.ledger.block(row[0]) is None
             assert row[0] not in {b.block_id for b in db.ledger.blocks()}
@@ -221,9 +219,9 @@ class TestChainTampering:
     def test_sealed_block_that_cannot_chain_is_reported_not_raised(
         self, tmp_path
     ):
-        """Verification closes sealed blocks before it looks; one whose
-        predecessor no longer reads stays unclosed, and the run reports the
-        unreadable block instead of raising out of the snapshot."""
+        """A sealed block whose predecessor no longer reads stays unclosed,
+        and verification reports the unreadable block instead of raising
+        out of the snapshot."""
         from repro.core.database_ledger import BLOCKS_TABLE
         from repro.core.ledger_database import LedgerDatabase
         from repro.engine.clock import LogicalClock
@@ -232,7 +230,6 @@ class TestChainTampering:
             str(tmp_path / "db"), block_size=2, clock=LogicalClock()
         )
         try:
-            db.pipeline.stop(drain=False)
             db.create_ledger_table(accounts_schema())
             for i in range(3):
                 run(db, "a", lambda t, i=i: db.insert(
@@ -254,11 +251,10 @@ class TestChainTampering:
             assert any(
                 f.context.get("block_id") == 1 for f in report.errors
             ), report.summary()
-            assert db.verify([], parallelism=2).findings == report.findings
-            # The block stays sealed, and nothing crashed or restarted.
+            # The block stays sealed; the commit that filled it recorded
+            # the failed close and nothing raised.
             assert db.ledger.sealed_pending() == sealed
-            stats = db.pipeline.stats()
-            assert stats["builder_errors"] == stats["restarts"] == 0
+            assert db.pipeline.stats()["failed_block"] == 2
         finally:
             db.simulate_crash()
 
@@ -293,8 +289,6 @@ class TestSelfConsistentChainRewrite:
 
         report = chain.verify(trusted)
         assert findings_by_invariant(report) == {"digest"}, report.summary()
-        forked = chain.verify(trusted, parallelism=2)
-        assert forked.findings == report.findings
 
     def test_rewrite_chain_trips_the_monitor_within_one_cycle(self, chain):
         OBS.reset()

@@ -8,7 +8,7 @@ every base record a second time for the index check, and compared roots
 over leaves sorted by ``(key, leaf)``.  On every attack of
 :mod:`repro.attacks` and on damage aimed at indexes and keys, the verifier
 and the reference must report the same findings in the same order and the
-same counters — in-process and in forked workers, cold and warm.
+same counters, cold and warm.
 """
 
 from typing import Any, Dict, List, Optional, Tuple
@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import pytest
 
 import repro.attacks
-import repro.core.verify_parallel
 from repro.attacks import (
     delete_history_row,
     drop_and_recreate_table,
@@ -33,7 +32,6 @@ from repro.core.verify_parallel import (
     SEVERITY_ERROR,
     Finding,
     _relation,
-    fork_available,
 )
 from repro.crypto.hashing import LeafHashCache, hash_leaf
 from repro.crypto.merkle import MerkleHasher
@@ -158,13 +156,12 @@ def ref_keyed_leaves_task(snapshot, cache, args):
 class ReferenceVerifier(LedgerVerifier):
     """The verifier with the record pass and index check it had before."""
 
-    def _collect_events(self, report, snapshot, pool):
+    def _collect_events(self, report, snapshot):
         args_list = [
-            (table_index, which, start, end)
+            (table_index, which, 0, len(relation.records))
             for table_index, which, relation in self._relations(snapshot)
-            for start, end in self._ranges(len(relation.records), pool)
         ]
-        results = self._run_tasks(report, pool, ref_events_task, args_list)
+        results = self._run_tasks(report, snapshot, ref_events_task, args_list)
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
         for args, result in zip(args_list, results):
             events = merged.setdefault(args[0], result["events"])
@@ -176,7 +173,7 @@ class ReferenceVerifier(LedgerVerifier):
                 events.pop(tid, None)
         return merged
 
-    def _check_indexes(self, report, snapshot, pool):
+    def _check_indexes(self, report, snapshot):
         indexed = [
             item for item in self._relations(snapshot)
             if item[2].index_records
@@ -186,11 +183,10 @@ class ReferenceVerifier(LedgerVerifier):
             sources = [(None, relation.records)]
             sources.extend(relation.index_records.items())
             for source, records in sources:
-                for start, end in self._ranges(len(records), pool):
-                    args_list.append((table_index, which, source, start, end))
+                args_list.append((table_index, which, source, 0, len(records)))
         merged: Dict[Tuple[int, str, Optional[str]], List] = {}
         results = self._run_tasks(
-            report, pool, ref_keyed_leaves_task, args_list
+            report, snapshot, ref_keyed_leaves_task, args_list
         )
         for args, result in zip(args_list, results):
             merged.setdefault(args[:3], []).extend(result["keyed"])
@@ -430,39 +426,23 @@ def test_every_attack_has_a_case():
     assert covered == set(repro.attacks.__all__)
 
 
-#: (parallelism, forks): one in-process range, three in-process ranges
-#: (so every check merges ranges), two forked workers.
-RUNS = ((1, True), (3, False), (2, True))
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
 @pytest.mark.parametrize("case", list(CASES))
-def test_findings_and_counters_equal_the_reference(db, case, monkeypatch):
+def test_findings_and_counters_equal_the_reference(db, case):
     state = build(db)
     digests = state["digests"]
     LedgerVerifier(db).verify(digests)  # the cache holds honest records
     CASES[case][1](db, state)
-    for parallelism, forks in RUNS:
-        monkeypatch.setattr(
-            repro.core.verify_parallel, "fork_available",
-            lambda forks=forks: forks,
+    for warm in (False, True):
+        if warm:
+            LedgerVerifier(db).verify(digests)
+        else:
+            leaf_cache().clear()
+        report = LedgerVerifier(db).verify(digests)
+        reference = ReferenceVerifier(db, cache=LeafHashCache()).verify(
+            digests
         )
-        for warm in (False, True):
-            if warm:
-                LedgerVerifier(db).verify(digests)
-            else:
-                leaf_cache().clear()
-            report = LedgerVerifier(db).verify(
-                digests, parallelism=parallelism
-            )
-            reference = ReferenceVerifier(db, cache=LeafHashCache()).verify(
-                digests, parallelism=parallelism
-            )
-            where = f"{case}, {parallelism} ranges, forks={forks}, warm={warm}"
-            assert outcome(report) == outcome(reference), where
-            assert report.ok == (case in ("clean", "drop_and_recreate_table"))
+        assert outcome(report) == outcome(reference), f"{case}, warm={warm}"
+        assert report.ok == (case in ("clean", "drop_and_recreate_table"))
     if case.startswith("undecodable") or case in DECODE_FAILURES:
         assert [f for f in report.findings if "failed to decode" in f.message]
 

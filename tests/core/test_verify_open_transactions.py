@@ -17,7 +17,6 @@ from repro.sql import SqlSession
 
 MODES = {
     "serial": {},
-    "parallel": {"parallelism": 2},
     "incremental": {"mode": "incremental"},
 }
 

@@ -1,11 +1,10 @@
-"""One verification engine: the same range tasks in-process and forked.
+"""One verification engine: the range tasks, cold and warm.
 
 The chain, block-root, table-root and index invariants are range tasks
-(per block range, per record range), one range per worker, that run
-in-process at ``parallelism=1`` (or without ``fork``) and in forked
-workers above that.  Wherever the ranges are cut, every attack must be
-caught with the same findings in the same order, a clean database must
-report identical counters, and concurrent runs must never see each
+(per block range, per record range), run one range per relation on the
+calling thread.  With the leaf-hash cache cleared and warm, every attack
+must be caught with the same findings in the same order, a clean database
+must report identical counters, and concurrent runs must never see each
 other's snapshot.
 """
 
@@ -13,7 +12,6 @@ import threading
 
 import pytest
 
-import repro.core.verify_parallel
 from repro.attacks import (
     delete_history_row,
     fork_block,
@@ -24,8 +22,7 @@ from repro.attacks import (
     tamper_view_definition,
 )
 from repro.core.ledger_database import LedgerDatabase
-from repro.core.verification import LedgerVerifier
-from repro.core.verify_parallel import fork_available, split_ranges
+from repro.core.verification import leaf_cache
 from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.schema import IndexDefinition
@@ -55,85 +52,33 @@ COUNTERS = (
 )
 
 
-def verify_in_process(db, digests, parallelism):
-    """Verify with ``parallelism`` ranges per relation, all in-process."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            repro.core.verify_parallel, "fork_available", lambda: False
-        )
-        return LedgerVerifier(db).verify(digests, parallelism=parallelism)
-
-
 def verify_both(db, digests):
-    """Verify in-process and in two forked workers; return the forked report.
-
-    The in-process run cuts its ranges in thirds and the forked one in
-    halves, so the two rarely share a range boundary — and must still
-    agree finding for finding, in order, and counter for counter.
-    """
-    inline = verify_in_process(db, digests, 3)
-    forked = db.verify(digests, parallelism=2)
-    assert inline.parallelism == 1
+    """Verify with the leaf-hash cache cleared, then warm; return the warm
+    report.  The two must agree finding for finding, in order, and counter
+    for counter."""
+    leaf_cache().clear()
+    cold = db.verify(digests)
+    warm = db.verify(digests)
     assert [
         (f.invariant, f.severity, f.message, f.context)
-        for f in inline.findings
+        for f in cold.findings
     ] == [
         (f.invariant, f.severity, f.message, f.context)
-        for f in forked.findings
+        for f in warm.findings
     ]
     for counter in COUNTERS:
-        assert getattr(inline, counter) == getattr(forked, counter), counter
-    return forked
+        assert getattr(cold, counter) == getattr(warm, counter), counter
+    return warm
 
 
-class TestSplitRanges:
-    def test_covers_everything_once(self):
-        assert split_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert split_ranges(4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert split_ranges(0, 4) == []
-        assert split_ranges(5, 1) == [(0, 5)]
-
-    def test_ranges_are_contiguous(self):
-        for count in (1, 7, 100):
-            for parts in (1, 2, 3, 16):
-                ranges = split_ranges(count, parts)
-                assert ranges[0][0] == 0 and ranges[-1][1] == count
-                for (_, end), (start, _) in zip(ranges, ranges[1:]):
-                    assert end == start
-
-
-class TestInProcessForkedEquivalence:
+class TestCleanRuns:
     def test_clean_database_identical_reports(self, db, seeded):
         report = verify_both(db, [seeded])
         assert report.ok, report.summary()
         assert report.findings == []
         assert report.row_versions_hashed > 0
 
-    def test_report_records_worker_count(self, db, seeded):
-        report = db.verify([seeded], parallelism=3)
-        expected = 3 if fork_available() else 1
-        assert report.parallelism == expected
-        assert db.verify([seeded]).parallelism == 1
 
-    def test_more_workers_than_blocks(self, db, accounts):
-        run(db, "a", lambda t: db.insert(t, "accounts", [["solo", 1]]))
-        digest = db.generate_digest()
-        report = db.verify([digest], parallelism=8)
-        assert report.ok, report.summary()
-
-    def test_many_blocks_stitch_cleanly(self, db, accounts):
-        for i in range(30):
-            run(db, "a", lambda t, i=i: db.insert(
-                t, "accounts", [[f"n{i}", i]]))
-        digest = db.generate_digest()
-        report = db.verify([digest], parallelism=4)
-        assert report.ok, report.summary()
-        assert report.blocks_verified >= 7
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
 class TestTamperDetection:
     def test_live_row_rewrite(self, db, seeded, accounts):
         rewrite_row_value(accounts, lambda r: r["name"] == "u3",
@@ -171,15 +116,6 @@ class TestTamperDetection:
         blocks = db.ledger.blocks()
         assert len(blocks) >= 2
         fork_block(db, blocks[0].block_id)
-        report = verify_both(db, [seeded])
-        assert not report.ok
-        assert "chain" in findings_by_invariant(report)
-
-    def test_segment_boundary_fork_detected(self, db, seeded):
-        """Tamper the block at a worker-segment boundary specifically."""
-        blocks = db.ledger.blocks()
-        boundary = blocks[len(blocks) // 2].block_id
-        fork_block(db, boundary)
         report = verify_both(db, [seeded])
         assert not report.ok
         assert "chain" in findings_by_invariant(report)
@@ -228,17 +164,12 @@ class TestTamperDetection:
         assert findings_by_invariant(report) == {"index"}
 
 
-@pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable"
-)
 class TestConcurrentRuns:
-    @pytest.mark.parametrize("clean_parallelism", [1, 2])
     def test_each_run_sees_only_its_own_snapshot(
-        self, db, seeded, accounts, tmp_path, clean_parallelism
+        self, db, seeded, accounts, tmp_path
     ):
-        """A tampered database verified in forked workers while another
-        thread verifies a clean one: each gets its own verdict, every
-        round."""
+        """A tampered database verified on one thread while another thread
+        verifies a clean one: each gets its own verdict, every round."""
         rewrite_row_value(accounts, lambda r: r["name"] == "u3",
                           "balance", 999_999)
         clean = LedgerDatabase.open(
@@ -252,23 +183,20 @@ class TestConcurrentRuns:
             clean_digest = clean.generate_digest()
             verdicts = {"tampered": [], "clean": []}
 
-            def rounds(name, database, digest, parallelism):
+            def rounds(name, database, digest):
                 for _ in range(20):
                     try:
-                        report = database.verify(
-                            [digest], parallelism=parallelism
-                        )
+                        report = database.verify([digest])
                         verdicts[name].append(report.ok)
                     except Exception as exc:  # a torn snapshot raises
                         verdicts[name].append(exc)
 
             threads = [
                 threading.Thread(
-                    target=rounds, args=("tampered", db, seeded, 2)
+                    target=rounds, args=("tampered", db, seeded)
                 ),
                 threading.Thread(
-                    target=rounds,
-                    args=("clean", clean, clean_digest, clean_parallelism),
+                    target=rounds, args=("clean", clean, clean_digest)
                 ),
             ]
             for thread in threads:

@@ -12,10 +12,7 @@ that prints one.
 
 import gc
 
-import pytest
-
 from repro.core.ledger_database import LedgerDatabase
-from repro.core.verify_parallel import fork_available
 from repro.engine.clock import LogicalClock
 from repro.engine.heap import HeapFile
 
@@ -109,13 +106,7 @@ class TestAddressesAreUntracked:
             db.close()
 
 
-@pytest.mark.parametrize("parallelism", [
-    1,
-    pytest.param(2, marks=pytest.mark.skipif(
-        not fork_available(), reason="fork start method unavailable"
-    )),
-])
-def test_decode_failure_names_the_row_as_before(tmp_path, parallelism):
+def test_decode_failure_names_the_row_as_before(tmp_path):
     db = open_db(tmp_path / "db")
     try:
         load(db, rows=200)
@@ -123,7 +114,7 @@ def test_decode_failure_names_the_row_as_before(tmp_path, parallelism):
         table = db.engine.table("t")
         (rid, _), *_ = table.heap.scan()  # page 0, slot 0
         table.heap.tamper_record(rid, b"\x00")
-        report = db.verify([digest], parallelism=parallelism)
+        report = db.verify([digest])
         assert [
             f.message for f in report.findings if f.message.startswith("row ")
         ] == [

@@ -773,6 +773,39 @@ class TestGeneratedWalkers:
         assert len(sources) >= 5
         assert not any(evil in source or "import" in source for source in sources)
 
+    def test_each_generated_source_has_its_own_filename(self, tmp_path):
+        """A profiler keys code by filename: two shapes get two names, and
+        the same shape reopened shares one code object."""
+        from repro.engine.database import Database
+
+        def walk_code(schema):
+            kernel = schema.derived(RecordKernel)
+            return kernel.projector(range(kernel.width)).__code__
+
+        narrow = TableSchema("a", [Column("id", INT)], primary_key=["id"])
+        wide = TableSchema(
+            "b", [Column("id", INT), Column("v", VARCHAR(8))],
+            primary_key=["id"],
+        )
+        names = {walk_code(schema).co_filename for schema in (narrow, wide)}
+        assert len(names) == 2
+        assert all(name.startswith("<record walk ") for name in names)
+        writer = record_module._compile_write(wide.derived(RecordKernel), True)
+        assert writer.__code__.co_filename.startswith("<record walk ")
+        assert writer.__code__.co_filename not in names
+
+        path = str(tmp_path / "db")
+        engine = Database.open(path)
+        engine.create_table(wide, {})
+        before = walk_code(engine.table("b").schema)
+        engine.close()
+        engine = Database.open(path)
+        try:
+            assert engine.table("b").schema is not wide
+            assert walk_code(engine.table("b").schema) is before
+        finally:
+            engine.close()
+
 
 # ---------------------------------------------------------------------------
 # The generated walk against the generator it replaced

@@ -279,7 +279,6 @@ class TestLedgerCommitAfterTornTail:
         path = str(tmp_path / "db")
         db = LedgerDatabase.open(path, block_size=4, sync=True)
         db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
-        db.pipeline.stop(drain=True)  # crash in the driving thread only
         committer = GroupCommitter(db, max_group=8)
         committer.run(lambda: db.sql("INSERT INTO t VALUES (1)"))
         FAULTS.arm("server.fsync_torn_group", action="crash")

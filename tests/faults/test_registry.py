@@ -129,7 +129,6 @@ class TestProcessRegistry:
     def test_instrumented_modules_registered_their_points(self):
         # Importing the subsystems registers every documented fault point.
         import repro.core.database_ledger  # noqa: F401
-        import repro.core.pipeline  # noqa: F401
         import repro.digests.blob_storage  # noqa: F401
         import repro.engine.database  # noqa: F401
         import repro.engine.heap  # noqa: F401
@@ -142,7 +141,7 @@ class TestProcessRegistry:
             "heap.flush", "pager.page_write", "pager.torn_page",
             "heap.rename", "checkpoint.write", "checkpoint.swap",
             "ledger.flush_queue", "ledger.block_persist",
-            "pipeline.builder", "blob.put", "blob.torn_upload",
+            "blob.put", "blob.torn_upload",
             "monitor.cycle",
         } <= names
 
@@ -155,7 +154,6 @@ class TestProcessRegistry:
 INSTRUMENTED = (
     "repro.core.database_ledger",
     "repro.core.group_commit",
-    "repro.core.pipeline",
     "repro.digests.blob_storage",
     "repro.engine.database",
     "repro.engine.heap",
@@ -193,15 +191,13 @@ class TestCensus:
 
     def homes(self):
         from repro.faults.torture import KILL_MATRIX
-        from tests.core import test_ledger_model, test_pipeline_supervision
+        from tests.core import test_ledger_model
         from tests.digests import test_digest_retry
         from tests.server import test_health_agreement
 
         named = {
             "blob.put": test_digest_retry.TestTransientFailures
             .test_transient_faults_absorbed,
-            "pipeline.builder": test_pipeline_supervision.TestSupervisedRestart
-            .test_crashes_are_restarted_and_blocks_still_close,
             "monitor.cycle": test_health_agreement.STATES["monitor_dead"],
         }
         return {

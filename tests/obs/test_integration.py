@@ -43,20 +43,15 @@ class TestInsertSpanTree:
         assert commit is not None
         assert commit.find("ledger.pre_commit") is not None
         assert commit.find("wal.commit") is not None
-        # Block closure is staged off the commit path: the commit span must
-        # NOT contain block.append even at block_size=1 — the block builder
-        # (or a drain) closes the block outside the commit.
-        assert commit.find("block.append") is None
+        # The commit that fills a block closes it inside its own span: at
+        # block_size=1 every commit does.
+        assert commit.find("block.append") is not None
 
         hash_span = execute.find("ledger.hash").span
         assert hash_span.attributes == {
             "tid": commit.span.attributes["tid"],
             "table": "t", "op": "insert", "rows": 1,
         }
-
-        db.pipeline.drain()
-        names = [s.name for s in OBS.tracer.recorder.spans()]
-        assert "block.append" in names, "the block must still close async"
 
     def test_nesting_is_ordered(self, db, telemetry):
         create_table(db)
@@ -123,9 +118,6 @@ class TestEndToEndCounters:
         assert "invariant timings" in report.timing_summary()
 
     def test_disabled_telemetry_records_nothing(self, db, telemetry):
-        # Let the builder finish closing the bootstrap blocks first, so its
-        # (still-enabled) spans can't land after the reset below.
-        db.pipeline.drain()
         telemetry.disable()
         telemetry.reset()
         create_table(db)

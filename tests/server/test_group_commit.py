@@ -112,7 +112,6 @@ class TestTornGroup:
         reopened database verifies with no partial transaction visible."""
         path = tmp_path / "db"
         db = _open(path, sync=True)
-        db.pipeline.stop(drain=True)  # crash in the driving thread only
         committer = GroupCommitter(db, max_group=8)
         committer.run(_commit_work(db, "durable", 0))
 
@@ -136,7 +135,6 @@ class TestTornGroup:
 
     def test_wal_records_torn_tail_marker(self, tmp_path):
         db = _open(tmp_path / "db", sync=True)
-        db.pipeline.stop(drain=True)
         committer = GroupCommitter(db, max_group=4)
         FAULTS.arm("server.fsync_torn_group", action="crash")
         with pytest.raises(InjectedCrashError):
@@ -161,7 +159,6 @@ def _count_fsyncs(wal, monkeypatch):
 class TestDeferredSync:
     def test_one_group_fsync_for_many_commits(self, tmp_path, monkeypatch):
         db = _open(tmp_path / "db", sync=True)
-        db.pipeline.stop(drain=True)
         wal = db.engine.wal
         calls = _count_fsyncs(wal, monkeypatch)
         with wal.deferred_sync():
@@ -176,7 +173,6 @@ class TestDeferredSync:
 
     def test_solo_commit_still_fsyncs(self, tmp_path, monkeypatch):
         db = _open(tmp_path / "db", sync=True)
-        db.pipeline.stop(drain=True)
         calls = _count_fsyncs(db.engine.wal, monkeypatch)
         txn = db.begin()
         db.insert(txn, "grouped", [["solo", 1]])
@@ -186,7 +182,6 @@ class TestDeferredSync:
 
     def test_exception_skips_the_group_fsync(self, tmp_path, monkeypatch):
         db = _open(tmp_path / "db", sync=True)
-        db.pipeline.stop(drain=True)
         wal = db.engine.wal
         calls = _count_fsyncs(wal, monkeypatch)
         with pytest.raises(RuntimeError):

@@ -29,24 +29,16 @@ def _clean(db, client):
     client.insert("items", [["pre", 1]])
 
 
-def _builder_dead(db, client):
-    # The builder thread ends while it should be running and no supervisor
-    # has given up: what an unsupervised exit of the thread leaves behind.
-    pipeline = db.pipeline
-    thread = pipeline._thread
-    pipeline._stop_requested = True
-    pipeline._notify()
-    thread.join(10.0)
-    assert pipeline.expected_running and not pipeline.running
-
-
-def _supervisor_gave_up(db, client):
-    db.pipeline._restart_cap = 0
-    FAULTS.arm("pipeline.builder", action="fail")
-    for i in range(4):  # seal a block: the builder wakes and dies on it
-        client.insert("items", [[f"s{i}", i]])
-    _wait(lambda: db.pipeline.stats()["supervisor_gave_up"])
-    FAULTS.reset()
+def _close_failed(db, client):
+    # The commit that fills a block cannot close it: the commit is
+    # acknowledged and the block stays sealed until a close succeeds.
+    FAULTS.arm("ledger.block_persist", action="fail")
+    try:
+        for i in range(4):  # fills a block (block_size=4)
+            client.insert("items", [[f"s{i}", i]])
+    finally:
+        FAULTS.reset()
+    assert db.pipeline.stats()["failed_block"] is not None
 
 
 def _monitor_dead(db, client):
@@ -71,8 +63,7 @@ def _tamper_detected(db, client):
 
 STATES = {
     "clean": (_clean, "ok"),
-    "builder_dead": (_builder_dead, "degraded"),
-    "supervisor_gave_up": (_supervisor_gave_up, "degraded"),
+    "close_failed": (_close_failed, "degraded"),
     "monitor_dead": (_monitor_dead, "degraded"),
     "tamper_detected": (_tamper_detected, "tamper-detected"),
 }

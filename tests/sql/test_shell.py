@@ -51,13 +51,11 @@ class TestOneShotCli:
     @pytest.mark.parametrize("command", [
         "\\verify --parallel",
         "\\monitor start --deep",
-        "\\monitor start --parallel",
         "\\monitor start 60 --deep x",
         "\\monitor start nan",
         "\\monitor start 0",
         "\\monitor start inf",
         "\\monitor start 60 --deep 0",
-        "\\monitor start 60 --parallel -1",
         "\\monitor start 60 --incremental",
         "\\trace --txn",
         "\\trace --txn x",
