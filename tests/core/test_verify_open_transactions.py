@@ -18,6 +18,7 @@ from repro.sql import SqlSession
 MODES = {
     "serial": {},
     "incremental": {"mode": "incremental"},
+    "one_table": {"table_names": ["t"]},
 }
 
 

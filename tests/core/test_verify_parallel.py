@@ -78,6 +78,22 @@ class TestCleanRuns:
         assert report.findings == []
         assert report.row_versions_hashed > 0
 
+    def test_single_block_database(self, db, accounts):
+        run(db, "a", lambda t: db.insert(t, "accounts", [["solo", 1]]))
+        digest = db.generate_digest()
+        report = verify_both(db, [digest])
+        assert report.ok, report.summary()
+        assert report.blocks_verified >= 1
+
+    def test_many_blocks_verify_cleanly(self, db, accounts):
+        for i in range(30):
+            run(db, "a", lambda t, i=i: db.insert(
+                t, "accounts", [[f"n{i}", i]]))
+        digest = db.generate_digest()
+        report = verify_both(db, [digest])
+        assert report.ok, report.summary()
+        assert report.blocks_verified >= 7
+
 
 class TestTamperDetection:
     def test_live_row_rewrite(self, db, seeded, accounts):
@@ -116,6 +132,16 @@ class TestTamperDetection:
         blocks = db.ledger.blocks()
         assert len(blocks) >= 2
         fork_block(db, blocks[0].block_id)
+        report = verify_both(db, [seeded])
+        assert not report.ok
+        assert "chain" in findings_by_invariant(report)
+
+    def test_middle_block_fork_breaks_chain(self, db, seeded):
+        """A fork of a block in the middle of the chain, not its first."""
+        blocks = db.ledger.blocks()
+        middle = blocks[len(blocks) // 2].block_id
+        assert 0 < middle < blocks[-1].block_id
+        fork_block(db, middle)
         report = verify_both(db, [seeded])
         assert not report.ok
         assert "chain" in findings_by_invariant(report)

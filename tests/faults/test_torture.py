@@ -23,7 +23,7 @@ from repro.faults.torture import (
     run_kill_point,
 )
 
-from tests.core.test_ledger_model import check_invariants, ledger_model
+from tests.core.test_ledger_model import BLOCK_SIZE, check_invariants, ledger_model
 
 _BY_POINT = {spec.point: spec for spec in KILL_MATRIX}
 
@@ -128,6 +128,32 @@ class TestDegradationDrills:
             machine.digests.append(manager.upload_digest())
             assert len(sleeps) == 3  # one backoff per transient failure
             assert manager.digests_for_verification()
+            check_invariants(machine)
+            machine.verify_digests()
+
+    def test_failed_closes_are_retried_by_a_later_commit(self):
+        """Two block-filling commits in a row fail to close their blocks:
+        both stay acknowledged and sealed, and the next block-filling
+        commit closes all three, oldest first — no drain needed."""
+        with ledger_model() as machine:
+            ledger = machine.db.ledger
+            machine.digest()
+            height = ledger.latest_block().block_id
+            FAULTS.arm("ledger.block_persist", action="fail", times=2)
+            try:
+                for _ in range(2 * BLOCK_SIZE):  # fills two blocks
+                    machine.insert_one()
+                assert FAULTS.triggers("ledger.block_persist") == 2
+            finally:
+                FAULTS.reset()
+            assert ledger.sealed_pending() == 2
+            assert machine.db.health()["status"] == "degraded"
+            for _ in range(BLOCK_SIZE):  # fills a third: closes all three
+                machine.insert_one()
+            assert ledger.sealed_pending() == 0
+            assert ledger.latest_block().block_id == height + 3
+            assert machine.db.health()["status"] == "ok"
+            machine.digest()
             check_invariants(machine)
             machine.verify_digests()
 

@@ -41,6 +41,16 @@ def _close_failed(db, client):
     assert db.pipeline.stats()["failed_block"] is not None
 
 
+def _close_recovered(db, client):
+    # A failed close, then a commit that fills the next block: its close
+    # retries the sealed block first, and health is ok again.
+    _close_failed(db, client)
+    for i in range(4):
+        client.insert("items", [[f"r{i}", i]])
+    assert db.pipeline.stats()["failed_block"] is None
+    assert db.ledger.sealed_pending() == 0
+
+
 def _monitor_dead(db, client):
     monitor = db.start_monitor(interval=0.01)
     assert monitor.wait_for_cycle(timeout=10.0)
@@ -64,6 +74,7 @@ def _tamper_detected(db, client):
 STATES = {
     "clean": (_clean, "ok"),
     "close_failed": (_close_failed, "degraded"),
+    "close_recovered": (_close_recovered, "ok"),
     "monitor_dead": (_monitor_dead, "degraded"),
     "tamper_detected": (_tamper_detected, "tamper-detected"),
 }
