@@ -13,8 +13,9 @@ block *closure* (Merkle root over the entry hashes, hash chaining,
 persistence into ``database_ledger_blocks``) follows once the block's last
 entry is durably enqueued.  The paper closes blocks off the critical path,
 for a many-core server; here the commit that fills a block closes it, on
-its own thread, after its COMMIT record is durable (:meth:`DatabaseLedger.
-enqueue`), and :meth:`repro.core.pipeline.LedgerPipeline.drain` closes the
+its own thread, after its COMMIT record is appended — durable at once, or
+at its group's one fsync under group commit (:meth:`DatabaseLedger.
+enqueue`) — and :meth:`repro.core.pipeline.LedgerPipeline.drain` closes the
 rest.  The ledger starts no thread of its own.
 
 One lock, ``storage_lock``, guards all of it: the storage engine (which is
@@ -249,7 +250,7 @@ class DatabaseLedger:
         Pure in-memory bookkeeping — this runs on the commit hot path, under
         the commit's ``storage_lock``.  When the assignment fills the open
         block, the block is *sealed* (also pure bookkeeping); it closes once
-        the COMMIT record is durable, in :meth:`enqueue`.
+        the COMMIT record is appended, in :meth:`enqueue`.
         """
         assert txn.commit_time is not None
         entry = TransactionEntry(
@@ -301,10 +302,12 @@ class DatabaseLedger:
         return sealed_id
 
     def enqueue(self, entry: TransactionEntry) -> None:
-        """Queue a durably committed entry (stage 2 → stage 3 handoff).
+        """Queue a committed entry (stage 2 → stage 3 handoff).
 
         Runs under the commit's ``storage_lock``, after its COMMIT record is
-        durable.  When the entry completes a sealed block — this commit's
+        appended: durable already, or, under group commit, at the group's
+        one fsync, which the log's order puts before any record the close
+        appends.  When the entry completes a sealed block — this commit's
         assignment sealed it — the commit closes every ready sealed block,
         oldest first.  A close that fails does not fail the commit: the
         block stays sealed and :attr:`close_failure` names it until a later
@@ -316,8 +319,7 @@ class DatabaseLedger:
             self._entry_meta[entry.transaction_id] = time.monotonic_ns()
         if self._sealed and self._sealed[-1][0] == entry.block_id:
             try:
-                while self.close_next_ready_block() is not None:
-                    self.commit_closes += 1
+                self.commit_closes += self.close_ready_blocks()
             except InjectedCrashError:
                 raise
             except Exception:
@@ -399,21 +401,26 @@ class DatabaseLedger:
             self._closed_height = block_id
             return block
 
-    def close_open_block(self) -> Optional[BlockRow]:
+    def close_ready_blocks(self) -> int:
+        """Close every sealed block, oldest first; returns how many closed.
+
+        Stops at the first close that fails and raises its error.
+        """
+        with self.storage_lock:
+            closed = 0
+            while self.close_next_ready_block() is not None:
+                closed += 1
+            return closed
+
+    def close_open_block(self) -> int:
         """Synchronous path: seal the open block and close everything ready.
 
-        Returns the last block closed, or None if nothing was closable.
-        Closing an empty open block is a no-op — no empty blocks are ever
-        emitted.
+        Returns how many blocks closed.  Closing an empty open block is a
+        no-op — no empty blocks are ever emitted.
         """
         with self.storage_lock:
             self._seal()
-            last: Optional[BlockRow] = None
-            while True:
-                block = self.close_next_ready_block()
-                if block is None:
-                    return last
-                last = block
+            return self.close_ready_blocks()
 
     def _close_block(self, block_id: int, expected_count: int) -> BlockRow:
         """Form and persist one sealed block (requires ``storage_lock``).

@@ -13,15 +13,17 @@ The commit path is split into three stages (SQL Ledger §4.2):
 The paper runs stage 3 off the commit path, for a many-core server.  Here
 it runs on the thread that asks for it, under the ``storage_lock`` that
 thread already holds: the commit that fills a block closes every ready
-sealed block once its COMMIT record is durable
-(:meth:`repro.core.database_ledger.DatabaseLedger.enqueue`), and consumers
+sealed block once its COMMIT record is appended (durable at the group's
+one fsync under group commit;
+:meth:`repro.core.database_ledger.DatabaseLedger.enqueue`), and consumers
 that need a closed chain tip — digest generation, receipts, truncation,
 checkpointing, clean shutdown — call :meth:`LedgerPipeline.drain`.
 
 A close that fails on the commit path does not fail the commit, whose
 COMMIT record is already in the log: the block stays sealed, the ledger
 records the error (``health()`` says ``degraded``) and the next drain, or
-the next commit that fills a block, retries it.
+the next commit that fills a block, retries it (the server drains before it
+sheds a write for it).
 """
 
 from __future__ import annotations
@@ -67,10 +69,7 @@ class LedgerPipeline:
             ) as span:
                 if seal_open:
                     self._ledger.seal_open_block()
-                closed = 0
-                while self._ledger.close_next_ready_block() is not None:
-                    closed += 1
-                span.set_attribute("blocks", closed)
+                span.set_attribute("blocks", self._ledger.close_ready_blocks())
             self._drains += 1
 
     def stats(self) -> Dict[str, object]:

@@ -32,10 +32,9 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   recomputed off-lock, so commits proceed concurrently with verification.
 * **One engine, range tasks.**  The chain, block-root, table-root and index
   invariants are each a range task in :mod:`repro.core.verify_parallel`.
-  The verifier plans one range per relation (one slice of every block for
-  the chain-level tasks), runs the tasks in a plain loop on the calling
-  thread with the leaf-hash cache, merges the partial results and compares
-  roots.  Full and incremental runs execute the same task code.
+  The verifier runs one task per relation or index (one over every block
+  for the chain-level tasks) on the calling thread with the leaf-hash
+  cache, merges the results and compares roots.  Full and incremental runs execute the same task code.
 * **Incremental mode** (``mode="incremental"`` + a
   :class:`repro.core.verify_snapshot.VerificationCheckpoint` — the
   in-memory object an earlier passing run returned, never read from a
@@ -342,14 +341,11 @@ class LedgerVerifier:
             if table.history is not None:
                 yield table_index, "history", table.history
 
-    def _run_tasks(
-        self, report, snapshot, task, args_list
-    ) -> List[Dict[str, Any]]:
-        """Run the current invariant's tasks in order; so do findings."""
-        results = [task(snapshot, self._cache, args) for args in args_list]
-        for result in results:
-            report.findings.extend(result["findings"])
-        return results
+    def _run_task(self, report, snapshot, task, *args) -> Dict[str, Any]:
+        """Run one range task; its findings join the report in order."""
+        result = task(snapshot, self._cache, *args)
+        report.findings.extend(result["findings"])
+        return result
 
     # ------------------------------------------------------------------
     # Invariant 1 — digests match recomputed block hashes
@@ -418,8 +414,7 @@ class LedgerVerifier:
                     {"missing": missing},
                 )
             )
-        results = self._run_tasks(report, snapshot, chain_task, [block_ids])
-        scanned = sum(result["count"] for result in results)
+        scanned = self._run_task(report, snapshot, chain_task)["count"]
         report.blocks_verified += scanned
         self._m.blocks_scanned.inc(scanned)
 
@@ -447,12 +442,8 @@ class LedgerVerifier:
             )
 
     def _check_block_roots(self, report, snapshot) -> None:
-        results = self._run_tasks(
-            report, snapshot, block_root_task, [sorted(snapshot.blocks)]
-        )
-        report.transactions_verified += sum(
-            result["transactions"] for result in results
-        )
+        result = self._run_task(report, snapshot, block_root_task)
+        report.transactions_verified += result["transactions"]
         self._report_unchained_entries(report, snapshot)
 
     # ------------------------------------------------------------------
@@ -465,28 +456,26 @@ class LedgerVerifier:
         """Rebuild (sequence, leaf hash) events per table and transaction.
 
         Every relation is one range task.  The tasks do the expensive
-        transcode + hash; the per-relation event maps are merged here per
-        table in task order, which is heap order.
+        transcode + hash; a table's base and history event maps are merged
+        here in that order, each in heap order.
         The events of transactions still open at capture are dropped here,
         whole: they have no recorded root to compare against yet.  Full-row
         leaves are kept, in heap order, for the index check.
         """
-        args_list = [
-            (table_index, which, 0, len(relation.records))
-            for table_index, which, relation in self._relations(snapshot)
-        ]
         self._full_rows = {}
-        results = self._run_tasks(report, snapshot, events_task, args_list)
-        self._m.rows_scanned.inc(sum(result["count"] for result in results))
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
-        for args, result in zip(args_list, results):
-            events = merged.setdefault(args[0], result["events"])
+        scanned = 0
+        for table_index, which, _ in self._relations(snapshot):
+            result = self._run_task(
+                report, snapshot, events_task, table_index, which
+            )
+            scanned += result["count"]
+            events = merged.setdefault(table_index, result["events"])
             if events is not result["events"]:
                 for tid, pairs in result["events"].items():
                     events.setdefault(tid, []).extend(pairs)
-            self._full_rows.setdefault((*args[:2], None), []).extend(
-                result["full_rows"]
-            )
+            self._full_rows[table_index, which, None] = result["full_rows"]
+        self._m.rows_scanned.inc(scanned)
         for events in merged.values():
             for tid in snapshot.active_tids:
                 events.pop(tid, None)
@@ -654,16 +643,12 @@ class LedgerVerifier:
             item for item in self._relations(snapshot)
             if item[2].index_records
         ]
-        args_list = [
-            (table_index, which, name, 0, len(copies))
-            for table_index, which, relation in indexed
-            for name, copies in relation.index_records.items()
-        ]
-        results = self._run_tasks(report, snapshot, index_task, args_list)
-        for args, result in zip(args_list, results):
-            self._full_rows.setdefault(args[:3], []).extend(
-                result["full_rows"]
-            )
+        for table_index, which, relation in indexed:
+            for name in relation.index_records:
+                result = self._run_task(
+                    report, snapshot, index_task, table_index, which, name
+                )
+                self._full_rows[table_index, which, name] = result["full_rows"]
         leaves: Dict[Tuple, List[bytes]] = {}
         for table_index, which, relation in indexed:
             for source in (None, *relation.index_records):

@@ -3,36 +3,32 @@
 The paper notes verification parallelizes naturally: every chain link, every
 block root and every per-transaction table root can be recomputed
 independently.  Each scan-heavy invariant is therefore written exactly once,
-as a *range task* — "check one range of an immutable snapshot":
+as a *range task* — "check one part of an immutable snapshot":
 
-* ``chain``     — a slice of block ids; each block's recorded previous-block
-                  hash is compared with the recomputed hash of its
-                  predecessor, so slices need no stitching and every block
-                  is hashed once, as somebody's predecessor.
-* ``block_root``— a slice of block ids, each recomputing its transactions
-                  Merkle root.
-* ``table_root``— a record range of one relation, transcoded and hashed into a
-                  partial per-transaction event map the caller merges, plus
-                  each record's full-row leaf if the relation has indexes.
-* ``index``     — a range of one index's copies, hashed into full-row
-                  leaves the caller sorts and compares with the base's.
+* ``chain``     — every block; each block's recorded previous-block hash is
+                  compared with the recomputed hash of its predecessor, so
+                  every block is hashed once, as somebody's predecessor.
+* ``block_root``— every block, each recomputing its transactions Merkle
+                  root.
+* ``table_root``— one relation's records, transcoded and hashed into a
+                  per-transaction event map the caller merges, plus each
+                  record's full-row leaf if the relation has indexes.
+* ``index``     — one index's copies, hashed into full-row leaves the
+                  caller sorts and compares with the base's.
 
-A task is a plain function of ``(snapshot, cache, args)``, ``cache`` a
+A task is a plain function of ``(snapshot, cache, *args)``, ``cache`` a
 :class:`LeafHashCache`.
 :class:`repro.core.verification.LedgerVerifier` runs them in a plain loop on
-the calling thread, one range per relation (one slice of every block for the
-chain-level tasks), and merges and compares their results.  Every task
+the calling thread and merges and compares their results.  Every task
 shares the caller's :class:`LeafHashCache` (row-version leaves in
 ``table_root`` and ``index``, block roots in ``block_root``; the entry and
-block rows themselves were memoized at capture).  The ranges are the unit an
-executor would hand out, should a box that can time more than one core show
-that it pays.
+block rows themselves were memoized at capture).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.verify_snapshot import (
     Event,
@@ -102,12 +98,12 @@ def _derive(
 # ----------------------------------------------------------------------
 
 
-def chain_task(snapshot, cache, block_ids: Sequence[int]) -> Dict[str, Any]:
-    """Verify the link from each block of the slice to its predecessor."""
+def chain_task(snapshot, cache) -> Dict[str, Any]:
+    """Verify the link from each block to its predecessor."""
     blocks = snapshot.blocks
     anchor = snapshot.anchor
     findings: List[Finding] = []
-    for block_id in block_ids:
+    for block_id in sorted(blocks):
         block = blocks[block_id]
         if block_id == 0:
             if block.previous_block_hash is not None:
@@ -136,13 +132,11 @@ def chain_task(snapshot, cache, block_ids: Sequence[int]) -> Dict[str, Any]:
                     {"block_id": block_id},
                 )
             )
-    return {"findings": findings, "count": len(block_ids)}
+    return {"findings": findings, "count": len(blocks)}
 
 
-def block_root_task(
-    snapshot, cache, block_ids: Sequence[int]
-) -> Dict[str, Any]:
-    """Recompute the transactions Merkle root for a slice of blocks.
+def block_root_task(snapshot, cache) -> Dict[str, Any]:
+    """Recompute the transactions Merkle root of every block.
 
     A root is memoized in ``cache`` under the exact concatenation of the
     block's ordered entry hashes — every input of the root — so a block
@@ -150,7 +144,7 @@ def block_root_task(
     """
     findings: List[Finding] = []
     transactions = 0
-    for block_id in block_ids:
+    for block_id in sorted(snapshot.blocks):
         block = snapshot.blocks[block_id]
         block_entries = snapshot.entries_by_block.get(block_id, [])
         hashes = [e.entry_hash() for e in block_entries]
@@ -182,17 +176,16 @@ def block_root_task(
 
 
 def events_task(
-    snapshot, cache, args: Tuple[int, str, int, int]
+    snapshot, cache, table_index: int, which: str
 ) -> Dict[str, Any]:
-    """Hash one record range of a relation into partial per-tid events.
+    """Hash one relation's records into per-tid events.
 
-    Returns ``{tid: [(seq, leaf), ...]}`` partials (§3.4.1-4); the expensive
+    Returns ``{tid: [(seq, leaf), ...]}`` (§3.4.1-4); the expensive
     record-kernel pass (canonical serialization) + SHA-256 happens here.
     For a relation with indexes, ``full_rows`` is :func:`_full_rows`.
     """
-    table_index, which, start, end = args
     relation = _relation(snapshot, table_index, which)
-    span = relation.records[start:end]
+    span = relation.records
     derived = _derive(relation, [record for _, _, record in span], cache)
     events: Dict[Optional[int], List[Tuple[int, bytes]]] = {}
     findings: List[Finding] = []
@@ -219,12 +212,11 @@ def events_task(
 
 
 def index_task(
-    snapshot, cache, args: Tuple[int, str, str, int, int]
+    snapshot, cache, table_index: int, which: str, index_name: str
 ) -> Dict[str, Any]:
-    """Hash one range of an index's stored copies into :func:`_full_rows`."""
-    table_index, which, index_name, start, end = args
+    """Hash one index's stored copies into :func:`_full_rows`."""
     relation = _relation(snapshot, table_index, which)
-    records = relation.index_records[index_name][start:end]
+    records = relation.index_records[index_name]
     return {
         "full_rows": _full_rows(_derive(relation, records, cache)),
         "findings": [],

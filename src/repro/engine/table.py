@@ -406,14 +406,18 @@ class Table:
             for row, rid in zip(rows, rids):
                 key_index.add(row, rid)
         logged = list(zip(rids, records))
+
+        def take_back() -> None:
+            self.drop_key_indexes()
+            for row, rid in zip(reversed(rows), reversed(rids)):
+                self._physical_remove(rid, row)
+
         try:
             self._wal.append(DmlRecord(kind, txn.tid, self.table_id, logged))
         except Exception:
             # Nothing reached the log and no undo is recorded yet: take the
             # rows back out here, unlogged, so a rollback finds none of them.
-            self.drop_key_indexes()
-            for row, rid in zip(reversed(rows), reversed(rids)):
-                self._physical_remove(rid, row)
+            take_back()
             raise
 
         def undo_insert() -> None:
@@ -421,9 +425,7 @@ class Table:
             # the insert frame, so that if the transaction later commits
             # (savepoint rollback) redo replays the insert AND its reversal
             # in order (ARIES CLR semantics).
-            self.drop_key_indexes()
-            for row, rid in zip(reversed(rows), reversed(rids)):
-                self._physical_remove(rid, row)
+            take_back()
             undo_kind = DELETE if kind == INSERT else DELETE_MANY
             self._wal.append(
                 DmlRecord(undo_kind, txn.tid, self.table_id, logged, clr=True)

@@ -26,7 +26,9 @@ Architecture (one process, all stdlib)::
       tamper-detected  → refuse data ops outright (verification wins)
       degraded         → writes shed with DEGRADED, verified reads keep
                          flowing (a failed block close or a dead
-                         monitor ≠ data loss)
+                         monitor ≠ data loss); a failed close is retried
+                         first, within the write's budget, and the write
+                         goes ahead if that clears the tier
 
 Duplicate suppression: write requests may carry a client-minted
 ``txn_uuid``; the server remembers the commit receipt coordinates per uuid
@@ -61,6 +63,7 @@ from repro.core.receipts import generate_receipt
 from repro.errors import (
     CatalogError,
     ConstraintError,
+    InjectedCrashError,
     InjectedFaultError,
     LedgerError,
     LockError,
@@ -615,11 +618,11 @@ class LedgerServer:
     # /healthz renders, cached for HEALTH_CACHE_SECONDS
     # ------------------------------------------------------------------
 
-    def _health_tier(self) -> str:
+    def _health_tier(self, fresh: bool = False) -> str:
         now = time.monotonic()
         with self._tier_lock:
             stamp, tier = self._tier_cache
-            if now - stamp < HEALTH_CACHE_SECONDS:
+            if not fresh and now - stamp < HEALTH_CACHE_SECONDS:
                 return tier
         tier = self._db.health()["status"]
         with self._tier_lock:
@@ -660,15 +663,17 @@ class LedgerServer:
         if op == "receipt":
             return self._op_receipt(payload, request)
         if op == "insert":
-            self._require_writable(tier)
+            self._require_writable(tier, request)
             return self._idempotent_write(
                 payload, lambda: self._op_insert(payload)
             )
         if op == "execute":
-            return self._op_execute(session, payload, tier)
+            return self._op_execute(session, payload, tier, request)
         raise RequestError(BAD_REQUEST, f"unknown op {op!r}")
 
-    def _require_writable(self, tier: str) -> None:
+    def _require_writable(self, tier: str, request: _Request) -> None:
+        if tier == "degraded" and self._retry_failed_close(request):
+            tier = self._health_tier(fresh=True)
         if tier == "degraded":
             raise RequestError(
                 DEGRADED,
@@ -677,14 +682,33 @@ class LedgerServer:
                 "verified reads keep flowing",
             )
 
+    def _retry_failed_close(self, request: _Request) -> bool:
+        """Retry a sealed block's failed close before a write is shed.
+
+        Nothing else retries it on a server without digest, receipt or
+        monitor traffic: the gate sheds the block-filling commit that
+        would.  The retry is a drain of the sealed blocks within the
+        request's budget; True when it closed them all.
+        """
+        if self._db.ledger.close_failure is None:
+            return False
+        try:
+            self._drain(request, seal_open=False)
+        except InjectedCrashError:
+            raise
+        except Exception:  # still failing, or out of budget: shed
+            return False
+        return True
+
     # -- reads ---------------------------------------------------------
 
     def _op_select(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         rows = self._db.select(str(payload["table"]))
         return {"rows": rows, "count": len(rows)}
 
-    def _drain(self, request: _Request) -> None:
-        """Close every sealed block within the request's remaining budget.
+    def _drain(self, request: _Request, seal_open: bool = True) -> None:
+        """Close every sealed block within the request's remaining budget
+        (the open block too, unless ``seal_open`` is False).
 
         The budget bounds the wait for ``storage_lock``, held across the
         drain; a budget past what a lock wait accepts waits that long.
@@ -700,7 +724,7 @@ class LedgerServer:
                 DEADLINE_EXCEEDED, "deadline expired waiting for the drain barrier"
             )
         try:
-            self._db.pipeline.drain(seal_open=True)
+            self._db.pipeline.drain(seal_open=seal_open)
         except LedgerError as exc:  # a sealed block cannot close: ours
             raise RequestError(INTERNAL, str(exc)) from exc
         finally:
@@ -782,7 +806,11 @@ class LedgerServer:
         return self._committer.run(work)
 
     def _op_execute(
-        self, session: _Session, payload: Dict[str, Any], tier: str
+        self,
+        session: _Session,
+        payload: Dict[str, Any],
+        tier: str,
+        request: _Request,
     ) -> Dict[str, Any]:
         sql = str(payload["sql"])
         kind = protocol.statement_kind(sql)
@@ -796,7 +824,7 @@ class LedgerServer:
                 "rows": sql_session.execute(sql),
                 "in_transaction": sql_session.in_transaction,
             }
-        self._require_writable(tier)
+        self._require_writable(tier, request)
         if sql_session.in_transaction or kind == "transaction":
             # Interactive multi-request transactions hold NOWAIT table locks
             # across frames; they execute directly (grouping would only

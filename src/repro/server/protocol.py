@@ -27,8 +27,8 @@ same ``txn_uuid``!) can succeed:
   (or while) the server could finish it.  Retryable with a fresh deadline.
 * ``DEGRADED``         — a sealed block failed to close, the monitor is
   down or the engine stopped; writes are shed while verified reads keep
-  flowing.  Retryable: the next drain or block-filling commit retries the
-  close.
+  flowing.  Retryable: the server retries a failed close before it sheds
+  the next write.
 * ``SHUTTING_DOWN``    — graceful drain-then-stop in progress.  Retryable
   against a replacement server.
 * ``TAMPER_DETECTED``  — the continuous verifier found mismatching hashes;

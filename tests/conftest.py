@@ -1,4 +1,5 @@
-"""Hypothesis profiles, and the ledger's one-lock check.
+"""Hypothesis profiles, a clean fault registry, and the ledger's one-lock
+check.
 
 ``ci`` is the long run of the ledger model
 (``tests/core/test_ledger_model.py``): 300 examples of up to 50 rule
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.database_ledger import DatabaseLedger
+from repro.faults import FAULTS
 
 settings.register_profile(
     "ci",
@@ -23,6 +25,15 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+@pytest.fixture(autouse=True)
+def clean_faults():
+    """Every test starts and ends with a disarmed fault registry, so a
+    failing assertion mid-test never leaves an armed fault behind."""
+    FAULTS.reset()
+    yield
+    FAULTS.reset()
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """The staged commit pipeline: block closure, drain, concurrency.
 
 Covers the §4.2 stages as this reproduction runs them: a commit seals the
-block its assignment fills and, once its COMMIT record is durable, closes
-it on its own thread; consumers that need a closed chain tip use the drain
+block its assignment fills and, once its COMMIT record is appended,
+closes it on its own thread; consumers that need a closed chain tip use the drain
 barrier.  A close that fails leaves the commit acknowledged, the block
 sealed and the ledger degraded until a close succeeds.
 """
@@ -28,6 +28,16 @@ def seed(db, count, prefix="row", username="alice"):
         run(db, username, lambda t, i=i: db.insert(
             t, "accounts", [[f"{prefix}{i}", i]]
         ))
+
+
+def assert_gap_free(entries):
+    """Each block's ordinals run 0..n-1 and the block ids 0..m-1."""
+    by_block = {}
+    for entry in entries:
+        by_block.setdefault(entry.block_id, []).append(entry.ordinal)
+    for block_id, ordinals in by_block.items():
+        assert sorted(ordinals) == list(range(len(ordinals))), block_id
+    assert sorted(by_block) == list(range(len(by_block)))
 
 
 def quiesce(db):
@@ -167,14 +177,10 @@ class TestFailedCommitAppend:
         names = {row["name"] for row in db.select("accounts")}
         assert "inside" not in names and len(names) == 8
         # Every entry sits in a closed block, ordinals gap-free per block.
-        by_block = {}
-        for entry in db.ledger.all_entries():
-            by_block.setdefault(entry.block_id, []).append(entry.ordinal)
-        for block in db.ledger.blocks():
-            assert sorted(by_block.pop(block.block_id)) == list(
-                range(block.transaction_count)
-            )
-        assert by_block == {}
+        assert_gap_free(db.ledger.all_entries())
+        assert [b.block_id for b in db.ledger.blocks()] == sorted(
+            {e.block_id for e in db.ledger.all_entries()}
+        )
         assert len(tids) == sum(b.transaction_count for b in db.ledger.blocks())
 
     def test_close_completes_and_the_reopen_verifies(self, tmp_path):
@@ -411,15 +417,7 @@ class TestConcurrentSessions:
             len([e for e in entries if e.username.startswith("w")])
             == self.THREADS * self.PER_THREAD
         )
-        by_block = {}
-        for entry in entries:
-            by_block.setdefault(entry.block_id, []).append(entry.ordinal)
-        for block_id, ordinals in by_block.items():
-            assert sorted(ordinals) == list(range(len(ordinals))), (
-                f"block {block_id} has ordinal gaps: {sorted(ordinals)}"
-            )
-        block_ids = sorted(by_block)
-        assert block_ids == list(range(len(block_ids)))
+        assert_gap_free(entries)
 
     def test_concurrent_commits_with_monitor_and_server_running(self, db):
         db.start_monitor(interval=0.05)
@@ -444,6 +442,7 @@ class TestFailedClose:
     ):
         base = quiesce(db)
         FAULTS.arm("ledger.block_persist", action="fail")
+        OBS.events.reset()  # no event of an earlier test's block `base`
         OBS.events.enable()
         try:
             seed(db, 4)  # fills block `base`; its close fails

@@ -99,14 +99,13 @@ def ref_merkle_root(leaves):
     return hasher.root()
 
 
-def ref_events_task(snapshot, cache, args):
-    table_index, which, start, end = args
+def ref_events_task(snapshot, cache, table_index, which):
     relation = _relation(snapshot, table_index, which)
     events: Dict[Optional[int], List[Tuple[int, bytes]]] = {}
     findings: List[Finding] = []
     scanned = 0
     kind = "history table" if relation.is_history else "table"
-    for page_id, slot, record in relation.records[start:end]:
+    for page_id, slot, record in relation.records:
         try:
             derived, _ = ref_cached_record_events(relation, record, cache)
         except StorageError as exc:
@@ -125,13 +124,12 @@ def ref_events_task(snapshot, cache, args):
     return {"events": events, "findings": findings, "count": scanned}
 
 
-def ref_keyed_leaves_task(snapshot, cache, args):
-    table_index, which, source, start, end = args
+def ref_keyed_leaves_task(snapshot, cache, table_index, which, source):
     relation = _relation(snapshot, table_index, which)
     if source is None:
-        records = [record for _, _, record in relation.records[start:end]]
+        records = [record for _, _, record in relation.records]
     else:
-        records = relation.index_records[source][start:end]
+        records = relation.index_records[source]
     keyed: List[Tuple[Tuple, bytes]] = []
     findings: List[Finding] = []
     for record in records:
@@ -157,14 +155,12 @@ class ReferenceVerifier(LedgerVerifier):
     """The verifier with the record pass and index check it had before."""
 
     def _collect_events(self, report, snapshot):
-        args_list = [
-            (table_index, which, 0, len(relation.records))
-            for table_index, which, relation in self._relations(snapshot)
-        ]
-        results = self._run_tasks(report, snapshot, ref_events_task, args_list)
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
-        for args, result in zip(args_list, results):
-            events = merged.setdefault(args[0], result["events"])
+        for table_index, which, _ in self._relations(snapshot):
+            result = self._run_task(
+                report, snapshot, ref_events_task, table_index, which
+            )
+            events = merged.setdefault(table_index, result["events"])
             if events is not result["events"]:
                 for tid, pairs in result["events"].items():
                     events.setdefault(tid, []).extend(pairs)
@@ -178,18 +174,13 @@ class ReferenceVerifier(LedgerVerifier):
             item for item in self._relations(snapshot)
             if item[2].index_records
         ]
-        args_list = []
-        for table_index, which, relation in indexed:
-            sources = [(None, relation.records)]
-            sources.extend(relation.index_records.items())
-            for source, records in sources:
-                args_list.append((table_index, which, source, 0, len(records)))
         merged: Dict[Tuple[int, str, Optional[str]], List] = {}
-        results = self._run_tasks(
-            report, snapshot, ref_keyed_leaves_task, args_list
-        )
-        for args, result in zip(args_list, results):
-            merged.setdefault(args[:3], []).extend(result["keyed"])
+        for table_index, which, relation in indexed:
+            for source in (None, *relation.index_records):
+                merged[table_index, which, source] = self._run_task(
+                    report, snapshot, ref_keyed_leaves_task,
+                    table_index, which, source,
+                )["keyed"]
 
         def root_of(table_index, which, source):
             keyed = sorted(merged.get((table_index, which, source), []))

@@ -1,8 +1,7 @@
 """One verification engine: the range tasks, cold and warm.
 
 The chain, block-root, table-root and index invariants are range tasks
-(per block range, per record range), run one range per relation on the
-calling thread.  With the leaf-hash cache cleared and warm, every attack
+(every block; each relation or index), run on the calling thread.  With the leaf-hash cache cleared and warm, every attack
 must be caught with the same findings in the same order, a clean database
 must report identical counters, and concurrent runs must never see each
 other's snapshot.
@@ -128,20 +127,13 @@ class TestTamperDetection:
         assert not report.ok
         assert findings_by_invariant(report) == {"block_root"}
 
-    def test_interior_block_fork_breaks_chain(self, db, seeded):
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_block_fork_breaks_chain(self, db, seeded, where):
+        """A fork of the first block or of one in the middle of the chain."""
         blocks = db.ledger.blocks()
-        assert len(blocks) >= 2
-        fork_block(db, blocks[0].block_id)
-        report = verify_both(db, [seeded])
-        assert not report.ok
-        assert "chain" in findings_by_invariant(report)
-
-    def test_middle_block_fork_breaks_chain(self, db, seeded):
-        """A fork of a block in the middle of the chain, not its first."""
-        blocks = db.ledger.blocks()
-        middle = blocks[len(blocks) // 2].block_id
-        assert 0 < middle < blocks[-1].block_id
-        fork_block(db, middle)
+        forked = blocks[0 if where == "first" else len(blocks) // 2]
+        assert forked.block_id < blocks[-1].block_id
+        fork_block(db, forked.block_id)
         report = verify_both(db, [seeded])
         assert not report.ok
         assert "chain" in findings_by_invariant(report)

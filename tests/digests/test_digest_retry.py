@@ -20,13 +20,6 @@ from repro.faults import FAULTS
 from repro.obs import OBS
 
 
-@pytest.fixture(autouse=True)
-def clean_faults():
-    FAULTS.reset()
-    yield
-    FAULTS.reset()
-
-
 @pytest.fixture
 def storage(tmp_path):
     return ImmutableBlobStorage(str(tmp_path / "blobs"))

@@ -35,13 +35,6 @@ from repro.errors import InjectedCrashError, RecoveryError
 from repro.faults import FAULTS
 
 
-@pytest.fixture(autouse=True)
-def clean_faults():
-    FAULTS.reset()
-    yield
-    FAULTS.reset()
-
-
 def make_schema(name="items"):
     return TableSchema(
         name,

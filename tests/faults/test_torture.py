@@ -8,8 +8,6 @@ the degradation drills, are driven by the ledger model
 (``tests/core/test_ledger_model.py``).
 """
 
-import time
-
 from repro.digests import DigestManager
 from repro.digests.digest_manager import RetryPolicy
 from repro.errors import TransientStorageError
@@ -26,15 +24,6 @@ from repro.faults.torture import (
 from tests.core.test_ledger_model import BLOCK_SIZE, check_invariants, ledger_model
 
 _BY_POINT = {spec.point: spec for spec in KILL_MATRIX}
-
-
-def wait_until(predicate, timeout=10.0, interval=0.005):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def _assert_ok(result):
@@ -164,7 +153,7 @@ class TestDegradationDrills:
             monitor = machine.db.start_monitor(interval=0.01)
             assert monitor.wait_for_cycle(timeout=10.0)
             FAULTS.arm("monitor.cycle", action="fail")
-            assert wait_until(lambda: not monitor.running)
+            assert monitor.wait_for(lambda: not monitor.running)
             FAULTS.reset()
             health = machine.db.health()
             assert health["status"] == "degraded", health

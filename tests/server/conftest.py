@@ -1,6 +1,5 @@
 """Shared fixtures for ledger-server tests: a live server over a real
-socket, a pooled retry client, and a disarmed fault registry around every
-test (the server registers process-wide fault points)."""
+socket and a pooled retry client."""
 
 import pytest
 
@@ -10,15 +9,7 @@ from repro.digests.digest_manager import RetryPolicy
 from repro.engine.clock import LogicalClock
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import INT, VARCHAR
-from repro.faults import FAULTS
 from repro.server.ledger_server import LedgerServer
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    FAULTS.reset()
-    yield
-    FAULTS.reset()
 
 
 @pytest.fixture(autouse=True)

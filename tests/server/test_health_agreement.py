@@ -18,35 +18,29 @@ from repro.server.ledger_server import HEALTH_CACHE_SECONDS
 from repro.server.protocol import DEGRADED, TAMPER_DETECTED, RequestError
 
 
-def _wait(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.01)
-
-
 def _clean(db, client):
     client.insert("items", [["pre", 1]])
 
 
 def _close_failed(db, client):
     # The commit that fills a block cannot close it: the commit is
-    # acknowledged and the block stays sealed until a close succeeds.
+    # acknowledged and the block stays sealed.  The fault stays armed, so
+    # the close the write gate retries fails too.
     FAULTS.arm("ledger.block_persist", action="fail")
-    try:
-        for i in range(4):  # fills a block (block_size=4)
-            client.insert("items", [[f"s{i}", i]])
-    finally:
-        FAULTS.reset()
+    for i in range(4):  # fills a block (block_size=4)
+        client.insert("items", [[f"s{i}", i]])
     assert db.pipeline.stats()["failed_block"] is not None
 
 
 def _close_recovered(db, client):
-    # A failed close, then a commit that fills the next block: its close
-    # retries the sealed block first, and health is ok again.
+    # A failed close, then the fault clears.  Once the cached tier has
+    # expired, the next write meets "degraded", and the server retries the
+    # close before shedding it: the write is accepted and health is ok.
     _close_failed(db, client)
-    for i in range(4):
-        client.insert("items", [[f"r{i}", i]])
+    FAULTS.reset()
+    time.sleep(2 * HEALTH_CACHE_SECONDS)
+    assert client.health()["status"] == "degraded"
+    client.insert("items", [["r", 1]])
     assert db.pipeline.stats()["failed_block"] is None
     assert db.ledger.sealed_pending() == 0
 
@@ -55,7 +49,7 @@ def _monitor_dead(db, client):
     monitor = db.start_monitor(interval=0.01)
     assert monitor.wait_for_cycle(timeout=10.0)
     FAULTS.arm("monitor.cycle", action="fail")
-    _wait(lambda: not monitor.running)
+    assert monitor.wait_for(lambda: not monitor.running)
     FAULTS.reset()
 
 

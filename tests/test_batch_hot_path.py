@@ -56,13 +56,6 @@ from repro.faults import FAULTS
 from repro.obs import OBS
 
 
-@pytest.fixture(autouse=True)
-def clean_faults():
-    FAULTS.reset()
-    yield
-    FAULTS.reset()
-
-
 def make_schema(name="items"):
     return TableSchema(
         name,
