@@ -173,8 +173,8 @@ class DatabaseLedger:
         #: block closed — what the next digest names — so a digest decodes
         #: no entry.  Empty after a restart until the first digest fills it.
         self._tip_commit_time: Optional[Tuple[int, dt.datetime]] = None
-        #: Blocks closed by the commits that filled them (not by drains).
-        self.commit_closes = 0
+        #: Blocks closed since open, by filling commits and drains alike.
+        self.blocks_closed = 0
         #: (block id, error) of the last close that failed; the block stays
         #: sealed and ``health()`` degraded until a close succeeds.
         self.close_failure: Optional[Tuple[int, str]] = None
@@ -319,7 +319,7 @@ class DatabaseLedger:
             self._entry_meta[entry.transaction_id] = time.monotonic_ns()
         if self._sealed and self._sealed[-1][0] == entry.block_id:
             try:
-                self.commit_closes += self.close_ready_blocks()
+                self.close_ready_blocks()
             except InjectedCrashError:
                 raise
             except Exception:
@@ -378,7 +378,7 @@ class DatabaseLedger:
         are not all in hand fails the closure with a :class:`LedgerError`.
         A failed close leaves the block sealed, records it in
         :attr:`close_failure`, emits ``block.close_failed`` and raises; a
-        successful one clears the record.
+        successful one clears the record and counts in :attr:`blocks_closed`.
         """
         with self.storage_lock:
             ready = self.next_ready_block()
@@ -399,6 +399,7 @@ class DatabaseLedger:
             self._sealed.popleft()
             self._pending.pop(block_id, None)
             self._closed_height = block_id
+            self.blocks_closed += 1
             return block
 
     def close_ready_blocks(self) -> int:

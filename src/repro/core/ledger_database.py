@@ -723,8 +723,8 @@ class LedgerDatabase:
         block failed to close (it stays sealed until a drain or a later
         block-filling commit closes it); each problem names the thread or
         the block, and the last error.
-        Also ``degraded``: the engine stopped after a COMMIT's fsync failed
-        (``engine.failure``); its problem says to reopen.
+        Also ``degraded``: the engine stopped (``engine.failure``); its
+        problem says to reopen.
         ``ok`` otherwise.  ``/healthz`` renders this verdict, ``op=health``
         returns it and the server's write gate reads its ``status``.
         """
@@ -759,8 +759,8 @@ class LedgerDatabase:
             problems.append(
                 {
                     "thread": "engine",
-                    "detail": "a COMMIT's fsync failed and the engine "
-                    "stopped; reopen the database to recover",
+                    "detail": "the engine stopped; reopen the database "
+                    "to recover",
                     "last_error": self.engine.failure,
                 }
             )

@@ -78,7 +78,7 @@ class LedgerPipeline:
         ledger = self._ledger
         failure = ledger.close_failure
         return {
-            "blocks_built": ledger.commit_closes,
+            "blocks_built": ledger.blocks_closed,
             "drains": self._drains,
             "sealed_pending": ledger.sealed_pending(),
             "queue_depth": ledger.pending_entries,

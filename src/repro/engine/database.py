@@ -263,8 +263,8 @@ class Database:
 
     @property
     def failure(self) -> Optional[str]:
-        """Why the engine stopped (a COMMIT whose fsync failed after its
-        record reached the log), or None while it runs."""
+        """Why the engine stopped (see ``TransactionManager.failure``), or
+        None while it runs."""
         assert self._txn_manager is not None
         return self._txn_manager.failure
 
@@ -499,6 +499,7 @@ class Database:
             info.schema,
             self._wal,
             hooks_ref=lambda: self._hooks,
+            stop=lambda reason: setattr(self._txn_manager, "failure", reason),
             options=info.options,
             heap=heap,
             lock_manager=self._lock_manager,

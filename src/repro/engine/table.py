@@ -13,6 +13,11 @@ An update rewrites its row where it lies whenever the page can hold the new
 version, and moves it (delete + insert, a new RowId) only when it cannot.
 Either way the WAL carries a DELETE record (with the before-image) followed
 by an INSERT record; redo replays both idempotently, undo reverts them.
+
+Every write meets the log in one step, :meth:`Table._log`: memory changes,
+then the frames are appended; a failed append takes the change back and
+compensates what reached the log (ARIES CLRs, built only by
+:meth:`Table._compensate`).  A failed compensation stops the engine.
 """
 
 from __future__ import annotations
@@ -41,11 +46,14 @@ from repro.engine.wal import (
     DmlRecord,
     WalWriter,
 )
-from repro.errors import ConstraintError, StorageError
+from repro.errors import ConstraintError, InjectedCrashError, StorageError
 
 #: A row ready to store: (validated physical values, their record bytes,
 #: the record's canonical payload — :meth:`RecordKernel.write`).
 PreparedRow = Tuple[Tuple[Any, ...], bytes, bytes]
+
+#: Each DML frame kind and the kind of the CLR that compensates it.
+_MIRROR = {INSERT: DELETE, DELETE: INSERT, INSERT_MANY: DELETE_MANY}
 
 
 class Table:
@@ -57,6 +65,7 @@ class Table:
         schema: TableSchema,
         wal: WalWriter,
         hooks_ref: Callable[[], Any],
+        stop: Callable[[str], None],
         options: Optional[Dict[str, Any]] = None,
         heap: Optional[HeapFile] = None,
         lock_manager=None,
@@ -67,6 +76,8 @@ class Table:
         self._wal = wal
         self._hooks_ref = hooks_ref
         self._lock_manager = lock_manager
+        #: Stops the engine, naming why (``TransactionManager.failure``).
+        self._stop = stop
         self.heap = heap if heap is not None else HeapFile(schema.name)
         self.clustered: Optional[ClusteredIndex] = (
             ClusteredIndex(schema) if schema.primary_key else None
@@ -170,33 +181,17 @@ class Table:
             self._remove_row(txn, rid, old_row, old_record)
             return self._store_row(txn, prepared)
         self._rewrite_access_paths(rid, old_row, validated, new_record)
-        for key_index in self._key_indexes.values():
-            key_index.discard(old_row, rid)
-            key_index.add(validated, rid)
-        self._wal.append(
-            DmlRecord(DELETE, txn.tid, self.table_id, ((rid, old_record),))
-        )
-        self._wal.append(
-            DmlRecord(INSERT, txn.tid, self.table_id, ((rid, new_record),))
-        )
 
-        def undo_update() -> None:
-            # The same CLRs as undoing a remove + place at one RowId.
-            self.drop_key_indexes()
+        def take_back() -> None:
             if not self.heap.overwrite(rid, old_record):
                 page_id, slot = rid
                 raise StorageError(
                     f"cannot restore RowId({page_id}:{slot}) in {self.name!r}"
                 )
             self._rewrite_access_paths(rid, validated, old_row, old_record)
-            self._wal.append(DmlRecord(
-                DELETE, txn.tid, self.table_id, ((rid, new_record),), clr=True
-            ))
-            self._wal.append(DmlRecord(
-                INSERT, txn.tid, self.table_id, ((rid, old_record),), clr=True
-            ))
 
-        txn.record_undo(undo_update)
+        frames = ((DELETE, ((rid, old_record),)), (INSERT, ((rid, new_record),)))
+        self._log(txn, frames, take_back)
         return rid
 
     # ------------------------------------------------------------------
@@ -356,8 +351,7 @@ class Table:
     # ------------------------------------------------------------------
 
     def _store_row(self, txn: Transaction, prepared: PreparedRow) -> RowId:
-        """:meth:`_store_rows` for one row, logged as one ``INSERT`` frame
-        (undone by one ``DELETE`` CLR)."""
+        """:meth:`_store_rows` for one row, logged as one ``INSERT`` frame."""
         return self._store_rows(txn, [prepared], INSERT)[0]
 
     def _store_rows(
@@ -381,10 +375,7 @@ class Table:
             pk_keys = self.clustered.keys_of(rows)
             at = _first_taken(pk_keys, self.clustered.held)
             if at is not None:
-                pk = tuple(rows[at][o] for o in self.schema.primary_key_ordinals())
-                raise ConstraintError(
-                    f"duplicate primary key {pk!r} in table {self.name!r}"
-                )
+                raise self._duplicate_key(rows[at])
         index_keys = []
         for index in self.nonclustered.values():
             keys = index.keys_of(rows)
@@ -405,33 +396,13 @@ class Table:
         for key_index in self._key_indexes.values():
             for row, rid in zip(rows, rids):
                 key_index.add(row, rid)
-        logged = list(zip(rids, records))
 
         def take_back() -> None:
             self.drop_key_indexes()
             for row, rid in zip(reversed(rows), reversed(rids)):
                 self._physical_remove(rid, row)
 
-        try:
-            self._wal.append(DmlRecord(kind, txn.tid, self.table_id, logged))
-        except Exception:
-            # Nothing reached the log and no undo is recorded yet: take the
-            # rows back out here, unlogged, so a rollback finds none of them.
-            take_back()
-            raise
-
-        def undo_insert() -> None:
-            # Compensation: the undo itself is logged, one record mirroring
-            # the insert frame, so that if the transaction later commits
-            # (savepoint rollback) redo replays the insert AND its reversal
-            # in order (ARIES CLR semantics).
-            take_back()
-            undo_kind = DELETE if kind == INSERT else DELETE_MANY
-            self._wal.append(
-                DmlRecord(undo_kind, txn.tid, self.table_id, logged, clr=True)
-            )
-
-        txn.record_undo(undo_insert)
+        self._log(txn, ((kind, list(zip(rids, records))),), take_back)
         return rids
 
     def _remove_row(
@@ -442,17 +413,51 @@ class Table:
         old_record: bytes,
     ) -> None:
         self._physical_remove(rid, old_row)
-        self._wal.append(
-            DmlRecord(DELETE, txn.tid, self.table_id, ((rid, old_record),))
-        )
 
-        def undo_delete() -> None:
-            self._physical_restore(rid, old_row, old_record)
-            self._wal.append(DmlRecord(
-                INSERT, txn.tid, self.table_id, ((rid, old_record),), clr=True
-            ))
+        def take_back() -> None:
+            self.drop_key_indexes()
+            self.heap.restore(rid, old_record)
+            if self.clustered is not None:
+                self.clustered.insert(old_row, rid)
+            for index in self.nonclustered.values():
+                index.insert(old_row, old_record, rid)
 
-        txn.record_undo(undo_delete)
+        self._log(txn, ((DELETE, ((rid, old_record),)),), take_back)
+
+    def _log(self, txn: Transaction, frames, take_back: Callable[[], None]) -> None:
+        """Append the ``(kind, rows)`` frames of a change just made in memory:
+        the one place a table write meets the WAL.  A failed append
+        compensates the frames that reached the log (one written before its
+        fsync failed too) and re-raises; else the undo compensates them all.
+        A simulated crash propagates untouched."""
+        for at, (kind, rows) in enumerate(frames):
+            end = self._wal.end
+            try:
+                self._wal.append(DmlRecord(kind, txn.tid, self.table_id, rows))
+            except InjectedCrashError:
+                raise
+            except Exception:
+                self._compensate(txn, frames[: at + (self._wal.end != end)], take_back)
+                raise
+        txn.record_undo(lambda: self._compensate(txn, frames, take_back))
+
+    def _compensate(self, txn: Transaction, frames, take_back) -> None:
+        """Take a change back out of memory, then log the mirror CLR of each
+        of its ``frames``, newest first, so that a transaction that still
+        commits redoes the change and its reversal in order.  If either step
+        fails, memory and log disagree: the engine stops until a reopen."""
+        try:
+            take_back()
+            for kind, rows in reversed(frames):
+                self._wal.append(DmlRecord(
+                    _MIRROR[kind], txn.tid, self.table_id, rows, clr=True
+                ))
+        except Exception as exc:
+            self._stop(
+                f"undoing a change of transaction {txn.tid} failed "
+                f"({type(exc).__name__}: {exc}); reopen the database to recover"
+            )
+            raise
 
     def _physical_remove(self, rid: RowId, row: Tuple[Any, ...]) -> None:
         # Every UPDATE and DELETE removes a row, so removal patches the
@@ -475,7 +480,8 @@ class Table:
     ) -> None:
         """Point the trees at ``row``, rewritten at ``rid`` over ``old_row``:
         the clustered entry is re-keyed only if the primary key changed, and
-        each nonclustered index replaces its copy (delete, then insert)."""
+        each nonclustered and derived key index replaces its copy (delete,
+        then insert)."""
         clustered = self.clustered
         if clustered is not None and clustered.key_of(row) != clustered.key_of(old_row):
             clustered.delete(old_row)
@@ -483,16 +489,9 @@ class Table:
         for index in self.nonclustered.values():
             index.delete(old_row, rid)
             index.insert(row, record, rid)
-
-    def _physical_restore(
-        self, rid: RowId, row: Tuple[Any, ...], record: bytes
-    ) -> None:
-        self.drop_key_indexes()
-        self.heap.restore(rid, record)
-        if self.clustered is not None:
-            self.clustered.insert(row, rid)
-        for index in self.nonclustered.values():
-            index.insert(row, record, rid)
+        for key_index in self._key_indexes.values():
+            key_index.discard(old_row, rid)
+            key_index.add(row, rid)
 
     def _check_unique(
         self, row: Tuple[Any, ...], old_row: Tuple[Any, ...]
@@ -504,10 +503,7 @@ class Table:
         if clustered is not None:
             key = clustered.key_of(row)
             if key != clustered.key_of(old_row) and clustered.held((key,)):
-                pk = tuple(row[o] for o in self.schema.primary_key_ordinals())
-                raise ConstraintError(
-                    f"duplicate primary key {pk!r} in table {self.name!r}"
-                )
+                raise self._duplicate_key(row)
         for index in self.nonclustered.values():
             if not index.definition.unique:
                 continue
@@ -516,6 +512,10 @@ class Table:
                 raise ConstraintError(
                     f"duplicate key in unique index {index.name!r}"
                 )
+
+    def _duplicate_key(self, row: Tuple[Any, ...]) -> ConstraintError:
+        pk = tuple(row[o] for o in self.schema.primary_key_ordinals())
+        return ConstraintError(f"duplicate primary key {pk!r} in table {self.name!r}")
 
     def __repr__(self) -> str:
         return f"<Table {self.name!r} id={self.table_id}>"

@@ -106,8 +106,8 @@ class TransactionManager:
         # sessions begin/commit from different threads (storage mutation is
         # serialized one level up by the ledger's storage lock).
         self._state_lock = threading.Lock()
-        #: Why the engine stopped, once a COMMIT record reached the log and
-        #: its flush or fsync then failed; None while it runs.
+        #: Why the engine stopped (a COMMIT record's fsync failed after it
+        #: reached the log, or ``Table._compensate`` failed); None if it runs.
         self.failure: Optional[str] = None
 
     def require_running(self) -> None:

@@ -167,6 +167,9 @@ class TestValidateOnceEncodeOnce:
 
 
 class TestCommitPayloads:
+    """The ledger payload a COMMIT carries round-trips through its WAL form,
+    and the entry it was assigned is the one queued."""
+
     def test_payload_round_trips_through_wal_form(self, db, accounts):
         txn = db.begin("auditor")
         db.insert(txn, "accounts", [["x", 1]])

@@ -15,6 +15,9 @@ engine is caught against an earlier digest (§3.4).  Its rules:
   ``ROLLBACK``;
 * a commit that fills a block while a fault fails its close once
   (:data:`CLOSE_POINTS`): the commit stays acknowledged;
+* an INSERT, DELETE or UPDATE one of whose WAL frame appends fails once
+  (:data:`DML_FRAMES`), inside ``BEGIN`` or under autocommit: the
+  statement leaves no trace and the engine runs on;
 * digests, kept in hand or uploaded to immutable blob storage; receipts;
   truncation at a legal cut; checkpoints; a clean close and reopen;
 * a crash: plain, or at one of the in-process fault points
@@ -67,6 +70,7 @@ from repro.digests import DigestManager, ImmutableBlobStorage
 from repro.engine.clock import LogicalClock
 from repro.engine.index import DerivedKeyIndex
 from repro.engine.record import decode_record, encode_record
+from repro.engine.wal import DELETE, INSERT, INSERT_MANY
 from repro.errors import ConstraintError, InjectedCrashError, InjectedFaultError
 from repro.faults import FAULTS
 from repro.sql import SqlSession
@@ -122,6 +126,15 @@ CRASH_POINTS = {
 #: block row's; :data:`COMMIT_APPENDS` come first, from the commit itself.
 CLOSE_POINTS = ("ledger.flush_queue", "ledger.block_persist", "wal.append")
 COMMIT_APPENDS = 3  # BEGIN, INSERT, COMMIT of ``insert_one``
+
+#: The DML frames each statement of the ``failed_dml`` rule appends, in
+#: order: an INSERT's one batch frame; for DELETE and UPDATE, the history
+#: row first, then the base row's DELETE (and its new version's INSERT).
+DML_FRAMES = {
+    "insert": [INSERT_MANY],
+    "delete": [INSERT, DELETE],
+    "update": [INSERT, DELETE, INSERT],
+}
 
 #: How often each rule ran (the ``ci`` profile reports it).
 RULE_COUNTS = Counter()
@@ -595,6 +608,49 @@ class LedgerModel(RuleBasedStateMachine):
         assert self.db.health()["status"] == "ok"
         self.verify_digests()
 
+    @rule(
+        table=st.sampled_from(sorted(TABLES)),
+        kind=st.sampled_from(sorted(DML_FRAMES)),
+        append=st.integers(0, 2),
+        pick=st.integers(0, PRELOAD),
+        length=LENGTHS,
+    )
+    def failed_dml(self, table, kind, append, pick=0, length=250):
+        """The ``append``-th DML frame append of one statement fails once
+        (:data:`DML_FRAMES`), inside the open transaction or under
+        autocommit; then carry on in this process.  The statement leaves
+        no trace, the engine runs on, and a digest then verifies."""
+        rows = self.model[table]
+        if not rows:
+            kind = "insert"
+        where = f"WHERE id = {sorted(rows)[pick % len(rows)]}" if rows else ""
+        if kind == "insert":
+            sql = self._insert_sql(table, self._new_rows(2, 40))
+        elif kind == "delete":
+            sql = f"DELETE FROM {table} {where}"
+        else:
+            sql = f"UPDATE {table} SET label = {literal(label(length, 'u'))} {where}"
+        frames = DML_FRAMES[kind]
+        append %= len(frames)
+        failed = []
+
+        def fail(context):
+            failed.append(context["kind"])
+            raise InjectedFaultError("wal.append")
+
+        skip = append + (not self.savepoints)  # an autocommit's BEGIN first
+        FAULTS.arm("wal.append", action="fail", skip=skip, times=1, callback=fail)
+        try:
+            with pytest.raises(InjectedFaultError):
+                self.session.execute(sql)
+        finally:
+            FAULTS.reset()
+        assert failed == [frames[append]]
+        assert self.db.engine.failure is None
+        self._committed()
+        self.digest()
+        self.verify_digests()
+
     # -- digests, receipts, truncation -----------------------------------
 
     @rule(upload=st.booleans())
@@ -984,6 +1040,31 @@ def test_failed_close_then_carry_on(point, append):
     with ledger_model() as machine:
         machine.failed_close(point, append)
         check_invariants(machine)
+        machine.insert_one()
+        machine.crash(None, 0)
+        check_invariants(machine)
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["autocommit", "begin"])
+@pytest.mark.parametrize("kind, length, append", [
+    (kind, length, append)
+    for kind, lengths in (("insert", [40]), ("delete", [0]), ("update", [120, 250]))
+    for length in lengths
+    for append in range(len(DML_FRAMES[kind]))
+])
+def test_failed_dml_then_carry_on(kind, length, append, inside):
+    """The model's failed-DML rule on ``keyed`` at every append of each
+    statement — an UPDATE to a 120-character label rewrites its row in
+    place, one to 250 characters moves it — inside ``BEGIN`` (then
+    ``COMMIT``) or under autocommit, then a crash: every invariant holds
+    after each."""
+    with ledger_model() as machine:
+        if inside:
+            machine.transaction(None)  # BEGIN
+        machine.failed_dml("keyed", kind, append, length=length)
+        check_invariants(machine)
+        if inside:
+            machine.commit()
         machine.insert_one()
         machine.crash(None, 0)
         check_invariants(machine)

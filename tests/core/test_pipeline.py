@@ -93,6 +93,19 @@ class TestDrain:
         assert latest.transaction_count == 2
         assert db.ledger.pending_entries == 0
 
+    def test_blocks_built_counts_the_closes_of_a_digest(self, tmp_path):
+        """A drain's closes count as a filling commit's do: the digest that
+        closes block 0 of a fresh database makes ``blocks_built`` 1."""
+        db = LedgerDatabase.open(str(tmp_path / "db"), clock=LogicalClock())
+        try:
+            db.create_ledger_table(accounts_schema())
+            assert db.pipeline.stats()["blocks_built"] == 0
+            db.generate_digest()
+            assert db.ledger.closed_block_height == 0
+            assert db.pipeline.stats()["blocks_built"] == 1
+        finally:
+            db.close()
+
     def test_drain_without_sealing_preserves_the_open_block(
         self, db, accounts
     ):
@@ -148,7 +161,9 @@ class TestDrain:
 class TestFailedCommitAppend:
     """A COMMIT whose WAL append fails before any byte reaches the log hands
     its (block, ordinal) slot back: without that, the block it was assigned
-    to is sealed short of an entry forever and no block closes again."""
+    to is sealed short of an entry forever and no block closes again.  One
+    whose fsync failed after its record reached the log stops the engine
+    until a reopen."""
 
     def _wedge_attempt(self, db):
         db.create_ledger_table(accounts_schema())

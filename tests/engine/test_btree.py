@@ -1,4 +1,10 @@
-"""Unit and property tests for the B+ tree and the flat keys it holds."""
+"""Unit and property tests for the B+ tree and the flat keys it holds.
+
+Flat keys and one descent per subtree: flat keys order as the nested keys
+did, ``insert_many`` equals the insert loop, every tree keeps its
+invariants, one batch probe (``held``) equals a probe per key and descends
+each subtree once, and the addresses a tree holds stay untracked by the
+collector."""
 
 import bisect
 import datetime as dt

@@ -626,6 +626,9 @@ def _image(heap, tmp):
 
 
 class TestInsertMany:
+    """Batch placement: ``insert_many`` places a batch where one ``insert``
+    per record would."""
+
     @given(placement_history())
     @example([("batch", [b"a" * 4087, b"b" * 4087, b"c"])])  # page 0 exactly full
     @example([("batch", [b"a" * 100, b"b" * 4035, b"c" * 4035])])  # room for one more

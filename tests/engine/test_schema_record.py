@@ -479,6 +479,9 @@ def _golden_records():
 
 
 class TestGoldenVectors:
+    """Record, hashed payload and leaf bytes are pinned: what is stored
+    and hashed stays byte-compatible both ways across changes."""
+
     @pytest.mark.parametrize("row, record_hex, payload_hex, leaf_hex, created_leaf_hex", _GOLDEN)
     def test_record_payload_and_leaf_are_pinned(
         self, row, record_hex, payload_hex, leaf_hex, created_leaf_hex

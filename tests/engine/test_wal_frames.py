@@ -63,6 +63,9 @@ def dml_records(draw):
 
 
 class TestDmlFrameFormatting:
+    """Row to frame: each DML frame's bytes equal the sorted-key JSON the
+    generic encoder writes for the same record."""
+
     @given(dml_records())
     @settings(max_examples=200, deadline=None)
     def test_frame_equals_sorted_key_json(self, record):

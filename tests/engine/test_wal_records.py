@@ -143,6 +143,9 @@ _GOLDEN_LOG = [
 
 
 class TestFrameGoldenVectors:
+    """WAL golden vectors: the log bytes of every frame kind, CLRs included,
+    are pinned."""
+
     def test_log_bytes_are_pinned(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = WalWriter(path)

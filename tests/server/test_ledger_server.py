@@ -73,6 +73,8 @@ def _eventually(predicate, timeout=5.0):
 
 
 class TestRequestFlow:
+    """Each request is answered; pipelined replies come in send order."""
+
     def test_ping_and_health(self, client):
         assert client.ping()
         health = client.health()
@@ -133,6 +135,9 @@ class TestRequestFlow:
 
 
 class TestOneLedgerLock:
+    """One ledger lock: commits from many connections assign and enqueue
+    under ``storage_lock``."""
+
     def test_concurrent_commits_assign_and_enqueue_under_storage_lock(
         self, server, storage_lock_checked
     ):
@@ -237,6 +242,8 @@ class TestClientMistakes:
 
 
 class TestResultEncoding:
+    """DECIMAL and DATE rows are answered and keep the workers alive."""
+
     def test_decimal_and_date_rows_answer_and_workers_survive(self, server):
         """Such a SELECT once raised in the response encoder and killed its
         worker; two of them emptied the pool and every later request timed
@@ -278,7 +285,9 @@ class TestResultEncoding:
 
 
 class TestAdmissionControl:
-    """workers=1, queue_depth=1: anything beyond 2 concurrent must shed."""
+    """workers=1, queue_depth=1: anything beyond 2 concurrent must shed.
+    Admission is bounded, a drain answers the requests waiting for a slot,
+    and permits never leak."""
 
     @pytest.fixture
     def narrow(self, server_db):
@@ -577,6 +586,9 @@ class TestTamperDetected:
 
 
 class TestShutdown:
+    """A draining server rejects new writes, and ``stop()`` wakes the
+    accept thread at once."""
+
     def test_draining_server_rejects_new_writes(self, server, client):
         client.insert("items", [["z", 26]])
         server._stopping = True  # the drain window, frozen for the test

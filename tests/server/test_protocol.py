@@ -125,6 +125,8 @@ _VALUES = st.recursive(
 
 
 class TestFrameEncoding:
+    """Response frames equal the old encoding's bytes."""
+
     def test_bytes_become_hex(self):
         frame = protocol.encode_frame({"h": b"\x00\xff"})
         assert body_of(frame) == b'{"h":"00ff"}'

@@ -127,6 +127,9 @@ class TestWrittenColumns:
 
 
 class TestValuesThatDoNotEncode:
+    """A value its column's type cannot encode is refused with the type's
+    error, naming the first bad column, and nothing is written."""
+
     @pytest.mark.parametrize("values", [
         "(1, 'NaN', NULL)",
         "(1, NULL, '2021-01-01T00:00:00+00:00')",

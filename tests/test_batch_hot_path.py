@@ -190,6 +190,9 @@ class TestBatchCryptoEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestInsertManyEngine:
+    """Batch placement in the engine: a statement's batch is one WAL frame,
+    placed and recovered as one insert per row would be."""
+
     def test_batch_is_one_wal_frame(self, tmp_path):
         db = open_engine(tmp_path / "db")
         table = db.create_table(make_schema())
@@ -364,6 +367,9 @@ BIG_V, BIG_W = "b" * 5000, "y" * 5000
 
 
 class TestOverLimitRow:
+    """A batch holding a row over the size limit is rejected whole and
+    leaves no trace in storage or the log."""
+
     @pytest.fixture(params=TABLE_KINDS)
     def db(self, request, tmp_path):
         database = LedgerDatabase.open(str(tmp_path / "db"), clock=LogicalClock())
