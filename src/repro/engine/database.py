@@ -126,7 +126,14 @@ class Database:
         has_checkpoint = os.path.exists(checkpoint_path)
         has_wal = os.path.exists(db._wal_path(0))
         if has_checkpoint or has_wal:
-            db._recover(checkpoint_path if has_checkpoint else None)
+            try:
+                db._recover(checkpoint_path if has_checkpoint else None)
+            except BaseException:
+                # A refused open (say, a damaged record) releases the log
+                # it opened, as a crash would.
+                if db._wal is not None:
+                    db._wal.close()
+                raise
         else:
             db._bootstrap()
         return db

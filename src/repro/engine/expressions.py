@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Mapping, Tuple
 
-from repro.errors import SqlBindError
+from repro.errors import SqlArithmeticError, SqlBindError
 
 RowContext = Mapping[str, Any]
 
@@ -70,12 +70,33 @@ _COMPARISONS: dict = {
     ">=": operator.ge,
 }
 
+
+def _divide(left: Any, right: Any) -> Any:
+    """T-SQL ``/``: an int by an int truncates toward zero."""
+    if right == 0:
+        raise SqlArithmeticError("Divide by zero error encountered")
+    if isinstance(left, int) and isinstance(right, int):
+        quotient = abs(left) // abs(right)
+        return -quotient if (left < 0) != (right < 0) else quotient
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    """T-SQL ``%``: an int remainder takes the dividend's sign."""
+    if right == 0:
+        raise SqlArithmeticError("Divide by zero error encountered")
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    return left % right
+
+
 _ARITHMETIC: dict = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
+    "/": _divide,
+    "%": _modulo,
 }
 
 

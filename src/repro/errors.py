@@ -87,6 +87,10 @@ class SqlBindError(SqlError):
     """The parsed statement references unknown objects or is ill-typed."""
 
 
+class SqlArithmeticError(SqlError):
+    """An expression divided, or took a remainder, by zero."""
+
+
 # ---------------------------------------------------------------------------
 # Ledger errors
 # ---------------------------------------------------------------------------

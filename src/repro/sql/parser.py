@@ -15,7 +15,7 @@ from repro.engine.expressions import (
     Literal,
     NotOp,
 )
-from repro.errors import SqlSyntaxError
+from repro.errors import SqlArithmeticError, SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import (
     END,
@@ -35,7 +35,14 @@ _AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
 
 def parse(text: str):
     """Parse one SQL statement into its AST node."""
-    return _Parser(tokenize(text)).parse_statement()
+    return parse_tokens(tokenize(text))
+
+
+def parse_tokens(tokens: List[Token]):
+    """Parse one statement's tokens.  A literal's value is its token's
+    ``key``; the statement cache swaps holes in there to find where each
+    literal lands (``sql/prepared.py``)."""
+    return _Parser(tokens).parse_statement()
 
 
 class _Parser:
@@ -208,7 +215,7 @@ class _Parser:
             order_by = tuple(keys)
         limit = None
         if self._accept(KEYWORD, "LIMIT"):
-            limit = int(self._expect(NUMBER).value)
+            limit = self._integer()
         self._end()
         return ast.Select(
             table=table, items=items, where=where,
@@ -227,8 +234,8 @@ class _Parser:
 
     def _parse_select_item(self) -> ast.SelectItem:
         token = self._peek()
-        if token.kind == KEYWORD and token.value.upper() in _AGGREGATES:
-            function = self._advance().value.upper()
+        if token.kind == KEYWORD and token.key in _AGGREGATES:
+            function = self._advance().key
             self._expect(PUNCT, "(")
             if self._accept(OPERATOR, "*"):
                 column = None
@@ -391,9 +398,9 @@ class _Parser:
         type_name = self._advance().value
         type_args: Tuple[int, ...] = ()
         if self._accept(PUNCT, "("):
-            args = [int(self._expect(NUMBER).value)]
+            args = [self._integer()]
             while self._accept(PUNCT, ","):
-                args.append(int(self._expect(NUMBER).value))
+                args.append(self._integer())
             self._expect(PUNCT, ")")
             type_args = tuple(args)
         nullable = True
@@ -528,10 +535,8 @@ class _Parser:
             inner = self._parse_expression()
             self._expect(PUNCT, ")")
             return inner
-        if token.kind == NUMBER:
-            return Literal(self._number(self._advance().value))
-        if token.kind == STRING:
-            return Literal(self._advance().value)
+        if token.kind == NUMBER or token.kind == STRING:
+            return Literal(self._advance().key)
         if token.matches(KEYWORD, "NULL"):
             self._advance()
             return Literal(None)
@@ -545,6 +550,11 @@ class _Parser:
             self._advance()
             operand = self._parse_primary()
             if isinstance(operand, Literal):
+                if not isinstance(operand.value, (int, Decimal)):
+                    raise SqlSyntaxError(
+                        f"unary minus needs a number, found {operand}",
+                        token.line, token.column,
+                    )
                 return Literal(-operand.value)
             return BinaryOp("-", Literal(0), operand)
         if token.kind == IDENT:
@@ -569,6 +579,8 @@ class _Parser:
             row: dict = {}
             try:
                 return expression.evaluate(row)  # constant-folds arithmetic
+            except SqlArithmeticError:
+                raise
             except Exception:
                 token = self._peek()
                 raise SqlSyntaxError(
@@ -577,8 +589,10 @@ class _Parser:
                 ) from None
         return expression.value
 
-    @staticmethod
-    def _number(text: str) -> Any:
-        if "." in text:
-            return Decimal(text)
-        return int(text)
+    def _integer(self) -> int:
+        token = self._expect(NUMBER)
+        if type(token.key) is not int:
+            raise SqlSyntaxError(
+                f"expected an integer, found {token}", token.line, token.column
+            )
+        return token.key

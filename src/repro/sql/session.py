@@ -148,10 +148,10 @@ class SqlSession:
     def _parse_cached(self, statement_text: str):
         """Parse via the database's shared prepared-statement cache.
 
-        Parsing is schema-independent (names bind at execution), so the AST
-        for a given statement text is reusable until DDL bumps the cache
-        epoch.  Repeat statements — harness loops, TPC-C drivers — skip the
-        lexer and parser entirely.
+        Parsing is schema-independent (names bind at execution), so an AST
+        is reusable until DDL bumps the cache epoch.  The cache answers by
+        exact text, then by shape (the text with its literals lifted, see
+        ``sql/prepared.py``); only a miss reaches ``parse``.
         """
         cache = getattr(self._db, "statement_cache", None)
         if cache is not None:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.database_ledger import DatabaseLedger
+from repro.engine.database import Database
 from repro.faults import FAULTS
 
 settings.register_profile(
@@ -34,6 +35,26 @@ def clean_faults():
     FAULTS.reset()
     yield
     FAULTS.reset()
+
+
+@pytest.fixture(autouse=True)
+def release_open_databases(monkeypatch):
+    """At teardown, release the WAL of every engine database the test
+    opened and left open, as a crash would (``simulate_crash``: nothing is
+    written).  Under ``python -X dev`` no WAL file is reported unclosed."""
+    opened = []
+    open_database = Database.open.__func__
+
+    def tracked(cls, *args, **kwargs):
+        db = open_database(cls, *args, **kwargs)
+        opened.append(db)
+        return db
+
+    monkeypatch.setattr(Database, "open", classmethod(tracked))
+    yield
+    for db in opened:
+        if not db.closed:
+            db.simulate_crash()
 
 
 @pytest.fixture

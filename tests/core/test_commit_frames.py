@@ -62,6 +62,9 @@ def run_workload(path):
 
 
 class TestCommitFramesIgnoreTelemetry:
+    """COMMIT frames are independent of telemetry: the same bytes with it
+    on or off, and a log with old trace keys still recovers."""
+
     def test_frames_equal_with_and_without_telemetry(self, tmp_path):
         quiet = run_workload(str(tmp_path / "quiet"))
         OBS.enable()

@@ -145,6 +145,10 @@ def warm_then_three_commits(db):
 
 
 class TestOperationalPathsNeverScan:
+    """Ledger bookkeeping reads O(block): block close, digests, receipts
+    and reopen read the system tables by key; only verification scans, and
+    a warm cycle decodes nothing it scans."""
+
     @pytest.fixture
     def db(self, tmp_path):
         db = open_db(str(tmp_path / "db"), block_size=4)
@@ -429,6 +433,9 @@ class TestOperationalPathsNeverScan:
 
 
 class TestCostDoesNotGrowWithTheTable:
+    """Closing the tenth block reads no more than closing the first, and
+    recovery decodes each entry once."""
+
     BLOCK = 1000
     BLOCKS = 10
 

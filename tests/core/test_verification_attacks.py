@@ -261,7 +261,8 @@ class TestChainTampering:
 
 class TestSelfConsistentChainRewrite:
     """:func:`rewrite_chain` recomputes every block hash, so only a digest
-    issued before the rewrite can tell the new chain from the old one."""
+    issued before the rewrite can tell the new chain from the old one: the
+    verifier here, the monitor and the server (``TestTamperDetected``)."""
 
     @pytest.fixture
     def chain(self, db, accounts):

@@ -107,6 +107,9 @@ def walked_listing(root, container, prefix=""):
 
 
 class TestListingEqualsAWalk:
+    """The blob listing is the walk: every prefix lists what a walk of
+    the store finds."""
+
     PREFIXES = (
         "", "a", "a/", "a/b", "a/b/", "a/b/c/", "a/b/c/deep.json", "ab",
         "b/", "top", ".tmp-", "zzz/", "a/b/c/deep.json/",

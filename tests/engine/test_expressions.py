@@ -1,5 +1,7 @@
 """Unit tests for the expression evaluator and access-path planning."""
 
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.engine.expressions import (
     eq,
 )
 from repro.engine.operators import sargable_terms
-from repro.errors import SqlBindError
+from repro.errors import SqlArithmeticError, SqlBindError
 
 
 ROW = {"a": 5, "b": "text", "c": None, "d": 2.5}
@@ -51,6 +53,25 @@ class TestEvaluation:
         assert BinaryOp("+", ColumnRef("a"), Literal(3)).evaluate(ROW) == 8
         assert BinaryOp("*", ColumnRef("d"), Literal(2)).evaluate(ROW) == 5.0
         assert BinaryOp("%", ColumnRef("a"), Literal(3)).evaluate(ROW) == 2
+
+    @pytest.mark.parametrize("left, op, right, expected", [
+        (7, "/", 2, 3), (-7, "/", 2, -3), (7, "/", -2, -3), (-7, "/", -2, 3),
+        (-7, "%", 3, -1), (7, "%", -3, 1), (-7, "%", -3, -1),
+        # Decimal and float operands keep Python's results.
+        (Decimal(7), "/", 2, Decimal("3.5")), (7.0, "/", 2, 3.5),
+        (Decimal(-7), "%", 3, Decimal(-1)), (-7.5, "%", 2, 0.5),
+    ])
+    def test_tsql_division_and_modulo(self, left, op, right, expected):
+        """An int ``/`` an int truncates toward zero; ``%`` takes the
+        dividend's sign."""
+        result = BinaryOp(op, Literal(left), Literal(right)).evaluate(ROW)
+        assert result == expected and type(result) is type(expected)
+
+    @pytest.mark.parametrize("op", ["/", "%"])
+    @pytest.mark.parametrize("zero", [0, Decimal(0), 0.0])
+    def test_division_by_zero_is_a_sql_error(self, op, zero):
+        with pytest.raises(SqlArithmeticError, match="Divide by zero"):
+            BinaryOp(op, ColumnRef("a"), Literal(zero)).evaluate(ROW)
 
     def test_and_or_short_circuit(self):
         true = eq("a", 5)

@@ -529,6 +529,9 @@ def _cached_fields(heap):
 
 
 class TestFoldedRedo:
+    """Redo folds per page: laying out each page once from the folded log
+    equals replaying the log record by record."""
+
     @given(image_and_log())
     @settings(max_examples=80, deadline=None)
     def test_folded_redo_equals_sequential_replay(self, case):

@@ -666,6 +666,10 @@ def INDEX_KEY(schema, record):
 
 
 class TestOpenReadRule:
+    """Open reads keys only: value damage reopens and verifies as the
+    tampering process saw it, while structure and primary-key damage still
+    refuse to open."""
+
     @pytest.mark.parametrize("change", [NON_KEY, INDEX_KEY], ids=["value", "index_key"])
     @pytest.mark.parametrize("how", ["clean", "crash_elsewhere"])
     def test_value_damage_reopens_and_verifies_the_same(self, tmp_path, change, how):

@@ -186,6 +186,8 @@ RETIRED_FAMILIES = set("""
 
 
 class TestMetricCensus:
+    """The registry holds exactly the families something reads."""
+
     def test_every_owner_registers_only_read_families(
         self, db, telemetry, tmp_path
     ):

@@ -53,6 +53,9 @@ def span(span_id, name, parent_id=None, start_ns=None, **attributes):
 
 
 class TestMembershipRule:
+    """Commit lineage by tid: a commit's statements, its commit and its
+    block's spans, and nothing else."""
+
     def test_maximal_subtree_naming_only_the_transaction(self):
         spans = [
             span(1, "sql.statement", kind="Insert"),

@@ -330,6 +330,8 @@ class TestCallbackGuards:
 
 
 class TestCadence:
+    """The monitor takes only a finite cadence > 0."""
+
     @pytest.mark.parametrize(
         "interval", [float("nan"), float("inf"), 1e300, 0, -1.0]
     )

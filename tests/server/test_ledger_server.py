@@ -171,6 +171,76 @@ class TestOneLedgerLock:
         assert storage_lock_checked["enqueue"] == storage_lock_checked["assign"]
 
 
+class TestStatementCacheOverTheWire:
+    """Literal statements of one shape share one parse across server
+    sessions, and each still answers with its own rows."""
+
+    def test_a_cached_shape_reads_a_column_added_by_another_client(
+        self, server, server_db
+    ):
+        reader = LedgerClient("127.0.0.1", server.port, pool_size=1)
+        writer = LedgerClient("127.0.0.1", server.port, pool_size=1)
+        try:
+            reader.insert("items", [["a", 1], ["b", 2]])
+            assert reader.execute("SELECT * FROM items WHERE tag = 'a'")[
+                "rows"] == [{"tag": "a", "value": 1}]
+            writer.execute("ALTER TABLE items ADD COLUMN note VARCHAR(10)")
+            assert reader.execute("SELECT * FROM items WHERE tag = 'b'")[
+                "rows"] == [{"tag": "b", "value": 2, "note": None}]
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_interleaved_clients_of_one_shape_get_their_own_rows(
+        self, server, server_db
+    ):
+        clients = [
+            LedgerClient("127.0.0.1", server.port, pool_size=1)
+            for _ in range(2)
+        ]
+        clients[0].insert("items", [[f"t{i}", i] for i in range(40)])
+        failures = []
+        start = threading.Barrier(2)
+
+        def read(cli, offset):
+            start.wait()
+            for i in range(offset, 40, 2):
+                rows = cli.execute(
+                    f"SELECT tag, value FROM items WHERE value = {i}")["rows"]
+                if rows != [{"tag": f"t{i}", "value": i}]:
+                    failures.append((i, rows))
+
+        threads = [
+            threading.Thread(target=read, args=(cli, n))
+            for n, cli in enumerate(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for cli in clients:
+            cli.close()
+        assert failures == []
+        stats = server_db.statement_cache.stats()
+        assert stats["hits"] >= 38  # two sessions, one shape
+
+    def test_an_int_and_a_string_literal_are_different_shapes(
+        self, client, server_db
+    ):
+        """``tag = 5`` does not borrow the template of ``tag = '5'``: it
+        misses, and its int reaches the binder, which refuses it."""
+        client.insert("items", [["5", 5]])
+        assert client.execute("SELECT * FROM items WHERE tag = '5'")[
+            "rows"] == [{"tag": "5", "value": 5}]
+        misses = server_db.statement_cache.stats()["misses"]
+        with pytest.raises(RequestError, match="BAD_REQUEST.*cannot compare"):
+            client.execute("SELECT * FROM items WHERE tag = 5")
+        assert server_db.statement_cache.stats()["misses"] == misses + 1
+        assert client.execute("SELECT * FROM items WHERE tag = '6'")[
+            "rows"] == []
+        assert server_db.statement_cache.stats()["misses"] == misses + 1
+
+
 class TestClientMistakes:
     """A statement the library rejects is the client's mistake: it answers
     BAD_REQUEST naming the error, never INTERNAL, and the server serves on."""
@@ -510,6 +580,9 @@ class TestDegradedMode:
 
 
 class TestTamperDetected:
+    """A self-consistent chain rewrite, caught by the monitor against an
+    earlier digest, makes the server refuse data ops as TAMPER_DETECTED."""
+
     def test_rewrite_chain_refuses_data_ops_keeps_health(
         self, server_db, server, client, monkeypatch
     ):

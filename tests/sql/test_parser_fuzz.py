@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SqlError
+from repro.errors import SqlError, SqlSyntaxError
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 
@@ -13,6 +13,7 @@ SOUP_TOKENS = [
     "SELECT", "FROM", "WHERE", "JOIN", "ON", "(", ")", ",", "*",
     "=", "t", "a", "1", "'s'", "AND", "NOT", "NULL", "LIKE",
     "BETWEEN", "ORDER", "BY", "GROUP", "INSERT", "INTO", "VALUES",
+    "\u00b2", "2.5", "-", "LIMIT",
 ]
 
 VALID_STATEMENTS = [
@@ -60,3 +61,19 @@ def test_keyword_soup_never_crashes(parts):
 @pytest.mark.parametrize("statement", VALID_STATEMENTS)
 def test_valid_statements_parse(statement):
     assert parse(statement) is not None
+
+
+@pytest.mark.parametrize("text, column", [
+    # A superscript digit is no digit: T-SQL digits are ASCII 0-9.
+    ("SELECT * FROM t WHERE a = \u00b2", 27),
+    ("SELECT * FROM t LIMIT 2.5", 23),
+    ("SELECT * FROM t WHERE a = -'x'", 27),
+    ("SELECT * FROM t WHERE a = -NULL", 27),
+    ("CREATE TABLE t (a DECIMAL(10.5, 2))", 27),
+])
+def test_value_errors_are_syntax_errors(text, column):
+    """Inputs that once escaped as ValueError / TypeError raise a
+    SqlSyntaxError at their token."""
+    with pytest.raises(SqlSyntaxError) as caught:
+        parse(text)
+    assert (caught.value.line, caught.value.column) == (1, column)

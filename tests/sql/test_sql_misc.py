@@ -5,7 +5,12 @@ import pytest
 from repro.core.ledger_database import LedgerDatabase
 from repro.core.verification import SEVERITY_ERROR, Finding
 from repro.engine.clock import LogicalClock
-from repro.errors import SqlBindError, TypeSystemError, VerificationFailedError
+from repro.errors import (
+    SqlArithmeticError,
+    SqlBindError,
+    TypeSystemError,
+    VerificationFailedError,
+)
 from repro.sql.session import SqlSession
 
 
@@ -49,6 +54,33 @@ class TestSelfReferencingUpdates:
         db.sql("UPDATE pair SET x = y, y = x WHERE id = 1")
         (row,) = db.sql("SELECT x, y FROM pair")
         assert (row["x"], row["y"]) == (2, 1)
+
+
+class TestIntegerArithmetic:
+    """T-SQL integer arithmetic, in statements and in constant folding."""
+
+    def test_values_fold_integer_division(self, db):
+        db.sql("CREATE TABLE n (id INT PRIMARY KEY, q INT, r INT)")
+        db.sql("INSERT INTO n VALUES (1, 7 / 2, (0 - 7) % 3)")
+        assert db.sql("SELECT q, r FROM n") == [{"q": 3, "r": -1}]
+
+    def test_select_and_update_divide_as_tsql(self, db):
+        db.sql("UPDATE accounts SET balance = balance / 3 WHERE name = 'a'")
+        assert db.sql("SELECT balance FROM accounts WHERE name = 'a'") == [
+            {"balance": 3}]
+        assert db.sql(
+            "SELECT name, (0 - balance) % 7 AS r FROM accounts ORDER BY name"
+        ) == [{"name": "a", "r": -3}, {"name": "b", "r": -6}]
+
+    def test_division_by_zero_is_a_sql_error(self, db):
+        with pytest.raises(SqlArithmeticError):
+            db.sql("SELECT balance / 0 AS q FROM accounts")
+        with pytest.raises(SqlArithmeticError):
+            db.sql("UPDATE accounts SET balance = balance % 0")
+        with pytest.raises(SqlArithmeticError):
+            db.sql("INSERT INTO accounts VALUES ('c', 1 / 0)")
+        assert len(db.sql("SELECT * FROM accounts")) == 2
+        assert db.verify([db.generate_digest()]).ok
 
 
 class TestErrorSurface:
