@@ -34,8 +34,9 @@ from repro.core.database_ledger import DatabaseLedger
 from repro.core.digest import BlockHeader, DatabaseDigest
 from repro.core.hooks import LedgerHooks
 from repro.core.ledger_view import (
+    ViewPlan,
     history_table_of,
-    ledger_view_rows,
+    plan_ledger_view,
     view_definition,
 )
 from repro.core.pipeline import LedgerPipeline
@@ -600,20 +601,23 @@ class LedgerDatabase:
     # ------------------------------------------------------------------
 
     def ledger_view(
-        self, table_name: str, where: Any = None
+        self, table_name: str, where: Any = None, values: Sequence[Any] = ()
     ) -> List[Dict[str, Any]]:
         """Row operations ever performed on a ledger table (Figure 2).
 
-        ``where`` filters the events; when it pins the table's primary key
-        by equality only that key's versions are read (live row through
-        the clustered index, old versions through the history table's
-        derived key index), under the storage lock for just that long.
+        ``where`` filters the events: an Expression over the view's
+        columns, or the :class:`ViewPlan` a SQL plan already made from one
+        for this table, whose slots ``values`` fill.  When it pins the
+        table's primary key by equality only that key's versions are read
+        (live row through the clustered index, old versions through the
+        history table's derived key index), under the storage lock for
+        just that long.
         """
         with self.ledger.storage_lock:
             table = self.ledger_table(table_name)
-            return ledger_view_rows(
-                table, self.history_table(table_name), where
-            )
+            if not isinstance(where, ViewPlan):
+                where = plan_ledger_view(table, where)
+            return where.rows(self.history_table(table_name), values)
 
     def table_operations_view(self) -> List[Dict[str, Any]]:
         """CREATE/DROP history of every ledger table (Figure 6, §3.5.2)."""

@@ -16,16 +16,17 @@ silently change what auditors see (§3.4.2, final step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import system_columns as sc
-from repro.engine.expressions import Expression, as_predicate
+from repro.engine.expressions import Expression, Predicate, compile_predicate
 from repro.engine.operators import (
     PRIMARY,
     SEQ_SCAN,
     check_comparisons,
     explain_row,
+    key_filler,
     pinned_key,
     sargable_terms,
 )
@@ -95,26 +96,92 @@ class ViewPlan:
     column by equality: the read then seeks the live row through the
     clustered index and the old versions through the history table's
     derived key index, instead of decoding every version of every row.
+    Like an :class:`~repro.engine.operators.AccessPlan`, it depends only on
+    the statement's shape: the key may hold slots each run's ``values``
+    fill, and ``where`` is compiled once.
     """
 
     ledger_table: Table
     where: Any = None
     key: Optional[Tuple[Any, ...]] = None
     consumed: Tuple[Expression, ...] = ()
+    predicate: Predicate = field(init=False, repr=False, compare=False)
+    _key: Callable = field(init=False, repr=False, compare=False)
 
-    def explain(self) -> Dict[str, Any]:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "predicate", compile_predicate(self.where))
+        object.__setattr__(self, "_key", key_filler((self.key or (),)))
+
+    def explain(self, values: Sequence[Any] = ()) -> Dict[str, Any]:
         seek = self.key is not None
         return explain_row(
             f"{self.ledger_table.name}_ledger",
             VIEW_KEY_SEEK if seek else SEQ_SCAN,
             PRIMARY if seek else None,
-            self.where, self.consumed,
+            self.where, self.consumed, values,
         )
 
+    def rows(
+        self, history_table: Optional[Table], values: Sequence[Any] = ()
+    ) -> List[Dict[str, Any]]:
+        """Materialize the view: one row per row-version event that
+        ``where`` holds for.
 
-def plan_ledger_view(ledger_table: Table, where: Any = None) -> ViewPlan:
+        Rows are ordered by (transaction id, sequence number), i.e. the
+        exact order in which operations executed — the order auditors need
+        to replay what happened.
+        """
+        ledger_table = self.ledger_table
+        if self.key is None:
+            live = (record for _, record in ledger_table.heap.scan())
+            old = (
+                (record for _, record in history_table.heap.scan())
+                if history_table else ()
+            )
+        else:
+            (key,) = self._key(values)
+            rid = ledger_table.clustered.seek(key)
+            live = [ledger_table.heap.read(rid)] if rid is not None else []
+            old = (
+                history_table.heap.read(rid)
+                for rid in history_table.rids_with_key(
+                    ledger_table.schema.primary_key_ordinals(), key
+                )
+            ) if history_table else ()
+
+        read_live = ledger_table.schema.derived(_live_reader)
+        events: List[Dict[str, Any]] = []
+        for record in live:
+            event = read_live(record)
+            event[VIEW_OPERATION_COLUMN] = OPERATION_INSERT
+            events.append(event)
+        if history_table is not None:
+            read_old = history_table.schema.derived(_history_reader)
+            for record in old:
+                created = read_old(record)
+                end_tid = created.pop(sc.END_TRANSACTION)
+                end_seq = created.pop(sc.END_SEQUENCE)
+                created[VIEW_OPERATION_COLUMN] = OPERATION_INSERT
+                deleted = dict(created)
+                deleted[VIEW_TRANSACTION_COLUMN] = end_tid
+                deleted[VIEW_SEQUENCE_COLUMN] = end_seq
+                deleted[VIEW_OPERATION_COLUMN] = OPERATION_DELETE
+                events += (created, deleted)
+
+        if self.where is not None:
+            predicate = self.predicate
+            events = [event for event in events if predicate(event, values)]
+        events.sort(key=lambda e: (
+            e[VIEW_TRANSACTION_COLUMN] or 0, e[VIEW_SEQUENCE_COLUMN] or 0
+        ))
+        return events
+
+
+def plan_ledger_view(
+    ledger_table: Table, where: Any = None, values: Sequence[Any] = ()
+) -> ViewPlan:
     """Find the per-key access path of a ledger-view predicate, if any."""
-    check_comparisons(ledger_table.schema, where)
+    check_comparisons(ledger_table.schema, where, values)
     primary_key = ledger_table.schema.primary_key
     if primary_key and ledger_table.clustered is not None:
         pins = pinned_key(sargable_terms(where), primary_key)
@@ -125,63 +192,6 @@ def plan_ledger_view(ledger_table: Table, where: Any = None) -> ViewPlan:
                 consumed=tuple(term.source for term in pins),
             )
     return ViewPlan(ledger_table, where)
-
-
-def ledger_view_rows(
-    ledger_table: Table,
-    history_table: Optional[Table],
-    where: Any = None,
-) -> List[Dict[str, Any]]:
-    """Materialize the ledger view: one row per row-version event.
-
-    Rows are ordered by (transaction id, sequence number), i.e. the exact
-    order in which operations executed — the order auditors need to replay
-    what happened.  ``where`` (over the view's own column names) keeps the
-    events it holds for.
-    """
-    plan = plan_ledger_view(ledger_table, where)
-    if plan.key is None:
-        live = (record for _, record in ledger_table.heap.scan())
-        old = (
-            (record for _, record in history_table.heap.scan())
-            if history_table else ()
-        )
-    else:
-        rid = ledger_table.clustered.seek(plan.key)
-        live = [ledger_table.heap.read(rid)] if rid is not None else []
-        old = (
-            history_table.heap.read(rid)
-            for rid in history_table.rids_with_key(
-                ledger_table.schema.primary_key_ordinals(), plan.key
-            )
-        ) if history_table else ()
-
-    read_live = ledger_table.schema.derived(_live_reader)
-    events: List[Dict[str, Any]] = []
-    for record in live:
-        event = read_live(record)
-        event[VIEW_OPERATION_COLUMN] = OPERATION_INSERT
-        events.append(event)
-    if history_table is not None:
-        read_old = history_table.schema.derived(_history_reader)
-        for record in old:
-            created = read_old(record)
-            end_tid = created.pop(sc.END_TRANSACTION)
-            end_seq = created.pop(sc.END_SEQUENCE)
-            created[VIEW_OPERATION_COLUMN] = OPERATION_INSERT
-            deleted = dict(created)
-            deleted[VIEW_TRANSACTION_COLUMN] = end_tid
-            deleted[VIEW_SEQUENCE_COLUMN] = end_seq
-            deleted[VIEW_OPERATION_COLUMN] = OPERATION_DELETE
-            events += (created, deleted)
-
-    if where is not None:
-        predicate = as_predicate(where)
-        events = [event for event in events if predicate(event)]
-    events.sort(
-        key=lambda e: (e[VIEW_TRANSACTION_COLUMN] or 0, e[VIEW_SEQUENCE_COLUMN] or 0)
-    )
-    return events
 
 
 def history_table_of(engine, table: Table) -> Optional[Table]:

@@ -8,10 +8,16 @@ the catalog is snapshotted into DDL WAL records and the checkpoint image.
 Table ids are never reused.  This matters for §3.5.2: a dropped-and-recreated
 table gets a *new* id, and the ledger's table-metadata system view is what
 lets users notice the swap.
+
+Every change takes a new :attr:`Catalog.version`, unique across catalogs,
+so whatever was bound against the catalog — a cached SQL plan holds
+``Table`` objects, schemas and index names — can tell it is out of date by
+one comparison.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -47,6 +53,10 @@ class TableInfo:
         )
 
 
+#: Catalog versions, shared by every catalog so no two states share one.
+_VERSIONS = itertools.count(1)
+
+
 class Catalog:
     """Name- and id-addressable registry of :class:`TableInfo` entries."""
 
@@ -54,6 +64,8 @@ class Catalog:
         self._by_id: Dict[int, TableInfo] = {}
         self._by_name: Dict[str, int] = {}
         self._next_table_id = 1
+        #: Changes with every create, drop, rename, schema or option change.
+        self.version = next(_VERSIONS)
 
     # -- mutation -------------------------------------------------------------
 
@@ -66,12 +78,14 @@ class Catalog:
         self._next_table_id += 1
         self._by_id[info.table_id] = info
         self._by_name[schema.name] = info.table_id
+        self.version = next(_VERSIONS)
         return info
 
     def drop_table(self, name: str) -> TableInfo:
         info = self.get(name)
         del self._by_name[name]
         del self._by_id[info.table_id]
+        self.version = next(_VERSIONS)
         return info
 
     def rename_table(self, old_name: str, new_name: str) -> TableInfo:
@@ -82,6 +96,7 @@ class Catalog:
         del self._by_name[old_name]
         info.schema = info.schema.renamed(new_name)
         self._by_name[new_name] = info.table_id
+        self.version = next(_VERSIONS)
         return info
 
     def replace_schema(self, table_id: int, schema: TableSchema) -> None:
@@ -91,6 +106,14 @@ class Catalog:
             del self._by_name[info.schema.name]
             self._by_name[schema.name] = table_id
         info.schema = schema
+        self.version = next(_VERSIONS)
+
+    def update_options(self, table_id: int, updates: Dict[str, Any]) -> TableInfo:
+        """Merge option keys into a table's entry."""
+        info = self.get_by_id(table_id)
+        info.options.update(updates)
+        self.version = next(_VERSIONS)
+        return info
 
     # -- lookup ----------------------------------------------------------------
 

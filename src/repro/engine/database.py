@@ -341,8 +341,7 @@ class Database:
 
     def update_table_options(self, table_id: int, updates: Dict[str, Any]) -> None:
         """Merge option keys into a table's catalog entry, durably."""
-        info = self.catalog.get_by_id(table_id)
-        info.options.update(updates)
+        info = self.catalog.update_options(table_id, updates)
         self._log_ddl(f"ALTER TABLE {info.name} SET OPTIONS")
 
     def create_index(self, table_name: str, definition: IndexDefinition) -> None:

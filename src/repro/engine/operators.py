@@ -6,13 +6,22 @@ drive :class:`~repro.engine.table.Table` methods, which is where the ledger's
 DML hooks fire (paper §3.2 — "SQL Ledger achieves that by extending the DML
 query plans").
 
-Only what the reproduction needs is implemented: scans, index seeks, filter,
-project, sort, limit, grouped aggregation, and the three DML operators.
+Only what the reproduction needs is implemented: scans, index seeks, sort,
+limit, grouped aggregation, and the three DML operators.
+
+:func:`plan_access` is the one planner.  It turns a predicate into an
+:class:`AccessPlan` — the checked comparisons, the chosen access path and
+the predicate compiled once — that depends only on the statement's shape:
+each lifted literal is a :class:`~repro.engine.expressions.Slot` the run's
+``values`` fill.  :class:`UpdatePlan` and :class:`DeletePlan` add the bound
+SET ordinals and compiled SET values.  The SQL session keeps these plans in
+the statement cache, so a statement of a known shape runs with no
+re-planning and no expression tree walked per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -20,10 +29,14 @@ from typing import (
 from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
+    Compiled,
     Expression,
     InOp,
     Literal,
-    as_predicate,
+    Predicate,
+    Slot,
+    bind_slots,
+    compile_predicate,
     conjuncts,
     eq,
     walk,
@@ -109,7 +122,7 @@ class Term:
     """One sargable conjunct: ``column <op> literal`` or ``column IN (...)``."""
 
     op: str  # = < <= > >= IN
-    value: Any  # the literal; a tuple of literals for IN
+    value: Any  # the literal or its Slot; a tuple of them for IN
     source: Expression  # the conjunct it came from
 
 
@@ -136,9 +149,11 @@ def sargable_terms(condition: Any) -> Dict[str, List[Term]]:
     Only conjuncts of the top-level AND chain qualify — each must hold on
     its own, so bounding the search by one cannot lose a row.  Anything
     under OR / NOT, ``!=``, column-to-column and function-wrapped
-    comparisons, NULL literals and callables yield no term and are left to
-    the residual: extraction must be conservative, the full predicate is
-    re-applied to whatever the access path returns.
+    comparisons and NULL literals yield no term and are left to the
+    residual: extraction must be conservative, the full predicate is
+    re-applied to whatever the access path returns.  A term's value may be
+    a :class:`Slot`: which terms there are depends only on the statement's
+    shape.
     """
     terms: Dict[str, List[Term]] = {}
     for conjunct in conjuncts(condition):
@@ -154,12 +169,22 @@ def sargable_terms(condition: Any) -> Dict[str, List[Term]]:
     return terms
 
 
-def check_comparisons(schema: TableSchema, condition: Any) -> None:
+def _fill(value: Any, values: Sequence[Any]) -> Any:
+    """A literal, or the value its slot holds."""
+    return values[value.index] if type(value) is Slot else value
+
+
+def check_comparisons(
+    schema: TableSchema, condition: Any, values: Sequence[Any] = ()
+) -> None:
     """Reject comparisons between a column and a literal of another type.
 
     Runs before any access path is chosen, so SELECT, UPDATE and DELETE
     fail the same way whatever path would have served them, and no index
-    is ever descended with a key it cannot order.
+    is ever descended with a key it cannot order.  Comparability is by the
+    literal's kind (``SqlType.comparable`` is an ``isinstance`` test), and
+    a statement shape fixes each lifted literal's kind, so a plan that
+    passed this check holds for every text of its shape.
     """
     if not isinstance(condition, Expression):
         return
@@ -170,6 +195,7 @@ def check_comparisons(schema: TableSchema, condition: Any) -> None:
         name, op, value = found
         sql_type = schema.column(name).sql_type
         for literal in value if op == "IN" else (value,):
+            literal = _fill(literal, values)
             if literal is not None and not sql_type.comparable(literal):
                 raise SqlBindError(
                     f"cannot compare column {name!r} ({sql_type.render()}) "
@@ -193,13 +219,41 @@ def _sources(terms: Sequence[Term]) -> Tuple[Expression, ...]:
     return tuple(term.source for term in terms)
 
 
+def key_filler(
+    keys: Sequence[Tuple[Any, ...]]
+) -> Callable[[Sequence[Any]], Sequence[Tuple[Any, ...]]]:
+    """``values -> keys`` with every slot filled, for key templates that a
+    plan keeps.  Several keys (an ``IN``) come back distinct and in key
+    order; keys with no slot cost no copy."""
+    keys = tuple(keys)
+    slotted = any(type(part) is Slot for key in keys for part in key)
+    if len(keys) > 1:
+        def distinct(values: Sequence[Any]) -> Sequence[Tuple[Any, ...]]:
+            filled = {}
+            for key in keys:
+                key = tuple(_fill(part, values) for part in key)
+                filled[key_tuple(key)] = key
+            return [filled[k] for k in sorted(filled)]
+
+        if slotted:
+            return distinct
+        constant = distinct(())
+        return lambda values: constant
+    if not slotted:
+        return lambda values: keys
+    (key,) = keys
+    return lambda values: (tuple(_fill(part, values) for part in key),)
+
+
 @dataclass(frozen=True)
 class AccessPlan:
     """How one statement will reach the rows of one table.
 
     ``candidates`` runs the access path; ``rows`` re-applies the whole
     predicate to what it returns, so a plan is correct whenever its path
-    returns a superset of the qualifying rows.
+    returns a superset of the qualifying rows.  A plan depends only on a
+    statement's shape: its keys and bounds may hold :class:`Slot`\\ s,
+    which the ``values`` given to each run fill.
     """
 
     table: Table
@@ -213,6 +267,13 @@ class AccessPlan:
     condition: Any = None
     #: The conjuncts of ``condition`` the access path already enforces.
     consumed: Tuple[Expression, ...] = ()
+    #: ``condition`` compiled once: ``predicate(row, values)``.
+    predicate: Predicate = field(init=False, repr=False, compare=False)
+    _keys: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "predicate", compile_predicate(self.condition))
+        object.__setattr__(self, "_keys", key_filler(self.keys))
 
     @property
     def key_ordered(self) -> bool:
@@ -225,45 +286,50 @@ class AccessPlan:
             return self
         return replace(self, access=PK_RANGE, index=PRIMARY, keys=((),))
 
-    def _rids(self) -> Iterator[RowId]:
+    def _rids(self, values: Sequence[Any]) -> Iterator[RowId]:
         table = self.table
         if self.access == PK_SEEK:
-            for key in self.keys:
-                rid = table.clustered.seek(key)
+            seek = table.clustered.seek
+            for key in self._keys(values):
+                rid = seek(key)
                 if rid is not None:
                     yield rid
         elif self.access == INDEX_SEEK:
-            for key in self.keys:
-                yield from table.nonclustered[self.index].seek(key)
+            index = table.nonclustered[self.index]
+            for key in self._keys(values):
+                yield from index.seek(key)
         else:
+            low, high = self.low, self.high
             yield from table.clustered.seek_range(
-                self.keys[0], self.low, self.high
+                self._keys(values)[0],
+                low and (_fill(low[0], values), low[1]),
+                high and (_fill(high[0], values), high[1]),
             )
 
     def candidates(
-        self, include_hidden: bool = False
+        self, include_hidden: bool = False, values: Sequence[Any] = ()
     ) -> Iterator[Tuple[RowId, NamedRow]]:
         """(RowId, named row) of everything the access path reaches."""
         if self.access == SEQ_SCAN:
             yield from seq_scan(self.table, include_hidden=include_hidden)
             return
-        yield from _named_rows(self.table, self._rids(), include_hidden)
+        yield from _named_rows(self.table, self._rids(values), include_hidden)
 
     def rows(
-        self, include_hidden: bool = False
+        self, include_hidden: bool = False, values: Sequence[Any] = ()
     ) -> Iterator[Tuple[RowId, NamedRow]]:
         """The candidates that satisfy the whole predicate."""
-        predicate = as_predicate(self.condition)
+        predicate = self.predicate
         return (
             (rid, named)
-            for rid, named in self.candidates(include_hidden)
-            if predicate(named)
+            for rid, named in self.candidates(include_hidden, values)
+            if predicate(named, values)
         )
 
-    def explain(self) -> Dict[str, Any]:
+    def explain(self, values: Sequence[Any] = ()) -> Dict[str, Any]:
         return explain_row(
             self.table.name, self.access, self.index,
-            self.condition, self.consumed,
+            self.condition, self.consumed, values,
         )
 
 
@@ -273,23 +339,26 @@ def explain_row(
     index: Optional[str],
     condition: Any,
     consumed: Sequence[Expression],
+    values: Sequence[Any] = (),
 ) -> Dict[str, Any]:
     """One EXPLAIN row: ``bounds`` is what the access path enforces,
-    ``residual`` what only the re-applied predicate does."""
-    if condition is None or isinstance(condition, Expression):
-        residual = [
-            str(part) for part in conjuncts(condition)
-            if not any(part is used for used in consumed)
-        ]
-    else:
-        residual = ["<callable>"]
+    ``residual`` what only the re-applied predicate does — each rendered
+    with its slots filled from ``values``, as the text was written."""
+    residual = [
+        part for part in conjuncts(condition)
+        if not any(part is used for used in consumed)
+    ]
     return {
         "table": table,
         "access": access,
         "index": index,
-        "bounds": " AND ".join(map(str, consumed)) or None,
-        "residual": " AND ".join(residual) or None,
+        "bounds": _render(consumed, values),
+        "residual": _render(residual, values),
     }
+
+
+def _render(parts: Sequence[Expression], values: Sequence[Any]) -> Optional[str]:
+    return " AND ".join(str(bind_slots(part, values)) for part in parts) or None
 
 
 def _choose_path(
@@ -313,10 +382,8 @@ def _choose_path(
         used.append(term)
     else:
         if pk:
-            distinct = {key_tuple(key): key for key in keys}
             return AccessPlan(
-                table, PK_SEEK, PRIMARY,
-                keys=tuple(distinct[k] for k in sorted(distinct)),
+                table, PK_SEEK, PRIMARY, keys=tuple(keys),
                 condition=condition, consumed=_sources(used),
             )
 
@@ -355,10 +422,12 @@ def _choose_path(
     return AccessPlan(table, condition=condition)
 
 
-def plan_access(table: Table, condition: Any = None) -> AccessPlan:
+def plan_access(
+    table: Table, condition: Any = None, values: Sequence[Any] = ()
+) -> AccessPlan:
     """The one planner: choose how to reach the rows ``condition`` selects.
 
-    Decided from the predicate and the schema alone:
+    Decided from the predicate's shape and the schema alone:
 
     * equality on every primary-key column (one of them may be ``IN``) →
       clustered seek(s);
@@ -367,25 +436,29 @@ def plan_access(table: Table, condition: Any = None) -> AccessPlan:
       ``>=``/``BETWEEN`` range on the next key column → clustered range;
     * anything else → full scan.
 
-    SELECT, UPDATE, DELETE and :meth:`LedgerDatabase.select` all come
-    through here.  Column names in ``condition`` are the table's own.
+    SELECT, UPDATE, DELETE, EXPLAIN and :meth:`LedgerDatabase.select` all
+    come through here, once per plan: the plan keeps the checked, chosen
+    path and the compiled predicate, and each run passes the values of the
+    slots ``condition`` holds (``values`` here serves only the type check's
+    message).  Column names in ``condition`` are the table's own.
     """
-    check_comparisons(table.schema, condition)
+    check_comparisons(table.schema, condition, values)
     return _choose_path(table, sargable_terms(condition), condition)
 
 
-def plan_equalities(table: Table, equalities: Dict[str, Any]) -> AccessPlan:
-    """The path for ``column = value`` on every entry of ``equalities``.
+def plan_equalities(table: Table, columns: Sequence[str]) -> AccessPlan:
+    """The path for ``column = value`` on each of ``columns``, the values
+    given per run in that order.
 
     The planner's chooser without predicate analysis, for callers that
-    already hold the values — the index nested-loop join probes the inner
-    table with the outer row's values.  The values must be comparable with
-    their columns; no predicate is attached.
+    hold the values — the index nested-loop join probes the inner table
+    with the outer row's values.  The values must be comparable with their
+    columns; no predicate is attached.
     """
-    terms = {
-        name: [Term("=", value, eq(name, value))]
-        for name, value in equalities.items()
-    }
+    terms = {}
+    for at, name in enumerate(columns):
+        slot = Slot(at)
+        terms[name] = [Term("=", slot, eq(name, slot))]
     return _choose_path(table, terms)
 
 
@@ -399,15 +472,6 @@ def access_path(
 # ---------------------------------------------------------------------------
 # Relational operators (rows only; RowIds dropped)
 # ---------------------------------------------------------------------------
-
-def project(
-    source: Iterator[NamedRow],
-    outputs: Sequence[Tuple[str, Expression]],
-) -> Iterator[NamedRow]:
-    """Evaluate output expressions per row: [(alias, expression), ...]."""
-    for row in source:
-        yield {alias: expr.evaluate(row) for alias, expr in outputs}
-
 
 def sort_rows(
     source: Iterator[NamedRow],
@@ -510,40 +574,76 @@ def bind_columns(schema: TableSchema, names: Sequence[str]) -> Tuple[int, ...]:
     return tuple(ordinals)
 
 
+@dataclass(frozen=True)
+class UpdatePlan:
+    """UPDATE ... SET ... WHERE, planned once: the rows ``access`` returns
+    take each compiled SET value at its column's ordinal."""
+
+    access: AccessPlan
+    #: (ordinal, compiled value) per assigned column, in statement order.
+    assignments: Tuple[Tuple[int, Compiled], ...]
+
+    def run(self, txn: Transaction, values: Sequence[Any] = ()) -> int:
+        table = self.access.table
+        targets = list(self.access.rows(include_hidden=True, values=values))
+        for rid, named in targets:
+            old_row = table.read_row(rid)
+            new_row = list(old_row)
+            for ordinal, value in self.assignments:
+                new_row[ordinal] = value(named, values)
+            table.update_row(txn, rid, old_row, new_row)
+        return len(targets)
+
+
+def plan_update(
+    table: Table,
+    assignments: Any,
+    condition: Any = None,
+    values: Sequence[Any] = (),
+) -> UpdatePlan:
+    """Plan an UPDATE: ``assignments`` maps each column to a value or
+    Expression — a dict, or (column, value) pairs naming each column once
+    (:func:`bind_columns`)."""
+    if isinstance(assignments, dict):
+        assignments = assignments.items()
+    names, settings = zip(*assignments) if assignments else ((), ())
+    ordinals = bind_columns(table.schema, names)
+    access = plan_access(table, condition, values)
+    return UpdatePlan(access, tuple(
+        (ordinal, (value if isinstance(value, Expression)
+                   else Literal(value)).compile())
+        for ordinal, value in zip(ordinals, settings)
+    ))
+
+
 def update_rows(
     txn: Transaction,
     table: Table,
     assignments: Any,
     condition: Any = None,
 ) -> int:
-    """UPDATE ... SET ... WHERE: ``assignments`` maps each column to a value
-    or Expression — a dict, or (column, value) pairs naming each column
-    once (:func:`bind_columns`)."""
-    if isinstance(assignments, dict):
-        assignments = assignments.items()
-    names, values = zip(*assignments) if assignments else ((), ())
-    bound = list(zip(bind_columns(table.schema, names), values))
-    targets: List[Tuple[RowId, NamedRow]] = list(
-        access_path(table, condition, include_hidden=True)
-    )
-    for rid, named in targets:
-        old_row = table.read_row(rid)
-        new_row = list(old_row)
-        for ordinal, value in bound:
-            if isinstance(value, Expression):
-                value = value.evaluate(named)
-            new_row[ordinal] = value
-        table.update_row(txn, rid, old_row, new_row)
-    return len(targets)
+    """UPDATE ... SET ... WHERE (see :func:`plan_update`); returns the
+    number of rows changed."""
+    return plan_update(table, assignments, condition).run(txn)
+
+
+@dataclass(frozen=True)
+class DeletePlan:
+    """DELETE ... WHERE, planned once."""
+
+    access: AccessPlan
+
+    def run(self, txn: Transaction, values: Sequence[Any] = ()) -> int:
+        table = self.access.table
+        targets = [
+            rid for rid, _ in
+            self.access.rows(include_hidden=True, values=values)
+        ]
+        for rid in targets:
+            table.delete_row(txn, rid)
+        return len(targets)
 
 
 def delete_rows(txn: Transaction, table: Table, condition: Any = None) -> int:
     """DELETE ... WHERE; returns the number of rows removed."""
-    targets = [
-        rid for rid, _ in access_path(table, condition, include_hidden=True)
-    ]
-    for rid in targets:
-        table.delete_row(txn, rid)
-    return len(targets)
-
-
+    return DeletePlan(plan_access(table, condition)).run(txn)

@@ -32,6 +32,15 @@ from repro.sql.lexer import (
 
 _AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
 
+#: The deepest expression a statement may hold: levels of operators and of
+#: parentheses alike.  Deeper text is refused at parse, as SQL Server's
+#: error 191 refuses it, so no later pass over a tree — the statement
+#: cache's templates, the compiled closures, rendering — meets the
+#: interpreter's recursion limit.
+MAX_DEPTH = 100
+
+_TOO_DEEP = "Some part of your SQL statement is nested too deeply"
+
 
 def parse(text: str):
     """Parse one SQL statement into its AST node."""
@@ -50,6 +59,11 @@ class _Parser:
         self._tokens = tokens
         self._position = 0
         self._param_count = 0
+        #: Depth of each operator node built so far, by id (the node is
+        #: kept alongside, so no id is reused); a leaf is depth 1.
+        self._depths: dict = {}
+        #: Parentheses, NOTs and unary minuses the parser is inside.
+        self._open = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -92,6 +106,25 @@ class _Parser:
         if self._accept(PUNCT, "."):
             name = f"{name}.{self._expect_name()}"
         return name
+
+    def _nest(self, token: Token, node: Expression, *children: Any):
+        """``node`` over ``children``, refused when it is deeper than
+        :data:`MAX_DEPTH`."""
+        depths = self._depths
+        depth = 1 + max(
+            depths[id(child)][1] if id(child) in depths else 1
+            for child in children
+        )
+        if depth > MAX_DEPTH:
+            raise SqlSyntaxError(_TOO_DEEP, token.line, token.column)
+        depths[id(node)] = (node, depth)
+        return node
+
+    def _enter(self, token: Token) -> None:
+        """One more level of recursive descent, within :data:`MAX_DEPTH`."""
+        self._open += 1
+        if self._open > MAX_DEPTH:
+            raise SqlSyntaxError(_TOO_DEEP, token.line, token.column)
 
     # -- statements ----------------------------------------------------------
 
@@ -457,19 +490,29 @@ class _Parser:
 
     def _parse_or(self) -> Expression:
         left = self._parse_and()
-        while self._accept(KEYWORD, "OR"):
-            left = BinaryOp("OR", left, self._parse_and())
-        return left
+        while True:
+            token = self._peek()
+            if not self._accept(KEYWORD, "OR"):
+                return left
+            right = self._parse_and()
+            left = self._nest(token, BinaryOp("OR", left, right), left, right)
 
     def _parse_and(self) -> Expression:
         left = self._parse_not()
-        while self._accept(KEYWORD, "AND"):
-            left = BinaryOp("AND", left, self._parse_not())
-        return left
+        while True:
+            token = self._peek()
+            if not self._accept(KEYWORD, "AND"):
+                return left
+            right = self._parse_not()
+            left = self._nest(token, BinaryOp("AND", left, right), left, right)
 
     def _parse_not(self) -> Expression:
+        token = self._peek()
         if self._accept(KEYWORD, "NOT"):
-            return NotOp(self._parse_not())
+            self._enter(token)
+            operand = self._parse_not()
+            self._open -= 1
+            return self._nest(token, NotOp(operand), operand)
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expression:
@@ -478,35 +521,48 @@ class _Parser:
         if token.kind == OPERATOR and token.value in ("=", "!=", "<>", "<", "<=", ">", ">="):
             op = self._advance().value
             right = self._parse_additive()
-            return BinaryOp("!=" if op == "<>" else op, left, right)
+            return self._nest(
+                token, BinaryOp("!=" if op == "<>" else op, left, right),
+                left, right,
+            )
         if self._accept(KEYWORD, "IS"):
             negated = bool(self._accept(KEYWORD, "NOT"))
             self._expect(KEYWORD, "NULL")
-            return IsNullOp(left, negated=negated)
+            return self._nest(token, IsNullOp(left, negated=negated), left)
         negated_match = bool(self._accept(KEYWORD, "NOT"))
         if self._accept(KEYWORD, "LIKE"):
             pattern_token = self._expect(STRING)
-            return LikeOp(left, pattern_token.value, negated=negated_match)
+            return self._nest(
+                token, LikeOp(left, pattern_token.value, negated=negated_match),
+                left,
+            )
         if self._accept(KEYWORD, "BETWEEN"):
             low = self._parse_additive()
             self._expect(KEYWORD, "AND")
             high = self._parse_additive()
-            between = BinaryOp(
-                "AND", BinaryOp(">=", left, low), BinaryOp("<=", left, high)
+            lower = self._nest(token, BinaryOp(">=", left, low), left, low)
+            upper = self._nest(token, BinaryOp("<=", left, high), left, high)
+            between = self._nest(
+                token, BinaryOp("AND", lower, upper), lower, upper
             )
-            return NotOp(between) if negated_match else between
-        if negated_match:
-            token = self._peek()
-            raise SqlSyntaxError(
-                "expected LIKE or BETWEEN after NOT", token.line, token.column
-            )
+            if negated_match:
+                return self._nest(token, NotOp(between), between)
+            return between
         if self._accept(KEYWORD, "IN"):
             self._expect(PUNCT, "(")
             choices = [self._parse_literal_value()]
             while self._accept(PUNCT, ","):
                 choices.append(self._parse_literal_value())
             self._expect(PUNCT, ")")
-            return InOp(left, tuple(choices))
+            member = self._nest(token, InOp(left, tuple(choices)), left)
+            if negated_match:
+                return self._nest(token, NotOp(member), member)
+            return member
+        if negated_match:
+            token = self._peek()
+            raise SqlSyntaxError(
+                "expected LIKE, BETWEEN or IN after NOT", token.line, token.column
+            )
         return left
 
     def _parse_additive(self) -> Expression:
@@ -515,7 +571,8 @@ class _Parser:
             token = self._peek()
             if token.kind == OPERATOR and token.value in ("+", "-"):
                 op = self._advance().value
-                left = BinaryOp(op, left, self._parse_multiplicative())
+                right = self._parse_multiplicative()
+                left = self._nest(token, BinaryOp(op, left, right), left, right)
             else:
                 return left
 
@@ -525,15 +582,18 @@ class _Parser:
             token = self._peek()
             if token.kind == OPERATOR and token.value in ("*", "/", "%"):
                 op = self._advance().value
-                left = BinaryOp(op, left, self._parse_primary())
+                right = self._parse_primary()
+                left = self._nest(token, BinaryOp(op, left, right), left, right)
             else:
                 return left
 
     def _parse_primary(self) -> Expression:
         token = self._peek()
         if self._accept(PUNCT, "("):
+            self._enter(token)
             inner = self._parse_expression()
             self._expect(PUNCT, ")")
+            self._open -= 1
             return inner
         if token.kind == NUMBER or token.kind == STRING:
             return Literal(self._advance().key)
@@ -548,7 +608,9 @@ class _Parser:
             return Literal(False)
         if token.kind == OPERATOR and token.value == "-":
             self._advance()
+            self._enter(token)
             operand = self._parse_primary()
+            self._open -= 1
             if isinstance(operand, Literal):
                 if not isinstance(operand.value, (int, Decimal)):
                     raise SqlSyntaxError(
@@ -556,7 +618,10 @@ class _Parser:
                         token.line, token.column,
                     )
                 return Literal(-operand.value)
-            return BinaryOp("-", Literal(0), operand)
+            zero = Literal(0)
+            return self._nest(
+                token, BinaryOp("-", zero, operand), zero, operand
+            )
         if token.kind == IDENT:
             name = self._advance().value
             if self._accept(PUNCT, "."):

@@ -4,6 +4,15 @@ A session carries optional explicit-transaction state (``BEGIN`` ...
 ``COMMIT``); statements outside an explicit transaction auto-commit, like a
 default SQL Server session.  SELECT statements against ``<table>_ledger``
 names read the corresponding ledger view as a virtual table.
+
+SELECT, UPDATE, DELETE and EXPLAIN run through a **plan**, built on a
+statement shape's first execution and kept in its statement-cache entry
+(``sql/prepared.py``): the bound sources and schemas, the bound SET
+ordinals, the checked comparisons, each source's access path with every
+lifted literal as a value slot, and the predicates, SET values and
+projection compiled once into closures.  A hit fills the slots with the
+text's literal values and runs the plan; a plan whose catalog has changed
+since it was bound is rebuilt first.  Other statements run from their AST.
 """
 
 from __future__ import annotations
@@ -13,28 +22,32 @@ from itertools import islice
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.ledger_view import plan_ledger_view, view_column_names
+from repro.core.ledger_view import (
+    history_table_of,
+    plan_ledger_view,
+    view_column_names,
+)
 from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
     Expression,
-    as_predicate,
+    compile_predicate,
     conjunction,
     conjuncts,
     rename_columns,
 )
 from repro.engine.operators import (
     SEQ_SCAN,
-    AccessPlan,
+    DeletePlan,
     aggregate,
     bind_columns,
-    delete_rows,
+    explain_row,
     limit_rows,
     plan_access,
     plan_equalities,
+    plan_update,
     seq_scan,
     sort_rows,
-    update_rows,
 )
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.table import Table
@@ -44,6 +57,7 @@ from repro.errors import SqlBindError
 from repro.obs import OBS
 from repro.sql import ast
 from repro.sql.parser import parse
+from repro.sql.prepared import Prepared
 
 def _sql_metrics(reg):
     class _Families:
@@ -128,6 +142,264 @@ def _gatherer(
     return itemgetter(*slots)
 
 
+class _Plan:
+    """A statement planned once against one state of the catalog: it is
+    current while the catalog has not changed and each table it bound
+    still has the schema it bound."""
+
+    def __init__(self, engine, tables: Sequence[Table]) -> None:
+        self._engine = engine
+        self._version = engine.catalog.version
+        self._bound = tuple((table, table.schema) for table in tables)
+
+    def current(self) -> bool:
+        if self._engine.catalog.version != self._version:
+            return False
+        for table, schema in self._bound:
+            if table.schema is not schema:
+                return False
+        return True
+
+    def run(self, session: "SqlSession", values: Sequence[Any]) -> Any:
+        raise NotImplementedError
+
+    def explain(self, values: Sequence[Any]) -> List[Dict[str, Any]]:
+        """One EXPLAIN row per source, as the text was written."""
+        raise NotImplementedError
+
+
+class _DmlPlan(_Plan):
+    """UPDATE or DELETE: an :class:`UpdatePlan` / :class:`DeletePlan` run
+    in the session's transaction (or a one-shot one)."""
+
+    def __init__(self, engine, table: Table, operation) -> None:
+        super().__init__(engine, (table,))
+        self._operation = operation
+
+    def run(self, session: "SqlSession", values: Sequence[Any]) -> int:
+        operation = self._operation
+        return session._autocommit(lambda txn: operation.run(txn, values))
+
+    def explain(self, values: Sequence[Any]) -> List[Dict[str, Any]]:
+        return [self._operation.access.explain(values)]
+
+
+class _Read:
+    """How one source's rows are fetched: a stored table through its
+    :class:`AccessPlan`, a ledger view through its ``ViewPlan``; whether
+    they come back in ORDER BY order, and then the LIMIT that cuts them."""
+
+    def __init__(
+        self, source: "_Source", plan, ordered: bool = False,
+        limit: Optional[int] = None,
+    ) -> None:
+        self.source = source
+        self.plan = plan
+        self.ordered = ordered
+        self.limit = limit
+
+    def fetch(
+        self, db, values: Sequence[Any]
+    ) -> Tuple[List[Dict[str, Any]], bool]:
+        """The rows that satisfy the source's WHERE, and whether they are
+        already in ORDER BY order (then cut to the LIMIT).
+
+        The only place a SELECT touches the storage lock.  A seek or range
+        holds it for exactly the rows it returns; the full-scan fallback
+        holds it just long enough to copy the table out and filters the
+        copy without blocking writers.
+        """
+        source, plan = self.source, self.plan
+        if source.table is None:
+            rows = db.ledger_view(source.view_of, where=plan, values=values)
+            return rows, False
+        with db.ledger.storage_lock:
+            if plan.access != SEQ_SCAN:
+                rows = plan.rows(values=values)
+                if self.ordered and self.limit is not None:
+                    rows = islice(rows, self.limit)
+                return [named for _, named in rows], self.ordered
+            snapshot = [named for _, named in seq_scan(source.table)]
+        predicate = plan.predicate
+        return [row for row in snapshot if predicate(row, values)], False
+
+
+class _JoinStep:
+    """One ``JOIN``: how to find the rows of ``right`` that can join one
+    left row — an index nested loop through ``probe`` when ON equates a key
+    of ``right`` with left columns (``pins``: right column -> left row
+    key), else a snapshot of ``right`` — and the compiled ON."""
+
+    def __init__(
+        self, right: "_Source", join: ast.JoinClause, pins: Dict[str, str],
+        probe, snapshot: Optional[_Read],
+    ) -> None:
+        self.right = right
+        self.pins = pins
+        self.probe = probe
+        self.snapshot = snapshot
+        self.on = compile_predicate(join.on)
+        self.left_outer = join.left_outer
+        self.right_keys = right.keys()
+        if probe is not None:
+            schema = right.table.schema
+            self.types = [schema.column(name).sql_type for name in pins]
+
+    def _matcher(self, db):
+        """``left row -> candidate right rows`` for this execution."""
+        right = self.right
+        if self.probe is None:
+            rows = self.snapshot.fetch(db, ())[0]
+            snapshot = [right.qualify(row) for row in rows]
+            return lambda left: snapshot
+        probe, types = self.probe, self.types
+        keys = list(self.pins.values())
+        lock = db.ledger.storage_lock
+
+        def candidates(left: Dict[str, Any]) -> List[Dict[str, Any]]:
+            values = [left[key] for key in keys]
+            for sql_type, value in zip(types, values):
+                # NULL or another type equals nothing: ON cannot hold.
+                if value is None or not sql_type.comparable(value):
+                    return []
+            with lock:
+                found = list(probe.candidates(values=values))
+            return [right.qualify(named) for _, named in found]
+
+        return candidates
+
+    def join(
+        self, db, rows: List[Dict[str, Any]], values: Sequence[Any]
+    ) -> List[Dict[str, Any]]:
+        """Nested loop over ``rows`` (INNER or LEFT OUTER)."""
+        candidates = self._matcher(db)
+        on, right_keys = self.on, self.right_keys
+        joined: List[Dict[str, Any]] = []
+        for left_row in rows:
+            matched = False
+            for right_row in candidates(left_row):
+                # Qualified keys never collide; ambiguous bare keys
+                # resolve to the leftmost source (first wins).
+                combined = {**right_row, **left_row}
+                if on(combined, values):
+                    joined.append(combined)
+                    matched = True
+            if self.left_outer and not matched:
+                padded = dict(left_row)
+                padded.update({k: None for k in right_keys if k not in padded})
+                joined.append(padded)
+        return joined
+
+    def explain(self) -> Dict[str, Any]:
+        if self.probe is None:
+            return self.snapshot.plan.explain(())
+        probe = self.probe
+        row = explain_row(probe.table.name, probe.access, probe.index, None, ())
+        row["bounds"] = " AND ".join(
+            f"({used.left} = {self.pins[used.left.name]})"
+            for used in probe.consumed
+        )
+        return row
+
+
+class _SelectPlan(_Plan):
+    """A SELECT: the first source's read, each join step, then grouping,
+    ordering, LIMIT and the compiled projection."""
+
+    def __init__(
+        self, engine, tables: Sequence[Table], stmt: ast.Select, read: _Read,
+        steps: Optional[List[_JoinStep]] = None,
+    ) -> None:
+        super().__init__(engine, tables)
+        self.read = read
+        self.steps = steps
+        self.where = compile_predicate(stmt.where) if steps else None
+        #: Single-source rows carry qualified keys only when aliased.
+        self.qualify = bool(steps) or bool(stmt.alias)
+        self.order_by = list(stmt.order_by)
+        self.limit = stmt.limit
+        self.grouped = _grouped(stmt)
+        if self.grouped:
+            self.group_by = list(stmt.group_by)
+            self.aggregates = [
+                (item.alias, item.aggregate, item.aggregate_column)
+                for item in stmt.items if item.aggregate
+            ]
+            plain = [item for item in stmt.items if not item.aggregate]
+            for item in plain:
+                name = getattr(item.expression, "name", None)
+                candidates = {name, item.alias}
+                if name and "." in name:
+                    candidates.add(name.split(".", 1)[1])
+                if not candidates & set(stmt.group_by):
+                    raise SqlBindError(
+                        f"column {item.alias!r} must appear in GROUP BY"
+                    )
+            # Grouped columns re-exposed under their select aliases.
+            self.alias_map = {
+                item.alias: getattr(item.expression, "name", item.alias)
+                for item in plain
+            }
+        else:
+            self.outputs = [
+                (item.alias, item.expression.compile()) for item in stmt.items
+            ]
+
+    def run(self, session: "SqlSession", values: Sequence[Any]):
+        db = session._db
+        rows, ordered = self.read.fetch(db, values)
+        if self.qualify:
+            rows = [self.read.source.qualify(row) for row in rows]
+        if self.steps:
+            ordered = False
+            for step in self.steps:
+                rows = step.join(db, rows, values)
+            if self.where is not None:
+                where = self.where
+                rows = [row for row in rows if where(row, values)]
+        rows = iter(rows)
+
+        if self.grouped:
+            rows = aggregate(rows, self.group_by, self.aggregates)
+            if self.alias_map:
+                alias_map = self.alias_map
+                rows = (
+                    {
+                        **row,
+                        **{
+                            alias: row.get(source, row.get(
+                                source.split(".", 1)[-1]))
+                            for alias, source in alias_map.items()
+                        },
+                    }
+                    for row in rows
+                )
+            if self.order_by:
+                rows = sort_rows(rows, self.order_by)
+            if self.limit is not None:
+                rows = limit_rows(rows, self.limit)
+            return list(rows)
+
+        # Non-aggregated path: ORDER BY may reference source columns that
+        # the projection drops, so sort before projecting (SQL semantics).
+        if self.order_by and not ordered:
+            rows = sort_rows(rows, self.order_by)
+        if self.limit is not None:
+            rows = limit_rows(rows, self.limit)
+        if self.outputs:
+            outputs = self.outputs
+            return [
+                {alias: output(row, values) for alias, output in outputs}
+                for row in rows
+            ]
+        return list(rows)
+
+    def explain(self, values: Sequence[Any]) -> List[Dict[str, Any]]:
+        return [self.read.plan.explain(values)] + [
+            step.explain() for step in self.steps or ()
+        ]
+
+
 class SqlSession:
     """Executes SQL statements against one :class:`LedgerDatabase`."""
 
@@ -145,24 +417,39 @@ class SqlSession:
     def in_transaction(self) -> bool:
         return self._txn is not None
 
-    def _parse_cached(self, statement_text: str):
-        """Parse via the database's shared prepared-statement cache.
+    def _prepare(self, statement_text: str) -> Tuple[Prepared, Sequence[Any]]:
+        """The statement's cache entry and its literal values, through the
+        database's shared prepared-statement cache.
 
-        Parsing is schema-independent (names bind at execution), so an AST
-        is reusable until DDL bumps the cache epoch.  The cache answers by
-        exact text, then by shape (the text with its literals lifted, see
-        ``sql/prepared.py``); only a miss reaches ``parse``.
+        The cache answers by exact text, then by shape (the text with its
+        literals lifted, see ``sql/prepared.py``); only a miss reaches
+        ``parse``.
         """
         cache = getattr(self._db, "statement_cache", None)
         if cache is not None:
-            statement = cache.get(statement_text)
-            if statement is not None:
-                return statement
+            found = cache.get(statement_text)
+            if found is not None:
+                return found
         with OBS.tracer.span("sql.parse"):
             statement = parse(statement_text)
-        if cache is not None:
-            cache.put(statement_text, statement)
-        return statement
+        if cache is None:
+            return Prepared(statement), ()
+        return cache.put(statement_text, statement)
+
+    def _parse_cached(self, statement_text: str):
+        """The AST ``parse(statement_text)`` returns, via the cache."""
+        entry, values = self._prepare(statement_text)
+        return entry.ast(values)
+
+    def _planned(self, entry: Prepared, values: Sequence[Any]) -> _Plan:
+        """The entry's plan, built (or rebuilt, when the catalog changed
+        since it was bound) from its statement — the template, when the
+        shape lifts.  ``values`` serve only a bind error's message: a plan
+        holds for every text of its shape."""
+        plan = entry.plan
+        if plan is None or not plan.current():
+            plan = entry.plan = self._plan(entry.statement, values)
+        return plan
 
     def execute(self, statement_text: str):
         """Parse and run one statement.
@@ -170,31 +457,38 @@ class SqlSession:
         Sessions are single-threaded but many sessions may execute
         concurrently: writes run under the ledger's storage lock (the
         storage engine is not thread-safe), and so do the sequencer and
-        the entry queue a commit advances.  Parsing touches no
-        shared state, so it happens *before* the lock is taken — statements
-        queued behind a long scan parse concurrently instead of serially.
-        Read-only statements never hold the storage lock across execution:
-        :meth:`_fetch` takes it for the seek and decode of the rows an
-        access path returns (or, for a full scan, just long enough to copy
-        the table out), and joins, sorts and projection run lock-free.
+        the entry queue a commit advances.  Parsing and planning a read
+        touch no shared state, so they happen *before* the lock is taken —
+        statements queued behind a long scan parse concurrently instead of
+        serially.  Read-only statements never hold the storage lock across
+        execution: :meth:`_Read.fetch` takes it for the seek and decode of
+        the rows an access path returns (or, for a full scan, just long
+        enough to copy the table out), and joins, sorts and projection run
+        lock-free.
 
         Returns rows (list of dicts) for SELECT, an affected-row count for
         DML, and None for DDL / transaction control.
         """
         tracer = OBS.tracer
         with tracer.span("sql.statement") as stmt_span:
-            statement = self._parse_cached(statement_text)
-            kind = type(statement).__name__
+            entry, values = self._prepare(statement_text)
+            kind = type(entry.statement).__name__
             stmt_span.set_attribute("kind", kind)
             self._m.statements.labels(kind).inc()
-            handler = self._HANDLERS[type(statement)]
-            if type(statement) in (ast.Select, ast.Explain):
+            if type(entry.statement) is ast.Explain:
+                # The statement's own plan, rendered; nothing is read.
                 with tracer.span("sql.execute", kind=kind):
-                    return handler(self, statement)
+                    return self._planned(entry, values).explain(values)
+            if type(entry.statement) is ast.Select:
+                with tracer.span("sql.execute", kind=kind):
+                    return self._planned(entry, values).run(self, values)
             with self._db.ledger.storage_lock, tracer.span(
                 "sql.execute", kind=kind
             ):
-                return handler(self, statement)
+                if type(entry.statement) in (ast.Update, ast.Delete):
+                    return self._planned(entry, values).run(self, values)
+                statement = entry.ast(values)
+                return self._HANDLERS[type(statement)](self, statement)
 
     def executemany(self, statement_text: str, param_rows) -> int:
         """Run a parameterized INSERT once per parameter row, batched.
@@ -445,18 +739,6 @@ class SqlSession:
             )
         )
 
-    def _run_update(self, stmt: ast.Update):
-        table = self._db.engine.table(stmt.table)
-        return self._autocommit(
-            lambda txn: update_rows(txn, table, stmt.assignments, stmt.where)
-        )
-
-    def _run_delete(self, stmt: ast.Delete):
-        table = self._db.engine.table(stmt.table)
-        return self._autocommit(
-            lambda txn: delete_rows(txn, table, stmt.where)
-        )
-
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
@@ -496,28 +778,33 @@ class SqlSession:
             mine = [rename_columns(part, source.bare) for part in mine]
         return conjunction(mine)
 
-    @staticmethod
-    def _table_plan(
+    def _read(
+        self,
         source: "_Source",
         where: Optional[Expression],
+        values: Sequence[Any],
         order_by: Sequence[str] = (),
         limit: Optional[int] = None,
-    ) -> Tuple[AccessPlan, bool]:
-        """Plan a stored table's read; also whether its rows will come back
-        already in ``order_by`` order (a leading primary-key prefix).
+    ) -> _Read:
+        """Plan one source's read.
 
-        A full scan that only has to feed ``ORDER BY <pk prefix> LIMIT n``
-        walks the clustered index instead, so it can stop after n matches.
+        Its rows come back already in ``order_by`` order on a leading
+        primary-key prefix; a full scan that only has to feed ``ORDER BY
+        <pk prefix> LIMIT n`` walks the clustered index instead, so it can
+        stop after n matches.
         """
+        if source.table is None:
+            base = self._db.ledger_table(source.view_of)
+            return _Read(source, plan_ledger_view(base, where, values))
         table = source.table
-        plan = plan_access(table, where)
+        plan = plan_access(table, where, values)
         primary_key = table.schema.primary_key
         by_key = bool(order_by) and (
             tuple(order_by) == primary_key[: len(order_by)]
         )
         if by_key and limit is not None:
             plan = plan.in_key_order()
-        return plan, by_key and plan.key_ordered
+        return _Read(source, plan, by_key and plan.key_ordered, limit)
 
     def _single_source(self, stmt: ast.Select):
         """Bind the only source of a join-free SELECT: the source, its
@@ -529,46 +816,12 @@ class SqlSession:
             return source, where, (), None
         return source, where, source.key_order(stmt.order_by), stmt.limit
 
-    def _fetch(
-        self,
-        source: "_Source",
-        where: Optional[Expression],
-        order_by: Sequence[str] = (),
-        limit: Optional[int] = None,
-    ) -> Tuple[List[Dict[str, Any]], bool]:
-        """The rows of ``source`` that satisfy ``where``, and whether they
-        are already in ``order_by`` order (then cut to ``limit``).
-
-        The only place a SELECT touches the storage lock.  A seek or range
-        holds it for exactly the rows it returns; the full-scan fallback
-        holds it just long enough to copy the table out and filters the
-        copy without blocking writers.
-        """
-        db = self._db
-        if source.table is None:
-            return db.ledger_view(source.view_of, where=where), False
-        with db.ledger.storage_lock:
-            plan, ordered = self._table_plan(source, where, order_by, limit)
-            if plan.access != SEQ_SCAN:
-                rows = plan.rows()
-                if ordered and limit is not None:
-                    rows = islice(rows, limit)
-                return [named for _, named in rows], ordered
-            snapshot = [named for _, named in seq_scan(source.table)]
-        predicate = as_predicate(where)
-        return [row for row in snapshot if predicate(row)], False
-
     @staticmethod
-    def _join_access(
+    def _join_pins(
         right: "_Source", on: Expression, known: Set[str]
-    ) -> Tuple[Dict[str, str], Optional[AccessPlan]]:
-        """How to find the rows of ``right`` that can join one left row.
-
-        Returns the ``right column -> left row key`` pairs that ON equates
-        (top-level AND conjuncts only) and, when a primary key or index of
-        ``right`` covers them, the shape of the seek that serves them; None
-        means every right row has to be tried.
-        """
+    ) -> Dict[str, str]:
+        """The ``right column -> left row key`` pairs that ON equates (top-
+        level AND conjuncts only)."""
         pins: Dict[str, str] = {}
         for part in conjuncts(on):
             if not (
@@ -586,184 +839,65 @@ class SqlSession:
                 if column is not None and theirs in known:
                     pins.setdefault(column, theirs)
                     break
-        if right.table is None or not pins:
-            return pins, None
-        shape = plan_equalities(right.table, dict.fromkeys(pins))
-        return pins, shape if shape.access != SEQ_SCAN else None
+        return pins
 
-    def _join_matcher(
-        self, right: "_Source", on: Expression, known: Set[str]
-    ):
-        """``left row -> candidate right rows`` for one join step: an index
-        nested loop when ON equates a key of ``right``, else a snapshot."""
-        pins, shape = self._join_access(right, on, known)
-        if shape is None:
-            rows = self._fetch(right, None)[0]
-            snapshot = [right.qualify(row) for row in rows]
-            return lambda left: snapshot
-        table = right.table
-        types = {name: table.schema.column(name).sql_type for name in pins}
-        lock = self._db.ledger.storage_lock
+    def _plan_join(
+        self, right: "_Source", join: ast.JoinClause, known: Set[str]
+    ) -> _JoinStep:
+        """One join step: a probe of ``right`` when a primary key or index
+        of it covers the columns ON pins, else a snapshot of it."""
+        pins = self._join_pins(right, join.on, known)
+        if right.table is not None and pins:
+            probe = plan_equalities(right.table, list(pins))
+            if probe.access != SEQ_SCAN:
+                return _JoinStep(right, join, pins, probe, None)
+        return _JoinStep(right, join, pins, None, self._read(right, None, ()))
 
-        def probe(left: Dict[str, Any]) -> List[Dict[str, Any]]:
-            values = {column: left[key] for column, key in pins.items()}
-            for column, value in values.items():
-                # NULL or another type equals nothing: ON cannot hold.
-                if value is None or not types[column].comparable(value):
-                    return []
-            with lock:
-                found = list(plan_equalities(table, values).candidates())
-            return [right.qualify(named) for _, named in found]
-
-        return probe
-
-    def _join_rows(self, stmt: ast.Select) -> List[Dict[str, Any]]:
-        """Nested-loop joins, left to right (INNER and LEFT OUTER)."""
+    def _plan_select(
+        self, stmt: ast.Select, values: Sequence[Any]
+    ) -> _SelectPlan:
+        if not stmt.joins:
+            source, where, order_by, limit = self._single_source(stmt)
+            read = self._read(source, where, values, order_by, limit)
+            return _SelectPlan(
+                self._db.engine, self._tables(read.source), stmt, read
+            )
         left = self._resolve_source(stmt.table, stmt.alias or stmt.table)
-        where = self._source_where(stmt.where, left)
-        rows = [left.qualify(row) for row in self._fetch(left, where)[0]]
+        read = self._read(left, self._source_where(stmt.where, left), values)
+        tables = self._tables(left)
         known = left.keys()
+        steps = []
         for join in stmt.joins:
             right = self._resolve_source(join.table, join.alias)
-            candidates = self._join_matcher(right, join.on, known)
-            right_keys = right.keys()
-            predicate = as_predicate(join.on)
-            joined: List[Dict[str, Any]] = []
-            for left_row in rows:
-                matched = False
-                for right_row in candidates(left_row):
-                    # Qualified keys never collide; ambiguous bare keys
-                    # resolve to the leftmost source (first wins).
-                    combined = {**right_row, **left_row}
-                    if predicate(combined):
-                        joined.append(combined)
-                        matched = True
-                if join.left_outer and not matched:
-                    padded = dict(left_row)
-                    padded.update(
-                        {k: None for k in right_keys if k not in padded}
-                    )
-                    joined.append(padded)
-            rows = joined
-            known |= right_keys
-        return rows
+            steps.append(self._plan_join(right, join, known))
+            tables += self._tables(right)
+            known |= right.keys()
+        return _SelectPlan(self._db.engine, tables, stmt, read, steps)
 
-    def _run_select(self, stmt: ast.Select):
-        grouped = _grouped(stmt)
-        ordered = False
-        if stmt.joins:
-            rows: Any = self._join_rows(stmt)
-            if stmt.where is not None:
-                predicate = as_predicate(stmt.where)
-                rows = (row for row in rows if predicate(row))
+    def _tables(self, source: "_Source") -> List[Table]:
+        """The tables a read of ``source`` is bound to."""
+        if source.table is not None:
+            return [source.table]
+        base = self._db.ledger_table(source.view_of)
+        history = history_table_of(self._db.engine, base)
+        return [base] if history is None else [base, history]
+
+    def _plan(self, statement: Any, values: Sequence[Any]) -> _Plan:
+        """Build the plan of a SELECT, UPDATE or DELETE, or of the one an
+        EXPLAIN names."""
+        if type(statement) is ast.Explain:
+            statement = statement.statement
+        if type(statement) is ast.Select:
+            return self._plan_select(statement, values)
+        engine = self._db.engine
+        table = engine.table(statement.table)
+        if type(statement) is ast.Update:
+            operation = plan_update(
+                table, statement.assignments, statement.where, values
+            )
         else:
-            source, *read = self._single_source(stmt)
-            rows, ordered = self._fetch(source, *read)
-            if stmt.alias:
-                rows = [source.qualify(row) for row in rows]
-        rows = iter(rows)
-
-        if grouped:
-            aggregates = [
-                (item.alias, item.aggregate, item.aggregate_column)
-                for item in stmt.items
-                if item.aggregate
-            ]
-            plain = [item for item in stmt.items if not item.aggregate]
-            for item in plain:
-                name = getattr(item.expression, "name", None)
-                candidates = {name, item.alias}
-                if name and "." in name:
-                    candidates.add(name.split(".", 1)[1])
-                if not candidates & set(stmt.group_by):
-                    raise SqlBindError(
-                        f"column {item.alias!r} must appear in GROUP BY"
-                    )
-            rows = aggregate(rows, list(stmt.group_by), aggregates)
-            if plain:
-                # Re-expose grouped columns under their select aliases.
-                alias_map = {
-                    item.alias: getattr(item.expression, "name", item.alias)
-                    for item in plain
-                }
-                rows = (
-                    {
-                        **row,
-                        **{
-                            alias: row.get(source, row.get(
-                                source.split(".", 1)[-1]))
-                            for alias, source in alias_map.items()
-                        },
-                    }
-                    for row in rows
-                )
-            if stmt.order_by:
-                rows = sort_rows(rows, list(stmt.order_by))
-            if stmt.limit is not None:
-                rows = limit_rows(rows, stmt.limit)
-            return list(rows)
-
-        # Non-aggregated path: ORDER BY may reference source columns that
-        # the projection drops, so sort before projecting (SQL semantics).
-        if stmt.order_by and not ordered:
-            rows = sort_rows(rows, list(stmt.order_by))
-        if stmt.limit is not None:
-            rows = limit_rows(rows, stmt.limit)
-        if stmt.items:
-            outputs = [(item.alias, item.expression) for item in stmt.items]
-            rows = (
-                {alias: expr.evaluate(row) for alias, expr in outputs}
-                for row in rows
-            )
-        return list(rows)
-
-    # ------------------------------------------------------------------
-    # EXPLAIN
-    # ------------------------------------------------------------------
-
-    def _explain_source(
-        self,
-        source: _Source,
-        where: Optional[Expression],
-        order_by: Sequence[str] = (),
-        limit: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        if source.table is None:
-            base = self._db.ledger_table(source.view_of)
-            return plan_ledger_view(base, where).explain()
-        return self._table_plan(source, where, order_by, limit)[0].explain()
-
-    def _run_explain(self, stmt: ast.Explain) -> List[Dict[str, Any]]:
-        """One row per source — table, access, index, bounds, residual —
-        from the same planning calls execution makes; nothing is read."""
-        target = stmt.statement
-        with self._db.ledger.storage_lock:
-            if not isinstance(target, ast.Select):
-                table = self._db.engine.table(target.table)
-                return [plan_access(table, target.where).explain()]
-            if not target.joins:
-                return [self._explain_source(*self._single_source(target))]
-            left = self._resolve_source(
-                target.table, target.alias or target.table
-            )
-            plans = [self._explain_source(
-                left, self._source_where(target.where, left)
-            )]
-            known = left.keys()
-            for join in target.joins:
-                right = self._resolve_source(join.table, join.alias)
-                pins, shape = self._join_access(right, join.on, known)
-                if shape is None:
-                    plans.append(self._explain_source(right, None))
-                else:
-                    row = shape.explain()
-                    row["bounds"] = " AND ".join(
-                        f"({used.left} = {pins[used.left.name]})"
-                        for used in shape.consumed
-                    )
-                    plans.append(row)
-                known |= right.keys()
-            return plans
+            operation = DeletePlan(plan_access(table, statement.where, values))
+        return _DmlPlan(engine, table, operation)
 
     _HANDLERS = {
         ast.BeginTransaction: _run_begin,
@@ -777,8 +911,4 @@ class SqlSession:
         ast.AlterAddColumn: _run_add_column,
         ast.AlterDropColumn: _run_drop_column,
         ast.Insert: _run_insert,
-        ast.Update: _run_update,
-        ast.Delete: _run_delete,
-        ast.Select: _run_select,
-        ast.Explain: _run_explain,
     }

@@ -7,9 +7,10 @@ import pytest
 from repro.core.ledger_database import APPEND_ONLY, LedgerDatabase
 from repro.core.verification import LedgerVerifier
 from repro.engine.clock import LogicalClock
+from repro.engine.expressions import BinaryOp, ColumnRef, Literal
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import INT, VARCHAR
-from repro.errors import LedgerConfigurationError
+from repro.errors import LedgerConfigurationError, SqlBindError
 
 from tests.core.conftest import accounts_schema, run
 
@@ -79,11 +80,18 @@ class TestSelectApi:
         (visible,) = db.select("accounts")
         assert "ledger_start_transaction_id" not in visible
 
-    def test_select_with_callable_predicate(self, db, accounts):
+    def test_select_with_expression_predicate(self, db, accounts):
         run(db, "a", lambda t: db.insert(
             t, "accounts", [["Nick", 1], ["Mary", 2]]))
-        rows = db.select("accounts", lambda r: r["balance"] > 1)
+        rows = db.select(
+            "accounts", BinaryOp(">", ColumnRef("balance"), Literal(1))
+        )
         assert [r["name"] for r in rows] == ["Mary"]
+
+    def test_select_refuses_a_callable_predicate(self, db, accounts):
+        # A Python callable cannot be planned, checked or compiled.
+        with pytest.raises(SqlBindError, match="as a predicate"):
+            db.select("accounts", lambda r: r["balance"] > 1)
 
 
 class TestAppendOnlyTruncation:

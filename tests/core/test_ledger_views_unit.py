@@ -7,7 +7,7 @@ from repro.core.ledger_view import (
     OPERATION_DELETE,
     OPERATION_INSERT,
     canonical_view_definition,
-    ledger_view_rows,
+    plan_ledger_view,
 )
 from repro.engine.expressions import eq
 from repro.engine.schema import Column, TableSchema
@@ -94,7 +94,7 @@ class TestViewMaterialization:
         txn = run(db, "a", lambda t: db.update(
             t, "accounts", {"balance": 50}, eq("name", "Nick")))
         events = [
-            e for e in ledger_view_rows(accounts, db.history_table("accounts"))
+            e for e in plan_ledger_view(accounts).rows(db.history_table("accounts"))
             if e["ledger_transaction_id"] == txn.tid
         ]
         operations = sorted(e["ledger_operation_type_desc"] for e in events)
@@ -106,7 +106,7 @@ class TestViewMaterialization:
         assert by_seq[1]["balance"] == 100
 
     def test_view_of_empty_table(self, db, accounts):
-        assert ledger_view_rows(accounts, db.history_table("accounts")) == []
+        assert plan_ledger_view(accounts).rows(db.history_table("accounts")) == []
 
     def test_append_only_view_has_inserts_only(self, db):
         from repro.core.ledger_database import APPEND_ONLY
@@ -115,7 +115,7 @@ class TestViewMaterialization:
             accounts_schema("log"), ledger_type=APPEND_ONLY
         )
         run(db, "a", lambda t: db.insert(t, "log", [["e1", 1], ["e2", 2]]))
-        events = ledger_view_rows(table, None)
+        events = plan_ledger_view(table).rows(None)
         assert len(events) == 2
         assert all(
             e["ledger_operation_type_desc"] == OPERATION_INSERT for e in events

@@ -1,19 +1,23 @@
 """Unit tests for the expression evaluator and access-path planning."""
 
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.expressions as expressions_module
 from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
     InOp,
     IsNullOp,
+    LikeOp,
     Literal,
     NotOp,
     as_predicate,
+    like_regex,
     column,
     eq,
 )
@@ -42,9 +46,10 @@ class TestEvaluation:
         expr = BinaryOp(op, ColumnRef("a"), Literal(7))
         assert expr.evaluate(ROW) is expected
 
-    def test_null_comparisons_are_false(self):
+    def test_null_comparisons_are_unknown(self):
         for op in ("=", "!=", "<", ">"):
-            assert BinaryOp(op, ColumnRef("c"), Literal(1)).evaluate(ROW) is False
+            assert BinaryOp(op, ColumnRef("c"), Literal(1)).evaluate(ROW) is None
+            assert BinaryOp(op, Literal(1), Literal(None)).evaluate(ROW) is None
 
     def test_null_arithmetic_propagates(self):
         assert BinaryOp("+", ColumnRef("c"), Literal(1)).evaluate(ROW) is None
@@ -90,7 +95,10 @@ class TestEvaluation:
     def test_in(self):
         assert InOp(ColumnRef("a"), (1, 5, 9)).evaluate(ROW) is True
         assert InOp(ColumnRef("a"), (1, 9)).evaluate(ROW) is False
-        assert InOp(ColumnRef("c"), (None, 1)).evaluate(ROW) is False
+        assert InOp(ColumnRef("c"), (None, 1)).evaluate(ROW) is None
+        # A miss against a list holding NULL is UNKNOWN, a hit still TRUE.
+        assert InOp(ColumnRef("a"), (1, None)).evaluate(ROW) is None
+        assert InOp(ColumnRef("a"), (5, None)).evaluate(ROW) is True
 
     def test_unknown_operator(self):
         with pytest.raises(SqlBindError):
@@ -112,12 +120,70 @@ class TestAsPredicate:
     def test_expression_wrapped(self):
         assert as_predicate(eq("a", 5))(ROW) is True
 
-    def test_callable_passthrough(self):
-        assert as_predicate(lambda r: r["a"] > 1)(ROW) is True
+    def test_callable_refused(self):
+        # Predicates are Expressions only: a callable cannot be planned.
+        with pytest.raises(SqlBindError, match="as a predicate"):
+            as_predicate(lambda r: r["a"] > 1)
+
+    def test_unknown_is_not_kept(self):
+        assert as_predicate(eq("c", 1))(ROW) is False
+        assert as_predicate(NotOp(eq("c", 1)))(ROW) is False
+        assert as_predicate(IsNullOp(ColumnRef("c")))(ROW) is True
 
     def test_garbage_rejected(self):
         with pytest.raises(SqlBindError):
             as_predicate(42)
+
+
+#: UNKNOWN, FALSE and TRUE as the three operands a truth table ranges over.
+_TRUTH = {None: eq("c", 1), False: eq("a", 6), True: eq("a", 5)}
+
+
+class TestThreeValuedLogic:
+    """Kleene's tables, with NULL (None) as UNKNOWN, as SQL Server answers
+    under ``ANSI_NULLS ON``."""
+
+    @pytest.mark.parametrize("left", [None, False, True])
+    @pytest.mark.parametrize("right", [None, False, True])
+    def test_and_or_tables(self, left, right):
+        def kleene_and(a, b):
+            if a is False or b is False:
+                return False
+            return None if a is None or b is None else True
+
+        def kleene_or(a, b):
+            if a is True or b is True:
+                return True
+            return None if a is None or b is None else False
+
+        pair = (_TRUTH[left], _TRUTH[right])
+        assert BinaryOp("AND", *pair).evaluate(ROW) is kleene_and(left, right)
+        assert BinaryOp("OR", *pair).evaluate(ROW) is kleene_or(left, right)
+
+    @pytest.mark.parametrize("value", [None, False, True])
+    def test_not(self, value):
+        expected = None if value is None else not value
+        assert NotOp(_TRUTH[value]).evaluate(ROW) is expected
+
+    def test_like_between_and_in_with_null_are_unknown(self):
+        assert LikeOp(ColumnRef("c"), "a%").evaluate(ROW) is None
+        assert LikeOp(ColumnRef("c"), "a%", negated=True).evaluate(ROW) is None
+        between = BinaryOp(
+            "AND", BinaryOp(">=", ColumnRef("c"), Literal(1)),
+            BinaryOp("<=", ColumnRef("c"), Literal(9)),
+        )
+        assert between.evaluate(ROW) is None
+        assert NotOp(between).evaluate(ROW) is None
+        assert NotOp(InOp(ColumnRef("a"), (1, None))).evaluate(ROW) is None
+
+    def test_like_compiles_its_pattern_once(self):
+        with mock.patch.object(
+            expressions_module, "like_regex", wraps=like_regex
+        ) as built:
+            predicate = as_predicate(LikeOp(ColumnRef("b"), "t_x%"))
+            assert [predicate({"b": v}) for v in ("text", "txt", "t\nxt")] == [
+                True, False, True]
+        assert built.call_count == 1
 
 
 def _terms(condition):

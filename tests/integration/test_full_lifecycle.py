@@ -20,6 +20,7 @@ from repro.core.recovery_advisor import (
 from repro.crypto.rsa import generate_keypair
 from repro.digests import DigestManager, ImmutableBlobStorage
 from repro.engine.clock import LogicalClock
+from repro.engine.expressions import eq
 from repro.engine.schema import Column
 from repro.engine.types import VARCHAR
 
@@ -74,7 +75,7 @@ def test_full_lifecycle(bank):
     )
     db.set_signing_key(generate_keypair(bits=512, seed=11))
     manager = DigestManager(db, ImmutableBlobStorage(str(tmp_path / "worm")))
-    assert db.select("accounts", lambda r: r["acct"] == "A-4")
+    assert db.select("accounts", eq("acct", "A-4"))
 
     # -- receipt for the disputed deposit (survives everything below) ----------
     receipt = db.transaction_receipt(disputed.tid)
@@ -116,7 +117,7 @@ def test_full_lifecycle(bank):
     clean_report = restored.verify(manager.digests_for_verification())
     assert clean_report.ok, clean_report.summary()
     assert restored.select(
-        "accounts", lambda r: r["acct"] == "A-2"
+        "accounts", eq("acct", "A-2")
     )[0]["balance"] == 500
 
     # -- and the receipt still proves the disputed deposit ----------------------

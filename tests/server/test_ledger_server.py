@@ -256,8 +256,15 @@ class TestClientMistakes:
          "INSERT INTO items VALUES ('a', 2)", "ConstraintError"),
         (["INSERT INTO items VALUES ('a', 1)", "INSERT INTO items VALUES ('b', 2)"],
          "UPDATE items SET tag = 'a' WHERE tag = 'b'", "ConstraintError"),
+        # Nested past the parser's depth bound (SQL Server's error 191).
+        (["INSERT INTO items VALUES ('a', 1)"],
+         "SELECT * FROM items WHERE value = " + " + ".join(["1"] * 1500),
+         "SqlSyntaxError"),
+        ([], "SELECT * FROM items WHERE " + "(" * 1500 + "value = 1"
+         + ")" * 1500, "SqlSyntaxError"),
     ], ids=["too_long", "wrong_type", "lone_surrogate", "syntax",
-            "unknown_table", "unknown_view", "duplicate_insert", "duplicate_update"])
+            "unknown_table", "unknown_view", "duplicate_insert", "duplicate_update",
+            "deep_chain", "deep_parentheses"])
     def test_library_error_is_bad_request(self, client, setup, sql, error):
         for statement in setup:
             client.execute(statement)

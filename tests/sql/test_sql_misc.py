@@ -8,6 +8,7 @@ from repro.engine.clock import LogicalClock
 from repro.errors import (
     SqlArithmeticError,
     SqlBindError,
+    SqlSyntaxError,
     TypeSystemError,
     VerificationFailedError,
 )
@@ -99,6 +100,19 @@ class TestErrorSurface:
         with pytest.raises(SqlBindError):
             db.sql("BEGIN")
         db.sql("ROLLBACK")
+
+    @pytest.mark.parametrize("where", [
+        "balance = " + " + ".join(["1"] * 1500),
+        "(" * 1500 + "balance = 1" + ")" * 1500,
+        "NOT " * 1500 + "balance = 1",
+        "balance = " + "-(" * 1500 + "1" + ")" * 1500,
+    ], ids=["chain", "parentheses", "not", "unary_minus"])
+    def test_too_deep_is_a_syntax_error_at_its_token(self, db, where):
+        """SQL Server's error 191, not the interpreter's RecursionError."""
+        with pytest.raises(SqlSyntaxError, match="nested too deeply") as info:
+            db.sql(f"SELECT * FROM accounts WHERE {where}")
+        assert info.value.line == 1 and info.value.column > 1
+        assert len(db.sql("SELECT * FROM accounts")) == 2
 
     def test_verification_error_truncates_long_finding_lists(self):
         findings = [

@@ -1,10 +1,16 @@
-"""The statement cache lifts literals: statements of one shape share a parse.
+"""The statement cache lifts literals: statements of one shape share a
+parse and a plan.
 
 A hit must be a parse: for every text, the AST ``SqlSession._parse_cached``
 returns equals ``parse(text)`` — compared by ``repr`` as well, so ``1``,
 ``True`` and ``Decimal('1')`` stay apart — whether the text is the first of
 its shape or a later one, and an input whose parse raises raises the same
 error (type, message, line, column) whether or not its shape is cached.
+
+A hit must be a fresh plan: run through a cache that holds its shape's plan,
+a text answers what it answers through an empty cache — EXPLAIN rows,
+result multiset, affected-row count or error (type, message) — and a plan
+cached before a schema change through the API answers as if planned after.
 """
 
 import re
@@ -15,12 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.expressions as expressions_module
+import repro.engine.operators as operators_module
+import repro.sql.prepared as prepared_module
 import repro.sql.session as session_module
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
+from repro.engine.schema import Column, IndexDefinition, TableSchema
+from repro.engine.types import INT, VARCHAR
 from repro.errors import SqlError, SqlSyntaxError
 from repro.sql.lexer import shape
-from repro.sql.parser import parse
+from repro.sql.parser import MAX_DEPTH, parse
 from repro.sql.prepared import StatementCache
 from repro.sql.session import SqlSession
 from tests.sql.test_parser_fuzz import VALID_STATEMENTS
@@ -44,6 +55,15 @@ TEMPLATES = [
     "EXPLAIN DELETE FROM t WHERE NOT (a = {} OR b <> {}) AND c IS NULL",
     "CREATE TABLE t (a DECIMAL({}, {}) NOT NULL) WITH (LEDGER = {})",
     "SELECT * FROM t WHERE a = {}{} AND b = FALSE{}",
+    # Plans of every access path, with a literal in each slot a plan keeps.
+    "SELECT a, b FROM t WHERE id IN ({}, {}, NULL) ORDER BY id",
+    "SELECT * FROM t WHERE b = {} AND a <> {}",
+    "SELECT * FROM accounts WHERE id >= {} ORDER BY id LIMIT 3",
+    "SELECT * FROM t_ledger WHERE id = {} AND a > {}",
+    "SELECT t.id, u.v FROM t JOIN u ON u.id = t.a WHERE t.b <> {}",
+    "SELECT g, COUNT(*) AS n FROM t WHERE NOT (a = {}) GROUP BY g",
+    "UPDATE t SET b = {}, a = a + {} WHERE id BETWEEN {} AND {}",
+    "DELETE FROM t WHERE a NOT IN ({}, {}) OR b LIKE 'x%'",
 ]
 
 INTS = st.sampled_from(["0", "007", "5", "10000000000000000000000000"]) | (
@@ -174,15 +194,17 @@ class TestCacheRules:
             assert _outcome(session._parse_cached, text) == _outcome(parse, text)
             assert _outcome(parse, text)[0] == "error"
 
-    def test_a_statement_too_deep_to_template_is_cached_by_text(self):
-        # A hit rebuilds recursively, so a deep chain keeps no template.
+    def test_a_statement_too_deep_is_refused_cached_shape_or_not(self):
+        # The parser's depth bound holds for the shape's template as well.
         session = _session()
-        cache = session._db.statement_cache
-        texts = ["SELECT * FROM t WHERE a = " + " + ".join([digit] * 150)
-                 for digit in "12"]
-        for text in texts + texts[:1]:
-            assert session._parse_cached(text) == parse(text)
-        assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 1
+        session._parse_cached("SELECT * FROM t WHERE a = 1 + 1")
+        for terms in (MAX_DEPTH + 1, 1500):
+            text = "SELECT * FROM t WHERE a = " + " + ".join(["1"] * terms)
+            outcome = _outcome(session._parse_cached, text)
+            assert outcome == _outcome(parse, text)
+            assert outcome[:3] == ("error", "SqlSyntaxError", (
+                "Some part of your SQL statement is nested too deeply"
+                f" at line 1, column {outcome[4]}"))
 
     def test_ddl_empties_the_shapes_too(self, tmp_path):
         db = LedgerDatabase.open(str(tmp_path / "db"), clock=LogicalClock())
@@ -198,3 +220,195 @@ class TestCacheRules:
             assert db.statement_cache.stats()["misses"] == misses + 1
         finally:
             db.close()
+
+
+#: The statements a plan serves, and INSERT, which rebuilds its AST.
+_RUN = ("SELECT", "UPDATE", "DELETE", "EXPLAIN", "INSERT")
+
+
+@pytest.fixture(scope="module")
+def shapes_db(tmp_path_factory):
+    """The tables the templates name, with NULLs, an index and a view."""
+    db = LedgerDatabase.open(
+        str(tmp_path_factory.mktemp("shapes") / "db"), clock=LogicalClock())
+    db.sql("CREATE TABLE accounts (id INT PRIMARY KEY, name VARCHAR(16), "
+           "balance INT) WITH (LEDGER = ON)")
+    db.sql("INSERT INTO accounts VALUES (1, 'a', 10), (2, 'b', NULL), "
+           "(5, NULL, 7), (7, 'd', 0)")
+    db.sql("CREATE TABLE t (id INT PRIMARY KEY, a INT, b VARCHAR(8), "
+           "c VARCHAR(8), g INT, v INT, x VARCHAR(8)) WITH (LEDGER = ON)")
+    db.sql("CREATE INDEX ix_b ON t (b)")
+    db.sql("INSERT INTO t VALUES (0, 1, 'ab', 'c', 1, 2, 'x0'), "
+           "(1, NULL, 'ab', NULL, 1, NULL, NULL), (2, 2, '5', 'a%', 2, 3, 'z'), "
+           "(3, 5, NULL, 'b', NULL, 1, 'x3'), (4, 0, 'x', '', 2, 0, '')")
+    db.sql("UPDATE t SET a = 3 WHERE id = 4")
+    db.sql("CREATE TABLE u (id INT PRIMARY KEY, v INT)")
+    db.sql("INSERT INTO u VALUES (1, 10), (2, NULL), (5, 50)")
+    yield db
+    db.close()
+
+
+def _answer(db, cache, text):
+    """What ``text`` answers through ``cache``, inside a transaction that
+    is then rolled back, so every run starts from the same rows."""
+    db.statement_cache = cache
+    session = SqlSession(db)
+    session.execute("BEGIN")
+    try:
+        result = session.execute(text)
+    except Exception as exc:  # whatever it is, fresh and hit must agree
+        return ("error", type(exc).__name__, str(exc))
+    finally:
+        session.abort()
+    if isinstance(result, list) and not text.startswith("EXPLAIN"):
+        return ("rows", sorted(repr(sorted(row.items())) for row in result))
+    return ("result", repr(result))
+
+
+class TestAHitIsAFreshPlan:
+    @given(seeds(), st.data())
+    @settings(deadline=None)
+    def test_cached_plan_answers_as_a_fresh_one(self, shapes_db, seed, data):
+        if not seed.startswith(_RUN):
+            return
+        warm = shapes_db.statement_cache
+        try:
+            texts = [seed] + [_same_shape(data.draw, seed) for _ in range(3)]
+            for text in texts:
+                variants = [text]
+                if not text.startswith(("EXPLAIN", "INSERT")):
+                    variants.append("EXPLAIN " + text)
+                for sql in variants:
+                    hit = _answer(shapes_db, warm, sql)
+                    assert hit == _answer(shapes_db, StatementCache(), sql), sql
+        finally:
+            shapes_db.statement_cache = warm
+
+    def test_a_hit_reuses_the_plan_of_its_shape(self, shapes_db):
+        cache = shapes_db.statement_cache
+        shapes_db.sql("SELECT * FROM t WHERE id >= 1 AND id < 3")
+        (entry,) = [e for k, e in cache._data.items() if k == (
+            shape("SELECT * FROM t WHERE id >= 1 AND id < 3")[0],)]
+        plan = entry.plan
+        assert shapes_db.sql("SELECT * FROM t WHERE id >= 3 AND id < 9") == [
+            row for row in shapes_db.sql("SELECT * FROM t") if row["id"] >= 3]
+        assert entry.plan is plan
+
+    @pytest.mark.parametrize("text, other", [
+        ("SELECT * FROM accounts WHERE id = 1", "SELECT * FROM accounts WHERE id = 5"),
+        ("SELECT * FROM t WHERE id >= 1 AND id < 3 AND a <> 7",
+         "SELECT * FROM t WHERE id >= 2 AND id < 5 AND a <> 3"),
+        ("SELECT * FROM t_ledger WHERE id = 4", "SELECT * FROM t_ledger WHERE id = 0"),
+        ("SELECT a + 1 AS n FROM t WHERE b = 'ab'", "SELECT a + 2 AS n FROM t WHERE b = 'x'"),
+        ("SELECT t.id, u.v FROM t JOIN u ON u.id = t.a WHERE t.a > 0",
+         "SELECT t.id, u.v FROM t JOIN u ON u.id = t.a WHERE t.a > 2"),
+        ("UPDATE accounts SET balance = 1 WHERE id = 2",
+         "UPDATE accounts SET balance = 3 WHERE id = 7"),
+        ("DELETE FROM u WHERE id IN (1, 2)", "DELETE FROM u WHERE id IN (5, 9)"),
+    ])
+    def test_a_hit_plans_nothing(self, shapes_db, text, other):
+        """A hit rebuilds no AST, walks no tree, checks and chooses nothing,
+        and evaluates no Expression per row: it fills slots and runs."""
+        fresh = _answer(shapes_db, StatementCache(), other)
+        cache = StatementCache()
+        _answer(shapes_db, cache, text)
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an Expression was evaluated on a hit")
+
+        with mock.patch.multiple(
+            session_module, parse=counted("parse", parse),
+            plan_access=counted("plan_access", operators_module.plan_access),
+        ), mock.patch.multiple(
+            operators_module,
+            check_comparisons=counted(
+                "check_comparisons", operators_module.check_comparisons),
+            sargable_terms=counted(
+                "sargable_terms", operators_module.sargable_terms),
+            _choose_path=counted("_choose_path", operators_module._choose_path),
+        ), mock.patch.object(
+            prepared_module, "_build", counted("_build", prepared_module._build)
+        ), mock.patch.object(
+            expressions_module, "walk", counted("walk", expressions_module.walk)
+        ), mock.patch.object(expressions_module.Expression, "evaluate", refused):
+            assert _answer(shapes_db, cache, other) == fresh
+        assert calls == []
+        shapes_db.statement_cache = cache
+        assert cache.stats()["hits"] >= 1
+
+
+def _fresh(db, text):
+    warm = db.statement_cache
+    try:
+        return _answer(db, StatementCache(), text)
+    finally:
+        db.statement_cache = warm
+
+
+class TestStalePlans:
+    """A plan binds tables, schemas and index names.  A schema change
+    through the ``LedgerDatabase`` API passes no SQL DDL, so it does not
+    empty the cache: the plan must notice the catalog moved on."""
+
+    @pytest.fixture
+    def db(self, tmp_path):
+        database = LedgerDatabase.open(str(tmp_path / "db"), clock=LogicalClock())
+        database.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, w VARCHAR(8)) "
+                     "WITH (LEDGER = ON)")
+        database.sql("INSERT INTO t VALUES (1, 10, 'a'), (2, 20, 'b'), (3, 10, 'c')")
+        yield database
+        database.close()
+
+    def _same_as_fresh(self, db, *texts):
+        for text in texts:
+            assert _answer(db, db.statement_cache, text) == _fresh(db, text), text
+
+    def test_index_created_and_dropped_through_the_api(self, db):
+        select = "SELECT id FROM t WHERE v = {}"
+        db.sql(select.format(10))
+        db.sql("EXPLAIN " + select.format(10))
+        db.create_index("t", IndexDefinition("ix_v", ("v",)))
+        self._same_as_fresh(db, select.format(20), "EXPLAIN " + select.format(10))
+        assert db.sql("EXPLAIN " + select.format(10))[0]["access"] == "index_seek"
+        db.drop_index("t", "ix_v")
+        # The plan must not seek the dropped index.
+        self._same_as_fresh(db, select.format(10), "EXPLAIN " + select.format(20))
+        assert db.sql("EXPLAIN " + select.format(10))[0]["access"] == "seq_scan"
+        assert sorted(r["id"] for r in db.sql(select.format(10))) == [1, 3]
+
+    def test_column_added_through_the_api(self, db):
+        db.sql("SELECT * FROM t WHERE id = 1")
+        db.sql("UPDATE t SET v = 11 WHERE id = 1")
+        db.add_column("t", Column("note", VARCHAR(8)))
+        self._same_as_fresh(
+            db, "SELECT * FROM t WHERE id = 2", "UPDATE t SET v = 12 WHERE id = 2",
+            "SELECT * FROM t_ledger WHERE id = 2")
+        assert db.sql("SELECT * FROM t WHERE id = 2") == [
+            {"id": 2, "v": 20, "w": "b", "note": None}]
+
+    def test_table_dropped_and_recreated_through_the_api(self, db):
+        texts = ["SELECT * FROM t WHERE id = 1", "UPDATE t SET v = 5 WHERE id = 1",
+                 "DELETE FROM t WHERE id = 3", "SELECT * FROM t_ledger WHERE id = 1"]
+        for text in texts:
+            db.sql(text)
+        dropped = db.engine.table(db.drop_ledger_table("t"))
+        db.create_ledger_table(TableSchema(
+            "t", [Column("id", INT, nullable=False), Column("v", INT)],
+            primary_key=("id",)))
+        db.sql("INSERT INTO t VALUES (1, 100), (3, 300)")
+        before = [row for _, row in dropped.scan()]
+        self._same_as_fresh(db, *texts)
+        # The plans read and wrote the new table, not the dropped one.
+        assert [row for _, row in dropped.scan()] == before
+        assert db.sql("SELECT * FROM t WHERE id = 1") == [{"id": 1, "v": 100}]
+        assert db.sql("UPDATE t SET v = 7 WHERE id = 1") == 1
+        assert db.sql("DELETE FROM t WHERE id = 3") == 1
+        assert db.sql("SELECT * FROM t") == [{"id": 1, "v": 7}]
+        assert db.verify([db.generate_digest()]).ok

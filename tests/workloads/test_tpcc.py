@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
+from repro.engine.expressions import ColumnRef, IsNullOp
 from repro.workloads.tpcc import ALL_TABLES, LEDGER_TABLES, TpccWorkload
 
 
@@ -70,7 +71,7 @@ class TestTransactions:
         pending_after = workload.db.engine.table("new_order").row_count()
         assert pending_after < pending_before
         delivered = workload.db.select(
-            "orders", lambda r: r["o_carrier_id"] is not None
+            "orders", IsNullOp(ColumnRef("o_carrier_id"), negated=True)
         )
         assert delivered
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
+from repro.engine.expressions import eq
 from repro.workloads.tpce import TABLE_COUNT, TpceWorkload, tpce_schemas
 
 
@@ -67,11 +68,11 @@ class TestTransactions:
         workload.trade_order()
         (before,) = db.select(
             "customer_account",
-            lambda r: r["ca_id"] == db.select("trade")[0]["t_ca_id"],
+            eq("ca_id", db.select("trade")[0]["t_ca_id"]),
         )
         workload.trade_result()
         (after,) = db.select(
-            "customer_account", lambda r: r["ca_id"] == before["ca_id"]
+            "customer_account", eq("ca_id", before["ca_id"])
         )
         assert after["ca_bal"] < before["ca_bal"]
 
