@@ -33,6 +33,7 @@ from repro.engine.operators import (
 from repro.engine.record import Reader, RecordKernel
 from repro.engine.schema import Column, TableSchema
 from repro.engine.table import Table
+from repro.engine.types import BIGINT, VARCHAR, SqlType
 
 OPERATION_INSERT = "INSERT"
 OPERATION_DELETE = "DELETE"
@@ -81,11 +82,14 @@ def _history_reader(schema: TableSchema) -> Reader:
     )
 
 
-def view_column_names(ledger_table: Table) -> List[str]:
-    """Every column a ledger-view row carries, user columns first."""
-    return [c.name for c in _user_columns(ledger_table.schema)] + [
-        VIEW_TRANSACTION_COLUMN, VIEW_SEQUENCE_COLUMN, VIEW_OPERATION_COLUMN,
-    ]
+def view_columns(ledger_table: Table) -> Dict[str, SqlType]:
+    """Every column a ledger-view row carries, user columns first, and its
+    type."""
+    columns = {c.name: c.sql_type for c in _user_columns(ledger_table.schema)}
+    columns[VIEW_TRANSACTION_COLUMN] = BIGINT
+    columns[VIEW_SEQUENCE_COLUMN] = BIGINT
+    columns[VIEW_OPERATION_COLUMN] = VARCHAR(6)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def plan_ledger_view(
     ledger_table: Table, where: Any = None, values: Sequence[Any] = ()
 ) -> ViewPlan:
     """Find the per-key access path of a ledger-view predicate, if any."""
-    check_comparisons(ledger_table.schema, where, values)
+    check_comparisons(view_columns(ledger_table), where, values)
     primary_key = ledger_table.schema.primary_key
     if primary_key and ledger_table.clustered is not None:
         pins = pinned_key(sargable_terms(where), primary_key)

@@ -25,6 +25,7 @@ import dataclasses
 import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any, Callable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.errors import SqlArithmeticError, SqlBindError
@@ -142,6 +143,9 @@ def _modulo(left: Any, right: Any) -> Any:
     return left % right
 
 
+#: The values arithmetic takes (a BIT's bool is an int).
+_NUMBERS = (int, float, Decimal)
+
 _ARITHMETIC: dict = {
     "+": operator.add,
     "-": operator.sub,
@@ -165,18 +169,41 @@ class BinaryOp(Expression):
         if op in _COMPARISONS:
             return self._comparison(_COMPARISONS[op])
         if op in _ARITHMETIC:
-            function = _ARITHMETIC[op]
-            left, right = self.left.compile(), self.right.compile()
-
-            def arithmetic(row: RowContext, values: Sequence[Any]) -> Any:
-                a = left(row, values)
-                b = right(row, values)
-                if a is None or b is None:
-                    return None  # NULL propagates through arithmetic
-                return function(a, b)
-
-            return arithmetic
+            return self._arithmetic(_ARITHMETIC[op])
         raise SqlBindError(f"unknown operator {op!r}")
+
+    def _arithmetic(self, function: Callable[[Any, Any], Any]) -> Compiled:
+        """Numbers with numbers; ``+`` also joins two strings (or two
+        binaries).  Any other mix is a bind error, like T-SQL's operand
+        type clash: Python would repeat a string by ``*``, format one by
+        ``%`` and subtract dates into a ``timedelta`` no column holds."""
+        concatenates = self.op == "+"
+        left, right = self.left.compile(), self.right.compile()
+
+        def refused(a: Any, b: Any, values: Sequence[Any]) -> SqlBindError:
+            return SqlBindError(
+                f"cannot apply {self.op!r} to {bind_slots(self.left, values)} "
+                f"({type(a).__name__}) and {bind_slots(self.right, values)} "
+                f"({type(b).__name__})"
+            )
+
+        def arithmetic(row: RowContext, values: Sequence[Any]) -> Any:
+            a = left(row, values)
+            b = right(row, values)
+            if a is None or b is None:
+                return None  # NULL propagates through arithmetic
+            if not (
+                isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS)
+                or concatenates and type(a) is type(b)
+                and isinstance(a, (str, bytes))
+            ):
+                raise refused(a, b, values)
+            try:
+                return function(a, b)
+            except TypeError:  # a DECIMAL with a FLOAT
+                raise refused(a, b, values) from None
+
+        return arithmetic
 
     def _comparison(self, function: Callable[[Any, Any], bool]) -> Compiled:
         def refused(a: Any, b: Any, values: Sequence[Any]) -> SqlBindError:
@@ -381,13 +408,6 @@ def compile_predicate(condition: Any) -> Predicate:
         return value is not None and bool(value)
 
     return predicate
-
-
-def as_predicate(condition: Any) -> Callable[[RowContext], bool]:
-    """:func:`compile_predicate` for a condition with no slots, as a
-    one-argument row filter."""
-    predicate = compile_predicate(condition)
-    return lambda row: predicate(row, ())
 
 
 def walk(expression: Expression) -> Iterator[Expression]:

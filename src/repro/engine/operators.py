@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from repro.engine.expressions import (
@@ -46,6 +47,7 @@ from repro.engine.record import RecordKernel, key_tuple
 from repro.engine.schema import TableSchema
 from repro.engine.table import Table
 from repro.engine.transaction import Transaction
+from repro.engine.types import SqlType
 from repro.errors import SqlBindError, StorageError
 
 NamedRow = Dict[str, Any]
@@ -174,14 +176,21 @@ def _fill(value: Any, values: Sequence[Any]) -> Any:
     return values[value.index] if type(value) is Slot else value
 
 
+def column_types(schema: TableSchema) -> Dict[str, SqlType]:
+    """Each column's SQL type by name (kept per schema by ``derived``)."""
+    return {c.name: c.sql_type for c in schema.columns if not c.dropped}
+
+
 def check_comparisons(
-    schema: TableSchema, condition: Any, values: Sequence[Any] = ()
+    types: Mapping[str, SqlType], condition: Any, values: Sequence[Any] = ()
 ) -> None:
-    """Reject comparisons between a column and a literal of another type.
+    """Reject comparisons between operands of types that do not compare:
+    a column and a literal, or two columns, of ``types``.
 
     Runs before any access path is chosen, so SELECT, UPDATE and DELETE
-    fail the same way whatever path would have served them, and no index
-    is ever descended with a key it cannot order.  Comparability is by the
+    fail the same way whatever path would have served them, ``=`` and
+    ``<`` fail alike (Python's ``==`` never raises), and no index is ever
+    descended with a key it cannot order.  Comparability is by the
     literal's kind (``SqlType.comparable`` is an ``isinstance`` test), and
     a statement shape fixes each lifted literal's kind, so a plan that
     passed this check holds for every text of its shape.
@@ -189,11 +198,27 @@ def check_comparisons(
     if not isinstance(condition, Expression):
         return
     for node in walk(condition):
+        if (
+            isinstance(node, BinaryOp) and node.op in _FLIPPED
+            and isinstance(node.left, ColumnRef)
+            and isinstance(node.right, ColumnRef)
+        ):
+            left = types.get(node.left.name)
+            right = types.get(node.right.name)
+            if left is not None and right is not None and (
+                left.comparable_types != right.comparable_types
+            ):
+                raise SqlBindError(
+                    f"cannot compare column {node.left.name!r} "
+                    f"({left.render()}) with column {node.right.name!r} "
+                    f"({right.render()})"
+                )
+            continue
         found = _column_literals(node)
-        if found is None or not schema.has_column(found[0]):
+        if found is None or found[0] not in types:
             continue
         name, op, value = found
-        sql_type = schema.column(name).sql_type
+        sql_type = types[name]
         for literal in value if op == "IN" else (value,):
             literal = _fill(literal, values)
             if literal is not None and not sql_type.comparable(literal):
@@ -442,7 +467,7 @@ def plan_access(
     slots ``condition`` holds (``values`` here serves only the type check's
     message).  Column names in ``condition`` are the table's own.
     """
-    check_comparisons(table.schema, condition, values)
+    check_comparisons(table.schema.derived(column_types), condition, values)
     return _choose_path(table, sargable_terms(condition), condition)
 
 

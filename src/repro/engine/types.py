@@ -35,7 +35,8 @@ class SqlType:
     type_id: int = 0
     name: str = "UNKNOWN"
     #: Python classes whose values compare (``=`` and ``<``) against this
-    #: type's stored values without a TypeError.
+    #: type's stored values without a TypeError; two columns compare when
+    #: their types list the same classes.
     comparable_types: Tuple[type, ...] = ()
 
     def comparable(self, value: Any) -> bool:
@@ -370,6 +371,7 @@ class DateTimeType(SqlType):
 
     type_id = 11
     name = "DATETIME"
+    comparable_types = (dt.datetime,)
 
     def comparable(self, value: Any) -> bool:
         # Aware and naive timestamps do not order against each other.
@@ -408,6 +410,7 @@ class DateType(SqlType):
 
     type_id = 12
     name = "DATE"
+    comparable_types = (dt.date,)
 
     def comparable(self, value: Any) -> bool:
         # datetime subclasses date but the two do not order against each other.

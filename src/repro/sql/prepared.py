@@ -13,26 +13,27 @@ do not.
 A lookup tries the exact text first — a statement with no literals, such as
 ``executemany``'s ``?`` INSERT or ``COMMIT``, is cached under its text and
 costs no scan — then the shape; it returns the entry and the text's literal
-values, which fill the plan's slots.  A hit rebuilds no AST: the plan runs
-on the values.  A statement the session does not plan (DDL, INSERT,
-transaction control) is rebuilt from the template, remaking only the nodes
-above its slots, into exactly the AST ``parse`` returns.
+values, which fill the plan's slots.  A hit builds no AST: the plan runs on
+the values.
 
-A template is found by parsing the text's tokens with a slot in place of
-each literal value: the slots land where the values go.  A statement does
-not lift when the parser inspects or folds one of its literals — a unary
-minus, constant folding in ``IN`` / ``VALUES``, a ``LIKE`` pattern,
-``LIMIT``, a type argument, a table option, a SELECT item named after its
-expression — since then a slot is refused, consumed or left out; such a
-statement is cached under its text, with a plan of its own.  The parser
-bounds a statement's depth (``parser.MAX_DEPTH``), so the recursive
-template walk and rebuild never meet the interpreter's recursion limit.
+Only the statements the session plans lift (:data:`PLANNED`: SELECT,
+UPDATE, DELETE, EXPLAIN and INSERT), so every entry is run either from its
+plan or, for DDL and transaction control, from the text's own AST.  A
+template is found by parsing the text's tokens with a slot in place of each
+literal value: the slots land where the values go.  A statement does not
+lift when the parser inspects or folds one of its literals — a unary minus,
+constant folding in ``IN`` / ``VALUES``, a ``LIKE`` pattern, ``LIMIT``, a
+type argument, a table option, a SELECT item named after its expression —
+since then a slot is refused, consumed or left out; such a statement is
+cached under its text, with a plan of its own.  The parser bounds a
+statement's depth (``parser.MAX_DEPTH``), so the recursive slot census
+never meets the interpreter's recursion limit.
 
 Plans bind tables and schemas, so they go stale when the schema changes.
-DDL through SQL empties the cache (and bumps its epoch); a plan also
-records the catalog version it was bound at, and the session rebuilds any
-plan whose catalog has changed since — after a schema change through the
-``LedgerDatabase`` API, say, which does not pass through this cache.
+DDL through SQL empties the cache; a plan also records the catalog version
+it was bound at, and the session rebuilds any plan whose catalog has
+changed since — after a schema change through the ``LedgerDatabase`` API,
+say, which does not pass through this cache.
 """
 
 from __future__ import annotations
@@ -40,92 +41,65 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.engine.expressions import Slot
+from repro.sql import ast
 from repro.sql.lexer import NUMBER, STRING, shape, tokenize
 from repro.sql.parser import parse_tokens
 
 DEFAULT_CAPACITY = 512
 
-#: How a shape's AST is rebuilt from its literal values: a slot's index, or
-#: a node's type, its fields with a recipe in place of each field a slot
-#: lies below, and those fields' positions.
-Recipe = Union[int, Tuple[type, tuple, Tuple[int, ...]]]
+#: The statements the session runs through a plan: only these lift.
+PLANNED = (ast.Select, ast.Update, ast.Delete, ast.Explain, ast.Insert)
 
 
 class Prepared:
     """One cached statement.
 
-    ``statement`` is the AST — the template, with slots, when ``recipe``
-    is set; the text's own AST otherwise.  ``plan`` is what the session
+    ``statement`` is the AST — the template, with slots, when the shape
+    lifts; the text's own AST otherwise.  ``plan`` is what the session
     built from it on first execution (None until then, and for statements
     it does not plan)."""
 
-    __slots__ = ("statement", "recipe", "plan")
+    __slots__ = ("statement", "plan")
 
-    def __init__(self, statement: Any, recipe: Optional[Recipe] = None) -> None:
+    def __init__(self, statement: Any) -> None:
         self.statement = statement
-        self.recipe = recipe
         self.plan: Any = None
-
-    def ast(self, values: Sequence[Any]) -> Any:
-        """The AST ``parse`` returns for the text these values came from."""
-        if self.recipe is None:
-            return self.statement
-        return _build(self.recipe, values)
 
 
 def _template(text: str) -> Optional[Prepared]:
     """The entry for ``text``'s shape, or None when its literals do not
-    lift: the parse with slots fails, or some slot is not in the AST."""
+    lift: the parse with slots fails, the statement is not one the session
+    plans, or some slot is not in the AST."""
     tokens = tokenize(text)
     slots = 0
     for token in tokens:
         if token.kind == NUMBER or token.kind == STRING:
             token.key = Slot(slots)
             slots += 1
-    found: Set[int] = set()
     try:
         statement = parse_tokens(tokens)
     except Exception:  # a slot refused
         return None
-    recipe = _recipe(statement, found)
-    if recipe is None or found != set(range(slots)):
+    if type(statement) not in PLANNED:
         return None
-    return Prepared(statement, recipe)
+    if set(_slots(statement)) != set(range(slots)):
+        return None
+    return Prepared(statement)
 
 
-def _recipe(node: Any, found: Set[int]) -> Optional[Recipe]:
-    """The recipe that rebuilds ``node``; None when no slot lies below it,
-    so every subtree without a slot is the template's own object."""
+def _slots(node: Any) -> Iterator[int]:
+    """The index of every slot in ``node``'s tree."""
     if type(node) is Slot:
-        found.add(node.index)
-        return node.index
-    if type(node) is tuple:
-        items = node
+        yield node.index
+    elif type(node) is tuple:
+        for item in node:
+            yield from _slots(item)
     elif dataclasses.is_dataclass(node) and not isinstance(node, type):
-        items = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
-    else:
-        return None
-    recipes = [_recipe(item, found) for item in items]
-    rebuilt = tuple(i for i, recipe in enumerate(recipes) if recipe is not None)
-    if not rebuilt:
-        return None
-    return type(node), tuple(
-        item if recipe is None else recipe
-        for recipe, item in zip(recipes, items)
-    ), rebuilt
-
-
-def _build(recipe: Recipe, values: Sequence[Any]) -> Any:
-    if type(recipe) is int:
-        return values[recipe]
-    cls, items, rebuilt = recipe
-    args = list(items)
-    for i in rebuilt:
-        args[i] = _build(items[i], values)
-    return tuple(args) if cls is tuple else cls(*args)
+        for field in dataclasses.fields(node):
+            yield from _slots(getattr(node, field.name))
 
 
 class StatementCache:
@@ -138,24 +112,15 @@ class StatementCache:
     entry is keyed by the 1-tuple ``(shape,)``, so no text can name it.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("statement cache capacity must be positive")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = DEFAULT_CAPACITY
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
-        self._epoch = 0
         self._lock = threading.Lock()
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._data)
-
-    @property
-    def epoch(self) -> int:
-        """Schema epoch; bumped (and the cache emptied) on every SQL DDL."""
-        return self._epoch
 
     def get(self, text: str) -> Optional[Tuple[Prepared, Sequence[Any]]]:
         """The entry serving ``text`` and the values that fill its slots,
@@ -203,11 +168,9 @@ class StatementCache:
         return entry, values
 
     def invalidate(self) -> None:
-        """Discard every cached statement and advance the schema epoch."""
+        """Discard every cached statement (SQL DDL calls this)."""
         with self._lock:
             self._data.clear()
-            self._epoch += 1
-            self.invalidations += 1
 
     def stats(self) -> Dict[str, int]:
         """Point-in-time counters: the one record of cache hits and misses."""
@@ -217,12 +180,4 @@ class StatementCache:
                 "misses": self.misses,
                 "entries": len(self._data),
                 "capacity": self.capacity,
-                "epoch": self._epoch,
-                "invalidations": self.invalidations,
             }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0

@@ -9,7 +9,9 @@ import pytest
 
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
-from repro.engine.expressions import BinaryOp, ColumnRef, Literal, as_predicate, eq
+from repro.engine.expressions import (
+    BinaryOp, ColumnRef, Literal, compile_predicate, eq,
+)
 from repro.engine.operators import access_path, insert_rows, seq_scan
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.types import INT, VARCHAR
@@ -48,11 +50,11 @@ def table(tmp_path):
 
 
 def scan_matches(table, condition):
-    predicate = as_predicate(condition)
+    predicate = compile_predicate(condition)
     return sorted(
         tuple(sorted(named.items()))
         for _, named in seq_scan(table, include_hidden=True)
-        if predicate(named)
+        if predicate(named, ())
     )
 
 

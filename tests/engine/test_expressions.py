@@ -16,7 +16,7 @@ from repro.engine.expressions import (
     LikeOp,
     Literal,
     NotOp,
-    as_predicate,
+    compile_predicate,
     like_regex,
     column,
     eq,
@@ -113,26 +113,26 @@ class TestEvaluation:
         assert "IS NULL" in str(IsNullOp(column("c")))
 
 
-class TestAsPredicate:
+class TestCompilePredicate:
     def test_none_matches_everything(self):
-        assert as_predicate(None)(ROW) is True
+        assert compile_predicate(None)(ROW, ()) is True
 
     def test_expression_wrapped(self):
-        assert as_predicate(eq("a", 5))(ROW) is True
+        assert compile_predicate(eq("a", 5))(ROW, ()) is True
 
     def test_callable_refused(self):
         # Predicates are Expressions only: a callable cannot be planned.
         with pytest.raises(SqlBindError, match="as a predicate"):
-            as_predicate(lambda r: r["a"] > 1)
+            compile_predicate(lambda r: r["a"] > 1)
 
     def test_unknown_is_not_kept(self):
-        assert as_predicate(eq("c", 1))(ROW) is False
-        assert as_predicate(NotOp(eq("c", 1)))(ROW) is False
-        assert as_predicate(IsNullOp(ColumnRef("c")))(ROW) is True
+        assert compile_predicate(eq("c", 1))(ROW, ()) is False
+        assert compile_predicate(NotOp(eq("c", 1)))(ROW, ()) is False
+        assert compile_predicate(IsNullOp(ColumnRef("c")))(ROW, ()) is True
 
     def test_garbage_rejected(self):
         with pytest.raises(SqlBindError):
-            as_predicate(42)
+            compile_predicate(42)
 
 
 #: UNKNOWN, FALSE and TRUE as the three operands a truth table ranges over.
@@ -180,8 +180,8 @@ class TestThreeValuedLogic:
         with mock.patch.object(
             expressions_module, "like_regex", wraps=like_regex
         ) as built:
-            predicate = as_predicate(LikeOp(ColumnRef("b"), "t_x%"))
-            assert [predicate({"b": v}) for v in ("text", "txt", "t\nxt")] == [
+            predicate = compile_predicate(LikeOp(ColumnRef("b"), "t_x%"))
+            assert [predicate({"b": v}, ()) for v in ("text", "txt", "t\nxt")] == [
                 True, False, True]
         assert built.call_count == 1
 

@@ -262,9 +262,15 @@ class TestClientMistakes:
          "SqlSyntaxError"),
         ([], "SELECT * FROM items WHERE " + "(" * 1500 + "value = 1"
          + ")" * 1500, "SqlSyntaxError"),
+        # A string in arithmetic, and columns of types that do not compare.
+        (["INSERT INTO items VALUES ('a', 1)"],
+         "SELECT value + tag AS s FROM items", "SqlBindError"),
+        (["INSERT INTO items VALUES ('a', 1)"],
+         "SELECT * FROM items WHERE value = tag", "SqlBindError"),
     ], ids=["too_long", "wrong_type", "lone_surrogate", "syntax",
             "unknown_table", "unknown_view", "duplicate_insert", "duplicate_update",
-            "deep_chain", "deep_parentheses"])
+            "deep_chain", "deep_parentheses", "string_arithmetic",
+            "column_type_clash"])
     def test_library_error_is_bad_request(self, client, setup, sql, error):
         for statement in setup:
             client.execute(statement)

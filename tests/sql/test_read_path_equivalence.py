@@ -23,7 +23,7 @@ from repro.engine.expressions import (
     IsNullOp,
     Literal,
     NotOp,
-    as_predicate,
+    compile_predicate,
 )
 from repro.engine.operators import plan_access, seq_scan
 from repro.errors import ReproError, SqlBindError
@@ -279,11 +279,11 @@ def check_predicate(scenario, spec):
         return
 
     table = db.engine.table("t")
-    predicate = as_predicate(expression)
+    predicate = compile_predicate(expression)
     with db.ledger.storage_lock:
         reference = [
             (rid, named) for rid, named in seq_scan(table, include_hidden=True)
-            if predicate(named)
+            if predicate(named, ())
         ]
         planned = list(plan_access(table, expression).rows(include_hidden=True))
     # UPDATE / DELETE targets: the same RowIds.
@@ -302,7 +302,7 @@ def check_predicate(scenario, spec):
     )
 
     # The view: same events, same (transaction id, sequence) order.
-    events = [event for event in db.ledger_view("t") if predicate(event)]
+    events = [event for event in db.ledger_view("t") if predicate(event, ())]
     assert db.sql(statements[1]) == events
     assert db.ledger_view("t", where=expression) == events
 
