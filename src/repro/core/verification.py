@@ -30,11 +30,10 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   :func:`repro.core.verify_snapshot.capture_snapshot` materializes immutable
   references to blocks, entries, and stored records; every hash is then
   recomputed off-lock, so commits proceed concurrently with verification.
-* **One engine, range tasks.**  The chain, block-root, table-root and index
-  invariants are each a range task in :mod:`repro.core.verify_parallel`.
-  The verifier runs one task per relation or index (one over every block
-  for the chain-level tasks) on the calling thread with the leaf-hash
-  cache, merges the results and compares roots.  Full and incremental runs execute the same task code.
+* **One engine.**  Each invariant is one method of
+  :class:`LedgerVerifier`, run on the calling thread against the snapshot
+  with the leaf-hash cache; full and incremental runs execute the same
+  code.
 * **Incremental mode** (``mode="incremental"`` + a
   :class:`repro.core.verify_snapshot.VerificationCheckpoint` — the
   in-memory object an earlier passing run returned, never read from a
@@ -46,7 +45,7 @@ Execution model (§2.3, §6 — verification must not stall the OLTP path):
   carry their hashes), a block's transactions root by its ordered entry
   hashes.  A warm cycle decodes and hashes only the entries and blocks it
   has not seen; a tampered one misses and is recomputed.  The row-version
-  invariant runs the same range tasks over a *delta* snapshot: for every
+  invariant runs the same record pass over a *delta* snapshot: for every
   table the checkpoint covers, only the row versions of transactions
   above its ``max_tid`` (and of still-open ones) are captured and
   re-hashed, and the rest of the table is *counted* — its live records
@@ -80,28 +79,79 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.digest import DatabaseDigest
-from repro.core.verify_parallel import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-    block_root_task,
-    chain_task,
-    events_task,
-    index_task,
-)
 from repro.core.verify_snapshot import (
+    Event,
+    RelationSnapshot,
     TableSnapshot,
     VerificationCheckpoint,
     capture_snapshot,
     max_tid_through,
+    record_events,
 )
 from repro.crypto.hashing import LeafHashCache
-from repro.crypto.merkle import merkle_root
-from repro.errors import VerificationFailedError
+from repro.crypto.merkle import MerkleTree, merkle_root
+from repro.errors import StorageError, VerificationFailedError
 from repro.obs import OBS
+
+
+SEVERITY_ERROR = "error"
+SEVERITY_WARNING = "warning"
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One verification finding (a detected inconsistency or caveat)."""
+
+    invariant: str
+    severity: str
+    message: str
+    context: Dict[str, Any] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return f"[{self.invariant}/{self.severity}] {self.message}"
+
+
+#: Cache context of block roots.  Schema fingerprints always contain a
+#: ``|``, so no record key can share it.
+_TRANSACTIONS_ROOT = "transactions_root"
+
+
+def _derive(
+    relation: RelationSnapshot, records: List[bytes], cache: LeafHashCache,
+) -> List[Union[Tuple[Event, ...], str]]:
+    """:func:`record_events` of each record, or why it failed to decode.
+
+    Cache hits are keyed by the exact stored bytes, so tampered records miss
+    (:class:`LeafHashCache`); failures are not cached.
+    """
+    derived = cache.get_many(relation.fingerprint, records)
+    fills = []
+    for position, value in enumerate(derived):
+        if value is not None:
+            continue
+        record = records[position]
+        try:
+            derived[position] = value = record_events(relation, record)
+        except StorageError as exc:
+            derived[position] = str(exc)
+            continue
+        fills.append((record, value))
+    if fills:
+        cache.put_many(relation.fingerprint, fills)
+    return derived
+
+
+def _full_rows(derived) -> List[Union[bytes, str]]:
+    """Each record's full-row leaf, or why it failed to decode.  The last
+    leaf is the full row's: a base record's only one, a history record's
+    as-deleted form."""
+    return [
+        value if isinstance(value, str) else value[-1][2]
+        for value in derived
+    ]
 
 
 def _verify_metrics(reg):
@@ -329,10 +379,6 @@ class LedgerVerifier:
             if self._escalate_reason is not None:
                 break  # the full rescan re-runs everything anyway
 
-    # ------------------------------------------------------------------
-    # Task execution
-    # ------------------------------------------------------------------
-
     @staticmethod
     def _relations(snapshot):
         """``(table index, "base" | "history", relation)`` per relation."""
@@ -340,12 +386,6 @@ class LedgerVerifier:
             yield table_index, "base", table.base
             if table.history is not None:
                 yield table_index, "history", table.history
-
-    def _run_task(self, report, snapshot, task, *args) -> Dict[str, Any]:
-        """Run one range task; its findings join the report in order."""
-        result = task(snapshot, self._cache, *args)
-        report.findings.extend(result["findings"])
-        return result
 
     # ------------------------------------------------------------------
     # Invariant 1 — digests match recomputed block hashes
@@ -414,9 +454,39 @@ class LedgerVerifier:
                     {"missing": missing},
                 )
             )
-        scanned = self._run_task(report, snapshot, chain_task)["count"]
-        report.blocks_verified += scanned
-        self._m.blocks_scanned.inc(scanned)
+        # Each block is hashed once, as its successor's predecessor.
+        anchor = snapshot.anchor
+        for block_id in block_ids:
+            block = blocks[block_id]
+            if block_id == 0:
+                if block.previous_block_hash is not None:
+                    report.findings.append(
+                        Finding(
+                            "chain", SEVERITY_ERROR,
+                            "block 0 must record a null previous-block hash",
+                            {"block_id": 0},
+                        )
+                    )
+                continue
+            if anchor is not None and block_id == anchor[0] + 1:
+                expected_prev = anchor[1]
+            else:
+                previous = blocks.get(block_id - 1)
+                if previous is None:
+                    continue  # a gap, reported above
+                expected_prev = previous.block_hash()
+            if block.previous_block_hash != expected_prev:
+                report.findings.append(
+                    Finding(
+                        "chain", SEVERITY_ERROR,
+                        f"block {block_id} records a previous-block hash "
+                        "that does not match the recomputed hash of block "
+                        f"{block_id - 1}",
+                        {"block_id": block_id},
+                    )
+                )
+        report.blocks_verified += len(blocks)
+        self._m.blocks_scanned.inc(len(blocks))
 
     # ------------------------------------------------------------------
     # Invariant 3 — block transaction roots
@@ -442,8 +512,41 @@ class LedgerVerifier:
             )
 
     def _check_block_roots(self, report, snapshot) -> None:
-        result = self._run_task(report, snapshot, block_root_task)
-        report.transactions_verified += result["transactions"]
+        """Recompute the transactions Merkle root of every block.
+
+        A root is memoized in the cache under the exact concatenation of
+        the block's ordered entry hashes — every input of the root — so a
+        block whose entries did not change is not re-hashed.
+        """
+        cache = self._cache
+        for block_id in sorted(snapshot.blocks):
+            block = snapshot.blocks[block_id]
+            block_entries = snapshot.entries_by_block.get(block_id, [])
+            hashes = [e.entry_hash() for e in block_entries]
+            joined = b"".join(hashes)
+            root = cache.get(_TRANSACTIONS_ROOT, joined)
+            if root is None:
+                root = MerkleTree(hashes).root()
+                cache.put(_TRANSACTIONS_ROOT, joined, root)
+            if root != block.transactions_root:
+                report.findings.append(
+                    Finding(
+                        "block_root", SEVERITY_ERROR,
+                        f"transactions Merkle root of block {block_id} does "
+                        "not match the recomputed root over its entries",
+                        {"block_id": block_id},
+                    )
+                )
+            if block.transaction_count != len(block_entries):
+                report.findings.append(
+                    Finding(
+                        "block_root", SEVERITY_ERROR,
+                        f"block {block_id} records {block.transaction_count} "
+                        f"transactions but {len(block_entries)} are present",
+                        {"block_id": block_id},
+                    )
+                )
+            report.transactions_verified += len(block_entries)
         self._report_unchained_entries(report, snapshot)
 
     # ------------------------------------------------------------------
@@ -455,31 +558,44 @@ class LedgerVerifier:
     ) -> Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]]:
         """Rebuild (sequence, leaf hash) events per table and transaction.
 
-        Every relation is one range task.  The tasks do the expensive
-        transcode + hash; a table's base and history event maps are merged
-        here in that order, each in heap order.
-        The events of transactions still open at capture are dropped here,
-        whole: they have no recorded root to compare against yet.  Full-row
-        leaves are kept, in heap order, for the index check.
+        The expensive transcode + hash happens here (§3.4.1-4).  Events are
+        appended to their table's map as they are derived: base first, then
+        history, each in heap order.  The events of transactions still open
+        at capture are dropped, whole: they have no recorded root to compare
+        against yet.  A relation with indexes keeps each record's full-row
+        leaf, in heap order, for the index check.
         """
         self._full_rows = {}
-        merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
+        by_table: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}
         scanned = 0
-        for table_index, which, _ in self._relations(snapshot):
-            result = self._run_task(
-                report, snapshot, events_task, table_index, which
+        for table_index, which, relation in self._relations(snapshot):
+            events = by_table.setdefault(table_index, {})
+            span = relation.records
+            derived = _derive(
+                relation, [record for _, _, record in span], self._cache
             )
-            scanned += result["count"]
-            events = merged.setdefault(table_index, result["events"])
-            if events is not result["events"]:
-                for tid, pairs in result["events"].items():
-                    events.setdefault(tid, []).extend(pairs)
-            self._full_rows[table_index, which, None] = result["full_rows"]
+            kind = "history table" if relation.is_history else "table"
+            for (page_id, slot, _), value in zip(span, derived):
+                if isinstance(value, str):
+                    report.findings.append(
+                        Finding(
+                            "table_root", SEVERITY_ERROR,
+                            f"row RowId({page_id}:{slot}) in {kind} "
+                            f"{relation.name!r} failed to decode: {value}",
+                            {"table": relation.name},
+                        )
+                    )
+                    continue
+                for tid, seq, leaf in value:
+                    events.setdefault(tid, []).append((seq, leaf))
+                scanned += len(value)
+            if relation.index_records:
+                self._full_rows[table_index, which, None] = _full_rows(derived)
         self._m.rows_scanned.inc(scanned)
-        for events in merged.values():
+        for events in by_table.values():
             for tid in snapshot.active_tids:
                 events.pop(tid, None)
-        return merged
+        return by_table
 
     @staticmethod
     def _claims_above(entries, floor: Optional[int]) -> Dict[int, List[int]]:
@@ -644,11 +760,10 @@ class LedgerVerifier:
             if item[2].index_records
         ]
         for table_index, which, relation in indexed:
-            for name in relation.index_records:
-                result = self._run_task(
-                    report, snapshot, index_task, table_index, which, name
+            for name, records in relation.index_records.items():
+                self._full_rows[table_index, which, name] = _full_rows(
+                    _derive(relation, records, self._cache)
                 )
-                self._full_rows[table_index, which, name] = result["full_rows"]
         leaves: Dict[Tuple, List[bytes]] = {}
         for table_index, which, relation in indexed:
             for source in (None, *relation.index_records):

@@ -12,8 +12,8 @@ capture).
 The snapshot is cheap because stored records are immutable ``bytes``;
 materializing a heap scan is a list of references, not a deep copy.  The
 expensive work — transcoding every record into its canonical serialization
-and SHA-256 over every row version — happens off-lock, in the range tasks of
-:mod:`repro.core.verify_parallel`).
+and SHA-256 over every row version — happens off-lock, in the record pass of
+:class:`repro.core.verification.LedgerVerifier`.
 
 Given a usable :class:`VerificationCheckpoint`, the relations of every
 table it covers are captured as a *delta*: only the records attributed to a
@@ -25,9 +25,9 @@ transactions wrote, not what the table holds; what the verifier may
 conclude from it is stated in :mod:`repro.core.verification`.
 
 ``record_events`` is the single routine that turns one stored record into
-its verification events; every range task reaches it for each record the
-leaf-hash cache does not hold, so no two runs can disagree on hashing
-semantics.
+its verification events; the table-root and index checks reach it for
+each record the leaf-hash cache does not hold, so no two runs can disagree
+on hashing semantics.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ re-planning and no expression tree walked per row.
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
     Tuple,
@@ -181,11 +183,61 @@ def column_types(schema: TableSchema) -> Dict[str, SqlType]:
     return {c.name: c.sql_type for c in schema.columns if not c.dropped}
 
 
+#: What a literal or an arithmetic result compares with, stated as the
+#: ``comparable_types`` of the columns that hold such values (a datetime
+#: is a date, so it is tried first).
+_NUMBER, _STRING, _BINARY = (int, float, Decimal), (str,), (bytes, bytearray)
+_KINDS = (_NUMBER, _STRING, _BINARY, (dt.datetime,), (dt.date,))
+_ARITHMETIC = ("+", "-", "*", "/", "%")
+
+
+def _kind(
+    node: Any, types: Mapping[str, SqlType], values: Sequence[Any]
+) -> Optional[Tuple[type, ...]]:
+    """The classes an operand's values compare with, or None if unknown.
+
+    An arithmetic result follows ``BinaryOp._arithmetic``: numbers give a
+    number, and ``+`` of two strings (or two binaries) gives a string (or
+    a binary); any other mix fails when it is computed, not here.
+    """
+    if isinstance(node, ColumnRef):
+        sql_type = types.get(node.name)
+        return None if sql_type is None else sql_type.comparable_types
+    if isinstance(node, Literal):
+        value = _fill(node.value, values)
+        if value is None:
+            return None
+        return next((kind for kind in _KINDS if isinstance(value, kind)), None)
+    if isinstance(node, BinaryOp) and node.op in _ARITHMETIC:
+        left = _kind(node.left, types, values)
+        if left is not None and left == _kind(node.right, types, values) and (
+            left == _NUMBER or node.op == "+" and left in (_STRING, _BINARY)
+        ):
+            return left
+    return None
+
+
+def _operand(
+    node: Expression, types: Mapping[str, SqlType], values: Sequence[Any]
+) -> str:
+    """An operand as a bind error names it."""
+    if isinstance(node, ColumnRef):
+        return f"column {node.name!r} ({types[node.name].render()})"
+    if isinstance(node, Literal):
+        value = _fill(node.value, values)
+        return f"{value!r} ({type(value).__name__})"
+    kind = _kind(node, types, values)
+    name = "number" if kind == _NUMBER else kind[0].__name__
+    return f"{bind_slots(node, values)} ({name})"
+
+
 def check_comparisons(
     types: Mapping[str, SqlType], condition: Any, values: Sequence[Any] = ()
 ) -> None:
     """Reject comparisons between operands of types that do not compare:
-    a column and a literal, or two columns, of ``types``.
+    a column and a literal, two columns, or an arithmetic expression and
+    either (``IN`` included), typed from its columns and literals
+    (:func:`_kind`).
 
     Runs before any access path is chosen, so SELECT, UPDATE and DELETE
     fail the same way whatever path would have served them, ``=`` and
@@ -198,21 +250,27 @@ def check_comparisons(
     if not isinstance(condition, Expression):
         return
     for node in walk(condition):
-        if (
-            isinstance(node, BinaryOp) and node.op in _FLIPPED
-            and isinstance(node.left, ColumnRef)
-            and isinstance(node.right, ColumnRef)
+        if isinstance(node, BinaryOp) and node.op in _FLIPPED and (
+            isinstance(node.left, ColumnRef) and isinstance(node.right, ColumnRef)
+            or isinstance(node.left, BinaryOp) or isinstance(node.right, BinaryOp)
         ):
-            left = types.get(node.left.name)
-            right = types.get(node.right.name)
-            if left is not None and right is not None and (
-                left.comparable_types != right.comparable_types
-            ):
+            left = _kind(node.left, types, values)
+            right = _kind(node.right, types, values)
+            if left is not None and right is not None and left != right:
                 raise SqlBindError(
-                    f"cannot compare column {node.left.name!r} "
-                    f"({left.render()}) with column {node.right.name!r} "
-                    f"({right.render()})"
+                    f"cannot compare {_operand(node.left, types, values)} "
+                    f"with {_operand(node.right, types, values)}"
                 )
+            continue
+        if isinstance(node, InOp) and isinstance(node.operand, BinaryOp):
+            kind = _kind(node.operand, types, values)
+            for choice in map(Literal, node.choices if kind else ()):
+                other = _kind(choice, types, values)
+                if other is not None and other != kind:
+                    raise SqlBindError(
+                        f"cannot compare {_operand(node.operand, types, values)}"
+                        f" with {_operand(choice, types, values)}"
+                    )
             continue
         found = _column_literals(node)
         if found is None or found[0] not in types:

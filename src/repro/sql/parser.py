@@ -15,7 +15,7 @@ from repro.engine.expressions import (
     Literal,
     NotOp,
 )
-from repro.errors import SqlArithmeticError, SqlSyntaxError
+from repro.errors import SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import (
     END,
@@ -640,19 +640,17 @@ class _Parser:
             self._param_count += 1
             return parameter
         expression = self._parse_expression()
-        if not isinstance(expression, Literal):
-            row: dict = {}
-            try:
-                return expression.evaluate(row)  # constant-folds arithmetic
-            except SqlArithmeticError:
-                raise
-            except Exception:
-                token = self._peek()
-                raise SqlSyntaxError(
-                    "only literal values are allowed here",
-                    token.line, token.column,
-                ) from None
-        return expression.value
+        if isinstance(expression, Literal):
+            return expression.value
+        if expression.references():
+            token = self._peek()
+            raise SqlSyntaxError(
+                "only literal values are allowed here",
+                token.line, token.column,
+            )
+        # A constant folds here; a type clash or a division by zero raises
+        # what the same expression raises in a SELECT.
+        return expression.evaluate({})
 
     def _integer(self) -> int:
         token = self._expect(NUMBER)

@@ -30,7 +30,10 @@ A shadow model says what each table holds.  After every step the tables
 equal it, each nonclustered copy equals its base table, each derived key
 index equals a rebuild, and every committed, untruncated transaction has
 its ledger entry.  After every crash, reopen and truncation, ``verify``
-passes against every digest still in range, the uploaded ones included.
+passes against every digest still in range, the uploaded ones included:
+cold (leaf-hash cache cleared) and warm with the same findings and
+counters, and incrementally from the checkpoint the previous passing run
+built.  A tampered copy fails the same way cold and warm.
 Every reopen checks the ledger state recovery re-primed — queue, entries
 in hand, sealed blocks, open block and ordinal — against the key pass over
 every unclosed block that recovery used to make (:func:`key_pass_recover`).
@@ -65,6 +68,7 @@ from repro.core import system_columns as sc
 from repro.core.database_ledger import DatabaseLedger
 from repro.core.entries import TransactionEntry
 from repro.core.ledger_database import LedgerDatabase
+from repro.core.verification import leaf_cache
 from repro.crypto.rsa import generate_keypair
 from repro.digests import DigestManager, ImmutableBlobStorage
 from repro.engine.clock import LogicalClock
@@ -240,6 +244,30 @@ def copy_of(model):
     return {name: dict(rows) for name, rows in model.items()}
 
 
+COUNTERS = (
+    "ok", "mode", "blocks_verified", "transactions_verified",
+    "tables_verified", "row_versions_hashed", "uncovered_transactions",
+)
+
+
+def cold_and_warm(db, digests, **options):
+    """Verify with the leaf-hash cache cleared, then warm; the two must
+    agree finding for finding, in order, and counter for counter.  Returns
+    the warm report."""
+
+    def outcome(report):
+        return (
+            [(f.invariant, f.severity, f.message, f.context) for f in report.findings],
+            {counter: getattr(report, counter) for counter in COUNTERS},
+        )
+
+    leaf_cache().clear()
+    cold = db.verify(digests)
+    warm = db.verify(digests, **options)
+    assert outcome(cold) == outcome(warm)
+    return warm
+
+
 def assert_indexes_equal_base(table):
     """Each index holds a copy of every base record, and its tree points
     every base row at the copy of that row's record."""
@@ -270,6 +298,7 @@ class LedgerModel(RuleBasedStateMachine):
         self.digests = []  # digests taken, of blocks not truncated away
         self.savepoints = []  # (name, model) — the first is the BEGIN
         self.recovered = []  # each reopen's recovered ledger state
+        self.held_checkpoint = None  # built by the last passing verify_digests
         for name in TABLES:
             rows = {}
             for _ in range(PRELOAD):
@@ -352,8 +381,15 @@ class LedgerModel(RuleBasedStateMachine):
 
     def verify_digests(self):
         stored = DigestManager(self.db, self.blobs).digests_for_verification()
-        report = self.db.verify([*self.digests, *stored])
+        digests = [*self.digests, *stored]
+        report = cold_and_warm(self.db, digests, build_checkpoint=True)
         assert report.ok, [f.message for f in report.errors]
+        if self.held_checkpoint is not None:
+            incremental = self.db.verify(
+                digests, mode="incremental", checkpoint=self.held_checkpoint
+            )
+            assert incremental.ok, [f.message for f in incremental.errors]
+        self.held_checkpoint = report.built_checkpoint
 
     def _pick_table(self, data):
         return data.draw(st.sampled_from([t for t in sorted(TABLES) if self.model[t]]))
@@ -802,7 +838,7 @@ class LedgerModel(RuleBasedStateMachine):
             table.heap.tamper_record(rid, encode_record(table.schema, tuple(row)))
             victim.close()
             victim = open_db(copy)
-            assert not victim.verify(self.digests).ok
+            assert not cold_and_warm(victim, self.digests).ok
         finally:
             victim.close()
             shutil.rmtree(copy)

@@ -27,11 +27,11 @@ from repro.attacks import (
     tamper_transaction_entry,
     tamper_view_definition,
 )
-from repro.core.verification import LedgerVerifier, leaf_cache
-from repro.core.verify_parallel import (
+from repro.core.verification import (
     SEVERITY_ERROR,
     Finding,
-    _relation,
+    LedgerVerifier,
+    leaf_cache,
 )
 from repro.crypto.hashing import LeafHashCache, hash_leaf
 from repro.crypto.merkle import MerkleHasher
@@ -48,6 +48,11 @@ from tests.core.conftest import accounts_schema, run
 # ----------------------------------------------------------------------
 # The reference: record pass, index check and root as they were before
 # ----------------------------------------------------------------------
+
+
+def ref_relation(snapshot, table_index, which):
+    table = snapshot.tables[table_index]
+    return table.base if which == "base" else table.history
 
 
 def ref_record_events(relation, record):
@@ -100,7 +105,7 @@ def ref_merkle_root(leaves):
 
 
 def ref_events_task(snapshot, cache, table_index, which):
-    relation = _relation(snapshot, table_index, which)
+    relation = ref_relation(snapshot, table_index, which)
     events: Dict[Optional[int], List[Tuple[int, bytes]]] = {}
     findings: List[Finding] = []
     scanned = 0
@@ -125,7 +130,7 @@ def ref_events_task(snapshot, cache, table_index, which):
 
 
 def ref_keyed_leaves_task(snapshot, cache, table_index, which, source):
-    relation = _relation(snapshot, table_index, which)
+    relation = ref_relation(snapshot, table_index, which)
     if source is None:
         records = [record for _, _, record in relation.records]
     else:
@@ -153,6 +158,12 @@ def ref_keyed_leaves_task(snapshot, cache, table_index, which, source):
 
 class ReferenceVerifier(LedgerVerifier):
     """The verifier with the record pass and index check it had before."""
+
+    def _run_task(self, report, snapshot, task, *args):
+        """Run one reference task; its findings join the report in order."""
+        result = task(snapshot, self._cache, *args)
+        report.findings.extend(result["findings"])
+        return result
 
     def _collect_events(self, report, snapshot):
         merged: Dict[int, Dict[Optional[int], List[Tuple[int, bytes]]]] = {}

@@ -267,10 +267,14 @@ class TestClientMistakes:
          "SELECT value + tag AS s FROM items", "SqlBindError"),
         (["INSERT INTO items VALUES ('a', 1)"],
          "SELECT * FROM items WHERE value = tag", "SqlBindError"),
+        # The same clashes inside VALUES and against an expression.
+        ([], "INSERT INTO items VALUES ('a', 'a' * 3)", "SqlBindError"),
+        (["INSERT INTO items VALUES ('a', 1)"],
+         "SELECT * FROM items WHERE tag = value + 1", "SqlBindError"),
     ], ids=["too_long", "wrong_type", "lone_surrogate", "syntax",
             "unknown_table", "unknown_view", "duplicate_insert", "duplicate_update",
             "deep_chain", "deep_parentheses", "string_arithmetic",
-            "column_type_clash"])
+            "column_type_clash", "values_arithmetic", "expression_type_clash"])
     def test_library_error_is_bad_request(self, client, setup, sql, error):
         for statement in setup:
             client.execute(statement)

@@ -108,6 +108,9 @@ class TestOperandTypes:
         "SELECT d - d AS s FROM t",
         "SELECT a + d AS s FROM t",
         "UPDATE t SET b = b * 2",
+        # Folded in VALUES, with the error the same SELECT raises.
+        "INSERT INTO t VALUES (3, 1, 'a' * 3, NULL)",
+        "INSERT INTO t VALUES (3, 1 - 'x', 'y', NULL)",
     ])
     def test_arithmetic_on_other_types_is_refused(self, typed, text):
         with pytest.raises(SqlBindError, match="cannot apply"):
@@ -139,6 +142,44 @@ class TestOperandTypes:
         with pytest.raises(SqlBindError, match="cannot compare column"):
             typed.sql(text)
         assert len(typed.sql("SELECT * FROM t")) == 2
+
+    @pytest.mark.parametrize("text", [
+        "SELECT id FROM t WHERE b = a + 1",
+        "SELECT id FROM t WHERE a + 0 = 'x'",
+        "SELECT id FROM t WHERE b <> a + 1",
+        "SELECT id FROM t WHERE b < a + 1",
+        "SELECT id FROM t WHERE (a + 1) * 2 >= b",
+        "SELECT id FROM t WHERE b + 'y' = a",
+        "SELECT id FROM t WHERE d = a - 1",
+        "SELECT id FROM t WHERE id = 1 AND NOT (b + b < 2)",
+        "SELECT id FROM t WHERE a + 1 IN (2, 'x')",
+        "DELETE FROM t WHERE NOT (a + 1 IN ('x'))",
+        "UPDATE t SET a = 0 WHERE b = a + 1",
+        "DELETE FROM t WHERE a + 1 <> b",
+        "SELECT * FROM t JOIN u ON u.id = t.id AND u.s = t.a + 1",
+    ])
+    def test_expressions_of_other_types_do_not_compare(self, typed, text):
+        """An arithmetic operand has the type its columns and literals
+        give it, so ``=`` and ``<>`` refuse like ``<``, when the plan is
+        built: no row matches silently, none is updated or deleted, and
+        an empty table refuses too."""
+        with pytest.raises(SqlBindError, match="cannot compare"):
+            typed.sql(text)
+        assert typed.sql("SELECT id, a, b FROM t ORDER BY id") == [
+            {"id": 1, "a": 1, "b": "x"}, {"id": 2, "a": 2, "b": "2"}]
+        typed.sql("DELETE FROM t")
+        with pytest.raises(SqlBindError, match="cannot compare"):
+            typed.sql(text)
+
+    def test_expressions_of_one_kind_compare(self, typed):
+        assert typed.sql("SELECT id FROM t WHERE a + 1 = 2") == [{"id": 1}]
+        assert typed.sql("SELECT id FROM t WHERE b + 'y' = 'xy'") == [
+            {"id": 1}]
+        assert typed.sql("SELECT id FROM t WHERE a * 2 > id + 0.5 "
+                         "ORDER BY id") == [{"id": 1}, {"id": 2}]
+        assert typed.sql("SELECT id FROM t WHERE a + NULL = b") == []
+        assert typed.sql("SELECT id FROM t WHERE a + 1 IN (NULL, 3)") == [
+            {"id": 2}]
 
     def test_columns_of_one_kind_compare(self, typed):
         assert typed.sql("SELECT id FROM t WHERE id = a") == [
