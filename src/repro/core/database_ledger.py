@@ -13,8 +13,8 @@ block *closure* (Merkle root over the entry hashes, hash chaining,
 persistence into ``database_ledger_blocks``) follows once the block's last
 entry is durably enqueued.  The paper closes blocks off the critical path,
 for a many-core server; here the commit that fills a block closes it, on
-its own thread, after its COMMIT record is appended — durable at once, or
-at its group's one fsync under group commit (:meth:`DatabaseLedger.
+its own thread, after its COMMIT record is appended — durable at once, or,
+in a server write unit, at the fsync after the unit (:meth:`DatabaseLedger.
 enqueue`) — and :meth:`repro.core.pipeline.LedgerPipeline.drain` closes the
 rest.  The ledger starts no thread of its own.
 
@@ -305,9 +305,9 @@ class DatabaseLedger:
         """Queue a committed entry (stage 2 → stage 3 handoff).
 
         Runs under the commit's ``storage_lock``, after its COMMIT record is
-        appended: durable already, or, under group commit, at the group's
-        one fsync, which the log's order puts before any record the close
-        appends.  When the entry completes a sealed block — this commit's
+        appended: durable already, or, in a server write unit, at the fsync
+        after the unit (``WalWriter.sync_through``); the log's order puts it
+        before any record the close appends.  When the entry completes a sealed block — this commit's
         assignment sealed it — the commit closes every ready sealed block,
         oldest first.  A close that fails does not fail the commit: the
         block stays sealed and :attr:`close_failure` names it until a later
@@ -536,7 +536,9 @@ class DatabaseLedger:
         Forces the open block to close so the digest covers every committed
         transaction (the paper's frequent-digest design keeps the window of
         uncovered data to seconds).  Concurrent callers should drain the
-        pipeline first so in-flight commits are covered too.
+        pipeline first so in-flight commits are covered too.  Returns once
+        the log is durable through them (a write unit fsyncs after it
+        releases ``storage_lock``).
         """
         with self.storage_lock, OBS.tracer.span("digest.generate") as span:
             self.close_open_block()
@@ -558,6 +560,7 @@ class DatabaseLedger:
                 last_transaction_commit_time=last_commit,
                 digest_time=self._engine.clock(),
             )
+        self._engine.wal.sync_through(self._engine.wal.end)
         self._m.digests_generated.inc()
         OBS.events.emit(
             "digest", "digest.generated",

@@ -85,7 +85,8 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
     """Build the receipt for ``transaction_id`` (closing its block if open).
 
     Raises :class:`ReceiptError` when the transaction is unknown or touched
-    no ledger table (such transactions have no ledger entry).
+    no ledger table (such transactions have no ledger entry).  Returns once
+    the log is durable through its block.
     """
     entry = db.ledger.transaction_entry(transaction_id)
     if entry is None:
@@ -135,6 +136,7 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
         raise ReceiptError(
             f"transaction {transaction_id} missing from block {entry.block_id}"
         )
+    db.engine.wal.sync_through(db.engine.wal.end)  # a unit's fsync may run
     return TransactionReceipt(
         entry=entry,
         proof=tree.proof(position),

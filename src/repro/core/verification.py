@@ -847,6 +847,7 @@ class LedgerVerifier:
             block_id=block_id,
             block_hash=snapshot.blocks[block_id].block_hash(),
             max_tid=max_tid,
+            first_block_id=snapshot.first_block_id,
         )
         for table_index, table in enumerate(snapshot.tables):
             count = 0

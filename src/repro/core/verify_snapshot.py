@@ -239,6 +239,9 @@ class VerificationCheckpoint:
     #: Highest transaction id in blocks <= block_id, recomputed by the next
     #: cycle from the same entries.
     max_tid: int
+    #: The chain's first block when the run passed: a truncation since
+    #: then removed row versions the leaf counts below include.
+    first_block_id: int
     #: Ledger table id -> row-version leaves at or below ``max_tid`` (a
     #: fixed set, see :func:`record_events`), which the next cycle counts.
     tables: Dict[int, int] = field(default_factory=dict)
@@ -275,6 +278,8 @@ def _usable_checkpoint(
         return None, "checkpoint belongs to a different database"
     if checkpoint.block_id < first_block_id:
         return None, "ledger truncated past the checkpoint block"
+    if checkpoint.first_block_id != first_block_id:
+        return None, "ledger truncated since the checkpoint"
     block = blocks.get(checkpoint.block_id)
     if block is None:
         return None, f"checkpoint block {checkpoint.block_id} is missing"

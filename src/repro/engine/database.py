@@ -103,7 +103,7 @@ class Database:
 
     @property
     def wal(self) -> WalWriter:
-        """The live WAL writer (group commit needs its deferred-sync mode)."""
+        """The live WAL writer (a server write unit syncs it itself)."""
         assert self._wal is not None
         return self._wal
 
@@ -505,7 +505,7 @@ class Database:
             info.schema,
             self._wal,
             hooks_ref=lambda: self._hooks,
-            stop=lambda reason: setattr(self._txn_manager, "failure", reason),
+            stop=lambda reason: self._txn_manager.stop(reason),
             options=info.options,
             heap=heap,
             lock_manager=self._lock_manager,

@@ -235,9 +235,9 @@ def check_comparisons(
     types: Mapping[str, SqlType], condition: Any, values: Sequence[Any] = ()
 ) -> None:
     """Reject comparisons between operands of types that do not compare:
-    a column and a literal, two columns, or an arithmetic expression and
-    either (``IN`` included), typed from its columns and literals
-    (:func:`_kind`).
+    a column and a literal, two columns, an arithmetic expression and
+    either (``IN`` included), or a literal and its ``IN`` choices, typed
+    from their columns and literals (:func:`_kind`).
 
     Runs before any access path is chosen, so SELECT, UPDATE and DELETE
     fail the same way whatever path would have served them, ``=`` and
@@ -262,7 +262,7 @@ def check_comparisons(
                     f"with {_operand(node.right, types, values)}"
                 )
             continue
-        if isinstance(node, InOp) and isinstance(node.operand, BinaryOp):
+        if isinstance(node, InOp) and isinstance(node.operand, (BinaryOp, Literal)):
             kind = _kind(node.operand, types, values)
             for choice in map(Literal, node.choices if kind else ()):
                 other = _kind(choice, types, values)

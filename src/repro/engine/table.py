@@ -427,9 +427,10 @@ class Table:
     def _log(self, txn: Transaction, frames, take_back: Callable[[], None]) -> None:
         """Append the ``(kind, rows)`` frames of a change just made in memory:
         the one place a table write meets the WAL.  A failed append
-        compensates the frames that reached the log (one written before its
-        fsync failed too) and re-raises; else the undo compensates them all.
-        A simulated crash propagates untouched."""
+        compensates the frames that reached the log and re-raises; else the
+        undo compensates them all.  After a failed fsync the log refuses the
+        compensation too, and the engine stays stopped.  A simulated crash
+        propagates untouched."""
         for at, (kind, rows) in enumerate(frames):
             end = self._wal.end
             try:

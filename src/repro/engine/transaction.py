@@ -106,14 +106,22 @@ class TransactionManager:
         # sessions begin/commit from different threads (storage mutation is
         # serialized one level up by the ledger's storage lock).
         self._state_lock = threading.Lock()
-        #: Why the engine stopped (a COMMIT record's fsync failed after it
-        #: reached the log, or ``Table._compensate`` failed); None if it runs.
-        self.failure: Optional[str] = None
+        self._stopped: Optional[str] = None
+
+    @property
+    def failure(self) -> Optional[str]:
+        """Why the engine stopped, or None while it runs: an fsync of the
+        log failed (``WalWriter.failure``), or undoing a change failed."""
+        wal_failure = self._wal.failure
+        return self._stopped if wal_failure is None else str(wal_failure)
+
+    def stop(self, reason: str) -> None:
+        self._stopped = reason
 
     def require_running(self) -> None:
         """Raise :attr:`failure` as a :class:`LedgerError`, if it is set."""
         if self.failure is not None:
-            raise LedgerError(self.failure)
+            raise self._wal.failure or LedgerError(self._stopped)
 
     def set_wal(self, wal: WalWriter) -> None:
         self._wal = wal
@@ -152,11 +160,11 @@ class TransactionManager:
 
         A COMMIT record that fails before any byte reaches the log gives
         back what ``pre_commit`` took, and the transaction stays active for
-        its rollback.  One that reached the log and whose flush or fsync
-        then failed stops the engine (fail-stop): recovery may replay that
-        COMMIT, so no rollback may undo it in memory, and every later
-        begin, commit, rollback or checkpoint raises :attr:`failure` until
-        the database is reopened.
+        its rollback.  One that reached the log and whose fsync then failed
+        has stopped the engine (fail-stop, recorded on the log writer):
+        recovery may replay that COMMIT, so no rollback may undo it in
+        memory, and every later begin, commit, rollback or checkpoint
+        raises :attr:`failure` until the database is reopened.
         """
         self.require_running()
         txn.require_active()
@@ -171,16 +179,9 @@ class TransactionManager:
                         WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload})
                     )
                     self._wal.flush()
-                except BaseException as exc:
+                except BaseException:
                     if self._wal.end == end:
                         self._hooks.on_commit_failed(txn, payload)
-                    else:
-                        self.failure = (
-                            f"the fsync of transaction {txn.tid}'s COMMIT "
-                            "record failed after the record reached the log "
-                            f"({type(exc).__name__}: {exc}); the engine has "
-                            "stopped: reopen the database to recover"
-                        )
                     raise
             txn.state = TxnState.COMMITTED
             with self._state_lock:

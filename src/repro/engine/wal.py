@@ -23,9 +23,9 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.errors import InjectedCrashError, RecoveryError
+from repro.errors import InjectedCrashError, LedgerError, RecoveryError
 from repro.faults import FAULTS
 from repro.obs import OBS
 
@@ -47,9 +47,10 @@ FAULTS.register(
 )
 FAULTS.register(
     "wal.fsync",
-    "The flush/fsync after a synchronous append fails.  The frame may "
-    "already be in the OS buffer, so a 'failed' commit can still be "
-    "durable — recovery may legitimately replay it.",
+    "An fsync of the log fails (``WalWriter.sync_through``).  The frames "
+    "may already be in the OS buffer, so a 'failed' commit can still be "
+    "durable — recovery may legitimately replay it; the writer refuses "
+    "every later append and sync until the database is reopened.",
 )
 
 def _wal_metrics(reg):
@@ -174,7 +175,8 @@ _FORMATS = {
 
 
 class WalWriter:
-    """Appends records to a log file; returns byte-offset LSNs."""
+    """Appends records to a log file; returns byte-offset LSNs.  In sync
+    mode a record is durable once :meth:`sync_through` covered it."""
 
     def __init__(self, path: str, sync: bool = False) -> None:
         self._path = path
@@ -188,9 +190,13 @@ class WalWriter:
         # threads commit at once; interleaved writes would tear frames
         # mid-file rather than only at the tail.
         self._lock = threading.Lock()
-        # Depth > 0 suppresses the per-append fsync in sync mode so a group
-        # of commits can harden with ONE fsync at the end (group commit).
+        # Held across an fsync, so appends go on while it runs.
+        self._sync_lock = threading.Lock()
+        self._durable = self._end  # every byte before it is fsynced
+        # Depth > 0 suppresses the fsyncs of appends and flushes.
         self._defer_depth = 0
+        #: A failed fsync's error, which every later append and sync raises.
+        self.failure: Optional[LedgerError] = None
 
     @property
     def path(self) -> str:
@@ -210,6 +216,8 @@ class WalWriter:
         payload = record.to_bytes()
         FAULTS.fire("wal.append", kind=record.kind)
         with self._lock:
+            if self.failure is not None:
+                raise self.failure
             lsn = self._end
             if FAULTS.triggered("wal.torn_write", kind=record.kind):
                 # Simulate a crash mid-frame: header plus half the payload
@@ -222,50 +230,68 @@ class WalWriter:
                 raise InjectedCrashError("wal.torn_write")
             self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
             self._file.write(payload)
-            self._end = lsn + _FRAME.size + len(payload)
-            if self._sync and not self._defer_depth:
-                FAULTS.fire("wal.fsync", kind=record.kind)
-                self._flush_and_sync()
+            self._end = end = lsn + _FRAME.size + len(payload)
+            deferred = self._defer_depth
+        if self._sync and not deferred:
+            self.sync_through(end)
         if OBS.metrics.enabled:
             self._m.bytes_appended.inc(_FRAME.size + len(payload))
         return lsn
 
+    def sync_through(self, lsn: int) -> bool:
+        """Return once every frame before ``lsn`` is durable (PostgreSQL's
+        ``XLogFlush`` rule); True when this call ran the fsync.
+
+        Without sync mode, or when a finished fsync covered ``lsn``, that is
+        at once; else after the fsync in progress, whose callers share the
+        next one.  A failed fsync sets :attr:`failure`, which this call and
+        every caller behind it raise: no retried fsync reports success.
+        """
+        if not self._sync or (lsn <= self._durable and self.failure is None):
+            return False
+        with self._sync_lock:
+            if self.failure is not None:
+                raise self.failure
+            if lsn <= self._durable:
+                return False  # the fsync this call waited behind covered it
+            try:
+                with self._lock:
+                    if self._file.closed:  # rotated away by a checkpoint
+                        return False
+                    self._file.flush()
+                    target = self._end
+                FAULTS.fire("wal.fsync", lsn=lsn)
+                with OBS.tracer.span("wal.fsync"):  # the durability point
+                    os.fsync(self._file.fileno())
+            except InjectedCrashError:
+                raise  # the process is dead: nothing after it counts
+            except BaseException as exc:
+                self.failure = LedgerError(
+                    f"the WAL fsync through LSN {lsn} failed "
+                    f"({type(exc).__name__}: {exc}); the engine has stopped: "
+                    "reopen the database to recover"
+                )
+                raise self.failure from exc
+            self._durable = target
+        return True
+
     @contextlib.contextmanager
     def deferred_sync(self):
-        """Suspend per-append fsyncs; issue ONE group fsync on clean exit.
-
-        This is the WAL half of group commit: a leader appends many COMMIT
-        frames under this context and the whole group hardens with a single
-        ``fsync``.  If the body raises (an injected crash, a real error) the
-        group fsync is *skipped* — the frames were written to the OS buffer
-        but never hardened, which models a crash before the durability
-        point: no member of the group was acknowledged, so losing them all
-        is correct.
-        """
+        """Suppress fsyncs inside one write unit; its owner calls
+        :meth:`sync_through` after it."""
         with self._lock:
             self._defer_depth += 1
         try:
             yield self
-        except BaseException:
+        finally:
             with self._lock:
                 self._defer_depth -= 1
-            raise
-        else:
-            with self._lock:
-                self._defer_depth -= 1
-                if self._sync and self._defer_depth == 0:
-                    FAULTS.fire("wal.fsync", kind="GROUP")
-                    if OBS.tracer.enabled:
-                        with OBS.tracer.span("wal.group_fsync"):
-                            self._flush_and_sync()
-                    else:
-                        self._flush_and_sync()
 
     def simulate_torn_tail(self) -> None:
         """Append a deliberately torn frame (header + partial payload).
 
         Used by the ``server.fsync_torn_group`` fault drill: a crash after a
-        group's COMMIT frames reached the OS buffer but mid-flush leaves a
+        unit's COMMIT frame reached the OS buffer but mid-flush leaves a
         torn tail.  ``read_wal`` must stop cleanly at it, discarding whole
         frames — whole transactions — never a prefix of one.
         """
@@ -277,30 +303,17 @@ class WalWriter:
             self._end = self._file.tell()
 
     def flush(self) -> None:
+        """Everything appended to the OS, and durable in sync mode."""
+        if self._sync:
+            if not self._defer_depth:
+                self.sync_through(self._end)
+            return
         with self._lock:
-            if self._sync:
-                if self._defer_depth:
-                    # Group commit in progress: the deferred-sync exit
-                    # hardens the whole group with one fsync.  Flushing
-                    # per member here would silently re-introduce the
-                    # one-fsync-per-commit cost the group exists to avoid.
-                    return
-                if OBS.tracer.enabled:
-                    # The commit path's durability point: worth its own span
-                    # in the lineage (fsync dominates sync-mode commits).
-                    with OBS.tracer.span("wal.fsync"):
-                        self._flush_and_sync()
-                else:
-                    self._flush_and_sync()
-            else:
-                self._file.flush()
-
-    def _flush_and_sync(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
+            self._file.flush()
 
     def close(self) -> None:
-        with self._lock:
+        # After any fsync in progress, which needs the file open.
+        with self._sync_lock, self._lock:
             if not self._file.closed:
                 self._file.flush()
                 self._file.close()

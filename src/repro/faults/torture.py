@@ -60,9 +60,9 @@ class CrashPoint:
 
 
 #: The kill matrix.  The ``server`` driver runs an in-process ledger
-#: server (sync WAL, group commit) hammered by client threads; the kill
+#: server (sync WAL, shared fsyncs) hammered by client threads; the kill
 #: lands in a server thread, so the whole front-end — session readers
-#: executing their requests, group committer, response writer — dies
+#: executing their requests and write units, response writer — dies
 #: exactly as a production SIGKILL would.
 KILL_MATRIX: Tuple[CrashPoint, ...] = (
     CrashPoint("wal.append", driver="commit", skip=4),
@@ -76,7 +76,7 @@ KILL_MATRIX: Tuple[CrashPoint, ...] = (
 )
 
 #: Rows per transaction in the server kill drill: recovery must show each
-#: transaction's rows all-or-nothing (group commit is atomic per member).
+#: transaction's rows all-or-nothing (each write unit is atomic).
 _SERVER_ROWS_PER_TXN = 3
 
 
@@ -240,11 +240,12 @@ def _check_server_kill_recovery(
       client, logged + fsynced before anything else) is present with ALL
       its rows, and its ledger entry exists;
     * every recovered transaction is whole — exactly
-      :data:`_SERVER_ROWS_PER_TXN` rows — so a crash mid-group can lose
-      whole transactions but never commit half of one;
+      :data:`_SERVER_ROWS_PER_TXN` rows — so a crash before an fsync can
+      lose whole transactions but never commit half of one;
     * durable-but-unacked extras are allowed in any number: with many
-      in-flight clients, a whole fsynced group can die between hardening
-      and acknowledging (that ambiguity is why retries carry txn UUIDs).
+      in-flight clients, every unit one fsync covered can die between
+      hardening and acknowledging (that ambiguity is why retries carry txn
+      UUIDs).
     """
     failures: List[str] = []
     report = db2.verify([db2.generate_digest()])
@@ -299,9 +300,7 @@ def _server_child_main(args: argparse.Namespace) -> None:
 
     db = _open_db(args.path, sync=True)
     _create_table(db)
-    server = LedgerServer(
-        db, port=0, workers=4, queue_depth=64, max_group=8
-    ).start()
+    server = LedgerServer(db, port=0, workers=4, queue_depth=64).start()
     log = open(args.committed_log, "a", encoding="utf-8")
     log_lock = threading.Lock()
 

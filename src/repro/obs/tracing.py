@@ -335,8 +335,8 @@ def build_commit_lineage(spans: Iterable[Span], tid: int) -> List[SpanNode]:
        ``digest.upload`` of a block one of its ``queue.wait`` spans names.
 
     Only maximal subtrees are kept, as roots ordered by start time: a span
-    shared by several commits (``group.commit``) is left out, while each
-    commit's own subtree under it is not.  The ledger-system transactions
+    shared by several commits is left out, while each commit's own subtree
+    under it is not.  The ledger-system transactions
     a block's close commits name no commit of the ledger's, so a close
     inside the commit that filled the block leaves that commit's subtree
     its own.

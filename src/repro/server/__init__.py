@@ -3,7 +3,7 @@
 ``python -m repro.server <path>`` serves one :class:`LedgerDatabase` over
 length-prefixed JSON frames — see
 :mod:`repro.server.protocol` for the wire format and
-:mod:`repro.server.ledger_server` for the admission-control / group-commit
+:mod:`repro.server.ledger_server` for the admission-control / write-unit
 / degraded-mode machinery.  The matching client library lives in
 :mod:`repro.client`.
 """

@@ -26,10 +26,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--queue-depth", type=int, default=128)
     parser.add_argument("--max-sessions", type=int, default=512)
-    parser.add_argument("--max-group", type=int, default=64)
     parser.add_argument(
         "--sync", action="store_true",
-        help="fsync WAL appends (group commit amortizes these)",
+        help="fsync WAL appends (concurrent commits share fsyncs)",
     )
     parser.add_argument("--block-size", type=int, default=None)
     parser.add_argument(
@@ -59,7 +58,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         max_sessions=args.max_sessions,
-        max_group=args.max_group,
     ).start()
     print(f"LEDGER_SERVER_PORT={server.port}", flush=True)
 

@@ -1,4 +1,4 @@
-"""The resilient ledger server: admission control, group commit, deadlines.
+"""The resilient ledger server: admission control, shared fsyncs, deadlines.
 
 Architecture (one process, all stdlib)::
 
@@ -11,10 +11,10 @@ Architecture (one process, all stdlib)::
                           │             for within the deadline budget
                           │
                  reads ───┴─── writes
-             (lock-free           (one GroupCommitter:
-              SELECT, drain-       one storage-lock hold, ONE
-              bounded digest/      fsync per group; acked only
-              receipt)             after the group hardens)
+             (lock-free           (GroupCommitter.run: one
+              SELECT, drain-       storage-lock hold per unit,
+              bounded digest/      then an fsync shared with every
+              receipt)             unit queued behind the last one)
 
     Robustness policy, in order of evaluation per request:
       bad deadline     → BAD_REQUEST (deadline_ms must be a finite number)
@@ -45,7 +45,8 @@ Fault points (all four ride the torture kill matrix):
   response frame: the client sees a torn frame, must treat the write as
   ambiguous, and may only retry because of idempotency keys.
 * ``server.fsync_torn_group``  — registered by :mod:`repro.core.group_commit`:
-  death mid-group-fsync, proving whole-transaction atomicity.
+  death between a write unit's lock release and its fsync, proving
+  whole-transaction atomicity.
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ class IdempotencyIndex:
         self._capacity = capacity
         self._lock = threading.Lock()
         self._done: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._inflight: Dict[str, threading.Event] = {}
+        #: Keys in flight: None until a duplicate waits for one.
+        self._inflight: Dict[str, Optional[threading.Event]] = {}
 
     def begin(self, key: str) -> Tuple[str, Optional[Dict[str, Any]]]:
         while True:
@@ -169,10 +171,12 @@ class IdempotencyIndex:
                 if cached is not None:
                     self._done.move_to_end(key)
                     return "duplicate", cached
-                pending = self._inflight.get(key)
-                if pending is None:
-                    self._inflight[key] = threading.Event()
+                if key not in self._inflight:
+                    self._inflight[key] = None
                     return "mine", None
+                pending = self._inflight[key]
+                if pending is None:
+                    pending = self._inflight[key] = threading.Event()
             pending.wait(timeout=30.0)
 
     def finish(self, key: str, result: Dict[str, Any]) -> None:
@@ -207,11 +211,9 @@ class _Session:
             self.id = next(_Session._ids)
         self.sock = sock
         self.addr = addr
-        # Only this session's reader thread executes its requests, writes
-        # its replies and drops it, so neither needs a lock.  The one other
-        # thread that touches sql_session is a group-commit leader running
-        # this session's work unit, while the reader blocks in
-        # GroupCommitter.run until that unit is done.
+        # Only this session's reader thread executes its requests (write
+        # units included: GroupCommitter.run runs them on the caller's
+        # thread), writes its replies and drops it, so neither needs a lock.
         self.sql_session: Optional[Any] = None  # SqlSession, made on first execute
         self.closed = threading.Event()
 
@@ -229,12 +231,13 @@ class _Session:
 
 
 class _Request:
-    __slots__ = ("session", "payload", "deadline")
+    __slots__ = ("session", "payload", "deadline", "durable")
 
     def __init__(self, session: _Session, payload: Dict[str, Any], deadline: float):
         self.session = session
         self.payload = payload
         self.deadline = deadline
+        self.durable = False  # a write unit's reply, durable already
 
 
 class LedgerServer:
@@ -248,7 +251,6 @@ class LedgerServer:
         workers: int = 4,
         queue_depth: int = 128,
         max_sessions: int = 512,
-        max_group: int = 64,
     ) -> None:
         self._db = db
         self._host = host
@@ -262,7 +264,7 @@ class LedgerServer:
         self._max_sessions = max(1, int(max_sessions))
         from repro.core.group_commit import GroupCommitter
 
-        self._committer = GroupCommitter(db, max_group=max_group)
+        self._committer = GroupCommitter(db)
         self._idempotency = IdempotencyIndex()
         self._tier_cache: Tuple[float, str] = (0.0, "ok")
         self._tier_lock = threading.Lock()
@@ -349,9 +351,8 @@ class LedgerServer:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
         # A request still executing on a reader thread finishes (its reply
-        # goes nowhere) before the committer it may be using closes.
+        # goes nowhere) before the server reports itself stopped.
         self._wait_idle(2.0)
-        self._committer.close()
         OBS.events.emit(
             "server", "server.stopped", requests=self._requests_served
         )
@@ -532,6 +533,7 @@ class LedgerServer:
                 DEADLINE_EXCEEDED, "deadline expired before execution"
             ))
             return
+        error: Optional[RequestError] = None
         try:
             with OBS.tracer.span(
                 "server.request", op=op, session=session.id
@@ -540,25 +542,23 @@ class LedgerServer:
         except RequestError as exc:
             if exc.code in (DEADLINE_EXCEEDED, DEGRADED, SERVER_BUSY):
                 self._shed(exc.code.lower())
-            self._respond_error(session, seq, exc)
-            return
+            error = exc
         except _REQUEST_FAULTS as exc:
-            self._respond_error(
-                session, seq,
-                RequestError(BAD_REQUEST, f"{type(exc).__name__}: {exc}"),
-            )
-            return
+            error = RequestError(BAD_REQUEST, f"{type(exc).__name__}: {exc}")
         except InjectedFaultError as exc:
-            self._respond_error(
-                session, seq,
-                RequestError(INTERNAL, f"injected fault: {exc}"),
-            )
-            return
+            error = RequestError(INTERNAL, f"injected fault: {exc}")
         except Exception as exc:  # noqa: BLE001 — the server must not die
-            self._respond_error(
-                session, seq,
-                RequestError(INTERNAL, f"{type(exc).__name__}: {exc}"),
-            )
+            error = RequestError(INTERNAL, f"{type(exc).__name__}: {exc}")
+        if not request.durable:
+            # No reply before the log is durable through what it may show:
+            # another unit's rows, read before that unit's fsync ended.
+            wal = self._db.engine.wal
+            try:
+                wal.sync_through(wal.end)
+            except LedgerError as exc:
+                error = RequestError(INTERNAL, str(exc))
+        if error is not None:
+            self._respond_error(session, seq, error)
             return
         self._requests_served += 1
         self._respond(session, {"ok": True, "seq": seq, "result": result})
@@ -664,9 +664,11 @@ class LedgerServer:
             return self._op_receipt(payload, request)
         if op == "insert":
             self._require_writable(tier, request)
-            return self._idempotent_write(
+            result = self._idempotent_write(
                 payload, lambda: self._op_insert(payload)
             )
+            request.durable = True
+            return result
         if op == "execute":
             return self._op_execute(session, payload, tier, request)
         raise RequestError(BAD_REQUEST, f"unknown op {op!r}")
@@ -784,8 +786,8 @@ class LedgerServer:
         db = self._db
 
         def work() -> Dict[str, Any]:
-            # Runs on the group leader's thread, under its group.commit; the
-            # tids inside keep this member's commit lineage its own.
+            # Runs under GroupCommitter.run; the tids inside keep this
+            # unit's commit lineage its own.
             with OBS.tracer.span("server.commit", table=table):
                 txn = db.begin()
                 try:
@@ -827,8 +829,8 @@ class LedgerServer:
         self._require_writable(tier, request)
         if sql_session.in_transaction or kind == "transaction":
             # Interactive multi-request transactions hold NOWAIT table locks
-            # across frames; they execute directly (grouping would only
-            # stretch the lock hold) on this reader thread.
+            # across frames; each statement executes directly, and a COMMIT
+            # fsyncs inline.
             result = sql_session.execute(sql)
             return self._execute_result(sql_session, result)
 
@@ -836,9 +838,11 @@ class LedgerServer:
             result = sql_session.execute(sql)
             return self._execute_result(sql_session, result)
 
-        return self._idempotent_write(
+        result = self._idempotent_write(
             payload, lambda: self._committer.run(work)
         )
+        request.durable = True
+        return result
 
     @staticmethod
     def _execute_result(sql_session, result) -> Dict[str, Any]:

@@ -839,23 +839,24 @@ class SqlSession:
         if not stmt.joins:
             source, where, order_by, limit = self._single_source(stmt)
             read = self._read(source, where, values, order_by, limit)
-            return _SelectPlan(
-                self._db.engine, self._tables(read.source), stmt, read
-            )
-        left = self._resolve_source(stmt.table, stmt.alias or stmt.table)
-        read = self._read(left, self._source_where(stmt.where, left), values)
-        tables = self._tables(left)
-        known = left.keys()
-        steps = []
-        for join in stmt.joins:
-            right = self._resolve_source(join.table, join.alias)
-            # A bare name both sides have is the left side's.
-            joined = {**right.keys(), **known}
-            check_comparisons(joined, join.on, values)
-            steps.append(self._plan_join(right, join, known))
-            tables += self._tables(right)
-            known = joined
-        check_comparisons(known, stmt.where, values)
+            known, tables, steps = source.keys(), self._tables(source), None
+        else:
+            left = self._resolve_source(stmt.table, stmt.alias or stmt.table)
+            read = self._read(left, self._source_where(stmt.where, left), values)
+            tables = self._tables(left)
+            known = left.keys()
+            steps = []
+            for join in stmt.joins:
+                right = self._resolve_source(join.table, join.alias)
+                # A bare name both sides have is the left side's.
+                joined = {**right.keys(), **known}
+                check_comparisons(joined, join.on, values)
+                steps.append(self._plan_join(right, join, known))
+                tables += self._tables(right)
+                known = joined
+            check_comparisons(known, stmt.where, values)
+        for item in stmt.items:  # typed as WHERE is (ORDER BY names columns)
+            check_comparisons(known, item.expression, values)
         return _SelectPlan(self._db.engine, tables, stmt, read, steps)
 
     def _tables(self, source: "_Source") -> List[Table]:

@@ -389,6 +389,9 @@ class LedgerModel(RuleBasedStateMachine):
                 digests, mode="incremental", checkpoint=self.held_checkpoint
             )
             assert incremental.ok, [f.message for f in incremental.errors]
+            # A live, untampered ledger never escalates, truncated or not.
+            assert not incremental.escalated, [
+                f.message for f in incremental.findings]
         self.held_checkpoint = report.built_checkpoint
 
     def _pick_table(self, data):

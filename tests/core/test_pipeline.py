@@ -228,15 +228,12 @@ class TestFailedCommitAppend:
         txn = db.begin("bob")
         db.insert(txn, "accounts", [["synced", 1]])
         FAULTS.arm("wal.fsync", action="fail", times=1)
+        stopped = "the WAL fsync through LSN .* failed.*reopen the database"
         try:
-            with pytest.raises(InjectedFaultError):
+            with pytest.raises(LedgerError, match=stopped):
                 db.commit(txn)
         finally:
             FAULTS.reset()
-        stopped = (
-            f"fsync of transaction {txn.tid}'s COMMIT record failed.*"
-            "reopen the database"
-        )
         for call in (
             lambda: db.rollback(txn), lambda: db.commit(txn),
             lambda: seed(db, 7, prefix="after"), db.checkpoint,

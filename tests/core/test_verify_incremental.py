@@ -29,8 +29,10 @@ from repro.attacks import (
     tamper_transaction_entry,
     tamper_view_definition,
 )
+from repro.core.ledger_database import LedgerDatabase
 from repro.core.verification import LedgerVerifier
 from repro.crypto.hashing import sha256, to_hex
+from repro.engine.clock import LogicalClock
 from repro.engine.expressions import eq
 from repro.engine.schema import IndexDefinition
 from repro.obs.monitor import ContinuousVerifier
@@ -258,6 +260,40 @@ class TestCheckpointFallbacks:
         )
         assert report.ok and report.mode == "full"
         assert "checkpoint transaction" in report.fallback_reason
+
+
+    def test_truncation_since_the_checkpoint_falls_back_quietly(
+        self, tmp_path
+    ):
+        """A truncation below a held checkpoint's block removes row
+        versions its leaf counts include: the next cycle runs full with no
+        warning instead of escalating over a count it cannot match."""
+        db = LedgerDatabase.open(
+            str(tmp_path / "truncated"), block_size=2, clock=LogicalClock()
+        )
+        try:
+            db.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT) "
+                   "WITH (LEDGER = ON)")
+            for i in range(12):
+                db.sql(f"INSERT INTO t VALUES ({i}, {i})")
+            for i in range(6):
+                db.sql(f"UPDATE t SET v = {100 + i} WHERE id = {i}")
+            checkpoint = build_checkpoint(db, [db.generate_digest()])
+            assert checkpoint.block_id == 9
+            db.truncate_ledger(2)
+            for i in range(4):
+                db.sql(f"INSERT INTO t VALUES ({100 + i}, 0)")
+            report = db.verify(
+                [db.generate_digest()], mode="incremental",
+                checkpoint=checkpoint,
+            )
+            assert report.ok and report.mode == "full"
+            assert not report.escalated
+            assert report.findings == []
+            assert report.fallback_reason == (
+                "ledger truncated since the checkpoint")
+        finally:
+            db.close()
 
 
 class TestIncrementalMonitor:

@@ -272,7 +272,7 @@ class TestLedgerCommitAfterTornTail:
         path = str(tmp_path / "db")
         db = LedgerDatabase.open(path, block_size=4, sync=True)
         db.sql("CREATE TABLE t (id INT PRIMARY KEY) WITH (LEDGER = ON)")
-        committer = GroupCommitter(db, max_group=8)
+        committer = GroupCommitter(db)
         committer.run(lambda: db.sql("INSERT INTO t VALUES (1)"))
         FAULTS.arm("server.fsync_torn_group", action="crash")
         with pytest.raises(InjectedCrashError):

@@ -75,7 +75,7 @@ class TestMembershipRule:
     def test_a_span_shared_by_several_commits_is_left_out(self):
         spans = [
             span(1, "server.request"),
-            span(2, "group.commit", parent_id=1, size=2),
+            span(2, "batch", parent_id=1, size=2),
             span(3, "server.commit", parent_id=2),
             span(4, "txn.commit", parent_id=3, tid=7),
             span(5, "server.commit", parent_id=2),
@@ -280,7 +280,7 @@ class TestConsumers:
         assert "no trace recorded" in shell_lineage(db, 10_000, capsys)
         assert "error" in endpoint_lineage(db, 10_000)
 
-    def test_grouped_commit_over_the_wire(self, tmp_path, telemetry):
+    def test_concurrent_commits_over_the_wire(self, tmp_path, telemetry):
         db = LedgerDatabase.open(
             str(tmp_path / "wire"), block_size=4, clock=LogicalClock()
         )
@@ -289,21 +289,14 @@ class TestConsumers:
             [Column("tag", VARCHAR(16), nullable=False), Column("value", INT)],
             primary_key=["tag"],
         ))
-        # A first insert's leader waits for the storage lock the test
-        # holds; two more inserts queue behind it and form the next group.
+        # Three inserts wait behind the storage lock the test holds, then
+        # run one after another, each on its own reader thread.
         server = LedgerServer(db, port=0, workers=3).start()
-        committer = server._committer
         client = LedgerClient("127.0.0.1", server.port, pool_size=3)
         results = {}
 
         def insert(tag):
             results[tag] = client.insert("items", [[tag, 1]])["tid"]
-
-        def wait_for(condition):
-            deadline = time.monotonic() + 20
-            while not condition():
-                assert time.monotonic() < deadline, "commit never queued"
-                time.sleep(0.005)
 
         threads = [
             threading.Thread(target=insert, args=(tag,))
@@ -311,12 +304,12 @@ class TestConsumers:
         ]
         try:
             with db.ledger.storage_lock:
-                threads[0].start()
-                wait_for(lambda: committer._leader_active
-                         and not committer._pending)
-                for thread in threads[1:]:
+                for thread in threads:
                     thread.start()
-                wait_for(lambda: len(committer._pending) == 2)
+                deadline = time.monotonic() + 20
+                while server.stats()["inflight"] < 3:
+                    assert time.monotonic() < deadline, "inserts never queued"
+                    time.sleep(0.005)
             for thread in threads:
                 thread.join()
             db.generate_digest()
@@ -326,14 +319,11 @@ class TestConsumers:
             server.stop(drain=True)
             db.close()
 
-        groups = [s for s in spans if s.name == "group.commit"]
-        assert [g.attributes["size"] for g in groups] == [1, 2]
-        for tag in ("b", "c"):
+        for tag in ("a", "b", "c"):
             tid = results[tag]
             names = names_in(build_commit_lineage(spans, tid))
+            assert names.count("server.request") == 1, (tag, names)
             assert names.count("server.commit") == 1, (tag, names)
-            assert "group.commit" not in names
-            assert "server.request" not in names
             assert {"txn.commit", "ledger.hash", "queue.wait"} <= set(names)
 
 

@@ -43,9 +43,7 @@ def server_db(tmp_path):
 
 @pytest.fixture
 def server(server_db):
-    srv = LedgerServer(
-        server_db, port=0, workers=2, queue_depth=16, max_group=8
-    ).start()
+    srv = LedgerServer(server_db, port=0, workers=2, queue_depth=16).start()
     yield srv
     srv.stop(drain=True)
 

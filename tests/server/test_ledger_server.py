@@ -378,9 +378,7 @@ class TestAdmissionControl:
 
     @pytest.fixture
     def narrow(self, server_db):
-        srv = LedgerServer(
-            server_db, port=0, workers=1, queue_depth=1, max_group=4
-        ).start()
+        srv = LedgerServer(server_db, port=0, workers=1, queue_depth=1).start()
         yield srv
         FAULTS.reset()  # never leave the stall armed while stopping
         srv.stop(drain=True)

@@ -1,6 +1,9 @@
 """Retry idempotency: a duplicate txn UUID after an ambiguous timeout
 commits exactly once, verified through receipts and row counts."""
 
+import threading
+import time
+
 import pytest
 
 from repro.client import AmbiguousResultError, LedgerClient
@@ -24,6 +27,25 @@ class TestIdempotencyIndex:
         assert index.begin("k")[0] == "mine"
         index.abandon("k")
         assert index.begin("k")[0] == "mine"  # retryable after failure
+
+    def test_a_duplicate_in_flight_waits_for_the_original(self):
+        """A keyed write builds no Event; a duplicate arriving while it
+        runs makes one, waits on it, and gets the original's result."""
+        index = IdempotencyIndex()
+        assert index.begin("k") == ("mine", None)
+        assert index._inflight == {"k": None}
+        answers = []
+        waiter = threading.Thread(target=lambda: answers.append(index.begin("k")))
+        waiter.start()
+        deadline = time.monotonic() + 20
+        while index._inflight["k"] is None:
+            assert time.monotonic() < deadline, "the duplicate never waited"
+            time.sleep(0.005)
+        assert answers == []
+        index.finish("k", {"tid": 3})
+        waiter.join(20)
+        assert answers == [("duplicate", {"tid": 3})]
+        assert index._inflight == {}
 
     def test_lru_bounds_memory(self):
         index = IdempotencyIndex(capacity=4)

@@ -33,10 +33,10 @@ def _kill_monitor(db):
 
 
 class TestCommentedWriteOverTheWire:
-    def test_joins_group_commit(self, server, client):
-        before = server.stats()["group_commit"]["members"]
+    def test_runs_as_a_write_unit(self, server, client):
+        before = server.stats()["group_commit"]["units"]
         client.execute(COMMENTED_INSERT.format(tag="grouped"))
-        assert server.stats()["group_commit"]["members"] == before + 1
+        assert server.stats()["group_commit"]["units"] == before + 1
 
     def test_refused_while_degraded(self, server_db, server, client):
         _kill_monitor(server_db)

@@ -171,6 +171,42 @@ class TestOperandTypes:
         with pytest.raises(SqlBindError, match="cannot compare"):
             typed.sql(text)
 
+    @pytest.mark.parametrize("text", [
+        "SELECT id, b = a AS x FROM t",
+        "SELECT id, a + 1 = b AS x FROM t",
+        "SELECT id, b < a AS x FROM t",
+        "SELECT 1 IN ('a', 2) AS x FROM t",
+        "SELECT id FROM t WHERE 1 IN ('a', 2)",
+        "SELECT t.id, u.s = t.a AS x FROM t JOIN u ON u.id = t.id",
+    ])
+    def test_select_list_comparisons_are_typed(self, typed, text):
+        """The SELECT list is checked like WHERE, when the plan is built:
+        in-process, over the wire as BAD_REQUEST, and on an empty table."""
+        from repro.client import LedgerClient
+        from repro.server.ledger_server import LedgerServer
+        from repro.server.protocol import BAD_REQUEST, RequestError
+
+        with pytest.raises(SqlBindError, match="cannot compare"):
+            typed.sql(text)
+        server = LedgerServer(typed, port=0, workers=1).start()
+        client = LedgerClient("127.0.0.1", server.port, pool_size=1)
+        try:
+            with pytest.raises(RequestError, match="cannot compare") as raised:
+                client.execute(text)
+            assert raised.value.code == BAD_REQUEST
+        finally:
+            client.close()
+            server.stop(drain=True)
+        typed.sql("DELETE FROM t")
+        with pytest.raises(SqlBindError, match="cannot compare"):
+            typed.sql(text)
+
+    def test_select_list_comparisons_of_one_kind_run(self, typed):
+        assert typed.sql("SELECT id, b = 'x' AS x, a + 1 = id + 1 AS y, "
+                         "2 IN (1, 2) AS z FROM t ORDER BY id") == [
+            {"id": 1, "x": True, "y": True, "z": True},
+            {"id": 2, "x": False, "y": True, "z": True}]
+
     def test_expressions_of_one_kind_compare(self, typed):
         assert typed.sql("SELECT id FROM t WHERE a + 1 = 2") == [{"id": 1}]
         assert typed.sql("SELECT id FROM t WHERE b + 'y' = 'xy'") == [
