@@ -13,10 +13,11 @@ block *closure* (Merkle root over the entry hashes, hash chaining,
 persistence into ``database_ledger_blocks``) follows once the block's last
 entry is durably enqueued.  The paper closes blocks off the critical path,
 for a many-core server; here the commit that fills a block closes it, on
-its own thread, after its COMMIT record is appended — durable at once, or,
-in a server write unit, at the fsync after the unit (:meth:`DatabaseLedger.
-enqueue`) — and :meth:`repro.core.pipeline.LedgerPipeline.drain` closes the
-rest.  The ledger starts no thread of its own.
+its own thread, after its COMMIT record is appended (:meth:`DatabaseLedger.
+enqueue`), and :meth:`repro.core.pipeline.LedgerPipeline.drain` closes the
+rest.  The log is fsynced when the outermost ``storage_lock`` hold lets
+go (:mod:`repro.core.group_commit`).  The ledger starts no thread of its
+own.
 
 One lock, ``storage_lock``, guards all of it: the storage engine (which is
 not thread-safe), the sequencer's counters, the sealed blocks and the entry
@@ -53,7 +54,6 @@ decoded before.
 from __future__ import annotations
 
 import datetime as dt
-import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -70,6 +70,7 @@ from typing import (
 
 from repro.core.digest import BlockHeader, DatabaseDigest
 from repro.core.entries import BlockRow, TransactionEntry
+from repro.core.group_commit import StorageLock
 from repro.core.verify_snapshot import schema_fingerprint
 from repro.crypto.hashing import LeafHashCache
 from repro.crypto.merkle import MerkleTree
@@ -156,7 +157,7 @@ class DatabaseLedger:
         self._m = OBS.metrics.handles("ledger", _ledger_metrics)
         #: The ledger's one lock, shared with every consumer of the
         #: (single-threaded) storage engine via LedgerDatabase/pipeline.
-        self.storage_lock = threading.RLock()
+        self.storage_lock = StorageLock(engine)
         self._queue: List[TransactionEntry] = []
         self._open_block_id = 0
         self._open_ordinal = 0
@@ -305,10 +306,10 @@ class DatabaseLedger:
         """Queue a committed entry (stage 2 → stage 3 handoff).
 
         Runs under the commit's ``storage_lock``, after its COMMIT record is
-        appended: durable already, or, in a server write unit, at the fsync
-        after the unit (``WalWriter.sync_through``); the log's order puts it
-        before any record the close appends.  When the entry completes a sealed block — this commit's
-        assignment sealed it — the commit closes every ready sealed block,
+        appended (durable once the lock's outermost hold lets go); the log's
+        order puts it before any record the close appends.  When the entry
+        completes a sealed block — this commit's assignment sealed it — the
+        commit closes every ready sealed block,
         oldest first.  A close that fails does not fail the commit: the
         block stays sealed and :attr:`close_failure` names it until a later
         close succeeds.  A simulated crash still propagates.
@@ -537,8 +538,8 @@ class DatabaseLedger:
         transaction (the paper's frequent-digest design keeps the window of
         uncovered data to seconds).  Concurrent callers should drain the
         pipeline first so in-flight commits are covered too.  Returns once
-        the log is durable through them (a write unit fsyncs after it
-        releases ``storage_lock``).
+        the log is durable through them: read under ``storage_lock``, whose
+        release syncs the log.
         """
         with self.storage_lock, OBS.tracer.span("digest.generate") as span:
             self.close_open_block()
@@ -560,7 +561,6 @@ class DatabaseLedger:
                 last_transaction_commit_time=last_commit,
                 digest_time=self._engine.clock(),
             )
-        self._engine.wal.sync_through(self._engine.wal.end)
         self._m.digests_generated.inc()
         OBS.events.emit(
             "digest", "digest.generated",

@@ -13,9 +13,9 @@ The commit path is split into three stages (SQL Ledger §4.2):
 The paper runs stage 3 off the commit path, for a many-core server.  Here
 it runs on the thread that asks for it, under the ``storage_lock`` that
 thread already holds: the commit that fills a block closes every ready
-sealed block once its COMMIT record is appended (durable at once, or in a
-server write unit at the fsync after it;
-:meth:`repro.core.database_ledger.DatabaseLedger.enqueue`), and consumers
+sealed block once its COMMIT record is appended
+(:meth:`repro.core.database_ledger.DatabaseLedger.enqueue`; the log is
+durable once the outermost ``storage_lock`` hold lets go), and consumers
 that need a closed chain tip — digest generation, receipts, truncation,
 checkpointing, clean shutdown — call :meth:`LedgerPipeline.drain`.
 

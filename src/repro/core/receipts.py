@@ -86,7 +86,8 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
 
     Raises :class:`ReceiptError` when the transaction is unknown or touched
     no ledger table (such transactions have no ledger entry).  Returns once
-    the log is durable through its block.
+    the log is durable through its block: the entry and block are read
+    under ``storage_lock``, whose release syncs the log.
     """
     entry = db.ledger.transaction_entry(transaction_id)
     if entry is None:
@@ -136,7 +137,6 @@ def generate_receipt(db, transaction_id: int) -> TransactionReceipt:
         raise ReceiptError(
             f"transaction {transaction_id} missing from block {entry.block_id}"
         )
-    db.engine.wal.sync_through(db.engine.wal.end)  # a unit's fsync may run
     return TransactionReceipt(
         entry=entry,
         proof=tree.proof(position),

@@ -88,7 +88,8 @@ class Database:
         self.catalog = Catalog()
         self._tables: Dict[int, Table] = {}
         self._hooks = hooks or EngineHooks()
-        self._sync = sync
+        #: Whether the storage lock's last release fsyncs the log.
+        self.sync = sync
         self.clock = clock or wall_clock
         self._epoch = 0
         self._wal: Optional[WalWriter] = None
@@ -103,7 +104,7 @@ class Database:
 
     @property
     def wal(self) -> WalWriter:
-        """The live WAL writer (a server write unit syncs it itself)."""
+        """The live WAL writer (a checkpoint replaces it)."""
         assert self._wal is not None
         return self._wal
 
@@ -140,7 +141,7 @@ class Database:
 
     def _bootstrap(self) -> None:
         self._epoch = 0
-        self._wal = WalWriter(self._wal_path(self._epoch), sync=self._sync)
+        self._wal = WalWriter(self._wal_path(self._epoch))
         self._txn_manager = TransactionManager(
             self._wal, self._lock_manager, self._hooks, self.clock
         )
@@ -191,7 +192,7 @@ class Database:
             # Cut a torn tail: recovery would never read frames appended after it.
             if os.path.exists(wal_path):
                 os.truncate(wal_path, wal_end)
-            self._wal = WalWriter(wal_path, sync=self._sync)
+            self._wal = WalWriter(wal_path)
             for info in self.catalog.tables():
                 self._tables[info.table_id] = self._materialize_table(
                     info, load=True
@@ -472,7 +473,7 @@ class Database:
         FAULTS.fire("checkpoint.swap", epoch=new_epoch)
 
         old_wal = self._wal
-        self._wal = WalWriter(self._wal_path(new_epoch), sync=self._sync)
+        self._wal = WalWriter(self._wal_path(new_epoch))
         self._txn_manager.set_wal(self._wal)
         for table in self._tables.values():
             table.set_wal(self._wal)

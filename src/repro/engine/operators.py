@@ -586,6 +586,16 @@ _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
 }
 
 
+def check_aggregate(types: Mapping[str, SqlType], function, column) -> None:
+    """Refuse SUM or AVG of a column that holds no numbers (T-SQL's 8117)."""
+    sql_type = types.get(column)
+    if function in ("SUM", "AVG") and sql_type and sql_type.comparable_types != _NUMBER:
+        raise SqlBindError(
+            f"operand data type {sql_type.render()} is invalid for the "
+            f"{function} operator (column {column!r})"
+        )
+
+
 def aggregate(
     source: Iterator[NamedRow],
     group_by: Sequence[str],

@@ -426,19 +426,18 @@ class Table:
 
     def _log(self, txn: Transaction, frames, take_back: Callable[[], None]) -> None:
         """Append the ``(kind, rows)`` frames of a change just made in memory:
-        the one place a table write meets the WAL.  A failed append
-        compensates the frames that reached the log and re-raises; else the
-        undo compensates them all.  After a failed fsync the log refuses the
-        compensation too, and the engine stays stopped.  A simulated crash
-        propagates untouched."""
+        the one place a table write meets the WAL.  A failed append writes
+        nothing: the frames before it are compensated and it re-raises; else
+        the undo compensates them all.  After a failed fsync the log refuses
+        the compensation too, and the engine stays stopped.  A simulated
+        crash propagates untouched."""
         for at, (kind, rows) in enumerate(frames):
-            end = self._wal.end
             try:
                 self._wal.append(DmlRecord(kind, txn.tid, self.table_id, rows))
             except InjectedCrashError:
                 raise
             except Exception:
-                self._compensate(txn, frames[: at + (self._wal.end != end)], take_back)
+                self._compensate(txn, frames[:at], take_back)
                 raise
         txn.record_undo(lambda: self._compensate(txn, frames, take_back))
 

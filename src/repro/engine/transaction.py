@@ -158,13 +158,13 @@ class TransactionManager:
         Returns the ledger payload (block id / ordinal / entry) so callers —
         e.g. receipt generation — can reference where the transaction landed.
 
-        A COMMIT record that fails before any byte reaches the log gives
-        back what ``pre_commit`` took, and the transaction stays active for
-        its rollback.  One that reached the log and whose fsync then failed
-        has stopped the engine (fail-stop, recorded on the log writer):
-        recovery may replay that COMMIT, so no rollback may undo it in
-        memory, and every later begin, commit, rollback or checkpoint
-        raises :attr:`failure` until the database is reopened.
+        The record is durable once the outermost ``storage_lock`` hold lets
+        go (:mod:`repro.core.group_commit`).  One that fails before any byte
+        reaches the log gives back what ``pre_commit`` took, and the
+        transaction stays active for its rollback.  A failed fsync stops the
+        engine (fail-stop): recovery may replay any COMMIT, so no rollback
+        may undo one in memory, and every later begin, commit, rollback or
+        checkpoint raises :attr:`failure` until the database is reopened.
         """
         self.require_running()
         txn.require_active()

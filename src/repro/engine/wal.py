@@ -16,7 +16,6 @@ crash.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import struct
@@ -71,6 +70,8 @@ DELETE_MANY = "DELETE_MANY"
 COMMIT = "COMMIT"
 ABORT = "ABORT"
 DDL = "DDL"
+#: The frames a sync must cover: a commit's and the catalog's.
+_OWED_KINDS = frozenset((COMMIT, DDL))
 
 
 @dataclass
@@ -175,12 +176,11 @@ _FORMATS = {
 
 
 class WalWriter:
-    """Appends records to a log file; returns byte-offset LSNs.  In sync
-    mode a record is durable once :meth:`sync_through` covered it."""
+    """Appends records to a log file; returns byte-offset LSNs.  A record
+    is durable once :meth:`sync_through` covered it."""
 
-    def __init__(self, path: str, sync: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self._path = path
-        self._sync = sync
         self._m = OBS.metrics.handles("wal", _wal_metrics)
         self._file = open(path, "ab")
         # Where the next frame starts: its LSN, kept here rather than asked
@@ -193,8 +193,8 @@ class WalWriter:
         # Held across an fsync, so appends go on while it runs.
         self._sync_lock = threading.Lock()
         self._durable = self._end  # every byte before it is fsynced
-        # Depth > 0 suppresses the fsyncs of appends and flushes.
-        self._defer_depth = 0
+        # Where the last COMMIT or DDL frame ends: what a sync owes.
+        self._owed = self._end
         #: A failed fsync's error, which every later append and sync raises.
         self.failure: Optional[LedgerError] = None
 
@@ -220,20 +220,13 @@ class WalWriter:
                 raise self.failure
             lsn = self._end
             if FAULTS.triggered("wal.torn_write", kind=record.kind):
-                # Simulate a crash mid-frame: header plus half the payload
-                # reach the OS, then the process dies.  The flush models the
-                # Python buffer draining as the file is closed.
-                self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-                self._file.write(payload[: len(payload) // 2])
-                self._file.flush()
-                self._end = self._file.tell()
+                self._tear(payload)
                 raise InjectedCrashError("wal.torn_write")
             self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
             self._file.write(payload)
-            self._end = end = lsn + _FRAME.size + len(payload)
-            deferred = self._defer_depth
-        if self._sync and not deferred:
-            self.sync_through(end)
+            self._end = lsn + _FRAME.size + len(payload)
+            if record.kind in _OWED_KINDS:
+                self._owed = self._end
         if OBS.metrics.enabled:
             self._m.bytes_appended.inc(_FRAME.size + len(payload))
         return lsn
@@ -242,12 +235,12 @@ class WalWriter:
         """Return once every frame before ``lsn`` is durable (PostgreSQL's
         ``XLogFlush`` rule); True when this call ran the fsync.
 
-        Without sync mode, or when a finished fsync covered ``lsn``, that is
-        at once; else after the fsync in progress, whose callers share the
-        next one.  A failed fsync sets :attr:`failure`, which this call and
-        every caller behind it raise: no retried fsync reports success.
+        When a finished fsync covered ``lsn``, that is at once; else after
+        the fsync in progress, whose callers share the next one.  A failed
+        fsync sets :attr:`failure`, which this call and every caller behind
+        it raise: no retried fsync reports success.
         """
-        if not self._sync or (lsn <= self._durable and self.failure is None):
+        if lsn <= self._durable and self.failure is None:
             return False
         with self._sync_lock:
             if self.failure is not None:
@@ -275,40 +268,34 @@ class WalWriter:
             self._durable = target
         return True
 
-    @contextlib.contextmanager
-    def deferred_sync(self):
-        """Suppress fsyncs inside one write unit; its owner calls
-        :meth:`sync_through` after it."""
-        with self._lock:
-            self._defer_depth += 1
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self._defer_depth -= 1
+    @property
+    def owed(self) -> int:
+        """The end of the last COMMIT or DDL frame while no fsync covered it
+        (a failed one never does); else, or once closed, 0."""
+        if self._owed > self._durable and not self._file.closed:
+            return self._owed
+        return 0
+
+    def _tear(self, payload: bytes) -> None:
+        """A crash mid-frame (under ``_lock``): the header and half the
+        payload reach the OS.  The flush models the Python buffer draining
+        as the process dies."""
+        self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
+        self._file.write(payload[: len(payload) // 2])
+        self._file.flush()
+        self._end = self._file.tell()
 
     def simulate_torn_tail(self) -> None:
-        """Append a deliberately torn frame (header + partial payload).
-
-        Used by the ``server.fsync_torn_group`` fault drill: a crash after a
-        unit's COMMIT frame reached the OS buffer but mid-flush leaves a
-        torn tail.  ``read_wal`` must stop cleanly at it, discarding whole
-        frames — whole transactions — never a prefix of one.
-        """
+        """Append a torn frame, as a crash mid-flush does (the
+        ``server.fsync_torn_group`` drill): recovery loses whole transactions."""
         with self._lock:
-            garbage = b'{"kind":"TORN-GROUP-TAIL"}'
-            self._file.write(_FRAME.pack(64, zlib.crc32(garbage)))
-            self._file.write(garbage[: len(garbage) // 2])
-            self._file.flush()
-            self._end = self._file.tell()
+            self._tear(b'{"kind":"TORN-GROUP-TAIL"}')
 
     def flush(self) -> None:
-        """Everything appended to the OS, and durable in sync mode."""
-        if self._sync:
-            if not self._defer_depth:
-                self.sync_through(self._end)
-            return
+        """Everything appended, to the OS (``StorageLock`` fsyncs it)."""
         with self._lock:
+            if self.failure is not None:
+                raise self.failure
             self._file.flush()
 
     def close(self) -> None:

@@ -67,6 +67,7 @@ class CrashPoint:
 KILL_MATRIX: Tuple[CrashPoint, ...] = (
     CrashPoint("wal.append", driver="commit", skip=4),
     CrashPoint("wal.torn_write", driver="commit", skip=4),
+    CrashPoint("server.fsync_torn_group", driver="commit", skip=4),
     CrashPoint("checkpoint.write", driver="checkpoint"),
     CrashPoint("ledger.block_persist", driver="digest"),
     CrashPoint("server.accept_drop", driver="server", skip=2),

@@ -11,10 +11,10 @@ Architecture (one process, all stdlib)::
                           │             for within the deadline budget
                           │
                  reads ───┴─── writes
-             (lock-free           (GroupCommitter.run: one
-              SELECT, drain-       storage-lock hold per unit,
-              bounded digest/      then an fsync shared with every
-              receipt)             unit queued behind the last one)
+             (SELECT, drain-      (GroupCommitter.run: one
+              bounded digest/      storage-lock hold per unit)
+              receipt)    each under storage_lock: its last release
+                          fsyncs the log, so no reply shows what is not durable
 
     Robustness policy, in order of evaluation per request:
       bad deadline     → BAD_REQUEST (deadline_ms must be a finite number)
@@ -45,7 +45,7 @@ Fault points (all four ride the torture kill matrix):
   response frame: the client sees a torn frame, must treat the write as
   ambiguous, and may only retry because of idempotency keys.
 * ``server.fsync_torn_group``  — registered by :mod:`repro.core.group_commit`:
-  death between a write unit's lock release and its fsync, proving
+  death between the storage lock's last release and its fsync, proving
   whole-transaction atomicity.
 """
 
@@ -228,16 +228,6 @@ class _Session:
                 self.sock.close()
             except OSError:
                 pass
-
-
-class _Request:
-    __slots__ = ("session", "payload", "deadline", "durable")
-
-    def __init__(self, session: _Session, payload: Dict[str, Any], deadline: float):
-        self.session = session
-        self.payload = payload
-        self.deadline = deadline
-        self.durable = False  # a write unit's reply, durable already
 
 
 class LedgerServer:
@@ -473,7 +463,6 @@ class LedgerServer:
                 "executing or waiting)",
             ))
             return
-        request = _Request(session, payload, deadline)
         try:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self._slots.acquire(timeout=remaining):
@@ -483,7 +472,7 @@ class LedgerServer:
                 ))
                 return
             try:
-                self._handle(request)
+                self._handle(session, payload, deadline)
             finally:
                 self._slots.release()
         finally:
@@ -515,9 +504,9 @@ class LedgerServer:
     # Request execution
     # ------------------------------------------------------------------
 
-    def _handle(self, request: _Request) -> None:
-        session = request.session
-        payload = request.payload
+    def _handle(
+        self, session: _Session, payload: Dict[str, Any], deadline: float
+    ) -> None:
         op = str(payload.get("op", ""))
         seq = payload.get("seq")
         if session.closed.is_set():
@@ -528,17 +517,16 @@ class LedgerServer:
             return
         # Deadline re-check: a slot granted at the very end of the budget
         # is not worth executing.
-        if time.monotonic() > request.deadline:
+        if time.monotonic() > deadline:
             self._reject(session, seq, "deadline", RequestError(
                 DEADLINE_EXCEEDED, "deadline expired before execution"
             ))
             return
-        error: Optional[RequestError] = None
         try:
             with OBS.tracer.span(
                 "server.request", op=op, session=session.id
             ):
-                result = self._dispatch(session, op, payload, request)
+                result = self._dispatch(session, op, payload, deadline)
         except RequestError as exc:
             if exc.code in (DEADLINE_EXCEEDED, DEGRADED, SERVER_BUSY):
                 self._shed(exc.code.lower())
@@ -549,19 +537,11 @@ class LedgerServer:
             error = RequestError(INTERNAL, f"injected fault: {exc}")
         except Exception as exc:  # noqa: BLE001 — the server must not die
             error = RequestError(INTERNAL, f"{type(exc).__name__}: {exc}")
-        if not request.durable:
-            # No reply before the log is durable through what it may show:
-            # another unit's rows, read before that unit's fsync ended.
-            wal = self._db.engine.wal
-            try:
-                wal.sync_through(wal.end)
-            except LedgerError as exc:
-                error = RequestError(INTERNAL, str(exc))
-        if error is not None:
-            self._respond_error(session, seq, error)
+        else:
+            self._requests_served += 1
+            self._respond(session, {"ok": True, "seq": seq, "result": result})
             return
-        self._requests_served += 1
-        self._respond(session, {"ok": True, "seq": seq, "result": result})
+        self._respond_error(session, seq, error)
 
     # ------------------------------------------------------------------
     # Response writing (the kill_mid_response fault lives here)
@@ -638,7 +618,7 @@ class LedgerServer:
         session: _Session,
         op: str,
         payload: Dict[str, Any],
-        request: _Request,
+        deadline: float,
     ) -> Dict[str, Any]:
         if op == "ping":
             return {"pong": True}
@@ -659,22 +639,20 @@ class LedgerServer:
         if op == "select":
             return self._op_select(payload)
         if op == "digest":
-            return self._op_digest(payload, request)
+            return self._op_digest(deadline)
         if op == "receipt":
-            return self._op_receipt(payload, request)
+            return self._op_receipt(payload, deadline)
         if op == "insert":
-            self._require_writable(tier, request)
-            result = self._idempotent_write(
+            self._require_writable(tier, deadline)
+            return self._idempotent_write(
                 payload, lambda: self._op_insert(payload)
             )
-            request.durable = True
-            return result
         if op == "execute":
-            return self._op_execute(session, payload, tier, request)
+            return self._op_execute(session, payload, tier, deadline)
         raise RequestError(BAD_REQUEST, f"unknown op {op!r}")
 
-    def _require_writable(self, tier: str, request: _Request) -> None:
-        if tier == "degraded" and self._retry_failed_close(request):
+    def _require_writable(self, tier: str, deadline: float) -> None:
+        if tier == "degraded" and self._retry_failed_close(deadline):
             tier = self._health_tier(fresh=True)
         if tier == "degraded":
             raise RequestError(
@@ -684,7 +662,7 @@ class LedgerServer:
                 "verified reads keep flowing",
             )
 
-    def _retry_failed_close(self, request: _Request) -> bool:
+    def _retry_failed_close(self, deadline: float) -> bool:
         """Retry a sealed block's failed close before a write is shed.
 
         Nothing else retries it on a server without digest, receipt or
@@ -695,7 +673,7 @@ class LedgerServer:
         if self._db.ledger.close_failure is None:
             return False
         try:
-            self._drain(request, seal_open=False)
+            self._drain(deadline, seal_open=False)
         except InjectedCrashError:
             raise
         except Exception:  # still failing, or out of budget: shed
@@ -708,14 +686,14 @@ class LedgerServer:
         rows = self._db.select(str(payload["table"]))
         return {"rows": rows, "count": len(rows)}
 
-    def _drain(self, request: _Request, seal_open: bool = True) -> None:
+    def _drain(self, deadline: float, seal_open: bool = True) -> None:
         """Close every sealed block within the request's remaining budget
         (the open block too, unless ``seal_open`` is False).
 
         The budget bounds the wait for ``storage_lock``, held across the
         drain; a budget past what a lock wait accepts waits that long.
         """
-        remaining = request.deadline - time.monotonic()
+        remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise RequestError(
                 DEADLINE_EXCEEDED, "deadline expired before the drain barrier"
@@ -732,28 +710,26 @@ class LedgerServer:
         finally:
             lock.release()
 
-    def _op_digest(
-        self, payload: Dict[str, Any], request: _Request
-    ) -> Dict[str, Any]:
+    def _op_digest(self, deadline: float) -> Dict[str, Any]:
         # The drain barrier honours the request's remaining budget: a
         # deadline-bounded digest fails fast instead of holding a slot
         # behind a long storage-lock hold.
         import json as _json
 
         db = self._db
-        self._drain(request)
+        self._drain(deadline)
         digest = db.ledger.generate_digest(
             db.database_guid, db.database_create_time
         )
         return {"digests": [_json.loads(digest.to_json())]}
 
     def _op_receipt(
-        self, payload: Dict[str, Any], request: _Request
+        self, payload: Dict[str, Any], deadline: float
     ) -> Dict[str, Any]:
         import json as _json
 
         tid = int(payload["tid"])
-        self._drain(request)
+        self._drain(deadline)
         receipt = generate_receipt(self._db, tid)
         return {"receipt": _json.loads(receipt.to_json())}
 
@@ -812,7 +788,7 @@ class LedgerServer:
         session: _Session,
         payload: Dict[str, Any],
         tier: str,
-        request: _Request,
+        deadline: float,
     ) -> Dict[str, Any]:
         sql = str(payload["sql"])
         kind = protocol.statement_kind(sql)
@@ -826,11 +802,10 @@ class LedgerServer:
                 "rows": sql_session.execute(sql),
                 "in_transaction": sql_session.in_transaction,
             }
-        self._require_writable(tier, request)
+        self._require_writable(tier, deadline)
         if sql_session.in_transaction or kind == "transaction":
             # Interactive multi-request transactions hold NOWAIT table locks
-            # across frames; each statement executes directly, and a COMMIT
-            # fsyncs inline.
+            # across frames; each statement executes directly.
             result = sql_session.execute(sql)
             return self._execute_result(sql_session, result)
 
@@ -838,11 +813,9 @@ class LedgerServer:
             result = sql_session.execute(sql)
             return self._execute_result(sql_session, result)
 
-        result = self._idempotent_write(
+        return self._idempotent_write(
             payload, lambda: self._committer.run(work)
         )
-        request.durable = True
-        return result
 
     @staticmethod
     def _execute_result(sql_session, result) -> Dict[str, Any]:

@@ -44,6 +44,7 @@ from repro.engine.operators import (
     DeletePlan,
     aggregate,
     bind_columns,
+    check_aggregate,
     check_comparisons,
     explain_row,
     limit_rows,
@@ -857,6 +858,7 @@ class SqlSession:
             check_comparisons(known, stmt.where, values)
         for item in stmt.items:  # typed as WHERE is (ORDER BY names columns)
             check_comparisons(known, item.expression, values)
+            check_aggregate(known, item.aggregate, item.aggregate_column)
         return _SelectPlan(self._db.engine, tables, stmt, read, steps)
 
     def _tables(self, source: "_Source") -> List[Table]:

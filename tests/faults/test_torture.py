@@ -23,7 +23,7 @@ from repro.faults.torture import (
 
 from tests.core.test_ledger_model import BLOCK_SIZE, check_invariants, ledger_model
 
-_BY_POINT = {spec.point: spec for spec in KILL_MATRIX}
+_BY_POINT = {(spec.point, spec.driver): spec for spec in KILL_MATRIX}
 
 
 def _assert_ok(result):
@@ -40,23 +40,30 @@ class TestKillMode:
         assert result["committed"] >= 6  # the pre-arm rows at minimum
 
     def test_kill_during_checkpoint_loses_nothing(self):
-        _assert_ok(run_kill_point(_BY_POINT["checkpoint.write"]))
+        _assert_ok(run_kill_point(_BY_POINT["checkpoint.write", "checkpoint"]))
 
     def test_kill_during_block_closure_loses_nothing(self):
-        _assert_ok(run_kill_point(_BY_POINT["ledger.block_persist"]))
+        _assert_ok(run_kill_point(_BY_POINT["ledger.block_persist", "digest"]))
 
     def test_kill_9_mid_group_commit_loses_no_acked_transaction(self):
         """SIGKILL-equivalent death at the group-fsync point: whole
         transactions may vanish (they were never acknowledged), but every
         acked commit survives recovery with all its rows, and no torn
         transaction is ever visible."""
-        result = run_kill_point(_BY_POINT["server.fsync_torn_group"])
+        result = run_kill_point(_BY_POINT["server.fsync_torn_group", "server"])
         _assert_ok(result)
         assert result["exit_code"] == 131
         assert result["committed"] >= 6  # at least the pre-arm acks
 
+    def test_kill_between_an_embedded_release_and_its_fsync(self):
+        """The same gap on the embedded path: a commit that returned
+        survives, and recovered rows form whole transactions."""
+        result = run_kill_point(_BY_POINT["server.fsync_torn_group", "commit"])
+        _assert_ok(result)
+        assert result["exit_code"] == 131
+
     def test_kill_mid_response_keeps_acked_commits(self):
-        _assert_ok(run_kill_point(_BY_POINT["server.kill_mid_response"]))
+        _assert_ok(run_kill_point(_BY_POINT["server.kill_mid_response", "server"]))
 
 
 class TestKillChecker:

@@ -1,6 +1,7 @@
-"""Write units and the WAL's flush rule: units queued behind one fsync
-share the next, nothing answers before the log is durable through what it
-shows, a failed fsync stops the engine, and a torn tail loses whole
+"""The one durability point: the storage lock's outermost release syncs the
+log.  Releases queued behind one fsync share the next, nothing answers
+before the log is durable through what it shows, each operation fsyncs at
+most once, a failed fsync stops the engine, and a torn tail loses whole
 transactions only."""
 
 import os
@@ -19,6 +20,7 @@ from repro.engine.types import INT, VARCHAR
 from repro.errors import InjectedCrashError, LedgerError
 from repro.faults import FAULTS
 from repro.server.ledger_server import LedgerServer
+from repro.sql.session import SqlSession
 
 _real_fsync = os.fsync
 
@@ -339,28 +341,108 @@ class TestTornGroup:
             db2.close()
 
 
-class TestDeferredSync:
+class TestOuterHold:
     def test_one_fsync_for_many_commits(self, tmp_path, monkeypatch):
+        """Five commits inside one outer ``storage_lock`` hold fsync nothing
+        until it lets go; its release runs exactly one."""
         db = _open(tmp_path / "db")
-        wal = db.engine.wal
         fsyncs = _Fsyncs(monkeypatch)
-        with wal.deferred_sync():
+        with db.ledger.storage_lock:
             for i in range(5):
                 txn = db.begin()
                 db.insert(txn, "grouped", [[f"d{i}", i]])
                 db.commit(txn)
-        assert fsyncs.calls == 0  # the unit's exit no longer fsyncs
-        assert wal.sync_through(wal.end) is True
-        assert wal.sync_through(wal.end) is False  # already covered
+            assert fsyncs.calls == 0
+        assert fsyncs.calls == 1
+        assert db.engine.wal.owed == 0
+        with db.ledger.storage_lock:
+            pass  # nothing owed
         assert fsyncs.calls == 1
         db.close()
 
-    def test_a_commit_outside_a_unit_fsyncs_inline(self, tmp_path, monkeypatch):
-        db = _open(tmp_path / "db")
-        fsyncs = _Fsyncs(monkeypatch)
+
+def _session_transaction(db):
+    session = SqlSession(db)
+    return lambda: [
+        session.execute(statement) for statement in (
+            "BEGIN TRANSACTION",
+            "INSERT INTO grouped VALUES ('s1', 1)",
+            "INSERT INTO grouped VALUES ('s2', 2)",
+            "COMMIT",
+        )
+    ]
+
+
+def _api_transaction(db):
+    def run():
         txn = db.begin()
-        db.insert(txn, "grouped", [["solo", 1]])
+        db.insert(txn, "grouped", [["api", 1]])
         db.commit(txn)
-        assert fsyncs.calls >= 1
-        assert db.engine.wal._durable == db.engine.wal.end
+
+    return run
+
+
+#: Operation -> (its callable, given the database; fsyncs it runs).
+CENSUS = {
+    "autocommit_insert": (
+        lambda db: lambda: db.sql("INSERT INTO grouped VALUES ('a', 1)"), 1
+    ),
+    "api_transaction": (_api_transaction, 1),
+    "session_transaction": (_session_transaction, 1),
+    "create_ledger_table": (
+        lambda db: lambda: db.sql(
+            "CREATE TABLE census (id INT PRIMARY KEY, v VARCHAR(8)) "
+            "WITH (LEDGER = ON)"
+        ),
+        1,
+    ),
+    "select": (lambda db: lambda: db.sql("SELECT * FROM grouped"), 0),
+}
+
+
+class TestFsyncCensus:
+    """Fsyncs per operation in sync mode: one for each outermost
+    ``storage_lock`` release that finds a COMMIT or DDL frame unsynced,
+    none for a read; every operation returns durable."""
+
+    @pytest.mark.parametrize("operation", sorted(CENSUS))
+    def test_fsyncs_per_operation(self, operation, tmp_path, monkeypatch):
+        db = _open(tmp_path / "db", block_size=100)  # no block closes
+        db.sql("INSERT INTO grouped VALUES ('seed', 0)")
+        make, expected = CENSUS[operation]
+        call = make(db)
+        fsyncs = _Fsyncs(monkeypatch)
+        call()
+        assert fsyncs.calls == expected
+        assert db.engine.wal.owed == 0
+        db.close()
+
+    def test_embedded_threads_share_fsyncs(
+        self, tmp_path, monkeypatch, record_property
+    ):
+        """Four threads commit at once, each through its own session: no
+        commit runs more than one fsync, and the fsyncs per commit are
+        reported (no bound is claimed)."""
+        db = _open(tmp_path / "db", block_size=16)
+        fsyncs = _Fsyncs(monkeypatch)
+        per_thread = 25
+
+        def run(thread):
+            session = SqlSession(db)
+            for i in range(per_thread):
+                session.execute(
+                    f"INSERT INTO grouped VALUES ('e{thread}-{i}', {i})"
+                )
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        commits = 4 * per_thread
+        assert len(db.select("grouped")) == commits
+        assert 1 <= fsyncs.calls <= commits
+        ratio = fsyncs.calls / commits
+        record_property("fsyncs_per_commit", ratio)
+        print(f"4 embedded threads: {ratio:.2f} fsyncs per commit")
         db.close()

@@ -271,10 +271,14 @@ class TestClientMistakes:
         ([], "INSERT INTO items VALUES ('a', 'a' * 3)", "SqlBindError"),
         (["INSERT INTO items VALUES ('a', 1)"],
          "SELECT * FROM items WHERE tag = value + 1", "SqlBindError"),
+        # SUM of a string column (T-SQL's error 8117).
+        (["INSERT INTO items VALUES ('a', 1)"],
+         "SELECT SUM(tag) AS s FROM items", "SqlBindError"),
     ], ids=["too_long", "wrong_type", "lone_surrogate", "syntax",
             "unknown_table", "unknown_view", "duplicate_insert", "duplicate_update",
             "deep_chain", "deep_parentheses", "string_arithmetic",
-            "column_type_clash", "values_arithmetic", "expression_type_clash"])
+            "column_type_clash", "values_arithmetic", "expression_type_clash",
+            "sum_of_strings"])
     def test_library_error_is_bad_request(self, client, setup, sql, error):
         for statement in setup:
             client.execute(statement)
@@ -455,12 +459,12 @@ class TestAdmissionControl:
         handle, lock = narrow._handle, threading.Lock()
         executing, peak, outcomes = [0], [0], []
 
-        def counted(request):
+        def counted(*request):
             with lock:
                 executing[0] += 1
                 peak[0] = max(peak[0], executing[0])
             try:
-                handle(request)
+                handle(*request)
             finally:
                 with lock:
                     executing[0] -= 1

@@ -1,5 +1,7 @@
 """Remaining SQL execution semantics and error-surface details."""
 
+import datetime as dt
+
 import pytest
 
 from repro.core.ledger_database import LedgerDatabase
@@ -142,6 +144,26 @@ class TestOperandTypes:
         with pytest.raises(SqlBindError, match="cannot compare column"):
             typed.sql(text)
         assert len(typed.sql("SELECT * FROM t")) == 2
+
+    @pytest.mark.parametrize("text", [
+        "SELECT SUM(b) AS s FROM t",
+        "SELECT AVG(b) AS s FROM t",
+        "SELECT SUM(d) AS s FROM t",
+        "SELECT AVG(d) AS s FROM t",
+        "SELECT a, SUM(b) AS s FROM t GROUP BY a",
+    ])
+    def test_sum_and_avg_of_a_non_number_are_refused(self, typed, text):
+        """T-SQL's error 8117, when the plan is built: a loaded table and
+        an emptied one refuse alike; MIN, MAX and COUNT still answer."""
+        with pytest.raises(SqlBindError, match="invalid for the (SUM|AVG)"):
+            typed.sql(text)
+        assert typed.sql(
+            "SELECT MIN(b) AS lo, MAX(d) AS hi, COUNT(b) AS n, SUM(a) AS s, "
+            "AVG(a) AS m FROM t"
+        ) == [{"lo": "2", "hi": dt.date(2024, 1, 2), "n": 2, "s": 3, "m": 1.5}]
+        typed.sql("DELETE FROM t")
+        with pytest.raises(SqlBindError, match="invalid for the (SUM|AVG)"):
+            typed.sql(text)
 
     @pytest.mark.parametrize("text", [
         "SELECT id FROM t WHERE b = a + 1",
