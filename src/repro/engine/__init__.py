@@ -7,8 +7,8 @@ SQL Ledger paper relies on:
 * typed rows physically serialized into slotted pages (so storage-level
   tampering is a real byte-level attack);
 * clustered and nonclustered B-tree indexes with independent storage;
-* a write-ahead log with ARIES-style recovery (analysis / redo / undo) and
-  checkpointing;
+* a redo-only write-ahead log (a transaction's records are appended at
+  its COMMIT; recovery is analysis and redo) and checkpointing;
 * transactions with savepoints and partial rollback;
 * an iterator-model executor whose DML operators expose hooks the ledger
   layer uses to hash modified rows;

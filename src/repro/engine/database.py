@@ -5,11 +5,13 @@ Lifecycle
 
 * ``Database.open(path)`` either bootstraps a fresh database directory or
   recovers an existing one: load the last checkpoint image, replay the WAL
-  (redo of committed transactions — the engine never flushes uncommitted
-  changes, so no undo phase is needed), rebuild indexes, and hand the ledger
-  layer its recovered commit payloads (paper §3.3.2).  Open parses only key
-  columns: damaged structure or primary keys refuse to open, damage in any
-  other value is left for verification to report.
+  (redo of committed transactions — a transaction's records reach the log
+  only in its COMMIT append, and the engine never flushes uncommitted
+  changes, so no undo phase is needed; the losers of logs that appended
+  each change as it happened are skipped), rebuild indexes, and hand the
+  ledger layer its recovered commit payloads (paper §3.3.2).  Open parses
+  only key columns: damaged structure or primary keys refuse to open,
+  damage in any other value is left for verification to report.
 
 * ``checkpoint()`` quiesces (no active transactions), flushes every heap and
   index image plus the catalog and the ledger's checkpoint state, then
@@ -143,7 +145,7 @@ class Database:
         self._epoch = 0
         self._wal = WalWriter(self._wal_path(self._epoch))
         self._txn_manager = TransactionManager(
-            self._wal, self._lock_manager, self._hooks, self.clock
+            lambda: self.wal, self._lock_manager, self._hooks, self.clock
         )
 
     def _recover(self, checkpoint_path: Optional[str]) -> None:
@@ -251,7 +253,8 @@ class Database:
                     table.load_indexes_from_storage()
 
         self._txn_manager = TransactionManager(
-            self._wal, self._lock_manager, self._hooks, self.clock, next_tid
+            lambda: self.wal, self._lock_manager, self._hooks, self.clock,
+            next_tid,
         )
 
         self.recovered_ledger_state = checkpoint.get("ledger_state", {})
@@ -474,9 +477,6 @@ class Database:
 
         old_wal = self._wal
         self._wal = WalWriter(self._wal_path(new_epoch))
-        self._txn_manager.set_wal(self._wal)
-        for table in self._tables.values():
-            table.set_wal(self._wal)
         old_wal.close()
         old_path = self._wal_path(self._epoch)
         if os.path.exists(old_path):
@@ -495,7 +495,6 @@ class Database:
         return os.path.join(self.path, f"wal.{epoch}.log")
 
     def _materialize_table(self, info: TableInfo, load: bool) -> Table:
-        assert self._wal is not None
         heap: Optional[HeapFile] = None
         if load:
             heap_path = os.path.join(self.path, f"table_{info.table_id}.tbl")
@@ -504,9 +503,7 @@ class Database:
         table = Table(
             info.table_id,
             info.schema,
-            self._wal,
             hooks_ref=lambda: self._hooks,
-            stop=lambda reason: self._txn_manager.stop(reason),
             options=info.options,
             heap=heap,
             lock_manager=self._lock_manager,

@@ -587,7 +587,10 @@ _AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
 
 
 def check_aggregate(types: Mapping[str, SqlType], function, column) -> None:
-    """Refuse SUM or AVG of a column that holds no numbers (T-SQL's 8117)."""
+    """Refuse an aggregate of a column no source has, and SUM or AVG of a
+    column that holds no numbers (T-SQL's 8117)."""
+    if column is not None and column not in types:
+        raise SqlBindError(f"unknown column {column!r}")
     sql_type = types.get(column)
     if function in ("SUM", "AVG") and sql_type and sql_type.comparable_types != _NUMBER:
         raise SqlBindError(

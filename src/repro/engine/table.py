@@ -14,10 +14,11 @@ version, and moves it (delete + insert, a new RowId) only when it cannot.
 Either way the WAL carries a DELETE record (with the before-image) followed
 by an INSERT record; redo replays both idempotently, undo reverts them.
 
-Every write meets the log in one step, :meth:`Table._log`: memory changes,
-then the frames are appended; a failed append takes the change back and
-compensates what reached the log (ARIES CLRs, built only by
-:meth:`Table._compensate`).  A failed compensation stops the engine.
+Every write is kept by its transaction in one step, :meth:`Table._log`:
+memory changes, then the change's log frames and the action that takes it
+back become one entry of the transaction (``Transaction.changes``).  A
+table never writes the log: COMMIT appends the frames of the changes its
+transaction kept, and a rollback takes changes back in memory only.
 """
 
 from __future__ import annotations
@@ -38,22 +39,12 @@ from repro.engine.pager import MAX_RECORD_SIZE
 from repro.engine.record import RecordKernel, decode_record
 from repro.engine.schema import IndexDefinition, TableSchema
 from repro.engine.transaction import Transaction
-from repro.engine.wal import (
-    DELETE,
-    DELETE_MANY,
-    INSERT,
-    INSERT_MANY,
-    DmlRecord,
-    WalWriter,
-)
-from repro.errors import ConstraintError, InjectedCrashError, StorageError
+from repro.engine.wal import DELETE, INSERT, INSERT_MANY, DmlRecord
+from repro.errors import ConstraintError, StorageError
 
 #: A row ready to store: (validated physical values, their record bytes,
 #: the record's canonical payload — :meth:`RecordKernel.write`).
 PreparedRow = Tuple[Tuple[Any, ...], bytes, bytes]
-
-#: Each DML frame kind and the kind of the CLR that compensates it.
-_MIRROR = {INSERT: DELETE, DELETE: INSERT, INSERT_MANY: DELETE_MANY}
 
 
 class Table:
@@ -63,9 +54,7 @@ class Table:
         self,
         table_id: int,
         schema: TableSchema,
-        wal: WalWriter,
         hooks_ref: Callable[[], Any],
-        stop: Callable[[str], None],
         options: Optional[Dict[str, Any]] = None,
         heap: Optional[HeapFile] = None,
         lock_manager=None,
@@ -73,11 +62,8 @@ class Table:
         self.table_id = table_id
         self.schema = schema
         self.options = options if options is not None else {}
-        self._wal = wal
         self._hooks_ref = hooks_ref
         self._lock_manager = lock_manager
-        #: Stops the engine, naming why (``TransactionManager.failure``).
-        self._stop = stop
         self.heap = heap if heap is not None else HeapFile(schema.name)
         self.clustered: Optional[ClusteredIndex] = (
             ClusteredIndex(schema) if schema.primary_key else None
@@ -94,9 +80,6 @@ class Table:
     @property
     def name(self) -> str:
         return self.schema.name
-
-    def set_wal(self, wal: WalWriter) -> None:
-        self._wal = wal
 
     # ------------------------------------------------------------------
     # DML
@@ -127,8 +110,7 @@ class Table:
         one transaction, but with every per-row cost amortized: the hooks
         run once over the batch (one hash/tracing observation), each index
         tree descends each of its subtrees the batch reaches once, and the
-        WAL carries ONE frame for the statement — so a torn tail loses the
-        whole statement, never part.
+        log carries ONE frame for the statement.
         """
         if not rows:
             return []
@@ -363,9 +345,9 @@ class Table:
 
         All checks — each record's size, and each new key against the batch
         and the stored data — run before any mutation, so a violation
-        anywhere in the batch leaves heap, indexes and WAL untouched.  Each
-        access path's keys are built with one call and probed with one
-        descent; the trees then take those same keys.
+        anywhere in the batch leaves heap, indexes and transaction
+        untouched.  Each access path's keys are built with one call and
+        probed with one descent; the trees then take those same keys.
         """
         rows: Sequence[Tuple[Any, ...]]
         rows, records, _ = zip(*prepared)
@@ -425,39 +407,13 @@ class Table:
         self._log(txn, ((DELETE, ((rid, old_record),)),), take_back)
 
     def _log(self, txn: Transaction, frames, take_back: Callable[[], None]) -> None:
-        """Append the ``(kind, rows)`` frames of a change just made in memory:
-        the one place a table write meets the WAL.  A failed append writes
-        nothing: the frames before it are compensated and it re-raises; else
-        the undo compensates them all.  After a failed fsync the log refuses
-        the compensation too, and the engine stays stopped.  A simulated
-        crash propagates untouched."""
-        for at, (kind, rows) in enumerate(frames):
-            try:
-                self._wal.append(DmlRecord(kind, txn.tid, self.table_id, rows))
-            except InjectedCrashError:
-                raise
-            except Exception:
-                self._compensate(txn, frames[:at], take_back)
-                raise
-        txn.record_undo(lambda: self._compensate(txn, frames, take_back))
-
-    def _compensate(self, txn: Transaction, frames, take_back) -> None:
-        """Take a change back out of memory, then log the mirror CLR of each
-        of its ``frames``, newest first, so that a transaction that still
-        commits redoes the change and its reversal in order.  If either step
-        fails, memory and log disagree: the engine stops until a reopen."""
-        try:
-            take_back()
-            for kind, rows in reversed(frames):
-                self._wal.append(DmlRecord(
-                    _MIRROR[kind], txn.tid, self.table_id, rows, clr=True
-                ))
-        except Exception as exc:
-            self._stop(
-                f"undoing a change of transaction {txn.tid} failed "
-                f"({type(exc).__name__}: {exc}); reopen the database to recover"
-            )
-            raise
+        """Keep a change just made in memory on ``txn``: its ``(kind, rows)``
+        frames, which its COMMIT appends, and ``take_back``, which a
+        rollback runs."""
+        txn.changes.append((
+            [DmlRecord(kind, txn.tid, self.table_id, rows) for kind, rows in frames],
+            take_back,
+        ))
 
     def _physical_remove(self, rid: RowId, row: Tuple[Any, ...]) -> None:
         # Every UPDATE and DELETE removes a row, so removal patches the

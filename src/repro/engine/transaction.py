@@ -1,12 +1,15 @@
-"""Transactions: undo logging, savepoints, and the commit pipeline.
+"""Transactions: kept changes, savepoints, and the commit pipeline.
 
 Transactions apply changes to in-memory table state immediately and keep
-*undo actions* so a rollback (full or to a savepoint) can revert them.
-Durability comes from the WAL: data records are appended as changes happen,
-and the COMMIT record — carrying the ledger's transaction entry (§3.3.2) —
-is what makes the transaction durable.
+each one as a *change*: its log frames (redo) and the action that takes it
+back (undo).  A rollback — full, to a savepoint, or of one statement — pops
+changes and takes them back; it writes nothing.  COMMIT writes the
+transaction's log in one append: BEGIN, the frames of every change still
+kept, and the COMMIT record carrying the ledger's transaction entry
+(§3.3.2).  So the log holds committed work only, and recovery redoes it and
+never undoes (NO-UNDO/REDO).
 
-Savepoints capture both an undo-log position and a ledger snapshot (the
+Savepoints capture both a position in the changes and a ledger snapshot (the
 Merkle hasher states); rolling back to a savepoint unwinds storage and
 restores the hashers in O(log N) per table (§3.2.1).
 """
@@ -19,12 +22,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.hooks import EngineHooks
 from repro.engine.locks import LockManager
-from repro.engine.wal import ABORT, BEGIN, COMMIT, WalRecord, WalWriter
-from repro.errors import LedgerError, SavepointError, TransactionError
+from repro.engine.wal import BEGIN, COMMIT, DmlRecord, WalRecord, WalWriter
+from repro.errors import SavepointError, TransactionError
 from repro.obs import OBS
 
 
@@ -38,6 +41,10 @@ def _txn_metrics(reg):
     return _Families
 
 
+#: One change a transaction made: its log frames, and what takes it back.
+Change = Tuple[Sequence[DmlRecord], Callable[[], None]]
+
+
 class TxnState(Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
@@ -47,7 +54,7 @@ class TxnState(Enum):
 @dataclass
 class _Savepoint:
     name: Optional[str]  # None: a statement mark, never in txn.savepoints
-    undo_position: int
+    position: int  # how many changes the transaction had kept
     ledger_snapshot: Any
 
 
@@ -65,8 +72,9 @@ class Transaction:
         self.begin_time = begin_time
         self.commit_time: Optional[dt.datetime] = None
         self.state = TxnState.ACTIVE
-        #: Each storage mutation's inverse, applied in reverse order.
-        self.undo_log: List[Callable[[], None]] = []
+        #: Each storage mutation, in order: its redo frames, which COMMIT
+        #: writes, and its inverse, which a rollback applies in reverse.
+        self.changes: List[Change] = []
         self.savepoints: List[_Savepoint] = []
         self.context: Dict[str, Any] = {}
 
@@ -75,10 +83,6 @@ class Transaction:
             raise TransactionError(
                 f"transaction {self.tid} is {self.state.value}, not active"
             )
-
-    def record_undo(self, revert: Callable[[], None]) -> None:
-        """Register the inverse of a storage mutation just performed."""
-        self.undo_log.append(revert)
 
     def __repr__(self) -> str:
         return f"<Transaction tid={self.tid} state={self.state.value}>"
@@ -89,13 +93,13 @@ class TransactionManager:
 
     def __init__(
         self,
-        wal: WalWriter,
+        wal_ref: Callable[[], WalWriter],
         lock_manager: LockManager,
         hooks: EngineHooks,
         clock: Callable[[], dt.datetime],
         next_tid: int = 1,
     ) -> None:
-        self._wal = wal
+        self._wal_ref = wal_ref  # a checkpoint replaces the writer
         self._locks = lock_manager
         self._hooks = hooks
         self._clock = clock
@@ -106,25 +110,19 @@ class TransactionManager:
         # sessions begin/commit from different threads (storage mutation is
         # serialized one level up by the ledger's storage lock).
         self._state_lock = threading.Lock()
-        self._stopped: Optional[str] = None
 
     @property
     def failure(self) -> Optional[str]:
-        """Why the engine stopped, or None while it runs: an fsync of the
-        log failed (``WalWriter.failure``), or undoing a change failed."""
-        wal_failure = self._wal.failure
-        return self._stopped if wal_failure is None else str(wal_failure)
-
-    def stop(self, reason: str) -> None:
-        self._stopped = reason
+        """Why the engine stopped — an fsync of the log failed
+        (``WalWriter.failure``) — or None while it runs."""
+        failure = self._wal_ref().failure
+        return None if failure is None else str(failure)
 
     def require_running(self) -> None:
-        """Raise :attr:`failure` as a :class:`LedgerError`, if it is set."""
-        if self.failure is not None:
-            raise self._wal.failure or LedgerError(self._stopped)
-
-    def set_wal(self, wal: WalWriter) -> None:
-        self._wal = wal
+        """Raise ``WalWriter.failure``, if it is set."""
+        failure = self._wal_ref().failure
+        if failure is not None:
+            raise failure
 
     @property
     def active_transactions(self) -> List[Transaction]:
@@ -132,35 +130,25 @@ class TransactionManager:
             return list(self._active.values())
 
     def begin(self, username: str = "app_user") -> Transaction:
-        """Start a new transaction and log BEGIN.
-
-        The transaction is active before BEGIN is appended, so a checkpoint
-        cannot cut the log between the two; if the append fails it is not
-        active at all.
-        """
+        """Start a new transaction; nothing reaches the log before COMMIT."""
         self.require_running()
         with self._state_lock:
             tid = self._next_tid
             self._next_tid += 1
             txn = Transaction(tid, username, self._clock())
             self._active[tid] = txn
-        try:
-            self._wal.append(WalRecord(BEGIN, {"tid": tid, "username": username}))
-        except BaseException:
-            with self._state_lock:
-                del self._active[tid]
-            raise
         return txn
 
     def commit(self, txn: Transaction) -> Optional[Dict[str, Any]]:
-        """Commit: gather the ledger payload, append COMMIT, notify hooks.
+        """Commit: gather the ledger payload, append the transaction's log —
+        BEGIN, every kept change's frames, COMMIT — in one call, notify hooks.
 
         Returns the ledger payload (block id / ordinal / entry) so callers —
         e.g. receipt generation — can reference where the transaction landed.
 
-        The record is durable once the outermost ``storage_lock`` hold lets
-        go (:mod:`repro.core.group_commit`).  One that fails before any byte
-        reaches the log gives back what ``pre_commit`` took, and the
+        The log is durable once the outermost ``storage_lock`` hold lets go
+        (:mod:`repro.core.group_commit`).  An append that fails before any
+        byte reaches the log gives back what ``pre_commit`` took, and the
         transaction stays active for its rollback.  A failed fsync stops the
         engine (fail-stop): recovery may replay any COMMIT, so no rollback
         may undo one in memory, and every later begin, commit, rollback or
@@ -173,17 +161,21 @@ class TransactionManager:
             txn.commit_time = self._clock()
             payload = self._hooks.pre_commit(txn)
             with OBS.tracer.span("wal.commit", tid=txn.tid):
-                end = self._wal.end
+                wal = self._wal_ref()
+                end = wal.end
                 try:
-                    self._wal.append(
-                        WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload})
+                    wal.append(
+                        WalRecord(BEGIN, {"tid": txn.tid, "username": txn.username}),
+                        *[frame for frames, _ in txn.changes for frame in frames],
+                        WalRecord(COMMIT, {"tid": txn.tid, "ledger": payload}),
                     )
-                    self._wal.flush()
+                    wal.flush()
                 except BaseException:
-                    if self._wal.end == end:
+                    if wal.end == end:
                         self._hooks.on_commit_failed(txn, payload)
                     raise
             txn.state = TxnState.COMMITTED
+            txn.changes.clear()
             with self._state_lock:
                 del self._active[txn.tid]
             self._hooks.post_commit(txn, payload)
@@ -192,13 +184,12 @@ class TransactionManager:
         return payload
 
     def rollback(self, txn: Transaction) -> None:
-        """Abort: apply all undo actions in reverse, log ABORT."""
+        """Abort: take every change back, newest first; the log never saw
+        the transaction, so nothing is written."""
         self.require_running()
         txn.require_active()
-        for revert in reversed(txn.undo_log):
-            revert()
-        txn.undo_log.clear()
-        self._wal.append(WalRecord(ABORT, {"tid": txn.tid}))
+        while txn.changes:
+            txn.changes.pop()[1]()
         txn.state = TxnState.ABORTED
         with self._state_lock:
             del self._active[txn.tid]
@@ -211,7 +202,7 @@ class TransactionManager:
         txn.require_active()
         snapshot = self._hooks.on_savepoint(txn, name)
         txn.savepoints = [sp for sp in txn.savepoints if sp.name != name]
-        txn.savepoints.append(_Savepoint(name, len(txn.undo_log), snapshot))
+        txn.savepoints.append(_Savepoint(name, len(txn.changes), snapshot))
 
     def rollback_to_savepoint(self, txn: Transaction, name: str) -> None:
         """Undo everything after the savepoint; the transaction stays active."""
@@ -232,8 +223,8 @@ class TransactionManager:
     def statement(self, txn: Transaction):
         """Statement-level atomicity inside an open transaction.
 
-        A statement that raises is undone on its own — storage through the
-        undo log, the ledger's Merkle state through the hook snapshot — and
+        A statement that raises is undone on its own — storage through its
+        changes, the ledger's Merkle state through the hook snapshot — and
         the transaction stays active, exactly as if it had rolled back to a
         savepoint taken just before the statement.  The mark is never
         entered in ``txn.savepoints``, so it has no name a user savepoint
@@ -241,7 +232,7 @@ class TransactionManager:
         """
         txn.require_active()
         mark = _Savepoint(
-            None, len(txn.undo_log), self._hooks.on_savepoint(txn, None)
+            None, len(txn.changes), self._hooks.on_savepoint(txn, None)
         )
         try:
             yield
@@ -250,8 +241,8 @@ class TransactionManager:
             raise
 
     def _unwind(self, txn: Transaction, target: _Savepoint) -> None:
-        while len(txn.undo_log) > target.undo_position:
-            txn.undo_log.pop()()
+        while len(txn.changes) > target.position:
+            txn.changes.pop()[1]()
         self._hooks.on_rollback_to_savepoint(
             txn, target.name, target.ledger_snapshot
         )

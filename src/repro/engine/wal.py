@@ -1,10 +1,13 @@
 """Write-ahead log: append-only record stream with torn-tail detection.
 
 The WAL provides durability and atomicity for everything between
-checkpoints.  Records are framed as ``uint32 length | uint32 crc32 | payload``
-with a JSON payload (binary fields hex-encoded); a crash mid-write leaves a
-torn frame at the tail, which the reader detects via the CRC and discards —
-the classic ARIES behaviour.
+checkpoints.  It is redo-only: a transaction's records reach it in one
+append at COMMIT — BEGIN, its data frames, COMMIT — so it holds no
+uncommitted work to undo, and a rolled-back change never reaches it.
+Records are framed as ``uint32 length | uint32 crc32 | payload`` with a
+JSON payload (binary fields hex-encoded); a crash mid-write leaves a torn
+frame at the tail, which the reader detects via the CRC and discards, and
+a transaction whose COMMIT it tore is a loser that recovery skips.
 
 The ledger integration point (paper §3.3.2) is the COMMIT record: when a
 transaction commits, the ledger layer contributes its transaction entry
@@ -34,14 +37,17 @@ _encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 FAULTS.register(
     "wal.append",
-    "Before a WAL frame is written: the record never reaches the log. "
-    "Blast radius: the in-flight transaction only; recovery sees no trace.",
+    "Before an append writes anything, once per record it holds: a "
+    "commit's BEGIN, each of its data frames and its COMMIT, or a DDL "
+    "record.  No record of the append reaches the log; a failed commit "
+    "stays active for its rollback, and recovery sees no trace.",
 )
 FAULTS.register(
     "wal.torn_write",
-    "Crash mid-frame: the frame header and a prefix of the payload reach "
-    "the log, the rest does not.  Recovery must detect the torn tail via "
-    "CRC and discard it without harming earlier records.",
+    "Crash mid-frame: the append's records before it, then the frame "
+    "header and a prefix of its payload reach the log, the rest does not.  "
+    "Recovery must detect the torn tail via CRC and discard it without "
+    "harming earlier records; a commit torn before its COMMIT is a loser.",
     kind="tear",
 )
 FAULTS.register(
@@ -66,9 +72,9 @@ BEGIN = "BEGIN"
 INSERT = "INSERT"
 INSERT_MANY = "INSERT_MANY"
 DELETE = "DELETE"
-DELETE_MANY = "DELETE_MANY"
+DELETE_MANY = "DELETE_MANY"  # in older logs only
 COMMIT = "COMMIT"
-ABORT = "ABORT"
+ABORT = "ABORT"  # in older logs only
 DDL = "DDL"
 #: The frames a sync must cover: a commit's and the catalog's.
 _OWED_KINDS = frozenset((COMMIT, DDL))
@@ -76,9 +82,9 @@ _OWED_KINDS = frozenset((COMMIT, DDL))
 
 @dataclass
 class WalRecord:
-    """One log record, as :func:`read_wal` returns it and as BEGIN, COMMIT,
-    ABORT and DDL are appended (DML is appended as :class:`DmlRecord`, to
-    the same bytes).  ``payload`` contents depend on ``kind``:
+    """One log record, as :func:`read_wal` returns it and as BEGIN, COMMIT
+    and DDL are appended (DML is appended as :class:`DmlRecord`, to the
+    same bytes).  ``payload`` contents depend on ``kind``:
 
     * BEGIN:  ``tid``, ``username``
     * INSERT: ``tid``, ``table_id``, ``page``, ``slot``, ``rec`` (hex record)
@@ -87,11 +93,13 @@ class WalRecord:
       The whole statement rides in ONE frame, so a torn tail loses the
       statement atomically (all rows or none), never a prefix of it.
     * DELETE: ``tid``, ``table_id``, ``page``, ``slot``, ``old`` (hex record)
-    * DELETE_MANY: ``tid``, ``table_id``, ``rows`` — list of
-      ``{page, slot, old}``; the batch compensation record for INSERT_MANY.
     * COMMIT: ``tid``, ``ledger`` (opaque dict from the ledger layer or None)
-    * ABORT:  ``tid``
     * DDL:    ``catalog`` (full catalog snapshot) plus ``ledger_ddl`` metadata
+
+    Older logs, which appended each change as it happened, also hold ABORT
+    (``tid``), compensation records (ARIES CLRs) and DELETE_MANY (``rows``
+    of ``{page, slot, old}``: an INSERT_MANY's CLR); recovery skips ABORT
+    and folds CLRs like any other data frame.
     """
 
     kind: str
@@ -102,8 +110,8 @@ class WalRecord:
 
 
 class DmlRecord(NamedTuple):
-    """An INSERT, INSERT_MANY, DELETE or DELETE_MANY record, kept as its
-    ints and record bytes and formatted when appended.
+    """An INSERT, INSERT_MANY or DELETE record, kept as its ints and record
+    bytes and formatted when appended.
 
     ``rows`` holds ``(rid, record)`` pairs, ``rid`` a ``(page_id, slot)``
     pair; INSERT and DELETE carry exactly one.  The bytes are those of
@@ -116,7 +124,6 @@ class DmlRecord(NamedTuple):
     tid: int
     table_id: int
     rows: Sequence[Tuple[Any, bytes]]
-    clr: bool = False
 
     def to_bytes(self) -> bytes:
         return _FORMATS[self.kind](self)
@@ -124,13 +131,12 @@ class DmlRecord(NamedTuple):
 
 # Keys in sorted order, as ``json.dumps(..., sort_keys=True)`` writes them;
 # str formatting, encoded once, is the fastest way to lay them out.
-_CLR = ("", '"clr":true,')
 
 
 def _format_insert(r: DmlRecord) -> bytes:
     ((page_id, slot), record), = r.rows
     return (
-        f'{{{_CLR[r.clr]}"kind":"INSERT","page":{page_id},'
+        f'{{"kind":"INSERT","page":{page_id},'
         f'"rec":"{record.hex()}","slot":{slot},'
         f'"table_id":{r.table_id},"tid":{r.tid}}}'
     ).encode()
@@ -139,7 +145,7 @@ def _format_insert(r: DmlRecord) -> bytes:
 def _format_delete(r: DmlRecord) -> bytes:
     ((page_id, slot), record), = r.rows
     return (
-        f'{{{_CLR[r.clr]}"kind":"DELETE","old":"{record.hex()}",'
+        f'{{"kind":"DELETE","old":"{record.hex()}",'
         f'"page":{page_id},"slot":{slot},'
         f'"table_id":{r.table_id},"tid":{r.tid}}}'
     ).encode()
@@ -151,18 +157,7 @@ def _format_insert_many(r: DmlRecord) -> bytes:
         for (page_id, slot), record in r.rows
     ])
     return (
-        f'{{{_CLR[r.clr]}"kind":"INSERT_MANY","rows":[{rows}],'
-        f'"table_id":{r.table_id},"tid":{r.tid}}}'
-    ).encode()
-
-
-def _format_delete_many(r: DmlRecord) -> bytes:
-    rows = ",".join([
-        f'{{"old":"{record.hex()}","page":{page_id},"slot":{slot}}}'
-        for (page_id, slot), record in r.rows
-    ])
-    return (
-        f'{{{_CLR[r.clr]}"kind":"DELETE_MANY","rows":[{rows}],'
+        f'{{"kind":"INSERT_MANY","rows":[{rows}],'
         f'"table_id":{r.table_id},"tid":{r.tid}}}'
     ).encode()
 
@@ -171,7 +166,6 @@ _FORMATS = {
     INSERT: _format_insert,
     DELETE: _format_delete,
     INSERT_MANY: _format_insert_many,
-    DELETE_MANY: _format_delete_many,
 }
 
 
@@ -211,24 +205,34 @@ class WalWriter:
         """
         return self._end
 
-    def append(self, record: Union[WalRecord, DmlRecord]) -> int:
-        """Append one record; returns its LSN (starting byte offset)."""
-        payload = record.to_bytes()
-        FAULTS.fire("wal.append", kind=record.kind)
+    def append(self, *records: Union[WalRecord, DmlRecord]) -> int:
+        """Append ``records`` in order, with one write; returns the first
+        one's LSN (starting byte offset).
+
+        ``wal.append`` fires for every record before any byte is written,
+        so a failure there writes none of them.
+        """
+        payloads = [record.to_bytes() for record in records]
+        for record in records:
+            FAULTS.fire("wal.append", kind=record.kind)
         with self._lock:
             if self.failure is not None:
                 raise self.failure
             lsn = self._end
-            if FAULTS.triggered("wal.torn_write", kind=record.kind):
-                self._tear(payload)
-                raise InjectedCrashError("wal.torn_write")
-            self._file.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-            self._file.write(payload)
-            self._end = lsn + _FRAME.size + len(payload)
-            if record.kind in _OWED_KINDS:
+            parts = []
+            for record, payload in zip(records, payloads):
+                if FAULTS.triggered("wal.torn_write", kind=record.kind):
+                    self._file.write(b"".join(parts))
+                    self._tear(payload)
+                    raise InjectedCrashError("wal.torn_write")
+                parts += (_FRAME.pack(len(payload), zlib.crc32(payload)), payload)
+            data = b"".join(parts)
+            self._file.write(data)
+            self._end = lsn + len(data)
+            if any(record.kind in _OWED_KINDS for record in records):
                 self._owed = self._end
         if OBS.metrics.enabled:
-            self._m.bytes_appended.inc(_FRAME.size + len(payload))
+            self._m.bytes_appended.inc(len(data))
         return lsn
 
     def sync_through(self, lsn: int) -> bool:

@@ -5,10 +5,12 @@ Each entry of :data:`KILL_MATRIX` re-executes this module as a subprocess
 (``--child``) that runs a workload against a fresh ledger database, arms
 one fault point with ``action="exit"``, and dies by ``os._exit`` when
 execution reaches it — a real process death with no interpreter cleanup.
+(A ``tear`` point is armed to crash instead: it writes its torn bytes,
+raises, and the child's ``os._exit`` follows.)
 The child opens the WAL with ``sync=True``, so "commit returned" implies
 "commit is on stable storage", and it fsyncs each value into a side log
 before committing it and again once the commit returns.  The parent then
-reopens the directory through ARIES recovery; the drill passes only if:
+reopens the directory through crash recovery; the drill passes only if:
 
 * full ledger verification succeeds against a freshly generated digest;
 * every transaction whose commit returned is present — rows on disk and a
@@ -36,6 +38,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.errors import InjectedCrashError
 from repro.faults import FAULTS
 
 #: Rows committed before the fault is armed (known-safe history).
@@ -63,10 +66,13 @@ class CrashPoint:
 #: server (sync WAL, shared fsyncs) hammered by client threads; the kill
 #: lands in a server thread, so the whole front-end — session readers
 #: executing their requests and write units, response writer — dies
-#: exactly as a production SIGKILL would.
+#: exactly as a production SIGKILL would.  The commit driver's commit is
+#: one append of BEGIN, INSERT_MANY and COMMIT, and ``wal.*`` points count
+#: records: skip 4 and 5 are the second commit's INSERT_MANY and COMMIT.
 KILL_MATRIX: Tuple[CrashPoint, ...] = (
-    CrashPoint("wal.append", driver="commit", skip=4),
-    CrashPoint("wal.torn_write", driver="commit", skip=4),
+    CrashPoint("wal.append", driver="commit", skip=4),  # nothing written
+    CrashPoint("wal.torn_write", driver="commit", skip=4),  # BEGIN whole
+    CrashPoint("wal.torn_write", driver="commit", skip=5),  # DML whole
     CrashPoint("server.fsync_torn_group", driver="commit", skip=4),
     CrashPoint("checkpoint.write", driver="checkpoint"),
     CrashPoint("ledger.block_persist", driver="digest"),
@@ -129,7 +135,9 @@ def run_kill_point(
     owns_root = workdir is None
     path = os.path.join(root, "db")
     log_path = os.path.join(root, "committed.log")
-    result: Dict[str, Any] = {"point": spec.point, "driver": spec.driver}
+    result: Dict[str, Any] = {
+        "point": spec.point, "driver": spec.driver, "skip": spec.skip,
+    }
     failures: List[str] = []
     try:
         env = dict(os.environ)
@@ -383,18 +391,26 @@ def _child_main(args: argparse.Namespace) -> None:
     for i in range(_PRE_ROWS):
         commit_row(i)
 
-    FAULTS.arm(args.point, action="exit", skip=args.skip, exit_code=131)
-
-    if args.driver == "commit":
-        for i in range(_PRE_ROWS, _PRE_ROWS + _MAX_ATTEMPTS):
-            commit_row(i)
-    else:
-        for i in range(_PRE_ROWS, _PRE_ROWS + 4):
-            commit_row(i)
-        if args.driver == "checkpoint":
-            db.checkpoint()
+    # A tear point does its damage before it raises, so it crashes, and
+    # the process dies only once the torn bytes reach the OS.
+    tear = next(p.kind for p in FAULTS.points() if p.name == args.point) == "tear"
+    FAULTS.arm(
+        args.point, action="crash" if tear else "exit", skip=args.skip,
+        exit_code=131,
+    )
+    try:
+        if args.driver == "commit":
+            for i in range(_PRE_ROWS, _PRE_ROWS + _MAX_ATTEMPTS):
+                commit_row(i)
         else:
-            db.generate_digest()
+            for i in range(_PRE_ROWS, _PRE_ROWS + 4):
+                commit_row(i)
+            if args.driver == "checkpoint":
+                db.checkpoint()
+            else:
+                db.generate_digest()
+    except InjectedCrashError:
+        os._exit(131)
     # Reaching this line means the fault never fired: report it loudly.
     print(f"fault {args.point} never fired", file=sys.stderr)
     sys.exit(3)
@@ -438,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     for r in results:
         mark = "ok " if r["ok"] else "FAIL"
         print(
-            f"[{mark}] {r['point']:<26} {r['driver']:<10} "
+            f"[{mark}] {r['point']:<26} {r['driver']:<10} skip={r['skip']:<3} "
             f"recovery={r.get('recovery_seconds', 0.0):.3f}s"
             + (f"  {r['failures']}" if r["failures"] else "")
         )

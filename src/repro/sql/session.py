@@ -19,7 +19,7 @@ transaction control, which never lift, run from their own AST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -56,7 +56,7 @@ from repro.engine.operators import (
 )
 from repro.engine.schema import Column, IndexDefinition, TableSchema
 from repro.engine.table import Table
-from repro.engine.transaction import Transaction
+from repro.engine.transaction import Transaction, TxnState
 from repro.engine.types import SqlType, type_from_name
 from repro.errors import SqlBindError
 from repro.obs import OBS
@@ -81,7 +81,7 @@ class _Source:
 
     name: str
     #: None for the only source of an unaliased statement: its rows carry
-    #: bare column names only.
+    #: bare column names only, and ``<name>.col`` names one of them.
     alias: Optional[str]
     #: Each column a row carries, and its type.
     columns: Dict[str, SqlType]
@@ -93,10 +93,28 @@ class _Source:
         """This source's column that ``name`` refers to, or None."""
         if name in self.columns:
             return name
-        if self.alias is not None and name.startswith(self.alias + "."):
-            column = name[len(self.alias) + 1:]
+        qualifier = self.name if self.alias is None else self.alias
+        if name.startswith(qualifier + "."):
+            column = name[len(qualifier) + 1:]
             return column if column in self.columns else None
         return None
+
+    def unqualified(self, stmt: ast.Select) -> ast.Select:
+        """``stmt``, of which this is the only and unaliased source, with
+        each ``<table>.col`` in its items, GROUP BY and ORDER BY named
+        ``col``, as this source's rows carry it (output names stay)."""
+
+        def bare(name: Optional[str]) -> Optional[str]:
+            return name and (self.bare(name) or name)
+
+        items = tuple(replace(
+            item, aggregate_column=bare(item.aggregate_column),
+            expression=item.expression and rename_columns(item.expression, bare),
+        ) for item in stmt.items)
+        return replace(
+            stmt, items=items, group_by=tuple(map(bare, stmt.group_by)),
+            order_by=tuple((bare(name), desc) for name, desc in stmt.order_by),
+        )
 
     def qualify(self, row: Dict[str, Any]) -> Dict[str, Any]:
         """``row`` under both qualified (``alias.col``) and bare keys."""
@@ -649,7 +667,8 @@ class SqlSession:
         """Run ``work(txn)`` in the open transaction or a one-shot one.
 
         Inside an open transaction a failing statement undoes only itself;
-        a one-shot transaction is rolled back whole.
+        a one-shot transaction is rolled back whole, its failed commit too
+        unless the engine stopped.
         """
         if self._txn is not None:
             with self._db.engine.statement(self._txn):
@@ -657,10 +676,11 @@ class SqlSession:
         txn = self._db.begin(self._username)
         try:
             result = work(txn)
+            self.last_commit_payload = self._db.commit(txn)
         except Exception:
-            self._db.rollback(txn)
+            if txn.state is TxnState.ACTIVE and self._db.engine.failure is None:
+                self._db.rollback(txn)
             raise
-        self.last_commit_payload = self._db.commit(txn)
         return result
 
     # ------------------------------------------------------------------
@@ -755,9 +775,7 @@ class SqlSession:
                 raise SqlBindError(f"unknown column {unknown[0]!r}")
             if not unknown:
                 mine.append(part)
-        if source.alias is not None:
-            mine = [rename_columns(part, source.bare) for part in mine]
-        return conjunction(mine)
+        return conjunction([rename_columns(part, source.bare) for part in mine])
 
     def _read(
         self,
@@ -839,6 +857,8 @@ class SqlSession:
     ) -> _SelectPlan:
         if not stmt.joins:
             source, where, order_by, limit = self._single_source(stmt)
+            if source.alias is None:
+                stmt = source.unqualified(stmt)
             read = self._read(source, where, values, order_by, limit)
             known, tables, steps = source.keys(), self._tables(source), None
         else:

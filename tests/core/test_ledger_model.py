@@ -11,13 +11,13 @@ engine is caught against an earlier digest (§3.4).  Its rules:
   and DELETE of one row or of a ``WHERE id BETWEEN`` range, where an
   UPDATE that collides is undone whole, in autocommit and inside BEGIN;
 * ``BEGIN`` / ``SAVE TRANSACTION`` / ``ROLLBACK TO`` / ``ROLLBACK`` /
-  ``COMMIT``, and a ``COMMIT`` whose WAL append fails once, followed by
-  ``ROLLBACK``;
+  ``COMMIT``;
+* a commit whose WAL append fails once, at any of its records — BEGIN, a
+  DML frame or COMMIT: the open transaction's ``COMMIT``, followed by
+  ``ROLLBACK``, or an autocommit INSERT, DELETE or UPDATE
+  (:data:`DML_FRAMES`); the commit leaves no trace and the engine runs on;
 * a commit that fills a block while a fault fails its close once
   (:data:`CLOSE_POINTS`): the commit stays acknowledged;
-* an INSERT, DELETE or UPDATE one of whose WAL frame appends fails once
-  (:data:`DML_FRAMES`), inside ``BEGIN`` or under autocommit: the
-  statement leaves no trace and the engine runs on;
 * digests, kept in hand or uploaded to immutable blob storage; receipts;
   truncation at a legal cut; checkpoints; a clean close and reopen;
 * a crash: plain, or at one of the in-process fault points
@@ -47,6 +47,7 @@ each rule ran::
 """
 
 import functools
+import os
 import shutil
 import tempfile
 from collections import Counter, deque
@@ -74,7 +75,7 @@ from repro.digests import DigestManager, ImmutableBlobStorage
 from repro.engine.clock import LogicalClock
 from repro.engine.index import DerivedKeyIndex
 from repro.engine.record import decode_record, encode_record
-from repro.engine.wal import DELETE, INSERT, INSERT_MANY
+from repro.engine.wal import BEGIN, COMMIT, DELETE, INSERT, INSERT_MANY
 from repro.errors import ConstraintError, InjectedCrashError, InjectedFaultError
 from repro.faults import FAULTS
 from repro.sql import SqlSession
@@ -126,14 +127,16 @@ CRASH_POINTS = {
 
 #: The in-process fault points a block close reaches, each failed once by
 #: the model's ``failed_close`` rule.  ``wal.append`` fails one of the
-#: close's six appends: the queue flush's BEGIN, INSERT and COMMIT, then the
-#: block row's; :data:`COMMIT_APPENDS` come first, from the commit itself.
+#: close's six records, two commits of three: the queue flush's BEGIN,
+#: INSERT and COMMIT, then the block row's; :data:`COMMIT_RECORDS` come
+#: first, from the commit itself.
 CLOSE_POINTS = ("ledger.flush_queue", "ledger.block_persist", "wal.append")
-COMMIT_APPENDS = 3  # BEGIN, INSERT, COMMIT of ``insert_one``
+COMMIT_RECORDS = 3  # BEGIN, INSERT, COMMIT of ``insert_one``
 
-#: The DML frames each statement of the ``failed_dml`` rule appends, in
-#: order: an INSERT's one batch frame; for DELETE and UPDATE, the history
-#: row first, then the base row's DELETE (and its new version's INSERT).
+#: The DML frames each autocommit statement of the ``failed_commit`` rule
+#: logs, in order: an INSERT's one batch frame; for DELETE and UPDATE, the
+#: history row first, then the base row's DELETE (and its new version's
+#: INSERT).
 DML_FRAMES = {
     "insert": [INSERT_MANY],
     "delete": [INSERT, DELETE],
@@ -406,6 +409,20 @@ class LedgerModel(RuleBasedStateMachine):
             rows.append((key, (label(length, "i"), key % 5, key)))
         return rows
 
+    def _dml_sql(self, table, kind, pick, length):
+        """An INSERT of two new rows, or a DELETE or UPDATE of the
+        ``pick``-th row of ``table`` (an INSERT if it has none), and its
+        kind (:data:`DML_FRAMES`); the model is not told."""
+        rows = self.model[table]
+        if not rows:
+            kind = "insert"
+        where = f"WHERE id = {sorted(rows)[pick % len(rows)]}" if rows else ""
+        if kind == "insert":
+            return self._insert_sql(table, self._new_rows(2, 40)), kind
+        if kind == "delete":
+            return f"DELETE FROM {table} {where}", kind
+        return f"UPDATE {table} SET label = {literal(label(length, 'u'))} {where}", kind
+
     def insert_one(self):
         """Commit one new row to ``indexed`` (outside a transaction)."""
         rows = self._new_rows(1, 40)
@@ -601,21 +618,52 @@ class LedgerModel(RuleBasedStateMachine):
         self.savepoints = []
         self._committed()
 
-    @precondition(lambda self: self.savepoints)
-    @rule()
-    def failed_commit(self):
-        """The open transaction's COMMIT fails once, before its record
-        reaches the WAL; ``ROLLBACK``, then carry on in this process.  A
-        digest then closes every block and ``verify`` passes."""
-        FAULTS.arm("wal.append", action="fail", times=1)
+    @rule(
+        table=st.sampled_from(sorted(TABLES)),
+        kind=st.sampled_from(sorted(DML_FRAMES)),
+        append=st.integers(0, 4),
+        pick=st.integers(0, PRELOAD),
+        length=LENGTHS,
+    )
+    def failed_commit(self, table="keyed", kind="insert", append=-1, pick=0,
+                      length=250):
+        """A commit's WAL append fails once, at its ``append``-th record
+        (wrapping; by default COMMIT): BEGIN, a DML frame or COMMIT.  The
+        append writes nothing and the ledger slot is handed back.  Inside
+        the open transaction its ``COMMIT`` fails, then ``ROLLBACK``; under
+        autocommit an INSERT, DELETE or UPDATE of ``table``
+        (:data:`DML_FRAMES`) fails and rolls back by itself.  Then carry
+        on in this process: the engine runs on, a digest closes every
+        block and ``verify`` passes."""
+        if self.savepoints:
+            sql = "COMMIT"
+            changes = self.session._txn.changes
+            frames = [frame.kind for records, _ in changes for frame in records]
+        else:
+            sql, kind = self._dml_sql(table, kind, pick, length)
+            frames = DML_FRAMES[kind]
+        records = [BEGIN, *frames, COMMIT]
+        append %= len(records)
+        failed = []
+
+        def fail(context):
+            failed.append(context["kind"])
+            raise InjectedFaultError("wal.append")
+
+        size = os.path.getsize(self.db.engine.wal.path)
+        FAULTS.arm("wal.append", action="fail", skip=append, times=1, callback=fail)
         try:
             with pytest.raises(InjectedFaultError):
-                self.session.execute("COMMIT")
+                self.session.execute(sql)
         finally:
             FAULTS.reset()
-        self.session.execute("ROLLBACK")
-        _, self.model = self.savepoints[0]
-        self.savepoints = []
+        assert failed == [records[append]]
+        assert os.path.getsize(self.db.engine.wal.path) == size
+        assert self.db.engine.failure is None
+        if self.savepoints:
+            self.session.execute("ROLLBACK")
+            _, self.model = self.savepoints[0]
+            self.savepoints = []
         assert self._storage() == self.committed[1]
         self.digest()
         assert self.db.ledger.sealed_pending() == 0
@@ -633,7 +681,7 @@ class LedgerModel(RuleBasedStateMachine):
         ledger = self.db.ledger
         while ledger.checkpoint_state()["open_ordinal"] < BLOCK_SIZE - 1:
             self.insert_one()
-        skip = COMMIT_APPENDS + append if point == "wal.append" else 0
+        skip = COMMIT_RECORDS + append if point == "wal.append" else 0
         FAULTS.arm(point, action="fail", skip=skip, times=1)
         try:
             self.insert_one()  # fills the block; acknowledged all the same
@@ -645,49 +693,6 @@ class LedgerModel(RuleBasedStateMachine):
         self.digest()
         assert ledger.sealed_pending() == 0
         assert self.db.health()["status"] == "ok"
-        self.verify_digests()
-
-    @rule(
-        table=st.sampled_from(sorted(TABLES)),
-        kind=st.sampled_from(sorted(DML_FRAMES)),
-        append=st.integers(0, 2),
-        pick=st.integers(0, PRELOAD),
-        length=LENGTHS,
-    )
-    def failed_dml(self, table, kind, append, pick=0, length=250):
-        """The ``append``-th DML frame append of one statement fails once
-        (:data:`DML_FRAMES`), inside the open transaction or under
-        autocommit; then carry on in this process.  The statement leaves
-        no trace, the engine runs on, and a digest then verifies."""
-        rows = self.model[table]
-        if not rows:
-            kind = "insert"
-        where = f"WHERE id = {sorted(rows)[pick % len(rows)]}" if rows else ""
-        if kind == "insert":
-            sql = self._insert_sql(table, self._new_rows(2, 40))
-        elif kind == "delete":
-            sql = f"DELETE FROM {table} {where}"
-        else:
-            sql = f"UPDATE {table} SET label = {literal(label(length, 'u'))} {where}"
-        frames = DML_FRAMES[kind]
-        append %= len(frames)
-        failed = []
-
-        def fail(context):
-            failed.append(context["kind"])
-            raise InjectedFaultError("wal.append")
-
-        skip = append + (not self.savepoints)  # an autocommit's BEGIN first
-        FAULTS.arm("wal.append", action="fail", skip=skip, times=1, callback=fail)
-        try:
-            with pytest.raises(InjectedFaultError):
-                self.session.execute(sql)
-        finally:
-            FAULTS.reset()
-        assert failed == [frames[append]]
-        assert self.db.engine.failure is None
-        self._committed()
-        self.digest()
         self.verify_digests()
 
     # -- digests, receipts, truncation -----------------------------------
@@ -1089,21 +1094,20 @@ def test_failed_close_then_carry_on(point, append):
     (kind, length, append)
     for kind, lengths in (("insert", [40]), ("delete", [0]), ("update", [120, 250]))
     for length in lengths
-    for append in range(len(DML_FRAMES[kind]))
+    for append in range(len(DML_FRAMES[kind]) + 2)
 ])
-def test_failed_dml_then_carry_on(kind, length, append, inside):
-    """The model's failed-DML rule on ``keyed`` at every append of each
-    statement — an UPDATE to a 120-character label rewrites its row in
-    place, one to 250 characters moves it — inside ``BEGIN`` (then
-    ``COMMIT``) or under autocommit, then a crash: every invariant holds
-    after each."""
+def test_failed_commit_at_each_record_then_carry_on(kind, length, append, inside):
+    """The model's failed-commit rule at every record of the commit of a
+    statement on ``keyed`` — an UPDATE to a 120-character label rewrites
+    its row in place, one to 250 characters moves it — under autocommit,
+    or inside ``BEGIN`` (then ``ROLLBACK``), then a crash: every
+    invariant holds after each."""
     with ledger_model() as machine:
         if inside:
             machine.transaction(None)  # BEGIN
-        machine.failed_dml("keyed", kind, append, length=length)
+            machine.session.execute(machine._dml_sql("keyed", kind, 0, length)[0])
+        machine.failed_commit("keyed", kind, append, length=length)
         check_invariants(machine)
-        if inside:
-            machine.commit()
         machine.insert_one()
         machine.crash(None, 0)
         check_invariants(machine)

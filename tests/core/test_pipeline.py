@@ -533,8 +533,9 @@ class TestFailedSystemWrite:
     COMMIT record reaches the log rolls that transaction back, so the
     retried drain closes the block and nothing wedges the ledger."""
 
-    #: The WAL appends of a close: the queue flush's BEGIN, INSERT and
-    #: COMMIT, then the block row's.
+    #: The records of a close's two commit appends, ``wal.append`` firing
+    #: once for each: the queue flush's BEGIN, INSERT and COMMIT, then the
+    #: block row's.
     APPENDS = (
         "flush BEGIN", "flush INSERT", "flush COMMIT",
         "block BEGIN", "block INSERT", "block COMMIT",

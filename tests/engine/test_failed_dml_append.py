@@ -1,26 +1,28 @@
-"""A statement whose DML frame append fails leaves no trace.
+"""A commit whose log append fails leaves no trace.
 
-Every table write makes its change in memory and then logs it through one
-step, ``Table._log``.  When one of a statement's appends fails, the change
-is taken back and every frame that did reach the log is compensated by its
-mirror CLR before the error surfaces; the statement then undoes its earlier
-writes as any failed statement does.  So after the failure, whether the
-transaction goes on to ``COMMIT``, to ``ROLLBACK``, or was a one-shot
-autocommit: the live rows are the rows from before the statement plus the
-writes made after it, ``verify`` against a digest passes, and both still
-hold after a crash and a reopen.  A compensation that fails as well stops
-the engine until it is reopened.
+A transaction's records reach the log in one append, at COMMIT: BEGIN,
+the frames of every change it kept, then COMMIT.  ``wal.append`` fires for
+each record before any byte is written, so whichever record it fails at,
+the append writes nothing: the ledger slot is handed back and the
+transaction stays active for its rollback (a one-shot autocommit statement
+rolls back by itself).  After it, whether the statement ran inside
+``BEGIN`` (then ``ROLLBACK``) or under autocommit: the live rows are the
+rows from before the statement plus the writes made after it, ``verify``
+against a digest passes, and both still hold after a crash and a reopen.
 
-Each statement below is failed at each of its DML appends (for a ledger
-table: the history row, then the base DELETE and INSERT).
+Each statement below is failed at each record of its commit (for a ledger
+table's DELETE and UPDATE: the history row, then the base DELETE and
+INSERT).
 """
+
+import os
 
 import pytest
 
 from repro.core.ledger_database import LedgerDatabase
 from repro.engine.clock import LogicalClock
-from repro.engine.wal import DELETE, INSERT, INSERT_MANY, read_frames
-from repro.errors import InjectedFaultError, LedgerError
+from repro.engine.wal import BEGIN, COMMIT, DELETE, INSERT, INSERT_MANY, read_frames
+from repro.errors import InjectedFaultError
 from repro.faults import FAULTS
 
 NOTE = "n" * 1500  # five rows fill a page
@@ -47,12 +49,19 @@ STATEMENTS = {
         [INSERT, DELETE, INSERT],
     ),
 }
+
+
+def commit_records(name):
+    """The record kinds of the commit of statement ``name``, in order."""
+    return [BEGIN, *STATEMENTS[name][1], COMMIT]
+
+
 CASES = [
     (name, position)
-    for name, (_, kinds) in STATEMENTS.items()
-    for position in range(len(kinds))
+    for name in STATEMENTS
+    for position in range(len(commit_records(name)))
 ]
-MODES = ("commit", "rollback", "autocommit")
+MODES = ("rollback", "autocommit")
 
 
 def open_db(path):
@@ -93,23 +102,10 @@ def assert_verifies(db, digests):
     assert report.ok, [finding.message for finding in report.errors]
 
 
-def fail_statement(db, name, position, skip_before=0, times=1):
-    """Run statement ``name`` with its ``position``-th DML append failing
-    (``skip_before`` appends come first: an autocommit's BEGIN)."""
-    sql, _ = STATEMENTS[name]
-    FAULTS.arm("wal.append", action="fail", skip=skip_before + position, times=times)
-    try:
-        with pytest.raises(InjectedFaultError):
-            db.sql(sql)
-        assert FAULTS.triggers("wal.append") == times
-    finally:
-        FAULTS.reset()
-
-
 @pytest.mark.parametrize("name", sorted(STATEMENTS))
 def test_each_statement_logs_these_frames(db, name):
-    """The positions below enumerate every DML append of each statement;
-    the UPDATEs are one in place and one that moves its row."""
+    """The positions below enumerate every record of each statement's
+    commit; the UPDATEs are one in place and one that moves its row."""
     sql, kinds = STATEMENTS[name]
     before = len(dml_frames(db))
     db.sql(sql)
@@ -125,26 +121,36 @@ def test_each_statement_logs_these_frames(db, name):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name, position", CASES)
-def test_a_failed_append_leaves_no_trace(db, path, name, position, mode):
+def test_a_failed_commit_append_leaves_no_trace(db, path, name, position, mode):
     before = rows(db)
     digests = [db.generate_digest()]
+    sql, _ = STATEMENTS[name]
     if mode != "autocommit":
         db.sql("BEGIN TRANSACTION")
-    fail_statement(db, name, position, skip_before=mode == "autocommit")
-    later = {}
+        db.sql(sql)
+        sql = "COMMIT"
+    size = os.path.getsize(db.engine.wal.path)
+    failed = []
+
+    def fail(context):
+        failed.append(context["kind"])
+        raise InjectedFaultError("wal.append")
+
+    FAULTS.arm("wal.append", action="fail", skip=position, times=1, callback=fail)
+    try:
+        with pytest.raises(InjectedFaultError):
+            db.sql(sql)
+    finally:
+        FAULTS.reset()
+    assert failed == [commit_records(name)[position]]
+    assert os.path.getsize(db.engine.wal.path) == size
     if mode != "autocommit":
-        db.sql("INSERT INTO t (id, v, note) VALUES (30, 'v30', NULL)")
-        if mode == "commit":
-            later[30] = ("v30", None)
-            db.sql("COMMIT")
-        else:
-            db.sql("ROLLBACK")
+        db.sql("ROLLBACK")
     # An autocommit write after it, which takes any slot the statement freed.
     db.sql("INSERT INTO t (id, v, note) VALUES (31, 'v31', NULL)")
-    later[31] = ("v31", None)
     assert db.engine.failure is None
 
-    expected = {**before, **later}
+    expected = {**before, 31: ("v31", None)}
     assert rows(db) == expected
     digests.append(db.generate_digest())
     assert_verifies(db, digests)
@@ -154,33 +160,5 @@ def test_a_failed_append_leaves_no_trace(db, path, name, position, mode):
     try:
         assert rows(db) == expected
         assert_verifies(db, digests)
-    finally:
-        db.close()
-
-
-def test_a_failed_compensation_stops_the_engine_until_a_reopen(db, path):
-    """The UPDATE's base INSERT append fails, then so does the CLR that
-    compensates its logged DELETE: the log holds a DELETE memory no longer
-    has, so nothing more may commit until a reopen recovers from the log."""
-    before = rows(db)
-    digests = [db.generate_digest()]
-    db.sql("BEGIN TRANSACTION")
-    fail_statement(db, "update_in_place", 2, times=2)
-    assert "reopen" in db.engine.failure
-    with pytest.raises(LedgerError):
-        db.sql("COMMIT")
-    with pytest.raises(LedgerError):
-        db.engine.begin()
-    assert db.health()["status"] == "degraded"
-    db.close()  # a stopped engine closes as a crash would
-
-    db = open_db(path)
-    try:
-        assert db.engine.failure is None
-        assert rows(db) == before
-        assert_verifies(db, digests)
-        db.sql("UPDATE t SET v = 'nine' WHERE id = 2")
-        assert rows(db)[2] == ("nine", NOTE)
-        assert_verifies(db, [*digests, db.generate_digest()])
     finally:
         db.close()

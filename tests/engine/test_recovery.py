@@ -1,10 +1,12 @@
 """Crash recovery, checkpointing and WAL behaviour."""
 
 import os
+import shutil
 from collections import Counter
 
 import pytest
 
+from repro.core.ledger_database import LedgerDatabase
 from repro.engine.btree import BPlusTree
 from repro.engine.clock import LogicalClock
 from repro.engine.database import Database
@@ -319,6 +321,107 @@ class TestCrashRecovery:
         db2.simulate_crash()  # crash again without any new work
         db3 = open_db(tmp_path / "db")
         assert db3.table("items").row_count() == 1
+
+
+class TestCommitTimeAppends:
+    """A transaction's frames reach the log in one append at its COMMIT, so
+    the log orders transactions by commit, not by begin, and holds nothing
+    of a rollback or of a transaction still open at the crash."""
+
+    def test_commits_in_reverse_begin_order_both_recover(self, tmp_path):
+        db = open_db(tmp_path / "db")
+        first = db.create_table(make_schema("first"))
+        second = db.create_table(make_schema("second"))
+        early, late = db.begin(), db.begin()
+        insert_rows(early, first, [[1, "early"]])
+        insert_rows(late, second, [[2, "late"]])
+        insert_rows(early, first, [[3, "early again"]])
+        db.commit(late)
+        db.commit(early)
+        kinds = [
+            (record.kind, record.payload.get("tid"))
+            for record in read_wal(db.wal.path)[0]
+            if record.kind != "DDL"
+        ]
+        assert kinds == [
+            ("BEGIN", late.tid), ("INSERT_MANY", late.tid), ("COMMIT", late.tid),
+            ("BEGIN", early.tid), ("INSERT_MANY", early.tid),
+            ("INSERT_MANY", early.tid), ("COMMIT", early.tid),
+        ]
+        db.simulate_crash()
+
+        db2 = open_db(tmp_path / "db")
+        assert [r["id"] for _, r in seq_scan(db2.table("first"))] == [1, 3]
+        assert [r["id"] for _, r in seq_scan(db2.table("second"))] == [2]
+
+    def test_rolled_back_insert_in_the_highest_slot(self, tmp_path):
+        """The rolled-back rows took the page's highest slots and later
+        inserts reuse them: a crash and a clean close come back to the same
+        RowIds, records and slot counts."""
+        db = open_db(tmp_path / "db")
+        table = db.create_table(make_schema())
+        txn = db.begin()
+        insert_rows(txn, table, [[i, f"row {i}"] for i in range(1, 4)])
+        db.commit(txn)
+        txn = db.begin()
+        insert_rows(txn, table, [[4, "kept"]])
+        db.savepoint(txn, "sp")
+        insert_rows(txn, table, [[10, "rolled back"], [11, "rolled back"]])
+        db.rollback_to_savepoint(txn, "sp")
+        with pytest.raises(ConstraintError), db.statement(txn):
+            insert_rows(txn, table, [[12, "rolled back"]])
+            insert_rows(txn, table, [[1, "duplicate"]])
+        insert_rows(txn, table, [[5, "later"], [6, "later"]])
+        db.commit(txn)
+        live = heap_maps(db)
+        shutil.copytree(tmp_path / "db", tmp_path / "crashed")
+        db.close()
+
+        for name in ("crashed", "db"):
+            again = open_db(tmp_path / name)
+            assert heap_maps(again) == live, name
+            assert sorted(r["id"] for _, r in seq_scan(again.table("items"))) == [
+                1, 2, 3, 4, 5, 6,
+            ]
+            again.close()
+
+    def test_a_losers_tid_is_reused_after_a_crash(self, tmp_path):
+        """BEGIN reaches the log only with its COMMIT, so recovery does not
+        see the tid of a transaction open at the crash and hands it out
+        again; nothing durable named it, so verification passes and the
+        ledger's entries keep rising tids."""
+        path = str(tmp_path / "db")
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        db.sql("CREATE TABLE t (id INT PRIMARY KEY, v INT) WITH (LEDGER = ON)")
+        db.sql("INSERT INTO t VALUES (1, 1)")
+        digests = [db.generate_digest()]
+        loser = db.begin()
+        db.insert(loser, "t", [[2, 2]])
+        db.engine.simulate_crash()
+
+        db = LedgerDatabase.open(path, clock=LogicalClock())
+        try:
+            txn = db.begin()
+            assert txn.tid == loser.tid
+            db.insert(txn, "t", [[3, 3]])
+            db.commit(txn)
+            digests.append(db.generate_digest())
+            assert [row["id"] for row in db.select("t")] == [1, 3]
+            report = db.verify(digests)
+            assert report.ok, [f.message for f in report.errors]
+            blocks = range(db.ledger.first_block_id(), digests[-1].block_id + 1)
+            tids = [
+                entry.transaction_id
+                for block in blocks
+                for entry in sorted(
+                    db.ledger.transactions_in_block(block),
+                    key=lambda entry: entry.ordinal,
+                )
+            ]
+            assert txn.tid in tids
+            assert tids == sorted(tids) and len(set(tids)) == len(tids)
+        finally:
+            db.close()
 
 
 class TestCheckpoint:

@@ -4,7 +4,8 @@
 its page can hold it — no page compaction unless a grown record needs it,
 no clustered-tree change unless the key changed — and moves the row only
 when the page cannot hold it.  Either way the WAL carries the same frames as a remove +
-place: ``DELETE(rid, old)`` then ``INSERT(rid', new)``.
+place: ``DELETE(rid, old)`` then ``INSERT(rid', new)``; a rolled-back one
+carries none.
 
 The counting tests pin each of those.  That nothing else is observable —
 rows, index scans, undo through savepoints and rollbacks, RowId → bytes maps
@@ -75,30 +76,28 @@ class Spy:
         for name in ("insert", "insert_many", "delete"):
             self.count(tree, name, label)
 
-    def log(self, table):
-        wal = table._wal
+    def log(self, table, wal):
         append = wal.append
 
-        def logged(record):
-            if isinstance(record, DmlRecord) and record.table_id == table.table_id:
-                self.frames.append((
-                    record.kind,
-                    [(rid, bytes(rec)) for rid, rec in record.rows],
-                    record.clr,
-                ))
-            return append(record)
+        def logged(*records):
+            self.frames += [
+                (record.kind, [(rid, bytes(rec)) for rid, rec in record.rows])
+                for record in records
+                if isinstance(record, DmlRecord) and record.table_id == table.table_id
+            ]
+            return append(*records)
 
         self._monkeypatch.setattr(wal, "append", logged)
 
 
-def spy_on(monkeypatch, table):
+def spy_on(monkeypatch, table, wal):
     spy = Spy(monkeypatch)
     pages = set(map(id, table.heap._pages))
     spy.count(Page, "_compact", "compact", only=lambda page: id(page) in pages)
     spy.trees(table.clustered._tree, "clustered")
     for name in ("insert", "delete"):
         spy.count(table.heap, name, f"heap.{name}")
-    spy.log(table)
+    spy.log(table, wal)
     return spy
 
 
@@ -109,14 +108,14 @@ class TestInPlace:
         old = acc.heap.read(rid)
         assert rid[0] == 0
         assert not acc.heap._pages[0].can_fit(len(old))  # the page is full
-        spy = spy_on(monkeypatch, acc)
+        spy = spy_on(monkeypatch, acc, db.engine.wal)
         db.sql("UPDATE acc SET balance = -5 WHERE id = 5")
         assert acc.clustered.seek([5]) == rid
         new = acc.heap.read(rid)
         assert len(new) == len(old) and new != old
         assert spy.calls == Counter()  # no compaction, tree or heap churn
         assert spy.frames == [
-            (DELETE, [(rid, old)], False), (INSERT, [(rid, new)], False),
+            (DELETE, [(rid, old)]), (INSERT, [(rid, new)]),
         ]
         (row,) = db.sql("SELECT balance FROM acc WHERE id = 5")
         assert row["balance"] == -5
@@ -124,12 +123,12 @@ class TestInPlace:
     def test_changed_key_keeps_the_rowid_and_rekeys_the_tree(self, db, monkeypatch):
         acc = db.engine.table("acc")
         rid = acc.clustered.seek([5])
-        spy = spy_on(monkeypatch, acc)
+        spy = spy_on(monkeypatch, acc, db.engine.wal)
         db.sql("UPDATE acc SET id = 10000 WHERE id = 5")
         assert acc.clustered.seek([10000]) == rid
         assert acc.clustered.seek([5]) is None
         assert spy.calls == Counter({"clustered": 2})  # one delete, one insert
-        assert [(kind, [r for r, _ in rows]) for kind, rows, _ in spy.frames] == [
+        assert [(kind, [r for r, _ in rows]) for kind, rows in spy.frames] == [
             (DELETE, [rid]), (INSERT, [rid]),
         ]
         with pytest.raises(ConstraintError):
@@ -140,21 +139,21 @@ class TestInPlace:
         acc = db.engine.table("acc")
         rid = acc.clustered.seek([5])
         old = acc.heap.read(rid)
-        spy = spy_on(monkeypatch, acc)
+        spy = spy_on(monkeypatch, acc, db.engine.wal)
         db.sql(f"UPDATE acc SET note = '{'g' * 1500}' WHERE id = 5")
         moved = acc.clustered.seek([5])
         assert moved != rid and moved[0] != 0
         assert not acc.heap.exists(rid)
         assert spy.calls["heap.insert"] == spy.calls["heap.delete"] == 1
         assert spy.frames == [
-            (DELETE, [(rid, old)], False),
-            (INSERT, [(moved, acc.heap.read(moved))], False),
+            (DELETE, [(rid, old)]),
+            (INSERT, [(moved, acc.heap.read(moved))]),
         ]
 
     def test_growing_update_with_room_stays_without_compaction(self, db, monkeypatch):
         acc = db.engine.table("acc")
         rid = acc.clustered.seek([199])  # on the last, partly filled page
-        spy = spy_on(monkeypatch, acc)
+        spy = spy_on(monkeypatch, acc, db.engine.wal)
         db.sql(f"UPDATE acc SET note = '{'g' * 300}' WHERE id = 199")
         assert acc.clustered.seek([199]) == rid
         assert spy.calls == Counter()
@@ -163,7 +162,7 @@ class TestInPlace:
         acc = db.engine.table("acc")
         rid = acc.clustered.seek([5])
         db.sql("DELETE FROM acc WHERE id = 6")  # a hole on the same full page
-        spy = spy_on(monkeypatch, acc)
+        spy = spy_on(monkeypatch, acc, db.engine.wal)
         db.sql(f"UPDATE acc SET note = '{'g' * 60}' WHERE id = 5")
         assert acc.clustered.seek([5]) == rid
         assert spy.calls == Counter({"compact": 1})
@@ -172,18 +171,15 @@ class TestInPlace:
         acc = db.engine.table("acc")
         rid = acc.clustered.seek([5])
         old = acc.heap.read(rid)
-        spy = spy_on(monkeypatch, acc)
+        spy = spy_on(monkeypatch, acc, db.engine.wal)
         db.sql("BEGIN TRANSACTION")
         db.sql("UPDATE acc SET balance = -5, id = 9999 WHERE id = 5")
-        new = acc.heap.read(rid)
+        assert acc.heap.read(rid) != old
         db.sql("ROLLBACK")
         assert acc.heap.read(rid) == old
         assert acc.clustered.seek([5]) == rid
         assert acc.clustered.seek([9999]) is None
-        assert spy.frames == [
-            (DELETE, [(rid, old)], False), (INSERT, [(rid, new)], False),
-            (DELETE, [(rid, new)], True), (INSERT, [(rid, old)], True),
-        ]
+        assert spy.frames == []  # the log never saw the transaction
         assert spy.calls["heap.insert"] == spy.calls["heap.delete"] == 0
         assert db.verify([db.generate_digest()]).ok
 

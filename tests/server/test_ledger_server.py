@@ -288,6 +288,13 @@ class TestClientMistakes:
         assert excinfo.value.message.startswith(f"{error}: ")
         assert client.ping()
 
+    def test_table_qualified_aggregate_answers(self, client):
+        """``items.value`` names ``value`` of the unaliased source: the sum,
+        not ``BAD_REQUEST: KeyError``."""
+        client.execute("INSERT INTO items VALUES ('a', 1), ('b', 2)")
+        result = client.execute("SELECT SUM(items.value) AS s FROM items")
+        assert result["rows"] == [{"s": 3}]
+
     def test_over_limit_row_is_bad_request(self, client):
         client.execute("CREATE TABLE wide (id INT PRIMARY KEY, v VARCHAR(8000), "
                        "w VARCHAR(8000)) WITH (LEDGER = ON)")

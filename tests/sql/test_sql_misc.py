@@ -292,6 +292,42 @@ class TestErrorSurface:
         assert len(error.findings) == 9
 
 
+class TestTableQualifiedNames:
+    """``accounts.col`` of an unaliased only source names ``col``, as
+    ``x.col`` of ``FROM accounts x`` does: in the select list, in WHERE,
+    in aggregates, GROUP BY and ORDER BY."""
+
+    @pytest.mark.parametrize("sql, rows", [
+        ("SELECT SUM(accounts.balance) AS s FROM accounts", [{"s": 30}]),
+        ("SELECT COUNT(accounts.balance) AS c FROM accounts", [{"c": 2}]),
+        ("SELECT MIN(accounts.balance) AS m FROM accounts", [{"m": 10}]),
+        ("SELECT accounts.name FROM accounts ORDER BY accounts.name DESC",
+         [{"accounts.name": "b"}, {"accounts.name": "a"}]),
+        ("SELECT name FROM accounts WHERE accounts.balance > 15",
+         [{"name": "b"}]),
+        ("SELECT accounts.balance + 1 AS n FROM accounts "
+         "WHERE accounts.name = 'a'", [{"n": 11}]),
+        ("SELECT x.name FROM accounts x WHERE x.balance > 15",
+         [{"x.name": "b"}]),
+    ], ids=["sum", "count", "min", "select_list", "where", "expression",
+            "alias"])
+    def test_resolves(self, db, sql, rows):
+        assert db.sql(sql) == rows
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT accounts.missing FROM accounts",
+        "SELECT SUM(accounts.missing) AS s FROM accounts",
+        "SELECT COUNT(missing) AS c FROM accounts",
+        "SELECT name FROM accounts WHERE accounts.missing = 1",
+        # An alias hides the table's own name, as in SQL Server.
+        "SELECT accounts.name FROM accounts x",
+    ], ids=["unknown_column", "unknown_aggregate", "unknown_bare_aggregate",
+        "unknown_where", "aliased"])
+    def test_a_name_that_resolves_to_nothing_is_a_bind_error(self, db, sql):
+        with pytest.raises(SqlBindError):
+            db.sql(sql)
+
+
 def _api_update(assignments):
     def update(db):
         txn = db.begin()

@@ -283,16 +283,15 @@ class TestInsertManyEngine:
         )
         db.commit(txn)
 
-        txn = db.begin()  # BEGIN frame lands before the fault is armed
-        FAULTS.arm("wal.torn_write", action="crash")
+        txn = db.begin()
+        table.insert_many(
+            txn,
+            [table.schema.row_from_visible([100 + i, "torn"]) for i in range(50)],
+        )
+        # The commit's BEGIN frame lands whole; its INSERT_MANY tears.
+        FAULTS.arm("wal.torn_write", action="crash", skip=1)
         with pytest.raises(InjectedCrashError):
-            table.insert_many(
-                txn,
-                [
-                    table.schema.row_from_visible([100 + i, "torn"])
-                    for i in range(50)
-                ],
-            )
+            db.commit(txn)
         FAULTS.reset()
         db.simulate_crash()
 
@@ -301,8 +300,8 @@ class TestInsertManyEngine:
         db2.close()
 
     def test_uncommitted_batch_rolled_back_on_recovery(self, tmp_path):
-        """The INSERT_MANY frame lands intact but no COMMIT follows:
-        recovery must undo the whole batch via its DELETE_MANY CLR."""
+        """No COMMIT for the batch: the log never holds it, and recovery
+        brings back only the committed rows."""
         db = open_engine(tmp_path / "db")
         table = db.create_table(make_schema())
         txn = db.begin()
